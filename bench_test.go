@@ -535,10 +535,11 @@ func BenchmarkPlacementEnumeration(b *testing.B) {
 }
 
 // BenchmarkServePredict measures one /v1/predict request through the
-// costream-serve HTTP handler stack (decode, fingerprint, predict,
-// encode). "cold" disables the response cache so every request runs full
-// model inference; "cached" serves repeats of one request from the LRU —
-// the gap is the value of caching on a hot serving path.
+// costream-serve HTTP handler stack. "cold" disables the response cache
+// so every request runs read, decode, validate, model inference and
+// encode; "cached" serves repeats of one request from the LRU, which is
+// probed by a digest of the body before any JSON work — the gap is the
+// value of caching on a hot serving path.
 func BenchmarkServePredict(b *testing.B) {
 	optimizeBenchSetup(b)
 	body, err := json.Marshal(serve.PredictRequest{

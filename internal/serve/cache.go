@@ -2,21 +2,32 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
-
-	"costream/internal/placement"
 )
 
-// lruCache is a bounded, thread-safe LRU cache mapping request
-// fingerprints to predicted costs. Predictions are pure functions of
-// (query, cluster, placement) and model weights, so entries never go
-// stale while the server runs one model.
+// cacheKey identifies a /v1/predict request by the SHA-256 of its body
+// bytes, truncated to 128 bits. Hashing the bytes as received means a
+// lookup needs no JSON work; the price is that two differently formatted
+// bodies of the same request occupy two entries (each is computed once
+// and both answers are equal).
+type cacheKey [16]byte
+
+func newCacheKey(body []byte) cacheKey {
+	sum := sha256.Sum256(body)
+	return cacheKey(sum[:16])
+}
+
+// lruCache is a bounded, thread-safe LRU cache mapping request bodies
+// to the encoded 200 response they were answered with. Predictions are
+// pure functions of (query, cluster, placement) and model weights, so
+// entries never go stale while the server runs one model.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[cacheKey]*list.Element
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -24,8 +35,8 @@ type lruCache struct {
 }
 
 type cacheEntry struct {
-	key   string
-	costs placement.PredCosts
+	key  cacheKey
+	body []byte
 }
 
 // newLRUCache returns a cache holding at most max entries; max <= 0
@@ -34,41 +45,42 @@ func newLRUCache(max int) *lruCache {
 	if max <= 0 {
 		return nil
 	}
-	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return &lruCache{max: max, ll: list.New(), items: make(map[cacheKey]*list.Element)}
 }
 
-// get returns the cached costs for key, marking the entry most recently
-// used. The hit/miss counters feed /stats.
-func (c *lruCache) get(key string) (placement.PredCosts, bool) {
+// get returns the response body stored under key, marking the entry most
+// recently used. The slice is shared with the cache and must not be
+// modified. The hit/miss counters feed /stats.
+func (c *lruCache) get(key cacheKey) ([]byte, bool) {
 	if c == nil {
-		return placement.PredCosts{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses.Add(1)
-		return placement.PredCosts{}, false
+		return nil, false
 	}
 	c.hits.Add(1)
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).costs, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-// add stores costs under key, evicting the least recently used entry
-// when full.
-func (c *lruCache) add(key string, costs placement.PredCosts) {
+// add stores body under key, evicting the least recently used entry
+// when full. The cache keeps body; the caller must not modify it after.
+func (c *lruCache) add(key cacheKey, body []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).costs = costs
+		el.Value.(*cacheEntry).body = body
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, costs: costs})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

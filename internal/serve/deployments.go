@@ -38,7 +38,7 @@ type HostRequest struct {
 
 func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	var req DeployRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -96,7 +96,7 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) decodeHost(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req HostRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return "", false
 	}

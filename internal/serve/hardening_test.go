@@ -54,6 +54,62 @@ func TestBodyCapAppliesToAllPostRoutes(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyNotPooled: a /v1/predict body past the cap is still
+// 413 although the handler now reads it whole, and the buffer that grew
+// reading it is dropped instead of being pinned by the pool.
+func TestOversizedBodyNotPooled(t *testing.T) {
+	const limit = 4 * maxPooledBody
+	s := newTestServer(t, Config{MaxRequestBytes: limit})
+	big := append([]byte(`{"query": "`), bytes.Repeat([]byte("x"), 2*limit)...)
+	if w := postRaw(s, "/v1/predict", big); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413; body %s", w.Code, w.Body)
+	}
+	if s.cache.len() != 0 {
+		t.Error("a 413 response was cached")
+	}
+	// Whatever the pool hands out next — a kept buffer or a fresh one —
+	// must not be the one that grew.
+	for i := 0; i < 8; i++ {
+		if buf := bodyPool.Get().(*bytes.Buffer); buf.Cap() > maxPooledBody {
+			t.Fatalf("pool retained a %d-byte buffer, cap is %d", buf.Cap(), maxPooledBody)
+		}
+	}
+}
+
+// TestTrailingDataRejected: every POST route takes exactly one JSON
+// document; anything but whitespace after it is a 400, not ignored.
+func TestTrailingDataRejected(t *testing.T) {
+	s := newControlTestServer(t, nil)
+	q, c := testQuery(t), testCluster()
+	p := sim.Placement{0, 1, 2}
+	// The host routes name a host no deployment uses, so the order the
+	// routes run in does not matter.
+	bodies := map[string]any{
+		"/v1/predict":        PredictRequest{Query: q, Cluster: c, Placement: p},
+		"/v1/predict-batch":  PredictBatchRequest{Query: q, Cluster: c, Placements: []sim.Placement{p}},
+		"/v1/optimize":       OptimizeRequest{Query: q, Cluster: c, Candidates: 4},
+		"/v1/deployments":    DeployRequest{Query: q, Cluster: c, Placement: p},
+		"/v1/hosts/cordon":   HostRequest{Host: "spare"},
+		"/v1/hosts/uncordon": HostRequest{Host: "spare"},
+		"/v1/hosts/drain":    HostRequest{Host: "spare"},
+	}
+	for path, body := range bodies {
+		doc, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{"garbage", "{}", ` {"query":null}`, "]", "\n\t 1"} {
+			w := postRaw(s, path, append(bytes.Clone(doc), tail...))
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s with trailing %q: status %d, want 400: %s", path, tail, w.Code, w.Body)
+			}
+		}
+		if w := postRaw(s, path, append(bytes.Clone(doc), " \r\n\t\n"...)); w.Code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, want 200: %s", path, w.Code, w.Body)
+		}
+	}
+}
+
 func TestDefaultBodyCap(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if s.maxBody != DefaultMaxRequestBytes {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"costream/internal/obs"
@@ -14,15 +15,27 @@ var routeNames = []string{"predict", "predict_batch", "optimize", "example", "he
 	"deployments_create", "deployments_list", "deployments_get", "deployments_delete",
 	"hosts", "hosts_cordon", "hosts_uncordon", "hosts_drain", "control_tick"}
 
+// stageNames lists, per traced route, the span stages promoted to
+// costream_http_stage_seconds histograms.
+var stageNames = map[string][]string{
+	"predict":  {"read", "cache", "decode", "score", "encode"},
+	"optimize": {"decode", "search", "encode"},
+}
+
+// stageKey names one costream_http_stage_seconds series.
+type stageKey struct{ route, stage string }
+
 // serveMetrics is the server's view into its metrics registry: per-route
-// request counters and latency histograms, saturation rejections, and
-// the coalescer batch-size distribution. Cache, in-flight and inference
-// series are registered as Func instruments reading the live structs
-// (see registerFuncs), so they need no fields here.
+// request counters and latency histograms, per-stage latency histograms
+// of the traced routes, saturation rejections, and the coalescer
+// batch-size distribution. Cache, in-flight and inference series are
+// registered as Func instruments reading the live structs (see
+// registerFuncs), so they need no fields here.
 type serveMetrics struct {
 	requests  map[string]*obs.Counter
 	errors    map[string]*obs.Counter
 	latency   map[string]*obs.Histogram
+	stages    map[stageKey]*obs.Histogram
 	rejected  *obs.Counter
 	batchSize *obs.Histogram
 }
@@ -32,6 +45,7 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 		requests: make(map[string]*obs.Counter, len(routeNames)),
 		errors:   make(map[string]*obs.Counter, len(routeNames)),
 		latency:  make(map[string]*obs.Histogram, len(routeNames)),
+		stages:   make(map[stageKey]*obs.Histogram),
 		rejected: r.Counter("costream_http_rejected_total",
 			"requests rejected with 503 because the in-flight limit stayed saturated past the queue timeout"),
 		batchSize: r.Histogram("costream_serve_coalesce_batch_size",
@@ -44,8 +58,18 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 			"HTTP responses with status >= 400, by route", "route", route)
 		m.latency[route] = r.Histogram("costream_http_request_seconds",
 			"HTTP request handling time, by route", 1e-9, "route", route)
+		for _, stage := range stageNames[route] {
+			m.stages[stageKey{route, stage}] = r.Histogram("costream_http_stage_seconds",
+				"time spent per request stage, by route and stage", 1e-9, "route", route, "stage", stage)
+		}
 	}
 	return m
+}
+
+// stage closes the span's current stage as name and records its
+// duration under costream_http_stage_seconds{route=<span name>}.
+func (s *Server) stage(sp *obs.Span, name string) {
+	s.met.stages[stageKey{sp.Name(), name}].Record(int64(sp.Stage(name)))
 }
 
 // registerFuncs exposes the server's live state through scrape-time
@@ -112,18 +136,29 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer's
+// Flush, deadline and hijack support through the recorder.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
+// recorderPool recycles statusRecorders: route hands one to a handler as
+// an interface, so a fresh one per request would be a heap object.
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 // route wraps a handler with the per-route instrumentation: request
 // counter, latency histogram, and error counter on status >= 400.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	reqs, errs, lat := s.met.requests[name], s.met.errors[name], s.met.latency[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		sr := recorderPool.Get().(*statusRecorder)
+		sr.ResponseWriter, sr.status = w, http.StatusOK
 		start := time.Now()
 		h(sr, r)
 		lat.Since(start)
 		if sr.status >= 400 {
 			errs.Inc()
 		}
+		sr.ResponseWriter = nil
+		recorderPool.Put(sr)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -49,6 +50,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"costream_http_requests_total",
 		"costream_http_errors_total",
 		"costream_http_request_seconds",
+		"costream_http_stage_seconds",
 		"costream_http_rejected_total",
 		"costream_serve_cache_ops_total",
 		"costream_serve_cache_entries",
@@ -65,6 +67,61 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 	if !strings.Contains(string(text), `costream_http_requests_total{route="predict"} 2`) {
 		t.Errorf("per-route predict counter not at 2:\n%s", text)
+	}
+}
+
+// TestStageHistograms checks the span stages land in
+// costream_http_stage_seconds: a miss records every predict stage, a hit
+// only the two it runs, and optimize its three.
+func TestStageHistograms(t *testing.T) {
+	s := newTestServer(t, Config{})
+	q, c := testQuery(t), testCluster()
+	body := PredictRequest{Query: q, Cluster: c, Placement: sim.Placement{0, 1, 2}}
+	for _, want := range []string{"miss", "hit"} {
+		if w := doJSON(t, s, http.MethodPost, "/v1/predict", body); w.Header().Get("X-Costream-Cache") != want {
+			t.Fatalf("cache header %q, want %s", w.Header().Get("X-Costream-Cache"), want)
+		}
+	}
+	postOptimize(t, s, OptimizeRequest{Query: q, Cluster: c, Candidates: 8})
+	want := map[stageKey]int64{
+		{"predict", "read"}: 2, {"predict", "cache"}: 2,
+		{"predict", "decode"}: 1, {"predict", "score"}: 1, {"predict", "encode"}: 1,
+		{"optimize", "decode"}: 1, {"optimize", "search"}: 1, {"optimize", "encode"}: 1,
+	}
+	if len(s.met.stages) != len(want) {
+		t.Errorf("%d stage series registered, want %d", len(s.met.stages), len(want))
+	}
+	for key, n := range want {
+		if got := s.met.stages[key].Count(); got != n {
+			t.Errorf("stage %v recorded %d times, want %d", key, got, n)
+		}
+	}
+	text := doJSON(t, s, http.MethodGet, "/metrics", nil).Body.String()
+	if !strings.Contains(text, `costream_http_stage_seconds_count{route="predict",stage="cache"} 2`) {
+		t.Errorf("exposition lacks the predict cache stage count:\n%s", text)
+	}
+}
+
+// flushRecorder notes whether Flush reached it.
+type flushRecorder struct {
+	http.ResponseWriter
+	flushed bool
+}
+
+func (f *flushRecorder) Flush() { f.flushed = true }
+
+// TestRouteWriterUnwraps: the writer route() hands to handlers must let
+// http.ResponseController reach the connection's writer.
+func TestRouteWriterUnwraps(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var flushErr error
+	h := s.route("example", func(w http.ResponseWriter, r *http.Request) {
+		flushErr = http.NewResponseController(w).Flush()
+	})
+	under := &flushRecorder{ResponseWriter: httptest.NewRecorder()}
+	h(under, httptest.NewRequest(http.MethodGet, "/v1/example", nil))
+	if flushErr != nil || !under.flushed {
+		t.Errorf("Flush through route(): err %v, reached the underlying writer: %v", flushErr, under.flushed)
 	}
 }
 

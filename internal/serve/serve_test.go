@@ -129,6 +129,13 @@ func doJSON(t testing.TB, s *Server, method, path string, body any) *httptest.Re
 	return w
 }
 
+// postRaw POSTs body bytes as they are.
+func postRaw(s *Server, path string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return w
+}
+
 func TestPredictHandler(t *testing.T) {
 	s := newTestServer(t, Config{})
 	q, c := testQuery(t), testCluster()
@@ -220,10 +227,123 @@ func TestCacheHitEquivalence(t *testing.T) {
 		t.Errorf("cache counters hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
+	// The key is the request bytes, so a re-indented copy of the same
+	// request is computed again — to the same answer — and cached on its
+	// own: the price of probing the cache before any JSON work.
+	compact, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"miss", "hit"} {
+		w := postRaw(s, "/v1/predict", indented.Bytes())
+		if got := w.Header().Get("X-Costream-Cache"); got != want {
+			t.Errorf("re-indented request, send %d: cache header %q, want %q", i+1, got, want)
+		}
+		if !bytes.Equal(w.Body.Bytes(), cold.Body.Bytes()) {
+			t.Errorf("re-indented request, send %d: body %s, want %s", i+1, w.Body, cold.Body)
+		}
+	}
+	if n := s.cache.len(); n != 2 {
+		t.Errorf("cache holds %d entries, want 2 (one per formatting)", n)
+	}
+
 	// A different placement is a different key.
 	body.Placement = sim.Placement{0, 0, 1}
 	if w := doJSON(t, s, http.MethodPost, "/v1/predict", body); w.Header().Get("X-Costream-Cache") != "miss" {
 		t.Error("distinct placement served from cache")
+	}
+}
+
+// TestErrorsAreNeverCached: only 200 responses are stored, so the same
+// failing body sent twice fails twice and leaves the cache as it was.
+func TestErrorsAreNeverCached(t *testing.T) {
+	valid, err := json.Marshal(PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := newTestServer(t, Config{Predictor: &fakePred{err: fmt.Errorf("boom")}})
+	saturated := newTestServer(t, Config{MaxInFlight: 1, QueueTimeout: time.Millisecond})
+	if err := saturated.acquire(); err != nil { // hold the only slot
+		t.Fatal(err)
+	}
+	defer saturated.release()
+	cases := []struct {
+		name string
+		s    *Server
+		body []byte
+		want int
+	}{
+		{"malformed", newTestServer(t, Config{}), []byte("{not json"), http.StatusBadRequest},
+		{"invalid placement", newTestServer(t, Config{}), bytes.Replace(valid, []byte("[0,1,2]"), []byte("[0,1,9]"), 1), http.StatusBadRequest},
+		{"predictor error", failing, valid, http.StatusUnprocessableEntity},
+		{"saturated", saturated, valid, http.StatusServiceUnavailable},
+	}
+	for _, tc := range cases {
+		for send := 1; send <= 2; send++ {
+			w := postRaw(tc.s, "/v1/predict", tc.body)
+			if w.Code != tc.want {
+				t.Errorf("%s, send %d: status %d, want %d: %s", tc.name, send, w.Code, tc.want, w.Body)
+			}
+			if got := w.Header().Get("X-Costream-Cache"); got != "" {
+				t.Errorf("%s, send %d: error response carries cache header %q", tc.name, send, got)
+			}
+		}
+		if n := tc.s.cache.len(); n != 0 {
+			t.Errorf("%s: %d cache entries after two failed requests, want 0", tc.name, n)
+		}
+	}
+}
+
+// bareWriter is the least a ResponseWriter can be, so that
+// TestPredictHitAllocations counts the server's allocations and not
+// httptest's.
+type bareWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *bareWriter) Header() http.Header  { return w.header }
+func (w *bareWriter) WriteHeader(code int) { w.status = code }
+func (w *bareWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body[:0], p...)
+	return len(p), nil
+}
+
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// TestPredictHitAllocations pins the server side of a cache hit —
+// ServeHTTP down to the Write — at 20 heap objects.
+func TestPredictHitAllocations(t *testing.T) {
+	s := newTestServer(t, Config{})
+	data := s.example
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	var body replayBody
+	w := &bareWriter{header: make(http.Header)}
+	send := func() {
+		body.Reset(data)
+		req.Body = &body
+		s.ServeHTTP(w, req)
+	}
+	send()
+	if w.status != http.StatusOK || w.header.Get("X-Costream-Cache") != "miss" {
+		t.Fatalf("priming request: status %d, cache %q: %s", w.status, w.header.Get("X-Costream-Cache"), w.body)
+	}
+	filled := bytes.Clone(w.body)
+	allocs := testing.AllocsPerRun(200, send)
+	if w.status != http.StatusOK || w.header.Get("X-Costream-Cache") != "hit" || !bytes.Equal(w.body, filled) {
+		t.Fatalf("measured request: status %d, cache %q, body %s, want a hit equal to %s",
+			w.status, w.header.Get("X-Costream-Cache"), w.body, filled)
+	}
+	t.Logf("%.1f allocations per hit", allocs)
+	if allocs > 20 {
+		t.Errorf("%.1f allocations per cache hit, want <= 20", allocs)
 	}
 }
 
@@ -238,20 +358,24 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRUCache(2)
-	c.add("a", placement.PredCosts{ProcLatencyMS: 1})
-	c.add("b", placement.PredCosts{ProcLatencyMS: 2})
-	if _, ok := c.get("a"); !ok { // touch a -> b becomes LRU
-		t.Fatal("a missing")
+	a, b, cc := newCacheKey([]byte("a")), newCacheKey([]byte("b")), newCacheKey([]byte("c"))
+	c.add(a, []byte("body a"))
+	c.add(b, []byte("body b"))
+	if got, ok := c.get(a); !ok || string(got) != "body a" { // touch a -> b becomes LRU
+		t.Fatalf("a: %q, %v", got, ok)
 	}
-	c.add("c", placement.PredCosts{ProcLatencyMS: 3})
-	if _, ok := c.get("b"); ok {
+	c.add(cc, []byte("body c"))
+	if _, ok := c.get(b); ok {
 		t.Error("LRU entry b not evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(a); !ok {
 		t.Error("recently used entry a evicted")
 	}
 	if c.len() != 2 {
 		t.Errorf("len %d, want 2", c.len())
+	}
+	if _, _, evictions := c.counters(); evictions != 1 {
+		t.Errorf("evictions %d, want 1", evictions)
 	}
 }
 

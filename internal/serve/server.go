@@ -27,12 +27,14 @@
 //	POST   /v1/hosts/drain        cordon plus immediate re-placement
 //	POST   /v1/control/tick       run one control tick now
 //
-// The hot path is engineered for concurrent load: responses are served
-// from a bounded LRU keyed by a (query, cluster, placement) fingerprint;
-// cache misses for the same (query, cluster) are coalesced into shared
-// PredictBatch calls that featurize the query graph once for the whole
-// batch; and a semaphore bounds the predictor work in flight regardless
-// of how many requests are queued.
+// The hot path is engineered for concurrent load: /v1/predict responses
+// are served from a bounded LRU keyed by a digest of the request bytes,
+// so a hit is a read, a hash, a map probe and a write of the stored
+// response bytes, with no JSON work (the trade: a re-formatted copy of a
+// request is its own entry); cache misses for the same (query, cluster)
+// are coalesced into shared PredictBatch calls that featurize the query
+// graph once for the whole batch; and a semaphore bounds the predictor
+// work in flight regardless of how many requests are queued.
 package serve
 
 import (
@@ -42,10 +44,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -411,50 +416,100 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// fingerprint hashes the JSON encodings of vals into a cache/group key.
-// encoding/json is deterministic for these types (no maps), so
-// structurally equal requests produce equal keys.
-func fingerprint(vals ...any) (string, error) {
+// fingerprint hashes the JSON encodings of a decoded query and cluster
+// into the coalescer's group key. encoding/json is deterministic for
+// these types (no maps), so structurally equal pairs produce equal keys
+// however their requests were formatted.
+func fingerprint(q *stream.Query, c *hardware.Cluster) (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			return "", fmt.Errorf("serve: fingerprinting request: %w", err)
-		}
+	if err := errors.Join(enc.Encode(q), enc.Encode(c)); err != nil {
+		return "", fmt.Errorf("serve: fingerprinting request: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeBody answers status with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// encodeJSON renders v as one JSON line, the form of every response
+// body. On failure it answers 500 itself and returns false.
+func encodeJSON(w http.ResponseWriter, v any) ([]byte, bool) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
+		return nil, false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	return buf.Bytes(), true
+}
+
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	if body, ok := encodeJSON(w, v); ok {
+		writeBody(w, status, body)
+	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func decodeRequest(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxPooledBody is the largest request buffer bodyPool keeps: a buffer
+// that grew past it for one big request is dropped rather than pinned.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the whole request body into a pooled buffer. The caller
+// returns the buffer with releaseBody once nothing references its bytes.
+func readBody(r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		releaseBody(buf)
+		return nil, bodyError(err)
+	}
+	return buf, nil
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// decodeRequest decodes the single JSON document body holds into v,
+// rejecting unknown fields and anything but whitespace after it.
+func decodeRequest(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("request body exceeds %d bytes: %w", tooBig.Limit, tooBig)
+		return bodyError(err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("unexpected data after the JSON document")
 		}
-		return fmt.Errorf("invalid request body: %v", err)
+		return bodyError(err)
 	}
 	return nil
 }
 
-// writeDecodeError maps a decodeRequest failure to its status: 413 for
-// an oversized body, 400 otherwise.
+// bodyError words a body read or decode failure for the client, keeping
+// an http.MaxBytesError in the chain for writeDecodeError.
+func bodyError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return fmt.Errorf("request body exceeds %d bytes: %w", tooBig.Limit, tooBig)
+	}
+	return fmt.Errorf("invalid request body: %v", err)
+}
+
+// writeDecodeError maps a readBody or decodeRequest failure to its
+// status: 413 for an oversized body, 400 otherwise.
 func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
@@ -481,12 +536,33 @@ func validatePair(q *stream.Query, c *hardware.Cluster) error {
 	return nil
 }
 
+// handlePredict answers from the cache before any JSON work: the key is
+// a digest of the body bytes and the value the encoded response, so only
+// a miss decodes, validates and scores the request. Only 200 responses
+// are stored.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan("predict")
 	defer func() { sp.End(); s.logSpan(sp) }()
 	w.Header().Set("X-Costream-Trace", sp.ID())
+	body, err := readBody(r)
+	if err != nil {
+		s.writeDecodeError(w, err)
+		return
+	}
+	defer releaseBody(body)
+	s.stage(sp, "read")
+
+	key := newCacheKey(body.Bytes())
+	hit, ok := s.cache.get(key)
+	s.stage(sp, "cache")
+	if ok {
+		w.Header().Set("X-Costream-Cache", "hit")
+		writeBody(w, http.StatusOK, hit)
+		return
+	}
+
 	var req PredictRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(body, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -498,29 +574,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid placement: %v", err)
 		return
 	}
-	sp.Stage("decode")
+	s.stage(sp, "decode")
 
 	groupKey, err := fingerprint(req.Query, req.Cluster)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cacheKey, err := fingerprint(req.Placement)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cacheKey = groupKey + "/" + cacheKey
-
-	hit, ok := s.cache.get(cacheKey)
-	sp.Stage("cache")
-	if ok {
-		w.Header().Set("X-Costream-Cache", "hit")
-		s.writeJSON(w, http.StatusOK, PredictResponse{Costs: toCosts(hit)})
-		return
-	}
 	res := s.co.predict(groupKey, req.Query, req.Cluster, req.Placement)
-	sp.Stage("score")
+	s.stage(sp, "score")
 	if res.err != nil {
 		if errors.Is(res.err, ErrSaturated) {
 			s.writeSaturated(w)
@@ -529,16 +591,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: %v", res.err)
 		return
 	}
-	s.cache.add(cacheKey, res.costs)
+	out, ok := encodeJSON(w, PredictResponse{Costs: toCosts(res.costs)})
+	if !ok {
+		return
+	}
+	s.cache.add(key, out)
 	w.Header().Set("X-Costream-Cache", "miss")
-	w.Header().Set("X-Costream-Batch-Size", fmt.Sprint(res.batchSize))
-	s.writeJSON(w, http.StatusOK, PredictResponse{Costs: toCosts(res.costs)})
-	sp.Stage("merge")
+	w.Header().Set("X-Costream-Batch-Size", strconv.Itoa(res.batchSize))
+	writeBody(w, http.StatusOK, out)
+	s.stage(sp, "encode")
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req PredictBatchRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -582,7 +648,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer func() { sp.End(); s.logSpan(sp) }()
 	w.Header().Set("X-Costream-Trace", sp.ID())
 	var req OptimizeRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
@@ -623,7 +689,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	sp.Stage("decode")
+	s.stage(sp, "decode")
 	if err := s.acquire(); err != nil {
 		s.writeSaturated(w)
 		return
@@ -635,7 +701,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		placement.Budget{MaxCandidates: k, MaxRounds: req.Rounds},
 		placement.SearchOptions{Workers: s.cfg.OptimizeWorkers, Seed: seed, Telemetry: req.Debug})
 	s.release()
-	sp.Stage("search")
+	s.stage(sp, "search")
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client is gone; nobody reads this response.
@@ -661,6 +727,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		resp.Debug = &OptimizeDebug{TraceID: sp.ID(), Rounds: res.Telemetry}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+	s.stage(sp, "encode")
 }
 
 func parseObjective(name string) (placement.Objective, error) {
