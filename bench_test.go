@@ -404,8 +404,9 @@ func (s serialOnly) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim
 }
 
 // BenchmarkPredictSerial measures per-candidate PredictPlacement scoring:
-// every candidate is featurized once per ensemble member and metric
-// (5 metrics x 3 members = 15 graph builds per candidate).
+// every candidate opens its own scoring session (one operator-graph
+// featurization and plan per candidate) and runs the packed kernels as a
+// tile of one, so nothing is shared between candidates.
 func BenchmarkPredictSerial(b *testing.B) {
 	optimizeBenchSetup(b)
 	b.ReportAllocs()

@@ -12,23 +12,16 @@
 //
 //	costream-eval -corpus test.json.gz -model model.json.gz             # every trained metric
 //	costream-eval -corpus shards/ -model model.json.gz -metric e2e-latency
-//
-// Legacy bare-network model files (pre-artifact costream-train output)
-// are still readable when -metric names the metric they were trained for.
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"costream/internal/artifact"
 	"costream/internal/core"
 	"costream/internal/dataset"
-	"costream/internal/gnn"
 )
 
 func main() {
@@ -37,7 +30,7 @@ func main() {
 	var (
 		corpusPath = flag.String("corpus", "corpus.json.gz", "evaluation corpus path")
 		modelPath  = flag.String("model", "model.json.gz", "model artifact path")
-		metricName = flag.String("metric", "", "restrict evaluation to one metric (required for legacy model files)")
+		metricName = flag.String("metric", "", "restrict evaluation to one metric")
 	)
 	flag.Parse()
 
@@ -47,10 +40,6 @@ func main() {
 	}
 
 	pred, prov, err := artifact.Load(*modelPath)
-	if errors.Is(err, artifact.ErrLegacyFormat) {
-		evalLegacy(src, *modelPath, *metricName)
-		return
-	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,27 +94,4 @@ func report(p core.TracePredictor, src dataset.Source, metric core.Metric) {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-13s accuracy=%.2f%% (n=%d, balanced)\n", metric, 100*acc, n)
-}
-
-// evalLegacy reads a pre-artifact bare gnn.Model JSON file. Those files
-// carry no metric or featurizer state, so -metric must say what the
-// network was trained for (the default featurization is assumed).
-func evalLegacy(src dataset.Source, path, metricName string) {
-	if metricName == "" {
-		log.Fatalf("%s is a legacy bare-network model file; pass -metric to name the metric it was trained for, or re-train with costream-train", path)
-	}
-	metric, err := core.ParseMetric(metricName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var net gnn.Model
-	if err := json.Unmarshal(data, &net); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("model: legacy bare-network file (no provenance)\n")
-	report(&core.CostModel{Metric: metric, Feat: core.Featurizer{}, Net: &net}, src, metric)
 }

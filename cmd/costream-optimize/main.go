@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -130,7 +131,7 @@ func main() {
 	var chosen *costream.SearchResult
 	for _, name := range costream.SearchStrategyNames() {
 		t0 := time.Now()
-		res, err := model.OptimizePlacementSearchOpts(q, cluster, newStrategy(name),
+		res, err := model.OptimizePlacementSearchCtx(context.Background(), q, cluster, newStrategy(name),
 			costream.MinProcLatency, searchBudget,
 			costream.SearchOpts{Seed: *seed + 3, Workers: *workers, Telemetry: *trace})
 		if err != nil {

@@ -383,21 +383,13 @@ func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) 
 // (co-location allowed, increasing capability bins, acyclic — Figure 5),
 // filters out candidates predicted to fail or backpressure, and returns
 // the one optimizing the objective together with its predicted costs.
-// Candidates are scored in batches by a worker pool sized to GOMAXPROCS;
-// use OptimizePlacementWith to bound it explicitly, or
-// OptimizePlacementSearch to run a real search strategy instead of the
-// random sample.
+// Candidates are scored in batches by a worker pool sized to GOMAXPROCS.
+// It is the RandomSample strategy under a k-candidate budget; use
+// OptimizePlacementSearch to bound the workers or to run a real search
+// strategy instead of the random sample.
 func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, seed int64) (Placement, Costs, error) {
-	return m.OptimizePlacementWith(q, c, k, obj, seed, 0)
-}
-
-// OptimizePlacementWith is OptimizePlacement with an explicit bound on
-// the number of concurrent scoring workers (<= 0 selects GOMAXPROCS).
-// The chosen placement is independent of the worker count. It is the
-// RandomSample strategy under a k-candidate budget.
-func (m *Model) OptimizePlacementWith(q *Query, c *Cluster, k int, obj Objective, seed int64, workers int) (Placement, Costs, error) {
 	res, err := m.OptimizePlacementSearch(q, c, RandomSampleStrategy{}, obj,
-		SearchBudget{MaxCandidates: k}, seed, workers)
+		SearchBudget{MaxCandidates: k}, seed, 0)
 	if err != nil {
 		return nil, Costs{}, err
 	}
@@ -411,21 +403,15 @@ func (m *Model) OptimizePlacementWith(q *Query, c *Cluster, k int, obj Objective
 // strategy selects RandomSampleStrategy. The result is deterministic for
 // a fixed seed and any worker count (<= 0 selects GOMAXPROCS).
 func (m *Model) OptimizePlacementSearch(q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, seed int64, workers int) (*SearchResult, error) {
-	return m.OptimizePlacementSearchOpts(q, c, strat, obj, budget,
+	return m.OptimizePlacementSearchCtx(context.Background(), q, c, strat, obj, budget,
 		SearchOpts{Seed: seed, Workers: workers})
 }
 
-// OptimizePlacementSearchOpts is OptimizePlacementSearch with the full
-// options struct, exposing opt-in per-round telemetry
-// (SearchOpts{Telemetry: true} fills SearchResult.Telemetry). Telemetry
-// collection is purely observational: the chosen placement is identical
-// with it on or off.
-func (m *Model) OptimizePlacementSearchOpts(q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, opts SearchOpts) (*SearchResult, error) {
-	return m.OptimizePlacementSearchCtx(context.Background(), q, c, strat, obj, budget, opts)
-}
-
-// OptimizePlacementSearchCtx is OptimizePlacementSearchOpts with a
-// context. Cancellation stops the search at the next scoring batch and
+// OptimizePlacementSearchCtx is OptimizePlacementSearch with a context
+// and the full options struct, exposing opt-in per-round telemetry
+// (SearchOpts{Telemetry: true} fills SearchResult.Telemetry; collection
+// is purely observational — the chosen placement is identical with it on
+// or off). Cancellation stops the search at the next scoring batch and
 // returns the best placement found so far with SearchResult.Cancelled
 // set; it errors only when no candidate was scored before the cancel.
 func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, opts SearchOpts) (*SearchResult, error) {

@@ -161,13 +161,13 @@ func TestOptimizePlacementSearch(t *testing.T) {
 }
 
 // TestOptimizePlacementWithIsRandomSearch pins the compatibility bridge:
-// the legacy OptimizePlacementWith facade is the RandomSample strategy
-// under a k-candidate budget.
+// OptimizePlacement with k candidates is the RandomSample strategy under
+// a k-candidate budget.
 func TestOptimizePlacementWithIsRandomSearch(t *testing.T) {
 	_, model := facade(t)
 	q := exampleQuery(t)
 	c := exampleCluster()
-	p, costs, err := model.OptimizePlacementWith(q, c, 12, MinProcLatency, 3, 0)
+	p, costs, err := model.OptimizePlacement(q, c, 12, MinProcLatency, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestOptimizePlacementWithIsRandomSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(p) != fmt.Sprint(res.Placement) || costs != res.Costs {
-		t.Errorf("OptimizePlacementWith (%v, %+v) != RandomSample search (%v, %+v)",
+		t.Errorf("OptimizePlacement (%v, %+v) != RandomSample search (%v, %+v)",
 			p, costs, res.Placement, res.Costs)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"costream/internal/gnn"
 	"costream/internal/hardware"
@@ -51,17 +52,22 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 // BatchFeaturizer amortizes graph construction over many placement
 // candidates for a fixed (query, cluster) pair: the operator nodes, their
 // feature vectors and the data-flow edges are placement-invariant and
-// computed once, as are the per-host feature vectors. Building the graph
-// for one more candidate then only assembles placement edges and host
-// node references — no feature arithmetic and no re-validation of the
-// query.
+// computed once, and each host's feature vector the first time a
+// candidate uses that host (a single prediction on a 220-host fleet
+// touches a handful). Building the graph for one more candidate then
+// only assembles placement edges and host node references — no
+// re-validation of the query and no feature arithmetic for a host seen
+// before. Safe for concurrent use.
 type BatchFeaturizer struct {
-	mode     FeatureMode
-	q        *stream.Query
-	c        *hardware.Cluster
-	base     *gnn.Graph  // operator nodes + flow edges (shared, read-only)
-	plan     *gnn.Plan   // flow structure shared by every candidate graph
-	hostFeat [][]float64 // per-host feature vectors (shared, read-only)
+	mode FeatureMode
+	q    *stream.Query
+	c    *hardware.Cluster
+	base *gnn.Graph // operator nodes + flow edges (shared, read-only)
+	plan *gnn.Plan  // flow structure shared by every candidate graph
+	// hostFeat caches per-host feature vectors (shared, read-only).
+	// Concurrent first uses of a host store equal vectors, so which one a
+	// graph references does not matter.
+	hostFeat []atomic.Pointer[[hostDim]float64]
 }
 
 // Plan returns the message-passing plan shared by all graphs this
@@ -87,11 +93,20 @@ func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeatu
 	if c == nil {
 		return nil, fmt.Errorf("core: cluster required for %v featurization", f.Mode)
 	}
-	bf.hostFeat = make([][]float64, len(c.Hosts))
-	for h, host := range c.Hosts {
-		bf.hostFeat[h] = f.hostFeatures(host)
-	}
+	bf.hostFeat = make([]atomic.Pointer[[hostDim]float64], len(c.Hosts))
 	return bf, nil
+}
+
+// hostFeatures returns host h's feature vector, featurizing it on first
+// use.
+func (bf *BatchFeaturizer) hostFeatures(h int) []float64 {
+	v := bf.hostFeat[h].Load()
+	if v == nil {
+		f := Featurizer{Mode: bf.mode}
+		v = (*[hostDim]float64)(f.hostFeatures(bf.c.Hosts[h]))
+		bf.hostFeat[h].Store(v)
+	}
+	return v[:]
 }
 
 // BuildGraph assembles the joint graph for one placement candidate,
@@ -107,7 +122,7 @@ func (bf *BatchFeaturizer) BuildGraph(p sim.Placement) (*gnn.Graph, error) {
 	nodes := make([]gnn.Node, len(bf.base.Nodes), len(bf.base.Nodes)+len(p))
 	copy(nodes, bf.base.Nodes)
 	g := &gnn.Graph{Nodes: nodes, FlowEdges: bf.base.FlowEdges}
-	attachHosts(g, p, func(h int) []float64 { return bf.hostFeat[h] })
+	attachHosts(g, p, bf.hostFeatures)
 	return g, nil
 }
 
@@ -149,7 +164,7 @@ func (bf *BatchFeaturizer) buildGraphInto(p sim.Placement, g *gnn.Graph, hostSlo
 		if node < 0 {
 			node = len(g.Nodes)
 			slots[h] = node
-			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: bf.hostFeat[h]})
+			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: bf.hostFeatures(h)})
 		}
 		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
 	}

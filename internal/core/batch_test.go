@@ -23,37 +23,113 @@ func trainedBatchPredictor(t *testing.T) *Predictor {
 	return pr
 }
 
-// TestPredictBatchMatchesPredictPlacement is the batch-path equivalence
-// guarantee: scoring candidates through PredictBatch must reproduce the
-// per-candidate PredictPlacement outputs exactly, for all five metrics.
-func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
-	pr := trainedBatchPredictor(t)
-	c := testCorpus(t)
+// mixModes gives the ensemble's members different featurization modes
+// (an Exp 7a style mix), which rules out a shared weight stack.
+func mixModes(e *Ensemble) *Ensemble {
+	for i, m := range e.Models {
+		m.Feat.Mode = []FeatureMode{FeatFull, FeatPlacementOnly, FeatQueryOnly}[i%3]
+	}
+	return e
+}
 
-	// Collect (query, cluster) pairs and several candidates each by
-	// re-drawing placements from the corpus generator's own clusters.
-	rng := rand.New(rand.NewSource(77))
-	for ti, tr := range c.Traces[:8] {
-		cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 12)
-		if len(cands) == 0 {
-			t.Fatalf("trace %d: no candidates", ti)
-		}
-		batch, err := pr.PredictBatch(tr.Query, tr.Cluster, cands)
-		if err != nil {
-			t.Fatalf("trace %d: %v", ti, err)
-		}
-		if len(batch) != len(cands) {
-			t.Fatalf("trace %d: %d batch results for %d candidates", ti, len(batch), len(cands))
-		}
-		for i, p := range cands {
-			single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+// TestPredictBatchMatchesPredictPlacement is the single-predict contract:
+// PredictPlacement, and each ensemble's PredictValue / PredictLabel, are a
+// tile of one on the same engine as PredictBatch, so they must equal the
+// matching PredictBatch row bit for bit — for a trained stackable
+// predictor, for ensembles that cannot stack (mixed featurization modes,
+// traditional message passing) and for a predictor with only two of the
+// five metrics. Every ensemble is also held to the per-member reference
+// (each member featurizing and inferring on its own), so the two sides
+// cannot agree on a wrong answer.
+func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
+	mixed := randomPredictor(t, 3)
+	mixed.Throughput = mixModes(mixed.Throughput)
+	mixed.Backpressure = mixModes(mixed.Backpressure)
+	if st := mixed.Throughput.stacked(); st.sm != nil {
+		t.Fatal("mixed-mode ensemble produced a weight stack")
+	}
+	trad := randomPredictor(t, 2)
+	trad.E2ELatency = randomEnsemble(t, MetricE2ELatency, 2, true)
+	trad.Success = randomEnsemble(t, MetricSuccess, 2, true)
+	predictors := []struct {
+		name string
+		pr   *Predictor
+	}{
+		{"trained", trainedBatchPredictor(t)},
+		{"mixed feature modes", mixed},
+		{"traditional passing", trad},
+		{"two metrics", &Predictor{
+			ProcLatency: randomEnsemble(t, MetricProcLatency, 3, false),
+			Success:     randomEnsemble(t, MetricSuccess, 3, false),
+		}},
+	}
+	c := testCorpus(t)
+	for _, tc := range predictors {
+		pr := tc.pr
+		// Collect (query, cluster) pairs and several candidates each by
+		// re-drawing placements from the corpus generator's own clusters.
+		rng := rand.New(rand.NewSource(77))
+		for ti, tr := range c.Traces[:8] {
+			cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 12)
+			if len(cands) == 0 {
+				t.Fatalf("trace %d: no candidates", ti)
+			}
+			batch, err := pr.PredictBatch(tr.Query, tr.Cluster, cands)
 			if err != nil {
-				t.Fatalf("trace %d candidate %d: %v", ti, i, err)
+				t.Fatalf("%s, trace %d: %v", tc.name, ti, err)
 			}
-			if batch[i] != single {
-				t.Errorf("trace %d candidate %d: batch %+v != single %+v", ti, i, batch[i], single)
+			if len(batch) != len(cands) {
+				t.Fatalf("%s, trace %d: %d batch results for %d candidates", tc.name, ti, len(batch), len(cands))
+			}
+			for i, p := range cands {
+				single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+				if err != nil {
+					t.Fatalf("%s, trace %d candidate %d: %v", tc.name, ti, i, err)
+				}
+				if batch[i] != single {
+					t.Errorf("%s, trace %d candidate %d: batch %+v != single %+v", tc.name, ti, i, batch[i], single)
+				}
+				for _, e := range pr.ensembles() {
+					row := costField(batch[i], e.Metric)
+					var one, ref float64
+					if e.Metric.IsRegression() {
+						one, err = e.PredictValue(tr.Query, tr.Cluster, p)
+						ref = perMemberValue(t, e, tr.Query, tr.Cluster, p)
+					} else {
+						var label bool
+						label, err = e.PredictLabel(tr.Query, tr.Cluster, p)
+						one, ref = asFloat[label], asFloat[perMemberLabel(t, e, tr.Query, tr.Cluster, p)]
+					}
+					if err != nil {
+						t.Fatalf("%s, trace %d candidate %d: %v: %v", tc.name, ti, i, e.Metric, err)
+					}
+					if one != row {
+						t.Errorf("%s, trace %d candidate %d: %v single %v != batch row %v", tc.name, ti, i, e.Metric, one, row)
+					}
+					if row != ref {
+						t.Errorf("%s, trace %d candidate %d: %v batch row %v != per-member reference %v", tc.name, ti, i, e.Metric, row, ref)
+					}
+				}
 			}
 		}
+	}
+}
+
+var asFloat = map[bool]float64{false: 0, true: 1}
+
+// costField reads one metric out of a cost vector, labels as 0 or 1.
+func costField(costs placement.PredCosts, metric Metric) float64 {
+	switch metric {
+	case MetricThroughput:
+		return costs.ThroughputTPS
+	case MetricProcLatency:
+		return costs.ProcLatencyMS
+	case MetricE2ELatency:
+		return costs.E2ELatencyMS
+	case MetricBackpressure:
+		return asFloat[costs.Backpressured]
+	default:
+		return asFloat[costs.Success]
 	}
 }
 

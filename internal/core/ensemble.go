@@ -62,21 +62,42 @@ func TrainEnsemble(train, val *dataset.Corpus, metric Metric, cfg TrainConfig, k
 	return e, nil
 }
 
+// scoreOne scores one placement with the given ensembles: a single
+// prediction is a tile of one on a one-off TileSession, so it runs the
+// same packed kernels (and the same per-member fallback for unstackable
+// ensembles) as a search round.
+func scoreOne(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+	sess, err := newTileSession(ensembles, q, c)
+	if err != nil {
+		return placement.PredCosts{}, err
+	}
+	var out [1]placement.PredCosts
+	if err := sess.ScoreTile([]sim.Placement{p}, out[:]); err != nil {
+		return placement.PredCosts{}, err
+	}
+	return out[0], nil
+}
+
 // PredictValue returns the ensemble's regression estimate (mean of member
 // predictions). It errors for classification metrics. The placement is
 // featurized once for the whole ensemble and all members advance through
-// the stacked one-pass kernels (bit-identical to per-member inference).
+// the packed tile kernel as a tile of one (bit-identical to per-member
+// inference at float64).
 func (e *Ensemble) PredictValue(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
 	if !e.Metric.IsRegression() {
 		return 0, fmt.Errorf("core: %v is not a regression metric", e.Metric)
 	}
-	w := getInferScratch()
-	defer putInferScratch(w)
-	vals, err := e.predictWith(&tripleSource{q: q, c: c, p: p}, w)
+	costs, err := scoreOne([]*Ensemble{e}, q, c, p)
 	if err != nil {
 		return 0, err
 	}
-	return meanOf(vals), nil
+	switch e.Metric {
+	case MetricThroughput:
+		return costs.ThroughputTPS, nil
+	case MetricProcLatency:
+		return costs.ProcLatencyMS, nil
+	}
+	return costs.E2ELatencyMS, nil
 }
 
 // PredictLabel returns the ensemble's majority vote for a binary metric.
@@ -84,13 +105,14 @@ func (e *Ensemble) PredictLabel(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if e.Metric.IsRegression() {
 		return false, fmt.Errorf("core: %v is not a classification metric", e.Metric)
 	}
-	w := getInferScratch()
-	defer putInferScratch(w)
-	probs, err := e.predictWith(&tripleSource{q: q, c: c, p: p}, w)
+	costs, err := scoreOne([]*Ensemble{e}, q, c, p)
 	if err != nil {
 		return false, err
 	}
-	return voteOf(probs), nil
+	if e.Metric == MetricBackpressure {
+		return costs.Backpressured, nil
+	}
+	return costs.Success, nil
 }
 
 // PredictTrace predicts for a stored trace: the mean value for regression
@@ -182,33 +204,5 @@ func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor
 // default to optimistic sanity values (success, no backpressure) so a
 // predictor trained for a single target metric still drives optimization.
 func (pr *Predictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	var out placement.PredCosts
-	var err error
-	out.Success = true
-	if pr.Throughput != nil {
-		if out.ThroughputTPS, err = pr.Throughput.PredictValue(q, c, p); err != nil {
-			return out, err
-		}
-	}
-	if pr.ProcLatency != nil {
-		if out.ProcLatencyMS, err = pr.ProcLatency.PredictValue(q, c, p); err != nil {
-			return out, err
-		}
-	}
-	if pr.E2ELatency != nil {
-		if out.E2ELatencyMS, err = pr.E2ELatency.PredictValue(q, c, p); err != nil {
-			return out, err
-		}
-	}
-	if pr.Backpressure != nil {
-		if out.Backpressured, err = pr.Backpressure.PredictLabel(q, c, p); err != nil {
-			return out, err
-		}
-	}
-	if pr.Success != nil {
-		if out.Success, err = pr.Success.PredictLabel(q, c, p); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return scoreOne(pr.ensembles(), q, c, p)
 }

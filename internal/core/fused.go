@@ -7,37 +7,37 @@ import (
 
 	"costream/internal/gnn"
 	"costream/internal/hardware"
+	"costream/internal/nn"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
 
 // fusedSlot is one stackable metric ensemble of a scoring session: the
-// ensemble itself (for head transforms, fast32 and path counters) plus a
-// snapshot of its weight stack, pinned for the session's lifetime so a
-// concurrent Invalidate cannot swap weights mid-round.
+// ensemble itself (for head transforms and path counters) plus a
+// snapshot of its weight stack — and with it the precision — pinned for
+// the session's lifetime so a concurrent Invalidate or SetFast32 cannot
+// swap weights mid-round.
 type fusedSlot struct {
 	e    *Ensemble
-	sm   *gnn.StackedModel
+	sm   tileKernel
 	mode FeatureMode
 }
 
-// TileSession implements placement.TileScorer for the ensemble
-// predictor: one session per search round hoists the placement-invariant
-// featurization (operator graph, per-host features, message-passing
+// TileSession is the inference path of the ensemble predictor and
+// implements placement.TileScorer: one session per search round — or per
+// single prediction, which is a tile of one — hoists the
+// placement-invariant featurization (operator graph, message-passing
 // plan) and the ensemble stack snapshots, and ScoreTile then advances a
-// whole candidate tile through the packed cross-candidate kernels — one
-// gnn.InferEnsembleBatch pass per metric ensemble instead of one
-// per-candidate pass each. Ensembles that cannot be stacked (traditional
-// message passing, mixed featurization modes) are scored per candidate
-// inside the tile, so mixed predictors still work and still match the
-// per-candidate path exactly.
+// whole candidate tile through the packed cross-candidate kernels, one
+// gnn.InferEnsembleBatch pass per metric ensemble. Ensembles that cannot
+// be stacked (traditional message passing, mixed featurization modes)
+// are scored per member with the scalar Model.InferPlanned inside the
+// tile, so mixed predictors still work.
 //
 // ScoreTile is safe for concurrent use: all mutable state lives in
 // pooled per-call scratch.
 type TileSession struct {
-	pr      *Predictor
-	q       *stream.Query
 	c       *hardware.Cluster
 	batches map[FeatureMode]*BatchFeaturizer
 	fused   []fusedSlot // stackable ensembles, paper metric order
@@ -54,15 +54,19 @@ func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (plac
 // pair: per-mode batch featurizers, the stack snapshot per ensemble, and
 // the cache-bounded default tile size.
 func (pr *Predictor) NewTileSession(q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
+	return newTileSession(pr.ensembles(), q, c)
+}
+
+// newTileSession is NewTileSession over any set of ensembles: all five of
+// a predictor, or the one behind Ensemble.PredictValue / PredictLabel.
+func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
 	met := inferMet()
 	featStart := time.Now()
 	s := &TileSession{
-		pr:      pr,
-		q:       q,
 		c:       c,
 		batches: map[FeatureMode]*BatchFeaturizer{},
 	}
-	for _, e := range pr.ensembles() {
+	for _, e := range ensembles {
 		for _, m := range e.Models {
 			if _, ok := s.batches[m.Feat.Mode]; !ok {
 				bf, err := m.Feat.NewBatch(q, c)
@@ -141,12 +145,12 @@ type modeShells struct {
 }
 
 // tileScratch bundles the per-call buffers of one ScoreTile invocation;
-// pooled because tiles are scored concurrently by the search workers.
+// pooled because tiles are scored concurrently by the search workers and
+// single predictions by the serve handlers.
 type tileScratch struct {
 	modes    map[FeatureMode]*modeShells
 	bs       *gnn.BatchScratch
-	w        *inferScratch
-	gcache   map[FeatureMode]*gnn.Graph
+	gcache   map[FeatureMode]*gnn.Graph // slow path: one candidate's graph per mode
 	vals     []float64
 	hostSlot []int
 }
@@ -155,7 +159,6 @@ var tilePool = sync.Pool{New: func() any {
 	return &tileScratch{
 		modes:  map[FeatureMode]*modeShells{},
 		bs:     gnn.NewBatchScratch(),
-		w:      &inferScratch{gs: gnn.NewStackedScratch()},
 		gcache: map[FeatureMode]*gnn.Graph{},
 	}
 }}
@@ -176,8 +179,9 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 // tile with every metric ensemble, writing one PredCosts per candidate.
 // Stackable ensembles run fused — the tile's graphs are packed once per
 // featurization mode and each ensemble advances all candidates × members
-// in one batched kernel pass; the rest score per candidate. Outputs are
-// bit-identical to per-candidate PredictPlacement at any tile size.
+// in one batched kernel pass; the rest score per candidate and member.
+// Outputs do not depend on the tile size, and at float64 match
+// per-member CostModel.PredictRaw bit for bit.
 func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts) error {
 	if len(out) != len(cands) {
 		return fmt.Errorf("core: tile output holds %d slots, want %d", len(out), len(cands))
@@ -215,19 +219,11 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 		}
 		for _, fs := range s.fused {
 			k := fs.sm.K()
-			if cap(ts.vals) < len(cands)*k {
-				ts.vals = make([]float64, len(cands)*k)
-			}
-			vals := ts.vals[:len(cands)*k]
+			ts.vals = nn.Grow(ts.vals, len(cands)*k)
+			vals := ts.vals
 			pg := ts.modes[fs.mode].pg
 			fusedStart := time.Now()
-			var err error
-			if fs.e.fast32.Load() {
-				err = fs.sm.InferEnsembleBatch32(pg, ts.bs, vals)
-			} else {
-				err = fs.sm.InferEnsembleBatch(pg, ts.bs, vals)
-			}
-			if err != nil {
+			if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
 				return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
 			}
 			for ci := range cands {
@@ -249,13 +245,10 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 		}
 		candStart := time.Now()
 		clear(ts.gcache)
-		src := &batchSource{batches: s.batches, gcache: ts.gcache, p: p}
 		for _, e := range s.slow {
-			vals, err := e.predictWith(src, ts.w)
-			if err != nil {
+			if err := s.scoreSlow(e, p, ts, &out[ci]); err != nil {
 				return fmt.Errorf("core: tile candidate %d: %w", ci, err)
 			}
-			applyCost(&out[ci], e.Metric, vals)
 		}
 		met.candidateSeconds.Since(candStart)
 		met.fallbackCands.Inc()
@@ -264,6 +257,34 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 	met.candidates.Add(int64(len(cands)))
 	met.tileSize.Record(int64(len(cands)))
 	met.tileSeconds.Since(start)
+	return nil
+}
+
+// scoreSlow scores one candidate with an unstackable ensemble: every
+// member runs the scalar planned pass on the candidate's graph for its
+// own featurization mode, built at most once per (candidate, mode).
+func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, out *placement.PredCosts) error {
+	start := time.Now()
+	ts.vals = nn.Grow(ts.vals, len(e.Models))
+	vals := ts.vals
+	for i, m := range e.Models {
+		bf := s.batches[m.Feat.Mode]
+		g, ok := ts.gcache[m.Feat.Mode]
+		if !ok {
+			var err error
+			if g, err = bf.BuildGraph(p); err != nil {
+				return err
+			}
+			ts.gcache[m.Feat.Mode] = g
+		}
+		v, err := m.predictPlanned(g, bf.Plan())
+		if err != nil {
+			return err
+		}
+		vals[i] = v
+	}
+	applyCost(out, e.Metric, vals)
+	e.paths.recordBatch(false, 1, time.Since(start))
 	return nil
 }
 
@@ -279,8 +300,8 @@ func sameMode(slots []fusedSlot, mode FeatureMode) bool {
 }
 
 // applyCost folds an ensemble's transformed member outputs into the
-// candidate's cost vector, using the same member-order mean and majority
-// vote as the per-candidate path.
+// candidate's cost vector: the member-order mean for regression metrics,
+// the majority vote for the binary ones.
 func applyCost(costs *placement.PredCosts, metric Metric, vals []float64) {
 	switch metric {
 	case MetricThroughput:

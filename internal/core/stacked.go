@@ -1,65 +1,85 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"costream/internal/gnn"
-	"costream/internal/hardware"
+	"costream/internal/nn"
 	"costream/internal/placement"
-	"costream/internal/sim"
-	"costream/internal/stream"
 )
 
-// ensembleStack is the cached one-pass form of an Ensemble: the members'
-// GNN weights vertically stacked for gnn.InferEnsemble, plus the
-// featurization mode they share. sm is nil when the members cannot be
-// stacked — mixed featurization modes (Exp 7a ablations) or traditional
-// message passing (Exp 7b) — in which case every prediction takes the
-// per-member fallback path.
-type ensembleStack struct {
-	sm   *gnn.StackedModel
-	mode FeatureMode
+// tileKernel is an ensemble's weight stack at one precision: a
+// *gnn.StackedModel[float64], or [float32] under SetFast32.
+type tileKernel interface {
+	K() int
+	Hidden() int
+	InferEnsembleBatch(pg *gnn.PackedGraphs, s *gnn.BatchScratch, out []float64) error
 }
 
-// stacked returns the ensemble's cached stack, building it on first use.
-// The build copies the member weights, so the stack must be dropped
-// (Invalidate) whenever a member's weights change in place — fine-tuning
-// via CostModel.FineTune or artifact reload both do.
+// ensembleStack is the cached one-pass form of an Ensemble: the members'
+// GNN weights vertically stacked for gnn.InferEnsembleBatch at the
+// precision fast32 names, plus the featurization mode they share. sm is
+// nil when the members cannot be stacked — mixed featurization modes
+// (Exp 7a ablations) or traditional message passing (Exp 7b) — in which
+// case every prediction takes the per-member fallback path.
+type ensembleStack struct {
+	sm     tileKernel
+	mode   FeatureMode
+	fast32 bool
+}
+
+// stacked returns the ensemble's cached stack, building it on first use
+// and again when SetFast32 has changed the precision since. The build
+// copies the member weights, so the stack must be dropped (Invalidate)
+// whenever a member's weights change in place — fine-tuning via
+// CostModel.FineTune or artifact reload both do.
 func (e *Ensemble) stacked() *ensembleStack {
-	if st := e.stack.Load(); st != nil {
+	fast32 := e.fast32.Load()
+	if st := e.stack.Load(); st != nil && st.fast32 == fast32 {
 		return st
 	}
 	e.stackMu.Lock()
 	defer e.stackMu.Unlock()
-	if st := e.stack.Load(); st != nil {
+	if st := e.stack.Load(); st != nil && st.fast32 == fast32 {
 		return st
 	}
-	st := e.buildStack()
+	st := e.buildStack(fast32)
 	e.stack.Store(st)
 	return st
 }
 
-func (e *Ensemble) buildStack() *ensembleStack {
+func (e *Ensemble) buildStack(fast32 bool) *ensembleStack {
+	st := &ensembleStack{fast32: fast32}
 	if len(e.Models) == 0 {
-		return &ensembleStack{}
+		return st
 	}
 	mode := e.Models[0].Feat.Mode
 	nets := make([]*gnn.Model, len(e.Models))
 	for i, m := range e.Models {
 		if m.Feat.Mode != mode || m.Net == nil {
-			return &ensembleStack{}
+			return st
 		}
 		nets[i] = m.Net
 	}
-	sm, err := gnn.Stack(nets)
-	if err != nil {
-		// Unstackable architectures (traditional passing, mismatched
-		// widths) predict correctly through the fallback path.
-		return &ensembleStack{}
+	if fast32 {
+		st.sm = stackAs[float32](nets)
+	} else {
+		st.sm = stackAs[float64](nets)
 	}
-	return &ensembleStack{sm: sm, mode: mode}
+	st.mode = mode
+	return st
+}
+
+// stackAs stacks the members' weights at element type T, or returns nil
+// for architectures that cannot stack (traditional passing, mismatched
+// widths); those predict correctly through the fallback path.
+func stackAs[T nn.Float](nets []*gnn.Model) tileKernel {
+	sm, err := gnn.Stack[T](nets)
+	if err != nil {
+		return nil
+	}
+	return sm
 }
 
 // Invalidate drops the cached weight stack; the next prediction rebuilds
@@ -69,10 +89,11 @@ func (e *Ensemble) Invalidate() {
 	e.stack.Store(nil)
 }
 
-// SetFast32 switches the ensemble's stacked inference to the float32
-// kernels (see gnn.InferEnsemble32). Predictions then deviate from the
-// float64 reference within the tolerance documented there; the fallback
-// path is unaffected.
+// SetFast32 switches the ensemble's stacked inference to float32 weights
+// and activations (the same kernels at T = float32, see
+// gnn.StackedModel); the float32 stack is built by the next prediction.
+// Predictions then deviate from the float64 reference within the
+// tolerance documented there; the fallback path is unaffected.
 func (e *Ensemble) SetFast32(on bool) {
 	e.fast32.Store(on)
 }
@@ -97,8 +118,9 @@ type pathCounters struct {
 	fallbackNanos atomic.Int64
 }
 
-// recordBatch accounts one fused kernel pass that evaluated n graphs
-// (one "call" per graph, matching the per-candidate accounting).
+// recordBatch accounts one evaluation of n graphs — a fused kernel pass
+// over a tile of n, or the per-member fallback on one graph — as one
+// "call" per graph.
 func (pc *pathCounters) recordBatch(stacked bool, n int, d time.Duration) {
 	if n <= 0 {
 		return
@@ -108,16 +130,6 @@ func (pc *pathCounters) recordBatch(stacked bool, n int, d time.Duration) {
 		pc.stackedNanos.Add(int64(d))
 	} else {
 		pc.fallbackCalls.Add(int64(n))
-		pc.fallbackNanos.Add(int64(d))
-	}
-}
-
-func (pc *pathCounters) record(stacked bool, d time.Duration) {
-	if stacked {
-		pc.stackedCalls.Add(1)
-		pc.stackedNanos.Add(int64(d))
-	} else {
-		pc.fallbackCalls.Add(1)
 		pc.fallbackNanos.Add(int64(d))
 	}
 }
@@ -139,157 +151,6 @@ func (pr *Predictor) InferencePathStats() placement.InferencePathStats {
 		}
 	}
 	return ps
-}
-
-// inferScratch bundles the per-call buffers of one stacked ensemble
-// evaluation; pooled because predictions run on many goroutines (search
-// workers, serve handlers) that each need private scratch.
-type inferScratch struct {
-	gs  *gnn.StackedScratch
-	out []float64
-}
-
-var inferPool = sync.Pool{New: func() any {
-	return &inferScratch{gs: gnn.NewStackedScratch()}
-}}
-
-func getInferScratch() *inferScratch  { return inferPool.Get().(*inferScratch) }
-func putInferScratch(w *inferScratch) { inferPool.Put(w) }
-
-// predictWith evaluates the ensemble against the graph source and returns
-// the k transformed member outputs (valid until the scratch is reused).
-func (e *Ensemble) predictWith(src graphSource, w *inferScratch) ([]float64, error) {
-	if cap(w.out) < len(e.Models) {
-		w.out = make([]float64, len(e.Models))
-	}
-	w.out = w.out[:len(e.Models)]
-	if err := e.memberOutputs(src, w); err != nil {
-		return nil, err
-	}
-	return w.out, nil
-}
-
-// inferStacked runs one full-ensemble evaluation on the stacked kernels
-// and writes the k transformed (metric-space) member outputs into out.
-func (e *Ensemble) inferStacked(st *ensembleStack, g *gnn.Graph, plan *gnn.Plan, w *inferScratch) error {
-	var err error
-	if e.fast32.Load() {
-		err = st.sm.InferEnsemble32(g, plan, w.gs, w.out)
-	} else {
-		err = st.sm.InferEnsemble(g, plan, w.gs, w.out)
-	}
-	if err != nil {
-		return err
-	}
-	for i, m := range e.Models {
-		w.out[i] = m.headTransform(w.out[i])
-	}
-	return nil
-}
-
-// memberOutputs evaluates every member on the placement and writes the
-// transformed outputs into w.out in member order — through the stacked
-// one-pass kernels when the ensemble is stackable (featurizing once for
-// the whole ensemble), else through the per-member fallback. Both paths
-// produce bit-identical values: stacking shares the featurized graph,
-// which is deterministic, and the float64 kernels replicate the exact
-// per-member accumulation order.
-func (e *Ensemble) memberOutputs(g graphSource, w *inferScratch) error {
-	st := e.stacked()
-	start := time.Now()
-	if st.sm == nil {
-		if err := e.fallbackOutputs(g, w); err != nil {
-			return err
-		}
-		e.paths.record(false, time.Since(start))
-		return nil
-	}
-	graph, plan, err := g.graphPlan(st.mode)
-	if err != nil {
-		return err
-	}
-	if err := e.inferStacked(st, graph, plan, w); err != nil {
-		return err
-	}
-	e.paths.record(true, time.Since(start))
-	return nil
-}
-
-func (e *Ensemble) fallbackOutputs(g graphSource, w *inferScratch) error {
-	for i, m := range e.Models {
-		graph, plan, err := g.graphPlan(m.Feat.Mode)
-		if err != nil {
-			return err
-		}
-		v, err := m.predictPlanned(graph, plan)
-		if err != nil {
-			return err
-		}
-		w.out[i] = v
-	}
-	return nil
-}
-
-// graphSource abstracts where an evaluation's featurized graph comes
-// from: a one-off (query, cluster, placement) triple, or a
-// BatchFeaturizer cache shared across candidates.
-type graphSource interface {
-	graphPlan(mode FeatureMode) (*gnn.Graph, *gnn.Plan, error)
-}
-
-// tripleSource featurizes one (query, cluster, placement) triple on
-// demand, caching the graph and plan per mode within the call so the k
-// members of a stacked — or even fallback — evaluation featurize once
-// instead of k times (the featurizer is fully determined by its mode, so
-// the result is identical to each member building its own graph).
-type tripleSource struct {
-	q *stream.Query
-	c *hardware.Cluster
-	p sim.Placement
-
-	mode  FeatureMode
-	graph *gnn.Graph
-	plan  *gnn.Plan
-	valid bool
-}
-
-func (ts *tripleSource) graphPlan(mode FeatureMode) (*gnn.Graph, *gnn.Plan, error) {
-	if ts.valid && ts.mode == mode {
-		return ts.graph, ts.plan, nil
-	}
-	f := Featurizer{Mode: mode}
-	g, err := f.BuildGraph(ts.q, ts.c, ts.p)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := gnn.NewPlan(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	ts.mode, ts.graph, ts.plan, ts.valid = mode, g, plan, true
-	return g, plan, nil
-}
-
-// batchSource serves graphs for one candidate of a PredictBatch call
-// from the per-mode BatchFeaturizer caches: the plan is shared by every
-// candidate, the graph built at most once per (mode, candidate).
-type batchSource struct {
-	batches map[FeatureMode]*BatchFeaturizer
-	gcache  map[FeatureMode]*gnn.Graph
-	p       sim.Placement
-}
-
-func (bs *batchSource) graphPlan(mode FeatureMode) (*gnn.Graph, *gnn.Plan, error) {
-	bf := bs.batches[mode]
-	if g, ok := bs.gcache[mode]; ok {
-		return g, bf.Plan(), nil
-	}
-	g, err := bf.BuildGraph(bs.p)
-	if err != nil {
-		return nil, nil, err
-	}
-	bs.gcache[mode] = g
-	return g, bf.Plan(), nil
 }
 
 // meanOf folds transformed member outputs into the ensemble's regression

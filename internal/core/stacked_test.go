@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -101,25 +102,31 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 }
 
 // TestTraditionalEnsembleFallsBack checks that the Exp 7b ablation
-// (traditional message passing) cannot stack, still predicts correctly,
-// and is counted on the fallback path.
+// (traditional message passing) and an Exp 7a style mix of featurization
+// modes cannot stack, still predict correctly as a tile of one, and are
+// counted on the fallback path.
 func TestTraditionalEnsembleFallsBack(t *testing.T) {
 	c := testCorpus(t)
-	e := randomEnsemble(t, MetricThroughput, 2, true)
-	if st := e.stacked(); st.sm != nil {
-		t.Fatal("traditional ensemble produced a weight stack")
-	}
-	tr := c.Traces[0]
-	want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
-	got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("fallback %v != per-member %v", got, want)
-	}
-	if e.paths.fallbackCalls.Load() == 0 {
-		t.Fatal("fallback path not counted")
+	for name, e := range map[string]*Ensemble{
+		"traditional": randomEnsemble(t, MetricThroughput, 2, true),
+		"mixed modes": mixModes(randomEnsemble(t, MetricThroughput, 3, false)),
+	} {
+		if st := e.stacked(); st.sm != nil {
+			t.Fatalf("%s ensemble produced a weight stack", name)
+		}
+		tr := c.Traces[0]
+		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
+		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: fallback %v != per-member %v", name, got, want)
+		}
+		if e.paths.fallbackCalls.Load() != 1 || e.paths.stackedCalls.Load() != 0 {
+			t.Fatalf("%s: stacked=%d fallback=%d calls; want one fallback call",
+				name, e.paths.stackedCalls.Load(), e.paths.fallbackCalls.Load())
+		}
 	}
 }
 
@@ -199,6 +206,48 @@ func TestPredictValueAllocsHoisted(t *testing.T) {
 	// kernels themselves are allocation-free steady state).
 	if a3 > a1*1.3+4 {
 		t.Fatalf("PredictValue allocs grew from %v (k=1) to %v (k=3); featurization not hoisted", a1, a3)
+	}
+}
+
+// TestSinglePredictAllocsIgnoreClusterSize pins the lazy host
+// featurization that makes a tile of one affordable: one PredictPlacement
+// allocates the same number of objects on a 6-host and on a 220-host
+// cluster for the same placement — only the hosts a placement uses are
+// featurized — and stays within budget (the per-graph engine it replaced
+// took 674).
+func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
+	pr := randomPredictor(t, 3)
+	q := featQuery(t)
+	small := &hardware.Cluster{}
+	big := &hardware.Cluster{}
+	for h := 0; h < 220; h++ {
+		host := *featCluster().Hosts[h%2]
+		big.Hosts = append(big.Hosts, &host)
+		if h < 6 {
+			small.Hosts = append(small.Hosts, &host)
+		}
+	}
+	p := sim.Placement{0, 1, 2, 3, 4, 5}
+	// The steady state is a call that finds its tile scratch in the pool;
+	// the race detector makes sync.Pool drop items at random, so take the
+	// cheapest of many single calls instead of an average.
+	measure := func(c *hardware.Cluster) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 30; i++ {
+			best = min(best, testing.AllocsPerRun(1, func() {
+				if _, err := pr.PredictPlacement(q, c, p); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return best
+	}
+	aSmall, aBig := measure(small), measure(big)
+	if aSmall != aBig {
+		t.Fatalf("PredictPlacement allocates %v objects on 6 hosts but %v on 220", aSmall, aBig)
+	}
+	if aBig > 160 {
+		t.Fatalf("PredictPlacement allocates %v objects per call, budget 160", aBig)
 	}
 }
 

@@ -39,27 +39,12 @@ func (pg *PackedGraphs) C() int { return pg.c }
 // NumOps returns the number of shared operator nodes.
 func (pg *PackedGraphs) NumOps() int { return pg.nOps }
 
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growFeat(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		return make([][]float64, n)
-	}
-	return buf[:n]
-}
-
 // PackGraphs packs candidate graphs sharing one operator prefix and plan
 // into pg (nil allocates a fresh one) and returns it. Sharing is enforced
 // structurally: every graph must reference the identical operator feature
 // slices and flow-edge slice as graphs[0] (how BatchFeaturizer builds
 // candidate graphs), and every node past the operator prefix must be a
-// host. Violations return an error so callers can fall back to per-graph
-// inference rather than silently mis-scoring.
+// host. Violations return an error rather than silently mis-scoring.
 func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("gnn: packing zero graphs")
@@ -89,7 +74,7 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 		pg.opsByKind[nd.Kind] = append(pg.opsByKind[nd.Kind], i)
 	}
 
-	pg.hostOff = growInt(pg.hostOff, len(graphs)+1)
+	pg.hostOff = nn.Grow(pg.hostOff, len(graphs)+1)
 	pg.hostOff[0] = 0
 	for ci, g := range graphs {
 		if len(g.Nodes) < nOps {
@@ -115,18 +100,18 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	}
 
 	hTot := pg.hostOff[len(graphs)]
-	pg.hostFeat = growFeat(pg.hostFeat, hTot)
-	pg.opHost = growInt(pg.opHost, len(graphs)*nOps)
+	pg.hostFeat = nn.Grow(pg.hostFeat, hTot)
+	pg.opHost = nn.Grow(pg.opHost, len(graphs)*nOps)
 	for i := range pg.opHost {
 		pg.opHost[i] = -1
 	}
-	pg.kidsOff = growInt(pg.kidsOff, hTot+1)
+	pg.kidsOff = nn.Grow(pg.kidsOff, hTot+1)
 	for i := range pg.kidsOff {
 		pg.kidsOff[i] = 0
 	}
 	// CSR build of the per-slot child-operator lists: count, prefix-sum,
 	// fill — preserving placement-edge order per slot, which is the child
-	// summation order of the per-graph pass (bit-identity depends on it).
+	// summation order of the scalar pass (bit-identity depends on it).
 	totalKids := 0
 	for ci, g := range graphs {
 		off := pg.hostOff[ci]
@@ -145,8 +130,8 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	for s := 0; s < hTot; s++ {
 		pg.kidsOff[s+1] += pg.kidsOff[s]
 	}
-	pg.kids = growInt(pg.kids, totalKids)
-	pg.kidCur = growInt(pg.kidCur, hTot)
+	pg.kids = nn.Grow(pg.kids, totalKids)
+	pg.kidCur = nn.Grow(pg.kidCur, hTot)
 	for s := 0; s < hTot; s++ {
 		pg.kidCur[s] = pg.kidsOff[s]
 	}
@@ -163,34 +148,46 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 }
 
 // BatchScratch holds the reusable buffers of a packed multi-candidate
-// forward pass: the shared operator encodings, the packed host planes,
-// the per-candidate operator activation planes and the gather/concat
-// staging blocks, in float64 and float32. One BatchScratch serves one
-// goroutine; a nil scratch is accepted and allocates fresh buffers.
+// forward pass. One BatchScratch serves one goroutine and either
+// precision — it keeps the planes of the element type it last ran at; a
+// nil scratch is accepted and allocates fresh buffers.
 type BatchScratch struct {
-	encOps   []float64 // nOps × (k·H), shared across candidates
-	hostEnc  []float64 // Σhosts × (k·H) encoder outputs
-	hostNext []float64 // Σhosts × (k·H) phase-1 (= final) host states
-	after2   []float64 // C × nOps × (k·H) phase-2 operator states
-	final    []float64 // C × nOps × (k·H) phase-3 operator states
-	gather   []float64 // rows × featDim encoder inputs
-	cat      []float64 // rows × (k·2H) update inputs
-	tmp      []float64 // rows × (k·H) kernel outputs
-	agg      []float64 // C × (k·H) readout accumulators
-
-	encOps32, hostEnc32, hostNext32, after232 []float32
-	final32, gather32, cat32, tmp32, agg32    []float32
-
-	dense nn.DenseScratch
+	planes any // *batchPlanes[T]
 }
 
 // NewBatchScratch returns an empty scratch; its buffers grow on first use
 // and are reused afterwards.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
+// batchPlanes are a BatchScratch's buffers at one element type: the
+// shared operator encodings, the packed host planes, the per-candidate
+// operator activation planes and the gather/concat staging blocks.
+type batchPlanes[T nn.Float] struct {
+	encOps   []T // nOps × (k·H), shared across candidates
+	hostEnc  []T // Σhosts × (k·H) encoder outputs
+	hostNext []T // Σhosts × (k·H) phase-1 (= final) host states
+	after2   []T // C × nOps × (k·H) phase-2 operator states
+	final    []T // C × nOps × (k·H) phase-3 operator states
+	gather   []T // rows × featDim encoder inputs
+	cat      []T // rows × (k·2H) update inputs
+	tmp      []T // rows × (k·H) kernel outputs
+	agg      []T // C × (k·H) readout accumulators
+
+	dense nn.DenseScratch[T]
+}
+
+func planesOf[T nn.Float](s *BatchScratch) *batchPlanes[T] {
+	p, ok := s.planes.(*batchPlanes[T])
+	if !ok {
+		p = &batchPlanes[T]{}
+		s.planes = p
+	}
+	return p
+}
+
 // checkBatch runs the per-node encoder checks of a packed pass (the
 // structural validation happened in PackGraphs).
-func (sm *StackedModel) checkBatch(pg *PackedGraphs) error {
+func (sm *StackedModel[T]) checkBatch(pg *PackedGraphs) error {
 	for kind := range pg.opsByKind {
 		idxs := pg.opsByKind[kind]
 		if len(idxs) == 0 {
@@ -222,16 +219,26 @@ func (sm *StackedModel) checkBatch(pg *PackedGraphs) error {
 	return nil
 }
 
+// gatherRow stages one feature vector as an encoder input row.
+func gatherRow[T nn.Float](dst []T, feat []float64) {
+	for i, f := range feat {
+		dst[i] = T(f)
+	}
+}
+
 // InferEnsembleBatch runs one forward pass for all C packed candidates and
 // all k members at once, writing the raw member outputs candidate-major
-// into out (len C·k: candidate c's member m lands at out[c·k+m]). Every
-// value is bit-identical to InferEnsemble on the candidate's own graph —
-// and hence to Model.InferPlanned per member: all kernels are
-// row-independent with a fixed per-row accumulation order, so batching
-// rows across candidates cannot change any result. Cross-candidate fusion
-// turns the sequential phase-3 flow walk from nOps·C single-row kernel
-// calls into nOps calls of C rows each — the main win for search rounds.
-func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, out []float64) error {
+// into out (len C·k: candidate c's member m lands at out[c·k+m]). At
+// T = float64 every value is bit-identical to Model.InferPlanned per
+// member on the candidate's own graph: all kernels are row-independent
+// with a fixed per-row accumulation order, so batching rows across
+// candidates — or not, at C = 1 — cannot change any result. The same
+// holds between tilings at T = float32, so the documented 1e-4 relative
+// drift bound against float64 is independent of the tile size.
+// Cross-candidate fusion turns the sequential phase-3 flow walk from
+// nOps·C single-row kernel calls into nOps calls of C rows each — the
+// main win for search rounds.
+func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch, out []float64) error {
 	c, nOps := pg.c, pg.nOps
 	if len(out) != c*sm.k {
 		return fmt.Errorf("gnn: output buffer holds %d values, want %d candidates x %d members", len(out), c, sm.k)
@@ -239,9 +246,10 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	if err := sm.checkBatch(pg); err != nil {
 		return err
 	}
-	if s == nil {
-		s = NewBatchScratch()
+	if bs == nil {
+		bs = NewBatchScratch()
 	}
+	s := planesOf[T](bs)
 	H := sm.cfg.Hidden
 	kH := sm.k * H
 	k2H := sm.k * 2 * H
@@ -249,7 +257,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 
 	// Encode the shared operator prefix once for every candidate, one
 	// matrix-matrix pass per node kind (features shared across members).
-	s.encOps = grow64(s.encOps, nOps*kH)
+	s.encOps = nn.Grow(s.encOps, nOps*kH)
 	for kind := range pg.opsByKind {
 		idxs := pg.opsByKind[kind]
 		if len(idxs) == 0 {
@@ -257,11 +265,11 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 		}
 		enc := sm.enc[NodeKind(kind)]
 		in := enc.InDim()
-		s.gather = grow64(s.gather, len(idxs)*in)
+		s.gather = nn.Grow(s.gather, len(idxs)*in)
 		for r, idx := range idxs {
-			copy(s.gather[r*in:(r+1)*in], pg.base.Nodes[idx].Feat)
+			gatherRow(s.gather[r*in:(r+1)*in], pg.base.Nodes[idx].Feat)
 		}
-		s.tmp = grow64(s.tmp, len(idxs)*kH)
+		s.tmp = nn.Grow(s.tmp, len(idxs)*kH)
 		enc.ForwardShared(s.tmp, s.gather, len(idxs), &s.dense)
 		for r, idx := range idxs {
 			copy(s.encOps[idx*kH:(idx+1)*kH], s.tmp[r*kH:(r+1)*kH])
@@ -275,19 +283,19 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	if hTot > 0 {
 		enc := sm.enc[KindHost]
 		in := enc.InDim()
-		s.gather = grow64(s.gather, hTot*in)
+		s.gather = nn.Grow(s.gather, hTot*in)
 		for slot, f := range pg.hostFeat[:hTot] {
-			copy(s.gather[slot*in:(slot+1)*in], f)
+			gatherRow(s.gather[slot*in:(slot+1)*in], f)
 		}
-		s.hostEnc = grow64(s.hostEnc, hTot*kH)
+		s.hostEnc = nn.Grow(s.hostEnc, hTot*kH)
 		enc.ForwardShared(s.hostEnc, s.gather, hTot, &s.dense)
 
-		s.cat = grow64(s.cat, hTot*k2H)
+		s.cat = nn.Grow(s.cat, hTot*k2H)
 		for slot := 0; slot < hTot; slot++ {
 			kids := pg.kids[pg.kidsOff[slot]:pg.kidsOff[slot+1]]
 			catRow(s.cat[slot*k2H:(slot+1)*k2H], kids, slot, sm.k, H, s.encOps, s.hostEnc)
 		}
-		s.hostNext = grow64(s.hostNext, hTot*kH)
+		s.hostNext = nn.Grow(s.hostNext, hTot*kH)
 		sm.upd[KindHost].ForwardBlocks(s.hostNext, s.cat, hTot, &s.dense)
 	}
 
@@ -295,7 +303,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	// all candidates. Operators without a placement edge keep their
 	// encoder state, so the plane starts as a per-candidate broadcast of
 	// the shared encodings.
-	s.after2 = grow64(s.after2, c*nOps*kH)
+	s.after2 = nn.Grow(s.after2, c*nOps*kH)
 	for ci := 0; ci < c; ci++ {
 		copy(s.after2[ci*nOps*kH:(ci+1)*nOps*kH], s.encOps[:nOps*kH])
 	}
@@ -317,7 +325,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 			if rows == 0 {
 				continue
 			}
-			s.cat = grow64(s.cat, rows*k2H)
+			s.cat = nn.Grow(s.cat, rows*k2H)
 			r := 0
 			for ci := 0; ci < c; ci++ {
 				for _, v := range idxs {
@@ -330,7 +338,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 					r++
 				}
 			}
-			s.tmp = grow64(s.tmp, rows*kH)
+			s.tmp = nn.Grow(s.tmp, rows*kH)
 			sm.upd[NodeKind(kind)].ForwardBlocks(s.tmp, s.cat, rows, &s.dense)
 			r = 0
 			for ci := 0; ci < c; ci++ {
@@ -348,10 +356,10 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	// Phase 3 (sources -> ... -> sink): inherently sequential along the
 	// flow order, but each step advances all C candidates x k members in
 	// one kernel call of C rows.
-	s.final = grow64(s.final, c*nOps*kH)
+	s.final = nn.Grow(s.final, c*nOps*kH)
 	copy(s.final, s.after2[:c*nOps*kH])
-	s.cat = grow64(s.cat, max(len(s.cat), c*k2H))
-	s.tmp = grow64(s.tmp, max(len(s.tmp), c*kH))
+	s.cat = nn.Grow(s.cat, max(len(s.cat), c*k2H))
+	s.tmp = nn.Grow(s.tmp, max(len(s.tmp), c*kH))
 	for _, v := range pg.plan.order {
 		parents := pg.plan.ups[v]
 		if len(parents) == 0 {
@@ -372,7 +380,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	// order — operators first, then the candidate's hosts in slot order
 	// (their first-use node order) — then one stacked output pass of C
 	// rows.
-	s.agg = grow64(s.agg, c*kH)
+	s.agg = nn.Grow(s.agg, c*kH)
 	for ci := 0; ci < c; ci++ {
 		agg := s.agg[ci*kH : (ci+1)*kH]
 		fin := s.final[ci*nOps*kH : (ci+1)*nOps*kH]
@@ -390,173 +398,10 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 			}
 		}
 	}
-	s.tmp = grow64(s.tmp, max(len(s.tmp), c*sm.k))
+	s.tmp = nn.Grow(s.tmp, max(len(s.tmp), c*sm.k))
 	sm.out.ForwardBlocks(s.tmp[:c*sm.k], s.agg[:c*kH], c, &s.dense)
-	copy(out, s.tmp[:c*sm.k])
-	return nil
-}
-
-// InferEnsembleBatch32 is InferEnsembleBatch on the float32 fast path:
-// same kernel structure and row batching, float32 weights and
-// activations. It is bit-identical to per-graph InferEnsemble32 (the
-// float32 kernels are row-independent too), so the documented 1e-4
-// relative drift bound against the float64 path carries over unchanged.
-func (sm *StackedModel) InferEnsembleBatch32(pg *PackedGraphs, s *BatchScratch, out []float64) error {
-	c, nOps := pg.c, pg.nOps
-	if len(out) != c*sm.k {
-		return fmt.Errorf("gnn: output buffer holds %d values, want %d candidates x %d members", len(out), c, sm.k)
-	}
-	if err := sm.checkBatch(pg); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewBatchScratch()
-	}
-	H := sm.cfg.Hidden
-	kH := sm.k * H
-	k2H := sm.k * 2 * H
-	hTot := pg.hostOff[c]
-
-	s.encOps32 = grow32(s.encOps32, nOps*kH)
-	for kind := range pg.opsByKind {
-		idxs := pg.opsByKind[kind]
-		if len(idxs) == 0 {
-			continue
-		}
-		enc := sm.enc[NodeKind(kind)]
-		in := enc.InDim()
-		s.gather32 = grow32(s.gather32, len(idxs)*in)
-		for r, idx := range idxs {
-			row := s.gather32[r*in : (r+1)*in]
-			for i, f := range pg.base.Nodes[idx].Feat {
-				row[i] = float32(f)
-			}
-		}
-		s.tmp32 = grow32(s.tmp32, len(idxs)*kH)
-		enc.ForwardShared32(s.tmp32, s.gather32, len(idxs), &s.dense)
-		for r, idx := range idxs {
-			copy(s.encOps32[idx*kH:(idx+1)*kH], s.tmp32[r*kH:(r+1)*kH])
-		}
-	}
-
-	if hTot > 0 {
-		enc := sm.enc[KindHost]
-		in := enc.InDim()
-		s.gather32 = grow32(s.gather32, hTot*in)
-		for slot, f := range pg.hostFeat[:hTot] {
-			row := s.gather32[slot*in : (slot+1)*in]
-			for i, x := range f {
-				row[i] = float32(x)
-			}
-		}
-		s.hostEnc32 = grow32(s.hostEnc32, hTot*kH)
-		enc.ForwardShared32(s.hostEnc32, s.gather32, hTot, &s.dense)
-
-		s.cat32 = grow32(s.cat32, hTot*k2H)
-		for slot := 0; slot < hTot; slot++ {
-			kids := pg.kids[pg.kidsOff[slot]:pg.kidsOff[slot+1]]
-			catRow32(s.cat32[slot*k2H:(slot+1)*k2H], kids, slot, sm.k, H, s.encOps32, s.hostEnc32)
-		}
-		s.hostNext32 = grow32(s.hostNext32, hTot*kH)
-		sm.upd[KindHost].ForwardBlocks32(s.hostNext32, s.cat32, hTot, &s.dense)
-	}
-
-	s.after232 = grow32(s.after232, c*nOps*kH)
-	for ci := 0; ci < c; ci++ {
-		copy(s.after232[ci*nOps*kH:(ci+1)*nOps*kH], s.encOps32[:nOps*kH])
-	}
-	if hTot > 0 {
-		var kidBuf [1]int
-		for kind := range pg.opsByKind {
-			idxs := pg.opsByKind[kind]
-			if len(idxs) == 0 {
-				continue
-			}
-			rows := 0
-			for ci := 0; ci < c; ci++ {
-				for _, v := range idxs {
-					if pg.opHost[ci*nOps+v] >= 0 {
-						rows++
-					}
-				}
-			}
-			if rows == 0 {
-				continue
-			}
-			s.cat32 = grow32(s.cat32, rows*k2H)
-			r := 0
-			for ci := 0; ci < c; ci++ {
-				for _, v := range idxs {
-					slot := pg.opHost[ci*nOps+v]
-					if slot < 0 {
-						continue
-					}
-					kidBuf[0] = slot
-					catRow32(s.cat32[r*k2H:(r+1)*k2H], kidBuf[:], v, sm.k, H, s.hostNext32, s.encOps32)
-					r++
-				}
-			}
-			s.tmp32 = grow32(s.tmp32, rows*kH)
-			sm.upd[NodeKind(kind)].ForwardBlocks32(s.tmp32, s.cat32, rows, &s.dense)
-			r = 0
-			for ci := 0; ci < c; ci++ {
-				for _, v := range idxs {
-					if pg.opHost[ci*nOps+v] < 0 {
-						continue
-					}
-					copy(s.after232[(ci*nOps+v)*kH:(ci*nOps+v+1)*kH], s.tmp32[r*kH:(r+1)*kH])
-					r++
-				}
-			}
-		}
-	}
-
-	s.final32 = grow32(s.final32, c*nOps*kH)
-	copy(s.final32, s.after232[:c*nOps*kH])
-	s.cat32 = grow32(s.cat32, max(len(s.cat32), c*k2H))
-	s.tmp32 = grow32(s.tmp32, max(len(s.tmp32), c*kH))
-	for _, v := range pg.plan.order {
-		parents := pg.plan.ups[v]
-		if len(parents) == 0 {
-			continue
-		}
-		for ci := 0; ci < c; ci++ {
-			plane := ci * nOps * kH
-			catRow32(s.cat32[ci*k2H:(ci+1)*k2H], parents, v, sm.k, H,
-				s.final32[plane:plane+nOps*kH], s.after232[plane:plane+nOps*kH])
-		}
-		sm.upd[pg.base.Nodes[v].Kind].ForwardBlocks32(s.tmp32[:c*kH], s.cat32[:c*k2H], c, &s.dense)
-		for ci := 0; ci < c; ci++ {
-			copy(s.final32[(ci*nOps+v)*kH:(ci*nOps+v+1)*kH], s.tmp32[ci*kH:(ci+1)*kH])
-		}
-	}
-
-	s.agg32 = grow32(s.agg32, c*kH)
-	for ci := 0; ci < c; ci++ {
-		agg := s.agg32[ci*kH : (ci+1)*kH]
-		fin := s.final32[ci*nOps*kH : (ci+1)*nOps*kH]
-		copy(agg, fin[:kH])
-		for v := 1; v < nOps; v++ {
-			blk := fin[v*kH : (v+1)*kH]
-			for i, x := range blk {
-				agg[i] += x
-			}
-		}
-		for slot := pg.hostOff[ci]; slot < pg.hostOff[ci+1]; slot++ {
-			blk := s.hostNext32[slot*kH : (slot+1)*kH]
-			for i, x := range blk {
-				agg[i] += x
-			}
-		}
-	}
-	s.tmp32 = grow32(s.tmp32, max(len(s.tmp32), c*sm.k))
-	sm.out.ForwardBlocks32(s.tmp32[:c*sm.k], s.agg32[:c*kH], c, &s.dense)
-	for i := 0; i < c*sm.k; i++ {
-		out[i] = float64(s.tmp32[i])
+	for i, v := range s.tmp[:c*sm.k] {
+		out[i] = float64(v)
 	}
 	return nil
 }
-
-// Hidden returns the stacked architecture's hidden width (used by tile
-// sizing heuristics to bound per-tile activation footprints).
-func (sm *StackedModel) Hidden() int { return sm.cfg.Hidden }

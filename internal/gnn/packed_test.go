@@ -1,8 +1,12 @@
 package gnn
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"costream/internal/nn"
 )
 
 // packBase returns an operator-only base graph (source -> filter -> sink)
@@ -60,49 +64,182 @@ var packPlacements = [][]int{
 	{2, 0, 0},
 }
 
-// TestInferEnsembleBatchMatchesInferEnsemble pins the packed multi-graph
-// pass to the per-graph stacked pass, bit for bit, for every candidate
-// and member — at the full tile size and for every sub-tiling, so the
-// result is provably independent of how a round is split into tiles.
-func TestInferEnsembleBatchMatchesInferEnsemble(t *testing.T) {
-	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
+// randomFlow draws an operator-only base graph of one of three flow
+// shapes with random feature vectors: a filter chain, a fan-in join over
+// several sources, or one source fanning out to parallel filters that a
+// join collects again.
+func randomFlow(rng *rand.Rand, shape string) *Graph {
+	dims := testDims()
+	g := &Graph{}
+	add := func(kind NodeKind) int {
+		feat := make([]float64, dims[kind])
+		for i := range feat {
+			feat[i] = rng.Float64()*2 - 0.5
+		}
+		g.Nodes = append(g.Nodes, Node{Kind: kind, Feat: feat})
+		return len(g.Nodes) - 1
 	}
-	base := packBase()
-	plan, err := NewPlan(base)
-	if err != nil {
-		t.Fatal(err)
+	flow := func(from, to int) { g.FlowEdges = append(g.FlowEdges, [2]int{from, to}) }
+	switch shape {
+	case "chain":
+		prev := add(KindSource)
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			next := add(KindFilter)
+			flow(prev, next)
+			prev = next
+		}
+		flow(prev, add(KindSink))
+	case "fan-in":
+		srcs := make([]int, 2+rng.Intn(3))
+		for i := range srcs {
+			srcs[i] = add(KindSource)
+		}
+		join := add(KindJoin)
+		for _, src := range srcs {
+			flow(src, join)
+		}
+		agg := add(KindAggregate)
+		flow(join, agg)
+		flow(agg, add(KindSink))
+	case "fan-out":
+		src := add(KindSource)
+		branches := make([]int, 3+rng.Intn(4))
+		for i := range branches {
+			branches[i] = add(KindFilter)
+			flow(src, branches[i])
+		}
+		join := add(KindJoin)
+		for _, br := range branches {
+			flow(br, join)
+		}
+		flow(join, add(KindSink))
 	}
-	graphs := packCandidates(base, packPlacements)
+	return g
+}
 
-	want := make([]float64, len(graphs)*sm.K())
-	ss := NewStackedScratch()
-	for ci, g := range graphs {
-		if err := sm.InferEnsemble(g, plan, ss, want[ci*sm.K():(ci+1)*sm.K()]); err != nil {
+// oracleCandidates derives n candidate graphs over base the way core's
+// attachHosts does (see packCandidates): candidate 0 puts every operator
+// on one host, candidate 1 gives every operator its own host, the rest
+// are random placements.
+func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
+	nOps := len(base.Nodes)
+	hostFeats := make([][]float64, nOps)
+	for h := range hostFeats {
+		hostFeats[h] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	out := make([]*Graph, n)
+	for ci := range out {
+		g := &Graph{Nodes: append([]Node(nil), base.Nodes...), FlowEdges: base.FlowEdges}
+		hostNode := map[int]int{}
+		for op := 0; op < nOps; op++ {
+			h := rng.Intn(nOps)
+			switch ci {
+			case 0:
+				h = 0
+			case 1:
+				h = op
+			}
+			node, ok := hostNode[h]
+			if !ok {
+				node = len(g.Nodes)
+				hostNode[h] = node
+				g.Nodes = append(g.Nodes, Node{Kind: KindHost, Feat: hostFeats[h]})
+			}
+			g.PlaceEdges = append(g.PlaceEdges, [2]int{op, node})
+		}
+		out[ci] = g
+	}
+	return out
+}
+
+// scoreTiles runs graphs through the packed kernel in consecutive tiles
+// of the given width and returns the candidate-major member outputs.
+func scoreTiles[T nn.Float](t *testing.T, sm *StackedModel[T], graphs []*Graph, plan *Plan, tile int, pg **PackedGraphs, bs *BatchScratch) []float64 {
+	t.Helper()
+	got := make([]float64, len(graphs)*sm.K())
+	for lo := 0; lo < len(graphs); lo += tile {
+		hi := min(lo+tile, len(graphs))
+		var err error
+		if *pg, err = PackGraphs(graphs[lo:hi], plan, *pg); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.InferEnsembleBatch(*pg, bs, got[lo*sm.K():hi*sm.K()]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return got
+}
 
-	bs := NewBatchScratch()
+// TestPackedMatchesScalarOracle checks the one inference engine against
+// the scalar oracle, Model.InferPlanned per member and candidate, on
+// generated inputs: seeded random flow shapes (chain, fan-in join, wide
+// fan-out), ensembles of k members, tiles of C candidates — C = 1 is a
+// single prediction — with all operators on one host, one host per
+// operator, random placements and no hosts at all (query-only
+// featurization). float64 must match bit for bit at every tiling,
+// float32 within the documented 1e-4 relative bound and bit for bit
+// between tilings; one PackedGraphs and one BatchScratch are reused
+// throughout, across shapes and precisions. The error, nil-scratch and
+// allocation contracts of a tile of one are pinned by the
+// TestInferEnsemble{NilScratch,RejectsBadInputs,Allocs} tests below.
+func TestPackedMatchesScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const pool = 33
 	var pg *PackedGraphs
-	for _, tile := range []int{1, 2, 3, len(graphs)} {
-		for lo := 0; lo < len(graphs); lo += tile {
-			hi := min(lo+tile, len(graphs))
-			pg, err = PackGraphs(graphs[lo:hi], plan, pg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, (hi-lo)*sm.K())
-			if err := sm.InferEnsembleBatch(pg, bs, got); err != nil {
-				t.Fatal(err)
-			}
-			for ci := lo; ci < hi; ci++ {
-				for m := 0; m < sm.K(); m++ {
-					g, w := got[(ci-lo)*sm.K()+m], want[ci*sm.K()+m]
-					if g != w {
-						t.Fatalf("tile=%d candidate %d member %d: batch=%v per-graph=%v", tile, ci, m, g, w)
+	bs := NewBatchScratch()
+	for _, shape := range []string{"chain", "fan-in", "fan-out"} {
+		base := randomFlow(rng, shape)
+		plan, err := NewPlan(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noHosts := make([]*Graph, pool)
+		for i := range noHosts {
+			noHosts[i] = base
+		}
+		withHosts := oracleCandidates(rng, base, pool)
+		for hi, graphs := range [][]*Graph{withHosts, noHosts} {
+			hosts := []string{"hosts", "no hosts"}[hi]
+			for _, k := range []int{1, 2, 3, 5} {
+				models := newTestEnsemble(t, k)
+				want := make([]float64, 0, pool*k)
+				for _, g := range graphs {
+					for _, mod := range models {
+						v, err := mod.InferPlanned(g, plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = append(want, v)
+					}
+				}
+				sm64, err := Stack[float64](models)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sm32, err := Stack[float32](models)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var single32 []float64 // float32 outputs at C = 1
+				for _, c := range []int{1, 2, 7, 32, 33} {
+					got := scoreTiles(t, sm64, graphs, plan, c, &pg, bs)
+					got32 := scoreTiles(t, sm32, graphs, plan, c, &pg, bs)
+					if single32 == nil {
+						single32 = got32
+					}
+					for i, w := range want {
+						if got[i] != w {
+							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: packed %v != scalar %v",
+								shape, hosts, k, c, i/k, i%k, got[i], w)
+						}
+						if math.Abs(got32[i]-w) > 1e-4*math.Max(1, math.Abs(w)) {
+							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: float32 %v vs scalar %v",
+								shape, hosts, k, c, i/k, i%k, got32[i], w)
+						}
+						if got32[i] != single32[i] {
+							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: float32 %v != %v at C=1",
+								shape, hosts, k, c, i/k, i%k, got32[i], single32[i])
+						}
 					}
 				}
 			}
@@ -110,40 +247,106 @@ func TestInferEnsembleBatchMatchesInferEnsemble(t *testing.T) {
 	}
 }
 
-// TestInferEnsembleBatch32MatchesInferEnsemble32 pins the float32 packed
-// pass to the per-graph float32 pass bit for bit: the fast path's drift
-// bound against float64 therefore carries over unchanged to fused tiles.
-func TestInferEnsembleBatch32MatchesInferEnsemble32(t *testing.T) {
-	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := packBase()
-	plan, err := NewPlan(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := packCandidates(base, packPlacements)
+// tileOfOne is the fixture of the single-predict tests below: a k = 3
+// ensemble stacked at both precisions and one candidate packed as a tile
+// of one. Their names predate the collapse of the per-graph engine; what
+// they pin is the C = 1 case of InferEnsembleBatch.
+type tileOfOne struct {
+	models []*Model
+	sm     *StackedModel[float64]
+	sm32   *StackedModel[float32]
+	plan   *Plan
+	graphs []*Graph
+	pg     *PackedGraphs
+}
 
-	want := make([]float64, len(graphs)*sm.K())
-	ss := NewStackedScratch()
-	for ci, g := range graphs {
-		if err := sm.InferEnsemble32(g, plan, ss, want[ci*sm.K():(ci+1)*sm.K()]); err != nil {
+func newTileOfOne(t *testing.T) *tileOfOne {
+	t.Helper()
+	f := &tileOfOne{models: newTestEnsemble(t, 3)}
+	base := packBase()
+	var err error
+	if f.plan, err = NewPlan(base); err != nil {
+		t.Fatal(err)
+	}
+	f.graphs = packCandidates(base, packPlacements[1:2])
+	if f.sm, err = Stack[float64](f.models); err != nil {
+		t.Fatal(err)
+	}
+	if f.sm32, err = Stack[float32](f.models); err != nil {
+		t.Fatal(err)
+	}
+	if f.pg, err = PackGraphs(f.graphs, f.plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestInferEnsembleNilScratch checks that a single predict without a
+// scratch allocates its own planes and still matches the scalar oracle.
+func TestInferEnsembleNilScratch(t *testing.T) {
+	f := newTileOfOne(t)
+	out := make([]float64, f.sm.K())
+	if err := f.sm.InferEnsembleBatch(f.pg, nil, out); err != nil {
+		t.Fatal(err)
+	}
+	for m, mod := range f.models {
+		want, err := mod.InferPlanned(f.graphs[0], f.plan)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if out[m] != want {
+			t.Fatalf("nil scratch, member %d: packed %v != scalar %v", m, out[m], want)
+		}
 	}
-	pg, err := PackGraphs(graphs, plan, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestInferEnsembleRejectsBadInputs checks that a wrong output length and
+// a wrong operator or host feature width are errors on a tile of one.
+func TestInferEnsembleRejectsBadInputs(t *testing.T) {
+	f := newTileOfOne(t)
+	if err := f.sm.InferEnsembleBatch(f.pg, nil, make([]float64, f.sm.K()-1)); err == nil {
+		t.Fatal("short output buffer accepted")
 	}
-	got := make([]float64, len(graphs)*sm.K())
-	if err := sm.InferEnsembleBatch32(pg, nil, got); err != nil {
-		t.Fatal(err)
+	out := make([]float64, f.sm.K())
+	for name, corrupt := range map[string]func(g *Graph){
+		"operator": func(g *Graph) { g.Nodes[0].Feat = []float64{1} }, // encoder expects 2
+		"host":     func(g *Graph) { g.Nodes[len(g.Nodes)-1].Feat = []float64{1, 2, 3} },
+	} {
+		bad := packCandidates(packBase(), packPlacements[1:2])
+		corrupt(bad[0])
+		badPG, err := PackGraphs(bad, f.plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.sm.InferEnsembleBatch(badPG, nil, out); err == nil {
+			t.Fatalf("wrong %s feature width accepted", name)
+		}
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("output %d: batch32=%v per-graph32=%v", i, got[i], want[i])
+}
+
+// TestInferEnsembleAllocs pins the steady-state single predict (reused
+// PackedGraphs and BatchScratch) to zero allocations at both precisions.
+func TestInferEnsembleAllocs(t *testing.T) {
+	f := newTileOfOne(t)
+	out := make([]float64, f.sm.K())
+	bs := NewBatchScratch()
+	for name, infer := range map[string]func(*PackedGraphs, *BatchScratch, []float64) error{
+		"float64": f.sm.InferEnsembleBatch, "float32": f.sm32.InferEnsembleBatch,
+	} {
+		if err := infer(f.pg, bs, out); err != nil { // grow the planes at this precision
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if f.pg, err = PackGraphs(f.graphs, f.plan, f.pg); err != nil {
+				t.Fatal(err)
+			}
+			if err := infer(f.pg, bs, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state %s single predict allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }
@@ -152,7 +355,7 @@ func TestInferEnsembleBatch32MatchesInferEnsemble32(t *testing.T) {
 // without host nodes pack and score as C copies of the shared base.
 func TestInferEnsembleBatchNoHosts(t *testing.T) {
 	models := newTestEnsemble(t, 2)
-	sm, err := Stack(models)
+	sm, err := Stack[float64](models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +374,10 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, sm.K())
-	if err := sm.InferEnsemble(base, plan, nil, want); err != nil {
-		t.Fatal(err)
+	for m, mod := range models {
+		if want[m], err = mod.InferPlanned(base, plan); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for ci := range graphs {
 		for m := 0; m < sm.K(); m++ {
@@ -219,7 +424,7 @@ func TestPackGraphsRejectsForeignGraphs(t *testing.T) {
 // PackedGraphs and BatchScratch) to zero allocations.
 func TestInferEnsembleBatchAllocs(t *testing.T) {
 	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
+	sm, err := Stack[float64](models)
 	if err != nil {
 		t.Fatal(err)
 	}

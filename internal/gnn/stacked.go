@@ -3,41 +3,45 @@ package gnn
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"costream/internal/nn"
 )
 
-// StackedModel runs a whole ensemble — k Models of identical architecture
-// sharing one Plan — through node-batched matrix-matrix kernels: one
-// fused pass per message-passing phase instead of k independent
-// matrix-vector passes. Member m's weights occupy block m of every
-// stacked layer (nn.StackedMLP), activations live in an interleaved
-// node-major, member-block layout, and per-worker StackedScratch buffers
+// StackedModel is the inference engine: a whole ensemble — k Models of
+// identical architecture, k = 1 for a single model — whose weights are
+// stacked at element type T so that InferEnsembleBatch advances a packed
+// tile of C candidate graphs × k members through one row-batched
+// matrix-matrix kernel pass per message-passing phase. A single
+// prediction is a tile of C = 1. Member m's weights occupy block m of
+// every stacked layer (nn.StackedMLP), activations live in an interleaved
+// node-major, member-block layout, and per-worker BatchScratch buffers
 // make the steady-state pass allocation-free.
 //
-// The float64 path (InferEnsemble) is bit-identical, member for member,
-// to Model.InferPlanned: every kernel accumulates in the same order as
-// the per-vector code. InferEnsemble32 is an opt-in float32 fast path
-// trading ~7 decimal digits of precision for half the memory traffic.
+// At T = float64 every output is bit-identical, member for member, to
+// Model.InferPlanned, which stays as the scalar oracle (and the only path
+// for traditional message passing): every kernel accumulates in the same
+// order as the per-vector code. T = float32 is the same code on the
+// opt-in fast path, trading ~7 decimal digits of precision for half the
+// memory traffic; the documented bound is 1e-4 relative on raw outputs.
 //
 // Stacking copies the weights; a stack goes stale when any member's
 // weights are updated in place (fine-tuning, artifact reload) and must be
 // rebuilt via Stack.
-type StackedModel struct {
+type StackedModel[T nn.Float] struct {
 	cfg Config
 	k   int
-	enc map[NodeKind]*nn.StackedMLP
-	upd map[NodeKind]*nn.StackedMLP
-	out *nn.StackedMLP
+	enc map[NodeKind]*nn.StackedMLP[T]
+	upd map[NodeKind]*nn.StackedMLP[T]
+	out *nn.StackedMLP[T]
 }
 
-// Stack vertically stacks the weights of k models for one-pass ensemble
-// inference. All models must share one architecture (Config equality up
-// to TraditionalRounds) and use the paper's directed message passing —
-// the Exp 7b traditional ablation re-derives its neighbor structure per
-// graph and is not supported (callers fall back to per-member Infer).
-func Stack(models []*Model) (*StackedModel, error) {
+// Stack vertically stacks the weights of k models, converted to T, for
+// one-pass ensemble inference. All models must share one architecture
+// (Config equality up to TraditionalRounds) and use the paper's directed
+// message passing — the Exp 7b traditional ablation re-derives its
+// neighbor structure per graph and is not supported (callers fall back
+// to per-member InferPlanned).
+func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("gnn: stacking zero models")
 	}
@@ -53,11 +57,11 @@ func Stack(models []*Model) (*StackedModel, error) {
 			return nil, fmt.Errorf("gnn: model %d has a different architecture", i+1)
 		}
 	}
-	sm := &StackedModel{
+	sm := &StackedModel[T]{
 		cfg: cfg,
 		k:   len(models),
-		enc: make(map[NodeKind]*nn.StackedMLP, len(models[0].enc)),
-		upd: make(map[NodeKind]*nn.StackedMLP, len(models[0].upd)),
+		enc: make(map[NodeKind]*nn.StackedMLP[T], len(models[0].enc)),
+		upd: make(map[NodeKind]*nn.StackedMLP[T], len(models[0].upd)),
 	}
 	for _, kind := range AllKinds() {
 		if _, ok := models[0].enc[kind]; !ok {
@@ -73,11 +77,11 @@ func Stack(models []*Model) (*StackedModel, error) {
 			}
 			encs[m], upds[m] = e, u
 		}
-		se, err := nn.StackMLPs(encs)
+		se, err := nn.StackMLPs[T](encs)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: stacking %v encoders: %w", kind, err)
 		}
-		su, err := nn.StackMLPs(upds)
+		su, err := nn.StackMLPs[T](upds)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: stacking %v updaters: %w", kind, err)
 		}
@@ -87,7 +91,7 @@ func Stack(models []*Model) (*StackedModel, error) {
 	for m, mod := range models {
 		outs[m] = mod.out
 	}
-	so, err := nn.StackMLPs(outs)
+	so, err := nn.StackMLPs[T](outs)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: stacking readouts: %w", err)
 	}
@@ -96,102 +100,17 @@ func Stack(models []*Model) (*StackedModel, error) {
 }
 
 // K returns the number of stacked members.
-func (sm *StackedModel) K() int { return sm.k }
+func (sm *StackedModel[T]) K() int { return sm.k }
 
-// StackedScratch holds the reusable per-worker buffers of a stacked
-// forward pass: the interleaved node-major×member-block activation
-// planes of the three phases, the gather/concat staging rows and the
-// per-kind index lists. One StackedScratch serves one goroutine; a nil
-// scratch is accepted and allocates fresh buffers for that call.
-type StackedScratch struct {
-	h, next, after2, final []float64 // n × (k·H) activation planes
-	gather                 []float64 // rows × featDim encoder inputs
-	cat                    []float64 // rows × (k·2H) update inputs
-	tmp                    []float64 // rows × (k·H) kernel outputs
-	agg                    []float64 // k·H readout accumulator
-
-	h32, next32, after232, final32 []float32
-	gather32, cat32, tmp32, agg32  []float32
-
-	dense     nn.DenseScratch
-	byKind    [numKinds][]int // node indices grouped by kind
-	edgeKind  [numKinds][]int // placement-edge indices grouped by op kind
-	hostOrder []int
-	hostKids  [][]int // per node index: child operator indices
-}
-
-// NewStackedScratch returns an empty scratch; its buffers grow on first
-// use and are reused afterwards.
-func NewStackedScratch() *StackedScratch { return &StackedScratch{} }
-
-func grow64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func grow32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
-func growInts(buf [][]int, n int) [][]int {
-	if cap(buf) < n {
-		next := make([][]int, n)
-		copy(next, buf[:cap(buf)])
-		return next
-	}
-	return buf[:n]
-}
-
-// prepare resets per-call state and groups nodes (and placement edges) by
-// kind, running the per-node encoder checks shared by both precisions.
-func (sm *StackedModel) prepare(g *Graph, s *StackedScratch) error {
-	for i := range s.byKind {
-		s.byKind[i] = s.byKind[i][:0]
-		s.edgeKind[i] = s.edgeKind[i][:0]
-	}
-	for i, nd := range g.Nodes {
-		enc, ok := sm.enc[nd.Kind]
-		if !ok {
-			return fmt.Errorf("gnn: no encoder for kind %v", nd.Kind)
-		}
-		if len(nd.Feat) != enc.InDim() {
-			return fmt.Errorf("gnn: node %d (%v) has %d features, encoder wants %d",
-				i, nd.Kind, len(nd.Feat), enc.InDim())
-		}
-		s.byKind[nd.Kind] = append(s.byKind[nd.Kind], i)
-	}
-	for ei, e := range g.PlaceEdges {
-		s.edgeKind[g.Nodes[e[0]].Kind] = append(s.edgeKind[g.Nodes[e[0]].Kind], ei)
-	}
-	s.hostKids = growInts(s.hostKids, len(g.Nodes))
-	s.hostOrder = s.hostOrder[:0]
-	for _, e := range g.PlaceEdges {
-		if len(s.hostKids[e[1]]) == 0 {
-			s.hostOrder = append(s.hostOrder, e[1])
-		}
-		s.hostKids[e[1]] = append(s.hostKids[e[1]], e[0])
-	}
-	slices.Sort(s.hostOrder)
-	return nil
-}
-
-// releaseHosts empties the per-host child lists for the next call.
-func (s *StackedScratch) releaseHosts() {
-	for _, hostIdx := range s.hostOrder {
-		s.hostKids[hostIdx] = s.hostKids[hostIdx][:0]
-	}
-}
+// Hidden returns the stacked architecture's hidden width (used by tile
+// sizing heuristics to bound per-tile activation footprints).
+func (sm *StackedModel[T]) Hidden() int { return sm.cfg.Hidden }
 
 // catRow writes one interleaved update-input row: for each member m the
 // concat of (sum of child states in child order, own state), children
 // read from childSrc and the own state from ownSrc — both n×(k·H)
 // activation planes. Summation order matches vecSum exactly.
-func catRow(dst []float64, kids []int, own, k, H int, childSrc, ownSrc []float64) {
+func catRow[T nn.Float](dst []T, kids []int, own, k, H int, childSrc, ownSrc []T) {
 	kH := k * H
 	for m := 0; m < k; m++ {
 		agg := dst[m*2*H : m*2*H+H]
@@ -204,242 +123,4 @@ func catRow(dst []float64, kids []int, own, k, H int, childSrc, ownSrc []float64
 		}
 		copy(dst[m*2*H+H:m*2*H+2*H], ownSrc[own*kH+m*H:own*kH+m*H+H])
 	}
-}
-
-// InferEnsemble runs one forward pass for all k members at once and
-// writes each member's raw scalar output into out (len k), bit-identical
-// to calling Model.InferPlanned per member. The graph is trusted to be
-// structurally valid and consistent with the plan (NewPlan validated it);
-// only the per-node encoder checks remain.
-func (sm *StackedModel) InferEnsemble(g *Graph, plan *Plan, s *StackedScratch, out []float64) error {
-	if len(out) != sm.k {
-		return fmt.Errorf("gnn: output buffer holds %d values, stack has %d members", len(out), sm.k)
-	}
-	if s == nil {
-		s = NewStackedScratch()
-	}
-	if err := sm.prepare(g, s); err != nil {
-		return err
-	}
-	defer s.releaseHosts()
-	n := len(g.Nodes)
-	H := sm.cfg.Hidden
-	kH := sm.k * H
-	s.h = grow64(s.h, n*kH)
-	s.next = grow64(s.next, n*kH)
-	s.after2 = grow64(s.after2, n*kH)
-	s.final = grow64(s.final, n*kH)
-
-	// Encode: one matrix-matrix pass per node kind over all nodes of that
-	// kind, the features shared across members.
-	for kind := range s.byKind {
-		idxs := s.byKind[kind]
-		if len(idxs) == 0 {
-			continue
-		}
-		enc := sm.enc[NodeKind(kind)]
-		in := enc.InDim()
-		s.gather = grow64(s.gather, len(idxs)*in)
-		for r, idx := range idxs {
-			copy(s.gather[r*in:(r+1)*in], g.Nodes[idx].Feat)
-		}
-		s.tmp = grow64(s.tmp, len(idxs)*kH)
-		enc.ForwardShared(s.tmp, s.gather, len(idxs), &s.dense)
-		for r, idx := range idxs {
-			copy(s.h[idx*kH:(idx+1)*kH], s.tmp[r*kH:(r+1)*kH])
-		}
-	}
-
-	// Phase 1: operators -> hardware, every placed-on host in one batch
-	// (host updates only read phase-0 states, so they are independent).
-	copy(s.next[:n*kH], s.h[:n*kH])
-	if rows := len(s.hostOrder); rows > 0 {
-		s.cat = grow64(s.cat, rows*sm.k*2*H)
-		for r, hostIdx := range s.hostOrder {
-			catRow(s.cat[r*sm.k*2*H:(r+1)*sm.k*2*H], s.hostKids[hostIdx], hostIdx, sm.k, H, s.h, s.h)
-		}
-		s.tmp = grow64(s.tmp, rows*kH)
-		sm.upd[KindHost].ForwardBlocks(s.tmp, s.cat, rows, &s.dense)
-		for r, hostIdx := range s.hostOrder {
-			copy(s.next[hostIdx*kH:(hostIdx+1)*kH], s.tmp[r*kH:(r+1)*kH])
-		}
-	}
-
-	// Phase 2: hardware -> operators, batched per operator kind (each
-	// operator reads only phase-1 states).
-	copy(s.after2[:n*kH], s.next[:n*kH])
-	for kind := range s.edgeKind {
-		eidxs := s.edgeKind[kind]
-		if len(eidxs) == 0 {
-			continue
-		}
-		upd := sm.upd[NodeKind(kind)]
-		rows := len(eidxs)
-		s.cat = grow64(s.cat, rows*sm.k*2*H)
-		for r, ei := range eidxs {
-			e := g.PlaceEdges[ei]
-			host := e[1:2]
-			catRow(s.cat[r*sm.k*2*H:(r+1)*sm.k*2*H], host, e[0], sm.k, H, s.next, s.next)
-		}
-		s.tmp = grow64(s.tmp, rows*kH)
-		upd.ForwardBlocks(s.tmp, s.cat, rows, &s.dense)
-		for r, ei := range eidxs {
-			op := g.PlaceEdges[ei][0]
-			copy(s.after2[op*kH:(op+1)*kH], s.tmp[r*kH:(r+1)*kH])
-		}
-	}
-
-	// Phase 3: sources -> ... -> sink along the data flow; inherently
-	// sequential in topological order, but each step advances all k
-	// members in one kernel call.
-	copy(s.final[:n*kH], s.after2[:n*kH])
-	s.cat = grow64(s.cat, max(len(s.cat), sm.k*2*H))
-	s.tmp = grow64(s.tmp, max(len(s.tmp), kH))
-	for _, v := range plan.order {
-		parents := plan.ups[v]
-		if len(parents) == 0 {
-			continue // sources send but do not receive in this phase
-		}
-		catRow(s.cat[:sm.k*2*H], parents, v, sm.k, H, s.final, s.after2)
-		sm.upd[g.Nodes[v].Kind].ForwardBlocks(s.tmp[:kH], s.cat[:sm.k*2*H], 1, &s.dense)
-		copy(s.final[v*kH:(v+1)*kH], s.tmp[:kH])
-	}
-
-	// Readout: per-member sum over all node states in node order, then
-	// the stacked output MLP.
-	s.agg = grow64(s.agg, kH)
-	copy(s.agg, s.final[:kH])
-	for v := 1; v < n; v++ {
-		blk := s.final[v*kH : (v+1)*kH]
-		for i, x := range blk {
-			s.agg[i] += x
-		}
-	}
-	sm.out.ForwardBlocks(s.tmp[:sm.k], s.agg, 1, &s.dense)
-	copy(out, s.tmp[:sm.k])
-	return nil
-}
-
-// catRow32 is the float32 twin of catRow.
-func catRow32(dst []float32, kids []int, own, k, H int, childSrc, ownSrc []float32) {
-	kH := k * H
-	for m := 0; m < k; m++ {
-		agg := dst[m*2*H : m*2*H+H]
-		copy(agg, childSrc[kids[0]*kH+m*H:kids[0]*kH+m*H+H])
-		for _, kid := range kids[1:] {
-			blk := childSrc[kid*kH+m*H : kid*kH+m*H+H]
-			for i, v := range blk {
-				agg[i] += v
-			}
-		}
-		copy(dst[m*2*H+H:m*2*H+2*H], ownSrc[own*kH+m*H:own*kH+m*H+H])
-	}
-}
-
-// InferEnsemble32 is InferEnsemble on the float32 fast path: same kernel
-// structure, float32 weights and activations, results within a small
-// relative tolerance of the float64 path (see the equivalence tests; the
-// documented bound is 1e-4 relative on raw outputs). Callers opt in when
-// throughput matters more than the last digits — predictions feed rank
-// decisions, which are insensitive at this scale.
-func (sm *StackedModel) InferEnsemble32(g *Graph, plan *Plan, s *StackedScratch, out []float64) error {
-	if len(out) != sm.k {
-		return fmt.Errorf("gnn: output buffer holds %d values, stack has %d members", len(out), sm.k)
-	}
-	if s == nil {
-		s = NewStackedScratch()
-	}
-	if err := sm.prepare(g, s); err != nil {
-		return err
-	}
-	defer s.releaseHosts()
-	n := len(g.Nodes)
-	H := sm.cfg.Hidden
-	kH := sm.k * H
-	s.h32 = grow32(s.h32, n*kH)
-	s.next32 = grow32(s.next32, n*kH)
-	s.after232 = grow32(s.after232, n*kH)
-	s.final32 = grow32(s.final32, n*kH)
-
-	for kind := range s.byKind {
-		idxs := s.byKind[kind]
-		if len(idxs) == 0 {
-			continue
-		}
-		enc := sm.enc[NodeKind(kind)]
-		in := enc.InDim()
-		s.gather32 = grow32(s.gather32, len(idxs)*in)
-		for r, idx := range idxs {
-			row := s.gather32[r*in : (r+1)*in]
-			for i, f := range g.Nodes[idx].Feat {
-				row[i] = float32(f)
-			}
-		}
-		s.tmp32 = grow32(s.tmp32, len(idxs)*kH)
-		enc.ForwardShared32(s.tmp32, s.gather32, len(idxs), &s.dense)
-		for r, idx := range idxs {
-			copy(s.h32[idx*kH:(idx+1)*kH], s.tmp32[r*kH:(r+1)*kH])
-		}
-	}
-
-	copy(s.next32[:n*kH], s.h32[:n*kH])
-	if rows := len(s.hostOrder); rows > 0 {
-		s.cat32 = grow32(s.cat32, rows*sm.k*2*H)
-		for r, hostIdx := range s.hostOrder {
-			catRow32(s.cat32[r*sm.k*2*H:(r+1)*sm.k*2*H], s.hostKids[hostIdx], hostIdx, sm.k, H, s.h32, s.h32)
-		}
-		s.tmp32 = grow32(s.tmp32, rows*kH)
-		sm.upd[KindHost].ForwardBlocks32(s.tmp32, s.cat32, rows, &s.dense)
-		for r, hostIdx := range s.hostOrder {
-			copy(s.next32[hostIdx*kH:(hostIdx+1)*kH], s.tmp32[r*kH:(r+1)*kH])
-		}
-	}
-
-	copy(s.after232[:n*kH], s.next32[:n*kH])
-	for kind := range s.edgeKind {
-		eidxs := s.edgeKind[kind]
-		if len(eidxs) == 0 {
-			continue
-		}
-		upd := sm.upd[NodeKind(kind)]
-		rows := len(eidxs)
-		s.cat32 = grow32(s.cat32, rows*sm.k*2*H)
-		for r, ei := range eidxs {
-			e := g.PlaceEdges[ei]
-			catRow32(s.cat32[r*sm.k*2*H:(r+1)*sm.k*2*H], e[1:2], e[0], sm.k, H, s.next32, s.next32)
-		}
-		s.tmp32 = grow32(s.tmp32, rows*kH)
-		upd.ForwardBlocks32(s.tmp32, s.cat32, rows, &s.dense)
-		for r, ei := range eidxs {
-			op := g.PlaceEdges[ei][0]
-			copy(s.after232[op*kH:(op+1)*kH], s.tmp32[r*kH:(r+1)*kH])
-		}
-	}
-
-	copy(s.final32[:n*kH], s.after232[:n*kH])
-	s.cat32 = grow32(s.cat32, max(len(s.cat32), sm.k*2*H))
-	s.tmp32 = grow32(s.tmp32, max(len(s.tmp32), kH))
-	for _, v := range plan.order {
-		parents := plan.ups[v]
-		if len(parents) == 0 {
-			continue
-		}
-		catRow32(s.cat32[:sm.k*2*H], parents, v, sm.k, H, s.final32, s.after232)
-		sm.upd[g.Nodes[v].Kind].ForwardBlocks32(s.tmp32[:kH], s.cat32[:sm.k*2*H], 1, &s.dense)
-		copy(s.final32[v*kH:(v+1)*kH], s.tmp32[:kH])
-	}
-
-	s.agg32 = grow32(s.agg32, kH)
-	copy(s.agg32, s.final32[:kH])
-	for v := 1; v < n; v++ {
-		blk := s.final32[v*kH : (v+1)*kH]
-		for i, x := range blk {
-			s.agg32[i] += x
-		}
-	}
-	sm.out.ForwardBlocks32(s.tmp32[:sm.k], s.agg32, 1, &s.dense)
-	for m := 0; m < sm.k; m++ {
-		out[m] = float64(s.tmp32[m])
-	}
-	return nil
 }

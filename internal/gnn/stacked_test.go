@@ -1,9 +1,6 @@
 package gnn
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func newTestEnsemble(t *testing.T, k int) []*Model {
 	t.Helper()
@@ -21,101 +18,9 @@ func newTestEnsemble(t *testing.T, k int) []*Model {
 	return models
 }
 
-// TestInferEnsembleMatchesInferPlanned pins the stacked one-pass kernels
-// to per-member InferPlanned: bit-identical outputs, member for member,
-// including when the scratch is reused across differently shaped graphs.
-func TestInferEnsembleMatchesInferPlanned(t *testing.T) {
-	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := []*Graph{testGraph(0.1), testGraph(0.9), diamondGraph()}
-	s := NewStackedScratch()
-	out := make([]float64, sm.K())
-	for round := 0; round < 3; round++ { // reuse across rounds and graphs
-		for gi, g := range graphs {
-			plan, err := NewPlan(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sm.InferEnsemble(g, plan, s, out); err != nil {
-				t.Fatal(err)
-			}
-			for m, mod := range models {
-				want, err := mod.InferPlanned(g, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out[m] != want {
-					t.Fatalf("round %d graph %d member %d: stacked=%v planned=%v",
-						round, gi, m, out[m], want)
-				}
-			}
-		}
-	}
-}
-
-// TestInferEnsembleNilScratch checks the convenience path without a
-// caller-provided scratch.
-func TestInferEnsembleNilScratch(t *testing.T) {
-	models := newTestEnsemble(t, 2)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGraph(0.5)
-	plan, err := NewPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 2)
-	if err := sm.InferEnsemble(g, plan, nil, out); err != nil {
-		t.Fatal(err)
-	}
-	want, err := models[0].InferPlanned(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != want {
-		t.Fatalf("nil-scratch stacked=%v planned=%v", out[0], want)
-	}
-}
-
-// TestInferEnsemble32Tolerance checks the float32 fast path stays within
-// the documented relative tolerance of the float64 reference on both
-// precisions' stacked kernels.
-func TestInferEnsemble32Tolerance(t *testing.T) {
-	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStackedScratch()
-	for _, g := range []*Graph{testGraph(0.2), testGraph(0.8), diamondGraph()} {
-		plan, err := NewPlan(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float64, sm.K())
-		got := make([]float64, sm.K())
-		if err := sm.InferEnsemble(g, plan, s, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := sm.InferEnsemble32(g, plan, s, got); err != nil {
-			t.Fatal(err)
-		}
-		for m := range want {
-			if math.Abs(got[m]-want[m]) > 1e-4*math.Max(1, math.Abs(want[m])) {
-				t.Fatalf("member %d: float32 %v vs float64 %v", m, got[m], want[m])
-			}
-		}
-	}
-}
-
 // TestStackRejectsMismatches checks architecture and mode validation.
 func TestStackRejectsMismatches(t *testing.T) {
-	if _, err := Stack(nil); err == nil {
+	if _, err := Stack[float64](nil); err == nil {
 		t.Fatal("stacking zero models should fail")
 	}
 
@@ -128,7 +33,7 @@ func TestStackRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stack([]*Model{base, wide}); err == nil {
+	if _, err := Stack[float64]([]*Model{base, wide}); err == nil {
 		t.Fatal("stacking mismatched hidden sizes should fail")
 	}
 
@@ -140,69 +45,7 @@ func TestStackRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stack([]*Model{trad}); err == nil {
+	if _, err := Stack[float64]([]*Model{trad}); err == nil {
 		t.Fatal("stacking traditional models should fail")
-	}
-}
-
-// TestInferEnsembleRejectsBadInputs mirrors InferPlanned's per-node
-// encoder checks and validates the output buffer length.
-func TestInferEnsembleRejectsBadInputs(t *testing.T) {
-	models := newTestEnsemble(t, 2)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGraph(0.5)
-	plan, err := NewPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.InferEnsemble(g, plan, nil, make([]float64, 1)); err == nil {
-		t.Fatal("short output buffer accepted")
-	}
-	bad := testGraph(0.5)
-	bad.Nodes[0].Feat = []float64{1} // encoder expects 2
-	if err := sm.InferEnsemble(bad, plan, nil, make([]float64, 2)); err == nil {
-		t.Fatal("wrong feature dimension accepted")
-	}
-}
-
-// TestInferEnsembleAllocs checks the steady-state stacked pass allocates
-// nothing once the scratch has grown.
-func TestInferEnsembleAllocs(t *testing.T) {
-	models := newTestEnsemble(t, 3)
-	sm, err := Stack(models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGraph(0.5)
-	plan, err := NewPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStackedScratch()
-	out := make([]float64, sm.K())
-	if err := sm.InferEnsemble(g, plan, s, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := sm.InferEnsemble(g, plan, s, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state InferEnsemble allocates %v times per call, want 0", allocs)
-	}
-	if err := sm.InferEnsemble32(g, plan, s, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(50, func() {
-		if err := sm.InferEnsemble32(g, plan, s, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state InferEnsemble32 allocates %v times per call, want 0", allocs)
 	}
 }

@@ -25,7 +25,10 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func affineTransAVX(y, x, wt, b *float64, in, out int)
+// func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int)
+//
+// For each of rows >= 1 rows, the next one yStride / xStride doubles
+// after the last:
 //
 // y[o] = b[o] + sum_i wt[i*out+o] * x[i], o in [0, out).
 //
@@ -35,7 +38,7 @@ noavx:
 // accumulation order identical to the scalar kernel. Output blocks of
 // 16 (4 YMM accumulators = 4 independent FP-add dependency chains),
 // then 8, 4, and a scalar tail.
-TEXT ·affineTransAVX(SB), NOSPLIT, $0-48
+TEXT ·affineTransAVX(SB), NOSPLIT, $0-72
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ wt+16(FP), DX
@@ -45,6 +48,10 @@ TEXT ·affineTransAVX(SB), NOSPLIT, $0-48
 
 	MOVQ R9, R13
 	SHLQ $3, R13              // R13 = out*8 bytes = wt row stride
+	SHLQ $3, yStride+56(FP)   // row strides in bytes, kept in the frame
+	SHLQ $3, xStride+64(FP)
+
+row:
 	XORQ R10, R10             // R10 = o
 
 blk16:
@@ -162,14 +169,21 @@ stail:
 	JMP  tail
 
 done:
+	DECQ rows+48(FP)
+	JLE  ret
+	ADDQ yStride+56(FP), DI
+	ADDQ xStride+64(FP), SI
+	JMP  row
+
+ret:
 	VZEROUPPER
 	RET
 
-// func affineTransAVX32(y, x, wt, b *float32, in, out int)
+// func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int)
 //
 // float32 twin: 8 lanes per YMM register, blocks of 32/16/8 + scalar
 // tail, wt row stride = out*4 bytes.
-TEXT ·affineTransAVX32(SB), NOSPLIT, $0-48
+TEXT ·affineTransAVX32(SB), NOSPLIT, $0-72
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ wt+16(FP), DX
@@ -179,6 +193,10 @@ TEXT ·affineTransAVX32(SB), NOSPLIT, $0-48
 
 	MOVQ R9, R13
 	SHLQ $2, R13              // R13 = out*4 bytes = wt row stride
+	SHLQ $2, yStride+56(FP)   // row strides in bytes, kept in the frame
+	SHLQ $2, xStride+64(FP)
+
+rowf:
 	XORQ R10, R10             // R10 = o
 
 blk32:
@@ -296,5 +314,12 @@ stailf:
 	JMP  tailf
 
 donef:
+	DECQ rows+48(FP)
+	JLE  retf
+	ADDQ yStride+56(FP), DI
+	ADDQ xStride+64(FP), SI
+	JMP  rowf
+
+retf:
 	VZEROUPPER
 	RET

@@ -8,5 +8,10 @@ const haveAffineAsm = false
 
 var useAffineAsm = false
 
-func affineTransAVX(y, x, wt, b *float64, in, out int)   { panic("nn: no asm kernel") }
-func affineTransAVX32(y, x, wt, b *float32, in, out int) { panic("nn: no asm kernel") }
+func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int) {
+	panic("nn: no asm kernel")
+}
+
+func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int) {
+	panic("nn: no asm kernel")
+}

@@ -24,10 +24,6 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 				for m := range layers {
 					layers[m] = NewLinear(rng, in, out)
 				}
-				s, err := StackLinears(layers)
-				if err != nil {
-					t.Fatal(err)
-				}
 				const rows = 3
 				x := randRows(rng, rows, k*in)
 				x32 := make([]float32, len(x))
@@ -39,12 +35,13 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 				asm32 := make([]float32, rows*k*out)
 				ref32 := make([]float32, rows*k*out)
 
+				// The kernel is picked when a layer is stacked.
 				useAffineAsm = true
-				s.BlockRows(asm, x, rows, 0.01, true)
-				s.BlockRows32(asm32, x32, rows, 0.01, true)
+				blockRows(t, layers, asm, x, rows)
+				blockRows(t, layers, asm32, x32, rows)
 				useAffineAsm = false
-				s.BlockRows(ref, x, rows, 0.01, true)
-				s.BlockRows32(ref32, x32, rows, 0.01, true)
+				blockRows(t, layers, ref, x, rows)
+				blockRows(t, layers, ref32, x32, rows)
 				useAffineAsm = true
 
 				for i := range ref {
@@ -58,4 +55,18 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// blockRows stacks the layers at dst's precision, on whichever kernel
+// useAffineAsm selects right now, and runs one fused BlockRows pass.
+func blockRows[T Float](t *testing.T, layers []*Linear, dst, x []T, rows int) {
+	t.Helper()
+	s, err := StackLinears[T](layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (s.kern != nil) != useAffineAsm {
+		t.Fatalf("stacked with kern set = %v, want %v", s.kern != nil, useAffineAsm)
+	}
+	s.BlockRows(dst, x, rows, 0.01, true)
 }

@@ -13,7 +13,14 @@ import "fmt"
 //
 // Every kernel accumulates each output element in exactly the order of
 // Linear.affineInto (bias first, then inputs in index order), so the
-// float64 path is bit-identical to MLP.Infer on the same weights.
+// float64 path is bit-identical to MLP.Infer on the same weights. All of
+// it is one implementation over the element type: T = float32 is the
+// opt-in fast path (accumulation in float32, ~7 decimal digits, half the
+// memory traffic), and the only precision-specific code is the pair of
+// assembly routines and transKernel, which picks between them.
+
+// Float is the element type of a stacked weight set and its activations.
+type Float interface{ float32 | float64 }
 
 // affineRowsStrided computes, for each row r in [0, rows):
 //
@@ -25,11 +32,11 @@ import "fmt"
 // Linear.affineInto and leakyReLUInPlace exactly.
 //
 // Outputs are blocked four at a time: each output's sum is a strictly
-// sequential float64 dependency chain, so a lone accumulator is bound by
+// sequential floating-point dependency chain, so a lone accumulator is bound by
 // FP-add latency, not throughput. Four outputs give four independent
 // chains over one streamed pass of x_r — the per-output accumulation
 // order (and thus the bits) is unchanged.
-func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, w, b []float64, in, out int, alpha float64, act bool) {
+func affineRowsStrided[T Float](dst []T, dstOff, dstStride int, x []T, xOff, xStride, rows int, w, b []T, in, out int, alpha T, act bool) {
 	for r := 0; r < rows; r++ {
 		xr := x[xOff+r*xStride : xOff+r*xStride+in]
 		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
@@ -126,102 +133,48 @@ func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, 
 	}
 }
 
-// affineRowsStrided32 is the float32 twin of affineRowsStrided, used by
-// the opt-in fast inference path. Accumulation runs in float32, trading
-// ~7 decimal digits of precision for half the memory traffic.
-func affineRowsStrided32(dst []float32, dstOff, dstStride int, x []float32, xOff, xStride, rows int, w, b []float32, in, out int, alpha float32, act bool) {
+// transFunc is the signature of the assembly transposed-affine routines
+// (see affineTransAVX).
+type transFunc[T Float] func(y, x, wt, b *T, in, out, rows, yStride, xStride int)
+
+// transKernel returns the assembly routine for T, or nil when this build
+// or CPU has none and the portable kernel carries the stack. It runs once
+// per stacked layer, never per row.
+func transKernel[T Float]() transFunc[T] {
+	if !useAffineAsm {
+		return nil
+	}
+	var kern any = transFunc[float64](affineTransAVX)
+	if _, ok := any(T(0)).(float32); ok {
+		kern = transFunc[float32](affineTransAVX32)
+	}
+	return kern.(transFunc[T])
+}
+
+// affineRowsTrans is affineRowsStrided on the transposed weight layout:
+// one call of the assembly kernel covers the whole row batch. LeakyReLU
+// runs as a Go post-pass over each row's out outputs — same
+// compare-and-scale per element as the fused scalar kernel, so the bits
+// match.
+func affineRowsTrans[T Float](kern transFunc[T], dst []T, dstOff, dstStride int, x []T, xOff, xStride, rows int, wt, b []T, in, out int, alpha T, act bool) {
+	if rows == 0 {
+		return
+	}
+	// The kernel is handed bare pointers: check the last row's extent (and
+	// with it every earlier row's) here.
+	last := rows - 1
+	y := dst[dstOff : dstOff+last*dstStride+out]
+	xs := x[xOff : xOff+last*xStride+in]
+	kern(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride)
+	if !act {
+		return
+	}
 	for r := 0; r < rows; r++ {
-		xr := x[xOff+r*xStride : xOff+r*xStride+in]
-		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
-		o := 0
-		for ; o+8 <= out; o += 8 {
-			w0 := w[o*in : o*in+in][:len(xr)]
-			w1 := w[(o+1)*in : (o+1)*in+in][:len(xr)]
-			w2 := w[(o+2)*in : (o+2)*in+in][:len(xr)]
-			w3 := w[(o+3)*in : (o+3)*in+in][:len(xr)]
-			w4 := w[(o+4)*in : (o+4)*in+in][:len(xr)]
-			w5 := w[(o+5)*in : (o+5)*in+in][:len(xr)]
-			w6 := w[(o+6)*in : (o+6)*in+in][:len(xr)]
-			w7 := w[(o+7)*in : (o+7)*in+in][:len(xr)]
-			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-			s4, s5, s6, s7 := b[o+4], b[o+5], b[o+6], b[o+7]
-			for i, xi := range xr {
-				s0 += w0[i] * xi
-				s1 += w1[i] * xi
-				s2 += w2[i] * xi
-				s3 += w3[i] * xi
-				s4 += w4[i] * xi
-				s5 += w5[i] * xi
-				s6 += w6[i] * xi
-				s7 += w7[i] * xi
+		yr := y[r*dstStride : r*dstStride+out]
+		for o, v := range yr {
+			if v < 0 {
+				yr[o] = alpha * v
 			}
-			if act {
-				if s0 < 0 {
-					s0 = alpha * s0
-				}
-				if s1 < 0 {
-					s1 = alpha * s1
-				}
-				if s2 < 0 {
-					s2 = alpha * s2
-				}
-				if s3 < 0 {
-					s3 = alpha * s3
-				}
-				if s4 < 0 {
-					s4 = alpha * s4
-				}
-				if s5 < 0 {
-					s5 = alpha * s5
-				}
-				if s6 < 0 {
-					s6 = alpha * s6
-				}
-				if s7 < 0 {
-					s7 = alpha * s7
-				}
-			}
-			yr[o], yr[o+1], yr[o+2], yr[o+3] = s0, s1, s2, s3
-			yr[o+4], yr[o+5], yr[o+6], yr[o+7] = s4, s5, s6, s7
-		}
-		for ; o+4 <= out; o += 4 {
-			w0 := w[o*in : o*in+in][:len(xr)]
-			w1 := w[(o+1)*in : (o+1)*in+in][:len(xr)]
-			w2 := w[(o+2)*in : (o+2)*in+in][:len(xr)]
-			w3 := w[(o+3)*in : (o+3)*in+in][:len(xr)]
-			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-			for i, xi := range xr {
-				s0 += w0[i] * xi
-				s1 += w1[i] * xi
-				s2 += w2[i] * xi
-				s3 += w3[i] * xi
-			}
-			if act {
-				if s0 < 0 {
-					s0 = alpha * s0
-				}
-				if s1 < 0 {
-					s1 = alpha * s1
-				}
-				if s2 < 0 {
-					s2 = alpha * s2
-				}
-				if s3 < 0 {
-					s3 = alpha * s3
-				}
-			}
-			yr[o], yr[o+1], yr[o+2], yr[o+3] = s0, s1, s2, s3
-		}
-		for ; o < out; o++ {
-			sum := b[o]
-			row := w[o*in : o*in+in][:len(xr)]
-			for i, xi := range xr {
-				sum += row[i] * xi
-			}
-			if act && sum < 0 {
-				sum = alpha * sum
-			}
-			yr[o] = sum
 		}
 	}
 }
@@ -229,126 +182,60 @@ func affineRowsStrided32(dst []float32, dstOff, dstStride int, x []float32, xOff
 // StackedLinear is k independently weighted Linear layers of identical
 // shape evaluated through one batched kernel: member m's weights occupy
 // block m of the member-major weight and bias buffers. The weights are
-// copied (in float64 and float32) at stack time — a stack goes stale when
-// a member's weights are updated in place and must be rebuilt.
-type StackedLinear struct {
+// copied (and converted to T) at stack time — a stack goes stale when a
+// member's weights are updated in place and must be rebuilt.
+type StackedLinear[T Float] struct {
 	K, In, Out int
-	W          []float64 // K blocks of row-major Out×In
-	B          []float64 // K blocks of Out
-	W32        []float32
-	B32        []float32
-	WT         []float64 // K blocks of column-major In×Out (for the SIMD kernels)
-	WT32       []float32
+	// W holds K member blocks in the layout the chosen kernel streams:
+	// column-major In×Out for the assembly kernel (outputs in adjacent
+	// lanes, unit-stride "all outputs for input i"), row-major Out×In for
+	// the portable one.
+	W    []T
+	B    []T          // K blocks of Out
+	kern transFunc[T] // nil: portable kernel
 }
 
 // StackLinears copies k same-shape layers into one stacked layer.
-func StackLinears(ls []*Linear) (*StackedLinear, error) {
+func StackLinears[T Float](ls []*Linear) (*StackedLinear[T], error) {
 	if len(ls) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero layers")
 	}
 	in, out := ls[0].In, ls[0].Out
-	s := &StackedLinear{
+	s := &StackedLinear[T]{
 		K: len(ls), In: in, Out: out,
-		W:    make([]float64, 0, len(ls)*out*in),
-		B:    make([]float64, 0, len(ls)*out),
-		W32:  make([]float32, len(ls)*out*in),
-		B32:  make([]float32, len(ls)*out),
-		WT:   make([]float64, len(ls)*in*out),
-		WT32: make([]float32, len(ls)*in*out),
+		W:    make([]T, len(ls)*out*in),
+		B:    make([]T, len(ls)*out),
+		kern: transKernel[T](),
 	}
 	for m, l := range ls {
 		if l.In != in || l.Out != out {
 			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", m, l.Out, l.In, out, in)
 		}
-		s.W = append(s.W, l.W...)
-		s.B = append(s.B, l.B...)
-	}
-	for i, v := range s.W {
-		s.W32[i] = float32(v)
-	}
-	for i, v := range s.B {
-		s.B32[i] = float32(v)
-	}
-	// Transpose each member block: WT[m][i*out+o] = W[m][o*in+i]. The
-	// vector kernels stream x once and keep outputs in adjacent lanes,
-	// which needs unit-stride access to "all outputs for input i".
-	for m := 0; m < s.K; m++ {
-		wm := s.W[m*out*in:]
-		wtm := s.WT[m*in*out:]
+		wm := s.W[m*out*in : (m+1)*out*in]
 		for o := 0; o < out; o++ {
+			s.B[m*out+o] = T(l.B[o])
 			for i := 0; i < in; i++ {
-				wtm[i*out+o] = wm[o*in+i]
+				if s.kern != nil {
+					wm[i*out+o] = T(l.W[o*in+i])
+				} else {
+					wm[o*in+i] = T(l.W[o*in+i])
+				}
 			}
 		}
-	}
-	for i, v := range s.WT {
-		s.WT32[i] = float32(v)
 	}
 	return s, nil
 }
 
-// wb returns member m's float64 weight and bias blocks.
-func (s *StackedLinear) wb(m int) (w, b []float64) {
-	return s.W[m*s.Out*s.In : (m+1)*s.Out*s.In], s.B[m*s.Out : (m+1)*s.Out]
-}
-
-// wb32 returns member m's float32 weight and bias blocks.
-func (s *StackedLinear) wb32(m int) (w, b []float32) {
-	return s.W32[m*s.Out*s.In : (m+1)*s.Out*s.In], s.B32[m*s.Out : (m+1)*s.Out]
-}
-
-// wtb returns member m's transposed float64 weight and bias blocks.
-func (s *StackedLinear) wtb(m int) (wt, b []float64) {
-	return s.WT[m*s.In*s.Out : (m+1)*s.In*s.Out], s.B[m*s.Out : (m+1)*s.Out]
-}
-
-// wtb32 returns member m's transposed float32 weight and bias blocks.
-func (s *StackedLinear) wtb32(m int) (wt, b []float32) {
-	return s.WT32[m*s.In*s.Out : (m+1)*s.In*s.Out], s.B32[m*s.Out : (m+1)*s.Out]
-}
-
-var (
-	f64zero [1]float64
-	f32zero [1]float32
-)
-
-// affineRowsTrans is affineRowsStrided on the transposed weight layout,
-// dispatching each row to the AVX kernel. LeakyReLU runs as a Go
-// post-pass over the out outputs — same compare-and-scale per element as
-// the fused scalar kernel, so the bits match.
-func affineRowsTrans(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
-	for r := 0; r < rows; r++ {
-		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
-		xp := &f64zero[0]
-		if in > 0 {
-			xp = &x[xOff+r*xStride]
-		}
-		affineTransAVX(&yr[0], xp, &wt[0], &b[0], in, out)
-		if act {
-			for o, v := range yr {
-				if v < 0 {
-					yr[o] = alpha * v
-				}
-			}
-		}
-	}
-}
-
-// affineRowsTrans32 is the float32 twin of affineRowsTrans.
-func affineRowsTrans32(dst []float32, dstOff, dstStride int, x []float32, xOff, xStride, rows int, wt, b []float32, in, out int, alpha float32, act bool) {
-	for r := 0; r < rows; r++ {
-		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
-		xp := &f32zero[0]
-		if in > 0 {
-			xp = &x[xOff+r*xStride]
-		}
-		affineTransAVX32(&yr[0], xp, &wt[0], &b[0], in, out)
-		if act {
-			for o, v := range yr {
-				if v < 0 {
-					yr[o] = alpha * v
-				}
-			}
+// rows advances a row batch through every member: member m reads its In
+// inputs of row r at x[m*xBlock+r*xStride:] and writes its Out outputs at
+// column offset m·Out of the rows×(K·Out) dst.
+func (s *StackedLinear[T]) rows(dst, x []T, xBlock, xStride, rows int, alpha T, act bool) {
+	for m := 0; m < s.K; m++ {
+		w, b := s.W[m*s.Out*s.In:(m+1)*s.Out*s.In], s.B[m*s.Out:(m+1)*s.Out]
+		if s.kern != nil {
+			affineRowsTrans(s.kern, dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
+		} else {
+			affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		}
 	}
 }
@@ -357,85 +244,29 @@ func affineRowsTrans32(dst []float32, dstOff, dstStride int, x []float32, xOff, 
 // rows×In (one row per item, shared by all members), dst is rows×(K·Out)
 // with member m's outputs at column offset m·Out. Per member this is a
 // true matrix-matrix product over the whole row batch.
-func (s *StackedLinear) SharedRows(dst, x []float64, rows int, alpha float64, act bool) {
-	if useAffineAsm {
-		for m := 0; m < s.K; m++ {
-			wt, b := s.wtb(m)
-			affineRowsTrans(dst, m*s.Out, s.K*s.Out, x, 0, s.In, rows, wt, b, s.In, s.Out, alpha, act)
-		}
-		return
-	}
-	for m := 0; m < s.K; m++ {
-		w, b := s.wb(m)
-		affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, 0, s.In, rows, w, b, s.In, s.Out, alpha, act)
-	}
+func (s *StackedLinear[T]) SharedRows(dst, x []T, rows int, alpha T, act bool) {
+	s.rows(dst, x, 0, s.In, rows, alpha, act)
 }
 
 // BlockRows advances rows interleaved member-block rows: x is rows×(K·In)
 // with member m's input at column offset m·In, dst is rows×(K·Out).
 // Member m's rows all go through member m's weights.
-func (s *StackedLinear) BlockRows(dst, x []float64, rows int, alpha float64, act bool) {
-	if useAffineAsm {
-		for m := 0; m < s.K; m++ {
-			wt, b := s.wtb(m)
-			affineRowsTrans(dst, m*s.Out, s.K*s.Out, x, m*s.In, s.K*s.In, rows, wt, b, s.In, s.Out, alpha, act)
-		}
-		return
-	}
-	for m := 0; m < s.K; m++ {
-		w, b := s.wb(m)
-		affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, m*s.In, s.K*s.In, rows, w, b, s.In, s.Out, alpha, act)
-	}
-}
-
-// SharedRows32 is the float32 twin of SharedRows.
-func (s *StackedLinear) SharedRows32(dst, x []float32, rows int, alpha float32, act bool) {
-	if useAffineAsm {
-		for m := 0; m < s.K; m++ {
-			wt, b := s.wtb32(m)
-			affineRowsTrans32(dst, m*s.Out, s.K*s.Out, x, 0, s.In, rows, wt, b, s.In, s.Out, alpha, act)
-		}
-		return
-	}
-	for m := 0; m < s.K; m++ {
-		w, b := s.wb32(m)
-		affineRowsStrided32(dst, m*s.Out, s.K*s.Out, x, 0, s.In, rows, w, b, s.In, s.Out, alpha, act)
-	}
-}
-
-// BlockRows32 is the float32 twin of BlockRows.
-func (s *StackedLinear) BlockRows32(dst, x []float32, rows int, alpha float32, act bool) {
-	if useAffineAsm {
-		for m := 0; m < s.K; m++ {
-			wt, b := s.wtb32(m)
-			affineRowsTrans32(dst, m*s.Out, s.K*s.Out, x, m*s.In, s.K*s.In, rows, wt, b, s.In, s.Out, alpha, act)
-		}
-		return
-	}
-	for m := 0; m < s.K; m++ {
-		w, b := s.wb32(m)
-		affineRowsStrided32(dst, m*s.Out, s.K*s.Out, x, m*s.In, s.K*s.In, rows, w, b, s.In, s.Out, alpha, act)
-	}
+func (s *StackedLinear[T]) BlockRows(dst, x []T, rows int, alpha T, act bool) {
+	s.rows(dst, x, s.In, s.K*s.In, rows, alpha, act)
 }
 
 // DenseScratch holds the ping-pong activation buffers of a StackedMLP
 // forward pass. One scratch serves one goroutine; buffers grow on demand
 // and are reused across calls, so the steady-state pass allocates nothing.
-type DenseScratch struct {
-	a, b     []float64
-	a32, b32 []float32
+type DenseScratch[T Float] struct {
+	a, b []T
 }
 
-func grow64(buf []float64, n int) []float64 {
+// Grow returns buf resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func Grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func grow32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -443,27 +274,27 @@ func grow32(buf []float32, n int) []float32 {
 // StackedMLP is k same-architecture MLPs evaluated as one row-batched
 // kernel stack. Hidden layers run the fused affine+LeakyReLU kernel, the
 // final layer stays linear — mirroring MLP.Infer layer for layer.
-type StackedMLP struct {
+type StackedMLP[T Float] struct {
 	K      int
-	Alpha  float64
-	Layers []*StackedLinear
+	Alpha  T
+	Layers []*StackedLinear[T]
 }
 
 // StackMLPs vertically stacks k MLPs of identical architecture (layer
 // shapes and activation slope). The weights are copied; rebuild the stack
 // after updating any member's weights in place.
-func StackMLPs(ms []*MLP) (*StackedMLP, error) {
+func StackMLPs[T Float](ms []*MLP) (*StackedMLP[T], error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero MLPs")
 	}
 	depth := len(ms[0].Layers)
-	s := &StackedMLP{K: len(ms), Alpha: ms[0].Alpha}
+	s := &StackedMLP[T]{K: len(ms), Alpha: T(ms[0].Alpha)}
 	for _, m := range ms {
 		if len(m.Layers) != depth {
 			return nil, fmt.Errorf("nn: stacking MLPs of depth %d and %d", depth, len(m.Layers))
 		}
-		if m.Alpha != s.Alpha {
-			return nil, fmt.Errorf("nn: stacking MLPs with alpha %v and %v", s.Alpha, m.Alpha)
+		if m.Alpha != ms[0].Alpha {
+			return nil, fmt.Errorf("nn: stacking MLPs with alpha %v and %v", ms[0].Alpha, m.Alpha)
 		}
 	}
 	for li := 0; li < depth; li++ {
@@ -471,7 +302,7 @@ func StackMLPs(ms []*MLP) (*StackedMLP, error) {
 		for m, mlp := range ms {
 			layers[m] = mlp.Layers[li]
 		}
-		sl, err := StackLinears(layers)
+		sl, err := StackLinears[T](layers)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d: %w", li, err)
 		}
@@ -481,13 +312,13 @@ func StackMLPs(ms []*MLP) (*StackedMLP, error) {
 }
 
 // InDim returns the per-member input dimension.
-func (s *StackedMLP) InDim() int { return s.Layers[0].In }
+func (s *StackedMLP[T]) InDim() int { return s.Layers[0].In }
 
 // OutDim returns the per-member output dimension.
-func (s *StackedMLP) OutDim() int { return s.Layers[len(s.Layers)-1].Out }
+func (s *StackedMLP[T]) OutDim() int { return s.Layers[len(s.Layers)-1].Out }
 
 // maxWidth is the widest per-member activation produced by any layer.
-func (s *StackedMLP) maxWidth() int {
+func (s *StackedMLP[T]) maxWidth() int {
 	w := 0
 	for _, l := range s.Layers {
 		w = max(w, l.Out)
@@ -495,84 +326,36 @@ func (s *StackedMLP) maxWidth() int {
 	return w
 }
 
-// ForwardShared runs the whole stack on rows input rows shared by every
-// member: x is rows×InDim, dst is rows×(K·OutDim). Bit-identical per
-// member to MLP.Infer on each row.
-func (s *StackedMLP) ForwardShared(dst, x []float64, rows int, sc *DenseScratch) {
+// forward runs the whole stack on rows input rows; xBlock and xStride
+// address the first layer's input (see StackedLinear.rows), every later
+// layer reads the interleaved member-block output of the one before.
+func (s *StackedMLP[T]) forward(dst, x []T, xBlock, xStride, rows int, sc *DenseScratch[T]) {
 	last := len(s.Layers) - 1
 	if last == 0 {
-		s.Layers[0].SharedRows(dst, x, rows, s.Alpha, false)
+		s.Layers[0].rows(dst, x, xBlock, xStride, rows, s.Alpha, false)
 		return
 	}
 	n := rows * s.K * s.maxWidth()
-	sc.a, sc.b = grow64(sc.a, n), grow64(sc.b, n)
-	cur := sc.a
-	s.Layers[0].SharedRows(cur, x, rows, s.Alpha, true)
-	next := sc.b
+	sc.a, sc.b = Grow(sc.a, n), Grow(sc.b, n)
+	cur, next := sc.a, sc.b
+	s.Layers[0].rows(cur, x, xBlock, xStride, rows, s.Alpha, true)
 	for li := 1; li < last; li++ {
 		s.Layers[li].BlockRows(next, cur, rows, s.Alpha, true)
 		cur, next = next, cur
 	}
 	s.Layers[last].BlockRows(dst, cur, rows, s.Alpha, false)
+}
+
+// ForwardShared runs the whole stack on rows input rows shared by every
+// member: x is rows×InDim, dst is rows×(K·OutDim). At T = float64 it is
+// bit-identical per member to MLP.Infer on each row.
+func (s *StackedMLP[T]) ForwardShared(dst, x []T, rows int, sc *DenseScratch[T]) {
+	s.forward(dst, x, 0, s.InDim(), rows, sc)
 }
 
 // ForwardBlocks runs the stack on rows interleaved member-block rows: x
 // is rows×(K·InDim) with member m's input at offset m·InDim, dst is
 // rows×(K·OutDim).
-func (s *StackedMLP) ForwardBlocks(dst, x []float64, rows int, sc *DenseScratch) {
-	last := len(s.Layers) - 1
-	if last == 0 {
-		s.Layers[0].BlockRows(dst, x, rows, s.Alpha, false)
-		return
-	}
-	n := rows * s.K * s.maxWidth()
-	sc.a, sc.b = grow64(sc.a, n), grow64(sc.b, n)
-	cur := sc.a
-	s.Layers[0].BlockRows(cur, x, rows, s.Alpha, true)
-	next := sc.b
-	for li := 1; li < last; li++ {
-		s.Layers[li].BlockRows(next, cur, rows, s.Alpha, true)
-		cur, next = next, cur
-	}
-	s.Layers[last].BlockRows(dst, cur, rows, s.Alpha, false)
-}
-
-// ForwardShared32 is the float32 twin of ForwardShared.
-func (s *StackedMLP) ForwardShared32(dst, x []float32, rows int, sc *DenseScratch) {
-	alpha := float32(s.Alpha)
-	last := len(s.Layers) - 1
-	if last == 0 {
-		s.Layers[0].SharedRows32(dst, x, rows, alpha, false)
-		return
-	}
-	n := rows * s.K * s.maxWidth()
-	sc.a32, sc.b32 = grow32(sc.a32, n), grow32(sc.b32, n)
-	cur := sc.a32
-	s.Layers[0].SharedRows32(cur, x, rows, alpha, true)
-	next := sc.b32
-	for li := 1; li < last; li++ {
-		s.Layers[li].BlockRows32(next, cur, rows, alpha, true)
-		cur, next = next, cur
-	}
-	s.Layers[last].BlockRows32(dst, cur, rows, alpha, false)
-}
-
-// ForwardBlocks32 is the float32 twin of ForwardBlocks.
-func (s *StackedMLP) ForwardBlocks32(dst, x []float32, rows int, sc *DenseScratch) {
-	alpha := float32(s.Alpha)
-	last := len(s.Layers) - 1
-	if last == 0 {
-		s.Layers[0].BlockRows32(dst, x, rows, alpha, false)
-		return
-	}
-	n := rows * s.K * s.maxWidth()
-	sc.a32, sc.b32 = grow32(sc.a32, n), grow32(sc.b32, n)
-	cur := sc.a32
-	s.Layers[0].BlockRows32(cur, x, rows, alpha, true)
-	next := sc.b32
-	for li := 1; li < last; li++ {
-		s.Layers[li].BlockRows32(next, cur, rows, alpha, true)
-		cur, next = next, cur
-	}
-	s.Layers[last].BlockRows32(dst, cur, rows, alpha, false)
+func (s *StackedMLP[T]) ForwardBlocks(dst, x []T, rows int, sc *DenseScratch[T]) {
+	s.forward(dst, x, s.InDim(), s.K*s.InDim(), rows, sc)
 }

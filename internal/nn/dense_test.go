@@ -24,13 +24,13 @@ func TestStackedMLPSharedMatchesInfer(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs(mlps)
+	s, err := StackMLPs[float64](mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, in)
 	dst := make([]float64, rows*k*out)
-	s.ForwardShared(dst, x, rows, &DenseScratch{})
+	s.ForwardShared(dst, x, rows, &DenseScratch[float64]{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
 			want := mlps[m].Infer(x[r*in : (r+1)*in])
@@ -53,13 +53,13 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs(mlps)
+	s, err := StackMLPs[float64](mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, k*in)
 	dst := make([]float64, rows*k*out)
-	s.ForwardBlocks(dst, x, rows, &DenseScratch{})
+	s.ForwardBlocks(dst, x, rows, &DenseScratch[float64]{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
 			want := mlps[m].Infer(x[r*k*in+m*in : r*k*in+(m+1)*in])
@@ -82,7 +82,7 @@ func TestStackedMLPFloat32Tolerance(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs(mlps)
+	s, err := StackMLPs[float64](mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,14 @@ func TestStackedMLPFloat32Tolerance(t *testing.T) {
 	for i, v := range x {
 		x32[i] = float32(v)
 	}
+	s32, err := StackMLPs[float32](mlps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst := make([]float64, rows*k*out)
 	dst32 := make([]float32, rows*k*out)
-	sc := &DenseScratch{}
-	s.ForwardBlocks(dst, x, rows, sc)
-	s.ForwardBlocks32(dst32, x32, rows, sc)
+	s.ForwardBlocks(dst, x, rows, &DenseScratch[float64]{})
+	s32.ForwardBlocks(dst32, x32, rows, &DenseScratch[float32]{})
 	for i := range dst {
 		got, want := float64(dst32[i]), dst[i]
 		if math.Abs(got-want) > 1e-4*math.Max(1, math.Abs(want)) {
@@ -112,11 +115,11 @@ func TestStackedMLPRejectsMismatches(t *testing.T) {
 	bWide := NewMLP(rng, 4, 9, 2)
 	bAlpha := NewMLP(rng, 4, 8, 2)
 	bAlpha.Alpha = 0.2
-	if _, err := StackMLPs(nil); err == nil {
+	if _, err := StackMLPs[float64](nil); err == nil {
 		t.Fatal("stacking zero MLPs should fail")
 	}
 	for name, other := range map[string]*MLP{"depth": bDeep, "width": bWide, "alpha": bAlpha} {
-		if _, err := StackMLPs([]*MLP{a, other}); err == nil {
+		if _, err := StackMLPs[float64]([]*MLP{a, other}); err == nil {
 			t.Fatalf("stacking mismatched %s should fail", name)
 		}
 	}
@@ -131,13 +134,13 @@ func TestStackedForwardAllocs(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs(mlps)
+	s, err := StackMLPs[float64](mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, k*in)
 	dst := make([]float64, rows*k*out)
-	sc := &DenseScratch{}
+	sc := &DenseScratch[float64]{}
 	s.ForwardBlocks(dst, x, rows, sc) // grow buffers
 	allocs := testing.AllocsPerRun(50, func() {
 		s.ForwardBlocks(dst, x, rows, sc)

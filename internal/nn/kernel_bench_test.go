@@ -10,26 +10,27 @@ import (
 func BenchmarkAffineKernels(b *testing.B) {
 	const in, out, rows = 48, 24, 3
 	rng := rand.New(rand.NewSource(7))
-	l := NewLinear(rng, in, out)
-	s, err := StackLinears([]*Linear{l})
-	if err != nil {
-		b.Fatal(err)
-	}
+	layers := []*Linear{NewLinear(rng, in, out)}
 	x := randRows(rng, rows, in)
 	y := make([]float64, rows*out)
-	w, bias := s.wb(0)
-	wt, _ := s.wtb(0)
-	b.Run("portable", func(b *testing.B) {
-		for b.Loop() {
-			affineRowsStrided(y, 0, out, x, 0, in, rows, w, bias, in, out, 0.01, true)
+	run := func(b *testing.B) {
+		s, err := StackLinears[float64](layers)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		for b.Loop() {
+			s.BlockRows(y, x, rows, 0.01, true)
+		}
+	}
 	b.Run("avx", func(b *testing.B) {
 		if !useAffineAsm {
 			b.Skip("no AVX kernels on this machine")
 		}
-		for b.Loop() {
-			affineRowsTrans(y, 0, out, x, 0, in, rows, wt, bias, in, out, 0.01, true)
-		}
+		run(b)
+	})
+	b.Run("portable", func(b *testing.B) {
+		defer func(asm bool) { useAffineAsm = asm }(useAffineAsm)
+		useAffineAsm = false
+		run(b)
 	})
 }

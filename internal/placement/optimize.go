@@ -187,8 +187,8 @@ func Optimize(pred Predictor, q *stream.Query, c *hardware.Cluster, candidates [
 // claim fixed-boundary candidate tiles (the session's preferred width)
 // from an atomic counter, so a fast worker takes more tiles instead of
 // idling behind a static partition, and each tile runs one packed
-// cross-candidate kernel pass. A failing tile falls back to
-// per-candidate scoring to isolate the failing candidates.
+// cross-candidate kernel pass. A failing tile is re-scored one candidate
+// at a time on the same session to isolate the failing candidates.
 //
 // Other predictors are partitioned into contiguous chunks; a
 // BatchPredictor receives whole chunks so it can featurize the shared
@@ -211,7 +211,7 @@ func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *ha
 	}
 	if sp, ok := pred.(SessionPredictor); ok {
 		if sess, err := sp.NewScoreSession(q, c); err == nil {
-			scoreTiled(ctx, sess, pred, q, c, candidates, costs, errs, opts)
+			scoreTiled(ctx, sess, candidates, costs, errs, opts)
 			return costs, errs
 		}
 		// The session could not be built (malformed query, cluster
@@ -267,10 +267,11 @@ func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *ha
 // claim tiles from a shared atomic counter. Tile boundaries depend only
 // on the candidate count and tile width — never on worker scheduling —
 // and ScoreTile results must not depend on tiling, so the merged output
-// is identical for every worker count. A failing tile is re-scored per
-// candidate with PredictPlacement to isolate the failure; a cancelled
-// ctx stops claiming and marks unscored candidates with ctx.Err().
-func scoreTiled(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, costs []PredCosts, errs []error, opts Options) {
+// is identical for every worker count. A failing tile is re-scored as
+// one-candidate tiles on the same session to isolate the failure; a
+// cancelled ctx stops claiming and marks unscored candidates with
+// ctx.Err().
+func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement, costs []PredCosts, errs []error, opts Options) {
 	n := len(candidates)
 	tile := sess.TileSize()
 	if tile < 1 {
@@ -296,14 +297,16 @@ func scoreTiled(ctx context.Context, sess TileScorer, pred Predictor, q *stream.
 			return
 		}
 		// The tile failed as a whole; reset any partial results and score
-		// per candidate to isolate the failing ones.
+		// tiles of one to isolate the failing candidates.
 		for i := lo; i < hi; i++ {
 			costs[i] = PredCosts{}
 			if err := cancelled(); err != nil {
 				errs[i] = err
 				continue
 			}
-			costs[i], errs[i] = pred.PredictPlacement(q, c, candidates[i])
+			if errs[i] = sess.ScoreTile(candidates[i:i+1], costs[i:i+1]); errs[i] != nil {
+				costs[i] = PredCosts{}
+			}
 		}
 	}
 	if workers := opts.workers(nTiles); workers == 1 {

@@ -97,9 +97,11 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScoreTiledFallbackIsolatesFailure: a failing tile is re-scored per
-// candidate, so only the poisoned candidate errors and its tile-mates
-// keep their exact scores.
+// TestScoreTiledFallbackIsolatesFailure: a failing tile is re-scored as
+// one-candidate tiles on the same session — never through
+// PredictPlacement, which would open a session per candidate — so only
+// the poisoned candidate errors and its tile-mates keep their exact
+// scores.
 func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 	cands := tiledCandidates(20)
 	f := &tileFake{tile: 8, poison: 2}
@@ -121,8 +123,11 @@ func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 			t.Fatalf("candidate %d: %+v != %+v", i, costs[i], fakeCosts(p))
 		}
 	}
-	if f.predCalls.Load() == 0 {
-		t.Fatal("no per-candidate fallback calls for the failing tiles")
+	if got := f.predCalls.Load(); got != 0 {
+		t.Fatalf("%d PredictPlacement calls; failing tiles must be isolated on their own session", got)
+	}
+	if got, tiles := f.tileCalls.Load(), int64((len(cands)+7)/8); got <= tiles {
+		t.Fatalf("%d ScoreTile calls for %d tiles: failing tiles were not re-scored as tiles of one", got, tiles)
 	}
 }
 
