@@ -342,6 +342,43 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestFineTuneRejectsBadConfig: FineTune reaches fit without passing
+// through Train, and fit is where the config is checked. A zero batch
+// size used to index an empty slot list, zero epochs trained nothing
+// without saying so, and a negative rate stepped uphill.
+func TestFineTuneRejectsBadConfig(t *testing.T) {
+	c := subCorpus(t, 60)
+	train, _, _ := c.Split(0.8, 0.1, 8)
+	cfg := fastTrainConfig(1)
+	cfg.Epochs = 1
+	cfg.Hidden = 8
+	m, err := Train(train, nil, MetricThroughput, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := m.Net.Params()
+	before = snapshot(before)
+	for name, mutate := range map[string]func(*TrainConfig){
+		"zero batch size": func(c *TrainConfig) { c.BatchSize = 0 },
+		"zero epochs":     func(c *TrainConfig) { c.Epochs = 0 },
+		"negative rate":   func(c *TrainConfig) { c.LR = -1e-3 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		if err := m.FineTune(train, bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	after, _ := m.Net.Params()
+	for k := range before {
+		for i := range before[k] {
+			if after[k][i] != before[k][i] {
+				t.Fatalf("a rejected config changed weight %d[%d]", k, i)
+			}
+		}
+	}
+}
+
 func TestEvaluateMetricKindMismatch(t *testing.T) {
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.8, 0.1, 9)

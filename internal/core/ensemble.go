@@ -31,35 +31,16 @@ type Ensemble struct {
 }
 
 // TrainEnsemble trains k models with different random initialization seeds
-// in parallel. Each member's data-parallel fit workers draw from the
+// in parallel, over one featurization of the corpora shared by all
+// members. Each member's data-parallel fit workers draw from the
 // process-wide training budget (SetTrainBudget), so the metric x member x
 // worker fan-out never oversubscribes the machine regardless of k.
 func TrainEnsemble(train, val *dataset.Corpus, metric Metric, cfg TrainConfig, k int) (*Ensemble, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: ensemble size must be positive")
+	trainSamples, valSamples, err := corpusSamples(train, val, metric, cfg.Mode)
+	if err != nil {
+		return nil, err
 	}
-	models := make([]*CostModel, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)*7919
-			c.Member = i
-			models[i], errs[i] = Train(train, val, metric, c)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	e := &Ensemble{Metric: metric, Models: models}
-	e.stacked() // build the weight stack once at train time
-	return e, nil
+	return trainEnsembleFromSamples(metric, trainSamples, valSamples, cfg, k)
 }
 
 // scoreOne scores one placement with the given ensembles: a single
@@ -169,8 +150,44 @@ type PredictorConfig struct {
 	Metrics []Metric
 }
 
-// TrainPredictor trains ensembles for the requested metrics.
+// TrainPredictor trains ensembles for the requested metrics. Every trace
+// is featurized once; the graphs are shared, read-only, by all metrics
+// and ensemble members.
 func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor, error) {
+	feat := Featurizer{Mode: cfg.Train.Mode}
+	trainRecs, err := featurizeCorpus(&feat, train)
+	if err != nil {
+		return nil, err
+	}
+	var valRecs []record
+	if val != nil {
+		if valRecs, err = featurizeCorpus(&feat, val); err != nil {
+			return nil, err
+		}
+	}
+	return trainPredictorFromRecords(trainRecs, valRecs, cfg)
+}
+
+// set stores the metric's ensemble in its predictor slot.
+func (pr *Predictor) set(m Metric, e *Ensemble) {
+	switch m {
+	case MetricThroughput:
+		pr.Throughput = e
+	case MetricProcLatency:
+		pr.ProcLatency = e
+	case MetricE2ELatency:
+		pr.E2ELatency = e
+	case MetricBackpressure:
+		pr.Backpressure = e
+	case MetricSuccess:
+		pr.Success = e
+	}
+}
+
+// trainPredictorFromRecords is the shared tail of TrainPredictor and
+// TrainPredictorSource: per requested metric, derive the samples from the
+// featurized records and train the ensemble.
+func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
 	if cfg.EnsembleSize <= 0 {
 		cfg.EnsembleSize = 3
 	}
@@ -180,22 +197,14 @@ func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor
 	}
 	pr := &Predictor{}
 	for _, m := range metrics {
-		e, err := TrainEnsemble(train, val, m, cfg.Train, cfg.EnsembleSize)
+		e, err := trainEnsembleFromSamples(m,
+			samplesFromRecords(trainRecs, m),
+			samplesFromRecords(valRecs, m),
+			cfg.Train, cfg.EnsembleSize)
 		if err != nil {
 			return nil, fmt.Errorf("core: training %v: %w", m, err)
 		}
-		switch m {
-		case MetricThroughput:
-			pr.Throughput = e
-		case MetricProcLatency:
-			pr.ProcLatency = e
-		case MetricE2ELatency:
-			pr.E2ELatency = e
-		case MetricBackpressure:
-			pr.Backpressure = e
-		case MetricSuccess:
-			pr.Success = e
-		}
+		pr.set(m, e)
 	}
 	return pr, nil
 }

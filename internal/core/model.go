@@ -134,6 +134,16 @@ type EpochStats struct {
 	// DurationNS is the wall time of the epoch (gradient passes plus
 	// validation).
 	DurationNS int64 `json:"duration_ns"`
+	// GradNS, ReduceNS, StepNS and ValNS split DurationNS by stage: the
+	// slots' forward and backward passes (summed over the workers that ran
+	// them, so above wall time when they overlap), the gradient
+	// reduction, the optimizer step with the training-mirror refresh, and
+	// the validation pass. Each is clocked once per batch or slot, never
+	// per sample.
+	GradNS   int64 `json:"grad_ns"`
+	ReduceNS int64 `json:"reduce_ns"`
+	StepNS   int64 `json:"step_ns"`
+	ValNS    int64 `json:"val_ns"`
 	// Allocs is the process-global heap-allocation count delta across the
 	// epoch — an upper bound on the epoch's own allocations when other
 	// goroutines (e.g. sibling ensemble members) run concurrently.
@@ -281,13 +291,17 @@ const maxGradSlots = 8
 
 // gradSlot is one reduction chunk's private gradient accumulator: a
 // weight-sharing shadow of the model whose gradient buffers belong to
-// this chunk alone. Chunk c of a batch always holds samples c, c+C,
-// c+2C, ... (C = chunk count), processed in that order, and the chunks
-// are reduced in index order no matter which worker ran them.
+// this chunk alone (chunk 0's "shadow" is the model itself, so its
+// gradients land in the optimizer's buffers without a copy). Chunk c of
+// a batch always holds samples c, c+C, c+2C, ... (C = chunk count),
+// processed in that order, and the chunks are reduced in index order no
+// matter which worker ran them.
 type gradSlot struct {
 	net   *gnn.Model
 	grads [][]float64
+	timed bool // clock runSlot into ns (set when an Observer listens)
 	loss  float64
+	ns    int64
 	err   error
 }
 
@@ -300,6 +314,10 @@ func (w *trainWorker) runSlot(slot *gradSlot, idx, nSlots int, metric Metric, ba
 	tok := acquireTrainToken()
 	defer releaseTrainToken(tok)
 	slot.loss, slot.err = 0, nil
+	var t0 time.Time
+	if slot.timed {
+		t0 = time.Now()
+	}
 	for j := idx; j < len(batch); j += nSlots {
 		w.tape.Reset()
 		l, err := sampleLoss(slot.net, metric, w.tape, w.scratch, batch[j])
@@ -311,6 +329,9 @@ func (w *trainWorker) runSlot(slot *gradSlot, idx, nSlots int, metric Metric, ba
 		l = w.tape.Scale(l, inv)
 		slot.loss += l.Data[0]
 		w.tape.Backward(l)
+	}
+	if slot.timed {
+		slot.ns = time.Since(t0).Nanoseconds()
 	}
 }
 
@@ -373,46 +394,37 @@ func meanLoss(cm *CostModel, samples []sample, workers []*trainWorker) (float64,
 	return sum / float64(len(samples)), nil
 }
 
-// reduceSlots folds the slots' gradients into dst in slot (= sample)
-// order, consuming them: slot 0 overwrites, later slots accumulate, and
-// every slot buffer is left zeroed for the next batch. Because each
+// reduceSlots folds the shadow slots' gradients into dst in slot (=
+// sample) order, consuming them: every slot buffer is left zeroed for the
+// next batch. dst already holds chunk 0's gradients — the model's own
+// buffers, which fit zeroes after each optimizer step. Because each
 // parameter receives contributions strictly in slot order, the reduction
-// is bit-identical no matter which workers filled the slots — and the
-// overwrite doubles as the single gradient-zeroing point of the training
-// loop (dst only ever holds the current batch's reduction).
+// is bit-identical no matter which workers filled the slots.
 func reduceSlots(dst [][]float64, slots []*gradSlot) {
-	for k := range dst {
-		d := dst[k]
-		s0 := slots[0].grads[k]
-		copy(d, s0)
-		clear(s0)
-		for _, sl := range slots[1:] {
-			s := sl.grads[k]
-			for i, v := range s {
-				d[i] += v
-			}
-			clear(s)
+	for k, d := range dst {
+		for _, sl := range slots {
+			nn.AddAndClear(d, sl.grads[k])
 		}
 	}
+}
+
+// corpusSamples featurizes the training corpus and the optional
+// validation corpus for one metric.
+func corpusSamples(train, val *dataset.Corpus, metric Metric, mode FeatureMode) (trainSamples, valSamples []sample, err error) {
+	feat := Featurizer{Mode: mode}
+	if trainSamples, err = buildSamples(&feat, train, metric); err != nil || val == nil {
+		return trainSamples, nil, err
+	}
+	valSamples, err = buildSamples(&feat, val, metric)
+	return trainSamples, valSamples, err
 }
 
 // Train trains a COSTREAM model for the metric on the training corpus,
 // early-stopping on the validation corpus.
 func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostModel, error) {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
-		return nil, fmt.Errorf("core: invalid training config %+v", cfg)
-	}
-	feat := Featurizer{Mode: cfg.Mode}
-	trainSamples, err := buildSamples(&feat, train, metric)
+	trainSamples, valSamples, err := corpusSamples(train, val, metric, cfg.Mode)
 	if err != nil {
 		return nil, err
-	}
-	var valSamples []sample
-	if val != nil {
-		valSamples, err = buildSamples(&feat, val, metric)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return trainFromSamples(metric, trainSamples, valSamples, cfg)
 }
@@ -420,15 +432,8 @@ func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostMod
 // trainFromSamples trains a fresh model on pre-featurized samples. It owns
 // the sample slices (fit shuffles the training slice in place), so callers
 // sharing samples across models must pass copies. This is the single
-// training entry under both Train (corpus in memory) and the streaming
-// TrainPredictorSource path.
+// training entry under Train, TrainEnsemble and both TrainPredictor paths.
 func trainFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig) (*CostModel, error) {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
-		return nil, fmt.Errorf("core: invalid training config %+v", cfg)
-	}
-	if len(trainSamples) == 0 {
-		return nil, fmt.Errorf("core: no usable training traces for %v", metric)
-	}
 	feat := Featurizer{Mode: cfg.Mode}
 	gcfg := gnn.DefaultConfig(feat.FeatDims())
 	if cfg.Hidden > 0 {
@@ -446,18 +451,55 @@ func trainFromSamples(metric Metric, trainSamples, valSamples []sample, cfg Trai
 	return cm, nil
 }
 
+// stageClock splits an epoch's wall time into EpochStats stages. Off (no
+// Observer), it never reads the clock.
+type stageClock struct {
+	on   bool
+	last time.Time
+}
+
+// start marks the beginning of a stage.
+func (c *stageClock) start() {
+	if c.on {
+		c.last = time.Now()
+	}
+}
+
+// lap adds the time since start (or the previous lap) to *ns.
+func (c *stageClock) lap(ns *int64) {
+	if c.on {
+		now := time.Now()
+		*ns += now.Sub(c.last).Nanoseconds()
+		c.last = now
+	}
+}
+
 // fit runs the minibatch Adam loop with optional early stopping.
 //
 // Minibatches are data-parallel: each batch is partitioned into a fixed
 // number of stride chunks (maxGradSlots), every chunk accumulates its
-// samples' gradients into a private shadow buffer in sample order, and
-// the chunks are reduced into the optimizer's gradient buffers in chunk
-// order before every Adam step. The partition and both orders depend
-// only on the batch — never on cfg.Workers — so the trained weights are
-// bit-identical for any worker count.
+// samples' gradients into a private buffer in sample order — chunk 0
+// into the optimizer's own buffers, the others into shadows — and the
+// shadows are reduced into the optimizer's buffers in chunk order before
+// every Adam step. The partition and both orders depend only on the
+// batch — never on cfg.Workers — so the trained weights are bit-identical
+// for any worker count.
+//
+// Where the AVX kernels are available the affine forward, the layer
+// backward, the reduction and the Adam update run on them, bit for bit
+// like the Go loops (see internal/nn): the forward needs each layer's
+// weights transposed, a mirror that exists only for the duration of fit
+// and is refreshed after every step.
 func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) error {
+	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
+		return fmt.Errorf("core: invalid training config %+v", cfg)
+	}
+	if len(trainSamples) == 0 {
+		return fmt.Errorf("core: no usable training traces for %v", cm.Metric)
+	}
 	params, grads := cm.Net.Params()
 	opt := nn.NewAdam(cfg.LR, params, grads)
+	opt.ZeroGrads() // chunk 0 accumulates into grads; start from nothing
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
 	nSlots := min(maxGradSlots, cfg.BatchSize, len(trainSamples))
@@ -476,21 +518,28 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 	for i := range workers {
 		workers[i] = newTrainWorker()
 	}
+	// Mirrors first: the shadows made next share them like the weights.
+	cm.Net.RefreshMirrors()
+	defer cm.Net.DropMirrors()
+	timed := cfg.Observer != nil
 	slots := make([]*gradSlot, nSlots)
-	for i := range slots {
+	slots[0] = &gradSlot{net: cm.Net, grads: grads, timed: timed}
+	for i := 1; i < nSlots; i++ {
 		shadow := cm.Net.GradShadow()
 		_, sg := shadow.Params()
-		slots[i] = &gradSlot{net: shadow, grads: sg}
+		slots[i] = &gradSlot{net: shadow, grads: sg, timed: timed}
 	}
 
 	best := math.Inf(1)
 	bestParams := snapshot(params)
 	badEpochs := 0
 	var ms runtime.MemStats
+	clk := stageClock{on: timed}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		stats := EpochStats{Metric: cm.Metric.String(), Member: cfg.Member, Epoch: epoch}
 		var epochStart time.Time
 		var allocsStart uint64
-		if cfg.Observer != nil {
+		if timed {
 			runtime.ReadMemStats(&ms)
 			allocsStart = ms.Mallocs
 			epochStart = time.Now()
@@ -512,40 +561,40 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 					return slot.err
 				}
 				epochLoss += slot.loss
+				stats.GradNS += slot.ns
 			}
-			reduceSlots(grads, slots[:live])
+			clk.start()
+			reduceSlots(grads, slots[1:live])
+			clk.lap(&stats.ReduceNS)
 			opt.Step()
+			opt.ZeroGrads()
+			cm.Net.RefreshMirrors()
+			clk.lap(&stats.StepNS)
 		}
-		trainLoss := epochLoss / float64((len(trainSamples)+cfg.BatchSize-1)/cfg.BatchSize)
-		monitored := trainLoss
-		hasVal := len(valSamples) > 0
-		if hasVal {
+		stats.TrainLoss = epochLoss / float64((len(trainSamples)+cfg.BatchSize-1)/cfg.BatchSize)
+		stats.ValLoss = stats.TrainLoss
+		stats.HasVal = len(valSamples) > 0
+		if stats.HasVal {
+			clk.start()
 			vl, err := meanLoss(cm, valSamples, workers)
 			if err != nil {
 				return err
 			}
-			monitored = vl
+			clk.lap(&stats.ValNS)
+			stats.ValLoss = vl
 		}
 		if cfg.Logf != nil {
-			cfg.Logf("metric=%v epoch=%d loss=%.4f", cm.Metric, epoch, monitored)
+			cfg.Logf("metric=%v epoch=%d loss=%.4f", cm.Metric, epoch, stats.ValLoss)
 		}
-		improved := monitored < best-1e-6
-		if cfg.Observer != nil {
+		stats.Best = stats.ValLoss < best-1e-6
+		if timed {
 			runtime.ReadMemStats(&ms)
-			cfg.Observer(EpochStats{
-				Metric:     cm.Metric.String(),
-				Member:     cfg.Member,
-				Epoch:      epoch,
-				TrainLoss:  trainLoss,
-				ValLoss:    monitored,
-				HasVal:     hasVal,
-				DurationNS: time.Since(epochStart).Nanoseconds(),
-				Allocs:     ms.Mallocs - allocsStart,
-				Best:       improved,
-			})
+			stats.Allocs = ms.Mallocs - allocsStart
+			stats.DurationNS = time.Since(epochStart).Nanoseconds()
+			cfg.Observer(stats)
 		}
-		if improved {
-			best = monitored
+		if stats.Best {
+			best = stats.ValLoss
 			copyInto(bestParams, params)
 			badEpochs = 0
 		} else if cfg.Patience > 0 {
@@ -567,9 +616,6 @@ func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
 	samples, err := buildSamples(&cm.Feat, extra, cm.Metric)
 	if err != nil {
 		return err
-	}
-	if len(samples) == 0 {
-		return fmt.Errorf("core: no usable fine-tuning traces for %v", cm.Metric)
 	}
 	return cm.fit(samples, nil, cfg)
 }

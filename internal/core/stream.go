@@ -33,6 +33,32 @@ type record struct {
 	met   *sim.Metrics
 }
 
+// newRecord featurizes one trace.
+func newRecord(feat *Featurizer, tr *dataset.Trace) (record, error) {
+	g, err := feat.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+	if err != nil {
+		return record{}, err
+	}
+	plan, err := gnn.NewPlan(g)
+	if err != nil {
+		return record{}, err
+	}
+	return record{graph: g, plan: plan, met: tr.Metrics}, nil
+}
+
+// featurizeCorpus featurizes every trace of an in-memory corpus, in
+// corpus order.
+func featurizeCorpus(feat *Featurizer, c *dataset.Corpus) ([]record, error) {
+	recs := make([]record, len(c.Traces))
+	for i, tr := range c.Traces {
+		var err error
+		if recs[i], err = newRecord(feat, tr); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
 // featurizeSource streams src once and featurizes exactly the traces
 // named by the index sets, placing each at its set's rank so ordering
 // matches the corresponding materialized split corpora. Indices absent
@@ -57,15 +83,11 @@ func featurizeSource(feat *Featurizer, src dataset.Source, idxSets ...[]int) ([]
 		if !ok {
 			return nil
 		}
-		g, err := feat.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+		rec, err := newRecord(feat, tr)
 		if err != nil {
 			return err
 		}
-		plan, err := gnn.NewPlan(g)
-		if err != nil {
-			return err
-		}
-		out[l.set][l.rank] = record{graph: g, plan: plan, met: tr.Metrics}
+		out[l.set][l.rank] = rec
 		seen++
 		return nil
 	})
@@ -117,10 +139,10 @@ func samplesFromRecords(recs []record, metric Metric) []sample {
 	return samples
 }
 
-// trainEnsembleFromSamples trains k members over shared samples, seeding
-// members exactly like TrainEnsemble. Each member gets its own copy of
-// the sample slices (fit shuffles in place); the graphs behind them are
-// shared, read-only.
+// trainEnsembleFromSamples trains k members over shared samples, member
+// i seeded cfg.Seed + 7919·i. Each member gets its own copy of the sample
+// slices (fit shuffles in place); the graphs behind them are shared,
+// read-only.
 func trainEnsembleFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig, k int) (*Ensemble, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: ensemble size must be positive")
@@ -146,51 +168,22 @@ func trainEnsembleFromSamples(metric Metric, trainSamples, valSamples []sample, 
 			return nil, err
 		}
 	}
-	return &Ensemble{Metric: metric, Models: models}, nil
+	e := &Ensemble{Metric: metric, Models: models}
+	e.stacked() // build the weight stack once at train time
+	return e, nil
 }
 
 // TrainPredictorSource trains like TrainPredictor, but streams the corpus
 // from src instead of requiring materialized split corpora: trainIdx and
 // valIdx (from dataset.SplitIndices) select and order the training and
-// validation traces. Each selected trace is featurized once, during the
-// streaming pass, and the graph is shared across every metric and
-// ensemble member — where the corpus path featurizes the same trace
-// metrics x members times. Weights are bit-identical to
-// TrainPredictor(train, val, cfg) over the equivalent materialized split.
+// validation traces, and each selected trace is featurized during the
+// streaming pass. Weights are bit-identical to TrainPredictor(train, val,
+// cfg) over the equivalent materialized split.
 func TrainPredictorSource(src dataset.Source, trainIdx, valIdx []int, cfg PredictorConfig) (*Predictor, error) {
-	if cfg.EnsembleSize <= 0 {
-		cfg.EnsembleSize = 3
-	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = AllMetrics()
-	}
 	feat := Featurizer{Mode: cfg.Train.Mode}
 	recs, err := featurizeSource(&feat, src, trainIdx, valIdx)
 	if err != nil {
 		return nil, err
 	}
-	pr := &Predictor{}
-	for _, m := range metrics {
-		e, err := trainEnsembleFromSamples(m,
-			samplesFromRecords(recs[0], m),
-			samplesFromRecords(recs[1], m),
-			cfg.Train, cfg.EnsembleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: training %v: %w", m, err)
-		}
-		switch m {
-		case MetricThroughput:
-			pr.Throughput = e
-		case MetricProcLatency:
-			pr.ProcLatency = e
-		case MetricE2ELatency:
-			pr.E2ELatency = e
-		case MetricBackpressure:
-			pr.Backpressure = e
-		case MetricSuccess:
-			pr.Success = e
-		}
-	}
-	return pr, nil
+	return trainPredictorFromRecords(recs[0], recs[1], cfg)
 }

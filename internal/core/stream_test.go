@@ -27,7 +27,10 @@ func streamTestCorpus(t *testing.T, n int, seed int64) *dataset.Corpus {
 // TestTrainPredictorSourceMatchesCorpusPath is the streaming-training
 // contract: training from a Source with SplitIndices yields bit-identical
 // weights to the materialize-then-Split corpus path, for every metric
-// kind and ensemble member.
+// kind and ensemble member. TrainPredictor and TrainPredictorSource share
+// their tail (one featurization, samplesFromRecords), so the reference
+// is the per-metric TrainEnsemble, which featurizes each metric's corpus
+// on its own through buildSamples; TrainPredictor must match it too.
 func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	c := streamTestCorpus(t, 40, 77)
 	const seed = 5
@@ -40,44 +43,53 @@ func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	cfg.Train.Hidden = 8
 
 	train, val, _ := c.Split(0.8, 0.1, seed)
-	want, err := TrainPredictor(train, val, cfg)
+	want := &Predictor{}
+	for _, m := range cfg.Metrics {
+		e, err := TrainEnsemble(train, val, m, cfg.Train, cfg.EnsembleSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.set(m, e)
+	}
+	fromCorpus, err := TrainPredictor(train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	trainIdx, valIdx, _ := dataset.SplitIndices(c.Len(), 0.8, 0.1, seed)
-	got, err := TrainPredictorSource(c, trainIdx, valIdx, cfg)
+	fromSource, err := TrainPredictorSource(c, trainIdx, valIdx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, slot := range want.Ensembles() {
-		if slot.Ensemble == nil {
-			continue
-		}
-		var gotE *Ensemble
-		for _, g := range got.Ensembles() {
-			if g.Metric == slot.Metric {
-				gotE = g.Ensemble
+	for path, got := range map[string]*Predictor{"TrainPredictor": fromCorpus, "TrainPredictorSource": fromSource} {
+		for _, slot := range want.Ensembles() {
+			if slot.Ensemble == nil {
+				continue
 			}
-		}
-		if gotE == nil {
-			t.Fatalf("source path trained no ensemble for %v", slot.Metric)
-		}
-		if len(gotE.Models) != len(slot.Ensemble.Models) {
-			t.Fatalf("%v: %d members vs %d", slot.Metric, len(gotE.Models), len(slot.Ensemble.Models))
-		}
-		for mi := range slot.Ensemble.Models {
-			wp, _ := slot.Ensemble.Models[mi].Net.Params()
-			gp, _ := gotE.Models[mi].Net.Params()
-			if len(wp) != len(gp) {
-				t.Fatalf("%v member %d: param group count differs", slot.Metric, mi)
+			var gotE *Ensemble
+			for _, g := range got.Ensembles() {
+				if g.Metric == slot.Metric {
+					gotE = g.Ensemble
+				}
 			}
-			for k := range wp {
-				for j := range wp[k] {
-					if wp[k][j] != gp[k][j] {
-						t.Fatalf("%v member %d: weight [%d][%d] differs: %v vs %v",
-							slot.Metric, mi, k, j, wp[k][j], gp[k][j])
+			if gotE == nil {
+				t.Fatalf("%s trained no ensemble for %v", path, slot.Metric)
+			}
+			if len(gotE.Models) != len(slot.Ensemble.Models) {
+				t.Fatalf("%s %v: %d members vs %d", path, slot.Metric, len(gotE.Models), len(slot.Ensemble.Models))
+			}
+			for mi := range slot.Ensemble.Models {
+				wp, _ := slot.Ensemble.Models[mi].Net.Params()
+				gp, _ := gotE.Models[mi].Net.Params()
+				if len(wp) != len(gp) {
+					t.Fatalf("%s %v member %d: param group count differs", path, slot.Metric, mi)
+				}
+				for k := range wp {
+					for j := range wp[k] {
+						if wp[k][j] != gp[k][j] {
+							t.Fatalf("%s %v member %d: weight [%d][%d] differs: %v vs %v",
+								path, slot.Metric, mi, k, j, gp[k][j], wp[k][j])
+						}
 					}
 				}
 			}

@@ -9,8 +9,8 @@ import (
 
 // TestTrainObserverEpochStats checks the per-epoch telemetry hook: one
 // record per epoch per ensemble member, correctly attributed, with
-// plausible losses and durations, and with no effect on the trained
-// weights.
+// plausible losses, durations and stage times, and with no effect on the
+// trained weights.
 func TestTrainObserverEpochStats(t *testing.T) {
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.8, 0.1, 4)
@@ -54,6 +54,10 @@ func TestTrainObserverEpochStats(t *testing.T) {
 		if r.DurationNS <= 0 {
 			t.Errorf("member %d epoch %d: duration %d", r.Member, r.Epoch, r.DurationNS)
 		}
+		if r.GradNS <= 0 || r.ReduceNS <= 0 || r.StepNS <= 0 || r.ValNS <= 0 {
+			t.Errorf("member %d epoch %d: stage times grad %d reduce %d step %d val %d, want all positive",
+				r.Member, r.Epoch, r.GradNS, r.ReduceNS, r.StepNS, r.ValNS)
+		}
 	}
 	for m := 0; m < k; m++ {
 		if perMember[m] != cfg.Epochs {
@@ -77,6 +81,22 @@ func TestTrainObserverEpochStats(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("observer changed training: prediction %g != %g", got, want)
+	}
+
+	// With one worker nothing overlaps, so the stages partition the epoch:
+	// they cannot exceed its wall time, and what they leave out (the
+	// shuffle, loop bookkeeping, one ReadMemStats) is small.
+	recs = nil
+	obsCfg.Workers = 1
+	if _, err := Train(train, val, MetricThroughput, obsCfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		parts := r.GradNS + r.ReduceNS + r.StepNS + r.ValNS
+		if parts > r.DurationNS || float64(parts) < 0.8*float64(r.DurationNS) {
+			t.Errorf("epoch %d: stages sum to %d ns of a %d ns epoch (grad %d reduce %d step %d val %d)",
+				r.Epoch, parts, r.DurationNS, r.GradNS, r.ReduceNS, r.StepNS, r.ValNS)
+		}
 	}
 }
 

@@ -1,6 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"costream/internal/dataset"
@@ -60,8 +66,9 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 }
 
 // TestTrainEpochSteadyStateAllocs pins the arena guarantee on the real
-// training path: once tapes, scratch and slot shadows are warm, processing
-// one sample (forward + loss + backward on the full GNN) performs zero
+// training path: once tapes, scratch, slot shadows and training mirrors
+// are warm, a batch (forward + loss + backward on the full GNN per
+// sample, then the slot reduction and the mirror refresh) performs zero
 // heap allocations.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
@@ -81,17 +88,22 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := newTrainWorker()
+	net.RefreshMirrors()
+	defer net.DropMirrors()
+	_, grads := net.Params()
 	shadow := net.GradShadow()
 	_, sg := shadow.Params()
 	slot := &gradSlot{net: shadow, grads: sg}
 
 	step := func() {
-		// One chunk spanning all samples: forward + loss + backward per
-		// sample with no reduction, isolating the tape/scratch path.
+		// One chunk spanning all samples, on a shadow as chunks 1..7 of a
+		// real batch are, then what fit does between batches.
 		w.runSlot(slot, 0, 1, MetricE2ELatency, samples, 0.25)
 		if slot.err != nil {
 			t.Fatal(slot.err)
 		}
+		reduceSlots(grads, []*gradSlot{slot})
+		net.RefreshMirrors()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
 	step()
@@ -153,5 +165,89 @@ func TestSetTrainBudget(t *testing.T) {
 	cfg.Workers = 4
 	if _, err := Train(train, nil, MetricProcLatency, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReduceSlotsOrderAndClear checks the gradient reduction against the
+// plain loop it replaced: destination = its own contents (chunk 0) plus
+// the shadows in slot order, element by element, and every shadow left
+// all-zero. Odd lengths reach the vector kernel's tails; magnitudes
+// spread over many binades make the sum order visible in the bits.
+func TestReduceSlotsOrderAndClear(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	lengths := []int{1, 3, 7, 17, 33, 129}
+	fill := func() [][]float64 {
+		gs := make([][]float64, len(lengths))
+		for k, n := range lengths {
+			gs[k] = make([]float64, n)
+			for i := range gs[k] {
+				gs[k][i] = (rng.Float64()*2 - 1) * math.Ldexp(1, rng.Intn(40)-20)
+			}
+		}
+		return gs
+	}
+	for nShadows := 0; nShadows <= maxGradSlots-1; nShadows++ {
+		dst := fill()
+		want := snapshot(dst)
+		slots := make([]*gradSlot, nShadows)
+		for s := range slots {
+			slots[s] = &gradSlot{grads: fill()}
+			for k := range want {
+				for i, v := range slots[s].grads[k] {
+					want[k][i] += v
+				}
+			}
+		}
+		reduceSlots(dst, slots)
+		for k := range want {
+			for i := range want[k] {
+				if math.Float64bits(dst[k][i]) != math.Float64bits(want[k][i]) {
+					t.Fatalf("%d shadows: dst %d[%d] = %v, want %v", nShadows, k, i, dst[k][i], want[k][i])
+				}
+			}
+			for s, sl := range slots {
+				for i, v := range sl.grads[k] {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%d shadows: slot %d group %d[%d] = %v after the reduction, want +0", nShadows, s+1, k, i, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// weightDigest is the SHA-256 over the IEEE-754 bits of every parameter,
+// in Params order.
+func weightDigest(params [][]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, p := range params {
+		for _, v := range p {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainWeightsGolden pins the training arithmetic itself: the weight
+// bits of a fixed tiny recipe, for both loss heads, recorded from the
+// scalar tape/backward/Adam loops before any vector kernel replaced
+// them. A kernel (or any later change) that reorders one accumulation or
+// fuses one multiply-add changes these digests.
+func TestTrainWeightsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The compiler fuses x*y+z into one rounding on arm64, ppc64le,
+		// s390x and riscv64, so the portable loops give other bits there.
+		t.Skip("golden digests are recorded on amd64")
+	}
+	golden := map[Metric]string{
+		MetricE2ELatency: "7724f825a2e495a4c2b3b5275895368577dfb684b63ae99eb594d27901202a5d",
+		MetricSuccess:    "e3beb9bfdb0166b218a00bd22edbd3fa6a1137ecf41bfaad2983e6469b1d8a44",
+	}
+	for _, metric := range []Metric{MetricE2ELatency, MetricSuccess} {
+		if got := weightDigest(trainedParams(t, metric, 1)); got != golden[metric] {
+			t.Errorf("%v: weight digest %s, want %s", metric, got, golden[metric])
+		}
 	}
 }

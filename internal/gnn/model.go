@@ -94,16 +94,19 @@ func (m *Model) Params() (params, grads [][]float64) {
 	return append(params, p...), append(grads, g...)
 }
 
-// ZeroGrad clears all gradient buffers.
-func (m *Model) ZeroGrad() {
+// eachMLP calls fn on every encoder, update and readout MLP.
+func (m *Model) eachMLP(fn func(*nn.MLP)) {
 	for _, e := range m.enc {
-		e.ZeroGrad()
+		fn(e)
 	}
 	for _, u := range m.upd {
-		u.ZeroGrad()
+		fn(u)
 	}
-	m.out.ZeroGrad()
+	fn(m.out)
 }
+
+// ZeroGrad clears all gradient buffers.
+func (m *Model) ZeroGrad() { m.eachMLP((*nn.MLP).ZeroGrad) }
 
 // GradShadow returns a model that shares this model's weight slices but
 // owns private zeroed gradient buffers. Shadows let data-parallel
@@ -126,6 +129,18 @@ func (m *Model) GradShadow() *Model {
 	}
 	return s
 }
+
+// RefreshMirrors brings every layer's transposed training mirror up to
+// date with the weights, building the mirrors on the first call (see
+// nn.Linear.RefreshMirror). While they exist, ForwardPlanned runs its
+// affine ops on the AVX kernel; a training loop calls this after every
+// optimizer step and DropMirrors when it is done. Make gradient shadows
+// after the first call, so they share the mirrors. Infer and
+// InferPlanned never read a mirror.
+func (m *Model) RefreshMirrors() { m.eachMLP((*nn.MLP).RefreshMirror) }
+
+// DropMirrors releases the training mirrors.
+func (m *Model) DropMirrors() { m.eachMLP((*nn.MLP).DropMirror) }
 
 // NumParams returns the total scalar parameter count.
 func (m *Model) NumParams() int {

@@ -8,7 +8,6 @@ type Adam struct {
 	Beta1    float64
 	Beta2    float64
 	Eps      float64
-	WDecay   float64 // decoupled weight decay (AdamW); 0 disables
 	ClipNorm float64 // global gradient norm clip; 0 disables
 
 	params [][]float64
@@ -32,21 +31,19 @@ func NewAdam(lr float64, params, grads [][]float64) *Adam {
 	return a
 }
 
-// Register appends additional parameter/gradient pairs (e.g. from several
-// MLPs composing one model).
-func (a *Adam) Register(params, grads [][]float64) {
-	for i, p := range params {
-		a.params = append(a.params, p)
-		a.grads = append(a.grads, grads[i])
-		a.m = append(a.m, make([]float64, len(p)))
-		a.v = append(a.v, make([]float64, len(p)))
-	}
-}
-
-// Step applies one Adam update using the accumulated gradients, then
-// leaves the gradients untouched (call ZeroGrad on the layers afterwards).
+// Step applies one Adam update using the accumulated gradients and
+// leaves the gradient slices as they were (call ZeroGrads afterwards).
+//
+// The clip norm is one sequential sum over every gradient in
+// registration order — its rounding depends on that order, so it is
+// never vectorised — and the clip scale is applied to each gradient as
+// it is read (scale 1 is exact when nothing clips). The element update
+// itself is independent per element: the AVX kernel runs four elements
+// per instruction with the same multiply, add, divide and square-root
+// roundings as the Go loop, so both give the same bits.
 func (a *Adam) Step() {
 	a.t++
+	scale := 1.0
 	if a.ClipNorm > 0 {
 		var norm2 float64
 		for _, g := range a.grads {
@@ -55,31 +52,31 @@ func (a *Adam) Step() {
 			}
 		}
 		if norm := math.Sqrt(norm2); norm > a.ClipNorm {
-			scale := a.ClipNorm / norm
-			for _, g := range a.grads {
-				for i := range g {
-					g[i] *= scale
-				}
-			}
+			scale = a.ClipNorm / norm
 		}
 	}
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for k, p := range a.params {
-		g := a.grads[k]
-		m := a.m[k]
-		v := a.v[k]
+		g, m, v := a.grads[k], a.m[k], a.v[k]
+		if len(g) != len(p) || len(m) != len(p) || len(v) != len(p) {
+			panic("nn: Adam parameter, gradient and moment lengths differ")
+		}
+		if len(p) == 0 {
+			continue
+		}
+		if useAffineAsm {
+			adamStepAVX(&p[0], &g[0], &m[0], &v[0], len(p),
+				a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, c1, c2, a.LR, a.Eps, scale)
+			continue
+		}
 		for i := range p {
-			gi := g[i]
+			gi := g[i] * scale
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
 			mhat := m[i] / c1
 			vhat := v[i] / c2
-			upd := a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-			if a.WDecay > 0 {
-				upd += a.LR * a.WDecay * p[i]
-			}
-			p[i] -= upd
+			p[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 	}
 }
@@ -87,8 +84,6 @@ func (a *Adam) Step() {
 // ZeroGrads clears every registered gradient slice.
 func (a *Adam) ZeroGrads() {
 	for _, g := range a.grads {
-		for i := range g {
-			g[i] = 0
-		}
+		clear(g)
 	}
 }

@@ -10,9 +10,11 @@ const haveAffineAsm = true
 // state across context switches (OSXSAVE + XCR0).
 var hasAVX = cpuHasAVX()
 
-// useAffineAsm selects the assembly transposed-affine kernels for layers
-// stacked from here on (transKernel reads it once per layer). A variable
-// (not const) so tests can stack on the portable path and compare.
+// useAffineAsm selects the assembly kernels: the transposed-affine
+// kernels for layers stacked from here on (transKernel reads it once per
+// layer) and for training mirrors built from here on, and the backward,
+// reduce and Adam kernels on every call. A variable (not const) so tests
+// can run the portable path and compare.
 var useAffineAsm = hasAVX
 
 // cpuHasAVX is implemented in affine_amd64.s (CPUID + XGETBV).
@@ -36,3 +38,33 @@ func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int)
 //
 //go:noescape
 func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int)
+
+// affineBackwardAVX is the whole-layer backward of y = W·x + b (W
+// row-major out×in). For o in [0, out), in order:
+//
+//	gf := dy[o]; if act[o] < 0 { gf *= alpha }; if gf == 0 { skip o }
+//	gw[o*in+i] += gf·x[i];  xg[i] += gf·w[o*in+i]  (all i);  gb[o] += gf
+//
+// Lanes run over the input index i, so every element of gw and xg sees
+// the same multiply and add, in the same o order, as the Go loop in
+// Linear.backpropScalar: the results are bit-identical. act is the fused
+// op's post-activation output; the unfused op passes dy itself with
+// alpha 1. gf is scratch for the out effective gradients. in and out must
+// be at least 1, and none of gw, gb, xg and gf may overlap any other
+// buffer.
+//
+//go:noescape
+func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)
+
+// addClearAVX computes dst[i] += src[i]; src[i] = 0 for i in [0, n).
+//
+//go:noescape
+func addClearAVX(dst, src *float64, n int)
+
+// adamStepAVX applies Adam.Step's element update to n elements: the
+// arithmetic, operation for operation, of the Go loop there (VDIVPD and
+// VSQRTPD round like their scalar forms). omb1 and omb2 are 1-beta1 and
+// 1-beta2.
+//
+//go:noescape
+func adamStepAVX(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)

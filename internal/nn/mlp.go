@@ -13,6 +13,13 @@ type Linear struct {
 	B       []float64
 	GW      []float64
 	GB      []float64
+
+	// wt is the training mirror: W transposed to In x Out, the layout
+	// affineTransAVX streams. It exists only between RefreshMirror and
+	// DropMirror (core's fit loop), is shared by gradient shadows like W,
+	// and is read by Apply/applyLeaky alone — forward and Infer, the
+	// scalar oracle of the packed inference kernels, never look at it.
+	wt []float64
 }
 
 // NewLinear returns a layer with Kaiming/He-uniform initialized weights.
@@ -48,6 +55,46 @@ func (l *Linear) affineInto(dst, x []float64) {
 	}
 }
 
+// RefreshMirror copies the current weights into the transposed training
+// mirror, allocating it on first use, so the tape forward pass runs on
+// the AVX kernel. Call it after every in-place weight update while the
+// mirror exists: a stale mirror silently computes with old weights. It
+// does nothing where the AVX kernels are unavailable or the layer's
+// buffers do not match its dimensions; Apply then stays on affineInto.
+func (l *Linear) RefreshMirror() {
+	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+		return
+	}
+	if len(l.wt) != len(l.W) {
+		l.wt = make([]float64, len(l.W))
+	}
+	for o := 0; o < l.Out; o++ {
+		for i, w := range l.W[o*l.In : (o+1)*l.In] {
+			l.wt[i*l.Out+o] = w
+		}
+	}
+}
+
+// DropMirror releases the training mirror; Apply returns to affineInto.
+func (l *Linear) DropMirror() { l.wt = nil }
+
+// affineTape is the tape ops' forward: the AVX kernel over the mirror
+// when one exists, affineInto otherwise. The two are bit-identical —
+// every output accumulates bias first, then inputs in index order.
+func (l *Linear) affineTape(dst, x []float64) {
+	if l.wt == nil {
+		l.affineInto(dst, x)
+		return
+	}
+	if len(x) != l.In {
+		panic(fmt.Sprintf("nn: Linear input dim %d, want %d", len(x), l.In))
+	}
+	if l.In <= 0 || l.Out <= 0 || len(dst) != l.Out || len(l.wt) != l.In*l.Out || len(l.B) != l.Out {
+		panic("nn: Linear training mirror does not match the layer")
+	}
+	affineTransAVX(&dst[0], &x[0], &l.wt[0], &l.B[0], l.In, l.Out, 1, 0, 0)
+}
+
 // forward computes y = W*x + b into a fresh slice.
 func (l *Linear) forward(x []float64) []float64 {
 	data := make([]float64, l.Out)
@@ -61,7 +108,7 @@ func (l *Linear) Infer(x []float64) []float64 { return l.forward(x) }
 // Apply records y = W*x + b on the tape as a single affine op.
 func (l *Linear) Apply(t *Tape, x *Node) *Node {
 	out := t.alloc(l.Out)
-	l.affineInto(out.Data, x.Data)
+	l.affineTape(out.Data, x.Data)
 	out.op, out.a, out.lin = opAffine, x, l
 	return out
 }
@@ -74,7 +121,7 @@ func (l *Linear) Apply(t *Tape, x *Node) *Node {
 // post-activation value, which a zero or negative slope would destroy.
 func (l *Linear) applyLeaky(t *Tape, x *Node, alpha float64) *Node {
 	out := t.alloc(l.Out)
-	l.affineInto(out.Data, x.Data)
+	l.affineTape(out.Data, x.Data)
 	leakyReLUInPlace(out.Data, alpha)
 	out.op, out.a, out.lin, out.c = opAffineLReLU, x, l, alpha
 	return out
@@ -85,7 +132,30 @@ func (l *Linear) applyLeaky(t *Tape, x *Node, alpha float64) *Node {
 // fused affine+LeakyReLU op, fused is the output node: its post-activation
 // sign recovers the pre-activation sign (alpha > 0 preserves it), and its
 // c field holds the negative slope.
-func (l *Linear) backprop(outGrad []float64, x *Node, fused *Node) {
+//
+// A layer whose buffers all match its dimensions runs the whole-layer AVX
+// kernel; anything else takes the Go loop, which is also the oracle the
+// kernel is tested against. t lends the kernel its scratch.
+func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
+	n := l.In * l.Out
+	if !useAffineAsm || l.In <= 0 || l.Out <= 0 ||
+		len(l.W) != n || len(l.GW) != n || len(l.GB) != l.Out ||
+		len(outGrad) != l.Out || len(x.Data) != l.In || len(x.Grad) != l.In ||
+		(fused != nil && len(fused.Data) != l.Out) {
+		l.backpropScalar(outGrad, x, fused)
+		return
+	}
+	// Unfused, the kernel is handed the gradient as its own activation
+	// with slope 1: g < 0 selects g*1, which is g exactly.
+	act, alpha := outGrad, 1.0
+	if fused != nil {
+		act, alpha = fused.Data, fused.c
+	}
+	t.gf = Grow(t.gf, l.Out)
+	affineBackwardAVX(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &outGrad[0], &act[0], &t.gf[0], alpha, l.In, l.Out)
+}
+
+func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 	for o := 0; o < l.Out; o++ {
 		g := outGrad[o]
 		if fused != nil && fused.Data[o] < 0 {
@@ -105,13 +175,14 @@ func (l *Linear) backprop(outGrad []float64, x *Node, fused *Node) {
 }
 
 // GradShadow returns a layer sharing this layer's weight and bias slices
-// but owning fresh zeroed gradient buffers. Data-parallel training gives
+// (and its training mirror, if one exists right now) but owning fresh
+// zeroed gradient buffers. Data-parallel training gives
 // each batch slot a shadow so concurrent backward passes never write the
 // same accumulator.
 func (l *Linear) GradShadow() *Linear {
 	return &Linear{
 		In: l.In, Out: l.Out,
-		W: l.W, B: l.B,
+		W: l.W, B: l.B, wt: l.wt,
 		GW: make([]float64, len(l.GW)),
 		GB: make([]float64, len(l.GB)),
 	}
@@ -181,6 +252,43 @@ func (m *MLP) GradShadow() *MLP {
 		s.Layers[i] = l.GradShadow()
 	}
 	return s
+}
+
+// RefreshMirror refreshes every layer's training mirror (see
+// Linear.RefreshMirror).
+func (m *MLP) RefreshMirror() {
+	for _, l := range m.Layers {
+		l.RefreshMirror()
+	}
+}
+
+// DropMirror releases every layer's training mirror.
+func (m *MLP) DropMirror() {
+	for _, l := range m.Layers {
+		l.DropMirror()
+	}
+}
+
+// AddAndClear adds src into dst element by element and zeroes src: one
+// step of the data-parallel gradient reduction, folding a shadow's
+// gradients into the optimizer's and leaving the shadow ready for the
+// next batch. Each element is one addition, so the AVX kernel and the Go
+// loop give the same bits.
+func AddAndClear(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("nn: AddAndClear length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	if useAffineAsm {
+		addClearAVX(&dst[0], &src[0], len(src))
+		return
+	}
+	for i, v := range src {
+		dst[i] += v
+	}
+	clear(src)
 }
 
 // Infer runs the MLP forward pass without a tape: no gradient buffers or

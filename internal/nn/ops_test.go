@@ -56,35 +56,6 @@ func TestAddGradFlowsToBothInputs(t *testing.T) {
 	}
 }
 
-func TestAdamWeightDecayShrinksParams(t *testing.T) {
-	p := []float64{10}
-	g := []float64{0}
-	opt := NewAdam(0.1, [][]float64{p}, [][]float64{g})
-	opt.WDecay = 0.1
-	opt.ClipNorm = 0
-	for i := 0; i < 50; i++ {
-		opt.Step()
-	}
-	if math.Abs(p[0]) >= 10 {
-		t.Errorf("weight decay did not shrink parameter: %v", p[0])
-	}
-}
-
-func TestAdamRegister(t *testing.T) {
-	p1, g1 := []float64{0}, []float64{1}
-	opt := NewAdam(0.1, [][]float64{p1}, [][]float64{g1})
-	p2, g2 := []float64{0}, []float64{1}
-	opt.Register([][]float64{p2}, [][]float64{g2})
-	opt.Step()
-	if p1[0] == 0 || p2[0] == 0 {
-		t.Errorf("registered params not updated: %v %v", p1[0], p2[0])
-	}
-	opt.ZeroGrads()
-	if g1[0] != 0 || g2[0] != 0 {
-		t.Error("ZeroGrads missed a slice")
-	}
-}
-
 func TestTapeReuseAfterReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP(rng, 2, 4, 1)

@@ -61,6 +61,7 @@ type Tape struct {
 	nodes     []*Node // node pool; the first `used` entries are live
 	used      int
 	inference bool
+	gf        []float64 // Linear.backprop's scratch, part of the arena
 }
 
 // NewTape returns an empty training tape.
@@ -139,12 +140,12 @@ func (t *Tape) Backward(out *Node) {
 	}
 	out.Grad[0] = 1
 	for i := t.used - 1; i >= 0; i-- {
-		t.nodes[i].backprop()
+		t.nodes[i].backprop(t)
 	}
 }
 
 // backprop propagates the node's accumulated gradient to its inputs.
-func (n *Node) backprop() {
+func (n *Node) backprop(t *Tape) {
 	switch n.op {
 	case opConst:
 	case opAdd:
@@ -184,9 +185,9 @@ func (n *Node) backprop() {
 			n.a.Grad[i] += g * s * (1 - s)
 		}
 	case opAffine:
-		n.lin.backprop(n.Grad, n.a, nil)
+		n.lin.backprop(t, n.Grad, n.a, nil)
 	case opAffineLReLU:
-		n.lin.backprop(n.Grad, n.a, n)
+		n.lin.backprop(t, n.Grad, n.a, n)
 	case opMSLE:
 		diff := n.a.Data[0] - n.c
 		n.a.Grad[0] += n.Grad[0] * 2 * diff

@@ -1,0 +1,389 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// Training kernels. Like the inference kernels in affine_amd64.s they use
+// only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD and their scalar forms — never
+// a fused multiply-add — so every lane rounds exactly like the Go
+// expression it replaces.
+
+// func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)
+//
+// A first pass over the out rows writes each row's effective gradient to
+// gf — dy[o], times alpha when act[o] < 0, chosen by compare-and-blend so
+// the sign of a LeakyReLU output costs no branch — and adds the non-zero
+// ones to gb. Then input columns are taken in blocks of 16, 8, 4 and 1. A
+// block keeps its x values (Y4-Y7) and its xg accumulators (Y0-Y3) in
+// registers while o walks every row, so xg[i] still receives its
+// contributions in o order; gw rows are read, added to and written back
+// in place. DI and SI point at element (o, i) of gw and w: plain (reg)
+// addresses keep every load-and-operate instruction one fused micro-op,
+// which an indexed address would split.
+//
+// Go's gf == 0 skip is a test of the bits: shifting the sign out leaves
+// zero for +0 and -0 only (a NaN is not skipped, as in Go). In the first
+// pass the same test is VUCOMISD, where "JNE; JPS" is "not equal, or
+// unordered".
+TEXT ·affineBackwardAVX(SB), NOSPLIT, $0-88
+	MOVQ gb+8(FP), DI
+	MOVQ dy+40(FP), R10
+	MOVQ act+48(FP), R11
+	MOVQ gf+56(FP), AX
+	VMOVSD alpha+64(FP), X14
+	MOVQ in+72(FP), R8
+	MOVQ out+80(FP), R9
+	VXORPD X12, X12, X12
+	XORQ BX, BX               // BX = o
+
+pre:
+	VMOVSD (R10)(BX*8), X13
+	VMOVSD (R11)(BX*8), X9
+	VMULSD X14, X13, X10      // dy*alpha
+	VCMPSD $1, X12, X9, X9    // act < 0
+	VBLENDVPD X9, X10, X13, X13
+	VMOVSD X13, (AX)(BX*8)
+	VUCOMISD X12, X13
+	JNE  prebias
+	JPS  prebias
+	JMP  prenext
+
+prebias:
+	VADDSD (DI)(BX*8), X13, X9
+	VMOVSD X9, (DI)(BX*8)
+
+prenext:
+	INCQ BX
+	CMPQ BX, R9
+	JLT  pre
+
+	MOVQ AX, R10              // R10 = gf from here on
+	MOVQ xg+16(FP), CX
+	MOVQ x+32(FP), DX
+	MOVQ R8, R13
+	SHLQ $3, R13              // R13 = in*8 bytes = row stride
+	XORQ R12, R12             // R12 = i
+
+b16:
+	MOVQ R8, AX
+	SUBQ R12, AX
+	CMPQ AX, $16
+	JLT  b8
+	LEAQ (DX)(R12*8), AX
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	VMOVUPD 64(AX), Y6
+	VMOVUPD 96(AX), Y7
+	LEAQ (CX)(R12*8), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	MOVQ gw+0(FP), DI
+	LEAQ (DI)(R12*8), DI
+	MOVQ w+24(FP), SI
+	LEAQ (SI)(R12*8), SI
+	XORQ BX, BX
+
+o16:
+	MOVQ (R10)(BX*8), R11
+	ADDQ R11, R11
+	JZ   n16
+	VBROADCASTSD (R10)(BX*8), Y8
+	VMULPD (SI), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(SI), Y8, Y9
+	VADDPD Y9, Y2, Y2
+	VMULPD 96(SI), Y8, Y10
+	VADDPD Y10, Y3, Y3
+	VMULPD Y4, Y8, Y9
+	VADDPD (DI), Y9, Y9
+	VMOVUPD Y9, (DI)
+	VMULPD Y5, Y8, Y10
+	VADDPD 32(DI), Y10, Y10
+	VMOVUPD Y10, 32(DI)
+	VMULPD Y6, Y8, Y9
+	VADDPD 64(DI), Y9, Y9
+	VMOVUPD Y9, 64(DI)
+	VMULPD Y7, Y8, Y10
+	VADDPD 96(DI), Y10, Y10
+	VMOVUPD Y10, 96(DI)
+
+n16:
+	ADDQ R13, DI
+	ADDQ R13, SI
+	INCQ BX
+	CMPQ BX, R9
+	JLT  o16
+	LEAQ (CX)(R12*8), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	ADDQ $16, R12
+	JMP  b16
+
+b8:
+	MOVQ R8, AX
+	SUBQ R12, AX
+	CMPQ AX, $8
+	JLT  b4
+	LEAQ (DX)(R12*8), AX
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	LEAQ (CX)(R12*8), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	MOVQ gw+0(FP), DI
+	LEAQ (DI)(R12*8), DI
+	MOVQ w+24(FP), SI
+	LEAQ (SI)(R12*8), SI
+	XORQ BX, BX
+
+o8:
+	MOVQ (R10)(BX*8), R11
+	ADDQ R11, R11
+	JZ   n8
+	VBROADCASTSD (R10)(BX*8), Y8
+	VMULPD (SI), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD Y4, Y8, Y9
+	VADDPD (DI), Y9, Y9
+	VMOVUPD Y9, (DI)
+	VMULPD Y5, Y8, Y10
+	VADDPD 32(DI), Y10, Y10
+	VMOVUPD Y10, 32(DI)
+
+n8:
+	ADDQ R13, DI
+	ADDQ R13, SI
+	INCQ BX
+	CMPQ BX, R9
+	JLT  o8
+	LEAQ (CX)(R12*8), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	ADDQ $8, R12
+	JMP  b8
+
+b4:
+	MOVQ R8, AX
+	SUBQ R12, AX
+	CMPQ AX, $4
+	JLT  b1
+	VMOVUPD (DX)(R12*8), Y4
+	VMOVUPD (CX)(R12*8), Y0
+	MOVQ gw+0(FP), DI
+	LEAQ (DI)(R12*8), DI
+	MOVQ w+24(FP), SI
+	LEAQ (SI)(R12*8), SI
+	XORQ BX, BX
+
+o4:
+	MOVQ (R10)(BX*8), R11
+	ADDQ R11, R11
+	JZ   n4
+	VBROADCASTSD (R10)(BX*8), Y8
+	VMULPD (SI), Y8, Y10
+	VADDPD Y10, Y0, Y0
+	VMULPD Y4, Y8, Y9
+	VADDPD (DI), Y9, Y9
+	VMOVUPD Y9, (DI)
+
+n4:
+	ADDQ R13, DI
+	ADDQ R13, SI
+	INCQ BX
+	CMPQ BX, R9
+	JLT  o4
+	VMOVUPD Y0, (CX)(R12*8)
+	ADDQ $4, R12
+	JMP  b4
+
+b1:
+	CMPQ R12, R8
+	JGE  done
+	VMOVSD (DX)(R12*8), X4
+	VMOVSD (CX)(R12*8), X0
+	MOVQ gw+0(FP), DI
+	LEAQ (DI)(R12*8), DI
+	MOVQ w+24(FP), SI
+	LEAQ (SI)(R12*8), SI
+	XORQ BX, BX
+
+o1:
+	MOVQ (R10)(BX*8), R11
+	ADDQ R11, R11
+	JZ   n1
+	VMOVSD (R10)(BX*8), X8
+	VMULSD (SI), X8, X10
+	VADDSD X10, X0, X0
+	VMULSD X4, X8, X9
+	VADDSD (DI), X9, X9
+	VMOVSD X9, (DI)
+
+n1:
+	ADDQ R13, DI
+	ADDQ R13, SI
+	INCQ BX
+	CMPQ BX, R9
+	JLT  o1
+	VMOVSD X0, (CX)(R12*8)
+	INCQ R12
+	JMP  b1
+
+done:
+	VZEROUPPER
+	RET
+
+// func addClearAVX(dst, src *float64, n int)
+//
+// dst[i] += src[i]; src[i] = 0. Blocks of 16 and 4 doubles, scalar tail.
+TEXT ·addClearAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y4, Y4, Y4
+
+ac16:
+	CMPQ CX, $16
+	JLT  ac4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VADDPD (SI), Y0, Y0
+	VADDPD 32(SI), Y1, Y1
+	VADDPD 64(SI), Y2, Y2
+	VADDPD 96(SI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, (SI)
+	VMOVUPD Y4, 32(SI)
+	VMOVUPD Y4, 64(SI)
+	VMOVUPD Y4, 96(SI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JMP  ac16
+
+ac4:
+	CMPQ CX, $4
+	JLT  ac1
+	VMOVUPD (DI), Y0
+	VADDPD (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (SI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  ac4
+
+ac1:
+	CMPQ CX, $0
+	JLE  acdone
+	VMOVSD (DI), X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	VMOVSD X4, (SI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	DECQ CX
+	JMP  ac1
+
+acdone:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)
+//
+// Per element, in the Go loop's operation order:
+//
+//	gi = grad*scale
+//	m  = beta1*m + omb1*gi
+//	v  = beta2*v + (omb2*gi)*gi
+//	p  = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+//
+// Four elements per pass, scalar tail. Y6-Y14 hold the nine constants.
+TEXT ·adamStepAVX(SB), NOSPLIT, $0-112
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), BX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD beta1+40(FP), Y6
+	VBROADCASTSD omb1+48(FP), Y7
+	VBROADCASTSD beta2+56(FP), Y8
+	VBROADCASTSD omb2+64(FP), Y9
+	VBROADCASTSD c1+72(FP), Y10
+	VBROADCASTSD c2+80(FP), Y11
+	VBROADCASTSD lr+88(FP), Y12
+	VBROADCASTSD eps+96(FP), Y13
+	VBROADCASTSD scale+104(FP), Y14
+
+ad4:
+	CMPQ CX, $4
+	JLT  ad1
+	VMULPD (SI), Y14, Y0      // gi = grad*scale
+	VMULPD (DX), Y6, Y1       // beta1*m
+	VMULPD Y0, Y7, Y2         // omb1*gi
+	VADDPD Y2, Y1, Y1         // m
+	VMOVUPD Y1, (DX)
+	VMULPD (BX), Y8, Y3       // beta2*v
+	VMULPD Y0, Y9, Y2         // omb2*gi
+	VMULPD Y0, Y2, Y2         // (omb2*gi)*gi
+	VADDPD Y2, Y3, Y3         // v
+	VMOVUPD Y3, (BX)
+	VDIVPD Y10, Y1, Y1        // mhat = m/c1
+	VDIVPD Y11, Y3, Y3        // vhat = v/c2
+	VMULPD Y1, Y12, Y1        // lr*mhat
+	VSQRTPD Y3, Y3
+	VADDPD Y13, Y3, Y3        // sqrt(vhat)+eps
+	VDIVPD Y3, Y1, Y1         // update
+	VMOVUPD (DI), Y4
+	VSUBPD Y1, Y4, Y4         // p - update
+	VMOVUPD Y4, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JMP  ad4
+
+ad1:
+	CMPQ CX, $0
+	JLE  addone
+	VMULSD (SI), X14, X0
+	VMULSD (DX), X6, X1
+	VMULSD X0, X7, X2
+	VADDSD X2, X1, X1
+	VMOVSD X1, (DX)
+	VMULSD (BX), X8, X3
+	VMULSD X0, X9, X2
+	VMULSD X0, X2, X2
+	VADDSD X2, X3, X3
+	VMOVSD X3, (BX)
+	VDIVSD X10, X1, X1
+	VDIVSD X11, X3, X3
+	VMULSD X1, X12, X1
+	VSQRTSD X3, X3, X3
+	VADDSD X13, X3, X3
+	VDIVSD X3, X1, X1
+	VMOVSD (DI), X4
+	VSUBSD X1, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ $8, BX
+	DECQ CX
+	JMP  ad1
+
+addone:
+	VZEROUPPER
+	RET
