@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -181,7 +182,10 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 // featurization mode and each ensemble advances all candidates × members
 // in one batched kernel pass; the rest score per candidate and member.
 // Outputs do not depend on the tile size, and at float64 match
-// per-member CostModel.PredictRaw bit for bit.
+// per-member CostModel.PredictRaw bit for bit. A NaN or infinite raw
+// member output — a poisoned weight or feature — is an error naming the
+// metric and member, never a cost: averaged into one it would compare
+// false against everything and win or lose a search by accident.
 func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts) error {
 	if len(out) != len(cands) {
 		return fmt.Errorf("core: tile output holds %d slots, want %d", len(out), len(cands))
@@ -225,6 +229,9 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 			fusedStart := time.Now()
 			if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
 				return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
+			}
+			if i := firstNonFinite(vals); i >= 0 {
+				return fmt.Errorf("core: non-finite output for %v, member %d", fs.e.Metric, i%k)
 			}
 			for ci := range cands {
 				row := vals[ci*k : (ci+1)*k]
@@ -277,15 +284,32 @@ func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, o
 			}
 			ts.gcache[m.Feat.Mode] = g
 		}
-		v, err := m.predictPlanned(g, bf.Plan())
+		raw, err := m.Net.InferPlanned(g, bf.Plan())
 		if err != nil {
 			return err
 		}
-		vals[i] = v
+		vals[i] = raw
+	}
+	if i := firstNonFinite(vals); i >= 0 {
+		return fmt.Errorf("non-finite output for %v, member %d", e.Metric, i)
+	}
+	for i, m := range e.Models {
+		vals[i] = m.headTransform(vals[i])
 	}
 	applyCost(out, e.Metric, vals)
 	e.paths.recordBatch(false, 1, time.Since(start))
 	return nil
+}
+
+// firstNonFinite returns the index of the first NaN or infinity in vals,
+// or -1 when every value is finite.
+func firstNonFinite(vals []float64) int {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // sameMode reports whether an earlier fused slot already uses the mode

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,6 +142,44 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 		}
 		if got[i] != single {
 			t.Fatalf("candidate %d: mixed tile %+v != per-candidate %+v", i, got[i], single)
+		}
+	}
+}
+
+// TestScoreTileRejectsNonFiniteOutput: one NaN weight in one member must
+// surface as an error naming the metric and the member — from a single
+// prediction (C = 1), from a search tile (C = 7) and from an unstackable
+// ensemble's per-member path — instead of being averaged into a cost.
+func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
+	c := testCorpus(t)
+	tr := c.Traces[1]
+	cands := placement.Enumerate(rand.New(rand.NewSource(94)), tr.Query, tr.Cluster, 7)
+	if len(cands) != 7 {
+		t.Fatalf("only %d candidates", len(cands))
+	}
+	for _, traditional := range []bool{false, true} {
+		pr := randomPredictor(t, 3)
+		pr.E2ELatency = randomEnsemble(t, MetricE2ELatency, 3, traditional)
+		params, _ := pr.E2ELatency.Models[1].Net.Params()
+		readoutBias := params[len(params)-1]
+		readoutBias[0] = math.NaN()
+		want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
+
+		sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow := len(sess.slow); (slow == 1) != traditional {
+			t.Fatalf("traditional=%v: %d slow slots", traditional, slow)
+		}
+		for _, n := range []int{1, len(cands)} {
+			err := sess.ScoreTile(cands[:n], make([]placement.PredCosts, n))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("traditional=%v C=%d: err = %v, want %q", traditional, n, err, want)
+			}
+		}
+		if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("traditional=%v PredictPlacement: err = %v, want %q", traditional, err, want)
 		}
 	}
 }

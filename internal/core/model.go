@@ -662,17 +662,6 @@ func (cm *CostModel) predictGraph(g *gnn.Graph) (float64, error) {
 	return cm.headTransform(out), nil
 }
 
-// predictPlanned is predictGraph with a shared message-passing plan,
-// skipping the per-call graph validation and flow-structure derivation
-// that batch scoring amortizes across candidates.
-func (cm *CostModel) predictPlanned(g *gnn.Graph, plan *gnn.Plan) (float64, error) {
-	out, err := cm.Net.InferPlanned(g, plan)
-	if err != nil {
-		return 0, err
-	}
-	return cm.headTransform(out), nil
-}
-
 // headTransform maps the network's raw output into metric space.
 func (cm *CostModel) headTransform(out float64) float64 {
 	if cm.Metric.IsRegression() {

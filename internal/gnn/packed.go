@@ -14,6 +14,9 @@ import (
 // graph at a time. Host nodes — the only per-candidate part — are
 // flattened into "slots": slot s belongs to candidate c when
 // hostOff[c] <= s < hostOff[c+1], in the candidate's node-index order.
+// Candidates of one tile place their operators on the same few hosts, so
+// slots that carry the same feature vector (the same backing array, as
+// BatchFeaturizer hands out one per host) share one encoder row.
 //
 // A PackedGraphs is reusable: Pack with the same receiver re-fills the
 // tables without reallocating once the capacities have grown.
@@ -27,6 +30,8 @@ type PackedGraphs struct {
 
 	hostOff  []int       // len c+1: per-candidate host-slot ranges
 	hostFeat [][]float64 // per-slot host feature vectors (read-only refs)
+	hostRow  []int       // per-slot row among the tile's distinct host vectors
+	hostUniq []int       // per distinct host vector: the first slot carrying it
 	kidsOff  []int       // len hostOff[c]+1: per-slot child-list ranges
 	kids     []int       // flattened child operator indices, edge order
 	kidCur   []int       // fill cursors (scratch for the CSR build)
@@ -101,6 +106,8 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 
 	hTot := pg.hostOff[len(graphs)]
 	pg.hostFeat = nn.Grow(pg.hostFeat, hTot)
+	pg.hostRow = nn.Grow(pg.hostRow, hTot)
+	pg.hostUniq = pg.hostUniq[:0]
 	pg.opHost = nn.Grow(pg.opHost, len(graphs)*nOps)
 	for i := range pg.opHost {
 		pg.opHost[i] = -1
@@ -117,6 +124,7 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 		off := pg.hostOff[ci]
 		for s := off; s < pg.hostOff[ci+1]; s++ {
 			pg.hostFeat[s] = g.Nodes[nOps+s-off].Feat
+			pg.hostRow[s] = pg.distinctRow(s)
 		}
 		for _, e := range g.PlaceEdges {
 			op, hn := e[0], e[1]
@@ -147,6 +155,24 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	return pg, nil
 }
 
+// distinctRow returns the encoder row of slot s, whose features are
+// already in hostFeat: the row of an earlier slot of the tile with the
+// same backing array, or a new one. Two arrays with equal contents (a
+// host featurized twice in BatchFeaturizer's first-use race) just take a
+// row each.
+func (pg *PackedGraphs) distinctRow(s int) int {
+	f := pg.hostFeat[s]
+	if len(f) > 0 {
+		for row, first := range pg.hostUniq {
+			if u := pg.hostFeat[first]; len(u) == len(f) && &u[0] == &f[0] {
+				return row
+			}
+		}
+	}
+	pg.hostUniq = append(pg.hostUniq, s)
+	return len(pg.hostUniq) - 1
+}
+
 // BatchScratch holds the reusable buffers of a packed multi-candidate
 // forward pass. One BatchScratch serves one goroutine and either
 // precision — it keeps the planes of the element type it last ran at; a
@@ -164,7 +190,7 @@ func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 // operator activation planes and the gather/concat staging blocks.
 type batchPlanes[T nn.Float] struct {
 	encOps   []T // nOps × (k·H), shared across candidates
-	hostEnc  []T // Σhosts × (k·H) encoder outputs
+	hostEnc  []T // distinct hosts × (k·H) encoder outputs
 	hostNext []T // Σhosts × (k·H) phase-1 (= final) host states
 	after2   []T // C × nOps × (k·H) phase-2 operator states
 	final    []T // C × nOps × (k·H) phase-3 operator states
@@ -209,8 +235,8 @@ func (sm *StackedModel[T]) checkBatch(pg *PackedGraphs) error {
 		if !ok {
 			return fmt.Errorf("gnn: no encoder for kind %v", KindHost)
 		}
-		for s, f := range pg.hostFeat[:hTot] {
-			if len(f) != enc.InDim() {
+		for _, s := range pg.hostUniq {
+			if f := pg.hostFeat[s]; len(f) != enc.InDim() {
 				return fmt.Errorf("gnn: host slot %d has %d features, encoder wants %d",
 					s, len(f), enc.InDim())
 			}
@@ -276,24 +302,25 @@ func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch
 		}
 	}
 
-	// Encode all host slots of the tile and run phase 1 (operators ->
-	// hardware) over every slot of every candidate in one kernel call: a
-	// host's phase-1 state is also its final state (phases 2 and 3 only
-	// write operators).
+	// Encode the tile's distinct hosts — each once, however many slots
+	// carry it — and run phase 1 (operators -> hardware) over every slot of
+	// every candidate in one kernel call: a host's phase-1 state is also
+	// its final state (phases 2 and 3 only write operators).
 	if hTot > 0 {
 		enc := sm.enc[KindHost]
 		in := enc.InDim()
-		s.gather = nn.Grow(s.gather, hTot*in)
-		for slot, f := range pg.hostFeat[:hTot] {
-			gatherRow(s.gather[slot*in:(slot+1)*in], f)
+		nUniq := len(pg.hostUniq)
+		s.gather = nn.Grow(s.gather, nUniq*in)
+		for row, slot := range pg.hostUniq {
+			gatherRow(s.gather[row*in:(row+1)*in], pg.hostFeat[slot])
 		}
-		s.hostEnc = nn.Grow(s.hostEnc, hTot*kH)
-		enc.ForwardShared(s.hostEnc, s.gather, hTot, &s.dense)
+		s.hostEnc = nn.Grow(s.hostEnc, nUniq*kH)
+		enc.ForwardShared(s.hostEnc, s.gather, nUniq, &s.dense)
 
 		s.cat = nn.Grow(s.cat, hTot*k2H)
 		for slot := 0; slot < hTot; slot++ {
 			kids := pg.kids[pg.kidsOff[slot]:pg.kidsOff[slot+1]]
-			catRow(s.cat[slot*k2H:(slot+1)*k2H], kids, slot, sm.k, H, s.encOps, s.hostEnc)
+			catRow(s.cat[slot*k2H:(slot+1)*k2H], kids, pg.hostRow[slot], sm.k, H, s.encOps, s.hostEnc)
 		}
 		s.hostNext = nn.Grow(s.hostNext, hTot*kH)
 		sm.upd[KindHost].ForwardBlocks(s.hostNext, s.cat, hTot, &s.dense)

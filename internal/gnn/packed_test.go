@@ -420,6 +420,58 @@ func TestPackGraphsRejectsForeignGraphs(t *testing.T) {
 	}
 }
 
+// TestPackGraphsSharesHostRows: slots that carry the same feature array
+// share one encoder row, in first-use order, and a value-equal copy of a
+// host vector (what BatchFeaturizer's first-use race can produce) takes a
+// row of its own without changing any output.
+func TestPackGraphsSharesHostRows(t *testing.T) {
+	base := packBase()
+	plan, err := NewPlan(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := packCandidates(base, packPlacements)
+	pg, err := PackGraphs(graphs, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(pg.hostUniq), len(packHostFeats); got != want {
+		t.Fatalf("%d slots packed into %d encoder rows, want %d", pg.hostOff[pg.c], got, want)
+	}
+	for s, row := range pg.hostRow[:pg.hostOff[pg.c]] {
+		if first := pg.hostUniq[row]; first > s || &pg.hostFeat[first][0] != &pg.hostFeat[s][0] {
+			t.Fatalf("slot %d reads row %d, first carried by slot %d with other features", s, row, first)
+		}
+	}
+
+	sm, err := Stack[float64](newTestEnsemble(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(graphs)*sm.K())
+	if err := sm.InferEnsembleBatch(pg, nil, want); err != nil {
+		t.Fatal(err)
+	}
+	last := graphs[len(graphs)-1]
+	host := &last.Nodes[len(last.Nodes)-1]
+	host.Feat = append([]float64(nil), host.Feat...)
+	if pg, err = PackGraphs(graphs, plan, pg); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(pg.hostUniq), len(packHostFeats)+1; got != want {
+		t.Fatalf("copied host vector: %d encoder rows, want %d", got, want)
+	}
+	got := make([]float64, len(want))
+	if err := sm.InferEnsembleBatch(pg, nil, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d: %v with a duplicate row, %v without", i, got[i], want[i])
+		}
+	}
+}
+
 // TestInferEnsembleBatchAllocs pins the steady-state packed pass (reused
 // PackedGraphs and BatchScratch) to zero allocations.
 func TestInferEnsembleBatchAllocs(t *testing.T) {

@@ -10,7 +10,7 @@ const haveAffineAsm = true
 // state across context switches (OSXSAVE + XCR0).
 var hasAVX = cpuHasAVX()
 
-// useAffineAsm selects the assembly kernels: the transposed-affine
+// useAffineAsm selects the assembly kernels: the fused transposed-affine
 // kernels for layers stacked from here on (transKernel reads it once per
 // layer) and for training mirrors built from here on, and the backward,
 // reduce and Adam kernels on every call. A variable (not const) so tests
@@ -20,24 +20,31 @@ var useAffineAsm = hasAVX
 // cpuHasAVX is implemented in affine_amd64.s (CPUID + XGETBV).
 func cpuHasAVX() bool
 
-// affineTransAVX computes y[o] = b[o] + Σ_i wt[i*out+o]·x[i] for
-// o in [0, out) over the column-major (transposed) weight matrix wt,
-// for rows >= 1 rows: row r reads x[r*xStride:] and writes y[r*yStride:].
-// Outputs ride in YMM lanes while i advances sequentially, so every
-// output accumulates bias-first-then-inputs-in-index-order — bit-identical
-// to Linear.affineInto (VADDPD/VMULPD lanes are IEEE-identical to the
-// scalar ops). Every x row must hold in values, wt in·out, every y row
-// and b out. The row loop lives here because the generic callers reach
-// the routine through a func value: that costs one indirect call and
-// ABI wrapper per row batch, not per row.
+// affineLeakyAVX computes, for o in [0, out),
+//
+//	v = b[o] + Σ_i wt[i*out+o]·x[i];  y[o] = v, or slope·v when v < 0
+//
+// over the column-major (transposed) weight matrix wt, for rows >= 1
+// rows: row r reads x[r*xStride:] and writes y[r*yStride:]. Outputs ride
+// in YMM lanes while i advances sequentially, so every output accumulates
+// bias-first-then-inputs-in-index-order — bit-identical to
+// Linear.affineInto (VADDPD/VMULPD lanes are IEEE-identical to the scalar
+// ops) — and LeakyReLU is a compare-and-blend on the accumulators before
+// the store, the same compare-and-scale as leakyReLUInPlace. slope 1 asks
+// for no activation: 1·v is v bit for bit. Rows are taken two at a time,
+// sharing each weight load; the row loop lives here also because the
+// generic callers reach the routine through a func value: that costs one
+// indirect call and ABI wrapper per row batch, not per row. Every x row
+// must hold in values, wt in·out, every y row and b out, and in and out
+// must be at least 1; y must not overlap x.
 //
 //go:noescape
-func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int)
+func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
 
-// affineTransAVX32 is the float32 twin (8 lanes per YMM register).
+// affineLeakyAVX32 is the float32 twin (8 lanes per YMM register).
 //
 //go:noescape
-func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int)
+func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32)
 
 // affineBackwardAVX is the whole-layer backward of y = W·x + b (W
 // row-major out×in). For o in [0, out), in order:

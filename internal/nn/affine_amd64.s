@@ -25,185 +25,540 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int)
+// STEP2 adds x[i]*wt[i*out+o..] to both rows' accumulators from one load
+// of the weight vector; STEP1 is the single-row form. LEAKY scales the
+// negative lanes of acc by the slope; LEAKY1 is its scalar form.
+#define DSTEP2(off, accA, accB) \
+	VMOVUPD off(R12), Y10; \
+	VMULPD Y10, Y8, Y11; \
+	VADDPD Y11, accA, accA; \
+	VMULPD Y10, Y9, Y12; \
+	VADDPD Y12, accB, accB
+
+#define DSTEP1(off, acc) \
+	VMULPD off(R12), Y8, Y11; \
+	VADDPD Y11, acc, acc
+
+#define DLEAKY(acc) \
+	VMULPD Y14, acc, Y10; \
+	VCMPPD $1, Y15, acc, Y11; \
+	VBLENDVPD Y11, Y10, acc, acc
+
+#define DLEAKY1(acc) \
+	VMULSD X14, acc, X10; \
+	VCMPSD $1, X15, acc, X11; \
+	VBLENDVPD X11, X10, acc, acc
+
+// func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
 //
 // For each of rows >= 1 rows, the next one yStride / xStride doubles
 // after the last:
 //
-// y[o] = b[o] + sum_i wt[i*out+o] * x[i], o in [0, out).
+//	v = b[o] + sum_i wt[i*out+o] * x[i];  y[o] = v < 0 ? slope*v : v
 //
-// wt is the transposed weight matrix (in rows of out contiguous
-// doubles), so outputs sit in adjacent lanes and every load is
-// unit-stride. i advances sequentially, keeping each output's
-// accumulation order identical to the scalar kernel. Output blocks of
-// 16 (4 YMM accumulators = 4 independent FP-add dependency chains),
-// then 8, 4, and a scalar tail.
-TEXT ·affineTransAVX(SB), NOSPLIT, $0-72
+// for o in [0, out). wt is the transposed weight matrix (in rows of out
+// contiguous doubles), so outputs sit in adjacent lanes and every load is
+// unit-stride. i advances sequentially and multiply and add stay separate
+// instructions, keeping each output's accumulation order and rounding
+// identical to the scalar kernel. LeakyReLU is applied to the accumulators
+// before the store by compare-and-blend (LEAKY), so no output element is
+// touched again and the sign of a pre-activation costs no branch; NaN and
+// -0 compare not-less and pass through, and slope 1 is "no activation"
+// because 1*v is v.
+//
+// Rows are taken in pairs (pair:) with a single-row pass for an odd last
+// row (one:). A pair loads each weight vector once for both rows (STEP2)
+// and doubles the independent FP-add dependency chains per output block:
+// blocks of 16 outputs (2x4 YMM accumulators), then 8, 4, and a scalar
+// tail. in and out must be at least 1.
+//
+// Y8/Y9 hold the broadcast x[i] of the two rows, Y10-Y12 are temporaries,
+// Y14 is the broadcast slope and Y15 zero.
+TEXT ·affineLeakyAVX(SB), NOSPLIT, $0-80
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ wt+16(FP), DX
 	MOVQ b+24(FP), CX
 	MOVQ in+32(FP), R8
 	MOVQ out+40(FP), R9
-
+	VBROADCASTSD slope+72(FP), Y14
+	VXORPD Y15, Y15, Y15
 	MOVQ R9, R13
 	SHLQ $3, R13              // R13 = out*8 bytes = wt row stride
 	SHLQ $3, yStride+56(FP)   // row strides in bytes, kept in the frame
 	SHLQ $3, xStride+64(FP)
 
-row:
+pair:
+	CMPQ rows+48(FP), $2
+	JLT  one
+	MOVQ SI, R14
+	ADDQ xStride+64(FP), R14  // R14 = x of the pair's second row
 	XORQ R10, R10             // R10 = o
 
-blk16:
+p16:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $16
-	JLT  blk8
+	JLT  p8
 	LEAQ (CX)(R10*8), BX
 	VMOVUPD (BX), Y0
 	VMOVUPD 32(BX), Y1
 	VMOVUPD 64(BX), Y2
 	VMOVUPD 96(BX), Y3
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	VMOVAPD Y2, Y6
+	VMOVAPD Y3, Y7
 	LEAQ (DX)(R10*8), R12     // &wt[o]
-	XORQ R11, R11             // i
+	XORQ R11, R11             // R11 = i
 
-i16:
-	CMPQ R11, R8
-	JGE  s16
-	VBROADCASTSD (SI)(R11*8), Y4
-	VMULPD (R12), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(R12), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD 64(R12), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD 96(R12), Y4, Y8
-	VADDPD Y8, Y3, Y3
+pi16:
+	VBROADCASTSD (SI)(R11*8), Y8
+	VBROADCASTSD (R14)(R11*8), Y9
+	DSTEP2(0, Y0, Y4)
+	DSTEP2(32, Y1, Y5)
+	DSTEP2(64, Y2, Y6)
+	DSTEP2(96, Y3, Y7)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i16
+	CMPQ R11, R8
+	JLT  pi16
+	DLEAKY(Y0)
+	DLEAKY(Y1)
+	DLEAKY(Y2)
+	DLEAKY(Y3)
+	DLEAKY(Y4)
+	DLEAKY(Y5)
+	DLEAKY(Y6)
+	DLEAKY(Y7)
+	LEAQ (DI)(R10*8), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	VMOVUPD Y6, 64(BX)
+	VMOVUPD Y7, 96(BX)
+	ADDQ $16, R10
+	JMP  p16
 
-s16:
+p8:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $8
+	JLT  p4
+	LEAQ (CX)(R10*8), BX
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pi8:
+	VBROADCASTSD (SI)(R11*8), Y8
+	VBROADCASTSD (R14)(R11*8), Y9
+	DSTEP2(0, Y0, Y4)
+	DSTEP2(32, Y1, Y5)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pi8
+	DLEAKY(Y0)
+	DLEAKY(Y1)
+	DLEAKY(Y4)
+	DLEAKY(Y5)
+	LEAQ (DI)(R10*8), BX
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	ADDQ $8, R10
+	JMP  p8
+
+p4:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $4
+	JLT  ptail
+	VMOVUPD (CX)(R10*8), Y0
+	VMOVAPD Y0, Y4
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pi4:
+	VBROADCASTSD (SI)(R11*8), Y8
+	VBROADCASTSD (R14)(R11*8), Y9
+	DSTEP2(0, Y0, Y4)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pi4
+	DLEAKY(Y0)
+	DLEAKY(Y4)
+	LEAQ (DI)(R10*8), BX
+	VMOVUPD Y0, (BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPD Y4, (BX)
+	ADDQ $4, R10
+	JMP  p4
+
+ptail:
+	CMPQ R10, R9
+	JGE  pnext
+	VMOVSD (CX)(R10*8), X0
+	VMOVAPD X0, X4
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pitail:
+	VMOVSD (SI)(R11*8), X8
+	VMOVSD (R14)(R11*8), X9
+	VMOVSD (R12), X10
+	VMULSD X10, X8, X11
+	VADDSD X11, X0, X0
+	VMULSD X10, X9, X12
+	VADDSD X12, X4, X4
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pitail
+	DLEAKY1(X0)
+	DLEAKY1(X4)
+	LEAQ (DI)(R10*8), BX
+	VMOVSD X0, (BX)
+	ADDQ yStride+56(FP), BX
+	VMOVSD X4, (BX)
+	INCQ R10
+	JMP  ptail
+
+pnext:
+	MOVQ yStride+56(FP), AX
+	LEAQ (DI)(AX*2), DI
+	MOVQ xStride+64(FP), AX
+	LEAQ (SI)(AX*2), SI
+	SUBQ $2, rows+48(FP)
+	JMP  pair
+
+one:
+	CMPQ rows+48(FP), $1
+	JLT  ret
+	XORQ R10, R10
+
+o16:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $16
+	JLT  o8
+	LEAQ (CX)(R10*8), BX
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD 64(BX), Y2
+	VMOVUPD 96(BX), Y3
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+oi16:
+	VBROADCASTSD (SI)(R11*8), Y8
+	DSTEP1(0, Y0)
+	DSTEP1(32, Y1)
+	DSTEP1(64, Y2)
+	DSTEP1(96, Y3)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  oi16
+	DLEAKY(Y0)
+	DLEAKY(Y1)
+	DLEAKY(Y2)
+	DLEAKY(Y3)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
 	VMOVUPD Y2, 64(BX)
 	VMOVUPD Y3, 96(BX)
 	ADDQ $16, R10
-	JMP  blk16
+	JMP  o16
 
-blk8:
+o8:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $8
-	JLT  blk4
+	JLT  o4
 	LEAQ (CX)(R10*8), BX
 	VMOVUPD (BX), Y0
 	VMOVUPD 32(BX), Y1
 	LEAQ (DX)(R10*8), R12
 	XORQ R11, R11
 
-i8:
-	CMPQ R11, R8
-	JGE  s8
-	VBROADCASTSD (SI)(R11*8), Y4
-	VMULPD (R12), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(R12), Y4, Y6
-	VADDPD Y6, Y1, Y1
+oi8:
+	VBROADCASTSD (SI)(R11*8), Y8
+	DSTEP1(0, Y0)
+	DSTEP1(32, Y1)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i8
-
-s8:
+	CMPQ R11, R8
+	JLT  oi8
+	DLEAKY(Y0)
+	DLEAKY(Y1)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
 	ADDQ $8, R10
-	JMP  blk8
+	JMP  o8
 
-blk4:
+o4:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $4
-	JLT  tail
+	JLT  otail
 	VMOVUPD (CX)(R10*8), Y0
 	LEAQ (DX)(R10*8), R12
 	XORQ R11, R11
 
-i4:
-	CMPQ R11, R8
-	JGE  s4
-	VBROADCASTSD (SI)(R11*8), Y4
-	VMULPD (R12), Y4, Y5
-	VADDPD Y5, Y0, Y0
+oi4:
+	VBROADCASTSD (SI)(R11*8), Y8
+	DSTEP1(0, Y0)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i4
-
-s4:
+	CMPQ R11, R8
+	JLT  oi4
+	DLEAKY(Y0)
 	VMOVUPD Y0, (DI)(R10*8)
 	ADDQ $4, R10
-	JMP  blk4
+	JMP  o4
 
-tail:
+otail:
 	CMPQ R10, R9
-	JGE  done
+	JGE  ret
 	VMOVSD (CX)(R10*8), X0
 	LEAQ (DX)(R10*8), R12
 	XORQ R11, R11
 
-itail:
-	CMPQ R11, R8
-	JGE  stail
-	VMOVSD (SI)(R11*8), X1
-	VMULSD (R12), X1, X1
-	VADDSD X1, X0, X0
+oitail:
+	VMOVSD (SI)(R11*8), X8
+	VMULSD (R12), X8, X11
+	VADDSD X11, X0, X0
 	ADDQ R13, R12
 	INCQ R11
-	JMP  itail
-
-stail:
+	CMPQ R11, R8
+	JLT  oitail
+	DLEAKY1(X0)
 	VMOVSD X0, (DI)(R10*8)
 	INCQ R10
-	JMP  tail
-
-done:
-	DECQ rows+48(FP)
-	JLE  ret
-	ADDQ yStride+56(FP), DI
-	ADDQ xStride+64(FP), SI
-	JMP  row
+	JMP  otail
 
 ret:
 	VZEROUPPER
 	RET
 
-// func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int)
+#define SSTEP2(off, accA, accB) \
+	VMOVUPS off(R12), Y10; \
+	VMULPS Y10, Y8, Y11; \
+	VADDPS Y11, accA, accA; \
+	VMULPS Y10, Y9, Y12; \
+	VADDPS Y12, accB, accB
+
+#define SSTEP1(off, acc) \
+	VMULPS off(R12), Y8, Y11; \
+	VADDPS Y11, acc, acc
+
+#define SLEAKY(acc) \
+	VMULPS Y14, acc, Y10; \
+	VCMPPS $1, Y15, acc, Y11; \
+	VBLENDVPS Y11, Y10, acc, acc
+
+#define SLEAKY1(acc) \
+	VMULSS X14, acc, X10; \
+	VCMPSS $1, X15, acc, X11; \
+	VBLENDVPS X11, X10, acc, acc
+
+// func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32)
 //
 // float32 twin: 8 lanes per YMM register, blocks of 32/16/8 + scalar
 // tail, wt row stride = out*4 bytes.
-TEXT ·affineTransAVX32(SB), NOSPLIT, $0-72
+TEXT ·affineLeakyAVX32(SB), NOSPLIT, $0-76
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ wt+16(FP), DX
 	MOVQ b+24(FP), CX
 	MOVQ in+32(FP), R8
 	MOVQ out+40(FP), R9
-
+	VBROADCASTSS slope+72(FP), Y14
+	VXORPS Y15, Y15, Y15
 	MOVQ R9, R13
 	SHLQ $2, R13              // R13 = out*4 bytes = wt row stride
 	SHLQ $2, yStride+56(FP)   // row strides in bytes, kept in the frame
 	SHLQ $2, xStride+64(FP)
 
-rowf:
+pair:
+	CMPQ rows+48(FP), $2
+	JLT  one
+	MOVQ SI, R14
+	ADDQ xStride+64(FP), R14  // R14 = x of the pair's second row
 	XORQ R10, R10             // R10 = o
 
-blk32:
+p32:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $32
-	JLT  blk16
+	JLT  p16
+	LEAQ (CX)(R10*4), BX
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	VMOVUPS 64(BX), Y2
+	VMOVUPS 96(BX), Y3
+	VMOVAPS Y0, Y4
+	VMOVAPS Y1, Y5
+	VMOVAPS Y2, Y6
+	VMOVAPS Y3, Y7
+	LEAQ (DX)(R10*4), R12     // &wt[o]
+	XORQ R11, R11             // R11 = i
+
+pi32:
+	VBROADCASTSS (SI)(R11*4), Y8
+	VBROADCASTSS (R14)(R11*4), Y9
+	SSTEP2(0, Y0, Y4)
+	SSTEP2(32, Y1, Y5)
+	SSTEP2(64, Y2, Y6)
+	SSTEP2(96, Y3, Y7)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pi32
+	SLEAKY(Y0)
+	SLEAKY(Y1)
+	SLEAKY(Y2)
+	SLEAKY(Y3)
+	SLEAKY(Y4)
+	SLEAKY(Y5)
+	SLEAKY(Y6)
+	SLEAKY(Y7)
+	LEAQ (DI)(R10*4), BX
+	VMOVUPS Y0, (BX)
+	VMOVUPS Y1, 32(BX)
+	VMOVUPS Y2, 64(BX)
+	VMOVUPS Y3, 96(BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPS Y4, (BX)
+	VMOVUPS Y5, 32(BX)
+	VMOVUPS Y6, 64(BX)
+	VMOVUPS Y7, 96(BX)
+	ADDQ $32, R10
+	JMP  p32
+
+p16:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $16
+	JLT  p8
+	LEAQ (CX)(R10*4), BX
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	VMOVAPS Y0, Y4
+	VMOVAPS Y1, Y5
+	LEAQ (DX)(R10*4), R12
+	XORQ R11, R11
+
+pi16:
+	VBROADCASTSS (SI)(R11*4), Y8
+	VBROADCASTSS (R14)(R11*4), Y9
+	SSTEP2(0, Y0, Y4)
+	SSTEP2(32, Y1, Y5)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pi16
+	SLEAKY(Y0)
+	SLEAKY(Y1)
+	SLEAKY(Y4)
+	SLEAKY(Y5)
+	LEAQ (DI)(R10*4), BX
+	VMOVUPS Y0, (BX)
+	VMOVUPS Y1, 32(BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPS Y4, (BX)
+	VMOVUPS Y5, 32(BX)
+	ADDQ $16, R10
+	JMP  p16
+
+p8:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $8
+	JLT  ptail
+	VMOVUPS (CX)(R10*4), Y0
+	VMOVAPS Y0, Y4
+	LEAQ (DX)(R10*4), R12
+	XORQ R11, R11
+
+pi8:
+	VBROADCASTSS (SI)(R11*4), Y8
+	VBROADCASTSS (R14)(R11*4), Y9
+	SSTEP2(0, Y0, Y4)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pi8
+	SLEAKY(Y0)
+	SLEAKY(Y4)
+	LEAQ (DI)(R10*4), BX
+	VMOVUPS Y0, (BX)
+	ADDQ yStride+56(FP), BX
+	VMOVUPS Y4, (BX)
+	ADDQ $8, R10
+	JMP  p8
+
+ptail:
+	CMPQ R10, R9
+	JGE  pnext
+	VMOVSS (CX)(R10*4), X0
+	VMOVAPS X0, X4
+	LEAQ (DX)(R10*4), R12
+	XORQ R11, R11
+
+pitail:
+	VMOVSS (SI)(R11*4), X8
+	VMOVSS (R14)(R11*4), X9
+	VMOVSS (R12), X10
+	VMULSS X10, X8, X11
+	VADDSS X11, X0, X0
+	VMULSS X10, X9, X12
+	VADDSS X12, X4, X4
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pitail
+	SLEAKY1(X0)
+	SLEAKY1(X4)
+	LEAQ (DI)(R10*4), BX
+	VMOVSS X0, (BX)
+	ADDQ yStride+56(FP), BX
+	VMOVSS X4, (BX)
+	INCQ R10
+	JMP  ptail
+
+pnext:
+	MOVQ yStride+56(FP), AX
+	LEAQ (DI)(AX*2), DI
+	MOVQ xStride+64(FP), AX
+	LEAQ (SI)(AX*2), SI
+	SUBQ $2, rows+48(FP)
+	JMP  pair
+
+one:
+	CMPQ rows+48(FP), $1
+	JLT  ret
+	XORQ R10, R10
+
+o32:
+	MOVQ R9, AX
+	SUBQ R10, AX
+	CMPQ AX, $32
+	JLT  o16
 	LEAQ (CX)(R10*4), BX
 	VMOVUPS (BX), Y0
 	VMOVUPS 32(BX), Y1
@@ -212,114 +567,96 @@ blk32:
 	LEAQ (DX)(R10*4), R12
 	XORQ R11, R11
 
-i32:
-	CMPQ R11, R8
-	JGE  s32
-	VBROADCASTSS (SI)(R11*4), Y4
-	VMULPS (R12), Y4, Y5
-	VADDPS Y5, Y0, Y0
-	VMULPS 32(R12), Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VMULPS 64(R12), Y4, Y7
-	VADDPS Y7, Y2, Y2
-	VMULPS 96(R12), Y4, Y8
-	VADDPS Y8, Y3, Y3
+oi32:
+	VBROADCASTSS (SI)(R11*4), Y8
+	SSTEP1(0, Y0)
+	SSTEP1(32, Y1)
+	SSTEP1(64, Y2)
+	SSTEP1(96, Y3)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i32
-
-s32:
+	CMPQ R11, R8
+	JLT  oi32
+	SLEAKY(Y0)
+	SLEAKY(Y1)
+	SLEAKY(Y2)
+	SLEAKY(Y3)
 	LEAQ (DI)(R10*4), BX
 	VMOVUPS Y0, (BX)
 	VMOVUPS Y1, 32(BX)
 	VMOVUPS Y2, 64(BX)
 	VMOVUPS Y3, 96(BX)
 	ADDQ $32, R10
-	JMP  blk32
+	JMP  o32
 
-blk16:
+o16:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $16
-	JLT  blk8f
+	JLT  o8
 	LEAQ (CX)(R10*4), BX
 	VMOVUPS (BX), Y0
 	VMOVUPS 32(BX), Y1
 	LEAQ (DX)(R10*4), R12
 	XORQ R11, R11
 
-i16f:
-	CMPQ R11, R8
-	JGE  s16f
-	VBROADCASTSS (SI)(R11*4), Y4
-	VMULPS (R12), Y4, Y5
-	VADDPS Y5, Y0, Y0
-	VMULPS 32(R12), Y4, Y6
-	VADDPS Y6, Y1, Y1
+oi16:
+	VBROADCASTSS (SI)(R11*4), Y8
+	SSTEP1(0, Y0)
+	SSTEP1(32, Y1)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i16f
-
-s16f:
+	CMPQ R11, R8
+	JLT  oi16
+	SLEAKY(Y0)
+	SLEAKY(Y1)
 	LEAQ (DI)(R10*4), BX
 	VMOVUPS Y0, (BX)
 	VMOVUPS Y1, 32(BX)
 	ADDQ $16, R10
-	JMP  blk16
+	JMP  o16
 
-blk8f:
+o8:
 	MOVQ R9, AX
 	SUBQ R10, AX
 	CMPQ AX, $8
-	JLT  tailf
+	JLT  otail
 	VMOVUPS (CX)(R10*4), Y0
 	LEAQ (DX)(R10*4), R12
 	XORQ R11, R11
 
-i8f:
-	CMPQ R11, R8
-	JGE  s8f
-	VBROADCASTSS (SI)(R11*4), Y4
-	VMULPS (R12), Y4, Y5
-	VADDPS Y5, Y0, Y0
+oi8:
+	VBROADCASTSS (SI)(R11*4), Y8
+	SSTEP1(0, Y0)
 	ADDQ R13, R12
 	INCQ R11
-	JMP  i8f
-
-s8f:
+	CMPQ R11, R8
+	JLT  oi8
+	SLEAKY(Y0)
 	VMOVUPS Y0, (DI)(R10*4)
 	ADDQ $8, R10
-	JMP  blk8f
+	JMP  o8
 
-tailf:
+otail:
 	CMPQ R10, R9
-	JGE  donef
+	JGE  ret
 	VMOVSS (CX)(R10*4), X0
 	LEAQ (DX)(R10*4), R12
 	XORQ R11, R11
 
-itailf:
-	CMPQ R11, R8
-	JGE  stailf
-	VMOVSS (SI)(R11*4), X1
-	VMULSS (R12), X1, X1
-	VADDSS X1, X0, X0
+oitail:
+	VMOVSS (SI)(R11*4), X8
+	VMULSS (R12), X8, X11
+	VADDSS X11, X0, X0
 	ADDQ R13, R12
 	INCQ R11
-	JMP  itailf
-
-stailf:
+	CMPQ R11, R8
+	JLT  oitail
+	SLEAKY1(X0)
 	VMOVSS X0, (DI)(R10*4)
 	INCQ R10
-	JMP  tailf
+	JMP  otail
 
-donef:
-	DECQ rows+48(FP)
-	JLE  retf
-	ADDQ yStride+56(FP), DI
-	ADDQ xStride+64(FP), SI
-	JMP  rowf
-
-retf:
+ret:
 	VZEROUPPER
 	RET

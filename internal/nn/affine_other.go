@@ -9,11 +9,11 @@ const haveAffineAsm = false
 
 var useAffineAsm = false
 
-func affineTransAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int) {
+func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64) {
 	panic("nn: no asm kernel")
 }
 
-func affineTransAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int) {
+func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32) {
 	panic("nn: no asm kernel")
 }
 

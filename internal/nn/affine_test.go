@@ -1,72 +1,171 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestAffineAsmMatchesPortable pins the AVX kernels to the portable Go
-// kernels bit for bit, across shapes that exercise every output block
-// width (16/8/4 doubles, 32/16/8 floats) and the scalar tails. Lane-wise
-// VADDPD/VMULPD are IEEE-identical to the scalar ops and both kernels
-// accumulate each output bias-first-then-inputs-in-index-order, so even
-// the float32 paths must agree exactly.
+// TestAffineAsmMatchesPortable pins the fused AVX kernels to the portable
+// Go kernels bit for bit on generated shapes: every output block width
+// (16/8/4 doubles, 32/16/8 floats) and scalar tail, odd and even row
+// counts (the row-pair path and the single odd row), activation on and
+// off, one and three members, row strides wider than the rows with
+// canaries in the gaps, and inputs seeded with signed zeros, denormals,
+// infinities and NaNs, compared by bit pattern. Lane-wise VADDPD/VMULPD
+// are IEEE-identical to the scalar ops and both kernels accumulate each
+// output bias-first-then-inputs-in-index-order, so even the float32 paths
+// must agree exactly. The tape's forward reaches the same kernel through
+// Linear.affineTape and is held to affineInto + leakyReLUInPlace.
 func TestAffineAsmMatchesPortable(t *testing.T) {
-	if !useAffineAsm {
-		t.Skip("no AVX kernels on this machine")
-	}
-	defer func() { useAffineAsm = true }()
+	needAsm(t)
 	rng := rand.New(rand.NewSource(6))
 	for _, k := range []int{1, 3} {
-		for _, in := range []int{1, 2, 7, 24, 48} {
-			for _, out := range []int{1, 3, 4, 5, 8, 17, 24, 37} {
+		for _, in := range []int{1, 2, 7, 24, 48, 64, 96} {
+			for _, out := range []int{1, 3, 4, 5, 8, 15, 16, 17, 24, 32, 37, 48, 64, 65} {
 				layers := make([]*Linear, k)
 				for m := range layers {
 					layers[m] = NewLinear(rng, in, out)
 				}
-				const rows = 3
-				x := randRows(rng, rows, k*in)
-				x32 := make([]float32, len(x))
-				for i, v := range x {
-					x32[i] = float32(v)
-				}
-				asm := make([]float64, rows*k*out)
-				ref := make([]float64, rows*k*out)
-				asm32 := make([]float32, rows*k*out)
-				ref32 := make([]float32, rows*k*out)
-
-				// The kernel is picked when a layer is stacked.
-				useAffineAsm = true
-				blockRows(t, layers, asm, x, rows)
-				blockRows(t, layers, asm32, x32, rows)
-				useAffineAsm = false
-				blockRows(t, layers, ref, x, rows)
-				blockRows(t, layers, ref32, x32, rows)
-				useAffineAsm = true
-
-				for i := range ref {
-					if asm[i] != ref[i] {
-						t.Fatalf("k=%d in=%d out=%d elem %d: asm %v portable %v", k, in, out, i, asm[i], ref[i])
-					}
-					if asm32[i] != ref32[i] {
-						t.Fatalf("k=%d in=%d out=%d elem %d: asm32 %v portable32 %v", k, in, out, i, asm32[i], ref32[i])
+				// An output that sums signed zeros only: -0 and +0 are
+				// not negative and must come through unscaled.
+				clear(layers[0].W[:in])
+				layers[0].B[0] = math.Copysign(0, -1)
+				asm64, ref64 := stackOn[float64](t, layers, true), stackOn[float64](t, layers, false)
+				asm32, ref32 := stackOn[float32](t, layers, true), stackOn[float32](t, layers, false)
+				for _, rows := range []int{1, 2, 3, 4, 7, 32, 33} {
+					for _, act := range []bool{true, false} {
+						checkAffineKernels(t, rng, asm64, ref64, rows, act)
+						checkAffineKernels(t, rng, asm32, ref32, rows, act)
 					}
 				}
+				checkAffineTape(t, rng, layers[0])
 			}
 		}
 	}
 }
 
-// blockRows stacks the layers at dst's precision, on whichever kernel
-// useAffineAsm selects right now, and runs one fused BlockRows pass.
-func blockRows[T Float](t *testing.T, layers []*Linear, dst, x []T, rows int) {
+// specialRow fills x with normal deviates and overwrites about one value
+// in six with a signed zero or a denormal of T — and, when nonFinite is
+// set, with an infinity or a NaN as well.
+func specialRow[T Float](rng *rand.Rand, x []T, nonFinite bool) {
+	den := math.SmallestNonzeroFloat64
+	if _, ok := any(T(0)).(float32); ok {
+		den = math.SmallestNonzeroFloat32
+	}
+	specials := []float64{0, math.Copysign(0, -1), 3 * den, -5 * den}
+	if nonFinite {
+		specials = append(specials, math.Inf(1), math.Inf(-1), math.NaN())
+	}
+	for i := range x {
+		x[i] = T(rng.NormFloat64())
+		if rng.Intn(6) == 0 {
+			x[i] = T(specials[rng.Intn(len(specials))])
+		}
+	}
+}
+
+func bitsOf[T Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
+// equalBits compares by bit pattern — the sign of a zero or an infinity
+// counts — except that a NaN matches any NaN: when two NaNs meet in an
+// add, x86 keeps the first operand's payload, and which operand comes
+// first in the Go loops is the compiler's choice (the -race build of the
+// portable kernel picks differently from the plain one).
+func equalBits[T Float](a, b T) bool {
+	return bitsOf(a) == bitsOf(b) || (a != a && b != b)
+}
+
+// stackOn stacks the layers at T on the assembly kernel or the portable
+// one: the kernel is picked when a layer is stacked.
+func stackOn[T Float](t *testing.T, layers []*Linear, asm bool) *StackedLinear[T] {
 	t.Helper()
+	defer func(was bool) { useAffineAsm = was }(useAffineAsm)
+	useAffineAsm = asm
 	s, err := StackLinears[T](layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (s.kern != nil) != useAffineAsm {
-		t.Fatalf("stacked with kern set = %v, want %v", s.kern != nil, useAffineAsm)
+	if (s.kern != nil) != asm {
+		t.Fatalf("stacked with kern set = %v, want %v", s.kern != nil, asm)
 	}
-	s.BlockRows(dst, x, rows, 0.01, true)
+	return s
+}
+
+// checkAffineKernels runs one member-block row batch through both kernels
+// — sa stacked for the assembly, sp for the portable one — with x and dst
+// rows spaced wider than they are long. The gaps of x hold
+// NaNs, which would poison any output computed from a stray read; the
+// gaps of dst hold a canary that must survive.
+func checkAffineKernels[T Float](t *testing.T, rng *rand.Rand, sa, sp *StackedLinear[T], rows int, act bool) {
+	t.Helper()
+	k, in, out := sa.K, sa.In, sa.Out
+	const xOff, dstOff, canary = 2, 1, -12345.5
+	xStride, dstStride := k*in+3, k*out+5
+
+	x := make([]T, xOff+rows*xStride)
+	for i := range x {
+		x[i] = T(math.NaN())
+	}
+	for r := 0; r < rows; r++ {
+		// Every third row also carries infinities and NaNs; the others
+		// stay finite so the comparison is of numbers, not of NaNs.
+		specialRow(rng, x[xOff+r*xStride:xOff+r*xStride+k*in], r%3 == 2)
+	}
+	asm := make([]T, dstOff+rows*dstStride)
+	ref := make([]T, len(asm))
+	for i := range asm {
+		asm[i], ref[i] = canary, canary
+	}
+
+	for m := 0; m < k; m++ {
+		w, b := m*out*in, m*out
+		affineRowsTrans(sa.kern, asm, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
+			sa.W[w:w+out*in], sa.B[b:b+out], in, out, 0.01, act)
+		affineRowsStrided(ref, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
+			sp.W[w:w+out*in], sp.B[b:b+out], in, out, 0.01, act)
+	}
+	for i := range ref {
+		if !equalBits(asm[i], ref[i]) {
+			t.Fatalf("%T k=%d in=%d out=%d rows=%d act=%v elem %d: asm %v (%#x) portable %v (%#x)",
+				asm[i], k, in, out, rows, act, i, asm[i], bitsOf(asm[i]), ref[i], bitsOf(ref[i]))
+		}
+		if col := (i - dstOff + dstStride) % dstStride; (i < dstOff || col >= k*out) && asm[i] != canary {
+			t.Fatalf("%T k=%d in=%d out=%d rows=%d act=%v: canary at %d overwritten with %v",
+				asm[i], k, in, out, rows, act, i, asm[i])
+		}
+	}
+}
+
+// checkAffineTape calls the float64 kernel the way the tape forward does —
+// one row over the training mirror, slope 1 for the plain affine op — and
+// compares with the Go loops it replaces.
+func checkAffineTape(t *testing.T, rng *rand.Rand, l *Linear) {
+	t.Helper()
+	l.RefreshMirror()
+	defer l.DropMirror()
+	if l.wt == nil {
+		t.Fatal("no training mirror with the assembly kernels on")
+	}
+	x := make([]float64, l.In)
+	got, want := make([]float64, l.Out), make([]float64, l.Out)
+	for _, nonFinite := range []bool{false, true} {
+		specialRow(rng, x, nonFinite)
+		for _, slope := range []float64{1, 0.01} {
+			l.affineTape(got, x, slope)
+			l.affineInto(want, x)
+			leakyReLUInPlace(want, slope)
+			for o := range want {
+				if !equalBits(got[o], want[o]) {
+					t.Fatalf("affineTape in=%d out=%d slope=%v output %d: kernel %v (%#x) Go %v (%#x)",
+						l.In, l.Out, slope, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
+				}
+			}
+		}
+	}
 }

@@ -17,7 +17,11 @@ import "fmt"
 // it is one implementation over the element type: T = float32 is the
 // opt-in fast path (accumulation in float32, ~7 decimal digits, half the
 // memory traffic), and the only precision-specific code is the pair of
-// assembly routines and transKernel, which picks between them.
+// assembly routines and transKernel, which picks between them. On amd64
+// with AVX a layer is one call of that routine — affine, LeakyReLU and the
+// row loop — and no Go code touches an output element afterwards; the
+// portable affineRowsStrided is every other build's path and the oracle
+// the assembly is tested against.
 
 // Float is the element type of a stacked weight set and its activations.
 type Float interface{ float32 | float64 }
@@ -133,9 +137,9 @@ func affineRowsStrided[T Float](dst []T, dstOff, dstStride int, x []T, xOff, xSt
 	}
 }
 
-// transFunc is the signature of the assembly transposed-affine routines
-// (see affineTransAVX).
-type transFunc[T Float] func(y, x, wt, b *T, in, out, rows, yStride, xStride int)
+// transFunc is the signature of the assembly fused transposed-affine
+// routines (see affineLeakyAVX).
+type transFunc[T Float] func(y, x, wt, b *T, in, out, rows, yStride, xStride int, slope T)
 
 // transKernel returns the assembly routine for T, or nil when this build
 // or CPU has none and the portable kernel carries the stack. It runs once
@@ -144,39 +148,31 @@ func transKernel[T Float]() transFunc[T] {
 	if !useAffineAsm {
 		return nil
 	}
-	var kern any = transFunc[float64](affineTransAVX)
+	var kern any = transFunc[float64](affineLeakyAVX)
 	if _, ok := any(T(0)).(float32); ok {
-		kern = transFunc[float32](affineTransAVX32)
+		kern = transFunc[float32](affineLeakyAVX32)
 	}
 	return kern.(transFunc[T])
 }
 
 // affineRowsTrans is affineRowsStrided on the transposed weight layout:
-// one call of the assembly kernel covers the whole row batch. LeakyReLU
-// runs as a Go post-pass over each row's out outputs — same
-// compare-and-scale per element as the fused scalar kernel, so the bits
-// match.
+// one call of the assembly kernel covers the whole row batch, LeakyReLU
+// included — the kernel scales negative accumulators by its slope before
+// the store (the same compare-and-scale per element as the portable
+// kernel, so the bits match), and slope 1 is the linear layer.
 func affineRowsTrans[T Float](kern transFunc[T], dst []T, dstOff, dstStride int, x []T, xOff, xStride, rows int, wt, b []T, in, out int, alpha T, act bool) {
 	if rows == 0 {
 		return
+	}
+	if !act {
+		alpha = 1
 	}
 	// The kernel is handed bare pointers: check the last row's extent (and
 	// with it every earlier row's) here.
 	last := rows - 1
 	y := dst[dstOff : dstOff+last*dstStride+out]
 	xs := x[xOff : xOff+last*xStride+in]
-	kern(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride)
-	if !act {
-		return
-	}
-	for r := 0; r < rows; r++ {
-		yr := y[r*dstStride : r*dstStride+out]
-		for o, v := range yr {
-			if v < 0 {
-				yr[o] = alpha * v
-			}
-		}
-	}
+	kern(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride, alpha)
 }
 
 // StackedLinear is k independently weighted Linear layers of identical

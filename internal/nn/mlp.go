@@ -15,7 +15,7 @@ type Linear struct {
 	GB      []float64
 
 	// wt is the training mirror: W transposed to In x Out, the layout
-	// affineTransAVX streams. It exists only between RefreshMirror and
+	// affineLeakyAVX streams. It exists only between RefreshMirror and
 	// DropMirror (core's fit loop), is shared by gradient shadows like W,
 	// and is read by Apply/applyLeaky alone — forward and Infer, the
 	// scalar oracle of the packed inference kernels, never look at it.
@@ -78,12 +78,17 @@ func (l *Linear) RefreshMirror() {
 // DropMirror releases the training mirror; Apply returns to affineInto.
 func (l *Linear) DropMirror() { l.wt = nil }
 
-// affineTape is the tape ops' forward: the AVX kernel over the mirror
-// when one exists, affineInto otherwise. The two are bit-identical —
-// every output accumulates bias first, then inputs in index order.
-func (l *Linear) affineTape(dst, x []float64) {
+// affineTape is the tape ops' forward, leaky(W*x + b, slope) with slope 1
+// for the plain affine op: one call of the fused AVX kernel over the
+// mirror when one exists, affineInto and leakyReLUInPlace otherwise. The
+// two are bit-identical — every output accumulates bias first, then
+// inputs in index order, and a negative sum is scaled by the slope once.
+func (l *Linear) affineTape(dst, x []float64, slope float64) {
 	if l.wt == nil {
 		l.affineInto(dst, x)
+		if slope != 1 {
+			leakyReLUInPlace(dst, slope)
+		}
 		return
 	}
 	if len(x) != l.In {
@@ -92,7 +97,7 @@ func (l *Linear) affineTape(dst, x []float64) {
 	if l.In <= 0 || l.Out <= 0 || len(dst) != l.Out || len(l.wt) != l.In*l.Out || len(l.B) != l.Out {
 		panic("nn: Linear training mirror does not match the layer")
 	}
-	affineTransAVX(&dst[0], &x[0], &l.wt[0], &l.B[0], l.In, l.Out, 1, 0, 0)
+	affineLeakyAVX(&dst[0], &x[0], &l.wt[0], &l.B[0], l.In, l.Out, 1, 0, 0, slope)
 }
 
 // forward computes y = W*x + b into a fresh slice.
@@ -108,7 +113,7 @@ func (l *Linear) Infer(x []float64) []float64 { return l.forward(x) }
 // Apply records y = W*x + b on the tape as a single affine op.
 func (l *Linear) Apply(t *Tape, x *Node) *Node {
 	out := t.alloc(l.Out)
-	l.affineTape(out.Data, x.Data)
+	l.affineTape(out.Data, x.Data, 1)
 	out.op, out.a, out.lin = opAffine, x, l
 	return out
 }
@@ -121,8 +126,7 @@ func (l *Linear) Apply(t *Tape, x *Node) *Node {
 // post-activation value, which a zero or negative slope would destroy.
 func (l *Linear) applyLeaky(t *Tape, x *Node, alpha float64) *Node {
 	out := t.alloc(l.Out)
-	l.affineTape(out.Data, x.Data)
-	leakyReLUInPlace(out.Data, alpha)
+	l.affineTape(out.Data, x.Data, alpha)
 	out.op, out.a, out.lin, out.c = opAffineLReLU, x, l, alpha
 	return out
 }

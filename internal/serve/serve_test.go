@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/obs"
 	"costream/internal/placement"
@@ -199,6 +202,33 @@ func TestPredictErrorsAreUnprocessable(t *testing.T) {
 	body := PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}}
 	if w := doJSON(t, s, http.MethodPost, "/v1/predict", body); w.Code != http.StatusUnprocessableEntity {
 		t.Errorf("status %d, want 422", w.Code)
+	}
+}
+
+// TestPredictNamesNonFiniteOutput: a model with a NaN weight used to be
+// averaged into a NaN cost that the JSON encoder refused, answering a bare
+// 500 "encoding response". The response must name the metric and member.
+func TestPredictNamesNonFiniteOutput(t *testing.T) {
+	feat := core.Featurizer{}
+	gcfg := gnn.DefaultConfig(feat.FeatDims())
+	gcfg.Hidden = 8
+	net, err := gnn.New(gcfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, _ := net.Params()
+	readoutBias := params[len(params)-1]
+	readoutBias[0] = math.NaN()
+	pred := &core.Predictor{Throughput: &core.Ensemble{
+		Metric: core.MetricThroughput,
+		Models: []*core.CostModel{{Metric: core.MetricThroughput, Feat: feat, Net: net}},
+	}}
+	s := newTestServer(t, Config{Predictor: pred})
+	body := PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}}
+	w := doJSON(t, s, http.MethodPost, "/v1/predict", body)
+	want := "non-finite output for " + core.MetricThroughput.String() + ", member 0"
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), want) {
+		t.Fatalf("status %d body %s, want 422 naming %q", w.Code, w.Body, want)
 	}
 }
 
