@@ -25,11 +25,16 @@ type inferMetrics struct {
 	fusedTiles       *obs.Counter
 	fusedCandidates  *obs.Counter
 	fallbackCands    *obs.Counter
+	// tileRows counts, per message-passing phase (gnn.PackedGraphs.Rows
+	// order), the kernel rows the scored tiles' candidates requested and
+	// the distinct rows computed for them; computed/requested is the share
+	// of a tile's work its near-duplicate candidates did not save.
+	tileRows [3]struct{ requested, computed *obs.Counter }
 }
 
 var inferMet = sync.OnceValue(func() *inferMetrics {
 	r := obs.Default()
-	return &inferMetrics{
+	m := &inferMetrics{
 		featurizeSeconds: r.Histogram("costream_inference_featurize_seconds",
 			"placement-invariant featurization setup per scoring session (TileSession / PredictBatch)", 1e-9),
 		candidateSeconds: r.Histogram("costream_inference_candidate_seconds",
@@ -47,6 +52,15 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 		fallbackCands: r.Counter("costream_inference_fallback_candidates_total",
 			"placement candidates scored per candidate inside a tile (unstackable ensembles)"),
 	}
+	for i, phase := range []string{"host", "placed", "flow"} {
+		rows := func(outcome string) *obs.Counter {
+			return r.Counter("costream_inference_tile_rows_total",
+				"kernel rows of the packed tile pass per ensemble, by message-passing phase: requested by the tile's candidates, and computed after sharing equal rows",
+				"phase", phase, "outcome", outcome)
+		}
+		m.tileRows[i].requested, m.tileRows[i].computed = rows("requested"), rows("computed")
+	}
+	return m
 })
 
 // BatchFeaturizer amortizes graph construction over many placement
@@ -64,9 +78,11 @@ type BatchFeaturizer struct {
 	c    *hardware.Cluster
 	base *gnn.Graph // operator nodes + flow edges (shared, read-only)
 	plan *gnn.Plan  // flow structure shared by every candidate graph
-	// hostFeat caches per-host feature vectors (shared, read-only).
-	// Concurrent first uses of a host store equal vectors, so which one a
-	// graph references does not matter.
+	// hostFeat caches per-host feature vectors (shared, read-only). Every
+	// graph of the session references the same array for a host — the one
+	// published first — because gnn.PackGraphs tells hosts apart by their
+	// backing array: a second array for one host would cost a tile its
+	// shared rows, and how many would depend on scheduling.
 	hostFeat []atomic.Pointer[[hostDim]float64]
 }
 
@@ -98,13 +114,16 @@ func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeatu
 }
 
 // hostFeatures returns host h's feature vector, featurizing it on first
-// use.
+// use. Of several concurrent first uses one vector is published and all
+// callers return it.
 func (bf *BatchFeaturizer) hostFeatures(h int) []float64 {
 	v := bf.hostFeat[h].Load()
 	if v == nil {
 		f := Featurizer{Mode: bf.mode}
 		v = (*[hostDim]float64)(f.hostFeatures(bf.c.Hosts[h]))
-		bf.hostFeat[h].Store(v)
+		if !bf.hostFeat[h].CompareAndSwap(nil, v) {
+			v = bf.hostFeat[h].Load()
+		}
 	}
 	return v[:]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"costream/internal/placement"
@@ -194,5 +195,42 @@ func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
 	}
 	if _, err := pr.PredictBatch(tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}); err == nil {
 		t.Fatal("invalid candidate accepted")
+	}
+}
+
+// TestHostFeaturesOneArrayPerHost: goroutines that first touch a host
+// together all get the same backing array — gnn.PackGraphs shares rows by
+// array identity, so a second array for one host would make the sharing
+// depend on scheduling. Run under -race in CI.
+func TestHostFeaturesOneArrayPerHost(t *testing.T) {
+	tr := testCorpus(t).Traces[0]
+	for round := 0; round < 20; round++ {
+		bf, err := (&Featurizer{Mode: FeatFull}).NewBatch(tr.Query, tr.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 8
+		got := make([][]*float64, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for h := range tr.Cluster.Hosts {
+					got[w] = append(got[w], &bf.hostFeatures(h)[0])
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			for h := range got[0] {
+				if got[w][h] != got[0][h] {
+					t.Fatalf("round %d: host %d has two feature arrays", round, h)
+				}
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ type fusedSlot struct {
 }
 
 // TileSession is the inference path of the ensemble predictor and
-// implements placement.TileScorer: one session per search round — or per
+// implements placement.TileScorer: one session per search — or per
 // single prediction, which is a tile of one — hoists the
 // placement-invariant featurization (operator graph, message-passing
 // plan) and the ensemble stack snapshots, and ScoreTile then advances a
@@ -98,10 +98,11 @@ const maxTile = 32
 const tileActivationBudget = 4 << 20
 
 // tileCap sizes tiles from the widest fused slot's per-candidate
-// activation footprint: two nOps-node operator planes (phase-2 and
-// final states) plus the host, gather, concat and readout rows, each
-// k*Hidden floats wide. No fused slot (pure fallback predictors) keeps
-// the cap at maxTile — the tile then only bounds featurization reuse.
+// activation footprint when the tile's candidates share no row: an
+// nOps-node operator state per phase (phase 2 and phase 3) plus the
+// host, gather, concat and readout rows, each k*Hidden floats wide. No
+// fused slot (pure fallback predictors) keeps the cap at maxTile — the
+// tile then only bounds featurization reuse.
 func (s *TileSession) tileCap() int {
 	maxKH, nOps, maxHosts := 0, 0, 0
 	for _, fs := range s.fused {
@@ -241,6 +242,10 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 				applyCost(&out[ci], fs.e.Metric, row)
 			}
 			fs.e.paths.recordBatch(true, len(cands), time.Since(fusedStart))
+			for i, rows := range pg.Rows() {
+				met.tileRows[i].requested.Add(int64(rows.Requested))
+				met.tileRows[i].computed.Add(int64(rows.Computed))
+			}
 		}
 		met.fusedTiles.Inc()
 		met.fusedCandidates.Add(int64(len(cands)))

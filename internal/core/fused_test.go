@@ -263,6 +263,58 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// tileRowCounts reads costream_inference_tile_rows_total as
+// {computed, requested} per phase (host, placed, flow).
+func tileRowCounts() (n [3][2]int64) {
+	for i, rows := range inferMet().tileRows {
+		n[i] = [2]int64{rows.computed.Value(), rows.requested.Value()}
+	}
+	return n
+}
+
+// TestTileRowsShared pins how many kernel rows two searches compute for
+// the rows their candidates request (counted once per metric ensemble,
+// five here): exact numbers at a fixed seed and one worker, so a change
+// that silently breaks the sharing inside a tile — say, a featurizer that
+// hands every candidate its own host arrays — fails here instead of only
+// getting slower. A single prediction has nothing to share.
+func TestTileRowsShared(t *testing.T) {
+	pr := randomPredictor(t, 3)
+	tr := testCorpus(t).Traces[2] // 5 operators on 5 hosts
+	for _, tc := range []struct {
+		strat placement.Strategy
+		want  [3][2]int64
+	}{
+		{placement.Exhaustive{}, [3][2]int64{{210, 975}, {390, 1600}, {665, 1280}}},
+		{placement.LocalSearch{}, [3][2]int64{{570, 1000}, {890, 1600}, {1060, 1280}}},
+	} {
+		before := tileRowCounts()
+		res, err := placement.Search(pr, tr.Query, tr.Cluster, tc.strat, placement.MinProcLatency,
+			placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tileRowCounts()
+		for i := range got {
+			got[i][0] -= before[i][0]
+			got[i][1] -= before[i][1]
+		}
+		if res.Examined != 64 || got != tc.want {
+			t.Fatalf("%s: %d candidates, {computed, requested} rows per phase %v, want 64 and %v",
+				tc.strat.Name(), res.Examined, got, tc.want)
+		}
+	}
+	before := tileRowCounts()
+	if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range tileRowCounts() {
+		if computed, requested := n[0]-before[i][0], n[1]-before[i][1]; computed != requested || requested == 0 {
+			t.Fatalf("single prediction, phase %d: %d rows computed for %d requested", i, computed, requested)
+		}
+	}
+}
+
 // TestScoreTileIsolatesInvalidCandidate: a tile containing an invalid
 // placement errors as a whole, and the placement layer's per-candidate
 // fallback isolates it — valid candidates still score, identically to

@@ -479,4 +479,3 @@ func mergeIDs(a, b []string) []string {
 	}
 	return a
 }
-

@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,27 +119,27 @@ func randomFlow(rng *rand.Rand, shape string) *Graph {
 }
 
 // oracleCandidates derives n candidate graphs over base the way core's
-// attachHosts does (see packCandidates): candidate 0 puts every operator
-// on one host, candidate 1 gives every operator its own host, the rest
-// are random placements.
+// attachHosts does (see packCandidates), mixing what a search round packs
+// into one tile: all operators on one host, and again with the placement
+// edges reversed (the same children summed in another order); every
+// operator on its own host, then that placement's whole single-move
+// neighbourhood — each operator in turn moved to a spare host, so a
+// join's candidates differ in exactly one parent — and exact duplicates;
+// a random placement with single moves of it; and random placements, some
+// with shuffled placement edges.
 func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
 	nOps := len(base.Nodes)
-	hostFeats := make([][]float64, nOps)
+	hostFeats := make([][]float64, nOps+1) // host nOps is the spare
 	for h := range hostFeats {
 		hostFeats[h] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	out := make([]*Graph, n)
-	for ci := range out {
+	var out []*Graph
+	// add appends the graph of placement p; order, when set, permutes the
+	// placement edges after the host nodes took their first-use order.
+	add := func(p []int, order []int) {
 		g := &Graph{Nodes: append([]Node(nil), base.Nodes...), FlowEdges: base.FlowEdges}
 		hostNode := map[int]int{}
-		for op := 0; op < nOps; op++ {
-			h := rng.Intn(nOps)
-			switch ci {
-			case 0:
-				h = 0
-			case 1:
-				h = op
-			}
+		for op, h := range p {
 			node, ok := hostNode[h]
 			if !ok {
 				node = len(g.Nodes)
@@ -147,9 +148,52 @@ func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
 			}
 			g.PlaceEdges = append(g.PlaceEdges, [2]int{op, node})
 		}
-		out[ci] = g
+		if order != nil {
+			edges := g.PlaceEdges
+			g.PlaceEdges = make([][2]int, len(edges))
+			for i, j := range order {
+				g.PlaceEdges[i] = edges[j]
+			}
+		}
+		out = append(out, g)
 	}
-	return out
+	moved := func(p []int, op, h int) []int {
+		q := append([]int(nil), p...)
+		q[op] = h
+		return q
+	}
+	together, spread, reversed := make([]int, nOps), make([]int, nOps), make([]int, nOps)
+	for op := range spread {
+		spread[op], reversed[op] = op, nOps-1-op
+	}
+	add(together, nil)
+	add(spread, nil)
+	add(together, reversed)
+	for op := range spread {
+		add(moved(spread, op, nOps), nil)
+	}
+	add(spread, nil)
+	add(moved(spread, nOps-1, nOps), nil)
+	random := func() []int {
+		p := make([]int, nOps)
+		for op := range p {
+			p[op] = rng.Intn(nOps)
+		}
+		return p
+	}
+	start := random()
+	add(start, nil)
+	for op := 0; op < 4; op++ {
+		add(moved(start, rng.Intn(nOps), rng.Intn(nOps+1)), nil)
+	}
+	for len(out) < n {
+		var order []int
+		if len(out)%3 == 0 {
+			order = rng.Perm(nOps)
+		}
+		add(random(), order)
+	}
+	return out[:n]
 }
 
 // scoreTiles runs graphs through the packed kernel in consecutive tiles
@@ -174,9 +218,10 @@ func scoreTiles[T nn.Float](t *testing.T, sm *StackedModel[T], graphs []*Graph, 
 // the scalar oracle, Model.InferPlanned per member and candidate, on
 // generated inputs: seeded random flow shapes (chain, fan-in join, wide
 // fan-out), ensembles of k members, tiles of C candidates — C = 1 is a
-// single prediction — with all operators on one host, one host per
-// operator, random placements and no hosts at all (query-only
-// featurization). float64 must match bit for bit at every tiling,
+// single prediction — over the candidate mix of oracleCandidates (near
+// copies, duplicates and permuted placement edges, which is what the
+// tile's shared rows must get exactly right) and with no hosts at all
+// (query-only featurization). float64 must match bit for bit at every tiling,
 // float32 within the documented 1e-4 relative bound and bit for bit
 // between tilings; one PackedGraphs and one BatchScratch are reused
 // throughout, across shapes and precisions. The error, nil-scratch and
@@ -469,6 +514,97 @@ func TestPackGraphsSharesHostRows(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("output %d: %v with a duplicate row, %v without", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPackGraphsSharesRows pins the sharing rule on a hand-counted tile:
+// a base placement of source -> filter -> sink, three single-operator
+// moves, one swap and one exact duplicate. With hosts a, b, c and a
+// placement group written host[children]:
+//
+//	base      a a b   a[0 1] b[2]
+//	sink->c   a a c   a[0 1]       c[2]    shares the filter's flow row with base
+//	source->c c a b   c[0]   a[1]  b[2]
+//	filter->b a b b   a[0]   b[1 2]
+//	swap      a b a   a[0 2] b[1]
+//	duplicate a a b   nothing new
+func TestPackGraphsSharesRows(t *testing.T) {
+	base := packBase()
+	plan, err := NewPlan(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements := [][]int{{0, 0, 1}, {0, 0, 2}, {2, 0, 1}, {0, 1, 1}, {0, 1, 0}, {0, 0, 1}}
+	graphs := packCandidates(base, placements)
+	models := newTestEnsemble(t, 2)
+	sm, err := Stack[float64](models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pack packs the tile, checks every output against the scalar oracle
+	// and returns the row counts with the phase-3 rows per flow step.
+	pack := func(graphs []*Graph) ([3]PhaseRows, []int) {
+		t.Helper()
+		pg, err := PackGraphs(graphs, plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, len(graphs)*sm.K())
+		if err := sm.InferEnsembleBatch(pg, nil, got); err != nil {
+			t.Fatal(err)
+		}
+		for ci, g := range graphs {
+			for m, mod := range models {
+				want, err := mod.InferPlanned(g, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[ci*sm.K()+m] != want {
+					t.Fatalf("candidate %d member %d: packed %v != scalar %v", ci, m, got[ci*sm.K()+m], want)
+				}
+			}
+		}
+		steps := make([]int, len(plan.order))
+		for i := range steps {
+			steps[i] = pg.flowOff[i+1] - pg.flowOff[i]
+		}
+		return pg.Rows(), steps
+	}
+
+	// 9 groups: a[0 1] b[2] c[2] c[0] a[1] a[0] b[1 2] a[0 2] b[1]; their
+	// child lists hold 12 operators; the filter step has 4 distinct
+	// (own, source) pairs, the sink step 5, the source none.
+	wantRows := [3]PhaseRows{{13, 9}, {18, 12}, {12, 9}}
+	wantSteps := []int{0, 4, 5}
+	rows, steps := pack(graphs)
+	if rows != wantRows || !slices.Equal(steps, wantSteps) {
+		t.Fatalf("rows %v, per flow step %v; want %v, %v", rows, steps, wantRows, wantSteps)
+	}
+	// The duplicate requested rows and added none.
+	rows, steps = pack(graphs[:5])
+	wantRows[0].Requested, wantRows[1].Requested, wantRows[2].Requested = 11, 15, 10
+	if rows != wantRows || !slices.Equal(steps, wantSteps) {
+		t.Fatalf("without the duplicate: rows %v, per flow step %v; want %v, %v", rows, steps, wantRows, wantSteps)
+	}
+
+	// The child sum is a floating-point sum, so the order of the children
+	// is part of the key: the same three operators on the same host in
+	// another placement-edge order are a group of their own.
+	together := packCandidates(base, [][]int{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
+	together[1].PlaceEdges = [][2]int{{0, 3}, {2, 3}, {1, 3}}
+	if rows, _ = pack(together); rows[0] != (PhaseRows{3, 2}) || rows[1] != (PhaseRows{9, 6}) {
+		t.Fatalf("permuted placement edges: rows %v, want 2 groups of 3 children", rows)
+	}
+	// A value-equal copy of the host vector is another host row, hence
+	// another group (pack checked that no output changed).
+	host := &together[2].Nodes[3]
+	host.Feat = append([]float64(nil), host.Feat...)
+	if rows, _ = pack(together); rows[0] != (PhaseRows{3, 3}) || rows[1] != (PhaseRows{9, 9}) {
+		t.Fatalf("copied host vector: rows %v, want a group per candidate", rows)
+	}
+	// A tile of one computes what it requests.
+	if rows, _ = pack(graphs[2:3]); rows != [3]PhaseRows{{3, 3}, {3, 3}, {2, 2}} {
+		t.Fatalf("tile of one: rows %v", rows)
 	}
 }
 

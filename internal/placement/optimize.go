@@ -45,7 +45,7 @@ type BatchPredictor interface {
 // TileScorer scores tiles of candidates for one fixed (query, cluster)
 // pair. NewScoreSession hoists the placement-invariant work (featurizing
 // the query graph and per-host features, snapshotting the ensemble weight
-// stacks) out of the round; ScoreTile then scores a contiguous tile of
+// stacks) out of the rounds; ScoreTile then scores a contiguous tile of
 // candidates through the packed cross-candidate kernels, writing one
 // PredCosts per candidate into out (len(out) == len(cands)). Results
 // must be identical to per-candidate PredictPlacement calls and must not
@@ -58,10 +58,11 @@ type TileScorer interface {
 	ScoreTile(cands []sim.Placement, out []PredCosts) error
 }
 
-// SessionPredictor is a Predictor that can open a reusable per-round
-// scoring session. Optimize detects this interface and routes candidate
-// tiles through it, falling back to the chunked BatchPredictor path when
-// the session cannot be built (malformed query, incompatible ensembles).
+// SessionPredictor is a Predictor that can open a reusable scoring
+// session. Search opens one per run and scores every round on it;
+// Optimize opens one per call. Both route candidate tiles through it and
+// fall back to the chunked BatchPredictor path when the session cannot be
+// built (malformed query, incompatible ensembles).
 type SessionPredictor interface {
 	Predictor
 	NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error)
@@ -179,28 +180,52 @@ func Optimize(pred Predictor, q *stream.Query, c *hardware.Cluster, candidates [
 	return OptimizeOpts(pred, q, c, candidates, obj, Options{})
 }
 
-// scoreCandidates scores every candidate with the predictor through a
-// bounded pool of workers, merging results into slices indexed by
-// candidate so the output is identical for every worker count.
-//
-// A SessionPredictor scores through a shared per-round session: workers
-// claim fixed-boundary candidate tiles (the session's preferred width)
-// from an atomic counter, so a fast worker takes more tiles instead of
-// idling behind a static partition, and each tile runs one packed
-// cross-candidate kernel pass. A failing tile is re-scored one candidate
-// at a time on the same session to isolate the failing candidates.
-//
-// Other predictors are partitioned into contiguous chunks; a
-// BatchPredictor receives whole chunks so it can featurize the shared
-// query/cluster state once per chunk, with the same per-candidate
-// fallback on chunk failure. A cancelled ctx (nil means background)
-// stops each worker at its next tile or candidate boundary; unscored
-// candidates carry ctx.Err().
+// openSession returns a scoring session for the (query, cluster) pair
+// when the predictor offers one, or nil: a plain predictor has none, and
+// one that cannot be built (malformed query, cluster mismatch) leaves the
+// chunked path of scoreOn to reproduce the per-candidate errors the
+// caller expects.
+func openSession(pred Predictor, q *stream.Query, c *hardware.Cluster) TileScorer {
+	if sp, ok := pred.(SessionPredictor); ok {
+		if sess, err := sp.NewScoreSession(q, c); err == nil {
+			return sess
+		}
+	}
+	return nil
+}
+
+// scoreCandidates scores one candidate list on a session of its own (see
+// openSession and scoreOn).
 func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, opts Options) ([]PredCosts, []error) {
+	return scoreOn(ctx, openSession(pred, q, c), pred, q, c, candidates, opts)
+}
+
+// scoreOn scores every candidate through a bounded pool of workers,
+// merging results into slices indexed by candidate so the output is
+// identical for every worker count.
+//
+// With a session, workers claim fixed-boundary candidate tiles (the
+// session's preferred width) from an atomic counter, so a fast worker
+// takes more tiles instead of idling behind a static partition, and each
+// tile runs one packed cross-candidate kernel pass. A failing tile is
+// re-scored one candidate at a time on the same session to isolate the
+// failing candidates.
+//
+// Without one (sess == nil) the candidates are partitioned into
+// contiguous chunks; a BatchPredictor receives whole chunks so it can
+// featurize the shared query/cluster state once per chunk, with the same
+// per-candidate fallback on chunk failure. A cancelled ctx (nil means
+// background) stops each worker at its next tile or candidate boundary;
+// unscored candidates carry ctx.Err().
+func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, opts Options) ([]PredCosts, []error) {
 	n := len(candidates)
 	costs := make([]PredCosts, n)
 	errs := make([]error, n)
 	if n == 0 {
+		return costs, errs
+	}
+	if sess != nil {
+		scoreTiled(ctx, sess, candidates, costs, errs, opts)
 		return costs, errs
 	}
 	cancelled := func() error {
@@ -208,15 +233,6 @@ func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *ha
 			return nil
 		}
 		return ctx.Err()
-	}
-	if sp, ok := pred.(SessionPredictor); ok {
-		if sess, err := sp.NewScoreSession(q, c); err == nil {
-			scoreTiled(ctx, sess, candidates, costs, errs, opts)
-			return costs, errs
-		}
-		// The session could not be built (malformed query, cluster
-		// mismatch): the chunked path below reproduces the per-candidate
-		// errors the caller expects.
 	}
 	scoreChunk := func(lo, hi int) {
 		if err := cancelled(); err != nil {

@@ -163,6 +163,14 @@ type Core struct {
 	rng    *rand.Rand
 	gen    *generator
 
+	// sess is the search's scoring session, opened by the first round and
+	// kept: the query and every host are featurized once per search, and
+	// every round is scored by the same weight snapshot and precision, so
+	// the incumbent is never compared against another model's scores. Nil
+	// when the predictor offers none (see openSession).
+	sess       TileScorer
+	sessOpened bool
+
 	seen    map[string]int32 // placement key -> index into records
 	keyBuf  []byte
 	records []Scored
@@ -322,7 +330,10 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 	}
 	if len(fresh) > 0 {
 		roundStart := time.Now()
-		costs, errs := scoreCandidates(co.ctx, co.pred, co.q, co.c, fresh, co.opts)
+		if !co.sessOpened {
+			co.sess, co.sessOpened = openSession(co.pred, co.q, co.c), true
+		}
+		costs, errs := scoreOn(co.ctx, co.sess, co.pred, co.q, co.c, fresh, co.opts)
 		co.rounds++
 		for j, p := range fresh {
 			rec := Scored{Placement: p}

@@ -13,13 +13,15 @@ import (
 
 // tileFake is a SessionPredictor whose session scores tiles from a
 // deterministic cost function, poisons whole tiles containing a marked
-// candidate, and counts ScoreTile calls — enough to exercise the tiled
-// scoring engine without real ensembles.
+// candidate, and counts sessions opened and ScoreTile calls — enough to
+// exercise the tiled scoring engine without real ensembles.
 type tileFake struct {
-	tile      int
-	poison    int // candidate host value that fails the tile / the candidate
-	tileCalls atomic.Int64
-	predCalls atomic.Int64
+	tile        int
+	poison      int  // candidate host value that fails the tile / the candidate
+	failSession bool // NewScoreSession errors: the predictor scores per candidate
+	sessions    atomic.Int64
+	tileCalls   atomic.Int64
+	predCalls   atomic.Int64
 }
 
 func fakeCosts(p sim.Placement) PredCosts {
@@ -54,6 +56,10 @@ func (s *tileFakeSession) ScoreTile(cands []sim.Placement, out []PredCosts) erro
 }
 
 func (f *tileFake) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	f.sessions.Add(1)
+	if f.failSession {
+		return nil, fmt.Errorf("no session")
+	}
 	return &tileFakeSession{f: f}, nil
 }
 
@@ -162,5 +168,42 @@ func TestScoreTiledDegenerateTileSize(t *testing.T) {
 		if costs[i] != fakeCosts(p) {
 			t.Fatalf("candidate %d: %+v != %+v", i, costs[i], fakeCosts(p))
 		}
+	}
+}
+
+// TestSearchOpensOneSession: a multi-round search scores every round on
+// the one session its first round opened; when the session cannot be
+// built the search still runs, per candidate, and a failing candidate is
+// an error of that candidate only.
+func TestSearchOpensOneSession(t *testing.T) {
+	q, c := testQuery(), cluster12()
+	f := &tileFake{tile: 4, poison: -1}
+	res, err := Search(f, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds < 2 {
+		t.Fatalf("beam search ran %d rounds, the test needs several", res.Rounds)
+	}
+	if got := f.sessions.Load(); got != 1 {
+		t.Fatalf("%d sessions opened over %d rounds, want 1", got, res.Rounds)
+	}
+	if f.predCalls.Load() != 0 || f.tileCalls.Load() < int64(res.Rounds) {
+		t.Fatalf("%d per-candidate calls and %d tiles over %d rounds on the session path",
+			f.predCalls.Load(), f.tileCalls.Load(), res.Rounds)
+	}
+
+	broken := &tileFake{tile: 4, poison: res.Placement[0], failSession: true}
+	got, err := Search(broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken.tileCalls.Load() != 0 || broken.predCalls.Load() != int64(got.Examined) {
+		t.Fatalf("failed session: %d tiles, %d per-candidate calls for %d candidates",
+			broken.tileCalls.Load(), broken.predCalls.Load(), got.Examined)
+	}
+	if got.Errored == 0 || got.Errored == got.Examined || got.Placement[0] == broken.poison {
+		t.Fatalf("failed session: %d of %d candidates errored, chose %v (poisoned host %d)",
+			got.Errored, got.Examined, got.Placement, broken.poison)
 	}
 }
