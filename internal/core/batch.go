@@ -30,6 +30,12 @@ type inferMetrics struct {
 	// the distinct rows computed for them; computed/requested is the share
 	// of a tile's work its near-duplicate candidates did not save.
 	tileRows [3]struct{ requested, computed *obs.Counter }
+	// ensembleCands counts, per metric (indexed by Metric), the candidates
+	// its ensemble scored on either path. A search round asks for the costs
+	// its objective reads, so after a search the read metrics count the
+	// budget and the others one, the winner: the ratio is the share of
+	// ensemble passes the read set saved.
+	ensembleCands [len(metricNames)]*obs.Counter
 }
 
 var inferMet = sync.OnceValue(func() *inferMetrics {
@@ -59,6 +65,11 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 				"phase", phase, "outcome", outcome)
 		}
 		m.tileRows[i].requested, m.tileRows[i].computed = rows("requested"), rows("computed")
+	}
+	for i, metric := range metricNames {
+		m.ensembleCands[i] = r.Counter("costream_inference_ensemble_candidates_total",
+			"placement candidates scored by each cost metric's ensemble: a search scores every candidate with the metrics its objective reads and only the chosen one with the rest",
+			"metric", metric)
 	}
 	return m
 })
@@ -203,7 +214,7 @@ func (pr *Predictor) ensembles() []*Ensemble {
 }
 
 // PredictBatch implements placement.BatchPredictor: it scores every
-// candidate with all ensemble members through a one-off TileSession —
+// candidate with all five metrics' ensembles through a one-off TileSession —
 // the placement-invariant featurization runs once for the whole batch,
 // and each tile of candidates advances through the packed
 // cross-candidate kernels (see TileSession.ScoreTile). Outputs match
@@ -218,7 +229,7 @@ func (pr *Predictor) PredictBatch(q *stream.Query, c *hardware.Cluster, candidat
 	tile := sess.TileSize()
 	for lo := 0; lo < len(candidates); lo += tile {
 		hi := min(lo+tile, len(candidates))
-		if err := sess.ScoreTile(candidates[lo:hi], out[lo:hi]); err != nil {
+		if err := sess.ScoreTile(candidates[lo:hi], placement.AllCosts, out[lo:hi]); err != nil {
 			return nil, fmt.Errorf("core: batch candidates %d-%d: %w", lo, hi-1, err)
 		}
 	}

@@ -43,17 +43,17 @@ func TrainEnsemble(train, val *dataset.Corpus, metric Metric, cfg TrainConfig, k
 	return trainEnsembleFromSamples(metric, trainSamples, valSamples, cfg, k)
 }
 
-// scoreOne scores one placement with the given ensembles: a single
-// prediction is a tile of one on a one-off TileSession, so it runs the
-// same packed kernels (and the same per-member fallback for unstackable
-// ensembles) as a search round.
+// scoreOne scores one placement with the given ensembles, all costs: a
+// single prediction is a tile of one on a one-off TileSession, so it runs
+// the same packed kernels (and the same per-member fallback for
+// unstackable ensembles) as a search round.
 func scoreOne(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
 	sess, err := newTileSession(ensembles, q, c)
 	if err != nil {
 		return placement.PredCosts{}, err
 	}
 	var out [1]placement.PredCosts
-	if err := sess.ScoreTile([]sim.Placement{p}, out[:]); err != nil {
+	if err := sess.ScoreTile([]sim.Placement{p}, placement.AllCosts, out[:]); err != nil {
 		return placement.PredCosts{}, err
 	}
 	return out[0], nil

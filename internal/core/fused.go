@@ -31,10 +31,10 @@ type fusedSlot struct {
 // placement-invariant featurization (operator graph, message-passing
 // plan) and the ensemble stack snapshots, and ScoreTile then advances a
 // whole candidate tile through the packed cross-candidate kernels, one
-// gnn.InferEnsembleBatch pass per metric ensemble. Ensembles that cannot
-// be stacked (traditional message passing, mixed featurization modes)
-// are scored per member with the scalar Model.InferPlanned inside the
-// tile, so mixed predictors still work.
+// gnn.InferEnsembleBatch pass per metric ensemble the caller asked for.
+// Ensembles that cannot be stacked (traditional message passing, mixed
+// featurization modes) are scored per member with the scalar
+// Model.InferPlanned inside the tile, so mixed predictors still work.
 //
 // ScoreTile is safe for concurrent use: all mutable state lives in
 // pooled per-call scratch.
@@ -178,16 +178,21 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 }
 
 // ScoreTile implements placement.TileScorer: it scores the candidate
-// tile with every metric ensemble, writing one PredCosts per candidate.
-// Stackable ensembles run fused — the tile's graphs are packed once per
-// featurization mode and each ensemble advances all candidates × members
-// in one batched kernel pass; the rest score per candidate and member.
-// Outputs do not depend on the tile size, and at float64 match
-// per-member CostModel.PredictRaw bit for bit. A NaN or infinite raw
-// member output — a poisoned weight or feature — is an error naming the
-// metric and member, never a cost: averaged into one it would compare
-// false against everything and win or lose a search by accident.
-func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts) error {
+// tile with the metric ensembles whose costs need names, setting those
+// fields of every out[i] (a named metric without an ensemble gets the
+// untrained default) and no other. Every ensemble is a pass of its own
+// over the tile, so an ensemble outside need costs nothing — a search
+// round names three of the five — and what a pass writes does not depend
+// on which others ran. Stackable ensembles run fused — the tile's graphs
+// are packed once per featurization mode and each ensemble advances all
+// candidates × members in one batched kernel pass; the rest score per
+// candidate and member. Outputs do not depend on the tile size, and at
+// float64 match per-member CostModel.PredictRaw bit for bit. A NaN or
+// infinite raw member output — a poisoned weight or feature — is an
+// error naming the metric and member, never a cost: averaged into one it
+// would compare false against everything and win or lose a search by
+// accident.
+func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
 	if len(out) != len(cands) {
 		return fmt.Errorf("core: tile output holds %d slots, want %d", len(out), len(cands))
 	}
@@ -196,68 +201,82 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, out []placement.PredCosts
 	}
 	met := inferMet()
 	start := time.Now()
+	// Every needed field starts from what a predictor without that
+	// metric's ensemble reports — optimistic sanity values (success, no
+	// backpressure) and zero costs, so a predictor trained for a single
+	// target metric still drives optimization — and each needed ensemble
+	// then overwrites its own.
 	for i := range out {
-		out[i] = placement.PredCosts{Success: true}
+		need.Copy(&out[i], placement.PredCosts{Success: true})
 	}
 	ts := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(ts)
 
-	if len(s.fused) > 0 {
-		// Pack the tile once per featurization mode used by a fused slot.
-		for mi := range s.fused {
-			mode := s.fused[mi].mode
-			if sameMode(s.fused[:mi], mode) {
-				continue // packed for an earlier slot this call
-			}
-			ms := ts.shells(mode, len(cands))
-			bf := s.batches[mode]
-			for ci, p := range cands {
-				if err := bf.buildGraphInto(p, ms.graphs[ci], &ts.hostSlot); err != nil {
-					return fmt.Errorf("core: tile candidate %d: %w", ci, err)
-				}
-			}
-			pg, err := gnn.PackGraphs(ms.graphs[:len(cands)], bf.Plan(), ms.pg)
-			if err != nil {
-				return fmt.Errorf("core: packing tile: %w", err)
-			}
-			ms.pg = pg
+	// Pack the tile once per featurization mode used by a needed fused slot.
+	for mi, fs := range s.fused {
+		if !fs.e.Metric.in(need) || sameMode(s.fused[:mi], need, fs.mode) {
+			continue // not asked for, or packed for an earlier slot this call
 		}
-		for _, fs := range s.fused {
-			k := fs.sm.K()
-			ts.vals = nn.Grow(ts.vals, len(cands)*k)
-			vals := ts.vals
-			pg := ts.modes[fs.mode].pg
-			fusedStart := time.Now()
-			if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
-				return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
-			}
-			if i := firstNonFinite(vals); i >= 0 {
-				return fmt.Errorf("core: non-finite output for %v, member %d", fs.e.Metric, i%k)
-			}
-			for ci := range cands {
-				row := vals[ci*k : (ci+1)*k]
-				for m := range row {
-					row[m] = fs.e.Models[m].headTransform(row[m])
-				}
-				applyCost(&out[ci], fs.e.Metric, row)
-			}
-			fs.e.paths.recordBatch(true, len(cands), time.Since(fusedStart))
-			for i, rows := range pg.Rows() {
-				met.tileRows[i].requested.Add(int64(rows.Requested))
-				met.tileRows[i].computed.Add(int64(rows.Computed))
+		ms := ts.shells(fs.mode, len(cands))
+		bf := s.batches[fs.mode]
+		for ci, p := range cands {
+			if err := bf.buildGraphInto(p, ms.graphs[ci], &ts.hostSlot); err != nil {
+				return fmt.Errorf("core: tile candidate %d: %w", ci, err)
 			}
 		}
+		pg, err := gnn.PackGraphs(ms.graphs[:len(cands)], bf.Plan(), ms.pg)
+		if err != nil {
+			return fmt.Errorf("core: packing tile: %w", err)
+		}
+		ms.pg = pg
+	}
+	fused := false
+	for _, fs := range s.fused {
+		if !fs.e.Metric.in(need) {
+			continue
+		}
+		fused = true
+		k := fs.sm.K()
+		ts.vals = nn.Grow(ts.vals, len(cands)*k)
+		vals := ts.vals
+		pg := ts.modes[fs.mode].pg
+		fusedStart := time.Now()
+		if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
+			return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
+		}
+		if i := firstNonFinite(vals); i >= 0 {
+			return fmt.Errorf("core: non-finite output for %v, member %d", fs.e.Metric, i%k)
+		}
+		for ci := range cands {
+			row := vals[ci*k : (ci+1)*k]
+			for m := range row {
+				row[m] = fs.e.Models[m].headTransform(row[m])
+			}
+			applyCost(&out[ci], fs.e.Metric, row)
+		}
+		fs.e.paths.recordBatch(true, len(cands), time.Since(fusedStart))
+		met.ensembleCands[fs.e.Metric].Add(int64(len(cands)))
+		for i, rows := range pg.Rows() {
+			met.tileRows[i].requested.Add(int64(rows.Requested))
+			met.tileRows[i].computed.Add(int64(rows.Computed))
+		}
+	}
+	if fused {
 		met.fusedTiles.Inc()
 		met.fusedCandidates.Add(int64(len(cands)))
 	}
 
+	slow := anyIn(s.slow, need)
 	for ci, p := range cands {
-		if len(s.slow) == 0 {
+		if !slow {
 			break
 		}
 		candStart := time.Now()
 		clear(ts.gcache)
 		for _, e := range s.slow {
+			if !e.Metric.in(need) {
+				continue
+			}
 			if err := s.scoreSlow(e, p, ts, &out[ci]); err != nil {
 				return fmt.Errorf("core: tile candidate %d: %w", ci, err)
 			}
@@ -303,6 +322,7 @@ func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, o
 	}
 	applyCost(out, e.Metric, vals)
 	e.paths.recordBatch(false, 1, time.Since(start))
+	inferMet().ensembleCands[e.Metric].Inc()
 	return nil
 }
 
@@ -317,11 +337,27 @@ func firstNonFinite(vals []float64) int {
 	return -1
 }
 
-// sameMode reports whether an earlier fused slot already uses the mode
-// (and hence already packed the tile's graphs for it).
-func sameMode(slots []fusedSlot, mode FeatureMode) bool {
+// sameMode reports whether an earlier needed fused slot already uses the
+// mode (and hence already packed the tile's graphs for it).
+func sameMode(slots []fusedSlot, need placement.CostSet, mode FeatureMode) bool {
 	for _, fs := range slots {
-		if fs.mode == mode {
+		if fs.mode == mode && fs.e.Metric.in(need) {
+			return true
+		}
+	}
+	return false
+}
+
+// in reports whether the metric's PredCosts field is in the set; CostSet's
+// bits are in Metric order.
+func (m Metric) in(set placement.CostSet) bool {
+	return set&(placement.CostThroughput<<m) != 0
+}
+
+// anyIn reports whether the set names the metric of one of the ensembles.
+func anyIn(ensembles []*Ensemble, set placement.CostSet) bool {
+	for _, e := range ensembles {
+		if e.Metric.in(set) {
 			return true
 		}
 	}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"costream/internal/gnn"
+	"costream/internal/hardware"
 	"costream/internal/placement"
 	"costream/internal/sim"
+	"costream/internal/stream"
 )
 
 // randomPredictor builds a full five-metric predictor from seeded GNNs
@@ -26,6 +29,19 @@ func randomPredictor(t testing.TB, k int) *Predictor {
 	}
 }
 
+// distinctPredictor is randomPredictor with every metric's networks
+// seeded differently: no two cost fields agree by construction, and on
+// the corpus's queries the sanity check passes some candidates and drops
+// others — what a test of which field is which, or of a search's
+// choice, needs.
+func distinctPredictor(t testing.TB, k int) *Predictor {
+	pr := &Predictor{}
+	for _, m := range AllMetrics() {
+		pr.set(m, seededEnsemble(t, m, k, false, 900+10*int64(m)))
+	}
+	return pr
+}
+
 var fusedTileSizes = []int{1, 7, 32}
 
 // TestScoreTileMatchesPredictPlacement is the fused-round equivalence
@@ -33,7 +49,7 @@ var fusedTileSizes = []int{1, 7, 32}
 // per-candidate PredictPlacement float64 outputs bit for bit, at every
 // tile size — so how a round is tiled can never change a search result.
 func TestScoreTileMatchesPredictPlacement(t *testing.T) {
-	pr := randomPredictor(t, 3)
+	pr := distinctPredictor(t, 3)
 	c := testCorpus(t)
 	rng := rand.New(rand.NewSource(91))
 	tr := c.Traces[2]
@@ -61,13 +77,39 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 		got := make([]placement.PredCosts, len(cands))
 		for lo := 0; lo < len(cands); lo += tile {
 			hi := min(lo+tile, len(cands))
-			if err := sess.ScoreTile(cands[lo:hi], got[lo:hi]); err != nil {
+			if err := sess.ScoreTile(cands[lo:hi], placement.AllCosts, got[lo:hi]); err != nil {
 				t.Fatalf("tile=%d at %d: %v", tile, lo, err)
 			}
 		}
 		for i := range cands {
 			if got[i] != want[i] {
 				t.Fatalf("tile=%d candidate %d: fused %+v != per-candidate %+v", tile, i, got[i], want[i])
+			}
+		}
+	}
+
+	// Every non-empty need: the named fields hold the full prediction's
+	// values, the others still hold what the caller left there (a value no
+	// prediction of the candidate produces).
+	sess.SetTileSize(7)
+	for need := placement.CostSet(1); need <= placement.AllCosts; need++ {
+		got := make([]placement.PredCosts, len(cands))
+		expect := make([]placement.PredCosts, len(cands))
+		for i := range cands {
+			got[i] = placement.PredCosts{ThroughputTPS: -1, ProcLatencyMS: -2, E2ELatencyMS: -3,
+				Success: !want[i].Success, Backpressured: !want[i].Backpressured}
+			expect[i] = got[i]
+			need.Copy(&expect[i], want[i])
+		}
+		for lo := 0; lo < len(cands); lo += 7 {
+			hi := min(lo+7, len(cands))
+			if err := sess.ScoreTile(cands[lo:hi], need, got[lo:hi]); err != nil {
+				t.Fatalf("need=%05b at %d: %v", need, lo, err)
+			}
+		}
+		for i := range cands {
+			if got[i] != expect[i] {
+				t.Fatalf("need=%05b candidate %d: %+v, want %+v", need, i, got[i], expect[i])
 			}
 		}
 	}
@@ -101,7 +143,7 @@ func TestScoreTileFast32MatchesPerCandidate(t *testing.T) {
 		got := make([]placement.PredCosts, len(cands))
 		for lo := 0; lo < len(cands); lo += tile {
 			hi := min(lo+tile, len(cands))
-			if err := sess.ScoreTile(cands[lo:hi], got[lo:hi]); err != nil {
+			if err := sess.ScoreTile(cands[lo:hi], placement.AllCosts, got[lo:hi]); err != nil {
 				t.Fatalf("tile=%d at %d: %v", tile, lo, err)
 			}
 		}
@@ -132,7 +174,7 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 		t.Fatalf("fused=%d slow=%d slots; want 3 fused + 2 slow", len(sess.fused), len(sess.slow))
 	}
 	got := make([]placement.PredCosts, len(cands))
-	if err := sess.ScoreTile(cands, got); err != nil {
+	if err := sess.ScoreTile(cands, placement.AllCosts, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range cands {
@@ -142,6 +184,38 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 		}
 		if got[i] != single {
 			t.Fatalf("candidate %d: mixed tile %+v != per-candidate %+v", i, got[i], single)
+		}
+	}
+
+	// A need without the two unstackable metrics runs no per-member pass,
+	// one with only an unstackable metric no fused one; either way the
+	// named fields are the full prediction's and the rest are left alone.
+	slowPasses := func() int64 {
+		return pr.ProcLatency.paths.fallbackCalls.Load() + pr.Success.paths.fallbackCalls.Load()
+	}
+	fusedPasses := func() int64 {
+		return pr.Throughput.paths.stackedCalls.Load() + pr.E2ELatency.paths.stackedCalls.Load() +
+			pr.Backpressure.paths.stackedCalls.Load()
+	}
+	for _, need := range []placement.CostSet{
+		placement.CostThroughput | placement.CostE2ELatency | placement.CostBackpressure,
+		placement.CostProcLatency,
+	} {
+		slowBefore, fusedBefore := slowPasses(), fusedPasses()
+		part := make([]placement.PredCosts, len(cands))
+		if err := sess.ScoreTile(cands, need, part); err != nil {
+			t.Fatalf("need=%05b: %v", need, err)
+		}
+		for i := range cands {
+			var expect placement.PredCosts
+			need.Copy(&expect, got[i])
+			if part[i] != expect {
+				t.Fatalf("need=%05b candidate %d: %+v, want %+v", need, i, part[i], expect)
+			}
+		}
+		slowRan, fusedRan := slowPasses() > slowBefore, fusedPasses() > fusedBefore
+		if wantSlow := need&placement.CostProcLatency != 0; slowRan != wantSlow || fusedRan == wantSlow {
+			t.Fatalf("need=%05b: per-member passes ran=%v, fused passes ran=%v", need, slowRan, fusedRan)
 		}
 	}
 }
@@ -173,7 +247,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 			t.Fatalf("traditional=%v: %d slow slots", traditional, slow)
 		}
 		for _, n := range []int{1, len(cands)} {
-			err := sess.ScoreTile(cands[:n], make([]placement.PredCosts, n))
+			err := sess.ScoreTile(cands[:n], placement.AllCosts, make([]placement.PredCosts, n))
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("traditional=%v C=%d: err = %v, want %q", traditional, n, err, want)
 			}
@@ -181,6 +255,27 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 		if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("traditional=%v PredictPlacement: err = %v, want %q", traditional, err, want)
 		}
+	}
+
+	// A poisoned ensemble outside the objective's read set does not fail
+	// the rounds — they never run it — but it fails the search when the
+	// chosen placement's costs are completed: no result carries a cost
+	// nobody could predict.
+	pr := randomPredictor(t, 3)
+	params, _ := pr.Throughput.Models[2].Net.Params()
+	params[len(params)-1][0] = math.NaN()
+	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.ScoreTile(cands, placement.MinProcLatency.Reads(), make([]placement.PredCosts, len(cands))); err != nil {
+		t.Fatalf("ScoreTile without the poisoned metric: %v", err)
+	}
+	want := "non-finite output for " + MetricThroughput.String() + ", member 2"
+	_, err = placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+		placement.Budget{MaxCandidates: 8}, placement.SearchOptions{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("search completing a poisoned metric: err = %v, want %q", err, want)
 	}
 }
 
@@ -198,7 +293,7 @@ func TestScoreTileConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]placement.PredCosts, len(cands))
-	if err := sess.ScoreTile(cands, want); err != nil {
+	if err := sess.ScoreTile(cands, placement.AllCosts, want); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 8
@@ -214,7 +309,7 @@ func TestScoreTileConcurrent(t *testing.T) {
 				tile := 1 + (w+iter)%8
 				for lo := 0; lo < len(cands); lo += tile {
 					hi := min(lo+tile, len(cands))
-					if err := sess.ScoreTile(cands[lo:hi], out[lo:hi]); err != nil {
+					if err := sess.ScoreTile(cands[lo:hi], placement.AllCosts, out[lo:hi]); err != nil {
 						errs[w] = err
 						return
 					}
@@ -263,6 +358,78 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// wholeVectors hides everything but PredictPlacement, so a search scores
+// every candidate in full, one session per candidate, and never completes
+// a vector: the reference for a search that scores only what its objective
+// reads.
+type wholeVectors struct{ p placement.Predictor }
+
+func (w wholeVectors) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+	return w.p.PredictPlacement(q, c, p)
+}
+
+// TestSearchMatchesFullScoring: scoring the rounds with the objective's
+// read set and completing the winner changes nothing a caller can see —
+// every strategy under every objective returns the placement, all five
+// costs (by bits) and the counters of the same search scoring every
+// candidate in full.
+func TestSearchMatchesFullScoring(t *testing.T) {
+	pr := distinctPredictor(t, 2)
+	tr := testCorpus(t).Traces[2] // 5 operators on 5 hosts
+	budget := placement.Budget{MaxCandidates: 40}
+	type run struct {
+		strat placement.Strategy
+		obj   placement.Objective
+		opts  placement.SearchOptions
+	}
+	var runs []run
+	for _, name := range placement.StrategyNames() {
+		strat, err := placement.ParseStrategy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []placement.Objective{placement.MinProcLatency, placement.MinE2ELatency, placement.MaxThroughput} {
+			for _, seed := range []int64{1, 5, 9} {
+				runs = append(runs, run{strat, obj, placement.SearchOptions{Seed: seed}})
+			}
+		}
+	}
+	runs = append(runs, run{placement.LocalSearch{}, placement.MinE2ELatency,
+		placement.SearchOptions{Seed: 5, BannedHosts: []int{tr.Placement[0]}}})
+	bits := func(c placement.PredCosts) [5]uint64 {
+		b := [5]uint64{math.Float64bits(c.ThroughputTPS), math.Float64bits(c.ProcLatencyMS), math.Float64bits(c.E2ELatencyMS)}
+		if c.Backpressured {
+			b[3] = 1
+		}
+		if c.Success {
+			b[4] = 1
+		}
+		return b
+	}
+	mixed := 0 // runs whose sanity check dropped some candidates and kept others
+	for _, r := range runs {
+		got, err := placement.Search(pr, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Filtered > 0 && got.Filtered < got.Examined {
+			mixed++
+		}
+		want, err := placement.Search(wholeVectors{pr}, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Placement, want.Placement) || bits(got.Costs) != bits(want.Costs) ||
+			got.Index != want.Index || got.Examined != want.Examined || got.Rounds != want.Rounds ||
+			got.Filtered != want.Filtered || got.Errored != want.Errored {
+			t.Fatalf("%s %v %+v:\nread-set search  %+v\nfull-vector search %+v", r.strat.Name(), r.obj, r.opts, got, want)
+		}
+	}
+	if mixed < len(runs)/2 {
+		t.Fatalf("the sanity check split the candidates in %d of %d runs: the fixture no longer tests it", mixed, len(runs))
+	}
+}
+
 // tileRowCounts reads costream_inference_tile_rows_total as
 // {computed, requested} per phase (host, placed, flow).
 func tileRowCounts() (n [3][2]int64) {
@@ -273,20 +440,26 @@ func tileRowCounts() (n [3][2]int64) {
 }
 
 // TestTileRowsShared pins how many kernel rows two searches compute for
-// the rows their candidates request (counted once per metric ensemble,
-// five here): exact numbers at a fixed seed and one worker, so a change
-// that silently breaks the sharing inside a tile — say, a featurizer that
-// hands every candidate its own host arrays — fails here instead of only
-// getting slower. A single prediction has nothing to share.
+// the rows their candidates request: exact numbers at a fixed seed and one
+// worker, so a change that silently breaks the sharing inside a tile —
+// say, a featurizer that hands every candidate its own host arrays —
+// fails here instead of only getting slower. Rows are counted once per
+// ensemble pass, and a search makes three passes over its rounds, not
+// five: the objective's own metric, success and backpressure are all that
+// ranking reads (placement.Objective.Reads). The other two metrics make
+// one pass each over a tile of one, the chosen placement, which shares
+// nothing. A single prediction has nothing to share either.
 func TestTileRowsShared(t *testing.T) {
 	pr := randomPredictor(t, 3)
 	tr := testCorpus(t).Traces[2] // 5 operators on 5 hosts
 	for _, tc := range []struct {
 		strat placement.Strategy
-		want  [3][2]int64
+		// {computed, requested} rows per phase of one ensemble's pass over
+		// all rounds, and over the chosen placement alone.
+		rounds, winner [3][2]int64
 	}{
-		{placement.Exhaustive{}, [3][2]int64{{210, 975}, {390, 1600}, {665, 1280}}},
-		{placement.LocalSearch{}, [3][2]int64{{570, 1000}, {890, 1600}, {1060, 1280}}},
+		{placement.Exhaustive{}, [3][2]int64{{42, 195}, {78, 320}, {133, 256}}, [3][2]int64{{3, 3}, {5, 5}, {4, 4}}},
+		{placement.LocalSearch{}, [3][2]int64{{114, 200}, {178, 320}, {212, 256}}, [3][2]int64{{3, 3}, {5, 5}, {4, 4}}},
 	} {
 		before := tileRowCounts()
 		res, err := placement.Search(pr, tr.Query, tr.Cluster, tc.strat, placement.MinProcLatency,
@@ -295,13 +468,16 @@ func TestTileRowsShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := tileRowCounts()
+		var want [3][2]int64
 		for i := range got {
-			got[i][0] -= before[i][0]
-			got[i][1] -= before[i][1]
+			for j := range got[i] {
+				got[i][j] -= before[i][j]
+				want[i][j] = 3*tc.rounds[i][j] + 2*tc.winner[i][j]
+			}
 		}
-		if res.Examined != 64 || got != tc.want {
-			t.Fatalf("%s: %d candidates, {computed, requested} rows per phase %v, want 64 and %v",
-				tc.strat.Name(), res.Examined, got, tc.want)
+		if res.Examined != 64 || got != want {
+			t.Fatalf("%s: %d candidates, {computed, requested} rows per phase %v, want 64 and %v (3 x %v + 2 x %v)",
+				tc.strat.Name(), res.Examined, got, want, tc.rounds, tc.winner)
 		}
 	}
 	before := tileRowCounts()
@@ -312,6 +488,48 @@ func TestTileRowsShared(t *testing.T) {
 		if computed, requested := n[0]-before[i][0], n[1]-before[i][1]; computed != requested || requested == 0 {
 			t.Fatalf("single prediction, phase %d: %d rows computed for %d requested", i, computed, requested)
 		}
+	}
+}
+
+// TestEnsembleCandidatesCountTheReadSet reads the saving off the counter a
+// live process exports: a budget-64 search scores 64 candidates with the
+// three metrics its objective reads and one — the chosen placement — with
+// the other two, on the fused path and on the per-member path alike; a
+// single prediction scores one candidate with all five.
+func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
+	pr := randomPredictor(t, 2)
+	pr.E2ELatency = randomEnsemble(t, MetricE2ELatency, 2, true) // unstackable, not read
+	pr.Success = randomEnsemble(t, MetricSuccess, 2, true)       // unstackable, read
+	tr := testCorpus(t).Traces[2]
+	counts := func() (n [5]int64) {
+		for m, c := range inferMet().ensembleCands {
+			n[m] = c.Value()
+		}
+		return n
+	}
+	moved := func(before [5]int64) [5]int64 {
+		after := counts()
+		for m := range after {
+			after[m] -= before[m]
+		}
+		return after
+	}
+	before := counts()
+	res, err := placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+		placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Metric order: throughput, proc-latency, e2e-latency, backpressure, success.
+	if got, want := moved(before), [5]int64{1, 64, 1, 64, 64}; res.Examined != 64 || got != want {
+		t.Fatalf("search of %d candidates scored %v per metric, want %v", res.Examined, got, want)
+	}
+	before = counts()
+	if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := moved(before), [5]int64{1, 1, 1, 1, 1}; got != want {
+		t.Fatalf("one prediction scored %v per metric, want %v", got, want)
 	}
 }
 
@@ -335,7 +553,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]placement.PredCosts, len(cands))
-	if err := sess.ScoreTile(cands, out); err == nil {
+	if err := sess.ScoreTile(cands, placement.AllCosts, out); err == nil {
 		t.Fatal("tile with invalid candidate scored without error")
 	}
 	res, err := placement.OptimizeOpts(pr, tr.Query, tr.Cluster, cands, placement.MinProcLatency,

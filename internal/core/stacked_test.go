@@ -16,6 +16,11 @@ import (
 // the stacked-path tests need real weights and real featurization, not a
 // trained model, so they skip the minutes of fitting.
 func randomEnsemble(t testing.TB, metric Metric, k int, traditional bool) *Ensemble {
+	return seededEnsemble(t, metric, k, traditional, 500)
+}
+
+// seededEnsemble is randomEnsemble with member i's network seeded seed+i.
+func seededEnsemble(t testing.TB, metric Metric, k int, traditional bool, seed int64) *Ensemble {
 	t.Helper()
 	feat := Featurizer{}
 	gcfg := gnn.DefaultConfig(feat.FeatDims())
@@ -23,7 +28,7 @@ func randomEnsemble(t testing.TB, metric Metric, k int, traditional bool) *Ensem
 	gcfg.Traditional = traditional
 	models := make([]*CostModel, k)
 	for i := range models {
-		net, err := gnn.New(gcfg, int64(500+i))
+		net, err := gnn.New(gcfg, seed+int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

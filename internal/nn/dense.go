@@ -259,10 +259,13 @@ type DenseScratch[T Float] struct {
 }
 
 // Grow returns buf resized to n elements, reallocating only when its
-// capacity is short; the contents are unspecified.
+// capacity is short; the contents are unspecified. A reallocation leaves a
+// quarter of headroom: the sizes asked of a pooled scratch follow a
+// high-water mark that creeps (a tile's distinct row count), and an exact
+// fit reallocated the whole plane for every few rows it rose.
 func Grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/4)
 	}
 	return buf[:n]
 }

@@ -24,6 +24,42 @@ type PredCosts struct {
 	Backpressured bool
 }
 
+// CostSet is a set of PredCosts fields: what a TileScorer caller will read
+// from the vectors it asks for. Every cost metric is predicted by its own
+// ensemble, independently of the others, so a caller that names fewer
+// costs saves the inference passes of the rest.
+type CostSet uint8
+
+// The five PredCosts fields, in the paper's metric order.
+const (
+	CostThroughput CostSet = 1 << iota
+	CostProcLatency
+	CostE2ELatency
+	CostBackpressure
+	CostSuccess
+
+	AllCosts = CostThroughput | CostProcLatency | CostE2ELatency | CostBackpressure | CostSuccess
+)
+
+// Copy sets the fields of dst that s names to src's and leaves the rest.
+func (s CostSet) Copy(dst *PredCosts, src PredCosts) {
+	if s&CostThroughput != 0 {
+		dst.ThroughputTPS = src.ThroughputTPS
+	}
+	if s&CostProcLatency != 0 {
+		dst.ProcLatencyMS = src.ProcLatencyMS
+	}
+	if s&CostE2ELatency != 0 {
+		dst.E2ELatencyMS = src.E2ELatencyMS
+	}
+	if s&CostBackpressure != 0 {
+		dst.Backpressured = src.Backpressured
+	}
+	if s&CostSuccess != 0 {
+		dst.Success = src.Success
+	}
+}
+
 // Predictor estimates the execution costs of a query under a placement.
 // COSTREAM's ensemble satisfies this, as does the flat-vector baseline and
 // an oracle wrapping the simulator.
@@ -46,16 +82,22 @@ type BatchPredictor interface {
 // pair. NewScoreSession hoists the placement-invariant work (featurizing
 // the query graph and per-host features, snapshotting the ensemble weight
 // stacks) out of the rounds; ScoreTile then scores a contiguous tile of
-// candidates through the packed cross-candidate kernels, writing one
-// PredCosts per candidate into out (len(out) == len(cands)). Results
-// must be identical to per-candidate PredictPlacement calls and must not
-// depend on how a round is split into tiles. ScoreTile is called
-// concurrently from multiple workers; implementations keep per-call
-// state in private scratch. TileSize is the implementation's preferred
-// tile width (cache-footprint bound); callers may use any width.
+// candidates through the packed cross-candidate kernels, one PredCosts
+// per candidate in out (len(out) == len(cands)). need names the costs the
+// caller will read: ScoreTile sets exactly those fields of every out[i] —
+// to the prediction, or for a metric the predictor was not trained on to
+// the default PredictPlacement reports (Success true, everything else
+// zero) — and leaves the other fields as it found them, so a vector can
+// be completed in place by a second call with the complement. The fields
+// it sets must be identical to per-candidate PredictPlacement calls and
+// must not depend on need or on how a round is split into tiles.
+// ScoreTile is called concurrently from multiple workers;
+// implementations keep per-call state in private scratch. TileSize is the
+// implementation's preferred tile width (cache-footprint bound); callers
+// may use any width.
 type TileScorer interface {
 	TileSize() int
-	ScoreTile(cands []sim.Placement, out []PredCosts) error
+	ScoreTile(cands []sim.Placement, need CostSet, out []PredCosts) error
 }
 
 // SessionPredictor is a Predictor that can open a reusable scoring
@@ -194,10 +236,10 @@ func openSession(pred Predictor, q *stream.Query, c *hardware.Cluster) TileScore
 	return nil
 }
 
-// scoreCandidates scores one candidate list on a session of its own (see
-// openSession and scoreOn).
+// scoreCandidates scores one candidate list in full on a session of its
+// own (see openSession and scoreOn).
 func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, opts Options) ([]PredCosts, []error) {
-	return scoreOn(ctx, openSession(pred, q, c), pred, q, c, candidates, opts)
+	return scoreOn(ctx, openSession(pred, q, c), pred, q, c, candidates, AllCosts, opts)
 }
 
 // scoreOn scores every candidate through a bounded pool of workers,
@@ -207,17 +249,19 @@ func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *ha
 // With a session, workers claim fixed-boundary candidate tiles (the
 // session's preferred width) from an atomic counter, so a fast worker
 // takes more tiles instead of idling behind a static partition, and each
-// tile runs one packed cross-candidate kernel pass. A failing tile is
+// tile runs one packed cross-candidate kernel pass for the costs in need
+// (the other fields of the returned vectors stay zero). A failing tile is
 // re-scored one candidate at a time on the same session to isolate the
 // failing candidates.
 //
 // Without one (sess == nil) the candidates are partitioned into
 // contiguous chunks; a BatchPredictor receives whole chunks so it can
 // featurize the shared query/cluster state once per chunk, with the same
-// per-candidate fallback on chunk failure. A cancelled ctx (nil means
-// background) stops each worker at its next tile or candidate boundary;
-// unscored candidates carry ctx.Err().
-func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, opts Options) ([]PredCosts, []error) {
+// per-candidate fallback on chunk failure. These predictors cannot score
+// part of a vector: need is ignored and every field is set. A cancelled
+// ctx (nil means background) stops each worker at its next tile or
+// candidate boundary; unscored candidates carry ctx.Err().
+func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, need CostSet, opts Options) ([]PredCosts, []error) {
 	n := len(candidates)
 	costs := make([]PredCosts, n)
 	errs := make([]error, n)
@@ -225,7 +269,7 @@ func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Que
 		return costs, errs
 	}
 	if sess != nil {
-		scoreTiled(ctx, sess, candidates, costs, errs, opts)
+		scoreTiled(ctx, sess, candidates, need, costs, errs, opts)
 		return costs, errs
 	}
 	cancelled := func() error {
@@ -287,7 +331,7 @@ func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Que
 // one-candidate tiles on the same session to isolate the failure; a
 // cancelled ctx stops claiming and marks unscored candidates with
 // ctx.Err().
-func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement, costs []PredCosts, errs []error, opts Options) {
+func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement, need CostSet, costs []PredCosts, errs []error, opts Options) {
 	n := len(candidates)
 	tile := sess.TileSize()
 	if tile < 1 {
@@ -309,7 +353,7 @@ func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement
 			}
 			return
 		}
-		if err := sess.ScoreTile(candidates[lo:hi], costs[lo:hi]); err == nil {
+		if err := sess.ScoreTile(candidates[lo:hi], need, costs[lo:hi]); err == nil {
 			return
 		}
 		// The tile failed as a whole; reset any partial results and score
@@ -320,7 +364,7 @@ func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement
 				errs[i] = err
 				continue
 			}
-			if errs[i] = sess.ScoreTile(candidates[i:i+1], costs[i:i+1]); errs[i] != nil {
+			if errs[i] = sess.ScoreTile(candidates[i:i+1], need, costs[i:i+1]); errs[i] != nil {
 				costs[i] = PredCosts{}
 			}
 		}
@@ -362,6 +406,25 @@ func objectiveScore(obj Objective, costs PredCosts) float64 {
 	}
 }
 
+// sane is the paper's sanity check: a candidate predicted to fail or to be
+// backpressured is dropped before selection.
+func sane(costs PredCosts) bool { return costs.Success && !costs.Backpressured }
+
+// Reads names the costs that ranking a candidate under the objective
+// reads: the one objectiveScore scores it by and the two sane looks at.
+// A search asks its scoring session for these and nothing else, so the
+// three functions must change together.
+func (o Objective) Reads() CostSet {
+	switch o {
+	case MaxThroughput:
+		return CostThroughput | CostSuccess | CostBackpressure
+	case MinE2ELatency:
+		return CostE2ELatency | CostSuccess | CostBackpressure
+	default:
+		return CostProcLatency | CostSuccess | CostBackpressure
+	}
+}
+
 // OptimizeOpts is Optimize with explicit engine options. Candidate scores
 // are merged by candidate index, so the same candidate list yields the
 // same Result regardless of Workers.
@@ -391,7 +454,7 @@ func OptimizeOpts(pred Predictor, q *stream.Query, c *hardware.Cluster, candidat
 			fallbackScore = s
 			bestFallback = i
 		}
-		if costs[i].Success && !costs[i].Backpressured {
+		if sane(costs[i]) {
 			if s < bestScore {
 				bestScore = s
 				best = i

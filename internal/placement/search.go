@@ -64,7 +64,9 @@ type SearchOptions struct {
 // SearchResult is the outcome of a Search run.
 type SearchResult struct {
 	Placement sim.Placement
-	Costs     PredCosts
+	// Costs is the full predicted cost vector of Placement, all five
+	// fields, equal to the predictor's PredictPlacement of it.
+	Costs PredCosts
 	// Index is the ordinal of the chosen placement in the stream of
 	// scored candidates (0 = first candidate examined).
 	Index int
@@ -94,7 +96,13 @@ type SearchResult struct {
 // Scored is one scored candidate returned by Core.ScoreRound.
 type Scored struct {
 	Placement sim.Placement
-	Costs     PredCosts
+	// Costs holds what the search's objective reads (Objective.Reads): the
+	// cost it ranks by, Success and Backpressured. A search fills no other
+	// field unless the predictor has no scoring session and can only
+	// return whole vectors, so a strategy ranks by Score and Sane and must
+	// not read the rest. The chosen placement's vector is completed once,
+	// in SearchResult.Costs.
+	Costs PredCosts
 	// Err is the prediction error, if any.
 	Err error
 	// Score is the objective's scalar score (lower is better).
@@ -291,7 +299,11 @@ func (co *Core) MarkComplete() { co.complete = true }
 // duplicates return their cached record without consuming budget, fresh
 // candidates are scored together through the batched worker pool (one
 // generate->score->prune round), and candidates beyond the budget come
-// back with Skipped set. The returned slice is aligned with cands.
+// back with Skipped set. The returned slice is aligned with cands. A
+// round asks the scoring session only for the costs the objective reads
+// (see Scored.Costs): every metric has its own ensemble, and the passes
+// of the two metrics no ranking decision looks at are two fifths of a
+// round's inference.
 func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 	out := make([]Scored, len(cands))
 	roundOpen := (co.budget.MaxRounds <= 0 || co.rounds < co.budget.MaxRounds) && !co.Cancelled()
@@ -333,7 +345,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 		if !co.sessOpened {
 			co.sess, co.sessOpened = openSession(co.pred, co.q, co.c), true
 		}
-		costs, errs := scoreOn(co.ctx, co.sess, co.pred, co.q, co.c, fresh, co.opts)
+		costs, errs := scoreOn(co.ctx, co.sess, co.pred, co.q, co.c, fresh, co.obj.Reads(), co.opts)
 		co.rounds++
 		for j, p := range fresh {
 			rec := Scored{Placement: p}
@@ -347,7 +359,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 			} else {
 				rec.Costs = costs[j]
 				rec.Score = objectiveScore(co.obj, costs[j])
-				rec.Sane = costs[j].Success && !costs[j].Backpressured
+				rec.Sane = sane(costs[j])
 				if !rec.Sane {
 					co.filtered++
 				}
@@ -408,7 +420,13 @@ func (co *Core) incumbent() int {
 	return co.fallbackIdx
 }
 
-// result packages the core's state into a SearchResult.
+// result packages the core's state into a SearchResult. On a scoring
+// session the rounds filled only the costs the objective reads, so the
+// chosen placement's vector is completed here: one tile of one asking for
+// the complement, written into the costs it already has. Each ensemble's
+// pass is independent of the others, so the five fields equal
+// PredictPlacement of the placement; a failing completion fails the
+// search rather than report a cost nobody predicted.
 func (co *Core) result(strategy string) (*SearchResult, error) {
 	idx := co.bestIdx
 	if idx < 0 {
@@ -427,6 +445,13 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 		return nil, fmt.Errorf("placement: %s search scored no candidates: %w", strategy, err)
 	}
 	rec := co.records[idx]
+	if co.sess != nil {
+		costs := []PredCosts{rec.Costs}
+		if err := co.sess.ScoreTile([]sim.Placement{rec.Placement}, AllCosts&^co.obj.Reads(), costs); err != nil {
+			return nil, fmt.Errorf("placement: %s search: completing the costs of the chosen placement: %w", strategy, err)
+		}
+		rec.Costs = costs[0]
+	}
 	return &SearchResult{
 		Placement: rec.Placement,
 		Costs:     rec.Costs,

@@ -3,6 +3,10 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,16 +16,27 @@ import (
 )
 
 // tileFake is a SessionPredictor whose session scores tiles from a
-// deterministic cost function, poisons whole tiles containing a marked
-// candidate, and counts sessions opened and ScoreTile calls — enough to
-// exercise the tiled scoring engine without real ensembles.
+// deterministic cost function — setting only the fields the call's need
+// names — poisons whole tiles containing a marked candidate, and counts
+// sessions opened and ScoreTile calls, recording what each asked for:
+// enough to exercise the tiled scoring engine without real ensembles.
 type tileFake struct {
 	tile        int
-	poison      int  // candidate host value that fails the tile / the candidate
-	failSession bool // NewScoreSession errors: the predictor scores per candidate
+	poison      int     // candidate host value that fails the tile / the candidate
+	failSession bool    // NewScoreSession errors: the predictor scores per candidate
+	failNeed    CostSet // a ScoreTile call asking for exactly these costs errors
 	sessions    atomic.Int64
 	tileCalls   atomic.Int64
 	predCalls   atomic.Int64
+
+	mu    sync.Mutex
+	calls []tileCall
+}
+
+// tileCall is one recorded ScoreTile call.
+type tileCall struct {
+	need  CostSet
+	cands []sim.Placement
 }
 
 func fakeCosts(p sim.Placement) PredCosts {
@@ -44,13 +59,23 @@ type tileFakeSession struct{ f *tileFake }
 
 func (s *tileFakeSession) TileSize() int { return s.f.tile }
 
-func (s *tileFakeSession) ScoreTile(cands []sim.Placement, out []PredCosts) error {
+func (s *tileFakeSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredCosts) error {
 	s.f.tileCalls.Add(1)
+	call := tileCall{need: need}
+	for _, p := range cands {
+		call.cands = append(call.cands, append(sim.Placement(nil), p...))
+	}
+	s.f.mu.Lock()
+	s.f.calls = append(s.f.calls, call)
+	s.f.mu.Unlock()
+	if need == s.f.failNeed {
+		return fmt.Errorf("no prediction for costs %05b", need)
+	}
 	for i, p := range cands {
 		if len(p) > 0 && p[0] == s.f.poison {
 			return fmt.Errorf("poisoned tile")
 		}
-		out[i] = fakeCosts(p)
+		need.Copy(&out[i], fakeCosts(p))
 	}
 	return nil
 }
@@ -205,5 +230,75 @@ func TestSearchOpensOneSession(t *testing.T) {
 	if got.Errored == 0 || got.Errored == got.Examined || got.Placement[0] == broken.poison {
 		t.Fatalf("failed session: %d of %d candidates errored, chose %v (poisoned host %d)",
 			got.Errored, got.Examined, got.Placement, broken.poison)
+	}
+}
+
+// TestSearchScoresWhatTheObjectiveReads pins the read-set contract from
+// the caller's side: every round of a search asks its session for
+// Objective.Reads and nothing else, then exactly one tile of one asks for
+// the complement — the chosen placement — and the result carries all five
+// costs. A predictor without a session returns whole vectors and is never
+// asked to complete one; a failing completion fails the search.
+func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
+	q, c := testQuery(), cluster12()
+	budget := Budget{MaxCandidates: 48}
+	for _, obj := range []Objective{MinProcLatency, MinE2ELatency, MaxThroughput} {
+		reads := obj.Reads()
+		if reads&(CostSuccess|CostBackpressure) != CostSuccess|CostBackpressure || reads == AllCosts {
+			t.Fatalf("%v reads %05b: want the sanity check's two costs and one regression cost", obj, reads)
+		}
+		warm, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var beam *SearchResult
+		for _, strat := range []Strategy{WarmStart{Incumbent: warm, Inner: LocalSearch{}}, Beam{}} {
+			f := &tileFake{tile: 4, poison: -1}
+			res, err := Search(f, q, c, strat, obj, budget, SearchOptions{Seed: 3})
+			if err != nil {
+				t.Fatalf("%v %s: %v", obj, strat.Name(), err)
+			}
+			if res.Rounds < 2 || len(f.calls) < res.Rounds+1 {
+				t.Fatalf("%v %s: %d rounds, %d ScoreTile calls; the test needs several rounds and a completion",
+					obj, strat.Name(), res.Rounds, len(f.calls))
+			}
+			last := f.calls[len(f.calls)-1]
+			for i, call := range f.calls[:len(f.calls)-1] {
+				if call.need != reads {
+					t.Fatalf("%v %s: round call %d asked for %05b, want Reads() = %05b", obj, strat.Name(), i, call.need, reads)
+				}
+			}
+			if last.need != AllCosts&^reads || len(last.cands) != 1 || !slices.Equal(last.cands[0], res.Placement) {
+				t.Fatalf("%v %s: last call asked for %05b of %v, want the complement %05b of the winner %v",
+					obj, strat.Name(), last.need, last.cands, AllCosts&^reads, res.Placement)
+			}
+			if res.Costs != fakeCosts(res.Placement) {
+				t.Fatalf("%v %s: result costs %+v, want all five fields %+v", obj, strat.Name(), res.Costs, fakeCosts(res.Placement))
+			}
+			if f.predCalls.Load() != 0 {
+				t.Fatalf("%v %s: %d PredictPlacement calls on the session path", obj, strat.Name(), f.predCalls.Load())
+			}
+			beam = res
+		}
+
+		plain := &tileFake{tile: 4, poison: -1, failSession: true}
+		res, err := Search(plain, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.tileCalls.Load() != 0 || plain.predCalls.Load() != int64(res.Examined) || res.Costs != fakeCosts(res.Placement) {
+			t.Fatalf("%v without a session: %d tiles, %d predictions for %d candidates, costs %+v",
+				obj, plain.tileCalls.Load(), plain.predCalls.Load(), res.Examined, res.Costs)
+		}
+		if !slices.Equal(res.Placement, beam.Placement) || res.Index != beam.Index || res.Examined != beam.Examined {
+			t.Fatalf("%v: whole vectors chose %v (candidate %d of %d), the read set %v (candidate %d of %d)",
+				obj, res.Placement, res.Index, res.Examined, beam.Placement, beam.Index, beam.Examined)
+		}
+
+		broken := &tileFake{tile: 4, poison: -1, failNeed: AllCosts &^ reads}
+		if _, err := Search(broken, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("no prediction for costs %05b", AllCosts&^reads)) {
+			t.Fatalf("%v: failing completion gave err = %v, want the session's error", obj, err)
+		}
 	}
 }

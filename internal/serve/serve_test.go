@@ -230,6 +230,15 @@ func TestPredictNamesNonFiniteOutput(t *testing.T) {
 	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), want) {
 		t.Fatalf("status %d body %s, want 422 naming %q", w.Code, w.Body, want)
 	}
+
+	// /v1/optimize under the default objective never reads throughput in a
+	// round, so the search runs; completing the chosen placement's costs
+	// is what meets the poisoned ensemble. That is a 422 naming the metric
+	// as well, never a reply with a throughput nobody predicted.
+	w = doJSON(t, s, http.MethodPost, "/v1/optimize", OptimizeRequest{Query: testQuery(t), Cluster: testCluster(), Candidates: 8})
+	if w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), want) {
+		t.Fatalf("optimize: status %d body %s, want 422 naming %q", w.Code, w.Body, want)
+	}
 }
 
 // TestCacheHitEquivalence is the cache acceptance check: the cached

@@ -82,6 +82,7 @@ type engine struct {
 	rng   *rand.Rand
 
 	order    []int     // topological order of operators
+	downs    [][]int   // consumers per operator, in edge order (Query.Downstream)
 	costUS   []float64 // noisy per-tuple cost incl. GC slowdown
 	outRatio []float64 // emitted per processed tuple
 	queue    []float64 // input queue length (tuples)
@@ -104,6 +105,11 @@ type engine struct {
 	backlogStart map[int]float64
 	backlogAcc   map[int]float64
 	sinkArrived  float64
+
+	// Water-fill scratch of hostCPUAlloc, sized for the whole query so the
+	// step loop allocates nothing.
+	alloc, need []float64
+	active      []int
 }
 
 func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates, cfg Config) *engine {
@@ -125,6 +131,13 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 		netBitsAcc:   make([]float64, n),
 		backlogStart: make(map[int]float64),
 		backlogAcc:   make(map[int]float64),
+		downs:        make([][]int, n),
+		alloc:        make([]float64, n),
+		need:         make([]float64, n),
+		active:       make([]int, 0, n),
+	}
+	for _, edge := range q.Edges {
+		e.downs[edge[0]] = append(e.downs[edge[0]], edge[1])
 	}
 	e.sourceIdx = q.Sources()
 	for _, s := range e.sourceIdx {
@@ -164,11 +177,11 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 
 // hostCPUAlloc water-fills the host's cores across the CPU demand of its
 // operators. want[i] is the number of tuples op i would like to process
-// this step; returns allocated core-seconds per op for this step.
+// this step; returns allocated core-seconds per op for this step, in
+// engine-owned scratch that the next call overwrites.
 func (e *engine) hostCPUAlloc(ops []int, want []float64, dt float64) []float64 {
-	alloc := make([]float64, len(ops))
-	need := make([]float64, len(ops))
-	active := make([]int, 0, len(ops))
+	alloc, need, active := e.alloc[:len(ops)], e.need[:len(ops)], e.active[:0]
+	clear(alloc)
 	for k, i := range ops {
 		need[k] = want[k] * e.costUS[i] / 1e6 // core-seconds
 		if need[k] > 0 {
@@ -292,7 +305,7 @@ func (e *engine) run() *Metrics {
 			// is limited by the tightest downstream queue — consulting
 			// only the first downstream would under-charge backpressure
 			// on fan-out plans.
-			downs := e.q.Downstream(i)
+			downs := e.downs[i]
 			if len(downs) > 0 && e.outRatio[i] > 0 {
 				minFree := math.Inf(1)
 				for _, d := range downs {

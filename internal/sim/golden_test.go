@@ -1,0 +1,115 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"costream/internal/hardware"
+	"costream/internal/stream"
+)
+
+// hexMetrics renders every field of m with hex floats, one line per
+// operator and host, so two renderings are equal exactly when the metrics
+// are equal bit for bit.
+func hexMetrics(m *Metrics) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "T=%x Lp=%x Le=%x R=%x sink=%x bp=%v ok=%v crashed=%v\n",
+		m.ThroughputTPS, m.ProcLatencyMS, m.E2ELatencyMS, m.BackpressureRate, m.SinkTuples,
+		m.Backpressured, m.Success, m.Crashed)
+	for i, op := range m.PerOp {
+		fmt.Fprintf(&b, "op%d host=%d in=%x out=%x svc=%x cpu=%x q=%x net=%x\n",
+			i, op.Host, op.InRate, op.OutRate, op.ServiceRate, op.CPUUtil, op.AvgQueue, op.NetOutMbps)
+	}
+	for h, p := range m.HostMemPressure {
+		fmt.Fprintf(&b, "host%d mem=%x\n", h, p)
+	}
+	return b.String()
+}
+
+// TestRunGolden pins the simulator's output bits on two fixed runs. The
+// simulator labels every training trace, so an optimisation of the step
+// loop must not move them: the values below were recorded before the
+// engine's per-step allocations were removed and may only change with a
+// deliberate change of the physics.
+func TestRunGolden(t *testing.T) {
+	// A linear query spread over three hosts: the weak middle host runs
+	// out of CPU and its 2 Mbit/s uplink throttles the filter's output.
+	linear := linearQuery(12000, 0.8)
+	fog := weakHost("fog")
+	fog.NetBandwidthMbps = 2
+	spread := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("edge"), fog, strongHost("cloud")}}
+
+	// A join whose two sources and the join itself share one overloaded
+	// host (the water-fill has to ration cores), with the sink remote.
+	b := stream.NewBuilder()
+	s1 := b.AddSource(6400, []stream.DataType{stream.TypeInt, stream.TypeInt})
+	s2 := b.AddSource(3200, []stream.DataType{stream.TypeInt, stream.TypeDouble})
+	j := b.AddJoin(stream.TypeInt, stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowCountBased, Size: 40, Slide: 40}, 0.001)
+	k := b.AddSink()
+	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
+	join := b.MustBuild()
+	shared := &hardware.Cluster{Hosts: []*hardware.Host{
+		{ID: "one", CPU: 100, RAMMB: 8000, NetLatencyMS: 5, NetBandwidthMbps: 100},
+		strongHost("two"),
+	}}
+
+	for _, tc := range []struct {
+		name string
+		q    *stream.Query
+		c    *hardware.Cluster
+		p    Placement
+		seed int64
+		want string
+	}{
+		{"linear-spread", linear, spread, Placement{0, 1, 2}, 11, goldenLinearSpread},
+		{"join-colocated", join, shared, Placement{0, 0, 0, 1}, 23, goldenJoinColocated},
+	} {
+		cfg := testConfig()
+		cfg.Seed = tc.seed
+		m, err := Run(tc.q, tc.c, tc.p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hexMetrics(m); got != tc.want {
+			t.Errorf("%s: metrics moved\ngot:\n%swant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+const goldenLinearSpread = `T=0x1.869ffffffffbdp+12 Lp=0x1.30fceb547f8c1p+09 Le=0x1.5408b41589815p+13 R=0x1.05b7fffffffd3p+12 sink=0x1.6e36p+17 bp=true ok=true crashed=false
+op0 host=0 in=0x1.e847fffffffadp+12 out=0x1.e847fffffffadp+12 svc=0x1.e847fffffffadp+12 cpu=0x1p+00 q=0x0p+00 net=0x1.3ffffffffffc9p+01
+op1 host=1 in=0x1.e847fffffffadp+12 out=0x1.869ffffffffbdp+12 svc=0x1.e847fffffffadp+12 cpu=0x1p+00 q=0x1.cf2c000000004p+11 net=0x1.fffffffffffa9p+00
+op2 host=2 in=0x1.869ffffffffbdp+12 out=0x1.869ffffffffbdp+12 svc=0x1.869ffffffffbdp+12 cpu=0x1.583e7815c8a84p-04 q=0x0p+00 net=0x0p+00
+host0 mem=0x1p-06
+host1 mem=0x1p-01
+host2 mem=0x1p-06
+`
+
+const goldenJoinColocated = `T=0x1.0dc798937f214p+07 Lp=0x1.2725280b39e0ap+10 Le=0x1.7b98a229b2757p+15 R=0x1.610ae677f7af1p+12 sink=0x1.f9d63e148e63bp+11 bp=true ok=true crashed=false
+op0 host=0 in=0x1.db3986cd1d7ddp+10 out=0x1.db3986cd1d7ddp+10 svc=0x1.db3986cd1d7ddp+10 cpu=0x1.5555555555549p-02 q=0x0p+00 net=0x0p+00
+op1 host=0 in=0x1.004d6fa981cd3p+11 out=0x1.004d6fa981cd3p+11 svc=0x1.004d6fa981cd3p+11 cpu=0x1.5555555555549p-02 q=0x0p+00 net=0x0p+00
+op2 host=0 in=0x1.edea3310108c2p+11 out=0x1.0dc798937f214p+07 svc=0x1.a587de6676a04p+11 cpu=0x1.5555555555549p-02 q=0x1.e732ce147adbfp+11 net=0x1.ef0c404cabba9p-05
+op3 host=1 in=0x1.0dc798937f214p+07 out=0x1.0dc798937f214p+07 svc=0x1.0dc798937f214p+07 cpu=0x1.ea8d4943a1fbbp-09 q=0x0p+00 net=0x0p+00
+host0 mem=0x1.762c4ec4ec4ecp-04
+host1 mem=0x1p-06
+`
+
+// TestRunAllocsIndependentOfDuration: the step loop allocates nothing, so
+// a run six times as long allocates exactly as much.
+func TestRunAllocsIndependentOfDuration(t *testing.T) {
+	q := linearQuery(9000, 0.8)
+	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("edge"), weakHost("fog"), strongHost("cloud")}}
+	allocs := func(durationS float64) float64 {
+		cfg := testConfig()
+		cfg.DurationS = durationS
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(q, c, Placement{0, 1, 2}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(20), allocs(120); short != long {
+		t.Fatalf("%v allocations for a 20 s run, %v for a 120 s run: the step loop allocates", short, long)
+	}
+}
