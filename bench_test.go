@@ -349,7 +349,7 @@ func BenchmarkGNNInfer(b *testing.B) {
 	}
 }
 
-// optimizeBench holds the shared fixture of the batched-optimizer
+// optimizeBench holds the shared fixture of the scoring and search
 // benchmarks: a small trained five-metric predictor plus a fixed query,
 // cluster and candidate set. Trained once per process.
 var (
@@ -394,75 +394,19 @@ func optimizeBenchSetup(b *testing.B) {
 	}
 }
 
-// serialOnly hides the BatchPredictor interface so Optimize falls back to
-// the per-candidate scoring path — the pre-batching behavior, used as the
-// speedup baseline.
-type serialOnly struct{ p placement.Predictor }
-
-func (s serialOnly) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	return s.p.PredictPlacement(q, c, p)
-}
-
-// BenchmarkPredictSerial measures per-candidate PredictPlacement scoring:
-// every candidate opens its own scoring session (one operator-graph
-// featurization and plan per candidate) and runs the packed kernels as a
-// tile of one, so nothing is shared between candidates.
+// BenchmarkPredictSerial measures per-candidate scoring: every candidate
+// opens its own scoring session (one operator-graph featurization and
+// plan per candidate) and runs the packed kernels as a tile of one, so
+// nothing is shared between candidates.
 func BenchmarkPredictSerial(b *testing.B) {
 	optimizeBenchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range optBenchCand {
-			if _, err := optBenchPred.PredictPlacement(optBenchQ, optBenchC, p); err != nil {
+			if _, err := placement.PredictOne(optBenchPred, optBenchQ, optBenchC, p); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkPredictBatch measures the batched scoring path: each candidate
-// is featurized once, the graph is shared across all ensemble members and
-// metrics, and the placement-invariant query/cluster features are cached
-// across the whole candidate set.
-func BenchmarkPredictBatch(b *testing.B) {
-	optimizeBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := optBenchPred.PredictBatch(optBenchQ, optBenchC, optBenchCand); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeSerial measures the pre-batching optimizer: one
-// worker, per-candidate prediction. Baseline for BenchmarkOptimizeBatch.
-func BenchmarkOptimizeSerial(b *testing.B) {
-	optimizeBenchSetup(b)
-	pred := serialOnly{optBenchPred}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := placement.OptimizeOpts(pred, optBenchQ, optBenchC, optBenchCand,
-			placement.MinProcLatency, placement.Options{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeBatch measures the batched, concurrent optimizer:
-// candidate chunks scored through PredictBatch by a GOMAXPROCS-bounded
-// worker pool with a deterministic ordered merge. On a multi-core runner
-// this combines the featurize-once win with near-linear scaling over
-// BenchmarkOptimizeSerial.
-func BenchmarkOptimizeBatch(b *testing.B) {
-	optimizeBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := placement.OptimizeOpts(optBenchPred, optBenchQ, optBenchC, optBenchCand,
-			placement.MinProcLatency, placement.Options{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

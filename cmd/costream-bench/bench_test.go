@@ -57,8 +57,7 @@ func TestCompareUsesAfterAndGates(t *testing.T) {
 	    "BenchmarkServePredict/cold": {
 	      "before": {"ns_per_op": 1302900, "allocs_per_op": 1863},
 	      "after":  {"ns_per_op": 550000,  "allocs_per_op": 293}
-	    },
-	    "BenchmarkOnlyInBase": {"ns_per_op": 1, "allocs_per_op": 1}
+	    }
 	  }
 	}`)
 	okRun := writeBench(t, "ok.json", `{
@@ -73,14 +72,40 @@ func TestCompareUsesAfterAndGates(t *testing.T) {
 	  }
 	}`)
 
-	// 600000 is within 20% of the baseline's "after" (550000); benchmarks
-	// present on only one side are ignored.
+	// 600000 is within 20% of the baseline's "after" (550000); a benchmark
+	// only in the new run is ignored.
 	if ok, err := runCompare(base, okRun, 0.20, ""); err != nil || !ok {
 		t.Fatalf("within-tolerance run: ok=%v err=%v", ok, err)
 	}
 	// 700000 is a 27% ns/op regression: must gate.
 	if ok, err := runCompare(base, bad, 0.20, ""); err != nil || ok {
 		t.Fatalf("regressed run: ok=%v err=%v, want gate", ok, err)
+	}
+}
+
+// TestCompareFailsOnMissingBaseline: a baseline benchmark the new run
+// does not contain fails the compare, and the output names it — a deleted
+// or renamed benchmark cannot drop out of the gate unnoticed.
+func TestCompareFailsOnMissingBaseline(t *testing.T) {
+	base := writeBench(t, "base.json", `{
+	  "benchmarks": {
+	    "BenchmarkX":    {"ns_per_op": 1000, "allocs_per_op": 100},
+	    "BenchmarkGone": {"ns_per_op": 1000, "allocs_per_op": 100}
+	  }
+	}`)
+	cur := writeBench(t, "cur.json", `{
+	  "benchmarks": {"BenchmarkX": {"ns_per_op": 1000, "allocs_per_op": 100}}
+	}`)
+	summary := filepath.Join(t.TempDir(), "summary.md")
+	if ok, err := runCompare(base, cur, 0.20, summary); err != nil || ok {
+		t.Fatalf("baseline benchmark missing from the run: ok=%v err=%v, want gate", ok, err)
+	}
+	data, err := os.ReadFile(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md := string(data); !strings.Contains(md, "| `BenchmarkGone` |") || !strings.Contains(md, "MISSING") {
+		t.Fatalf("summary does not name the missing benchmark:\n%s", md)
 	}
 }
 

@@ -15,9 +15,11 @@
 // ...} pairs as committed in BENCH_<pr>.json; compare uses "after". A
 // baseline entry's "tolerance" field overrides the global -tolerance for
 // that benchmark. -summary appends the diff as a markdown table to a
-// file (CI points it at $GITHUB_STEP_SUMMARY). Only benchmarks present
-// in both files are compared, so machine-dependent sub-benchmarks (e.g.
-// workers=N fan-outs) don't have to match across environments.
+// file (CI points it at $GITHUB_STEP_SUMMARY). Benchmarks only in the new
+// run are ignored, so machine-dependent sub-benchmarks (e.g. workers=N
+// fan-outs) don't have to match across environments; a baseline
+// benchmark the new run lacks fails the compare, named, so a renamed or
+// deleted benchmark cannot leave its gate silently unchecked.
 package main
 
 import (
@@ -101,17 +103,17 @@ func runCompare(basePath, newPath string, tol float64, summaryPath string) (bool
 	if err != nil {
 		return false, fmt.Errorf("new %s: %w", newPath, err)
 	}
-	var names []string
-	for name := range cur.Benchmarks {
-		if _, ok := base.Benchmarks[name]; ok {
+	var names, missing []string
+	for name := range base.Benchmarks {
+		if _, ok := cur.Benchmarks[name]; ok {
 			names = append(names, name)
+		} else {
+			missing = append(missing, name)
 		}
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		return false, fmt.Errorf("no common benchmarks between %s and %s", basePath, newPath)
-	}
-	ok := true
+	sort.Strings(missing)
+	ok := len(missing) == 0
 	var md strings.Builder
 	fmt.Fprintf(&md, "### Benchmark diff vs `%s`\n\n", basePath)
 	md.WriteString("| benchmark | ns/op | Δ ns/op | allocs/op | tol | status |\n")
@@ -136,9 +138,13 @@ func runCompare(basePath, newPath string, tol float64, summaryPath string) (bool
 		fmt.Fprintf(&md, "| `%s` | %.0f → %.0f | %+.1f%% | %d → %d | %.0f%% | %s |\n",
 			name, b.NsPerOp, c.NsPerOp, delta, b.AllocsPerOp, c.AllocsPerOp, t*100, status)
 	}
+	for _, name := range missing {
+		fmt.Printf("%-40s missing from %s  [MISSING]\n", name, newPath)
+		fmt.Fprintf(&md, "| `%s` | — | — | — | — | MISSING |\n", name)
+	}
 	if !ok {
-		fmt.Printf("FAIL: regression beyond tolerance vs %s\n", basePath)
-		md.WriteString("\n**FAIL**: regression beyond tolerance.\n")
+		fmt.Printf("FAIL: regression beyond tolerance or baseline benchmark missing vs %s\n", basePath)
+		md.WriteString("\n**FAIL**: regression beyond tolerance or baseline benchmark missing.\n")
 	} else {
 		fmt.Printf("ok: %d benchmarks within tolerance of %s\n", len(names), basePath)
 		fmt.Fprintf(&md, "\nok: %d benchmarks within tolerance.\n", len(names))

@@ -368,15 +368,22 @@ func (m *Model) Info() ModelInfo { return m.prov }
 // PredictCosts estimates the five cost metrics of executing the query
 // under the given placement, without running it.
 func (m *Model) PredictCosts(q *Query, c *Cluster, p Placement) (Costs, error) {
-	return m.pred.PredictPlacement(q, c, p)
+	return placement.PredictOne(m.pred, q, c, p)
 }
 
 // PredictCostsBatch scores many placement candidates in one call,
 // featurizing each candidate once and sharing the placement-invariant
 // query and cluster features across the batch. Results match per-candidate
-// PredictCosts calls exactly.
+// PredictCosts calls exactly; a candidate that fails to score fails the
+// call, naming it.
 func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) ([]Costs, error) {
-	return m.pred.PredictBatch(q, c, candidates)
+	costs, errs := placement.Score(context.Background(), m.pred, q, c, candidates, placement.AllCosts, 1)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("costream: candidate %d: %w", i, err)
+		}
+	}
+	return costs, nil
 }
 
 // OptimizePlacement samples k heuristic placement candidates

@@ -61,7 +61,8 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded optimize costs %+v != original %+v", gotCosts, wantCosts)
 	}
 
-	// Batch predictions agree too.
+	// Batch predictions agree too, and each row is the candidate's own
+	// PredictCosts.
 	cands := []Placement{{0, 1, 2}, {0, 0, 2}, {1, 1, 2}}
 	wantB, err := model.PredictCostsBatch(q, c, cands)
 	if err != nil {
@@ -74,6 +75,13 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	for i := range wantB {
 		if wantB[i] != gotB[i] {
 			t.Fatalf("batch candidate %d: reloaded %+v != original %+v", i, gotB[i], wantB[i])
+		}
+		single, err := model.PredictCosts(q, c, cands[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantB[i] != single {
+			t.Fatalf("batch candidate %d: %+v != PredictCosts %+v", i, wantB[i], single)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // The format exists to make the paper's zero-shot workflow real: train
 // once, save, and answer placement queries for unseen workloads and
 // hardware from the saved file. Loading an artifact reconstructs a
-// predictor whose PredictPlacement / PredictBatch outputs are
-// bit-identical to the in-memory model that was saved (weights are
+// predictor whose predictions, single or batched, are bit-identical to
+// the in-memory model that was saved (weights are
 // float64 and encoding/json emits the shortest representation that
 // round-trips exactly).
 package artifact

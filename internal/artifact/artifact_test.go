@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/workload"
 )
@@ -86,11 +88,11 @@ func TestRoundTripBitIdentical(t *testing.T) {
 				t.Errorf("artifact mode %v (err %v), want 0644", st.Mode().Perm(), err)
 			}
 			for i, tr := range corp.Traces[:20] {
-				want, err := pred.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+				want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := back.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+				got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,12 +105,9 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			// batch the same placement thrice (exercises the batch path).
 			tr := corp.Traces[0]
 			cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-			want, err := pred.PredictBatch(tr.Query, tr.Cluster, cands)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := back.PredictBatch(tr.Query, tr.Cluster, cands)
-			if err != nil {
+			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {

@@ -294,7 +294,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 		met().migrations.Inc()
 		return dec, nil
 	}
-	incCosts, incErr := p.Predictor.PredictPlacement(effQ, v.Cluster, incumbent)
+	incCosts, incErr := placement.PredictOne(p.Predictor, effQ, v.Cluster, incumbent)
 	switch {
 	case equalPlacements(challenger, incumbent):
 		dec.Action = suppressedPrefix + "search kept the incumbent"

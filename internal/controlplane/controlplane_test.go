@@ -52,16 +52,10 @@ func fakeCosts(c *hardware.Cluster, p sim.Placement) placement.PredCosts {
 	}
 }
 
-func (fakePred) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	return fakeCosts(c, p), nil
-}
-
-func (fakePred) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-	out := make([]placement.PredCosts, len(ps))
-	for i, p := range ps {
-		out[i] = fakeCosts(c, p)
-	}
-	return out, nil
+func (fakePred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+		return fakeCosts(c, p), nil
+	}).NewScoreSession(q, c)
 }
 
 // stubFeed replays a fixed observation (or error) and records the

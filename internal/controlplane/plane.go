@@ -234,7 +234,7 @@ func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, c *hard
 		if touchesBanned(p, v.Banned) {
 			return Status{}, fmt.Errorf("controlplane: adopting placement for %s: placement uses a cordoned host", id)
 		}
-		costs, err := pl.cfg.Policy.Predictor.PredictPlacement(q, c, p)
+		costs, err := placement.PredictOne(pl.cfg.Policy.Predictor, q, c, p)
 		if err != nil {
 			return Status{}, fmt.Errorf("controlplane: pricing placement for %s: %w", id, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/obs"
-	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -42,7 +41,7 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 	r := obs.Default()
 	m := &inferMetrics{
 		featurizeSeconds: r.Histogram("costream_inference_featurize_seconds",
-			"placement-invariant featurization setup per scoring session (TileSession / PredictBatch)", 1e-9),
+			"placement-invariant featurization setup per scoring session", 1e-9),
 		candidateSeconds: r.Histogram("costream_inference_candidate_seconds",
 			"full scoring of one placement candidate on the per-candidate fallback path", 1e-9),
 		tileSeconds: r.Histogram("costream_inference_tile_seconds",
@@ -211,27 +210,4 @@ func (pr *Predictor) ensembles() []*Ensemble {
 		}
 	}
 	return out
-}
-
-// PredictBatch implements placement.BatchPredictor: it scores every
-// candidate with all five metrics' ensembles through a one-off TileSession —
-// the placement-invariant featurization runs once for the whole batch,
-// and each tile of candidates advances through the packed
-// cross-candidate kernels (see TileSession.ScoreTile). Outputs match
-// per-candidate PredictPlacement exactly. Callers scoring several
-// batches for one (query, cluster) should hold a TileSession instead.
-func (pr *Predictor) PredictBatch(q *stream.Query, c *hardware.Cluster, candidates []sim.Placement) ([]placement.PredCosts, error) {
-	sess, err := pr.NewTileSession(q, c)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]placement.PredCosts, len(candidates))
-	tile := sess.TileSize()
-	for lo := 0; lo < len(candidates); lo += tile {
-		hi := min(lo+tile, len(candidates))
-		if err := sess.ScoreTile(candidates[lo:hi], placement.AllCosts, out[lo:hi]); err != nil {
-			return nil, fmt.Errorf("core: batch candidates %d-%d: %w", lo, hi-1, err)
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,9 +11,9 @@ import (
 	"costream/internal/sim"
 )
 
-// trainedBatchPredictor trains a small full predictor once for the batch
+// trainedFullPredictor trains a small full predictor once for the batch
 // equivalence tests.
-func trainedBatchPredictor(t *testing.T) *Predictor {
+func trainedFullPredictor(t *testing.T) *Predictor {
 	t.Helper()
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.8, 0.1, 21)
@@ -34,14 +36,14 @@ func mixModes(e *Ensemble) *Ensemble {
 }
 
 // TestPredictBatchMatchesPredictPlacement is the single-predict contract:
-// PredictPlacement, and each ensemble's PredictValue / PredictLabel, are a
-// tile of one on the same engine as PredictBatch, so they must equal the
-// matching PredictBatch row bit for bit — for a trained stackable
-// predictor, for ensembles that cannot stack (mixed featurization modes,
-// traditional message passing) and for a predictor with only two of the
-// five metrics. Every ensemble is also held to the per-member reference
-// (each member featurizing and inferring on its own), so the two sides
-// cannot agree on a wrong answer.
+// placement.PredictOne, and each ensemble's PredictValue / PredictLabel,
+// are a tile of one on the same engine as placement.Score over a batch, so
+// they must equal the matching batch row bit for bit — for a trained
+// stackable predictor, for ensembles that cannot stack (mixed
+// featurization modes, traditional message passing) and for a predictor
+// with only two of the five metrics. Every ensemble is also held to the
+// per-member reference (each member featurizing and inferring on its
+// own), so the two sides cannot agree on a wrong answer.
 func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 	mixed := randomPredictor(t, 3)
 	mixed.Throughput = mixModes(mixed.Throughput)
@@ -56,7 +58,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 		name string
 		pr   *Predictor
 	}{
-		{"trained", trainedBatchPredictor(t)},
+		{"trained", trainedFullPredictor(t)},
 		{"mixed feature modes", mixed},
 		{"traditional passing", trad},
 		{"two metrics", &Predictor{
@@ -75,15 +77,12 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("trace %d: no candidates", ti)
 			}
-			batch, err := pr.PredictBatch(tr.Query, tr.Cluster, cands)
-			if err != nil {
+			batch, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s, trace %d: %v", tc.name, ti, err)
 			}
-			if len(batch) != len(cands) {
-				t.Fatalf("%s, trace %d: %d batch results for %d candidates", tc.name, ti, len(batch), len(cands))
-			}
 			for i, p := range cands {
-				single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+				single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
 				if err != nil {
 					t.Fatalf("%s, trace %d candidate %d: %v", tc.name, ti, i, err)
 				}
@@ -182,19 +181,19 @@ func TestBatchFeaturizerMatchesBuildGraph(t *testing.T) {
 	}
 }
 
-// TestPredictBatchRejectsInvalidCandidate: an invalid placement in the
-// batch surfaces as an error (Optimize then isolates it via the
-// per-candidate fallback).
+// TestPredictBatchRejectsInvalidCandidate: an invalid placement in a
+// batch is that candidate's error, and its batch-mate still scores.
 func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
-	pr := trainedBatchPredictor(t)
+	pr := trainedFullPredictor(t)
 	c := testCorpus(t)
 	tr := c.Traces[0]
 	bad := make(sim.Placement, len(tr.Placement))
 	for i := range bad {
 		bad[i] = len(tr.Cluster.Hosts) + 5 // out of range
 	}
-	if _, err := pr.PredictBatch(tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}); err == nil {
-		t.Fatal("invalid candidate accepted")
+	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}, placement.AllCosts, 1)
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("valid candidate: %v, invalid candidate: %v", errs[0], errs[1])
 	}
 }
 

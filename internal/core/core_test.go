@@ -7,6 +7,7 @@ import (
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
+	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
 	"costream/internal/workload"
@@ -428,7 +429,7 @@ func TestPredictorSanityDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+	pc, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ type Ensemble struct {
 	stack   atomic.Pointer[ensembleStack]
 	stackMu sync.Mutex
 	fast32  atomic.Bool
-	paths   pathCounters
 }
 
 // TrainEnsemble trains k models with different random initialization seeds
@@ -43,20 +42,14 @@ func TrainEnsemble(train, val *dataset.Corpus, metric Metric, cfg TrainConfig, k
 	return trainEnsembleFromSamples(metric, trainSamples, valSamples, cfg, k)
 }
 
-// scoreOne scores one placement with the given ensembles, all costs: a
-// single prediction is a tile of one on a one-off TileSession, so it runs
-// the same packed kernels (and the same per-member fallback for
-// unstackable ensembles) as a search round.
-func scoreOne(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	sess, err := newTileSession(ensembles, q, c)
-	if err != nil {
-		return placement.PredCosts{}, err
-	}
-	var out [1]placement.PredCosts
-	if err := sess.ScoreTile([]sim.Placement{p}, placement.AllCosts, out[:]); err != nil {
-		return placement.PredCosts{}, err
-	}
-	return out[0], nil
+// predictOne scores one placement with the ensemble alone: a tile of one
+// on a session of a predictor holding only this ensemble, so it runs the
+// same packed kernels (and the same per-member fallback when the members
+// cannot stack) as a search round.
+func (e *Ensemble) predictOne(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+	pr := &Predictor{}
+	pr.set(e.Metric, e)
+	return placement.PredictOne(pr, q, c, p)
 }
 
 // PredictValue returns the ensemble's regression estimate (mean of member
@@ -68,7 +61,7 @@ func (e *Ensemble) PredictValue(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if !e.Metric.IsRegression() {
 		return 0, fmt.Errorf("core: %v is not a regression metric", e.Metric)
 	}
-	costs, err := scoreOne([]*Ensemble{e}, q, c, p)
+	costs, err := e.predictOne(q, c, p)
 	if err != nil {
 		return 0, err
 	}
@@ -86,7 +79,7 @@ func (e *Ensemble) PredictLabel(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if e.Metric.IsRegression() {
 		return false, fmt.Errorf("core: %v is not a classification metric", e.Metric)
 	}
-	costs, err := scoreOne([]*Ensemble{e}, q, c, p)
+	costs, err := e.predictOne(q, c, p)
 	if err != nil {
 		return false, err
 	}
@@ -113,7 +106,10 @@ func (e *Ensemble) PredictTrace(tr *dataset.Trace) (float64, error) {
 }
 
 // Predictor bundles the five per-metric ensembles into a full COSTREAM
-// cost predictor implementing placement.Predictor (Figure 4).
+// cost predictor implementing placement.Predictor (Figure 4). Missing
+// ensembles default to optimistic sanity values (success, no
+// backpressure) so a predictor trained for a single target metric still
+// drives optimization.
 type Predictor struct {
 	Throughput   *Ensemble
 	ProcLatency  *Ensemble
@@ -207,11 +203,4 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 		pr.set(m, e)
 	}
 	return pr, nil
-}
-
-// PredictPlacement implements placement.Predictor. Missing ensembles
-// default to optimistic sanity values (success, no backpressure) so a
-// predictor trained for a single target metric still drives optimization.
-func (pr *Predictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	return scoreOne(pr.ensembles(), q, c, p)
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // fusedSlot is one stackable metric ensemble of a scoring session: the
-// ensemble itself (for head transforms and path counters) plus a
+// ensemble itself (for its metric and head transforms) plus a
 // snapshot of its weight stack — and with it the precision — pinned for
 // the session's lifetime so a concurrent Invalidate or SetFast32 cannot
 // swap weights mid-round.
@@ -46,20 +46,15 @@ type TileSession struct {
 	tile    int
 }
 
-// NewScoreSession implements placement.SessionPredictor.
+// NewScoreSession implements placement.Predictor: a TileSession over the
+// predictor's trained ensembles.
 func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
-	return pr.NewTileSession(q, c)
-}
-
-// NewTileSession prepares a scoring session for the (query, cluster)
-// pair: per-mode batch featurizers, the stack snapshot per ensemble, and
-// the cache-bounded default tile size.
-func (pr *Predictor) NewTileSession(q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
 	return newTileSession(pr.ensembles(), q, c)
 }
 
-// newTileSession is NewTileSession over any set of ensembles: all five of
-// a predictor, or the one behind Ensemble.PredictValue / PredictLabel.
+// newTileSession prepares a scoring session for the (query, cluster) pair
+// over a set of ensembles: per-mode batch featurizers, the stack snapshot
+// per ensemble, and the cache-bounded default tile size.
 func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
 	met := inferMet()
 	featStart := time.Now()
@@ -126,16 +121,6 @@ func (s *TileSession) tileCap() int {
 
 // TileSize implements placement.TileScorer.
 func (s *TileSession) TileSize() int { return s.tile }
-
-// SetTileSize overrides the tile-size heuristic (values below 1 restore
-// it). Exposed for tests and benchmarks that sweep tile widths;
-// equivalence tests rely on results being identical at every width.
-func (s *TileSession) SetTileSize(n int) {
-	if n < 1 {
-		n = s.tileCap()
-	}
-	s.tile = n
-}
 
 // modeShells holds the reusable candidate-graph shells of one
 // featurization mode: individually allocated graphs (stable pointers)
@@ -240,7 +225,6 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 		ts.vals = nn.Grow(ts.vals, len(cands)*k)
 		vals := ts.vals
 		pg := ts.modes[fs.mode].pg
-		fusedStart := time.Now()
 		if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
 			return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
 		}
@@ -254,7 +238,6 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 			}
 			applyCost(&out[ci], fs.e.Metric, row)
 		}
-		fs.e.paths.recordBatch(true, len(cands), time.Since(fusedStart))
 		met.ensembleCands[fs.e.Metric].Add(int64(len(cands)))
 		for i, rows := range pg.Rows() {
 			met.tileRows[i].requested.Add(int64(rows.Requested))
@@ -295,7 +278,6 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 // member runs the scalar planned pass on the candidate's graph for its
 // own featurization mode, built at most once per (candidate, mode).
 func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, out *placement.PredCosts) error {
-	start := time.Now()
 	ts.vals = nn.Grow(ts.vals, len(e.Models))
 	vals := ts.vals
 	for i, m := range e.Models {
@@ -321,7 +303,6 @@ func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, o
 		vals[i] = m.headTransform(vals[i])
 	}
 	applyCost(out, e.Metric, vals)
-	e.paths.recordBatch(false, 1, time.Since(start))
 	inferMet().ensembleCands[e.Metric].Inc()
 	return nil
 }

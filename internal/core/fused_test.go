@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -46,7 +47,7 @@ var fusedTileSizes = []int{1, 7, 32}
 
 // TestScoreTileMatchesPredictPlacement is the fused-round equivalence
 // guarantee: scoring a whole round through ScoreTile must reproduce the
-// per-candidate PredictPlacement float64 outputs bit for bit, at every
+// per-candidate placement.PredictOne float64 outputs bit for bit, at every
 // tile size — so how a round is tiled can never change a search result.
 func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	pr := distinctPredictor(t, 3)
@@ -59,13 +60,13 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	}
 	want := make([]placement.PredCosts, len(cands))
 	for i, p := range cands {
-		single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+		single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
 		want[i] = single
 	}
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,6 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 		t.Fatalf("fused=%d slow=%d slots; want all five fused", len(sess.fused), len(sess.slow))
 	}
 	for _, tile := range append(fusedTileSizes, len(cands)) {
-		sess.SetTileSize(tile)
 		got := make([]placement.PredCosts, len(cands))
 		for lo := 0; lo < len(cands); lo += tile {
 			hi := min(lo+tile, len(cands))
@@ -91,7 +91,6 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	// Every non-empty need: the named fields hold the full prediction's
 	// values, the others still hold what the caller left there (a value no
 	// prediction of the candidate produces).
-	sess.SetTileSize(7)
 	for need := placement.CostSet(1); need <= placement.AllCosts; need++ {
 		got := make([]placement.PredCosts, len(cands))
 		expect := make([]placement.PredCosts, len(cands))
@@ -128,18 +127,17 @@ func TestScoreTileFast32MatchesPerCandidate(t *testing.T) {
 	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 33)
 	want := make([]placement.PredCosts, len(cands))
 	for i, p := range cands {
-		single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+		single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
 		want[i] = single
 	}
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tile := range append(fusedTileSizes, len(cands)) {
-		sess.SetTileSize(tile)
 		got := make([]placement.PredCosts, len(cands))
 		for lo := 0; lo < len(cands); lo += tile {
 			hi := min(lo+tile, len(cands))
@@ -157,7 +155,7 @@ func TestScoreTileFast32MatchesPerCandidate(t *testing.T) {
 
 // TestScoreTileUnstackableFallback checks a mixed predictor: traditional
 // (unstackable) ensembles score per candidate inside the tile, stackable
-// ones fuse, and the merged costs still match PredictPlacement exactly.
+// ones fuse, and the merged costs still match PredictOne exactly.
 func TestScoreTileUnstackableFallback(t *testing.T) {
 	pr := randomPredictor(t, 2)
 	pr.ProcLatency = randomEnsemble(t, MetricProcLatency, 2, true)
@@ -166,7 +164,7 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	tr := c.Traces[1]
 	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 9)
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range cands {
-		single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
+		single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
@@ -190,18 +188,11 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 	// A need without the two unstackable metrics runs no per-member pass,
 	// one with only an unstackable metric no fused one; either way the
 	// named fields are the full prediction's and the rest are left alone.
-	slowPasses := func() int64 {
-		return pr.ProcLatency.paths.fallbackCalls.Load() + pr.Success.paths.fallbackCalls.Load()
-	}
-	fusedPasses := func() int64 {
-		return pr.Throughput.paths.stackedCalls.Load() + pr.E2ELatency.paths.stackedCalls.Load() +
-			pr.Backpressure.paths.stackedCalls.Load()
-	}
 	for _, need := range []placement.CostSet{
 		placement.CostThroughput | placement.CostE2ELatency | placement.CostBackpressure,
 		placement.CostProcLatency,
 	} {
-		slowBefore, fusedBefore := slowPasses(), fusedPasses()
+		fusedBefore, slowBefore := pathSplit()
 		part := make([]placement.PredCosts, len(cands))
 		if err := sess.ScoreTile(cands, need, part); err != nil {
 			t.Fatalf("need=%05b: %v", need, err)
@@ -213,7 +204,8 @@ func TestScoreTileUnstackableFallback(t *testing.T) {
 				t.Fatalf("need=%05b candidate %d: %+v, want %+v", need, i, part[i], expect)
 			}
 		}
-		slowRan, fusedRan := slowPasses() > slowBefore, fusedPasses() > fusedBefore
+		fusedAfter, slowAfter := pathSplit()
+		slowRan, fusedRan := slowAfter > slowBefore, fusedAfter > fusedBefore
 		if wantSlow := need&placement.CostProcLatency != 0; slowRan != wantSlow || fusedRan == wantSlow {
 			t.Fatalf("need=%05b: per-member passes ran=%v, fused passes ran=%v", need, slowRan, fusedRan)
 		}
@@ -239,7 +231,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 		readoutBias[0] = math.NaN()
 		want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
 
-		sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+		sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,8 +244,8 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 				t.Fatalf("traditional=%v C=%d: err = %v, want %q", traditional, n, err, want)
 			}
 		}
-		if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("traditional=%v PredictPlacement: err = %v, want %q", traditional, err, want)
+		if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("traditional=%v PredictOne: err = %v, want %q", traditional, err, want)
 		}
 	}
 
@@ -264,7 +256,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	pr := randomPredictor(t, 3)
 	params, _ := pr.Throughput.Models[2].Net.Params()
 	params[len(params)-1][0] = math.NaN()
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +280,7 @@ func TestScoreTileConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	tr := c.Traces[0]
 	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 24)
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,19 +323,16 @@ func TestScoreTileConcurrent(t *testing.T) {
 	}
 }
 
-// TestOptimizeDeterministicAcrossWorkers runs the full tiled search
-// round at several worker counts: the chosen placement, its costs and
-// the filter counters must not depend on scheduling.
+// TestOptimizeDeterministicAcrossWorkers runs the full tiled search at
+// several worker counts: the chosen placement, its costs and the filter
+// counters must not depend on scheduling.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	pr := randomPredictor(t, 2)
-	c := testCorpus(t)
-	rng := rand.New(rand.NewSource(95))
-	tr := c.Traces[3]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 48)
-	var want *placement.Result
+	tr := testCorpus(t).Traces[3]
+	var want *placement.SearchResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := placement.OptimizeOpts(pr, tr.Query, tr.Cluster, cands, placement.MinProcLatency,
-			placement.Options{Workers: workers})
+		got, err := placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+			placement.Budget{MaxCandidates: 48}, placement.SearchOptions{Seed: 95, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -351,21 +340,21 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 			want = got
 			continue
 		}
-		if got.Index != want.Index || got.Costs != want.Costs ||
-			got.Filtered != want.Filtered || got.Errored != want.Errored {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: result %+v != workers=1 result %+v", workers, got, want)
 		}
 	}
 }
 
-// wholeVectors hides everything but PredictPlacement, so a search scores
-// every candidate in full, one session per candidate, and never completes
-// a vector: the reference for a search that scores only what its objective
-// reads.
+// wholeVectors scores every candidate in full, one session per candidate,
+// behind the PredictorFunc adapter: the reference for a search that scores
+// only what its objective reads.
 type wholeVectors struct{ p placement.Predictor }
 
-func (w wholeVectors) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	return w.p.PredictPlacement(q, c, p)
+func (w wholeVectors) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+		return placement.PredictOne(w.p, q, c, p)
+	}).NewScoreSession(q, c)
 }
 
 // TestSearchMatchesFullScoring: scoring the rounds with the objective's
@@ -481,7 +470,7 @@ func TestTileRowsShared(t *testing.T) {
 		}
 	}
 	before := tileRowCounts()
-	if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement); err != nil {
+	if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range tileRowCounts() {
@@ -525,7 +514,7 @@ func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 		t.Fatalf("search of %d candidates scored %v per metric, want %v", res.Examined, got, want)
 	}
 	before = counts()
-	if _, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement); err != nil {
+	if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := moved(before), [5]int64{1, 1, 1, 1, 1}; got != want {
@@ -548,7 +537,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 		bad[i] = len(tr.Cluster.Hosts) + 7
 	}
 	cands[4] = bad
-	sess, err := pr.NewTileSession(tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,16 +545,17 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 	if err := sess.ScoreTile(cands, placement.AllCosts, out); err == nil {
 		t.Fatal("tile with invalid candidate scored without error")
 	}
-	res, err := placement.OptimizeOpts(pr, tr.Query, tr.Cluster, cands, placement.MinProcLatency,
-		placement.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errored != 1 {
-		t.Fatalf("errored=%d, want exactly the invalid candidate", res.Errored)
-	}
-	if res.Index == 4 {
-		t.Fatal("optimizer chose the invalid candidate")
+	costs, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 2)
+	for i, p := range cands {
+		if (errs[i] != nil) != (i == 4) {
+			t.Fatalf("candidate %d: err = %v, want an error for exactly the invalid candidate", i, errs[i])
+		}
+		if i == 4 {
+			continue
+		}
+		if want, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p); err != nil || costs[i] != want {
+			t.Fatalf("candidate %d: scored %+v, per-candidate %+v (%v)", i, costs[i], want, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"testing"
+
+	"costream/internal/placement"
 )
 
 // trainTinyPredictor trains a minimal full predictor for serialization
@@ -35,11 +37,11 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 	c := testCorpus(t)
 	checked := 0
 	for _, tr := range c.Traces[:25] {
-		want, err := pred.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+		want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := back.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+		got, err := placement.PredictOne(&back, tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}

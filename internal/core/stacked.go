@@ -1,12 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
-	"time"
-
 	"costream/internal/gnn"
 	"costream/internal/nn"
-	"costream/internal/placement"
 )
 
 // tileKernel is an ensemble's weight stack at one precision: a
@@ -105,52 +101,6 @@ func (pr *Predictor) SetFast32(on bool) {
 			s.Ensemble.SetFast32(on)
 		}
 	}
-}
-
-// pathCounters tracks which inference path served the ensemble's
-// predictions and how long the calls took, for the serving layer's
-// /stats endpoint. One "call" is one full-ensemble evaluation of one
-// graph (all k members).
-type pathCounters struct {
-	stackedCalls  atomic.Int64
-	stackedNanos  atomic.Int64
-	fallbackCalls atomic.Int64
-	fallbackNanos atomic.Int64
-}
-
-// recordBatch accounts one evaluation of n graphs — a fused kernel pass
-// over a tile of n, or the per-member fallback on one graph — as one
-// "call" per graph.
-func (pc *pathCounters) recordBatch(stacked bool, n int, d time.Duration) {
-	if n <= 0 {
-		return
-	}
-	if stacked {
-		pc.stackedCalls.Add(int64(n))
-		pc.stackedNanos.Add(int64(d))
-	} else {
-		pc.fallbackCalls.Add(int64(n))
-		pc.fallbackNanos.Add(int64(d))
-	}
-}
-
-func addPaths(ps *placement.InferencePathStats, pc *pathCounters) {
-	ps.StackedCalls += pc.stackedCalls.Load()
-	ps.StackedNanos += pc.stackedNanos.Load()
-	ps.FallbackCalls += pc.fallbackCalls.Load()
-	ps.FallbackNanos += pc.fallbackNanos.Load()
-}
-
-// InferencePathStats sums the inference-path counters over all trained
-// ensembles since process start, implementing placement.PathStatsReporter.
-func (pr *Predictor) InferencePathStats() placement.InferencePathStats {
-	var ps placement.InferencePathStats
-	for _, s := range pr.Ensembles() {
-		if s.Ensemble != nil {
-			addPaths(&ps, &s.Ensemble.paths)
-		}
-	}
-	return ps
 }
 
 // meanOf folds transformed member outputs into the ensemble's regression

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -8,6 +10,7 @@ import (
 
 	"costream/internal/gnn"
 	"costream/internal/hardware"
+	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -73,6 +76,7 @@ func perMemberLabel(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Clus
 func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 	c := testCorpus(t)
 	e := randomEnsemble(t, MetricThroughput, 3, false)
+	fused, slow := pathSplit()
 	for i, tr := range c.Traces[:40] {
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
 		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
@@ -83,10 +87,16 @@ func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 			t.Fatalf("trace %d: stacked %v != per-member %v", i, got, want)
 		}
 	}
-	if e.paths.stackedCalls.Load() == 0 || e.paths.fallbackCalls.Load() != 0 {
-		t.Fatalf("stacked=%d fallback=%d calls; want all stacked",
-			e.paths.stackedCalls.Load(), e.paths.fallbackCalls.Load())
+	if f, s := pathSplit(); f-fused != 40 || s != slow {
+		t.Fatalf("fused=%d per-member=%d candidates; want all 40 fused", f-fused, s-slow)
 	}
+}
+
+// pathSplit reads how many candidates the session kernels scored so far on
+// the fused path and on the per-member path
+// (costream_inference_{fused,fallback}_candidates_total).
+func pathSplit() (fused, slow int64) {
+	return inferMet().fusedCandidates.Value(), inferMet().fallbackCands.Value()
 }
 
 // TestStackedPredictLabelMatchesPerMember does the same for a binary
@@ -121,6 +131,7 @@ func TestTraditionalEnsembleFallsBack(t *testing.T) {
 		}
 		tr := c.Traces[0]
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
+		fused, slow := pathSplit()
 		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
@@ -128,9 +139,8 @@ func TestTraditionalEnsembleFallsBack(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: fallback %v != per-member %v", name, got, want)
 		}
-		if e.paths.fallbackCalls.Load() != 1 || e.paths.stackedCalls.Load() != 0 {
-			t.Fatalf("%s: stacked=%d fallback=%d calls; want one fallback call",
-				name, e.paths.stackedCalls.Load(), e.paths.fallbackCalls.Load())
+		if f, s := pathSplit(); f != fused || s-slow != 1 {
+			t.Fatalf("%s: fused=%d per-member=%d candidates; want one per-member candidate", name, f-fused, s-slow)
 		}
 	}
 }
@@ -145,8 +155,8 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 	}
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	out, err := pr.PredictBatch(tr.Query, tr.Cluster, cands)
-	if err != nil {
+	out, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range cands {
@@ -215,7 +225,7 @@ func TestPredictValueAllocsHoisted(t *testing.T) {
 }
 
 // TestSinglePredictAllocsIgnoreClusterSize pins the lazy host
-// featurization that makes a tile of one affordable: one PredictPlacement
+// featurization that makes a tile of one affordable: one PredictOne
 // allocates the same number of objects on a 6-host and on a 220-host
 // cluster for the same placement — only the hosts a placement uses are
 // featurized — and stays within budget (the per-graph engine it replaced
@@ -240,7 +250,7 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 		best := math.Inf(1)
 		for i := 0; i < 30; i++ {
 			best = min(best, testing.AllocsPerRun(1, func() {
-				if _, err := pr.PredictPlacement(q, c, p); err != nil {
+				if _, err := placement.PredictOne(pr, q, c, p); err != nil {
 					t.Fatal(err)
 				}
 			}))
@@ -249,10 +259,10 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	}
 	aSmall, aBig := measure(small), measure(big)
 	if aSmall != aBig {
-		t.Fatalf("PredictPlacement allocates %v objects on 6 hosts but %v on 220", aSmall, aBig)
+		t.Fatalf("PredictOne allocates %v objects on 6 hosts but %v on 220", aSmall, aBig)
 	}
 	if aBig > 160 {
-		t.Fatalf("PredictPlacement allocates %v objects per call, budget 160", aBig)
+		t.Fatalf("PredictOne allocates %v objects per call, budget 160", aBig)
 	}
 }
 
@@ -311,6 +321,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fused, _ := pathSplit()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for wkr := 0; wkr < 8; wkr++ {
@@ -329,7 +340,8 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := pr.PredictBatch(tr.Query, tr.Cluster, cands); err != nil {
+					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+					if err := errors.Join(scoreErrs...); err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -348,8 +360,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := pr.InferencePathStats()
-	if stats.StackedCalls == 0 || stats.StackedNanos == 0 {
-		t.Fatalf("path stats %+v recorded no stacked work", stats)
+	if f, _ := pathSplit(); f == fused {
+		t.Fatal("no candidate scored on the fused path")
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
+	"costream/internal/placement"
 	"costream/internal/sim"
 )
 
@@ -101,7 +104,8 @@ func TestTrainObserverEpochStats(t *testing.T) {
 }
 
 // TestPredictBatchRecordsInferenceMetrics checks the batched-inference
-// histograms in the default registry accumulate per candidate.
+// histograms in the default registry accumulate per candidate, and that a
+// batch is featurized once.
 func TestPredictBatchRecordsInferenceMetrics(t *testing.T) {
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.8, 0.1, 4)
@@ -116,7 +120,8 @@ func TestPredictBatchRecordsInferenceMetrics(t *testing.T) {
 	featN0 := met.featurizeSeconds.Count()
 	tr := c.Traces[0]
 	placements := []sim.Placement{tr.Placement, tr.Placement}
-	if _, err := pr.PredictBatch(tr.Query, tr.Cluster, placements); err != nil {
+	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, placements, placement.AllCosts, 1)
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.candidates.Value() - cands0; got != int64(len(placements)) {

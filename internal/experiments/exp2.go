@@ -52,7 +52,6 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 		return nil, err
 	}
 	nPerClass := s.scaled(50, 12)
-	const candidates = 16
 	classes := []stream.QueryClass{
 		stream.ClassLinear, stream.ClassLinearAgg,
 		stream.ClassTwoWayJoin, stream.ClassTwoWayJoinAgg,
@@ -69,11 +68,7 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 			cluster := gen.Cluster()
 			initial, err := placement.HeuristicInitial(rng, q, cluster)
 			if err != nil {
-				continue
-			}
-			cands := placement.Enumerate(rng, q, cluster, candidates)
-			if len(cands) == 0 {
-				continue
+				continue // no valid placement of this query on this cluster
 			}
 			runCfg := simCfg
 			runCfg.Seed = int64(9000 + ci*1000 + i)
@@ -83,25 +78,18 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 			}
 			initLp := measuredLp(initM)
 
-			coRes, err := placement.OptimizeOpts(coPred, q, cluster, cands, placement.MinProcLatency, s.optimizeOpts())
+			// One seed per query: both models rank the same candidates.
+			seed := int64(4500 + ci*1000 + i)
+			coLp, err := s.optimizedLp(coPred, q, cluster, seed, runCfg)
 			if err != nil {
 				return nil, err
 			}
-			coM, err := sim.Run(q, cluster, coRes.Placement, runCfg)
+			coRatios = append(coRatios, initLp/maxf(coLp, 1e-3))
+			flLp, err := s.optimizedLp(flPred, q, cluster, seed, runCfg)
 			if err != nil {
 				return nil, err
 			}
-			coRatios = append(coRatios, initLp/maxf(measuredLp(coM), 1e-3))
-
-			flRes, err := placement.OptimizeOpts(flPred, q, cluster, cands, placement.MinProcLatency, s.optimizeOpts())
-			if err != nil {
-				return nil, err
-			}
-			flM, err := sim.Run(q, cluster, flRes.Placement, runCfg)
-			if err != nil {
-				return nil, err
-			}
-			flRatios = append(flRatios, initLp/maxf(measuredLp(flM), 1e-3))
+			flRatios = append(flRatios, initLp/maxf(flLp, 1e-3))
 		}
 		res.Rows = append(res.Rows, SpeedupRow{
 			Class:     class.String(),
@@ -112,6 +100,22 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 		s.Logf("exp2a %v done (n=%d)", class, len(coRatios))
 	}
 	return res, nil
+}
+
+// optimizedLp places the query with the paper's optimizer — the best of
+// 16 random valid placements drawn from seed, ranked by pred — and
+// returns the placement's measured processing latency.
+func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c *hardware.Cluster, seed int64, runCfg sim.Config) (float64, error) {
+	res, err := placement.Search(pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
+		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed, Workers: s.Workers})
+	if err != nil {
+		return 0, err
+	}
+	m, err := sim.Run(q, c, res.Placement, runCfg)
+	if err != nil {
+		return 0, err
+	}
+	return measuredLp(m), nil
 }
 
 func maxf(a, b float64) float64 {
@@ -171,27 +175,17 @@ func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
 	simCfg := s.simConfig()
 	mcfg := placement.DefaultMonitorConfig(simCfg)
 	res := &Exp2bResult{}
-	for _, rate := range rates {
-		for _, sel := range sels {
+	for ri, rate := range rates {
+		for si, sel := range sels {
 			q := gen.FilterQuery(rate, sel)
 			cluster := gen.Cluster()
-			cands := placement.Enumerate(rng, q, cluster, 16)
-			if len(cands) == 0 {
-				continue
-			}
-			coRes, err := placement.OptimizeOpts(coPred, q, cluster, cands, placement.MinProcLatency, s.optimizeOpts())
-			if err != nil {
-				return nil, err
-			}
-			coM, err := sim.Run(q, cluster, coRes.Placement, simCfg)
-			if err != nil {
-				return nil, err
-			}
-			coLp := measuredLp(coM)
-
 			initial, err := placement.HeuristicInitial(rng, q, cluster)
 			if err != nil {
-				continue
+				continue // no valid placement of this query on this cluster
+			}
+			coLp, err := s.optimizedLp(coPred, q, cluster, int64(5600+10*ri+si), simCfg)
+			if err != nil {
+				return nil, err
 			}
 			steps, err := placement.OnlineMonitoring(q, cluster, initial, mcfg)
 			if err != nil {
@@ -340,5 +334,3 @@ func (r *Exp2bResult) Table() *Table {
 		worst, never, len(r.Rows)))
 	return t
 }
-
-var _ = hardware.Cluster{}

@@ -16,7 +16,6 @@ import (
 	"costream/internal/dataset"
 	"costream/internal/flatvec"
 	"costream/internal/gbdt"
-	"costream/internal/placement"
 	"costream/internal/scenario"
 	"costream/internal/sim"
 )
@@ -90,11 +89,6 @@ func NewSuite(scale float64) *Suite {
 		ens:     map[string]*cell[*core.Ensemble]{},
 		flat:    map[string]*cell[*flatvec.Model]{},
 	}
-}
-
-// optimizeOpts returns the placement engine options honoring s.Workers.
-func (s *Suite) optimizeOpts() placement.Options {
-	return placement.Options{Workers: s.Workers}
 }
 
 // defaultWorkers is the worker-pool bound when Suite.Workers is unset.

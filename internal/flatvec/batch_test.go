@@ -1,16 +1,22 @@
 package flatvec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"costream/internal/gbdt"
+	"costream/internal/hardware"
 	"costream/internal/placement"
+	"costream/internal/sim"
+	"costream/internal/stream"
 )
 
-// TestPredictBatchMatchesPredictPlacement: the baseline's batch path must
-// reproduce per-candidate PredictPlacement outputs exactly, despite the
-// shared query-prefix featurization.
+// TestPredictBatchMatchesPredictPlacement is the session's oracle: for
+// every non-empty CostSet and tile widths 1, 7 and all, ScoreTile sets
+// exactly the fields need names, bit for bit the per-metric
+// Model.PredictRaw path's (which featurizes the whole vector per model),
+// and leaves the others as the caller left them.
 func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 	c := testCorpus(t)
 	train, _, _ := c.Split(0.9, 0, 19)
@@ -24,20 +30,70 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 		if len(cands) == 0 {
 			t.Fatalf("trace %d: no candidates", ti)
 		}
-		batch, err := pr.PredictBatch(tr.Query, tr.Cluster, cands)
-		if err != nil {
-			t.Fatalf("trace %d: %v", ti, err)
-		}
+		want := make([]placement.PredCosts, len(cands))
 		for i, p := range cands {
-			single, err := pr.PredictPlacement(tr.Query, tr.Cluster, p)
-			if err != nil {
-				t.Fatalf("trace %d candidate %d: %v", ti, i, err)
-			}
-			if batch[i] != single {
-				t.Errorf("trace %d candidate %d: batch %+v != single %+v", ti, i, batch[i], single)
+			want[i] = perMetric(t, pr, tr.Query, tr.Cluster, p)
+		}
+		sess, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for need := placement.CostSet(1); need <= placement.AllCosts; need++ {
+			for _, tile := range []int{1, 7, len(cands)} {
+				got := make([]placement.PredCosts, len(cands))
+				expect := make([]placement.PredCosts, len(cands))
+				for i := range cands {
+					got[i] = placement.PredCosts{ThroughputTPS: -1, ProcLatencyMS: -2, E2ELatencyMS: -3,
+						Success: !want[i].Success, Backpressured: !want[i].Backpressured}
+					expect[i] = got[i]
+					need.Copy(&expect[i], want[i])
+				}
+				for lo := 0; lo < len(cands); lo += tile {
+					hi := min(lo+tile, len(cands))
+					if err := sess.ScoreTile(cands[lo:hi], need, got[lo:hi]); err != nil {
+						t.Fatalf("trace %d need=%05b tile=%d: %v", ti, need, tile, err)
+					}
+				}
+				for i := range cands {
+					if costBits(got[i]) != costBits(expect[i]) {
+						t.Fatalf("trace %d need=%05b tile=%d candidate %d: %+v, want %+v", ti, need, tile, i, got[i], expect[i])
+					}
+				}
 			}
 		}
 	}
+}
+
+// perMetric predicts the five costs one metric model at a time, each
+// featurizing the whole vector itself: the reference a session must match.
+func perMetric(t *testing.T, pr *Predictor, q *stream.Query, c *hardware.Cluster, p sim.Placement) placement.PredCosts {
+	t.Helper()
+	raw := func(m *Model) float64 {
+		v, err := m.PredictRaw(q, c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	return placement.PredCosts{
+		ThroughputTPS: raw(pr.Throughput),
+		ProcLatencyMS: raw(pr.ProcLatency),
+		E2ELatencyMS:  raw(pr.E2ELatency),
+		Backpressured: raw(pr.Backpressure) > 0.5,
+		Success:       raw(pr.Success) > 0.5,
+	}
+}
+
+// costBits is a cost vector as bits, so comparisons are bit for bit.
+func costBits(pc placement.PredCosts) [5]uint64 {
+	b := [5]uint64{math.Float64bits(pc.ThroughputTPS), math.Float64bits(pc.ProcLatencyMS), math.Float64bits(pc.E2ELatencyMS)}
+	if pc.Backpressured {
+		b[3] = 1
+	}
+	if pc.Success {
+		b[4] = 1
+	}
+	return b
 }
 
 // TestFeaturizeSplitConsistency: the refactored query-prefix /

@@ -41,7 +41,7 @@ func Featurize(q *stream.Query, c *hardware.Cluster, p sim.Placement) ([]float64
 }
 
 // queryFeatures computes the placement-invariant query prefix of the flat
-// vector. Batch scoring computes it once and reuses it for every
+// vector. A scoring session computes it once and reuses it for every
 // candidate.
 func queryFeatures(q *stream.Query) ([]float64, error) {
 	rates, err := q.DeriveRates()
@@ -326,55 +326,56 @@ func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) 
 	return pr, nil
 }
 
-// PredictPlacement implements placement.Predictor.
-func (pr *Predictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	var out placement.PredCosts
-	var err error
-	if out.ThroughputTPS, err = pr.Throughput.PredictRaw(q, c, p); err != nil {
-		return out, err
-	}
-	if out.ProcLatencyMS, err = pr.ProcLatency.PredictRaw(q, c, p); err != nil {
-		return out, err
-	}
-	if out.E2ELatencyMS, err = pr.E2ELatency.PredictRaw(q, c, p); err != nil {
-		return out, err
-	}
-	bp, err := pr.Backpressure.PredictRaw(q, c, p)
-	if err != nil {
-		return out, err
-	}
-	out.Backpressured = bp > 0.5
-	s, err := pr.Success.PredictRaw(q, c, p)
-	if err != nil {
-		return out, err
-	}
-	out.Success = s > 0.5
-	return out, nil
-}
-
-// PredictBatch implements placement.BatchPredictor: the query-level
-// feature prefix is computed once and shared across candidates, and each
-// candidate is featurized once for all five metric models (instead of the
-// five Featurize calls per candidate the per-metric PredictRaw path
-// makes). Outputs match PredictPlacement exactly.
-func (pr *Predictor) PredictBatch(q *stream.Query, c *hardware.Cluster, candidates []sim.Placement) ([]placement.PredCosts, error) {
+// NewScoreSession implements placement.Predictor: the query-level prefix
+// of the flat vector is computed once per session, a tile featurizes each
+// of its candidates once for all the models it runs, and it runs only the
+// models of the costs need names. Every field equals the per-metric
+// Model.PredictRaw path (classifiers thresholded at 0.5).
+func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
 	prefix, err := queryFeatures(q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]placement.PredCosts, len(candidates))
-	for i, p := range candidates {
-		x, err := placementFeatures(prefix, c, p)
+	return &session{pr: pr, c: c, prefix: prefix}, nil
+}
+
+type session struct {
+	pr     *Predictor
+	c      *hardware.Cluster
+	prefix []float64
+}
+
+// TileSize implements placement.TileScorer: a tile's candidates share
+// nothing beyond the session's prefix, so tiles are single candidates.
+func (*session) TileSize() int { return 1 }
+
+// ScoreTile implements placement.TileScorer.
+func (s *session) ScoreTile(cands []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
+	if len(out) != len(cands) {
+		return fmt.Errorf("flatvec: tile output holds %d slots, want %d", len(out), len(cands))
+	}
+	pr := s.pr
+	for i, p := range cands {
+		x, err := placementFeatures(s.prefix, s.c, p)
 		if err != nil {
-			return nil, fmt.Errorf("flatvec: batch candidate %d: %w", i, err)
+			return fmt.Errorf("flatvec: tile candidate %d: %w", i, err)
 		}
-		out[i] = placement.PredCosts{
-			ThroughputTPS: pr.Throughput.predictVec(x),
-			ProcLatencyMS: pr.ProcLatency.predictVec(x),
-			E2ELatencyMS:  pr.E2ELatency.predictVec(x),
-			Backpressured: pr.Backpressure.predictVec(x) > 0.5,
-			Success:       pr.Success.predictVec(x) > 0.5,
+		o := &out[i]
+		if need&placement.CostThroughput != 0 {
+			o.ThroughputTPS = pr.Throughput.predictVec(x)
+		}
+		if need&placement.CostProcLatency != 0 {
+			o.ProcLatencyMS = pr.ProcLatency.predictVec(x)
+		}
+		if need&placement.CostE2ELatency != 0 {
+			o.E2ELatencyMS = pr.E2ELatency.predictVec(x)
+		}
+		if need&placement.CostBackpressure != 0 {
+			o.Backpressured = pr.Backpressure.predictVec(x) > 0.5
+		}
+		if need&placement.CostSuccess != 0 {
+			o.Success = pr.Success.predictVec(x) > 0.5
 		}
 	}
-	return out, nil
+	return nil
 }

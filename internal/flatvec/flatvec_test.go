@@ -8,6 +8,7 @@ import (
 	"costream/internal/core"
 	"costream/internal/dataset"
 	"costream/internal/gbdt"
+	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/workload"
 )
@@ -159,7 +160,7 @@ func TestTrainPredictorImplementsInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := pr.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+	pc, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,26 +20,17 @@ type recordingPredictor struct {
 	scored []sim.Placement
 }
 
-func (r *recordingPredictor) record(ps ...sim.Placement) {
+func (r *recordingPredictor) record(p sim.Placement) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, p := range ps {
-		r.scored = append(r.scored, append(sim.Placement(nil), p...))
-	}
+	r.scored = append(r.scored, append(sim.Placement(nil), p...))
 }
 
-func (r *recordingPredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	r.record(p)
-	return landscapeCosts(q, c, p), nil
-}
-
-func (r *recordingPredictor) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]PredCosts, error) {
-	r.record(ps...)
-	out := make([]PredCosts, len(ps))
-	for i, p := range ps {
-		out[i] = landscapeCosts(q, c, p)
-	}
-	return out, nil
+func (r *recordingPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		r.record(p)
+		return landscapeCosts(q, c, p), nil
+	}).NewScoreSession(q, c)
 }
 
 // TestBannedHostsNeverScored is the cordon guarantee: with BannedHosts
@@ -154,9 +145,11 @@ type cancellingPredictor struct {
 	once   sync.Once
 }
 
-func (p *cancellingPredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, pl sim.Placement) (PredCosts, error) {
-	p.once.Do(p.cancel)
-	return landscapeCosts(q, c, pl), nil
+func (p *cancellingPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, pl sim.Placement) (PredCosts, error) {
+		p.once.Do(p.cancel)
+		return landscapeCosts(q, c, pl), nil
+	}).NewScoreSession(q, c)
 }
 
 func TestOnlineMonitoringCtxPreCancelled(t *testing.T) {

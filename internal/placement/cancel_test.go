@@ -15,34 +15,37 @@ import (
 
 // gatedPredictor scores like landscapePredictor but cancels the attached
 // context from inside its limit-th prediction, modeling a client that
-// disconnects mid-search. It deliberately does not implement
-// BatchPredictor so the scorer walks candidates one by one.
+// disconnects mid-search. Its sessions are the PredictorFunc adapter's,
+// one candidate per tile, so the scorer walks candidates one by one.
 type gatedPredictor struct {
 	mu     sync.Mutex
-	calls  int
+	scored []sim.Placement
 	limit  int
 	cancel context.CancelFunc
 }
 
-func (g *gatedPredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	g.mu.Lock()
-	g.calls++
-	if g.calls == g.limit {
-		g.cancel()
-	}
-	g.mu.Unlock()
-	return landscapeCosts(q, c, p), nil
+func (g *gatedPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		g.mu.Lock()
+		g.scored = append(g.scored, append(sim.Placement(nil), p...))
+		if len(g.scored) == g.limit {
+			g.cancel()
+		}
+		g.mu.Unlock()
+		return landscapeCosts(q, c, p), nil
+	}).NewScoreSession(q, c)
 }
 
-func (g *gatedPredictor) callCount() int {
+func (g *gatedPredictor) calls() []sim.Placement {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.calls
+	return g.scored
 }
 
 // TestSearchCtxCancelMidSearch cancels the context from inside the fifth
 // prediction and asserts the search returns early with the partial
-// incumbent: no predictions happen after the cancellation, the result is
+// incumbent: no candidate is scored after the cancellation — the one
+// prediction that follows completes the incumbent's costs — the result is
 // flagged Cancelled, and the chosen placement is one of the candidates
 // scored before the cut.
 func TestSearchCtxCancelMidSearch(t *testing.T) {
@@ -60,8 +63,9 @@ func TestSearchCtxCancelMidSearch(t *testing.T) {
 		if !res.Cancelled {
 			t.Errorf("%s: result not flagged Cancelled", strat.Name())
 		}
-		if got := pred.callCount(); got != pred.limit {
-			t.Errorf("%s: %d predictions ran, want exactly %d (none after cancel)", strat.Name(), got, pred.limit)
+		calls := pred.calls()
+		if len(calls) != pred.limit+1 || !reflect.DeepEqual(calls[pred.limit], res.Placement) {
+			t.Errorf("%s: %d predictions ran, want %d candidates and the incumbent's completion", strat.Name(), len(calls), pred.limit)
 		}
 		if res.Index >= pred.limit {
 			t.Errorf("%s: incumbent index %d not among the %d scored before cancellation", strat.Name(), res.Index, pred.limit)

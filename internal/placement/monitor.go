@@ -128,7 +128,7 @@ func predictStep(q *stream.Query, c *hardware.Cluster, p sim.Placement, m *sim.M
 	if pred == nil {
 		return nil
 	}
-	costs, err := pred.PredictPlacement(q, c, p)
+	costs, err := PredictOne(pred, q, c, p)
 	if err != nil {
 		return nil
 	}

@@ -118,7 +118,7 @@ func TestSimOracleMatchesSim(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
-	pc, err := oracle.PredictPlacement(q, c, p)
+	pc, err := PredictOne(oracle, q, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}

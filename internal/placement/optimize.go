@@ -3,7 +3,6 @@ package placement
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -60,37 +59,28 @@ func (s CostSet) Copy(dst *PredCosts, src PredCosts) {
 	}
 }
 
-// Predictor estimates the execution costs of a query under a placement.
-// COSTREAM's ensemble satisfies this, as does the flat-vector baseline and
-// an oracle wrapping the simulator.
+// Predictor is the cost model behind every placement decision: it opens a
+// scoring session for one (query, cluster) pair, and the session scores
+// that pair's candidate placements. COSTREAM's ensembles, the flat-vector
+// baseline and the simulator oracle implement it; PredictorFunc adapts a
+// plain per-placement cost function. Score and PredictOne are the two
+// ways to use one outside a search.
 type Predictor interface {
-	PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error)
-}
-
-// BatchPredictor is a Predictor that can score many candidates in one
-// call, amortizing the placement-invariant featurization work (the query
-// graph and per-host features) across the whole batch. PredictBatch must
-// return one PredCosts per candidate, in order, with values identical to
-// per-candidate PredictPlacement calls. Optimize detects this interface
-// and routes candidate chunks through it.
-type BatchPredictor interface {
-	Predictor
-	PredictBatch(q *stream.Query, c *hardware.Cluster, candidates []sim.Placement) ([]PredCosts, error)
+	NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error)
 }
 
 // TileScorer scores tiles of candidates for one fixed (query, cluster)
 // pair. NewScoreSession hoists the placement-invariant work (featurizing
 // the query graph and per-host features, snapshotting the ensemble weight
 // stacks) out of the rounds; ScoreTile then scores a contiguous tile of
-// candidates through the packed cross-candidate kernels, one PredCosts
-// per candidate in out (len(out) == len(cands)). need names the costs the
-// caller will read: ScoreTile sets exactly those fields of every out[i] —
-// to the prediction, or for a metric the predictor was not trained on to
-// the default PredictPlacement reports (Success true, everything else
-// zero) — and leaves the other fields as it found them, so a vector can
-// be completed in place by a second call with the complement. The fields
-// it sets must be identical to per-candidate PredictPlacement calls and
-// must not depend on need or on how a round is split into tiles.
+// candidates, one PredCosts per candidate in out (len(out) == len(cands)).
+// need names the costs the caller will read: ScoreTile sets exactly those
+// fields of every out[i] — to the prediction, or for a metric the
+// predictor was not trained on to the untrained default (Success true,
+// everything else zero) — and leaves the other fields as it found them,
+// so a vector can be completed in place by a second call with the
+// complement. The fields it sets must not depend on need or on how a
+// round is split into tiles: a tile of one (PredictOne) is the reference.
 // ScoreTile is called concurrently from multiple workers;
 // implementations keep per-call state in private scratch. TileSize is the
 // implementation's preferred tile width (cache-footprint bound); callers
@@ -100,33 +90,169 @@ type TileScorer interface {
 	ScoreTile(cands []sim.Placement, need CostSet, out []PredCosts) error
 }
 
-// SessionPredictor is a Predictor that can open a reusable scoring
-// session. Search opens one per run and scores every round on it;
-// Optimize opens one per call. Both route candidate tiles through it and
-// fall back to the chunked BatchPredictor path when the session cannot be
-// built (malformed query, incompatible ensembles).
-type SessionPredictor interface {
-	Predictor
-	NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error)
+// PredictorFunc adapts a function returning whole cost vectors to a
+// Predictor. Its sessions call the function once per candidate (tile
+// width 1) and copy the fields a ScoreTile call's need names, so a search
+// over it ranks exactly as over a native session.
+type PredictorFunc func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error)
+
+// NewScoreSession implements Predictor.
+func (f PredictorFunc) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return &funcSession{f: f, q: q, c: c}, nil
 }
 
-// InferencePathStats counts which inference path served a predictor's
-// full-ensemble evaluations and the total wall time spent in each: the
-// stacked one-pass matrix kernels, or the per-member fallback (ablation
-// architectures, mixed featurizations). Serving layers surface it so
-// kernel regressions show up in production stats, not just benchmarks.
-type InferencePathStats struct {
-	StackedCalls  int64 `json:"stacked_calls"`
-	StackedNanos  int64 `json:"stacked_nanos"`
-	FallbackCalls int64 `json:"fallback_calls"`
-	FallbackNanos int64 `json:"fallback_nanos"`
+type funcSession struct {
+	f PredictorFunc
+	q *stream.Query
+	c *hardware.Cluster
 }
 
-// PathStatsReporter is optionally implemented by predictors that track
-// their inference paths (COSTREAM's ensemble predictor does); consumers
-// type-assert for it.
-type PathStatsReporter interface {
-	InferencePathStats() InferencePathStats
+func (*funcSession) TileSize() int { return 1 }
+
+func (s *funcSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredCosts) error {
+	if len(out) != len(cands) {
+		return fmt.Errorf("placement: tile output holds %d slots, want %d", len(out), len(cands))
+	}
+	for i, p := range cands {
+		costs, err := s.f(s.q, s.c, p)
+		if err != nil {
+			return err
+		}
+		need.Copy(&out[i], costs)
+	}
+	return nil
+}
+
+// PredictOne predicts all five costs of one placement: a tile of one on a
+// session of its own.
+func PredictOne(pred Predictor, q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	sess, err := pred.NewScoreSession(q, c)
+	if err != nil {
+		return PredCosts{}, err
+	}
+	var out [1]PredCosts
+	if err := sess.ScoreTile([]sim.Placement{p}, AllCosts, out[:]); err != nil {
+		return PredCosts{}, err
+	}
+	return out[0], nil
+}
+
+// Score scores every candidate for the costs need names on one session of
+// its own, through a pool of workers (<= 0 selects GOMAXPROCS): one
+// PredCosts and one error per candidate, in candidate order and identical
+// for every worker count. A failing candidate carries its error and zero
+// costs without costing the others theirs; a session that cannot be
+// opened is every candidate's error, and no candidates open none. A
+// cancelled ctx (nil means background) stops scoring at the next tile,
+// and the candidates left unscored carry ctx.Err().
+func Score(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
+	costs := make([]PredCosts, len(cands))
+	errs := make([]error, len(cands))
+	if len(cands) > 0 {
+		scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, workers)
+	}
+	return costs, errs
+}
+
+// openSession opens the predictor's session for (q, c). One that cannot be
+// opened becomes a session whose every tile fails with the error, so each
+// candidate scored on it carries that error.
+func openSession(pred Predictor, q *stream.Query, c *hardware.Cluster) TileScorer {
+	sess, err := pred.NewScoreSession(q, c)
+	if err != nil {
+		return failedSession{err}
+	}
+	return sess
+}
+
+type failedSession struct{ err error }
+
+func (failedSession) TileSize() int { return 1 }
+
+func (s failedSession) ScoreTile([]sim.Placement, CostSet, []PredCosts) error { return s.err }
+
+// tiling is one scoring job: candidates scored on a session for the costs
+// in need, into the candidate-indexed costs and errs.
+type tiling struct {
+	ctx   context.Context
+	sess  TileScorer
+	cands []sim.Placement
+	need  CostSet
+	costs []PredCosts
+	errs  []error
+}
+
+// scoreTiled cuts the candidates into fixed-boundary tiles of the
+// session's preferred width, and workers claim tiles from a shared atomic
+// counter, so a fast worker takes more tiles instead of idling behind a
+// static partition. Tile boundaries depend only on the candidate count
+// and tile width — never on worker scheduling — and ScoreTile results must
+// not depend on tiling, so the merged output is identical for every
+// worker count.
+func scoreTiled(tl tiling, workers int) {
+	n := len(tl.cands)
+	tile := max(tl.sess.TileSize(), 1)
+	nTiles := (n + tile - 1) / tile
+	workers = poolSize(workers, nTiles)
+	if workers == 1 {
+		for lo := 0; lo < n; lo += tile {
+			tl.score(lo, min(lo+tile, n))
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for ; workers > 0; workers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < nTiles; t = int(next.Add(1)) - 1 {
+				tl.score(t*tile, min((t+1)*tile, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// score scores candidates lo..hi-1 as one tile. A tile that fails as a
+// whole is re-scored as tiles of one on the same session to isolate the
+// failing candidates; a cancelled context marks the candidates it stops
+// with ctx.Err().
+func (tl tiling) score(lo, hi int) {
+	if err := ctxErr(tl.ctx); err != nil {
+		for i := lo; i < hi; i++ {
+			tl.errs[i] = err
+		}
+		return
+	}
+	if tl.sess.ScoreTile(tl.cands[lo:hi], tl.need, tl.costs[lo:hi]) == nil {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		tl.costs[i] = PredCosts{}
+		if tl.errs[i] = ctxErr(tl.ctx); tl.errs[i] != nil {
+			continue
+		}
+		if tl.errs[i] = tl.sess.ScoreTile(tl.cands[i:i+1], tl.need, tl.costs[i:i+1]); tl.errs[i] != nil {
+			tl.costs[i] = PredCosts{}
+		}
+	}
+}
+
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// poolSize bounds a worker pool over n items: workers <= 0 selects
+// GOMAXPROCS, and a pool has at least one worker and at most n.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
 }
 
 // Objective selects the target cost metric for placement optimization.
@@ -171,228 +297,6 @@ func ParseObjective(name string) (Objective, error) {
 	return 0, fmt.Errorf("placement: unknown objective %q (want min-processing-latency, min-e2e-latency or max-throughput)", name)
 }
 
-// Result is the outcome of an Optimize call.
-type Result struct {
-	Placement sim.Placement
-	Index     int // index into the candidate slice
-	Costs     PredCosts
-	// Filtered reports how many candidates were removed before selection:
-	// by the sanity check (predicted failure or backpressure) or because
-	// their prediction errored.
-	Filtered int
-	// Errored reports how many candidates failed to score at all (a
-	// subset of Filtered).
-	Errored int
-}
-
-// Options tunes the candidate-scoring engine behind Optimize.
-type Options struct {
-	// Workers bounds the number of concurrent scoring workers. Zero or
-	// negative selects GOMAXPROCS. The chosen placement is independent of
-	// the worker count: candidate scores are merged by candidate index,
-	// and ties break toward the lower index.
-	Workers int
-}
-
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Optimize scores every candidate with the predictor, removes candidates
-// predicted to fail or be backpressured (the paper's sanity check), and
-// returns the remaining candidate optimizing the objective. If the filter
-// removes everything, the best candidate overall is returned, preferring
-// lower predicted cost. Candidates whose prediction errors are skipped
-// (counted in Result.Filtered and Result.Errored); Optimize only fails if
-// every candidate does.
-//
-// Optimize uses default Options; use OptimizeOpts to bound the worker
-// pool explicitly.
-func Optimize(pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, obj Objective) (*Result, error) {
-	return OptimizeOpts(pred, q, c, candidates, obj, Options{})
-}
-
-// openSession returns a scoring session for the (query, cluster) pair
-// when the predictor offers one, or nil: a plain predictor has none, and
-// one that cannot be built (malformed query, cluster mismatch) leaves the
-// chunked path of scoreOn to reproduce the per-candidate errors the
-// caller expects.
-func openSession(pred Predictor, q *stream.Query, c *hardware.Cluster) TileScorer {
-	if sp, ok := pred.(SessionPredictor); ok {
-		if sess, err := sp.NewScoreSession(q, c); err == nil {
-			return sess
-		}
-	}
-	return nil
-}
-
-// scoreCandidates scores one candidate list in full on a session of its
-// own (see openSession and scoreOn).
-func scoreCandidates(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, opts Options) ([]PredCosts, []error) {
-	return scoreOn(ctx, openSession(pred, q, c), pred, q, c, candidates, AllCosts, opts)
-}
-
-// scoreOn scores every candidate through a bounded pool of workers,
-// merging results into slices indexed by candidate so the output is
-// identical for every worker count.
-//
-// With a session, workers claim fixed-boundary candidate tiles (the
-// session's preferred width) from an atomic counter, so a fast worker
-// takes more tiles instead of idling behind a static partition, and each
-// tile runs one packed cross-candidate kernel pass for the costs in need
-// (the other fields of the returned vectors stay zero). A failing tile is
-// re-scored one candidate at a time on the same session to isolate the
-// failing candidates.
-//
-// Without one (sess == nil) the candidates are partitioned into
-// contiguous chunks; a BatchPredictor receives whole chunks so it can
-// featurize the shared query/cluster state once per chunk, with the same
-// per-candidate fallback on chunk failure. These predictors cannot score
-// part of a vector: need is ignored and every field is set. A cancelled
-// ctx (nil means background) stops each worker at its next tile or
-// candidate boundary; unscored candidates carry ctx.Err().
-func scoreOn(ctx context.Context, sess TileScorer, pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, need CostSet, opts Options) ([]PredCosts, []error) {
-	n := len(candidates)
-	costs := make([]PredCosts, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return costs, errs
-	}
-	if sess != nil {
-		scoreTiled(ctx, sess, candidates, need, costs, errs, opts)
-		return costs, errs
-	}
-	cancelled := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	scoreChunk := func(lo, hi int) {
-		if err := cancelled(); err != nil {
-			for i := lo; i < hi; i++ {
-				errs[i] = err
-			}
-			return
-		}
-		if bp, ok := pred.(BatchPredictor); ok {
-			out, err := bp.PredictBatch(q, c, candidates[lo:hi])
-			if err == nil && len(out) == hi-lo {
-				copy(costs[lo:hi], out)
-				return
-			}
-			// The batch call failed as a whole; fall through to
-			// per-candidate scoring to isolate the failing candidates.
-		}
-		for i := lo; i < hi; i++ {
-			if err := cancelled(); err != nil {
-				errs[i] = err
-				continue
-			}
-			costs[i], errs[i] = pred.PredictPlacement(q, c, candidates[i])
-		}
-	}
-	if workers := opts.workers(n); workers == 1 {
-		scoreChunk(0, n)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				scoreChunk(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	return costs, errs
-}
-
-// scoreTiled drives one scoring session: the candidate list is cut into
-// fixed-boundary tiles of the session's preferred width, and workers
-// claim tiles from a shared atomic counter. Tile boundaries depend only
-// on the candidate count and tile width — never on worker scheduling —
-// and ScoreTile results must not depend on tiling, so the merged output
-// is identical for every worker count. A failing tile is re-scored as
-// one-candidate tiles on the same session to isolate the failure; a
-// cancelled ctx stops claiming and marks unscored candidates with
-// ctx.Err().
-func scoreTiled(ctx context.Context, sess TileScorer, candidates []sim.Placement, need CostSet, costs []PredCosts, errs []error, opts Options) {
-	n := len(candidates)
-	tile := sess.TileSize()
-	if tile < 1 {
-		tile = 1
-	}
-	nTiles := (n + tile - 1) / tile
-	cancelled := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	scoreTile := func(t int) {
-		lo := t * tile
-		hi := min(lo+tile, n)
-		if err := cancelled(); err != nil {
-			for i := lo; i < hi; i++ {
-				errs[i] = err
-			}
-			return
-		}
-		if err := sess.ScoreTile(candidates[lo:hi], need, costs[lo:hi]); err == nil {
-			return
-		}
-		// The tile failed as a whole; reset any partial results and score
-		// tiles of one to isolate the failing candidates.
-		for i := lo; i < hi; i++ {
-			costs[i] = PredCosts{}
-			if err := cancelled(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if errs[i] = sess.ScoreTile(candidates[i:i+1], need, costs[i:i+1]); errs[i] != nil {
-				costs[i] = PredCosts{}
-			}
-		}
-	}
-	if workers := opts.workers(nTiles); workers == 1 {
-		for t := 0; t < nTiles; t++ {
-			scoreTile(t)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= nTiles {
-						return
-					}
-					scoreTile(t)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
 // objectiveScore maps predicted costs onto the objective's scalar score;
 // lower is better for every objective.
 func objectiveScore(obj Objective, costs PredCosts) float64 {
@@ -425,68 +329,22 @@ func (o Objective) Reads() CostSet {
 	}
 }
 
-// OptimizeOpts is Optimize with explicit engine options. Candidate scores
-// are merged by candidate index, so the same candidate list yields the
-// same Result regardless of Workers.
-func OptimizeOpts(pred Predictor, q *stream.Query, c *hardware.Cluster, candidates []sim.Placement, obj Objective, opts Options) (*Result, error) {
-	n := len(candidates)
-	if n == 0 {
-		return nil, fmt.Errorf("placement: no candidates to optimize over")
-	}
-	costs, errs := scoreCandidates(context.Background(), pred, q, c, candidates, opts)
-
-	score := func(costs PredCosts) float64 { return objectiveScore(obj, costs) }
-	filtered, errored := 0, 0
-	var firstErr error
-	best, bestFallback := -1, -1
-	bestScore, fallbackScore := math.Inf(1), math.Inf(1)
-	for i := range candidates {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("placement: predicting candidate %d: %w", i, errs[i])
-			}
-			filtered++
-			errored++
-			continue
-		}
-		s := score(costs[i])
-		if s < fallbackScore {
-			fallbackScore = s
-			bestFallback = i
-		}
-		if sane(costs[i]) {
-			if s < bestScore {
-				bestScore = s
-				best = i
-			}
-		} else {
-			filtered++
-		}
-	}
-	if best < 0 {
-		// Everything filtered: fall back to the cheapest scored prediction.
-		best = bestFallback
-	}
-	if best < 0 {
-		return nil, fmt.Errorf("placement: all %d candidates failed to score: %w", n, firstErr)
-	}
-	return &Result{
-		Placement: candidates[best],
-		Index:     best,
-		Costs:     costs[best],
-		Filtered:  filtered,
-		Errored:   errored,
-	}, nil
-}
-
 // SimOracle is a Predictor that runs the execution simulator: it provides
-// perfect cost knowledge and is used by tests and as an upper bound.
+// perfect cost knowledge and is used by tests, the fleet simulator and as
+// an upper bound. Each candidate needs a simulator run of its own, so
+// there is no shared work for a session to hoist: its session is the
+// PredictorFunc adapter over one run per candidate.
 type SimOracle struct {
 	Cfg sim.Config
 }
 
-// PredictPlacement implements Predictor by simulating the placement.
-func (o *SimOracle) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+// NewScoreSession implements Predictor.
+func (o *SimOracle) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return PredictorFunc(o.simulate).NewScoreSession(q, c)
+}
+
+// simulate runs the placement and reports the measured costs.
+func (o *SimOracle) simulate(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
 	m, err := sim.Run(q, c, p, o.Cfg)
 	if err != nil {
 		return PredCosts{}, err
@@ -499,11 +357,6 @@ func (o *SimOracle) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim
 		Backpressured: m.Backpressured,
 	}, nil
 }
-
-// SimOracle deliberately does not implement BatchPredictor: each
-// candidate needs its own simulator run, so there is no shared work to
-// amortize, and the per-candidate path already gives both the chunked
-// worker pool and per-candidate error isolation.
 
 // HeuristicInitial returns the plain heuristic initial placement used as
 // the Exp 2a baseline denominator: the first valid random draw under the

@@ -1,10 +1,11 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"costream/internal/hardware"
@@ -12,44 +13,16 @@ import (
 	"costream/internal/stream"
 )
 
-// indexCosts derives a deterministic fake cost vector from a candidate's
-// first host assignment so tests can stage arbitrary score landscapes.
-type indexedPredictor struct {
-	costs []PredCosts
-	// failAt marks candidate indices whose prediction errors.
-	failAt map[int]bool
-	// batchErr makes whole-chunk PredictBatch calls fail, forcing the
-	// per-candidate fallback.
-	batchErr bool
-	// batch counts PredictBatch calls, serial counts PredictPlacement calls.
-	batch, serial atomic.Int64
-}
-
-func (f *indexedPredictor) idx(p sim.Placement) int { return int(p[0]) }
-
-func (f *indexedPredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	f.serial.Add(1)
-	i := f.idx(p)
-	if f.failAt[i] {
-		return PredCosts{}, fmt.Errorf("fake failure at candidate %d", i)
-	}
-	return f.costs[i], nil
-}
-
-func (f *indexedPredictor) PredictBatch(q *stream.Query, c *hardware.Cluster, candidates []sim.Placement) ([]PredCosts, error) {
-	f.batch.Add(1)
-	if f.batchErr {
-		return nil, fmt.Errorf("fake batch failure")
-	}
-	out := make([]PredCosts, len(candidates))
-	for i, p := range candidates {
-		pc, err := f.PredictPlacement(q, c, p)
-		if err != nil {
-			return nil, err
+// indexedPredictor predicts costs[p[0]] for placement p and fails the
+// candidates failAt marks, so tests can stage arbitrary score landscapes
+// over fakeCandidates.
+func indexedPredictor(costs []PredCosts, failAt map[int]bool) Predictor {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		if failAt[p[0]] {
+			return PredCosts{}, fmt.Errorf("fake failure at candidate %d", p[0])
 		}
-		out[i] = pc
-	}
-	return out, nil
+		return costs[p[0]], nil
+	})
 }
 
 // fakeCandidates returns n placements whose first entry encodes their
@@ -67,13 +40,14 @@ func sanely(lat float64) PredCosts {
 }
 
 // TestOptimizeDeterministicAcrossWorkers is the core determinism
-// guarantee: the same candidates yield the identical Result no matter how
-// many workers score them.
+// guarantee of the scoring engine: the same candidates yield identical
+// costs and errors, in candidate order, no matter how many workers score
+// them — for every objective's read set and for whole vectors.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
 	const n = 37
-	pred := &indexedPredictor{}
+	var costs []PredCosts
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < n; i++ {
 		pc := sanely(1 + rng.Float64()*100)
@@ -83,46 +57,46 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		if i%7 == 0 {
 			pc.Success = false
 		}
-		pred.costs = append(pred.costs, pc)
+		costs = append(costs, pc)
 	}
-	// A couple of duplicated best scores exercise the lowest-index
-	// tie-break.
-	pred.costs[20] = pred.costs[8]
+	pred := indexedPredictor(costs, map[int]bool{3: true, 20: true})
 	cands := fakeCandidates(n)
 
-	for _, obj := range []Objective{MinProcLatency, MinE2ELatency, MaxThroughput} {
-		base, err := OptimizeOpts(pred, q, c, cands, obj, Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", obj, err)
+	for _, need := range []CostSet{MinProcLatency.Reads(), MinE2ELatency.Reads(), MaxThroughput.Reads(), AllCosts} {
+		base, baseErrs := Score(context.Background(), pred, q, c, cands, need, 1)
+		for i := range cands {
+			var want PredCosts
+			if baseErrs[i] == nil {
+				need.Copy(&want, costs[i])
+			}
+			if base[i] != want || (baseErrs[i] != nil) != (i == 3 || i == 20) {
+				t.Fatalf("need=%05b candidate %d: %+v, %v", need, i, base[i], baseErrs[i])
+			}
 		}
 		for _, workers := range []int{2, 3, 8, 64} {
-			got, err := OptimizeOpts(pred, q, c, cands, obj, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", obj, workers, err)
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%v: workers=%d result %+v != serial %+v", obj, workers, got, base)
+			got, errs := Score(context.Background(), pred, q, c, cands, need, workers)
+			if !reflect.DeepEqual(base, got) || !reflect.DeepEqual(baseErrs, errs) {
+				t.Errorf("need=%05b: workers=%d scored %+v / %v, serial %+v / %v", need, workers, got, errs, base, baseErrs)
 			}
 		}
 	}
 }
 
 // TestOptimizeDeterministicWithOracle repeats the determinism check with
-// the real simulator oracle end to end.
+// the real simulator oracle end to end, through a search.
 func TestOptimizeDeterministicWithOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
 	q := testQuery()
 	c := testCluster()
-	cands := Enumerate(rng, q, c, 12)
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
-	base, err := OptimizeOpts(oracle, q, c, cands, MinProcLatency, Options{Workers: 1})
+	budget := Budget{MaxCandidates: 12}
+	base, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, len(cands)} {
-		got, err := OptimizeOpts(oracle, q, c, cands, MinProcLatency, Options{Workers: workers})
+	for _, workers := range []int{2, 4, budget.MaxCandidates} {
+		got, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,83 +106,75 @@ func TestOptimizeDeterministicWithOracle(t *testing.T) {
 	}
 }
 
-// TestOptimizeSkipsFailingCandidates verifies the bugfix: one failing
-// candidate no longer aborts the search; it is skipped and counted.
+// TestOptimizeSkipsFailingCandidates: a failing candidate does not abort
+// the search; it is skipped and counted, and never chosen.
 func TestOptimizeSkipsFailingCandidates(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	pred := &indexedPredictor{
-		costs:  []PredCosts{sanely(5), sanely(3), sanely(9)},
-		failAt: map[int]bool{1: true},
-		// Disable the batch fast path so PredictPlacement's per-candidate
-		// errors are what Optimize sees directly.
-		batchErr: true,
-	}
-	res, err := OptimizeOpts(pred, q, c, fakeCandidates(3), MinProcLatency, Options{Workers: 2})
+	sink := q.NumOps() - 1
+	failing := func(p sim.Placement) bool { return p[sink] == 3 }
+	pred := PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		if failing(p) {
+			return PredCosts{}, fmt.Errorf("no prediction with the sink on host 3")
+		}
+		return landscapeCosts(q, c, p), nil
+	})
+	res, err := Search(pred, q, c, Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Index != 0 {
-		t.Errorf("chose %d, want 0 (best scorable)", res.Index)
+	if !res.Complete {
+		t.Fatal("exhaustive search did not cover the space")
 	}
-	if res.Filtered != 1 || res.Errored != 1 {
-		t.Errorf("Filtered=%d Errored=%d, want 1/1", res.Filtered, res.Errored)
+	valid, wantErrored := 0, 0
+	forEachValid(q, c, func(p sim.Placement) {
+		valid++
+		if failing(p) {
+			wantErrored++
+		}
+	})
+	if res.Examined != valid || wantErrored == 0 || res.Errored != wantErrored || res.Filtered < res.Errored {
+		t.Errorf("examined %d of %d placements, errored %d (want %d), filtered %d",
+			res.Examined, valid, res.Errored, wantErrored, res.Filtered)
+	}
+	if failing(res.Placement) {
+		t.Errorf("search chose the failing placement %v", res.Placement)
 	}
 }
 
-// TestOptimizeAllCandidatesFail: only when every candidate errors does
-// Optimize return an error.
+// forEachValid calls fn with every valid placement of q on c.
+func forEachValid(q *stream.Query, c *hardware.Cluster, fn func(sim.Placement)) {
+	p := make(sim.Placement, q.NumOps())
+	var walk func(op int)
+	walk = func(op int) {
+		if op == len(p) {
+			if Valid(q, c, p) {
+				fn(p)
+			}
+			return
+		}
+		for h := range c.Hosts {
+			p[op] = h
+			walk(op + 1)
+		}
+	}
+	walk(0)
+}
+
+// TestOptimizeAllCandidatesFail: only when every candidate errors does a
+// search fail, naming the predictor's error; Score reports it for each.
 func TestOptimizeAllCandidatesFail(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	pred := &indexedPredictor{
-		costs:    []PredCosts{sanely(1), sanely(2)},
-		failAt:   map[int]bool{0: true, 1: true},
-		batchErr: true,
+	pred := indexedPredictor(nil, map[int]bool{0: true, 1: true, 2: true, 3: true})
+	_, err := Search(pred, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "fake failure") {
+		t.Fatalf("search over failing candidates: err = %v", err)
 	}
-	if _, err := OptimizeOpts(pred, q, c, fakeCandidates(2), MinProcLatency, Options{Workers: 2}); err == nil {
-		t.Fatal("expected error when every candidate fails")
-	}
-}
-
-// TestOptimizeBatchFallback: a failing PredictBatch chunk falls back to
-// per-candidate scoring instead of losing the whole chunk.
-func TestOptimizeBatchFallback(t *testing.T) {
-	q := testQuery()
-	c := testCluster()
-	pred := &indexedPredictor{
-		costs:    []PredCosts{sanely(5), sanely(3), sanely(9), sanely(4)},
-		batchErr: true,
-	}
-	res, err := OptimizeOpts(pred, q, c, fakeCandidates(4), MinProcLatency, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Index != 1 {
-		t.Errorf("chose %d, want 1", res.Index)
-	}
-	if pred.batch.Load() == 0 {
-		t.Error("PredictBatch was never attempted")
-	}
-	if pred.serial.Load() != 4 {
-		t.Errorf("fallback scored %d candidates serially, want 4", pred.serial.Load())
-	}
-}
-
-// TestOptimizeUsesBatchPath: a healthy BatchPredictor serves the whole
-// search without per-candidate calls.
-func TestOptimizeUsesBatchPath(t *testing.T) {
-	q := testQuery()
-	c := testCluster()
-	pred := &indexedPredictor{costs: []PredCosts{sanely(5), sanely(3), sanely(9), sanely(4)}}
-	res, err := OptimizeOpts(pred, q, c, fakeCandidates(4), MinProcLatency, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Index != 1 {
-		t.Errorf("chose %d, want 1", res.Index)
-	}
-	if pred.batch.Load() == 0 {
-		t.Error("batch path not used")
+	_, errs := Score(context.Background(), pred, q, c, fakeCandidates(2), AllCosts, 2)
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("candidate %d scored without error", i)
+		}
 	}
 }

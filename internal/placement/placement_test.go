@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"costream/internal/hardware"
@@ -125,41 +127,48 @@ func TestEnumerateImpossible(t *testing.T) {
 	}
 }
 
+// TestOptimizeWithOracle: a random-sample search driven by the simulator
+// oracle examines the seed's Enumerate draws and picks the sane candidate
+// with the lowest simulated latency among them.
 func TestOptimizeWithOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	q := testQuery()
 	c := testCluster()
-	cands := Enumerate(rng, q, c, 16)
+	cands := Enumerate(rand.New(rand.NewSource(4)), q, c, 16)
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	oracle := &SimOracle{Cfg: cfg}
-	res, err := Optimize(oracle, q, c, cands, MinProcLatency)
+	res, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The oracle-chosen placement must be at least as good as every sane
-	// candidate it scored.
-	for _, p := range cands {
-		pc, err := oracle.PredictPlacement(q, c, p)
-		if err != nil {
-			t.Fatal(err)
+	if res.Examined != len(cands) {
+		t.Fatalf("search examined %d candidates, Enumerate drew %d", res.Examined, len(cands))
+	}
+	costs, errs := Score(context.Background(), oracle, q, c, cands, AllCosts, 0)
+	best := -1
+	for i, pc := range costs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		if pc.Success && !pc.Backpressured && pc.ProcLatencyMS < res.Costs.ProcLatencyMS-1e-9 {
-			t.Errorf("candidate %v beats chosen placement: %v < %v", p, pc.ProcLatencyMS, res.Costs.ProcLatencyMS)
+		if sane(pc) && (best < 0 || pc.ProcLatencyMS < costs[best].ProcLatencyMS) {
+			best = i
 		}
+	}
+	if best < 0 || !reflect.DeepEqual(res.Placement, cands[best]) || res.Costs != costs[best] {
+		t.Errorf("search chose %v %+v, the best sane candidate is %d of %v", res.Placement, res.Costs, best, cands)
 	}
 }
 
+// TestOptimizeObjectives: a search under every objective returns a
+// placement, and scoring no candidates is no work and no error.
 func TestOptimizeObjectives(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	q := testQuery()
 	c := testCluster()
-	cands := Enumerate(rng, q, c, 8)
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
 	for _, obj := range []Objective{MinProcLatency, MinE2ELatency, MaxThroughput} {
-		res, err := Optimize(oracle, q, c, cands, obj)
+		res, err := Search(oracle, q, c, RandomSample{}, obj, Budget{MaxCandidates: 8}, SearchOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", obj, err)
 		}
@@ -167,18 +176,21 @@ func TestOptimizeObjectives(t *testing.T) {
 			t.Fatalf("%v: nil placement", obj)
 		}
 	}
-	if _, err := Optimize(oracle, q, c, nil, MinProcLatency); err == nil {
-		t.Error("empty candidate list accepted")
+	if costs, errs := Score(context.Background(), oracle, q, c, nil, AllCosts, 0); len(costs) != 0 || len(errs) != 0 {
+		t.Errorf("scoring no candidates returned %d costs and %d errors", len(costs), len(errs))
 	}
 }
 
-type fixedPredictor struct{ costs []PredCosts }
-
-func (f *fixedPredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	idx := int(p[0])
-	return f.costs[idx], nil
+// fixedPredictor predicts costs[p[0]] for placement p.
+func fixedPredictor(costs []PredCosts) Predictor {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		return costs[p[0]], nil
+	})
 }
 
+// TestOptimizeSanityFilter drives the search core with hand-made
+// candidates: the paper's sanity check drops predicted failures and
+// backpressure, and when it drops everything the cheapest candidate wins.
 func TestOptimizeSanityFilter(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
@@ -188,15 +200,25 @@ func TestOptimizeSanityFilter(t *testing.T) {
 		{1, 1, 1, 1, 1},
 		{2, 2, 2, 2, 2},
 	}
-	pred := &fixedPredictor{costs: []PredCosts{
+	costs := []PredCosts{
 		{ProcLatencyMS: 1, Success: false, Backpressured: false}, // cheapest but fails
 		{ProcLatencyMS: 5, Success: true, Backpressured: true},   // backpressured
 		{ProcLatencyMS: 9, Success: true, Backpressured: false},  // sane
-	}}
-	res, err := Optimize(pred, q, c, cands, MinProcLatency)
-	if err != nil {
-		t.Fatal(err)
 	}
+	choose := func() *SearchResult {
+		t.Helper()
+		co, err := newCore(context.Background(), fixedPredictor(costs), q, c, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		co.ScoreRound(cands)
+		res, err := co.result("fixed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := choose()
 	if res.Index != 2 {
 		t.Errorf("chose candidate %d, want 2 (only sane one)", res.Index)
 	}
@@ -204,12 +226,8 @@ func TestOptimizeSanityFilter(t *testing.T) {
 		t.Errorf("Filtered = %d, want 2", res.Filtered)
 	}
 	// All candidates insane: fall back to cheapest.
-	pred.costs[2].Success = false
-	res, err = Optimize(pred, q, c, cands, MinProcLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Index != 0 {
+	costs[2].Success = false
+	if res := choose(); res.Index != 0 {
 		t.Errorf("fallback chose %d, want 0 (cheapest)", res.Index)
 	}
 }

@@ -65,7 +65,7 @@ type SearchOptions struct {
 type SearchResult struct {
 	Placement sim.Placement
 	// Costs is the full predicted cost vector of Placement, all five
-	// fields, equal to the predictor's PredictPlacement of it.
+	// fields, equal to PredictOne of it.
 	Costs PredCosts
 	// Index is the ordinal of the chosen placement in the stream of
 	// scored candidates (0 = first candidate examined).
@@ -98,10 +98,9 @@ type Scored struct {
 	Placement sim.Placement
 	// Costs holds what the search's objective reads (Objective.Reads): the
 	// cost it ranks by, Success and Backpressured. A search fills no other
-	// field unless the predictor has no scoring session and can only
-	// return whole vectors, so a strategy ranks by Score and Sane and must
-	// not read the rest. The chosen placement's vector is completed once,
-	// in SearchResult.Costs.
+	// field, so a strategy ranks by Score and Sane and must not read the
+	// rest. The chosen placement's vector is completed once, in
+	// SearchResult.Costs.
 	Costs PredCosts
 	// Err is the prediction error, if any.
 	Err error
@@ -161,23 +160,21 @@ type Strategy interface {
 // paper's sanity filter and deterministic lowest-index tie-breaks), and
 // enforces the candidate/round budget.
 type Core struct {
-	ctx    context.Context
-	pred   Predictor
-	q      *stream.Query
-	c      *hardware.Cluster
-	obj    Objective
-	budget Budget
-	opts   Options
-	rng    *rand.Rand
-	gen    *generator
+	ctx     context.Context
+	pred    Predictor
+	q       *stream.Query
+	c       *hardware.Cluster
+	obj     Objective
+	budget  Budget
+	workers int
+	rng     *rand.Rand
+	gen     *generator
 
 	// sess is the search's scoring session, opened by the first round and
 	// kept: the query and every host are featurized once per search, and
 	// every round is scored by the same weight snapshot and precision, so
-	// the incumbent is never compared against another model's scores. Nil
-	// when the predictor offers none (see openSession).
-	sess       TileScorer
-	sessOpened bool
+	// the incumbent is never compared against another model's scores.
+	sess TileScorer
 
 	seen    map[string]int32 // placement key -> index into records
 	keyBuf  []byte
@@ -210,7 +207,7 @@ func newCore(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.C
 		c:             c,
 		obj:           obj,
 		budget:        budget,
-		opts:          Options{Workers: opts.Workers},
+		workers:       opts.Workers,
 		rng:           rand.New(rand.NewSource(opts.Seed)),
 		gen:           gen,
 		seen:          make(map[string]int32, budget.MaxCandidates),
@@ -342,10 +339,12 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 	}
 	if len(fresh) > 0 {
 		roundStart := time.Now()
-		if !co.sessOpened {
-			co.sess, co.sessOpened = openSession(co.pred, co.q, co.c), true
+		if co.sess == nil {
+			co.sess = openSession(co.pred, co.q, co.c)
 		}
-		costs, errs := scoreOn(co.ctx, co.sess, co.pred, co.q, co.c, fresh, co.obj.Reads(), co.opts)
+		costs := make([]PredCosts, len(fresh))
+		errs := make([]error, len(fresh))
+		scoreTiled(tiling{co.ctx, co.sess, fresh, co.obj.Reads(), costs, errs}, co.workers)
 		co.rounds++
 		for j, p := range fresh {
 			rec := Scored{Placement: p}
@@ -420,13 +419,12 @@ func (co *Core) incumbent() int {
 	return co.fallbackIdx
 }
 
-// result packages the core's state into a SearchResult. On a scoring
-// session the rounds filled only the costs the objective reads, so the
-// chosen placement's vector is completed here: one tile of one asking for
-// the complement, written into the costs it already has. Each ensemble's
-// pass is independent of the others, so the five fields equal
-// PredictPlacement of the placement; a failing completion fails the
-// search rather than report a cost nobody predicted.
+// result packages the core's state into a SearchResult. The rounds filled
+// only the costs the objective reads, so the chosen placement's vector is
+// completed here: one tile of one asking for the complement, written into
+// the costs it already has. Each ensemble's pass is independent of the
+// others, so the five fields equal PredictOne of the placement; a failing
+// completion fails the search rather than report a cost nobody predicted.
 func (co *Core) result(strategy string) (*SearchResult, error) {
 	idx := co.bestIdx
 	if idx < 0 {
@@ -445,13 +443,11 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 		return nil, fmt.Errorf("placement: %s search scored no candidates: %w", strategy, err)
 	}
 	rec := co.records[idx]
-	if co.sess != nil {
-		costs := []PredCosts{rec.Costs}
-		if err := co.sess.ScoreTile([]sim.Placement{rec.Placement}, AllCosts&^co.obj.Reads(), costs); err != nil {
-			return nil, fmt.Errorf("placement: %s search: completing the costs of the chosen placement: %w", strategy, err)
-		}
-		rec.Costs = costs[0]
+	costs := []PredCosts{rec.Costs}
+	if err := co.sess.ScoreTile([]sim.Placement{rec.Placement}, AllCosts&^co.obj.Reads(), costs); err != nil {
+		return nil, fmt.Errorf("placement: %s search: completing the costs of the chosen placement: %w", strategy, err)
 	}
+	rec.Costs = costs[0]
 	return &SearchResult{
 		Placement: rec.Placement,
 		Costs:     rec.Costs,

@@ -11,8 +11,8 @@ import (
 	"costream/internal/stream"
 )
 
-// landscapePredictor is a deterministic BatchPredictor with a structured
-// cost surface: processing latency is the sum of network latency over the
+// landscapePredictor is a deterministic predictor with a structured cost
+// surface: processing latency is the sum of network latency over the
 // query's edges plus a per-operator compute penalty on weak hosts. It
 // rewards co-location and strong hosts, so real search strategies can be
 // compared against random sampling on exact, reproducible numbers.
@@ -34,16 +34,10 @@ func landscapeCosts(q *stream.Query, c *hardware.Cluster, p sim.Placement) PredC
 	}
 }
 
-func (landscapePredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	return landscapeCosts(q, c, p), nil
-}
-
-func (landscapePredictor) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]PredCosts, error) {
-	out := make([]PredCosts, len(ps))
-	for i, p := range ps {
-		out[i] = landscapeCosts(q, c, p)
-	}
-	return out, nil
+func (landscapePredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		return landscapeCosts(q, c, p), nil
+	}).NewScoreSession(q, c)
 }
 
 // cluster12 is a 12-host heterogeneous edge-cloud landscape: six weak
@@ -106,43 +100,6 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 			}
 			if !reflect.DeepEqual(base, got) {
 				t.Errorf("%s: workers=%d result %+v != serial %+v", strat.Name(), workers, got, base)
-			}
-		}
-	}
-}
-
-// TestRandomSampleMatchesEnumerateOptimize pins the compatibility
-// guarantee: for a given seed and budget, the RandomSample strategy
-// examines exactly the candidates of the pre-engine Enumerate+OptimizeOpts
-// pipeline and returns the identical selection.
-func TestRandomSampleMatchesEnumerateOptimize(t *testing.T) {
-	q := testQuery()
-	pred := landscapePredictor{}
-	for _, c := range []*hardware.Cluster{testCluster(), cluster12()} {
-		for seed := int64(1); seed <= 5; seed++ {
-			cands := Enumerate(rand.New(rand.NewSource(seed)), q, c, 16)
-			if len(cands) == 0 {
-				t.Fatalf("seed %d: no candidates", seed)
-			}
-			want, err := OptimizeOpts(pred, q, c, cands, MinProcLatency, Options{})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			got, err := Search(pred, q, c, RandomSample{}, MinProcLatency,
-				Budget{MaxCandidates: 16}, SearchOptions{Seed: seed})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !reflect.DeepEqual(got.Placement, want.Placement) {
-				t.Errorf("seed %d: placement %v != %v", seed, got.Placement, want.Placement)
-			}
-			if got.Costs != want.Costs || got.Index != want.Index {
-				t.Errorf("seed %d: costs/index (%+v, %d) != (%+v, %d)",
-					seed, got.Costs, got.Index, want.Costs, want.Index)
-			}
-			if got.Examined != len(cands) || got.Filtered != want.Filtered || got.Errored != want.Errored {
-				t.Errorf("seed %d: examined/filtered/errored (%d,%d,%d) != (%d,%d,%d)", seed,
-					got.Examined, got.Filtered, got.Errored, len(cands), want.Filtered, want.Errored)
 			}
 		}
 	}
@@ -257,28 +214,18 @@ func TestSearchValidPlacements(t *testing.T) {
 
 // insanePredictor predicts failure for every placement, exercising the
 // sanity-filter fallback path.
-type insanePredictor struct{ landscapePredictor }
-
-func (p insanePredictor) PredictPlacement(q *stream.Query, c *hardware.Cluster, pl sim.Placement) (PredCosts, error) {
-	pc := landscapeCosts(q, c, pl)
+var insanePredictor = PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	pc := landscapeCosts(q, c, p)
 	pc.Success = false
 	return pc, nil
-}
-
-func (p insanePredictor) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]PredCosts, error) {
-	out := make([]PredCosts, len(ps))
-	for i, pl := range ps {
-		out[i], _ = p.PredictPlacement(q, c, pl)
-	}
-	return out, nil
-}
+})
 
 // TestSearchFallbackWhenAllInsane: when every candidate fails the sanity
 // check, the search still returns the cheapest scored placement.
 func TestSearchFallbackWhenAllInsane(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	res, err := Search(insanePredictor{}, q, c, RandomSample{}, MinProcLatency,
+	res, err := Search(insanePredictor, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 8}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

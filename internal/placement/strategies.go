@@ -12,8 +12,8 @@ const randomChunk = 64
 
 // RandomSample is the paper's baseline strategy: k distinct random valid
 // placements, scored, sanity-filtered, best one kept. For a given seed and
-// candidate budget it examines exactly the placements the pre-engine
-// Enumerate+Optimize pipeline examined and returns the identical result.
+// candidate budget it examines exactly the placements Enumerate draws from
+// a rng of that seed.
 type RandomSample struct{}
 
 // Name implements Strategy.
@@ -130,8 +130,8 @@ func (e Exhaustive) Run(co *Core) error {
 // keeping the Width best partial placements per step. A partial placement
 // is scored by greedily completing it (remaining operators co-locate onto
 // their strongest upstream host) and predicting the completion's costs via
-// the batched scoring core, so every round is one PredictBatch-sized
-// call. Beam is fully deterministic (no randomness).
+// the batched scoring core, so every round is one scoring round over the
+// step's completions. Beam is fully deterministic (no randomness).
 type Beam struct {
 	// Width is the number of partial placements kept per step (default 8).
 	Width int

@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -15,19 +16,18 @@ import (
 	"costream/internal/stream"
 )
 
-// tileFake is a SessionPredictor whose session scores tiles from a
-// deterministic cost function — setting only the fields the call's need
-// names — poisons whole tiles containing a marked candidate, and counts
-// sessions opened and ScoreTile calls, recording what each asked for:
-// enough to exercise the tiled scoring engine without real ensembles.
+// tileFake is a predictor whose session scores tiles from a deterministic
+// cost function — setting only the fields the call's need names — poisons
+// whole tiles containing a marked candidate, and counts sessions opened
+// and ScoreTile calls, recording what each asked for: enough to exercise
+// the tiled scoring engine without real ensembles.
 type tileFake struct {
 	tile        int
 	poison      int     // candidate host value that fails the tile / the candidate
-	failSession bool    // NewScoreSession errors: the predictor scores per candidate
+	failSession bool    // NewScoreSession errors
 	failNeed    CostSet // a ScoreTile call asking for exactly these costs errors
 	sessions    atomic.Int64
 	tileCalls   atomic.Int64
-	predCalls   atomic.Int64
 
 	mu    sync.Mutex
 	calls []tileCall
@@ -45,14 +45,6 @@ func fakeCosts(p sim.Placement) PredCosts {
 		cost += float64(h + 1)
 	}
 	return PredCosts{ProcLatencyMS: cost, E2ELatencyMS: 2 * cost, ThroughputTPS: 1000 - cost, Success: true}
-}
-
-func (f *tileFake) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	f.predCalls.Add(1)
-	if len(p) > 0 && p[0] == f.poison {
-		return PredCosts{}, fmt.Errorf("poisoned candidate")
-	}
-	return fakeCosts(p), nil
 }
 
 type tileFakeSession struct{ f *tileFake }
@@ -104,14 +96,11 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 	var want []PredCosts
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		f := &tileFake{tile: 7, poison: -1}
-		costs, errs := scoreCandidates(context.Background(), f, nil, nil, cands, Options{Workers: workers})
+		costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, workers)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("workers=%d candidate %d: %v", workers, i, err)
 			}
-		}
-		if f.predCalls.Load() != 0 {
-			t.Fatalf("workers=%d: %d per-candidate calls on the clean tiled path", workers, f.predCalls.Load())
 		}
 		if got, min := f.tileCalls.Load(), int64((len(cands)+6)/7); got != min {
 			t.Fatalf("workers=%d: %d tiles scored, want %d", workers, got, min)
@@ -129,14 +118,13 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestScoreTiledFallbackIsolatesFailure: a failing tile is re-scored as
-// one-candidate tiles on the same session — never through
-// PredictPlacement, which would open a session per candidate — so only
-// the poisoned candidate errors and its tile-mates keep their exact
-// scores.
+// one-candidate tiles on the same session — never on a session per
+// candidate — so only the poisoned candidate errors and its tile-mates
+// keep their exact scores.
 func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 	cands := tiledCandidates(20)
 	f := &tileFake{tile: 8, poison: 2}
-	costs, errs := scoreCandidates(context.Background(), f, nil, nil, cands, Options{Workers: 3})
+	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, 3)
 	for i, p := range cands {
 		if p[0] == f.poison {
 			if errs[i] == nil {
@@ -154,8 +142,8 @@ func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 			t.Fatalf("candidate %d: %+v != %+v", i, costs[i], fakeCosts(p))
 		}
 	}
-	if got := f.predCalls.Load(); got != 0 {
-		t.Fatalf("%d PredictPlacement calls; failing tiles must be isolated on their own session", got)
+	if got := f.sessions.Load(); got != 1 {
+		t.Fatalf("%d sessions opened; failing tiles must be isolated on the one session", got)
 	}
 	if got, tiles := f.tileCalls.Load(), int64((len(cands)+7)/8); got <= tiles {
 		t.Fatalf("%d ScoreTile calls for %d tiles: failing tiles were not re-scored as tiles of one", got, tiles)
@@ -169,7 +157,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 	f := &tileFake{tile: 4, poison: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs := scoreCandidates(ctx, f, nil, nil, cands, Options{Workers: 4})
+	_, errs := Score(ctx, f, nil, nil, cands, AllCosts, 4)
 	for i, err := range errs {
 		if err != context.Canceled {
 			t.Fatalf("candidate %d: err=%v, want context.Canceled", i, err)
@@ -185,7 +173,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 func TestScoreTiledDegenerateTileSize(t *testing.T) {
 	cands := tiledCandidates(5)
 	f := &tileFake{tile: 0, poison: -1}
-	costs, errs := scoreCandidates(context.Background(), f, nil, nil, cands, Options{Workers: 2})
+	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, 2)
 	for i, p := range cands {
 		if errs[i] != nil {
 			t.Fatalf("candidate %d: %v", i, errs[i])
@@ -197,9 +185,9 @@ func TestScoreTiledDegenerateTileSize(t *testing.T) {
 }
 
 // TestSearchOpensOneSession: a multi-round search scores every round on
-// the one session its first round opened; when the session cannot be
-// built the search still runs, per candidate, and a failing candidate is
-// an error of that candidate only.
+// the one session its first round opened; a session that cannot be
+// opened fails every candidate, and the search with them, naming the
+// session's error.
 func TestSearchOpensOneSession(t *testing.T) {
 	q, c := testQuery(), cluster12()
 	f := &tileFake{tile: 4, poison: -1}
@@ -213,23 +201,14 @@ func TestSearchOpensOneSession(t *testing.T) {
 	if got := f.sessions.Load(); got != 1 {
 		t.Fatalf("%d sessions opened over %d rounds, want 1", got, res.Rounds)
 	}
-	if f.predCalls.Load() != 0 || f.tileCalls.Load() < int64(res.Rounds) {
-		t.Fatalf("%d per-candidate calls and %d tiles over %d rounds on the session path",
-			f.predCalls.Load(), f.tileCalls.Load(), res.Rounds)
+	if f.tileCalls.Load() < int64(res.Rounds) {
+		t.Fatalf("%d tiles over %d rounds", f.tileCalls.Load(), res.Rounds)
 	}
 
-	broken := &tileFake{tile: 4, poison: res.Placement[0], failSession: true}
-	got, err := Search(broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if broken.tileCalls.Load() != 0 || broken.predCalls.Load() != int64(got.Examined) {
-		t.Fatalf("failed session: %d tiles, %d per-candidate calls for %d candidates",
-			broken.tileCalls.Load(), broken.predCalls.Load(), got.Examined)
-	}
-	if got.Errored == 0 || got.Errored == got.Examined || got.Placement[0] == broken.poison {
-		t.Fatalf("failed session: %d of %d candidates errored, chose %v (poisoned host %d)",
-			got.Errored, got.Examined, got.Placement, broken.poison)
+	broken := &tileFake{tile: 4, poison: -1, failSession: true}
+	if _, err := Search(broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3}); err == nil ||
+		!strings.Contains(err.Error(), "no session") || broken.sessions.Load() != 1 {
+		t.Fatalf("failed session: err = %v after %d sessions, want the session's error after one", err, broken.sessions.Load())
 	}
 }
 
@@ -237,8 +216,8 @@ func TestSearchOpensOneSession(t *testing.T) {
 // the caller's side: every round of a search asks its session for
 // Objective.Reads and nothing else, then exactly one tile of one asks for
 // the complement — the chosen placement — and the result carries all five
-// costs. A predictor without a session returns whole vectors and is never
-// asked to complete one; a failing completion fails the search.
+// costs. A whole-vector function behind the PredictorFunc adapter ranks
+// the same; a failing completion fails the search.
 func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 	q, c := testQuery(), cluster12()
 	budget := Budget{MaxCandidates: 48}
@@ -275,20 +254,18 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 			if res.Costs != fakeCosts(res.Placement) {
 				t.Fatalf("%v %s: result costs %+v, want all five fields %+v", obj, strat.Name(), res.Costs, fakeCosts(res.Placement))
 			}
-			if f.predCalls.Load() != 0 {
-				t.Fatalf("%v %s: %d PredictPlacement calls on the session path", obj, strat.Name(), f.predCalls.Load())
-			}
 			beam = res
 		}
 
-		plain := &tileFake{tile: 4, poison: -1, failSession: true}
+		plain := PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+			return fakeCosts(p), nil
+		})
 		res, err := Search(plain, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain.tileCalls.Load() != 0 || plain.predCalls.Load() != int64(res.Examined) || res.Costs != fakeCosts(res.Placement) {
-			t.Fatalf("%v without a session: %d tiles, %d predictions for %d candidates, costs %+v",
-				obj, plain.tileCalls.Load(), plain.predCalls.Load(), res.Examined, res.Costs)
+		if res.Costs != fakeCosts(res.Placement) {
+			t.Fatalf("%v through the adapter: costs %+v, want %+v", obj, res.Costs, fakeCosts(res.Placement))
 		}
 		if !slices.Equal(res.Placement, beam.Placement) || res.Index != beam.Index || res.Examined != beam.Examined {
 			t.Fatalf("%v: whole vectors chose %v (candidate %d of %d), the read set %v (candidate %d of %d)",
@@ -299,6 +276,64 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		if _, err := Search(broken, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("no prediction for costs %05b", AllCosts&^reads)) {
 			t.Fatalf("%v: failing completion gave err = %v, want the session's error", obj, err)
+		}
+	}
+}
+
+// costBits is a cost vector as bits, so comparisons are bit for bit.
+func costBits(pc PredCosts) [5]uint64 {
+	b := [5]uint64{math.Float64bits(pc.ThroughputTPS), math.Float64bits(pc.ProcLatencyMS), math.Float64bits(pc.E2ELatencyMS)}
+	if pc.Backpressured {
+		b[3] = 1
+	}
+	if pc.Success {
+		b[4] = 1
+	}
+	return b
+}
+
+// TestPredictorFuncScoresTheNeedFields is the adapter's oracle, over the
+// simulator oracle's session: for every non-empty CostSet and tile widths
+// 1, 7 and all, ScoreTile sets exactly the fields need names, bit for bit
+// the wrapped function's, and leaves the others as the caller left them.
+func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	cands := Enumerate(rand.New(rand.NewSource(8)), q, c, 12)
+	cfg := sim.DefaultConfig()
+	cfg.DurationS, cfg.WarmupS = 10, 2
+	oracle := &SimOracle{Cfg: cfg}
+	want := make([]PredCosts, len(cands))
+	for i, p := range cands {
+		var err error
+		if want[i], err = oracle.simulate(q, c, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, err := oracle.NewScoreSession(q, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for need := CostSet(1); need <= AllCosts; need++ {
+		for _, tile := range []int{1, 7, len(cands)} {
+			got := make([]PredCosts, len(cands))
+			expect := make([]PredCosts, len(cands))
+			for i := range cands {
+				got[i] = PredCosts{ThroughputTPS: -1, ProcLatencyMS: -2, E2ELatencyMS: -3,
+					Success: !want[i].Success, Backpressured: !want[i].Backpressured}
+				expect[i] = got[i]
+				need.Copy(&expect[i], want[i])
+			}
+			for lo := 0; lo < len(cands); lo += tile {
+				hi := min(lo+tile, len(cands))
+				if err := sess.ScoreTile(cands[lo:hi], need, got[lo:hi]); err != nil {
+					t.Fatalf("need=%05b tile=%d at %d: %v", need, tile, lo, err)
+				}
+			}
+			for i := range cands {
+				if costBits(got[i]) != costBits(expect[i]) {
+					t.Fatalf("need=%05b tile=%d candidate %d: %+v, want %+v", need, tile, i, got[i], expect[i])
+				}
+			}
 		}
 	}
 }

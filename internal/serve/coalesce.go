@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -11,29 +10,25 @@ import (
 	"costream/internal/stream"
 )
 
-// batchFn scores a slice of placement candidates for one (query, cluster)
-// pair in a single call. The server wires this to PredictBatch behind the
-// in-flight semaphore.
-type batchFn func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error)
-
-// singleFn scores one candidate; used to isolate failures when a whole
-// batch errors.
-type singleFn func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error)
+// scoreFn scores a slice of placement candidates for one (query, cluster)
+// pair in a single call: one cost vector and one error per candidate, so
+// a failing candidate fails only its own request. The server wires this
+// to placement.Score behind the in-flight semaphore.
+type scoreFn func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error)
 
 // coalescer merges concurrent single-placement predict requests for the
-// same (query, cluster) fingerprint into shared PredictBatch calls. The
-// first request for a group becomes its leader and drains the group's
-// queue in batches: requests arriving while a batch is being scored are
-// collected and scored together in the next one. Under concurrent load
-// this turns N featurize-and-infer passes over the same query graph into
-// a handful of batch calls that featurize it once (the PredictBatch
-// engine shares the operator graph and host features across the batch).
+// same (query, cluster) fingerprint into shared scoring calls. The first
+// request for a group becomes its leader and drains the group's queue in
+// batches: requests arriving while a batch is being scored are collected
+// and scored together in the next one. Under concurrent load this turns N
+// featurize-and-infer passes over the same query graph into a handful of
+// batch calls that featurize it once (a scoring session shares the
+// operator graph and host features across the batch).
 type coalescer struct {
-	runBatch  batchFn
-	runSingle singleFn
-	// maxBatch caps the placements scored per PredictBatch call, so a
-	// burst of queued requests cannot buy one unboundedly large batch;
-	// the remainder stays pending for the next drain iteration.
+	score scoreFn
+	// maxBatch caps the placements scored per call, so a burst of queued
+	// requests cannot buy one unboundedly large batch; the remainder stays
+	// pending for the next drain iteration.
 	maxBatch int
 
 	mu     sync.Mutex
@@ -61,16 +56,16 @@ type pendingPredict struct {
 type predictResult struct {
 	costs placement.PredCosts
 	err   error
-	// batchSize is the number of requests scored in the same
-	// PredictBatch call (1 = the request ran alone).
+	// batchSize is the number of requests scored in the same call (1 =
+	// the request ran alone).
 	batchSize int
 }
 
-func newCoalescer(runBatch batchFn, runSingle singleFn, maxBatch int) *coalescer {
+func newCoalescer(score scoreFn, maxBatch int) *coalescer {
 	if maxBatch <= 0 {
 		maxBatch = maxCandidates
 	}
-	return &coalescer{runBatch: runBatch, runSingle: runSingle, maxBatch: maxBatch, groups: make(map[string]*predictGroup)}
+	return &coalescer{score: score, maxBatch: maxBatch, groups: make(map[string]*predictGroup)}
 }
 
 // predict enqueues one placement under the group key and blocks until a
@@ -96,8 +91,7 @@ func (co *coalescer) predict(key string, q *stream.Query, c *hardware.Cluster, p
 }
 
 // drain is the group leader loop: it repeatedly takes everything queued
-// for the group, scores it in one PredictBatch call, and delivers the
-// results. When the queue empties the group is removed; enqueue and
+// for the group, scores it in one call, and delivers the results. When the queue empties the group is removed; enqueue and
 // removal both happen under co.mu, so a request either joins a live
 // group or starts a fresh one — never neither.
 func (co *coalescer) drain(key string, g *predictGroup) {
@@ -128,27 +122,9 @@ func (co *coalescer) drain(key string, g *predictGroup) {
 		if len(batch) > 1 {
 			co.coalesced.Add(int64(len(batch)))
 		}
-		out, err := co.runBatch(g.q, g.c, ps)
-		if errors.Is(err, ErrSaturated) {
-			// Admission failed: re-scoring each request alone would just
-			// queue more work on a saturated server, so fail the whole
-			// batch fast and let clients retry.
-			for _, pr := range batch {
-				pr.ch <- predictResult{err: err, batchSize: len(batch)}
-			}
-			continue
-		}
-		if err != nil || len(out) != len(batch) {
-			// The batch failed as a whole. Re-score each request alone so
-			// one bad request cannot fail the others it was batched with.
-			for _, pr := range batch {
-				costs, serr := co.runSingle(g.q, g.c, pr.p)
-				pr.ch <- predictResult{costs: costs, err: serr, batchSize: len(batch)}
-			}
-			continue
-		}
+		costs, errs := co.score(g.q, g.c, ps)
 		for i, pr := range batch {
-			pr.ch <- predictResult{costs: out[i], batchSize: len(batch)}
+			pr.ch <- predictResult{costs: costs[i], err: errs[i], batchSize: len(batch)}
 		}
 	}
 }

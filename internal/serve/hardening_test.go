@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"costream/internal/hardware"
@@ -141,16 +142,25 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 }
 
 // cancellingPred cancels the request context from inside the first
-// batch call, simulating a client that disconnects mid-search.
+// tile it scores, simulating a client that disconnects mid-search.
 type cancellingPred struct {
 	fakePred
 	cancel context.CancelFunc
 }
 
-func (p *cancellingPred) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-	out, err := p.fakePred.PredictBatch(q, c, ps)
-	p.cancel()
-	return out, err
+func (p *cancellingPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return cancellingSession{fakeSession{&p.fakePred}, p.cancel}, nil
+}
+
+type cancellingSession struct {
+	fakeSession
+	cancel context.CancelFunc
+}
+
+func (s cancellingSession) ScoreTile(ps []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
+	err := s.fakeSession.ScoreTile(ps, need, out)
+	s.cancel()
+	return err
 }
 
 // TestOptimizeCancelMidSearch: cancelling mid-search aborts remaining
@@ -182,5 +192,51 @@ func TestOptimizeCancelMidSearch(t *testing.T) {
 	}
 	if len(resp.Placement) != q.NumOps() {
 		t.Errorf("partial incumbent has %d ops, want %d", len(resp.Placement), q.NumOps())
+	}
+}
+
+// gatedPred scores one placement per tile and cancels the request context
+// from inside its limit-th tile, modeling a client that disconnects
+// mid-batch.
+type gatedPred struct {
+	limit  int64
+	cancel context.CancelFunc
+	tiles  atomic.Int64
+}
+
+func (g *gatedPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+		if g.tiles.Add(1) == g.limit {
+			g.cancel()
+		}
+		return fakeCosts(p), nil
+	}).NewScoreSession(q, c)
+}
+
+// TestPredictBatchCancelMidBatch: a client that disconnects mid-batch
+// stops the scoring at the next tile — no placement is scored after the
+// cancellation — and the request is answered 503 like a cancelled
+// optimize.
+func TestPredictBatchCancelMidBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pred := &gatedPred{limit: 5, cancel: cancel}
+	s := newTestServer(t, Config{Predictor: pred})
+	ps := make([]sim.Placement, 200)
+	for i := range ps {
+		ps[i] = sim.Placement{0, 1, 2}
+	}
+	data, err := json.Marshal(PredictBatchRequest{Query: testQuery(t), Cluster: testCluster(), Placements: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict-batch", bytes.NewReader(data)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "request cancelled") {
+		t.Fatalf("status %d body %.120s, want 503 request cancelled", w.Code, w.Body)
+	}
+	if got := pred.tiles.Load(); got != pred.limit {
+		t.Errorf("%d placements scored, want %d (none after the cancellation)", got, pred.limit)
 	}
 }

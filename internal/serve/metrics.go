@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"costream/internal/obs"
-	"costream/internal/placement"
 )
 
 // routeNames lists the stable route labels of the HTTP surface, used for
@@ -28,7 +27,7 @@ type stageKey struct{ route, stage string }
 // serveMetrics is the server's view into its metrics registry: per-route
 // request counters and latency histograms, per-stage latency histograms
 // of the traced routes, saturation rejections, and the coalescer
-// batch-size distribution. Cache, in-flight and inference series are
+// batch-size distribution. Cache, in-flight and coalescer series are
 // registered as Func instruments reading the live structs (see
 // registerFuncs), so they need no fields here.
 type serveMetrics struct {
@@ -49,7 +48,7 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 		rejected: r.Counter("costream_http_rejected_total",
 			"requests rejected with 503 because the in-flight limit stayed saturated past the queue timeout"),
 		batchSize: r.Histogram("costream_serve_coalesce_batch_size",
-			"placements scored per coalesced PredictBatch call on the predict path", 1),
+			"placements scored per coalesced scoring call on the predict path", 1),
 	}
 	for _, route := range routeNames {
 		m.requests[route] = r.Counter("costream_http_requests_total",
@@ -100,28 +99,9 @@ func (s *Server) registerFuncs(r *obs.Registry) {
 	coalesce("costream_serve_coalesce_enqueued_total",
 		"predict requests that reached the coalescer (cache misses)", s.co.enqueued.Load)
 	coalesce("costream_serve_coalesce_batches_total",
-		"PredictBatch calls issued by the coalescer", s.co.batches.Load)
+		"scoring calls issued by the coalescer", s.co.batches.Load)
 	coalesce("costream_serve_coalesce_coalesced_total",
 		"predict requests that shared a batch with at least one other", s.co.coalesced.Load)
-
-	if rep, ok := s.pred.(placement.PathStatsReporter); ok {
-		path := func(path string, calls func(placement.InferencePathStats) int64, nanos func(placement.InferencePathStats) int64) {
-			r.CounterFunc("costream_inference_path_calls_total",
-				"full-ensemble evaluations, by inference path", func() float64 {
-					return float64(calls(rep.InferencePathStats()))
-				}, "path", path)
-			r.CounterFunc("costream_inference_path_seconds_total",
-				"wall time spent in full-ensemble evaluations, by inference path", func() float64 {
-					return float64(nanos(rep.InferencePathStats())) * 1e-9
-				}, "path", path)
-		}
-		path("stacked",
-			func(ps placement.InferencePathStats) int64 { return ps.StackedCalls },
-			func(ps placement.InferencePathStats) int64 { return ps.StackedNanos })
-		path("fallback",
-			func(ps placement.InferencePathStats) int64 { return ps.FallbackCalls },
-			func(ps placement.InferencePathStats) int64 { return ps.FallbackNanos })
-	}
 }
 
 // statusRecorder captures the response status for per-route error

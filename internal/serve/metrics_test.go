@@ -125,25 +125,6 @@ func TestRouteWriterUnwraps(t *testing.T) {
 	}
 }
 
-// TestInferencePathFuncMetrics checks predictors reporting path stats
-// get per-path Func counters on the scrape.
-func TestInferencePathFuncMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{Predictor: &pathStatsPred{}, Registry: reg})
-	body := PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}}
-	if w := doJSON(t, s, http.MethodPost, "/v1/predict", body); w.Code != http.StatusOK {
-		t.Fatalf("predict status %d: %s", w.Code, w.Body)
-	}
-	w := doJSON(t, s, http.MethodGet, "/metrics", nil)
-	text := w.Body.String()
-	if !strings.Contains(text, `costream_inference_path_calls_total{path="stacked"} 8`) {
-		t.Errorf("stacked path counter missing or wrong:\n%s", text)
-	}
-	if !strings.Contains(text, `costream_inference_path_seconds_total{path="fallback"}`) {
-		t.Errorf("fallback path seconds missing:\n%s", text)
-	}
-}
-
 // postOptimize POSTs an optimize request and decodes the response.
 func postOptimize(t *testing.T, s *Server, req OptimizeRequest) OptimizeResponse {
 	t.Helper()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -24,16 +25,14 @@ import (
 	"costream/internal/workload"
 )
 
-// fakePred is a deterministic BatchPredictor: costs are a pure function
-// of the placement, so handler tests can verify exact outputs without
-// training a model. It records batch call sizes for coalescing checks.
+// fakePred is a deterministic predictor: costs are a pure function of
+// the placement, so handler tests can verify exact outputs without
+// training a model. Its sessions score a whole batch as one tile, after
+// delay, and count the tiles scored.
 type fakePred struct {
-	delay time.Duration
-
-	mu         sync.Mutex
-	batchSizes []int
-	batchCalls atomic.Int64
+	delay      time.Duration
 	err        error
+	batchCalls atomic.Int64
 }
 
 func fakeCosts(p sim.Placement) placement.PredCosts {
@@ -49,29 +48,26 @@ func fakeCosts(p sim.Placement) placement.PredCosts {
 	}
 }
 
-func (f *fakePred) PredictPlacement(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	if f.err != nil {
-		return placement.PredCosts{}, f.err
-	}
-	return fakeCosts(p), nil
+func (f *fakePred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return fakeSession{f}, nil
 }
 
-func (f *fakePred) PredictBatch(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-	f.batchCalls.Add(1)
-	f.mu.Lock()
-	f.batchSizes = append(f.batchSizes, len(ps))
-	f.mu.Unlock()
-	if f.delay > 0 {
-		time.Sleep(f.delay)
+type fakeSession struct{ f *fakePred }
+
+func (fakeSession) TileSize() int { return maxCandidates }
+
+func (s fakeSession) ScoreTile(ps []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
+	s.f.batchCalls.Add(1)
+	if s.f.delay > 0 {
+		time.Sleep(s.f.delay)
 	}
-	if f.err != nil {
-		return nil, f.err
+	if s.f.err != nil {
+		return s.f.err
 	}
-	out := make([]placement.PredCosts, len(ps))
 	for i, p := range ps {
-		out[i] = fakeCosts(p)
+		need.Copy(&out[i], fakeCosts(p))
 	}
-	return out, nil
+	return nil
 }
 
 func testQuery(t testing.TB) *stream.Query {
@@ -655,48 +651,11 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.MaxInFlight <= 0 {
 		t.Errorf("max in-flight %d", st.MaxInFlight)
 	}
-	if st.Inference != nil {
-		t.Errorf("inference stats %+v from a predictor that reports none", st.Inference)
-	}
-}
-
-// pathStatsPred wraps fakePred with canned inference-path counters, as a
-// stacked-ensemble predictor would report them.
-type pathStatsPred struct{ fakePred }
-
-func (p *pathStatsPred) InferencePathStats() placement.InferencePathStats {
-	return placement.InferencePathStats{
-		StackedCalls: 8, StackedNanos: 16_000,
-		FallbackCalls: 2, FallbackNanos: 9_000,
-	}
-}
-
-// TestStatsInferencePaths checks that /stats surfaces per-path inference
-// timings when the predictor tracks them.
-func TestStatsInferencePaths(t *testing.T) {
-	s := newTestServer(t, Config{Predictor: &pathStatsPred{}})
-	w := doJSON(t, s, http.MethodGet, "/stats", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("stats status %d", w.Code)
-	}
-	var st Stats
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Inference == nil {
-		t.Fatal("no inference stanza from a PathStatsReporter predictor")
-	}
-	if st.Inference.StackedCalls != 8 || st.Inference.FallbackCalls != 2 {
-		t.Errorf("inference calls %+v", st.Inference)
-	}
-	if st.Inference.StackedAvgUS != 2 || st.Inference.FallbackAvgUS != 4.5 {
-		t.Errorf("inference averages %+v", st.Inference)
-	}
 }
 
 // TestCoalescerBatchesConcurrentRequests drives the coalescer directly
 // with a blocking batch function so the grouping is deterministic: the
-// first request becomes leader and blocks in PredictBatch; everything
+// first request becomes leader and blocks in its scoring call; everything
 // arriving meanwhile must be scored together in exactly one second batch.
 func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 	const followers = 8
@@ -706,28 +665,17 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
 
-	co := newCoalescer(
-		func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-			n := calls.Add(1)
-			mu.Lock()
-			sizes = append(sizes, len(ps))
-			mu.Unlock()
-			if n == 1 {
-				close(entered)
-				<-release
-			}
-			out := make([]placement.PredCosts, len(ps))
-			for i, p := range ps {
-				out[i] = fakeCosts(p)
-			}
-			return out, nil
-		},
-		func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-			t.Error("single-candidate fallback should not run")
-			return fakeCosts(p), nil
-		},
-		0,
-	)
+	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
+		n := calls.Add(1)
+		mu.Lock()
+		sizes = append(sizes, len(ps))
+		mu.Unlock()
+		if n == 1 {
+			close(entered)
+			<-release
+		}
+		return fakeScore(ps)
+	}, 0)
 
 	var wg sync.WaitGroup
 	results := make([]predictResult, followers+1)
@@ -736,7 +684,7 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 		defer wg.Done()
 		results[0] = co.predict("k", nil, nil, sim.Placement{0, 0, 0})
 	}()
-	<-entered // leader is now blocked inside PredictBatch
+	<-entered // leader is now blocked inside its scoring call
 
 	for i := 1; i <= followers; i++ {
 		wg.Add(1)
@@ -778,7 +726,7 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 }
 
 // TestCoalescerCapsBatchSize: queued requests beyond maxBatch are not
-// drained in one oversized PredictBatch call; they wait for the next
+// drained in one oversized scoring call; they wait for the next
 // iteration, keeping per-call work bounded like the HTTP endpoints.
 func TestCoalescerCapsBatchSize(t *testing.T) {
 	const followers, maxBatch = 9, 4
@@ -788,26 +736,16 @@ func TestCoalescerCapsBatchSize(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
 
-	co := newCoalescer(
-		func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-			if calls.Add(1) == 1 {
-				close(entered)
-				<-release
-			}
-			mu.Lock()
-			sizes = append(sizes, len(ps))
-			mu.Unlock()
-			out := make([]placement.PredCosts, len(ps))
-			for i, p := range ps {
-				out[i] = fakeCosts(p)
-			}
-			return out, nil
-		},
-		func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-			return fakeCosts(p), nil
-		},
-		maxBatch,
-	)
+	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		sizes = append(sizes, len(ps))
+		mu.Unlock()
+		return fakeScore(ps)
+	}, maxBatch)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -851,28 +789,85 @@ func TestCoalescerCapsBatchSize(t *testing.T) {
 	}
 }
 
-// TestCoalescerIsolatesBatchFailure: when a batch errors as a whole, each
-// member is re-scored alone so one bad request cannot poison the others.
-func TestCoalescerIsolatesBatchFailure(t *testing.T) {
-	co := newCoalescer(
-		func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-			return nil, fmt.Errorf("batch exploded")
-		},
-		func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-			if p[0] == 9 {
-				return placement.PredCosts{}, fmt.Errorf("bad placement")
-			}
-			return fakeCosts(p), nil
-		},
-		0,
-	)
-	good := co.predict("k", nil, nil, sim.Placement{0, 1, 2})
-	if good.err != nil || good.costs != fakeCosts(sim.Placement{0, 1, 2}) {
-		t.Errorf("good request after batch failure: %+v", good)
+// fakeScore scores placements with fakeCosts, none failing.
+func fakeScore(ps []sim.Placement) ([]placement.PredCosts, []error) {
+	out := make([]placement.PredCosts, len(ps))
+	for i, p := range ps {
+		out[i] = fakeCosts(p)
 	}
-	bad := co.predict("k", nil, nil, sim.Placement{9, 0, 0})
-	if bad.err == nil {
-		t.Error("bad request succeeded")
+	return out, make([]error, len(ps))
+}
+
+// poisonPred scores like fakePred but fails every tile holding a
+// placement that starts on host 9: a batch with one such request fails as
+// a whole until placement.Score isolates it.
+type poisonPred struct{ fakePred }
+
+func (p *poisonPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return poisonSession{fakeSession{&p.fakePred}}, nil
+}
+
+type poisonSession struct{ fakeSession }
+
+func (s poisonSession) ScoreTile(ps []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
+	for _, p := range ps {
+		if p[0] == 9 {
+			return fmt.Errorf("bad placement")
+		}
+	}
+	return s.fakeSession.ScoreTile(ps, need, out)
+}
+
+// TestCoalescerIsolatesBatchFailure: a bad request batched with good ones
+// fails alone — the good requests of its batch still get their costs.
+func TestCoalescerIsolatesBatchFailure(t *testing.T) {
+	pred := &poisonPred{}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var calls atomic.Int64
+	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return placement.Score(context.Background(), pred, q, c, ps, placement.AllCosts, 1)
+	}, 0)
+
+	ps := []sim.Placement{{0, 0, 0}, {0, 1, 2}, {9, 0, 0}, {1, 1, 2}}
+	results := make([]predictResult, len(ps))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results[0] = co.predict("k", nil, nil, ps[0])
+	}()
+	<-entered // the leader scores alone; the rest queue into one batch
+	for i := 1; i < len(ps); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = co.predict("k", nil, nil, ps[i])
+		}(i)
+	}
+	for co.enqueued.Load() < int64(len(ps)) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	for i, r := range results {
+		if ps[i][0] == 9 {
+			if r.err == nil {
+				t.Errorf("bad request %d succeeded", i)
+			}
+			continue
+		}
+		if r.err != nil || r.costs != fakeCosts(ps[i]) {
+			t.Errorf("good request %d batched with a bad one: %+v", i, r)
+		}
+	}
+	if results[2].batchSize != len(ps)-1 {
+		t.Errorf("bad request scored in a batch of %d, want %d", results[2].batchSize, len(ps)-1)
 	}
 }
 
@@ -951,7 +946,7 @@ func TestServeMatchesDirectPredictions(t *testing.T) {
 	s := newTestServer(t, Config{Predictor: pred})
 
 	for i, tr := range corpus.Traces[:10] {
-		want, err := pred.PredictPlacement(tr.Query, tr.Cluster, tr.Placement)
+		want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}

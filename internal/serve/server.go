@@ -32,13 +32,15 @@
 // so a hit is a read, a hash, a map probe and a write of the stored
 // response bytes, with no JSON work (the trade: a re-formatted copy of a
 // request is its own entry); cache misses for the same (query, cluster)
-// are coalesced into shared PredictBatch calls that featurize the query
-// graph once for the whole batch; and a semaphore bounds the predictor
-// work in flight regardless of how many requests are queued.
+// are coalesced into shared scoring calls (placement.Score) that
+// featurize the query graph once for the whole batch; and a semaphore
+// bounds the predictor work in flight regardless of how many requests are
+// queued.
 package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -79,7 +81,7 @@ const maxCandidates = 4096
 type Config struct {
 	// Predictor answers cost queries; a loaded model artifact satisfies
 	// this. Required.
-	Predictor placement.BatchPredictor
+	Predictor placement.Predictor
 	// CacheSize is the LRU capacity in entries. 0 selects
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
@@ -129,7 +131,7 @@ const DefaultCacheSize = 4096
 // Server is the HTTP handler for one loaded cost model.
 type Server struct {
 	cfg          Config
-	pred         placement.BatchPredictor
+	pred         placement.Predictor
 	mux          *http.ServeMux
 	cache        *lruCache
 	co           *coalescer
@@ -187,24 +189,18 @@ func New(cfg Config) (*Server, error) {
 		met:          newServeMetrics(reg),
 		logger:       cfg.Logger,
 	}
-	s.co = newCoalescer(
-		func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, error) {
-			if err := s.acquire(); err != nil {
-				return nil, err
+	s.co = newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
+		if err := s.acquire(); err != nil {
+			errs := make([]error, len(ps))
+			for i := range errs {
+				errs[i] = err
 			}
-			defer s.release()
-			s.met.batchSize.Record(int64(len(ps)))
-			return s.pred.PredictBatch(q, c, ps)
-		},
-		func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-			if err := s.acquire(); err != nil {
-				return placement.PredCosts{}, err
-			}
-			defer s.release()
-			return s.pred.PredictPlacement(q, c, p)
-		},
-		maxCandidates,
-	)
+			return make([]placement.PredCosts, len(ps)), errs
+		}
+		defer s.release()
+		s.met.batchSize.Record(int64(len(ps)))
+		return placement.Score(context.Background(), s.pred, q, c, ps, placement.AllCosts, 1)
+	}, maxCandidates)
 	s.plane = cfg.ControlPlane
 	if s.plane == nil {
 		plane, err := controlplane.New(controlplane.Config{
@@ -630,10 +626,20 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeSaturated(w)
 		return
 	}
-	out, err := s.pred.PredictBatch(req.Query, req.Cluster, req.Placements)
+	// The request context threads into the scoring: a disconnecting client
+	// stops it at the next tile instead of scoring every placement.
+	out, errs := placement.Score(r.Context(), s.pred, req.Query, req.Cluster, req.Placements, placement.AllCosts, 1)
 	s.release()
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: %v", err)
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if r.Context().Err() != nil {
+			// The client is gone; nobody reads this response.
+			s.writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
+			return
+		}
+		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: placement %d: %v", i, err)
 		return
 	}
 	resp := PredictBatchResponse{Costs: make([]Costs, len(out))}
@@ -797,30 +803,6 @@ type Stats struct {
 	// the semaphore bound.
 	InFlight    int64 `json:"in_flight"`
 	MaxInFlight int   `json:"max_in_flight"`
-	// Inference reports per-path inference timings when the predictor
-	// tracks them (placement.PathStatsReporter); omitted otherwise.
-	Inference *InferenceStats `json:"inference,omitempty"`
-}
-
-// InferenceStats breaks predictor work down by inference path: stacked
-// one-pass ensemble kernels vs the per-member fallback. Calls count
-// full-ensemble evaluations; the averages are per such call.
-type InferenceStats struct {
-	StackedCalls  int64   `json:"stacked_calls"`
-	StackedAvgUS  float64 `json:"stacked_avg_us"`
-	FallbackCalls int64   `json:"fallback_calls"`
-	FallbackAvgUS float64 `json:"fallback_avg_us"`
-}
-
-func newInferenceStats(ps placement.InferencePathStats) *InferenceStats {
-	st := &InferenceStats{StackedCalls: ps.StackedCalls, FallbackCalls: ps.FallbackCalls}
-	if ps.StackedCalls > 0 {
-		st.StackedAvgUS = float64(ps.StackedNanos) / float64(ps.StackedCalls) / 1e3
-	}
-	if ps.FallbackCalls > 0 {
-		st.FallbackAvgUS = float64(ps.FallbackNanos) / float64(ps.FallbackCalls) / 1e3
-	}
-	return st
 }
 
 // CacheStats describes the prediction cache.
@@ -835,7 +817,7 @@ type CacheStats struct {
 // CoalesceStats describes request coalescing on the predict path.
 type CoalesceStats struct {
 	// Enqueued counts predict requests that reached the coalescer
-	// (cache misses); Batches counts PredictBatch calls issued for them;
+	// (cache misses); Batches counts the scoring calls issued for them;
 	// Coalesced counts requests that shared a batch with others.
 	Enqueued  int64 `json:"enqueued"`
 	Batches   int64 `json:"batches"`
@@ -844,10 +826,6 @@ type CoalesceStats struct {
 
 func (s *Server) snapshotStats() Stats {
 	hits, misses, evictions := s.cache.counters()
-	var inference *InferenceStats
-	if rep, ok := s.pred.(placement.PathStatsReporter); ok {
-		inference = newInferenceStats(rep.InferencePathStats())
-	}
 	requests := make(map[string]int, len(routeNames))
 	var errs int64
 	for _, route := range routeNames {
@@ -873,7 +851,6 @@ func (s *Server) snapshotStats() Stats {
 		},
 		InFlight:    s.inflight.Load(),
 		MaxInFlight: cap(s.sem),
-		Inference:   inference,
 	}
 }
 
