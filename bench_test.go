@@ -317,38 +317,6 @@ func BenchmarkGNNForward(b *testing.B) {
 	}
 }
 
-// BenchmarkGNNInfer measures the tape-free inference pass used by cost
-// prediction and placement scoring (same math as Forward, no autodiff
-// bookkeeping).
-func BenchmarkGNNInfer(b *testing.B) {
-	gen := workload.New(workload.DefaultConfig(8))
-	q := gen.QueryOfClass(4) // 3-way join
-	c := gen.Cluster()
-	rng := rand.New(rand.NewSource(8))
-	p, err := placement.RandomValid(rng, q, c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	feat := core.Featurizer{}
-	g, err := feat.BuildGraph(q, c, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gnn.DefaultConfig(feat.FeatDims())
-	cfg.Hidden = 32
-	net, err := gnn.New(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Infer(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // optimizeBench holds the shared fixture of the scoring and search
 // benchmarks: a small trained five-metric predictor plus a fixed query,
 // cluster and candidate set. Trained once per process.

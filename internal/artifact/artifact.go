@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,11 +33,6 @@ const Magic = "costream-model"
 // Version is the current artifact format version. Readers reject other
 // versions rather than guessing at layouts.
 const Version = 1
-
-// ErrLegacyFormat reports a pre-artifact model file: a bare gnn.Model
-// JSON dump as written by old costream-train builds, which lacks the
-// featurizer and metric state needed to reconstruct a predictor.
-var ErrLegacyFormat = errors.New("artifact: legacy bare-network model file (no featurizer/metric state); re-train with costream-train to produce a full artifact")
 
 // Provenance records how an artifact's predictor was trained.
 type Provenance struct {
@@ -89,9 +83,10 @@ func Write(w io.Writer, pred *core.Predictor, prov Provenance, compress bool) er
 }
 
 // Read deserializes an artifact from r, transparently handling gzip
-// (detected by its magic bytes). Legacy bare-network files are reported
-// as ErrLegacyFormat; other malformed inputs return descriptive errors,
-// never panics.
+// (detected by its magic bytes). Malformed inputs return descriptive
+// errors, never panics; so does an ensemble whose members cannot run the
+// packed inference kernel, naming its metric, since no request could be
+// answered with it.
 func Read(r io.Reader) (*core.Predictor, Provenance, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -121,9 +116,6 @@ func Read(r io.Reader) (*core.Predictor, Provenance, error) {
 		return nil, Provenance{}, fmt.Errorf("artifact: not a costream model artifact: %w", err)
 	}
 	if hdr.Magic != Magic {
-		if looksLegacy(data) {
-			return nil, Provenance{}, ErrLegacyFormat
-		}
 		return nil, Provenance{}, fmt.Errorf("artifact: not a costream model artifact (magic %q, want %q)", hdr.Magic, Magic)
 	}
 	if hdr.Version != Version {
@@ -137,19 +129,6 @@ func Read(r io.Reader) (*core.Predictor, Provenance, error) {
 		return nil, Provenance{}, fmt.Errorf("artifact: model artifact has no predictor payload")
 	}
 	return f.Predictor, f.Provenance, nil
-}
-
-// looksLegacy reports whether data appears to be a bare gnn.Model dump
-// (the pre-artifact costream-train output).
-func looksLegacy(data []byte) bool {
-	var probe struct {
-		Encoders json.RawMessage `json:"encoders"`
-		Out      json.RawMessage `json:"out"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.Encoders != nil && probe.Out != nil
 }
 
 // Save writes the artifact to path atomically (temp file + rename).

@@ -15,6 +15,7 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/gnn"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/workload"
@@ -220,8 +221,7 @@ func TestLoadErrors(t *testing.T) {
 }
 
 // TestLegacyFormatDetected covers the pre-artifact costream-train output:
-// a bare gnn.Model JSON dump must be reported as ErrLegacyFormat, not as
-// generic corruption.
+// a bare gnn.Model JSON dump is foreign JSON like any other.
 func TestLegacyFormatDetected(t *testing.T) {
 	_, pred := fixture(t)
 	legacy, err := json.Marshal(pred.Throughput.Models[0].Net)
@@ -233,8 +233,38 @@ func TestLegacyFormatDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = Load(p)
-	if !errors.Is(err, ErrLegacyFormat) {
-		t.Errorf("legacy file error = %v, want ErrLegacyFormat", err)
+	if err == nil || !strings.Contains(err.Error(), "not a costream model artifact") {
+		t.Errorf("legacy file error = %v, want \"not a costream model artifact\"", err)
+	}
+}
+
+// TestUnstackableEnsembleRejectedAtLoad: an artifact whose success
+// ensemble has traditional-passing members (the Exp 7b ablation, which the
+// packed kernel cannot run) fails to load with an error naming the metric,
+// instead of loading into a server that refuses every request.
+func TestUnstackableEnsembleRejectedAtLoad(t *testing.T) {
+	_, pred := fixture(t)
+	feat := core.Featurizer{}
+	cfg := gnn.DefaultConfig(feat.FeatDims())
+	cfg.Hidden, cfg.Traditional = 8, true
+	trad := &core.Ensemble{Metric: core.MetricSuccess}
+	for seed := int64(1); seed <= 2; seed++ {
+		net, err := gnn.New(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trad.Models = append(trad.Models, &core.CostModel{Metric: core.MetricSuccess, Feat: feat, Net: net})
+	}
+	mixed := *pred
+	mixed.Success = trad
+	path := filepath.Join(t.TempDir(), "traditional.json.gz")
+	if err := Save(path, &mixed, testProvenance()); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Load(path)
+	if err == nil || !strings.Contains(err.Error(), "success ensemble cannot run the packed kernel") ||
+		!strings.Contains(err.Error(), "traditional message passing") {
+		t.Fatalf("load error = %v, want the success ensemble refused for traditional message passing", err)
 	}
 }
 

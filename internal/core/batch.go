@@ -13,24 +13,22 @@ import (
 )
 
 // inferMetrics times the batched inference path in the default registry:
-// the placement-invariant featurization setup per scoring session, the
-// per-tile fused scoring, and the per-candidate fallback scoring.
+// the placement-invariant featurization setup per scoring session and the
+// per-tile packed scoring.
 type inferMetrics struct {
 	featurizeSeconds *obs.Histogram
-	candidateSeconds *obs.Histogram
 	tileSeconds      *obs.Histogram
 	tileSize         *obs.Histogram
 	candidates       *obs.Counter
 	fusedTiles       *obs.Counter
 	fusedCandidates  *obs.Counter
-	fallbackCands    *obs.Counter
 	// tileRows counts, per message-passing phase (gnn.PackedGraphs.Rows
 	// order), the kernel rows the scored tiles' candidates requested and
 	// the distinct rows computed for them; computed/requested is the share
 	// of a tile's work its near-duplicate candidates did not save.
 	tileRows [3]struct{ requested, computed *obs.Counter }
 	// ensembleCands counts, per metric (indexed by Metric), the candidates
-	// its ensemble scored on either path. A search round asks for the costs
+	// its ensemble scored. A search round asks for the costs
 	// its objective reads, so after a search the read metrics count the
 	// budget and the others one, the winner: the ratio is the share of
 	// ensemble passes the read set saved.
@@ -42,8 +40,6 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 	m := &inferMetrics{
 		featurizeSeconds: r.Histogram("costream_inference_featurize_seconds",
 			"placement-invariant featurization setup per scoring session", 1e-9),
-		candidateSeconds: r.Histogram("costream_inference_candidate_seconds",
-			"full scoring of one placement candidate on the per-candidate fallback path", 1e-9),
 		tileSeconds: r.Histogram("costream_inference_tile_seconds",
 			"full scoring of one candidate tile across all cost-metric ensembles", 1e-9),
 		tileSize: r.Histogram("costream_inference_tile_size",
@@ -54,8 +50,6 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 			"candidate tiles scored through the packed cross-candidate kernels"),
 		fusedCandidates: r.Counter("costream_inference_fused_candidates_total",
 			"placement candidates scored through the packed cross-candidate kernels"),
-		fallbackCands: r.Counter("costream_inference_fallback_candidates_total",
-			"placement candidates scored per candidate inside a tile (unstackable ensembles)"),
 	}
 	for i, phase := range []string{"host", "placed", "flow"} {
 		rows := func(outcome string) *obs.Counter {
@@ -101,8 +95,8 @@ type BatchFeaturizer struct {
 func (bf *BatchFeaturizer) Plan() *gnn.Plan { return bf.plan }
 
 // NewBatch prepares a BatchFeaturizer for the query and cluster. The
-// returned graphs share node feature slices; they must be treated as
-// read-only (Model.Forward and Model.Infer never mutate them).
+// graphs it builds share node feature slices; they must be treated as
+// read-only (neither the tape nor the packed kernel mutates them).
 func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeaturizer, error) {
 	base, err := f.opGraph(q)
 	if err != nil {
@@ -138,30 +132,15 @@ func (bf *BatchFeaturizer) hostFeatures(h int) []float64 {
 	return v[:]
 }
 
-// BuildGraph assembles the joint graph for one placement candidate,
-// reusing the cached placement-invariant parts. The result is identical
-// to Featurizer.BuildGraph for the same triple.
-func (bf *BatchFeaturizer) BuildGraph(p sim.Placement) (*gnn.Graph, error) {
-	if bf.mode == FeatQueryOnly {
-		return bf.base, nil
-	}
-	if err := p.Validate(bf.q, bf.c); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	nodes := make([]gnn.Node, len(bf.base.Nodes), len(bf.base.Nodes)+len(p))
-	copy(nodes, bf.base.Nodes)
-	g := &gnn.Graph{Nodes: nodes, FlowEdges: bf.base.FlowEdges}
-	attachHosts(g, p, bf.hostFeatures)
-	return g, nil
-}
-
-// buildGraphInto is BuildGraph into caller-owned storage: the graph's
-// node and placement-edge slices are recycled across calls, and the
-// host-node map is replaced by the hostSlot scratch array (grown and
-// reset here), so steady-state candidate assembly allocates nothing.
+// buildGraphInto assembles the joint graph for one placement candidate
+// into caller-owned storage, reusing the cached placement-invariant
+// parts: the graph's node and placement-edge slices are recycled across
+// calls, and the hostSlot scratch array (grown and reset here) maps hosts
+// to their nodes, so steady-state candidate assembly allocates nothing.
 // For FeatQueryOnly the shell aliases the shared base. The result is
-// value-identical to BuildGraph — same nodes, same shared feature
-// slices, same edge order — and must be treated as read-only.
+// value-identical to Featurizer.BuildGraph for the same triple — same
+// nodes and edge order, feature slices shared across the session — and
+// must be treated as read-only.
 func (bf *BatchFeaturizer) buildGraphInto(p sim.Placement, g *gnn.Graph, hostSlot *[]int) error {
 	if bf.mode == FeatQueryOnly {
 		g.Nodes = bf.base.Nodes

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"costream/internal/gnn"
 	"costream/internal/placement"
 	"costream/internal/sim"
 )
@@ -39,28 +40,18 @@ func mixModes(e *Ensemble) *Ensemble {
 // placement.PredictOne, and each ensemble's PredictValue / PredictLabel,
 // are a tile of one on the same engine as placement.Score over a batch, so
 // they must equal the matching batch row bit for bit — for a trained
-// stackable predictor, for ensembles that cannot stack (mixed
-// featurization modes, traditional message passing) and for a predictor
-// with only two of the five metrics. Every ensemble is also held to the
-// per-member reference (each member featurizing and inferring on its
-// own), so the two sides cannot agree on a wrong answer.
+// predictor, for an untrained one with every metric seeded apart and for
+// a predictor with only two of the five metrics. Every ensemble is also
+// held to the per-member reference (each member featurizing and inferring
+// on its own inference tape), so the two sides cannot agree on a wrong
+// answer.
 func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
-	mixed := randomPredictor(t, 3)
-	mixed.Throughput = mixModes(mixed.Throughput)
-	mixed.Backpressure = mixModes(mixed.Backpressure)
-	if st := mixed.Throughput.stacked(); st.sm != nil {
-		t.Fatal("mixed-mode ensemble produced a weight stack")
-	}
-	trad := randomPredictor(t, 2)
-	trad.E2ELatency = randomEnsemble(t, MetricE2ELatency, 2, true)
-	trad.Success = randomEnsemble(t, MetricSuccess, 2, true)
 	predictors := []struct {
 		name string
 		pr   *Predictor
 	}{
 		{"trained", trainedFullPredictor(t)},
-		{"mixed feature modes", mixed},
-		{"traditional passing", trad},
+		{"distinct seeds", distinctPredictor(t, 3)},
 		{"two metrics", &Predictor{
 			ProcLatency: randomEnsemble(t, MetricProcLatency, 3, false),
 			Success:     randomEnsemble(t, MetricSuccess, 3, false),
@@ -146,13 +137,14 @@ func TestBatchFeaturizerMatchesBuildGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 6)
+		var got gnn.Graph
+		var hostSlot []int
 		for _, p := range cands {
 			want, err := f.BuildGraph(tr.Query, tr.Cluster, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bf.BuildGraph(p)
-			if err != nil {
+			if err := bf.buildGraphInto(p, &got, &hostSlot); err != nil {
 				t.Fatal(err)
 			}
 			if len(got.Nodes) != len(want.Nodes) {

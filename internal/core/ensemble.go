@@ -35,17 +35,16 @@ type Ensemble struct {
 // process-wide training budget (SetTrainBudget), so the metric x member x
 // worker fan-out never oversubscribes the machine regardless of k.
 func TrainEnsemble(train, val *dataset.Corpus, metric Metric, cfg TrainConfig, k int) (*Ensemble, error) {
-	trainSamples, valSamples, err := corpusSamples(train, val, metric, cfg.Mode)
+	trainRecs, valRecs, err := featurizeSplit(cfg.Mode, train, val)
 	if err != nil {
 		return nil, err
 	}
-	return trainEnsembleFromSamples(metric, trainSamples, valSamples, cfg, k)
+	return trainEnsembleFromSamples(metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg, k)
 }
 
 // predictOne scores one placement with the ensemble alone: a tile of one
 // on a session of a predictor holding only this ensemble, so it runs the
-// same packed kernels (and the same per-member fallback when the members
-// cannot stack) as a search round.
+// same packed kernels as a search round.
 func (e *Ensemble) predictOne(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
 	pr := &Predictor{}
 	pr.set(e.Metric, e)
@@ -150,16 +149,9 @@ type PredictorConfig struct {
 // is featurized once; the graphs are shared, read-only, by all metrics
 // and ensemble members.
 func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor, error) {
-	feat := Featurizer{Mode: cfg.Train.Mode}
-	trainRecs, err := featurizeCorpus(&feat, train)
+	trainRecs, valRecs, err := featurizeSplit(cfg.Train.Mode, train, val)
 	if err != nil {
 		return nil, err
-	}
-	var valRecs []record
-	if val != nil {
-		if valRecs, err = featurizeCorpus(&feat, val); err != nil {
-			return nil, err
-		}
 	}
 	return trainPredictorFromRecords(trainRecs, valRecs, cfg)
 }

@@ -191,25 +191,10 @@ func (f *Featurizer) opGraph(q *stream.Query) (*gnn.Graph, error) {
 	return g, nil
 }
 
-// attachHosts appends one host node per distinct host used by the
-// placement (in first-use order) and wires the placement edges. hostFeat
-// supplies the feature vector for a host index.
-func attachHosts(g *gnn.Graph, p sim.Placement, hostFeat func(int) []float64) {
-	hostNode := make(map[int]int)
-	for opIdx, h := range p {
-		node, ok := hostNode[h]
-		if !ok {
-			node = len(g.Nodes)
-			hostNode[h] = node
-			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: hostFeat(h)})
-		}
-		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
-	}
-}
-
 // BuildGraph constructs the joint operator-resource graph of Section III
-// for the given query, cluster and placement. For FeatQueryOnly the
-// placement may be nil.
+// for the given query, cluster and placement: one host node per distinct
+// host the placement uses, in first-use order, and one placement edge per
+// operator. For FeatQueryOnly the placement may be nil.
 func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, error) {
 	g, err := f.opGraph(q)
 	if err != nil {
@@ -224,7 +209,16 @@ func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if err := p.Validate(q, c); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	attachHosts(g, p, func(h int) []float64 { return f.hostFeatures(c.Hosts[h]) })
+	hostNode := make(map[int]int)
+	for opIdx, h := range p {
+		node, ok := hostNode[h]
+		if !ok {
+			node = len(g.Nodes)
+			hostNode[h] = node
+			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: f.hostFeatures(c.Hosts[h])})
+		}
+		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
+	}
 	return g, nil
 }
 

@@ -14,8 +14,8 @@ import (
 	"costream/internal/stream"
 )
 
-// fusedSlot is one stackable metric ensemble of a scoring session: the
-// ensemble itself (for its metric and head transforms) plus a
+// fusedSlot is one metric ensemble of a scoring session: the ensemble
+// itself (for its metric and head transforms) plus a
 // snapshot of its weight stack — and with it the precision — pinned for
 // the session's lifetime so a concurrent Invalidate or SetFast32 cannot
 // swap weights mid-round.
@@ -32,17 +32,17 @@ type fusedSlot struct {
 // plan) and the ensemble stack snapshots, and ScoreTile then advances a
 // whole candidate tile through the packed cross-candidate kernels, one
 // gnn.InferEnsembleBatch pass per metric ensemble the caller asked for.
-// Ensembles that cannot be stacked (traditional message passing, mixed
-// featurization modes) are scored per member with the scalar
-// Model.InferPlanned inside the tile, so mixed predictors still work.
+// The packed kernel is the only path: a session over an ensemble that
+// cannot stack (traditional message passing, mixed featurization modes)
+// is an error naming the metric. Its scalar oracle is the inference tape
+// behind CostModel.PredictRaw, member by member.
 //
 // ScoreTile is safe for concurrent use: all mutable state lives in
 // pooled per-call scratch.
 type TileSession struct {
 	c       *hardware.Cluster
 	batches map[FeatureMode]*BatchFeaturizer
-	fused   []fusedSlot // stackable ensembles, paper metric order
-	slow    []*Ensemble // unstackable ensembles, paper metric order
+	fused   []fusedSlot // paper metric order
 	tile    int
 }
 
@@ -63,20 +63,18 @@ func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster)
 		batches: map[FeatureMode]*BatchFeaturizer{},
 	}
 	for _, e := range ensembles {
-		for _, m := range e.Models {
-			if _, ok := s.batches[m.Feat.Mode]; !ok {
-				bf, err := m.Feat.NewBatch(q, c)
-				if err != nil {
-					return nil, err
-				}
-				s.batches[m.Feat.Mode] = bf
+		st, err := e.stacked()
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := s.batches[st.mode]; !ok {
+			bf, err := e.Models[0].Feat.NewBatch(q, c)
+			if err != nil {
+				return nil, err
 			}
+			s.batches[st.mode] = bf
 		}
-		if st := e.stacked(); st.sm != nil {
-			s.fused = append(s.fused, fusedSlot{e: e, sm: st.sm, mode: st.mode})
-		} else {
-			s.slow = append(s.slow, e)
-		}
+		s.fused = append(s.fused, fusedSlot{e: e, sm: st.sm, mode: st.mode})
 	}
 	s.tile = s.tileCap()
 	met.featurizeSeconds.Since(featStart)
@@ -92,12 +90,11 @@ const maxTile = 32
 // footprint so the planes stay cache-resident on typical L2/L3 slices.
 const tileActivationBudget = 4 << 20
 
-// tileCap sizes tiles from the widest fused slot's per-candidate
-// activation footprint when the tile's candidates share no row: an
-// nOps-node operator state per phase (phase 2 and phase 3) plus the
-// host, gather, concat and readout rows, each k*Hidden floats wide. No
-// fused slot (pure fallback predictors) keeps the cap at maxTile — the
-// tile then only bounds featurization reuse.
+// tileCap sizes tiles from the widest slot's per-candidate activation
+// footprint when the tile's candidates share no row: an nOps-node
+// operator state per phase (phase 2 and phase 3) plus the host, gather,
+// concat and readout rows, each k*Hidden floats wide. A predictor without
+// ensembles keeps the cap at maxTile.
 func (s *TileSession) tileCap() int {
 	maxKH, nOps, maxHosts := 0, 0, 0
 	for _, fs := range s.fused {
@@ -137,16 +134,14 @@ type modeShells struct {
 type tileScratch struct {
 	modes    map[FeatureMode]*modeShells
 	bs       *gnn.BatchScratch
-	gcache   map[FeatureMode]*gnn.Graph // slow path: one candidate's graph per mode
 	vals     []float64
 	hostSlot []int
 }
 
 var tilePool = sync.Pool{New: func() any {
 	return &tileScratch{
-		modes:  map[FeatureMode]*modeShells{},
-		bs:     gnn.NewBatchScratch(),
-		gcache: map[FeatureMode]*gnn.Graph{},
+		modes: map[FeatureMode]*modeShells{},
+		bs:    gnn.NewBatchScratch(),
 	}
 }}
 
@@ -168,11 +163,10 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 // untrained default) and no other. Every ensemble is a pass of its own
 // over the tile, so an ensemble outside need costs nothing — a search
 // round names three of the five — and what a pass writes does not depend
-// on which others ran. Stackable ensembles run fused — the tile's graphs
-// are packed once per featurization mode and each ensemble advances all
-// candidates × members in one batched kernel pass; the rest score per
-// candidate and member. Outputs do not depend on the tile size, and at
-// float64 match per-member CostModel.PredictRaw bit for bit. A NaN or
+// on which others ran. The tile's graphs are packed once per
+// featurization mode and each ensemble advances all candidates × members
+// in one batched kernel pass. Outputs do not depend on the tile size, and
+// at float64 match per-member CostModel.PredictRaw bit for bit. A NaN or
 // infinite raw member output — a poisoned weight or feature — is an
 // error naming the metric and member, never a cost: averaged into one it
 // would compare false against everything and win or lose a search by
@@ -197,7 +191,7 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 	ts := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(ts)
 
-	// Pack the tile once per featurization mode used by a needed fused slot.
+	// Pack the tile once per featurization mode used by a needed slot.
 	for mi, fs := range s.fused {
 		if !fs.e.Metric.in(need) || sameMode(s.fused[:mi], need, fs.mode) {
 			continue // not asked for, or packed for an earlier slot this call
@@ -248,62 +242,9 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 		met.fusedTiles.Inc()
 		met.fusedCandidates.Add(int64(len(cands)))
 	}
-
-	slow := anyIn(s.slow, need)
-	for ci, p := range cands {
-		if !slow {
-			break
-		}
-		candStart := time.Now()
-		clear(ts.gcache)
-		for _, e := range s.slow {
-			if !e.Metric.in(need) {
-				continue
-			}
-			if err := s.scoreSlow(e, p, ts, &out[ci]); err != nil {
-				return fmt.Errorf("core: tile candidate %d: %w", ci, err)
-			}
-		}
-		met.candidateSeconds.Since(candStart)
-		met.fallbackCands.Inc()
-	}
-
 	met.candidates.Add(int64(len(cands)))
 	met.tileSize.Record(int64(len(cands)))
 	met.tileSeconds.Since(start)
-	return nil
-}
-
-// scoreSlow scores one candidate with an unstackable ensemble: every
-// member runs the scalar planned pass on the candidate's graph for its
-// own featurization mode, built at most once per (candidate, mode).
-func (s *TileSession) scoreSlow(e *Ensemble, p sim.Placement, ts *tileScratch, out *placement.PredCosts) error {
-	ts.vals = nn.Grow(ts.vals, len(e.Models))
-	vals := ts.vals
-	for i, m := range e.Models {
-		bf := s.batches[m.Feat.Mode]
-		g, ok := ts.gcache[m.Feat.Mode]
-		if !ok {
-			var err error
-			if g, err = bf.BuildGraph(p); err != nil {
-				return err
-			}
-			ts.gcache[m.Feat.Mode] = g
-		}
-		raw, err := m.Net.InferPlanned(g, bf.Plan())
-		if err != nil {
-			return err
-		}
-		vals[i] = raw
-	}
-	if i := firstNonFinite(vals); i >= 0 {
-		return fmt.Errorf("non-finite output for %v, member %d", e.Metric, i)
-	}
-	for i, m := range e.Models {
-		vals[i] = m.headTransform(vals[i])
-	}
-	applyCost(out, e.Metric, vals)
-	inferMet().ensembleCands[e.Metric].Inc()
 	return nil
 }
 
@@ -318,7 +259,7 @@ func firstNonFinite(vals []float64) int {
 	return -1
 }
 
-// sameMode reports whether an earlier needed fused slot already uses the
+// sameMode reports whether an earlier needed slot already uses the
 // mode (and hence already packed the tile's graphs for it).
 func sameMode(slots []fusedSlot, need placement.CostSet, mode FeatureMode) bool {
 	for _, fs := range slots {
@@ -333,16 +274,6 @@ func sameMode(slots []fusedSlot, need placement.CostSet, mode FeatureMode) bool 
 // bits are in Metric order.
 func (m Metric) in(set placement.CostSet) bool {
 	return set&(placement.CostThroughput<<m) != 0
-}
-
-// anyIn reports whether the set names the metric of one of the ensembles.
-func anyIn(ensembles []*Ensemble, set placement.CostSet) bool {
-	for _, e := range ensembles {
-		if e.Metric.in(set) {
-			return true
-		}
-	}
-	return false
 }
 
 // applyCost folds an ensemble's transformed member outputs into the

@@ -70,8 +70,8 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sess.fused) != 5 || len(sess.slow) != 0 {
-		t.Fatalf("fused=%d slow=%d slots; want all five fused", len(sess.fused), len(sess.slow))
+	if len(sess.fused) != 5 {
+		t.Fatalf("fused=%d slots; want all five fused", len(sess.fused))
 	}
 	for _, tile := range append(fusedTileSizes, len(cands)) {
 		got := make([]placement.PredCosts, len(cands))
@@ -153,69 +153,10 @@ func TestScoreTileFast32MatchesPerCandidate(t *testing.T) {
 	}
 }
 
-// TestScoreTileUnstackableFallback checks a mixed predictor: traditional
-// (unstackable) ensembles score per candidate inside the tile, stackable
-// ones fuse, and the merged costs still match PredictOne exactly.
-func TestScoreTileUnstackableFallback(t *testing.T) {
-	pr := randomPredictor(t, 2)
-	pr.ProcLatency = randomEnsemble(t, MetricProcLatency, 2, true)
-	pr.Success = randomEnsemble(t, MetricSuccess, 2, true)
-	c := testCorpus(t)
-	rng := rand.New(rand.NewSource(93))
-	tr := c.Traces[1]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 9)
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.fused) != 3 || len(sess.slow) != 2 {
-		t.Fatalf("fused=%d slow=%d slots; want 3 fused + 2 slow", len(sess.fused), len(sess.slow))
-	}
-	got := make([]placement.PredCosts, len(cands))
-	if err := sess.ScoreTile(cands, placement.AllCosts, got); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range cands {
-		single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
-		if err != nil {
-			t.Fatalf("candidate %d: %v", i, err)
-		}
-		if got[i] != single {
-			t.Fatalf("candidate %d: mixed tile %+v != per-candidate %+v", i, got[i], single)
-		}
-	}
-
-	// A need without the two unstackable metrics runs no per-member pass,
-	// one with only an unstackable metric no fused one; either way the
-	// named fields are the full prediction's and the rest are left alone.
-	for _, need := range []placement.CostSet{
-		placement.CostThroughput | placement.CostE2ELatency | placement.CostBackpressure,
-		placement.CostProcLatency,
-	} {
-		fusedBefore, slowBefore := pathSplit()
-		part := make([]placement.PredCosts, len(cands))
-		if err := sess.ScoreTile(cands, need, part); err != nil {
-			t.Fatalf("need=%05b: %v", need, err)
-		}
-		for i := range cands {
-			var expect placement.PredCosts
-			need.Copy(&expect, got[i])
-			if part[i] != expect {
-				t.Fatalf("need=%05b candidate %d: %+v, want %+v", need, i, part[i], expect)
-			}
-		}
-		fusedAfter, slowAfter := pathSplit()
-		slowRan, fusedRan := slowAfter > slowBefore, fusedAfter > fusedBefore
-		if wantSlow := need&placement.CostProcLatency != 0; slowRan != wantSlow || fusedRan == wantSlow {
-			t.Fatalf("need=%05b: per-member passes ran=%v, fused passes ran=%v", need, slowRan, fusedRan)
-		}
-	}
-}
-
 // TestScoreTileRejectsNonFiniteOutput: one NaN weight in one member must
 // surface as an error naming the metric and the member — from a single
-// prediction (C = 1), from a search tile (C = 7) and from an unstackable
-// ensemble's per-member path — instead of being averaged into a cost.
+// prediction (C = 1) and from a search tile (C = 7) — instead of being
+// averaged into a cost.
 func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[1]
@@ -223,47 +164,38 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	if len(cands) != 7 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
-	for _, traditional := range []bool{false, true} {
-		pr := randomPredictor(t, 3)
-		pr.E2ELatency = randomEnsemble(t, MetricE2ELatency, 3, traditional)
-		params, _ := pr.E2ELatency.Models[1].Net.Params()
-		readoutBias := params[len(params)-1]
-		readoutBias[0] = math.NaN()
-		want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
-
-		sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
-		if err != nil {
-			t.Fatal(err)
+	pr := randomPredictor(t, 3)
+	params, _ := pr.E2ELatency.Models[1].Net.Params()
+	params[len(params)-1][0] = math.NaN() // the readout bias
+	want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
+	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, len(cands)} {
+		err := sess.ScoreTile(cands[:n], placement.AllCosts, make([]placement.PredCosts, n))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("C=%d: err = %v, want %q", n, err, want)
 		}
-		if slow := len(sess.slow); (slow == 1) != traditional {
-			t.Fatalf("traditional=%v: %d slow slots", traditional, slow)
-		}
-		for _, n := range []int{1, len(cands)} {
-			err := sess.ScoreTile(cands[:n], placement.AllCosts, make([]placement.PredCosts, n))
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("traditional=%v C=%d: err = %v, want %q", traditional, n, err, want)
-			}
-		}
-		if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("traditional=%v PredictOne: err = %v, want %q", traditional, err, want)
-		}
+	}
+	if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, cands[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("PredictOne: err = %v, want %q", err, want)
 	}
 
 	// A poisoned ensemble outside the objective's read set does not fail
 	// the rounds — they never run it — but it fails the search when the
 	// chosen placement's costs are completed: no result carries a cost
 	// nobody could predict.
-	pr := randomPredictor(t, 3)
-	params, _ := pr.Throughput.Models[2].Net.Params()
+	pr = randomPredictor(t, 3)
+	params, _ = pr.Throughput.Models[2].Net.Params()
 	params[len(params)-1][0] = math.NaN()
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
-	if err != nil {
+	if sess, err = newTileSession(pr.ensembles(), tr.Query, tr.Cluster); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.ScoreTile(cands, placement.MinProcLatency.Reads(), make([]placement.PredCosts, len(cands))); err != nil {
 		t.Fatalf("ScoreTile without the poisoned metric: %v", err)
 	}
-	want := "non-finite output for " + MetricThroughput.String() + ", member 2"
+	want = "non-finite output for " + MetricThroughput.String() + ", member 2"
 	_, err = placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 8}, placement.SearchOptions{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), want) {
@@ -483,12 +415,9 @@ func TestTileRowsShared(t *testing.T) {
 // TestEnsembleCandidatesCountTheReadSet reads the saving off the counter a
 // live process exports: a budget-64 search scores 64 candidates with the
 // three metrics its objective reads and one — the chosen placement — with
-// the other two, on the fused path and on the per-member path alike; a
-// single prediction scores one candidate with all five.
+// the other two; a single prediction scores one candidate with all five.
 func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 	pr := randomPredictor(t, 2)
-	pr.E2ELatency = randomEnsemble(t, MetricE2ELatency, 2, true) // unstackable, not read
-	pr.Success = randomEnsemble(t, MetricSuccess, 2, true)       // unstackable, read
 	tr := testCorpus(t).Traces[2]
 	counts := func() (n [5]int64) {
 		for m, c := range inferMet().ensembleCands {

@@ -178,72 +178,6 @@ type sample struct {
 	w     float64   // loss weight (class balancing)
 }
 
-// newSample derives the sample's message-passing plan once so the
-// training loop never re-validates the graph or re-derives its topo
-// order (Forward would otherwise redo both every epoch).
-func newSample(g *gnn.Graph, y, w float64) (sample, error) {
-	plan, err := gnn.NewPlan(g)
-	if err != nil {
-		return sample{}, err
-	}
-	return sample{graph: g, plan: plan, y: y, w: w}, nil
-}
-
-// buildSamples featurizes the corpus for the metric. Regression uses only
-// successful traces (failed executions have no defined latency or
-// throughput); classification uses every trace with inverse-frequency
-// class weights.
-func buildSamples(f *Featurizer, c *dataset.Corpus, metric Metric) ([]sample, error) {
-	var samples []sample
-	if metric.IsRegression() {
-		for _, tr := range c.Traces {
-			if !tr.Metrics.Success {
-				continue
-			}
-			g, err := f.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
-			if err != nil {
-				return nil, err
-			}
-			s, err := newSample(g, math.Log1p(metric.Value(tr.Metrics)), 1)
-			if err != nil {
-				return nil, err
-			}
-			samples = append(samples, s)
-		}
-		return samples, nil
-	}
-	nPos, nNeg := 0, 0
-	for _, tr := range c.Traces {
-		if metric.Label(tr.Metrics) {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	total := float64(nPos + nNeg)
-	wPos, wNeg := 1.0, 1.0
-	if nPos > 0 && nNeg > 0 {
-		wPos = total / (2 * float64(nPos))
-		wNeg = total / (2 * float64(nNeg))
-	}
-	for _, tr := range c.Traces {
-		g, err := f.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
-		if err != nil {
-			return nil, err
-		}
-		y, w := 0.0, wNeg
-		if metric.Label(tr.Metrics) {
-			y, w = 1, wPos
-		}
-		s, err := newSample(g, y, w)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, s)
-	}
-	return samples, nil
-}
-
 // sampleLoss records the forward pass and loss of one sample on the tape
 // through the given net (the model itself, or a gradient shadow of it).
 func sampleLoss(net *gnn.Model, metric Metric, t *nn.Tape, sc *gnn.Scratch, s sample) (*nn.Node, error) {
@@ -408,25 +342,14 @@ func reduceSlots(dst [][]float64, slots []*gradSlot) {
 	}
 }
 
-// corpusSamples featurizes the training corpus and the optional
-// validation corpus for one metric.
-func corpusSamples(train, val *dataset.Corpus, metric Metric, mode FeatureMode) (trainSamples, valSamples []sample, err error) {
-	feat := Featurizer{Mode: mode}
-	if trainSamples, err = buildSamples(&feat, train, metric); err != nil || val == nil {
-		return trainSamples, nil, err
-	}
-	valSamples, err = buildSamples(&feat, val, metric)
-	return trainSamples, valSamples, err
-}
-
 // Train trains a COSTREAM model for the metric on the training corpus,
 // early-stopping on the validation corpus.
 func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostModel, error) {
-	trainSamples, valSamples, err := corpusSamples(train, val, metric, cfg.Mode)
+	trainRecs, valRecs, err := featurizeSplit(cfg.Mode, train, val)
 	if err != nil {
 		return nil, err
 	}
-	return trainFromSamples(metric, trainSamples, valSamples, cfg)
+	return trainFromSamples(metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg)
 }
 
 // trainFromSamples trains a fresh model on pre-featurized samples. It owns
@@ -613,11 +536,11 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 // Ensemble, call Ensemble.Invalidate afterwards so the cached weight
 // stack is rebuilt from the tuned weights.
 func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
-	samples, err := buildSamples(&cm.Feat, extra, cm.Metric)
+	recs, err := featurizeCorpus(&cm.Feat, extra)
 	if err != nil {
 		return err
 	}
-	return cm.fit(samples, nil, cfg)
+	return cm.fit(samplesFromRecords(recs, cm.Metric), nil, cfg)
 }
 
 func snapshot(params [][]float64) [][]float64 {
@@ -642,25 +565,31 @@ func restore(params, saved [][]float64) {
 
 // PredictRaw returns the model's raw output for a placement: the predicted
 // cost value for regression metrics, or the positive-class probability for
-// classification metrics.
+// classification metrics. The pass runs on a pooled inference tape — the
+// training-time forward without gradient buffers — so it serves directed
+// and traditional models alike.
 func (cm *CostModel) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
 	g, err := cm.Feat.BuildGraph(q, c, p)
 	if err != nil {
 		return 0, err
 	}
-	return cm.predictGraph(g)
-}
-
-// predictGraph evaluates the model on a prebuilt graph using the
-// tape-free inference pass (bit-identical to the training-time Forward,
-// but without gradient bookkeeping).
-func (cm *CostModel) predictGraph(g *gnn.Graph) (float64, error) {
-	out, err := cm.Net.Infer(g)
+	plan, err := gnn.NewPlan(g)
 	if err != nil {
 		return 0, err
 	}
-	return cm.headTransform(out), nil
+	w := predictPool.Get().(*trainWorker)
+	defer predictPool.Put(w)
+	w.itape.Reset()
+	out, err := cm.Net.ForwardPlanned(w.itape, g, plan, w.scratch)
+	if err != nil {
+		return 0, err
+	}
+	return cm.headTransform(out.Data[0]), nil
 }
+
+// predictPool lends single-model predictions the inference tape and GNN
+// scratch of a worker like meanLoss's.
+var predictPool = sync.Pool{New: func() any { return newTrainWorker() }}
 
 // headTransform maps the network's raw output into metric space.
 func (cm *CostModel) headTransform(out float64) float64 {

@@ -9,6 +9,17 @@ import (
 	"costream/internal/stream"
 )
 
+// metricSamples featurizes a corpus and derives the metric's samples from
+// it, the way Train does.
+func metricSamples(t testing.TB, f *Featurizer, c *dataset.Corpus, metric Metric) []sample {
+	t.Helper()
+	recs, err := featurizeCorpus(f, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samplesFromRecords(recs, metric)
+}
+
 // fakeTrace builds a minimal valid trace with the given outcome flags.
 func fakeTrace(t *testing.T, success, backpressured bool) *dataset.Trace {
 	t.Helper()
@@ -37,11 +48,7 @@ func TestBuildSamplesRegressionSkipsFailures(t *testing.T) {
 		fakeTrace(t, false, true),
 		fakeTrace(t, true, true),
 	}}
-	f := Featurizer{}
-	samples, err := buildSamples(&f, c, MetricThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := metricSamples(t, &Featurizer{}, c, MetricThroughput)
 	if len(samples) != 2 {
 		t.Fatalf("regression samples = %d, want 2 (failures excluded)", len(samples))
 	}
@@ -60,11 +67,7 @@ func TestBuildSamplesClassificationWeights(t *testing.T) {
 		fakeTrace(t, true, false),
 		fakeTrace(t, false, false),
 	}}
-	f := Featurizer{}
-	samples, err := buildSamples(&f, c, MetricSuccess)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := metricSamples(t, &Featurizer{}, c, MetricSuccess)
 	if len(samples) != 4 {
 		t.Fatalf("classification samples = %d, want 4", len(samples))
 	}

@@ -110,10 +110,10 @@ func (e *Ensemble) UnmarshalJSON(data []byte) error {
 	e.Models = j.Members
 	// Any previously cached weight stack refers to the old members;
 	// rebuild eagerly so load time, not first-predict latency, pays for
-	// stacking.
+	// stacking, and an ensemble that cannot be served is refused here.
 	e.Invalidate()
-	e.stacked()
-	return nil
+	_, err = e.stacked()
+	return err
 }
 
 // predictorJSON is the serialized form of a Predictor. Slots for untrained

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"costream/internal/gnn"
 	"costream/internal/nn"
 )
@@ -15,67 +17,77 @@ type tileKernel interface {
 
 // ensembleStack is the cached one-pass form of an Ensemble: the members'
 // GNN weights vertically stacked for gnn.InferEnsembleBatch at the
-// precision fast32 names, plus the featurization mode they share. sm is
-// nil when the members cannot be stacked — mixed featurization modes
-// (Exp 7a ablations) or traditional message passing (Exp 7b) — in which
-// case every prediction takes the per-member fallback path.
+// precision fast32 names, plus the featurization mode they share. The
+// packed kernel is an ensemble's only inference path, so members that
+// cannot stack — mixed featurization modes (Exp 7a ablations),
+// traditional message passing (Exp 7b), mismatched widths — leave sm nil
+// and err saying why. The tape (CostModel.PredictRaw) is the scalar
+// oracle every stack is tested against.
 type ensembleStack struct {
 	sm     tileKernel
 	mode   FeatureMode
 	fast32 bool
+	err    error
 }
 
 // stacked returns the ensemble's cached stack, building it on first use
-// and again when SetFast32 has changed the precision since. The build
-// copies the member weights, so the stack must be dropped (Invalidate)
-// whenever a member's weights change in place — fine-tuning via
-// CostModel.FineTune or artifact reload both do.
-func (e *Ensemble) stacked() *ensembleStack {
+// and again when SetFast32 has changed the precision since, or an error
+// naming the metric when the members cannot stack. The build copies the
+// member weights, so the stack must be dropped (Invalidate) whenever a
+// member's weights change in place — fine-tuning via CostModel.FineTune
+// or artifact reload both do.
+func (e *Ensemble) stacked() (*ensembleStack, error) {
 	fast32 := e.fast32.Load()
-	if st := e.stack.Load(); st != nil && st.fast32 == fast32 {
-		return st
+	st := e.stack.Load()
+	if st == nil || st.fast32 != fast32 {
+		e.stackMu.Lock()
+		if st = e.stack.Load(); st == nil || st.fast32 != fast32 {
+			st = e.buildStack(fast32)
+			e.stack.Store(st)
+		}
+		e.stackMu.Unlock()
 	}
-	e.stackMu.Lock()
-	defer e.stackMu.Unlock()
-	if st := e.stack.Load(); st != nil && st.fast32 == fast32 {
-		return st
+	if st.err != nil {
+		return nil, fmt.Errorf("core: %v ensemble cannot run the packed kernel: %w", e.Metric, st.err)
 	}
-	st := e.buildStack(fast32)
-	e.stack.Store(st)
-	return st
+	return st, nil
 }
 
 func (e *Ensemble) buildStack(fast32 bool) *ensembleStack {
 	st := &ensembleStack{fast32: fast32}
 	if len(e.Models) == 0 {
+		st.err = fmt.Errorf("no members")
 		return st
 	}
-	mode := e.Models[0].Feat.Mode
+	st.mode = e.Models[0].Feat.Mode
 	nets := make([]*gnn.Model, len(e.Models))
 	for i, m := range e.Models {
-		if m.Feat.Mode != mode || m.Net == nil {
+		switch {
+		case m.Net == nil:
+			st.err = fmt.Errorf("member %d has no network", i)
+		case m.Feat.Mode != st.mode:
+			st.err = fmt.Errorf("member %d is featurized %v, member 0 %v", i, m.Feat.Mode, st.mode)
+		}
+		if st.err != nil {
 			return st
 		}
 		nets[i] = m.Net
 	}
 	if fast32 {
-		st.sm = stackAs[float32](nets)
+		st.sm, st.err = stackAs[float32](nets)
 	} else {
-		st.sm = stackAs[float64](nets)
+		st.sm, st.err = stackAs[float64](nets)
 	}
-	st.mode = mode
 	return st
 }
 
-// stackAs stacks the members' weights at element type T, or returns nil
-// for architectures that cannot stack (traditional passing, mismatched
-// widths); those predict correctly through the fallback path.
-func stackAs[T nn.Float](nets []*gnn.Model) tileKernel {
+// stackAs stacks the members' weights at element type T.
+func stackAs[T nn.Float](nets []*gnn.Model) (tileKernel, error) {
 	sm, err := gnn.Stack[T](nets)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return sm
+	return sm, nil
 }
 
 // Invalidate drops the cached weight stack; the next prediction rebuilds
@@ -89,7 +101,7 @@ func (e *Ensemble) Invalidate() {
 // and activations (the same kernels at T = float32, see
 // gnn.StackedModel); the float32 stack is built by the next prediction.
 // Predictions then deviate from the float64 reference within the
-// tolerance documented there; the fallback path is unaffected.
+// tolerance documented there.
 func (e *Ensemble) SetFast32(on bool) {
 	e.fast32.Store(on)
 }

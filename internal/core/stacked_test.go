@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +43,8 @@ func seededEnsemble(t testing.TB, metric Metric, k int, traditional bool, seed i
 }
 
 // perMemberValue is the historical PredictValue: each member featurizes
-// and infers on its own. The stacked path must reproduce it bit for bit.
+// and infers on its own inference tape. The stacked path must reproduce
+// it bit for bit.
 func perMemberValue(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Cluster, p sim.Placement) float64 {
 	t.Helper()
 	var sum float64
@@ -76,7 +79,7 @@ func perMemberLabel(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Clus
 func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 	c := testCorpus(t)
 	e := randomEnsemble(t, MetricThroughput, 3, false)
-	fused, slow := pathSplit()
+	fused := fusedCandidates()
 	for i, tr := range c.Traces[:40] {
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
 		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
@@ -87,16 +90,15 @@ func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 			t.Fatalf("trace %d: stacked %v != per-member %v", i, got, want)
 		}
 	}
-	if f, s := pathSplit(); f-fused != 40 || s != slow {
-		t.Fatalf("fused=%d per-member=%d candidates; want all 40 fused", f-fused, s-slow)
+	if n := fusedCandidates() - fused; n != 40 {
+		t.Fatalf("%d candidates on the packed kernel, want 40", n)
 	}
 }
 
-// pathSplit reads how many candidates the session kernels scored so far on
-// the fused path and on the per-member path
-// (costream_inference_{fused,fallback}_candidates_total).
-func pathSplit() (fused, slow int64) {
-	return inferMet().fusedCandidates.Value(), inferMet().fallbackCands.Value()
+// fusedCandidates reads how many candidates the packed kernel scored so
+// far (costream_inference_fused_candidates_total).
+func fusedCandidates() int64 {
+	return inferMet().fusedCandidates.Value()
 }
 
 // TestStackedPredictLabelMatchesPerMember does the same for a binary
@@ -116,31 +118,53 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 	}
 }
 
-// TestTraditionalEnsembleFallsBack checks that the Exp 7b ablation
-// (traditional message passing) and an Exp 7a style mix of featurization
-// modes cannot stack, still predict correctly as a tile of one, and are
-// counted on the fallback path.
-func TestTraditionalEnsembleFallsBack(t *testing.T) {
-	c := testCorpus(t)
-	for name, e := range map[string]*Ensemble{
-		"traditional": randomEnsemble(t, MetricThroughput, 2, true),
-		"mixed modes": mixModes(randomEnsemble(t, MetricThroughput, 3, false)),
+// TestUnstackableEnsembleRefused: the packed kernel is an ensemble's only
+// inference path, so an ensemble whose members cannot stack — the Exp 7b
+// ablation's traditional message passing, an Exp 7a style mix of
+// featurization modes, mismatched widths — is refused with an error that
+// names the metric and the reason: by NewScoreSession, by every
+// prediction through it, and when decoded. Its members still predict one
+// by one on the inference tape, as Exp 7's single models do.
+func TestUnstackableEnsembleRefused(t *testing.T) {
+	tr := testCorpus(t).Traces[0]
+	wide := randomEnsemble(t, MetricSuccess, 2, false)
+	gcfg := gnn.DefaultConfig(wide.Models[1].Feat.FeatDims())
+	gcfg.Hidden = 24
+	var err error
+	if wide.Models[1].Net, err = gnn.New(gcfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		e      *Ensemble
+		reason string
+	}{
+		{randomEnsemble(t, MetricProcLatency, 2, true), "traditional message passing"},
+		{mixModes(randomEnsemble(t, MetricThroughput, 3, false)), "member 1 is featurized placement-only, member 0 full"},
+		{wide, "different architecture"},
 	} {
-		if st := e.stacked(); st.sm != nil {
-			t.Fatalf("%s ensemble produced a weight stack", name)
+		e := tc.e
+		want := e.Metric.String() + " ensemble cannot run the packed kernel"
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("%v %s: err = %v, want %q and %q", e.Metric, what, err, want, tc.reason)
+			}
 		}
-		tr := c.Traces[0]
-		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
-		fused, slow := pathSplit()
-		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+		pr := &Predictor{}
+		pr.set(e.Metric, e)
+		_, err = pr.NewScoreSession(tr.Query, tr.Cluster)
+		refused("NewScoreSession", err)
+		_, err = e.PredictTrace(tr)
+		refused("PredictTrace", err)
+		data, err := json.Marshal(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("%s: fallback %v != per-member %v", name, got, want)
-		}
-		if f, s := pathSplit(); f != fused || s-slow != 1 {
-			t.Fatalf("%s: fused=%d per-member=%d candidates; want one per-member candidate", name, f-fused, s-slow)
+		refused("decode", json.Unmarshal(data, &Ensemble{}))
+		for i, m := range e.Models {
+			if _, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil {
+				t.Fatalf("%v member %d on the tape: %v", e.Metric, i, err)
+			}
 		}
 	}
 }
@@ -306,9 +330,10 @@ func TestFast32QErrorDrift(t *testing.T) {
 	}
 }
 
-// TestStackedConcurrentPredict exercises the shared weight stack and the
-// pooled per-worker scratches from concurrent search/serve-style workers;
-// run under -race in the CI race matrix.
+// TestStackedConcurrentPredict exercises the shared weight stack, the
+// pooled per-worker scratches and the pooled inference tapes of single
+// models from concurrent search/serve-style workers; run under -race in
+// the CI race matrix.
 func TestStackedConcurrentPredict(t *testing.T) {
 	c := testCorpus(t)
 	pr := &Predictor{
@@ -321,7 +346,12 @@ func TestStackedConcurrentPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, _ := pathSplit()
+	member := pr.Throughput.Models[0]
+	wantRaw, err := member.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := fusedCandidates()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for wkr := 0; wkr < 8; wkr++ {
@@ -329,7 +359,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 		go func(wkr int) {
 			defer wg.Done()
 			for iter := 0; iter < 15; iter++ {
-				switch wkr % 3 {
+				switch wkr % 4 {
 				case 0:
 					got, err := pr.Throughput.PredictValue(tr.Query, tr.Cluster, tr.Placement)
 					if err == nil && got != want {
@@ -345,8 +375,17 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						errs[wkr] = err
 						return
 					}
-				default:
+				case 2:
 					if _, err := pr.Success.PredictLabel(tr.Query, tr.Cluster, tr.Placement); err != nil {
+						errs[wkr] = err
+						return
+					}
+				default:
+					got, err := member.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+					if err == nil && got != wantRaw {
+						err = fmt.Errorf("concurrent PredictRaw diverged: got %v want %v", got, wantRaw)
+					}
+					if err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -360,7 +399,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f, _ := pathSplit(); f == fused {
+	if fusedCandidates() == fused {
 		t.Fatal("no candidate scored on the fused path")
 	}
 }

@@ -59,6 +59,17 @@ func featurizeCorpus(feat *Featurizer, c *dataset.Corpus) ([]record, error) {
 	return recs, nil
 }
 
+// featurizeSplit featurizes a training corpus and an optional (nil)
+// validation corpus in one featurization mode, in corpus order.
+func featurizeSplit(mode FeatureMode, train, val *dataset.Corpus) (trainRecs, valRecs []record, err error) {
+	feat := Featurizer{Mode: mode}
+	if trainRecs, err = featurizeCorpus(&feat, train); err != nil || val == nil {
+		return trainRecs, nil, err
+	}
+	valRecs, err = featurizeCorpus(&feat, val)
+	return trainRecs, valRecs, err
+}
+
 // featurizeSource streams src once and featurizes exactly the traces
 // named by the index sets, placing each at its set's rank so ordering
 // matches the corresponding materialized split corpora. Indices absent
@@ -101,8 +112,8 @@ func featurizeSource(feat *Featurizer, src dataset.Source, idxSets ...[]int) ([]
 }
 
 // samplesFromRecords derives one metric's sample set from featurized
-// records, mirroring buildSamples exactly: regression keeps only
-// successful traces, classification keeps everything with
+// records: regression keeps only successful traces (failed executions have
+// no defined latency or throughput), classification keeps everything with
 // inverse-frequency class weights computed over the record set.
 func samplesFromRecords(recs []record, metric Metric) []sample {
 	var samples []sample
@@ -169,7 +180,11 @@ func trainEnsembleFromSamples(metric Metric, trainSamples, valSamples []sample, 
 		}
 	}
 	e := &Ensemble{Metric: metric, Models: models}
-	e.stacked() // build the weight stack once at train time
+	// Build the weight stack once at train time: an ensemble whose members
+	// cannot stack could serve no prediction.
+	if _, err := e.stacked(); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 

@@ -29,8 +29,8 @@ func streamTestCorpus(t *testing.T, n int, seed int64) *dataset.Corpus {
 // weights to the materialize-then-Split corpus path, for every metric
 // kind and ensemble member. TrainPredictor and TrainPredictorSource share
 // their tail (one featurization, samplesFromRecords), so the reference
-// is the per-metric TrainEnsemble, which featurizes each metric's corpus
-// on its own through buildSamples; TrainPredictor must match it too.
+// is the per-metric TrainEnsemble, which featurizes the corpus once per
+// metric; TrainPredictor must match it too.
 func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	c := streamTestCorpus(t, 40, 77)
 	const seed = 5

@@ -13,7 +13,6 @@ import (
 // featurized sample set (with per-sample plans) and a model architecture.
 var (
 	tbOnce    sync.Once
-	tbErr     error
 	tbSamples []sample
 	tbFeat    Featurizer
 )
@@ -21,12 +20,8 @@ var (
 func trainBenchSetup(b *testing.B) []sample {
 	b.Helper()
 	tbOnce.Do(func() {
-		c := subCorpus(b, 300)
-		tbSamples, tbErr = buildSamples(&tbFeat, c, MetricE2ELatency)
+		tbSamples = metricSamples(b, &tbFeat, subCorpus(b, 300), MetricE2ELatency)
 	})
-	if tbErr != nil {
-		b.Fatal(tbErr)
-	}
 	if len(tbSamples) == 0 {
 		b.Fatal("no usable benchmark samples")
 	}

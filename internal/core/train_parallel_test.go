@@ -73,10 +73,7 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
 	feat := Featurizer{}
-	samples, err := buildSamples(&feat, c, MetricE2ELatency)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := metricSamples(t, &feat, c, MetricE2ELatency)
 	if len(samples) < 4 {
 		t.Skipf("only %d usable samples", len(samples))
 	}
@@ -125,10 +122,7 @@ func TestMeanLossWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valSamples, err := buildSamples(&cm.Feat, val, cm.Metric)
-	if err != nil {
-		t.Fatal(err)
-	}
+	valSamples := metricSamples(t, &cm.Feat, val, cm.Metric)
 	mk := func(n int) []*trainWorker {
 		ws := make([]*trainWorker, n)
 		for i := range ws {

@@ -1,10 +1,5 @@
 package gnn
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Plan caches the placement-invariant message-passing structure of a
 // query's operator flow graph: the topological order of phase 3 and the
 // per-operator upstream lists. Placement candidates for one query share
@@ -33,143 +28,4 @@ func NewPlan(g *Graph) (*Plan, error) {
 		ups[e[1]] = append(ups[e[1]], e[0])
 	}
 	return &Plan{order: order, ups: ups}, nil
-}
-
-// Infer runs a forward pass without recording a tape: no gradient buffers
-// or backward closures are allocated, making it the cheap path for pure
-// cost prediction (placement scoring evaluates thousands of graphs and
-// never needs gradients). The message-passing order mirrors Forward
-// operation for operation, so Infer and Forward produce bit-identical
-// outputs for the same graph and weights.
-func (m *Model) Infer(g *Graph) (float64, error) {
-	plan, err := NewPlan(g)
-	if err != nil {
-		return 0, err
-	}
-	return m.InferPlanned(g, plan)
-}
-
-// InferPlanned is Infer with a precomputed Plan. The graph is trusted to
-// be structurally valid and consistent with the plan (batch scoring
-// guarantees this by constructing both from the same base graph); only
-// the per-node encoder checks remain.
-func (m *Model) InferPlanned(g *Graph, plan *Plan) (float64, error) {
-	hidden := make([][]float64, len(g.Nodes))
-	for i, nd := range g.Nodes {
-		enc, ok := m.enc[nd.Kind]
-		if !ok {
-			return 0, fmt.Errorf("gnn: no encoder for kind %v", nd.Kind)
-		}
-		if len(nd.Feat) != enc.InDim() {
-			return 0, fmt.Errorf("gnn: node %d (%v) has %d features, encoder wants %d",
-				i, nd.Kind, len(nd.Feat), enc.InDim())
-		}
-		hidden[i] = enc.Infer(nd.Feat)
-	}
-	if m.cfg.Traditional {
-		hidden = m.inferTraditional(g, hidden)
-	} else {
-		hidden = m.inferDirected(g, hidden, plan)
-	}
-	return m.out.Infer(vecSum(hidden))[0], nil
-}
-
-// vecSum sums equally sized vectors in argument order, matching
-// Tape.Sum's forward accumulation exactly.
-func vecSum(vs [][]float64) []float64 {
-	data := make([]float64, len(vs[0]))
-	for _, v := range vs {
-		for i, x := range v {
-			data[i] += x
-		}
-	}
-	return data
-}
-
-// inferUpdate is the tape-free twin of update: the node-type specific
-// update MLP applied to concat(sum(children), own state).
-func (m *Model) inferUpdate(kind NodeKind, children [][]float64, own []float64) []float64 {
-	agg := vecSum(children)
-	cat := make([]float64, 0, len(agg)+len(own))
-	cat = append(cat, agg...)
-	cat = append(cat, own...)
-	return m.upd[kind].Infer(cat)
-}
-
-// inferDirected mirrors directedPassing's three ordered phases.
-func (m *Model) inferDirected(g *Graph, h [][]float64, plan *Plan) [][]float64 {
-	// Phase 1: operators -> hardware.
-	hostChildren := make(map[int][][]float64)
-	hostOrder := make([]int, 0, 8)
-	for _, e := range g.PlaceEdges {
-		if _, ok := hostChildren[e[1]]; !ok {
-			hostOrder = append(hostOrder, e[1])
-		}
-		hostChildren[e[1]] = append(hostChildren[e[1]], h[e[0]])
-	}
-	sort.Ints(hostOrder)
-	next := make([][]float64, len(h))
-	copy(next, h)
-	for _, hostIdx := range hostOrder {
-		next[hostIdx] = m.inferUpdate(KindHost, hostChildren[hostIdx], h[hostIdx])
-	}
-
-	// Phase 2: hardware -> operators.
-	after2 := make([][]float64, len(next))
-	copy(after2, next)
-	for _, e := range g.PlaceEdges {
-		opIdx, hostIdx := e[0], e[1]
-		after2[opIdx] = m.inferUpdate(g.Nodes[opIdx].Kind, [][]float64{next[hostIdx]}, next[opIdx])
-	}
-
-	// Phase 3: sources -> ... -> sink along the data flow.
-	final := make([][]float64, len(after2))
-	copy(final, after2)
-	for _, v := range plan.order {
-		parents := plan.ups[v]
-		if len(parents) == 0 {
-			continue
-		}
-		children := make([][]float64, len(parents))
-		for i, p := range parents {
-			children[i] = final[p]
-		}
-		final[v] = m.inferUpdate(g.Nodes[v].Kind, children, after2[v])
-	}
-	return final
-}
-
-// inferTraditional mirrors traditionalPassing (the Exp 7b ablation). The
-// neighbor structure depends on placement edges, so nothing of the Plan
-// applies here.
-func (m *Model) inferTraditional(g *Graph, h [][]float64) [][]float64 {
-	n := len(g.Nodes)
-	neighbors := make([][]int, n)
-	addEdge := func(a, b int) {
-		neighbors[a] = append(neighbors[a], b)
-		neighbors[b] = append(neighbors[b], a)
-	}
-	for _, e := range g.FlowEdges {
-		addEdge(e[0], e[1])
-	}
-	for _, e := range g.PlaceEdges {
-		addEdge(e[0], e[1])
-	}
-	cur := h
-	for round := 0; round < m.cfg.TraditionalRounds; round++ {
-		next := make([][]float64, n)
-		for v := 0; v < n; v++ {
-			if len(neighbors[v]) == 0 {
-				next[v] = cur[v]
-				continue
-			}
-			children := make([][]float64, len(neighbors[v]))
-			for i, u := range neighbors[v] {
-				children[i] = cur[u]
-			}
-			next[v] = m.inferUpdate(g.Nodes[v].Kind, children, cur[v])
-		}
-		cur = next
-	}
-	return cur
 }

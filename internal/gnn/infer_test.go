@@ -1,67 +1,63 @@
 package gnn
 
 import (
+	"slices"
 	"testing"
 
 	"costream/internal/nn"
 )
 
-// TestInferMatchesForward pins the tape-free inference pass to the
-// training-time Forward pass: both must produce bit-identical outputs,
-// which is what lets the batched placement scorer use Infer while
-// remaining exactly equivalent to the per-candidate path.
-func TestInferMatchesForward(t *testing.T) {
-	for _, traditional := range []bool{false, true} {
-		m := newTestModel(t, traditional)
-		for _, srcFeat := range []float64{0.0, 0.25, 0.5, 0.75, 1.0} {
-			g := testGraph(srcFeat)
-			tape := nn.NewTape()
-			fwd, err := m.Forward(tape, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inf, err := m.Infer(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inf != fwd.Data[0] {
-				t.Errorf("traditional=%v srcFeat=%v: Infer=%v Forward=%v",
-					traditional, srcFeat, inf, fwd.Data[0])
-			}
-		}
-	}
-}
-
 // TestInferDoesNotMutateGraph guards the read-only contract batch scoring
-// relies on when sharing node feature slices across graphs.
+// relies on when sharing node feature slices across graphs: neither an
+// inference tape nor the packed kernel writes a feature.
 func TestInferDoesNotMutateGraph(t *testing.T) {
 	m := newTestModel(t, false)
 	g := testGraph(0.5)
 	var before [][]float64
 	for _, nd := range g.Nodes {
-		before = append(before, append([]float64(nil), nd.Feat...))
+		before = append(before, slices.Clone(nd.Feat))
 	}
-	if _, err := m.Infer(g); err != nil {
-		t.Fatal(err)
-	}
-	for i, nd := range g.Nodes {
-		for j, x := range nd.Feat {
-			if x != before[i][j] {
-				t.Fatalf("node %d feature %d mutated: %v -> %v", i, j, before[i][j], x)
+	check := func(path string) {
+		t.Helper()
+		for i, nd := range g.Nodes {
+			if !slices.Equal(nd.Feat, before[i]) {
+				t.Fatalf("%s: node %d features mutated: %v -> %v", path, i, before[i], nd.Feat)
 			}
 		}
 	}
+	if _, err := m.Forward(nn.NewInferenceTape(), g); err != nil {
+		t.Fatal(err)
+	}
+	check("inference tape")
+
+	sm, err := Stack[float64]([]*Model{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := NewPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := PackGraphs([]*Graph{g}, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.InferEnsembleBatch(pg, nil, make([]float64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("packed kernel")
 }
 
-// TestInferRejectsBadGraphs mirrors Forward's validation behavior.
+// TestInferRejectsBadGraphs: an inference tape validates like a training
+// one — an empty graph and a wrong feature width are errors.
 func TestInferRejectsBadGraphs(t *testing.T) {
 	m := newTestModel(t, false)
-	if _, err := m.Infer(&Graph{}); err == nil {
+	if _, err := m.Forward(nn.NewInferenceTape(), &Graph{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 	g := testGraph(0.5)
 	g.Nodes[0].Feat = []float64{1} // wrong dimension
-	if _, err := m.Infer(g); err == nil {
+	if _, err := m.Forward(nn.NewInferenceTape(), g); err == nil {
 		t.Error("wrong feature dimension accepted")
 	}
 }

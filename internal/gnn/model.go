@@ -135,8 +135,8 @@ func (m *Model) GradShadow() *Model {
 // nn.Linear.RefreshMirror). While they exist, ForwardPlanned runs its
 // affine ops on the AVX kernel; a training loop calls this after every
 // optimizer step and DropMirrors when it is done. Make gradient shadows
-// after the first call, so they share the mirrors. Infer and
-// InferPlanned never read a mirror.
+// after the first call, so they share the mirrors. Without mirrors the
+// same ops run the scalar loops, bit for bit.
 func (m *Model) RefreshMirrors() { m.eachMLP((*nn.MLP).RefreshMirror) }
 
 // DropMirrors releases the training mirrors.

@@ -424,7 +424,8 @@ func gatherRow[T nn.Float](dst []T, feat []float64) {
 // what a round's candidates have in common — a host with the same
 // operators on it, an upstream part of the flow placed the same way — is
 // computed once. At T = float64 every value is bit-identical to
-// Model.InferPlanned per member on the candidate's own graph: all
+// Model.ForwardPlanned on an inference tape, per member on the
+// candidate's own graph: all
 // kernels are row-independent with a fixed per-row accumulation order,
 // so batching rows across candidates, or reading a row another candidate
 // shares — or neither, at C = 1 — cannot change any result. The same

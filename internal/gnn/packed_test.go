@@ -31,9 +31,9 @@ var packHostFeats = [][]float64{
 }
 
 // packCandidates derives one candidate graph per placement, mirroring
-// core's attachHosts: node header copies sharing the base feature slices,
-// host nodes appended in first-use order, placement edges in operator
-// order.
+// core's Featurizer.BuildGraph: node header copies sharing the base
+// feature slices, host nodes appended in first-use order, placement edges
+// in operator order.
 func packCandidates(base *Graph, placements [][]int) []*Graph {
 	out := make([]*Graph, len(placements))
 	for ci, p := range placements {
@@ -119,14 +119,14 @@ func randomFlow(rng *rand.Rand, shape string) *Graph {
 }
 
 // oracleCandidates derives n candidate graphs over base the way core's
-// attachHosts does (see packCandidates), mixing what a search round packs
-// into one tile: all operators on one host, and again with the placement
-// edges reversed (the same children summed in another order); every
-// operator on its own host, then that placement's whole single-move
-// neighbourhood — each operator in turn moved to a spare host, so a
-// join's candidates differ in exactly one parent — and exact duplicates;
-// a random placement with single moves of it; and random placements, some
-// with shuffled placement edges.
+// Featurizer.BuildGraph does (see packCandidates), mixing what a search
+// round packs into one tile: all operators on one host, and again with
+// the placement edges reversed (the same children summed in another
+// order); every operator on its own host, then that placement's whole
+// single-move neighbourhood — each operator in turn moved to a spare
+// host, so a join's candidates differ in exactly one parent — and exact
+// duplicates; a random placement with single moves of it; and random
+// placements, some with shuffled placement edges.
 func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
 	nOps := len(base.Nodes)
 	hostFeats := make([][]float64, nOps+1) // host nOps is the spare
@@ -214,8 +214,20 @@ func scoreTiles[T nn.Float](t *testing.T, sm *StackedModel[T], graphs []*Graph, 
 	return got
 }
 
+// tapeOracle is the scalar oracle of the packed kernel: one member on one
+// graph, on an inference tape without training mirrors (the plain Go
+// loops, no assembly).
+func tapeOracle(t *testing.T, m *Model, g *Graph, plan *Plan) float64 {
+	t.Helper()
+	out, err := m.ForwardPlanned(nn.NewInferenceTape(), g, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Data[0]
+}
+
 // TestPackedMatchesScalarOracle checks the one inference engine against
-// the scalar oracle, Model.InferPlanned per member and candidate, on
+// the scalar oracle, tapeOracle per member and candidate, on
 // generated inputs: seeded random flow shapes (chain, fan-in join, wide
 // fan-out), ensembles of k members, tiles of C candidates — C = 1 is a
 // single prediction — over the candidate mix of oracleCandidates (near
@@ -250,11 +262,7 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 				want := make([]float64, 0, pool*k)
 				for _, g := range graphs {
 					for _, mod := range models {
-						v, err := mod.InferPlanned(g, plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want = append(want, v)
+						want = append(want, tapeOracle(t, mod, g, plan))
 					}
 				}
 				sm64, err := Stack[float64](models)
@@ -335,11 +343,7 @@ func TestInferEnsembleNilScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m, mod := range f.models {
-		want, err := mod.InferPlanned(f.graphs[0], f.plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[m] != want {
+		if want := tapeOracle(t, mod, f.graphs[0], f.plan); out[m] != want {
 			t.Fatalf("nil scratch, member %d: packed %v != scalar %v", m, out[m], want)
 		}
 	}
@@ -420,9 +424,7 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 	}
 	want := make([]float64, sm.K())
 	for m, mod := range models {
-		if want[m], err = mod.InferPlanned(base, plan); err != nil {
-			t.Fatal(err)
-		}
+		want[m] = tapeOracle(t, mod, base, plan)
 	}
 	for ci := range graphs {
 		for m := 0; m < sm.K(); m++ {
@@ -555,11 +557,7 @@ func TestPackGraphsSharesRows(t *testing.T) {
 		}
 		for ci, g := range graphs {
 			for m, mod := range models {
-				want, err := mod.InferPlanned(g, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[ci*sm.K()+m] != want {
+				if want := tapeOracle(t, mod, g, plan); got[ci*sm.K()+m] != want {
 					t.Fatalf("candidate %d member %d: packed %v != scalar %v", ci, m, got[ci*sm.K()+m], want)
 				}
 			}

@@ -18,9 +18,9 @@ import (
 // make the steady-state pass allocation-free.
 //
 // At T = float64 every output is bit-identical, member for member, to
-// Model.InferPlanned, which stays as the scalar oracle (and the only path
-// for traditional message passing): every kernel accumulates in the same
-// order as the per-vector code. T = float32 is the same code on the
+// Model.ForwardPlanned on an inference tape, the scalar oracle (and the
+// only path for traditional message passing): every kernel accumulates in
+// the same order as the tape's ops. T = float32 is the same code on the
 // opt-in fast path, trading ~7 decimal digits of precision for half the
 // memory traffic; the documented bound is 1e-4 relative on raw outputs.
 //
@@ -39,8 +39,8 @@ type StackedModel[T nn.Float] struct {
 // one-pass ensemble inference. All models must share one architecture
 // (Config equality up to TraditionalRounds) and use the paper's directed
 // message passing — the Exp 7b traditional ablation re-derives its
-// neighbor structure per graph and is not supported (callers fall back
-// to per-member InferPlanned).
+// neighbor structure per graph and is not supported; such models predict
+// one at a time on an inference tape.
 func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("gnn: stacking zero models")
@@ -109,7 +109,7 @@ func (sm *StackedModel[T]) Hidden() int { return sm.cfg.Hidden }
 // catRow writes one interleaved update-input row: for each member m the
 // concat of (sum of child states in child order, own state), children
 // read from childSrc and the own state from ownSrc — both n×(k·H)
-// activation planes. Summation order matches vecSum exactly.
+// activation planes. Summation order matches nn.Tape.Sum exactly.
 func catRow[T nn.Float](dst []T, kids []int, own, k, H int, childSrc, ownSrc []T) {
 	kH := k * H
 	for m := 0; m < k; m++ {

@@ -13,7 +13,8 @@ import "fmt"
 //
 // Every kernel accumulates each output element in exactly the order of
 // Linear.affineInto (bias first, then inputs in index order), so the
-// float64 path is bit-identical to MLP.Infer on the same weights. All of
+// float64 path is bit-identical to MLP.Apply on an inference tape — the
+// scalar oracle — on the same weights. All of
 // it is one implementation over the element type: T = float32 is the
 // opt-in fast path (accumulation in float32, ~7 decimal digits, half the
 // memory traffic), and the only precision-specific code is the pair of
@@ -272,7 +273,7 @@ func Grow[T any](buf []T, n int) []T {
 
 // StackedMLP is k same-architecture MLPs evaluated as one row-batched
 // kernel stack. Hidden layers run the fused affine+LeakyReLU kernel, the
-// final layer stays linear — mirroring MLP.Infer layer for layer.
+// final layer stays linear — mirroring MLP.Apply layer for layer.
 type StackedMLP[T Float] struct {
 	K      int
 	Alpha  T
@@ -347,7 +348,7 @@ func (s *StackedMLP[T]) forward(dst, x []T, xBlock, xStride, rows int, sc *Dense
 
 // ForwardShared runs the whole stack on rows input rows shared by every
 // member: x is rows×InDim, dst is rows×(K·OutDim). At T = float64 it is
-// bit-identical per member to MLP.Infer on each row.
+// bit-identical per member to MLP.Apply on an inference tape, row by row.
 func (s *StackedMLP[T]) ForwardShared(dst, x []T, rows int, sc *DenseScratch[T]) {
 	s.forward(dst, x, 0, s.InDim(), rows, sc)
 }

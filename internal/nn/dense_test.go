@@ -14,9 +14,16 @@ func randRows(rng *rand.Rand, rows, dim int) []float64 {
 	return x
 }
 
+// tapeInfer runs the MLP on an inference tape without training mirrors:
+// the scalar oracle of the stacked kernels.
+func tapeInfer(m *MLP, x []float64) []float64 {
+	t := NewInferenceTape()
+	return m.Apply(t, t.Const(x)).Data
+}
+
 // TestStackedMLPSharedMatchesInfer checks that ForwardShared is
-// bit-identical, member for member, to running each MLP's Infer on every
-// row.
+// bit-identical, member for member, to running each MLP on an inference
+// tape on every row.
 func TestStackedMLPSharedMatchesInfer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const k, rows, in, hid, out = 3, 7, 11, 16, 5
@@ -33,7 +40,7 @@ func TestStackedMLPSharedMatchesInfer(t *testing.T) {
 	s.ForwardShared(dst, x, rows, &DenseScratch[float64]{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
-			want := mlps[m].Infer(x[r*in : (r+1)*in])
+			want := tapeInfer(mlps[m], x[r*in:(r+1)*in])
 			got := dst[r*k*out+m*out : r*k*out+(m+1)*out]
 			for o := range want {
 				if got[o] != want[o] {
@@ -45,7 +52,7 @@ func TestStackedMLPSharedMatchesInfer(t *testing.T) {
 }
 
 // TestStackedMLPBlocksMatchesInfer checks the interleaved member-block
-// path against per-member Infer.
+// path against each member on an inference tape.
 func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const k, rows, in, hid, out = 4, 5, 9, 13, 3
@@ -62,7 +69,7 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	s.ForwardBlocks(dst, x, rows, &DenseScratch[float64]{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
-			want := mlps[m].Infer(x[r*k*in+m*in : r*k*in+(m+1)*in])
+			want := tapeInfer(mlps[m], x[r*k*in+m*in:r*k*in+(m+1)*in])
 			got := dst[r*k*out+m*out : r*k*out+(m+1)*out]
 			for o := range want {
 				if got[o] != want[o] {

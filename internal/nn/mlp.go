@@ -16,9 +16,9 @@ type Linear struct {
 
 	// wt is the training mirror: W transposed to In x Out, the layout
 	// affineLeakyAVX streams. It exists only between RefreshMirror and
-	// DropMirror (core's fit loop), is shared by gradient shadows like W,
-	// and is read by Apply/applyLeaky alone — forward and Infer, the
-	// scalar oracle of the packed inference kernels, never look at it.
+	// DropMirror (core's fit loop) and is shared by gradient shadows like
+	// W. Without it the tape runs affineInto, which makes an inference
+	// tape the scalar oracle of the packed inference kernels.
 	wt []float64
 }
 
@@ -38,9 +38,9 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	return l
 }
 
-// affineInto computes y = W*x + b into dst. Apply and Infer share this
-// exact loop so that tape-based and inference-only forward passes are
-// bit-identical.
+// affineInto computes y = W*x + b into dst: the tape's forward wherever
+// no training mirror exists, and the per-element accumulation order every
+// kernel in this package reproduces.
 func (l *Linear) affineInto(dst, x []float64) {
 	if len(x) != l.In {
 		panic(fmt.Sprintf("nn: Linear input dim %d, want %d", len(x), l.In))
@@ -99,16 +99,6 @@ func (l *Linear) affineTape(dst, x []float64, slope float64) {
 	}
 	affineLeakyAVX(&dst[0], &x[0], &l.wt[0], &l.B[0], l.In, l.Out, 1, 0, 0, slope)
 }
-
-// forward computes y = W*x + b into a fresh slice.
-func (l *Linear) forward(x []float64) []float64 {
-	data := make([]float64, l.Out)
-	l.affineInto(data, x)
-	return data
-}
-
-// Infer computes y = W*x + b without recording anything for backprop.
-func (l *Linear) Infer(x []float64) []float64 { return l.forward(x) }
 
 // Apply records y = W*x + b on the tape as a single affine op.
 func (l *Linear) Apply(t *Tape, x *Node) *Node {
@@ -293,21 +283,6 @@ func AddAndClear(dst, src []float64) {
 		dst[i] += v
 	}
 	clear(src)
-}
-
-// Infer runs the MLP forward pass without a tape: no gradient buffers or
-// backward closures are allocated, which makes it several times cheaper
-// than Apply for pure prediction. The arithmetic (and therefore the
-// result) is bit-identical to Apply.
-func (m *MLP) Infer(x []float64) []float64 {
-	h := x
-	for i, l := range m.Layers {
-		h = l.forward(h)
-		if i+1 < len(m.Layers) {
-			leakyReLUInPlace(h, m.Alpha)
-		}
-	}
-	return h
 }
 
 // leakyReLUInPlace applies max(x, alpha*x) elementwise, matching

@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-// BenchmarkSearch measures one full search run per strategy on a 12-host
-// cluster with a 64-candidate budget, using the deterministic landscape
-// predictor so the numbers isolate engine overhead (generation, dedup,
-// streaming rounds) from model inference.
-func BenchmarkSearch(b *testing.B) {
-	q := testQuery()
-	c := cluster12()
-	pred := landscapePredictor{}
-	budget := Budget{MaxCandidates: 64}
-	for _, name := range StrategyNames() {
-		strat, err := ParseStrategy(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Search(pred, q, c, strat, MinProcLatency, budget,
-					SearchOptions{Seed: int64(i), Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlacementKey compares the compact binary dedup key against the
 // fmt.Sprint encoding it replaced.
 func BenchmarkPlacementKey(b *testing.B) {
