@@ -9,7 +9,7 @@
 // with a per-benchmark diff when ns/op or allocs/op regress by more
 // than the tolerance:
 //
-//	costream-bench -compare BENCH_9.json -new BENCH_pr.json -tolerance 0.20
+//	costream-bench -compare BENCH_10.json -new BENCH_pr.json -tolerance 0.20
 //
 // Baseline entries may be flat measurements or {"before": ..., "after":
 // ...} pairs as committed in BENCH_<pr>.json; compare uses "after". A

@@ -49,7 +49,6 @@ func main() {
 		idleTO      = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection (0 disables)")
 		maxBody     = flag.Int64("max-body", serve.DefaultMaxRequestBytes, "max request body bytes; larger bodies are answered 413")
 		pprofAddr   = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
-		fast32      = flag.Bool("fast32", false, "run stacked ensemble inference in float32 (faster, ~1e-4 relative drift)")
 		traceLog    = flag.Bool("trace-log", false, "log one structured trace record per instrumented request (debug level)")
 		ctrlTick    = flag.Duration("control-interval", 15*time.Second, "placement control-loop tick interval (0 disables the loop; /v1/control/tick still works)")
 	)
@@ -68,10 +67,6 @@ func main() {
 	log.Printf("loaded %s: %d/5 metric ensembles (trained %s, seed %d, corpus %d, epochs %d, ensemble %d)",
 		*modelPath, metrics, prov.CreatedAt.Format(time.RFC3339),
 		prov.TrainSeed, prov.CorpusSize, prov.Epochs, prov.EnsembleSize)
-	if *fast32 {
-		pred.SetFast32(true)
-		log.Print("float32 stacked inference enabled")
-	}
 
 	obs.StartPprof(*pprofAddr, log.Printf)
 

@@ -26,7 +26,6 @@ type Ensemble struct {
 
 	stack   atomic.Pointer[ensembleStack]
 	stackMu sync.Mutex
-	fast32  atomic.Bool
 }
 
 // TrainEnsemble trains k models with different random initialization seeds
@@ -55,7 +54,7 @@ func (e *Ensemble) predictOne(q *stream.Query, c *hardware.Cluster, p sim.Placem
 // predictions). It errors for classification metrics. The placement is
 // featurized once for the whole ensemble and all members advance through
 // the packed tile kernel as a tile of one (bit-identical to per-member
-// inference at float64).
+// inference).
 func (e *Ensemble) PredictValue(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
 	if !e.Metric.IsRegression() {
 		return 0, fmt.Errorf("core: %v is not a regression metric", e.Metric)

@@ -15,13 +15,13 @@ import (
 )
 
 // fusedSlot is one metric ensemble of a scoring session: the ensemble
-// itself (for its metric and head transforms) plus a
-// snapshot of its weight stack — and with it the precision — pinned for
-// the session's lifetime so a concurrent Invalidate or SetFast32 cannot
-// swap weights mid-round.
+// itself (for its metric and head transforms) plus a snapshot of its
+// weight stack, pinned for the session's lifetime so a concurrent
+// Invalidate cannot swap weights mid-round: a session opened before it
+// scores the old weights, one opened after it the new.
 type fusedSlot struct {
 	e    *Ensemble
-	sm   tileKernel
+	sm   *gnn.StackedModel
 	mode FeatureMode
 }
 
@@ -166,7 +166,7 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 // on which others ran. The tile's graphs are packed once per
 // featurization mode and each ensemble advances all candidates × members
 // in one batched kernel pass. Outputs do not depend on the tile size, and
-// at float64 match per-member CostModel.PredictRaw bit for bit. A NaN or
+// match per-member CostModel.PredictRaw bit for bit. A NaN or
 // infinite raw member output — a poisoned weight or feature — is an
 // error naming the metric and member, never a cost: averaged into one it
 // would compare false against everything and win or lose a search by

@@ -114,45 +114,6 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	}
 }
 
-// TestScoreTileFast32MatchesPerCandidate pins the fused float32 path to
-// the per-candidate float32 path bit for bit at every tile size: the PR 6
-// q-error drift gate against float64 (TestFast32QErrorDrift) therefore
-// bounds the fused fast path too.
-func TestScoreTileFast32MatchesPerCandidate(t *testing.T) {
-	pr := randomPredictor(t, 3)
-	pr.SetFast32(true)
-	c := testCorpus(t)
-	rng := rand.New(rand.NewSource(92))
-	tr := c.Traces[4]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 33)
-	want := make([]placement.PredCosts, len(cands))
-	for i, p := range cands {
-		single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
-		if err != nil {
-			t.Fatalf("candidate %d: %v", i, err)
-		}
-		want[i] = single
-	}
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tile := range append(fusedTileSizes, len(cands)) {
-		got := make([]placement.PredCosts, len(cands))
-		for lo := 0; lo < len(cands); lo += tile {
-			hi := min(lo+tile, len(cands))
-			if err := sess.ScoreTile(cands[lo:hi], placement.AllCosts, got[lo:hi]); err != nil {
-				t.Fatalf("tile=%d at %d: %v", tile, lo, err)
-			}
-		}
-		for i := range cands {
-			if got[i] != want[i] {
-				t.Fatalf("tile=%d candidate %d: fused32 %+v != per-candidate32 %+v", tile, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestScoreTileRejectsNonFiniteOutput: one NaN weight in one member must
 // surface as an error naming the metric and the member — from a single
 // prediction (C = 1) and from a search tile (C = 7) — instead of being

@@ -4,45 +4,33 @@ import (
 	"fmt"
 
 	"costream/internal/gnn"
-	"costream/internal/nn"
 )
 
-// tileKernel is an ensemble's weight stack at one precision: a
-// *gnn.StackedModel[float64], or [float32] under SetFast32.
-type tileKernel interface {
-	K() int
-	Hidden() int
-	InferEnsembleBatch(pg *gnn.PackedGraphs, s *gnn.BatchScratch, out []float64) error
-}
-
 // ensembleStack is the cached one-pass form of an Ensemble: the members'
-// GNN weights vertically stacked for gnn.InferEnsembleBatch at the
-// precision fast32 names, plus the featurization mode they share. The
-// packed kernel is an ensemble's only inference path, so members that
-// cannot stack — mixed featurization modes (Exp 7a ablations),
-// traditional message passing (Exp 7b), mismatched widths — leave sm nil
-// and err saying why. The tape (CostModel.PredictRaw) is the scalar
-// oracle every stack is tested against.
+// GNN weights vertically stacked for gnn.InferEnsembleBatch, plus the
+// featurization mode they share. The packed kernel is an ensemble's only
+// inference path, so members that cannot stack — mixed featurization
+// modes (Exp 7a ablations), traditional message passing (Exp 7b),
+// mismatched widths — leave sm nil and err saying why. The tape
+// (CostModel.PredictRaw) is the scalar oracle every stack is tested
+// against.
 type ensembleStack struct {
-	sm     tileKernel
-	mode   FeatureMode
-	fast32 bool
-	err    error
+	sm   *gnn.StackedModel
+	mode FeatureMode
+	err  error
 }
 
-// stacked returns the ensemble's cached stack, building it on first use
-// and again when SetFast32 has changed the precision since, or an error
-// naming the metric when the members cannot stack. The build copies the
-// member weights, so the stack must be dropped (Invalidate) whenever a
-// member's weights change in place — fine-tuning via CostModel.FineTune
-// or artifact reload both do.
+// stacked returns the ensemble's cached stack, building it on first use,
+// or an error naming the metric when the members cannot stack. The build
+// copies the member weights, so the stack must be dropped (Invalidate)
+// whenever a member's weights change in place — fine-tuning via
+// CostModel.FineTune or artifact reload both do.
 func (e *Ensemble) stacked() (*ensembleStack, error) {
-	fast32 := e.fast32.Load()
 	st := e.stack.Load()
-	if st == nil || st.fast32 != fast32 {
+	if st == nil {
 		e.stackMu.Lock()
-		if st = e.stack.Load(); st == nil || st.fast32 != fast32 {
-			st = e.buildStack(fast32)
+		if st = e.stack.Load(); st == nil {
+			st = e.buildStack()
 			e.stack.Store(st)
 		}
 		e.stackMu.Unlock()
@@ -53,8 +41,8 @@ func (e *Ensemble) stacked() (*ensembleStack, error) {
 	return st, nil
 }
 
-func (e *Ensemble) buildStack(fast32 bool) *ensembleStack {
-	st := &ensembleStack{fast32: fast32}
+func (e *Ensemble) buildStack() *ensembleStack {
+	st := &ensembleStack{}
 	if len(e.Models) == 0 {
 		st.err = fmt.Errorf("no members")
 		return st
@@ -73,21 +61,8 @@ func (e *Ensemble) buildStack(fast32 bool) *ensembleStack {
 		}
 		nets[i] = m.Net
 	}
-	if fast32 {
-		st.sm, st.err = stackAs[float32](nets)
-	} else {
-		st.sm, st.err = stackAs[float64](nets)
-	}
+	st.sm, st.err = gnn.Stack(nets)
 	return st
-}
-
-// stackAs stacks the members' weights at element type T.
-func stackAs[T nn.Float](nets []*gnn.Model) (tileKernel, error) {
-	sm, err := gnn.Stack[T](nets)
-	if err != nil {
-		return nil, err
-	}
-	return sm, nil
 }
 
 // Invalidate drops the cached weight stack; the next prediction rebuilds
@@ -95,24 +70,6 @@ func stackAs[T nn.Float](nets []*gnn.Model) (tileKernel, error) {
 // member in place (e.g. CostModel.FineTune).
 func (e *Ensemble) Invalidate() {
 	e.stack.Store(nil)
-}
-
-// SetFast32 switches the ensemble's stacked inference to float32 weights
-// and activations (the same kernels at T = float32, see
-// gnn.StackedModel); the float32 stack is built by the next prediction.
-// Predictions then deviate from the float64 reference within the
-// tolerance documented there.
-func (e *Ensemble) SetFast32(on bool) {
-	e.fast32.Store(on)
-}
-
-// SetFast32 switches every trained ensemble to float32 stacked kernels.
-func (pr *Predictor) SetFast32(on bool) {
-	for _, s := range pr.Ensembles() {
-		if s.Ensemble != nil {
-			s.Ensemble.SetFast32(on)
-		}
-	}
 }
 
 // meanOf folds transformed member outputs into the ensemble's regression

@@ -194,19 +194,37 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 }
 
 // TestInvalidateRebuildsStack checks that in-place weight updates become
-// visible after Invalidate (and, implicitly, that the stack holds copies).
+// visible after Invalidate (and, implicitly, that the stack holds copies),
+// and that a session pins the stack it opened with: one opened before the
+// update still scores the old bits, one opened after it the new ones.
 func TestInvalidateRebuildsStack(t *testing.T) {
 	c := testCorpus(t)
 	e := randomEnsemble(t, MetricThroughput, 2, false)
+	pr := &Predictor{}
+	pr.set(e.Metric, e)
 	tr := c.Traces[0]
+	score := func(sess placement.TileScorer) float64 {
+		t.Helper()
+		out := make([]placement.PredCosts, 1)
+		if err := sess.ScoreTile([]sim.Placement{tr.Placement}, placement.AllCosts, out); err != nil {
+			t.Fatal(err)
+		}
+		return out[0].ThroughputTPS
+	}
 	before, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 0.9 keeps the estimate off the regression head's floor at zero, so
+	// the old and the new weights score distinct, nonzero values.
 	params, _ := e.Models[0].Net.Params()
 	for _, p := range params {
 		for i := range p {
-			p[i] *= 1.5
+			p[i] *= 0.9
 		}
 	}
 	e.Invalidate()
@@ -219,6 +237,16 @@ func TestInvalidateRebuildsStack(t *testing.T) {
 	}
 	if after == before {
 		t.Fatal("weight update had no effect after Invalidate")
+	}
+	if got := score(pinned); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("session opened before Invalidate scores %v, want the old %v", got, before)
+	}
+	fresh, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := score(fresh); math.Float64bits(got) != math.Float64bits(after) {
+		t.Fatalf("session opened after Invalidate scores %v, want the new %v", got, after)
 	}
 }
 
@@ -287,46 +315,6 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	}
 	if aBig > 160 {
 		t.Fatalf("PredictOne allocates %v objects per call, budget 160", aBig)
-	}
-}
-
-// TestFast32QErrorDrift gates the float32 fast path on a golden corpus:
-// the multiplicative drift of each prediction — the q-error between the
-// float32 and float64 estimates, computed in strictly positive exp space
-// (pred+1 = exp(raw) for the ExpM1 regression head) — must stay tiny.
-func TestFast32QErrorDrift(t *testing.T) {
-	c := testCorpus(t)
-	e := randomEnsemble(t, MetricThroughput, 3, false)
-	traces := c.Traces[:60]
-	base := make([]float64, len(traces))
-	for i, tr := range traces {
-		v, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base[i] = v
-	}
-	e.SetFast32(true)
-	defer e.SetFast32(false)
-	maxDrift := 1.0
-	for i, tr := range traces {
-		v, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := (v + 1) / (base[i] + 1)
-		if q < 1 {
-			q = 1 / q
-		}
-		if q > maxDrift {
-			maxDrift = q
-		}
-	}
-	// The raw outputs agree to ~1e-4 relative, so the exp-space q-error
-	// drift stays within a fraction of a percent — far below the >=1.2
-	// q-error resolution the paper's accuracy tables care about.
-	if maxDrift > 1.01 {
-		t.Fatalf("float32 q-error drift %v exceeds 1.01", maxDrift)
 	}
 }
 

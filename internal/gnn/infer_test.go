@@ -30,7 +30,7 @@ func TestInferDoesNotMutateGraph(t *testing.T) {
 	}
 	check("inference tape")
 
-	sm, err := Stack[float64]([]*Model{m})
+	sm, err := Stack([]*Model{m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,44 +341,29 @@ func (pg *PackedGraphs) distinctRow(s int) int {
 }
 
 // BatchScratch holds the reusable buffers of a packed multi-candidate
-// forward pass. One BatchScratch serves one goroutine and either
-// precision — it keeps the planes of the element type it last ran at; a
-// nil scratch is accepted and allocates fresh buffers.
+// forward pass: the operator and host state planes, one row per distinct
+// row of the tile (see PackedGraphs), and the gather/concat staging
+// blocks. One BatchScratch serves one goroutine; a nil scratch is accepted
+// and allocates fresh buffers.
 type BatchScratch struct {
-	planes any // *batchPlanes[T]
+	ops      []float64 // (nOps + phase-2 rows + phase-3 rows) × (k·H) operator states
+	hostEnc  []float64 // distinct hosts × (k·H) encoder outputs
+	hostNext []float64 // placement groups × (k·H) phase-1 (= final) host states
+	gather   []float64 // rows × featDim encoder inputs
+	cat      []float64 // rows × (k·2H) update inputs
+	tmp      []float64 // rows × (k·H) kernel outputs
+	agg      []float64 // C × (k·H) readout accumulators
+
+	dense nn.DenseScratch
 }
 
 // NewBatchScratch returns an empty scratch; its buffers grow on first use
 // and are reused afterwards.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
-// batchPlanes are a BatchScratch's buffers at one element type: the
-// operator and host state planes, one row per distinct row of the tile
-// (see PackedGraphs), and the gather/concat staging blocks.
-type batchPlanes[T nn.Float] struct {
-	ops      []T // (nOps + phase-2 rows + phase-3 rows) × (k·H) operator states
-	hostEnc  []T // distinct hosts × (k·H) encoder outputs
-	hostNext []T // placement groups × (k·H) phase-1 (= final) host states
-	gather   []T // rows × featDim encoder inputs
-	cat      []T // rows × (k·2H) update inputs
-	tmp      []T // rows × (k·H) kernel outputs
-	agg      []T // C × (k·H) readout accumulators
-
-	dense nn.DenseScratch[T]
-}
-
-func planesOf[T nn.Float](s *BatchScratch) *batchPlanes[T] {
-	p, ok := s.planes.(*batchPlanes[T])
-	if !ok {
-		p = &batchPlanes[T]{}
-		s.planes = p
-	}
-	return p
-}
-
 // checkBatch runs the per-node encoder checks of a packed pass (the
 // structural validation happened in PackGraphs).
-func (sm *StackedModel[T]) checkBatch(pg *PackedGraphs) error {
+func (sm *StackedModel) checkBatch(pg *PackedGraphs) error {
 	for kind := range pg.opsByKind {
 		idxs := pg.opsByKind[kind]
 		if len(idxs) == 0 {
@@ -410,28 +395,18 @@ func (sm *StackedModel[T]) checkBatch(pg *PackedGraphs) error {
 	return nil
 }
 
-// gatherRow stages one feature vector as an encoder input row.
-func gatherRow[T nn.Float](dst []T, feat []float64) {
-	for i, f := range feat {
-		dst[i] = T(f)
-	}
-}
-
 // InferEnsembleBatch runs one forward pass for all C packed candidates and
 // all k members at once, writing the raw member outputs candidate-major
 // into out (len C·k: candidate c's member m lands at out[c·k+m]). Each
 // phase is one loop over the tile's distinct rows (see PackedGraphs), so
 // what a round's candidates have in common — a host with the same
 // operators on it, an upstream part of the flow placed the same way — is
-// computed once. At T = float64 every value is bit-identical to
-// Model.ForwardPlanned on an inference tape, per member on the
-// candidate's own graph: all
-// kernels are row-independent with a fixed per-row accumulation order,
-// so batching rows across candidates, or reading a row another candidate
-// shares — or neither, at C = 1 — cannot change any result. The same
-// holds between tilings at T = float32, so the documented 1e-4 relative
-// drift bound against float64 is independent of the tile size.
-func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch, out []float64) error {
+// computed once. Every value is bit-identical to Model.ForwardPlanned on
+// an inference tape, per member on the candidate's own graph: all kernels
+// are row-independent with a fixed per-row accumulation order, so
+// batching rows across candidates, or reading a row another candidate
+// shares — or neither, at C = 1 — cannot change any result.
+func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, out []float64) error {
 	c, nOps := pg.c, pg.nOps
 	if len(out) != c*sm.k {
 		return fmt.Errorf("gnn: output buffer holds %d values, want %d candidates x %d members", len(out), c, sm.k)
@@ -439,10 +414,9 @@ func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch
 	if err := sm.checkBatch(pg); err != nil {
 		return err
 	}
-	if bs == nil {
-		bs = NewBatchScratch()
+	if s == nil {
+		s = NewBatchScratch()
 	}
-	s := planesOf[T](bs)
 	H := sm.cfg.Hidden
 	kH := sm.k * H
 	k2H := sm.k * 2 * H
@@ -461,7 +435,7 @@ func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch
 		in := enc.InDim()
 		s.gather = nn.Grow(s.gather, len(idxs)*in)
 		for r, idx := range idxs {
-			gatherRow(s.gather[r*in:(r+1)*in], pg.base.Nodes[idx].Feat)
+			copy(s.gather[r*in:(r+1)*in], pg.base.Nodes[idx].Feat)
 		}
 		s.tmp = nn.Grow(s.tmp, len(idxs)*kH)
 		enc.ForwardShared(s.tmp, s.gather, len(idxs), &s.dense)
@@ -479,7 +453,7 @@ func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch
 		nUniq := len(pg.hostUniq)
 		s.gather = nn.Grow(s.gather, nUniq*in)
 		for row, slot := range pg.hostUniq {
-			gatherRow(s.gather[row*in:(row+1)*in], pg.hostFeat[slot])
+			copy(s.gather[row*in:(row+1)*in], pg.hostFeat[slot])
 		}
 		s.hostEnc = nn.Grow(s.hostEnc, nUniq*kH)
 		enc.ForwardShared(s.hostEnc, s.gather, nUniq, &s.dense)
@@ -547,10 +521,6 @@ func (sm *StackedModel[T]) InferEnsembleBatch(pg *PackedGraphs, bs *BatchScratch
 			}
 		}
 	}
-	s.tmp = nn.Grow(s.tmp, c*sm.k)
-	sm.out.ForwardBlocks(s.tmp, s.agg, c, &s.dense)
-	for i, v := range s.tmp {
-		out[i] = float64(v)
-	}
+	sm.out.ForwardBlocks(out, s.agg, c, &s.dense)
 	return nil
 }

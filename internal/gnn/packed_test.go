@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -198,7 +197,7 @@ func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
 
 // scoreTiles runs graphs through the packed kernel in consecutive tiles
 // of the given width and returns the candidate-major member outputs.
-func scoreTiles[T nn.Float](t *testing.T, sm *StackedModel[T], graphs []*Graph, plan *Plan, tile int, pg **PackedGraphs, bs *BatchScratch) []float64 {
+func scoreTiles(t *testing.T, sm *StackedModel, graphs []*Graph, plan *Plan, tile int, pg **PackedGraphs, bs *BatchScratch) []float64 {
 	t.Helper()
 	got := make([]float64, len(graphs)*sm.K())
 	for lo := 0; lo < len(graphs); lo += tile {
@@ -233,10 +232,9 @@ func tapeOracle(t *testing.T, m *Model, g *Graph, plan *Plan) float64 {
 // single prediction — over the candidate mix of oracleCandidates (near
 // copies, duplicates and permuted placement edges, which is what the
 // tile's shared rows must get exactly right) and with no hosts at all
-// (query-only featurization). float64 must match bit for bit at every tiling,
-// float32 within the documented 1e-4 relative bound and bit for bit
-// between tilings; one PackedGraphs and one BatchScratch are reused
-// throughout, across shapes and precisions. The error, nil-scratch and
+// (query-only featurization). The outputs must match bit for bit at every
+// tiling; one PackedGraphs and one BatchScratch are reused throughout,
+// across shapes. The error, nil-scratch and
 // allocation contracts of a tile of one are pinned by the
 // TestInferEnsemble{NilScratch,RejectsBadInputs,Allocs} tests below.
 func TestPackedMatchesScalarOracle(t *testing.T) {
@@ -265,33 +263,16 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 						want = append(want, tapeOracle(t, mod, g, plan))
 					}
 				}
-				sm64, err := Stack[float64](models)
+				sm, err := Stack(models)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sm32, err := Stack[float32](models)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var single32 []float64 // float32 outputs at C = 1
 				for _, c := range []int{1, 2, 7, 32, 33} {
-					got := scoreTiles(t, sm64, graphs, plan, c, &pg, bs)
-					got32 := scoreTiles(t, sm32, graphs, plan, c, &pg, bs)
-					if single32 == nil {
-						single32 = got32
-					}
+					got := scoreTiles(t, sm, graphs, plan, c, &pg, bs)
 					for i, w := range want {
 						if got[i] != w {
 							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: packed %v != scalar %v",
 								shape, hosts, k, c, i/k, i%k, got[i], w)
-						}
-						if math.Abs(got32[i]-w) > 1e-4*math.Max(1, math.Abs(w)) {
-							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: float32 %v vs scalar %v",
-								shape, hosts, k, c, i/k, i%k, got32[i], w)
-						}
-						if got32[i] != single32[i] {
-							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: float32 %v != %v at C=1",
-								shape, hosts, k, c, i/k, i%k, got32[i], single32[i])
 						}
 					}
 				}
@@ -301,13 +282,11 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 }
 
 // tileOfOne is the fixture of the single-predict tests below: a k = 3
-// ensemble stacked at both precisions and one candidate packed as a tile
-// of one. Their names predate the collapse of the per-graph engine; what
+// ensemble stacked and one candidate packed as a tile of one. Their names predate the collapse of the per-graph engine; what
 // they pin is the C = 1 case of InferEnsembleBatch.
 type tileOfOne struct {
 	models []*Model
-	sm     *StackedModel[float64]
-	sm32   *StackedModel[float32]
+	sm     *StackedModel
 	plan   *Plan
 	graphs []*Graph
 	pg     *PackedGraphs
@@ -322,10 +301,7 @@ func newTileOfOne(t *testing.T) *tileOfOne {
 		t.Fatal(err)
 	}
 	f.graphs = packCandidates(base, packPlacements[1:2])
-	if f.sm, err = Stack[float64](f.models); err != nil {
-		t.Fatal(err)
-	}
-	if f.sm32, err = Stack[float32](f.models); err != nil {
+	if f.sm, err = Stack(f.models); err != nil {
 		t.Fatal(err)
 	}
 	if f.pg, err = PackGraphs(f.graphs, f.plan, nil); err != nil {
@@ -374,29 +350,25 @@ func TestInferEnsembleRejectsBadInputs(t *testing.T) {
 }
 
 // TestInferEnsembleAllocs pins the steady-state single predict (reused
-// PackedGraphs and BatchScratch) to zero allocations at both precisions.
+// PackedGraphs and BatchScratch) to zero allocations.
 func TestInferEnsembleAllocs(t *testing.T) {
 	f := newTileOfOne(t)
 	out := make([]float64, f.sm.K())
 	bs := NewBatchScratch()
-	for name, infer := range map[string]func(*PackedGraphs, *BatchScratch, []float64) error{
-		"float64": f.sm.InferEnsembleBatch, "float32": f.sm32.InferEnsembleBatch,
-	} {
-		if err := infer(f.pg, bs, out); err != nil { // grow the planes at this precision
+	if err := f.sm.InferEnsembleBatch(f.pg, bs, out); err != nil { // grow the planes
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if f.pg, err = PackGraphs(f.graphs, f.plan, f.pg); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			var err error
-			if f.pg, err = PackGraphs(f.graphs, f.plan, f.pg); err != nil {
-				t.Fatal(err)
-			}
-			if err := infer(f.pg, bs, out); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state %s single predict allocates %v times per call, want 0", name, allocs)
+		if err := f.sm.InferEnsembleBatch(f.pg, bs, out); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state single predict allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -404,7 +376,7 @@ func TestInferEnsembleAllocs(t *testing.T) {
 // without host nodes pack and score as C copies of the shared base.
 func TestInferEnsembleBatchNoHosts(t *testing.T) {
 	models := newTestEnsemble(t, 2)
-	sm, err := Stack[float64](models)
+	sm, err := Stack(models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +463,7 @@ func TestPackGraphsSharesHostRows(t *testing.T) {
 		}
 	}
 
-	sm, err := Stack[float64](newTestEnsemble(t, 3))
+	sm, err := Stack(newTestEnsemble(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +511,7 @@ func TestPackGraphsSharesRows(t *testing.T) {
 	placements := [][]int{{0, 0, 1}, {0, 0, 2}, {2, 0, 1}, {0, 1, 1}, {0, 1, 0}, {0, 0, 1}}
 	graphs := packCandidates(base, placements)
 	models := newTestEnsemble(t, 2)
-	sm, err := Stack[float64](models)
+	sm, err := Stack(models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +582,7 @@ func TestPackGraphsSharesRows(t *testing.T) {
 // PackedGraphs and BatchScratch) to zero allocations.
 func TestInferEnsembleBatchAllocs(t *testing.T) {
 	models := newTestEnsemble(t, 3)
-	sm, err := Stack[float64](models)
+	sm, err := Stack(models)
 	if err != nil {
 		t.Fatal(err)
 	}

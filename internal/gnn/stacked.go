@@ -9,39 +9,37 @@ import (
 
 // StackedModel is the inference engine: a whole ensemble — k Models of
 // identical architecture, k = 1 for a single model — whose weights are
-// stacked at element type T so that InferEnsembleBatch advances a packed
-// tile of C candidate graphs × k members through one row-batched
-// matrix-matrix kernel pass per message-passing phase. A single
-// prediction is a tile of C = 1. Member m's weights occupy block m of
-// every stacked layer (nn.StackedMLP), activations live in an interleaved
-// node-major, member-block layout, and per-worker BatchScratch buffers
-// make the steady-state pass allocation-free.
+// stacked so that InferEnsembleBatch advances a packed tile of C
+// candidate graphs × k members through one row-batched matrix-matrix
+// kernel pass per message-passing phase. A single prediction is a tile of
+// C = 1. Member m's weights occupy block m of every stacked layer
+// (nn.StackedMLP), activations live in an interleaved node-major,
+// member-block layout, and per-worker BatchScratch buffers make the
+// steady-state pass allocation-free.
 //
-// At T = float64 every output is bit-identical, member for member, to
+// Every output is bit-identical, member for member, to
 // Model.ForwardPlanned on an inference tape, the scalar oracle (and the
 // only path for traditional message passing): every kernel accumulates in
-// the same order as the tape's ops. T = float32 is the same code on the
-// opt-in fast path, trading ~7 decimal digits of precision for half the
-// memory traffic; the documented bound is 1e-4 relative on raw outputs.
+// the same order as the tape's ops.
 //
 // Stacking copies the weights; a stack goes stale when any member's
 // weights are updated in place (fine-tuning, artifact reload) and must be
 // rebuilt via Stack.
-type StackedModel[T nn.Float] struct {
+type StackedModel struct {
 	cfg Config
 	k   int
-	enc map[NodeKind]*nn.StackedMLP[T]
-	upd map[NodeKind]*nn.StackedMLP[T]
-	out *nn.StackedMLP[T]
+	enc map[NodeKind]*nn.StackedMLP
+	upd map[NodeKind]*nn.StackedMLP
+	out *nn.StackedMLP
 }
 
-// Stack vertically stacks the weights of k models, converted to T, for
-// one-pass ensemble inference. All models must share one architecture
-// (Config equality up to TraditionalRounds) and use the paper's directed
-// message passing — the Exp 7b traditional ablation re-derives its
-// neighbor structure per graph and is not supported; such models predict
-// one at a time on an inference tape.
-func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
+// Stack vertically stacks the weights of k models for one-pass ensemble
+// inference. All models must share one architecture (Config equality up
+// to TraditionalRounds) and use the paper's directed message passing —
+// the Exp 7b traditional ablation re-derives its neighbor structure per
+// graph and is not supported; such models predict one at a time on an
+// inference tape.
+func Stack(models []*Model) (*StackedModel, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("gnn: stacking zero models")
 	}
@@ -57,11 +55,11 @@ func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 			return nil, fmt.Errorf("gnn: model %d has a different architecture", i+1)
 		}
 	}
-	sm := &StackedModel[T]{
+	sm := &StackedModel{
 		cfg: cfg,
 		k:   len(models),
-		enc: make(map[NodeKind]*nn.StackedMLP[T], len(models[0].enc)),
-		upd: make(map[NodeKind]*nn.StackedMLP[T], len(models[0].upd)),
+		enc: make(map[NodeKind]*nn.StackedMLP, len(models[0].enc)),
+		upd: make(map[NodeKind]*nn.StackedMLP, len(models[0].upd)),
 	}
 	for _, kind := range AllKinds() {
 		if _, ok := models[0].enc[kind]; !ok {
@@ -77,11 +75,11 @@ func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 			}
 			encs[m], upds[m] = e, u
 		}
-		se, err := nn.StackMLPs[T](encs)
+		se, err := nn.StackMLPs(encs)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: stacking %v encoders: %w", kind, err)
 		}
-		su, err := nn.StackMLPs[T](upds)
+		su, err := nn.StackMLPs(upds)
 		if err != nil {
 			return nil, fmt.Errorf("gnn: stacking %v updaters: %w", kind, err)
 		}
@@ -91,7 +89,7 @@ func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 	for m, mod := range models {
 		outs[m] = mod.out
 	}
-	so, err := nn.StackMLPs[T](outs)
+	so, err := nn.StackMLPs(outs)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: stacking readouts: %w", err)
 	}
@@ -100,17 +98,17 @@ func Stack[T nn.Float](models []*Model) (*StackedModel[T], error) {
 }
 
 // K returns the number of stacked members.
-func (sm *StackedModel[T]) K() int { return sm.k }
+func (sm *StackedModel) K() int { return sm.k }
 
 // Hidden returns the stacked architecture's hidden width (used by tile
 // sizing heuristics to bound per-tile activation footprints).
-func (sm *StackedModel[T]) Hidden() int { return sm.cfg.Hidden }
+func (sm *StackedModel) Hidden() int { return sm.cfg.Hidden }
 
 // catRow writes one interleaved update-input row: for each member m the
 // concat of (sum of child states in child order, own state), children
 // read from childSrc and the own state from ownSrc — both n×(k·H)
 // activation planes. Summation order matches nn.Tape.Sum exactly.
-func catRow[T nn.Float](dst []T, kids []int, own, k, H int, childSrc, ownSrc []T) {
+func catRow(dst []float64, kids []int, own, k, H int, childSrc, ownSrc []float64) {
 	kH := k * H
 	for m := 0; m < k; m++ {
 		agg := dst[m*2*H : m*2*H+H]

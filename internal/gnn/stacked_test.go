@@ -20,7 +20,7 @@ func newTestEnsemble(t *testing.T, k int) []*Model {
 
 // TestStackRejectsMismatches checks architecture and mode validation.
 func TestStackRejectsMismatches(t *testing.T) {
-	if _, err := Stack[float64](nil); err == nil {
+	if _, err := Stack(nil); err == nil {
 		t.Fatal("stacking zero models should fail")
 	}
 
@@ -33,7 +33,7 @@ func TestStackRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stack[float64]([]*Model{base, wide}); err == nil {
+	if _, err := Stack([]*Model{base, wide}); err == nil {
 		t.Fatal("stacking mismatched hidden sizes should fail")
 	}
 
@@ -45,7 +45,7 @@ func TestStackRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stack[float64]([]*Model{trad}); err == nil {
+	if _, err := Stack([]*Model{trad}); err == nil {
 		t.Fatal("stacking traditional models should fail")
 	}
 }

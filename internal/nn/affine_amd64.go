@@ -11,7 +11,7 @@ const haveAffineAsm = true
 var hasAVX = cpuHasAVX()
 
 // useAffineAsm selects the assembly kernels: the fused transposed-affine
-// kernels for layers stacked from here on (transKernel reads it once per
+// kernel for layers stacked from here on (StackLinears reads it once per
 // layer) and for training mirrors built from here on, and the backward,
 // reduce and Adam kernels on every call. A variable (not const) so tests
 // can run the portable path and compare.
@@ -32,19 +32,13 @@ func cpuHasAVX() bool
 // ops) — and LeakyReLU is a compare-and-blend on the accumulators before
 // the store, the same compare-and-scale as leakyReLUInPlace. slope 1 asks
 // for no activation: 1·v is v bit for bit. Rows are taken two at a time,
-// sharing each weight load; the row loop lives here also because the
-// generic callers reach the routine through a func value: that costs one
-// indirect call and ABI wrapper per row batch, not per row. Every x row
+// sharing each weight load, and the row loop lives here so that a stacked
+// layer costs one call per member and row batch, not per row. Every x row
 // must hold in values, wt in·out, every y row and b out, and in and out
 // must be at least 1; y must not overlap x.
 //
 //go:noescape
 func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
-
-// affineLeakyAVX32 is the float32 twin (8 lanes per YMM register).
-//
-//go:noescape
-func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32)
 
 // affineBackwardAVX is the whole-layer backward of y = W·x + b (W
 // row-major out×in). For o in [0, out), in order:

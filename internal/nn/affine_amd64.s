@@ -28,23 +28,23 @@ noavx:
 // STEP2 adds x[i]*wt[i*out+o..] to both rows' accumulators from one load
 // of the weight vector; STEP1 is the single-row form. LEAKY scales the
 // negative lanes of acc by the slope; LEAKY1 is its scalar form.
-#define DSTEP2(off, accA, accB) \
+#define STEP2(off, accA, accB) \
 	VMOVUPD off(R12), Y10; \
 	VMULPD Y10, Y8, Y11; \
 	VADDPD Y11, accA, accA; \
 	VMULPD Y10, Y9, Y12; \
 	VADDPD Y12, accB, accB
 
-#define DSTEP1(off, acc) \
+#define STEP1(off, acc) \
 	VMULPD off(R12), Y8, Y11; \
 	VADDPD Y11, acc, acc
 
-#define DLEAKY(acc) \
+#define LEAKY(acc) \
 	VMULPD Y14, acc, Y10; \
 	VCMPPD $1, Y15, acc, Y11; \
 	VBLENDVPD Y11, Y10, acc, acc
 
-#define DLEAKY1(acc) \
+#define LEAKY1(acc) \
 	VMULSD X14, acc, X10; \
 	VCMPSD $1, X15, acc, X11; \
 	VBLENDVPD X11, X10, acc, acc
@@ -115,22 +115,22 @@ p16:
 pi16:
 	VBROADCASTSD (SI)(R11*8), Y8
 	VBROADCASTSD (R14)(R11*8), Y9
-	DSTEP2(0, Y0, Y4)
-	DSTEP2(32, Y1, Y5)
-	DSTEP2(64, Y2, Y6)
-	DSTEP2(96, Y3, Y7)
+	STEP2(0, Y0, Y4)
+	STEP2(32, Y1, Y5)
+	STEP2(64, Y2, Y6)
+	STEP2(96, Y3, Y7)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  pi16
-	DLEAKY(Y0)
-	DLEAKY(Y1)
-	DLEAKY(Y2)
-	DLEAKY(Y3)
-	DLEAKY(Y4)
-	DLEAKY(Y5)
-	DLEAKY(Y6)
-	DLEAKY(Y7)
+	LEAKY(Y0)
+	LEAKY(Y1)
+	LEAKY(Y2)
+	LEAKY(Y3)
+	LEAKY(Y4)
+	LEAKY(Y5)
+	LEAKY(Y6)
+	LEAKY(Y7)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
@@ -160,16 +160,16 @@ p8:
 pi8:
 	VBROADCASTSD (SI)(R11*8), Y8
 	VBROADCASTSD (R14)(R11*8), Y9
-	DSTEP2(0, Y0, Y4)
-	DSTEP2(32, Y1, Y5)
+	STEP2(0, Y0, Y4)
+	STEP2(32, Y1, Y5)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  pi8
-	DLEAKY(Y0)
-	DLEAKY(Y1)
-	DLEAKY(Y4)
-	DLEAKY(Y5)
+	LEAKY(Y0)
+	LEAKY(Y1)
+	LEAKY(Y4)
+	LEAKY(Y5)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
@@ -192,13 +192,13 @@ p4:
 pi4:
 	VBROADCASTSD (SI)(R11*8), Y8
 	VBROADCASTSD (R14)(R11*8), Y9
-	DSTEP2(0, Y0, Y4)
+	STEP2(0, Y0, Y4)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  pi4
-	DLEAKY(Y0)
-	DLEAKY(Y4)
+	LEAKY(Y0)
+	LEAKY(Y4)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	ADDQ yStride+56(FP), BX
@@ -226,8 +226,8 @@ pitail:
 	INCQ R11
 	CMPQ R11, R8
 	JLT  pitail
-	DLEAKY1(X0)
-	DLEAKY1(X4)
+	LEAKY1(X0)
+	LEAKY1(X4)
 	LEAQ (DI)(R10*8), BX
 	VMOVSD X0, (BX)
 	ADDQ yStride+56(FP), BX
@@ -263,18 +263,18 @@ o16:
 
 oi16:
 	VBROADCASTSD (SI)(R11*8), Y8
-	DSTEP1(0, Y0)
-	DSTEP1(32, Y1)
-	DSTEP1(64, Y2)
-	DSTEP1(96, Y3)
+	STEP1(0, Y0)
+	STEP1(32, Y1)
+	STEP1(64, Y2)
+	STEP1(96, Y3)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  oi16
-	DLEAKY(Y0)
-	DLEAKY(Y1)
-	DLEAKY(Y2)
-	DLEAKY(Y3)
+	LEAKY(Y0)
+	LEAKY(Y1)
+	LEAKY(Y2)
+	LEAKY(Y3)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
@@ -296,14 +296,14 @@ o8:
 
 oi8:
 	VBROADCASTSD (SI)(R11*8), Y8
-	DSTEP1(0, Y0)
-	DSTEP1(32, Y1)
+	STEP1(0, Y0)
+	STEP1(32, Y1)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  oi8
-	DLEAKY(Y0)
-	DLEAKY(Y1)
+	LEAKY(Y0)
+	LEAKY(Y1)
 	LEAQ (DI)(R10*8), BX
 	VMOVUPD Y0, (BX)
 	VMOVUPD Y1, 32(BX)
@@ -321,12 +321,12 @@ o4:
 
 oi4:
 	VBROADCASTSD (SI)(R11*8), Y8
-	DSTEP1(0, Y0)
+	STEP1(0, Y0)
 	ADDQ R13, R12
 	INCQ R11
 	CMPQ R11, R8
 	JLT  oi4
-	DLEAKY(Y0)
+	LEAKY(Y0)
 	VMOVUPD Y0, (DI)(R10*8)
 	ADDQ $4, R10
 	JMP  o4
@@ -346,314 +346,8 @@ oitail:
 	INCQ R11
 	CMPQ R11, R8
 	JLT  oitail
-	DLEAKY1(X0)
+	LEAKY1(X0)
 	VMOVSD X0, (DI)(R10*8)
-	INCQ R10
-	JMP  otail
-
-ret:
-	VZEROUPPER
-	RET
-
-#define SSTEP2(off, accA, accB) \
-	VMOVUPS off(R12), Y10; \
-	VMULPS Y10, Y8, Y11; \
-	VADDPS Y11, accA, accA; \
-	VMULPS Y10, Y9, Y12; \
-	VADDPS Y12, accB, accB
-
-#define SSTEP1(off, acc) \
-	VMULPS off(R12), Y8, Y11; \
-	VADDPS Y11, acc, acc
-
-#define SLEAKY(acc) \
-	VMULPS Y14, acc, Y10; \
-	VCMPPS $1, Y15, acc, Y11; \
-	VBLENDVPS Y11, Y10, acc, acc
-
-#define SLEAKY1(acc) \
-	VMULSS X14, acc, X10; \
-	VCMPSS $1, X15, acc, X11; \
-	VBLENDVPS X11, X10, acc, acc
-
-// func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32)
-//
-// float32 twin: 8 lanes per YMM register, blocks of 32/16/8 + scalar
-// tail, wt row stride = out*4 bytes.
-TEXT ·affineLeakyAVX32(SB), NOSPLIT, $0-76
-	MOVQ y+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ wt+16(FP), DX
-	MOVQ b+24(FP), CX
-	MOVQ in+32(FP), R8
-	MOVQ out+40(FP), R9
-	VBROADCASTSS slope+72(FP), Y14
-	VXORPS Y15, Y15, Y15
-	MOVQ R9, R13
-	SHLQ $2, R13              // R13 = out*4 bytes = wt row stride
-	SHLQ $2, yStride+56(FP)   // row strides in bytes, kept in the frame
-	SHLQ $2, xStride+64(FP)
-
-pair:
-	CMPQ rows+48(FP), $2
-	JLT  one
-	MOVQ SI, R14
-	ADDQ xStride+64(FP), R14  // R14 = x of the pair's second row
-	XORQ R10, R10             // R10 = o
-
-p32:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $32
-	JLT  p16
-	LEAQ (CX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	VMOVUPS 64(BX), Y2
-	VMOVUPS 96(BX), Y3
-	VMOVAPS Y0, Y4
-	VMOVAPS Y1, Y5
-	VMOVAPS Y2, Y6
-	VMOVAPS Y3, Y7
-	LEAQ (DX)(R10*4), R12     // &wt[o]
-	XORQ R11, R11             // R11 = i
-
-pi32:
-	VBROADCASTSS (SI)(R11*4), Y8
-	VBROADCASTSS (R14)(R11*4), Y9
-	SSTEP2(0, Y0, Y4)
-	SSTEP2(32, Y1, Y5)
-	SSTEP2(64, Y2, Y6)
-	SSTEP2(96, Y3, Y7)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  pi32
-	SLEAKY(Y0)
-	SLEAKY(Y1)
-	SLEAKY(Y2)
-	SLEAKY(Y3)
-	SLEAKY(Y4)
-	SLEAKY(Y5)
-	SLEAKY(Y6)
-	SLEAKY(Y7)
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	VMOVUPS Y2, 64(BX)
-	VMOVUPS Y3, 96(BX)
-	ADDQ yStride+56(FP), BX
-	VMOVUPS Y4, (BX)
-	VMOVUPS Y5, 32(BX)
-	VMOVUPS Y6, 64(BX)
-	VMOVUPS Y7, 96(BX)
-	ADDQ $32, R10
-	JMP  p32
-
-p16:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $16
-	JLT  p8
-	LEAQ (CX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	VMOVAPS Y0, Y4
-	VMOVAPS Y1, Y5
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-pi16:
-	VBROADCASTSS (SI)(R11*4), Y8
-	VBROADCASTSS (R14)(R11*4), Y9
-	SSTEP2(0, Y0, Y4)
-	SSTEP2(32, Y1, Y5)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  pi16
-	SLEAKY(Y0)
-	SLEAKY(Y1)
-	SLEAKY(Y4)
-	SLEAKY(Y5)
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	ADDQ yStride+56(FP), BX
-	VMOVUPS Y4, (BX)
-	VMOVUPS Y5, 32(BX)
-	ADDQ $16, R10
-	JMP  p16
-
-p8:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $8
-	JLT  ptail
-	VMOVUPS (CX)(R10*4), Y0
-	VMOVAPS Y0, Y4
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-pi8:
-	VBROADCASTSS (SI)(R11*4), Y8
-	VBROADCASTSS (R14)(R11*4), Y9
-	SSTEP2(0, Y0, Y4)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  pi8
-	SLEAKY(Y0)
-	SLEAKY(Y4)
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS Y0, (BX)
-	ADDQ yStride+56(FP), BX
-	VMOVUPS Y4, (BX)
-	ADDQ $8, R10
-	JMP  p8
-
-ptail:
-	CMPQ R10, R9
-	JGE  pnext
-	VMOVSS (CX)(R10*4), X0
-	VMOVAPS X0, X4
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-pitail:
-	VMOVSS (SI)(R11*4), X8
-	VMOVSS (R14)(R11*4), X9
-	VMOVSS (R12), X10
-	VMULSS X10, X8, X11
-	VADDSS X11, X0, X0
-	VMULSS X10, X9, X12
-	VADDSS X12, X4, X4
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  pitail
-	SLEAKY1(X0)
-	SLEAKY1(X4)
-	LEAQ (DI)(R10*4), BX
-	VMOVSS X0, (BX)
-	ADDQ yStride+56(FP), BX
-	VMOVSS X4, (BX)
-	INCQ R10
-	JMP  ptail
-
-pnext:
-	MOVQ yStride+56(FP), AX
-	LEAQ (DI)(AX*2), DI
-	MOVQ xStride+64(FP), AX
-	LEAQ (SI)(AX*2), SI
-	SUBQ $2, rows+48(FP)
-	JMP  pair
-
-one:
-	CMPQ rows+48(FP), $1
-	JLT  ret
-	XORQ R10, R10
-
-o32:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $32
-	JLT  o16
-	LEAQ (CX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	VMOVUPS 64(BX), Y2
-	VMOVUPS 96(BX), Y3
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-oi32:
-	VBROADCASTSS (SI)(R11*4), Y8
-	SSTEP1(0, Y0)
-	SSTEP1(32, Y1)
-	SSTEP1(64, Y2)
-	SSTEP1(96, Y3)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  oi32
-	SLEAKY(Y0)
-	SLEAKY(Y1)
-	SLEAKY(Y2)
-	SLEAKY(Y3)
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	VMOVUPS Y2, 64(BX)
-	VMOVUPS Y3, 96(BX)
-	ADDQ $32, R10
-	JMP  o32
-
-o16:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $16
-	JLT  o8
-	LEAQ (CX)(R10*4), BX
-	VMOVUPS (BX), Y0
-	VMOVUPS 32(BX), Y1
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-oi16:
-	VBROADCASTSS (SI)(R11*4), Y8
-	SSTEP1(0, Y0)
-	SSTEP1(32, Y1)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  oi16
-	SLEAKY(Y0)
-	SLEAKY(Y1)
-	LEAQ (DI)(R10*4), BX
-	VMOVUPS Y0, (BX)
-	VMOVUPS Y1, 32(BX)
-	ADDQ $16, R10
-	JMP  o16
-
-o8:
-	MOVQ R9, AX
-	SUBQ R10, AX
-	CMPQ AX, $8
-	JLT  otail
-	VMOVUPS (CX)(R10*4), Y0
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-oi8:
-	VBROADCASTSS (SI)(R11*4), Y8
-	SSTEP1(0, Y0)
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  oi8
-	SLEAKY(Y0)
-	VMOVUPS Y0, (DI)(R10*4)
-	ADDQ $8, R10
-	JMP  o8
-
-otail:
-	CMPQ R10, R9
-	JGE  ret
-	VMOVSS (CX)(R10*4), X0
-	LEAQ (DX)(R10*4), R12
-	XORQ R11, R11
-
-oitail:
-	VMOVSS (SI)(R11*4), X8
-	VMULSS (R12), X8, X11
-	VADDSS X11, X0, X0
-	ADDQ R13, R12
-	INCQ R11
-	CMPQ R11, R8
-	JLT  oitail
-	SLEAKY1(X0)
-	VMOVSS X0, (DI)(R10*4)
 	INCQ R10
 	JMP  otail
 

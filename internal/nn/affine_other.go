@@ -13,10 +13,6 @@ func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, s
 	panic("nn: no asm kernel")
 }
 
-func affineLeakyAVX32(y, x, wt, b *float32, in, out, rows, yStride, xStride int, slope float32) {
-	panic("nn: no asm kernel")
-}
-
 func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int) {
 	panic("nn: no asm kernel")
 }

@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// TestAffineAsmMatchesPortable pins the fused AVX kernels to the portable
-// Go kernels bit for bit on generated shapes: every output block width
-// (16/8/4 doubles, 32/16/8 floats) and scalar tail, odd and even row
+// TestAffineAsmMatchesPortable pins the fused AVX kernel to the portable
+// Go kernel bit for bit on generated shapes: every output block width
+// (16/8/4 doubles) and scalar tail, odd and even row
 // counts (the row-pair path and the single odd row), activation on and
 // off, one and three members, row strides wider than the rows with
 // canaries in the gaps, and inputs seeded with signed zeros, denormals,
 // infinities and NaNs, compared by bit pattern. Lane-wise VADDPD/VMULPD
 // are IEEE-identical to the scalar ops and both kernels accumulate each
-// output bias-first-then-inputs-in-index-order, so even the float32 paths
-// must agree exactly. The tape's forward reaches the same kernel through
+// output bias-first-then-inputs-in-index-order, so the two must agree
+// exactly. The tape's forward reaches the same kernel through
 // Linear.affineTape and is held to affineInto + leakyReLUInPlace.
 func TestAffineAsmMatchesPortable(t *testing.T) {
 	needAsm(t)
@@ -31,12 +31,10 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 				// not negative and must come through unscaled.
 				clear(layers[0].W[:in])
 				layers[0].B[0] = math.Copysign(0, -1)
-				asm64, ref64 := stackOn[float64](t, layers, true), stackOn[float64](t, layers, false)
-				asm32, ref32 := stackOn[float32](t, layers, true), stackOn[float32](t, layers, false)
+				asm, ref := stackOn(t, layers, true), stackOn(t, layers, false)
 				for _, rows := range []int{1, 2, 3, 4, 7, 32, 33} {
 					for _, act := range []bool{true, false} {
-						checkAffineKernels(t, rng, asm64, ref64, rows, act)
-						checkAffineKernels(t, rng, asm32, ref32, rows, act)
+						checkAffineKernels(t, rng, asm, ref, rows, act)
 					}
 				}
 				checkAffineTape(t, rng, layers[0])
@@ -46,30 +44,20 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 }
 
 // specialRow fills x with normal deviates and overwrites about one value
-// in six with a signed zero or a denormal of T — and, when nonFinite is
-// set, with an infinity or a NaN as well.
-func specialRow[T Float](rng *rand.Rand, x []T, nonFinite bool) {
-	den := math.SmallestNonzeroFloat64
-	if _, ok := any(T(0)).(float32); ok {
-		den = math.SmallestNonzeroFloat32
-	}
+// in six with a signed zero or a denormal — and, when nonFinite is set,
+// with an infinity or a NaN as well.
+func specialRow(rng *rand.Rand, x []float64, nonFinite bool) {
+	const den = math.SmallestNonzeroFloat64
 	specials := []float64{0, math.Copysign(0, -1), 3 * den, -5 * den}
 	if nonFinite {
 		specials = append(specials, math.Inf(1), math.Inf(-1), math.NaN())
 	}
 	for i := range x {
-		x[i] = T(rng.NormFloat64())
+		x[i] = rng.NormFloat64()
 		if rng.Intn(6) == 0 {
-			x[i] = T(specials[rng.Intn(len(specials))])
+			x[i] = specials[rng.Intn(len(specials))]
 		}
 	}
-}
-
-func bitsOf[T Float](v T) uint64 {
-	if f, ok := any(v).(float32); ok {
-		return uint64(math.Float32bits(f))
-	}
-	return math.Float64bits(float64(v))
 }
 
 // equalBits compares by bit pattern — the sign of a zero or an infinity
@@ -77,22 +65,22 @@ func bitsOf[T Float](v T) uint64 {
 // add, x86 keeps the first operand's payload, and which operand comes
 // first in the Go loops is the compiler's choice (the -race build of the
 // portable kernel picks differently from the plain one).
-func equalBits[T Float](a, b T) bool {
-	return bitsOf(a) == bitsOf(b) || (a != a && b != b)
+func equalBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// stackOn stacks the layers at T on the assembly kernel or the portable
-// one: the kernel is picked when a layer is stacked.
-func stackOn[T Float](t *testing.T, layers []*Linear, asm bool) *StackedLinear[T] {
+// stackOn stacks the layers for the assembly kernel or the portable one:
+// the kernel is picked when a layer is stacked.
+func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 	t.Helper()
 	defer func(was bool) { useAffineAsm = was }(useAffineAsm)
 	useAffineAsm = asm
-	s, err := StackLinears[T](layers)
+	s, err := StackLinears(layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (s.kern != nil) != asm {
-		t.Fatalf("stacked with kern set = %v, want %v", s.kern != nil, asm)
+	if s.asm != asm {
+		t.Fatalf("stacked for the assembly kernel = %v, want %v", s.asm, asm)
 	}
 	return s
 }
@@ -102,47 +90,47 @@ func stackOn[T Float](t *testing.T, layers []*Linear, asm bool) *StackedLinear[T
 // rows spaced wider than they are long. The gaps of x hold
 // NaNs, which would poison any output computed from a stray read; the
 // gaps of dst hold a canary that must survive.
-func checkAffineKernels[T Float](t *testing.T, rng *rand.Rand, sa, sp *StackedLinear[T], rows int, act bool) {
+func checkAffineKernels(t *testing.T, rng *rand.Rand, sa, sp *StackedLinear, rows int, act bool) {
 	t.Helper()
 	k, in, out := sa.K, sa.In, sa.Out
 	const xOff, dstOff, canary = 2, 1, -12345.5
 	xStride, dstStride := k*in+3, k*out+5
 
-	x := make([]T, xOff+rows*xStride)
+	x := make([]float64, xOff+rows*xStride)
 	for i := range x {
-		x[i] = T(math.NaN())
+		x[i] = math.NaN()
 	}
 	for r := 0; r < rows; r++ {
 		// Every third row also carries infinities and NaNs; the others
 		// stay finite so the comparison is of numbers, not of NaNs.
 		specialRow(rng, x[xOff+r*xStride:xOff+r*xStride+k*in], r%3 == 2)
 	}
-	asm := make([]T, dstOff+rows*dstStride)
-	ref := make([]T, len(asm))
+	asm := make([]float64, dstOff+rows*dstStride)
+	ref := make([]float64, len(asm))
 	for i := range asm {
 		asm[i], ref[i] = canary, canary
 	}
 
 	for m := 0; m < k; m++ {
 		w, b := m*out*in, m*out
-		affineRowsTrans(sa.kern, asm, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
+		affineRowsTrans(asm, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
 			sa.W[w:w+out*in], sa.B[b:b+out], in, out, 0.01, act)
 		affineRowsStrided(ref, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
 			sp.W[w:w+out*in], sp.B[b:b+out], in, out, 0.01, act)
 	}
 	for i := range ref {
 		if !equalBits(asm[i], ref[i]) {
-			t.Fatalf("%T k=%d in=%d out=%d rows=%d act=%v elem %d: asm %v (%#x) portable %v (%#x)",
-				asm[i], k, in, out, rows, act, i, asm[i], bitsOf(asm[i]), ref[i], bitsOf(ref[i]))
+			t.Fatalf("k=%d in=%d out=%d rows=%d act=%v elem %d: asm %v (%#x) portable %v (%#x)",
+				k, in, out, rows, act, i, asm[i], math.Float64bits(asm[i]), ref[i], math.Float64bits(ref[i]))
 		}
 		if col := (i - dstOff + dstStride) % dstStride; (i < dstOff || col >= k*out) && asm[i] != canary {
-			t.Fatalf("%T k=%d in=%d out=%d rows=%d act=%v: canary at %d overwritten with %v",
-				asm[i], k, in, out, rows, act, i, asm[i])
+			t.Fatalf("k=%d in=%d out=%d rows=%d act=%v: canary at %d overwritten with %v",
+				k, in, out, rows, act, i, asm[i])
 		}
 	}
 }
 
-// checkAffineTape calls the float64 kernel the way the tape forward does —
+// checkAffineTape calls the kernel the way the tape forward does —
 // one row over the training mirror, slope 1 for the plain affine op — and
 // compares with the Go loops it replaces.
 func checkAffineTape(t *testing.T, rng *rand.Rand, l *Linear) {

@@ -12,20 +12,12 @@ import "fmt"
 // layers.
 //
 // Every kernel accumulates each output element in exactly the order of
-// Linear.affineInto (bias first, then inputs in index order), so the
-// float64 path is bit-identical to MLP.Apply on an inference tape — the
-// scalar oracle — on the same weights. All of
-// it is one implementation over the element type: T = float32 is the
-// opt-in fast path (accumulation in float32, ~7 decimal digits, half the
-// memory traffic), and the only precision-specific code is the pair of
-// assembly routines and transKernel, which picks between them. On amd64
-// with AVX a layer is one call of that routine — affine, LeakyReLU and the
-// row loop — and no Go code touches an output element afterwards; the
-// portable affineRowsStrided is every other build's path and the oracle
-// the assembly is tested against.
-
-// Float is the element type of a stacked weight set and its activations.
-type Float interface{ float32 | float64 }
+// Linear.affineInto (bias first, then inputs in index order), so a stack
+// is bit-identical to MLP.Apply on an inference tape — the scalar oracle —
+// on the same weights. On amd64 with AVX a layer is one call of
+// affineLeakyAVX — affine, LeakyReLU and the row loop — and no Go code
+// touches an output element afterwards; the portable affineRowsStrided is
+// every other build's path and the oracle the assembly is tested against.
 
 // affineRowsStrided computes, for each row r in [0, rows):
 //
@@ -41,7 +33,7 @@ type Float interface{ float32 | float64 }
 // FP-add latency, not throughput. Four outputs give four independent
 // chains over one streamed pass of x_r — the per-output accumulation
 // order (and thus the bits) is unchanged.
-func affineRowsStrided[T Float](dst []T, dstOff, dstStride int, x []T, xOff, xStride, rows int, w, b []T, in, out int, alpha T, act bool) {
+func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, w, b []float64, in, out int, alpha float64, act bool) {
 	for r := 0; r < rows; r++ {
 		xr := x[xOff+r*xStride : xOff+r*xStride+in]
 		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
@@ -138,30 +130,12 @@ func affineRowsStrided[T Float](dst []T, dstOff, dstStride int, x []T, xOff, xSt
 	}
 }
 
-// transFunc is the signature of the assembly fused transposed-affine
-// routines (see affineLeakyAVX).
-type transFunc[T Float] func(y, x, wt, b *T, in, out, rows, yStride, xStride int, slope T)
-
-// transKernel returns the assembly routine for T, or nil when this build
-// or CPU has none and the portable kernel carries the stack. It runs once
-// per stacked layer, never per row.
-func transKernel[T Float]() transFunc[T] {
-	if !useAffineAsm {
-		return nil
-	}
-	var kern any = transFunc[float64](affineLeakyAVX)
-	if _, ok := any(T(0)).(float32); ok {
-		kern = transFunc[float32](affineLeakyAVX32)
-	}
-	return kern.(transFunc[T])
-}
-
 // affineRowsTrans is affineRowsStrided on the transposed weight layout:
 // one call of the assembly kernel covers the whole row batch, LeakyReLU
 // included — the kernel scales negative accumulators by its slope before
 // the store (the same compare-and-scale per element as the portable
 // kernel, so the bits match), and slope 1 is the linear layer.
-func affineRowsTrans[T Float](kern transFunc[T], dst []T, dstOff, dstStride int, x []T, xOff, xStride, rows int, wt, b []T, in, out int, alpha T, act bool) {
+func affineRowsTrans(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
 	if rows == 0 {
 		return
 	}
@@ -173,50 +147,51 @@ func affineRowsTrans[T Float](kern transFunc[T], dst []T, dstOff, dstStride int,
 	last := rows - 1
 	y := dst[dstOff : dstOff+last*dstStride+out]
 	xs := x[xOff : xOff+last*xStride+in]
-	kern(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride, alpha)
+	affineLeakyAVX(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride, alpha)
 }
 
 // StackedLinear is k independently weighted Linear layers of identical
 // shape evaluated through one batched kernel: member m's weights occupy
 // block m of the member-major weight and bias buffers. The weights are
-// copied (and converted to T) at stack time — a stack goes stale when a
-// member's weights are updated in place and must be rebuilt.
-type StackedLinear[T Float] struct {
+// copied at stack time — a stack goes stale when a member's weights are
+// updated in place and must be rebuilt.
+type StackedLinear struct {
 	K, In, Out int
-	// W holds K member blocks in the layout the chosen kernel streams:
+	// W holds K member blocks in the layout the layer's kernel streams:
 	// column-major In×Out for the assembly kernel (outputs in adjacent
 	// lanes, unit-stride "all outputs for input i"), row-major Out×In for
 	// the portable one.
-	W    []T
-	B    []T          // K blocks of Out
-	kern transFunc[T] // nil: portable kernel
+	W   []float64
+	B   []float64 // K blocks of Out
+	asm bool      // stacked for affineLeakyAVX; false: portable kernel
 }
 
-// StackLinears copies k same-shape layers into one stacked layer.
-func StackLinears[T Float](ls []*Linear) (*StackedLinear[T], error) {
+// StackLinears copies k same-shape layers into one stacked layer, laid
+// out for the assembly kernel when this build and CPU have it.
+func StackLinears(ls []*Linear) (*StackedLinear, error) {
 	if len(ls) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero layers")
 	}
 	in, out := ls[0].In, ls[0].Out
-	s := &StackedLinear[T]{
+	s := &StackedLinear{
 		K: len(ls), In: in, Out: out,
-		W:    make([]T, len(ls)*out*in),
-		B:    make([]T, len(ls)*out),
-		kern: transKernel[T](),
+		W:   make([]float64, len(ls)*out*in),
+		B:   make([]float64, len(ls)*out),
+		asm: useAffineAsm,
 	}
 	for m, l := range ls {
 		if l.In != in || l.Out != out {
 			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", m, l.Out, l.In, out, in)
 		}
 		wm := s.W[m*out*in : (m+1)*out*in]
+		copy(s.B[m*out:(m+1)*out], l.B[:out])
+		if !s.asm {
+			copy(wm, l.W[:out*in])
+			continue
+		}
 		for o := 0; o < out; o++ {
-			s.B[m*out+o] = T(l.B[o])
 			for i := 0; i < in; i++ {
-				if s.kern != nil {
-					wm[i*out+o] = T(l.W[o*in+i])
-				} else {
-					wm[o*in+i] = T(l.W[o*in+i])
-				}
+				wm[i*out+o] = l.W[o*in+i]
 			}
 		}
 	}
@@ -226,37 +201,29 @@ func StackLinears[T Float](ls []*Linear) (*StackedLinear[T], error) {
 // rows advances a row batch through every member: member m reads its In
 // inputs of row r at x[m*xBlock+r*xStride:] and writes its Out outputs at
 // column offset m·Out of the rows×(K·Out) dst.
-func (s *StackedLinear[T]) rows(dst, x []T, xBlock, xStride, rows int, alpha T, act bool) {
+func (s *StackedLinear) rows(dst, x []float64, xBlock, xStride, rows int, alpha float64, act bool) {
 	for m := 0; m < s.K; m++ {
 		w, b := s.W[m*s.Out*s.In:(m+1)*s.Out*s.In], s.B[m*s.Out:(m+1)*s.Out]
-		if s.kern != nil {
-			affineRowsTrans(s.kern, dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
+		if s.asm {
+			affineRowsTrans(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		} else {
 			affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		}
 	}
 }
 
-// SharedRows advances rows shared input rows through every member: x is
-// rows×In (one row per item, shared by all members), dst is rows×(K·Out)
-// with member m's outputs at column offset m·Out. Per member this is a
-// true matrix-matrix product over the whole row batch.
-func (s *StackedLinear[T]) SharedRows(dst, x []T, rows int, alpha T, act bool) {
-	s.rows(dst, x, 0, s.In, rows, alpha, act)
-}
-
 // BlockRows advances rows interleaved member-block rows: x is rows×(K·In)
 // with member m's input at column offset m·In, dst is rows×(K·Out).
 // Member m's rows all go through member m's weights.
-func (s *StackedLinear[T]) BlockRows(dst, x []T, rows int, alpha T, act bool) {
+func (s *StackedLinear) BlockRows(dst, x []float64, rows int, alpha float64, act bool) {
 	s.rows(dst, x, s.In, s.K*s.In, rows, alpha, act)
 }
 
 // DenseScratch holds the ping-pong activation buffers of a StackedMLP
 // forward pass. One scratch serves one goroutine; buffers grow on demand
 // and are reused across calls, so the steady-state pass allocates nothing.
-type DenseScratch[T Float] struct {
-	a, b []T
+type DenseScratch struct {
+	a, b []float64
 }
 
 // Grow returns buf resized to n elements, reallocating only when its
@@ -274,21 +241,21 @@ func Grow[T any](buf []T, n int) []T {
 // StackedMLP is k same-architecture MLPs evaluated as one row-batched
 // kernel stack. Hidden layers run the fused affine+LeakyReLU kernel, the
 // final layer stays linear — mirroring MLP.Apply layer for layer.
-type StackedMLP[T Float] struct {
+type StackedMLP struct {
 	K      int
-	Alpha  T
-	Layers []*StackedLinear[T]
+	Alpha  float64
+	Layers []*StackedLinear
 }
 
 // StackMLPs vertically stacks k MLPs of identical architecture (layer
 // shapes and activation slope). The weights are copied; rebuild the stack
 // after updating any member's weights in place.
-func StackMLPs[T Float](ms []*MLP) (*StackedMLP[T], error) {
+func StackMLPs(ms []*MLP) (*StackedMLP, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero MLPs")
 	}
 	depth := len(ms[0].Layers)
-	s := &StackedMLP[T]{K: len(ms), Alpha: T(ms[0].Alpha)}
+	s := &StackedMLP{K: len(ms), Alpha: ms[0].Alpha}
 	for _, m := range ms {
 		if len(m.Layers) != depth {
 			return nil, fmt.Errorf("nn: stacking MLPs of depth %d and %d", depth, len(m.Layers))
@@ -302,7 +269,7 @@ func StackMLPs[T Float](ms []*MLP) (*StackedMLP[T], error) {
 		for m, mlp := range ms {
 			layers[m] = mlp.Layers[li]
 		}
-		sl, err := StackLinears[T](layers)
+		sl, err := StackLinears(layers)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d: %w", li, err)
 		}
@@ -312,13 +279,13 @@ func StackMLPs[T Float](ms []*MLP) (*StackedMLP[T], error) {
 }
 
 // InDim returns the per-member input dimension.
-func (s *StackedMLP[T]) InDim() int { return s.Layers[0].In }
+func (s *StackedMLP) InDim() int { return s.Layers[0].In }
 
 // OutDim returns the per-member output dimension.
-func (s *StackedMLP[T]) OutDim() int { return s.Layers[len(s.Layers)-1].Out }
+func (s *StackedMLP) OutDim() int { return s.Layers[len(s.Layers)-1].Out }
 
 // maxWidth is the widest per-member activation produced by any layer.
-func (s *StackedMLP[T]) maxWidth() int {
+func (s *StackedMLP) maxWidth() int {
 	w := 0
 	for _, l := range s.Layers {
 		w = max(w, l.Out)
@@ -329,7 +296,7 @@ func (s *StackedMLP[T]) maxWidth() int {
 // forward runs the whole stack on rows input rows; xBlock and xStride
 // address the first layer's input (see StackedLinear.rows), every later
 // layer reads the interleaved member-block output of the one before.
-func (s *StackedMLP[T]) forward(dst, x []T, xBlock, xStride, rows int, sc *DenseScratch[T]) {
+func (s *StackedMLP) forward(dst, x []float64, xBlock, xStride, rows int, sc *DenseScratch) {
 	last := len(s.Layers) - 1
 	if last == 0 {
 		s.Layers[0].rows(dst, x, xBlock, xStride, rows, s.Alpha, false)
@@ -347,15 +314,15 @@ func (s *StackedMLP[T]) forward(dst, x []T, xBlock, xStride, rows int, sc *Dense
 }
 
 // ForwardShared runs the whole stack on rows input rows shared by every
-// member: x is rows×InDim, dst is rows×(K·OutDim). At T = float64 it is
-// bit-identical per member to MLP.Apply on an inference tape, row by row.
-func (s *StackedMLP[T]) ForwardShared(dst, x []T, rows int, sc *DenseScratch[T]) {
+// member: x is rows×InDim, dst is rows×(K·OutDim). It is bit-identical
+// per member to MLP.Apply on an inference tape, row by row.
+func (s *StackedMLP) ForwardShared(dst, x []float64, rows int, sc *DenseScratch) {
 	s.forward(dst, x, 0, s.InDim(), rows, sc)
 }
 
 // ForwardBlocks runs the stack on rows interleaved member-block rows: x
 // is rows×(K·InDim) with member m's input at offset m·InDim, dst is
 // rows×(K·OutDim).
-func (s *StackedMLP[T]) ForwardBlocks(dst, x []T, rows int, sc *DenseScratch[T]) {
+func (s *StackedMLP) ForwardBlocks(dst, x []float64, rows int, sc *DenseScratch) {
 	s.forward(dst, x, s.InDim(), s.K*s.InDim(), rows, sc)
 }

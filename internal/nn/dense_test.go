@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -31,13 +30,13 @@ func TestStackedMLPSharedMatchesInfer(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs[float64](mlps)
+	s, err := StackMLPs(mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, in)
 	dst := make([]float64, rows*k*out)
-	s.ForwardShared(dst, x, rows, &DenseScratch[float64]{})
+	s.ForwardShared(dst, x, rows, &DenseScratch{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
 			want := tapeInfer(mlps[m], x[r*in:(r+1)*in])
@@ -60,13 +59,13 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs[float64](mlps)
+	s, err := StackMLPs(mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, k*in)
 	dst := make([]float64, rows*k*out)
-	s.ForwardBlocks(dst, x, rows, &DenseScratch[float64]{})
+	s.ForwardBlocks(dst, x, rows, &DenseScratch{})
 	for r := 0; r < rows; r++ {
 		for m := 0; m < k; m++ {
 			want := tapeInfer(mlps[m], x[r*k*in+m*in:r*k*in+(m+1)*in])
@@ -80,40 +79,6 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	}
 }
 
-// TestStackedMLPFloat32Tolerance checks the float32 fast path stays
-// within the documented relative tolerance of the float64 reference.
-func TestStackedMLPFloat32Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const k, rows, in, hid, out = 3, 6, 10, 24, 4
-	mlps := make([]*MLP, k)
-	for m := range mlps {
-		mlps[m] = NewMLP(rng, in, hid, out)
-	}
-	s, err := StackMLPs[float64](mlps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randRows(rng, rows, k*in)
-	x32 := make([]float32, len(x))
-	for i, v := range x {
-		x32[i] = float32(v)
-	}
-	s32, err := StackMLPs[float32](mlps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, rows*k*out)
-	dst32 := make([]float32, rows*k*out)
-	s.ForwardBlocks(dst, x, rows, &DenseScratch[float64]{})
-	s32.ForwardBlocks(dst32, x32, rows, &DenseScratch[float32]{})
-	for i := range dst {
-		got, want := float64(dst32[i]), dst[i]
-		if math.Abs(got-want) > 1e-4*math.Max(1, math.Abs(want)) {
-			t.Fatalf("elem %d: float32 %v vs float64 %v", i, got, want)
-		}
-	}
-}
-
 // TestStackedMLPRejectsMismatches checks shape and slope validation.
 func TestStackedMLPRejectsMismatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -122,11 +87,11 @@ func TestStackedMLPRejectsMismatches(t *testing.T) {
 	bWide := NewMLP(rng, 4, 9, 2)
 	bAlpha := NewMLP(rng, 4, 8, 2)
 	bAlpha.Alpha = 0.2
-	if _, err := StackMLPs[float64](nil); err == nil {
+	if _, err := StackMLPs(nil); err == nil {
 		t.Fatal("stacking zero MLPs should fail")
 	}
 	for name, other := range map[string]*MLP{"depth": bDeep, "width": bWide, "alpha": bAlpha} {
-		if _, err := StackMLPs[float64]([]*MLP{a, other}); err == nil {
+		if _, err := StackMLPs([]*MLP{a, other}); err == nil {
 			t.Fatalf("stacking mismatched %s should fail", name)
 		}
 	}
@@ -141,13 +106,13 @@ func TestStackedForwardAllocs(t *testing.T) {
 	for m := range mlps {
 		mlps[m] = NewMLP(rng, in, hid, out)
 	}
-	s, err := StackMLPs[float64](mlps)
+	s, err := StackMLPs(mlps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randRows(rng, rows, k*in)
 	dst := make([]float64, rows*k*out)
-	sc := &DenseScratch[float64]{}
+	sc := &DenseScratch{}
 	s.ForwardBlocks(dst, x, rows, sc) // grow buffers
 	allocs := testing.AllocsPerRun(50, func() {
 		s.ForwardBlocks(dst, x, rows, sc)

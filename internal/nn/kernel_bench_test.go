@@ -31,7 +31,7 @@ func BenchmarkAffineKernels(b *testing.B) {
 			x := randRows(rng, rows, sh.in)
 			y := make([]float64, rows*sh.out)
 			run := func(b *testing.B) {
-				s, err := StackLinears[float64](layers)
+				s, err := StackLinears(layers)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -172,7 +172,7 @@ type Core struct {
 
 	// sess is the search's scoring session, opened by the first round and
 	// kept: the query and every host are featurized once per search, and
-	// every round is scored by the same weight snapshot and precision, so
+	// every round is scored by the same weight snapshot, so
 	// the incumbent is never compared against another model's scores.
 	sess TileScorer
 

@@ -584,7 +584,9 @@ func jsonEqual(t *testing.T, a, b any) bool {
 
 // TestRequestWorkLimits: a single request cannot buy unbounded
 // enumeration or scoring work — oversized candidate counts are rejected
-// before any allocation and before the in-flight semaphore.
+// before any allocation and before the in-flight semaphore, and so are
+// negative budgets, which would otherwise run with no round limit or the
+// default candidate count; the error names the field.
 func TestRequestWorkLimits(t *testing.T) {
 	s := newTestServer(t, Config{})
 	q, c := testQuery(t), testCluster()
@@ -592,6 +594,15 @@ func TestRequestWorkLimits(t *testing.T) {
 		Query: q, Cluster: c, Candidates: 2_000_000_000,
 	}); w.Code != http.StatusBadRequest {
 		t.Errorf("oversized optimize: status %d, want 400", w.Code)
+	}
+	for field, req := range map[string]OptimizeRequest{
+		"candidates": {Query: q, Cluster: c, Candidates: -1},
+		"rounds":     {Query: q, Cluster: c, Candidates: 8, Rounds: -3},
+	} {
+		w := doJSON(t, s, http.MethodPost, "/v1/optimize", req)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), field) {
+			t.Errorf("negative %s: status %d, want 400 naming the field: %s", field, w.Code, w.Body)
+		}
 	}
 	ps := make([]sim.Placement, maxCandidates+1)
 	for i := range ps {

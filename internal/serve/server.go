@@ -321,10 +321,11 @@ type OptimizeRequest struct {
 	Query   *stream.Query     `json:"query"`
 	Cluster *hardware.Cluster `json:"cluster"`
 	// Candidates is the search budget: the maximum number of distinct
-	// placements scored (default 16).
+	// placements scored (default 16; negative is a 400).
 	Candidates int `json:"candidates,omitempty"`
 	// Rounds optionally bounds the generate->score->prune rounds
-	// (default unlimited; the candidate budget still applies).
+	// (default unlimited; the candidate budget still applies; negative is
+	// a 400).
 	Rounds int `json:"rounds,omitempty"`
 	// Objective is one of "min-processing-latency" (default),
 	// "min-e2e-latency" or "max-throughput".
@@ -667,8 +668,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A negative budget would read as "unlimited" (rounds) or "default"
+	// (candidates) further down; neither is what the client asked for.
+	if req.Candidates < 0 {
+		s.writeError(w, http.StatusBadRequest, "candidates %d is negative", req.Candidates)
+		return
+	}
+	if req.Rounds < 0 {
+		s.writeError(w, http.StatusBadRequest, "rounds %d is negative", req.Rounds)
+		return
+	}
 	k := req.Candidates
-	if k <= 0 {
+	if k == 0 {
 		k = 16
 	}
 	if k > maxCandidates {
