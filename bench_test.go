@@ -1,12 +1,9 @@
-// Benchmarks reproducing every table and figure of the paper's evaluation
-// (Section VII). Each experiment benchmark prints the paper-style result
-// table on its first iteration, so `go test -bench=. -benchmem` output
-// doubles as the reproduction record (see EXPERIMENTS.md).
-//
-// Scale with COSTREAM_SCALE (default 1.0); e.g. COSTREAM_SCALE=0.25 for a
-// quick smoke run. Shared artifacts (corpora, trained ensembles) are
-// cached across benchmarks, so the first model-using benchmark pays the
-// training cost.
+// Benchmarks of the library's hot paths: corpus generation, one
+// simulator run, one GNN forward pass, candidate enumeration,
+// per-candidate scoring against a tiled search, a search per strategy,
+// the crash-cascade fleet scenario and the /v1/predict handler. The
+// paper's tables and figures are printed by cmd/costream-expts, which
+// runs internal/experiments.
 package costream
 
 import (
@@ -17,13 +14,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 
 	"costream/internal/core"
 	"costream/internal/dataset"
-	"costream/internal/experiments"
 	"costream/internal/fleet"
 	"costream/internal/gnn"
 	"costream/internal/hardware"
@@ -34,222 +29,6 @@ import (
 	"costream/internal/stream"
 	"costream/internal/workload"
 )
-
-var (
-	suiteOnce  sync.Once
-	benchSuite *experiments.Suite
-	printedMu  sync.Mutex
-	printed    = map[string]bool{}
-)
-
-func expSuite() *experiments.Suite {
-	suiteOnce.Do(func() {
-		benchSuite = experiments.NewSuite(experiments.ScaleFromEnv())
-		benchSuite.Logf = func(format string, args ...any) {
-			fmt.Printf("# "+format+"\n", args...)
-		}
-	})
-	return benchSuite
-}
-
-func runExperiment(b *testing.B, run func(s *experiments.Suite) (*experiments.Table, error)) {
-	b.Helper()
-	s := expSuite()
-	for i := 0; i < b.N; i++ {
-		t, err := run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The framework may re-invoke the benchmark with a larger b.N;
-		// print each experiment's table once per process.
-		printedMu.Lock()
-		if !printed[b.Name()] {
-			printed[b.Name()] = true
-			t.WriteText(os.Stdout)
-		}
-		printedMu.Unlock()
-	}
-}
-
-// BenchmarkExp1OverallAccuracy reproduces Table III (and the left bar of
-// Figure 1): overall q-errors and accuracies on the held-out test set.
-func BenchmarkExp1OverallAccuracy(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp1Overall()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp1HardwareBuckets reproduces Figure 7: prediction quality
-// grouped over hardware feature ranges.
-func BenchmarkExp1HardwareBuckets(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp1Hardware()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp1QueryTypes reproduces Figure 8: prediction quality per
-// query class.
-func BenchmarkExp1QueryTypes(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp1QueryTypes()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp2aPlacementSpeedup reproduces Figure 9: median processing-
-// latency speed-ups of cost-model-optimized initial placements.
-func BenchmarkExp2aPlacementSpeedup(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp2aPlacement()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp2bOnlineMonitoring reproduces Figure 10: slow-down and
-// monitoring overhead of the online rescheduling baseline.
-func BenchmarkExp2bOnlineMonitoring(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp2bMonitoring()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp2cSearchStrategies extends Exp 2 with the placement search
-// engine: random / exhaustive / beam / local-search over the learned cost
-// model under one shared candidate budget on 8-14 host clusters.
-func BenchmarkExp2cSearchStrategies(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp2cSearchStrategies()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp3Interpolation reproduces Table IV: unseen in-range hardware.
-func BenchmarkExp3Interpolation(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp3Interpolation()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp4Extrapolation reproduces Table V: hardware beyond the
-// training range, stronger and weaker.
-func BenchmarkExp4Extrapolation(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp4Extrapolation()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp5aUnseenPatterns reproduces Table VI-A: filter-chain query
-// patterns absent from the training data.
-func BenchmarkExp5aUnseenPatterns(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp5aUnseenPatterns()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp5bFineTuning reproduces Figure 11: few-shot fine-tuning on
-// unseen query structures.
-func BenchmarkExp5bFineTuning(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp5bFineTuning()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp6UnseenBenchmarks reproduces Table VI-B: the Advertisement,
-// Spike Detection and Smart Grid benchmark queries.
-func BenchmarkExp6UnseenBenchmarks(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp6Benchmarks()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp7aFeatureAblation reproduces Figure 12: featurization
-// ablation for E2E latency.
-func BenchmarkExp7aFeatureAblation(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp7aFeatureAblation()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkExp7bMessagePassing reproduces Figure 13: the paper's directed
-// message passing vs a traditional undirected scheme.
-func BenchmarkExp7bMessagePassing(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		r, err := s.Exp7bMessagePassing()
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	})
-}
-
-// BenchmarkFig1Summary reproduces Figure 1: the headline seen-vs-unseen
-// comparison, aggregated from Exps 1, 3, 5a and 6.
-func BenchmarkFig1Summary(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*experiments.Table, error) {
-		e1, err := s.Exp1Overall()
-		if err != nil {
-			return nil, err
-		}
-		e3, err := s.Exp3Interpolation()
-		if err != nil {
-			return nil, err
-		}
-		e5, err := s.Exp5aUnseenPatterns()
-		if err != nil {
-			return nil, err
-		}
-		e6, err := s.Exp6Benchmarks()
-		if err != nil {
-			return nil, err
-		}
-		return s.Fig1Summary(e1, e3, e5, e6).Table(), nil
-	})
-}
 
 // BenchmarkCorpusGeneration measures trace generation + simulated
 // execution throughput (the Section VI benchmark collection process).
@@ -381,11 +160,10 @@ func BenchmarkPredictSerial(b *testing.B) {
 
 // BenchmarkSearch measures one full placement search per strategy with
 // the real trained five-metric predictor scoring every candidate under a
-// 64-candidate budget. Unlike internal/placement's BenchmarkSearch, which
-// isolates engine overhead behind a stub predictor, this run is dominated
-// by ensemble inference — it is the headline search number tracked in the
-// BENCH_*.json perf trajectory. Workers is pinned to 1 so ns/op measures
-// kernel cost, not scheduler luck.
+// 64-candidate budget. The run is dominated by ensemble inference — it is
+// the headline search number tracked in the BENCH_*.json perf trajectory.
+// Workers is pinned to 1 so ns/op measures kernel cost, not scheduler
+// luck.
 func BenchmarkSearch(b *testing.B) {
 	optimizeBenchSetup(b)
 	for _, name := range placement.StrategyNames() {
@@ -396,7 +174,7 @@ func BenchmarkSearch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := placement.Search(optBenchPred, optBenchQ, optBenchC, strat,
+				if _, err := placement.Search(context.Background(), optBenchPred, optBenchQ, optBenchC, strat,
 					placement.MinProcLatency, placement.Budget{MaxCandidates: 64},
 					placement.SearchOptions{Seed: int64(i), Workers: 1}); err != nil {
 					b.Fatal(err)

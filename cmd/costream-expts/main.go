@@ -1,7 +1,7 @@
 // Command costream-expts runs the complete experimental evaluation of the
 // paper — every table and figure of Section VII — and prints paper-style
 // result tables. Use -scale to trade fidelity for time, and -md to emit a
-// Markdown report (the basis of EXPERIMENTS.md).
+// Markdown report.
 //
 // Usage:
 //

@@ -25,7 +25,7 @@
 //
 //	// 4. Predict costs for a placement, or optimize one.
 //	costs, _ := model.PredictCosts(q, cluster, placement)
-//	best, _ := model.OptimizePlacement(q, cluster, 16, costream.MinProcLatency, 7)
+//	best, predicted, _ := model.OptimizePlacement(q, cluster, 16, costream.MinProcLatency, 7)
 package costream
 
 import (
@@ -120,7 +120,7 @@ type (
 
 // Re-exported placement search engine types (Section V). A SearchStrategy
 // streams candidate placements into a shared budgeted search core that
-// scores them with the cost model; see Model.OptimizePlacementSearch.
+// scores them with the cost model; see Model.OptimizePlacementSearchCtx.
 type (
 	// SearchStrategy is a pluggable placement search algorithm.
 	SearchStrategy = placement.Strategy
@@ -392,37 +392,30 @@ func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) 
 // the one optimizing the objective together with its predicted costs.
 // Candidates are scored in batches by a worker pool sized to GOMAXPROCS.
 // It is the RandomSample strategy under a k-candidate budget; use
-// OptimizePlacementSearch to bound the workers or to run a real search
+// OptimizePlacementSearchCtx to bound the workers or to run a real search
 // strategy instead of the random sample.
 func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, seed int64) (Placement, Costs, error) {
-	res, err := m.OptimizePlacementSearch(q, c, RandomSampleStrategy{}, obj,
-		SearchBudget{MaxCandidates: k}, seed, 0)
+	res, err := m.OptimizePlacementSearchCtx(context.Background(), q, c, RandomSampleStrategy{}, obj,
+		SearchBudget{MaxCandidates: k}, SearchOpts{Seed: seed})
 	if err != nil {
 		return nil, Costs{}, err
 	}
 	return res.Placement, res.Costs, nil
 }
 
-// OptimizePlacementSearch runs a cost-guided placement search: the
+// OptimizePlacementSearchCtx runs a cost-guided placement search: the
 // strategy streams candidate placements (generate -> score -> prune in
 // rounds) into a budgeted search core that scores them with the model's
 // batched predictor and returns the best under the objective. A nil
 // strategy selects RandomSampleStrategy. The result is deterministic for
-// a fixed seed and any worker count (<= 0 selects GOMAXPROCS).
-func (m *Model) OptimizePlacementSearch(q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, seed int64, workers int) (*SearchResult, error) {
-	return m.OptimizePlacementSearchCtx(context.Background(), q, c, strat, obj, budget,
-		SearchOpts{Seed: seed, Workers: workers})
-}
-
-// OptimizePlacementSearchCtx is OptimizePlacementSearch with a context
-// and the full options struct, exposing opt-in per-round telemetry
-// (SearchOpts{Telemetry: true} fills SearchResult.Telemetry; collection
-// is purely observational — the chosen placement is identical with it on
-// or off). Cancellation stops the search at the next scoring batch and
+// a fixed opts.Seed and any opts.Workers (<= 0 selects GOMAXPROCS).
+// SearchOpts{Telemetry: true} fills SearchResult.Telemetry; collection is
+// purely observational — the chosen placement is identical with it on or
+// off. Cancelling ctx stops the search at the next scoring batch and
 // returns the best placement found so far with SearchResult.Cancelled
 // set; it errors only when no candidate was scored before the cancel.
 func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, opts SearchOpts) (*SearchResult, error) {
-	res, err := placement.SearchCtx(ctx, m.pred, q, c, strat, obj, budget, opts)
+	res, err := placement.Search(ctx, m.pred, q, c, strat, obj, budget, opts)
 	if err != nil {
 		return nil, fmt.Errorf("costream: %w", err)
 	}

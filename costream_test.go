@@ -1,6 +1,7 @@
 package costream
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -131,7 +132,7 @@ func TestGenerateCorpus(t *testing.T) {
 	}
 }
 
-func TestOptimizePlacementSearch(t *testing.T) {
+func TestOptimizePlacementSearchCtx(t *testing.T) {
 	_, model := facade(t)
 	q := exampleQuery(t)
 	c := exampleCluster()
@@ -141,7 +142,7 @@ func TestOptimizePlacementSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := model.OptimizePlacementSearch(q, c, strat, MinProcLatency, budget, 3, 0)
+		res, err := model.OptimizePlacementSearchCtx(context.Background(), q, c, strat, MinProcLatency, budget, SearchOpts{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -171,8 +172,8 @@ func TestOptimizePlacementWithIsRandomSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := model.OptimizePlacementSearch(q, c, RandomSampleStrategy{}, MinProcLatency,
-		SearchBudget{MaxCandidates: 12}, 3, 0)
+	res, err := model.OptimizePlacementSearchCtx(context.Background(), q, c, RandomSampleStrategy{}, MinProcLatency,
+		SearchBudget{MaxCandidates: 12}, SearchOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

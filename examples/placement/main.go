@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,8 +69,8 @@ func main() {
 	}
 	// COSTREAM: beam-search the placement space under a 24-candidate
 	// budget, pick the predicted-fastest sane placement.
-	res, err := model.OptimizePlacementSearch(q, cluster, costream.BeamStrategy{Width: 6},
-		costream.MinProcLatency, costream.SearchBudget{MaxCandidates: 24}, 6, 0)
+	res, err := model.OptimizePlacementSearchCtx(context.Background(), q, cluster, costream.BeamStrategy{Width: 6},
+		costream.MinProcLatency, costream.SearchBudget{MaxCandidates: 24}, costream.SearchOpts{Seed: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

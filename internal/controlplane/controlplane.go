@@ -203,7 +203,7 @@ func (p Policy) withDefaults() Policy {
 func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placement.SearchOptions) error {
 	p = p.withDefaults()
 	opts.BannedHosts = v.Banned
-	res, err := placement.SearchCtx(ctx, p.Predictor, d.Query, v.Cluster, p.Strategy, p.Objective, p.Budget, opts)
+	res, err := placement.Search(ctx, p.Predictor, d.Query, v.Cluster, p.Strategy, p.Objective, p.Budget, opts)
 	if err != nil {
 		return err
 	}
@@ -269,7 +269,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	}
 	opts.BannedHosts = v.Banned
 	strat := placement.Strategy(placement.WarmStart{Incumbent: incumbent, Inner: p.Strategy})
-	res, err := placement.SearchCtx(ctx, p.Predictor, effQ, v.Cluster, strat, p.Objective, p.Budget, opts)
+	res, err := placement.Search(ctx, p.Predictor, effQ, v.Cluster, strat, p.Objective, p.Budget, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return dec, ctx.Err()

@@ -51,25 +51,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// PredictedCosts is a Status's cost estimate in API shape.
-type PredictedCosts struct {
-	ThroughputTPS float64 `json:"throughput_tps"`
-	ProcLatencyMS float64 `json:"proc_latency_ms"`
-	E2ELatencyMS  float64 `json:"e2e_latency_ms"`
-	Success       bool    `json:"success"`
-	Backpressured bool    `json:"backpressured"`
-}
-
-func toAPICosts(c placement.PredCosts) PredictedCosts {
-	return PredictedCosts{
-		ThroughputTPS: c.ThroughputTPS,
-		ProcLatencyMS: c.ProcLatencyMS,
-		E2ELatencyMS:  c.E2ELatencyMS,
-		Success:       c.Success,
-		Backpressured: c.Backpressured,
-	}
-}
-
 // HistoryEntry is one control decision in a deployment's history.
 type HistoryEntry struct {
 	AtS             float64  `json:"at_s"`
@@ -83,13 +64,13 @@ type HistoryEntry struct {
 
 // Status is one deployment's externally visible state.
 type Status struct {
-	ID        string         `json:"id"`
-	Deployed  bool           `json:"deployed"`
-	Hosts     []string       `json:"hosts,omitempty"`
-	Placement sim.Placement  `json:"placement,omitempty"`
-	Predicted PredictedCosts `json:"predicted"`
-	LastMoveS float64        `json:"last_move_s"`
-	History   []HistoryEntry `json:"history,omitempty"`
+	ID        string              `json:"id"`
+	Deployed  bool                `json:"deployed"`
+	Hosts     []string            `json:"hosts,omitempty"`
+	Placement sim.Placement       `json:"placement,omitempty"`
+	Predicted placement.PredCosts `json:"predicted"`
+	LastMoveS float64             `json:"last_move_s"`
+	History   []HistoryEntry      `json:"history,omitempty"`
 }
 
 // HostStatus is one host's control-plane state, aggregated across every
@@ -469,7 +450,7 @@ func (pl *Plane) status(pd *planeDep, withHistory bool) Status {
 		Deployed:  pd.d.Deployed,
 		Hosts:     hostNames(pd.cluster, pd.d.Placement),
 		Placement: append(sim.Placement(nil), pd.d.Placement...),
-		Predicted: toAPICosts(pd.d.Predicted),
+		Predicted: pd.d.Predicted,
 		LastMoveS: pd.d.LastMoveS,
 	}
 	if withHistory {

@@ -157,7 +157,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 		t.Fatalf("ScoreTile without the poisoned metric: %v", err)
 	}
 	want = "non-finite output for " + MetricThroughput.String() + ", member 2"
-	_, err = placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+	_, err = placement.Search(context.Background(), pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 8}, placement.SearchOptions{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("search completing a poisoned metric: err = %v, want %q", err, want)
@@ -224,7 +224,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	tr := testCorpus(t).Traces[3]
 	var want *placement.SearchResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+		got, err := placement.Search(context.Background(), pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
 			placement.Budget{MaxCandidates: 48}, placement.SearchOptions{Seed: 95, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -290,14 +290,14 @@ func TestSearchMatchesFullScoring(t *testing.T) {
 	}
 	mixed := 0 // runs whose sanity check dropped some candidates and kept others
 	for _, r := range runs {
-		got, err := placement.Search(pr, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
+		got, err := placement.Search(context.Background(), pr, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Filtered > 0 && got.Filtered < got.Examined {
 			mixed++
 		}
-		want, err := placement.Search(wholeVectors{pr}, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
+		want, err := placement.Search(context.Background(), wholeVectors{pr}, tr.Query, tr.Cluster, r.strat, r.obj, budget, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestTileRowsShared(t *testing.T) {
 		{placement.LocalSearch{}, [3][2]int64{{114, 200}, {178, 320}, {212, 256}}, [3][2]int64{{3, 3}, {5, 5}, {4, 4}}},
 	} {
 		before := tileRowCounts()
-		res, err := placement.Search(pr, tr.Query, tr.Cluster, tc.strat, placement.MinProcLatency,
+		res, err := placement.Search(context.Background(), pr, tr.Query, tr.Cluster, tc.strat, placement.MinProcLatency,
 			placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -394,7 +394,7 @@ func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 		return after
 	}
 	before := counts()
-	res, err := placement.Search(pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
+	res, err := placement.Search(context.Background(), pr, tr.Query, tr.Cluster, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestScoreTileRespectsCancellation(t *testing.T) {
 	tr := c.Traces[6]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := placement.SearchCtx(ctx, pr, tr.Query, tr.Cluster, placement.RandomSample{},
+	_, err := placement.Search(ctx, pr, tr.Query, tr.Cluster, placement.RandomSample{},
 		placement.MinProcLatency, placement.Budget{MaxCandidates: 32},
 		placement.SearchOptions{Seed: 1, Workers: 2})
 	if err == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -66,7 +67,7 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 		for i := 0; i < nPerClass; i++ {
 			q := gen.QueryOfClass(class)
 			cluster := gen.Cluster()
-			initial, err := placement.HeuristicInitial(rng, q, cluster)
+			initial, err := placement.RandomValid(rng, q, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
 			}
@@ -106,7 +107,7 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 // 16 random valid placements drawn from seed, ranked by pred — and
 // returns the placement's measured processing latency.
 func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c *hardware.Cluster, seed int64, runCfg sim.Config) (float64, error) {
-	res, err := placement.Search(pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
+	res, err := placement.Search(context.Background(), pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed, Workers: s.Workers})
 	if err != nil {
 		return 0, err
@@ -179,7 +180,7 @@ func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
 		for si, sel := range sels {
 			q := gen.FilterQuery(rate, sel)
 			cluster := gen.Cluster()
-			initial, err := placement.HeuristicInitial(rng, q, cluster)
+			initial, err := placement.RandomValid(rng, q, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
 			}
@@ -187,7 +188,7 @@ func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			steps, err := placement.OnlineMonitoring(q, cluster, initial, mcfg)
+			steps, err := placement.OnlineMonitoring(context.Background(), q, cluster, initial, mcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -258,7 +259,7 @@ func (s *Suite) Exp2cSearchStrategies() (*Exp2cResult, error) {
 	for i := 0; i < n; i++ {
 		q := gen.Query()
 		cluster := gen.Cluster()
-		initial, err := placement.HeuristicInitial(rng, q, cluster)
+		initial, err := placement.RandomValid(rng, q, cluster)
 		if err != nil {
 			continue
 		}
@@ -270,7 +271,7 @@ func (s *Suite) Exp2cSearchStrategies() (*Exp2cResult, error) {
 		}
 		initLp := measuredLp(initM)
 		for si, strat := range strategies {
-			res, err := placement.Search(coPred, q, cluster, strat, placement.MinProcLatency,
+			res, err := placement.Search(context.Background(), coPred, q, cluster, strat, placement.MinProcLatency,
 				placement.Budget{MaxCandidates: budget},
 				placement.SearchOptions{Seed: int64(7900 + i), Workers: s.Workers})
 			if err != nil {

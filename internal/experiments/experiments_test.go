@@ -14,8 +14,7 @@ import (
 // smokeSuite returns a tiny-scale suite shared by all tests in this
 // package (so base corpora and ensembles train once): the unit tests
 // verify wiring and result shapes; the quantitative paper-shape claims are
-// exercised by the full-scale bench harness (bench_test.go,
-// EXPERIMENTS.md). The shape tests run with t.Parallel(): the suite's
+// exercised by full-scale runs of cmd/costream-expts. The shape tests run with t.Parallel(): the suite's
 // single-flight artifact caching makes concurrent access safe, and on a
 // multi-core runner the experiments overlap instead of queueing.
 var sharedSuite = NewSuite(0.08)

@@ -10,7 +10,7 @@ import (
 
 // RunAll executes every experiment of the paper and writes the rendered
 // tables to w in paper order. It returns the tables for further
-// processing (e.g. the EXPERIMENTS.md generator in cmd/costream-expts).
+// processing (e.g. the Markdown report of cmd/costream-expts -md).
 //
 // Experiments run concurrently through a worker pool bounded by
 // s.Workers (default GOMAXPROCS): each experiment is internally

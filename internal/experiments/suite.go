@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the COSTREAM
 // paper's evaluation (Section VII): one runner per experiment, shared
 // lazily-trained artifacts (corpora, model ensembles, baselines), and
-// plain-text report rendering. bench_test.go at the repository root and
-// cmd/costream-expts drive these runners.
+// plain-text report rendering. cmd/costream-expts drives these runners
+// (Suite.RunAll).
 package experiments
 
 import (

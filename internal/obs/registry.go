@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -68,6 +69,7 @@ func (k kind) String() string {
 // overrides the stored value at scrape time (CounterFunc / GaugeFunc).
 type series struct {
 	labels string // rendered {k="v",...}, or ""
+	key    string // k=v,... with the values as given, or "": WriteJSON's name
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
@@ -139,6 +141,16 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
+// seriesKey names a series in WriteJSON: its labels as k=v pairs joined
+// by commas, values as given (renderLabels has checked kv), or "" for none.
+func seriesKey(kv []string) string {
+	pairs := make([]string, 0, len(kv)/2)
+	for i := 0; i < len(kv); i += 2 {
+		pairs = append(pairs, kv[i]+"="+kv[i+1])
+	}
+	return strings.Join(pairs, ",")
+}
+
 // getFamily returns the family for name, creating it with the given kind
 // and help on first use. Asking for an existing name with a different
 // kind panics: one name means one metric type.
@@ -158,12 +170,15 @@ func (r *Registry) getFamily(name, help string, k kind) *family {
 	return f
 }
 
-func (f *family) getSeries(labels string) *series {
+// getSeries returns the family's series with the labels kv (alternating
+// key, value), creating it on first use.
+func (f *family) getSeries(kv []string) *series {
+	labels := renderLabels(kv)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s, ok := f.series[labels]
 	if !ok {
-		s = &series{labels: labels}
+		s = &series{labels: labels, key: seriesKey(kv)}
 		switch f.kind {
 		case kindCounter:
 			s.ctr = &Counter{}
@@ -178,13 +193,13 @@ func (f *family) getSeries(labels string) *series {
 // Counter returns the counter named name with the given constant labels
 // (alternating key, value), creating it on first use.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	return r.getFamily(name, help, kindCounter).getSeries(renderLabels(kv)).ctr
+	return r.getFamily(name, help, kindCounter).getSeries(kv).ctr
 }
 
 // Gauge returns the gauge named name with the given constant labels,
 // creating it on first use.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	return r.getFamily(name, help, kindGauge).getSeries(renderLabels(kv)).gauge
+	return r.getFamily(name, help, kindGauge).getSeries(kv).gauge
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -194,14 +209,14 @@ func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
 // rebuilt server sharing the default registry) always expose the live
 // instance.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, kv ...string) {
-	s := r.getFamily(name, help, kindCounter).getSeries(renderLabels(kv))
+	s := r.getFamily(name, help, kindCounter).getSeries(kv)
 	s.fn.Store(&fn)
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time; like
 // CounterFunc, re-registration replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	s := r.getFamily(name, help, kindGauge).getSeries(renderLabels(kv))
+	s := r.getFamily(name, help, kindGauge).getSeries(kv)
 	s.fn.Store(&fn)
 }
 
@@ -213,7 +228,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string)
 // The scale of an existing histogram is not changed by later calls.
 func (r *Registry) Histogram(name, help string, scale float64, kv ...string) *Histogram {
 	f := r.getFamily(name, help, kindHistogram)
-	s := f.getSeries(renderLabels(kv))
+	s := f.getSeries(kv)
 	f.mu.Lock()
 	if s.hist == nil {
 		s.hist = newHistogram(scale)
@@ -244,12 +259,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus writes every family in the text exposition format
-// (version 0.0.4): families sorted by name, series sorted by label
-// string, histograms as cumulative _bucket/_sum/_count triples with
-// power-of-two le bounds (empty buckets are elided; +Inf always
-// present).
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// walk calls fn for every family, sorted by name, with its series sorted
+// by label string: the order of both encodings. It stops at fn's first
+// error.
+func (r *Registry) walk(fn func(f *family, sers []*series) error) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -258,16 +271,30 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	var b strings.Builder
+	var sers []*series
 	for _, f := range fams {
 		f.mu.Lock()
-		sers := make([]*series, 0, len(f.series))
+		sers = sers[:0]
 		for _, s := range f.series {
 			sers = append(sers, s)
 		}
 		f.mu.Unlock()
 		sort.Slice(sers, func(i, j int) bool { return sers[i].labels < sers[j].labels })
+		if err := fn(f, sers); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// WritePrometheus writes every family in the text exposition format
+// (version 0.0.4): families sorted by name, series sorted by label
+// string, histograms as cumulative _bucket/_sum/_count triples with
+// power-of-two le bounds (empty buckets are elided; +Inf always
+// present).
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	return r.walk(func(f *family, sers []*series) error {
 		b.Reset()
 		if f.help != "" {
 			b.WriteString("# HELP ")
@@ -292,11 +319,59 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			b.WriteString(formatValue(s.value(f.kind)))
 			b.WriteByte('\n')
 		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
+}
+
+// WriteJSON writes every series as one JSON object, in WritePrometheus's
+// order: {"<family>": {"<k=v,...>": value}}, an unlabelled series keyed by
+// "". A counter or gauge value is its exposition sample, a histogram's is
+// {"count": n, "sum": s} (its _count and _sum samples), and a non-finite
+// value is null.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	var b strings.Builder
+	b.WriteByte('{')
+	_ = r.walk(func(f *family, sers []*series) error { // appends to b: cannot fail
+		if b.Len() > 1 {
+			b.WriteByte(',')
 		}
+		writeJSONString(&b, f.name)
+		b.WriteString(":{")
+		for i, s := range sers {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			writeJSONString(&b, s.key)
+			b.WriteByte(':')
+			if f.kind == kindHistogram {
+				snap := s.hist.Snapshot()
+				fmt.Fprintf(&b, `{"count":%d,"sum":%s}`, snap.Count, jsonNumber(float64(snap.Sum)*s.hist.scale))
+				continue
+			}
+			b.WriteString(jsonNumber(s.value(f.kind)))
+		}
+		b.WriteByte('}')
+		return nil
+	})
+	b.WriteString("}\n")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// writeJSONString writes s as a JSON string literal.
+func writeJSONString(b *strings.Builder, s string) {
+	lit, _ := json.Marshal(s) // a string always marshals
+	b.Write(lit)
+}
+
+// jsonNumber renders v as formatValue does, or as null where JSON has no
+// number for it (NaN, ±Inf).
+func jsonNumber(v float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return "null"
 	}
-	return nil
+	return formatValue(v)
 }
 
 // writeHistogram renders one histogram series as cumulative buckets plus

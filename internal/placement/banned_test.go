@@ -59,7 +59,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 	for _, strat := range strategies {
 		for _, workers := range []int{1, 4} {
 			pred := &recordingPredictor{}
-			res, err := Search(pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48},
+			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48},
 				SearchOptions{Seed: 9, Workers: workers, BannedHosts: banned})
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
@@ -92,7 +92,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 func TestBannedHostsAllBannedFails(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	_, err := Search(landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
+	_, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{0, 1, 2, 3}})
 	if err == nil {
 		t.Fatal("search over a fully banned cluster succeeded")
@@ -104,7 +104,7 @@ func TestBannedHostsAllBannedFails(t *testing.T) {
 func TestBannedHostsOutOfRangeIgnored(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	res, err := Search(landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{-1, 99}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func (p *cancellingPredictor) NewScoreSession(q *stream.Query, c *hardware.Clust
 	}).NewScoreSession(q, c)
 }
 
-func TestOnlineMonitoringCtxPreCancelled(t *testing.T) {
+func TestOnlineMonitoringPreCancelled(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
 	if err != nil {
@@ -160,7 +160,7 @@ func TestOnlineMonitoringCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	steps, err := OnlineMonitoringCtx(ctx, q, c, initial, DefaultMonitorConfig(monSimCfg()))
+	steps, err := OnlineMonitoring(ctx, q, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -169,10 +169,10 @@ func TestOnlineMonitoringCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestOnlineMonitoringCtxMidRunPartial mirrors SearchCtx semantics: a
+// TestOnlineMonitoringMidRunPartial mirrors Search's ctx semantics: a
 // cancellation after the initial observation stops the loop at the next
 // monitoring window and returns the partial trajectory without error.
-func TestOnlineMonitoringCtxMidRunPartial(t *testing.T) {
+func TestOnlineMonitoringMidRunPartial(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestOnlineMonitoringCtxMidRunPartial(t *testing.T) {
 	defer cancel()
 	cfg := DefaultMonitorConfig(monSimCfg())
 	cfg.Predictor = &cancellingPredictor{cancel: cancel}
-	steps, err := OnlineMonitoringCtx(ctx, q, c, initial, cfg)
+	steps, err := OnlineMonitoring(ctx, q, c, initial, cfg)
 	if err != nil {
 		t.Fatalf("mid-run cancellation must not fail the monitor: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestOnlineMonitoringCtxMidRunPartial(t *testing.T) {
 		t.Fatal("initial step lost its prediction")
 	}
 	// Sanity: uncancelled, the same run takes more than one step.
-	full, err := OnlineMonitoring(q, c, initial, DefaultMonitorConfig(monSimCfg()))
+	full, err := OnlineMonitoring(context.Background(), q, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestSearchCtxCancelMidSearch(t *testing.T) {
 		defer cancel()
 		pred := &gatedPredictor{limit: 5, cancel: cancel}
 		budget := Budget{MaxCandidates: 256}
-		res, err := SearchCtx(ctx, pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 3, Workers: 1})
+		res, err := Search(ctx, pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 3, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -83,30 +83,33 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range allStrategies(t) {
-		_, err := SearchCtx(ctx, landscapePredictor{}, testQuery(), cluster12(), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
+		_, err := Search(ctx, landscapePredictor{}, testQuery(), cluster12(), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", strat.Name(), err)
 		}
 	}
 }
 
-// TestSearchCtxBackgroundMatchesSearch: SearchCtx with a background
-// context is byte-for-byte the plain Search.
+// TestSearchCtxBackgroundMatchesSearch: a search under a live context
+// that is never cancelled is byte-for-byte the search under
+// context.Background(): checking the context changes nothing it chooses.
 func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	q := testQuery()
 	c := cluster12()
 	opts := SearchOptions{Seed: 7, Workers: 2}
 	budget := Budget{MaxCandidates: 32}
-	a, err := Search(landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
+	a, err := Search(context.Background(), landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchCtx(context.Background(), landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := Search(ctx, landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("SearchCtx(background) %+v != Search %+v", b, a)
+		t.Errorf("Search(live ctx) %+v != Search(background) %+v", b, a)
 	}
 }
 
@@ -120,7 +123,7 @@ func TestWarmStartScoresIncumbentFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 2})
+	res, err := Search(context.Background(), landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
 	}
 	incScore := MinProcLatency.Score(landscapeCosts(q, c, inc))
 	strat := WarmStart{Incumbent: inc, Inner: LocalSearch{}}
-	base, err := Search(landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: 1})
+	base, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
 		t.Errorf("warm-started search score %.3f worse than incumbent %.3f", got, incScore)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := Search(landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: workers})
+		got, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +176,7 @@ func TestWarmStartInvalidIncumbent(t *testing.T) {
 		bad[i] = -1
 	}
 	for _, inc := range []sim.Placement{nil, bad} {
-		res, err := Search(landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 8})
+		res, err := Search(context.Background(), landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 8})
 		if err != nil {
 			t.Fatalf("incumbent %v: %v", inc, err)
 		}

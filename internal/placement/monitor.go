@@ -63,16 +63,11 @@ type MonitorStep struct {
 //
 // The monitor itself draws no randomness: given the simulator seed in
 // cfg.SimCfg the trajectory is fully deterministic (the greedy move
-// selection breaks ties by operator/host index).
-func OnlineMonitoring(q *stream.Query, c *hardware.Cluster, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
-	return OnlineMonitoringCtx(context.Background(), q, c, initial, cfg)
-}
-
-// OnlineMonitoringCtx is OnlineMonitoring bounded by a context, mirroring
-// SearchCtx semantics: cancellation stops the loop at the next monitoring
-// window and returns the partial trajectory without error. Only a monitor
+// selection breaks ties by operator/host index). Cancelling ctx stops the
+// loop at the next monitoring window and returns the partial trajectory
+// without error, as Search returns its partial incumbent; only a monitor
 // cancelled before its initial observation fails, returning ctx.Err().
-func OnlineMonitoringCtx(ctx context.Context, q *stream.Query, c *hardware.Cluster, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
+func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

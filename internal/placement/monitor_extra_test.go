@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestMonitoringTerminatesAndTracksTime(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 15, 3
 	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 6, SimCfg: cfg}
-	steps, err := OnlineMonitoring(q, c, initial, mcfg)
+	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMonitoringRevertedMovesAreNotRepeated(t *testing.T) {
 	initial := sim.Placement{0, 0, 0, 0, 0}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
-	steps, err := OnlineMonitoring(q, c, initial, DefaultMonitorConfig(cfg))
+	steps, err := OnlineMonitoring(context.Background(), q, c, initial, DefaultMonitorConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +87,6 @@ func TestRebalanceProposesValidMove(t *testing.T) {
 		t.Fatal("banned move proposed again")
 	}
 	_ = next2
-}
-
-func TestHeuristicInitialIsValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	gen := testQuery()
-	c := testCluster()
-	for i := 0; i < 20; i++ {
-		p, err := HeuristicInitial(rng, gen, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Valid(gen, c, p) {
-			t.Fatalf("heuristic initial placement %v invalid", p)
-		}
-	}
 }
 
 func TestSimOracleMatchesSim(t *testing.T) {
@@ -147,11 +133,11 @@ func TestMonitoringDeterministic(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 4, SimCfg: cfg}
-	a, err := OnlineMonitoring(q, c, initial, mcfg)
+	a, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OnlineMonitoring(q, c, initial, mcfg)
+	b, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package placement
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,13 +13,14 @@ import (
 )
 
 // PredCosts is a predicted cost vector for one placement candidate,
-// mirroring the paper's five cost metrics.
+// mirroring the paper's five cost metrics. Its JSON form is the "costs"
+// object of the serve API and a deployment's "predicted" object.
 type PredCosts struct {
-	ThroughputTPS float64
-	ProcLatencyMS float64
-	E2ELatencyMS  float64
-	Success       bool
-	Backpressured bool
+	ThroughputTPS float64 `json:"throughput_tps"`
+	ProcLatencyMS float64 `json:"proc_latency_ms"`
+	E2ELatencyMS  float64 `json:"e2e_latency_ms"`
+	Success       bool    `json:"success"`
+	Backpressured bool    `json:"backpressured"`
 }
 
 // CostSet is a set of PredCosts fields: what a TileScorer caller will read
@@ -278,10 +278,6 @@ func (o Objective) String() string {
 	}
 }
 
-// Score maps predicted costs onto the objective's scalar score; lower is
-// better for every objective (MaxThroughput negates the throughput).
-func (o Objective) Score(costs PredCosts) float64 { return objectiveScore(o, costs) }
-
 // ParseObjective resolves an objective name (as used by the CLI
 // -objective flags and the serve API "objective" field). The empty
 // string selects MinProcLatency.
@@ -297,10 +293,10 @@ func ParseObjective(name string) (Objective, error) {
 	return 0, fmt.Errorf("placement: unknown objective %q (want min-processing-latency, min-e2e-latency or max-throughput)", name)
 }
 
-// objectiveScore maps predicted costs onto the objective's scalar score;
-// lower is better for every objective.
-func objectiveScore(obj Objective, costs PredCosts) float64 {
-	switch obj {
+// Score maps predicted costs onto the objective's scalar score; lower is
+// better for every objective (MaxThroughput negates the throughput).
+func (o Objective) Score(costs PredCosts) float64 {
+	switch o {
 	case MaxThroughput:
 		return -costs.ThroughputTPS
 	case MinE2ELatency:
@@ -315,7 +311,7 @@ func objectiveScore(obj Objective, costs PredCosts) float64 {
 func sane(costs PredCosts) bool { return costs.Success && !costs.Backpressured }
 
 // Reads names the costs that ranking a candidate under the objective
-// reads: the one objectiveScore scores it by and the two sane looks at.
+// reads: the one Score scores it by and the two sane looks at.
 // A search asks its scoring session for these and nothing else, so the
 // three functions must change together.
 func (o Objective) Reads() CostSet {
@@ -356,11 +352,4 @@ func (o *SimOracle) simulate(q *stream.Query, c *hardware.Cluster, p sim.Placeme
 		Success:       m.Success,
 		Backpressured: m.Backpressured,
 	}, nil
-}
-
-// HeuristicInitial returns the plain heuristic initial placement used as
-// the Exp 2a baseline denominator: the first valid random draw under the
-// Figure 5 rules, without any cost-based selection (following [32]).
-func HeuristicInitial(rng *rand.Rand, q *stream.Query, c *hardware.Cluster) (sim.Placement, error) {
-	return RandomValid(rng, q, c)
 }

@@ -91,12 +91,12 @@ func TestOptimizeDeterministicWithOracle(t *testing.T) {
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
 	budget := Budget{MaxCandidates: 12}
-	base, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: 1})
+	base, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, budget.MaxCandidates} {
-		got, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: workers})
+		got, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestOptimizeSkipsFailingCandidates(t *testing.T) {
 		}
 		return landscapeCosts(q, c, p), nil
 	})
-	res, err := Search(pred, q, c, Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
+	res, err := Search(context.Background(), pred, q, c, Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOptimizeAllCandidatesFail(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
 	pred := indexedPredictor(nil, map[int]bool{0: true, 1: true, 2: true, 3: true})
-	_, err := Search(pred, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
+	_, err := Search(context.Background(), pred, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "fake failure") {
 		t.Fatalf("search over failing candidates: err = %v", err)
 	}

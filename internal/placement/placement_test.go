@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -137,7 +138,7 @@ func TestOptimizeWithOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	oracle := &SimOracle{Cfg: cfg}
-	res, err := Search(oracle, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
+	res, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestOptimizeObjectives(t *testing.T) {
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
 	for _, obj := range []Objective{MinProcLatency, MinE2ELatency, MaxThroughput} {
-		res, err := Search(oracle, q, c, RandomSample{}, obj, Budget{MaxCandidates: 8}, SearchOptions{Seed: 5})
+		res, err := Search(context.Background(), oracle, q, c, RandomSample{}, obj, Budget{MaxCandidates: 8}, SearchOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", obj, err)
 		}
@@ -250,7 +251,7 @@ func TestOnlineMonitoringImproves(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	mcfg := DefaultMonitorConfig(cfg)
-	steps, err := OnlineMonitoring(q, c, initial, mcfg)
+	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,5 +387,29 @@ func TestValidCapabilityBinBoundaries(t *testing.T) {
 	// Same bin both ways: capability within a bin may go "down".
 	if !Valid(q, c, sim.Placement{1, 2, 2}) || !Valid(q, c, sim.Placement{2, 1, 1}) {
 		t.Error("same-bin transitions must be allowed in both directions")
+	}
+}
+
+// TestPredCostsWireBytes pins PredCosts' JSON form: it is the "costs"
+// object of every serve response and a deployment's "predicted" object,
+// byte for byte what those routes answered when each had its own copy of
+// the five fields.
+func TestPredCostsWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		costs PredCosts
+		want  string
+	}{
+		{PredCosts{ThroughputTPS: 1234.5678, ProcLatencyMS: 1e-7, E2ELatencyMS: 3e21, Success: true},
+			`{"throughput_tps":1234.5678,"proc_latency_ms":1e-7,"e2e_latency_ms":3e+21,"success":true,"backpressured":false}`},
+		{PredCosts{ProcLatencyMS: 12.75, E2ELatencyMS: 250, Backpressured: true},
+			`{"throughput_tps":0,"proc_latency_ms":12.75,"e2e_latency_ms":250,"success":false,"backpressured":true}`},
+	} {
+		got, err := json.Marshal(tc.costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("json.Marshal(%+v) =\n%s, want\n%s", tc.costs, got, tc.want)
+		}
 	}
 }

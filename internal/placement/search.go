@@ -357,7 +357,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 				}
 			} else {
 				rec.Costs = costs[j]
-				rec.Score = objectiveScore(co.obj, costs[j])
+				rec.Score = co.obj.Score(costs[j])
 				rec.Sane = sane(costs[j])
 				if !rec.Sane {
 					co.filtered++
@@ -468,16 +468,12 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 // (batched, worker-pooled, sanity-filtered) and the best placement under
 // the objective is returned. A nil strategy selects RandomSample. The
 // result is deterministic for a fixed seed and any Workers value.
-func Search(pred Predictor, q *stream.Query, c *hardware.Cluster, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
-	return SearchCtx(context.Background(), pred, q, c, strat, obj, budget, opts)
-}
-
-// SearchCtx is Search bounded by a context: cancellation stops the round
-// loop and the batched scorer at the next candidate boundary and returns
-// the best candidate scored so far (SearchResult.Cancelled is set). Only
-// a search cancelled before scoring any candidate fails, wrapping
-// ctx.Err().
-func SearchCtx(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
+//
+// Cancelling ctx stops the round loop and the batched scorer at the next
+// candidate boundary and returns the best candidate scored so far
+// (SearchResult.Cancelled is set). Only a search cancelled before scoring
+// any candidate fails, wrapping ctx.Err().
+func Search(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
 	if strat == nil {
 		strat = RandomSample{}
 	}

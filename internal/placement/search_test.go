@@ -89,12 +89,12 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
-		base, err := Search(pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: 1})
+		base, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 		for _, workers := range []int{2, 5, 16} {
-			got, err := Search(pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: workers})
+			got, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", strat.Name(), workers, err)
 			}
@@ -114,12 +114,12 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 64}
 	for _, seed := range []int64{3, 7, 11, 42} {
-		randRes, err := Search(pred, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: seed})
+		randRes, err := Search(context.Background(), pred, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, strat := range []Strategy{Beam{Width: 4}, LocalSearch{}} {
-			res, err := Search(pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: seed})
+			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", strat.Name(), seed, err)
 			}
@@ -141,7 +141,7 @@ func TestExhaustiveCompleteIsOptimal(t *testing.T) {
 	c := testCluster()
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 4096}
-	ex, err := Search(pred, q, c, Exhaustive{}, MinProcLatency, budget, SearchOptions{Seed: 1})
+	ex, err := Search(context.Background(), pred, q, c, Exhaustive{}, MinProcLatency, budget, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestExhaustiveCompleteIsOptimal(t *testing.T) {
 		t.Fatalf("exhaustive returned invalid placement %v", ex.Placement)
 	}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 5})
+		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -170,7 +170,7 @@ func TestSearchBudgetEnforced(t *testing.T) {
 	c := cluster12()
 	pred := landscapePredictor{}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 5}, SearchOptions{Seed: 2})
+		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 5}, SearchOptions{Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -180,7 +180,7 @@ func TestSearchBudgetEnforced(t *testing.T) {
 		if res.Complete {
 			t.Errorf("%s: claims complete coverage under a 5-candidate budget", strat.Name())
 		}
-		res, err = Search(pred, q, c, strat, MinProcLatency,
+		res, err = Search(context.Background(), pred, q, c, strat, MinProcLatency,
 			Budget{MaxCandidates: 256, MaxRounds: 1}, SearchOptions{Seed: 2})
 		if err != nil {
 			t.Fatalf("%s rounds=1: %v", strat.Name(), err)
@@ -198,7 +198,7 @@ func TestSearchValidPlacements(t *testing.T) {
 	pred := landscapePredictor{}
 	for _, c := range []*hardware.Cluster{testCluster(), cluster12()} {
 		for _, strat := range allStrategies(t) {
-			res, err := Search(pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
+			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
 			}
@@ -225,7 +225,7 @@ var insanePredictor = PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p
 func TestSearchFallbackWhenAllInsane(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	res, err := Search(insanePredictor, q, c, RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), insanePredictor, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 8}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,21 @@ import (
 	"costream/internal/sim"
 )
 
-// randomChunk is RandomSample's streaming batch size: draws are scored in
-// chunks so large budgets do not materialize every candidate up front.
-const randomChunk = 64
+// Streaming batch sizes: RandomSample scores its draws and Exhaustive its
+// enumeration in chunks, so large budgets do not materialize every
+// candidate up front.
+const (
+	randomChunk     = 64
+	exhaustiveChunk = 128
+)
+
+// LocalSearch's climb: localPatience consecutive non-improving rounds
+// trigger a restart, and a round scores at most localNeighborCap
+// neighbors.
+const (
+	localPatience    = 2
+	localNeighborCap = 64
+)
 
 // RandomSample is the paper's baseline strategy: k distinct random valid
 // placements, scored, sanity-filtered, best one kept. For a given seed and
@@ -63,20 +75,13 @@ func (RandomSample) Run(co *Core) error {
 // the strategy is safe on large spaces (the budget is the hard cap); when
 // the whole space fits the budget, the result is provably optimal under
 // the predictor and SearchResult.Complete is set.
-type Exhaustive struct {
-	// ChunkSize is the streaming batch size (default 128).
-	ChunkSize int
-}
+type Exhaustive struct{}
 
 // Name implements Strategy.
 func (Exhaustive) Name() string { return "exhaustive" }
 
 // Run implements Strategy.
-func (e Exhaustive) Run(co *Core) error {
-	chunkSize := e.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = 128
-	}
+func (Exhaustive) Run(co *Core) error {
 	n := co.Query().NumOps()
 	order := co.TopoOrder()
 	g := co.gen
@@ -84,7 +89,7 @@ func (e Exhaustive) Run(co *Core) error {
 	for i := range p {
 		p[i] = -1
 	}
-	chunk := make([]sim.Placement, 0, chunkSize)
+	chunk := make([]sim.Placement, 0, exhaustiveChunk)
 	emitted := 0
 	// choicesFor returns generator scratch reused by deeper levels; one
 	// reusable buffer per depth keeps the DFS allocation-free.
@@ -94,7 +99,7 @@ func (e Exhaustive) Run(co *Core) error {
 		if d == n {
 			chunk = append(chunk, append(sim.Placement(nil), p...))
 			emitted++
-			if len(chunk) >= chunkSize {
+			if len(chunk) >= exhaustiveChunk {
 				co.ScoreRound(chunk)
 				chunk = chunk[:0]
 				if co.Exhausted() {
@@ -207,20 +212,13 @@ func (b Beam) Run(co *Core) error {
 
 // LocalSearch hill-climbs from valid starts: each round scores the
 // neighborhood of the current placement (all valid single-operator moves
-// and operator-pair swaps, subsampled deterministically when large) in one
-// batch and moves to the best neighbor. Non-improving rounds exhaust
-// Patience, triggering a restart, until the budget runs out. The first
-// start is the deterministic greedy completion (co-locate onto the most
-// capable hosts); later restarts draw random valid placements.
+// and operator-pair swaps, subsampled deterministically above
+// localNeighborCap) in one batch and moves to the best neighbor.
+// localPatience non-improving rounds in a row trigger a restart, until the
+// budget runs out. The first start is the deterministic greedy completion
+// (co-locate onto the most capable hosts); later restarts draw random
+// valid placements.
 type LocalSearch struct {
-	// Restarts caps the number of random restarts (<= 0: keep restarting
-	// until the budget is exhausted).
-	Restarts int
-	// Patience is the number of consecutive non-improving rounds before
-	// a restart (default 2).
-	Patience int
-	// MaxNeighbors caps the scored neighborhood per round (default 64).
-	MaxNeighbors int
 	// Start, when valid, replaces the greedy completion as the first
 	// climb's starting placement — the warm-start hook used by WarmStart
 	// to climb from an incumbent instead of from scratch.
@@ -232,19 +230,11 @@ func (LocalSearch) Name() string { return "local-search" }
 
 // Run implements Strategy.
 func (ls LocalSearch) Run(co *Core) error {
-	patience := ls.Patience
-	if patience <= 0 {
-		patience = 2
-	}
-	maxN := ls.MaxNeighbors
-	if maxN <= 0 {
-		maxN = 64
-	}
 	blank := make(sim.Placement, co.Query().NumOps())
 	for i := range blank {
 		blank[i] = -1
 	}
-	for r := 0; !co.Exhausted() && (ls.Restarts <= 0 || r < ls.Restarts); r++ {
+	for r := 0; !co.Exhausted(); r++ {
 		before := co.Examined()
 		var start sim.Placement
 		if r == 0 {
@@ -271,7 +261,7 @@ func (ls LocalSearch) Run(co *Core) error {
 		}
 		bad := 0
 		for !co.Exhausted() {
-			neigh := localNeighbors(co, cur.Placement, maxN)
+			neigh := localNeighbors(co, cur.Placement)
 			if len(neigh) == 0 {
 				break
 			}
@@ -287,7 +277,7 @@ func (ls LocalSearch) Run(co *Core) error {
 				bad = 0
 			} else {
 				bad++
-				if bad >= patience {
+				if bad >= localPatience {
 					break
 				}
 			}
@@ -304,9 +294,10 @@ func (ls LocalSearch) Run(co *Core) error {
 // localNeighbors generates the move/swap neighborhood of p: every valid
 // placement differing by one operator's host, and every valid placement
 // obtained by swapping the hosts of two operators. Above maxN the
-// neighborhood is subsampled with the core rng (deterministic for a fixed
-// seed), preserving generation order for stable tie-breaks.
-func localNeighbors(co *Core, p sim.Placement, maxN int) []sim.Placement {
+// neighborhood is subsampled to localNeighborCap with the core rng
+// (deterministic for a fixed seed), preserving generation order for stable
+// tie-breaks.
+func localNeighbors(co *Core, p sim.Placement) []sim.Placement {
 	n := len(p)
 	hosts := co.Cluster().NumHosts()
 	tmp := append(sim.Placement(nil), p...)
@@ -336,10 +327,10 @@ func localNeighbors(co *Core, p sim.Placement, maxN int) []sim.Placement {
 			tmp[v], tmp[w] = tmp[w], tmp[v]
 		}
 	}
-	if len(out) > maxN {
-		idx := co.Rng().Perm(len(out))[:maxN]
+	if len(out) > localNeighborCap {
+		idx := co.Rng().Perm(len(out))[:localNeighborCap]
 		sort.Ints(idx)
-		sub := make([]sim.Placement, 0, maxN)
+		sub := make([]sim.Placement, 0, localNeighborCap)
 		for _, i := range idx {
 			sub = append(sub, out[i])
 		}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Telemetry: true})
+		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Telemetry: true})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -59,10 +60,10 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 				strat.Name(), filtered, errored, res.Filtered, res.Errored)
 		}
 		final := res.Telemetry[len(res.Telemetry)-1]
-		if final.BestIndex != res.Index || final.BestScore != objectiveScore(MinProcLatency, res.Costs) {
+		if final.BestIndex != res.Index || final.BestScore != MinProcLatency.Score(res.Costs) {
 			t.Errorf("%s: final round incumbent (%d, %g) != result (%d, %g)",
 				strat.Name(), final.BestIndex, final.BestScore,
-				res.Index, objectiveScore(MinProcLatency, res.Costs))
+				res.Index, MinProcLatency.Score(res.Costs))
 		}
 	}
 }
@@ -70,7 +71,7 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 // TestSearchTelemetryOffByDefault pins that plain runs pay nothing for
 // per-round collection and keep the result JSON-marshalable.
 func TestSearchTelemetryOffByDefault(t *testing.T) {
-	res, err := Search(landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +88,11 @@ func TestSearchTelemetryOffByDefault(t *testing.T) {
 func TestSearchTelemetryDoesNotChangeSelection(t *testing.T) {
 	q, c := testQuery(), cluster12()
 	for _, strat := range allStrategies(t) {
-		plain, err := Search(landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7})
+		plain, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := Search(landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7, Telemetry: true})
+		traced, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7, Telemetry: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestSearchMetricsRecorded(t *testing.T) {
 	runs := obs.Default().Counter("costream_search_runs_total",
 		"completed placement search runs, by strategy", "strategy", "random")
 	runs0 := runs.Value()
-	res, err := Search(landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestMonitorRecordsPredictions(t *testing.T) {
 	cfg.DurationS, cfg.WarmupS = 15, 3
 	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 4, SimCfg: cfg, Predictor: landscapePredictor{}}
 	lat0 := monitorMet().qerrLatency.Count()
-	steps, err := OnlineMonitoring(q, c, initial, mcfg)
+	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestMonitorRecordsPredictions(t *testing.T) {
 
 	// Without a predictor the steps carry no prediction.
 	mcfg.Predictor = nil
-	steps, err = OnlineMonitoring(q, c, initial, mcfg)
+	steps, err = OnlineMonitoring(context.Background(), q, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,7 +191,7 @@ func TestScoreTiledDegenerateTileSize(t *testing.T) {
 func TestSearchOpensOneSession(t *testing.T) {
 	q, c := testQuery(), cluster12()
 	f := &tileFake{tile: 4, poison: -1}
-	res, err := Search(f, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
+	res, err := Search(context.Background(), f, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSearchOpensOneSession(t *testing.T) {
 	}
 
 	broken := &tileFake{tile: 4, poison: -1, failSession: true}
-	if _, err := Search(broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3}); err == nil ||
+	if _, err := Search(context.Background(), broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3}); err == nil ||
 		!strings.Contains(err.Error(), "no session") || broken.sessions.Load() != 1 {
 		t.Fatalf("failed session: err = %v after %d sessions, want the session's error after one", err, broken.sessions.Load())
 	}
@@ -233,7 +233,7 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		var beam *SearchResult
 		for _, strat := range []Strategy{WarmStart{Incumbent: warm, Inner: LocalSearch{}}, Beam{}} {
 			f := &tileFake{tile: 4, poison: -1}
-			res, err := Search(f, q, c, strat, obj, budget, SearchOptions{Seed: 3})
+			res, err := Search(context.Background(), f, q, c, strat, obj, budget, SearchOptions{Seed: 3})
 			if err != nil {
 				t.Fatalf("%v %s: %v", obj, strat.Name(), err)
 			}
@@ -260,7 +260,7 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		plain := PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
 			return fakeCosts(p), nil
 		})
-		res, err := Search(plain, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3})
+		res, err := Search(context.Background(), plain, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		}
 
 		broken := &tileFake{tile: 4, poison: -1, failNeed: AllCosts &^ reads}
-		if _, err := Search(broken, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
+		if _, err := Search(context.Background(), broken, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("no prediction for costs %05b", AllCosts&^reads)) {
 			t.Fatalf("%v: failing completion gave err = %v, want the session's error", obj, err)
 		}

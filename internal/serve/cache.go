@@ -50,7 +50,7 @@ func newLRUCache(max int) *lruCache {
 
 // get returns the response body stored under key, marking the entry most
 // recently used. The slice is shared with the cache and must not be
-// modified. The hit/miss counters feed /stats.
+// modified. The hit/miss counters feed costream_serve_cache_ops_total.
 func (c *lruCache) get(key cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false

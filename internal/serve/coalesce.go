@@ -34,8 +34,9 @@ type coalescer struct {
 	mu     sync.Mutex
 	groups map[string]*predictGroup
 
-	// Stats: batches actually issued, requests enqueued, and requests
-	// that shared their batch with at least one other request.
+	// The costream_serve_coalesce_*_total counters: batches actually
+	// issued, requests enqueued, and requests that shared their batch
+	// with at least one other request.
 	batches   atomic.Int64
 	enqueued  atomic.Int64
 	coalesced atomic.Int64

@@ -120,6 +120,34 @@ func TestDeploymentsCRUD(t *testing.T) {
 	}
 }
 
+// TestDeploymentPredictedIsPredictCosts: a deployment's "predicted"
+// object and /v1/predict's "costs" for the same placement are one type
+// and so the same bytes.
+func TestDeploymentPredictedIsPredictCosts(t *testing.T) {
+	s := newControlTestServer(t, nil)
+	q, c := testQuery(t), testCluster()
+	p := sim.Placement{0, 1, 2}
+	if w := doJSON(t, s, http.MethodPost, "/v1/deployments", DeployRequest{ID: "q1", Query: q, Cluster: c, Placement: p}); w.Code != http.StatusOK {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	var dep struct {
+		Predicted json.RawMessage `json:"predicted"`
+	}
+	if err := json.Unmarshal(doJSON(t, s, http.MethodGet, "/v1/deployments/q1", nil).Body.Bytes(), &dep); err != nil {
+		t.Fatal(err)
+	}
+	var pred struct {
+		Costs json.RawMessage `json:"costs"`
+	}
+	w := doJSON(t, s, http.MethodPost, "/v1/predict", PredictRequest{Query: q, Cluster: c, Placement: p})
+	if err := json.Unmarshal(w.Body.Bytes(), &pred); err != nil {
+		t.Fatal(err)
+	}
+	if string(dep.Predicted) != string(pred.Costs) {
+		t.Errorf("deployment predicted %s != predict costs %s", dep.Predicted, pred.Costs)
+	}
+}
+
 func TestDeployValidation(t *testing.T) {
 	s := newControlTestServer(t, nil)
 	q, c := testQuery(t), testCluster()

@@ -9,7 +9,7 @@ import (
 )
 
 // routeNames lists the stable route labels of the HTTP surface, used for
-// per-route request/error/latency series and the /stats request map.
+// the per-route request/error/latency series.
 var routeNames = []string{"predict", "predict_batch", "optimize", "example", "healthz", "stats", "metrics",
 	"deployments_create", "deployments_list", "deployments_get", "deployments_delete",
 	"hosts", "hosts_cordon", "hosts_uncordon", "hosts_drain", "control_tick"}
@@ -92,6 +92,8 @@ func (s *Server) registerFuncs(r *obs.Registry) {
 		"predictor calls currently executing", func() float64 { return float64(s.inflight.Load()) })
 	r.GaugeFunc("costream_serve_max_in_flight",
 		"configured bound on concurrent predictor calls", func() float64 { return float64(cap(s.sem)) })
+	r.GaugeFunc("costream_serve_cache_capacity",
+		"configured prediction cache capacity in entries (0: caching disabled)", func() float64 { return float64(s.cache.capacity()) })
 
 	coalesce := func(name, help string, v func() int64) {
 		r.CounterFunc(name, help, func() float64 { return float64(v()) })

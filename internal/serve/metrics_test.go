@@ -228,11 +228,15 @@ func TestSaturationReturns503(t *testing.T) {
 	if retryAfter[1] == "" {
 		t.Error("503 response missing Retry-After header")
 	}
-	if got := s.snapshotStats().Rejected; got != 1 {
-		t.Errorf("stats rejected = %d, want 1", got)
-	}
 	if got := s.met.rejected.Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
+	}
+	var st map[string]map[string]any
+	if err := json.Unmarshal(doJSON(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st["costream_http_rejected_total"][""]; got != 1.0 {
+		t.Errorf("/stats rejected = %v, want 1", got)
 	}
 
 	// A negative QueueTimeout restores unbounded waiting: the same load

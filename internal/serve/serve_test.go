@@ -147,7 +147,7 @@ func TestPredictHandler(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	want := toCosts(fakeCosts(p))
+	want := fakeCosts(p)
 	if resp.Costs != want {
 		t.Errorf("costs %+v, want %+v", resp.Costs, want)
 	}
@@ -430,7 +430,7 @@ func TestPredictBatchHandler(t *testing.T) {
 		t.Fatalf("%d costs, want %d", len(resp.Costs), len(ps))
 	}
 	for i, p := range ps {
-		if resp.Costs[i] != toCosts(fakeCosts(p)) {
+		if resp.Costs[i] != fakeCosts(p) {
 			t.Errorf("batch %d: %+v", i, resp.Costs[i])
 		}
 	}
@@ -461,7 +461,7 @@ func TestOptimizeHandler(t *testing.T) {
 	if resp.Candidates <= 0 {
 		t.Errorf("candidates %d", resp.Candidates)
 	}
-	if resp.Costs != toCosts(fakeCosts(resp.Placement)) {
+	if resp.Costs != fakeCosts(resp.Placement) {
 		t.Errorf("costs %+v do not match the returned placement", resp.Costs)
 	}
 	if resp.Strategy != "random" {
@@ -492,6 +492,28 @@ func TestOptimizeHandler(t *testing.T) {
 		Query: q, Cluster: c, Objective: "make-it-fast",
 	}); w.Code != http.StatusBadRequest {
 		t.Errorf("bad objective: status %d, want 400", w.Code)
+	}
+}
+
+// TestOptimizeObjectiveNames: /v1/optimize accepts every objective name
+// placement.ParseObjective does, the CLI's short forms included, and a
+// short form answers exactly what its long form does.
+func TestOptimizeObjectiveNames(t *testing.T) {
+	s := newTestServer(t, Config{})
+	q, c := testQuery(t), testCluster()
+	for long, short := range map[string]string{
+		"min-e2e-latency":        "e2e",
+		"max-throughput":         "throughput",
+		"min-processing-latency": "latency",
+	} {
+		want := doJSON(t, s, http.MethodPost, "/v1/optimize", OptimizeRequest{Query: q, Cluster: c, Candidates: 8, Objective: long})
+		got := doJSON(t, s, http.MethodPost, "/v1/optimize", OptimizeRequest{Query: q, Cluster: c, Candidates: 8, Objective: short})
+		if want.Code != http.StatusOK || got.Code != http.StatusOK {
+			t.Fatalf("%s / %s: status %d / %d: %s %s", long, short, want.Code, got.Code, want.Body, got.Body)
+		}
+		if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
+			t.Errorf("objective %q answered\n%s, %q answered\n%s", short, got.Body, long, want.Body)
+		}
 	}
 }
 
@@ -649,18 +671,22 @@ func TestHealthzAndStats(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("stats status %d", w.Code)
 	}
-	var st Stats
+	var st map[string]map[string]any
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests["predict"] != 1 || st.Requests["healthz"] != 1 {
-		t.Errorf("request counters %+v", st.Requests)
+	requests := st["costream_http_requests_total"]
+	if requests["route=predict"] != 1.0 || requests["route=healthz"] != 1.0 {
+		t.Errorf("request counters %v", requests)
 	}
-	if st.Coalesce.Enqueued != 1 || st.Coalesce.Batches != 1 {
-		t.Errorf("coalesce counters %+v", st.Coalesce)
+	if st["costream_serve_coalesce_enqueued_total"][""] != 1.0 || st["costream_serve_coalesce_batches_total"][""] != 1.0 {
+		t.Errorf("coalesce counters %v / %v", st["costream_serve_coalesce_enqueued_total"], st["costream_serve_coalesce_batches_total"])
 	}
-	if st.MaxInFlight <= 0 {
-		t.Errorf("max in-flight %d", st.MaxInFlight)
+	if st["costream_serve_max_in_flight"][""].(float64) <= 0 {
+		t.Errorf("max in-flight %v", st["costream_serve_max_in_flight"])
+	}
+	if st["costream_serve_cache_capacity"][""] != float64(DefaultCacheSize) {
+		t.Errorf("cache capacity %v, want %d", st["costream_serve_cache_capacity"], DefaultCacheSize)
 	}
 }
 
@@ -908,7 +934,7 @@ func TestConcurrentPredictRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			if want := toCosts(fakeCosts(p)); resp.Costs != want {
+			if want := fakeCosts(p); resp.Costs != want {
 				errs <- fmt.Errorf("client %d: %+v != %+v", i, resp.Costs, want)
 			}
 		}(i)
@@ -919,16 +945,16 @@ func TestConcurrentPredictRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := s.snapshotStats()
-	if st.Requests["predict"] != clients {
-		t.Errorf("predict requests %d, want %d", st.Requests["predict"], clients)
+	if got := s.met.requests["predict"].Value(); got != clients {
+		t.Errorf("predict requests %d, want %d", got, clients)
 	}
 	hits, _, _ := s.cache.counters()
-	if got := st.Coalesce.Enqueued + hits; got != clients {
-		t.Errorf("enqueued(%d) + cache hits(%d) = %d, want %d", st.Coalesce.Enqueued, hits, got, clients)
+	enqueued, batches := s.co.enqueued.Load(), s.co.batches.Load()
+	if got := enqueued + hits; got != clients {
+		t.Errorf("enqueued(%d) + cache hits(%d) = %d, want %d", enqueued, hits, got, clients)
 	}
-	if st.Coalesce.Batches > st.Coalesce.Enqueued {
-		t.Errorf("more batches (%d) than enqueued requests (%d)", st.Coalesce.Batches, st.Coalesce.Enqueued)
+	if batches > enqueued {
+		t.Errorf("more batches (%d) than enqueued requests (%d)", batches, enqueued)
 	}
 }
 
@@ -970,8 +996,8 @@ func TestServeMatchesDirectPredictions(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Costs != toCosts(want) {
-			t.Errorf("trace %d: served %+v != direct %+v", i, resp.Costs, toCosts(want))
+		if resp.Costs != want {
+			t.Errorf("trace %d: served %+v != direct %+v", i, resp.Costs, want)
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //	                        (random / exhaustive / beam / local-search)
 //	GET  /v1/example        a ready-to-POST sample predict request
 //	GET  /healthz           liveness plus model provenance
-//	GET  /stats             request, cache and coalescing counters (JSON)
+//	GET  /stats             the /metrics series as one JSON document
 //	GET  /metrics           Prometheus text exposition (the canonical feed)
 //
 // Plus the placement control plane (internal/controlplane):
@@ -321,14 +321,16 @@ type OptimizeRequest struct {
 	Query   *stream.Query     `json:"query"`
 	Cluster *hardware.Cluster `json:"cluster"`
 	// Candidates is the search budget: the maximum number of distinct
-	// placements scored (default 16; negative is a 400).
+	// placements scored (default placement.DefaultMaxCandidates; negative
+	// is a 400).
 	Candidates int `json:"candidates,omitempty"`
 	// Rounds optionally bounds the generate->score->prune rounds
 	// (default unlimited; the candidate budget still applies; negative is
 	// a 400).
 	Rounds int `json:"rounds,omitempty"`
-	// Objective is one of "min-processing-latency" (default),
-	// "min-e2e-latency" or "max-throughput".
+	// Objective is an objective name placement.ParseObjective accepts,
+	// the CLI's -objective names: "min-processing-latency" (default),
+	// "min-e2e-latency" or "max-throughput", or one of their short forms.
 	Objective string `json:"objective,omitempty"`
 	// Strategy selects the search strategy: "random" (default),
 	// "exhaustive", "beam" or "local-search".
@@ -344,39 +346,20 @@ type OptimizeRequest struct {
 	Debug bool `json:"debug,omitempty"`
 }
 
-// Costs is the JSON form of the five predicted cost metrics.
-type Costs struct {
-	ThroughputTPS float64 `json:"throughput_tps"`
-	ProcLatencyMS float64 `json:"proc_latency_ms"`
-	E2ELatencyMS  float64 `json:"e2e_latency_ms"`
-	Success       bool    `json:"success"`
-	Backpressured bool    `json:"backpressured"`
-}
-
-func toCosts(pc placement.PredCosts) Costs {
-	return Costs{
-		ThroughputTPS: pc.ThroughputTPS,
-		ProcLatencyMS: pc.ProcLatencyMS,
-		E2ELatencyMS:  pc.E2ELatencyMS,
-		Success:       pc.Success,
-		Backpressured: pc.Backpressured,
-	}
-}
-
 // PredictResponse carries the predicted costs for one placement.
 type PredictResponse struct {
-	Costs Costs `json:"costs"`
+	Costs placement.PredCosts `json:"costs"`
 }
 
 // PredictBatchResponse carries per-placement costs, in request order.
 type PredictBatchResponse struct {
-	Costs []Costs `json:"costs"`
+	Costs []placement.PredCosts `json:"costs"`
 }
 
 // OptimizeResponse carries the chosen placement and its predicted costs.
 type OptimizeResponse struct {
-	Placement sim.Placement `json:"placement"`
-	Costs     Costs         `json:"costs"`
+	Placement sim.Placement       `json:"placement"`
+	Costs     placement.PredCosts `json:"costs"`
 	// Candidates is how many distinct placements were scored (same value
 	// as Examined; kept for backward compatibility).
 	Candidates int `json:"candidates"`
@@ -588,7 +571,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: %v", res.err)
 		return
 	}
-	out, ok := encodeJSON(w, PredictResponse{Costs: toCosts(res.costs)})
+	out, ok := encodeJSON(w, PredictResponse{Costs: res.costs})
 	if !ok {
 		return
 	}
@@ -643,11 +626,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: placement %d: %v", i, err)
 		return
 	}
-	resp := PredictBatchResponse{Costs: make([]Costs, len(out))}
-	for i, pc := range out {
-		resp.Costs[i] = toCosts(pc)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, PredictBatchResponse{Costs: out})
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -663,7 +642,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	obj, err := parseObjective(req.Objective)
+	obj, err := placement.ParseObjective(req.Objective)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -680,7 +659,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	k := req.Candidates
 	if k == 0 {
-		k = 16
+		k = placement.DefaultMaxCandidates
 	}
 	if k > maxCandidates {
 		s.writeError(w, http.StatusBadRequest, "%d candidates exceeds the per-request limit of %d", k, maxCandidates)
@@ -714,7 +693,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// The request context threads into the search: a disconnecting
 	// client stops candidate scoring at the next batch instead of
 	// burning the full budget.
-	res, err := placement.SearchCtx(r.Context(), s.pred, req.Query, req.Cluster, strat, obj,
+	res, err := placement.Search(r.Context(), s.pred, req.Query, req.Cluster, strat, obj,
 		placement.Budget{MaxCandidates: k, MaxRounds: req.Rounds},
 		placement.SearchOptions{Workers: s.cfg.OptimizeWorkers, Seed: seed, Telemetry: req.Debug})
 	s.release()
@@ -730,7 +709,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := OptimizeResponse{
 		Placement:  res.Placement,
-		Costs:      toCosts(res.Costs),
+		Costs:      res.Costs,
 		Candidates: res.Examined,
 		Filtered:   res.Filtered,
 		Errored:    res.Errored,
@@ -745,20 +724,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 	s.stage(sp, "encode")
-}
-
-func parseObjective(name string) (placement.Objective, error) {
-	switch name {
-	case "", placement.MinProcLatency.String():
-		return placement.MinProcLatency, nil
-	case placement.MinE2ELatency.String():
-		return placement.MinE2ELatency, nil
-	case placement.MaxThroughput.String():
-		return placement.MaxThroughput, nil
-	default:
-		return 0, fmt.Errorf("unknown objective %q (want %q, %q or %q)", name,
-			placement.MinProcLatency, placement.MinE2ELatency, placement.MaxThroughput)
-	}
 }
 
 // buildExample renders a deterministic, ready-to-POST predict request
@@ -798,73 +763,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Stats is the /stats payload: a JSON snapshot of the same counters the
-// Prometheus endpoint exposes. GET /metrics is the canonical feed for
-// scraping; /stats remains as the human-friendly summary.
-type Stats struct {
-	UptimeS  float64        `json:"uptime_s"`
-	Requests map[string]int `json:"requests"`
-	Errors   int64          `json:"errors"`
-	// Rejected counts requests answered 503 because the in-flight limit
-	// stayed saturated past the queue timeout.
-	Rejected int64         `json:"rejected"`
-	Cache    CacheStats    `json:"cache"`
-	Coalesce CoalesceStats `json:"coalescing"`
-	// InFlight is the predictor work currently executing; MaxInFlight is
-	// the semaphore bound.
-	InFlight    int64 `json:"in_flight"`
-	MaxInFlight int   `json:"max_in_flight"`
-}
-
-// CacheStats describes the prediction cache.
-type CacheStats struct {
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-// CoalesceStats describes request coalescing on the predict path.
-type CoalesceStats struct {
-	// Enqueued counts predict requests that reached the coalescer
-	// (cache misses); Batches counts the scoring calls issued for them;
-	// Coalesced counts requests that shared a batch with others.
-	Enqueued  int64 `json:"enqueued"`
-	Batches   int64 `json:"batches"`
-	Coalesced int64 `json:"coalesced"`
-}
-
-func (s *Server) snapshotStats() Stats {
-	hits, misses, evictions := s.cache.counters()
-	requests := make(map[string]int, len(routeNames))
-	var errs int64
-	for _, route := range routeNames {
-		requests[route] = int(s.met.requests[route].Value())
-		errs += s.met.errors[route].Value()
-	}
-	return Stats{
-		UptimeS:  time.Since(s.start).Seconds(),
-		Requests: requests,
-		Errors:   errs,
-		Rejected: s.met.rejected.Value(),
-		Cache: CacheStats{
-			Size:      s.cache.len(),
-			Capacity:  s.cache.capacity(),
-			Hits:      hits,
-			Misses:    misses,
-			Evictions: evictions,
-		},
-		Coalesce: CoalesceStats{
-			Enqueued:  s.co.enqueued.Load(),
-			Batches:   s.co.batches.Load(),
-			Coalesced: s.co.coalesced.Load(),
-		},
-		InFlight:    s.inflight.Load(),
-		MaxInFlight: cap(s.sem),
-	}
-}
-
+// handleStats renders the server's metrics registry as JSON: the series
+// of /metrics, in the same order (see obs.Registry.WriteJSON).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.snapshotStats())
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.reg.WriteJSON(w) // it fails only writing to a client that is gone
 }
