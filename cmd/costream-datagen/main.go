@@ -3,17 +3,16 @@
 // feature grids, executed on simulated heterogeneous hardware under
 // random heuristic placements, with the measured cost metrics as labels.
 //
-// Output is either a monolithic gzip JSON file (the legacy layout) or,
-// with -shards, a sharded corpus store: a directory of gzip JSONL shard
-// files plus a manifest. Sharded builds stream to disk as shards finish,
+// Output is a corpus store: a directory of gzip JSONL shard files plus a
+// manifest. Builds write each shard to disk as soon as it is complete,
 // resume after interruption (-resume rebuilds only missing shards), and
-// grow in place (-append adds traces); the traces are identical to a
-// single monolithic build either way.
+// grow in place (-append adds traces); the traces are the same however
+// many shards the store has.
 //
 // Usage:
 //
-//	costream-datagen -n 2400 -seed 42 -out corpus.json.gz               # monolithic
-//	costream-datagen -n 30000 -seed 42 -shards 64 -out corpus/          # sharded
+//	costream-datagen -n 2400 -seed 42                                   # one shard, in corpus/
+//	costream-datagen -n 30000 -seed 42 -shards 64 -out corpus/          # 64 shards
 //	costream-datagen -out corpus/ -resume                               # finish an interrupted build
 //	costream-datagen -out corpus/ -append 10000                        # grow by 10k traces
 //	costream-datagen -scenario edge-heavy -n 5000 -shards 16 -out edge/
@@ -42,13 +41,13 @@ func run() error {
 	var (
 		n        = flag.Int("n", 2400, "number of traces to generate")
 		seed     = flag.Int64("seed", 42, "random seed")
-		out      = flag.String("out", "corpus.json.gz", "output path: a file (monolithic gzip JSON) or a directory (sharded store)")
+		out      = flag.String("out", "corpus", "output corpus store directory")
 		scenName = flag.String("scenario", "training", "corpus recipe; see -list")
 		duration = flag.Float64("duration", 120, "simulated execution seconds per query")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "split the corpus into this many shards (0 = monolithic file output)")
-		resume   = flag.Bool("resume", false, "resume an interrupted sharded build: rebuild only missing shards, using the recipe recorded in the manifest")
-		appendN  = flag.Int("append", 0, "grow an existing sharded store by this many traces (implies the manifest's recipe)")
+		shards   = flag.Int("shards", 1, "split the corpus into this many shards")
+		resume   = flag.Bool("resume", false, "resume an interrupted build: rebuild only missing shards, using the recipe recorded in the manifest")
+		appendN  = flag.Int("append", 0, "grow an existing store by this many traces (implies the manifest's recipe)")
 		list     = flag.Bool("list", false, "list known scenarios and exit")
 		quiet    = flag.Bool("q", false, "suppress per-shard progress output")
 	)
@@ -75,7 +74,7 @@ func run() error {
 	if *resume || *appendN > 0 {
 		st, err := dataset.OpenStore(*out)
 		if err != nil {
-			return fmt.Errorf("-resume/-append need an existing sharded store: %w", err)
+			return fmt.Errorf("-resume/-append need an existing corpus store: %w", err)
 		}
 		man := st.Manifest
 		set := map[string]bool{}
@@ -120,6 +119,9 @@ func run() error {
 		return nil
 	}
 
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
+	}
 	sc, err := scenario.Get(*scenName)
 	if err != nil {
 		return err
@@ -127,30 +129,16 @@ func run() error {
 	cfg := sc.Make(*n, *seed)
 	cfg.Sim.DurationS = *duration
 	cfg.Parallelism = *workers
-
-	if *shards > 0 {
-		shardSize := (*n + *shards - 1) / *shards
-		st, err := dataset.StreamBuild(cfg, dataset.StreamConfig{
-			Dir:       *out,
-			ShardSize: shardSize,
-			Scenario:  sc.Name,
-			Progress:  progress,
-		})
-		if err != nil {
-			return err
-		}
-		report(st.Summarize(), *out, start)
-		return nil
-	}
-
-	corpus, err := dataset.Build(cfg)
+	st, err := dataset.StreamBuild(cfg, dataset.StreamConfig{
+		Dir:       *out,
+		ShardSize: (*n + *shards - 1) / *shards,
+		Scenario:  sc.Name,
+		Progress:  progress,
+	})
 	if err != nil {
 		return err
 	}
-	if err := corpus.Save(*out); err != nil {
-		return err
-	}
-	report(corpus.Summarize(), *out, start)
+	report(st.Summarize(), *out, start)
 	return nil
 }
 

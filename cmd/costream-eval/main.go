@@ -4,14 +4,13 @@
 // metrics, or accuracy on a balanced subset for the binary metrics. The
 // saved model is loaded — nothing is retrained.
 //
-// -corpus accepts a monolithic .json.gz file or a sharded corpus-store
-// directory; sharded corpora are streamed (balanced subsets are selected
-// by index), never materialized.
+// -corpus names a corpus store directory; the corpus is streamed
+// (balanced subsets are selected by index), never materialized.
 //
 // Usage:
 //
-//	costream-eval -corpus test.json.gz -model model.json.gz             # every trained metric
-//	costream-eval -corpus shards/ -model model.json.gz -metric e2e-latency
+//	costream-eval -corpus test/ -model model.json.gz                    # every trained metric
+//	costream-eval -corpus test/ -model model.json.gz -metric e2e-latency
 package main
 
 import (
@@ -28,13 +27,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costream-eval: ")
 	var (
-		corpusPath = flag.String("corpus", "corpus.json.gz", "evaluation corpus path")
+		corpusPath = flag.String("corpus", "corpus", "evaluation corpus store directory")
 		modelPath  = flag.String("model", "model.json.gz", "model artifact path")
 		metricName = flag.String("metric", "", "restrict evaluation to one metric")
 	)
 	flag.Parse()
 
-	src, err := dataset.Open(*corpusPath)
+	src, err := dataset.OpenStore(*corpusPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,10 +77,10 @@ func main() {
 // report prints one metric's evaluation line, ensemble-aggregated like
 // the paper (mean for regression, majority vote for classification). The
 // corpus is streamed: balanced classification subsets are chosen by
-// index, so sharded corpora are never materialized.
+// index, so the store is never materialized.
 func report(p core.TracePredictor, src dataset.Source, metric core.Metric) {
 	if metric.IsRegression() {
-		sum, err := core.EvaluateRegressionSource(p, src, metric)
+		sum, err := core.EvaluateRegression(p, src, metric)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func report(p core.TracePredictor, src dataset.Source, metric core.Metric) {
 			metric, sum.Median, sum.P95, sum.Max, sum.N)
 		return
 	}
-	acc, n, err := core.EvaluateClassificationBalancedSource(p, src, metric, 1)
+	acc, n, err := core.EvaluateClassificationBalanced(p, src, metric, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

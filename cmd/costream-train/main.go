@@ -4,18 +4,16 @@
 // versioned model artifact loadable by costream-serve, costream-eval,
 // costream-optimize and costream.LoadModel.
 //
-// -corpus accepts both layouts: a monolithic .json.gz file, or a sharded
-// corpus-store directory. Sharded corpora are streamed — split by index
-// and featurized one trace at a time — so training never materializes the
-// full trace set in memory; the trained weights are bit-identical across
-// the two layouts.
+// -corpus names a corpus store directory. The corpus is streamed — split
+// by index and featurized one trace at a time — so training never
+// materializes the full trace set in memory; the trained weights are
+// bit-identical to training on the same traces in memory.
 //
 // Usage:
 //
-//	costream-train -corpus corpus.json.gz -out model.json.gz                 # all five metrics
-//	costream-train -corpus corpus/ -out model.json.gz                        # sharded, streamed
-//	costream-train -corpus corpus.json.gz -metrics e2e-latency,success ...   # a subset
-//	costream-train -corpus corpus.json.gz -runlog train.jsonl                # per-epoch telemetry
+//	costream-train -corpus corpus/ -out model.json.gz                        # all five metrics
+//	costream-train -corpus corpus/ -metrics e2e-latency,success ...          # a subset
+//	costream-train -corpus corpus/ -runlog train.jsonl                       # per-epoch telemetry
 package main
 
 import (
@@ -45,7 +43,7 @@ func main() {
 
 func run() error {
 	var (
-		corpusPath = flag.String("corpus", "corpus.json.gz", "training corpus path")
+		corpusPath = flag.String("corpus", "corpus", "training corpus store directory")
 		metricList = flag.String("metrics", "all", `metrics to train: "all" or a comma-separated subset of throughput,proc-latency,e2e-latency,backpressure,success`)
 		out        = flag.String("out", "model.json.gz", "output artifact path (.gz = compressed)")
 		epochs     = flag.Int("epochs", 45, "training epochs")
@@ -78,7 +76,7 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 	core.SetTrainBudget(*workers)
-	src, err := dataset.Open(*corpusPath)
+	src, err := dataset.OpenStore(*corpusPath)
 	if err != nil {
 		return err
 	}

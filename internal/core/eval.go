@@ -14,11 +14,11 @@ type TracePredictor interface {
 	PredictTrace(tr *dataset.Trace) (float64, error)
 }
 
-// EvaluateRegressionSource computes q-error quantiles of the predictor
-// against the measured metric over the source's successful traces,
-// streaming: memory stays O(predictions), never O(traces), so sharded
-// corpora evaluate without materializing.
-func EvaluateRegressionSource(p TracePredictor, src dataset.Source, metric Metric) (qerror.Summary, error) {
+// EvaluateRegression computes q-error quantiles of the predictor against
+// the measured metric over the source's successful traces, streaming:
+// memory stays O(predictions), never O(traces), so corpus stores
+// evaluate without materializing.
+func EvaluateRegression(p TracePredictor, src dataset.Source, metric Metric) (qerror.Summary, error) {
 	if !metric.IsRegression() {
 		return qerror.Summary{}, fmt.Errorf("core: %v is not a regression metric", metric)
 	}
@@ -41,16 +41,10 @@ func EvaluateRegressionSource(p TracePredictor, src dataset.Source, metric Metri
 	return qerror.Summarize(truths, preds)
 }
 
-// EvaluateRegression computes q-error quantiles of the predictor against
-// the measured metric over the corpus's successful traces.
-func EvaluateRegression(p TracePredictor, c *dataset.Corpus, metric Metric) (qerror.Summary, error) {
-	return EvaluateRegressionSource(p, c, metric)
-}
-
-// EvaluateClassificationSource computes accuracy of the predictor for a
-// binary metric over the source, streaming. Balance first (see
-// EvaluateClassificationBalancedSource) to match the paper's reporting.
-func EvaluateClassificationSource(p TracePredictor, src dataset.Source, metric Metric) (float64, error) {
+// EvaluateClassification computes accuracy of the predictor for a binary
+// metric over the source, streaming. Balance first (see
+// EvaluateClassificationBalanced) to match the paper's reporting.
+func EvaluateClassification(p TracePredictor, src dataset.Source, metric Metric) (float64, error) {
 	if metric.IsRegression() {
 		return 0, fmt.Errorf("core: %v is not a classification metric", metric)
 	}
@@ -70,21 +64,14 @@ func EvaluateClassificationSource(p TracePredictor, src dataset.Source, metric M
 	return qerror.Accuracy(truths, preds)
 }
 
-// EvaluateClassification computes accuracy of the predictor for a binary
-// metric over the corpus (balance the corpus first to match the paper's
-// reporting).
-func EvaluateClassification(p TracePredictor, c *dataset.Corpus, metric Metric) (float64, error) {
-	return EvaluateClassificationSource(p, c, metric)
-}
-
-// EvaluateClassificationBalancedSource evaluates accuracy on a
-// label-balanced subset selected by index, streaming the source twice: a
-// cheap first pass collects labels, then only the balanced subset is
-// predicted. The subset matches Corpus.Balanced with the same seed. The
-// returned count is the balanced subset size; when one class is absent
-// the whole source is evaluated unbalanced (count = source size), like
-// the corpus-path callers fall back to.
-func EvaluateClassificationBalancedSource(p TracePredictor, src dataset.Source, metric Metric, seed int64) (acc float64, n int, err error) {
+// EvaluateClassificationBalanced evaluates accuracy on a label-balanced
+// subset selected by index, streaming the source twice: a cheap first
+// pass collects labels, then only the balanced subset is predicted. The
+// subset matches Corpus.Balanced with the same seed. The returned count
+// is the balanced subset size; when one class is absent the whole source
+// is evaluated unbalanced (count = source size), as the experiment suite
+// falls back to.
+func EvaluateClassificationBalanced(p TracePredictor, src dataset.Source, metric Metric, seed int64) (acc float64, n int, err error) {
 	if metric.IsRegression() {
 		return 0, 0, fmt.Errorf("core: %v is not a classification metric", metric)
 	}
@@ -98,7 +85,7 @@ func EvaluateClassificationBalancedSource(p TracePredictor, src dataset.Source, 
 	}
 	idx := dataset.BalancedIndices(labels, seed)
 	if len(idx) == 0 {
-		acc, err = EvaluateClassificationSource(p, src, metric)
+		acc, err = EvaluateClassification(p, src, metric)
 		return acc, len(labels), err
 	}
 	keep := make(map[int]bool, len(idx))

@@ -8,20 +8,34 @@ import (
 	"costream/internal/workload"
 )
 
-func streamTestCorpus(t *testing.T, n int, seed int64) *dataset.Corpus {
-	t.Helper()
+func streamTestConfig(n int, seed int64) dataset.BuildConfig {
 	simCfg := sim.DefaultConfig()
 	simCfg.DurationS, simCfg.WarmupS = 15, 3
-	c, err := dataset.Build(dataset.BuildConfig{
+	return dataset.BuildConfig{
 		N:    n,
 		Seed: seed,
 		Gen:  workload.DefaultConfig(seed),
 		Sim:  simCfg,
-	})
+	}
+}
+
+func streamTestCorpus(t *testing.T, n int, seed int64) *dataset.Corpus {
+	t.Helper()
+	c, err := dataset.Build(streamTestConfig(n, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// streamTestStore writes the streamTestCorpus recipe as an on-disk store.
+func streamTestStore(t *testing.T, n int, seed int64, shardSize int) *dataset.Store {
+	t.Helper()
+	st, err := dataset.StreamBuild(streamTestConfig(n, seed), dataset.StreamConfig{Dir: t.TempDir(), ShardSize: shardSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestTrainPredictorSourceMatchesCorpusPath is the streaming-training
@@ -103,17 +117,7 @@ func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 // training.
 func TestTrainPredictorSourceFromShardStore(t *testing.T) {
 	c := streamTestCorpus(t, 24, 78)
-	simCfg := sim.DefaultConfig()
-	simCfg.DurationS, simCfg.WarmupS = 15, 3
-	st, err := dataset.StreamBuild(dataset.BuildConfig{
-		N:    24,
-		Seed: 78,
-		Gen:  workload.DefaultConfig(78),
-		Sim:  simCfg,
-	}, dataset.StreamConfig{Dir: t.TempDir(), ShardSize: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := streamTestStore(t, 24, 78, 7)
 
 	cfg := PredictorConfig{
 		Train:        DefaultTrainConfig(3),
@@ -156,10 +160,12 @@ func TestFeaturizeSourceRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// TestEvaluateSourceMatchesCorpus: the streaming eval paths agree with
-// the corpus paths they generalize.
+// TestEvaluateSourceMatchesCorpus: evaluating a store streamed off disk
+// agrees with evaluating the in-memory Build of the same recipe, and the
+// index-balanced path agrees with evaluating Corpus.Balanced.
 func TestEvaluateSourceMatchesCorpus(t *testing.T) {
 	c := streamTestCorpus(t, 30, 80)
+	st := streamTestStore(t, 30, 80, 7)
 	cfg := DefaultTrainConfig(1)
 	cfg.Epochs = 2
 	cfg.Hidden = 8
@@ -177,7 +183,7 @@ func TestEvaluateSourceMatchesCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSum, err := EvaluateRegressionSource(reg, c, MetricThroughput)
+	gotSum, err := EvaluateRegression(reg, st, MetricThroughput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestEvaluateSourceMatchesCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotAcc, n, err := EvaluateClassificationBalancedSource(cls, c, MetricSuccess, 9)
+		gotAcc, n, err := EvaluateClassificationBalanced(cls, st, MetricSuccess, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

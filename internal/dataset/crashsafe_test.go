@@ -3,10 +3,13 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"costream/internal/sim"
 )
 
 // freshStore builds a small sharded store and returns it with the fresh
@@ -146,6 +149,11 @@ func TestManifestValidateNamesFields(t *testing.T) {
 		{"negative start", func(m *Manifest) { m.Shards[0].Start = -2 }, "shards[0].start"},
 		{"negative count", func(m *Manifest) { m.Shards[1].Count = -5 }, "shards[1].count"},
 		{"overflowing shard", func(m *Manifest) { m.Shards[1].Count = 100 }, "shards[1].start"},
+		{"zero shard size", func(m *Manifest) { m.ShardSize, m.Shards = 0, nil }, "shard_size"},
+		{"off-grid start", func(m *Manifest) { m.Shards[1].Start = 4 }, "shards[1].start"},
+		{"short shard", func(m *Manifest) { m.Shards[0].Count = 4 }, "shards[0].count"},
+		{"short final shard", func(m *Manifest) { m.N, m.Shards[1].Count = 8, 2 }, "shards[1].count"},
+		{"empty shard past the grid", func(m *Manifest) { m.Shards[1].Index, m.Shards[1].Start, m.Shards[1].Count = 2, 10, 0 }, "shards[1].index"},
 	}
 	for _, tc := range cases {
 		m := base()
@@ -166,12 +174,76 @@ func TestManifestValidateNamesFields(t *testing.T) {
 	if _, err := ParseManifest([]byte(`{"magic": 7}`)); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("type error does not name the field: %v", err)
 	}
-	data, err := json.Marshal(base())
+	partial := base()
+	partial.N, partial.Shards[1].Count = 8, 3
+	for _, m := range []*Manifest{base(), partial} {
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseManifest(data); err != nil {
+			t.Errorf("valid manifest rejected: %v", err)
+		}
+	}
+}
+
+// TestSaveAtomic locks in crash-safe store writes: writeShard and
+// writeManifest leave no temp debris, and a write that fails midway
+// leaves the file it would have replaced intact.
+func TestSaveAtomic(t *testing.T) {
+	c, err := Build(buildCfg(5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseManifest(data); err != nil {
-		t.Errorf("valid manifest rejected: %v", err)
+	dir := t.TempDir()
+	meta, err := writeShard(dir, 0, 0, c.Traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := &Manifest{Magic: ManifestMagic, Version: ManifestVersion, N: 5, ShardSize: 5, Shards: []ShardMeta{meta}}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshot()
+	if len(before) != 2 {
+		t.Fatalf("store writes left %d files, want 2 (no temp debris)", len(before))
+	}
+
+	// NaN is not JSON: each encoder fails after it has started writing.
+	nan := &Trace{Metrics: &sim.Metrics{ThroughputTPS: math.NaN()}}
+	if _, err := writeShard(dir, 0, 0, append(append([]*Trace{}, c.Traces...), nan)); err == nil {
+		t.Fatal("shard write of an unencodable trace succeeded")
+	}
+	bad := *man
+	bad.Shards = []ShardMeta{meta}
+	bad.Shards[0].Stats.MedianT = math.NaN()
+	if err := writeManifest(dir, &bad); err == nil {
+		t.Fatal("manifest write with an unencodable stat succeeded")
+	}
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("failed writes left %d files, want %d (no temp debris)", len(after), len(before))
+	}
+	for name, data := range before {
+		if after[name] != data {
+			t.Fatalf("failed write corrupted the existing %s", name)
+		}
 	}
 }
 

@@ -1,18 +1,12 @@
 // Package dataset defines the cost-estimation benchmark corpus of the
 // paper (Section VI): traces of query executions on heterogeneous hardware
 // with their measured cost metrics, train/validation/test splits, balanced
-// subsets for the classification metrics and JSON persistence.
+// subsets for the classification metrics and the sharded on-disk store.
 package dataset
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -102,24 +96,6 @@ func (c *Corpus) Split(trainFrac, valFrac float64, seed int64) (train, val, test
 	return pick(trainIdx), pick(valIdx), pick(testIdx)
 }
 
-// Filter returns the traces satisfying the predicate.
-func (c *Corpus) Filter(keep func(*Trace) bool) *Corpus {
-	out := &Corpus{}
-	for _, t := range c.Traces {
-		if keep(t) {
-			out.Traces = append(out.Traces, t)
-		}
-	}
-	return out
-}
-
-// Successful returns the traces whose execution succeeded; regression
-// models are trained on these (failed runs have no defined latency or
-// throughput).
-func (c *Corpus) Successful() *Corpus {
-	return c.Filter(func(t *Trace) bool { return t.Metrics.Success })
-}
-
 // BalancedIndices returns the trace indices of a label-balanced subset:
 // equally many positive and negative indices, subsampled and shuffled
 // deterministically with the seed. The final shuffle matters: without it
@@ -161,77 +137,6 @@ func (c *Corpus) Balanced(label func(*Trace) bool, seed int64) *Corpus {
 	return out
 }
 
-// atomicWrite writes a file via temp-file-plus-rename so a crash mid-write
-// never leaves a truncated file at path (the artifact.Save pattern). Shard
-// and manifest writes use the same helper.
-func atomicWrite(path string, write func(w io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".costream-corpus-*")
-	if err != nil {
-		return fmt.Errorf("dataset: creating %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// CreateTemp opens 0600; corpora are shareable data files, so widen to
-	// the conventional 0644 before publishing.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// Save writes the corpus as gzip-compressed JSON, atomically: the file is
-// written to a temp name and renamed into place, so a crash mid-encode
-// never leaves a truncated, unreadable corpus behind.
-func (c *Corpus) Save(path string) error {
-	return atomicWrite(path, func(w io.Writer) error {
-		zw := gzip.NewWriter(w)
-		if err := json.NewEncoder(zw).Encode(c); err != nil {
-			return fmt.Errorf("dataset: encoding corpus: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return fmt.Errorf("dataset: encoding corpus: %w", err)
-		}
-		return nil
-	})
-}
-
-// Load reads a monolithic corpus file written by Save. Compression is
-// sniffed from the gzip magic bytes (like artifact.Load), so both
-// gzip-compressed and plain JSON corpora load. For sharded corpus
-// directories use OpenStore, or Open to sniff between the two layouts.
-func Load(path string) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var r io.Reader = br
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s is not a corpus file: %w", path, err)
-		}
-		defer zr.Close()
-		r = zr
-	}
-	var c Corpus
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("dataset: decoding corpus %s: %w", path, err)
-	}
-	return &c, nil
-}
-
 // BuildConfig controls corpus generation.
 type BuildConfig struct {
 	// N is the number of traces to generate.
@@ -260,32 +165,41 @@ func Build(cfg BuildConfig) (*Corpus, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("dataset: N must be positive")
 	}
+	traces, err := buildRange(cfg, 0, cfg.N)
+	if err != nil {
+		return nil, err
+	}
+	return &Corpus{Traces: traces}, nil
+}
+
+// buildRange generates the traces [lo, hi) of the corpus cfg describes,
+// one goroutine per trace under a Parallelism-wide semaphore. Build runs
+// it over the whole corpus, StreamBuild over one shard at a time.
+func buildRange(cfg BuildConfig, lo, hi int) ([]*Trace, error) {
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	traces := make([]*Trace, cfg.N)
-	errs := make([]error, cfg.N)
+	traces := make([]*Trace, hi-lo)
+	errs := make([]error, hi-lo)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i := 0; i < cfg.N; i++ {
+	for i := lo; i < hi; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			traces[i], errs[i] = buildOne(cfg, i)
+			traces[i-lo], errs[i-lo] = buildOne(cfg, i)
 		}(i)
 	}
 	wg.Wait()
-	out := &Corpus{Traces: make([]*Trace, 0, cfg.N)}
-	for i, t := range traces {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("dataset: trace %d: %w", i, errs[i])
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("dataset: trace %d: %w", lo+k, err)
 		}
-		out.Traces = append(out.Traces, t)
 	}
-	return out, nil
+	return traces, nil
 }
 
 // TraceSeed derives the workload-generator seed of trace i in a corpus

@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -168,96 +166,27 @@ func TestSplitIndicesMatchesSplit(t *testing.T) {
 	check("test", test, si)
 }
 
-// TestSaveAtomic locks in crash-safe semantics: an existing corpus file is
-// never clobbered by a failed write, and Save leaves no temp debris.
-func TestSaveAtomic(t *testing.T) {
-	c, err := Build(buildCfg(5, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus.json.gz")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("Save left %d files in the directory, want 1 (no temp debris)", len(entries))
-	}
-	// A save into an unwritable location must fail without touching the
-	// existing file.
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(filepath.Join(dir, "missing-subdir", "x.json.gz")); err == nil {
-		t.Fatal("save into a missing directory must fail")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("failed save corrupted an unrelated existing file")
-	}
-}
-
-// TestLoadSniffsPlainJSON verifies Load handles both gzip and uncompressed
-// corpus files, like artifact.Load.
-func TestLoadSniffsPlainJSON(t *testing.T) {
-	c, err := Build(buildCfg(4, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := filepath.Join(t.TempDir(), "c.json.gz")
-	if err := c.Save(gz); err != nil {
-		t.Fatal(err)
-	}
-	// Decompress by loading and re-marshaling through the plain path.
-	loaded, err := Load(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := filepath.Join(t.TempDir(), "c.json")
-	data := encodeJSON(t, loaded)
-	if err := os.WriteFile(plain, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Load(plain)
-	if err != nil {
-		t.Fatalf("plain JSON corpus rejected: %v", err)
-	}
-	if c2.Len() != c.Len() {
-		t.Fatalf("plain load got %d traces, want %d", c2.Len(), c.Len())
-	}
-}
-
-func TestSuccessfulFilter(t *testing.T) {
-	c, err := Build(buildCfg(60, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Successful()
-	for _, tr := range s.Traces {
-		if !tr.Metrics.Success {
-			t.Fatal("Successful returned a failed trace")
-		}
-	}
-}
-
+// TestSaveLoadRoundTrip: a corpus written as a one-shard store and opened
+// again loads with every trace's query, placement and metrics intact.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	c, err := Build(buildCfg(15, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "corpus.json.gz")
-	if err := c.Save(path); err != nil {
+	dir := t.TempDir()
+	meta, err := writeShard(dir, 0, 0, c.Traces)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Load(path)
+	man := &Manifest{Magic: ManifestMagic, Version: ManifestVersion, N: c.Len(), ShardSize: c.Len(), Shards: []ShardMeta{meta}}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := st.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +195,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := range c.Traces {
 		a, b := c.Traces[i], c2.Traces[i]
-		if a.Metrics.ThroughputTPS != b.Metrics.ThroughputTPS {
-			t.Fatalf("trace %d throughput differs after round trip", i)
-		}
-		if len(a.Query.Ops) != len(b.Query.Ops) {
-			t.Fatalf("trace %d query differs after round trip", i)
-		}
+		equalTraces(t, i, a, b)
 		for j := range a.Query.Ops {
 			oa, ob := a.Query.Ops[j], b.Query.Ops[j]
 			if oa.Type != ob.Type || oa.Selectivity != ob.Selectivity {
@@ -282,8 +206,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json.gz")); err == nil {
-		t.Error("loading missing file must fail")
+	if _, err := OpenStore(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("opening a missing store must fail")
 	}
 }
 
@@ -315,15 +239,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	if st.N != 0 || st.SuccessRate != 0 {
 		t.Error("empty corpus summary must be zero")
 	}
-}
-
-func encodeJSON(t *testing.T, c *Corpus) []byte {
-	t.Helper()
-	data, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // syntheticCorpus builds a corpus of n traces with metrics only, enough

@@ -6,20 +6,42 @@ import (
 	"testing"
 )
 
+// TestSaveToBadPath: a store whose directory cannot be created (its
+// parent is a regular file) fails to build.
 func TestSaveToBadPath(t *testing.T) {
-	c := &Corpus{}
-	if err := c.Save(filepath.Join(t.TempDir(), "missing-dir", "x.json.gz")); err == nil {
-		t.Error("saving into a missing directory must fail")
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StreamBuild(buildCfg(2, 30), StreamConfig{Dir: filepath.Join(file, "store"), ShardSize: 1}); err == nil {
+		t.Error("building into an uncreatable directory must fail")
 	}
 }
 
+// TestLoadRejectsGarbage: a garbage manifest does not open, and a garbage
+// shard behind a valid manifest fails the stream.
 func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "garbage.json.gz")
-	if err := os.WriteFile(path, []byte("not gzip at all"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Error("garbage file accepted")
+	if _, err := OpenStore(dir); err == nil {
+		t.Error("garbage manifest accepted")
+	}
+	man := &Manifest{Magic: ManifestMagic, Version: ManifestVersion, N: 1, ShardSize: 1,
+		Shards: []ShardMeta{{Name: shardName(0), Count: 1}}}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardName(0)), []byte("not gzip at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Iter(func(int, *Trace) error { return nil }); err == nil {
+		t.Error("garbage shard streamed without an error")
 	}
 }
 
@@ -33,23 +55,6 @@ func TestBalancedSingleClass(t *testing.T) {
 	b := c.Balanced(func(tr *Trace) bool { return true }, 1)
 	if b.Len() != 0 {
 		t.Errorf("single-class balanced subset has %d traces, want 0", b.Len())
-	}
-}
-
-func TestFilterComposes(t *testing.T) {
-	c, err := Build(buildCfg(30, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	joins := c.Filter(func(tr *Trace) bool { return len(tr.Query.Ops) > 4 })
-	for _, tr := range joins.Traces {
-		if len(tr.Query.Ops) <= 4 {
-			t.Fatal("Filter returned non-matching trace")
-		}
-	}
-	none := joins.Filter(func(tr *Trace) bool { return false })
-	if none.Len() != 0 {
-		t.Error("empty filter must return empty corpus")
 	}
 }
 

@@ -1,17 +1,15 @@
-// Sharded corpus store: a directory of gzip-compressed JSONL shard files
-// plus a JSON manifest. The format exists for production-scale corpora
-// (hundreds of thousands of traces) where the monolithic .json.gz layout
-// makes generation un-resumable and loading the memory ceiling of
-// training:
+// Sharded corpus store, the one on-disk corpus layout: a directory of
+// gzip-compressed JSONL shard files plus a JSON manifest. Shard k holds
+// the traces [k*ShardSize, min((k+1)*ShardSize, N)).
 //
-//   - StreamBuild writes shards as workers finish them, so a crashed or
+//   - StreamBuild runs Build's worker pool over one shard at a time and
+//     writes each shard as soon as it is complete, so a crashed or
 //     interrupted generation run resumes by rebuilding only the missing
-//     shards (the per-trace seed derivation is identical to Build, so a
-//     sharded build of N traces equals Build(N) trace-for-trace no matter
-//     how it was interleaved, resumed or parallelized).
+//     shards (the per-trace seed derivation is Build's, so a store of N
+//     traces equals Build(N) trace-for-trace no matter how it was
+//     resumed or appended to).
 //   - Store.Iter streams traces one at a time straight off the gzip
 //     readers — O(1) traces of memory regardless of corpus size.
-//   - Merge concatenates stores (e.g. per-scenario builds) into one.
 package dataset
 
 import (
@@ -23,9 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // ManifestMagic identifies a COSTREAM corpus manifest.
@@ -80,10 +76,10 @@ type Manifest struct {
 
 // NumShards returns the total shard count implied by N and ShardSize.
 func (m *Manifest) NumShards() int {
-	if m.ShardSize <= 0 {
+	if m.N <= 0 || m.ShardSize <= 0 {
 		return 0
 	}
-	return (m.N + m.ShardSize - 1) / m.ShardSize
+	return (m.N-1)/m.ShardSize + 1
 }
 
 // shardName returns the canonical file name of shard k.
@@ -144,6 +140,9 @@ func (m *Manifest) Validate() error {
 	if m.ShardSize < 0 {
 		return fmt.Errorf("manifest field shard_size: negative %d", m.ShardSize)
 	}
+	if m.N > 0 && m.ShardSize == 0 {
+		return fmt.Errorf("manifest field shard_size: must be positive for %d traces", m.N)
+	}
 	seenIdx := make(map[int]bool, len(m.Shards))
 	seenName := make(map[string]bool, len(m.Shards))
 	for i, sh := range m.Shards {
@@ -177,58 +176,27 @@ func (m *Manifest) Validate() error {
 		if sh.Start > m.N || sh.Start+sh.Count > m.N {
 			return fmt.Errorf("%s: traces [%d, %d) exceed the corpus size %d", field("start"), sh.Start, sh.Start+sh.Count, m.N)
 		}
+		// Every shard sits on the k*shard_size grid; Missing and resume
+		// compute shard geometry from it.
+		if sh.Index >= m.NumShards() {
+			return fmt.Errorf("%s: shard %d is past the last of %d shards", field("index"), sh.Index, m.NumShards())
+		}
+		if start := sh.Index * m.ShardSize; sh.Start != start {
+			return fmt.Errorf("%s: shard %d starts at %d, want %d", field("start"), sh.Index, sh.Start, start)
+		}
+		if want := min(m.ShardSize, m.N-sh.Start); sh.Count != want {
+			return fmt.Errorf("%s: shard %d holds %d traces, want %d", field("count"), sh.Index, sh.Count, want)
+		}
 	}
 	return nil
-}
-
-// IsStore reports whether path is a sharded corpus directory (it exists,
-// is a directory, and contains a manifest file).
-func IsStore(path string) bool {
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		return false
-	}
-	fi, err := os.Stat(filepath.Join(path, ManifestName))
-	return err == nil && !fi.IsDir()
-}
-
-// Open sniffs the corpus layout at path and opens it: a directory with a
-// manifest loads as a streaming Store, anything else as a legacy
-// monolithic corpus file (gzip or plain JSON, materialized in memory).
-func Open(path string) (Source, error) {
-	if IsStore(path) {
-		return OpenStore(path)
-	}
-	return Load(path)
 }
 
 // Count implements Source: the number of traces the corpus targets.
 func (s *Store) Count() int { return s.Manifest.N }
 
-// tiles reports whether the manifest's shards cover [0, N) contiguously.
-// Stores written by StreamBuild always tile when complete; merged stores
-// tile with heterogeneous shard sizes (the nominal ShardSize does not
-// describe their geometry).
-func (s *Store) tiles() bool {
-	next := 0
-	for _, sh := range s.Manifest.Shards {
-		if sh.Start != next || sh.Count <= 0 {
-			return false
-		}
-		next += sh.Count
-	}
-	return next == s.Manifest.N
-}
-
 // Missing returns the indices of shards an interrupted StreamBuild has
-// not written yet; empty means the store is complete. Completeness is
-// contiguous coverage of [0, N), so merged stores whose shard sizes vary
-// are complete too; the index computation for the incomplete case uses
-// the k*ShardSize build geometry, which is the only way an incomplete
-// store arises.
+// not written yet; empty means the store is complete.
 func (s *Store) Missing() []int {
-	if s.tiles() {
-		return nil
-	}
 	have := make(map[int]bool, len(s.Manifest.Shards))
 	for _, sh := range s.Manifest.Shards {
 		have[sh.Index] = true
@@ -359,13 +327,13 @@ type StreamConfig struct {
 	Progress func(format string, args ...any)
 }
 
-// StreamBuild generates a sharded corpus: traces are built in parallel
-// (BuildConfig.Parallelism workers) and each shard is written — atomically,
-// temp file + rename — as soon as its last trace finishes, followed by a
-// manifest update. Every trace derives its generator and simulator seeds
-// exactly as Build does, so the resulting corpus is trace-for-trace
-// identical to Build(cfg) with the same BuildConfig, and a resumed or
-// appended build is indistinguishable from a fresh one.
+// StreamBuild generates a sharded corpus one shard at a time: each
+// missing shard's traces are built with Build's worker pool
+// (BuildConfig.Parallelism workers), then the shard is written —
+// atomically, temp file + rename — followed by a manifest update. The
+// resulting corpus is trace-for-trace identical to Build(cfg) with the
+// same BuildConfig, and a resumed or appended build is indistinguishable
+// from a fresh one.
 func StreamBuild(cfg BuildConfig, sc StreamConfig) (*Store, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("dataset: N must be positive")
@@ -416,30 +384,14 @@ func StreamBuild(cfg BuildConfig, sc StreamConfig) (*Store, error) {
 				return nil, fmt.Errorf("dataset: resume cannot shrink the corpus: store %s targets %d traces, got %d",
 					sc.Dir, prev.Manifest.N, cfg.N)
 			}
-			// A resumable store's shards all sit on the k*ShardSize grid
-			// of its own manifest (only the final shard of prev.N may be
-			// partial). Anything else was produced by Merge: rebuilding
-			// its shards would silently overwrite the merged traces with
-			// seed-derived ones, so refuse instead.
+			// Keep only shards whose trace count matches what their index
+			// requires under the (possibly grown) corpus and whose files
+			// still decode to that count — anything else (a
+			// previously-final partial shard that appending made interior,
+			// or a shard torn by a crash or disk fault mid-write) is
+			// rebuilt instead of poisoning later reads.
 			for _, sh := range prev.Manifest.Shards {
-				start := sh.Index * prev.Manifest.ShardSize
-				want := min(start+prev.Manifest.ShardSize, prev.Manifest.N) - start
-				if sh.Start != start || sh.Count != want {
-					return nil, fmt.Errorf("dataset: store %s shard %s (start %d, %d traces) is off the shard-size-%d grid (a merged store?); it cannot be resumed or appended to",
-						sc.Dir, sh.Name, sh.Start, sh.Count, prev.Manifest.ShardSize)
-				}
-			}
-			// Keep only shards whose files still exist, whose trace count
-			// matches what their index requires under the (possibly grown)
-			// corpus, and whose bytes actually decode to that count —
-			// anything else (a previously-final partial shard that
-			// appending made interior, or a shard torn by a crash or disk
-			// fault mid-write) is logged and rebuilt instead of poisoning
-			// later reads.
-			for _, sh := range prev.Manifest.Shards {
-				start := sh.Index * man.ShardSize
-				want := min(start+man.ShardSize, man.N) - start
-				if sh.Index >= man.NumShards() || sh.Count != want || sh.Start != start {
+				if sh.Count != min(man.ShardSize, man.N-sh.Start) {
 					continue
 				}
 				if err := verifyShard(sc.Dir, sh); err != nil {
@@ -464,97 +416,24 @@ func StreamBuild(cfg BuildConfig, sc StreamConfig) (*Store, error) {
 	}
 	logf("building %d of %d shards (%d traces, shard size %d)", len(missing), man.NumShards(), man.N, man.ShardSize)
 
-	// Shard completion tracking: per-shard trace buffers filled by the
-	// trace workers; the worker that completes a shard's last trace writes
-	// the shard and updates the manifest.
-	type pending struct {
-		traces    []*Trace
-		remaining int
-	}
-	pend := make(map[int]*pending, len(missing))
-	var todo []int // global trace indices to build
 	for _, k := range missing {
 		start := k * man.ShardSize
-		end := min(start+man.ShardSize, man.N)
-		pend[k] = &pending{traces: make([]*Trace, end-start), remaining: end - start}
-		for i := start; i < end; i++ {
-			todo = append(todo, i)
+		traces, err := buildRange(cfg, start, min(start+man.ShardSize, man.N))
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu       sync.Mutex // guards pend, st.Manifest and firstErr
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-	)
-	for _, i := range todo {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mu.Lock()
-			abort := firstErr != nil
-			mu.Unlock()
-			if abort {
-				return
-			}
-			tr, err := buildOne(cfg, i)
-			k := i / man.ShardSize
-			mu.Lock()
-			if firstErr != nil {
-				mu.Unlock()
-				return
-			}
-			if err != nil {
-				firstErr = fmt.Errorf("dataset: trace %d: %w", i, err)
-				mu.Unlock()
-				return
-			}
-			p := pend[k]
-			p.traces[i-k*man.ShardSize] = tr
-			p.remaining--
-			if p.remaining > 0 {
-				mu.Unlock()
-				return
-			}
-			// Shard complete: detach its trace buffer and write it outside
-			// the lock so other workers keep generating; only the manifest
-			// update is serialized.
-			delete(pend, k)
-			traces := p.traces
-			mu.Unlock()
-
-			meta, err := writeShard(sc.Dir, k, k*man.ShardSize, traces)
-
-			mu.Lock()
-			defer mu.Unlock()
-			if firstErr != nil {
-				return
-			}
-			if err != nil {
-				firstErr = err
-				return
-			}
-			st.Manifest.Shards = append(st.Manifest.Shards, meta)
-			sort.Slice(st.Manifest.Shards, func(a, b int) bool {
-				return st.Manifest.Shards[a].Index < st.Manifest.Shards[b].Index
-			})
-			if err := writeManifest(sc.Dir, &st.Manifest); err != nil {
-				firstErr = err
-				return
-			}
-			logf("shard %s done (%d/%d shards, %d traces)", meta.Name, len(st.Manifest.Shards), st.Manifest.NumShards(), meta.Count)
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		meta, err := writeShard(sc.Dir, k, start, traces)
+		if err != nil {
+			return nil, err
+		}
+		st.Manifest.Shards = append(st.Manifest.Shards, meta)
+		sort.Slice(st.Manifest.Shards, func(a, b int) bool {
+			return st.Manifest.Shards[a].Index < st.Manifest.Shards[b].Index
+		})
+		if err := writeManifest(sc.Dir, &st.Manifest); err != nil {
+			return nil, err
+		}
+		logf("shard %s done (%d/%d shards, %d traces)", meta.Name, len(st.Manifest.Shards), st.Manifest.NumShards(), meta.Count)
 	}
 	return st, nil
 }
@@ -635,72 +514,29 @@ func writeManifest(dir string, m *Manifest) error {
 	})
 }
 
-// Merge concatenates complete source stores into a new store at dst, in
-// argument order: shard files are copied verbatim and renumbered, global
-// trace indices rebased, and per-shard stats preserved. The merged
-// manifest keeps the seed and scenario only when all sources agree
-// (otherwise 0 / "merged"), and adopts the first source's shard size as
-// the nominal one (per-shard counts are authoritative).
-func Merge(dst string, srcs ...*Store) (*Store, error) {
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("dataset: Merge needs at least one source store")
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return nil, fmt.Errorf("dataset: creating store %s: %w", dst, err)
-	}
-	man := Manifest{
-		Magic:        ManifestMagic,
-		Version:      ManifestVersion,
-		Seed:         srcs[0].Manifest.Seed,
-		Scenario:     srcs[0].Manifest.Scenario,
-		SimDurationS: srcs[0].Manifest.SimDurationS,
-		ShardSize:    srcs[0].Manifest.ShardSize,
-	}
-	for _, s := range srcs[1:] {
-		if s.Manifest.Seed != man.Seed {
-			man.Seed = 0
-		}
-		if s.Manifest.Scenario != man.Scenario {
-			man.Scenario = "merged"
-		}
-		if s.Manifest.SimDurationS != man.SimDurationS {
-			man.SimDurationS = 0
-		}
-	}
-	next := 0
-	for _, s := range srcs {
-		if !s.Complete() {
-			return nil, fmt.Errorf("dataset: Merge source %s is incomplete", s.Dir)
-		}
-		for _, sh := range s.Manifest.Shards {
-			meta := sh
-			meta.Index = next
-			meta.Name = shardName(next)
-			meta.Start = man.N
-			if err := copyFile(filepath.Join(dst, meta.Name), filepath.Join(s.Dir, sh.Name)); err != nil {
-				return nil, err
-			}
-			man.Shards = append(man.Shards, meta)
-			man.N += sh.Count
-			next++
-		}
-	}
-	if err := writeManifest(dst, &man); err != nil {
-		return nil, err
-	}
-	return &Store{Dir: dst, Manifest: man}, nil
-}
-
-func copyFile(dst, src string) error {
-	in, err := os.Open(src)
+// atomicWrite writes a file via temp-file-plus-rename so a crash mid-write
+// never leaves a truncated file at path (the artifact.Save pattern).
+func atomicWrite(path string, write func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".costream-corpus-*")
 	if err != nil {
-		return fmt.Errorf("dataset: merging shard: %w", err)
+		return fmt.Errorf("dataset: creating %s: %w", path, err)
 	}
-	defer in.Close()
-	return atomicWrite(dst, func(w io.Writer) error {
-		if _, err := io.Copy(w, in); err != nil {
-			return fmt.Errorf("dataset: merging shard %s: %w", src, err)
-		}
-		return nil
-	})
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	// CreateTemp opens 0600; corpora are shareable data files, so widen to
+	// the conventional 0644 before publishing.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return fmt.Errorf("dataset: writing %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("dataset: writing %s: %w", path, err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("dataset: writing %s: %w", path, err)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -200,128 +201,21 @@ func TestStreamBuildAppendEqualsFreshBuild(t *testing.T) {
 	}
 }
 
-func TestMergeStores(t *testing.T) {
-	cfgA := buildCfg(7, 21)
-	cfgB := buildCfg(5, 22)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := StreamBuild(cfgA, StreamConfig{Dir: dirA, ShardSize: 3, Scenario: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := StreamBuild(cfgB, StreamConfig{Dir: dirB, ShardSize: 2, Scenario: "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge(t.TempDir(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != 12 {
-		t.Fatalf("merged count %d, want 12", merged.Count())
-	}
-	if merged.Manifest.Scenario != "merged" || merged.Manifest.Seed != 0 {
-		t.Fatalf("merged manifest should clear mixed seed/scenario, got %+v", merged.Manifest)
-	}
-	ca, err := a.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := b.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTraces := append(append([]*Trace{}, ca.Traces...), cb.Traces...)
-	got, err := merged.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantTraces {
-		equalTraces(t, i, wantTraces[i], got.Traces[i])
-	}
-}
-
-// TestMergeHeterogeneousShardSizes is the regression test for merged
-// stores whose first source has a smaller shard size than the others:
-// completeness must follow contiguous trace coverage, not the nominal
-// ShardSize geometry, or the merged store reads as incomplete.
-func TestMergeHeterogeneousShardSizes(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, err := StreamBuild(buildCfg(4, 61), StreamConfig{Dir: dirA, ShardSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := StreamBuild(buildCfg(10, 62), StreamConfig{Dir: dirB, ShardSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge(t.TempDir(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing := merged.Missing(); len(missing) != 0 {
-		t.Fatalf("merged store reads as incomplete: Missing = %v", missing)
-	}
-	got, err := merged.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 14 {
-		t.Fatalf("merged store holds %d traces, want 14", got.Len())
-	}
-	// Reopening from disk must agree.
-	re, err := OpenStore(merged.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !re.Complete() {
-		t.Fatal("reopened merged store reads as incomplete")
-	}
-	// Resuming or appending to a merged store must be refused, never
-	// silently rebuild (= overwrite) its off-grid shards.
-	grow := buildCfg(20, merged.Manifest.Seed)
-	if _, err := StreamBuild(grow, StreamConfig{Dir: merged.Dir, Resume: true}); err == nil {
-		t.Fatal("resume of a merged store accepted; would overwrite merged shards")
-	}
-}
-
-func TestOpenSniffsLayout(t *testing.T) {
-	cfg := buildCfg(6, 31)
-	c, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Legacy monolithic gzip file.
-	file := filepath.Join(t.TempDir(), "corpus.json.gz")
-	if err := c.Save(file); err != nil {
-		t.Fatal(err)
-	}
-	src, err := Open(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(*Corpus); !ok || src.Count() != 6 {
-		t.Fatalf("Open(file) = %T count %d, want *Corpus count 6", src, src.Count())
-	}
-	// Sharded directory.
+// TestOpenStoreRejectsZeroShardSize: a manifest that targets traces but
+// has no shard size describes no shards at all. Opening it must fail,
+// not read as a complete store that streams nothing.
+func TestOpenStoreRejectsZeroShardSize(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := StreamBuild(cfg, StreamConfig{Dir: dir, ShardSize: 2}); err != nil {
+	man := `{"magic": "costream-corpus", "version": 1, "n": 10, "shard_size": 0, "shards": []}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(man), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	st, err := OpenStore(dir)
+	if err == nil {
+		t.Fatalf("zero-shard-size store opened: Complete=%t Count=%d", st.Complete(), st.Count())
 	}
-	st, ok := src.(*Store)
-	if !ok || st.Count() != 6 {
-		t.Fatalf("Open(dir) = %T count %d, want *Store count 6", src, src.Count())
-	}
-	// Both iterate identically.
-	want := c.Traces
-	if err := st.Iter(func(i int, tr *Trace) error { equalTraces(t, i, want[i], tr); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(filepath.Join(dir, "nope")); err == nil {
-		t.Error("Open of a missing path must fail")
+	if !strings.Contains(err.Error(), "shard_size") {
+		t.Errorf("error %q does not name shard_size", err)
 	}
 }
 

@@ -123,7 +123,7 @@ func (s *Suite) evalBucket(traces []*dataset.Trace) (HardwareBucket, error) {
 		if err != nil {
 			return bucket, err
 		}
-		sum, err := regressionSummary(e, sub, m)
+		sum, err := core.EvaluateRegression(e, sub, m)
 		if err != nil {
 			// A bucket can lack successful traces; mark as NaN.
 			sum = qerror.Summary{Median: math.NaN()}

@@ -7,7 +7,6 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
-	"costream/internal/qerror"
 )
 
 // MetricRow is one table row comparing COSTREAM and the flat-vector
@@ -105,9 +104,4 @@ func compareOn(co, fl core.TracePredictor, eval *dataset.Corpus, m core.Metric, 
 	row.CoAcc, row.FlAcc = ca, fa
 	row.N = bal.Len()
 	return row, nil
-}
-
-// regressionSummary evaluates a single predictor on one regression metric.
-func regressionSummary(p core.TracePredictor, eval *dataset.Corpus, m core.Metric) (qerror.Summary, error) {
-	return core.EvaluateRegression(p, eval, m)
 }

@@ -137,19 +137,20 @@ func TestHysteresisBoundaries(t *testing.T) {
 	}
 }
 
-// cancellingPredictor cancels a context the first time the monitor scores
-// an activated placement — i.e. right after the initial observation —
-// giving a deterministic mid-run cancellation point.
-type cancellingPredictor struct {
-	cancel context.CancelFunc
-	once   sync.Once
+// cancelAfterFirstCheck is a context whose Err is nil on its first call
+// — the monitor's check before its initial observation — and
+// context.Canceled from then on, a deterministic mid-run cancellation.
+type cancelAfterFirstCheck struct {
+	context.Context
+	calls int
 }
 
-func (p *cancellingPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, pl sim.Placement) (PredCosts, error) {
-		p.once.Do(p.cancel)
-		return landscapeCosts(q, c, pl), nil
-	}).NewScoreSession(q, c)
+func (c *cancelAfterFirstCheck) Err() error {
+	c.calls++
+	if c.calls == 1 {
+		return nil
+	}
+	return context.Canceled
 }
 
 func TestOnlineMonitoringPreCancelled(t *testing.T) {
@@ -178,19 +179,13 @@ func TestOnlineMonitoringMidRunPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := DefaultMonitorConfig(monSimCfg())
-	cfg.Predictor = &cancellingPredictor{cancel: cancel}
-	steps, err := OnlineMonitoring(ctx, q, c, initial, cfg)
+	ctx := &cancelAfterFirstCheck{Context: context.Background()}
+	steps, err := OnlineMonitoring(ctx, q, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if err != nil {
 		t.Fatalf("mid-run cancellation must not fail the monitor: %v", err)
 	}
 	if len(steps) != 1 {
 		t.Fatalf("got %d steps, want only the initial one", len(steps))
-	}
-	if steps[0].Predicted == nil {
-		t.Fatal("initial step lost its prediction")
 	}
 	// Sanity: uncancelled, the same run takes more than one step.
 	full, err := OnlineMonitoring(context.Background(), q, c, initial, DefaultMonitorConfig(monSimCfg()))

@@ -25,13 +25,6 @@ type MonitorConfig struct {
 	MaxSteps int
 	// SimCfg configures the underlying execution simulator.
 	SimCfg sim.Config
-	// Predictor, when non-nil, scores every placement the monitor
-	// activates so observed-vs-predicted divergence is tracked: each
-	// MonitorStep carries the prediction and the q-errors land in the
-	// costream_monitor_qerror metric family of the default registry. It
-	// never influences the monitor's decisions, which follow observed
-	// runtime statistics only.
-	Predictor Predictor
 }
 
 // DefaultMonitorConfig mirrors the paper's observation that monitoring
@@ -48,10 +41,6 @@ type MonitorStep struct {
 	// ElapsedS is the wall-clock time since query start at which this
 	// placement became active (monitoring intervals plus migrations).
 	ElapsedS float64
-	// Predicted holds the cost model's estimate for this placement when
-	// MonitorConfig.Predictor was set; nil otherwise (including when the
-	// prediction errored).
-	Predicted *PredCosts
 }
 
 // OnlineMonitoring simulates the monitoring-and-rescheduling loop: start
@@ -76,8 +65,8 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 	if err != nil {
 		return nil, err
 	}
-	steps := []MonitorStep{{Placement: cur, Metrics: m, ElapsedS: 0,
-		Predicted: predictStep(q, c, cur, m, cfg.Predictor)}}
+	monitorMet().steps.Inc()
+	steps := []MonitorStep{{Placement: cur, Metrics: m, ElapsedS: 0}}
 	elapsed := 0.0
 	// Moves that were tried and reverted; the scheduler does not repeat
 	// them (it keeps its migration history, as in [1]).
@@ -104,41 +93,21 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 			banned[move] = true
 			monitorMet().reverts.Inc()
 			elapsed += cfg.MigrationCostS // migrating back
-			steps = append(steps, MonitorStep{Placement: last.Placement, Metrics: last.Metrics, ElapsedS: elapsed, Predicted: last.Predicted})
+			steps = append(steps, MonitorStep{Placement: last.Placement, Metrics: last.Metrics, ElapsedS: elapsed})
 			continue
 		}
 		monitorMet().migrations.Inc()
-		steps = append(steps, MonitorStep{Placement: next, Metrics: nm, ElapsedS: elapsed,
-			Predicted: predictStep(q, c, next, nm, cfg.Predictor)})
+		monitorMet().steps.Inc()
+		steps = append(steps, MonitorStep{Placement: next, Metrics: nm, ElapsedS: elapsed})
 	}
 	return steps, nil
 }
 
-// predictStep scores one activated placement with the optional monitor
-// predictor and records the observed-vs-predicted divergence (q-error of
-// throughput and processing latency) into the default registry. A nil
-// predictor or a prediction error yields nil without failing the monitor.
-func predictStep(q *stream.Query, c *hardware.Cluster, p sim.Placement, m *sim.Metrics, pred Predictor) *PredCosts {
-	monitorMet().steps.Inc()
-	if pred == nil {
-		return nil
-	}
-	costs, err := PredictOne(pred, q, c, p)
-	if err != nil {
-		return nil
-	}
-	met := monitorMet()
-	recordQError(met.qerrLatency, costs.ProcLatencyMS, m.ProcLatencyMS)
-	recordQError(met.qerrThroughput, costs.ThroughputTPS, m.ThroughputTPS)
-	return &costs
-}
-
 // RecordQErrors compares a live placement's observed runtime statistics
-// against the costs predicted when it was activated — the same q-error
-// machinery OnlineMonitoring feeds — records both divergences into the
-// costream_monitor_qerror families of the default registry, and returns
-// the throughput and processing-latency q-errors (each >= 1). The fleet
-// simulator's drift detector is built on this.
+// against the costs predicted when it was activated, records both
+// divergences into the costream_monitor_qerror families of the default
+// registry, and returns the throughput and processing-latency q-errors
+// (each >= 1). The control plane's drift detector is built on this.
 func RecordQErrors(pred PredCosts, observed *sim.Metrics) (qThroughput, qProcLatency float64) {
 	met := monitorMet()
 	recordQError(met.qerrLatency, pred.ProcLatencyMS, observed.ProcLatencyMS)
@@ -176,7 +145,7 @@ var monitorMet = sync.OnceValue(func() *monitorMetrics {
 	r := obs.Default()
 	qerr := func(metric string) *obs.Histogram {
 		return r.Histogram("costream_monitor_qerror",
-			"observed-vs-predicted q-error of placements activated by online monitoring",
+			"observed-vs-predicted q-error of deployed placements, fed by the control plane",
 			1e-3, "metric", metric)
 	}
 	return &monitorMetrics{

@@ -3,11 +3,9 @@ package placement
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"testing"
 
 	"costream/internal/obs"
-	"costream/internal/sim"
 )
 
 // TestSearchTelemetryPerRound checks the opt-in RoundStats collection:
@@ -125,50 +123,5 @@ func TestSearchMetricsRecorded(t *testing.T) {
 	}
 	if got := runs.Value() - runs0; got != 1 {
 		t.Errorf("runs{strategy=random} moved %d, want 1", got)
-	}
-}
-
-// TestMonitorRecordsPredictions checks the observed-vs-predicted hook:
-// with a Predictor configured every activated placement carries its
-// predicted costs and the q-error histograms in the default registry
-// accumulate samples.
-func TestMonitorRecordsPredictions(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q := testQuery()
-	c := testCluster()
-	initial, err := RandomValid(rng, q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.DurationS, cfg.WarmupS = 15, 3
-	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 4, SimCfg: cfg, Predictor: landscapePredictor{}}
-	lat0 := monitorMet().qerrLatency.Count()
-	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range steps {
-		if st.Predicted == nil {
-			t.Fatalf("step %d has no prediction", i)
-		}
-		if st.Predicted.ProcLatencyMS <= 0 {
-			t.Fatalf("step %d predicted latency %g", i, st.Predicted.ProcLatencyMS)
-		}
-	}
-	if got := monitorMet().qerrLatency.Count() - lat0; got < 1 {
-		t.Errorf("q-error histogram did not accumulate (delta %d)", got)
-	}
-
-	// Without a predictor the steps carry no prediction.
-	mcfg.Predictor = nil
-	steps, err = OnlineMonitoring(context.Background(), q, c, initial, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range steps {
-		if st.Predicted != nil {
-			t.Fatalf("step %d has a prediction without a predictor", i)
-		}
 	}
 }

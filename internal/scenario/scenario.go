@@ -10,8 +10,7 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"costream/internal/dataset"
 	"costream/internal/hardware"
@@ -33,72 +32,21 @@ type Scenario struct {
 	Make func(n int, seed int64) dataset.BuildConfig
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Scenario{}
-)
-
-// Register adds a scenario to the registry. Registering a duplicate name
-// panics: scenario names are corpus provenance and must be unambiguous.
-func Register(s Scenario) {
-	if s.Name == "" || s.Make == nil {
-		panic("scenario: Register needs a name and a Make function")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate registration of %q", s.Name))
-	}
-	registry[s.Name] = s
-}
-
 // Get returns the named scenario.
 func Get(name string) (Scenario, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := registry[name]
-	if !ok {
-		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (known: %v)", name, names())
+	i := slices.IndexFunc(registry, func(s Scenario) bool { return s.Name == name })
+	if i < 0 {
+		names := make([]string, len(registry))
+		for k, s := range registry {
+			names[k] = s.Name
+		}
+		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (known: %v)", name, names)
 	}
-	return s, nil
+	return registry[i], nil
 }
 
-// MustGet returns the named scenario or panics; for scenarios registered
-// in this package, which are known to exist.
-func MustGet(name string) Scenario {
-	s, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Names lists the registered scenario names, sorted.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return names()
-}
-
-func names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All returns the registered scenarios sorted by name.
-func All() []Scenario {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Scenario, 0, len(registry))
-	for _, n := range names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
+// All returns the scenarios sorted by name.
+func All() []Scenario { return slices.Clone(registry) }
 
 // QuerySampler resolves the named recipe into a deterministic per-index
 // query sampler: sampler(i) is exactly the query of trace i in a corpus
@@ -206,40 +154,9 @@ func QueryClassConfig(n int, seed int64, class stream.QueryClass) dataset.BuildC
 	return cfg
 }
 
-func init() {
-	Register(Scenario{
-		Name:        "training",
-		Description: "Section VI training distribution: Table II grids, 3-6 hosts, Figure 6 query mix",
-		Make: func(n int, seed int64) dataset.BuildConfig {
-			return base(n, seed, hardware.TrainingGrid(), 0, 0)
-		},
-	})
-	Register(Scenario{
-		Name:        "interpolation-hw",
-		Description: "Table IV-A: unseen in-range hardware (Exp 3 interpolation grid)",
-		Make: func(n int, seed int64) dataset.BuildConfig {
-			return base(n, seed, hardware.InterpolationGrid(), 0, 0)
-		},
-	})
-	Register(Scenario{
-		Name:        "extrapolation-hw",
-		Description: "hardware strictly outside the Table II ranges in both directions (beyond Table V)",
-		Make: func(n int, seed int64) dataset.BuildConfig {
-			return base(n, seed, ExtrapolationGrid(), 0, 0)
-		},
-	})
-	Register(Scenario{
-		Name:        "filter-chains",
-		Description: "Exp 5 unseen query pattern: chains of 2-4 consecutive filters, cycling by trace index",
-		Make: func(n int, seed int64) dataset.BuildConfig {
-			cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
-			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
-				return g.FilterChain(2 + i%3)
-			}
-			return cfg
-		},
-	})
-	Register(Scenario{
+// registry holds every scenario, sorted by name (the -list order).
+var registry = []Scenario{
+	{
 		Name:        "benchmark",
 		Description: "Exp 6 real-world benchmark queries (DSPBench/DEBS), cycling by trace index",
 		Make: func(n int, seed int64) dataset.BuildConfig {
@@ -250,26 +167,58 @@ func init() {
 			}
 			return cfg
 		},
-	})
-	Register(Scenario{
-		Name:        "edge-heavy",
-		Description: "edge-dominated landscapes: weak hosts, thin high-latency links, 4-8 hosts",
-		Make: func(n int, seed int64) dataset.BuildConfig {
-			return base(n, seed, EdgeGrid(), 4, 8)
-		},
-	})
-	Register(Scenario{
+	},
+	{
 		Name:        "cloud-only",
 		Description: "datacenter-only landscapes: strong hosts, fat low-latency links",
 		Make: func(n int, seed int64) dataset.BuildConfig {
 			return base(n, seed, CloudGrid(), 0, 0)
 		},
-	})
-	Register(Scenario{
+	},
+	{
+		Name:        "edge-heavy",
+		Description: "edge-dominated landscapes: weak hosts, thin high-latency links, 4-8 hosts",
+		Make: func(n int, seed int64) dataset.BuildConfig {
+			return base(n, seed, EdgeGrid(), 4, 8)
+		},
+	},
+	{
+		Name:        "extrapolation-hw",
+		Description: "hardware strictly outside the Table II ranges in both directions (beyond Table V)",
+		Make: func(n int, seed int64) dataset.BuildConfig {
+			return base(n, seed, ExtrapolationGrid(), 0, 0)
+		},
+	},
+	{
+		Name:        "filter-chains",
+		Description: "Exp 5 unseen query pattern: chains of 2-4 consecutive filters, cycling by trace index",
+		Make: func(n int, seed int64) dataset.BuildConfig {
+			cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
+			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+				return g.FilterChain(2 + i%3)
+			}
+			return cfg
+		},
+	},
+	{
+		Name:        "interpolation-hw",
+		Description: "Table IV-A: unseen in-range hardware (Exp 3 interpolation grid)",
+		Make: func(n int, seed int64) dataset.BuildConfig {
+			return base(n, seed, hardware.InterpolationGrid(), 0, 0)
+		},
+	},
+	{
 		Name:        "large-cluster",
 		Description: "Table II hardware on 8-16 host clusters (placement search stress)",
 		Make: func(n int, seed int64) dataset.BuildConfig {
 			return base(n, seed, hardware.TrainingGrid(), 8, 16)
 		},
-	})
+	},
+	{
+		Name:        "training",
+		Description: "Section VI training distribution: Table II grids, 3-6 hosts, Figure 6 query mix",
+		Make: func(n int, seed int64) dataset.BuildConfig {
+			return base(n, seed, hardware.TrainingGrid(), 0, 0)
+		},
+	},
 }

@@ -14,13 +14,19 @@ func TestRegistryNames(t *testing.T) {
 		"benchmark", "cloud-only", "edge-heavy", "extrapolation-hw",
 		"filter-chains", "interpolation-hw", "large-cluster", "training",
 	}
-	got := Names()
+	var got []string
+	for _, s := range All() {
+		got = append(got, s.Name)
+	}
 	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("All() names = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Names()[%d] = %q, want %q (sorted)", i, got[i], want[i])
+			t.Fatalf("All()[%d] = %q, want %q (sorted)", i, got[i], want[i])
+		}
+		if s, err := Get(want[i]); err != nil || s.Name != want[i] {
+			t.Fatalf("Get(%q) = %q, %v", want[i], s.Name, err)
 		}
 	}
 	if _, err := Get("nope"); err == nil {
@@ -31,15 +37,6 @@ func TestRegistryNames(t *testing.T) {
 			t.Errorf("scenario %q has no description", s.Name)
 		}
 	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	Register(Scenario{Name: "training", Make: MustGet("training").Make})
 }
 
 // fingerprint summarizes the first trace of a scenario corpus: the query
@@ -101,10 +98,15 @@ func TestScenarioGolden(t *testing.T) {
 // produce different corpora: the continuum scenarios must not collapse
 // into the training recipe.
 func TestScenarioRecipesDiffer(t *testing.T) {
-	training := MustGet("training").Make(4, 7)
-	edge := MustGet("edge-heavy").Make(4, 7)
-	cloud := MustGet("cloud-only").Make(4, 7)
-	large := MustGet("large-cluster").Make(4, 7)
+	recipe := func(name string) dataset.BuildConfig {
+		t.Helper()
+		s, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Make(4, 7)
+	}
+	training, edge, cloud, large := recipe("training"), recipe("edge-heavy"), recipe("cloud-only"), recipe("large-cluster")
 	if edge.Gen.HW.CPU[len(edge.Gen.HW.CPU)-1] >= cloud.Gen.HW.CPU[0] {
 		t.Error("edge-heavy grid overlaps cloud-only CPU range")
 	}
