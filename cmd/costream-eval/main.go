@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	costream-eval -corpus test/ -model model.json.gz                    # every trained metric
-//	costream-eval -corpus test/ -model model.json.gz -metric e2e-latency
+//	costream-eval -corpus test/ -model model.costream                    # every trained metric
+//	costream-eval -corpus test/ -model model.costream -metric e2e-latency
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 	log.SetPrefix("costream-eval: ")
 	var (
 		corpusPath = flag.String("corpus", "corpus", "evaluation corpus store directory")
-		modelPath  = flag.String("model", "model.json.gz", "model artifact path")
+		modelPath  = flag.String("model", "model.costream", "model artifact path")
 		metricName = flag.String("metric", "", "restrict evaluation to one metric")
 	)
 	flag.Parse()

@@ -9,8 +9,8 @@
 // Usage:
 //
 //	costream-optimize -seed 7 -traces 800 -budget 64
-//	costream-optimize -model model.json.gz -strategy beam -beam 8
-//	costream-optimize -model model.json.gz -strategy exhaustive -budget 512
+//	costream-optimize -model model.costream -strategy beam -beam 8
+//	costream-optimize -model model.costream -strategy exhaustive -budget 512
 package main
 
 import (

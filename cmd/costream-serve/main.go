@@ -4,7 +4,7 @@
 // placement queries for arbitrary unseen queries and clusters — the
 // paper's zero-shot workflow as a service.
 //
-//	costream-serve -model model.json.gz -addr :8080
+//	costream-serve -model model.costream -addr :8080
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/v1/example | curl -s --json @- localhost:8080/v1/predict
@@ -38,7 +38,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costream-serve: ")
 	var (
-		modelPath   = flag.String("model", "model.json.gz", "model artifact path (written by costream-train)")
+		modelPath   = flag.String("model", "model.costream", "model artifact path (written by costream-train)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "prediction cache entries (negative disables)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrent model evaluations (0 = GOMAXPROCS)")

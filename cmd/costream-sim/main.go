@@ -7,7 +7,7 @@
 //
 //	costream-sim run scenario.json
 //	costream-sim run -o report.json -workers 4 scenario.json
-//	costream-sim run -model model.json.gz scenario.json
+//	costream-sim run -model model.costream scenario.json
 //
 // The JSON report (stdout, or -o) carries the event timeline, per-query
 // q-error trajectories, every recovery action with its reason, and the
@@ -53,7 +53,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: costream-sim run [-o report.json] [-model model.json.gz] [-workers n] [-q] <scenario.json>`)
+	fmt.Fprintln(os.Stderr, `usage: costream-sim run [-o report.json] [-model model.costream] [-workers n] [-q] <scenario.json>`)
 }
 
 func run(scenarioPath, outPath, modelPath string, workers int, quiet bool) error {

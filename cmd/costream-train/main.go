@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	costream-train -corpus corpus/ -out model.json.gz                        # all five metrics
+//	costream-train -corpus corpus/ -out model.costream                        # all five metrics
 //	costream-train -corpus corpus/ -metrics e2e-latency,success ...          # a subset
 //	costream-train -corpus corpus/ -runlog train.jsonl                       # per-epoch telemetry
 package main
@@ -45,7 +45,7 @@ func run() error {
 	var (
 		corpusPath = flag.String("corpus", "corpus", "training corpus store directory")
 		metricList = flag.String("metrics", "all", `metrics to train: "all" or a comma-separated subset of throughput,proc-latency,e2e-latency,backpressure,success`)
-		out        = flag.String("out", "model.json.gz", "output artifact path (.gz = compressed)")
+		out        = flag.String("out", "model.costream", "output artifact path")
 		epochs     = flag.Int("epochs", 45, "training epochs")
 		hidden     = flag.Int("hidden", 32, "GNN hidden width")
 		lr         = flag.Float64("lr", 3e-3, "learning rate")

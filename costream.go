@@ -347,8 +347,8 @@ func TrainModel(c *Corpus, opts TrainOptions) (*Model, error) {
 
 // Save writes the full trained model — all metric ensembles with their
 // GNN weights and featurizer state, plus provenance — as a versioned
-// artifact. Paths ending in ".gz" are gzip-compressed. A model reloaded
-// with LoadModel produces bit-identical predictions.
+// artifact. A model reloaded with LoadModel produces bit-identical
+// predictions.
 func (m *Model) Save(path string) error {
 	return artifact.Save(path, m.pred, m.prov)
 }

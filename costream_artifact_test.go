@@ -11,7 +11,7 @@ import (
 // OptimizePlacement results.
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	corpus, model := facade(t)
-	path := filepath.Join(t.TempDir(), "model.json.gz")
+	path := filepath.Join(t.TempDir(), "model.costream")
 	if err := model.Save(path); err != nil {
 		t.Fatal(err)
 	}

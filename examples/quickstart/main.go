@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	artifactPath := filepath.Join(dir, "model.json.gz")
+	artifactPath := filepath.Join(dir, "model.costream")
 	if err := model.Save(artifactPath); err != nil {
 		log.Fatal(err)
 	}

@@ -1,27 +1,41 @@
 // Package artifact defines the durable on-disk format for trained
-// COSTREAM predictors. A model artifact is a single versioned JSON
-// document (optionally gzip-compressed) holding every trained ensemble —
-// up to 5 metrics x k members, each with its GNN weights and featurizer
-// configuration — plus provenance metadata describing how it was trained.
+// COSTREAM predictors: every trained ensemble — up to 5 metrics x k
+// members, each with its GNN weights and featurizer mode — plus provenance
+// metadata describing how it was trained.
 //
 // The format exists to make the paper's zero-shot workflow real: train
 // once, save, and answer placement queries for unseen workloads and
-// hardware from the saved file. Loading an artifact reconstructs a
-// predictor whose predictions, single or batched, are bit-identical to
-// the in-memory model that was saved (weights are
-// float64 and encoding/json emits the shortest representation that
-// round-trips exactly).
+// hardware from the saved file. Version 2 is binary:
+//
+//   - line 1 is a compact JSON header ending in '\n': the magic, the
+//     version, the provenance, and one core.Section per trained ensemble
+//     in Predictor.Ensembles order (metric, feature mode, gnn.Config,
+//     member count k and section byte length);
+//   - then one section per entry, its k members back to back, each member
+//     its gnn.Model.Params slices in order as little-endian
+//     math.Float64bits;
+//   - last, the little-endian CRC-32C (Castagnoli) of everything before it.
+//
+// Weights are stored bit for bit, so a loaded predictor's predictions,
+// single or batched, are bit-identical to the in-memory model that was
+// saved. Read checks the header's magic and version, then the checksum,
+// then every section's length against its config, before it builds any
+// member; it refuses a non-finite weight naming the metric and member,
+// and stacks every ensemble, so a file that loads can serve. Save refuses
+// what Read would. Version 1 files (gzip-compressed or plain JSON) are
+// refused: retrain them from their seed.
 package artifact
 
 import (
+	"bufio"
 	"bytes"
-	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"costream/internal/core"
@@ -32,7 +46,7 @@ const Magic = "costream-model"
 
 // Version is the current artifact format version. Readers reject other
 // versions rather than guessing at layouts.
-const Version = 1
+const Version = 2
 
 // Provenance records how an artifact's predictor was trained.
 type Provenance struct {
@@ -45,101 +59,94 @@ type Provenance struct {
 	Note         string    `json:"note,omitempty"`
 }
 
-// fileJSON is the top-level artifact document.
-type fileJSON struct {
-	Magic      string          `json:"magic"`
-	Version    int             `json:"version"`
-	Provenance Provenance      `json:"provenance"`
-	Predictor  *core.Predictor `json:"predictor"`
+// header is the artifact's first line.
+type header struct {
+	Magic      string         `json:"magic"`
+	Version    int            `json:"version"`
+	Provenance Provenance     `json:"provenance"`
+	Sections   []core.Section `json:"sections"`
 }
 
-// Write serializes the predictor and provenance to w, gzip-compressing
-// when compress is set.
-func Write(w io.Writer, pred *core.Predictor, prov Provenance, compress bool) error {
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Write serializes the predictor and provenance to w. A predictor Read
+// would refuse is refused before anything is written.
+func Write(w io.Writer, pred *core.Predictor, prov Provenance) error {
 	if pred == nil {
 		return fmt.Errorf("artifact: nil predictor")
 	}
-	out := w
-	var zw *gzip.Writer
-	if compress {
-		zw = gzip.NewWriter(w)
-		out = zw
+	secs, err := pred.Sections()
+	if err != nil {
+		return fmt.Errorf("artifact: %w", err)
 	}
-	enc := json.NewEncoder(out)
-	if err := enc.Encode(fileJSON{
-		Magic:      Magic,
-		Version:    Version,
-		Provenance: prov,
-		Predictor:  pred,
-	}); err != nil {
-		return fmt.Errorf("artifact: encoding model: %w", err)
+	line, err := json.Marshal(header{Magic: Magic, Version: Version, Provenance: prov, Sections: secs})
+	if err != nil {
+		return fmt.Errorf("artifact: encoding header: %w", err)
 	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			return fmt.Errorf("artifact: compressing model: %w", err)
-		}
+	bw := bufio.NewWriter(w)
+	crc := crc32.New(castagnoli)
+	out := io.MultiWriter(bw, crc)
+	// A bufio.Writer keeps its first error and returns it from every later
+	// Write and from Flush, so only the last call's error needs checking.
+	_, _ = out.Write(append(line, '\n'))
+	_ = pred.WriteWeights(out)
+	_, _ = bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("artifact: writing model: %w", err)
 	}
 	return nil
 }
 
-// Read deserializes an artifact from r, transparently handling gzip
-// (detected by its magic bytes). Malformed inputs return descriptive
-// errors, never panics; so does an ensemble whose members cannot run the
-// packed inference kernel, naming its metric, since no request could be
-// answered with it.
+// Read deserializes an artifact from r. Malformed inputs return
+// descriptive errors, never panics. The header line is parsed, and its
+// magic and version checked, before the checksum is verified, so that a
+// version 1 file is refused as such rather than as a corrupt one.
 func Read(r io.Reader) (*core.Predictor, Provenance, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, Provenance{}, fmt.Errorf("artifact: reading model: %w", err)
 	}
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, Provenance{}, fmt.Errorf("artifact: opening gzip stream: %w", err)
-		}
-		if data, err = io.ReadAll(zr); err != nil {
-			return nil, Provenance{}, fmt.Errorf("artifact: decompressing model: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, Provenance{}, fmt.Errorf("artifact: decompressing model: %w", err)
-		}
+	if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		return nil, Provenance{}, versionError(1)
 	}
-
-	// Check the header before touching the predictor payload, so version
-	// mismatches surface as such instead of as decode errors against a
-	// future layout.
-	var hdr struct {
-		Magic   string `json:"magic"`
-		Version int    `json:"version"`
-	}
-	if err := json.Unmarshal(data, &hdr); err != nil {
+	line, rest, _ := bytes.Cut(data, []byte{'\n'})
+	var hdr header
+	if err := json.Unmarshal(line, &hdr); err != nil {
 		return nil, Provenance{}, fmt.Errorf("artifact: not a costream model artifact: %w", err)
 	}
 	if hdr.Magic != Magic {
 		return nil, Provenance{}, fmt.Errorf("artifact: not a costream model artifact (magic %q, want %q)", hdr.Magic, Magic)
 	}
 	if hdr.Version != Version {
-		return nil, Provenance{}, fmt.Errorf("artifact: unsupported format version %d (this build reads version %d)", hdr.Version, Version)
+		return nil, Provenance{}, versionError(hdr.Version)
 	}
-	var f fileJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, Provenance{}, fmt.Errorf("artifact: decoding model: %w", err)
+	if len(rest) < 4 || crc32.Checksum(data[:len(data)-4], castagnoli) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, Provenance{}, fmt.Errorf("artifact: checksum mismatch: the file is truncated or corrupt")
 	}
-	if f.Predictor == nil {
-		return nil, Provenance{}, fmt.Errorf("artifact: model artifact has no predictor payload")
+	pred, err := core.DecodePredictor(hdr.Sections, rest[:len(rest)-4])
+	if err != nil {
+		return nil, Provenance{}, fmt.Errorf("artifact: %w", err)
 	}
-	return f.Predictor, f.Provenance, nil
+	return pred, hdr.Provenance, nil
+}
+
+// versionError refuses a format version other than Version. A gzip stream
+// is version 1, which predates the binary layout.
+func versionError(v int) error {
+	if v == 1 {
+		return fmt.Errorf("artifact: version 1 model artifact (this build reads version %d only): retrain the model from its seed", Version)
+	}
+	return fmt.Errorf("artifact: unsupported format version %d (this build reads version %d)", v, Version)
 }
 
 // Save writes the artifact to path atomically (temp file + rename).
-// Paths ending in ".gz" are gzip-compressed.
 func Save(path string, pred *core.Predictor, prov Provenance) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".costream-artifact-*")
 	if err != nil {
 		return fmt.Errorf("artifact: creating %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := Write(tmp, pred, prov, strings.HasSuffix(path, ".gz")); err != nil {
+	if err := Write(tmp, pred, prov); err != nil {
 		tmp.Close()
 		return err
 	}

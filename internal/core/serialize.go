@@ -1,8 +1,10 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 
 	"costream/internal/gnn"
 )
@@ -29,141 +31,142 @@ func ParseFeatureMode(name string) (FeatureMode, error) {
 	return 0, fmt.Errorf("core: unknown feature mode %q (want full, placement-only or query-only)", name)
 }
 
-// costModelJSON is the serialized form of a CostModel: the metric it was
-// trained for, the featurization that produced its input graphs (the
-// normalization constants are fixed, so the mode fully determines the
-// featurizer), and the GNN weights.
-type costModelJSON struct {
+// Section describes one trained ensemble's weight section in a model
+// artifact. The section holds the Members members back to back, each its
+// gnn.Model.Params slices in order, every weight little-endian
+// math.Float64bits. The featurizer's normalization constants are fixed, so
+// the mode fully determines it.
+type Section struct {
 	Metric      string     `json:"metric"`
 	FeatureMode string     `json:"feature_mode"`
-	Net         *gnn.Model `json:"net"`
+	Config      gnn.Config `json:"config"`
+	Members     int        `json:"members"`
+	Bytes       int        `json:"bytes"`
 }
 
-// MarshalJSON encodes the cost model with its featurizer configuration.
-func (cm *CostModel) MarshalJSON() ([]byte, error) {
-	if cm.Net == nil {
-		return nil, fmt.Errorf("core: cost model for %v has no network", cm.Metric)
+// Sections describes the predictor's trained ensembles in Ensembles
+// order. It refuses what DecodePredictor would: a predictor with no
+// trained ensemble, an ensemble that cannot run the packed kernel, or a
+// non-finite weight, naming the metric and the member.
+func (pr *Predictor) Sections() ([]Section, error) {
+	var secs []Section
+	for _, s := range pr.Ensembles() {
+		e := s.Ensemble
+		if e == nil {
+			continue
+		}
+		st, err := e.stacked()
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range e.Models {
+			if err := finiteWeights(m.Net, s.Metric, i); err != nil {
+				return nil, err
+			}
+		}
+		net := e.Models[0].Net
+		secs = append(secs, Section{Metric: s.Metric.String(), FeatureMode: st.mode.String(),
+			Config: net.Config(), Members: len(e.Models), Bytes: 8 * net.NumParams() * len(e.Models)})
 	}
-	return json.Marshal(costModelJSON{
-		Metric:      cm.Metric.String(),
-		FeatureMode: cm.Feat.Mode.String(),
-		Net:         cm.Net,
-	})
+	if len(secs) == 0 {
+		return nil, fmt.Errorf("core: predictor has no trained ensembles")
+	}
+	return secs, nil
 }
 
-// UnmarshalJSON decodes a cost model written by MarshalJSON.
-func (cm *CostModel) UnmarshalJSON(data []byte) error {
-	var j costModelJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+// WriteWeights writes the weight sections Sections describes to w, in the
+// same order.
+func (pr *Predictor) WriteWeights(w io.Writer) error {
+	var buf []byte
+	for _, e := range pr.ensembles() {
+		for _, m := range e.Models {
+			params, _ := m.Net.Params()
+			for _, p := range params {
+				buf = buf[:0]
+				for _, v := range p {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+				}
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	metric, err := ParseMetric(j.Metric)
-	if err != nil {
-		return err
-	}
-	mode, err := ParseFeatureMode(j.FeatureMode)
-	if err != nil {
-		return err
-	}
-	if j.Net == nil {
-		return fmt.Errorf("core: cost model for %v is missing its network", metric)
-	}
-	cm.Metric = metric
-	cm.Feat = Featurizer{Mode: mode}
-	cm.Net = j.Net
 	return nil
 }
 
-// ensembleJSON is the serialized form of an Ensemble.
-type ensembleJSON struct {
-	Metric  string       `json:"metric"`
-	Members []*CostModel `json:"members"`
-}
-
-// MarshalJSON encodes the ensemble with all member models.
-func (e *Ensemble) MarshalJSON() ([]byte, error) {
-	return json.Marshal(ensembleJSON{Metric: e.Metric.String(), Members: e.Models})
-}
-
-// UnmarshalJSON decodes an ensemble, checking member consistency.
-func (e *Ensemble) UnmarshalJSON(data []byte) error {
-	var j ensembleJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	metric, err := ParseMetric(j.Metric)
-	if err != nil {
-		return err
-	}
-	if len(j.Members) == 0 {
-		return fmt.Errorf("core: ensemble for %v has no members", metric)
-	}
-	for i, m := range j.Members {
-		if m == nil {
-			return fmt.Errorf("core: ensemble for %v: member %d is null", metric, i)
+// DecodePredictor builds the predictor that secs describe from body, their
+// weight sections back to back. Every section's length is checked against
+// its config before any member is built; each member is built with gnn.New
+// and filled from its bytes, a non-finite weight is refused naming the
+// metric and the member, and every ensemble is stacked before it returns.
+func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
+	pr := &Predictor{}
+	last := Metric(-1)
+	for _, s := range secs {
+		metric, err := ParseMetric(s.Metric)
+		if err != nil {
+			return nil, err
 		}
-		if m.Metric != metric {
-			return fmt.Errorf("core: ensemble for %v: member %d was trained for %v", metric, i, m.Metric)
+		if metric <= last {
+			return nil, fmt.Errorf("core: %v section out of order or repeated", metric)
 		}
-	}
-	e.Metric = metric
-	e.Models = j.Members
-	// Any previously cached weight stack refers to the old members;
-	// rebuild eagerly so load time, not first-predict latency, pays for
-	// stacking, and an ensemble that cannot be served is refused here.
-	e.Invalidate()
-	_, err = e.stacked()
-	return err
-}
-
-// predictorJSON is the serialized form of a Predictor. Slots for untrained
-// metrics are omitted, matching in-memory nil ensembles.
-type predictorJSON struct {
-	Throughput   *Ensemble `json:"throughput,omitempty"`
-	ProcLatency  *Ensemble `json:"proc_latency,omitempty"`
-	E2ELatency   *Ensemble `json:"e2e_latency,omitempty"`
-	Backpressure *Ensemble `json:"backpressure,omitempty"`
-	Success      *Ensemble `json:"success,omitempty"`
-}
-
-// MarshalJSON encodes all trained ensembles of the predictor.
-func (pr *Predictor) MarshalJSON() ([]byte, error) {
-	return json.Marshal(predictorJSON{
-		Throughput:   pr.Throughput,
-		ProcLatency:  pr.ProcLatency,
-		E2ELatency:   pr.E2ELatency,
-		Backpressure: pr.Backpressure,
-		Success:      pr.Success,
-	})
-}
-
-// UnmarshalJSON decodes a predictor, checking that every present ensemble
-// sits in the slot of its own metric and that at least one is present.
-func (pr *Predictor) UnmarshalJSON(data []byte) error {
-	var j predictorJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	decoded := Predictor{
-		Throughput:   j.Throughput,
-		ProcLatency:  j.ProcLatency,
-		E2ELatency:   j.E2ELatency,
-		Backpressure: j.Backpressure,
-		Success:      j.Success,
-	}
-	present := 0
-	for _, s := range decoded.Ensembles() {
-		if s.Ensemble == nil {
-			continue
+		last = metric
+		mode, err := ParseFeatureMode(s.FeatureMode)
+		if err != nil {
+			return nil, err
 		}
-		present++
-		if s.Ensemble.Metric != s.Metric {
-			return fmt.Errorf("core: predictor slot %v holds an ensemble trained for %v", s.Metric, s.Ensemble.Metric)
+		n, err := s.Config.NumParams()
+		if err != nil {
+			return nil, fmt.Errorf("core: %v section: %w", metric, err)
+		}
+		if s.Members <= 0 || s.Bytes%(8*n) != 0 || s.Bytes/(8*n) != s.Members {
+			return nil, fmt.Errorf("core: %v section holds %d bytes, its config needs %d members x %d weights x 8", metric, s.Bytes, s.Members, n)
+		}
+		if s.Bytes > len(body) {
+			return nil, fmt.Errorf("core: %v section truncated: %d of %d bytes", metric, len(body), s.Bytes)
+		}
+		e := &Ensemble{Metric: metric}
+		for i := range s.Members {
+			net, err := gnn.New(s.Config, 0)
+			if err != nil {
+				return nil, err
+			}
+			params, _ := net.Params()
+			for _, p := range params {
+				for j := range p {
+					p[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
+				}
+				body = body[8*len(p):]
+			}
+			if err := finiteWeights(net, metric, i); err != nil {
+				return nil, err
+			}
+			e.Models = append(e.Models, &CostModel{Metric: metric, Feat: Featurizer{Mode: mode}, Net: net})
+		}
+		if _, err := e.stacked(); err != nil {
+			return nil, err
+		}
+		pr.set(metric, e)
+	}
+	if len(body) != 0 {
+		return nil, fmt.Errorf("core: %d bytes after the last weight section", len(body))
+	}
+	if last < 0 {
+		return nil, fmt.Errorf("core: predictor has no trained ensembles")
+	}
+	return pr, nil
+}
+
+// finiteWeights refuses a network holding a NaN or infinite weight.
+func finiteWeights(net *gnn.Model, metric Metric, member int) error {
+	params, _ := net.Params()
+	for _, p := range params {
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: %v ensemble member %d has a non-finite weight %v", metric, member, v)
+			}
 		}
 	}
-	if present == 0 {
-		return fmt.Errorf("core: predictor has no trained ensembles")
-	}
-	*pr = decoded
 	return nil
 }

@@ -1,16 +1,43 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"costream/internal/placement"
 )
 
-// trainTinyPredictor trains a minimal full predictor for serialization
-// tests: all five metrics, two ensemble members, one epoch.
-func trainTinyPredictor(t *testing.T) *Predictor {
+// encodeWeights runs the save half of the weight codec: the sections as
+// an artifact header carries them (through JSON) and the weight bytes.
+func encodeWeights(t *testing.T, pr *Predictor) ([]Section, []byte) {
 	t.Helper()
+	secs, err := pr.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs = nil
+	if err := json.Unmarshal(data, &secs); err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := pr.WriteWeights(&body); err != nil {
+		t.Fatal(err)
+	}
+	return secs, body.Bytes()
+}
+
+// TestPredictorJSONRoundTripBitIdentical: a trained predictor through the
+// weight codec — its sections through JSON, as the artifact header carries
+// them — predicts bit-identically, and so does every member on its own.
+func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.7, 0.1, 5)
 	cfg := fastTrainConfig(5)
@@ -20,68 +47,37 @@ func trainTinyPredictor(t *testing.T) *Predictor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pred
-}
-
-func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
-	pred := trainTinyPredictor(t)
-	data, err := json.Marshal(pred)
+	back, err := DecodePredictor(encodeWeights(t, pred))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Predictor
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-
-	c := testCorpus(t)
-	checked := 0
-	for _, tr := range c.Traces[:25] {
+	for i, tr := range c.Traces[:25] {
 		want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := placement.PredictOne(&back, tr.Query, tr.Cluster, tr.Placement)
+		got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want != got {
-			t.Fatalf("trace %d: reloaded prediction %+v != original %+v", checked, got, want)
+			t.Fatalf("trace %d: reloaded prediction %+v != original %+v", i, got, want)
 		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no traces checked")
-	}
-}
-
-func TestCostModelJSONRoundTripPerMember(t *testing.T) {
-	pred := trainTinyPredictor(t)
-	c := testCorpus(t)
 	tr := c.Traces[0]
-	for _, e := range []*Ensemble{pred.Throughput, pred.ProcLatency, pred.E2ELatency, pred.Backpressure, pred.Success} {
-		for i, m := range e.Models {
-			data, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back CostModel
-			if err := json.Unmarshal(data, &back); err != nil {
-				t.Fatal(err)
-			}
-			if back.Metric != m.Metric || back.Feat.Mode != m.Feat.Mode {
-				t.Fatalf("%v member %d: metadata changed: %v/%v", e.Metric, i, back.Metric, back.Feat.Mode)
+	reloaded := back.Ensembles()
+	for s, slot := range pred.Ensembles() {
+		for i, m := range slot.Ensemble.Models {
+			got := reloaded[s].Ensemble.Models[i]
+			if got.Metric != m.Metric || got.Feat.Mode != m.Feat.Mode {
+				t.Fatalf("%v member %d: metadata changed: %v/%v", slot.Metric, i, got.Metric, got.Feat.Mode)
 			}
 			want, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := back.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want != got {
-				t.Fatalf("%v member %d: reloaded raw prediction %v != %v", e.Metric, i, got, want)
+			if v, err := got.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil || v != want {
+				t.Fatalf("%v member %d: reloaded raw prediction %v (err %v) != %v", slot.Metric, i, v, err, want)
 			}
 		}
 	}
@@ -98,16 +94,21 @@ func TestSerializePreservesFeatureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(cm)
+	back, err := DecodePredictor(encodeWeights(t, &Predictor{ProcLatency: &Ensemble{Metric: MetricProcLatency, Models: []*CostModel{cm}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back CostModel
-	if err := json.Unmarshal(data, &back); err != nil {
+	got := back.ProcLatency.Models[0]
+	if got.Feat.Mode != FeatPlacementOnly || got.Metric != MetricProcLatency {
+		t.Fatalf("decoded %v featurized %v, want %v featurized %v", got.Metric, got.Feat.Mode, MetricProcLatency, FeatPlacementOnly)
+	}
+	tr := c.Traces[0]
+	want, err := cm.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Feat.Mode != FeatPlacementOnly {
-		t.Fatalf("feature mode %v, want %v", back.Feat.Mode, FeatPlacementOnly)
+	if v, err := got.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil || v != want {
+		t.Fatalf("decoded raw prediction %v (err %v), want %v", v, err, want)
 	}
 }
 
@@ -132,62 +133,63 @@ func TestParseMetricAndFeatureMode(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsCorruptModels: DecodePredictor refuses sections that
+// do not describe their bytes, each with an error saying what is wrong.
 func TestUnmarshalRejectsCorruptModels(t *testing.T) {
+	secs, body := encodeWeights(t, &Predictor{Throughput: randomEnsemble(t, MetricThroughput, 2, false)})
+	if _, err := DecodePredictor(secs, body); err != nil {
+		t.Fatal(err)
+	}
+	sec := secs[0]
+	with := func(edit func(*Section)) []Section {
+		s := sec
+		edit(&s)
+		return []Section{s}
+	}
+	nan := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(nan[len(nan)-8:], math.Float64bits(math.NaN()))
 	cases := map[string]struct {
-		data string
-		into func() json.Unmarshaler
+		secs []Section
+		body []byte
+		want string
 	}{
-		"unknown metric": {
-			data: `{"metric":"vibes","feature_mode":"full","net":null}`,
-			into: func() json.Unmarshaler { return &CostModel{} },
-		},
-		"unknown feature mode": {
-			data: `{"metric":"throughput","feature_mode":"psychic","net":null}`,
-			into: func() json.Unmarshaler { return &CostModel{} },
-		},
-		"missing net": {
-			data: `{"metric":"throughput","feature_mode":"full"}`,
-			into: func() json.Unmarshaler { return &CostModel{} },
-		},
-		"empty ensemble": {
-			data: `{"metric":"throughput","members":[]}`,
-			into: func() json.Unmarshaler { return &Ensemble{} },
-		},
-		"null member": {
-			data: `{"metric":"throughput","members":[null]}`,
-			into: func() json.Unmarshaler { return &Ensemble{} },
-		},
-		"predictor with no ensembles": {
-			data: `{}`,
-			into: func() json.Unmarshaler { return &Predictor{} },
-		},
+		"unknown metric":       {with(func(s *Section) { s.Metric = "vibes" }), body, `unknown metric "vibes"`},
+		"unknown feature mode": {with(func(s *Section) { s.FeatureMode = "psychic" }), body, `unknown feature mode "psychic"`},
+		"no members":           {with(func(s *Section) { s.Members, s.Bytes = 0, 0 }), nil, "throughput section holds 0 bytes"},
+		"length vs config":     {with(func(s *Section) { s.Bytes -= 8 }), body[8:], "throughput section holds"},
+		"members vs length":    {with(func(s *Section) { s.Members = 3 }), body, "throughput section holds"},
+		"bad width":            {with(func(s *Section) { s.Config.Hidden = 0 }), body, "layer widths and feature dimensions must lie in 1..65536"},
+		"truncated":            {secs, body[:len(body)-8], "throughput section truncated"},
+		"trailing bytes":       {secs, append(bytes.Clone(body), 0, 0, 0, 0, 0, 0, 0, 0), "8 bytes after the last weight section"},
+		"no ensembles":         {nil, nil, "no trained ensembles"},
+		"non-finite weight":    {secs, nan, "throughput ensemble member 1 has a non-finite weight NaN"},
+		"unstackable":          {with(func(s *Section) { s.Config.Traditional = true }), body, "throughput ensemble cannot run the packed kernel"},
 	}
 	for name, tc := range cases {
-		if err := tc.into().UnmarshalJSON([]byte(tc.data)); err == nil {
-			t.Errorf("%s: corrupt input accepted", name)
+		if _, err := DecodePredictor(tc.secs, tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want %q", name, err, tc.want)
 		}
 	}
 }
 
+// TestUnmarshalRejectsmetricMismatch: sections name their metric and fill
+// that slot, in Ensembles order, so a repeated metric or one out of slot
+// order is refused rather than one ensemble silently replacing another.
 func TestUnmarshalRejectsmetricMismatch(t *testing.T) {
-	pred := trainTinyPredictor(t)
-	member, err := json.Marshal(pred.Throughput.Models[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An ensemble claiming proc-latency but holding a throughput member.
-	bad := []byte(`{"metric":"proc-latency","members":[` + string(member) + `]}`)
-	var e Ensemble
-	if err := json.Unmarshal(bad, &e); err == nil {
-		t.Error("metric-mismatched ensemble accepted")
-	}
-	// A predictor with a throughput ensemble in the success slot.
-	ens, err := json.Marshal(pred.Throughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr Predictor
-	if err := json.Unmarshal([]byte(`{"success":`+string(ens)+`}`), &pr); err == nil {
-		t.Error("slot-mismatched predictor accepted")
+	secs, body := encodeWeights(t, &Predictor{
+		Throughput: randomEnsemble(t, MetricThroughput, 1, false),
+		Success:    randomEnsemble(t, MetricSuccess, 1, false),
+	})
+	first := secs[0].Bytes
+	for name, tc := range map[string]struct {
+		secs []Section
+		body []byte
+	}{
+		"repeated":     {[]Section{secs[0], secs[0]}, append(bytes.Clone(body[:first]), body[:first]...)},
+		"out of order": {[]Section{secs[1], secs[0]}, append(bytes.Clone(body[first:]), body[:first]...)},
+	} {
+		if _, err := DecodePredictor(tc.secs, tc.body); err == nil || !strings.Contains(err.Error(), "section out of order or repeated") {
+			t.Errorf("%s: error = %v, want the section refused as out of order or repeated", name, err)
+		}
 	}
 }

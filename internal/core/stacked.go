@@ -23,8 +23,8 @@ type ensembleStack struct {
 // stacked returns the ensemble's cached stack, building it on first use,
 // or an error naming the metric when the members cannot stack. The build
 // copies the member weights, so the stack must be dropped (Invalidate)
-// whenever a member's weights change in place — fine-tuning via
-// CostModel.FineTune or artifact reload both do.
+// whenever a member's weights change in place, as fine-tuning via
+// CostModel.FineTune does.
 func (e *Ensemble) stacked() (*ensembleStack, error) {
 	st := e.stack.Load()
 	if st == nil {

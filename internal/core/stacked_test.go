@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -123,7 +122,7 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 // ablation's traditional message passing, an Exp 7a style mix of
 // featurization modes, mismatched widths — is refused with an error that
 // names the metric and the reason: by NewScoreSession, by every
-// prediction through it, and when decoded. Its members still predict one
+// prediction through it, and when saved. Its members still predict one
 // by one on the inference tape, as Exp 7's single models do.
 func TestUnstackableEnsembleRefused(t *testing.T) {
 	tr := testCorpus(t).Traces[0]
@@ -156,11 +155,8 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 		refused("NewScoreSession", err)
 		_, err = e.PredictTrace(tr)
 		refused("PredictTrace", err)
-		data, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refused("decode", json.Unmarshal(data, &Ensemble{}))
+		_, err = pr.Sections()
+		refused("save", err)
 		for i, m := range e.Models {
 			if _, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil {
 				t.Fatalf("%v member %d on the tape: %v", e.Metric, i, err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"costream/internal/core"
@@ -76,18 +75,19 @@ type Exp5bResult struct {
 	ExtraQueries int
 }
 
-// cloneModel deep-copies a trained cost model via its serialized form so
-// fine-tuning does not disturb the cached ensemble member.
+// cloneModel deep-copies a trained cost model so fine-tuning does not
+// disturb the cached ensemble member.
 func cloneModel(m *core.CostModel) (*core.CostModel, error) {
-	data, err := json.Marshal(m.Net)
+	net, err := gnn.New(m.Net.Config(), 0)
 	if err != nil {
 		return nil, err
 	}
-	var net gnn.Model
-	if err := json.Unmarshal(data, &net); err != nil {
-		return nil, err
+	dst, _ := net.Params()
+	src, _ := m.Net.Params()
+	for i := range dst {
+		copy(dst[i], src[i])
 	}
-	return &core.CostModel{Metric: m.Metric, Feat: m.Feat, Net: &net}, nil
+	return &core.CostModel{Metric: m.Metric, Feat: m.Feat, Net: net}, nil
 }
 
 // Exp5bFineTuning applies few-shot learning: the throughput model is

@@ -247,15 +247,37 @@ func TestCyclicFlowRejected(t *testing.T) {
 	}
 }
 
+// TestSerializationRoundTrip: a saved model is its Config — whose JSON
+// form names feature dimensions by kind and leaves out the
+// traditional-passing fields — plus its Params slices. New on the decoded
+// config, filled with those slices, predicts the same bits, and
+// Config.NumParams counts exactly the weights New builds.
 func TestSerializationRoundTrip(t *testing.T) {
 	m := newTestModel(t, false)
-	data, err := json.Marshal(m)
+	data, err := json.Marshal(m.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m2 Model
-	if err := json.Unmarshal(data, &m2); err != nil {
+	want := `{"hidden":8,"feat_dims":{"aggregate":2,"filter":3,"host":4,"join":2,"sink":1,"source":2},"enc_hidden":8,"upd_hidden":8,"out_hidden":8}`
+	if string(data) != want {
+		t.Fatalf("config JSON %s, want %s", data, want)
+	}
+	var cfg Config
+	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
+	}
+	m2, err := New(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := m.Params()
+	dst, _ := m2.Params()
+	n := 0
+	for i := range src {
+		n += copy(dst[i], src[i])
+	}
+	if count, err := cfg.NumParams(); err != nil || count != n {
+		t.Fatalf("NumParams = %d, %v; New built %d weights", count, err, n)
 	}
 	g := testGraph(0.33)
 	t1, t2 := nn.NewTape(), nn.NewTape()

@@ -10,7 +10,10 @@
 // ablation.
 package gnn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeKind is the type of a graph node; each kind has its own encoder and
 // update MLPs.
@@ -34,6 +37,19 @@ func (k NodeKind) String() string {
 		return fmt.Sprintf("NodeKind(%d)", int(k))
 	}
 	return kindNames[k]
+}
+
+// MarshalText encodes the kind by name.
+func (k NodeKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kind name.
+func (k *NodeKind) UnmarshalText(name []byte) error {
+	i := slices.Index(kindNames[:], string(name))
+	if i < 0 {
+		return fmt.Errorf("gnn: unknown node kind %q", name)
+	}
+	*k = NodeKind(i)
+	return nil
 }
 
 // AllKinds lists every node kind.

@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,21 +8,51 @@ import (
 	"costream/internal/nn"
 )
 
-// Config describes a model architecture.
+// Config describes a model architecture. Its JSON form, in a model
+// artifact's header, names feature dimensions by node kind and leaves out
+// the traditional-passing fields: only stackable models are saved.
 type Config struct {
 	// Hidden is the hidden state width.
-	Hidden int
+	Hidden int `json:"hidden"`
 	// FeatDims maps node kind -> input feature dimension.
-	FeatDims map[NodeKind]int
+	FeatDims map[NodeKind]int `json:"feat_dims"`
 	// EncHidden and UpdHidden are the hidden widths of the encoder and
 	// update MLPs (one hidden layer each); OutHidden of the readout MLP.
-	EncHidden, UpdHidden, OutHidden int
+	EncHidden int `json:"enc_hidden"`
+	UpdHidden int `json:"upd_hidden"`
+	OutHidden int `json:"out_hidden"`
 	// Traditional selects the ablation message passing scheme of Exp 7b:
 	// k simultaneous undirected neighbor-sum updates instead of the
 	// paper's three ordered directed phases.
-	Traditional bool
+	Traditional bool `json:"-"`
 	// TraditionalRounds is the number of undirected rounds (default 3).
-	TraditionalRounds int
+	TraditionalRounds int `json:"-"`
+}
+
+// maxWidth bounds every width New accepts, so that a parameter count
+// derived from a config read off disk cannot overflow.
+const maxWidth = 1 << 16
+
+// NumParams returns the scalar parameter count of the model New builds
+// from cfg without building it, or the error New returns for cfg.
+func (cfg Config) NumParams() (int, error) {
+	if len(cfg.FeatDims) == 0 {
+		return 0, fmt.Errorf("gnn: no feature dimensions configured")
+	}
+	mlp := func(in, hidden, out int) int { return (in+1)*hidden + (hidden+1)*out }
+	valid := func(w int) bool { return 0 < w && w <= maxWidth }
+	n := mlp(cfg.Hidden, cfg.OutHidden, 1)
+	ok := valid(cfg.Hidden) && valid(cfg.EncHidden) && valid(cfg.UpdHidden) && valid(cfg.OutHidden)
+	for _, k := range AllKinds() {
+		if d, has := cfg.FeatDims[k]; has {
+			ok = ok && valid(d)
+			n += mlp(d, cfg.EncHidden, cfg.Hidden) + mlp(2*cfg.Hidden, cfg.UpdHidden, cfg.Hidden)
+		}
+	}
+	if !ok {
+		return 0, fmt.Errorf("gnn: layer widths and feature dimensions must lie in 1..%d", maxWidth)
+	}
+	return n, nil
 }
 
 // DefaultConfig returns the architecture used across the experiments.
@@ -47,11 +76,8 @@ type Model struct {
 
 // New constructs a model with freshly initialized weights.
 func New(cfg Config, seed int64) (*Model, error) {
-	if cfg.Hidden <= 0 {
-		return nil, fmt.Errorf("gnn: hidden width must be positive")
-	}
-	if len(cfg.FeatDims) == 0 {
-		return nil, fmt.Errorf("gnn: no feature dimensions configured")
+	if _, err := cfg.NumParams(); err != nil {
+		return nil, err
 	}
 	if cfg.TraditionalRounds <= 0 {
 		cfg.TraditionalRounds = 3
@@ -144,13 +170,7 @@ func (m *Model) DropMirrors() { m.eachMLP((*nn.MLP).DropMirror) }
 
 // NumParams returns the total scalar parameter count.
 func (m *Model) NumParams() int {
-	n := m.out.NumParams()
-	for _, e := range m.enc {
-		n += e.NumParams()
-	}
-	for _, u := range m.upd {
-		n += u.NumParams()
-	}
+	n, _ := m.cfg.NumParams() // New accepted cfg
 	return n
 }
 
@@ -294,98 +314,4 @@ func (m *Model) traditionalPassing(t *nn.Tape, g *Graph, h []*nn.Node) ([]*nn.No
 		cur = next
 	}
 	return cur, nil
-}
-
-// modelJSON is the serialized form of a Model.
-type modelJSON struct {
-	Cfg      configJSON         `json:"config"`
-	Encoders map[string]*nn.MLP `json:"encoders"`
-	Updaters map[string]*nn.MLP `json:"updaters"`
-	Out      *nn.MLP            `json:"out"`
-}
-
-type configJSON struct {
-	Hidden            int            `json:"hidden"`
-	FeatDims          map[string]int `json:"feat_dims"`
-	EncHidden         int            `json:"enc_hidden"`
-	UpdHidden         int            `json:"upd_hidden"`
-	OutHidden         int            `json:"out_hidden"`
-	Traditional       bool           `json:"traditional"`
-	TraditionalRounds int            `json:"traditional_rounds"`
-}
-
-func kindFromName(s string) (NodeKind, bool) {
-	for _, k := range AllKinds() {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// MarshalJSON encodes the model's configuration and weights.
-func (m *Model) MarshalJSON() ([]byte, error) {
-	j := modelJSON{
-		Cfg: configJSON{
-			Hidden:    m.cfg.Hidden,
-			FeatDims:  map[string]int{},
-			EncHidden: m.cfg.EncHidden, UpdHidden: m.cfg.UpdHidden, OutHidden: m.cfg.OutHidden,
-			Traditional: m.cfg.Traditional, TraditionalRounds: m.cfg.TraditionalRounds,
-		},
-		Encoders: map[string]*nn.MLP{},
-		Updaters: map[string]*nn.MLP{},
-		Out:      m.out,
-	}
-	for k, d := range m.cfg.FeatDims {
-		j.Cfg.FeatDims[k.String()] = d
-	}
-	for k, e := range m.enc {
-		j.Encoders[k.String()] = e
-	}
-	for k, u := range m.upd {
-		j.Updaters[k.String()] = u
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON decodes a model.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	var j modelJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	m.cfg = Config{
-		Hidden:    j.Cfg.Hidden,
-		FeatDims:  map[NodeKind]int{},
-		EncHidden: j.Cfg.EncHidden, UpdHidden: j.Cfg.UpdHidden, OutHidden: j.Cfg.OutHidden,
-		Traditional: j.Cfg.Traditional, TraditionalRounds: j.Cfg.TraditionalRounds,
-	}
-	for name, d := range j.Cfg.FeatDims {
-		k, ok := kindFromName(name)
-		if !ok {
-			return fmt.Errorf("gnn: unknown node kind %q", name)
-		}
-		m.cfg.FeatDims[k] = d
-	}
-	m.enc = map[NodeKind]*nn.MLP{}
-	m.upd = map[NodeKind]*nn.MLP{}
-	for name, e := range j.Encoders {
-		k, ok := kindFromName(name)
-		if !ok {
-			return fmt.Errorf("gnn: unknown node kind %q", name)
-		}
-		m.enc[k] = e
-	}
-	for name, u := range j.Updaters {
-		k, ok := kindFromName(name)
-		if !ok {
-			return fmt.Errorf("gnn: unknown node kind %q", name)
-		}
-		m.upd[k] = u
-	}
-	if j.Out == nil {
-		return fmt.Errorf("gnn: missing readout MLP")
-	}
-	m.out = j.Out
-	return nil
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"encoding/json"
 	"testing"
 
 	"costream/internal/nn"
@@ -100,15 +101,30 @@ func TestKindStringAndAllKinds(t *testing.T) {
 	}
 }
 
+// TestSerializationRejectsCorruptJSON: a config read off disk is refused
+// when its JSON is malformed or names an unknown node kind, and New
+// refuses widths outside 1..maxWidth, so that no parameter count derived
+// from one can overflow.
 func TestSerializationRejectsCorruptJSON(t *testing.T) {
-	var m Model
-	if err := m.UnmarshalJSON([]byte(`{`)); err == nil {
+	var cfg Config
+	if err := json.Unmarshal([]byte(`{`), &cfg); err == nil {
 		t.Error("truncated JSON accepted")
 	}
-	if err := m.UnmarshalJSON([]byte(`{"config":{"feat_dims":{"gremlin":4}},"out":null}`)); err == nil {
+	if err := json.Unmarshal([]byte(`{"hidden":8,"feat_dims":{"gremlin":4}}`), &cfg); err == nil {
 		t.Error("unknown node kind accepted")
 	}
-	if err := m.UnmarshalJSON([]byte(`{"config":{"feat_dims":{}},"encoders":{},"updaters":{},"out":null}`)); err == nil {
-		t.Error("missing readout accepted")
+	for _, bad := range []string{
+		`{"hidden":8,"feat_dims":{},"enc_hidden":8,"upd_hidden":8,"out_hidden":8}`,
+		`{"hidden":8,"feat_dims":{"source":2},"enc_hidden":0,"upd_hidden":8,"out_hidden":8}`,
+		`{"hidden":8,"feat_dims":{"source":-2},"enc_hidden":8,"upd_hidden":8,"out_hidden":8}`,
+		`{"hidden":65537,"feat_dims":{"source":2},"enc_hidden":8,"upd_hidden":8,"out_hidden":8}`,
+	} {
+		var cfg Config
+		if err := json.Unmarshal([]byte(bad), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cfg, 1); err == nil {
+			t.Errorf("New accepted %s", bad)
+		}
 	}
 }

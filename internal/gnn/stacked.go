@@ -23,8 +23,8 @@ import (
 // the same order as the tape's ops.
 //
 // Stacking copies the weights; a stack goes stale when any member's
-// weights are updated in place (fine-tuning, artifact reload) and must be
-// rebuilt via Stack.
+// weights are updated in place (fine-tuning) and must be rebuilt via
+// Stack.
 type StackedModel struct {
 	cfg Config
 	k   int

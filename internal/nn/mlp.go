@@ -222,7 +222,7 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 // the fused affine+LeakyReLU op; the final layer stays linear. The fused
 // backward recovers the pre-activation sign from the post-activation
 // value, which requires Alpha > 0 — degenerate slopes (a plain-ReLU
-// Alpha of 0 loaded from an artifact) take the unfused ops instead.
+// Alpha of 0) take the unfused ops instead.
 func (m *MLP) Apply(t *Tape, x *Node) *Node {
 	h := x
 	for i, l := range m.Layers {

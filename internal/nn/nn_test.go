@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,34 +244,6 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 	}
 	if acc := float64(correct) / n; acc < 0.95 {
 		t.Errorf("accuracy = %v, want >= 0.95", acc)
-	}
-}
-
-func TestMLPSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMLP(rng, 4, 8, 2)
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m2 MLP
-	if err := json.Unmarshal(data, &m2); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	t1, t2 := NewTape(), NewTape()
-	o1 := m.Apply(t1, t1.Const(x))
-	o2 := m2.Apply(t2, t2.Const(x))
-	for i := range o1.Data {
-		if o1.Data[i] != o2.Data[i] {
-			t.Fatalf("round-trip changed output: %v vs %v", o1.Data, o2.Data)
-		}
-	}
-	if err := json.Unmarshal([]byte(`{"alpha":0.01,"layers":[{"in":2,"out":2,"w":[1],"b":[0,0]}]}`), &m2); err == nil {
-		t.Error("corrupt layer accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"alpha":0.01,"layers":[]}`), &m2); err == nil {
-		t.Error("empty MLP accepted")
 	}
 }
 
