@@ -102,50 +102,60 @@ func join(header, body []byte) []byte {
 // TestRoundTripBitIdentical is the core guarantee: Save -> Load produces
 // a predictor whose per-placement and batched predictions are bit-equal
 // to the in-memory original, across all five metrics and both ensemble
-// members (any weight perturbation would shift the float64 outputs).
+// members (any weight perturbation would shift the float64 outputs). The
+// path's suffix selects nothing: under the format-1 names model.json and
+// model.json.gz, Save writes the bytes Write produces.
 func TestRoundTripBitIdentical(t *testing.T) {
 	corp, pred := fixture(t)
-	path := filepath.Join(t.TempDir(), "model.costream")
-	if err := Save(path, pred, testProvenance()); err != nil {
-		t.Fatal(err)
-	}
-	back, prov, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prov != testProvenance() {
-		t.Errorf("provenance changed: %+v", prov)
-	}
-	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
-		t.Errorf("artifact mode %v (err %v), want 0644", st.Mode().Perm(), err)
-	}
-	for i, tr := range corp.Traces[:20] {
-		want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want != got {
-			t.Fatalf("trace %d: reloaded %+v != original %+v", i, got, want)
-		}
-	}
-	// Batched predictions must agree too: batch several placements
-	// of one trace's query drawn from other traces is not valid, so
-	// batch the same placement thrice (exercises the batch path).
-	tr := corp.Traces[0]
-	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
-	got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
-	if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("batch %d: reloaded %+v != original %+v", i, got[i], want[i])
-		}
+	written := encode(t, pred)
+	for _, name := range []string{"model.json", "model.json.gz"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			if err := Save(path, pred, testProvenance()); err != nil {
+				t.Fatal(err)
+			}
+			back, prov, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prov != testProvenance() {
+				t.Errorf("provenance changed: %+v", prov)
+			}
+			if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+				t.Errorf("artifact mode %v (err %v), want 0644", st.Mode().Perm(), err)
+			}
+			for i, tr := range corp.Traces[:20] {
+				want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want != got {
+					t.Fatalf("trace %d: reloaded %+v != original %+v", i, got, want)
+				}
+			}
+			// Batched predictions must agree too: batch several placements
+			// of one trace's query drawn from other traces is not valid, so
+			// batch the same placement thrice (exercises the batch path).
+			tr := corp.Traces[0]
+			cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
+			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("batch %d: reloaded %+v != original %+v", i, got[i], want[i])
+				}
+			}
+			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, written) {
+				t.Errorf("%s: saved bytes differ from Write's (err %v)", name, err)
+			}
+		})
 	}
 }
 

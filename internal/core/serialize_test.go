@@ -34,10 +34,8 @@ func encodeWeights(t *testing.T, pr *Predictor) ([]Section, []byte) {
 	return secs, body.Bytes()
 }
 
-// TestPredictorJSONRoundTripBitIdentical: a trained predictor through the
-// weight codec — its sections through JSON, as the artifact header carries
-// them — predicts bit-identically, and so does every member on its own.
-func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
+func trainTinyPredictor(t *testing.T) *Predictor {
+	t.Helper()
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.7, 0.1, 5)
 	cfg := fastTrainConfig(5)
@@ -47,6 +45,15 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pred
+}
+
+// TestPredictorJSONRoundTripBitIdentical: a trained predictor through the
+// weight codec — its sections through JSON, as the artifact header carries
+// them — predicts bit-identically.
+func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
+	c := testCorpus(t)
+	pred := trainTinyPredictor(t)
 	back, err := DecodePredictor(encodeWeights(t, pred))
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +71,23 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("trace %d: reloaded prediction %+v != original %+v", i, got, want)
 		}
 	}
-	tr := c.Traces[0]
-	reloaded := back.Ensembles()
+}
+
+// TestCostModelJSONRoundTripPerMember: every member of a trained predictor,
+// through the weight codec on its own as a one-member ensemble, keeps its
+// metric and feature mode and predicts bit-identically.
+func TestCostModelJSONRoundTripPerMember(t *testing.T) {
+	pred := trainTinyPredictor(t)
+	tr := testCorpus(t).Traces[0]
 	for s, slot := range pred.Ensembles() {
 		for i, m := range slot.Ensemble.Models {
-			got := reloaded[s].Ensemble.Models[i]
+			one := &Predictor{}
+			one.set(slot.Metric, &Ensemble{Metric: slot.Metric, Models: []*CostModel{m}})
+			back, err := DecodePredictor(encodeWeights(t, one))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := back.Ensembles()[s].Ensemble.Models[0]
 			if got.Metric != m.Metric || got.Feat.Mode != m.Feat.Mode {
 				t.Fatalf("%v member %d: metadata changed: %v/%v", slot.Metric, i, got.Metric, got.Feat.Mode)
 			}
