@@ -29,27 +29,26 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costream-optimize: ")
 	var (
-		seed       = flag.Int64("seed", 7, "random seed for query/cluster/model")
-		traces     = flag.Int("traces", 800, "training corpus size")
-		candidates = flag.Int("candidates", 16, "search budget: max distinct placements scored")
-		budget     = flag.Int("budget", 0, "alias for -candidates (takes precedence when set)")
-		rounds     = flag.Int("rounds", 0, "max generate->score->prune rounds (0 = unlimited)")
-		strategy   = flag.String("strategy", "local-search", "search strategy for the final decision: random | exhaustive | beam | local-search")
-		beamWidth  = flag.Int("beam", 8, "beam width for the beam strategy")
-		epochs     = flag.Int("epochs", 25, "training epochs")
-		workers    = flag.Int("workers", 0, "concurrent candidate-scoring workers (0 = GOMAXPROCS)")
-		modelPath  = flag.String("model", "", "load a saved model artifact instead of training")
-		saveModel  = flag.String("save-model", "", "save the trained model as an artifact for reuse")
-		trace      = flag.Bool("trace", false, "print per-round search telemetry for every strategy")
-		pprofAddr  = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
+		seed      = flag.Int64("seed", 7, "random seed for query/cluster/model")
+		traces    = flag.Int("traces", 800, "training corpus size")
+		budget    = flag.Int("budget", 16, "search budget: max distinct placements scored")
+		rounds    = flag.Int("rounds", 0, "max generate->score->prune rounds (0 = unlimited)")
+		strategy  = flag.String("strategy", "local-search", "search strategy for the final decision: random | exhaustive | beam | local-search")
+		beamWidth = flag.Int("beam", 8, "beam width for the beam strategy")
+		epochs    = flag.Int("epochs", 25, "training epochs")
+		workers   = flag.Int("workers", 0, "concurrent candidate-scoring workers (0 = GOMAXPROCS)")
+		modelPath = flag.String("model", "", "load a saved model artifact instead of training")
+		saveModel = flag.String("save-model", "", "save the trained model as an artifact for reuse")
+		trace     = flag.Bool("trace", false, "print per-round search telemetry for every strategy")
+		pprofAddr = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
 	)
 	flag.Parse()
 	obs.StartPprof(*pprofAddr, log.Printf)
-	if *budget > 0 {
-		*candidates = *budget
+	if *budget <= 0 {
+		log.Fatalf("-budget must be positive, got %d", *budget)
 	}
-	if *candidates <= 0 {
-		log.Fatal("search budget must be positive (use -budget or -candidates)")
+	if *rounds < 0 {
+		log.Fatalf("-rounds must be 0 (unlimited) or positive, got %d", *rounds)
 	}
 	if s, err := costream.ParseSearchStrategy(*strategy); err != nil {
 		log.Fatal(err)
@@ -113,7 +112,7 @@ func main() {
 
 	// Run every strategy under the same budget and seed; the comparison
 	// table shows what the search engine buys over blind sampling.
-	searchBudget := costream.SearchBudget{MaxCandidates: *candidates, MaxRounds: *rounds}
+	searchBudget := costream.SearchBudget{MaxCandidates: *budget, MaxRounds: *rounds}
 	newStrategy := func(name string) costream.SearchStrategy {
 		if name == "beam" {
 			return costream.BeamStrategy{Width: *beamWidth}
@@ -125,7 +124,7 @@ func main() {
 		return s
 	}
 	fmt.Printf("\nsearch strategies under a shared budget of %d candidates (objective: %v):\n",
-		*candidates, costream.MinProcLatency)
+		*budget, costream.MinProcLatency)
 	fmt.Printf("  %-13s %12s %9s %7s %9s %10s\n",
 		"strategy", "pred Lp(ms)", "examined", "rounds", "filtered", "time")
 	var chosen *costream.SearchResult

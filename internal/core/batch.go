@@ -8,7 +8,6 @@ import (
 	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/obs"
-	"costream/internal/sim"
 	"costream/internal/stream"
 )
 
@@ -67,46 +66,34 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 	return m
 })
 
-// BatchFeaturizer amortizes graph construction over many placement
-// candidates for a fixed (query, cluster) pair: the operator nodes, their
-// feature vectors and the data-flow edges are placement-invariant and
-// computed once, and each host's feature vector the first time a
-// candidate uses that host (a single prediction on a 220-host fleet
-// touches a handful). Building the graph for one more candidate then
-// only assembles placement edges and host node references — no
-// re-validation of the query and no feature arithmetic for a host seen
-// before. Safe for concurrent use.
+// BatchFeaturizer amortizes featurization over many placement candidates
+// for a fixed (query, cluster) pair: the operator nodes, their feature
+// vectors and the data-flow edges are placement-invariant and computed
+// once, and each host's feature vector the first time a candidate uses
+// that host (a single prediction on a 220-host fleet touches a handful).
+// Packing a tile of candidates then reads the placements alone — no
+// re-validation of the query, no graph per candidate and no feature
+// arithmetic for a host seen before. Safe for concurrent use.
 type BatchFeaturizer struct {
 	mode FeatureMode
-	q    *stream.Query
 	c    *hardware.Cluster
-	base *gnn.Graph // operator nodes + flow edges (shared, read-only)
-	plan *gnn.Plan  // flow structure shared by every candidate graph
-	// hostFeat caches per-host feature vectors (shared, read-only). Every
-	// graph of the session references the same array for a host — the one
-	// published first — because gnn.PackGraphs tells hosts apart by their
-	// backing array: a second array for one host would cost a tile its
-	// shared rows, and how many would depend on scheduling.
+	ops  *gnn.Graph // operator nodes + flow edges (shared, read-only)
+	plan *gnn.Plan  // flow structure shared by every candidate
+	// hostFeat caches per-host feature vectors (shared, read-only).
 	hostFeat []atomic.Pointer[[hostDim]float64]
 }
 
-// Plan returns the message-passing plan shared by all graphs this
-// featurizer builds.
-func (bf *BatchFeaturizer) Plan() *gnn.Plan { return bf.plan }
-
-// NewBatch prepares a BatchFeaturizer for the query and cluster. The
-// graphs it builds share node feature slices; they must be treated as
-// read-only (neither the tape nor the packed kernel mutates them).
+// NewBatch prepares a BatchFeaturizer for the query and cluster.
 func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeaturizer, error) {
-	base, err := f.opGraph(q)
+	ops, err := f.opGraph(q)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := gnn.NewPlan(base)
+	plan, err := gnn.NewPlan(ops)
 	if err != nil {
 		return nil, err
 	}
-	bf := &BatchFeaturizer{mode: f.Mode, q: q, c: c, base: base, plan: plan}
+	bf := &BatchFeaturizer{mode: f.Mode, c: c, ops: ops, plan: plan}
 	if f.Mode == FeatQueryOnly {
 		return bf, nil
 	}
@@ -118,65 +105,29 @@ func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeatu
 }
 
 // hostFeatures returns host h's feature vector, featurizing it on first
-// use. Of several concurrent first uses one vector is published and all
-// callers return it.
+// use. Concurrent first uses may each featurize the host; they store
+// equal vectors, and the packer keys a host's row by its index, not by
+// which vector it got.
 func (bf *BatchFeaturizer) hostFeatures(h int) []float64 {
 	v := bf.hostFeat[h].Load()
 	if v == nil {
 		f := Featurizer{Mode: bf.mode}
 		v = (*[hostDim]float64)(f.hostFeatures(bf.c.Hosts[h]))
-		if !bf.hostFeat[h].CompareAndSwap(nil, v) {
-			v = bf.hostFeat[h].Load()
-		}
+		bf.hostFeat[h].Store(v)
 	}
 	return v[:]
 }
 
-// buildGraphInto assembles the joint graph for one placement candidate
-// into caller-owned storage, reusing the cached placement-invariant
-// parts: the graph's node and placement-edge slices are recycled across
-// calls, and the hostSlot scratch array (grown and reset here) maps hosts
-// to their nodes, so steady-state candidate assembly allocates nothing.
-// For FeatQueryOnly the shell aliases the shared base. The result is
-// value-identical to Featurizer.BuildGraph for the same triple — same
-// nodes and edge order, feature slices shared across the session — and
-// must be treated as read-only.
-func (bf *BatchFeaturizer) buildGraphInto(p sim.Placement, g *gnn.Graph, hostSlot *[]int) error {
+// pack packs a tile of placements (operator -> host, one per candidate)
+// into pg: the tables of the graphs Featurizer.BuildGraph would build for
+// them, over the shared operator graph. A placement of the wrong length
+// or onto a host outside the cluster is an error; query-only
+// featurization reads no placement.
+func (bf *BatchFeaturizer) pack(pg *gnn.PackedGraphs, placements [][]int) error {
 	if bf.mode == FeatQueryOnly {
-		g.Nodes = bf.base.Nodes
-		g.FlowEdges = bf.base.FlowEdges
-		g.PlaceEdges = nil
-		return nil
+		return pg.Pack(bf.ops, bf.plan, 0, nil, placements)
 	}
-	if err := p.Validate(bf.q, bf.c); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	nOps := len(bf.base.Nodes)
-	if cap(g.Nodes) < nOps+len(p) {
-		g.Nodes = make([]gnn.Node, nOps, nOps+len(p))
-	} else {
-		g.Nodes = g.Nodes[:nOps]
-	}
-	copy(g.Nodes, bf.base.Nodes)
-	g.FlowEdges = bf.base.FlowEdges
-	g.PlaceEdges = g.PlaceEdges[:0]
-	if cap(*hostSlot) < len(bf.hostFeat) {
-		*hostSlot = make([]int, len(bf.hostFeat))
-	}
-	slots := (*hostSlot)[:len(bf.hostFeat)]
-	for i := range slots {
-		slots[i] = -1
-	}
-	for opIdx, h := range p {
-		node := slots[h]
-		if node < 0 {
-			node = len(g.Nodes)
-			slots[h] = node
-			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: bf.hostFeatures(h)})
-		}
-		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
-	}
-	return nil
+	return pg.Pack(bf.ops, bf.plan, len(bf.hostFeat), bf.hostFeatures, placements)
 }
 
 // ensembles lists the predictor's per-metric ensembles in paper order,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,8 +125,10 @@ func costField(costs placement.PredCosts, metric Metric) float64 {
 	}
 }
 
-// TestBatchFeaturizerMatchesBuildGraph checks graph-level equivalence,
-// including host node ordering and shared feature values.
+// TestBatchFeaturizerMatchesBuildGraph checks what a tile is packed from
+// against the graph BuildGraph builds: the shared operator graph is its
+// operator prefix and flow edges, and hostFeatures(h) is the feature
+// vector of host h's node, for every host a placement uses.
 func TestBatchFeaturizerMatchesBuildGraph(t *testing.T) {
 	c := testCorpus(t)
 	rng := rand.New(rand.NewSource(78))
@@ -136,37 +139,28 @@ func TestBatchFeaturizerMatchesBuildGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 6)
-		var got gnn.Graph
-		var hostSlot []int
-		for _, p := range cands {
+		nOps := len(bf.ops.Nodes)
+		for _, p := range placement.Enumerate(rng, tr.Query, tr.Cluster, 6) {
 			want, err := f.BuildGraph(tr.Query, tr.Cluster, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bf.buildGraphInto(p, &got, &hostSlot); err != nil {
-				t.Fatal(err)
+			if !slices.Equal(bf.ops.FlowEdges, want.FlowEdges) {
+				t.Fatalf("mode %v: flow edges %v, want %v", mode, bf.ops.FlowEdges, want.FlowEdges)
 			}
-			if len(got.Nodes) != len(want.Nodes) {
-				t.Fatalf("mode %v: %d nodes, want %d", mode, len(got.Nodes), len(want.Nodes))
-			}
-			for i := range want.Nodes {
-				if got.Nodes[i].Kind != want.Nodes[i].Kind {
-					t.Fatalf("mode %v node %d: kind %v != %v", mode, i, got.Nodes[i].Kind, want.Nodes[i].Kind)
-				}
-				for j := range want.Nodes[i].Feat {
-					if got.Nodes[i].Feat[j] != want.Nodes[i].Feat[j] {
-						t.Fatalf("mode %v node %d feat %d: %v != %v",
-							mode, i, j, got.Nodes[i].Feat[j], want.Nodes[i].Feat[j])
-					}
+			// The host of each host node: its first placement edge's operator's host.
+			nodes := slices.Clone(bf.ops.Nodes)
+			for _, e := range want.PlaceEdges {
+				if e[1] == len(nodes) {
+					nodes = append(nodes, gnn.Node{Kind: gnn.KindHost, Feat: bf.hostFeatures(p[e[0]])})
 				}
 			}
-			if len(got.PlaceEdges) != len(want.PlaceEdges) {
-				t.Fatalf("mode %v: place edges %d != %d", mode, len(got.PlaceEdges), len(want.PlaceEdges))
+			if len(nodes) != len(want.Nodes) {
+				t.Fatalf("mode %v: %d operators and %d hosts, want %d nodes", mode, nOps, len(nodes)-nOps, len(want.Nodes))
 			}
-			for i := range want.PlaceEdges {
-				if got.PlaceEdges[i] != want.PlaceEdges[i] {
-					t.Fatalf("mode %v edge %d: %v != %v", mode, i, got.PlaceEdges[i], want.PlaceEdges[i])
+			for i, nd := range want.Nodes {
+				if nodes[i].Kind != nd.Kind || !slices.Equal(nodes[i].Feat, nd.Feat) {
+					t.Fatalf("mode %v node %d: %v %v, want %v %v", mode, i, nodes[i].Kind, nodes[i].Feat, nd.Kind, nd.Feat)
 				}
 			}
 		}
@@ -190,18 +184,18 @@ func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
 }
 
 // TestHostFeaturesOneArrayPerHost: goroutines that first touch a host
-// together all get the same backing array — gnn.PackGraphs shares rows by
-// array identity, so a second array for one host would make the sharing
-// depend on scheduling. Run under -race in CI.
+// together all get equal feature vectors, equal to BuildGraph's. Run
+// under -race in CI: first use is a plain atomic load and store.
 func TestHostFeaturesOneArrayPerHost(t *testing.T) {
 	tr := testCorpus(t).Traces[0]
+	f := Featurizer{Mode: FeatFull}
 	for round := 0; round < 20; round++ {
-		bf, err := (&Featurizer{Mode: FeatFull}).NewBatch(tr.Query, tr.Cluster)
+		bf, err := f.NewBatch(tr.Query, tr.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const workers = 8
-		got := make([][]*float64, workers)
+		got := make([][][]float64, workers)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -210,16 +204,17 @@ func TestHostFeaturesOneArrayPerHost(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for h := range tr.Cluster.Hosts {
-					got[w] = append(got[w], &bf.hostFeatures(h)[0])
+					got[w] = append(got[w], bf.hostFeatures(h))
 				}
 			}(w)
 		}
 		close(start)
 		wg.Wait()
-		for w := 1; w < workers; w++ {
-			for h := range got[0] {
-				if got[w][h] != got[0][h] {
-					t.Fatalf("round %d: host %d has two feature arrays", round, h)
+		for h, host := range tr.Cluster.Hosts {
+			want := f.hostFeatures(host)
+			for w := range got {
+				if !slices.Equal(got[w][h], want) {
+					t.Fatalf("round %d, worker %d: host %d features %v, want %v", round, w, h, got[w][h], want)
 				}
 			}
 		}

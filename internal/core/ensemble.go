@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"costream/internal/dataset"
 	"costream/internal/hardware"
@@ -16,16 +15,16 @@ import (
 // (Section IV-A): predictions are averaged for regression metrics and
 // majority-voted for the binary metrics, reducing prediction uncertainty.
 //
-// Predictions run through a lazily built, cached weight stack
-// (gnn.StackedModel) that advances all members in one kernel pass per
-// message-passing phase; mutate a member's weights in place only through
-// code that calls Invalidate afterwards.
+// Predictions run through a weight stack (gnn.StackedModel), built from
+// copies of the member weights on first use, that advances all members in
+// one kernel pass per message-passing phase; a member's weights changed in
+// place after that first use are not seen.
 type Ensemble struct {
 	Metric Metric
 	Models []*CostModel
 
-	stack   atomic.Pointer[ensembleStack]
-	stackMu sync.Mutex
+	stackOnce sync.Once
+	stack     *ensembleStack
 }
 
 // TrainEnsemble trains k models with different random initialization seeds

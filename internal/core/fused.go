@@ -15,35 +15,31 @@ import (
 )
 
 // fusedSlot is one metric ensemble of a scoring session: the ensemble
-// itself (for its metric and head transforms) plus a snapshot of its
-// weight stack, pinned for the session's lifetime so a concurrent
-// Invalidate cannot swap weights mid-round: a session opened before it
-// scores the old weights, one opened after it the new.
+// itself (for its metric and head transforms) plus its weight stack.
 type fusedSlot struct {
-	e    *Ensemble
-	sm   *gnn.StackedModel
-	mode FeatureMode
+	e  *Ensemble
+	sm *gnn.StackedModel
 }
 
 // TileSession is the inference path of the ensemble predictor and
 // implements placement.TileScorer: one session per search — or per
 // single prediction, which is a tile of one — hoists the
 // placement-invariant featurization (operator graph, message-passing
-// plan) and the ensemble stack snapshots, and ScoreTile then advances a
-// whole candidate tile through the packed cross-candidate kernels, one
-// gnn.InferEnsembleBatch pass per metric ensemble the caller asked for.
-// The packed kernel is the only path: a session over an ensemble that
-// cannot stack (traditional message passing, mixed featurization modes)
-// is an error naming the metric. Its scalar oracle is the inference tape
+// plan) and the ensemble stacks, and ScoreTile then packs a whole
+// candidate tile once and advances it through the packed cross-candidate
+// kernels, one gnn.InferEnsembleBatch pass per metric ensemble the caller
+// asked for. The packed kernel is the only path: a session over an
+// ensemble that cannot stack (traditional message passing, mixed
+// featurization modes), or over ensembles featurized in different modes,
+// is an error naming the metrics. Its scalar oracle is the inference tape
 // behind CostModel.PredictRaw, member by member.
 //
 // ScoreTile is safe for concurrent use: all mutable state lives in
 // pooled per-call scratch.
 type TileSession struct {
-	c       *hardware.Cluster
-	batches map[FeatureMode]*BatchFeaturizer
-	fused   []fusedSlot // paper metric order
-	tile    int
+	bf    *BatchFeaturizer // nil without ensembles
+	fused []fusedSlot      // paper metric order
+	tile  int
 }
 
 // NewScoreSession implements placement.Predictor: a TileSession over the
@@ -53,28 +49,26 @@ func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (plac
 }
 
 // newTileSession prepares a scoring session for the (query, cluster) pair
-// over a set of ensembles: per-mode batch featurizers, the stack snapshot
-// per ensemble, and the cache-bounded default tile size.
+// over a set of ensembles sharing one featurization mode: the batch
+// featurizer, the stack per ensemble, and the cache-bounded default tile
+// size.
 func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
 	met := inferMet()
 	featStart := time.Now()
-	s := &TileSession{
-		c:       c,
-		batches: map[FeatureMode]*BatchFeaturizer{},
+	mode, err := featureMode(ensembles)
+	if err != nil {
+		return nil, err
 	}
+	s := &TileSession{}
 	for _, e := range ensembles {
-		st, err := e.stacked()
-		if err != nil {
+		st, _ := e.stacked() // featureMode stacked every ensemble
+		s.fused = append(s.fused, fusedSlot{e: e, sm: st.sm})
+	}
+	if len(ensembles) > 0 {
+		f := Featurizer{Mode: mode}
+		if s.bf, err = f.NewBatch(q, c); err != nil {
 			return nil, err
 		}
-		if _, ok := s.batches[st.mode]; !ok {
-			bf, err := e.Models[0].Feat.NewBatch(q, c)
-			if err != nil {
-				return nil, err
-			}
-			s.batches[st.mode] = bf
-		}
-		s.fused = append(s.fused, fusedSlot{e: e, sm: st.sm, mode: st.mode})
 	}
 	s.tile = s.tileCap()
 	met.featurizeSeconds.Since(featStart)
@@ -98,18 +92,16 @@ const tileActivationBudget = 4 << 20
 func (s *TileSession) tileCap() int {
 	maxKH, nOps, maxHosts := 0, 0, 0
 	for _, fs := range s.fused {
-		if kH := fs.sm.K() * fs.sm.Hidden(); kH > maxKH {
-			maxKH = kH
-		}
-		if bf := s.batches[fs.mode]; bf != nil && len(bf.base.Nodes) > nOps {
-			nOps = len(bf.base.Nodes)
-		}
+		maxKH = max(maxKH, fs.sm.K()*fs.sm.Hidden())
+	}
+	if s.bf != nil {
+		nOps = len(s.bf.ops.Nodes)
 	}
 	if maxKH == 0 || nOps == 0 {
 		return maxTile
 	}
-	if s.c != nil {
-		maxHosts = min(nOps, len(s.c.Hosts))
+	if s.bf.c != nil {
+		maxHosts = min(nOps, len(s.bf.c.Hosts))
 	}
 	perCand := (2*(nOps+maxHosts) + 6) * maxKH * 8
 	tile := tileActivationBudget / perCand
@@ -119,43 +111,19 @@ func (s *TileSession) tileCap() int {
 // TileSize implements placement.TileScorer.
 func (s *TileSession) TileSize() int { return s.tile }
 
-// modeShells holds the reusable candidate-graph shells of one
-// featurization mode: individually allocated graphs (stable pointers)
-// whose node and placement-edge storage is recycled across tiles, plus
-// the packed form they are flattened into.
-type modeShells struct {
-	graphs []*gnn.Graph
-	pg     *gnn.PackedGraphs
-}
-
 // tileScratch bundles the per-call buffers of one ScoreTile invocation;
 // pooled because tiles are scored concurrently by the search workers and
 // single predictions by the serve handlers.
 type tileScratch struct {
-	modes    map[FeatureMode]*modeShells
-	bs       *gnn.BatchScratch
-	vals     []float64
-	hostSlot []int
+	placements [][]int
+	pg         gnn.PackedGraphs
+	bs         *gnn.BatchScratch
+	vals       []float64
 }
 
 var tilePool = sync.Pool{New: func() any {
-	return &tileScratch{
-		modes: map[FeatureMode]*modeShells{},
-		bs:    gnn.NewBatchScratch(),
-	}
+	return &tileScratch{bs: gnn.NewBatchScratch()}
 }}
-
-func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
-	ms := ts.modes[mode]
-	if ms == nil {
-		ms = &modeShells{}
-		ts.modes[mode] = ms
-	}
-	for len(ms.graphs) < n {
-		ms.graphs = append(ms.graphs, &gnn.Graph{})
-	}
-	return ms
-}
 
 // ScoreTile implements placement.TileScorer: it scores the candidate
 // tile with the metric ensembles whose costs need names, setting those
@@ -163,9 +131,8 @@ func (ts *tileScratch) shells(mode FeatureMode, n int) *modeShells {
 // untrained default) and no other. Every ensemble is a pass of its own
 // over the tile, so an ensemble outside need costs nothing — a search
 // round names three of the five — and what a pass writes does not depend
-// on which others ran. The tile's graphs are packed once per
-// featurization mode and each ensemble advances all candidates × members
-// in one batched kernel pass. Outputs do not depend on the tile size, and
+// on which others ran. The tile is packed once and each ensemble advances
+// all candidates × members in one batched kernel pass. Outputs do not depend on the tile size, and
 // match per-member CostModel.PredictRaw bit for bit. A NaN or
 // infinite raw member output — a poisoned weight or feature — is an
 // error naming the metric and member, never a cost: averaged into one it
@@ -191,35 +158,25 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 	ts := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(ts)
 
-	// Pack the tile once per featurization mode used by a needed slot.
-	for mi, fs := range s.fused {
-		if !fs.e.Metric.in(need) || sameMode(s.fused[:mi], need, fs.mode) {
-			continue // not asked for, or packed for an earlier slot this call
-		}
-		ms := ts.shells(fs.mode, len(cands))
-		bf := s.batches[fs.mode]
-		for ci, p := range cands {
-			if err := bf.buildGraphInto(p, ms.graphs[ci], &ts.hostSlot); err != nil {
-				return fmt.Errorf("core: tile candidate %d: %w", ci, err)
-			}
-		}
-		pg, err := gnn.PackGraphs(ms.graphs[:len(cands)], bf.Plan(), ms.pg)
-		if err != nil {
-			return fmt.Errorf("core: packing tile: %w", err)
-		}
-		ms.pg = pg
-	}
-	fused := false
+	packed := false
 	for _, fs := range s.fused {
 		if !fs.e.Metric.in(need) {
 			continue
 		}
-		fused = true
+		if !packed {
+			ts.placements = ts.placements[:0]
+			for _, p := range cands {
+				ts.placements = append(ts.placements, p)
+			}
+			if err := s.bf.pack(&ts.pg, ts.placements); err != nil {
+				return fmt.Errorf("core: packing tile: %w", err)
+			}
+			packed = true
+		}
 		k := fs.sm.K()
 		ts.vals = nn.Grow(ts.vals, len(cands)*k)
 		vals := ts.vals
-		pg := ts.modes[fs.mode].pg
-		if err := fs.sm.InferEnsembleBatch(pg, ts.bs, vals); err != nil {
+		if err := fs.sm.InferEnsembleBatch(&ts.pg, ts.bs, vals); err != nil {
 			return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
 		}
 		if i := firstNonFinite(vals); i >= 0 {
@@ -233,12 +190,12 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 			applyCost(&out[ci], fs.e.Metric, row)
 		}
 		met.ensembleCands[fs.e.Metric].Add(int64(len(cands)))
-		for i, rows := range pg.Rows() {
+		for i, rows := range ts.pg.Rows() {
 			met.tileRows[i].requested.Add(int64(rows.Requested))
 			met.tileRows[i].computed.Add(int64(rows.Computed))
 		}
 	}
-	if fused {
+	if packed {
 		met.fusedTiles.Inc()
 		met.fusedCandidates.Add(int64(len(cands)))
 	}
@@ -257,17 +214,6 @@ func firstNonFinite(vals []float64) int {
 		}
 	}
 	return -1
-}
-
-// sameMode reports whether an earlier needed slot already uses the
-// mode (and hence already packed the tile's graphs for it).
-func sameMode(slots []fusedSlot, need placement.CostSet, mode FeatureMode) bool {
-	for _, fs := range slots {
-		if fs.mode == mode && fs.e.Metric.in(need) {
-			return true
-		}
-	}
-	return false
 }
 
 // in reports whether the metric's PredCosts field is in the set; CostSet's

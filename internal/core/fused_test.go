@@ -466,9 +466,8 @@ func TestScoreTileRespectsCancellation(t *testing.T) {
 	}
 }
 
-// TestBuildGraphIntoAllocs pins the pooled candidate-graph assembly:
-// steady-state buildGraphInto reuses the shell's node and edge storage
-// and allocates nothing.
+// TestBuildGraphIntoAllocs pins the pooled tile packing: packing a tile of
+// placements again into the same tables allocates nothing.
 func TestBuildGraphIntoAllocs(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[0]
@@ -478,22 +477,20 @@ func TestBuildGraphIntoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(98))
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 8)
-	var shell gnn.Graph
-	var hostSlot []int
-	for _, p := range cands {
-		if err := bf.buildGraphInto(p, &shell, &hostSlot); err != nil {
-			t.Fatal(err)
-		}
+	var placements [][]int
+	for _, p := range placement.Enumerate(rng, tr.Query, tr.Cluster, 8) {
+		placements = append(placements, p)
+	}
+	var pg gnn.PackedGraphs
+	if err := bf.pack(&pg, placements); err != nil {
+		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		for _, p := range cands {
-			if err := bf.buildGraphInto(p, &shell, &hostSlot); err != nil {
-				t.Fatal(err)
-			}
+		if err := bf.pack(&pg, placements); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state buildGraphInto allocates %.1f times per %d candidates, want 0", allocs, len(cands))
+		t.Fatalf("steady-state packing of %d candidates allocates %.1f times, want 0", len(placements), allocs)
 	}
 }

@@ -532,9 +532,9 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 }
 
 // FineTune continues training on additional traces (few-shot learning,
-// Exp 5b). The model is updated in place; if the model belongs to an
-// Ensemble, call Ensemble.Invalidate afterwards so the cached weight
-// stack is rebuilt from the tuned weights.
+// Exp 5b). The model is updated in place; an Ensemble that has predicted
+// keeps its stack of the old weights, so fine-tune an ensemble member
+// only through a clone.
 func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
 	recs, err := featurizeCorpus(&cm.Feat, extra)
 	if err != nil {

@@ -46,18 +46,19 @@ type Section struct {
 
 // Sections describes the predictor's trained ensembles in Ensembles
 // order. It refuses what DecodePredictor would: a predictor with no
-// trained ensemble, an ensemble that cannot run the packed kernel, or a
-// non-finite weight, naming the metric and the member.
+// trained ensemble, an ensemble that cannot run the packed kernel,
+// ensembles featurized in different modes, or a non-finite weight, naming
+// the metrics and the member.
 func (pr *Predictor) Sections() ([]Section, error) {
+	mode, err := featureMode(pr.ensembles())
+	if err != nil {
+		return nil, err
+	}
 	var secs []Section
 	for _, s := range pr.Ensembles() {
 		e := s.Ensemble
 		if e == nil {
 			continue
-		}
-		st, err := e.stacked()
-		if err != nil {
-			return nil, err
 		}
 		for i, m := range e.Models {
 			if err := finiteWeights(m.Net, s.Metric, i); err != nil {
@@ -65,7 +66,7 @@ func (pr *Predictor) Sections() ([]Section, error) {
 			}
 		}
 		net := e.Models[0].Net
-		secs = append(secs, Section{Metric: s.Metric.String(), FeatureMode: st.mode.String(),
+		secs = append(secs, Section{Metric: s.Metric.String(), FeatureMode: mode.String(),
 			Config: net.Config(), Members: len(e.Models), Bytes: 8 * net.NumParams() * len(e.Models)})
 	}
 	if len(secs) == 0 {
@@ -99,7 +100,8 @@ func (pr *Predictor) WriteWeights(w io.Writer) error {
 // weight sections back to back. Every section's length is checked against
 // its config before any member is built; each member is built with gnn.New
 // and filled from its bytes, a non-finite weight is refused naming the
-// metric and the member, and every ensemble is stacked before it returns.
+// metric and the member, and every ensemble is stacked, and checked to
+// share the others' featurization mode, before it returns.
 func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 	pr := &Predictor{}
 	last := Metric(-1)
@@ -144,9 +146,6 @@ func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 			}
 			e.Models = append(e.Models, &CostModel{Metric: metric, Feat: Featurizer{Mode: mode}, Net: net})
 		}
-		if _, err := e.stacked(); err != nil {
-			return nil, err
-		}
 		pr.set(metric, e)
 	}
 	if len(body) != 0 {
@@ -154,6 +153,9 @@ func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 	}
 	if last < 0 {
 		return nil, fmt.Errorf("core: predictor has no trained ensembles")
+	}
+	if _, err := featureMode(pr.ensembles()); err != nil {
+		return nil, err
 	}
 	return pr, nil
 }

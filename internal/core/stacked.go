@@ -6,12 +6,12 @@ import (
 	"costream/internal/gnn"
 )
 
-// ensembleStack is the cached one-pass form of an Ensemble: the members'
-// GNN weights vertically stacked for gnn.InferEnsembleBatch, plus the
-// featurization mode they share. The packed kernel is an ensemble's only
-// inference path, so members that cannot stack — mixed featurization
-// modes (Exp 7a ablations), traditional message passing (Exp 7b),
-// mismatched widths — leave sm nil and err saying why. The tape
+// ensembleStack is the one-pass form of an Ensemble, built on first use:
+// the members' GNN weights vertically stacked for gnn.InferEnsembleBatch,
+// plus the featurization mode they share. The packed kernel is an
+// ensemble's only inference path, so members that cannot stack — mixed
+// featurization modes (Exp 7a ablations), traditional message passing
+// (Exp 7b), mismatched widths — leave sm nil and err saying why. The tape
 // (CostModel.PredictRaw) is the scalar oracle every stack is tested
 // against.
 type ensembleStack struct {
@@ -20,25 +20,16 @@ type ensembleStack struct {
 	err  error
 }
 
-// stacked returns the ensemble's cached stack, building it on first use,
-// or an error naming the metric when the members cannot stack. The build
-// copies the member weights, so the stack must be dropped (Invalidate)
-// whenever a member's weights change in place, as fine-tuning via
-// CostModel.FineTune does.
+// stacked returns the ensemble's stack, building it on first use, or an
+// error naming the metric when the members cannot stack. The build copies
+// the member weights, so a weight changed in place later — by
+// CostModel.FineTune, say — never reaches the stack; fine-tune a clone.
 func (e *Ensemble) stacked() (*ensembleStack, error) {
-	st := e.stack.Load()
-	if st == nil {
-		e.stackMu.Lock()
-		if st = e.stack.Load(); st == nil {
-			st = e.buildStack()
-			e.stack.Store(st)
-		}
-		e.stackMu.Unlock()
+	e.stackOnce.Do(func() { e.stack = e.buildStack() })
+	if e.stack.err != nil {
+		return nil, fmt.Errorf("core: %v ensemble cannot run the packed kernel: %w", e.Metric, e.stack.err)
 	}
-	if st.err != nil {
-		return nil, fmt.Errorf("core: %v ensemble cannot run the packed kernel: %w", e.Metric, st.err)
-	}
-	return st, nil
+	return e.stack, nil
 }
 
 func (e *Ensemble) buildStack() *ensembleStack {
@@ -65,11 +56,25 @@ func (e *Ensemble) buildStack() *ensembleStack {
 	return st
 }
 
-// Invalidate drops the cached weight stack; the next prediction rebuilds
-// it from the members' current weights. Call it after mutating any
-// member in place (e.g. CostModel.FineTune).
-func (e *Ensemble) Invalidate() {
-	e.stack.Store(nil)
+// featureMode returns the featurization mode a predictor's ensembles
+// share, so that a scoring session featurizes and packs each tile once.
+// An ensemble that cannot stack is its error; one featurized unlike the
+// first is an error naming both metrics and modes.
+func featureMode(ensembles []*Ensemble) (FeatureMode, error) {
+	var mode FeatureMode
+	for i, e := range ensembles {
+		st, err := e.stacked()
+		switch {
+		case err != nil:
+			return 0, err
+		case i == 0:
+			mode = st.mode
+		case st.mode != mode:
+			return 0, fmt.Errorf("core: %v ensemble is featurized %v, %v ensemble %v: a predictor's ensembles share one featurization mode",
+				e.Metric, st.mode, ensembles[0].Metric, mode)
+		}
+	}
+	return mode, nil
 }
 
 // meanOf folds transformed member outputs into the ensemble's regression

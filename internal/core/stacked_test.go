@@ -163,6 +163,31 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 			}
 		}
 	}
+
+	// Two ensembles that stack but are featurized in different modes: a
+	// session featurizes and packs each tile once, so session open, save
+	// and load refuse the predictor, naming both metrics.
+	placementOnly := randomEnsemble(t, MetricProcLatency, 2, false)
+	for _, m := range placementOnly.Models {
+		m.Feat.Mode = FeatPlacementOnly
+	}
+	full := randomEnsemble(t, MetricThroughput, 2, false)
+	mixed := &Predictor{Throughput: full, ProcLatency: placementOnly}
+	want := "proc-latency ensemble is featurized placement-only, throughput ensemble full"
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mixed-mode predictor, %s: err = %v, want %q", what, err, want)
+		}
+	}
+	_, err = mixed.NewScoreSession(tr.Query, tr.Cluster)
+	refused("NewScoreSession", err)
+	_, err = mixed.Sections()
+	refused("save", err)
+	fullSecs, fullBody := encodeWeights(t, &Predictor{Throughput: full})
+	poSecs, poBody := encodeWeights(t, &Predictor{ProcLatency: placementOnly})
+	_, err = DecodePredictor(append(fullSecs, poSecs...), append(fullBody, poBody...))
+	refused("load", err)
 }
 
 // TestPredictBatchStackedMatchesPerMember pins the batched scoring path —
@@ -186,63 +211,6 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 		if want := perMemberLabel(t, pr.Success, tr.Query, tr.Cluster, p); out[i].Success != want {
 			t.Fatalf("candidate %d: batch success %v != per-member %v", i, out[i].Success, want)
 		}
-	}
-}
-
-// TestInvalidateRebuildsStack checks that in-place weight updates become
-// visible after Invalidate (and, implicitly, that the stack holds copies),
-// and that a session pins the stack it opened with: one opened before the
-// update still scores the old bits, one opened after it the new ones.
-func TestInvalidateRebuildsStack(t *testing.T) {
-	c := testCorpus(t)
-	e := randomEnsemble(t, MetricThroughput, 2, false)
-	pr := &Predictor{}
-	pr.set(e.Metric, e)
-	tr := c.Traces[0]
-	score := func(sess placement.TileScorer) float64 {
-		t.Helper()
-		out := make([]placement.PredCosts, 1)
-		if err := sess.ScoreTile([]sim.Placement{tr.Placement}, placement.AllCosts, out); err != nil {
-			t.Fatal(err)
-		}
-		return out[0].ThroughputTPS
-	}
-	before, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := pr.NewScoreSession(tr.Query, tr.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.9 keeps the estimate off the regression head's floor at zero, so
-	// the old and the new weights score distinct, nonzero values.
-	params, _ := e.Models[0].Net.Params()
-	for _, p := range params {
-		for i := range p {
-			p[i] *= 0.9
-		}
-	}
-	e.Invalidate()
-	after, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement); after != want {
-		t.Fatalf("post-invalidate stacked %v != per-member %v", after, want)
-	}
-	if after == before {
-		t.Fatal("weight update had no effect after Invalidate")
-	}
-	if got := score(pinned); math.Float64bits(got) != math.Float64bits(before) {
-		t.Fatalf("session opened before Invalidate scores %v, want the old %v", got, before)
-	}
-	fresh, err := pr.NewScoreSession(tr.Query, tr.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := score(fresh); math.Float64bits(got) != math.Float64bits(after) {
-		t.Fatalf("session opened after Invalidate scores %v, want the new %v", got, after)
 	}
 }
 

@@ -38,11 +38,15 @@ func TestInferDoesNotMutateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := PackGraphs([]*Graph{g}, plan, nil)
-	if err != nil {
+	// The same graph as a tile of one: its operator nodes, and hosts 0
+	// and 1 carrying its host nodes' feature slices.
+	ops := &Graph{Nodes: g.Nodes[:3], FlowEdges: g.FlowEdges}
+	hosts := func(h int) []float64 { return g.Nodes[3+h].Feat }
+	var pg PackedGraphs
+	if err := pg.Pack(ops, plan, 2, hosts, [][]int{{0, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sm.InferEnsembleBatch(pg, nil, make([]float64, 1)); err != nil {
+	if err := sm.InferEnsembleBatch(&pg, nil, make([]float64, 1)); err != nil {
 		t.Fatal(err)
 	}
 	check("packed kernel")

@@ -7,25 +7,26 @@ import (
 	"costream/internal/nn"
 )
 
-// PackedGraphs is the packed multi-graph form of one scoring round's
-// candidate tile: C candidate graphs that share the operator-node prefix,
-// the flow edges and the message-passing Plan (as produced by
-// core.BatchFeaturizer), reduced to flat index tables so a StackedModel
-// can advance all C candidates × k members per kernel call instead of one
-// graph at a time. Host nodes — the only per-candidate part — are
-// flattened into "slots": slot s belongs to candidate c when
-// hostOff[c] <= s < hostOff[c+1], in the candidate's node-index order.
+// PackedGraphs is the packed form of one scoring round's candidate tile:
+// C placements of one operator graph, sharing its operator nodes, flow
+// edges and message-passing Plan, reduced to flat index tables so a
+// StackedModel can advance all C candidates × k members per kernel call
+// instead of one graph at a time. The tables describe the graph
+// Featurizer.BuildGraph builds for each candidate — one host node per
+// distinct host in first-use order, one placement edge per operator in
+// operator order — without building it. Host nodes, the only
+// per-candidate part, are flattened into "slots": slot s belongs to
+// candidate c when hostOff[c] <= s < hostOff[c+1], in the candidate's
+// node-index order.
 //
 // The candidates of a search round are near-copies of each other, so the
 // tables number every row of the pass by what it is computed from and the
 // kernels run each distinct row once for the whole tile:
 //
-//   - encoder: slots that carry the same feature vector (the same backing
-//     array, as BatchFeaturizer hands out one per host) share a host row;
+//   - encoder: slots on the same host index share a host row;
 //   - phase 1: slots with the same host row and the same child operators
-//     in the same placement-edge order form one placement group — the
-//     order is part of the key because the child sum is a floating-point
-//     sum, (a+b)+c is not (a+c)+b;
+//     form one placement group (children are in operator order, which is
+//     the order the scalar pass sums them in);
 //   - phase 2: one row per (placement group, child operator);
 //   - phase 3: per step of the flow order, one row per distinct (phase-2
 //     row of the operator, phase-3 rows of its parents).
@@ -38,10 +39,10 @@ import (
 // then the phase-3 rows — and opRow names each candidate's final row per
 // operator; a tile of one runs the same code with one group per slot.
 //
-// A PackedGraphs is reusable: Pack with the same receiver re-fills the
-// tables without reallocating once the capacities have grown.
+// The zero value is ready to use, and Pack re-fills the tables without
+// reallocating once their capacities have grown.
 type PackedGraphs struct {
-	base *Graph // graphs[0]; owner of the shared operator prefix
+	ops  []Node // the shared operator nodes
 	plan *Plan
 	c    int // number of candidates
 	nOps int // operator nodes shared by every candidate
@@ -49,12 +50,14 @@ type PackedGraphs struct {
 	opsByKind [numKinds][]int // operator node indices grouped by kind
 
 	hostOff  []int       // len c+1: per-candidate host-slot ranges
-	hostFeat [][]float64 // per-slot host feature vectors (read-only refs)
-	hostRow  []int       // per-slot row among the tile's distinct host vectors
-	hostUniq []int       // per distinct host vector: the first slot carrying it
+	slotHost []int       // per-slot host index
+	opSlot   []int       // c×nOps: the slot of (cand, op)'s host
+	hostRow  []int       // per-slot row among the tile's distinct hosts
+	rowHost  []int       // per distinct host row: its host index
+	rowFeat  [][]float64 // per distinct host row: its feature vector (read-only)
 	kidsOff  []int       // len hostOff[c]+1: per-slot child-list ranges
-	kids     []int       // flattened child operator indices, edge order
-	kidCur   []int       // per-slot cursors (scratch for the passes over edges)
+	kids     []int       // flattened child operator indices, operator order
+	kidCur   []int       // per-slot cursors (scratch for the passes over children)
 
 	slotGroup []int // per-slot placement group
 	groupSlot []int // per placement group: the first slot carrying it
@@ -74,12 +77,6 @@ type PackedGraphs struct {
 
 	opRow []int // c×nOps: plane row of (cand, op)'s final state
 }
-
-// C returns the number of packed candidates.
-func (pg *PackedGraphs) C() int { return pg.c }
-
-// NumOps returns the number of shared operator nodes.
-func (pg *PackedGraphs) NumOps() int { return pg.nOps }
 
 // PhaseRows counts the kernel rows of one message-passing phase of a
 // packed tile: Requested is what its candidates ask for — one row per
@@ -107,92 +104,77 @@ func (pg *PackedGraphs) Rows() [3]PhaseRows {
 	}
 }
 
-// PackGraphs packs candidate graphs sharing one operator prefix and plan
-// into pg (nil allocates a fresh one) and returns it. Sharing is enforced
-// structurally: every graph must reference the identical operator feature
-// slices and flow-edge slice as graphs[0] (how BatchFeaturizer builds
-// candidate graphs), and every node past the operator prefix must be a
-// host. Violations return an error rather than silently mis-scoring.
-func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("gnn: packing zero graphs")
+// Pack packs a tile of placements of the operator graph ops, whose
+// message-passing plan is plan, into pg. placements[c][v] is the host of
+// operator v in candidate c, one of hosts 0..nHosts-1, and host(h)
+// returns host h's feature vector, which pg keeps and treats as
+// read-only; host is called once per distinct host of the tile. A nil
+// host packs candidates without host nodes (query-only featurization):
+// placements then only count the candidates. A placement of the wrong
+// length or onto a host outside the range is an error.
+func (pg *PackedGraphs) Pack(ops *Graph, plan *Plan, nHosts int, host func(h int) []float64, placements [][]int) error {
+	nOps, c := len(ops.Nodes), len(placements)
+	switch {
+	case c == 0:
+		return fmt.Errorf("gnn: packing zero candidates")
+	case nOps == 0:
+		return fmt.Errorf("gnn: packing a graph without operator nodes")
+	case len(plan.order) != nOps:
+		return fmt.Errorf("gnn: plan orders %d operators, the graph has %d", len(plan.order), nOps)
 	}
-	if plan == nil {
-		return nil, fmt.Errorf("gnn: packing requires a plan")
-	}
-	if pg == nil {
-		pg = &PackedGraphs{}
-	}
-	base := graphs[0]
-	nOps := len(base.Nodes)
-	for i, nd := range base.Nodes {
-		if nd.Kind == KindHost {
-			nOps = i
-			break
-		}
-	}
-	if nOps == 0 {
-		return nil, fmt.Errorf("gnn: packing graphs without operator nodes")
-	}
-	pg.base, pg.plan, pg.c, pg.nOps = base, plan, len(graphs), nOps
+	pg.ops, pg.plan, pg.c, pg.nOps = ops.Nodes, plan, c, nOps
 	for kind := range pg.opsByKind {
 		pg.opsByKind[kind] = pg.opsByKind[kind][:0]
 	}
-	for i, nd := range base.Nodes[:nOps] {
+	for i, nd := range ops.Nodes {
 		pg.opsByKind[nd.Kind] = append(pg.opsByKind[nd.Kind], i)
 	}
 
-	pg.hostOff = nn.Grow(pg.hostOff, len(graphs)+1)
+	// Host slots in first-use order per candidate, and host rows in
+	// first-use order over the tile.
+	pg.hostOff = nn.Grow(pg.hostOff, c+1)
 	pg.hostOff[0] = 0
-	for ci, g := range graphs {
-		if len(g.Nodes) < nOps {
-			return nil, fmt.Errorf("gnn: candidate %d has %d nodes, shared prefix needs %d", ci, len(g.Nodes), nOps)
+	pg.slotHost = pg.slotHost[:0]
+	pg.hostRow = pg.hostRow[:0]
+	pg.rowHost = pg.rowHost[:0]
+	pg.rowFeat = pg.rowFeat[:0]
+	pg.opSlot = nn.Grow(pg.opSlot, c*nOps)
+	for ci, p := range placements {
+		if host == nil {
+			pg.hostOff[ci+1] = 0
+			continue
 		}
-		for i := 0; i < nOps; i++ {
-			nd, bd := &g.Nodes[i], &base.Nodes[i]
-			if nd.Kind != bd.Kind || len(nd.Feat) != len(bd.Feat) ||
-				(len(nd.Feat) > 0 && &nd.Feat[0] != &bd.Feat[0]) {
-				return nil, fmt.Errorf("gnn: candidate %d does not share operator node %d with the tile base", ci, i)
+		if len(p) != nOps {
+			return fmt.Errorf("gnn: candidate %d places %d operators, the graph has %d", ci, len(p), nOps)
+		}
+		off := pg.hostOff[ci]
+		for v, h := range p {
+			if h < 0 || h >= nHosts {
+				return fmt.Errorf("gnn: candidate %d places operator %d on host %d, outside 0..%d", ci, v, h, nHosts-1)
 			}
-		}
-		for i := nOps; i < len(g.Nodes); i++ {
-			if g.Nodes[i].Kind != KindHost {
-				return nil, fmt.Errorf("gnn: candidate %d node %d is %v, want host", ci, i, g.Nodes[i].Kind)
+			s := off + slices.Index(pg.slotHost[off:], h)
+			if s < off {
+				s = len(pg.slotHost)
+				pg.slotHost = append(pg.slotHost, h)
+				pg.hostRow = append(pg.hostRow, pg.distinctRow(h, host))
 			}
+			pg.opSlot[ci*nOps+v] = s
 		}
-		if len(g.FlowEdges) != len(base.FlowEdges) ||
-			(len(g.FlowEdges) > 0 && &g.FlowEdges[0] != &base.FlowEdges[0]) {
-			return nil, fmt.Errorf("gnn: candidate %d does not share the tile base flow edges", ci)
-		}
-		pg.hostOff[ci+1] = pg.hostOff[ci] + len(g.Nodes) - nOps
+		pg.hostOff[ci+1] = len(pg.slotHost)
 	}
 
-	hTot := pg.hostOff[len(graphs)]
-	pg.hostFeat = nn.Grow(pg.hostFeat, hTot)
-	pg.hostRow = nn.Grow(pg.hostRow, hTot)
-	pg.hostUniq = pg.hostUniq[:0]
-	pg.kidsOff = nn.Grow(pg.kidsOff, hTot+1)
-	for i := range pg.kidsOff {
-		pg.kidsOff[i] = 0
-	}
 	// CSR build of the per-slot child-operator lists: count, prefix-sum,
-	// fill — preserving placement-edge order per slot, which is the child
-	// summation order of the scalar pass (bit-identity depends on it).
+	// fill in operator order, which is the child summation order of the
+	// scalar pass (bit-identity depends on it).
+	hTot := len(pg.slotHost)
 	totalKids := 0
-	for ci, g := range graphs {
-		off := pg.hostOff[ci]
-		for s := off; s < pg.hostOff[ci+1]; s++ {
-			pg.hostFeat[s] = g.Nodes[nOps+s-off].Feat
-			pg.hostRow[s] = pg.distinctRow(s)
-		}
-		for _, e := range g.PlaceEdges {
-			op, hn := e[0], e[1]
-			if op < 0 || op >= nOps || hn < nOps || hn >= len(g.Nodes) {
-				return nil, fmt.Errorf("gnn: candidate %d has placement edge (%d,%d) outside the op/host split at %d", ci, op, hn, nOps)
-			}
-			pg.kidsOff[off+hn-nOps+1]++
-			totalKids++
-		}
+	if hTot > 0 {
+		totalKids = c * nOps
+	}
+	pg.kidsOff = nn.Grow(pg.kidsOff, hTot+1)
+	clear(pg.kidsOff)
+	for _, s := range pg.opSlot[:totalKids] {
+		pg.kidsOff[s+1]++
 	}
 	for s := 0; s < hTot; s++ {
 		pg.kidsOff[s+1] += pg.kidsOff[s]
@@ -200,13 +182,9 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	pg.kids = nn.Grow(pg.kids, totalKids)
 	pg.kidCur = nn.Grow(pg.kidCur, hTot)
 	copy(pg.kidCur, pg.kidsOff)
-	for ci, g := range graphs {
-		off := pg.hostOff[ci]
-		for _, e := range g.PlaceEdges {
-			slot := off + e[1] - nOps
-			pg.kids[pg.kidCur[slot]] = e[0]
-			pg.kidCur[slot]++
-		}
+	for i, s := range pg.opSlot[:totalKids] {
+		pg.kids[pg.kidCur[s]] = i % nOps
+		pg.kidCur[s]++
 	}
 
 	// Phase 1: one placement group per distinct (host row, child list).
@@ -221,7 +199,7 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	pg.placedOff = [numKinds + 1]int{}
 	for _, first := range pg.groupSlot {
 		for _, v := range pg.kids[pg.kidsOff[first]:pg.kidsOff[first+1]] {
-			pg.placedOff[base.Nodes[v].Kind+1]++
+			pg.placedOff[ops.Nodes[v].Kind+1]++
 		}
 	}
 	for kind := range pg.opsByKind {
@@ -235,29 +213,23 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 	for grp, first := range pg.groupSlot {
 		for i := pg.kidsOff[first]; i < pg.kidsOff[first+1]; i++ {
 			v := pg.kids[i]
-			row := cur[base.Nodes[v].Kind]
-			cur[base.Nodes[v].Kind]++
+			row := cur[ops.Nodes[v].Kind]
+			cur[ops.Nodes[v].Kind]++
 			pg.placedGroup[row], pg.placedOp[row], pg.kidRow[i] = grp, v, row
 		}
 	}
 	// An operator's state after phase 2 is its encoder row (plane row v)
-	// unless a placement edge names it; of several edges the last wins, as
-	// in the scalar pass. Edge j of a slot reads the row of kid j of the
-	// slot's group.
-	pg.opRow = nn.Grow(pg.opRow, len(graphs)*nOps)
+	// when it has no host, else the row of its placement edge: child j of
+	// a slot reads the row of child j of the slot's group.
+	pg.opRow = nn.Grow(pg.opRow, c*nOps)
+	for i := range pg.opRow {
+		pg.opRow[i] = i % nOps
+	}
 	copy(pg.kidCur, pg.kidsOff)
-	for ci, g := range graphs {
-		rows := pg.opRow[ci*nOps : (ci+1)*nOps]
-		for v := range rows {
-			rows[v] = v
-		}
-		off := pg.hostOff[ci]
-		for _, e := range g.PlaceEdges {
-			slot := off + e[1] - nOps
-			first := pg.groupSlot[pg.slotGroup[slot]]
-			rows[e[0]] = nOps + pg.kidRow[pg.kidsOff[first]+pg.kidCur[slot]-pg.kidsOff[slot]]
-			pg.kidCur[slot]++
-		}
+	for i, s := range pg.opSlot[:totalKids] {
+		first := pg.groupSlot[pg.slotGroup[s]]
+		pg.opRow[i] = nOps + pg.kidRow[pg.kidsOff[first]+pg.kidCur[s]-pg.kidsOff[s]]
+		pg.kidCur[s]++
 	}
 
 	// Phase 3, step by step along the flow order: candidates whose operator
@@ -272,14 +244,14 @@ func PackGraphs(graphs []*Graph, plan *Plan, pg *PackedGraphs) (*PackedGraphs, e
 		parents := plan.ups[v]
 		if len(parents) > 0 {
 			lo, upLo := pg.flowOff[t], len(pg.flowUps)
-			for ci := range graphs {
+			for ci := range c {
 				rows := pg.opRow[ci*nOps : (ci+1)*nOps]
 				rows[v] = nOps + nPlaced + pg.flowRow(lo, upLo, rows, v, parents)
 			}
 		}
 		pg.flowOff[t+1] = len(pg.flowOwn)
 	}
-	return pg, nil
+	return nil
 }
 
 // placementGroup returns the placement group of slot s, whose host row
@@ -322,22 +294,15 @@ next:
 	return len(pg.flowOwn) - 1
 }
 
-// distinctRow returns the encoder row of slot s, whose features are
-// already in hostFeat: the row of an earlier slot of the tile with the
-// same backing array, or a new one. Two arrays with equal contents just
-// take a row each, and with it a placement group each (BatchFeaturizer
-// publishes one array per host, so its graphs never carry two).
-func (pg *PackedGraphs) distinctRow(s int) int {
-	f := pg.hostFeat[s]
-	if len(f) > 0 {
-		for row, first := range pg.hostUniq {
-			if u := pg.hostFeat[first]; len(u) == len(f) && &u[0] == &f[0] {
-				return row
-			}
-		}
+// distinctRow returns the encoder row of host h: the row of an earlier
+// slot of the tile on the same host, or a new one carrying host(h).
+func (pg *PackedGraphs) distinctRow(h int, host func(int) []float64) int {
+	if row := slices.Index(pg.rowHost, h); row >= 0 {
+		return row
 	}
-	pg.hostUniq = append(pg.hostUniq, s)
-	return len(pg.hostUniq) - 1
+	pg.rowHost = append(pg.rowHost, h)
+	pg.rowFeat = append(pg.rowFeat, host(h))
+	return len(pg.rowHost) - 1
 }
 
 // BatchScratch holds the reusable buffers of a packed multi-candidate
@@ -361,8 +326,8 @@ type BatchScratch struct {
 // and are reused afterwards.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
-// checkBatch runs the per-node encoder checks of a packed pass (the
-// structural validation happened in PackGraphs).
+// checkBatch runs the per-node encoder checks of a packed pass (Pack
+// checked the placements).
 func (sm *StackedModel) checkBatch(pg *PackedGraphs) error {
 	for kind := range pg.opsByKind {
 		idxs := pg.opsByKind[kind]
@@ -374,21 +339,21 @@ func (sm *StackedModel) checkBatch(pg *PackedGraphs) error {
 			return fmt.Errorf("gnn: no encoder for kind %v", NodeKind(kind))
 		}
 		for _, idx := range idxs {
-			if len(pg.base.Nodes[idx].Feat) != enc.InDim() {
+			if len(pg.ops[idx].Feat) != enc.InDim() {
 				return fmt.Errorf("gnn: node %d (%v) has %d features, encoder wants %d",
-					idx, NodeKind(kind), len(pg.base.Nodes[idx].Feat), enc.InDim())
+					idx, NodeKind(kind), len(pg.ops[idx].Feat), enc.InDim())
 			}
 		}
 	}
-	if hTot := pg.hostOff[pg.c]; hTot > 0 {
+	if len(pg.rowFeat) > 0 {
 		enc, ok := sm.enc[KindHost]
 		if !ok {
 			return fmt.Errorf("gnn: no encoder for kind %v", KindHost)
 		}
-		for _, s := range pg.hostUniq {
-			if f := pg.hostFeat[s]; len(f) != enc.InDim() {
-				return fmt.Errorf("gnn: host slot %d has %d features, encoder wants %d",
-					s, len(f), enc.InDim())
+		for row, f := range pg.rowFeat {
+			if len(f) != enc.InDim() {
+				return fmt.Errorf("gnn: host %d has %d features, encoder wants %d",
+					pg.rowHost[row], len(f), enc.InDim())
 			}
 		}
 	}
@@ -435,7 +400,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 		in := enc.InDim()
 		s.gather = nn.Grow(s.gather, len(idxs)*in)
 		for r, idx := range idxs {
-			copy(s.gather[r*in:(r+1)*in], pg.base.Nodes[idx].Feat)
+			copy(s.gather[r*in:(r+1)*in], pg.ops[idx].Feat)
 		}
 		s.tmp = nn.Grow(s.tmp, len(idxs)*kH)
 		enc.ForwardShared(s.tmp, s.gather, len(idxs), &s.dense)
@@ -450,10 +415,10 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 	if nGroups := len(pg.groupSlot); nGroups > 0 {
 		enc := sm.enc[KindHost]
 		in := enc.InDim()
-		nUniq := len(pg.hostUniq)
+		nUniq := len(pg.rowFeat)
 		s.gather = nn.Grow(s.gather, nUniq*in)
-		for row, slot := range pg.hostUniq {
-			copy(s.gather[row*in:(row+1)*in], pg.hostFeat[slot])
+		for row, f := range pg.rowFeat {
+			copy(s.gather[row*in:(row+1)*in], f)
 		}
 		s.hostEnc = nn.Grow(s.hostEnc, nUniq*kH)
 		enc.ForwardShared(s.hostEnc, s.gather, nUniq, &s.dense)
@@ -498,7 +463,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 			up += np
 		}
 		first := nOps + nPlaced + lo
-		sm.upd[pg.base.Nodes[v].Kind].ForwardBlocks(s.ops[first*kH:(first+hi-lo)*kH], s.cat, hi-lo, &s.dense)
+		sm.upd[pg.ops[v].Kind].ForwardBlocks(s.ops[first*kH:(first+hi-lo)*kH], s.cat, hi-lo, &s.dense)
 	}
 
 	// Readout: per candidate, the per-member sum over node states in node

@@ -9,9 +9,8 @@ import (
 	"costream/internal/nn"
 )
 
-// packBase returns an operator-only base graph (source -> filter -> sink)
-// whose feature slices and flow edges are shared by every candidate, the
-// way core.BatchFeaturizer builds candidate graphs.
+// packBase returns an operator-only base graph (source -> filter -> sink):
+// the part every candidate of a test tile shares.
 func packBase() *Graph {
 	return &Graph{
 		Nodes: []Node{
@@ -29,29 +28,51 @@ var packHostFeats = [][]float64{
 	{0.1, 0.8, 0.3, 0.6},
 }
 
-// packCandidates derives one candidate graph per placement, mirroring
-// core's Featurizer.BuildGraph: node header copies sharing the base
-// feature slices, host nodes appended in first-use order, placement edges
-// in operator order.
+// packCandidates derives one candidate graph per placement over the
+// hosts packHostFeats: the tape oracle's input for a packed tile.
 func packCandidates(base *Graph, placements [][]int) []*Graph {
+	return candidateGraphs(base, packHostFeats, placements)
+}
+
+// candidateGraphs derives one candidate graph per placement, mirroring
+// core's Featurizer.BuildGraph: the base operator nodes, host nodes
+// appended in first-use order, placement edges in operator order.
+func candidateGraphs(base *Graph, hostFeats [][]float64, placements [][]int) []*Graph {
 	out := make([]*Graph, len(placements))
 	for ci, p := range placements {
-		nodes := make([]Node, len(base.Nodes), len(base.Nodes)+len(p))
-		copy(nodes, base.Nodes)
-		g := &Graph{Nodes: nodes, FlowEdges: base.FlowEdges}
+		g := &Graph{Nodes: slices.Clone(base.Nodes), FlowEdges: base.FlowEdges}
 		hostNode := map[int]int{}
-		for opIdx, h := range p {
+		for op, h := range p {
 			node, ok := hostNode[h]
 			if !ok {
 				node = len(g.Nodes)
 				hostNode[h] = node
-				g.Nodes = append(g.Nodes, Node{Kind: KindHost, Feat: packHostFeats[h]})
+				g.Nodes = append(g.Nodes, Node{Kind: KindHost, Feat: hostFeats[h]})
 			}
-			g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
+			g.PlaceEdges = append(g.PlaceEdges, [2]int{op, node})
 		}
 		out[ci] = g
 	}
 	return out
+}
+
+// hostsOf is the host lookup of a test tile over the given feature
+// vectors.
+func hostsOf(hostFeats [][]float64) func(int) []float64 {
+	return func(h int) []float64 { return hostFeats[h] }
+}
+
+// pack packs placements of base over the hosts hostFeats into pg; nil
+// hostFeats packs candidates without hosts.
+func pack(t *testing.T, pg *PackedGraphs, base *Graph, plan *Plan, hostFeats [][]float64, placements [][]int) {
+	t.Helper()
+	var host func(int) []float64
+	if hostFeats != nil {
+		host = hostsOf(hostFeats)
+	}
+	if err := pg.Pack(base, plan, len(hostFeats), host, placements); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // packPlacements covers the structural variety of one search round:
@@ -117,62 +138,33 @@ func randomFlow(rng *rand.Rand, shape string) *Graph {
 	return g
 }
 
-// oracleCandidates derives n candidate graphs over base the way core's
-// Featurizer.BuildGraph does (see packCandidates), mixing what a search
-// round packs into one tile: all operators on one host, and again with
-// the placement edges reversed (the same children summed in another
-// order); every operator on its own host, then that placement's whole
-// single-move neighbourhood — each operator in turn moved to a spare
-// host, so a join's candidates differ in exactly one parent — and exact
-// duplicates; a random placement with single moves of it; and random
-// placements, some with shuffled placement edges.
-func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
+// oracleCandidates draws host feature vectors for base's operators plus
+// a spare and n placements onto them, mixing what a search round packs
+// into one tile: all operators on one host; every operator on its own
+// host, then that placement's whole single-move neighbourhood — each
+// operator in turn moved to the spare host, so a join's candidates differ
+// in exactly one parent — and exact duplicates; a random placement with
+// single moves of it; and random placements.
+func oracleCandidates(rng *rand.Rand, base *Graph, n int) (hostFeats [][]float64, placements [][]int) {
 	nOps := len(base.Nodes)
-	hostFeats := make([][]float64, nOps+1) // host nOps is the spare
+	hostFeats = make([][]float64, nOps+1) // host nOps is the spare
 	for h := range hostFeats {
 		hostFeats[h] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	var out []*Graph
-	// add appends the graph of placement p; order, when set, permutes the
-	// placement edges after the host nodes took their first-use order.
-	add := func(p []int, order []int) {
-		g := &Graph{Nodes: append([]Node(nil), base.Nodes...), FlowEdges: base.FlowEdges}
-		hostNode := map[int]int{}
-		for op, h := range p {
-			node, ok := hostNode[h]
-			if !ok {
-				node = len(g.Nodes)
-				hostNode[h] = node
-				g.Nodes = append(g.Nodes, Node{Kind: KindHost, Feat: hostFeats[h]})
-			}
-			g.PlaceEdges = append(g.PlaceEdges, [2]int{op, node})
-		}
-		if order != nil {
-			edges := g.PlaceEdges
-			g.PlaceEdges = make([][2]int, len(edges))
-			for i, j := range order {
-				g.PlaceEdges[i] = edges[j]
-			}
-		}
-		out = append(out, g)
-	}
 	moved := func(p []int, op, h int) []int {
-		q := append([]int(nil), p...)
+		q := slices.Clone(p)
 		q[op] = h
 		return q
 	}
-	together, spread, reversed := make([]int, nOps), make([]int, nOps), make([]int, nOps)
+	together, spread := make([]int, nOps), make([]int, nOps)
 	for op := range spread {
-		spread[op], reversed[op] = op, nOps-1-op
+		spread[op] = op
 	}
-	add(together, nil)
-	add(spread, nil)
-	add(together, reversed)
+	placements = [][]int{together, spread, together}
 	for op := range spread {
-		add(moved(spread, op, nOps), nil)
+		placements = append(placements, moved(spread, op, nOps))
 	}
-	add(spread, nil)
-	add(moved(spread, nOps-1, nOps), nil)
+	placements = append(placements, spread, moved(spread, nOps-1, nOps))
 	random := func() []int {
 		p := make([]int, nOps)
 		for op := range p {
@@ -181,32 +173,25 @@ func oracleCandidates(rng *rand.Rand, base *Graph, n int) []*Graph {
 		return p
 	}
 	start := random()
-	add(start, nil)
+	placements = append(placements, start)
 	for op := 0; op < 4; op++ {
-		add(moved(start, rng.Intn(nOps), rng.Intn(nOps+1)), nil)
+		placements = append(placements, moved(start, rng.Intn(nOps), rng.Intn(nOps+1)))
 	}
-	for len(out) < n {
-		var order []int
-		if len(out)%3 == 0 {
-			order = rng.Perm(nOps)
-		}
-		add(random(), order)
+	for len(placements) < n {
+		placements = append(placements, random())
 	}
-	return out[:n]
+	return hostFeats, placements[:n]
 }
 
-// scoreTiles runs graphs through the packed kernel in consecutive tiles
-// of the given width and returns the candidate-major member outputs.
-func scoreTiles(t *testing.T, sm *StackedModel, graphs []*Graph, plan *Plan, tile int, pg **PackedGraphs, bs *BatchScratch) []float64 {
+// scoreTiles packs placements in consecutive tiles of the given width and
+// returns the candidate-major member outputs.
+func scoreTiles(t *testing.T, sm *StackedModel, base *Graph, plan *Plan, hostFeats [][]float64, placements [][]int, tile int, pg *PackedGraphs, bs *BatchScratch) []float64 {
 	t.Helper()
-	got := make([]float64, len(graphs)*sm.K())
-	for lo := 0; lo < len(graphs); lo += tile {
-		hi := min(lo+tile, len(graphs))
-		var err error
-		if *pg, err = PackGraphs(graphs[lo:hi], plan, *pg); err != nil {
-			t.Fatal(err)
-		}
-		if err := sm.InferEnsembleBatch(*pg, bs, got[lo*sm.K():hi*sm.K()]); err != nil {
+	got := make([]float64, len(placements)*sm.K())
+	for lo := 0; lo < len(placements); lo += tile {
+		hi := min(lo+tile, len(placements))
+		pack(t, pg, base, plan, hostFeats, placements[lo:hi])
+		if err := sm.InferEnsembleBatch(pg, bs, got[lo*sm.K():hi*sm.K()]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,17 +215,16 @@ func tapeOracle(t *testing.T, m *Model, g *Graph, plan *Plan) float64 {
 // generated inputs: seeded random flow shapes (chain, fan-in join, wide
 // fan-out), ensembles of k members, tiles of C candidates — C = 1 is a
 // single prediction — over the candidate mix of oracleCandidates (near
-// copies, duplicates and permuted placement edges, which is what the
-// tile's shared rows must get exactly right) and with no hosts at all
-// (query-only featurization). The outputs must match bit for bit at every
-// tiling; one PackedGraphs and one BatchScratch are reused throughout,
-// across shapes. The error, nil-scratch and
-// allocation contracts of a tile of one are pinned by the
+// copies and duplicates, which is what the tile's shared rows must get
+// exactly right) and with no hosts at all (query-only featurization). The
+// outputs must match bit for bit at every tiling; one PackedGraphs and one
+// BatchScratch are reused throughout, across shapes. The error,
+// nil-scratch and allocation contracts of a tile of one are pinned by the
 // TestInferEnsemble{NilScratch,RejectsBadInputs,Allocs} tests below.
 func TestPackedMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const pool = 33
-	var pg *PackedGraphs
+	var pg PackedGraphs
 	bs := NewBatchScratch()
 	for _, shape := range []string{"chain", "fan-in", "fan-out"} {
 		base := randomFlow(rng, shape)
@@ -248,17 +232,24 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		hostFeats, placements := oracleCandidates(rng, base, pool)
 		noHosts := make([]*Graph, pool)
 		for i := range noHosts {
 			noHosts[i] = base
 		}
-		withHosts := oracleCandidates(rng, base, pool)
-		for hi, graphs := range [][]*Graph{withHosts, noHosts} {
-			hosts := []string{"hosts", "no hosts"}[hi]
+		for _, tc := range []struct {
+			name       string
+			hostFeats  [][]float64
+			placements [][]int
+			graphs     []*Graph
+		}{
+			{"hosts", hostFeats, placements, candidateGraphs(base, hostFeats, placements)},
+			{"no hosts", nil, make([][]int, pool), noHosts},
+		} {
 			for _, k := range []int{1, 2, 3, 5} {
 				models := newTestEnsemble(t, k)
 				want := make([]float64, 0, pool*k)
-				for _, g := range graphs {
+				for _, g := range tc.graphs {
 					for _, mod := range models {
 						want = append(want, tapeOracle(t, mod, g, plan))
 					}
@@ -268,11 +259,11 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, c := range []int{1, 2, 7, 32, 33} {
-					got := scoreTiles(t, sm, graphs, plan, c, &pg, bs)
+					got := scoreTiles(t, sm, base, plan, tc.hostFeats, tc.placements, c, &pg, bs)
 					for i, w := range want {
 						if got[i] != w {
 							t.Fatalf("%s, %s, k=%d, C=%d, candidate %d member %d: packed %v != scalar %v",
-								shape, hosts, k, c, i/k, i%k, got[i], w)
+								shape, tc.name, k, c, i/k, i%k, got[i], w)
 						}
 					}
 				}
@@ -282,31 +273,31 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 }
 
 // tileOfOne is the fixture of the single-predict tests below: a k = 3
-// ensemble stacked and one candidate packed as a tile of one. Their names predate the collapse of the per-graph engine; what
-// they pin is the C = 1 case of InferEnsembleBatch.
+// ensemble stacked and one candidate packed as a tile of one. Their names
+// predate the collapse of the per-graph engine; what they pin is the C = 1
+// case of InferEnsembleBatch.
 type tileOfOne struct {
-	models []*Model
-	sm     *StackedModel
-	plan   *Plan
-	graphs []*Graph
-	pg     *PackedGraphs
+	models     []*Model
+	sm         *StackedModel
+	base       *Graph
+	plan       *Plan
+	placements [][]int
+	graph      *Graph
+	pg         PackedGraphs
 }
 
 func newTileOfOne(t *testing.T) *tileOfOne {
 	t.Helper()
-	f := &tileOfOne{models: newTestEnsemble(t, 3)}
-	base := packBase()
+	f := &tileOfOne{models: newTestEnsemble(t, 3), base: packBase(), placements: packPlacements[1:2]}
 	var err error
-	if f.plan, err = NewPlan(base); err != nil {
+	if f.plan, err = NewPlan(f.base); err != nil {
 		t.Fatal(err)
 	}
-	f.graphs = packCandidates(base, packPlacements[1:2])
+	f.graph = packCandidates(f.base, f.placements)[0]
 	if f.sm, err = Stack(f.models); err != nil {
 		t.Fatal(err)
 	}
-	if f.pg, err = PackGraphs(f.graphs, f.plan, nil); err != nil {
-		t.Fatal(err)
-	}
+	pack(t, &f.pg, f.base, f.plan, packHostFeats, f.placements)
 	return f
 }
 
@@ -315,11 +306,11 @@ func newTileOfOne(t *testing.T) *tileOfOne {
 func TestInferEnsembleNilScratch(t *testing.T) {
 	f := newTileOfOne(t)
 	out := make([]float64, f.sm.K())
-	if err := f.sm.InferEnsembleBatch(f.pg, nil, out); err != nil {
+	if err := f.sm.InferEnsembleBatch(&f.pg, nil, out); err != nil {
 		t.Fatal(err)
 	}
 	for m, mod := range f.models {
-		if want := tapeOracle(t, mod, f.graphs[0], f.plan); out[m] != want {
+		if want := tapeOracle(t, mod, f.graph, f.plan); out[m] != want {
 			t.Fatalf("nil scratch, member %d: packed %v != scalar %v", m, out[m], want)
 		}
 	}
@@ -329,21 +320,24 @@ func TestInferEnsembleNilScratch(t *testing.T) {
 // a wrong operator or host feature width are errors on a tile of one.
 func TestInferEnsembleRejectsBadInputs(t *testing.T) {
 	f := newTileOfOne(t)
-	if err := f.sm.InferEnsembleBatch(f.pg, nil, make([]float64, f.sm.K()-1)); err == nil {
+	if err := f.sm.InferEnsembleBatch(&f.pg, nil, make([]float64, f.sm.K()-1)); err == nil {
 		t.Fatal("short output buffer accepted")
 	}
 	out := make([]float64, f.sm.K())
-	for name, corrupt := range map[string]func(g *Graph){
-		"operator": func(g *Graph) { g.Nodes[0].Feat = []float64{1} }, // encoder expects 2
-		"host":     func(g *Graph) { g.Nodes[len(g.Nodes)-1].Feat = []float64{1, 2, 3} },
+	badOp := packBase()
+	badOp.Nodes[0].Feat = []float64{1} // encoder expects 2
+	badHost := slices.Clone(packHostFeats)
+	badHost[2] = []float64{1, 2, 3}
+	for name, tc := range map[string]struct {
+		base      *Graph
+		hostFeats [][]float64
+	}{
+		"operator": {badOp, packHostFeats},
+		"host":     {packBase(), badHost},
 	} {
-		bad := packCandidates(packBase(), packPlacements[1:2])
-		corrupt(bad[0])
-		badPG, err := PackGraphs(bad, f.plan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.sm.InferEnsembleBatch(badPG, nil, out); err == nil {
+		var bad PackedGraphs
+		pack(t, &bad, tc.base, f.plan, tc.hostFeats, f.placements)
+		if err := f.sm.InferEnsembleBatch(&bad, nil, out); err == nil {
 			t.Fatalf("wrong %s feature width accepted", name)
 		}
 	}
@@ -355,15 +349,15 @@ func TestInferEnsembleAllocs(t *testing.T) {
 	f := newTileOfOne(t)
 	out := make([]float64, f.sm.K())
 	bs := NewBatchScratch()
-	if err := f.sm.InferEnsembleBatch(f.pg, bs, out); err != nil { // grow the planes
+	if err := f.sm.InferEnsembleBatch(&f.pg, bs, out); err != nil { // grow the planes
 		t.Fatal(err)
 	}
+	host := hostsOf(packHostFeats)
 	allocs := testing.AllocsPerRun(50, func() {
-		var err error
-		if f.pg, err = PackGraphs(f.graphs, f.plan, f.pg); err != nil {
+		if err := f.pg.Pack(f.base, f.plan, len(packHostFeats), host, f.placements); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.sm.InferEnsembleBatch(f.pg, bs, out); err != nil {
+		if err := f.sm.InferEnsembleBatch(&f.pg, bs, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -385,20 +379,17 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := []*Graph{base, base, base}
-	pg, err := PackGraphs(graphs, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, len(graphs)*sm.K())
-	if err := sm.InferEnsembleBatch(pg, nil, got); err != nil {
+	var pg PackedGraphs
+	pack(t, &pg, base, plan, nil, make([][]int, 3))
+	got := make([]float64, 3*sm.K())
+	if err := sm.InferEnsembleBatch(&pg, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]float64, sm.K())
 	for m, mod := range models {
 		want[m] = tapeOracle(t, mod, base, plan)
 	}
-	for ci := range graphs {
+	for ci := 0; ci < 3; ci++ {
 		for m := 0; m < sm.K(); m++ {
 			if got[ci*sm.K()+m] != want[m] {
 				t.Fatalf("candidate %d member %d: %v != %v", ci, m, got[ci*sm.K()+m], want[m])
@@ -407,59 +398,54 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 	}
 }
 
-// TestPackGraphsRejectsForeignGraphs checks the structural-sharing guard:
-// graphs that merely equal the base by value (copied features) or break
-// the op/host split are rejected, so mis-batched inference cannot happen
-// silently.
+// TestPackGraphsRejectsForeignGraphs checks the packer's own input checks:
+// an empty tile, a placement of the wrong length and a host outside the
+// tile's range are errors naming the candidate, so mis-packed inference
+// cannot happen silently.
 func TestPackGraphsRejectsForeignGraphs(t *testing.T) {
 	base := packBase()
 	plan, err := NewPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := packCandidates(base, packPlacements[:2])
-
-	// A value-equal copy of an operator feature vector is not sharing.
-	copied := packCandidates(base, packPlacements[2:3])[0]
-	copied.Nodes[1].Feat = append([]float64(nil), copied.Nodes[1].Feat...)
-	if _, err := PackGraphs([]*Graph{graphs[0], copied}, plan, nil); err == nil ||
-		!strings.Contains(err.Error(), "share") {
-		t.Fatalf("copied-feature graph packed without error (err=%v)", err)
+	host := hostsOf(packHostFeats)
+	var pg PackedGraphs
+	for name, tc := range map[string]struct {
+		placements [][]int
+		want       string
+	}{
+		"empty tile":      {nil, "zero candidates"},
+		"short placement": {[][]int{{0, 1, 2}, {0, 1}}, "candidate 1 places 2 operators, the graph has 3"},
+		"long placement":  {[][]int{{0, 1, 2, 0}}, "candidate 0 places 4 operators"},
+		"host too high":   {[][]int{{0, 1, 2}, {0, 3, 2}}, "candidate 1 places operator 1 on host 3, outside 0..2"},
+		"negative host":   {[][]int{{0, 1, -1}}, "candidate 0 places operator 2 on host -1"},
+	} {
+		if err := pg.Pack(base, plan, len(packHostFeats), host, tc.placements); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
 	}
-
-	// An operator node appended after the host section breaks the split.
-	bad := packCandidates(base, packPlacements[:1])[0]
-	bad.Nodes = append(bad.Nodes, Node{Kind: KindFilter, Feat: []float64{1, 2, 3}})
-	if _, err := PackGraphs([]*Graph{bad}, plan, nil); err == nil {
-		t.Fatal("op-after-host graph packed without error")
-	}
-
-	if _, err := PackGraphs(nil, plan, nil); err == nil {
-		t.Fatal("empty pack accepted")
+	if err := pg.Pack(&Graph{}, plan, len(packHostFeats), host, packPlacements); err == nil {
+		t.Error("graph without operators packed")
 	}
 }
 
-// TestPackGraphsSharesHostRows: slots that carry the same feature array
-// share one encoder row, in first-use order, and a value-equal copy of a
-// host vector (what BatchFeaturizer's first-use race can produce) takes a
-// row of its own without changing any output.
+// TestPackGraphsSharesHostRows: slots on the same host index share one
+// encoder row, in first-use order over the tile, and two hosts with equal
+// features take a row each without changing any output.
 func TestPackGraphsSharesHostRows(t *testing.T) {
 	base := packBase()
 	plan, err := NewPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := packCandidates(base, packPlacements)
-	pg, err := PackGraphs(graphs, plan, nil)
-	if err != nil {
-		t.Fatal(err)
+	var pg PackedGraphs
+	pack(t, &pg, base, plan, packHostFeats, packPlacements)
+	if want := []int{0, 1, 2}; !slices.Equal(pg.rowHost, want) {
+		t.Fatalf("%d slots packed into rows of hosts %v, want %v", len(pg.slotHost), pg.rowHost, want)
 	}
-	if got, want := len(pg.hostUniq), len(packHostFeats); got != want {
-		t.Fatalf("%d slots packed into %d encoder rows, want %d", pg.hostOff[pg.c], got, want)
-	}
-	for s, row := range pg.hostRow[:pg.hostOff[pg.c]] {
-		if first := pg.hostUniq[row]; first > s || &pg.hostFeat[first][0] != &pg.hostFeat[s][0] {
-			t.Fatalf("slot %d reads row %d, first carried by slot %d with other features", s, row, first)
+	for s, row := range pg.hostRow {
+		if pg.rowHost[row] != pg.slotHost[s] {
+			t.Fatalf("slot %d on host %d reads the row of host %d", s, pg.slotHost[s], pg.rowHost[row])
 		}
 	}
 
@@ -467,26 +453,31 @@ func TestPackGraphsSharesHostRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, len(graphs)*sm.K())
-	if err := sm.InferEnsembleBatch(pg, nil, want); err != nil {
+	want := make([]float64, len(packPlacements)*sm.K())
+	if err := sm.InferEnsembleBatch(&pg, nil, want); err != nil {
 		t.Fatal(err)
 	}
-	last := graphs[len(graphs)-1]
-	host := &last.Nodes[len(last.Nodes)-1]
-	host.Feat = append([]float64(nil), host.Feat...)
-	if pg, err = PackGraphs(graphs, plan, pg); err != nil {
-		t.Fatal(err)
+	// Host 3 carries host 0's features; the last candidate moves there.
+	hostFeats := append(slices.Clone(packHostFeats), slices.Clone(packHostFeats[0]))
+	placements := slices.Clone(packPlacements)
+	last := len(placements) - 1
+	placements[last] = slices.Clone(placements[last])
+	for op, h := range placements[last] {
+		if h == 0 {
+			placements[last][op] = 3
+		}
 	}
-	if got, want := len(pg.hostUniq), len(packHostFeats)+1; got != want {
-		t.Fatalf("copied host vector: %d encoder rows, want %d", got, want)
+	pack(t, &pg, base, plan, hostFeats, placements)
+	if got, want := len(pg.rowHost), len(packHostFeats)+1; got != want {
+		t.Fatalf("two hosts with equal features: %d encoder rows, want %d", got, want)
 	}
 	got := make([]float64, len(want))
-	if err := sm.InferEnsembleBatch(pg, nil, got); err != nil {
+	if err := sm.InferEnsembleBatch(&pg, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("output %d: %v with a duplicate row, %v without", i, got[i], want[i])
+			t.Fatalf("output %d: %v on the copied host, %v on the original", i, got[i], want[i])
 		}
 	}
 }
@@ -509,25 +500,22 @@ func TestPackGraphsSharesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	placements := [][]int{{0, 0, 1}, {0, 0, 2}, {2, 0, 1}, {0, 1, 1}, {0, 1, 0}, {0, 0, 1}}
-	graphs := packCandidates(base, placements)
 	models := newTestEnsemble(t, 2)
 	sm, err := Stack(models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pack packs the tile, checks every output against the scalar oracle
+	// rows packs the tile, checks every output against the scalar oracle
 	// and returns the row counts with the phase-3 rows per flow step.
-	pack := func(graphs []*Graph) ([3]PhaseRows, []int) {
+	rows := func(hostFeats [][]float64, placements [][]int) ([3]PhaseRows, []int) {
 		t.Helper()
-		pg, err := PackGraphs(graphs, plan, nil)
-		if err != nil {
+		var pg PackedGraphs
+		pack(t, &pg, base, plan, hostFeats, placements)
+		got := make([]float64, len(placements)*sm.K())
+		if err := sm.InferEnsembleBatch(&pg, nil, got); err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, len(graphs)*sm.K())
-		if err := sm.InferEnsembleBatch(pg, nil, got); err != nil {
-			t.Fatal(err)
-		}
-		for ci, g := range graphs {
+		for ci, g := range candidateGraphs(base, hostFeats, placements) {
 			for m, mod := range models {
 				if want := tapeOracle(t, mod, g, plan); got[ci*sm.K()+m] != want {
 					t.Fatalf("candidate %d member %d: packed %v != scalar %v", ci, m, got[ci*sm.K()+m], want)
@@ -546,35 +534,27 @@ func TestPackGraphsSharesRows(t *testing.T) {
 	// (own, source) pairs, the sink step 5, the source none.
 	wantRows := [3]PhaseRows{{13, 9}, {18, 12}, {12, 9}}
 	wantSteps := []int{0, 4, 5}
-	rows, steps := pack(graphs)
-	if rows != wantRows || !slices.Equal(steps, wantSteps) {
-		t.Fatalf("rows %v, per flow step %v; want %v, %v", rows, steps, wantRows, wantSteps)
+	got, steps := rows(packHostFeats, placements)
+	if got != wantRows || !slices.Equal(steps, wantSteps) {
+		t.Fatalf("rows %v, per flow step %v; want %v, %v", got, steps, wantRows, wantSteps)
 	}
 	// The duplicate requested rows and added none.
-	rows, steps = pack(graphs[:5])
+	got, steps = rows(packHostFeats, placements[:5])
 	wantRows[0].Requested, wantRows[1].Requested, wantRows[2].Requested = 11, 15, 10
-	if rows != wantRows || !slices.Equal(steps, wantSteps) {
-		t.Fatalf("without the duplicate: rows %v, per flow step %v; want %v, %v", rows, steps, wantRows, wantSteps)
+	if got != wantRows || !slices.Equal(steps, wantSteps) {
+		t.Fatalf("without the duplicate: rows %v, per flow step %v; want %v, %v", got, steps, wantRows, wantSteps)
 	}
 
-	// The child sum is a floating-point sum, so the order of the children
-	// is part of the key: the same three operators on the same host in
-	// another placement-edge order are a group of their own.
-	together := packCandidates(base, [][]int{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
-	together[1].PlaceEdges = [][2]int{{0, 3}, {2, 3}, {1, 3}}
-	if rows, _ = pack(together); rows[0] != (PhaseRows{3, 2}) || rows[1] != (PhaseRows{9, 6}) {
-		t.Fatalf("permuted placement edges: rows %v, want 2 groups of 3 children", rows)
-	}
-	// A value-equal copy of the host vector is another host row, hence
-	// another group (pack checked that no output changed).
-	host := &together[2].Nodes[3]
-	host.Feat = append([]float64(nil), host.Feat...)
-	if rows, _ = pack(together); rows[0] != (PhaseRows{3, 3}) || rows[1] != (PhaseRows{9, 9}) {
-		t.Fatalf("copied host vector: rows %v, want a group per candidate", rows)
+	// Host rows are keyed by host index: host 3, a value-equal copy of
+	// host 0, is another host row, hence another group (rows checked that
+	// no output changed).
+	hostFeats := append(slices.Clone(packHostFeats), slices.Clone(packHostFeats[0]))
+	if got, _ = rows(hostFeats, [][]int{{0, 0, 0}, {0, 0, 0}, {3, 3, 3}}); got[0] != (PhaseRows{3, 2}) || got[1] != (PhaseRows{9, 6}) {
+		t.Fatalf("a copied host: rows %v, want 2 groups of 3 children", got)
 	}
 	// A tile of one computes what it requests.
-	if rows, _ = pack(graphs[2:3]); rows != [3]PhaseRows{{3, 3}, {3, 3}, {2, 2}} {
-		t.Fatalf("tile of one: rows %v", rows)
+	if got, _ = rows(packHostFeats, placements[2:3]); got != [3]PhaseRows{{3, 3}, {3, 3}, {2, 2}} {
+		t.Fatalf("tile of one: rows %v", got)
 	}
 }
 
@@ -591,22 +571,19 @@ func TestInferEnsembleBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := packCandidates(base, packPlacements)
-	var pg *PackedGraphs
+	var pg PackedGraphs
 	bs := NewBatchScratch()
-	out := make([]float64, len(graphs)*sm.K())
-	if pg, err = PackGraphs(graphs, plan, pg); err != nil {
+	out := make([]float64, len(packPlacements)*sm.K())
+	pack(t, &pg, base, plan, packHostFeats, packPlacements)
+	if err := sm.InferEnsembleBatch(&pg, bs, out); err != nil {
 		t.Fatal(err)
 	}
-	if err := sm.InferEnsembleBatch(pg, bs, out); err != nil {
-		t.Fatal(err)
-	}
+	host := hostsOf(packHostFeats)
 	allocs := testing.AllocsPerRun(20, func() {
-		var err error
-		if pg, err = PackGraphs(graphs, plan, pg); err != nil {
+		if err := pg.Pack(base, plan, len(packHostFeats), host, packPlacements); err != nil {
 			t.Fatal(err)
 		}
-		if err := sm.InferEnsembleBatch(pg, bs, out); err != nil {
+		if err := sm.InferEnsembleBatch(&pg, bs, out); err != nil {
 			t.Fatal(err)
 		}
 	})

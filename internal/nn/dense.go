@@ -281,9 +281,6 @@ func StackMLPs(ms []*MLP) (*StackedMLP, error) {
 // InDim returns the per-member input dimension.
 func (s *StackedMLP) InDim() int { return s.Layers[0].In }
 
-// OutDim returns the per-member output dimension.
-func (s *StackedMLP) OutDim() int { return s.Layers[len(s.Layers)-1].Out }
-
 // maxWidth is the widest per-member activation produced by any layer.
 func (s *StackedMLP) maxWidth() int {
 	w := 0

@@ -159,11 +159,3 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	}
 	return bucketUpper(histBuckets - 1)
 }
-
-// Mean returns the mean observation in recorded units.
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

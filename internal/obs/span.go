@@ -75,9 +75,6 @@ func (s *Span) End() time.Duration {
 	return s.total
 }
 
-// Total returns the duration recorded by End (zero before End).
-func (s *Span) Total() time.Duration { return s.total }
-
 // Stages returns the recorded stages in order. The slice is owned by
 // the span; callers must not mutate it.
 func (s *Span) Stages() []Stage { return s.stages }
