@@ -11,9 +11,9 @@
 //	curl localhost:8080/stats
 //	curl localhost:8080/metrics
 //
-// Concurrent predict requests for the same query and cluster are
-// coalesced into shared batch inference calls, responses are cached in a
-// bounded LRU, and total in-flight model work is bounded by a semaphore.
+// Predict responses are cached in a bounded LRU, a miss is scored on the
+// request's own goroutine like a one-placement /v1/predict-batch, and
+// total in-flight model work is bounded by a semaphore.
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 package main
 

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
+
+	"costream/internal/sim"
 )
 
 // FuzzPredictRoute drives POST /v1/predict with arbitrary bodies: the
@@ -47,6 +50,71 @@ func FuzzPredictRoute(f *testing.F) {
 		}
 		if !bytes.Equal(first.Body.Bytes(), replay.Body.Bytes()) {
 			t.Fatalf("replay differs:\nfirst:  %s\nreplay: %s", first.Body, replay.Body)
+		}
+	})
+}
+
+// FuzzPredictBatchRoute drives POST /v1/predict-batch with arbitrary
+// bodies: the route must never panic, a 200 must carry exactly one cost
+// vector per requested placement, and each vector must be, byte for
+// byte, /v1/predict's answer for that placement, since the two routes
+// share one scoring path.
+func FuzzPredictBatchRoute(f *testing.F) {
+	s := newTestServer(f, Config{})
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		f.Fatal(err)
+	}
+	other := append(sim.Placement(nil), ex.Placement...)
+	other[0] = (other[0] + 1) % len(ex.Cluster.Hosts)
+	batch, err := json.Marshal(PredictBatchRequest{Query: ex.Query, Cluster: ex.Cluster, Placements: []sim.Placement{ex.Placement, other, ex.Placement}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batch)
+	f.Add(append(bytes.Clone(batch), "garbage"...))
+	f.Add(batch[:len(batch)/2])
+	f.Add(bytes.Replace(batch, []byte(`"placements":[[`), []byte(`"placements":[[-1,`), 1))
+	f.Add(bytes.Replace(batch, []byte(`"placements":[`), []byte(`"placements":[[],`), 1))
+	f.Add(bytes.Replace(batch, []byte(`"placements"`), []byte(`"placement"`), 1))
+	f.Add([]byte(`{"query":null,"cluster":null,"placements":null}`))
+	f.Add([]byte(`{"query":{},"cluster":{},"placements":[]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Add([]byte("\x00\xff\xfe"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := postRaw(s, "/v1/predict-batch", body)
+		if w.Code != http.StatusOK {
+			return
+		}
+		var req PredictBatchRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		var resp struct{ Costs []json.RawMessage }
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Costs) != len(req.Placements) {
+			t.Fatalf("%d cost vectors for %d placements", len(resp.Costs), len(req.Placements))
+		}
+		for i, p := range req.Placements {
+			one, err := json.Marshal(PredictRequest{Query: req.Query, Cluster: req.Cluster, Placement: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw := postRaw(s, "/v1/predict", one)
+			if pw.Code != http.StatusOK {
+				t.Fatalf("placement %d: batch answered 200, predict %d: %s", i, pw.Code, pw.Body)
+			}
+			var single struct{ Costs json.RawMessage }
+			if err := json.Unmarshal(pw.Body.Bytes(), &single); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Costs[i], single.Costs) {
+				t.Fatalf("placement %d: batch %s, predict %s", i, resp.Costs[i], single.Costs)
+			}
 		}
 	})
 }

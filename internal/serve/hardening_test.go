@@ -141,6 +141,32 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 	}
 }
 
+// TestPredictCancelledContext: a /v1/predict miss whose client is already
+// gone is scored under its request context like a /v1/predict-batch: no
+// tile is scored, the answer is 503, and nothing is cached.
+func TestPredictCancelledContext(t *testing.T) {
+	pred := &fakePred{}
+	s := newTestServer(t, Config{Predictor: pred})
+	data, err := json.Marshal(PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(data)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "request cancelled") {
+		t.Fatalf("status %d body %s, want 503 request cancelled", w.Code, w.Body)
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Errorf("%d cache entries after a cancelled request, want 0", n)
+	}
+	if got := pred.batchCalls.Load(); got != 0 {
+		t.Errorf("cancelled request scored %d tiles, want 0", got)
+	}
+}
+
 // cancellingPred cancels the request context from inside the first
 // tile it scores, simulating a client that disconnects mid-search.
 type cancellingPred struct {

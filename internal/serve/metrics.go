@@ -26,17 +26,15 @@ type stageKey struct{ route, stage string }
 
 // serveMetrics is the server's view into its metrics registry: per-route
 // request counters and latency histograms, per-stage latency histograms
-// of the traced routes, saturation rejections, and the coalescer
-// batch-size distribution. Cache, in-flight and coalescer series are
-// registered as Func instruments reading the live structs (see
-// registerFuncs), so they need no fields here.
+// of the traced routes, and saturation rejections. Cache and in-flight
+// series are registered as Func instruments reading the live structs
+// (see registerFuncs), so they need no fields here.
 type serveMetrics struct {
-	requests  map[string]*obs.Counter
-	errors    map[string]*obs.Counter
-	latency   map[string]*obs.Histogram
-	stages    map[stageKey]*obs.Histogram
-	rejected  *obs.Counter
-	batchSize *obs.Histogram
+	requests map[string]*obs.Counter
+	errors   map[string]*obs.Counter
+	latency  map[string]*obs.Histogram
+	stages   map[stageKey]*obs.Histogram
+	rejected *obs.Counter
 }
 
 func newServeMetrics(r *obs.Registry) *serveMetrics {
@@ -47,8 +45,6 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 		stages:   make(map[stageKey]*obs.Histogram),
 		rejected: r.Counter("costream_http_rejected_total",
 			"requests rejected with 503 because the in-flight limit stayed saturated past the queue timeout"),
-		batchSize: r.Histogram("costream_serve_coalesce_batch_size",
-			"placements scored per coalesced scoring call on the predict path", 1),
 	}
 	for _, route := range routeNames {
 		m.requests[route] = r.Counter("costream_http_requests_total",
@@ -94,16 +90,6 @@ func (s *Server) registerFuncs(r *obs.Registry) {
 		"configured bound on concurrent predictor calls", func() float64 { return float64(cap(s.sem)) })
 	r.GaugeFunc("costream_serve_cache_capacity",
 		"configured prediction cache capacity in entries (0: caching disabled)", func() float64 { return float64(s.cache.capacity()) })
-
-	coalesce := func(name, help string, v func() int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v()) })
-	}
-	coalesce("costream_serve_coalesce_enqueued_total",
-		"predict requests that reached the coalescer (cache misses)", s.co.enqueued.Load)
-	coalesce("costream_serve_coalesce_batches_total",
-		"scoring calls issued by the coalescer", s.co.batches.Load)
-	coalesce("costream_serve_coalesce_coalesced_total",
-		"predict requests that shared a batch with at least one other", s.co.coalesced.Load)
 }
 
 // statusRecorder captures the response status for per-route error

@@ -54,8 +54,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"costream_http_rejected_total",
 		"costream_serve_cache_ops_total",
 		"costream_serve_cache_entries",
-		"costream_serve_coalesce_batches_total",
-		"costream_serve_coalesce_batch_size",
 		"costream_serve_in_flight",
 		"costream_search_rounds_total",
 		"costream_search_candidates_total",
@@ -192,14 +190,16 @@ func TestOptimizeDebugStanza(t *testing.T) {
 // TestSaturationReturns503 checks the admission path: when the in-flight
 // semaphore stays full past the queue timeout, requests are rejected
 // with 503 + Retry-After instead of queueing without bound, and the
-// rejection is counted.
+// rejection is counted. A /v1/predict miss takes the same path as a
+// /v1/predict-batch.
 func TestSaturationReturns503(t *testing.T) {
+	pred := &fakePred{delay: 300 * time.Millisecond}
 	s := newTestServer(t, Config{
-		Predictor:    &fakePred{delay: 300 * time.Millisecond},
-		MaxInFlight:  1,
-		QueueTimeout: 20 * time.Millisecond,
-		CacheSize:    -1,
+		Predictor:   pred,
+		MaxInFlight: 1,
+		CacheSize:   -1,
 	})
+	s.queueTimeout = 20 * time.Millisecond
 	q, c := testQuery(t), testCluster()
 	batch := PredictBatchRequest{Query: q, Cluster: c, Placements: []sim.Placement{{0, 1, 2}}}
 
@@ -239,66 +239,24 @@ func TestSaturationReturns503(t *testing.T) {
 		t.Errorf("/stats rejected = %v, want 1", got)
 	}
 
-	// A negative QueueTimeout restores unbounded waiting: the same load
-	// pattern succeeds on both requests.
-	s2 := newTestServer(t, Config{
-		Predictor:    &fakePred{delay: 100 * time.Millisecond},
-		MaxInFlight:  1,
-		QueueTimeout: -1,
-		CacheSize:    -1,
-	})
-	var wg2 sync.WaitGroup
-	codes2 := make([]int, 2)
-	for i := range codes2 {
-		wg2.Add(1)
-		go func(i int) {
-			defer wg2.Done()
-			w := doJSON(t, s2, http.MethodPost, "/v1/predict-batch", batch)
-			codes2[i] = w.Code
-		}(i)
-		time.Sleep(20 * time.Millisecond)
+	// A /v1/predict miss while the only slot is held is rejected the same
+	// way, before it reaches the predictor.
+	if err := s.acquire(); err != nil {
+		t.Fatal(err)
 	}
-	wg2.Wait()
-	for i, code := range codes2 {
-		if code != http.StatusOK {
-			t.Errorf("blocking mode request %d status %d, want 200", i, code)
-		}
-	}
-}
-
-// TestSaturatedCoalescerFailsFast checks the coalescer does not retry
-// each member of a saturated batch individually.
-func TestSaturatedCoalescerFailsFast(t *testing.T) {
-	pred := &fakePred{delay: 300 * time.Millisecond}
-	s := newTestServer(t, Config{
-		Predictor:    pred,
-		MaxInFlight:  1,
-		QueueTimeout: 20 * time.Millisecond,
-		CacheSize:    -1,
-	})
-	q, c := testQuery(t), testCluster()
-
-	// Hold the only slot with a batch request, then send a predict that
-	// must go through the coalescer and find the server saturated.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		doJSON(t, s, http.MethodPost, "/v1/predict-batch",
-			PredictBatchRequest{Query: q, Cluster: c, Placements: []sim.Placement{{0, 1, 2}}})
-	}()
-	time.Sleep(50 * time.Millisecond)
-
-	calls0 := pred.batchCalls.Load()
-	w := doJSON(t, s, http.MethodPost, "/v1/predict",
-		PredictRequest{Query: q, Cluster: c, Placement: sim.Placement{0, 0, 1}})
+	calls := pred.batchCalls.Load()
+	w := doJSON(t, s, http.MethodPost, "/v1/predict", PredictRequest{Query: q, Cluster: c, Placement: sim.Placement{0, 0, 1}})
+	s.release()
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("predict status %d, want 503: %s", w.Code, w.Body)
 	}
-	wg.Wait()
-	// The saturated batch must not have been re-driven through the
-	// single-prediction fallback (which would queue more work).
-	if got := pred.batchCalls.Load() - calls0; got != 0 {
-		t.Errorf("saturated coalescer issued %d extra batch calls", got)
+	if w.Header().Get("Retry-After") == "" {
+		t.Error("predict 503 missing Retry-After header")
+	}
+	if got := pred.batchCalls.Load() - calls; got != 0 {
+		t.Errorf("saturated predict scored %d tiles, want 0", got)
+	}
+	if got := s.met.rejected.Value(); got != 2 {
+		t.Errorf("rejected counter = %d, want 2", got)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -301,7 +300,8 @@ func TestErrorsAreNeverCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing := newTestServer(t, Config{Predictor: &fakePred{err: fmt.Errorf("boom")}})
-	saturated := newTestServer(t, Config{MaxInFlight: 1, QueueTimeout: time.Millisecond})
+	saturated := newTestServer(t, Config{MaxInFlight: 1})
+	saturated.queueTimeout = time.Millisecond
 	if err := saturated.acquire(); err != nil { // hold the only slot
 		t.Fatal(err)
 	}
@@ -458,8 +458,8 @@ func TestOptimizeHandler(t *testing.T) {
 	if err := resp.Placement.Validate(q, c); err != nil {
 		t.Errorf("returned placement invalid: %v", err)
 	}
-	if resp.Candidates <= 0 {
-		t.Errorf("candidates %d", resp.Candidates)
+	if resp.Examined <= 0 {
+		t.Errorf("examined %d", resp.Examined)
 	}
 	if resp.Costs != fakeCosts(resp.Placement) {
 		t.Errorf("costs %+v do not match the returned placement", resp.Costs)
@@ -470,8 +470,8 @@ func TestOptimizeHandler(t *testing.T) {
 	if resp.Seed != 3 {
 		t.Errorf("seed %d, want echoed 3", resp.Seed)
 	}
-	if resp.Examined != resp.Candidates {
-		t.Errorf("examined %d != candidates %d", resp.Examined, resp.Candidates)
+	if bytes.Contains(w.Body.Bytes(), []byte(`"candidates"`)) {
+		t.Errorf("reply carries a candidates field beside examined: %s", w.Body)
 	}
 	if resp.Index < 0 || resp.Index >= resp.Examined {
 		t.Errorf("index %d out of range [0, %d)", resp.Index, resp.Examined)
@@ -679,8 +679,8 @@ func TestHealthzAndStats(t *testing.T) {
 	if requests["route=predict"] != 1.0 || requests["route=healthz"] != 1.0 {
 		t.Errorf("request counters %v", requests)
 	}
-	if st["costream_serve_coalesce_enqueued_total"][""] != 1.0 || st["costream_serve_coalesce_batches_total"][""] != 1.0 {
-		t.Errorf("coalesce counters %v / %v", st["costream_serve_coalesce_enqueued_total"], st["costream_serve_coalesce_batches_total"])
+	if got := st["costream_serve_cache_ops_total"]["outcome=miss"]; got != 1.0 {
+		t.Errorf("cache misses %v, want 1", got)
 	}
 	if st["costream_serve_max_in_flight"][""].(float64) <= 0 {
 		t.Errorf("max in-flight %v", st["costream_serve_max_in_flight"])
@@ -690,228 +690,10 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestCoalescerBatchesConcurrentRequests drives the coalescer directly
-// with a blocking batch function so the grouping is deterministic: the
-// first request becomes leader and blocks in its scoring call; everything
-// arriving meanwhile must be scored together in exactly one second batch.
-func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
-	const followers = 8
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int64
-	var mu sync.Mutex
-	var sizes []int
-
-	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
-		n := calls.Add(1)
-		mu.Lock()
-		sizes = append(sizes, len(ps))
-		mu.Unlock()
-		if n == 1 {
-			close(entered)
-			<-release
-		}
-		return fakeScore(ps)
-	}, 0)
-
-	var wg sync.WaitGroup
-	results := make([]predictResult, followers+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0] = co.predict("k", nil, nil, sim.Placement{0, 0, 0})
-	}()
-	<-entered // leader is now blocked inside its scoring call
-
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = co.predict("k", nil, nil, sim.Placement{0, 0, i})
-		}(i)
-	}
-	// Wait until every follower has enqueued, then unblock the leader.
-	for co.enqueued.Load() < followers+1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		want := fakeCosts(sim.Placement{0, 0, i})
-		if i == 0 {
-			want = fakeCosts(sim.Placement{0, 0, 0})
-		}
-		if r.costs != want {
-			t.Errorf("request %d: costs %+v, want %+v", i, r.costs, want)
-		}
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("batch calls %d, want 2 (leader alone + one coalesced batch)", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != followers {
-		t.Errorf("batch sizes %v, want [1 %d]", sizes, followers)
-	}
-	if co.coalesced.Load() != followers {
-		t.Errorf("coalesced %d, want %d", co.coalesced.Load(), followers)
-	}
-}
-
-// TestCoalescerCapsBatchSize: queued requests beyond maxBatch are not
-// drained in one oversized scoring call; they wait for the next
-// iteration, keeping per-call work bounded like the HTTP endpoints.
-func TestCoalescerCapsBatchSize(t *testing.T) {
-	const followers, maxBatch = 9, 4
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int64
-	var mu sync.Mutex
-	var sizes []int
-
-	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-release
-		}
-		mu.Lock()
-		sizes = append(sizes, len(ps))
-		mu.Unlock()
-		return fakeScore(ps)
-	}, maxBatch)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if r := co.predict("k", nil, nil, sim.Placement{0, 0, 0}); r.err != nil {
-			t.Error(r.err)
-		}
-	}()
-	<-entered
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if r := co.predict("k", nil, nil, sim.Placement{0, 0, i}); r.err != nil {
-				t.Error(r.err)
-			} else if want := fakeCosts(sim.Placement{0, 0, i}); r.costs != want {
-				t.Errorf("request %d: costs %+v, want %+v", i, r.costs, want)
-			}
-		}(i)
-	}
-	for co.enqueued.Load() < followers+1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	for i, n := range sizes {
-		if n > maxBatch {
-			t.Errorf("batch %d scored %d placements, cap is %d (sizes %v)", i, n, maxBatch, sizes)
-		}
-	}
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
-	if total != followers+1 {
-		t.Errorf("scored %d placements across %v, want %d", total, sizes, followers+1)
-	}
-}
-
-// fakeScore scores placements with fakeCosts, none failing.
-func fakeScore(ps []sim.Placement) ([]placement.PredCosts, []error) {
-	out := make([]placement.PredCosts, len(ps))
-	for i, p := range ps {
-		out[i] = fakeCosts(p)
-	}
-	return out, make([]error, len(ps))
-}
-
-// poisonPred scores like fakePred but fails every tile holding a
-// placement that starts on host 9: a batch with one such request fails as
-// a whole until placement.Score isolates it.
-type poisonPred struct{ fakePred }
-
-func (p *poisonPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
-	return poisonSession{fakeSession{&p.fakePred}}, nil
-}
-
-type poisonSession struct{ fakeSession }
-
-func (s poisonSession) ScoreTile(ps []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
-	for _, p := range ps {
-		if p[0] == 9 {
-			return fmt.Errorf("bad placement")
-		}
-	}
-	return s.fakeSession.ScoreTile(ps, need, out)
-}
-
-// TestCoalescerIsolatesBatchFailure: a bad request batched with good ones
-// fails alone — the good requests of its batch still get their costs.
-func TestCoalescerIsolatesBatchFailure(t *testing.T) {
-	pred := &poisonPred{}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int64
-	co := newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-release
-		}
-		return placement.Score(context.Background(), pred, q, c, ps, placement.AllCosts, 1)
-	}, 0)
-
-	ps := []sim.Placement{{0, 0, 0}, {0, 1, 2}, {9, 0, 0}, {1, 1, 2}}
-	results := make([]predictResult, len(ps))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0] = co.predict("k", nil, nil, ps[0])
-	}()
-	<-entered // the leader scores alone; the rest queue into one batch
-	for i := 1; i < len(ps); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = co.predict("k", nil, nil, ps[i])
-		}(i)
-	}
-	for co.enqueued.Load() < int64(len(ps)) {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	for i, r := range results {
-		if ps[i][0] == 9 {
-			if r.err == nil {
-				t.Errorf("bad request %d succeeded", i)
-			}
-			continue
-		}
-		if r.err != nil || r.costs != fakeCosts(ps[i]) {
-			t.Errorf("good request %d batched with a bad one: %+v", i, r)
-		}
-	}
-	if results[2].batchSize != len(ps)-1 {
-		t.Errorf("bad request scored in a batch of %d, want %d", results[2].batchSize, len(ps)-1)
-	}
-}
-
 // TestConcurrentPredictRace hammers the full HTTP path from many
 // goroutines (run with -race): every response must match the
-// deterministic fake, and coalescing must never issue more batch calls
-// than requests.
+// deterministic fake, and every request is counted once by the cache, as
+// a hit or a miss.
 func TestConcurrentPredictRace(t *testing.T) {
 	s := newTestServer(t, Config{Predictor: &fakePred{delay: 2 * time.Millisecond}, CacheSize: 64, MaxInFlight: 4})
 	q, c := testQuery(t), testCluster()
@@ -948,13 +730,9 @@ func TestConcurrentPredictRace(t *testing.T) {
 	if got := s.met.requests["predict"].Value(); got != clients {
 		t.Errorf("predict requests %d, want %d", got, clients)
 	}
-	hits, _, _ := s.cache.counters()
-	enqueued, batches := s.co.enqueued.Load(), s.co.batches.Load()
-	if got := enqueued + hits; got != clients {
-		t.Errorf("enqueued(%d) + cache hits(%d) = %d, want %d", enqueued, hits, got, clients)
-	}
-	if batches > enqueued {
-		t.Errorf("more batches (%d) than enqueued requests (%d)", batches, enqueued)
+	hits, misses, _ := s.cache.counters()
+	if got := misses + hits; got != clients {
+		t.Errorf("cache misses(%d) + hits(%d) = %d, want %d", misses, hits, got, clients)
 	}
 }
 

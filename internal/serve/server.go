@@ -31,18 +31,14 @@
 // are served from a bounded LRU keyed by a digest of the request bytes,
 // so a hit is a read, a hash, a map probe and a write of the stored
 // response bytes, with no JSON work (the trade: a re-formatted copy of a
-// request is its own entry); cache misses for the same (query, cluster)
-// are coalesced into shared scoring calls (placement.Score) that
-// featurize the query graph once for the whole batch; and a semaphore
+// request is its own entry); a miss is scored like a /v1/predict-batch
+// of one (placement.Score under the request context); and a semaphore
 // bounds the predictor work in flight regardless of how many requests are
 // queued.
 package serve
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +47,6 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +80,7 @@ type Config struct {
 	// CacheSize is the LRU capacity in entries. 0 selects
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// MaxInFlight bounds concurrent predictor work (batch scoring and
+	// MaxInFlight bounds concurrent predictor work (predict scoring and
 	// optimization runs). <= 0 selects GOMAXPROCS.
 	MaxInFlight int
 	// OptimizeWorkers bounds the scoring worker pool of one /v1/optimize
@@ -102,11 +97,6 @@ type Config struct {
 	// Logger, when set, receives structured request traces (one debug
 	// record per instrumented request, with per-stage timings).
 	Logger *slog.Logger
-	// QueueTimeout bounds how long a request may wait for an in-flight
-	// slot before being rejected with 503 and a Retry-After header. Zero
-	// selects DefaultQueueTimeout; negative waits forever (the pre-503
-	// behavior).
-	QueueTimeout time.Duration
 	// MaxRequestBytes caps request body size; larger bodies are rejected
 	// with 413. <= 0 selects DefaultMaxRequestBytes.
 	MaxRequestBytes int64
@@ -116,12 +106,12 @@ type Config struct {
 	ControlPlane *controlplane.Plane
 }
 
-// DefaultQueueTimeout is the in-flight queue wait bound when Config
-// leaves QueueTimeout zero.
+// DefaultQueueTimeout bounds how long a request waits for an in-flight
+// slot before it is rejected with 503 and a Retry-After header.
 const DefaultQueueTimeout = 2 * time.Second
 
 // ErrSaturated is returned by the admission path when the in-flight
-// semaphore stays full past the queue timeout; handlers map it to 503.
+// semaphore stays full past DefaultQueueTimeout; handlers map it to 503.
 var ErrSaturated = errors.New("server saturated: too much predictor work in flight")
 
 // DefaultCacheSize is the prediction cache capacity when Config leaves
@@ -134,7 +124,6 @@ type Server struct {
 	pred         placement.Predictor
 	mux          *http.ServeMux
 	cache        *lruCache
-	co           *coalescer
 	sem          chan struct{}
 	start        time.Time
 	queueTimeout time.Duration
@@ -168,10 +157,6 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	queueTimeout := cfg.QueueTimeout
-	if queueTimeout == 0 {
-		queueTimeout = DefaultQueueTimeout
-	}
 	maxBody := cfg.MaxRequestBytes
 	if maxBody <= 0 {
 		maxBody = DefaultMaxRequestBytes
@@ -183,24 +168,12 @@ func New(cfg Config) (*Server, error) {
 		cache:        newLRUCache(cacheSize),
 		sem:          make(chan struct{}, maxInFlight),
 		start:        time.Now(),
-		queueTimeout: queueTimeout,
+		queueTimeout: DefaultQueueTimeout,
 		maxBody:      maxBody,
 		reg:          reg,
 		met:          newServeMetrics(reg),
 		logger:       cfg.Logger,
 	}
-	s.co = newCoalescer(func(q *stream.Query, c *hardware.Cluster, ps []sim.Placement) ([]placement.PredCosts, []error) {
-		if err := s.acquire(); err != nil {
-			errs := make([]error, len(ps))
-			for i := range errs {
-				errs[i] = err
-			}
-			return make([]placement.PredCosts, len(ps)), errs
-		}
-		defer s.release()
-		s.met.batchSize.Record(int64(len(ps)))
-		return placement.Score(context.Background(), s.pred, q, c, ps, placement.AllCosts, 1)
-	}, maxCandidates)
 	s.plane = cfg.ControlPlane
 	if s.plane == nil {
 		plane, err := controlplane.New(controlplane.Config{
@@ -250,18 +223,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // acquire claims an in-flight slot, waiting at most the queue timeout.
 // A saturated server answers ErrSaturated instead of queueing without
-// bound (negative QueueTimeout restores unbounded waiting).
+// bound.
 func (s *Server) acquire() error {
 	select {
 	case s.sem <- struct{}{}:
 		s.inflight.Add(1)
 		return nil
 	default:
-	}
-	if s.queueTimeout < 0 {
-		s.sem <- struct{}{}
-		s.inflight.Add(1)
-		return nil
 	}
 	t := time.NewTimer(s.queueTimeout)
 	defer t.Stop()
@@ -284,6 +252,34 @@ func (s *Server) release() {
 func (s *Server) writeSaturated(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	s.writeError(w, http.StatusServiceUnavailable, "%v", ErrSaturated)
+}
+
+// score is the one scoring path of the predict routes: it claims an
+// in-flight slot and runs placement.Score over ps under the request
+// context, so a disconnecting client stops the scoring at the next tile.
+// On failure it answers the request itself and returns false: 503 with
+// Retry-After when saturated, 503 when the client is gone, and 422 for
+// the first placement that failed, named by what(i).
+func (s *Server) score(w http.ResponseWriter, r *http.Request, q *stream.Query, c *hardware.Cluster, ps []sim.Placement, what func(i int) string) ([]placement.PredCosts, bool) {
+	if err := s.acquire(); err != nil {
+		s.writeSaturated(w)
+		return nil, false
+	}
+	out, errs := placement.Score(r.Context(), s.pred, q, c, ps, placement.AllCosts, 1)
+	s.release()
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if r.Context().Err() != nil {
+			// The client is gone; nobody reads this response.
+			s.writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
+			return nil, false
+		}
+		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: %s%v", what(i), err)
+		return nil, false
+	}
+	return out, true
 }
 
 // logSpan emits one structured trace record for a finished span.
@@ -360,9 +356,6 @@ type PredictBatchResponse struct {
 type OptimizeResponse struct {
 	Placement sim.Placement       `json:"placement"`
 	Costs     placement.PredCosts `json:"costs"`
-	// Candidates is how many distinct placements were scored (same value
-	// as Examined; kept for backward compatibility).
-	Candidates int `json:"candidates"`
 	// Filtered counts candidates removed by the sanity check (predicted
 	// failure/backpressure) or scoring errors; Errored is the error subset.
 	Filtered int `json:"filtered"`
@@ -394,19 +387,6 @@ type OptimizeDebug struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// fingerprint hashes the JSON encodings of a decoded query and cluster
-// into the coalescer's group key. encoding/json is deterministic for
-// these types (no maps), so structurally equal pairs produce equal keys
-// however their requests were formatted.
-func fingerprint(q *stream.Query, c *hardware.Cluster) (string, error) {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	if err := errors.Join(enc.Encode(q), enc.Encode(c)); err != nil {
-		return "", fmt.Errorf("serve: fingerprinting request: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
 // writeBody answers status with an already encoded JSON body.
@@ -556,28 +536,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stage(sp, "decode")
 
-	groupKey, err := fingerprint(req.Query, req.Cluster)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res := s.co.predict(groupKey, req.Query, req.Cluster, req.Placement)
+	costs, ok := s.score(w, r, req.Query, req.Cluster, []sim.Placement{req.Placement}, func(int) string { return "" })
 	s.stage(sp, "score")
-	if res.err != nil {
-		if errors.Is(res.err, ErrSaturated) {
-			s.writeSaturated(w)
-			return
-		}
-		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: %v", res.err)
+	if !ok {
 		return
 	}
-	out, ok := encodeJSON(w, PredictResponse{Costs: res.costs})
+	out, ok := encodeJSON(w, PredictResponse{Costs: costs[0]})
 	if !ok {
 		return
 	}
 	s.cache.add(key, out)
 	w.Header().Set("X-Costream-Cache", "miss")
-	w.Header().Set("X-Costream-Batch-Size", strconv.Itoa(res.batchSize))
 	writeBody(w, http.StatusOK, out)
 	s.stage(sp, "encode")
 }
@@ -606,24 +575,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.acquire(); err != nil {
-		s.writeSaturated(w)
-		return
-	}
-	// The request context threads into the scoring: a disconnecting client
-	// stops it at the next tile instead of scoring every placement.
-	out, errs := placement.Score(r.Context(), s.pred, req.Query, req.Cluster, req.Placements, placement.AllCosts, 1)
-	s.release()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if r.Context().Err() != nil {
-			// The client is gone; nobody reads this response.
-			s.writeError(w, http.StatusServiceUnavailable, "request cancelled: %v", err)
-			return
-		}
-		s.writeError(w, http.StatusUnprocessableEntity, "prediction failed: placement %d: %v", i, err)
+	out, ok := s.score(w, r, req.Query, req.Cluster, req.Placements, func(i int) string { return fmt.Sprintf("placement %d: ", i) })
+	if !ok {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, PredictBatchResponse{Costs: out})
@@ -708,16 +661,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := OptimizeResponse{
-		Placement:  res.Placement,
-		Costs:      res.Costs,
-		Candidates: res.Examined,
-		Filtered:   res.Filtered,
-		Errored:    res.Errored,
-		Strategy:   res.Strategy,
-		Rounds:     res.Rounds,
-		Examined:   res.Examined,
-		Index:      res.Index,
-		Seed:       seed,
+		Placement: res.Placement,
+		Costs:     res.Costs,
+		Filtered:  res.Filtered,
+		Errored:   res.Errored,
+		Strategy:  res.Strategy,
+		Rounds:    res.Rounds,
+		Examined:  res.Examined,
+		Index:     res.Index,
+		Seed:      seed,
 	}
 	if req.Debug {
 		resp.Debug = &OptimizeDebug{TraceID: sp.ID(), Rounds: res.Telemetry}
