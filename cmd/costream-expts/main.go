@@ -24,7 +24,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costream-expts: ")
 	var (
-		scale   = flag.Float64("scale", experiments.ScaleFromEnv(), "experiment scale factor (corpus sizes, epochs)")
+		scale   = flag.Float64("scale", 1.0, "experiment scale factor (corpus sizes, epochs)")
 		md      = flag.String("md", "", "optional path for a Markdown report")
 		quiet   = flag.Bool("q", false, "suppress progress logging")
 		workers = flag.Int("workers", 0, "per-level concurrency bound: experiments at once, and scoring workers within each (0 = GOMAXPROCS)")

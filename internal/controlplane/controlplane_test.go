@@ -484,7 +484,7 @@ func TestPlaneAdoptedPlacementRejectsCordoned(t *testing.T) {
 
 func TestPlaneHistoryLimit(t *testing.T) {
 	q, c := testQuery(), testCluster()
-	pl, err := New(Config{Policy: testPolicy(), Feed: &stubFeed{}, Seed: 3, HistoryLimit: 2})
+	pl, err := New(Config{Policy: testPolicy(), Feed: &stubFeed{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,14 +493,18 @@ func TestPlaneHistoryLimit(t *testing.T) {
 	}
 	// The stub feed returns zero metrics, which never match predictions:
 	// every tick records a violation entry.
-	for i := 0; i < 5; i++ {
+	const ticks = historyLimit + 3
+	for i := 0; i < ticks; i++ {
 		if _, err := pl.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st, _ := pl.Get("q1")
-	if len(st.History) != 2 {
-		t.Fatalf("history length = %d, want limit 2", len(st.History))
+	if len(st.History) != historyLimit {
+		t.Fatalf("history length = %d, want limit %d", len(st.History), historyLimit)
+	}
+	if last := st.History[historyLimit-1]; last.Tick != ticks {
+		t.Fatalf("newest entry is from tick %d, want %d: the bound must drop the oldest", last.Tick, ticks)
 	}
 }
 

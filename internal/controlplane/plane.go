@@ -13,10 +13,13 @@ import (
 	"costream/internal/stream"
 )
 
-// Plane defaults.
 const (
-	DefaultTickIntervalS = 15.0
-	DefaultHistoryLimit  = 32
+	// tickIntervalS is how far the control clock advances per tick. The
+	// clock is logical: it feeds hysteresis cooldowns and history
+	// timestamps, independent of how often the wall-clock loop fires.
+	tickIntervalS = 15.0
+	// historyLimit bounds each deployment's retained history entries.
+	historyLimit = 32
 )
 
 // defaultObservation is the simulated metric-feed window used when
@@ -37,14 +40,6 @@ type Config struct {
 	Feed MetricFeed
 	// Seed drives search and observation seed derivation.
 	Seed int64
-	// TickIntervalS is how far the control clock advances per tick
-	// (0 selects DefaultTickIntervalS). The clock is logical: it feeds
-	// hysteresis cooldowns and history timestamps, independent of how
-	// often the wall-clock loop actually fires.
-	TickIntervalS float64
-	// HistoryLimit bounds each deployment's retained history entries
-	// (0 selects DefaultHistoryLimit).
-	HistoryLimit int
 	// Workers bounds scoring workers per search (0 = GOMAXPROCS).
 	Workers int
 	// Logf receives control-loop progress lines; nil silences them.
@@ -121,12 +116,6 @@ type Plane struct {
 func New(cfg Config) (*Plane, error) {
 	if cfg.Policy.Predictor == nil {
 		return nil, fmt.Errorf("controlplane: Config.Policy.Predictor is required")
-	}
-	if cfg.TickIntervalS <= 0 {
-		cfg.TickIntervalS = DefaultTickIntervalS
-	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = DefaultHistoryLimit
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -374,7 +363,7 @@ func (pl *Plane) Tick(ctx context.Context) (TickReport, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.ticks++
-	pl.nowS += pl.cfg.TickIntervalS
+	pl.nowS += tickIntervalS
 	rep := TickReport{Tick: pl.ticks, AtS: pl.nowS}
 	for _, id := range pl.sortedIDs() {
 		if err := ctx.Err(); err != nil {
@@ -430,7 +419,7 @@ func (pl *Plane) healLocked(ctx context.Context, pd *planeDep, banned []int) (De
 
 func (pl *Plane) pushHistory(pd *planeDep, e HistoryEntry) {
 	pd.history = append(pd.history, e)
-	if n := len(pd.history) - pl.cfg.HistoryLimit; n > 0 {
+	if n := len(pd.history) - historyLimit; n > 0 {
 		pd.history = append(pd.history[:0], pd.history[n:]...)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"costream/internal/dataset"
 	"costream/internal/qerror"
 	"costream/internal/scenario"
-	"costream/internal/sim"
 	"costream/internal/stream"
 )
 
@@ -223,6 +222,3 @@ func (r *Exp1QueryTypesResult) Table() *Table {
 	}
 	return t
 }
-
-// helper used by tests.
-var _ = sim.Config{}

@@ -99,23 +99,9 @@ func (s *Suite) Exp4Extrapolation() (*Exp4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := MetricRow{Metric: m.String(), IsRegression: m.IsRegression()}
-			if m.IsRegression() {
-				sum, err := core.EvaluateRegression(model, evalCorpus, m)
-				if err != nil {
-					return nil, err
-				}
-				row.CoQ50, row.CoQ95, row.N = sum.Median, sum.P95, sum.N
-			} else {
-				bal := evalCorpus.Balanced(func(tr *dataset.Trace) bool { return m.Label(tr.Metrics) }, seed)
-				if bal.Len() == 0 {
-					bal = evalCorpus
-				}
-				acc, err := core.EvaluateClassification(model, bal, m)
-				if err != nil {
-					return nil, err
-				}
-				row.CoAcc, row.N = acc, bal.Len()
+			row, err := evalOn(model, evalCorpus, m, seed)
+			if err != nil {
+				return nil, err
 			}
 			cell.Rows = append(cell.Rows, row)
 		}
@@ -142,5 +128,3 @@ func (r *Exp4Result) Table() *Table {
 	}
 	return t
 }
-
-var _ = dataset.Corpus{}

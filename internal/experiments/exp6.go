@@ -54,5 +54,3 @@ func (r *Exp6Result) Table() *Table {
 	}
 	return t
 }
-
-var _ = dataset.Corpus{}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -59,23 +58,6 @@ func TestArtifactsSingleFlight(t *testing.T) {
 		if ensembles[i] != ensembles[0] {
 			t.Fatal("concurrent Ensemble callers got different ensembles")
 		}
-	}
-}
-
-func TestScaleFromEnv(t *testing.T) {
-	old := os.Getenv("COSTREAM_SCALE")
-	defer os.Setenv("COSTREAM_SCALE", old)
-	os.Setenv("COSTREAM_SCALE", "0.5")
-	if s := ScaleFromEnv(); s != 0.5 {
-		t.Errorf("ScaleFromEnv = %v, want 0.5", s)
-	}
-	os.Setenv("COSTREAM_SCALE", "bogus")
-	if s := ScaleFromEnv(); s != 1.0 {
-		t.Errorf("ScaleFromEnv with bogus value = %v, want 1.0", s)
-	}
-	os.Setenv("COSTREAM_SCALE", "")
-	if s := ScaleFromEnv(); s != 1.0 {
-		t.Errorf("ScaleFromEnv unset = %v, want 1.0", s)
 	}
 }
 

@@ -73,35 +73,31 @@ func (s *Suite) compareRows(eval *dataset.Corpus, metrics []core.Metric, balance
 // compareOn evaluates one COSTREAM predictor and one baseline predictor on
 // a corpus for one metric.
 func compareOn(co, fl core.TracePredictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
-	row := MetricRow{Metric: m.String(), IsRegression: m.IsRegression()}
-	if m.IsRegression() {
-		cs, err := core.EvaluateRegression(co, eval, m)
-		if err != nil {
-			return row, err
-		}
-		fs, err := core.EvaluateRegression(fl, eval, m)
-		if err != nil {
-			return row, err
-		}
-		row.CoQ50, row.CoQ95 = cs.Median, cs.P95
-		row.FlQ50, row.FlQ95 = fs.Median, fs.P95
-		row.N = cs.N
-		return row, nil
-	}
-	bal := eval.Balanced(func(tr *dataset.Trace) bool { return m.Label(tr.Metrics) }, balanceSeed)
-	if bal.Len() == 0 {
-		// Single-class evaluation sets fall back to the raw corpus.
-		bal = eval
-	}
-	ca, err := core.EvaluateClassification(co, bal, m)
+	row, err := evalOn(co, eval, m, balanceSeed)
 	if err != nil {
 		return row, err
 	}
-	fa, err := core.EvaluateClassification(fl, bal, m)
+	f, err := evalOn(fl, eval, m, balanceSeed)
 	if err != nil {
 		return row, err
 	}
-	row.CoAcc, row.FlAcc = ca, fa
-	row.N = bal.Len()
+	row.FlQ50, row.FlQ95, row.FlAcc = f.CoQ50, f.CoQ95, f.CoAcc
 	return row, nil
+}
+
+// evalOn scores one predictor on a corpus for one metric and returns the
+// row with its COSTREAM columns set: q-error quantiles over the successful
+// traces for a regression metric, accuracy on the label-balanced subset
+// (the whole corpus when a class is absent) for a classification one, as
+// the paper reports.
+func evalOn(p core.TracePredictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
+	row := MetricRow{Metric: m.String(), IsRegression: m.IsRegression()}
+	if !m.IsRegression() {
+		var err error
+		row.CoAcc, row.N, err = core.EvaluateClassificationBalanced(p, eval, m, balanceSeed)
+		return row, err
+	}
+	sum, err := core.EvaluateRegression(p, eval, m)
+	row.CoQ50, row.CoQ95, row.N = sum.Median, sum.P95, sum.N
+	return row, err
 }

@@ -3,206 +3,124 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// RunAll executes every experiment of the paper and writes the rendered
-// tables to w in paper order. It returns the tables for further
-// processing (e.g. the Markdown report of cmd/costream-expts -md).
+// RunAll executes every experiment of the paper, writes the rendered
+// tables to w (when non-nil) and returns them for further processing
+// (e.g. the Markdown report of cmd/costream-expts -md).
 //
-// Experiments run concurrently through a worker pool bounded by
-// s.Workers (default GOMAXPROCS): each experiment is internally
-// deterministic (fixed seeds, single-flight shared artifacts), so the
-// tables are identical to a serial run; only wall-clock time changes.
-// Tables are flushed to w incrementally, as soon as every earlier
-// experiment has also finished, so the output order is stable too.
+//   - Up to s.Workers experiments (default GOMAXPROCS) run at once,
+//     started in paper order. Each is deterministic (fixed seeds,
+//     single-flight shared artifacts), so the tables do not depend on
+//     Workers; only wall-clock time does.
+//   - Each experiment logs "<name> finished in <d>".
+//   - A table is written to w once it and every earlier table are done.
+//   - After the first failure no further experiment starts. RunAll waits
+//     for the running ones, then returns the tables before the first
+//     failure in paper order and its error as "<name>: <err>". Those
+//     tables are all w receives: nothing from the failed experiment on
+//     is written.
+//   - Figure 1 aggregates Exp 1, 3, 5a and 6 and is rendered last.
 func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
 	var e1 *Exp1Result
 	var e3 *Exp3Result
 	var e5 *Exp5aResult
 	var e6 *Exp6Result
-
-	type step struct {
-		name string
-		run  func() (*Table, error)
-	}
-	steps := []step{
-		{"exp1-overall", func() (*Table, error) {
-			r, err := s.Exp1Overall()
-			if err != nil {
-				return nil, err
-			}
-			e1 = r
-			return r.Table(), nil
-		}},
-		{"exp1-hardware", func() (*Table, error) {
-			r, err := s.Exp1Hardware()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp1-querytypes", func() (*Table, error) {
-			r, err := s.Exp1QueryTypes()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp2a-placement", func() (*Table, error) {
-			r, err := s.Exp2aPlacement()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp2b-monitoring", func() (*Table, error) {
-			r, err := s.Exp2bMonitoring()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp2c-search", func() (*Table, error) {
-			r, err := s.Exp2cSearchStrategies()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp3-interpolation", func() (*Table, error) {
-			r, err := s.Exp3Interpolation()
-			if err != nil {
-				return nil, err
-			}
-			e3 = r
-			return r.Table(), nil
-		}},
-		{"exp4-extrapolation", func() (*Table, error) {
-			r, err := s.Exp4Extrapolation()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp5a-unseen-patterns", func() (*Table, error) {
-			r, err := s.Exp5aUnseenPatterns()
-			if err != nil {
-				return nil, err
-			}
-			e5 = r
-			return r.Table(), nil
-		}},
-		{"exp5b-finetuning", func() (*Table, error) {
-			r, err := s.Exp5bFineTuning()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp6-benchmarks", func() (*Table, error) {
-			r, err := s.Exp6Benchmarks()
-			if err != nil {
-				return nil, err
-			}
-			e6 = r
-			return r.Table(), nil
-		}},
-		{"exp7a-feature-ablation", func() (*Table, error) {
-			r, err := s.Exp7aFeatureAblation()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"exp7b-message-passing", func() (*Table, error) {
-			r, err := s.Exp7bMessagePassing()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-	}
-
-	results := make([]*Table, len(steps))
-	stepErrs := make([]error, len(steps))
-	var mu sync.Mutex
-	var failed atomic.Bool
-	done := make([]bool, len(steps))
-	flushed := 0
-	// flushReady emits every table whose predecessors (in paper order)
-	// have all completed, preserving the serial output order. After a
-	// failure nothing more is flushed, so the streamed output never has
-	// silent gaps.
-	flushReady := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for flushed < len(steps) && done[flushed] && !failed.Load() {
-			if w != nil && results[flushed] != nil {
-				results[flushed].WriteText(w)
-			}
-			flushed++
-		}
-	}
-
 	workers := s.Workers
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(steps) {
-		workers = len(steps)
+	tables, err := runSteps([]step{
+		tableStep("exp1-overall", s.Exp1Overall, &e1),
+		tableStep("exp1-hardware", s.Exp1Hardware, nil),
+		tableStep("exp1-querytypes", s.Exp1QueryTypes, nil),
+		tableStep("exp2a-placement", s.Exp2aPlacement, nil),
+		tableStep("exp2b-monitoring", s.Exp2bMonitoring, nil),
+		tableStep("exp2c-search", s.Exp2cSearchStrategies, nil),
+		tableStep("exp3-interpolation", s.Exp3Interpolation, &e3),
+		tableStep("exp4-extrapolation", s.Exp4Extrapolation, nil),
+		tableStep("exp5a-unseen-patterns", s.Exp5aUnseenPatterns, &e5),
+		tableStep("exp5b-finetuning", s.Exp5bFineTuning, nil),
+		tableStep("exp6-benchmarks", s.Exp6Benchmarks, &e6),
+		tableStep("exp7a-feature-ablation", s.Exp7aFeatureAblation, nil),
+		tableStep("exp7b-message-passing", s.Exp7bMessagePassing, nil),
+	}, workers, w, s.Logf)
+	if err != nil {
+		return tables, err
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
+	fig := s.Fig1Summary(e1, e3, e5, e6).Table()
+	if w != nil {
+		fig.WriteText(w)
+	}
+	return append(tables, fig), nil
+}
+
+// step is one experiment of RunAll: a name for logs and errors and a
+// runner that returns the experiment's table.
+type step struct {
+	name string
+	run  func() (*Table, error)
+}
+
+// tableStep turns an experiment runner into a step. A non-nil keep also
+// receives the result, for the figures that aggregate it.
+func tableStep[R interface{ Table() *Table }](name string, run func() (R, error), keep *R) step {
+	return step{name, func() (*Table, error) {
+		r, err := run()
+		if err != nil {
+			return nil, err
+		}
+		if keep != nil {
+			*keep = r
+		}
+		return r.Table(), nil
+	}}
+}
+
+// runSteps runs steps under the contract RunAll documents: up to workers
+// at once, started in order, tables written in order, no start after the
+// first failure and no write from the first failed step on.
+func runSteps(steps []step, workers int, w io.Writer, logf func(string, ...any)) ([]*Table, error) {
+	tables := make([]*Table, len(steps))
+	errs := make([]error, len(steps))
+	done := make([]chan struct{}, len(steps))
+	next := make(chan int, len(steps))
+	for i := range steps {
+		done[i] = make(chan struct{})
+		next <- i
+	}
+	close(next)
+	var failed atomic.Bool
+	for range min(workers, len(steps)) {
 		go func() {
-			defer wg.Done()
-			for idx := range next {
-				// Once any experiment has failed, drain the remaining
-				// indices without running them (matching the serial
-				// behavior of stopping at the first error).
+			for i := range next {
 				if !failed.Load() {
 					start := time.Now()
-					t, err := steps[idx].run()
-					if err != nil {
-						stepErrs[idx] = fmt.Errorf("%s: %w", steps[idx].name, err)
+					tables[i], errs[i] = steps[i].run()
+					if errs[i] != nil {
 						failed.Store(true)
 					} else {
-						s.Logf("%s finished in %v", steps[idx].name, time.Since(start).Round(time.Second))
+						logf("%s finished in %v", steps[i].name, time.Since(start).Round(time.Second))
 					}
-					mu.Lock()
-					results[idx] = t
-					mu.Unlock()
 				}
-				mu.Lock()
-				done[idx] = true
-				mu.Unlock()
-				flushReady()
+				close(done[i])
 			}
 		}()
 	}
-	for idx := range steps {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
-
-	var tables []*Table
-	for idx := range steps {
-		if stepErrs[idx] != nil {
-			return tables, stepErrs[idx]
+	for i := range steps {
+		<-done[i]
+		if errs[i] != nil {
+			for _, d := range done[i+1:] {
+				<-d
+			}
+			return tables[:i], fmt.Errorf("%s: %w", steps[i].name, errs[i])
 		}
-		tables = append(tables, results[idx])
-	}
-
-	// Figure 1 aggregates already-computed results.
-	fig := s.Fig1Summary(e1, e3, e5, e6).Table()
-	tables = append(tables, fig)
-	if w != nil {
-		fig.WriteText(w)
+		if w != nil {
+			tables[i].WriteText(w)
+		}
 	}
 	return tables, nil
 }

@@ -7,9 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 
 	"costream/internal/core"
@@ -19,18 +16,6 @@ import (
 	"costream/internal/scenario"
 	"costream/internal/sim"
 )
-
-// ScaleFromEnv reads COSTREAM_SCALE (default 1.0). Corpus sizes, query
-// counts and training epochs scale with it; 0.25 gives a fast smoke run,
-// 1.0 the full reproduction.
-func ScaleFromEnv() float64 {
-	if v := os.Getenv("COSTREAM_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
-		}
-	}
-	return 1.0
-}
 
 // cell is a single-flight slot for a lazily built artifact: concurrent
 // getters for the same key share one build instead of duplicating it.
@@ -90,9 +75,6 @@ func NewSuite(scale float64) *Suite {
 		flat:    map[string]*cell[*flatvec.Model]{},
 	}
 }
-
-// defaultWorkers is the worker-pool bound when Suite.Workers is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 func (s *Suite) scaled(n int, min int) int {
 	v := int(float64(n) * s.Scale)

@@ -143,14 +143,14 @@ func (sc *Scenario) resolveRecovery() (controlplane.Policy, error) {
 		Hysteresis:      placement.Hysteresis{MinImprovement: r.MinImprovement, CooldownS: r.CooldownS},
 	}
 	if pol.QErrorThreshold == 0 {
-		pol.QErrorThreshold = defaultQErrorThreshold
+		pol.QErrorThreshold = controlplane.DefaultQErrorThreshold
 	}
 	if r.MinImprovement == 0 {
 		pol.Hysteresis.MinImprovement = defaultMinImprovement
 	}
 	budget := r.Budget
 	if budget == 0 {
-		budget = defaultSearchBudget
+		budget = controlplane.DefaultSearchBudget
 	}
 	pol.Budget = placement.Budget{MaxCandidates: budget}
 	name := r.Strategy

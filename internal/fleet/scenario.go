@@ -176,11 +176,7 @@ type RecoverySpec struct {
 	Objective string `json:"objective,omitempty"`
 }
 
-const (
-	defaultQErrorThreshold = 2.0
-	defaultMinImprovement  = 0.05
-	defaultSearchBudget    = 32
-)
+const defaultMinImprovement = 0.05
 
 // Assertions are end-state checks evaluated against the finished run;
 // any failure makes the report fail (costream-sim exits non-zero).

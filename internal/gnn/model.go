@@ -22,12 +22,14 @@ type Config struct {
 	UpdHidden int `json:"upd_hidden"`
 	OutHidden int `json:"out_hidden"`
 	// Traditional selects the ablation message passing scheme of Exp 7b:
-	// k simultaneous undirected neighbor-sum updates instead of the
-	// paper's three ordered directed phases.
+	// traditionalRounds simultaneous undirected neighbor-sum updates
+	// instead of the paper's three ordered directed phases.
 	Traditional bool `json:"-"`
-	// TraditionalRounds is the number of undirected rounds (default 3).
-	TraditionalRounds int `json:"-"`
 }
+
+// traditionalRounds is the number of undirected rounds of the Exp 7b
+// ablation, matching the three directed phases it replaces.
+const traditionalRounds = 3
 
 // maxWidth bounds every width New accepts, so that a parameter count
 // derived from a config read off disk cannot overflow.
@@ -61,7 +63,6 @@ func DefaultConfig(featDims map[NodeKind]int) Config {
 		Hidden:    48,
 		FeatDims:  featDims,
 		EncHidden: 64, UpdHidden: 64, OutHidden: 48,
-		TraditionalRounds: 3,
 	}
 }
 
@@ -78,9 +79,6 @@ type Model struct {
 func New(cfg Config, seed int64) (*Model, error) {
 	if _, err := cfg.NumParams(); err != nil {
 		return nil, err
-	}
-	if cfg.TraditionalRounds <= 0 {
-		cfg.TraditionalRounds = 3
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{
@@ -298,7 +296,7 @@ func (m *Model) traditionalPassing(t *nn.Tape, g *Graph, h []*nn.Node) ([]*nn.No
 		addEdge(e[0], e[1])
 	}
 	cur := h
-	for round := 0; round < m.cfg.TraditionalRounds; round++ {
+	for range traditionalRounds {
 		next := make([]*nn.Node, n)
 		for v := 0; v < n; v++ {
 			if len(neighbors[v]) == 0 {

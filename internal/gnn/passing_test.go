@@ -7,46 +7,6 @@ import (
 	"costream/internal/nn"
 )
 
-func TestTraditionalRoundsAffectOutput(t *testing.T) {
-	dims := testDims()
-	mk := func(rounds int) *Model {
-		cfg := DefaultConfig(dims)
-		cfg.Hidden, cfg.EncHidden, cfg.UpdHidden, cfg.OutHidden = 8, 8, 8, 8
-		cfg.Traditional = true
-		cfg.TraditionalRounds = rounds
-		m, err := New(cfg, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	g := testGraph(0.5)
-	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, err := mk(1).Forward(t1, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := mk(3).Forward(t2, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.Data[0] == o2.Data[0] {
-		t.Error("different round counts produced identical outputs")
-	}
-}
-
-func TestTraditionalRoundsDefaulted(t *testing.T) {
-	cfg := DefaultConfig(testDims())
-	cfg.TraditionalRounds = 0
-	m, err := New(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Config().TraditionalRounds != 3 {
-		t.Errorf("rounds defaulted to %d, want 3", m.Config().TraditionalRounds)
-	}
-}
-
 func TestDirectedPassingUsesAllThreePhases(t *testing.T) {
 	// Zeroing the host features must still change the output relative to
 	// removing the host entirely, because placement edges carry messages

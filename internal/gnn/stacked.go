@@ -34,8 +34,8 @@ type StackedModel struct {
 }
 
 // Stack vertically stacks the weights of k models for one-pass ensemble
-// inference. All models must share one architecture (Config equality up
-// to TraditionalRounds) and use the paper's directed message passing —
+// inference. All models must share one architecture (Config equality)
+// and use the paper's directed message passing —
 // the Exp 7b traditional ablation re-derives its neighbor structure per
 // graph and is not supported; such models predict one at a time on an
 // inference tape.
