@@ -1,8 +1,9 @@
 // Command costream-eval evaluates a trained COSTREAM model artifact
 // (written by costream-train) against a corpus, reporting the paper's
 // evaluation metrics: median and 95th-percentile q-error for regression
-// metrics, or accuracy on a balanced subset for the binary metrics. The
-// saved model is loaded — nothing is retrained.
+// metrics, or accuracy on a balanced subset for the binary metrics, one
+// line per metric the artifact holds an ensemble for. The saved model is
+// loaded — nothing is retrained.
 //
 // -corpus names a corpus store directory; the corpus is streamed
 // (balanced subsets are selected by index), never materialized.
@@ -45,10 +46,6 @@ func main() {
 	fmt.Printf("model: trained seed=%d corpus=%d epochs=%d ensemble=%d\n",
 		prov.TrainSeed, prov.CorpusSize, prov.Epochs, prov.EnsembleSize)
 
-	ensembles := map[core.Metric]*core.Ensemble{}
-	for _, s := range pred.Ensembles() {
-		ensembles[s.Metric] = s.Ensemble
-	}
 	metrics := core.AllMetrics()
 	if *metricName != "" {
 		m, err := core.ParseMetric(*metricName)
@@ -57,28 +54,25 @@ func main() {
 		}
 		metrics = []core.Metric{m}
 	}
-	evaluated := 0
+	// artifact.Load refuses a predictor without a trained ensemble, so
+	// every run prints at least one line.
 	for _, m := range metrics {
-		e := ensembles[m]
-		if e == nil {
+		if pred[m] == nil {
 			if *metricName != "" {
 				log.Fatalf("artifact %s has no ensemble for %v", *modelPath, m)
 			}
 			continue
 		}
-		report(e, src, m)
-		evaluated++
-	}
-	if evaluated == 0 {
-		log.Fatalf("artifact %s has no trained ensembles", *modelPath)
+		report(pred, src, m)
 	}
 }
 
 // report prints one metric's evaluation line, ensemble-aggregated like
-// the paper (mean for regression, majority vote for classification). The
-// corpus is streamed: balanced classification subsets are chosen by
-// index, so the store is never materialized.
-func report(p core.TracePredictor, src dataset.Source, metric core.Metric) {
+// the paper (mean for regression, majority vote for classification).
+// Every trace asks the predictor for the metric's cost alone, so only the
+// metric's ensemble runs. The corpus is streamed: balanced classification
+// subsets are chosen by index, so the store is never materialized.
+func report(p *core.Predictor, src dataset.Source, metric core.Metric) {
 	if metric.IsRegression() {
 		sum, err := core.EvaluateRegression(p, src, metric)
 		if err != nil {

@@ -59,8 +59,8 @@ func main() {
 		log.Fatal(err)
 	}
 	metrics := 0
-	for _, s := range pred.Ensembles() {
-		if s.Ensemble != nil {
+	for _, e := range pred {
+		if e != nil {
 			metrics++
 		}
 	}

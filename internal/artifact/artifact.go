@@ -9,7 +9,7 @@
 //
 //   - line 1 is a compact JSON header ending in '\n': the magic, the
 //     version, the provenance, and one core.Section per trained ensemble
-//     in Predictor.Ensembles order (metric, feature mode, gnn.Config,
+//     in core.Metric order (metric, feature mode, gnn.Config,
 //     member count k and section byte length);
 //   - then one section per entry, its k members back to back, each member
 //     its gnn.Model.Params slices in order as little-endian

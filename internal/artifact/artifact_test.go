@@ -185,15 +185,14 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := back.Ensembles()
-	for s, slot := range pred.Ensembles() {
-		for i, m := range slot.Ensemble.Models {
+	for s, e := range pred {
+		for i, m := range e.Models {
 			want, _ := m.Net.Params()
-			got, _ := reloaded[s].Ensemble.Models[i].Net.Params()
+			got, _ := back[s].Models[i].Net.Params()
 			for k := range want {
 				for j := range want[k] {
 					if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
-						t.Fatalf("%v member %d: weight %d[%d] reloaded as %v, saved %v", slot.Metric, i, k, j, got[k][j], want[k][j])
+						t.Fatalf("%v member %d: weight %d[%d] reloaded as %v, saved %v", e.Metric, i, k, j, got[k][j], want[k][j])
 					}
 				}
 			}
@@ -206,12 +205,8 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 		core.MetricE2ELatency: "7724f825a2e495a4c2b3b5275895368577dfb684b63ae99eb594d27901202a5d",
 		core.MetricSuccess:    "e3beb9bfdb0166b218a00bd22edbd3fa6a1137ecf41bfaad2983e6469b1d8a44",
 	}
-	for _, slot := range reloaded {
-		want, ok := golden[slot.Metric]
-		if !ok {
-			continue
-		}
-		params, _ := slot.Ensemble.Models[0].Net.Params()
+	for m, want := range golden {
+		params, _ := back[m].Models[0].Net.Params()
 		h := sha256.New()
 		for _, p := range params {
 			for _, v := range p {
@@ -219,7 +214,7 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("%v: reloaded member 0 digest %s, want %s", slot.Metric, got, want)
+			t.Errorf("%v: reloaded member 0 digest %s, want %s", m, got, want)
 		}
 	}
 }
@@ -368,8 +363,8 @@ func TestUnstackableEnsembleRefusedAtSave(t *testing.T) {
 		slot  func(*core.Predictor)
 		wants []string
 	}{
-		{func(p *core.Predictor) { p.Success = trad }, []string{"success ensemble cannot run the packed kernel", "traditional message passing"}},
-		{func(p *core.Predictor) { p.E2ELatency = inf }, []string{"e2e-latency ensemble member 1 has a non-finite weight"}},
+		{func(p *core.Predictor) { p[core.MetricSuccess] = trad }, []string{"success ensemble cannot run the packed kernel", "traditional message passing"}},
+		{func(p *core.Predictor) { p[core.MetricE2ELatency] = inf }, []string{"e2e-latency ensemble member 1 has a non-finite weight"}},
 	} {
 		bad := *pred
 		tc.slot(&bad)
@@ -433,8 +428,8 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tiny := &core.Predictor{Throughput: &core.Ensemble{Metric: core.MetricThroughput,
-		Models: []*core.CostModel{{Metric: core.MetricThroughput, Net: net}}}}
+	tiny := (&core.Ensemble{Metric: core.MetricThroughput,
+		Models: []*core.CostModel{{Metric: core.MetricThroughput, Net: net}}}).Predictor()
 	f.Add(encode(f, tiny))
 	f.Add([]byte(`{"magic":"costream-model","version":1,"provenance":{},"predictor":{}}` + "\n"))
 	f.Add([]byte{0x1f, 0x8b, 0x08, 0x00})

@@ -19,8 +19,6 @@ type inferMetrics struct {
 	tileSeconds      *obs.Histogram
 	tileSize         *obs.Histogram
 	candidates       *obs.Counter
-	fusedTiles       *obs.Counter
-	fusedCandidates  *obs.Counter
 	// tileRows counts, per message-passing phase (gnn.PackedGraphs.Rows
 	// order), the kernel rows the scored tiles' candidates requested and
 	// the distinct rows computed for them; computed/requested is the share
@@ -31,7 +29,7 @@ type inferMetrics struct {
 	// its objective reads, so after a search the read metrics count the
 	// budget and the others one, the winner: the ratio is the share of
 	// ensemble passes the read set saved.
-	ensembleCands [len(metricNames)]*obs.Counter
+	ensembleCands [NumMetrics]*obs.Counter
 }
 
 var inferMet = sync.OnceValue(func() *inferMetrics {
@@ -45,10 +43,6 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 			"candidates per scored tile (fused round scoring)", 1),
 		candidates: r.Counter("costream_inference_candidates_total",
 			"placement candidates scored through the batched inference path"),
-		fusedTiles: r.Counter("costream_inference_fused_tiles_total",
-			"candidate tiles scored through the packed cross-candidate kernels"),
-		fusedCandidates: r.Counter("costream_inference_fused_candidates_total",
-			"placement candidates scored through the packed cross-candidate kernels"),
 	}
 	for i, phase := range []string{"host", "placed", "flow"} {
 		rows := func(outcome string) *obs.Counter {
@@ -134,9 +128,9 @@ func (bf *BatchFeaturizer) pack(pg *gnn.PackedGraphs, placements [][]int) error 
 // skipping untrained slots.
 func (pr *Predictor) ensembles() []*Ensemble {
 	var out []*Ensemble
-	for _, s := range pr.Ensembles() {
-		if s.Ensemble != nil {
-			out = append(out, s.Ensemble)
+	for _, e := range pr {
+		if e != nil {
+			out = append(out, e)
 		}
 	}
 	return out

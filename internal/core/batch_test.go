@@ -38,8 +38,8 @@ func mixModes(e *Ensemble) *Ensemble {
 }
 
 // TestPredictBatchMatchesPredictPlacement is the single-predict contract:
-// placement.PredictOne, and each ensemble's PredictValue / PredictLabel,
-// are a tile of one on the same engine as placement.Score over a batch, so
+// placement.PredictOne, on the predictor and on each ensemble alone, is a
+// tile of one on the same engine as placement.Score over a batch, so
 // they must equal the matching batch row bit for bit — for a trained
 // predictor, for an untrained one with every metric seeded apart and for
 // a predictor with only two of the five metrics. Every ensemble is also
@@ -53,10 +53,10 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 	}{
 		{"trained", trainedFullPredictor(t)},
 		{"distinct seeds", distinctPredictor(t, 3)},
-		{"two metrics", &Predictor{
-			ProcLatency: randomEnsemble(t, MetricProcLatency, 3, false),
-			Success:     randomEnsemble(t, MetricSuccess, 3, false),
-		}},
+		{"two metrics", predictorOf(
+			randomEnsemble(t, MetricProcLatency, 3, false),
+			randomEnsemble(t, MetricSuccess, 3, false),
+		)},
 	}
 	c := testCorpus(t)
 	for _, tc := range predictors {
@@ -83,17 +83,16 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 				}
 				for _, e := range pr.ensembles() {
 					row := costField(batch[i], e.Metric)
-					var one, ref float64
-					if e.Metric.IsRegression() {
-						one, err = e.PredictValue(tr.Query, tr.Cluster, p)
-						ref = perMemberValue(t, e, tr.Query, tr.Cluster, p)
-					} else {
-						var label bool
-						label, err = e.PredictLabel(tr.Query, tr.Cluster, p)
-						one, ref = asFloat[label], asFloat[perMemberLabel(t, e, tr.Query, tr.Cluster, p)]
-					}
+					alone, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, p)
 					if err != nil {
 						t.Fatalf("%s, trace %d candidate %d: %v: %v", tc.name, ti, i, e.Metric, err)
+					}
+					one := costField(alone, e.Metric)
+					var ref float64
+					if e.Metric.IsRegression() {
+						ref = perMemberValue(t, e, tr.Query, tr.Cluster, p)
+					} else {
+						ref = asFloat[perMemberLabel(t, e, tr.Query, tr.Cluster, p)]
 					}
 					if one != row {
 						t.Errorf("%s, trace %d candidate %d: %v single %v != batch row %v", tc.name, ti, i, e.Metric, one, row)
@@ -111,18 +110,20 @@ var asFloat = map[bool]float64{false: 0, true: 1}
 
 // costField reads one metric out of a cost vector, labels as 0 or 1.
 func costField(costs placement.PredCosts, metric Metric) float64 {
-	switch metric {
-	case MetricThroughput:
-		return costs.ThroughputTPS
-	case MetricProcLatency:
-		return costs.ProcLatencyMS
-	case MetricE2ELatency:
-		return costs.E2ELatencyMS
-	case MetricBackpressure:
-		return asFloat[costs.Backpressured]
-	default:
-		return asFloat[costs.Success]
+	v, l := metric.Field(&costs)
+	if v != nil {
+		return *v
 	}
+	return asFloat[*l]
+}
+
+// predictorOf puts each ensemble in its metric's slot.
+func predictorOf(es ...*Ensemble) *Predictor {
+	var pr Predictor
+	for _, e := range es {
+		pr[e.Metric] = e
+	}
+	return &pr
 }
 
 // TestBatchFeaturizerMatchesBuildGraph checks what a tile is packed from

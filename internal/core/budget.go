@@ -7,8 +7,8 @@ import (
 
 // trainBudget is the process-wide training-worker budget: a counting
 // semaphore bounding how many training/validation worker tasks execute
-// concurrently across ALL Train/TrainEnsemble/TrainPredictor calls.
-// TrainEnsemble fans out one goroutine per ensemble member and fit fans
+// concurrently across ALL Train/TrainPredictor calls. An ensemble
+// fans out one goroutine per member and fit fans
 // out per-batch workers inside each; gating every worker task on one
 // shared budget keeps the multiplied fan-out (5 metrics x k members x
 // per-fit workers) from oversubscribing the machine.

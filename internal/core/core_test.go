@@ -210,14 +210,14 @@ func TestPredictRawRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range c.Traces[:20] {
-		v, err := reg.PredictTrace(tr)
+		v, err := reg.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v < 0 || math.IsNaN(v) {
 			t.Fatalf("regression prediction %v out of range", v)
 		}
-		p, err := cls.PredictTrace(tr)
+		p, err := cls.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,32 +232,34 @@ func TestEnsembleAggregation(t *testing.T) {
 	train, val, _ := c.Split(0.8, 0.1, 4)
 	cfg := fastTrainConfig(8)
 	cfg.Epochs = 4
-	e, err := TrainEnsemble(train, val, MetricThroughput, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := trainEnsemble(t, train, val, MetricThroughput, cfg, 3)
 	if len(e.Models) != 3 {
 		t.Fatalf("ensemble size %d, want 3", len(e.Models))
 	}
 	tr := c.Traces[0]
-	mean, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
 	for _, m := range e.Models {
-		v, _ := m.PredictTrace(tr)
+		v, _ := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		sum += v
 	}
-	if math.Abs(mean-sum/3) > 1e-9 {
+	if mean := costs.ThroughputTPS; math.Abs(mean-sum/3) > 1e-9 {
 		t.Errorf("ensemble mean %v != member mean %v", mean, sum/3)
 	}
-	if _, err := e.PredictLabel(tr.Query, tr.Cluster, tr.Placement); err == nil {
-		t.Error("PredictLabel on regression ensemble accepted")
+}
+
+// trainEnsemble trains a k-member ensemble for one metric, as the
+// predictor's slot for that metric.
+func trainEnsemble(t *testing.T, train, val *dataset.Corpus, m Metric, cfg TrainConfig, k int) *Ensemble {
+	t.Helper()
+	pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: k, Metrics: []Metric{m}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TrainEnsemble(train, val, MetricThroughput, cfg, 0); err == nil {
-		t.Error("zero ensemble size accepted")
-	}
+	return pr[m]
 }
 
 func TestEnsembleMajorityVote(t *testing.T) {
@@ -265,27 +267,21 @@ func TestEnsembleMajorityVote(t *testing.T) {
 	train, val, _ := c.Split(0.8, 0.1, 5)
 	cfg := fastTrainConfig(9)
 	cfg.Epochs = 4
-	e, err := TrainEnsemble(train, val, MetricSuccess, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := trainEnsemble(t, train, val, MetricSuccess, cfg, 3)
 	tr := c.Traces[0]
-	label, err := e.PredictLabel(tr.Query, tr.Cluster, tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	votes := 0
 	for _, m := range e.Models {
-		p, _ := m.PredictTrace(tr)
+		p, _ := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		if p > 0.5 {
 			votes++
 		}
 	}
-	if label != (votes*2 > 3) {
+	if label := costs.Success; label != (votes*2 > 3) {
 		t.Errorf("majority vote mismatch: label=%v votes=%d", label, votes)
-	}
-	if _, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement); err == nil {
-		t.Error("PredictValue on classification ensemble accepted")
 	}
 }
 

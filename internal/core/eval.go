@@ -4,21 +4,36 @@ import (
 	"fmt"
 
 	"costream/internal/dataset"
+	"costream/internal/placement"
 	"costream/internal/qerror"
+	"costream/internal/sim"
 )
 
-// TracePredictor predicts a scalar for a stored trace: a raw cost value
-// for regression metrics or a positive-class score in [0,1] for binary
-// metrics. CostModel, Ensemble and the flat-vector baseline satisfy it.
-type TracePredictor interface {
-	PredictTrace(tr *dataset.Trace) (float64, error)
+// predictTrace predicts the metric for a stored trace: a tile of one on a
+// session of its own that asks only for the metric's cost, so a predictor
+// runs the evaluated metric's model and no other. It returns the value of
+// a regression metric or the label of a binary one.
+func predictTrace(p placement.Predictor, tr *dataset.Trace, metric Metric) (value float64, label bool, err error) {
+	sess, err := p.NewScoreSession(tr.Query, tr.Cluster)
+	if err != nil {
+		return 0, false, err
+	}
+	var out [1]placement.PredCosts
+	if err := sess.ScoreTile([]sim.Placement{tr.Placement}, metric.Cost(), out[:]); err != nil {
+		return 0, false, err
+	}
+	v, l := metric.Field(&out[0])
+	if v != nil {
+		return *v, false, nil
+	}
+	return 0, *l, nil
 }
 
 // EvaluateRegression computes q-error quantiles of the predictor against
 // the measured metric over the source's successful traces, streaming:
 // memory stays O(predictions), never O(traces), so corpus stores
 // evaluate without materializing.
-func EvaluateRegression(p TracePredictor, src dataset.Source, metric Metric) (qerror.Summary, error) {
+func EvaluateRegression(p placement.Predictor, src dataset.Source, metric Metric) (qerror.Summary, error) {
 	if !metric.IsRegression() {
 		return qerror.Summary{}, fmt.Errorf("core: %v is not a regression metric", metric)
 	}
@@ -27,7 +42,7 @@ func EvaluateRegression(p TracePredictor, src dataset.Source, metric Metric) (qe
 		if !tr.Metrics.Success {
 			return nil
 		}
-		v, err := p.PredictTrace(tr)
+		v, _, err := predictTrace(p, tr, metric)
 		if err != nil {
 			return err
 		}
@@ -44,18 +59,28 @@ func EvaluateRegression(p TracePredictor, src dataset.Source, metric Metric) (qe
 // EvaluateClassification computes accuracy of the predictor for a binary
 // metric over the source, streaming. Balance first (see
 // EvaluateClassificationBalanced) to match the paper's reporting.
-func EvaluateClassification(p TracePredictor, src dataset.Source, metric Metric) (float64, error) {
-	if metric.IsRegression() {
+func EvaluateClassification(p placement.Predictor, src dataset.Source, metric Metric) (float64, error) {
+	if metric != MetricBackpressure && metric != MetricSuccess {
 		return 0, fmt.Errorf("core: %v is not a classification metric", metric)
 	}
+	return classify(p, src, metric, nil)
+}
+
+// classify computes the predictor's accuracy for a binary metric over the
+// source's traces whose index keep holds, or over all of them for a nil
+// keep.
+func classify(p placement.Predictor, src dataset.Source, metric Metric, keep map[int]bool) (float64, error) {
 	var truths, preds []bool
 	err := src.Iter(func(i int, tr *dataset.Trace) error {
-		score, err := p.PredictTrace(tr)
+		if keep != nil && !keep[i] {
+			return nil
+		}
+		_, label, err := predictTrace(p, tr, metric)
 		if err != nil {
 			return err
 		}
 		truths = append(truths, metric.Label(tr.Metrics))
-		preds = append(preds, score > 0.5)
+		preds = append(preds, label)
 		return nil
 	})
 	if err != nil {
@@ -71,8 +96,8 @@ func EvaluateClassification(p TracePredictor, src dataset.Source, metric Metric)
 // is the balanced subset size; when one class is absent the whole source
 // is evaluated unbalanced (count = source size), as the experiment suite
 // falls back to.
-func EvaluateClassificationBalanced(p TracePredictor, src dataset.Source, metric Metric, seed int64) (acc float64, n int, err error) {
-	if metric.IsRegression() {
+func EvaluateClassificationBalanced(p placement.Predictor, src dataset.Source, metric Metric, seed int64) (acc float64, n int, err error) {
+	if metric != MetricBackpressure && metric != MetricSuccess {
 		return 0, 0, fmt.Errorf("core: %v is not a classification metric", metric)
 	}
 	labels := make([]bool, 0, src.Count())
@@ -85,29 +110,13 @@ func EvaluateClassificationBalanced(p TracePredictor, src dataset.Source, metric
 	}
 	idx := dataset.BalancedIndices(labels, seed)
 	if len(idx) == 0 {
-		acc, err = EvaluateClassification(p, src, metric)
+		acc, err = classify(p, src, metric, nil)
 		return acc, len(labels), err
 	}
 	keep := make(map[int]bool, len(idx))
 	for _, j := range idx {
 		keep[j] = true
 	}
-	var truths, preds []bool
-	err = src.Iter(func(i int, tr *dataset.Trace) error {
-		if !keep[i] {
-			return nil
-		}
-		score, err := p.PredictTrace(tr)
-		if err != nil {
-			return err
-		}
-		truths = append(truths, metric.Label(tr.Metrics))
-		preds = append(preds, score > 0.5)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	acc, err = qerror.Accuracy(truths, preds)
+	acc, err = classify(p, src, metric, keep)
 	return acc, len(idx), err
 }

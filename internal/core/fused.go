@@ -160,7 +160,7 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 
 	packed := false
 	for _, fs := range s.fused {
-		if !fs.e.Metric.in(need) {
+		if need&fs.e.Metric.Cost() == 0 {
 			continue
 		}
 		if !packed {
@@ -195,10 +195,6 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 			met.tileRows[i].computed.Add(int64(rows.Computed))
 		}
 	}
-	if packed {
-		met.fusedTiles.Inc()
-		met.fusedCandidates.Add(int64(len(cands)))
-	}
 	met.candidates.Add(int64(len(cands)))
 	met.tileSize.Record(int64(len(cands)))
 	met.tileSeconds.Since(start)
@@ -216,26 +212,13 @@ func firstNonFinite(vals []float64) int {
 	return -1
 }
 
-// in reports whether the metric's PredCosts field is in the set; CostSet's
-// bits are in Metric order.
-func (m Metric) in(set placement.CostSet) bool {
-	return set&(placement.CostThroughput<<m) != 0
-}
-
 // applyCost folds an ensemble's transformed member outputs into the
 // candidate's cost vector: the member-order mean for regression metrics,
 // the majority vote for the binary ones.
 func applyCost(costs *placement.PredCosts, metric Metric, vals []float64) {
-	switch metric {
-	case MetricThroughput:
-		costs.ThroughputTPS = meanOf(vals)
-	case MetricProcLatency:
-		costs.ProcLatencyMS = meanOf(vals)
-	case MetricE2ELatency:
-		costs.E2ELatencyMS = meanOf(vals)
-	case MetricBackpressure:
-		costs.Backpressured = voteOf(vals)
-	case MetricSuccess:
-		costs.Success = voteOf(vals)
+	if v, l := metric.Field(costs); v != nil {
+		*v = meanOf(vals)
+	} else {
+		*l = voteOf(vals)
 	}
 }

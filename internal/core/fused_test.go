@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"costream/internal/dataset"
 	"costream/internal/gnn"
 	"costream/internal/hardware"
+	"costream/internal/obs"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
@@ -21,13 +23,11 @@ import (
 // (see randomEnsemble): real weights and featurization without the
 // minutes of training.
 func randomPredictor(t testing.TB, k int) *Predictor {
-	return &Predictor{
-		Throughput:   randomEnsemble(t, MetricThroughput, k, false),
-		ProcLatency:  randomEnsemble(t, MetricProcLatency, k, false),
-		E2ELatency:   randomEnsemble(t, MetricE2ELatency, k, false),
-		Backpressure: randomEnsemble(t, MetricBackpressure, k, false),
-		Success:      randomEnsemble(t, MetricSuccess, k, false),
+	var pr Predictor
+	for _, m := range AllMetrics() {
+		pr[m] = randomEnsemble(t, m, k, false)
 	}
+	return &pr
 }
 
 // distinctPredictor is randomPredictor with every metric's networks
@@ -36,11 +36,11 @@ func randomPredictor(t testing.TB, k int) *Predictor {
 // others — what a test of which field is which, or of a search's
 // choice, needs.
 func distinctPredictor(t testing.TB, k int) *Predictor {
-	pr := &Predictor{}
+	var pr Predictor
 	for _, m := range AllMetrics() {
-		pr.set(m, seededEnsemble(t, m, k, false, 900+10*int64(m)))
+		pr[m] = seededEnsemble(t, m, k, false, 900+10*int64(m))
 	}
-	return pr
+	return &pr
 }
 
 var fusedTileSizes = []int{1, 7, 32}
@@ -126,7 +126,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 	pr := randomPredictor(t, 3)
-	params, _ := pr.E2ELatency.Models[1].Net.Params()
+	params, _ := pr[MetricE2ELatency].Models[1].Net.Params()
 	params[len(params)-1][0] = math.NaN() // the readout bias
 	want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
 	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
@@ -148,7 +148,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	// chosen placement's costs are completed: no result carries a cost
 	// nobody could predict.
 	pr = randomPredictor(t, 3)
-	params, _ = pr.Throughput.Models[2].Net.Params()
+	params, _ = pr[MetricThroughput].Models[2].Net.Params()
 	params[len(params)-1][0] = math.NaN()
 	if sess, err = newTileSession(pr.ensembles(), tr.Query, tr.Cluster); err != nil {
 		t.Fatal(err)
@@ -409,6 +409,50 @@ func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 	}
 	if got, want := moved(before), [5]int64{1, 1, 1, 1, 1}; got != want {
 		t.Fatalf("one prediction scored %v per metric, want %v", got, want)
+	}
+}
+
+// TestEvaluateRunsOnlyTheEvaluatedEnsemble: evaluating one metric through
+// a predictor holding all five ensembles asks each trace for that metric's
+// cost alone, so on the default registry only that metric's
+// costream_inference_ensemble_candidates_total series moves, by one per
+// evaluated trace.
+func TestEvaluateRunsOnlyTheEvaluatedEnsemble(t *testing.T) {
+	pr := randomPredictor(t, 2)
+	c := &dataset.Corpus{Traces: testCorpus(t).Traces[:12]}
+	successful := 0
+	for _, tr := range c.Traces {
+		if tr.Metrics.Success {
+			successful++
+		}
+	}
+	counts := func() (n [NumMetrics]int64) {
+		for m := range n {
+			n[m] = obs.Default().Counter("costream_inference_ensemble_candidates_total", "", "metric", Metric(m).String()).Value()
+		}
+		return n
+	}
+	for _, m := range AllMetrics() {
+		before := counts()
+		var want [NumMetrics]int64
+		var err error
+		if m.IsRegression() {
+			want[m] = int64(successful)
+			_, err = EvaluateRegression(pr, c, m)
+		} else {
+			want[m] = int64(c.Len())
+			_, err = EvaluateClassification(pr, c, m)
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		got := counts()
+		for i := range got {
+			got[i] -= before[i]
+		}
+		if got != want {
+			t.Fatalf("evaluating %v scored %v candidates per metric, want %v", m, got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/nn"
+	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -29,6 +30,9 @@ const (
 )
 
 var metricNames = [...]string{"throughput", "proc-latency", "e2e-latency", "backpressure", "success"}
+
+// NumMetrics is the number of cost metrics: the slots of a Predictor.
+const NumMetrics = len(metricNames)
 
 func (m Metric) String() string {
 	if m < 0 || int(m) >= len(metricNames) {
@@ -75,6 +79,38 @@ func (m Metric) Label(mt *sim.Metrics) bool {
 		return mt.Success
 	default:
 		return false
+	}
+}
+
+// Cost returns the metric's bit of a placement.CostSet; CostSet's bits
+// are in Metric order.
+func (m Metric) Cost() placement.CostSet { return placement.CostThroughput << m }
+
+// Field returns the metric's field of a predicted cost vector: value for a
+// regression metric, label for a binary one, the other nil. It is the
+// one place a metric is mapped to its PredCosts field.
+func (m Metric) Field(c *placement.PredCosts) (value *float64, label *bool) {
+	switch m {
+	case MetricThroughput:
+		return &c.ThroughputTPS, nil
+	case MetricProcLatency:
+		return &c.ProcLatencyMS, nil
+	case MetricE2ELatency:
+		return &c.E2ELatencyMS, nil
+	case MetricBackpressure:
+		return nil, &c.Backpressured
+	}
+	return nil, &c.Success
+}
+
+// SetRaw sets the metric's field of c from one model's raw output (see
+// CostModel.PredictRaw): the value of a regression metric, or for a
+// binary one the positive class when its probability is above 0.5.
+func (m Metric) SetRaw(c *placement.PredCosts, raw float64) {
+	if v, l := m.Field(c); v != nil {
+		*v = raw
+	} else {
+		*l = raw > 0.5
 	}
 }
 
@@ -355,7 +391,7 @@ func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostMod
 // trainFromSamples trains a fresh model on pre-featurized samples. It owns
 // the sample slices (fit shuffles the training slice in place), so callers
 // sharing samples across models must pass copies. This is the single
-// training entry under Train, TrainEnsemble and both TrainPredictor paths.
+// training entry under Train and both TrainPredictor paths.
 func trainFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig) (*CostModel, error) {
 	feat := Featurizer{Mode: cfg.Mode}
 	gcfg := gnn.DefaultConfig(feat.FeatDims())
@@ -599,7 +635,22 @@ func (cm *CostModel) headTransform(out float64) float64 {
 	return nn.SigmoidScalar(out)
 }
 
-// PredictTrace predicts the model's metric for a stored trace.
-func (cm *CostModel) PredictTrace(tr *dataset.Trace) (float64, error) {
-	return cm.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+// NewScoreSession implements placement.Predictor over the inference tape:
+// each candidate is one PredictRaw, which sets the model's metric, and
+// every other cost gets the untrained default (Success true, everything
+// else zero). It is the only scoring path of a model the packed kernel
+// cannot run, such as traditional message passing (Exp 7b).
+func (cm *CostModel) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	return placement.PredictorFunc(cm.predictCosts).NewScoreSession(q, c)
+}
+
+// predictCosts is the model's cost vector for one placement.
+func (cm *CostModel) predictCosts(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
+	raw, err := cm.PredictRaw(q, c, p)
+	if err != nil {
+		return placement.PredCosts{}, err
+	}
+	costs := placement.PredCosts{Success: true}
+	cm.Metric.SetRaw(&costs, raw)
+	return costs, nil
 }

@@ -44,29 +44,25 @@ type Section struct {
 	Bytes       int        `json:"bytes"`
 }
 
-// Sections describes the predictor's trained ensembles in Ensembles
-// order. It refuses what DecodePredictor would: a predictor with no
-// trained ensemble, an ensemble that cannot run the packed kernel,
-// ensembles featurized in different modes, or a non-finite weight, naming
-// the metrics and the member.
+// Sections describes the predictor's trained ensembles in Metric order.
+// It refuses what DecodePredictor would: a predictor with no trained
+// ensemble, an ensemble that cannot run the packed kernel, ensembles
+// featurized in different modes, or a non-finite weight, naming the
+// metrics and the member.
 func (pr *Predictor) Sections() ([]Section, error) {
 	mode, err := featureMode(pr.ensembles())
 	if err != nil {
 		return nil, err
 	}
 	var secs []Section
-	for _, s := range pr.Ensembles() {
-		e := s.Ensemble
-		if e == nil {
-			continue
-		}
+	for _, e := range pr.ensembles() {
 		for i, m := range e.Models {
-			if err := finiteWeights(m.Net, s.Metric, i); err != nil {
+			if err := finiteWeights(m.Net, e.Metric, i); err != nil {
 				return nil, err
 			}
 		}
 		net := e.Models[0].Net
-		secs = append(secs, Section{Metric: s.Metric.String(), FeatureMode: mode.String(),
+		secs = append(secs, Section{Metric: e.Metric.String(), FeatureMode: mode.String(),
 			Config: net.Config(), Members: len(e.Models), Bytes: 8 * net.NumParams() * len(e.Models)})
 	}
 	if len(secs) == 0 {
@@ -146,7 +142,7 @@ func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 			}
 			e.Models = append(e.Models, &CostModel{Metric: metric, Feat: Featurizer{Mode: mode}, Net: net})
 		}
-		pr.set(metric, e)
+		pr[metric] = e
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("core: %d bytes after the last weight section", len(body))

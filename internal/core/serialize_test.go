@@ -79,24 +79,23 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 func TestCostModelJSONRoundTripPerMember(t *testing.T) {
 	pred := trainTinyPredictor(t)
 	tr := testCorpus(t).Traces[0]
-	for s, slot := range pred.Ensembles() {
-		for i, m := range slot.Ensemble.Models {
-			one := &Predictor{}
-			one.set(slot.Metric, &Ensemble{Metric: slot.Metric, Models: []*CostModel{m}})
-			back, err := DecodePredictor(encodeWeights(t, one))
+	for _, e := range pred.ensembles() {
+		for i, m := range e.Models {
+			one := &Ensemble{Metric: e.Metric, Models: []*CostModel{m}}
+			back, err := DecodePredictor(encodeWeights(t, one.Predictor()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := back.Ensembles()[s].Ensemble.Models[0]
+			got := back[e.Metric].Models[0]
 			if got.Metric != m.Metric || got.Feat.Mode != m.Feat.Mode {
-				t.Fatalf("%v member %d: metadata changed: %v/%v", slot.Metric, i, got.Metric, got.Feat.Mode)
+				t.Fatalf("%v member %d: metadata changed: %v/%v", e.Metric, i, got.Metric, got.Feat.Mode)
 			}
 			want, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v, err := got.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil || v != want {
-				t.Fatalf("%v member %d: reloaded raw prediction %v (err %v) != %v", slot.Metric, i, v, err, want)
+				t.Fatalf("%v member %d: reloaded raw prediction %v (err %v) != %v", e.Metric, i, v, err, want)
 			}
 		}
 	}
@@ -113,11 +112,12 @@ func TestSerializePreservesFeatureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePredictor(encodeWeights(t, &Predictor{ProcLatency: &Ensemble{Metric: MetricProcLatency, Models: []*CostModel{cm}}}))
+	one := &Ensemble{Metric: MetricProcLatency, Models: []*CostModel{cm}}
+	back, err := DecodePredictor(encodeWeights(t, one.Predictor()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.ProcLatency.Models[0]
+	got := back[MetricProcLatency].Models[0]
 	if got.Feat.Mode != FeatPlacementOnly || got.Metric != MetricProcLatency {
 		t.Fatalf("decoded %v featurized %v, want %v featurized %v", got.Metric, got.Feat.Mode, MetricProcLatency, FeatPlacementOnly)
 	}
@@ -155,7 +155,7 @@ func TestParseMetricAndFeatureMode(t *testing.T) {
 // TestUnmarshalRejectsCorruptModels: DecodePredictor refuses sections that
 // do not describe their bytes, each with an error saying what is wrong.
 func TestUnmarshalRejectsCorruptModels(t *testing.T) {
-	secs, body := encodeWeights(t, &Predictor{Throughput: randomEnsemble(t, MetricThroughput, 2, false)})
+	secs, body := encodeWeights(t, randomEnsemble(t, MetricThroughput, 2, false).Predictor())
 	if _, err := DecodePredictor(secs, body); err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +192,13 @@ func TestUnmarshalRejectsCorruptModels(t *testing.T) {
 }
 
 // TestUnmarshalRejectsmetricMismatch: sections name their metric and fill
-// that slot, in Ensembles order, so a repeated metric or one out of slot
+// that slot, in Metric order, so a repeated metric or one out of slot
 // order is refused rather than one ensemble silently replacing another.
 func TestUnmarshalRejectsmetricMismatch(t *testing.T) {
-	secs, body := encodeWeights(t, &Predictor{
-		Throughput: randomEnsemble(t, MetricThroughput, 1, false),
-		Success:    randomEnsemble(t, MetricSuccess, 1, false),
-	})
+	secs, body := encodeWeights(t, predictorOf(
+		randomEnsemble(t, MetricThroughput, 1, false),
+		randomEnsemble(t, MetricSuccess, 1, false),
+	))
 	first := secs[0].Bytes
 	for name, tc := range map[string]struct {
 		secs []Section

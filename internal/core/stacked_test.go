@@ -41,7 +41,7 @@ func seededEnsemble(t testing.TB, metric Metric, k int, traditional bool, seed i
 	return &Ensemble{Metric: metric, Models: models}
 }
 
-// perMemberValue is the historical PredictValue: each member featurizes
+// perMemberValue is the ensemble mean member by member: each featurizes
 // and infers on its own inference tape. The stacked path must reproduce
 // it bit for bit.
 func perMemberValue(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Cluster, p sim.Placement) float64 {
@@ -74,30 +74,31 @@ func perMemberLabel(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Clus
 
 // TestStackedPredictValueMatchesPerMember pins the stacked ensemble path
 // to the historical per-member path: bit-identical means over a slice of
-// real corpus traces.
+// real corpus traces, one PredictOne on the ensemble alone each.
 func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 	c := testCorpus(t)
 	e := randomEnsemble(t, MetricThroughput, 3, false)
-	fused := fusedCandidates()
+	scored := ensembleCandidates(MetricThroughput)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
-		got, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+		got, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trace %d: stacked %v != per-member %v", i, got, want)
+		if got.ThroughputTPS != want {
+			t.Fatalf("trace %d: stacked %v != per-member %v", i, got.ThroughputTPS, want)
 		}
 	}
-	if n := fusedCandidates() - fused; n != 40 {
+	if n := ensembleCandidates(MetricThroughput) - scored; n != 40 {
 		t.Fatalf("%d candidates on the packed kernel, want 40", n)
 	}
 }
 
-// fusedCandidates reads how many candidates the packed kernel scored so
-// far (costream_inference_fused_candidates_total).
-func fusedCandidates() int64 {
-	return inferMet().fusedCandidates.Value()
+// ensembleCandidates reads how many candidates the metric's ensembles
+// scored on the packed kernel so far
+// (costream_inference_ensemble_candidates_total).
+func ensembleCandidates(m Metric) int64 {
+	return inferMet().ensembleCands[m].Value()
 }
 
 // TestStackedPredictLabelMatchesPerMember does the same for a binary
@@ -107,11 +108,11 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 	e := randomEnsemble(t, MetricSuccess, 3, false)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberLabel(t, e, tr.Query, tr.Cluster, tr.Placement)
-		got, err := e.PredictLabel(tr.Query, tr.Cluster, tr.Placement)
+		costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if got := costs.Success; got != want {
 			t.Fatalf("trace %d: stacked %v != per-member %v", i, got, want)
 		}
 	}
@@ -149,12 +150,11 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 				t.Fatalf("%v %s: err = %v, want %q and %q", e.Metric, what, err, want, tc.reason)
 			}
 		}
-		pr := &Predictor{}
-		pr.set(e.Metric, e)
+		pr := e.Predictor()
 		_, err = pr.NewScoreSession(tr.Query, tr.Cluster)
 		refused("NewScoreSession", err)
-		_, err = e.PredictTrace(tr)
-		refused("PredictTrace", err)
+		_, err = placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
+		refused("PredictOne", err)
 		_, err = pr.Sections()
 		refused("save", err)
 		for i, m := range e.Models {
@@ -172,7 +172,7 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 		m.Feat.Mode = FeatPlacementOnly
 	}
 	full := randomEnsemble(t, MetricThroughput, 2, false)
-	mixed := &Predictor{Throughput: full, ProcLatency: placementOnly}
+	mixed := predictorOf(full, placementOnly)
 	want := "proc-latency ensemble is featurized placement-only, throughput ensemble full"
 	refused := func(what string, err error) {
 		t.Helper()
@@ -184,8 +184,8 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 	refused("NewScoreSession", err)
 	_, err = mixed.Sections()
 	refused("save", err)
-	fullSecs, fullBody := encodeWeights(t, &Predictor{Throughput: full})
-	poSecs, poBody := encodeWeights(t, &Predictor{ProcLatency: placementOnly})
+	fullSecs, fullBody := encodeWeights(t, full.Predictor())
+	poSecs, poBody := encodeWeights(t, placementOnly.Predictor())
 	_, err = DecodePredictor(append(fullSecs, poSecs...), append(fullBody, poBody...))
 	refused("load", err)
 }
@@ -194,10 +194,10 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 // the serve and search hot path — to the per-member reference.
 func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 	c := testCorpus(t)
-	pr := &Predictor{
-		Throughput: randomEnsemble(t, MetricThroughput, 3, false),
-		Success:    randomEnsemble(t, MetricSuccess, 3, false),
-	}
+	pr := predictorOf(
+		randomEnsemble(t, MetricThroughput, 3, false),
+		randomEnsemble(t, MetricSuccess, 3, false),
+	)
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
 	out, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
@@ -205,27 +205,28 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range cands {
-		if want := perMemberValue(t, pr.Throughput, tr.Query, tr.Cluster, p); out[i].ThroughputTPS != want {
+		if want := perMemberValue(t, pr[MetricThroughput], tr.Query, tr.Cluster, p); out[i].ThroughputTPS != want {
 			t.Fatalf("candidate %d: batch throughput %v != per-member %v", i, out[i].ThroughputTPS, want)
 		}
-		if want := perMemberLabel(t, pr.Success, tr.Query, tr.Cluster, p); out[i].Success != want {
+		if want := perMemberLabel(t, pr[MetricSuccess], tr.Query, tr.Cluster, p); out[i].Success != want {
 			t.Fatalf("candidate %d: batch success %v != per-member %v", i, out[i].Success, want)
 		}
 	}
 }
 
-// TestPredictValueAllocsHoisted asserts the satellite fix: featurization
-// happens once per PredictValue call, not once per member, so allocations
+// TestPredictValueAllocsHoisted asserts that featurization happens once
+// per prediction of an ensemble, not once per member, so allocations
 // barely grow with the ensemble size.
 func TestPredictValueAllocsHoisted(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[0]
 	measure := func(e *Ensemble) float64 {
-		if _, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement); err != nil {
+		pr := e.Predictor()
+		if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.PredictValue(tr.Query, tr.Cluster, tr.Placement); err != nil {
+			if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -236,7 +237,7 @@ func TestPredictValueAllocsHoisted(t *testing.T) {
 	// hoisted path shares one graph + plan across members (the stacked
 	// kernels themselves are allocation-free steady state).
 	if a3 > a1*1.3+4 {
-		t.Fatalf("PredictValue allocs grew from %v (k=1) to %v (k=3); featurization not hoisted", a1, a3)
+		t.Fatalf("PredictOne allocs grew from %v (k=1) to %v (k=3); featurization not hoisted", a1, a3)
 	}
 }
 
@@ -288,22 +289,23 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 // the CI race matrix.
 func TestStackedConcurrentPredict(t *testing.T) {
 	c := testCorpus(t)
-	pr := &Predictor{
-		Throughput: randomEnsemble(t, MetricThroughput, 3, false),
-		Success:    randomEnsemble(t, MetricSuccess, 3, false),
-	}
+	pr := predictorOf(
+		randomEnsemble(t, MetricThroughput, 3, false),
+		randomEnsemble(t, MetricSuccess, 3, false),
+	)
+	thr, succ := pr[MetricThroughput].Predictor(), pr[MetricSuccess].Predictor()
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	want, err := pr.Throughput.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+	want, err := placement.PredictOne(thr, tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	member := pr.Throughput.Models[0]
+	member := pr[MetricThroughput].Models[0]
 	wantRaw, err := member.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := fusedCandidates()
+	scored := ensembleCandidates(MetricThroughput)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for wkr := 0; wkr < 8; wkr++ {
@@ -313,9 +315,9 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			for iter := 0; iter < 15; iter++ {
 				switch wkr % 4 {
 				case 0:
-					got, err := pr.Throughput.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+					got, err := placement.PredictOne(thr, tr.Query, tr.Cluster, tr.Placement)
 					if err == nil && got != want {
-						err = fmt.Errorf("concurrent PredictValue diverged: got %v want %v", got, want)
+						err = fmt.Errorf("concurrent PredictOne diverged: got %+v want %+v", got, want)
 					}
 					if err != nil {
 						errs[wkr] = err
@@ -328,7 +330,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := pr.Success.PredictLabel(tr.Query, tr.Cluster, tr.Placement); err != nil {
+					if _, err := placement.PredictOne(succ, tr.Query, tr.Cluster, tr.Placement); err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -351,7 +353,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fusedCandidates() == fused {
-		t.Fatal("no candidate scored on the fused path")
+	if ensembleCandidates(MetricThroughput) == scored {
+		t.Fatal("no candidate scored on the packed kernel")
 	}
 }

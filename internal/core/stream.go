@@ -155,9 +155,6 @@ func samplesFromRecords(recs []record, metric Metric) []sample {
 // slices (fit shuffles in place); the graphs behind them are shared,
 // read-only.
 func trainEnsembleFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig, k int) (*Ensemble, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: ensemble size must be positive")
-	}
 	models := make([]*CostModel, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup

@@ -43,8 +43,8 @@ func streamTestStore(t *testing.T, n int, seed int64, shardSize int) *dataset.St
 // weights to the materialize-then-Split corpus path, for every metric
 // kind and ensemble member. TrainPredictor and TrainPredictorSource share
 // their tail (one featurization, samplesFromRecords), so the reference
-// is the per-metric TrainEnsemble, which featurizes the corpus once per
-// metric; TrainPredictor must match it too.
+// trains each metric on its own, featurizing the corpus once per metric;
+// TrainPredictor must match it too.
 func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	c := streamTestCorpus(t, 40, 77)
 	const seed = 5
@@ -57,13 +57,9 @@ func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	cfg.Train.Hidden = 8
 
 	train, val, _ := c.Split(0.8, 0.1, seed)
-	want := &Predictor{}
+	var want Predictor
 	for _, m := range cfg.Metrics {
-		e, err := TrainEnsemble(train, val, m, cfg.Train, cfg.EnsembleSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.set(m, e)
+		want[m] = trainEnsemble(t, train, val, m, cfg.Train, cfg.EnsembleSize)
 	}
 	fromCorpus, err := TrainPredictor(train, val, cfg)
 	if err != nil {
@@ -76,33 +72,25 @@ func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 	}
 
 	for path, got := range map[string]*Predictor{"TrainPredictor": fromCorpus, "TrainPredictorSource": fromSource} {
-		for _, slot := range want.Ensembles() {
-			if slot.Ensemble == nil {
-				continue
-			}
-			var gotE *Ensemble
-			for _, g := range got.Ensembles() {
-				if g.Metric == slot.Metric {
-					gotE = g.Ensemble
-				}
-			}
+		for _, wantE := range want.ensembles() {
+			gotE := got[wantE.Metric]
 			if gotE == nil {
-				t.Fatalf("%s trained no ensemble for %v", path, slot.Metric)
+				t.Fatalf("%s trained no ensemble for %v", path, wantE.Metric)
 			}
-			if len(gotE.Models) != len(slot.Ensemble.Models) {
-				t.Fatalf("%s %v: %d members vs %d", path, slot.Metric, len(gotE.Models), len(slot.Ensemble.Models))
+			if len(gotE.Models) != len(wantE.Models) {
+				t.Fatalf("%s %v: %d members vs %d", path, wantE.Metric, len(gotE.Models), len(wantE.Models))
 			}
-			for mi := range slot.Ensemble.Models {
-				wp, _ := slot.Ensemble.Models[mi].Net.Params()
+			for mi := range wantE.Models {
+				wp, _ := wantE.Models[mi].Net.Params()
 				gp, _ := gotE.Models[mi].Net.Params()
 				if len(wp) != len(gp) {
-					t.Fatalf("%s %v member %d: param group count differs", path, slot.Metric, mi)
+					t.Fatalf("%s %v member %d: param group count differs", path, wantE.Metric, mi)
 				}
 				for k := range wp {
 					for j := range wp[k] {
 						if wp[k][j] != gp[k][j] {
 							t.Fatalf("%s %v member %d: weight [%d][%d] differs: %v vs %v",
-								path, slot.Metric, mi, k, j, gp[k][j], wp[k][j])
+								path, wantE.Metric, mi, k, j, gp[k][j], wp[k][j])
 						}
 					}
 				}
@@ -136,8 +124,8 @@ func TestTrainPredictorSourceFromShardStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, _ := fromMem.ProcLatency.Models[0].Net.Params()
-	gp, _ := fromStore.ProcLatency.Models[0].Net.Params()
+	wp, _ := fromMem[MetricProcLatency].Models[0].Net.Params()
+	gp, _ := fromStore[MetricProcLatency].Models[0].Net.Params()
 	for k := range wp {
 		for j := range wp[k] {
 			if wp[k][j] != gp[k][j] {

@@ -29,10 +29,7 @@ func TestTrainObserverEpochStats(t *testing.T) {
 		mu.Unlock()
 	}
 	const k = 2
-	observed, err := TrainEnsemble(train, val, MetricThroughput, obsCfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	observed := trainEnsemble(t, train, val, MetricThroughput, obsCfg, k)
 	if len(recs) != k*cfg.Epochs {
 		t.Fatalf("%d epoch records, want %d", len(recs), k*cfg.Epochs)
 	}
@@ -69,21 +66,18 @@ func TestTrainObserverEpochStats(t *testing.T) {
 	}
 
 	// The observer is purely observational: weights match a plain run.
-	plain, err := TrainEnsemble(train, val, MetricThroughput, cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := trainEnsemble(t, train, val, MetricThroughput, cfg, k)
 	tr := c.Traces[0]
-	want, err := plain.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+	want, err := placement.PredictOne(plain.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := observed.PredictValue(tr.Query, tr.Cluster, tr.Placement)
+	got, err := placement.PredictOne(observed.Predictor(), tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("observer changed training: prediction %g != %g", got, want)
+		t.Errorf("observer changed training: prediction %g != %g", got.ThroughputTPS, want.ThroughputTPS)
 	}
 
 	// With one worker nothing overlaps, so the stages partition the epoch:

@@ -122,7 +122,7 @@ func (s *Suite) evalBucket(traces []*dataset.Trace) (HardwareBucket, error) {
 		if err != nil {
 			return bucket, err
 		}
-		sum, err := core.EvaluateRegression(e, sub, m)
+		sum, err := core.EvaluateRegression(e.Predictor(), sub, m)
 		if err != nil {
 			// A bucket can lack successful traces; mark as NaN.
 			sum = qerror.Summary{Median: math.NaN()}
@@ -141,7 +141,7 @@ func (s *Suite) evalBucket(traces []*dataset.Trace) (HardwareBucket, error) {
 		if err != nil {
 			return bucket, err
 		}
-		acc, err := core.EvaluateClassification(e, sub, m)
+		acc, err := core.EvaluateClassification(e.Predictor(), sub, m)
 		if err != nil {
 			acc = math.NaN()
 		}

@@ -7,6 +7,7 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/placement"
 )
 
 // MetricRow is one table row comparing COSTREAM and the flat-vector
@@ -61,7 +62,7 @@ func (s *Suite) compareRows(eval *dataset.Corpus, metrics []core.Metric, balance
 		if err != nil {
 			return nil, err
 		}
-		row, err := compareOn(e, f, eval, m, balanceSeed)
+		row, err := compareOn(e.Predictor(), f.Predictor(), eval, m, balanceSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +73,7 @@ func (s *Suite) compareRows(eval *dataset.Corpus, metrics []core.Metric, balance
 
 // compareOn evaluates one COSTREAM predictor and one baseline predictor on
 // a corpus for one metric.
-func compareOn(co, fl core.TracePredictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
+func compareOn(co, fl placement.Predictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
 	row, err := evalOn(co, eval, m, balanceSeed)
 	if err != nil {
 		return row, err
@@ -90,7 +91,7 @@ func compareOn(co, fl core.TracePredictor, eval *dataset.Corpus, m core.Metric, 
 // traces for a regression metric, accuracy on the label-balanced subset
 // (the whole corpus when a class is absent) for a classification one, as
 // the paper reports.
-func evalOn(p core.TracePredictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
+func evalOn(p placement.Predictor, eval *dataset.Corpus, m core.Metric, balanceSeed int64) (MetricRow, error) {
 	row := MetricRow{Metric: m.String(), IsRegression: m.IsRegression()}
 	if !m.IsRegression() {
 		var err error

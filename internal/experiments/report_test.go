@@ -7,13 +7,23 @@ import (
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/hardware"
+	"costream/internal/placement"
 	"costream/internal/sim"
+	"costream/internal/stream"
 )
 
-// constPredictor returns a fixed value for every trace.
-type constPredictor struct{ v float64 }
-
-func (c constPredictor) PredictTrace(*dataset.Trace) (float64, error) { return c.v, nil }
+// constPredictor predicts the raw value v for every metric of every
+// trace: v itself as a cost, and the positive class for v above 0.5.
+func constPredictor(v float64) placement.Predictor {
+	return placement.PredictorFunc(func(*stream.Query, *hardware.Cluster, sim.Placement) (placement.PredCosts, error) {
+		var costs placement.PredCosts
+		for _, m := range core.AllMetrics() {
+			m.SetRaw(&costs, v)
+		}
+		return costs, nil
+	})
+}
 
 func fakeCorpus(n int, throughput float64, backpressured bool) *dataset.Corpus {
 	c := &dataset.Corpus{}
@@ -37,7 +47,7 @@ func fakeCorpus(n int, throughput float64, backpressured bool) *dataset.Corpus {
 
 func TestCompareOnRegression(t *testing.T) {
 	c := fakeCorpus(10, 100, false)
-	row, err := compareOn(constPredictor{100}, constPredictor{50}, c, core.MetricThroughput, 1)
+	row, err := compareOn(constPredictor(100), constPredictor(50), c, core.MetricThroughput, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestCompareOnRegression(t *testing.T) {
 
 func TestCompareOnClassificationBalances(t *testing.T) {
 	c := fakeCorpus(10, 100, false) // alternating backpressure labels
-	row, err := compareOn(constPredictor{1}, constPredictor{0}, c, core.MetricBackpressure, 1)
+	row, err := compareOn(constPredictor(1), constPredictor(0), c, core.MetricBackpressure, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,8 @@ func (s *Suite) BaseSplit() (train, val, test *dataset.Corpus, err error) {
 }
 
 // Ensemble returns the COSTREAM ensemble for a metric, trained on the base
-// split. Concurrent callers share one training run.
+// split: the metric's slot of a predictor trained for it alone.
+// Concurrent callers share one training run.
 func (s *Suite) Ensemble(m core.Metric) (*core.Ensemble, error) {
 	return get(&s.mu, s.ens, "base/"+m.String(), func() (*core.Ensemble, error) {
 		train, val, _, err := s.BaseSplit()
@@ -167,7 +168,12 @@ func (s *Suite) Ensemble(m core.Metric) (*core.Ensemble, error) {
 			return nil, err
 		}
 		s.Logf("training COSTREAM ensemble for %v (%d models)", m, EnsembleSize)
-		return core.TrainEnsemble(train, val, m, s.trainConfig(100+int64(m)), EnsembleSize)
+		pr, err := core.TrainPredictor(train, val, core.PredictorConfig{
+			Train: s.trainConfig(100 + int64(m)), EnsembleSize: EnsembleSize, Metrics: []core.Metric{m}})
+		if err != nil {
+			return nil, err
+		}
+		return pr[m], nil
 	})
 }
 
@@ -193,18 +199,7 @@ func (s *Suite) Predictor() (*core.Predictor, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch m {
-		case core.MetricThroughput:
-			pr.Throughput = e
-		case core.MetricProcLatency:
-			pr.ProcLatency = e
-		case core.MetricE2ELatency:
-			pr.E2ELatency = e
-		case core.MetricBackpressure:
-			pr.Backpressure = e
-		case core.MetricSuccess:
-			pr.Success = e
-		}
+		pr[m] = e
 	}
 	return pr, nil
 }
@@ -217,18 +212,7 @@ func (s *Suite) FlatPredictor() (*flatvec.Predictor, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch m {
-		case core.MetricThroughput:
-			pr.Throughput = f
-		case core.MetricProcLatency:
-			pr.ProcLatency = f
-		case core.MetricE2ELatency:
-			pr.E2ELatency = f
-		case core.MetricBackpressure:
-			pr.Backpressure = f
-		case core.MetricSuccess:
-			pr.Success = f
-		}
+		pr[m] = f
 	}
 	return pr, nil
 }

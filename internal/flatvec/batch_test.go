@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"costream/internal/core"
 	"costream/internal/gbdt"
 	"costream/internal/hardware"
 	"costream/internal/placement"
@@ -76,11 +77,41 @@ func perMetric(t *testing.T, pr *Predictor, q *stream.Query, c *hardware.Cluster
 		return v
 	}
 	return placement.PredCosts{
-		ThroughputTPS: raw(pr.Throughput),
-		ProcLatencyMS: raw(pr.ProcLatency),
-		E2ELatencyMS:  raw(pr.E2ELatency),
-		Backpressured: raw(pr.Backpressure) > 0.5,
-		Success:       raw(pr.Success) > 0.5,
+		ThroughputTPS: raw(pr[core.MetricThroughput]),
+		ProcLatencyMS: raw(pr[core.MetricProcLatency]),
+		E2ELatencyMS:  raw(pr[core.MetricE2ELatency]),
+		Backpressured: raw(pr[core.MetricBackpressure]) > 0.5,
+		Success:       raw(pr[core.MetricSuccess]) > 0.5,
+	}
+}
+
+// TestUntrainedSlotsGiveDefaults: a predictor holding only the throughput
+// model, asked for every cost, predicts throughput as the model does and
+// gives the other four costs the untrained default (Success true,
+// everything else zero), as the TileScorer contract says.
+func TestUntrainedSlotsGiveDefaults(t *testing.T) {
+	c := testCorpus(t)
+	m, err := Train(c, core.MetricThroughput, gbdt.DefaultConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := m.Predictor()
+	for ti, tr := range c.Traces[:5] {
+		raw, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []placement.PredCosts{{ProcLatencyMS: -2, E2ELatencyMS: -3, Backpressured: true}}
+		if err := sess.ScoreTile([]sim.Placement{tr.Placement}, placement.AllCosts, out); err != nil {
+			t.Fatalf("trace %d: %v", ti, err)
+		}
+		if want := (placement.PredCosts{ThroughputTPS: raw, Success: true}); costBits(out[0]) != costBits(want) {
+			t.Fatalf("trace %d: %+v, want %+v", ti, out[0], want)
+		}
 	}
 }
 

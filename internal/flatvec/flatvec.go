@@ -287,20 +287,18 @@ func (m *Model) predictVec(x []float64) float64 {
 	return m.cls.Predict(x)
 }
 
-// PredictTrace implements core.TracePredictor.
-func (m *Model) PredictTrace(tr *dataset.Trace) (float64, error) {
-	return m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+// Predictor returns a predictor holding the model alone, in its metric's
+// slot.
+func (m *Model) Predictor() *Predictor {
+	pr := &Predictor{}
+	pr[m.Metric] = m
+	return pr
 }
 
-// Predictor bundles flat-vector models for all five metrics and implements
-// placement.Predictor for the Exp 2a comparison.
-type Predictor struct {
-	Throughput   *Model
-	ProcLatency  *Model
-	E2ELatency   *Model
-	Backpressure *Model
-	Success      *Model
-}
+// Predictor bundles flat-vector models, one slot per cost metric indexed
+// by core.Metric, and implements placement.Predictor for the Exp 2a
+// comparison. An untrained (nil) slot predicts the untrained default.
+type Predictor [core.NumMetrics]*Model
 
 // TrainPredictor trains the baseline for all five metrics.
 func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) {
@@ -310,18 +308,7 @@ func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) 
 		if err != nil {
 			return nil, err
 		}
-		switch m {
-		case core.MetricThroughput:
-			pr.Throughput = mod
-		case core.MetricProcLatency:
-			pr.ProcLatency = mod
-		case core.MetricE2ELatency:
-			pr.E2ELatency = mod
-		case core.MetricBackpressure:
-			pr.Backpressure = mod
-		case core.MetricSuccess:
-			pr.Success = mod
-		}
+		pr[m] = mod
 	}
 	return pr, nil
 }
@@ -330,7 +317,9 @@ func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) 
 // of the flat vector is computed once per session, a tile featurizes each
 // of its candidates once for all the models it runs, and it runs only the
 // models of the costs need names. Every field equals the per-metric
-// Model.PredictRaw path (classifiers thresholded at 0.5).
+// Model.PredictRaw path (classifiers thresholded at 0.5); a named cost
+// without a model gets the untrained default (Success true, everything
+// else zero).
 func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
 	prefix, err := queryFeatures(q)
 	if err != nil {
@@ -354,27 +343,16 @@ func (s *session) ScoreTile(cands []sim.Placement, need placement.CostSet, out [
 	if len(out) != len(cands) {
 		return fmt.Errorf("flatvec: tile output holds %d slots, want %d", len(out), len(cands))
 	}
-	pr := s.pr
 	for i, p := range cands {
 		x, err := placementFeatures(s.prefix, s.c, p)
 		if err != nil {
 			return fmt.Errorf("flatvec: tile candidate %d: %w", i, err)
 		}
-		o := &out[i]
-		if need&placement.CostThroughput != 0 {
-			o.ThroughputTPS = pr.Throughput.predictVec(x)
-		}
-		if need&placement.CostProcLatency != 0 {
-			o.ProcLatencyMS = pr.ProcLatency.predictVec(x)
-		}
-		if need&placement.CostE2ELatency != 0 {
-			o.E2ELatencyMS = pr.E2ELatency.predictVec(x)
-		}
-		if need&placement.CostBackpressure != 0 {
-			o.Backpressured = pr.Backpressure.predictVec(x) > 0.5
-		}
-		if need&placement.CostSuccess != 0 {
-			o.Success = pr.Success.predictVec(x) > 0.5
+		need.Copy(&out[i], placement.PredCosts{Success: true})
+		for _, mod := range s.pr {
+			if mod != nil && need&mod.Metric.Cost() != 0 {
+				mod.Metric.SetRaw(&out[i], mod.predictVec(x))
+			}
 		}
 	}
 	return nil

@@ -105,7 +105,7 @@ func TestTrainRegressionAndPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.EvaluateRegression(m, test, core.MetricThroughput)
+	s, err := core.EvaluateRegression(m.Predictor(), test, core.MetricThroughput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTrainRegressionAndPredict(t *testing.T) {
 		t.Errorf("flat vector Q50 = %v, implausibly bad", s.Median)
 	}
 	for _, tr := range test.Traces[:10] {
-		v, err := m.PredictTrace(tr)
+		v, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestTrainClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range c.Traces[:20] {
-		p, err := m.PredictTrace(tr)
+		p, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestTrainClassification(t *testing.T) {
 		}
 	}
 	bal := c.Balanced(func(tr *dataset.Trace) bool { return tr.Metrics.Success }, 3)
-	acc, err := core.EvaluateClassification(m, bal, core.MetricSuccess)
+	acc, err := core.EvaluateClassification(m.Predictor(), bal, core.MetricSuccess)
 	if err != nil {
 		t.Fatal(err)
 	}

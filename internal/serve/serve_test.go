@@ -214,10 +214,10 @@ func TestPredictNamesNonFiniteOutput(t *testing.T) {
 	params, _ := net.Params()
 	readoutBias := params[len(params)-1]
 	readoutBias[0] = math.NaN()
-	pred := &core.Predictor{Throughput: &core.Ensemble{
+	pred := (&core.Ensemble{
 		Metric: core.MetricThroughput,
 		Models: []*core.CostModel{{Metric: core.MetricThroughput, Feat: feat, Net: net}},
-	}}
+	}).Predictor()
 	s := newTestServer(t, Config{Predictor: pred})
 	body := PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}}
 	w := doJSON(t, s, http.MethodPost, "/v1/predict", body)
