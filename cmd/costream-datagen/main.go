@@ -128,6 +128,9 @@ func run() error {
 	}
 	cfg := sc.Make(*n, *seed)
 	cfg.Sim.DurationS = *duration
+	if err := cfg.Sim.Validate(); err != nil {
+		return fmt.Errorf("-duration %g: %w", *duration, err)
+	}
 	cfg.Parallelism = *workers
 	st, err := dataset.StreamBuild(cfg, dataset.StreamConfig{
 		Dir:       *out,

@@ -1,0 +1,31 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// BenchmarkRun times one simulator run of a generated query: on 4-host
+// clusters at DefaultConfig, the shape of a training trace, and on
+// 220-host clusters at the fleet loop's observation config, where all but
+// a few hosts are idle.
+func BenchmarkRun(b *testing.B) {
+	fleetObs := Config{DurationS: 30, WarmupS: 5, StepS: 0.05, NoiseStd: 0.05} // fleet.Run's observation config
+	for _, bc := range []struct {
+		hosts int
+		cfg   Config
+	}{{4, DefaultConfig()}, {220, fleetObs}} {
+		runs := generatedRuns(7, 16, bc.hosts)
+		b.Run(fmt.Sprintf("hosts=%d", bc.hosts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := runs[i%len(runs)]
+				cfg := bc.cfg
+				cfg.Seed = r.cfg.Seed
+				if _, err := Run(r.q, r.c, r.p, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

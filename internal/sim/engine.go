@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"costream/internal/hardware"
 	"costream/internal/stream"
@@ -50,6 +51,59 @@ func (p Placement) Validate(q *stream.Query, c *hardware.Cluster) error {
 	return nil
 }
 
+// Bounds of a usable Config beyond the signs of its fields. maxSteps keeps
+// a run's step count exact and its time bounded; maxRunS keeps one step's
+// broker input and network budget far inside the float64 range; a NoiseStd
+// beyond maxNoiseStd spreads one operator's cost over orders of magnitude
+// and, far enough out, past that range.
+const (
+	maxSteps    = 1e8
+	maxRunS     = 1e9
+	maxNoiseStd = 1
+)
+
+// Validate reports the first unusable field of the configuration by name:
+// a non-finite value, a non-positive StepS or DurationS, a negative
+// WarmupS, a NoiseStd outside [0, maxNoiseStd], a run past maxRunS
+// simulated seconds or maxSteps steps, or a measured window that holds no
+// step (DurationS shorter than half a step).
+func (cfg Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"DurationS", cfg.DurationS}, {"WarmupS", cfg.WarmupS}, {"StepS", cfg.StepS}, {"NoiseStd", cfg.NoiseStd}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s is %v, want a finite value", f.name, f.v)
+		}
+	}
+	switch {
+	case cfg.StepS <= 0:
+		return fmt.Errorf("StepS %v is not positive", cfg.StepS)
+	case cfg.DurationS <= 0:
+		return fmt.Errorf("DurationS %v is not positive", cfg.DurationS)
+	case cfg.WarmupS < 0:
+		return fmt.Errorf("WarmupS %v is negative", cfg.WarmupS)
+	case cfg.NoiseStd < 0 || cfg.NoiseStd > maxNoiseStd:
+		return fmt.Errorf("NoiseStd %v is outside [0, %v]", cfg.NoiseStd, maxNoiseStd)
+	case cfg.WarmupS+cfg.DurationS > maxRunS:
+		return fmt.Errorf("WarmupS+DurationS %v s is longer than %v s", cfg.WarmupS+cfg.DurationS, maxRunS)
+	}
+	steps, warmSteps := cfg.stepCounts()
+	if steps > maxSteps {
+		return fmt.Errorf("WarmupS+DurationS %v s at StepS %v is %v steps, more than %v", cfg.WarmupS+cfg.DurationS, cfg.StepS, steps, maxSteps)
+	}
+	if steps-warmSteps < 1 {
+		return fmt.Errorf("DurationS %v at StepS %v measures no step", cfg.DurationS, cfg.StepS)
+	}
+	return nil
+}
+
+// stepCounts returns the run's number of steps and how many of them are
+// warm-up, as whole floats.
+func (cfg Config) stepCounts() (steps, warmSteps float64) {
+	return math.Round((cfg.WarmupS + cfg.DurationS) / cfg.StepS), math.Round(cfg.WarmupS / cfg.StepS)
+}
+
 // Run executes the query under the given placement on the cluster and
 // returns the measured cost metrics. It is deterministic in (inputs, seed).
 func Run(q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (*Metrics, error) {
@@ -62,8 +116,8 @@ func Run(q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (*Metric
 	if err := p.Validate(q, c); err != nil {
 		return nil, fmt.Errorf("invalid placement: %w", err)
 	}
-	if cfg.StepS <= 0 || cfg.DurationS <= 0 {
-		return nil, fmt.Errorf("invalid config: step=%v duration=%v", cfg.StepS, cfg.DurationS)
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid config: %w", err)
 	}
 	rates, err := q.DeriveRates()
 	if err != nil {
@@ -83,27 +137,39 @@ type engine struct {
 
 	order    []int     // topological order of operators
 	downs    [][]int   // consumers per operator, in edge order (Query.Downstream)
+	remote   []int     // consumers per operator placed on another host
 	costUS   []float64 // noisy per-tuple cost incl. GC slowdown
 	outRatio []float64 // emitted per processed tuple
 	queue    []float64 // input queue length (tuples)
 
-	// Broker state, one stream per source operator index.
+	// The hosts that run an operator, built once per run; a step visits
+	// only these, so it costs O(operators) at any cluster size. Group g is
+	// host hosts[g], in first use over the operator indices, and runs the
+	// operators members[start[g]:start[g+1]] in index order; group[i] is
+	// operator i's group.
+	hosts   []int
+	start   []int
+	members []int
+	group   []int
+
+	// Broker state, one stream per source operator; indexed by operator.
 	sourceIdx []int
-	backlog   map[int]float64
+	backlog   []float64
 
 	// Memory.
-	memPressure []float64 // per host
-	crashed     bool
+	memPressure []float64 // per host of the cluster, idle ones included
+	crashed     bool      // a host that runs an operator is past crashPressure
 
-	// Measurement accumulators.
+	// Measurement accumulators, indexed by operator (backlogStart and
+	// backlogAcc are read for sources only).
 	measTime     float64
-	procAcc      []float64 // tuples processed per op
-	emitAcc      []float64 // tuples emitted per op
+	procAcc      []float64 // tuples processed
+	emitAcc      []float64 // tuples emitted
 	queueAcc     []float64 // queue length integral
-	cpuAcc       []float64 // core-seconds consumed per op
-	netBitsAcc   []float64 // outgoing bits per op (cross-host only)
-	backlogStart map[int]float64
-	backlogAcc   map[int]float64
+	cpuAcc       []float64 // core-seconds consumed
+	netBitsAcc   []float64 // outgoing bits (cross-host only)
+	backlogStart []float64 // broker backlog when measurement starts
+	backlogAcc   []float64 // broker backlog integral
 	sinkArrived  float64
 
 	// Water-fill scratch of hostCPUAlloc, sized for the whole query so the
@@ -115,46 +181,71 @@ type engine struct {
 func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates, cfg Config) *engine {
 	n := len(q.Ops)
 	order, _ := q.TopoOrder()
+	floats, ints := make([]float64, 13*n), make([]int, 4*n)
 	e := &engine{
 		q: q, c: c, p: p, rates: r, cfg: cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		order:        order,
-		costUS:       make([]float64, n),
-		outRatio:     make([]float64, n),
-		queue:        make([]float64, n),
-		backlog:      make(map[int]float64),
-		memPressure:  make([]float64, len(c.Hosts)),
-		procAcc:      make([]float64, n),
-		emitAcc:      make([]float64, n),
-		queueAcc:     make([]float64, n),
-		cpuAcc:       make([]float64, n),
-		netBitsAcc:   make([]float64, n),
-		backlogStart: make(map[int]float64),
-		backlogAcc:   make(map[int]float64),
 		downs:        make([][]int, n),
-		alloc:        make([]float64, n),
-		need:         make([]float64, n),
-		active:       make([]int, 0, n),
+		remote:       carve(&ints, n),
+		start:        make([]int, 1, n+1),
+		members:      carve(&ints, n)[:0],
+		group:        carve(&ints, n),
+		costUS:       carve(&floats, n),
+		outRatio:     carve(&floats, n),
+		queue:        carve(&floats, n),
+		backlog:      carve(&floats, n),
+		memPressure:  make([]float64, len(c.Hosts)),
+		procAcc:      carve(&floats, n),
+		emitAcc:      carve(&floats, n),
+		queueAcc:     carve(&floats, n),
+		cpuAcc:       carve(&floats, n),
+		netBitsAcc:   carve(&floats, n),
+		backlogStart: carve(&floats, n),
+		backlogAcc:   carve(&floats, n),
+		alloc:        carve(&floats, n),
+		need:         carve(&floats, n),
+		active:       carve(&ints, n)[:0],
 	}
 	for _, edge := range q.Edges {
 		e.downs[edge[0]] = append(e.downs[edge[0]], edge[1])
+		if p[edge[0]] != p[edge[1]] {
+			e.remote[edge[0]]++
+		}
 	}
 	e.sourceIdx = q.Sources()
-	for _, s := range e.sourceIdx {
-		e.backlog[s] = 0
+
+	// Group the operators by host: first use fixes a host's group, and a
+	// group lists its operators in index order.
+	for i, h := range p {
+		g := slices.Index(e.hosts, h)
+		if g < 0 {
+			g = len(e.hosts)
+			e.hosts = append(e.hosts, h)
+		}
+		e.group[i] = g
+	}
+	for g := range e.hosts {
+		for i, gi := range e.group {
+			if gi == g {
+				e.members = append(e.members, i)
+			}
+		}
+		e.start = append(e.start, len(e.members))
 	}
 
 	// Memory pressure per host from window state of the operators placed
-	// there; determined by logical extents, fixed for the run.
-	memUsed := make([]float64, len(c.Hosts))
-	for h := range c.Hosts {
-		memUsed[h] = hostBaseMemBytes
-	}
-	for i := range q.Ops {
-		memUsed[p[i]] += perOpMemBytes + stateBytes(q, r, i)
-	}
+	// there; determined by logical extents, fixed for the run. An idle host
+	// holds only its base footprint and crashes no query.
 	for h, host := range c.Hosts {
-		e.memPressure[h] = memUsed[h] / (host.RAMBytes() * heapFraction)
+		e.memPressure[h] = hostBaseMemBytes / (host.RAMBytes() * heapFraction)
+	}
+	for g, h := range e.hosts {
+		used := float64(hostBaseMemBytes)
+		for _, i := range e.members[e.start[g]:e.start[g+1]] {
+			used += perOpMemBytes + stateBytes(q, r, i)
+		}
+		e.memPressure[h] = used / (c.Hosts[h].RAMBytes() * heapFraction)
 		if e.memPressure[h] > crashPressure {
 			e.crashed = true
 		}
@@ -175,11 +266,19 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 	return e
 }
 
-// hostCPUAlloc water-fills the host's cores across the CPU demand of its
-// operators. want[i] is the number of tuples op i would like to process
-// this step; returns allocated core-seconds per op for this step, in
-// engine-owned scratch that the next call overwrites.
-func (e *engine) hostCPUAlloc(ops []int, want []float64, dt float64) []float64 {
+// carve returns the next n elements of *slab, capped at n, and advances
+// *slab past them, so that one allocation backs a run's fixed-size slices.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// hostCPUAlloc water-fills capacity core-seconds across the CPU demand of
+// one host's operators. want[k] is the number of tuples ops[k] would like
+// to process this step; returns allocated core-seconds per op for this
+// step, in engine-owned scratch that the next call overwrites.
+func (e *engine) hostCPUAlloc(ops []int, want []float64, capacity float64) []float64 {
 	alloc, need, active := e.alloc[:len(ops)], e.need[:len(ops)], e.active[:0]
 	clear(alloc)
 	for k, i := range ops {
@@ -188,7 +287,6 @@ func (e *engine) hostCPUAlloc(ops []int, want []float64, dt float64) []float64 {
 			active = append(active, k)
 		}
 	}
-	capacity := e.c.Hosts[e.p[ops[0]]].Cores() * dt
 	for len(active) > 0 && capacity > 1e-15 {
 		fair := capacity / float64(len(active))
 		progressed := false
@@ -221,62 +319,61 @@ func (e *engine) run() *Metrics {
 		return e.crashMetrics()
 	}
 	dt := e.cfg.StepS
-	total := e.cfg.WarmupS + e.cfg.DurationS
-	steps := int(math.Round(total / dt))
-	warmSteps := int(math.Round(e.cfg.WarmupS / dt))
+	fSteps, fWarm := e.cfg.stepCounts()
+	steps, warmSteps := int(fSteps), int(fWarm)
 
-	// Group operators by host once.
-	hostOps := make(map[int][]int)
-	for i := range e.q.Ops {
-		hostOps[e.p[i]] = append(hostOps[e.p[i]], i)
+	// Per-step values that do not change between steps: each operator's
+	// expected same-step arrivals and each source's producer events; each
+	// group's core-seconds and outgoing network budget in bits.
+	n, ng := len(e.q.Ops), len(e.hosts)
+	floats := make([]float64, 5*n+3*ng)
+	inDt, eventsDt := carve(&floats, n), carve(&floats, n)
+	coreS, budget := carve(&floats, ng), carve(&floats, ng)
+	for i := range inDt {
+		inDt[i] = e.rates.In[i] * dt
+	}
+	for _, src := range e.sourceIdx {
+		eventsDt[src] = e.q.Ops[src].EventRate * dt
+	}
+	for g, h := range e.hosts {
+		coreS[g] = e.c.Hosts[h].Cores() * dt
+		budget[g] = e.c.Hosts[h].NetBandwidthMbps * mbitToBits * dt
 	}
 
-	n := len(e.q.Ops)
-	arrivals := make([]float64, n)
-	processed := make([]float64, n)
-	wantBuf := make(map[int][]float64)
-	for h, ops := range hostOps {
-		wantBuf[h] = make([]float64, len(ops))
-	}
-	// Per-host outgoing network budget in bits per step.
-	netBudget := make([]float64, len(e.c.Hosts))
+	arrivals, processed := carve(&floats, n), carve(&floats, n)
+	want := carve(&floats, n) // CPU demand in tuples, laid out like members
+	netBudget := carve(&floats, ng)
 
 	measuring := false
 	for s := 0; s < steps; s++ {
 		if s == warmSteps {
 			measuring = true
-			for src, b := range e.backlog {
-				e.backlogStart[src] = b
+			for _, src := range e.sourceIdx {
+				e.backlogStart[src] = e.backlog[src]
 			}
 		}
 		// Broker receives producer events.
 		for _, src := range e.sourceIdx {
-			e.backlog[src] += e.q.Ops[src].EventRate * dt
+			e.backlog[src] += eventsDt[src]
 		}
-		for i := range arrivals {
-			arrivals[i] = 0
-		}
-		for h := range netBudget {
-			netBudget[h] = e.c.Hosts[h].NetBandwidthMbps * mbitToBits * dt
-		}
+		clear(arrivals)
+		copy(netBudget, budget)
 
 		// CPU allocation per host based on queued + pending work.
-		for h, ops := range hostOps {
-			want := wantBuf[h]
+		for g := range e.hosts {
+			ops, want := e.members[e.start[g]:e.start[g+1]], want[e.start[g]:e.start[g+1]]
 			for k, i := range ops {
-				if e.q.Ops[i].Type == stream.OpSource {
-					want[k] = e.backlog[i]
-				} else {
-					want[k] = e.queue[i]
-				}
 				// Include expected same-step arrivals so pipelines
 				// are not artificially staggered.
-				want[k] += e.rates.In[i] * dt
+				if e.q.Ops[i].Type == stream.OpSource {
+					want[k] = e.backlog[i] + inDt[i]
+				} else {
+					want[k] = e.queue[i] + inDt[i]
+				}
 			}
-			alloc := e.hostCPUAlloc(ops, want, dt)
+			alloc := e.hostCPUAlloc(ops, want, coreS[g])
 			for k, i := range ops {
-				cap := alloc[k] * 1e6 / e.costUS[i] // tuples processable
-				processed[i] = cap
+				processed[i] = alloc[k] * 1e6 / e.costUS[i] // tuples processable
 				if measuring {
 					e.cpuAcc[i] += alloc[k]
 				}
@@ -285,9 +382,9 @@ func (e *engine) run() *Metrics {
 
 		// Data movement in topological order.
 		for _, i := range e.order {
-			op := e.q.Ops[i]
+			typ := e.q.Ops[i].Type
 			var avail float64
-			if op.Type == stream.OpSource {
+			if typ == stream.OpSource {
 				avail = e.backlog[i]
 			} else {
 				e.queue[i] += arrivals[i]
@@ -327,33 +424,25 @@ func (e *engine) run() *Metrics {
 			// consumer). For the paper's tree-shaped plans (exactly one
 			// consumer, enforced by Query.Validate) this reduces exactly
 			// to the single-edge charge.
-			if len(downs) > 0 {
-				src := e.p[i]
-				remote := 0
-				for _, d := range downs {
-					if e.p[d] != src {
-						remote++
+			if remote := e.remote[i]; remote > 0 {
+				g := e.group[i]
+				bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * float64(remote)
+				if bits > netBudget[g] {
+					scale := 0.0
+					if bits > 0 {
+						scale = netBudget[g] / bits
 					}
+					proc *= scale
+					bits = netBudget[g]
 				}
-				if remote > 0 {
-					bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * float64(remote)
-					if bits > netBudget[src] {
-						scale := 0.0
-						if bits > 0 {
-							scale = netBudget[src] / bits
-						}
-						proc *= scale
-						bits = netBudget[src]
-					}
-					netBudget[src] -= bits
-					if measuring {
-						e.netBitsAcc[i] += bits
-					}
+				netBudget[g] -= bits
+				if measuring {
+					e.netBitsAcc[i] += bits
 				}
 			}
 
 			out := proc * e.outRatio[i]
-			if op.Type == stream.OpSource {
+			if typ == stream.OpSource {
 				e.backlog[i] -= proc
 			} else {
 				e.queue[i] -= proc
@@ -361,7 +450,7 @@ func (e *engine) run() *Metrics {
 			for _, d := range downs {
 				arrivals[d] += out
 			}
-			if op.Type == stream.OpSink && measuring {
+			if typ == stream.OpSink && measuring {
 				e.sinkArrived += proc
 			}
 			if measuring {
@@ -557,10 +646,9 @@ func (e *engine) netLatencyMS(u, v int) float64 {
 	transfer := e.rates.TupleBytes[u] * bitsPerByte / bw * 1000
 	// Congestion: total outgoing utilization of the sender host.
 	var hostBits float64
-	for i := range e.q.Ops {
-		if e.p[i] == src {
-			hostBits += e.netBitsAcc[i] / mt
-		}
+	g := e.group[u]
+	for _, i := range e.members[e.start[g]:e.start[g+1]] {
+		hostBits += e.netBitsAcc[i] / mt
 	}
 	util := hostBits / (e.c.Hosts[src].NetBandwidthMbps * mbitToBits)
 	if util > networkCongestion {

@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"costream/internal/hardware"
 	"costream/internal/stream"
+	"costream/internal/workload"
 )
 
 // hexMetrics renders every field of m with hex floats, one line per
@@ -111,5 +116,95 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	}
 	if short, long := allocs(20), allocs(120); short != long {
 		t.Fatalf("%v allocations for a 20 s run, %v for a 120 s run: the step loop allocates", short, long)
+	}
+}
+
+// generatedRun is one simulator input drawn by generatedRuns.
+type generatedRun struct {
+	q   *stream.Query
+	c   *hardware.Cluster
+	p   Placement
+	cfg Config
+}
+
+// generatedRuns draws n runs per cluster size: workload.Generator queries
+// on TrainingGrid clusters, each placed on a random subset of the hosts
+// (so operators share hosts and most of a large cluster sits idle), with
+// a random noise seed. A change to how workload.Generator or
+// Grid.SampleCluster draws moves TestRunGoldenGenerated's digest too.
+func generatedRuns(seed int64, n int, sizes ...int) []generatedRun {
+	rng := rand.New(rand.NewSource(seed))
+	gen := workload.New(workload.DefaultConfig(seed))
+	grid := hardware.TrainingGrid()
+	var runs []generatedRun
+	for _, size := range sizes {
+		for k := 0; k < n; k++ {
+			q := gen.Query()
+			c := grid.SampleCluster(rng, size)
+			used := rng.Perm(size)[:1+rng.Intn(min(size, len(q.Ops)))]
+			p := make(Placement, len(q.Ops))
+			for i := range p {
+				p[i] = used[rng.Intn(len(used))]
+			}
+			cfg := testConfig()
+			cfg.Seed = rng.Int63()
+			runs = append(runs, generatedRun{q, c, p, cfg})
+		}
+	}
+	return runs
+}
+
+// TestRunGoldenGenerated pins a digest of the output bits of 450 generated
+// runs on 3-, 6- and 220-host clusters, recorded before the step loop was
+// restricted to the hosts that run an operator. Like TestRunGolden it may
+// only change with a deliberate change of the physics.
+func TestRunGoldenGenerated(t *testing.T) {
+	const want = "f5b958d5ba8a7a77ac6071804d2377dbf45a7b466dde50ce81562b69e806241c"
+	h := sha256.New()
+	for k, r := range generatedRuns(32, 150, 3, 6, 220) {
+		m, err := Run(r.q, r.c, r.p, r.cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		fmt.Fprintf(h, "run %d\n%s", k, hexMetrics(m))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("digest of the generated runs moved: got %s, want %s", got, want)
+	}
+}
+
+// TestIdleHostsChangeNothing: a host that runs no operator is invisible to
+// a run. Appending idle hosts, among them one of 300 MB whose base
+// footprint alone is past crashPressure, leaves every field of the metrics
+// bit-identical except the appended HostMemPressure entries.
+func TestIdleHostsChangeNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	grid := hardware.TrainingGrid()
+	tiny := &hardware.Host{ID: "tiny", CPU: 800, RAMMB: 300, NetLatencyMS: 1, NetBandwidthMbps: 10000}
+	for k, r := range generatedRuns(9, 60, 3, 6) {
+		base, err := Run(r.q, r.c, r.p, r.cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		wider := &hardware.Cluster{Hosts: slices.Clone(r.c.Hosts)}
+		for i := range 1 + rng.Intn(4) {
+			wider.Hosts = append(wider.Hosts, grid.Sample(rng, fmt.Sprintf("idle-%d", i)))
+		}
+		at := len(r.c.Hosts) + rng.Intn(len(wider.Hosts)-len(r.c.Hosts)+1)
+		wider.Hosts = slices.Insert(wider.Hosts, at, tiny)
+		m, err := Run(r.q, wider, r.p, r.cfg)
+		if err != nil {
+			t.Fatalf("run %d with idle hosts: %v", k, err)
+		}
+		if len(m.HostMemPressure) != len(wider.Hosts) {
+			t.Fatalf("run %d: %d memory pressures for %d hosts", k, len(m.HostMemPressure), len(wider.Hosts))
+		}
+		if p := m.HostMemPressure[at]; p <= crashPressure {
+			t.Fatalf("run %d: the 300 MB host's pressure %v is not past %v", k, p, crashPressure)
+		}
+		m.HostMemPressure = m.HostMemPressure[:len(r.c.Hosts)]
+		if got, want := hexMetrics(m), hexMetrics(base); got != want {
+			t.Errorf("run %d: idle hosts moved the metrics\ngot:\n%swant:\n%s", k, got, want)
+		}
 	}
 }

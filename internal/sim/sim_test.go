@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"costream/internal/hardware"
@@ -296,14 +298,120 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(q, c, Placement{0, 0, 5}, testConfig()); err == nil {
 		t.Error("out-of-range host accepted")
 	}
-	bad := testConfig()
-	bad.StepS = 0
-	if _, err := Run(q, c, Placement{0, 0, 0}, bad); err == nil {
-		t.Error("zero step accepted")
-	}
 	if _, err := Run(q, &hardware.Cluster{}, Placement{}, testConfig()); err == nil {
 		t.Error("empty cluster accepted")
 	}
+
+	// A config that measures nothing, or nothing finite, is refused with
+	// the field named; each of these used to return a "failed" label.
+	for _, tc := range []struct {
+		name  string
+		set   func(*Config)
+		field string
+	}{
+		{"zero step", func(c *Config) { c.StepS = 0 }, "StepS"},
+		{"negative step", func(c *Config) { c.StepS = -0.05 }, "StepS"},
+		{"NaN step", func(c *Config) { c.StepS = math.NaN() }, "StepS"},
+		{"step longer than the run", func(c *Config) { c.StepS = 1000 }, "StepS"},
+		{"steps past the bound", func(c *Config) { c.StepS = 1e-7 }, "StepS"},
+		{"zero duration", func(c *Config) { c.DurationS = 0 }, "DurationS"},
+		{"duration under half a step", func(c *Config) { c.DurationS = 0.01 }, "DurationS"},
+		{"infinite duration", func(c *Config) { c.DurationS = math.Inf(1) }, "DurationS"},
+		{"duration past the bound", func(c *Config) { c.DurationS, c.StepS = 2e9, 1e3 }, "DurationS"},
+		{"negative warm-up", func(c *Config) { c.WarmupS = -1 }, "WarmupS"},
+		{"NaN warm-up", func(c *Config) { c.WarmupS = math.NaN() }, "WarmupS"},
+		{"NaN noise", func(c *Config) { c.NoiseStd = math.NaN() }, "NoiseStd"},
+		{"negative noise", func(c *Config) { c.NoiseStd = -0.1 }, "NoiseStd"},
+		{"noise past the bound", func(c *Config) { c.NoiseStd = 2 }, "NoiseStd"},
+	} {
+		cfg := testConfig()
+		tc.set(&cfg)
+		m, err := Run(q, c, Placement{0, 0, 0}, cfg)
+		if err == nil {
+			t.Errorf("%s: accepted, returned %v", tc.name, m)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
+		}
+	}
+
+	// The shortest and the un-warmed runs the bounds allow still run.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.DurationS = c.StepS },
+		func(c *Config) { c.WarmupS, c.NoiseStd = 0, 0 },
+		func(c *Config) { c.NoiseStd = maxNoiseStd },
+	} {
+		cfg := testConfig()
+		set(&cfg)
+		if _, err := Run(q, c, Placement{0, 0, 0}, cfg); err != nil {
+			t.Errorf("%+v refused: %v", cfg, err)
+		}
+	}
+}
+
+// FuzzRunConfig: Run either refuses a configuration or returns finite
+// metrics over a measured window of at least one step, for any placement
+// of a join on four hosts, one of them too small to run anything.
+func FuzzRunConfig(f *testing.F) {
+	b := stream.NewBuilder()
+	s1 := b.AddSource(3200, []stream.DataType{stream.TypeInt, stream.TypeString})
+	s2 := b.AddSource(800, []stream.DataType{stream.TypeInt, stream.TypeDouble})
+	j := b.AddJoin(stream.TypeInt, stream.Window{Type: stream.WindowSliding, Policy: stream.WindowTimeBased, Size: 4, Slide: 2}, 0.01)
+	k := b.AddSink()
+	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
+	q := b.MustBuild()
+	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), weakHost("b"), midHost("c", 4000), midHost("d", 300)}}
+
+	def := DefaultConfig()
+	f.Add(def.DurationS, def.WarmupS, def.StepS, def.NoiseStd, int64(1), byte(0), byte(1), byte(1), byte(2))
+	f.Add(0.01, def.WarmupS, def.StepS, def.NoiseStd, int64(2), byte(0), byte(0), byte(0), byte(0))
+	f.Add(30.0, -1.0, 0.05, 0.05, int64(3), byte(0), byte(1), byte(2), byte(3))
+	f.Add(30.0, 5.0, math.NaN(), 0.05, int64(4), byte(2), byte(2), byte(0), byte(0))
+	f.Add(math.Inf(1), 5.0, 1000.0, 0.05, int64(5), byte(1), byte(0), byte(1), byte(0))
+	f.Add(1e6, 0.0, 1e5, 1.0, int64(6), byte(0), byte(1), byte(2), byte(2))
+	f.Fuzz(func(t *testing.T, durationS, warmupS, stepS, noiseStd float64, seed int64, h0, h1, h2, h3 byte) {
+		cfg := Config{DurationS: durationS, WarmupS: warmupS, StepS: stepS, NoiseStd: noiseStd, Seed: seed}
+		steps := int(math.Round((warmupS + durationS) / stepS))
+		if cfg.Validate() == nil && steps > 10000 {
+			return // valid, but longer than a training trace: slow, not new
+		}
+		p := Placement{int(h0) % 4, int(h1) % 4, int(h2) % 4, int(h3) % 4}
+		m, err := Run(q, c, p, cfg)
+		if err != nil {
+			return
+		}
+		if measured := steps - int(math.Round(warmupS/stepS)); measured < 1 {
+			t.Fatalf("%+v: accepted with %d measured steps", cfg, measured)
+		}
+		if msg := nonFinite(m); msg != "" {
+			t.Fatalf("%+v on %v: %s", cfg, p, msg)
+		}
+	})
+}
+
+// nonFinite names the first NaN or infinite field of m, or returns "".
+func nonFinite(m *Metrics) string {
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"T", m.ThroughputTPS}, {"Lp", m.ProcLatencyMS}, {"Le", m.E2ELatencyMS}, {"R", m.BackpressureRate}, {"sink", m.SinkTuples}} {
+		if bad(f.v) {
+			return fmt.Sprintf("%s is %v", f.name, f.v)
+		}
+	}
+	for i, op := range m.PerOp {
+		for _, v := range []float64{op.InRate, op.OutRate, op.ServiceRate, op.CPUUtil, op.AvgQueue, op.NetOutMbps} {
+			if bad(v) {
+				return fmt.Sprintf("op%d: %+v", i, op)
+			}
+		}
+	}
+	for h, v := range m.HostMemPressure {
+		if bad(v) {
+			return fmt.Sprintf("host%d mem=%v", h, v)
+		}
+	}
+	return ""
 }
 
 func TestPerOpStatsSane(t *testing.T) {
