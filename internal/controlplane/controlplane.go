@@ -12,21 +12,24 @@
 //     divergence, dead or cordoned hosts, observed failures), re-optimizes
 //     with the search engine warm-started from the incumbent
 //     (placement.WarmStart) and gates migrations through
-//     placement.Hysteresis. Cordoned hosts are banned at the
-//     candidate-generation substrate (SearchOptions.BannedHosts), so
-//     every search strategy respects them.
+//     placement.Hysteresis. Hosts that may not run operators — cordoned
+//     or down — are banned at the candidate-generation substrate
+//     (SearchOptions.BannedHosts), so every search strategy respects
+//     them.
 //   - Plane is the long-running registry around that kernel: deployment
 //     CRUD, host cordon/drain/uncordon state, periodic control ticks and
 //     bounded per-deployment history. costream-serve exposes it as
 //     /v1/deployments and /v1/hosts; costream-ctl speaks to that API.
 //
-// internal/fleet drives the same Policy from its scenario scripts, so
-// the fleet simulator and the serving path heal with identical logic.
+// internal/fleet drives the same Policy from its scenario scripts, over
+// its whole fleet with the hosts that are down banned, so the fleet
+// simulator and the serving path heal with identical logic.
 package controlplane
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"costream/internal/hardware"
 	"costream/internal/placement"
@@ -34,7 +37,7 @@ import (
 	"costream/internal/stream"
 )
 
-// Policy defaults, matching the fleet scenario recovery defaults.
+// Policy defaults, applied by Policy.Resolved.
 const (
 	DefaultQErrorThreshold = 2.0
 	DefaultSearchBudget    = 32
@@ -69,6 +72,13 @@ func DeriveSeed(base int64, stage, i int) int64 {
 	return base*1_000_003 + int64(stage)*8191 + int64(i) + 1
 }
 
+// ObservationSeed is the metric-feed seed of one (stage, index) pair:
+// DeriveSeed over a base of its own, so observation noise never shares
+// a stream with the search seeded by DeriveSeed(base, stage, i).
+func ObservationSeed(base int64, stage, i int) int64 {
+	return DeriveSeed(base^0x51ED2701, stage, i)
+}
+
 // MetricFeed supplies the live runtime statistics one control decision
 // observes for an incumbent placement. The production feed is SimFeed
 // (the execution simulator standing in for a real cluster); tests plug
@@ -88,9 +98,10 @@ func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) 
 }
 
 // View is the cluster one control decision runs against plus the host
-// indices cordoned against candidate generation. Cordoned hosts are
-// both a violation trigger (an incumbent touching one is force-replaced)
-// and a search constraint (no challenger may use one).
+// indices banned from candidate generation: hosts cordoned by an
+// operator or down. A banned host is both a violation trigger (an
+// incumbent touching one is force-replaced) and a search constraint (no
+// challenger may use one).
 type View struct {
 	Cluster *hardware.Cluster
 	Banned  []int
@@ -109,8 +120,9 @@ func (v View) schedulable() int {
 }
 
 // Deployment is one query's live control-plane state. Placement is in
-// View.Cluster host indices; entries < 0 mark hosts that no longer
-// exist (dead).
+// View.Cluster host indices. An entry < 0 marks a host that went down:
+// Heal reads it as a dead-host violation, where a banned host still in
+// the placement reads as a cordoned one.
 type Deployment struct {
 	ID        string
 	Query     *stream.Query
@@ -162,7 +174,7 @@ func (d Decision) Moved() bool {
 // Policy is the control plane's decision kernel: how to observe, when a
 // deployment counts as violated, and how re-optimization and migration
 // gating work. The zero value is unusable; Predictor is required, the
-// other fields default via withDefaults.
+// other fields default via Resolved.
 type Policy struct {
 	// Predictor scores placements during search, drift checks and
 	// incumbent re-scoring.
@@ -184,7 +196,9 @@ type Policy struct {
 	Objective placement.Objective
 }
 
-func (p Policy) withDefaults() Policy {
+// Resolved returns p with every unset field at its default. Deploy and
+// Heal run on it; a caller that reports the effective policy reads it.
+func (p Policy) Resolved() Policy {
 	if p.QErrorThreshold == 0 {
 		p.QErrorThreshold = DefaultQErrorThreshold
 	}
@@ -201,7 +215,7 @@ func (p Policy) withDefaults() Policy {
 // search, no warm start — there is no incumbent) and activates the
 // result. On error the deployment is left untouched.
 func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placement.SearchOptions) error {
-	p = p.withDefaults()
+	p = p.Resolved()
 	opts.BannedHosts = v.Banned
 	res, err := placement.Search(ctx, p.Predictor, d.Query, v.Cluster, p.Strategy, p.Objective, p.Budget, opts)
 	if err != nil {
@@ -220,7 +234,7 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 // reaches a decision: a cancelled re-optimization that scored nothing
 // returns ctx.Err() with d untouched, so callers never see torn state.
 func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Query, feed MetricFeed, nowS float64, opts placement.SearchOptions) (Decision, error) {
-	p = p.withDefaults()
+	p = p.Resolved()
 	if effQ == nil {
 		effQ = d.Query
 	}
@@ -296,7 +310,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	}
 	incCosts, incErr := placement.PredictOne(p.Predictor, effQ, v.Cluster, incumbent)
 	switch {
-	case equalPlacements(challenger, incumbent):
+	case slices.Equal(challenger, incumbent):
 		dec.Action = suppressedPrefix + "search kept the incumbent"
 		if incErr == nil {
 			d.Predicted = incCosts
@@ -344,24 +358,5 @@ func schedulablePlacement(p sim.Placement, c *hardware.Cluster) bool {
 
 // touchesBanned reports whether p uses any banned host index.
 func touchesBanned(p sim.Placement, banned []int) bool {
-	for _, h := range p {
-		for _, b := range banned {
-			if h == b {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func equalPlacements(a, b sim.Placement) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.ContainsFunc(p, func(h int) bool { return slices.Contains(banned, h) })
 }

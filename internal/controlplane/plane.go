@@ -133,7 +133,7 @@ func (pl *Plane) feed(stage, seq int) MetricFeed {
 		return pl.cfg.Feed
 	}
 	cfg := defaultObservation()
-	cfg.Seed = DeriveSeed(pl.cfg.Seed^0x51ED2701, stage, seq)
+	cfg.Seed = ObservationSeed(pl.cfg.Seed, stage, seq)
 	return SimFeed{Cfg: cfg}
 }
 

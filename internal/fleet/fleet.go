@@ -3,8 +3,10 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"costream/internal/controlplane"
 	"costream/internal/hardware"
 	"costream/internal/sim"
 )
@@ -21,9 +23,9 @@ type hostState struct {
 }
 
 // Fleet is the instantiated host fleet with per-host failure state.
-// Placements held by the runner are indexed in stable fleet host order;
-// the placement engine and the simulator only ever see a view of the
-// alive hosts.
+// Placements, the placement engine and the simulator all index hosts in
+// stable fleet order; a host that is down stays in the cluster, banned
+// from placement.
 type Fleet struct {
 	zones []string
 	hosts []hostState
@@ -54,7 +56,7 @@ func buildFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 		var pool []int // template indices eligible in this zone
 		total := 0.0
 		for ti := range spec.Templates {
-			if len(z.Templates) == 0 || contains(z.Templates, spec.Templates[ti].Name) {
+			if len(z.Templates) == 0 || slices.Contains(z.Templates, spec.Templates[ti].Name) {
 				pool = append(pool, ti)
 				total += weights[ti]
 			}
@@ -68,7 +70,7 @@ func buildFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 					break
 				}
 			}
-			id := fmt.Sprintf("%s/host-%03d", z.Name, i)
+			id := zoneHostID(z.Name, i)
 			h := grids[pick].Sample(rng, id)
 			f.byID[id] = len(f.hosts)
 			f.hosts = append(f.hosts, hostState{host: *h, zone: zi, alive: true, degrade: 1})
@@ -80,80 +82,44 @@ func buildFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 // NumHosts returns the fleet size (alive or not).
 func (f *Fleet) NumHosts() int { return len(f.hosts) }
 
-// aliveCount returns the number of alive hosts.
-func (f *Fleet) aliveCount() int {
-	n := 0
-	for i := range f.hosts {
-		if f.hosts[i].alive {
-			n++
-		}
-	}
-	return n
-}
-
 // hostID returns the ID of fleet host fi.
 func (f *Fleet) hostID(fi int) string { return f.hosts[fi].host.ID }
 
-// view is the cluster the placement engine and the simulator see: the
-// alive hosts in fleet order, with link degradation applied to their
-// features, plus the index mappings between view and fleet space.
-type view struct {
-	cluster   *hardware.Cluster
-	toFleet   []int // view host index -> fleet host index
-	fromFleet []int // fleet host index -> view host index, -1 when dead
-}
-
-// view materializes the current alive-host cluster.
-func (f *Fleet) view() *view {
-	v := &view{
-		cluster:   &hardware.Cluster{},
-		fromFleet: make([]int, len(f.hosts)),
-	}
+// clusterView is the fleet as the control plane sees it: every host in
+// fleet order with link degradation applied to its features, and the
+// hosts that are down banned. A host without degradation is the fleet's
+// own, shared by pointer; a degraded one is a copy.
+func (f *Fleet) clusterView() controlplane.View {
+	v := controlplane.View{Cluster: &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}}
 	for i := range f.hosts {
 		hs := &f.hosts[i]
 		if !hs.alive {
-			v.fromFleet[i] = -1
-			continue
+			v.Banned = append(v.Banned, i)
 		}
-		h := hs.host // copy
+		h := &hs.host
 		if hs.degrade > 1 {
-			h.NetLatencyMS *= hs.degrade
-			h.NetBandwidthMbps /= hs.degrade
+			c := hs.host
+			c.NetLatencyMS *= hs.degrade
+			c.NetBandwidthMbps /= hs.degrade
+			h = &c
 		}
-		v.fromFleet[i] = len(v.cluster.Hosts)
-		v.cluster.Hosts = append(v.cluster.Hosts, &h)
-		v.toFleet = append(v.toFleet, i)
+		v.Cluster.Hosts[i] = h
 	}
 	return v
 }
 
-// mapToView translates a fleet-indexed placement into view indices; ok
-// is false when any host is dead (the placement cannot run).
-func (v *view) mapToView(p []int) (sim.Placement, bool) {
-	out := make(sim.Placement, len(p))
-	ok := true
+// maskDead sets the entries of p whose host is down to -1, which
+// Policy.Heal reads as a dead-host violation rather than a cordoned one.
+func (f *Fleet) maskDead(p sim.Placement) {
 	for i, fi := range p {
-		vi := v.fromFleet[fi]
-		if vi < 0 {
-			ok = false
+		if !f.hosts[fi].alive {
+			p[i] = -1
 		}
-		out[i] = vi
 	}
-	return out, ok
 }
 
-// mapToFleet translates a view-indexed placement back to stable fleet
-// indices.
-func (v *view) mapToFleet(p sim.Placement) []int {
-	out := make([]int, len(p))
-	for i, vi := range p {
-		out[i] = v.toFleet[vi]
-	}
-	return out
-}
-
-// hostIDs renders a fleet-indexed placement as host IDs.
-func (f *Fleet) hostIDs(p []int) []string {
+// hostIDs renders a placement as host IDs.
+func (f *Fleet) hostIDs(p sim.Placement) []string {
 	out := make([]string, len(p))
 	for i, fi := range p {
 		out[i] = f.hostID(fi)
@@ -161,9 +127,9 @@ func (f *Fleet) hostIDs(p []int) []string {
 	return out
 }
 
-// deadHosts returns the IDs of dead hosts referenced by a fleet-indexed
-// placement, deduplicated, in placement order.
-func (f *Fleet) deadHosts(p []int) []string {
+// deadHosts returns the IDs of dead hosts referenced by a placement,
+// deduplicated, in placement order.
+func (f *Fleet) deadHosts(p sim.Placement) []string {
 	var out []string
 	seen := map[int]bool{}
 	for _, fi := range p {
@@ -181,9 +147,9 @@ func (f *Fleet) deadHosts(p []int) []string {
 func (f *Fleet) apply(ev Event, rng *rand.Rand) ([]string, error) {
 	switch ev.Type {
 	case EventHostCrash:
-		return f.setAlive(ev, rng, false)
+		return f.setAlive(ev, rng, false), nil
 	case EventHostRecover:
-		return f.setAlive(ev, rng, true)
+		return f.setAlive(ev, rng, true), nil
 	case EventZoneOutage:
 		return f.zoneAlive(ev.Zone, false), nil
 	case EventZoneRecover:
@@ -199,17 +165,14 @@ func (f *Fleet) apply(ev Event, rng *rand.Rand) ([]string, error) {
 }
 
 // setAlive flips the aliveness of the event's targets: explicit host IDs
-// or Count random eligible hosts (scoped to the event's zone when set).
-// Random targets are drawn with rng, so they are seed-deterministic.
-func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) ([]string, error) {
+// (Validate has checked they name distinct fleet hosts) or Count random
+// eligible hosts (scoped to the event's zone when set). Random targets
+// are drawn with rng, so they are seed-deterministic.
+func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) []string {
 	var targets []int
 	if len(ev.Hosts) > 0 {
 		for _, id := range ev.Hosts {
-			fi, ok := f.byID[id]
-			if !ok {
-				return nil, fmt.Errorf("fleet: %s targets unknown host %q", ev.Type, id)
-			}
-			targets = append(targets, fi)
+			targets = append(targets, f.byID[id])
 		}
 	} else {
 		var eligible []int
@@ -233,7 +196,7 @@ func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) ([]string, error)
 		ids = append(ids, f.hostID(fi))
 	}
 	sort.Strings(ids)
-	return ids, nil
+	return ids
 }
 
 // zoneAlive sets the aliveness of every host in the zone that is not

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"costream/internal/controlplane"
 	"costream/internal/placement"
@@ -119,55 +120,37 @@ type AssertionResult struct {
 	Detail string `json:"detail"`
 }
 
-// deployment is one query's live state.
-type deployment struct {
-	id    string
-	query *stream.Query
-	// placement is in stable fleet host indices; nil when undeployed.
-	placement []int
-	predicted placement.PredCosts
-	lastMoveS float64
-	deployed  bool
-}
-
 // resolveRecovery translates the scenario's recovery spec into the
-// control-plane decision kernel the run drives, with the fleet defaults
-// applied. All self-healing decisions (violation classification,
-// warm-started re-optimization, hysteresis gating) live in
-// internal/controlplane; the fleet only scripts events and renders the
-// report.
+// control-plane decision kernel the run drives, resolved to the
+// defaults the policy applies. All self-healing decisions (violation
+// classification, warm-started re-optimization, hysteresis gating) live
+// in internal/controlplane; the fleet only scripts events and renders
+// the report.
 func (sc *Scenario) resolveRecovery() (controlplane.Policy, error) {
 	r := sc.Recovery
 	pol := controlplane.Policy{
 		QErrorThreshold: r.QErrorThreshold,
 		Hysteresis:      placement.Hysteresis{MinImprovement: r.MinImprovement, CooldownS: r.CooldownS},
-	}
-	if pol.QErrorThreshold == 0 {
-		pol.QErrorThreshold = controlplane.DefaultQErrorThreshold
+		Budget:          placement.Budget{MaxCandidates: r.Budget},
 	}
 	if r.MinImprovement == 0 {
 		pol.Hysteresis.MinImprovement = defaultMinImprovement
 	}
-	budget := r.Budget
-	if budget == 0 {
-		budget = controlplane.DefaultSearchBudget
+	// An empty name keeps the policy's default, set by Resolved:
+	// ParseStrategy would read it as random sampling.
+	if r.Strategy != "" {
+		strat, err := placement.ParseStrategy(r.Strategy)
+		if err != nil {
+			return controlplane.Policy{}, err
+		}
+		pol.Strategy = strat
 	}
-	pol.Budget = placement.Budget{MaxCandidates: budget}
-	name := r.Strategy
-	if name == "" {
-		name = "local-search"
-	}
-	strat, err := placement.ParseStrategy(name)
-	if err != nil {
-		return controlplane.Policy{}, err
-	}
-	pol.Strategy = strat
 	obj, err := placement.ParseObjective(r.Objective)
 	if err != nil {
 		return controlplane.Policy{}, err
 	}
 	pol.Objective = obj
-	return pol, nil
+	return pol.Resolved(), nil
 }
 
 // scaledQuery returns q with every source's event rate multiplied by
@@ -255,73 +238,59 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	searchOpts := func(stage, i int) placement.SearchOptions {
 		return placement.SearchOptions{Workers: opts.Workers, Seed: controlplane.DeriveSeed(sc.Seed, stage, i)}
 	}
+	observe := func(stage, i int) controlplane.SimFeed {
+		cfg := simCfg
+		cfg.Seed = controlplane.ObservationSeed(sc.Seed, stage, i)
+		return controlplane.SimFeed{Cfg: cfg}
+	}
+	alive := func(v controlplane.View) int { return len(v.Cluster.Hosts) - len(v.Banned) }
 	loadFactor := 1.0
 	deadAfterRecovery := []string(nil)
 
 	// Deploy: every query searched fresh on the full healthy fleet.
-	deps := make([]*deployment, sc.Workload.Queries)
-	v := fl.view()
-	deploy := TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: fl.aliveCount(), LoadFactor: 1}
+	// Deployments hold placements in fleet host indices throughout.
+	deps := make([]controlplane.Deployment, sc.Workload.Queries)
+	v := fl.clusterView()
+	deploy := TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: alive(v), LoadFactor: 1}
 	for i := range deps {
-		d := &deployment{id: fmt.Sprintf("q%02d", i), query: sampler(i)}
-		cd := controlplane.Deployment{ID: d.id, Query: d.query}
-		if err := pol.Deploy(ctx, &cd, controlplane.View{Cluster: v.cluster}, searchOpts(0, i)); err != nil {
-			return nil, fmt.Errorf("fleet: deploying %s: %w", d.id, err)
+		d := &deps[i]
+		d.ID, d.Query = fmt.Sprintf("q%02d", i), sampler(i)
+		if err := pol.Deploy(ctx, d, v, searchOpts(0, i)); err != nil {
+			return nil, fmt.Errorf("fleet: deploying %s: %w", d.ID, err)
 		}
-		d.placement = v.mapToFleet(cd.Placement)
-		d.predicted = cd.Predicted
-		d.deployed = true
-		deps[i] = d
 		deploy.Queries = append(deploy.Queries, QueryStatus{
-			ID:            d.id,
-			Hosts:         fl.hostIDs(d.placement),
-			PredLatencyMS: round4(cd.Predicted.ProcLatencyMS),
-			Action:        "deployed",
+			ID:            d.ID,
+			Hosts:         fl.hostIDs(d.Placement),
+			PredLatencyMS: round4(d.Predicted.ProcLatencyMS),
+			Action:        controlplane.ActionDeployed,
 		})
 	}
 	rep.Timeline = append(rep.Timeline, deploy)
 
 	// heal runs the control plane's self-healing pass over every
-	// deployment at clock nowS; stage seeds searches and observations.
-	// The fleet's only job here is translation: fleet host indices to
-	// view indices in, the Decision back into report rows and totals.
-	heal := func(nowS float64, stage int, entry *TimelineEntry) error {
-		v := fl.view()
-		view := controlplane.View{Cluster: v.cluster}
-		for i, d := range deps {
-			st := QueryStatus{ID: d.id}
-			effQ := scaledQuery(d.query, loadFactor)
-			obsCfg := simCfg
-			obsCfg.Seed = controlplane.DeriveSeed(sc.Seed^0x51ED2701, stage, i)
-
-			cd := controlplane.Deployment{
-				ID:        d.id,
-				Query:     d.query,
-				Predicted: d.predicted,
-				LastMoveS: d.lastMoveS,
-				Deployed:  d.deployed,
+	// deployment at clock nowS against view v; stage seeds searches and
+	// observations. The fleet only renders each Decision into report
+	// rows and totals.
+	heal := func(v controlplane.View, nowS float64, stage int, entry *TimelineEntry) error {
+		for i := range deps {
+			d := &deps[i]
+			if d.Deployed {
+				fl.maskDead(d.Placement)
 			}
-			if d.deployed {
-				// mapToView leaves -1 entries for dead hosts; the policy
-				// classifies those as a dead-host violation.
-				vp, _ := v.mapToView(d.placement)
-				cd.Placement = vp
-			}
-			dec, err := pol.Heal(ctx, &cd, view, effQ, controlplane.SimFeed{Cfg: obsCfg}, nowS, searchOpts(stage, i))
+			dec, err := pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(stage, i), nowS, searchOpts(stage, i))
 			if err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				return fmt.Errorf("fleet: healing %s: %w", d.id, err)
+				return fmt.Errorf("fleet: healing %s: %w", d.ID, err)
 			}
+			st := QueryStatus{ID: d.ID, Violation: dec.Violation, Action: dec.Action}
 			if dec.Observed {
 				st.QErrThroughput = round4(dec.QErrThroughput)
 				st.QErrProcLatency = round4(dec.QErrProcLatency)
 				st.PredLatencyMS = round4(dec.PredLatencyMS)
 				st.ObsLatencyMS = round4(dec.ObsLatencyMS)
 			}
-			st.Violation = dec.Violation
-			st.Action = dec.Action
 			if dec.Violation != "" {
 				rep.Totals.Violations++
 				switch {
@@ -333,23 +302,13 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 					rep.Totals.Suppressed++
 				}
 			}
-			d.deployed = cd.Deployed
-			d.predicted = cd.Predicted
-			d.lastMoveS = cd.LastMoveS
-			if cd.Deployed {
-				d.placement = v.mapToFleet(cd.Placement)
-				st.Hosts = fl.hostIDs(d.placement)
-			} else {
-				d.placement = nil
+			if d.Deployed {
+				st.Hosts = fl.hostIDs(d.Placement)
+				// The no-dead-placements invariant: after a recovery pass
+				// no deployment may still reference a dead host.
+				deadAfterRecovery = mergeIDs(deadAfterRecovery, fl.deadHosts(d.Placement))
 			}
 			entry.Queries = append(entry.Queries, st)
-		}
-		// The no-dead-placements invariant: after a recovery pass no
-		// deployment may still reference a dead host.
-		for _, d := range deps {
-			if d.deployed {
-				deadAfterRecovery = mergeIDs(deadAfterRecovery, fl.deadHosts(d.placement))
-			}
 		}
 		return nil
 	}
@@ -367,17 +326,18 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		if ev.Type == EventLoadSpike {
 			loadFactor *= ev.Factor
 		}
+		v = fl.clusterView()
 		entry := TimelineEntry{
 			AtS:        now,
 			Event:      string(ev.Type),
 			Zone:       ev.Zone,
 			Affected:   affected,
 			Factor:     ev.Factor,
-			AliveHosts: fl.aliveCount(),
+			AliveHosts: alive(v),
 			LoadFactor: round4(loadFactor),
 		}
 		logf("t=%.0fs %s: %d hosts affected, %d alive", now, ev.Type, len(affected), entry.AliveHosts)
-		if err := heal(now, k+1, &entry); err != nil {
+		if err := heal(v, now, k+1, &entry); err != nil {
 			return nil, err
 		}
 		rep.Timeline = append(rep.Timeline, entry)
@@ -386,33 +346,29 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 
 	// Closing observation: one settle pass with recovery disabled, so the
 	// end-state assertions see the final placements' q-errors.
-	end := TimelineEntry{AtS: now, Event: "end", AliveHosts: fl.aliveCount(), LoadFactor: round4(loadFactor)}
-	v = fl.view()
+	end := TimelineEntry{AtS: now, Event: "end", AliveHosts: alive(v), LoadFactor: round4(loadFactor)}
 	maxQ := 0.0
 	for i, d := range deps {
-		st := QueryStatus{ID: d.id}
-		if d.deployed {
-			st.Hosts = fl.hostIDs(d.placement)
-			vp, alive := v.mapToView(d.placement)
-			if alive {
-				obsCfg := simCfg
-				obsCfg.Seed = controlplane.DeriveSeed(sc.Seed^0x51ED2701, len(events)+1, i)
-				obs, err := sim.Run(scaledQuery(d.query, loadFactor), v.cluster, vp, obsCfg)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: final observation of %s: %w", d.id, err)
-				}
-				qT, qL := placement.RecordQErrors(d.predicted, obs)
-				st.QErrThroughput = round4(qT)
-				st.QErrProcLatency = round4(qL)
-				st.PredLatencyMS = round4(d.predicted.ProcLatencyMS)
-				st.ObsLatencyMS = round4(obs.ProcLatencyMS)
-				maxQ = math.Max(maxQ, math.Max(st.QErrThroughput, st.QErrProcLatency))
-			} else {
-				st.Violation = "dead-host"
-				deadAfterRecovery = mergeIDs(deadAfterRecovery, fl.deadHosts(d.placement))
+		st := QueryStatus{ID: d.ID}
+		switch dead := fl.deadHosts(d.Placement); {
+		case !d.Deployed:
+			st.Violation = controlplane.ViolationUndeployed
+		case len(dead) > 0:
+			st.Hosts = fl.hostIDs(d.Placement)
+			st.Violation = controlplane.ViolationDeadHost
+			deadAfterRecovery = mergeIDs(deadAfterRecovery, dead)
+		default:
+			st.Hosts = fl.hostIDs(d.Placement)
+			obs, err := observe(len(events)+1, i).Observe(scaledQuery(d.Query, loadFactor), v.Cluster, d.Placement)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: final observation of %s: %w", d.ID, err)
 			}
-		} else {
-			st.Violation = "undeployed"
+			qT, qL := placement.RecordQErrors(d.Predicted, obs)
+			st.QErrThroughput = round4(qT)
+			st.QErrProcLatency = round4(qL)
+			st.PredLatencyMS = round4(d.Predicted.ProcLatencyMS)
+			st.ObsLatencyMS = round4(obs.ProcLatencyMS)
+			maxQ = math.Max(maxQ, math.Max(st.QErrThroughput, st.QErrProcLatency))
 		}
 		end.Queries = append(end.Queries, st)
 	}
@@ -432,7 +388,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 
 // evaluateAssertions grades the end state; no-dead-placements defaults
 // to on.
-func evaluateAssertions(a Assertions, rep *Report, deps []*deployment, deadAfterRecovery []string, maxQ float64) []AssertionResult {
+func evaluateAssertions(a Assertions, rep *Report, deps []controlplane.Deployment, deadAfterRecovery []string, maxQ float64) []AssertionResult {
 	var out []AssertionResult
 	add := func(name string, pass bool, detail string) {
 		out = append(out, AssertionResult{Name: name, Pass: pass, Detail: detail})
@@ -461,7 +417,7 @@ func evaluateAssertions(a Assertions, rep *Report, deps []*deployment, deadAfter
 	if a.RequireAllDeployed {
 		undeployed := 0
 		for _, d := range deps {
-			if !d.deployed {
+			if !d.Deployed {
 				undeployed++
 			}
 		}
@@ -473,7 +429,7 @@ func evaluateAssertions(a Assertions, rep *Report, deps []*deployment, deadAfter
 // mergeIDs appends the IDs of b not already in a, keeping order.
 func mergeIDs(a, b []string) []string {
 	for _, id := range b {
-		if !contains(a, id) {
+		if !slices.Contains(a, id) {
 			a = append(a, id)
 		}
 	}

@@ -10,9 +10,12 @@
 // costs (simulated via internal/sim) against the costs predicted when
 // each placement was activated — the OnlineMonitoring q-error machinery —
 // and on violation re-optimizes with the placement search engine
-// warm-started from the incumbent, gated by migration hysteresis.
-// Everything is deterministic for a fixed seed: the JSON report is
-// byte-identical across runs.
+// warm-started from the incumbent, gated by migration hysteresis. That
+// loop is internal/controlplane's Policy, run over the whole fleet in
+// fleet host order: a host that is down stays in the cluster and is
+// banned from placement (View.Banned) like a cordoned one. Everything
+// is deterministic for a fixed seed: the JSON report is byte-identical
+// across runs.
 package fleet
 
 import (
@@ -22,7 +25,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"costream/internal/hardware"
 	"costream/internal/placement"
@@ -99,8 +105,12 @@ func (t *HostTemplate) grid() (hardware.Grid, error) {
 	return g, nil
 }
 
+// zoneHostID is the ID of host i of a zone: "<zone>/host-<i>", i
+// zero-padded to three digits.
+func zoneHostID(zone string, i int) string { return fmt.Sprintf("%s/host-%03d", zone, i) }
+
 // ZoneSpec instantiates hosts in one failure domain. Host IDs are
-// "<zone>/host-<i>".
+// "<zone>/host-<i>" (zoneHostID).
 type ZoneSpec struct {
 	Name  string `json:"name"`
 	Hosts int    `json:"hosts"`
@@ -143,7 +153,8 @@ type Event struct {
 	// Zone scopes the event to one zone (required for zone-outage and
 	// zone-recover; optional scoping for the host and link events).
 	Zone string `json:"zone,omitempty"`
-	// Hosts names explicit target hosts for host-crash/host-recover.
+	// Hosts names explicit target hosts for host-crash/host-recover:
+	// distinct IDs of hosts the fleet declares, "<zone>/host-<i>".
 	Hosts []string `json:"hosts,omitempty"`
 	// Count picks that many random eligible hosts when Hosts is empty
 	// (host-crash/host-recover).
@@ -270,16 +281,16 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Fleet.Zones) == 0 {
 		return fmt.Errorf("fleet: field fleet.zones: at least one zone is required")
 	}
-	zones := map[string]bool{}
+	zones := map[string]int{} // zone name -> host count
 	for i := range sc.Fleet.Zones {
 		z := &sc.Fleet.Zones[i]
 		if z.Name == "" {
 			return fmt.Errorf("fleet: field fleet.zones[%d].name: must be non-empty", i)
 		}
-		if zones[z.Name] {
+		if _, dup := zones[z.Name]; dup {
 			return fmt.Errorf("fleet: field fleet.zones[%d].name: duplicate zone %q", i, z.Name)
 		}
-		zones[z.Name] = true
+		zones[z.Name] = z.Hosts
 		if z.Hosts <= 0 {
 			return fmt.Errorf("fleet: field fleet.zones[%d].hosts: must be positive, got %d", i, z.Hosts)
 		}
@@ -291,7 +302,7 @@ func (sc *Scenario) Validate() error {
 		}
 		for ti := range sc.Fleet.Templates {
 			t := &sc.Fleet.Templates[ti]
-			if len(z.Templates) == 0 || contains(z.Templates, t.Name) {
+			if len(z.Templates) == 0 || slices.Contains(z.Templates, t.Name) {
 				w := t.Weight
 				if w == 0 {
 					w = 1
@@ -358,11 +369,11 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-func (e *Event) validate(zones map[string]bool) error {
+func (e *Event) validate(zones map[string]int) error {
 	if e.AtS < 0 {
 		return fmt.Errorf(".at_s: must be non-negative, got %v", e.AtS)
 	}
-	if e.Zone != "" && !zones[e.Zone] {
+	if _, ok := zones[e.Zone]; e.Zone != "" && !ok {
 		return fmt.Errorf(".zone: unknown zone %q", e.Zone)
 	}
 	switch e.Type {
@@ -372,6 +383,14 @@ func (e *Event) validate(zones map[string]bool) error {
 		}
 		if len(e.Hosts) > 0 && e.Count > 0 {
 			return fmt.Errorf(".count: explicit hosts and a count are mutually exclusive")
+		}
+		for j, id := range e.Hosts {
+			if !knownHost(zones, id) {
+				return fmt.Errorf(".hosts[%d]: unknown host %q", j, id)
+			}
+			if slices.Contains(e.Hosts[:j], id) {
+				return fmt.Errorf(".hosts[%d]: duplicate host %q", j, id)
+			}
 		}
 	case EventZoneOutage, EventZoneRecover:
 		if e.Zone == "" {
@@ -395,13 +414,18 @@ func (e *Event) validate(zones map[string]bool) error {
 	return nil
 }
 
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
+// knownHost reports whether id is the ID of a host the zones declare
+// (zone name -> host count). The zone is what precedes the last
+// "/host-": the index after it has no slash.
+func knownHost(zones map[string]int, id string) bool {
+	cut := strings.LastIndex(id, "/host-")
+	if cut < 0 {
+		return false
 	}
-	return false
+	zone := id[:cut]
+	n, ok := zones[zone]
+	i, err := strconv.Atoi(id[cut+len("/host-"):])
+	return ok && err == nil && i >= 0 && i < n && zoneHostID(zone, i) == id
 }
 
 // sortedEvents returns the event script stably ordered by at_s (stable:

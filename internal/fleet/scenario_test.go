@@ -97,6 +97,10 @@ func TestParseErrorsNameField(t *testing.T) {
 		{"unknown event type", mut(func(s *Scenario) { s.Events[0].Type = "meteor" }), "events[0].type"},
 		{"unknown event zone", mut(func(s *Scenario) { s.Events[0].Zone = "east" }), "events[0].zone"},
 		{"crash without targets", mut(func(s *Scenario) { s.Events[5].Hosts = nil }), "events[5].count"},
+		{"duplicate event host", mut(func(s *Scenario) { s.Events[5].Hosts = []string{"core/host-001", "core/host-001"} }), "events[5].hosts[1]"},
+		{"unknown event host", mut(func(s *Scenario) { s.Events[5].Hosts = []string{"core/host-000", "core/host-002"} }), "events[5].hosts[1]"},
+		{"event host in unknown zone", mut(func(s *Scenario) { s.Events[5].Hosts = []string{"east/host-000"} }), "events[5].hosts[0]"},
+		{"event host not zero-padded", mut(func(s *Scenario) { s.Events[5].Hosts = []string{"core/host-0"} }), "events[5].hosts[0]"},
 		{"degrade factor", mut(func(s *Scenario) { s.Events[3].Factor = 0.5 }), "events[3].factor"},
 		{"spike factor", mut(func(s *Scenario) { s.Events[1].Factor = 0 }), "events[1].factor"},
 		{"threshold below one", mut(func(s *Scenario) { s.Recovery.QErrorThreshold = 0.5 }), "recovery.qerror_threshold"},

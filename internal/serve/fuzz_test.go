@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"costream/internal/placement"
 	"costream/internal/sim"
 )
 
@@ -115,6 +116,84 @@ func FuzzPredictBatchRoute(f *testing.F) {
 			if !bytes.Equal(resp.Costs[i], single.Costs) {
 				t.Fatalf("placement %d: batch %s, predict %s", i, resp.Costs[i], single.Costs)
 			}
+		}
+	})
+}
+
+// FuzzOptimizeRoute drives POST /v1/optimize with arbitrary bodies: the
+// route must never panic and answers only 200, 400, 422 or 503. A 200
+// carries a placement valid on the request's query and cluster, and its
+// costs are, byte for byte, /v1/predict's answer for that placement.
+func FuzzOptimizeRoute(f *testing.F) {
+	s := newTestServer(f, Config{})
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		f.Fatal(err)
+	}
+	opt, err := json.Marshal(OptimizeRequest{Query: ex.Query, Cluster: ex.Cluster})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(opt)
+	f.Add(append(bytes.Clone(opt), "garbage"...))
+	f.Add(opt[:len(opt)/2])
+	for _, extra := range []string{
+		`"candidates":16,"strategy":"exhaustive",`,
+		`"candidates":16,"strategy":"beam","beam_width":3,`,
+		`"candidates":16,"strategy":"local-search","rounds":2,`,
+		`"objective":"max-throughput","seed":0,`,
+		`"objective":"min-e2e-latency","debug":true,`,
+		`"beam_width":2,`,
+		`"candidates":-1,`,
+		`"rounds":-1,`,
+		`"candidates":100000,`,
+		`"strategy":"warp",`,
+	} {
+		f.Add(bytes.Replace(opt, []byte(`{`), []byte(`{`+extra), 1))
+	}
+	f.Add([]byte(`{"query":null,"cluster":null}`))
+	f.Add([]byte(`{"query":{},"cluster":{}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Add([]byte("\x00\xff\xfe"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := postRaw(s, "/v1/optimize", body)
+		switch w.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusServiceUnavailable:
+			return
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		var req OptimizeRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		var resp struct {
+			Placement sim.Placement
+			Costs     json.RawMessage
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !placement.Valid(req.Query, req.Cluster, resp.Placement) {
+			t.Fatalf("200 carries invalid placement %v", resp.Placement)
+		}
+		one, err := json.Marshal(PredictRequest{Query: req.Query, Cluster: req.Cluster, Placement: resp.Placement})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw := postRaw(s, "/v1/predict", one)
+		if pw.Code != http.StatusOK {
+			t.Fatalf("optimize answered 200, predict of its placement %d: %s", pw.Code, pw.Body)
+		}
+		var single struct{ Costs json.RawMessage }
+		if err := json.Unmarshal(pw.Body.Bytes(), &single); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Costs, single.Costs) {
+			t.Fatalf("optimize costs %s, predict %s", resp.Costs, single.Costs)
 		}
 	})
 }
