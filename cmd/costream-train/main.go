@@ -53,7 +53,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "random seed")
 		note       = flag.String("note", "", "free-form provenance note stored in the artifact")
 		verbose    = flag.Bool("v", false, "log per-epoch losses")
-		workers    = flag.Int("workers", 0, "total training-worker budget and per-model data parallelism (0 = GOMAXPROCS); trained weights are identical for any value")
+		workers    = flag.Int("workers", 0, "training-worker budget: the most fits and per-batch workers running at once, shared out among the fits (0 = GOMAXPROCS); trained weights are identical for any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		runlogPath = flag.String("runlog", "", "append one JSON line per training epoch (metric, member, epoch, losses, duration) to this file")
 		pprofAddr  = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
@@ -85,7 +85,6 @@ func run() error {
 	cfg.Epochs = *epochs
 	cfg.Hidden = *hidden
 	cfg.LR = *lr
-	cfg.Workers = *workers
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) { log.Printf(format, args...) }
 	}
@@ -95,9 +94,10 @@ func run() error {
 			return err
 		}
 		defer rl.Close()
-		// The observer runs on every member goroutine; RunLog.Write is
-		// concurrency-safe. Write errors past the first epoch are rare
-		// (disk full), so surface them without aborting training.
+		// The observer runs on the goroutine of every concurrently
+		// training fit; RunLog.Write is concurrency-safe. Write errors
+		// past the first epoch are rare (disk full), so surface them
+		// without aborting training.
 		cfg.Observer = func(es core.EpochStats) {
 			if err := rl.Write(es); err != nil {
 				log.Printf("runlog write: %v", err)
@@ -129,13 +129,14 @@ func run() error {
 	}
 	elapsed := time.Since(start).Round(time.Second)
 
+	members, width := pred.Shape()
 	prov := artifact.Provenance{
 		CreatedAt:    time.Now().UTC(),
 		TrainSeed:    *seed,
 		CorpusSize:   src.Count(),
 		Epochs:       *epochs,
-		EnsembleSize: *ensemble,
-		Hidden:       *hidden,
+		EnsembleSize: members,
+		Hidden:       width,
 		Note:         *note,
 	}
 	if err := artifact.Save(*out, pred, prov); err != nil {
@@ -146,6 +147,6 @@ func run() error {
 		names[i] = m.String()
 	}
 	fmt.Printf("trained %d metric(s) [%s] x %d members on %d traces in %v -> %s\n",
-		len(metrics), strings.Join(names, ", "), *ensemble, len(trainIdx), elapsed, *out)
+		len(metrics), strings.Join(names, ", "), members, len(trainIdx), elapsed, *out)
 	return nil
 }

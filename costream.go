@@ -271,11 +271,13 @@ type TrainOptions struct {
 	// Seed drives initialization and shuffling.
 	Seed int64
 	// Workers bounds the data-parallel training workers per model
-	// (<= 0 selects GOMAXPROCS). Trained weights are bit-identical for
-	// every Workers value. Total concurrency across all metrics and
-	// ensemble members is capped by the shared process-wide budget
-	// (GOMAXPROCS unless changed via SetTrainParallelism), so raising
-	// Workers never oversubscribes the machine.
+	// (<= 0: an equal share of the training budget among the fits
+	// running at once, one worker per fit once the 5 x EnsembleSize fits
+	// fill it). Trained weights are bit-identical for every Workers
+	// value. Total concurrency across all metrics and ensemble members is
+	// capped by the shared process-wide budget (GOMAXPROCS unless changed
+	// via SetTrainParallelism), so raising Workers never oversubscribes
+	// the machine, though it does make the fits contend for the budget.
 	Workers int
 	// Logf, when set, receives training progress lines.
 	Logf func(format string, args ...any)
@@ -301,14 +303,17 @@ type Model struct {
 }
 
 // ModelInfo is the provenance metadata stored alongside a model artifact:
-// train seed, corpus size, epochs, ensemble size and creation time.
+// train seed, corpus size, epochs, the ensemble size and hidden width
+// that were trained, and creation time.
 type ModelInfo = artifact.Provenance
 
 // SetTrainParallelism bounds the total number of concurrently executing
 // training worker tasks in this process, across every model, metric and
 // ensemble member trained after the call; n <= 0 resets the budget to
-// GOMAXPROCS. It does not affect trained weights — only how many cores
-// training occupies.
+// GOMAXPROCS. TrainModel runs at most n of its (metric, member) fits at
+// once and, with TrainOptions.Workers <= 0, shares the n workers out among
+// them. It does not affect trained weights — only how many cores training
+// occupies.
 func SetTrainParallelism(n int) { core.SetTrainBudget(n) }
 
 // TrainModel trains COSTREAM on the corpus (80/10 train/validation split;
@@ -335,13 +340,14 @@ func TrainModel(c *Corpus, opts TrainOptions) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	members, hidden := pr.Shape()
 	return &Model{pred: pr, prov: ModelInfo{
 		CreatedAt:    time.Now().UTC(),
 		TrainSeed:    opts.Seed,
 		CorpusSize:   c.Len(),
 		Epochs:       opts.Epochs,
-		EnsembleSize: opts.EnsembleSize,
-		Hidden:       opts.Hidden,
+		EnsembleSize: members,
+		Hidden:       hidden,
 	}}, nil
 }
 

@@ -91,3 +91,40 @@ func TestLoadModelErrors(t *testing.T) {
 		t.Error("missing artifact loaded")
 	}
 }
+
+// TestModelInfoRecordsTrainedShape checks that provenance describes the
+// models that were trained, not the options as given: zero EnsembleSize
+// and Hidden train three members at the GNN's default width, and Info and
+// the saved artifact both say so.
+func TestModelInfoRecordsTrainedShape(t *testing.T) {
+	corpus, err := GenerateCorpus(30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultTrainOptions()
+	opts.Epochs = 1
+	opts.EnsembleSize = 0
+	opts.Hidden = 0
+	model, err := TrainModel(corpus, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, hidden := model.pred.Shape()
+	if members != 3 || hidden != 48 {
+		t.Fatalf("trained %d members at hidden %d, want the defaults 3 and 48", members, hidden)
+	}
+	path := filepath.Join(t.TempDir(), "model.costream")
+	if err := model.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, info := range map[string]ModelInfo{"Info": model.Info(), "saved artifact": back.Info()} {
+		if info.EnsembleSize != members || info.Hidden != hidden {
+			t.Errorf("%s: ensemble size %d, hidden %d; trained %d members at hidden %d",
+				name, info.EnsembleSize, info.Hidden, members, hidden)
+		}
+	}
+}

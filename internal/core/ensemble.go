@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"costream/internal/dataset"
 )
@@ -38,6 +40,20 @@ func (e *Ensemble) Predictor() *Predictor {
 // target metric still drives optimization.
 type Predictor [NumMetrics]*Ensemble
 
+// Shape reports what the predictor's ensembles were trained as: members
+// per metric and the GNN hidden width, read from the first trained slot
+// (zeros for an empty predictor). TrainPredictor gives every ensemble the
+// same shape, with the defaults a zero PredictorConfig field stands for
+// already applied.
+func (p *Predictor) Shape() (members, hidden int) {
+	for _, e := range p {
+		if e != nil && len(e.Models) > 0 {
+			return len(e.Models), e.Models[0].Net.Config().Hidden
+		}
+	}
+	return 0, 0
+}
+
 // PredictorConfig controls TrainPredictor.
 type PredictorConfig struct {
 	Train TrainConfig
@@ -59,26 +75,93 @@ func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor
 }
 
 // trainPredictorFromRecords is the shared tail of TrainPredictor and
-// TrainPredictorSource: per requested metric, derive the samples from the
-// featurized records and train the ensemble.
+// TrainPredictorSource: it trains every (metric, member) fit of the
+// predictor on one pool sized to the training budget.
+//
+// Each fit is one job; member i of a metric is seeded cfg.Train.Seed +
+// 7919·i. min(jobs, budget) runners pull the jobs in a fixed order,
+// largest training set first, and with cfg.Train.Workers <= 0 each fit
+// gets an equal share of the budget as its per-batch workers — one worker
+// per fit once the fits fill the budget, so a fit spawns no per-batch
+// goroutines and every core stays busy through its own fit's serial
+// optimizer step. A fit's weights do not depend on its worker count, so
+// neither the budget nor the schedule moves a bit. Once a fit fails the
+// runners take no new jobs, and the error returned is that of the first
+// failing job in pull order: every earlier job was already taken, so it
+// is the same error on every run.
 func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
-	if cfg.EnsembleSize <= 0 {
-		cfg.EnsembleSize = 3
+	k := cfg.EnsembleSize
+	if k <= 0 {
+		k = 3
 	}
 	metrics := cfg.Metrics
 	if metrics == nil {
 		metrics = AllMetrics()
 	}
-	pr := &Predictor{}
-	for _, m := range metrics {
-		e, err := trainEnsembleFromSamples(m,
-			samplesFromRecords(trainRecs, m),
-			samplesFromRecords(valRecs, m),
-			cfg.Train, cfg.EnsembleSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: training %v: %w", m, err)
+	type fitJob struct {
+		ens        *Ensemble
+		member     int
+		train, val []sample // shared by the ensemble's members
+		err        error
+	}
+	ensembles := make([]*Ensemble, len(metrics))
+	jobs := make([]fitJob, 0, len(metrics)*k)
+	for i, m := range metrics {
+		ensembles[i] = &Ensemble{Metric: m, Models: make([]*CostModel, k)}
+		ts, vs := samplesFromRecords(trainRecs, m), samplesFromRecords(valRecs, m)
+		for member := range k {
+			jobs = append(jobs, fitJob{ens: ensembles[i], member: member, train: ts, val: vs})
 		}
-		pr[m] = e
+	}
+	// Largest training set first, so the fits that start last are short.
+	sort.SliceStable(jobs, func(a, b int) bool { return len(jobs[a].train) > len(jobs[b].train) })
+
+	budget := trainBudgetSize()
+	runners := max(1, min(len(jobs), budget))
+	base := cfg.Train
+	if base.Workers <= 0 {
+		base.Workers = max(1, budget/runners)
+	}
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range runners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				n := int(next.Add(1)) - 1
+				if n >= len(jobs) {
+					return
+				}
+				job := &jobs[n]
+				c := base
+				c.Seed = base.Seed + int64(job.member)*7919
+				c.Member = job.member
+				// fit shuffles its training slice in place; the graphs
+				// behind the copies stay shared and read-only.
+				ts := append([]sample(nil), job.train...)
+				vs := append([]sample(nil), job.val...)
+				if job.ens.Models[job.member], job.err = trainFromSamples(job.ens.Metric, ts, vs, c); job.err != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, job := range jobs {
+		if job.err != nil {
+			return nil, fmt.Errorf("core: training %v: %w", job.ens.Metric, job.err)
+		}
+	}
+	pr := &Predictor{}
+	for _, e := range ensembles {
+		// Build the weight stack once at train time: an ensemble whose
+		// members cannot stack could serve no prediction.
+		if _, err := e.stacked(); err != nil {
+			return nil, fmt.Errorf("core: training %v: %w", e.Metric, err)
+		}
+		pr[e.Metric] = e
 	}
 	return pr, nil
 }

@@ -123,15 +123,17 @@ type TrainConfig struct {
 	// Patience is the early-stopping patience in epochs on the
 	// validation loss; 0 disables early stopping.
 	Patience int
-	// Workers bounds the data-parallel training workers per model
-	// (<= 0 selects GOMAXPROCS). The trained weights are bit-identical
+	// Workers bounds the data-parallel training workers per model.
+	// <= 0 selects GOMAXPROCS for a single Train or FineTune, and for
+	// TrainPredictor an equal share of the training budget among the
+	// fits it runs at once — one worker per fit once the fits fill the
+	// budget (see SetTrainBudget). The trained weights are bit-identical
 	// for every Workers value: minibatches are partitioned into a fixed
 	// set of gradient chunks that are accumulated and reduced in a
 	// worker-independent order (see fit). Gradient work tops out at the
-	// chunk count (8) per model — ensembles parallelize further across
-	// members — while validation passes shard up to the full Workers
-	// value. Actual concurrency is additionally capped by the
-	// process-wide SetTrainBudget semaphore.
+	// chunk count (8) per model, while validation passes shard up to the
+	// full Workers value. Actual concurrency is additionally capped by
+	// the process-wide SetTrainBudget semaphore.
 	Workers int
 	// Hidden overrides the GNN hidden width (0 = default).
 	Hidden int
@@ -143,9 +145,9 @@ type TrainConfig struct {
 	Logf func(format string, args ...any)
 	// Observer, when set, receives one EpochStats record per completed
 	// training epoch. It is called synchronously from the goroutine
-	// driving this model's fit loop; ensemble training invokes it
-	// concurrently from the per-member goroutines, so observers must be
-	// safe for concurrent use.
+	// driving this model's fit loop, in epoch order; TrainPredictor runs
+	// the fits of different metrics and members concurrently and invokes
+	// it from each, so observers must be safe for concurrent use.
 	Observer func(EpochStats)
 	// Member is the ensemble member ordinal carried into EpochStats;
 	// single-model training leaves it 0.
@@ -182,7 +184,8 @@ type EpochStats struct {
 	ValNS    int64 `json:"val_ns"`
 	// Allocs is the process-global heap-allocation count delta across the
 	// epoch — an upper bound on the epoch's own allocations when other
-	// goroutines (e.g. sibling ensemble members) run concurrently.
+	// goroutines (e.g. the fits of other metrics and members a predictor
+	// trains alongside) run concurrently.
 	Allocs uint64 `json:"allocs"`
 	// Best reports that this epoch improved the monitored loss (its
 	// weights became the restore point).
@@ -255,8 +258,8 @@ func newTrainWorker() *trainWorker {
 // the trained weights, are identical for any TrainConfig.Workers value.
 // Eight chunks bound the per-batch reduction traffic (one pass over the
 // parameters per chunk) while still feeding eight-way parallelism per
-// model; ensembles parallelize further across members under the shared
-// training budget.
+// model; a predictor parallelizes further across its (metric, member)
+// fits under the shared training budget.
 const maxGradSlots = 8
 
 // gradSlot is one reduction chunk's private gradient accumulator: a

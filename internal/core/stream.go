@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
@@ -148,41 +147,6 @@ func samplesFromRecords(recs []record, metric Metric) []sample {
 		samples = append(samples, sample{graph: r.graph, plan: r.plan, y: y, w: w})
 	}
 	return samples
-}
-
-// trainEnsembleFromSamples trains k members over shared samples, member
-// i seeded cfg.Seed + 7919·i. Each member gets its own copy of the sample
-// slices (fit shuffles in place); the graphs behind them are shared,
-// read-only.
-func trainEnsembleFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig, k int) (*Ensemble, error) {
-	models := make([]*CostModel, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)*7919
-			c.Member = i
-			ts := append([]sample(nil), trainSamples...)
-			vs := append([]sample(nil), valSamples...)
-			models[i], errs[i] = trainFromSamples(metric, ts, vs, c)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	e := &Ensemble{Metric: metric, Models: models}
-	// Build the weight stack once at train time: an ensemble whose members
-	// cannot stack could serve no prediction.
-	if _, err := e.stacked(); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // TrainPredictorSource trains like TrainPredictor, but streams the corpus

@@ -10,10 +10,11 @@ import (
 	"costream/internal/sim"
 )
 
-// TestTrainObserverEpochStats checks the per-epoch telemetry hook: one
-// record per epoch per ensemble member, correctly attributed, with
-// plausible losses, durations and stage times, and with no effect on the
-// trained weights.
+// TestTrainObserverEpochStats checks the per-epoch telemetry hook on a
+// two-metric predictor, whose fits all train concurrently: one record per
+// (metric, member, epoch), correctly attributed and in epoch order per
+// (metric, member), with plausible losses, durations and stage times, and
+// with no effect on the trained weights.
 func TestTrainObserverEpochStats(t *testing.T) {
 	c := testCorpus(t)
 	train, val, _ := c.Split(0.8, 0.1, 4)
@@ -29,55 +30,71 @@ func TestTrainObserverEpochStats(t *testing.T) {
 		mu.Unlock()
 	}
 	const k = 2
-	observed := trainEnsemble(t, train, val, MetricThroughput, obsCfg, k)
-	if len(recs) != k*cfg.Epochs {
-		t.Fatalf("%d epoch records, want %d", len(recs), k*cfg.Epochs)
+	metrics := []Metric{MetricThroughput, MetricSuccess}
+	trainBoth := func(cfg TrainConfig) *Predictor {
+		t.Helper()
+		pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: k, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
 	}
-	perMember := map[int]int{}
+	observed := trainBoth(obsCfg)
+	if want := len(metrics) * k * cfg.Epochs; len(recs) != want {
+		t.Fatalf("%d epoch records, want %d", len(recs), want)
+	}
+	type fitKey struct {
+		metric string
+		member int
+	}
+	perFit := map[fitKey]int{}
 	for _, r := range recs {
-		if r.Metric != "throughput" {
+		if r.Metric != "throughput" && r.Metric != "success" {
 			t.Errorf("record metric %q", r.Metric)
 		}
 		if r.Member < 0 || r.Member >= k {
 			t.Errorf("record member %d out of range", r.Member)
 		}
-		if r.Epoch != perMember[r.Member] {
-			t.Errorf("member %d epoch %d out of order (want %d)", r.Member, r.Epoch, perMember[r.Member])
+		key := fitKey{r.Metric, r.Member}
+		if r.Epoch != perFit[key] {
+			t.Errorf("%s member %d epoch %d out of order (want %d)", r.Metric, r.Member, r.Epoch, perFit[key])
 		}
-		perMember[r.Member]++
+		perFit[key]++
 		if !r.HasVal {
-			t.Errorf("member %d epoch %d: HasVal false with a validation split", r.Member, r.Epoch)
+			t.Errorf("%s member %d epoch %d: HasVal false with a validation split", r.Metric, r.Member, r.Epoch)
 		}
 		if r.TrainLoss <= 0 || r.ValLoss <= 0 {
-			t.Errorf("member %d epoch %d: losses %g/%g", r.Member, r.Epoch, r.TrainLoss, r.ValLoss)
+			t.Errorf("%s member %d epoch %d: losses %g/%g", r.Metric, r.Member, r.Epoch, r.TrainLoss, r.ValLoss)
 		}
 		if r.DurationNS <= 0 {
-			t.Errorf("member %d epoch %d: duration %d", r.Member, r.Epoch, r.DurationNS)
+			t.Errorf("%s member %d epoch %d: duration %d", r.Metric, r.Member, r.Epoch, r.DurationNS)
 		}
 		if r.GradNS <= 0 || r.ReduceNS <= 0 || r.StepNS <= 0 || r.ValNS <= 0 {
-			t.Errorf("member %d epoch %d: stage times grad %d reduce %d step %d val %d, want all positive",
-				r.Member, r.Epoch, r.GradNS, r.ReduceNS, r.StepNS, r.ValNS)
+			t.Errorf("%s member %d epoch %d: stage times grad %d reduce %d step %d val %d, want all positive",
+				r.Metric, r.Member, r.Epoch, r.GradNS, r.ReduceNS, r.StepNS, r.ValNS)
 		}
 	}
-	for m := 0; m < k; m++ {
-		if perMember[m] != cfg.Epochs {
-			t.Errorf("member %d has %d records, want %d", m, perMember[m], cfg.Epochs)
+	for _, m := range metrics {
+		for member := 0; member < k; member++ {
+			if n := perFit[fitKey{m.String(), member}]; n != cfg.Epochs {
+				t.Errorf("%v member %d has %d records, want %d", m, member, n, cfg.Epochs)
+			}
 		}
 	}
 
 	// The observer is purely observational: weights match a plain run.
-	plain := trainEnsemble(t, train, val, MetricThroughput, cfg, k)
+	plain := trainBoth(cfg)
 	tr := c.Traces[0]
-	want, err := placement.PredictOne(plain.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+	want, err := placement.PredictOne(plain, tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := placement.PredictOne(observed.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+	got, err := placement.PredictOne(observed, tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("observer changed training: prediction %g != %g", got.ThroughputTPS, want.ThroughputTPS)
+		t.Errorf("observer changed training: prediction %+v != %+v", got, want)
 	}
 
 	// With one worker nothing overlaps, so the stages partition the epoch:

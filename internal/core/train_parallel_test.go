@@ -245,3 +245,73 @@ func TestTrainWeightsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainPredictorWeightsGolden pins a whole predictor's weights: the
+// SHA-256 over every (metric, member) model's parameter bits, in metric
+// then member order, of a tiny five-metric, two-member recipe. The digest
+// was recorded while the metrics still trained one after another; it must
+// hold for every training budget and per-fit worker setting, since neither
+// may move a bit.
+func TestTrainPredictorWeightsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digest is recorded on amd64")
+	}
+	const golden = "1193b0c9a9e9d99a50025d8e2d192ccff0649496cab342395922e4f068a0fdba"
+	c := subCorpus(t, 120)
+	train, val, _ := c.Split(0.8, 0.2, 7)
+	defer SetTrainBudget(0)
+	for _, budget := range []int{1, 2, 5} {
+		for _, workers := range []int{0, 3} {
+			SetTrainBudget(budget)
+			cfg := DefaultTrainConfig(7)
+			cfg.Epochs = 2
+			cfg.Patience = 0
+			cfg.Hidden = 8
+			cfg.Workers = workers
+			pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var all [][]float64
+			for _, m := range AllMetrics() {
+				if pr[m] == nil || len(pr[m].Models) != 2 {
+					t.Fatalf("budget %d workers %d: %v ensemble %v, want 2 members", budget, workers, m, pr[m])
+				}
+				for _, cm := range pr[m].Models {
+					params, _ := cm.Net.Params()
+					all = append(all, params...)
+				}
+			}
+			if got := weightDigest(all); got != golden {
+				t.Errorf("budget %d workers %d: predictor weight digest %s, want %s", budget, workers, got, golden)
+			}
+		}
+	}
+}
+
+// TestTrainPredictorFailureDeterministic checks how concurrently trained
+// fits fail: on a corpus of failed traces the regression metrics have no
+// samples, and the error is always the first failing fit's in pull order
+// (largest training set first, so throughput's), naming its metric, at
+// any budget.
+func TestTrainPredictorFailureDeterministic(t *testing.T) {
+	var traces []*dataset.Trace
+	for i := 0; i < 6; i++ {
+		traces = append(traces, fakeTrace(t, false, i%2 == 0))
+	}
+	c := &dataset.Corpus{Traces: traces}
+	cfg := DefaultTrainConfig(3)
+	cfg.Epochs = 1
+	cfg.Hidden = 8
+	const want = "core: training throughput: core: no usable training traces for throughput"
+	defer SetTrainBudget(0)
+	for _, budget := range []int{1, 4} {
+		SetTrainBudget(budget)
+		for run := 0; run < 3; run++ {
+			_, err := TrainPredictor(c, nil, PredictorConfig{Train: cfg, EnsembleSize: 2})
+			if err == nil || err.Error() != want {
+				t.Fatalf("budget %d run %d: error %v, want %q", budget, run, err, want)
+			}
+		}
+	}
+}
