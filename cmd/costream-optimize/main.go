@@ -32,7 +32,7 @@ func main() {
 		seed      = flag.Int64("seed", 7, "random seed for query/cluster/model")
 		traces    = flag.Int("traces", 800, "training corpus size")
 		budget    = flag.Int("budget", 16, "search budget: max distinct placements scored")
-		rounds    = flag.Int("rounds", 0, "max generate->score->prune rounds (0 = unlimited)")
+		rounds    = flag.Int("rounds", 0, "max generate->score->prune rounds (0 = unlimited); a local-search round scores one neighbourhood, the first also its climb's start")
 		strategy  = flag.String("strategy", "local-search", "search strategy for the final decision: random | exhaustive | beam | local-search")
 		beamWidth = flag.Int("beam", 8, "beam width for the beam strategy")
 		epochs    = flag.Int("epochs", 25, "training epochs")

@@ -233,6 +233,10 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 // conditions. The deployment is mutated in place only when the pass
 // reaches a decision: a cancelled re-optimization that scored nothing
 // returns ctx.Err() with d untouched, so callers never see torn state.
+// A pass scores each placement once: when the search keeps the
+// incumbent, its SearchResult.Costs re-base d.Predicted, and the
+// incumbent is re-scored with PredictOne only against a challenger that
+// differs.
 func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Query, feed MetricFeed, nowS float64, opts placement.SearchOptions) (Decision, error) {
 	p = p.Resolved()
 	if effQ == nil {
@@ -308,14 +312,16 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 		met().migrations.Inc()
 		return dec, nil
 	}
+	if slices.Equal(challenger, incumbent) {
+		// res.Costs is the incumbent's whole vector, equal to PredictOne
+		// of it: re-base on it without a second scoring session.
+		dec.Action = suppressedPrefix + "search kept the incumbent"
+		d.Predicted = res.Costs
+		met().suppressed.Inc()
+		return dec, nil
+	}
 	incCosts, incErr := placement.PredictOne(p.Predictor, effQ, v.Cluster, incumbent)
 	switch {
-	case slices.Equal(challenger, incumbent):
-		dec.Action = suppressedPrefix + "search kept the incumbent"
-		if incErr == nil {
-			d.Predicted = incCosts
-		}
-		met().suppressed.Inc()
 	case incErr != nil:
 		// The incumbent no longer even scores: take the challenger.
 		d.Placement = challenger

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"costream/internal/hardware"
@@ -194,6 +195,64 @@ func TestHealDriftSuppressedByCooldown(t *testing.T) {
 	if d.Predicted != fakeCosts(c, d.Placement) {
 		t.Fatal("suppressed decision did not re-base the prediction")
 	}
+}
+
+// countingPred is fakePred counting the scoring sessions opened on it.
+type countingPred struct{ sessions atomic.Int64 }
+
+func (p *countingPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+	p.sessions.Add(1)
+	return fakePred{}.NewScoreSession(q, c)
+}
+
+// TestHealKeptIncumbentScoresOnce: a drift heal whose search keeps the
+// incumbent re-bases the prediction on the search's own costs for it, so
+// the pass opens one scoring session, and the re-based prediction is bit
+// for bit what PredictOne says of the incumbent.
+func TestHealKeptIncumbentScoresOnce(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	// Everything on the strongest host is fakeCosts' unique optimum.
+	inc := sim.Placement{3, 3, 3, 3, 3}
+	want, err := placement.PredictOne(fakePred{}, q, c, inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := want
+	stale.ProcLatencyMS *= 10
+	d := &Deployment{ID: "q1", Query: q, Placement: inc, Predicted: stale, Deployed: true}
+	feed := &stubFeed{metrics: sim.Metrics{
+		ThroughputTPS: want.ThroughputTPS,
+		ProcLatencyMS: want.ProcLatencyMS,
+		E2ELatencyMS:  want.E2ELatencyMS,
+		Success:       true,
+	}}
+	pred := &countingPred{}
+	pol := testPolicy()
+	pol.Predictor = pred
+	dec, err := pol.Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Violation != ViolationQErrorDrift || dec.Action != suppressedPrefix+"search kept the incumbent" {
+		t.Fatalf("decision %+v, want a drift the search answered with the incumbent", dec)
+	}
+	if n := pred.sessions.Load(); n != 1 {
+		t.Fatalf("the pass opened %d scoring sessions, want 1", n)
+	}
+	bits := func(pc placement.PredCosts) [5]uint64 {
+		return [5]uint64{math.Float64bits(pc.ThroughputTPS), math.Float64bits(pc.ProcLatencyMS),
+			math.Float64bits(pc.E2ELatencyMS), boolBit(pc.Backpressured), boolBit(pc.Success)}
+	}
+	if bits(d.Predicted) != bits(want) {
+		t.Fatalf("re-based prediction %+v, want PredictOne's %+v", d.Predicted, want)
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestHealObservedFailure(t *testing.T) {

@@ -34,6 +34,19 @@ func (b bitset) orWith(o bitset) {
 	}
 }
 
+// orWithout unions o, less the element x, into b. Both must have the same
+// capacity.
+func (b bitset) orWithout(o bitset, x int) {
+	w, bit := x>>6, uint64(1)<<uint(x&63)
+	for i := range b {
+		m := o[i]
+		if i == w {
+			m &^= bit
+		}
+		b[i] |= m
+	}
+}
+
 // appendPlacementKey appends a compact binary encoding of p to dst and
 // returns the extended slice. Host indices are varint-encoded, so the key
 // is a few bytes per operator (one byte for clusters under 128 hosts)

@@ -41,6 +41,23 @@ type generator struct {
 	choices []int
 	scratch sim.Placement // draw scratch
 	comp    sim.Placement // completion scratch
+
+	// Neighbourhood scratch of a local search, allocated by the first
+	// neighbors call: the steps found, the hosts a move of the current
+	// operator may not take, that operator's strict descendants, the
+	// swap-check placement, and the backing array of built neighbours.
+	steps   []neighbor
+	deny    bitset
+	desc    []bool
+	swapped sim.Placement
+	built   []int
+}
+
+// neighbor is one step from a base placement: operator v moved to host x
+// or, when swap is set, the hosts of operators v and x exchanged.
+type neighbor struct {
+	v, x int
+	swap bool
 }
 
 func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
@@ -214,6 +231,110 @@ func (g *generator) validate(p sim.Placement) bool {
 		g.place(p, v, h)
 	}
 	return true
+}
+
+// neighbors returns every valid placement one step from the valid
+// placement p, as steps: first each move of one operator to another host
+// (operator by operator, host by host), then each swap of two operators
+// on different hosts (pair by pair). Moves follow from p's visited sets
+// (see appendMoves); a swap changes two operators at once and is checked
+// in full. The returned slice is generator scratch, valid until the next
+// call.
+func (g *generator) neighbors(p sim.Placement) []neighbor {
+	n := len(p)
+	if g.deny == nil {
+		g.deny = newBitset(g.nHosts)
+		g.desc = make([]bool, n)
+		g.swapped = make(sim.Placement, n)
+	}
+	g.replay(p, n)
+	out := g.steps[:0]
+	for v := 0; v < n; v++ {
+		out = g.appendMoves(out, p, v)
+	}
+	tmp := g.swapped
+	copy(tmp, p)
+	for v := 0; v < n; v++ {
+		for w := v + 1; w < n; w++ {
+			if tmp[v] == tmp[w] {
+				continue
+			}
+			tmp[v], tmp[w] = tmp[w], tmp[v]
+			if g.validate(tmp) {
+				out = append(out, neighbor{v: v, x: w, swap: true})
+			}
+			tmp[v], tmp[w] = tmp[w], tmp[v]
+		}
+	}
+	g.steps = out
+	return out
+}
+
+// appendMoves appends, host by host, every valid move of operator v of the
+// valid placement p, whose visited sets g.visited must hold. Moving v to
+// host h can break only these rules; every other edge keeps its hosts and
+// a visited set that at most lost p[v] and gained h:
+//
+//   - h is not banned;
+//   - bins do not decrease from any upstream u into h, nor from h into any
+//     downstream w;
+//   - h is not a host an upstream's flow has left (in visited[u] but not
+//     p[u]);
+//   - v's inbound flow must not have visited a downstream's host p[w]:
+//     valid p then co-locates v with w, and any other host for v would
+//     send the flow back to p[w], so v has no move;
+//   - h joins the visited set of every strict descendant x of v, so it is
+//     not the host of any x→w edge that leaves p[x].
+func (g *generator) appendMoves(out []neighbor, p sim.Placement, v int) []neighbor {
+	deny := g.deny
+	if g.banned != nil {
+		copy(deny, g.banned)
+	} else {
+		deny.clear()
+	}
+	lo, hi := hardware.BinEdge, hardware.BinCloud
+	for _, u := range g.ups[v] {
+		lo = max(lo, g.bins[p[u]])
+		deny.orWithout(g.visited[u], p[u])
+	}
+	for _, e := range g.q.Edges {
+		if e[0] != v {
+			continue
+		}
+		hw := p[e[1]]
+		hi = min(hi, g.bins[hw])
+		for _, u := range g.ups[v] {
+			if g.visited[u].has(hw) {
+				return out
+			}
+		}
+	}
+	g.markDescendants(v)
+	for _, e := range g.q.Edges {
+		if g.desc[e[0]] && p[e[0]] != p[e[1]] {
+			deny.set(p[e[1]])
+		}
+	}
+	for h := 0; h < g.nHosts; h++ {
+		if h == p[v] || g.bins[h] < lo || g.bins[h] > hi || deny.has(h) {
+			continue
+		}
+		out = append(out, neighbor{v: v, x: h})
+	}
+	return out
+}
+
+// markDescendants sets g.desc to the strict descendants of operator v.
+func (g *generator) markDescendants(v int) {
+	for _, x := range g.order {
+		g.desc[x] = false
+		for _, u := range g.ups[x] {
+			if u == v || g.desc[u] {
+				g.desc[x] = true
+				break
+			}
+		}
+	}
 }
 
 // completeGreedy extends the placement prefix covering the first d

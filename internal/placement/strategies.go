@@ -213,11 +213,13 @@ func (b Beam) Run(co *Core) error {
 // LocalSearch hill-climbs from valid starts: each round scores the
 // neighborhood of the current placement (all valid single-operator moves
 // and operator-pair swaps, subsampled deterministically above
-// localNeighborCap) in one batch and moves to the best neighbor.
-// localPatience non-improving rounds in a row trigger a restart, until the
-// budget runs out. The first start is the deterministic greedy completion
-// (co-locate onto the most capable hosts); later restarts draw random
-// valid placements.
+// localNeighborCap) in one batch and moves to the best neighbor. A climb's
+// first round holds its start together with the start's neighborhood,
+// which depends only on the start's placement, so the start costs no round
+// of its own. localPatience non-improving rounds in a row trigger a
+// restart, until the budget runs out. The first start is the deterministic
+// greedy completion (co-locate onto the most capable hosts); later
+// restarts draw random valid placements.
 type LocalSearch struct {
 	// Start, when valid, replaces the greedy completion as the first
 	// climb's starting placement — the warm-start hook used by WarmStart
@@ -234,6 +236,7 @@ func (ls LocalSearch) Run(co *Core) error {
 	for i := range blank {
 		blank[i] = -1
 	}
+	round := make([]sim.Placement, 0, 1+localNeighborCap)
 	for r := 0; !co.Exhausted(); r++ {
 		before := co.Examined()
 		var start sim.Placement
@@ -255,32 +258,30 @@ func (ls LocalSearch) Run(co *Core) error {
 			}
 			start = append(sim.Placement(nil), p...)
 		}
-		cur := co.ScoreRound([]sim.Placement{start})[0]
+		// A fresh start that takes the last of the budget leaves no room
+		// for a neighbor: it is scored alone, and the neighborhood's
+		// subsample draws nothing from the rng.
+		round = append(round[:0], start)
+		if co.Remaining() > 1 || co.Seen(start) {
+			round = localNeighbors(co, start, round)
+		}
+		scored := co.ScoreRound(round)
+		cur := scored[0]
 		if cur.Skipped {
 			break
 		}
-		bad := 0
-		for !co.Exhausted() {
-			neigh := localNeighbors(co, cur.Placement)
-			if len(neigh) == 0 {
+		neigh := scored[1:]
+		for bad := 0; len(neigh) > 0; {
+			if best := bestScored(neigh); best.betterThan(&cur) {
+				cur = *best
+				bad = 0
+			} else if bad++; bad >= localPatience {
 				break
 			}
-			scored := co.ScoreRound(neigh)
-			best := 0
-			for i := 1; i < len(scored); i++ {
-				if scored[i].betterThan(&scored[best]) {
-					best = i
-				}
+			if co.Exhausted() {
+				break
 			}
-			if scored[best].betterThan(&cur) {
-				cur = scored[best]
-				bad = 0
-			} else {
-				bad++
-				if bad >= localPatience {
-					break
-				}
-			}
+			neigh = co.ScoreRound(localNeighbors(co, cur.Placement, round[:0]))
 		}
 		if co.Examined() == before {
 			// The whole restart hit only cached placements: the reachable
@@ -291,50 +292,49 @@ func (ls LocalSearch) Run(co *Core) error {
 	return nil
 }
 
-// localNeighbors generates the move/swap neighborhood of p: every valid
-// placement differing by one operator's host, and every valid placement
-// obtained by swapping the hosts of two operators. Above maxN the
-// neighborhood is subsampled to localNeighborCap with the core rng
-// (deterministic for a fixed seed), preserving generation order for stable
-// tie-breaks.
-func localNeighbors(co *Core, p sim.Placement) []sim.Placement {
-	n := len(p)
-	hosts := co.Cluster().NumHosts()
-	tmp := append(sim.Placement(nil), p...)
-	var out []sim.Placement
-	for v := 0; v < n; v++ {
-		old := tmp[v]
-		for h := 0; h < hosts; h++ {
-			if h == old {
-				continue
-			}
-			tmp[v] = h
-			if co.ValidPlacement(tmp) {
-				out = append(out, append(sim.Placement(nil), tmp...))
-			}
-		}
-		tmp[v] = old
-	}
-	for v := 0; v < n; v++ {
-		for w := v + 1; w < n; w++ {
-			if tmp[v] == tmp[w] {
-				continue
-			}
-			tmp[v], tmp[w] = tmp[w], tmp[v]
-			if co.ValidPlacement(tmp) {
-				out = append(out, append(sim.Placement(nil), tmp...))
-			}
-			tmp[v], tmp[w] = tmp[w], tmp[v]
+// bestScored returns the first of the best candidates of a non-empty
+// round.
+func bestScored(round []Scored) *Scored {
+	best := &round[0]
+	for i := 1; i < len(round); i++ {
+		if round[i].betterThan(best) {
+			best = &round[i]
 		}
 	}
-	if len(out) > localNeighborCap {
-		idx := co.Rng().Perm(len(out))[:localNeighborCap]
+	return best
+}
+
+// localNeighbors appends to dst the move/swap neighborhood of the valid
+// placement p (generator.neighbors). Above localNeighborCap the steps are
+// subsampled to localNeighborCap with the core rng (deterministic for a
+// fixed seed), preserving generation order for stable tie-breaks, and only
+// the kept ones are built. The built placements are generator scratch,
+// overwritten by the next call; ScoreRound copies what it keeps.
+func localNeighbors(co *Core, p sim.Placement, dst []sim.Placement) []sim.Placement {
+	g := co.gen
+	steps := g.neighbors(p)
+	var idx []int
+	if len(steps) > localNeighborCap {
+		idx = co.Rng().Perm(len(steps))[:localNeighborCap]
 		sort.Ints(idx)
-		sub := make([]sim.Placement, 0, localNeighborCap)
-		for _, i := range idx {
-			sub = append(sub, out[i])
-		}
-		out = sub
 	}
-	return out
+	n := len(p)
+	if g.built == nil {
+		g.built = make([]int, localNeighborCap*n)
+	}
+	for i := 0; i < min(len(steps), localNeighborCap); i++ {
+		s := steps[i]
+		if idx != nil {
+			s = steps[idx[i]]
+		}
+		nb := sim.Placement(g.built[i*n : (i+1)*n : (i+1)*n])
+		copy(nb, p)
+		if s.swap {
+			nb[s.v], nb[s.x] = nb[s.x], nb[s.v]
+		} else {
+			nb[s.v] = s.x
+		}
+		dst = append(dst, nb)
+	}
+	return dst
 }

@@ -11,12 +11,14 @@ import (
 // is scored first (so it is the baseline every challenger must beat and
 // its key is in the dedup cache), then the inner strategy runs with the
 // remaining budget. When the inner strategy is a LocalSearch without an
-// explicit Start, the first climb starts from the incumbent, so the
-// search explores the incumbent's neighborhood before restarting from
-// scratch — the re-optimization entry point of the self-healing fleet
-// loop. An invalid or empty incumbent (e.g. it references a host that no
-// longer exists) degrades to the plain inner strategy. A nil Inner
-// selects LocalSearch.
+// explicit Start, the incumbent becomes the first climb's start, scored
+// first in one round with its own neighborhood, so the search explores
+// the incumbent's neighborhood before restarting from scratch — the
+// re-optimization entry point of the self-healing fleet loop. Any other
+// inner strategy runs after a round that scores the incumbent alone. An
+// invalid or empty incumbent (e.g. it references a host that no longer
+// exists) degrades to the plain inner strategy. A nil Inner selects
+// LocalSearch.
 type WarmStart struct {
 	Incumbent sim.Placement
 	Inner     Strategy
@@ -38,12 +40,13 @@ func (w WarmStart) Run(co *Core) error {
 		inner = LocalSearch{}
 	}
 	if len(w.Incumbent) > 0 && co.ValidPlacement(w.Incumbent) {
-		if !co.Exhausted() {
-			co.ScoreRound([]sim.Placement{append(sim.Placement(nil), w.Incumbent...)})
-		}
 		if ls, ok := inner.(LocalSearch); ok && len(ls.Start) == 0 {
+			// The climb scores its start first, in the round of the
+			// start's neighborhood.
 			ls.Start = w.Incumbent
 			inner = ls
+		} else if !co.Exhausted() {
+			co.ScoreRound([]sim.Placement{append(sim.Placement(nil), w.Incumbent...)})
 		}
 	}
 	return inner.Run(co)

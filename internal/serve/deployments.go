@@ -36,6 +36,10 @@ type HostRequest struct {
 	Host string `json:"host"`
 }
 
+// handleDeployCreate answers 200 with the new deployment's status, 400
+// for a body or deployment the plane rejects, 409 for an id already
+// registered, 413 for a body past the size limit and 503 when the request
+// was cancelled.
 func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	var req DeployRequest
 	if err := decodeRequest(r.Body, &req); err != nil {
@@ -107,6 +111,7 @@ func (s *Server) decodeHost(w http.ResponseWriter, r *http.Request) (string, boo
 	return req.Host, true
 }
 
+// handleHostCordon answers 200, or 400 or 413 for a bad body.
 func (s *Server) handleHostCordon(w http.ResponseWriter, r *http.Request) {
 	host, ok := s.decodeHost(w, r)
 	if !ok {
@@ -125,6 +130,9 @@ func (s *Server) handleHostUncordon(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"host": host, "cordoned": false, "changed": changed})
 }
 
+// handleHostDrain answers 200 with the deployments it healed, 400 or 413
+// for a bad body, 503 when the request was cancelled mid-drain, like a
+// cancelled tick or deploy, and 500 when a heal itself failed.
 func (s *Server) handleHostDrain(w http.ResponseWriter, r *http.Request) {
 	host, ok := s.decodeHost(w, r)
 	if !ok {
@@ -132,12 +140,18 @@ func (s *Server) handleHostDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	healed, err := s.plane.Drain(r.Context(), host)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "drain %s: %v", host, err)
+		status, what := http.StatusInternalServerError, "drain"
+		if r.Context().Err() != nil {
+			status, what = http.StatusServiceUnavailable, "request cancelled: drain"
+		}
+		s.writeError(w, status, "%s %s: %v", what, host, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"host": host, "cordoned": true, "healed": healed})
 }
 
+// handleControlTick answers 200 with the tick's report and 503 when the
+// request was cancelled mid-tick.
 func (s *Server) handleControlTick(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.plane.Tick(r.Context())
 	if err != nil {

@@ -197,3 +197,104 @@ func FuzzOptimizeRoute(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeploymentsRoute drives the control plane over HTTP: an arbitrary
+// POST /v1/deployments body, a cordon of an arbitrary host, then POST
+// /v1/control/tick. No route may panic or answer a status its handler
+// does not document. After a 200 deploy the new deployment's placement
+// passes Placement.Validate on its query and cluster; after a 200 tick it
+// still does, unless the tick undeployed it, and it uses no cordoned host.
+// Every input starts from an empty plane with nothing cordoned.
+func FuzzDeploymentsRoute(f *testing.F) {
+	s := newControlTestServer(f, nil)
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		f.Fatal(err)
+	}
+	search, err := json.Marshal(DeployRequest{ID: "q1", Query: ex.Query, Cluster: ex.Cluster})
+	if err != nil {
+		f.Fatal(err)
+	}
+	adopt, err := json.Marshal(DeployRequest{ID: "q2", Query: ex.Query, Cluster: ex.Cluster, Placement: ex.Placement})
+	if err != nil {
+		f.Fatal(err)
+	}
+	used := ex.Cluster.Hosts[ex.Placement[len(ex.Placement)-1]].ID
+	f.Add(search, used)
+	f.Add(adopt, used)
+	f.Add(adopt, ex.Cluster.Hosts[0].ID)
+	f.Add(search, "")
+	f.Add(search, "no-such-host")
+	f.Add(append(bytes.Clone(adopt), "garbage"...), used)
+	f.Add(search[:len(search)/2], used)
+	f.Add(bytes.Replace(adopt, []byte(`"placement":[`), []byte(`"placement":[-1,`), 1), used)
+	f.Add(bytes.Replace(adopt, []byte(`"placement":[`), []byte(`"placement":[0,`), 1), used)
+	f.Add(bytes.Replace(search, []byte(`"id":"q1"`), []byte(`"id":"a/b"`), 1), used)
+	f.Add(bytes.Replace(search, []byte(`"id":"q1",`), nil, 1), used)
+	f.Add([]byte(`{"query":null,"cluster":null}`), used)
+	f.Add([]byte(`{}`), used)
+	f.Add([]byte(`null`), "")
+	f.Add([]byte{}, "x")
+	f.Fuzz(func(t *testing.T, body []byte, host string) {
+		defer func() {
+			for _, st := range s.plane.List() {
+				s.plane.Evict(st.ID)
+			}
+			s.plane.Uncordon(host)
+		}()
+		w := postRaw(s, "/v1/deployments", body)
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("deploy: status %d: %s", w.Code, w.Body)
+		}
+		var req DeployRequest
+		var id string
+		if w.Code == http.StatusOK {
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("deploy answered 200 for a body that does not decode: %v", err)
+			}
+			st := decodeStatus(t, w.Body.Bytes())
+			if err := st.Placement.Validate(req.Query, req.Cluster); !st.Deployed || err != nil {
+				t.Fatalf("deploy answered 200 with deployed=%v, placement %v: %v", st.Deployed, st.Placement, err)
+			}
+			id = st.ID
+		}
+		cordon, err := json.Marshal(HostRequest{Host: host})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw := postRaw(s, "/v1/hosts/cordon", cordon)
+		switch cw.Code {
+		case http.StatusOK, http.StatusBadRequest:
+		default:
+			t.Fatalf("cordon %q: status %d: %s", host, cw.Code, cw.Body)
+		}
+		tw := postRaw(s, "/v1/control/tick", nil)
+		switch tw.Code {
+		case http.StatusOK:
+		case http.StatusServiceUnavailable:
+			return
+		default:
+			t.Fatalf("tick: status %d: %s", tw.Code, tw.Body)
+		}
+		if id == "" {
+			return
+		}
+		st, ok := s.plane.Get(id)
+		if !ok {
+			t.Fatalf("deployment %s vanished in a tick", id)
+		}
+		if !st.Deployed {
+			return
+		}
+		if err := st.Placement.Validate(req.Query, req.Cluster); err != nil {
+			t.Fatalf("after the tick %s holds placement %v: %v", id, st.Placement, err)
+		}
+		for _, h := range st.Placement {
+			if cw.Code == http.StatusOK && req.Cluster.Hosts[h].ID == host {
+				t.Fatalf("after the tick %s still uses cordoned host %q: %v", id, host, st.Placement)
+			}
+		}
+	})
+}

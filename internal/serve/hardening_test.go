@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -164,6 +165,35 @@ func TestPredictCancelledContext(t *testing.T) {
 	}
 	if got := pred.batchCalls.Load(); got != 0 {
 		t.Errorf("cancelled request scored %d tiles, want 0", got)
+	}
+}
+
+// TestDrainCancelledContext: a drain whose client is already gone answers
+// 503 like a cancelled tick or deploy, not 500: the heal it started stopped
+// at the cancelled search and left the deployment where it was.
+func TestDrainCancelledContext(t *testing.T) {
+	s := newControlTestServer(t, nil)
+	w := doJSON(t, s, http.MethodPost, "/v1/deployments", DeployRequest{ID: "q1", Query: testQuery(t), Cluster: testCluster()})
+	if w.Code != http.StatusOK {
+		t.Fatalf("deploy: status %d: %s", w.Code, w.Body)
+	}
+	before := decodeStatus(t, w.Body.Bytes())
+	victim := before.Hosts[len(before.Hosts)-1]
+	data, err := json.Marshal(HostRequest{Host: victim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/hosts/drain", bytes.NewReader(data)).WithContext(ctx)
+	w = httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "request cancelled") {
+		t.Fatalf("status %d body %s, want 503 request cancelled", w.Code, w.Body)
+	}
+	after, ok := s.plane.Get("q1")
+	if !ok || !slices.Equal(after.Placement, before.Placement) {
+		t.Fatalf("cancelled drain moved q1 from %v to %v", before.Placement, after.Placement)
 	}
 }
 
