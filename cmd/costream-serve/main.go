@@ -8,7 +8,6 @@
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/v1/example | curl -s --json @- localhost:8080/v1/predict
-//	curl localhost:8080/stats
 //	curl localhost:8080/metrics
 //
 // Predict responses are cached in a bounded LRU, a miss is scored on the

@@ -270,15 +270,6 @@ type TrainOptions struct {
 	EnsembleSize int
 	// Seed drives initialization and shuffling.
 	Seed int64
-	// Workers bounds the data-parallel training workers per model
-	// (<= 0: an equal share of the training budget among the fits
-	// running at once, one worker per fit once the 5 x EnsembleSize fits
-	// fill it). Trained weights are bit-identical for every Workers
-	// value. Total concurrency across all metrics and ensemble members is
-	// capped by the shared process-wide budget (GOMAXPROCS unless changed
-	// via SetTrainParallelism), so raising Workers never oversubscribes
-	// the machine, though it does make the fits contend for the budget.
-	Workers int
 	// Logf, when set, receives training progress lines.
 	Logf func(format string, args ...any)
 }
@@ -307,15 +298,6 @@ type Model struct {
 // that were trained, and creation time.
 type ModelInfo = artifact.Provenance
 
-// SetTrainParallelism bounds the total number of concurrently executing
-// training worker tasks in this process, across every model, metric and
-// ensemble member trained after the call; n <= 0 resets the budget to
-// GOMAXPROCS. TrainModel runs at most n of its (metric, member) fits at
-// once and, with TrainOptions.Workers <= 0, shares the n workers out among
-// them. It does not affect trained weights — only how many cores training
-// occupies.
-func SetTrainParallelism(n int) { core.SetTrainBudget(n) }
-
 // TrainModel trains COSTREAM on the corpus (80/10 train/validation split;
 // the remainder is unused and may serve as a test set).
 func TrainModel(c *Corpus, opts TrainOptions) (*Model, error) {
@@ -330,7 +312,6 @@ func TrainModel(c *Corpus, opts TrainOptions) (*Model, error) {
 		Hidden:    opts.Hidden,
 		Seed:      opts.Seed,
 		Patience:  8,
-		Workers:   opts.Workers,
 		Logf:      opts.Logf,
 	}
 	pr, err := core.TrainPredictor(train, val, core.PredictorConfig{

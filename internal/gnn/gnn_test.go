@@ -51,7 +51,7 @@ func TestForwardShapes(t *testing.T) {
 	for _, trad := range []bool{false, true} {
 		m := newTestModel(t, trad)
 		tape := nn.NewTape()
-		out, err := m.Forward(tape, testGraph(0.5))
+		out, err := m.forward(tape, testGraph(0.5))
 		if err != nil {
 			t.Fatalf("traditional=%v: %v", trad, err)
 		}
@@ -67,11 +67,11 @@ func TestForwardShapes(t *testing.T) {
 func TestForwardDeterministic(t *testing.T) {
 	m := newTestModel(t, false)
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, err := m.Forward(t1, testGraph(0.5))
+	o1, err := m.forward(t1, testGraph(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := m.Forward(t2, testGraph(0.5))
+	o2, err := m.forward(t2, testGraph(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,8 @@ func TestForwardDeterministic(t *testing.T) {
 func TestInputSensitivity(t *testing.T) {
 	m := newTestModel(t, false)
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, _ := m.Forward(t1, testGraph(0.1))
-	o2, _ := m.Forward(t2, testGraph(0.9))
+	o1, _ := m.forward(t1, testGraph(0.1))
+	o2, _ := m.forward(t2, testGraph(0.9))
 	if o1.Data[0] == o2.Data[0] {
 		t.Error("changing source features did not change the prediction")
 	}
@@ -97,8 +97,8 @@ func TestPlacementSensitivity(t *testing.T) {
 	g2 := testGraph(0.5)
 	g2.PlaceEdges = [][2]int{{0, 4}, {1, 4}, {2, 3}}
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, _ := m.Forward(t1, g1)
-	o2, _ := m.Forward(t2, g2)
+	o1, _ := m.forward(t1, g1)
+	o2, _ := m.forward(t2, g2)
 	if o1.Data[0] == o2.Data[0] {
 		t.Error("swapping placement did not change the prediction")
 	}
@@ -109,15 +109,15 @@ func TestGradCheckThroughMessagePassing(t *testing.T) {
 	g := testGraph(0.5)
 	forward := func() float64 {
 		tape := nn.NewTape()
-		out, err := m.Forward(tape, g)
+		out, err := m.forward(tape, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return nn.MSLELoss(tape, out, 100).Data[0]
 	}
-	m.ZeroGrad()
+	m.zeroGrad()
 	tape := nn.NewTape()
-	out, err := m.Forward(tape, g)
+	out, err := m.forward(tape, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		var sum float64
 		for i, g := range graphs {
 			tape := nn.NewTape()
-			out, _ := m.Forward(tape, g)
+			out, _ := m.forward(tape, g)
 			sum += nn.MSLELoss(tape, out, targets[i]).Data[0]
 		}
 		return sum / float64(len(graphs))
@@ -174,7 +174,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		opt.ZeroGrads()
 		for i, g := range graphs {
 			tape := nn.NewTape()
-			out, _ := m.Forward(tape, g)
+			out, _ := m.forward(tape, g)
 			tape.Backward(nn.MSLELoss(tape, out, targets[i]))
 		}
 		opt.Step()
@@ -232,7 +232,7 @@ func TestForwardRejectsWrongFeatureDim(t *testing.T) {
 	g := testGraph(0.5)
 	g.Nodes[0].Feat = []float64{1} // encoder expects 2
 	tape := nn.NewTape()
-	if _, err := m.Forward(tape, g); err == nil {
+	if _, err := m.forward(tape, g); err == nil {
 		t.Error("Forward accepted wrong feature dimension")
 	}
 }
@@ -242,7 +242,7 @@ func TestCyclicFlowRejected(t *testing.T) {
 	g := testGraph(0.5)
 	g.FlowEdges = append(g.FlowEdges, [2]int{2, 0})
 	tape := nn.NewTape()
-	if _, err := m.Forward(tape, g); err == nil {
+	if _, err := m.forward(tape, g); err == nil {
 		t.Error("Forward accepted cyclic flow graph")
 	}
 }
@@ -281,11 +281,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	g := testGraph(0.33)
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, err := m.Forward(t1, g)
+	o1, err := m.forward(t1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := m2.Forward(t2, g)
+	o2, err := m2.forward(t2, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +310,8 @@ func TestDifferentSeedsDifferentModels(t *testing.T) {
 	m2, _ := New(cfg, 2)
 	g := testGraph(0.5)
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, _ := m1.Forward(t1, g)
-	o2, _ := m2.Forward(t2, g)
+	o1, _ := m1.forward(t1, g)
+	o2, _ := m2.forward(t2, g)
 	if o1.Data[0] == o2.Data[0] {
 		t.Error("different seeds produced identical predictions")
 	}
@@ -325,8 +325,8 @@ func TestCoLocationMessages(t *testing.T) {
 	g2 := testGraph(0.5)
 	g2.PlaceEdges = [][2]int{{0, 3}, {1, 4}, {2, 4}}
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, _ := m.Forward(t1, g1)
-	o2, _ := m.Forward(t2, g2)
+	o1, _ := m.forward(t1, g1)
+	o2, _ := m.forward(t2, g2)
 	if o1.Data[0] == o2.Data[0] {
 		t.Error("co-location change did not affect prediction")
 	}
@@ -341,7 +341,7 @@ func TestNumParamsAndRandomizedForward(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g := testGraph(rng.Float64())
 		tape := nn.NewTape()
-		out, err := m.Forward(tape, g)
+		out, err := m.forward(tape, g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestInferDoesNotMutateGraph(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.Forward(nn.NewInferenceTape(), g); err != nil {
+	if _, err := m.forward(nn.NewInferenceTape(), g); err != nil {
 		t.Fatal(err)
 	}
 	check("inference tape")
@@ -56,12 +56,12 @@ func TestInferDoesNotMutateGraph(t *testing.T) {
 // one — an empty graph and a wrong feature width are errors.
 func TestInferRejectsBadGraphs(t *testing.T) {
 	m := newTestModel(t, false)
-	if _, err := m.Forward(nn.NewInferenceTape(), &Graph{}); err == nil {
+	if _, err := m.forward(nn.NewInferenceTape(), &Graph{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 	g := testGraph(0.5)
 	g.Nodes[0].Feat = []float64{1} // wrong dimension
-	if _, err := m.Forward(nn.NewInferenceTape(), g); err == nil {
+	if _, err := m.forward(nn.NewInferenceTape(), g); err == nil {
 		t.Error("wrong feature dimension accepted")
 	}
 }

@@ -129,9 +129,6 @@ func (m *Model) eachMLP(fn func(*nn.MLP)) {
 	fn(m.out)
 }
 
-// ZeroGrad clears all gradient buffers.
-func (m *Model) ZeroGrad() { m.eachMLP((*nn.MLP).ZeroGrad) }
-
 // GradShadow returns a model that shares this model's weight slices but
 // owns private zeroed gradient buffers. Shadows let data-parallel
 // training run concurrent backward passes — one shadow per batch slot —
@@ -172,27 +169,12 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// Forward records the full forward pass of the graph on the tape and
-// returns the scalar output node. It validates the graph and derives its
-// flow structure on the fly; training loops that evaluate the same graph
-// every epoch should precompute a Plan once and call ForwardPlanned.
-func (m *Model) Forward(t *nn.Tape, g *Graph) (*nn.Node, error) {
-	plan, err := NewPlan(g)
-	if err != nil {
-		return nil, err
-	}
-	return m.ForwardPlanned(t, g, plan, nil)
-}
-
-// ForwardPlanned is Forward with a precomputed Plan and an optional
-// reusable Scratch. The graph is trusted to be structurally valid and
-// consistent with the plan (NewPlan validated it); only the per-node
-// encoder checks remain. With a per-worker tape and scratch, the
-// steady-state pass performs zero heap allocations.
+// ForwardPlanned records the full forward pass of the graph on the tape
+// and returns the scalar output node. plan is the graph's flow structure
+// (NewPlan validated the graph), so only the per-node encoder checks
+// remain; s holds the pass's buffers. With a per-worker tape and
+// scratch, the steady-state pass performs zero heap allocations.
 func (m *Model) ForwardPlanned(t *nn.Tape, g *Graph, plan *Plan, s *Scratch) (*nn.Node, error) {
-	if s == nil {
-		s = NewScratch()
-	}
 	n := len(g.Nodes)
 	s.grow(n)
 	hidden := s.hidden[:n]

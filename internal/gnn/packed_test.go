@@ -203,7 +203,7 @@ func scoreTiles(t *testing.T, sm *StackedModel, base *Graph, plan *Plan, hostFea
 // loops, no assembly).
 func tapeOracle(t *testing.T, m *Model, g *Graph, plan *Plan) float64 {
 	t.Helper()
-	out, err := m.ForwardPlanned(nn.NewInferenceTape(), g, plan, nil)
+	out, err := m.ForwardPlanned(nn.NewInferenceTape(), g, plan, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

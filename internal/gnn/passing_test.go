@@ -24,15 +24,15 @@ func TestDirectedPassingUsesAllThreePhases(t *testing.T) {
 		FlowEdges: withHosts.FlowEdges,
 	}
 	t1, t2, t3 := nn.NewTape(), nn.NewTape(), nn.NewTape()
-	o1, err := m.Forward(t1, withHosts)
+	o1, err := m.forward(t1, withHosts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := m.Forward(t2, zeroHostFeat)
+	o2, err := m.forward(t2, zeroHostFeat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o3, err := m.Forward(t3, noHosts)
+	o3, err := m.forward(t3, noHosts)
 	if err != nil {
 		t.Fatal(err)
 	}

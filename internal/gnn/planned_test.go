@@ -17,7 +17,7 @@ func TestForwardPlannedMatchesForward(t *testing.T) {
 	for round := 0; round < 3; round++ { // reuse across rounds and graphs
 		for gi, g := range graphs {
 			ref := nn.NewTape()
-			want, err := m.Forward(ref, g)
+			want, err := m.forward(ref, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +62,11 @@ func TestGradShadowSharesWeightsOwnsGrads(t *testing.T) {
 	g := testGraph(0.5)
 
 	t1, t2 := nn.NewTape(), nn.NewTape()
-	o1, err := m.Forward(t1, g)
+	o1, err := m.forward(t1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := shadow.Forward(t2, g)
+	o2, err := shadow.forward(t2, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGradShadowSharesWeightsOwnsGrads(t *testing.T) {
 	}
 
 	// Backprop through the shadow: its grads fill, the original's stay 0.
-	m.ZeroGrad()
+	m.zeroGrad()
 	t2.Backward(nn.MSLELoss(t2, o2, 3))
 	var shadowNonzero bool
 	for k := range sg {
@@ -114,11 +114,11 @@ func TestInferenceTapeMatchesTrainingTape(t *testing.T) {
 		m := newTestModel(t, trad)
 		g := testGraph(0.4)
 		tt, it := nn.NewTape(), nn.NewInferenceTape()
-		o1, err := m.Forward(tt, g)
+		o1, err := m.forward(tt, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o2, err := m.Forward(it, g)
+		o2, err := m.forward(it, g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,6 @@ import "costream/internal/nn"
 // per-host child lists of phase 1 and the child buffer of phase 3. One
 // Scratch serves one goroutine; training workers keep one alongside their
 // tape so the steady-state forward pass allocates nothing.
-//
-// A nil Scratch is accepted by ForwardPlanned and allocates fresh buffers
-// for that call.
 type Scratch struct {
 	hidden, next, after2, final []*nn.Node
 	kids                        []*nn.Node   // phase-3 child buffer

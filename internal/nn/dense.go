@@ -243,25 +243,21 @@ func Grow[T any](buf []T, n int) []T {
 // final layer stays linear — mirroring MLP.Apply layer for layer.
 type StackedMLP struct {
 	K      int
-	Alpha  float64
 	Layers []*StackedLinear
 }
 
-// StackMLPs vertically stacks k MLPs of identical architecture (layer
-// shapes and activation slope). The weights are copied; rebuild the stack
-// after updating any member's weights in place.
+// StackMLPs vertically stacks k MLPs of identical layer shapes. The
+// weights are copied; rebuild the stack after updating any member's
+// weights in place.
 func StackMLPs(ms []*MLP) (*StackedMLP, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero MLPs")
 	}
 	depth := len(ms[0].Layers)
-	s := &StackedMLP{K: len(ms), Alpha: ms[0].Alpha}
+	s := &StackedMLP{K: len(ms)}
 	for _, m := range ms {
 		if len(m.Layers) != depth {
 			return nil, fmt.Errorf("nn: stacking MLPs of depth %d and %d", depth, len(m.Layers))
-		}
-		if m.Alpha != ms[0].Alpha {
-			return nil, fmt.Errorf("nn: stacking MLPs with alpha %v and %v", ms[0].Alpha, m.Alpha)
 		}
 	}
 	for li := 0; li < depth; li++ {
@@ -296,18 +292,18 @@ func (s *StackedMLP) maxWidth() int {
 func (s *StackedMLP) forward(dst, x []float64, xBlock, xStride, rows int, sc *DenseScratch) {
 	last := len(s.Layers) - 1
 	if last == 0 {
-		s.Layers[0].rows(dst, x, xBlock, xStride, rows, s.Alpha, false)
+		s.Layers[0].rows(dst, x, xBlock, xStride, rows, leakySlope, false)
 		return
 	}
 	n := rows * s.K * s.maxWidth()
 	sc.a, sc.b = Grow(sc.a, n), Grow(sc.b, n)
 	cur, next := sc.a, sc.b
-	s.Layers[0].rows(cur, x, xBlock, xStride, rows, s.Alpha, true)
+	s.Layers[0].rows(cur, x, xBlock, xStride, rows, leakySlope, true)
 	for li := 1; li < last; li++ {
-		s.Layers[li].BlockRows(next, cur, rows, s.Alpha, true)
+		s.Layers[li].BlockRows(next, cur, rows, leakySlope, true)
 		cur, next = next, cur
 	}
-	s.Layers[last].BlockRows(dst, cur, rows, s.Alpha, false)
+	s.Layers[last].BlockRows(dst, cur, rows, leakySlope, false)
 }
 
 // ForwardShared runs the whole stack on rows input rows shared by every

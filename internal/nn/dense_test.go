@@ -79,18 +79,16 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 	}
 }
 
-// TestStackedMLPRejectsMismatches checks shape and slope validation.
+// TestStackedMLPRejectsMismatches checks shape validation.
 func TestStackedMLPRejectsMismatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewMLP(rng, 4, 8, 2)
 	bDeep := NewMLP(rng, 4, 8, 8, 2)
 	bWide := NewMLP(rng, 4, 9, 2)
-	bAlpha := NewMLP(rng, 4, 8, 2)
-	bAlpha.Alpha = 0.2
 	if _, err := StackMLPs(nil); err == nil {
 		t.Fatal("stacking zero MLPs should fail")
 	}
-	for name, other := range map[string]*MLP{"depth": bDeep, "width": bWide, "alpha": bAlpha} {
+	for name, other := range map[string]*MLP{"depth": bDeep, "width": bWide} {
 		if _, err := StackMLPs([]*MLP{a, other}); err == nil {
 			t.Fatalf("stacking mismatched %s should fail", name)
 		}

@@ -10,3 +10,36 @@ func (t *Tape) customOp(data []float64, back func()) *Node {
 	n.back = back
 	return n
 }
+
+// leakyReLU records max(x, alpha*x) elementwise as a custom op, with its
+// own backward: the unfused activation that tests hold the fused
+// affine+LeakyReLU op against.
+func (t *Tape) leakyReLU(a *Node, alpha float64) *Node {
+	data := make([]float64, len(a.Data))
+	for i, x := range a.Data {
+		if x >= 0 {
+			data[i] = x
+		} else {
+			data[i] = alpha * x
+		}
+	}
+	var out *Node
+	out = t.customOp(data, func() {
+		for i, g := range out.Grad {
+			if a.Data[i] >= 0 {
+				a.Grad[i] += g
+			} else {
+				a.Grad[i] += alpha * g
+			}
+		}
+	})
+	return out
+}
+
+// zeroGrad clears every layer's gradient buffers.
+func (m *MLP) zeroGrad() {
+	_, grads := m.Params()
+	for _, g := range grads {
+		clear(g)
+	}
+}

@@ -48,9 +48,6 @@ func ExpM1(z float64) float64 {
 	return v
 }
 
-// Log1p is the forward transform of the regression targets.
-func Log1p(y float64) float64 { return math.Log1p(y) }
-
 // SigmoidScalar exposes the stable sigmoid for inference-time probability
 // computation on classifier logits.
 func SigmoidScalar(x float64) float64 { return sigmoid(x) }

@@ -108,24 +108,23 @@ func (l *Linear) Apply(t *Tape, x *Node) *Node {
 	return out
 }
 
-// applyLeaky records the fused affine+LeakyReLU op leaky(W*x + b, alpha):
-// the MLP hidden-layer hot path collapses from two recorded nodes (and two
-// backward dispatches) into one. The arithmetic — forward and backward —
-// is identical to Apply followed by Tape.LeakyReLU. alpha must be > 0:
-// the fused backward infers the pre-activation sign from the
-// post-activation value, which a zero or negative slope would destroy.
-func (l *Linear) applyLeaky(t *Tape, x *Node, alpha float64) *Node {
+// applyLeaky records the fused affine+LeakyReLU op leaky(W*x + b,
+// leakySlope), the MLP hidden layer: one recorded node and one backward
+// dispatch where Apply and a separate activation would take two, with the
+// same arithmetic forward and backward. The backward infers the
+// pre-activation sign from the post-activation value, which the positive
+// slope preserves.
+func (l *Linear) applyLeaky(t *Tape, x *Node) *Node {
 	out := t.alloc(l.Out)
-	l.affineTape(out.Data, x.Data, alpha)
-	out.op, out.a, out.lin, out.c = opAffineLReLU, x, l, alpha
+	l.affineTape(out.Data, x.Data, leakySlope)
+	out.op, out.a, out.lin = opAffineLReLU, x, l
 	return out
 }
 
 // backprop accumulates the affine op's gradients: weight and bias
 // gradients into the layer's buffers, input gradients into x. For the
 // fused affine+LeakyReLU op, fused is the output node: its post-activation
-// sign recovers the pre-activation sign (alpha > 0 preserves it), and its
-// c field holds the negative slope.
+// sign recovers the pre-activation sign (leakySlope > 0 preserves it).
 //
 // A layer whose buffers all match its dimensions runs the whole-layer AVX
 // kernel; anything else takes the Go loop, which is also the oracle the
@@ -143,7 +142,7 @@ func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
 	// with slope 1: g < 0 selects g*1, which is g exactly.
 	act, alpha := outGrad, 1.0
 	if fused != nil {
-		act, alpha = fused.Data, fused.c
+		act, alpha = fused.Data, leakySlope
 	}
 	t.gf = Grow(t.gf, l.Out)
 	affineBackwardAVX(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &outGrad[0], &act[0], &t.gf[0], alpha, l.In, l.Out)
@@ -153,7 +152,7 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 	for o := 0; o < l.Out; o++ {
 		g := outGrad[o]
 		if fused != nil && fused.Data[o] < 0 {
-			g *= fused.c
+			g *= leakySlope
 		}
 		if g == 0 {
 			continue
@@ -188,21 +187,14 @@ func (l *Linear) Params() (params, grads [][]float64) {
 	return [][]float64{l.W, l.B}, [][]float64{l.GW, l.GB}
 }
 
-// ZeroGrad clears the gradient buffers.
-func (l *Linear) ZeroGrad() {
-	for i := range l.GW {
-		l.GW[i] = 0
-	}
-	for i := range l.GB {
-		l.GB[i] = 0
-	}
-}
+// leakySlope is the negative slope of every LeakyReLU in the package:
+// MLP hidden layers and the StackedMLP kernels that mirror them.
+const leakySlope = 0.01
 
-// MLP is a multi-layer perceptron with LeakyReLU activations between
-// layers and a linear final layer.
+// MLP is a multi-layer perceptron with LeakyReLU activations (slope
+// leakySlope) between layers and a linear final layer.
 type MLP struct {
 	Layers []*Linear
-	Alpha  float64 // LeakyReLU negative slope
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. NewMLP(rng, 16,
@@ -211,7 +203,7 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP{Alpha: 0.01}
+	m := &MLP{}
 	for i := 0; i+1 < len(sizes); i++ {
 		m.Layers = append(m.Layers, NewLinear(rng, sizes[i], sizes[i+1]))
 	}
@@ -219,29 +211,20 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 }
 
 // Apply records the MLP forward pass on the tape. Hidden layers record
-// the fused affine+LeakyReLU op; the final layer stays linear. The fused
-// backward recovers the pre-activation sign from the post-activation
-// value, which requires Alpha > 0 — degenerate slopes (a plain-ReLU
-// Alpha of 0) take the unfused ops instead.
+// the fused affine+LeakyReLU op; the final layer stays linear.
 func (m *MLP) Apply(t *Tape, x *Node) *Node {
 	h := x
-	for i, l := range m.Layers {
-		switch {
-		case i+1 == len(m.Layers):
-			h = l.Apply(t, h)
-		case m.Alpha > 0:
-			h = l.applyLeaky(t, h, m.Alpha)
-		default:
-			h = t.LeakyReLU(l.Apply(t, h), m.Alpha)
-		}
+	last := len(m.Layers) - 1
+	for _, l := range m.Layers[:last] {
+		h = l.applyLeaky(t, h)
 	}
-	return h
+	return m.Layers[last].Apply(t, h)
 }
 
 // GradShadow returns an MLP sharing this MLP's weights but owning private
 // zeroed gradient buffers (see Linear.GradShadow).
 func (m *MLP) GradShadow() *MLP {
-	s := &MLP{Alpha: m.Alpha, Layers: make([]*Linear, len(m.Layers))}
+	s := &MLP{Layers: make([]*Linear, len(m.Layers))}
 	for i, l := range m.Layers {
 		s.Layers[i] = l.GradShadow()
 	}
@@ -285,8 +268,9 @@ func AddAndClear(dst, src []float64) {
 	clear(src)
 }
 
-// leakyReLUInPlace applies max(x, alpha*x) elementwise, matching
-// Tape.LeakyReLU's forward computation exactly.
+// leakyReLUInPlace scales every negative element by alpha: the
+// activation of the fused op where no training mirror exists, and the
+// per-element compare-and-scale every kernel in this package reproduces.
 func leakyReLUInPlace(xs []float64, alpha float64) {
 	for i, x := range xs {
 		if x < 0 {
@@ -297,16 +281,6 @@ func leakyReLUInPlace(xs []float64, alpha float64) {
 
 // InDim returns the expected input dimension.
 func (m *MLP) InDim() int { return m.Layers[0].In }
-
-// OutDim returns the output dimension.
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
-
-// ZeroGrad clears all layer gradients.
-func (m *MLP) ZeroGrad() {
-	for _, l := range m.Layers {
-		l.ZeroGrad()
-	}
-}
 
 // Params returns all parameter/gradient slice pairs of the network.
 func (m *MLP) Params() (params, grads [][]float64) {

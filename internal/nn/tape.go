@@ -25,12 +25,9 @@ type opKind uint8
 
 const (
 	opConst opKind = iota
-	opAdd
 	opSum
 	opScale
 	opConcat
-	opLeakyReLU
-	opSigmoid
 	opAffine      // Linear layer: W*x + b
 	opAffineLReLU // fused Linear + LeakyReLU (the MLP hidden-layer hot path)
 	opMSLE
@@ -45,10 +42,10 @@ type Node struct {
 	Grad []float64 // nil on inference tapes
 
 	op   opKind
-	a, b *Node   // unary/binary inputs
-	ins  []*Node // variadic inputs (Sum, Concat)
+	a    *Node   // unary input (Scale, the affine ops, the losses)
+	ins  []*Node // variadic inputs (Sum, Concat2)
 	lin  *Linear // affine ops
-	c    float64 // Scale factor, LeakyReLU slope, or loss target
+	c    float64 // Scale factor or loss target
 	back func()  // opCustom only
 
 	buf  []float64 // owned Data backing store, reused across Reset
@@ -77,9 +74,6 @@ func NewInferenceTape() *Tape { return &Tape{inference: true} }
 // node structs and their backing stores stay pooled and are handed out
 // again by subsequent ops.
 func (t *Tape) Reset() { t.used = 0 }
-
-// Len returns the number of recorded nodes.
-func (t *Tape) Len() int { return t.used }
 
 // take hands out the next pooled node (allocating only when the pool is
 // exhausted) without touching its Data. Grad is sized and zeroed on
@@ -148,11 +142,6 @@ func (t *Tape) Backward(out *Node) {
 func (n *Node) backprop(t *Tape) {
 	switch n.op {
 	case opConst:
-	case opAdd:
-		for i, g := range n.Grad {
-			n.a.Grad[i] += g
-			n.b.Grad[i] += g
-		}
 	case opSum:
 		for _, v := range n.ins {
 			for i, g := range n.Grad {
@@ -171,19 +160,6 @@ func (n *Node) backprop(t *Tape) {
 			}
 			off += len(v.Data)
 		}
-	case opLeakyReLU:
-		for i, g := range n.Grad {
-			if n.a.Data[i] >= 0 {
-				n.a.Grad[i] += g
-			} else {
-				n.a.Grad[i] += n.c * g
-			}
-		}
-	case opSigmoid:
-		for i, g := range n.Grad {
-			s := n.Data[i]
-			n.a.Grad[i] += g * s * (1 - s)
-		}
 	case opAffine:
 		n.lin.backprop(t, n.Grad, n.a, nil)
 	case opAffineLReLU:
@@ -199,19 +175,6 @@ func (n *Node) backprop(t *Tape) {
 			n.back()
 		}
 	}
-}
-
-// Add records elementwise a+b.
-func (t *Tape) Add(a, b *Node) *Node {
-	if len(a.Data) != len(b.Data) {
-		panic("nn: Add dimension mismatch")
-	}
-	out := t.alloc(len(a.Data))
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	out.op, out.a, out.b = opAdd, a, b
-	return out
 }
 
 // Sum records the elementwise sum of one or more equally sized vectors.
@@ -247,56 +210,13 @@ func (t *Tape) Scale(a *Node, c float64) *Node {
 	return out
 }
 
-// Concat records the concatenation of the input vectors. Like Sum, the
-// input slice is copied, so scratch buffers may be reused by the caller.
-func (t *Tape) Concat(vs ...*Node) *Node {
-	total := 0
-	for _, v := range vs {
-		total += len(v.Data)
-	}
-	out := t.alloc(total)
-	off := 0
-	for _, v := range vs {
-		off += copy(out.Data[off:], v.Data)
-	}
-	out.op = opConcat
-	out.ins = append(out.ins, vs...)
-	return out
-}
-
-// Concat2 records the concatenation of exactly two vectors. It is the
-// allocation-free form of Concat for the GNN's update-MLP input
-// concat(aggregate, own) — a two-element variadic call would heap-allocate
-// its argument slice on some call paths.
+// Concat2 records the concatenation of two vectors: the GNN's update-MLP
+// input concat(aggregate, own).
 func (t *Tape) Concat2(a, b *Node) *Node {
 	out := t.alloc(len(a.Data) + len(b.Data))
 	copy(out.Data, a.Data)
 	copy(out.Data[len(a.Data):], b.Data)
 	out.op = opConcat
 	out.ins = append(out.ins, a, b)
-	return out
-}
-
-// LeakyReLU records max(x, alpha*x) elementwise.
-func (t *Tape) LeakyReLU(a *Node, alpha float64) *Node {
-	out := t.alloc(len(a.Data))
-	for i, x := range a.Data {
-		if x >= 0 {
-			out.Data[i] = x
-		} else {
-			out.Data[i] = alpha * x
-		}
-	}
-	out.op, out.a, out.c = opLeakyReLU, a, alpha
-	return out
-}
-
-// Sigmoid records 1/(1+exp(-x)) elementwise.
-func (t *Tape) Sigmoid(a *Node) *Node {
-	out := t.alloc(len(a.Data))
-	for i, x := range a.Data {
-		out.Data[i] = sigmoid(x)
-	}
-	out.op, out.a = opSigmoid, a
 	return out
 }

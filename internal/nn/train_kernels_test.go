@@ -75,7 +75,7 @@ func TestBackwardAsmMatchesPortable(t *testing.T) {
 				awkward(rng, act)
 				var outNode *Node
 				if fused {
-					outNode = &Node{Data: act, c: 0.01}
+					outNode = &Node{Data: act}
 				}
 
 				// run applies one of the three routes to a private copy of
@@ -95,7 +95,7 @@ func TestBackwardAsmMatchesPortable(t *testing.T) {
 				gw, gb, xg := run(func(l *Linear, x *Node) {
 					a, alpha := dy, 1.0
 					if fused {
-						a, alpha = act, outNode.c
+						a, alpha = act, leakySlope
 					}
 					gf := make([]float64, out)
 					affineBackwardAVX(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &dy[0], &a[0], &gf[0], alpha, in, out)

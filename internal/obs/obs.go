@@ -16,8 +16,8 @@
 //  1. Near-free on hot paths. Counter.Inc and Histogram.Record are a
 //     handful of atomic operations with zero allocations (test-enforced),
 //     so instrumentation can live inside inference and search loops.
-//  2. No dependencies. Exposition is hand-rolled Prometheus text format,
-//     validated by ValidateExposition.
+//  2. No dependencies. Exposition is hand-rolled Prometheus text format;
+//     tests check it with obstest.ValidateExposition.
 //  3. Get-or-create registration. Components ask for their instruments by
 //     (name, labels) and share them naturally; tests isolate with
 //     NewRegistry, binaries use the process-wide Default registry.

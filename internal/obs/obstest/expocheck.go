@@ -1,4 +1,6 @@
-package obs
+// Package obstest checks the output of package obs in tests. Only test
+// files import it, so no binary carries it.
+package obstest
 
 import (
 	"fmt"
@@ -13,8 +15,9 @@ import (
 // sample's family has a preceding # TYPE line it conforms to, no series
 // appears twice, and histograms are internally consistent (bucket
 // counts cumulative and non-decreasing in le, a +Inf bucket present and
-// equal to _count). It exists so the /metrics endpoint and the CI smoke
-// can assert scrapeability without a Prometheus dependency.
+// equal to _count). It lets tests assert that /metrics scrapes without
+// a Prometheus dependency, and it parses names itself rather than
+// trusting obs's own checks.
 func ValidateExposition(data []byte) error {
 	types := map[string]string{}
 	seen := map[string]bool{}
@@ -230,4 +233,24 @@ func leValue(labels string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("bucket sample without le label: %s", labels)
+}
+
+// validName reports whether s is a legal Prometheus metric or label
+// name: [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
+		case r >= '0' && r <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }

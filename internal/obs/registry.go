@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -69,7 +68,6 @@ func (k kind) String() string {
 // overrides the stored value at scrape time (CounterFunc / GaugeFunc).
 type series struct {
 	labels string // rendered {k="v",...}, or ""
-	key    string // k=v,... with the values as given, or "": WriteJSON's name
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
@@ -141,16 +139,6 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-// seriesKey names a series in WriteJSON: its labels as k=v pairs joined
-// by commas, values as given (renderLabels has checked kv), or "" for none.
-func seriesKey(kv []string) string {
-	pairs := make([]string, 0, len(kv)/2)
-	for i := 0; i < len(kv); i += 2 {
-		pairs = append(pairs, kv[i]+"="+kv[i+1])
-	}
-	return strings.Join(pairs, ",")
-}
-
 // getFamily returns the family for name, creating it with the given kind
 // and help on first use. Asking for an existing name with a different
 // kind panics: one name means one metric type.
@@ -178,7 +166,7 @@ func (f *family) getSeries(kv []string) *series {
 	defer f.mu.Unlock()
 	s, ok := f.series[labels]
 	if !ok {
-		s = &series{labels: labels, key: seriesKey(kv)}
+		s = &series{labels: labels}
 		switch f.kind {
 		case kindCounter:
 			s.ctr = &Counter{}
@@ -259,10 +247,12 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// walk calls fn for every family, sorted by name, with its series sorted
-// by label string: the order of both encodings. It stops at fn's first
-// error.
-func (r *Registry) walk(fn func(f *family, sers []*series) error) error {
+// WritePrometheus writes every family in the text exposition format
+// (version 0.0.4): families sorted by name, series sorted by label
+// string, histograms as cumulative _bucket/_sum/_count triples with
+// power-of-two le bounds (empty buckets are elided; +Inf always
+// present). It stops at w's first error.
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -271,6 +261,7 @@ func (r *Registry) walk(fn func(f *family, sers []*series) error) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
+	var b strings.Builder
 	var sers []*series
 	for _, f := range fams {
 		f.mu.Lock()
@@ -280,21 +271,7 @@ func (r *Registry) walk(fn func(f *family, sers []*series) error) error {
 		}
 		f.mu.Unlock()
 		sort.Slice(sers, func(i, j int) bool { return sers[i].labels < sers[j].labels })
-		if err := fn(f, sers); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
-// WritePrometheus writes every family in the text exposition format
-// (version 0.0.4): families sorted by name, series sorted by label
-// string, histograms as cumulative _bucket/_sum/_count triples with
-// power-of-two le bounds (empty buckets are elided; +Inf always
-// present).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	return r.walk(func(f *family, sers []*series) error {
 		b.Reset()
 		if f.help != "" {
 			b.WriteString("# HELP ")
@@ -319,59 +296,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			b.WriteString(formatValue(s.value(f.kind)))
 			b.WriteByte('\n')
 		}
-		_, err := io.WriteString(w, b.String())
-		return err
-	})
-}
-
-// WriteJSON writes every series as one JSON object, in WritePrometheus's
-// order: {"<family>": {"<k=v,...>": value}}, an unlabelled series keyed by
-// "". A counter or gauge value is its exposition sample, a histogram's is
-// {"count": n, "sum": s} (its _count and _sum samples), and a non-finite
-// value is null.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteByte('{')
-	_ = r.walk(func(f *family, sers []*series) error { // appends to b: cannot fail
-		if b.Len() > 1 {
-			b.WriteByte(',')
+		if _, err := io.WriteString(w, b.String()); err != nil {
+			return err
 		}
-		writeJSONString(&b, f.name)
-		b.WriteString(":{")
-		for i, s := range sers {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeJSONString(&b, s.key)
-			b.WriteByte(':')
-			if f.kind == kindHistogram {
-				snap := s.hist.Snapshot()
-				fmt.Fprintf(&b, `{"count":%d,"sum":%s}`, snap.Count, jsonNumber(float64(snap.Sum)*s.hist.scale))
-				continue
-			}
-			b.WriteString(jsonNumber(s.value(f.kind)))
-		}
-		b.WriteByte('}')
-		return nil
-	})
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writeJSONString writes s as a JSON string literal.
-func writeJSONString(b *strings.Builder, s string) {
-	lit, _ := json.Marshal(s) // a string always marshals
-	b.Write(lit)
-}
-
-// jsonNumber renders v as formatValue does, or as null where JSON has no
-// number for it (NaN, ±Inf).
-func jsonNumber(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "null"
 	}
-	return formatValue(v)
+	return nil
 }
 
 // writeHistogram renders one histogram series as cumulative buckets plus

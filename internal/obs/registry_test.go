@@ -2,12 +2,11 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"costream/internal/obs/obstest"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -75,7 +74,7 @@ func TestExpositionIsValidPrometheus(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateExposition(buf.Bytes()); err != nil {
+	if err := obstest.ValidateExposition(buf.Bytes()); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -103,104 +102,9 @@ func TestValidateExpositionCatchesBadOutput(t *testing.T) {
 		"negative counter": "# TYPE test_a_total counter\ntest_a_total -1\n",
 	}
 	for name, data := range cases {
-		if err := ValidateExposition([]byte(data)); err == nil {
+		if err := obstest.ValidateExposition([]byte(data)); err == nil {
 			t.Errorf("%s: invalid exposition accepted:\n%s", name, data)
 		}
-	}
-}
-
-// TestWriteJSONMatchesPrometheus: the JSON view carries every sample of
-// the exposition but the histogram buckets — counters, gauges, the Func
-// kinds, labelled and unlabelled histograms' _count and _sum — each equal
-// to its exposition value, and a NaN gauge as a null that still decodes.
-func TestWriteJSONMatchesPrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("test_requests_total", "", "route", "predict").Add(7)
-	r.Counter("test_requests_total", "", "route", "optimize").Add(2)
-	r.Counter("test_plain_total", "").Inc()
-	r.Counter("test_escapes_total", "", "msg", `a"b`, "k", "v").Add(3)
-	r.Gauge("test_ratio", "").Set(0.125)
-	r.Gauge("test_nan", "").Set(math.NaN())
-	r.CounterFunc("test_hits_total", "", func() float64 { return 41 }, "outcome", "hit")
-	r.GaugeFunc("test_capacity", "", func() float64 { return 4096 })
-	h := r.Histogram("test_latency_seconds", "", 1e-9, "route", "predict")
-	for _, v := range []int64{1, 999, 1 << 20, 3 << 30} {
-		h.Record(v)
-	}
-	r.Histogram("test_batch_size", "", 1).Record(5)
-
-	var prom, doc bytes.Buffer
-	if err := r.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	var view map[string]map[string]any
-	if err := json.Unmarshal(doc.Bytes(), &view); err != nil {
-		t.Fatalf("JSON view does not decode: %v\n%s", err, doc.String())
-	}
-	if v, ok := view["test_nan"][""]; !ok || v != nil {
-		t.Errorf("NaN gauge renders %v (present: %v), want null", v, ok)
-	}
-
-	types := map[string]string{}
-	samples := 0
-	for _, line := range strings.Split(prom.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			types[f[2]] = f[3]
-		}
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, labels, want, err := parseSample(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		family, field := name, ""
-		if base, ok := strings.CutSuffix(name, "_bucket"); ok && types[base] == "histogram" {
-			continue
-		}
-		for _, suffix := range []string{"_count", "_sum"} {
-			if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
-				family, field = base, suffix[1:]
-			}
-		}
-		var key []string
-		if labels != "" {
-			for _, pair := range splitLabelPairs(labels[1 : len(labels)-1]) {
-				k, quoted, _ := strings.Cut(pair, "=")
-				v, err := strconv.Unquote(quoted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				key = append(key, k+"="+v)
-			}
-		}
-		got, ok := view[family][strings.Join(key, ",")]
-		if field != "" {
-			hist, _ := got.(map[string]any)
-			got, ok = hist[field]
-		}
-		if math.IsNaN(want) {
-			if !ok || got != nil {
-				t.Errorf("%s: JSON %v, want null", line, got)
-			}
-		} else if !ok || got != want {
-			t.Errorf("%s: JSON %v (present: %v), want %v", line, got, ok, want)
-		}
-		samples++
-	}
-	// 8 counter and gauge series, 2 values for each of the 2 histograms.
-	if samples != 12 {
-		t.Errorf("compared %d samples, want 12:\n%s", samples, prom.String())
-	}
-	series := 0
-	for _, fam := range view {
-		series += len(fam)
-	}
-	if series != 10 {
-		t.Errorf("JSON view holds %d series, want 10:\n%s", series, doc.String())
 	}
 }
 
@@ -235,7 +139,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateExposition(buf.Bytes()); err != nil {
+		if err := obstest.ValidateExposition(buf.Bytes()); err != nil {
 			t.Fatalf("scrape %d invalid under concurrency: %v", i, err)
 		}
 	}

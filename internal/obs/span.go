@@ -75,10 +75,6 @@ func (s *Span) End() time.Duration {
 	return s.total
 }
 
-// Stages returns the recorded stages in order. The slice is owned by
-// the span; callers must not mutate it.
-func (s *Span) Stages() []Stage { return s.stages }
-
 // String renders "name id=... total stage=dur ..." for logs and debug
 // output.
 func (s *Span) String() string {

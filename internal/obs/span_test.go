@@ -24,7 +24,7 @@ func TestSpanStagesAndID(t *testing.T) {
 	if total < d {
 		t.Fatalf("total %v < stage %v", total, d)
 	}
-	st := sp.Stages()
+	st := sp.stages
 	if len(st) != 2 || st[0].Name != "decode" || st[1].Name != "infer" {
 		t.Fatalf("stages = %+v", st)
 	}

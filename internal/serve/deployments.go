@@ -121,6 +121,7 @@ func (s *Server) handleHostCordon(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"host": host, "cordoned": true, "changed": changed})
 }
 
+// handleHostUncordon answers 200, or 400 or 413 for a bad body.
 func (s *Server) handleHostUncordon(w http.ResponseWriter, r *http.Request) {
 	host, ok := s.decodeHost(w, r)
 	if !ok {

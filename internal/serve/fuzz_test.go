@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 
+	"costream/internal/controlplane"
 	"costream/internal/placement"
 	"costream/internal/sim"
 )
@@ -294,6 +296,86 @@ func FuzzDeploymentsRoute(f *testing.F) {
 		for _, h := range st.Placement {
 			if cw.Code == http.StatusOK && req.Cluster.Hosts[h].ID == host {
 				t.Fatalf("after the tick %s still uses cordoned host %q: %v", id, host, st.Placement)
+			}
+		}
+	})
+}
+
+// FuzzHostRoutes sends one arbitrary body to two host routes in turn
+// (cordon, uncordon or drain, picked by ops) against a plane holding one
+// deployment of the example request. No route may panic or answer a
+// status its handler does not document. After a 200 cordon or drain the
+// host the body names is cordoned, after a 200 uncordon it is not, and
+// after a 200 drain no deployed placement uses it. Every input starts
+// from the same deployment with nothing cordoned.
+func FuzzHostRoutes(f *testing.F) {
+	s := newControlTestServer(f, nil)
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		f.Fatal(err)
+	}
+	deploy, err := json.Marshal(DeployRequest{ID: "q", Query: ex.Query, Cluster: ex.Cluster, Placement: ex.Placement})
+	if err != nil {
+		f.Fatal(err)
+	}
+	routes := []struct {
+		path     string
+		statuses []int
+	}{
+		{"/v1/hosts/cordon", []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge}},
+		{"/v1/hosts/uncordon", []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge}},
+		{"/v1/hosts/drain", []int{http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusInternalServerError, http.StatusServiceUnavailable}},
+	}
+	used := ex.Cluster.Hosts[ex.Placement[len(ex.Placement)-1]].ID
+	for ops := uint8(0); ops < 9; ops++ {
+		f.Add(ops, []byte(`{"host":"`+used+`"}`))
+	}
+	f.Add(uint8(2), []byte(`{"host":"`+ex.Cluster.Hosts[0].ID+`"}`))
+	f.Add(uint8(2), []byte(`{"host":"no-such-host"}`))
+	f.Add(uint8(0), []byte(`{"host":""}`))
+	f.Add(uint8(1), []byte(`{"host":"`+used+`"} garbage`))
+	f.Add(uint8(2), []byte(`{"host":"`+used+`","extra":1}`))
+	f.Add(uint8(0), []byte(`{"host":7}`))
+	f.Add(uint8(2), []byte(`{}`))
+	f.Add(uint8(1), []byte(`null`))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, ops uint8, body []byte) {
+		if w := postRaw(s, "/v1/deployments", deploy); w.Code != http.StatusOK {
+			t.Fatalf("deploy: status %d: %s", w.Code, w.Body)
+		}
+		defer func() {
+			s.plane.Evict("q")
+			for _, h := range s.plane.Hosts() {
+				s.plane.Uncordon(h.ID)
+			}
+		}()
+		for _, r := range []int{int(ops) % 3, int(ops) / 3 % 3} {
+			route := routes[r]
+			w := postRaw(s, route.path, body)
+			if !slices.Contains(route.statuses, w.Code) {
+				t.Fatalf("%s: status %d: %s", route.path, w.Code, w.Body)
+			}
+			if w.Code != http.StatusOK {
+				continue
+			}
+			var resp HostRequest
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Host == "" {
+				t.Fatalf("%s: 200 without a host: %v: %s", route.path, err, w.Body)
+			}
+			cordoned := slices.ContainsFunc(s.plane.Hosts(), func(h controlplane.HostStatus) bool {
+				return h.ID == resp.Host && h.Cordoned
+			})
+			if want := r != 1; cordoned != want {
+				t.Fatalf("after a 200 %s, host %q cordoned = %v, want %v", route.path, resp.Host, cordoned, want)
+			}
+			if r != 2 {
+				continue
+			}
+			for _, st := range s.plane.List() {
+				if st.Deployed && slices.Contains(st.Hosts, resp.Host) {
+					t.Fatalf("after draining %q, %s still uses it: %v", resp.Host, st.ID, st.Hosts)
+				}
 			}
 		}
 	})

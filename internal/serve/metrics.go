@@ -10,7 +10,7 @@ import (
 
 // routeNames lists the stable route labels of the HTTP surface, used for
 // the per-route request/error/latency series.
-var routeNames = []string{"predict", "predict_batch", "optimize", "example", "healthz", "stats", "metrics",
+var routeNames = []string{"predict", "predict_batch", "optimize", "example", "healthz", "metrics",
 	"deployments_create", "deployments_list", "deployments_get", "deployments_delete",
 	"hosts", "hosts_cordon", "hosts_uncordon", "hosts_drain", "control_tick"}
 

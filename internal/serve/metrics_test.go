@@ -5,12 +5,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"costream/internal/obs"
+	"costream/internal/obs/obstest"
 	"costream/internal/sim"
 )
 
@@ -43,7 +45,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Errorf("content type %q", ct)
 	}
 	text := w.Body.Bytes()
-	if err := obs.ValidateExposition(text); err != nil {
+	if err := obstest.ValidateExposition(text); err != nil {
 		t.Fatalf("invalid Prometheus exposition: %v\n%s", err, text)
 	}
 	for _, family := range []string{
@@ -231,12 +233,8 @@ func TestSaturationReturns503(t *testing.T) {
 	if got := s.met.rejected.Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
-	var st map[string]map[string]any
-	if err := json.Unmarshal(doJSON(t, s, http.MethodGet, "/stats", nil).Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if got := st["costream_http_rejected_total"][""]; got != 1.0 {
-		t.Errorf("/stats rejected = %v, want 1", got)
+	if got := sample(t, scrape(t, s), "costream_http_rejected_total"); got != 1 {
+		t.Errorf("/metrics rejected = %v, want 1", got)
 	}
 
 	// A /v1/predict miss while the only slot is held is rejected the same
@@ -258,5 +256,45 @@ func TestSaturationReturns503(t *testing.T) {
 	}
 	if got := s.met.rejected.Value(); got != 2 {
 		t.Errorf("rejected counter = %d, want 2", got)
+	}
+}
+
+// scrape returns the server's /metrics exposition.
+func scrape(t testing.TB, s *Server) string {
+	t.Helper()
+	w := doJSON(t, s, http.MethodGet, "/metrics", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", w.Code)
+	}
+	return w.Body.String()
+}
+
+// sample returns the value of the exposition sample named series, as
+// exposed (name, then its {labels} if any), failing the test if it is
+// absent.
+func sample(t testing.TB, exposition, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", series)
+	return 0
+}
+
+// TestStatsRouteGone: /metrics is the only stats surface; the JSON
+// rendering of it that /stats once served is not routed.
+func TestStatsRouteGone(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if w := doJSON(t, s, http.MethodGet, "/stats", nil); w.Code != http.StatusNotFound {
+		t.Errorf("GET /stats answered %d, want 404", w.Code)
+	}
+	if strings.Contains(scrape(t, s), `route="stats"`) {
+		t.Error("/metrics still carries a stats route series")
 	}
 }

@@ -667,26 +667,19 @@ func TestHealthzAndStats(t *testing.T) {
 
 	doJSON(t, s, http.MethodPost, "/v1/predict",
 		PredictRequest{Query: testQuery(t), Cluster: testCluster(), Placement: sim.Placement{0, 1, 2}})
-	w = doJSON(t, s, http.MethodGet, "/stats", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("stats status %d", w.Code)
+	text := scrape(t, s)
+	for series, want := range map[string]float64{
+		`costream_http_requests_total{route="predict"}`:  1,
+		`costream_http_requests_total{route="healthz"}`:  1,
+		`costream_serve_cache_ops_total{outcome="miss"}`: 1,
+		"costream_serve_cache_capacity":                  DefaultCacheSize,
+	} {
+		if got := sample(t, text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
-	var st map[string]map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	requests := st["costream_http_requests_total"]
-	if requests["route=predict"] != 1.0 || requests["route=healthz"] != 1.0 {
-		t.Errorf("request counters %v", requests)
-	}
-	if got := st["costream_serve_cache_ops_total"]["outcome=miss"]; got != 1.0 {
-		t.Errorf("cache misses %v, want 1", got)
-	}
-	if st["costream_serve_max_in_flight"][""].(float64) <= 0 {
-		t.Errorf("max in-flight %v", st["costream_serve_max_in_flight"])
-	}
-	if st["costream_serve_cache_capacity"][""] != float64(DefaultCacheSize) {
-		t.Errorf("cache capacity %v, want %d", st["costream_serve_cache_capacity"], DefaultCacheSize)
+	if got := sample(t, text, "costream_serve_max_in_flight"); got <= 0 {
+		t.Errorf("max in-flight %v", got)
 	}
 }
 

@@ -12,8 +12,8 @@
 //	                        (random / exhaustive / beam / local-search)
 //	GET  /v1/example        a ready-to-POST sample predict request
 //	GET  /healthz           liveness plus model provenance
-//	GET  /stats             the /metrics series as one JSON document
-//	GET  /metrics           Prometheus text exposition (the canonical feed)
+//	GET  /metrics           Prometheus text exposition: every counter, gauge
+//	                        and histogram of the server and its model
 //
 // Plus the placement control plane (internal/controlplane):
 //
@@ -128,7 +128,6 @@ type Server struct {
 	start        time.Time
 	queueTimeout time.Duration
 	maxBody      int64
-	reg          *obs.Registry
 	met          *serveMetrics
 	logger       *slog.Logger
 	plane        *controlplane.Plane
@@ -170,7 +169,6 @@ func New(cfg Config) (*Server, error) {
 		start:        time.Now(),
 		queueTimeout: DefaultQueueTimeout,
 		maxBody:      maxBody,
-		reg:          reg,
 		met:          newServeMetrics(reg),
 		logger:       cfg.Logger,
 	}
@@ -197,7 +195,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/optimize", s.route("optimize", s.handleOptimize))
 	s.mux.HandleFunc("GET /v1/example", s.route("example", s.handleExample))
 	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /stats", s.route("stats", s.handleStats))
 	s.mux.Handle("GET /metrics", s.route("metrics", reg.Handler().ServeHTTP))
 	s.mux.HandleFunc("POST /v1/deployments", s.route("deployments_create", s.handleDeployCreate))
 	s.mux.HandleFunc("GET /v1/deployments", s.route("deployments_list", s.handleDeployList))
@@ -713,11 +710,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeS: time.Since(s.start).Seconds(),
 		Model:   s.cfg.ModelInfo,
 	})
-}
-
-// handleStats renders the server's metrics registry as JSON: the series
-// of /metrics, in the same order (see obs.Registry.WriteJSON).
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.reg.WriteJSON(w) // it fails only writing to a client that is gone
 }

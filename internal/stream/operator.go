@@ -37,9 +37,6 @@ type Operator struct {
 // IsWindowed reports whether the operator keeps window state.
 func (o *Operator) IsWindowed() bool { return o.Window != nil }
 
-// IsStateful is an alias for IsWindowed kept for readability at call sites.
-func (o *Operator) IsStateful() bool { return o.IsWindowed() }
-
 // Validate checks the per-type field invariants.
 func (o *Operator) Validate() error {
 	switch o.Type {
