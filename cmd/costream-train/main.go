@@ -53,7 +53,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "random seed")
 		note       = flag.String("note", "", "free-form provenance note stored in the artifact")
 		verbose    = flag.Bool("v", false, "log per-epoch losses")
-		workers    = flag.Int("workers", 0, "training-worker budget: the most fits and per-batch workers running at once, shared out among the fits (0 = GOMAXPROCS); trained weights are identical for any value")
+		workers    = flag.Int("workers", 0, "training budget: the most fits (metric, ensemble member) training at once (0 = GOMAXPROCS); trained weights are identical for any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		runlogPath = flag.String("runlog", "", "append one JSON line per training epoch (metric, member, epoch, losses, duration) to this file")
 		pprofAddr  = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")

@@ -3,6 +3,8 @@ package costream
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -119,6 +121,29 @@ func TestTrainModelValidation(t *testing.T) {
 	}
 	if _, err := TrainModel(&Corpus{}, DefaultTrainOptions()); err == nil {
 		t.Error("empty corpus accepted")
+	}
+	// Options that used to return the random initial weights, or train at
+	// another width than asked, without an error. A rate of 1e300 is
+	// finite but makes every epoch's loss NaN.
+	c, err := GenerateCorpus(40, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		mutate func(*TrainOptions)
+		want   string
+	}{
+		"NaN rate":        {func(o *TrainOptions) { o.LearningRate = math.NaN() }, "LR NaN"},
+		"infinite rate":   {func(o *TrainOptions) { o.LearningRate = math.Inf(1) }, "LR +Inf"},
+		"diverging rate":  {func(o *TrainOptions) { o.LearningRate = 1e300 }, "reached a finite loss"},
+		"negative hidden": {func(o *TrainOptions) { o.Hidden = -1 }, "Hidden -1"},
+	} {
+		opts := DefaultTrainOptions()
+		opts.Epochs, opts.EnsembleSize, opts.Hidden = 2, 1, 8
+		tc.mutate(&opts)
+		if _, err := TrainModel(c, opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+		}
 	}
 }
 

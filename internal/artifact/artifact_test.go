@@ -172,7 +172,7 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 	}
 	train, val, _ := corp.Split(0.8, 0.2, 7)
 	cfg := core.DefaultTrainConfig(7)
-	cfg.Epochs, cfg.Patience, cfg.Hidden, cfg.BatchSize, cfg.Workers = 3, 0, 12, 8, 1
+	cfg.Epochs, cfg.Patience, cfg.Hidden, cfg.BatchSize = 3, 0, 12, 8
 	pred, err := core.TrainPredictor(train, val, core.PredictorConfig{Train: cfg, EnsembleSize: 2})
 	if err != nil {
 		t.Fatal(err)

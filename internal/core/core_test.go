@@ -339,6 +339,28 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestTrainPredictorRejectsRepeatedMetric: a metric named twice used to
+// train its ensemble twice and keep the second. Both entry points refuse
+// it, naming the metric.
+func TestTrainPredictorRejectsRepeatedMetric(t *testing.T) {
+	c := subCorpus(t, 20)
+	cfg := fastTrainConfig(1)
+	cfg.Epochs = 1
+	cfg.Hidden = 8
+	pc := PredictorConfig{Train: cfg, EnsembleSize: 1, Metrics: []Metric{MetricThroughput, MetricSuccess, MetricThroughput}}
+	const want = "core: metric throughput requested twice"
+	if _, err := TrainPredictor(c, nil, pc); err == nil || err.Error() != want {
+		t.Errorf("TrainPredictor: error %v, want %q", err, want)
+	}
+	idx := make([]int, len(c.Traces))
+	for i := range idx {
+		idx[i] = i
+	}
+	if _, err := TrainPredictorSource(c, idx, nil, pc); err == nil || err.Error() != want {
+		t.Errorf("TrainPredictorSource: error %v, want %q", err, want)
+	}
+}
+
 // TestFineTuneRejectsBadConfig: FineTune reaches fit without passing
 // through Train, and fit is where the config is checked. A zero batch
 // size used to index an empty slot list, zero epochs trained nothing
@@ -359,6 +381,7 @@ func TestFineTuneRejectsBadConfig(t *testing.T) {
 		"zero batch size": func(c *TrainConfig) { c.BatchSize = 0 },
 		"zero epochs":     func(c *TrainConfig) { c.Epochs = 0 },
 		"negative rate":   func(c *TrainConfig) { c.LR = -1e-3 },
+		"NaN rate":        func(c *TrainConfig) { c.LR = math.NaN() },
 	} {
 		bad := cfg
 		mutate(&bad)

@@ -67,11 +67,31 @@ type PredictorConfig struct {
 // is featurized once; the graphs are shared, read-only, by all metrics
 // and ensemble members.
 func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	trainRecs, valRecs, err := featurizeSplit(cfg.Train.Mode, train, val)
 	if err != nil {
 		return nil, err
 	}
 	return trainPredictorFromRecords(trainRecs, valRecs, cfg)
+}
+
+// validate refuses, before any trace is featurized, a training config no
+// fit can train with and a metric named twice, whose second ensemble
+// would silently replace the first.
+func (cfg *PredictorConfig) validate() error {
+	if err := cfg.Train.validate(); err != nil {
+		return err
+	}
+	seen := map[Metric]bool{}
+	for _, m := range cfg.Metrics {
+		if seen[m] {
+			return fmt.Errorf("core: metric %v requested twice", m)
+		}
+		seen[m] = true
+	}
+	return nil
 }
 
 // trainPredictorFromRecords is the shared tail of TrainPredictor and
@@ -80,15 +100,12 @@ func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor
 //
 // Each fit is one job; member i of a metric is seeded cfg.Train.Seed +
 // 7919·i. min(jobs, budget) runners pull the jobs in a fixed order,
-// largest training set first, and with cfg.Train.Workers <= 0 each fit
-// gets an equal share of the budget as its per-batch workers — one worker
-// per fit once the fits fill the budget, so a fit spawns no per-batch
-// goroutines and every core stays busy through its own fit's serial
-// optimizer step. A fit's weights do not depend on its worker count, so
-// neither the budget nor the schedule moves a bit. Once a fit fails the
-// runners take no new jobs, and the error returned is that of the first
-// failing job in pull order: every earlier job was already taken, so it
-// is the same error on every run.
+// largest training set first, and each runs its fit on its own goroutine,
+// so every core stays busy through its own fit's serial optimizer step.
+// A fit's weights depend on neither the budget nor the schedule. Once a
+// fit fails the runners take no new jobs, and the error returned is that
+// of the first failing job in pull order: every earlier job was already
+// taken, so it is the same error on every run.
 func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
 	k := cfg.EnsembleSize
 	if k <= 0 {
@@ -116,12 +133,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 	// Largest training set first, so the fits that start last are short.
 	sort.SliceStable(jobs, func(a, b int) bool { return len(jobs[a].train) > len(jobs[b].train) })
 
-	budget := trainBudgetSize()
-	runners := max(1, min(len(jobs), budget))
-	base := cfg.Train
-	if base.Workers <= 0 {
-		base.Workers = max(1, budget/runners)
-	}
+	runners := max(1, min(len(jobs), trainBudgetSize()))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -135,8 +147,8 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 					return
 				}
 				job := &jobs[n]
-				c := base
-				c.Seed = base.Seed + int64(job.member)*7919
+				c := cfg.Train
+				c.Seed += int64(job.member) * 7919
 				c.Member = job.member
 				// fit shuffles its training slice in place; the graphs
 				// behind the copies stay shared and read-only.

@@ -114,7 +114,10 @@ func (m Metric) SetRaw(c *placement.PredCosts, raw float64) {
 	}
 }
 
-// TrainConfig controls model training.
+// TrainConfig controls model training. Each fit — the one model of a
+// Train or FineTune call, or one (metric, member) of TrainPredictor —
+// runs its minibatches on one goroutine and holds one token of the
+// process-wide training budget (SetTrainBudget) for its whole run.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
@@ -123,18 +126,6 @@ type TrainConfig struct {
 	// Patience is the early-stopping patience in epochs on the
 	// validation loss; 0 disables early stopping.
 	Patience int
-	// Workers bounds the data-parallel training workers per model.
-	// <= 0 selects GOMAXPROCS for a single Train or FineTune, and for
-	// TrainPredictor an equal share of the training budget among the
-	// fits it runs at once — one worker per fit once the fits fill the
-	// budget (see SetTrainBudget). The trained weights are bit-identical
-	// for every Workers value: minibatches are partitioned into a fixed
-	// set of gradient chunks that are accumulated and reduced in a
-	// worker-independent order (see fit). Gradient work tops out at the
-	// chunk count (8) per model, while validation passes shard up to the
-	// full Workers value. Actual concurrency is additionally capped by
-	// the process-wide SetTrainBudget semaphore.
-	Workers int
 	// Hidden overrides the GNN hidden width (0 = default).
 	Hidden int
 	// Mode selects the featurization (Exp 7a ablation).
@@ -172,12 +163,12 @@ type EpochStats struct {
 	// DurationNS is the wall time of the epoch (gradient passes plus
 	// validation).
 	DurationNS int64 `json:"duration_ns"`
-	// GradNS, ReduceNS, StepNS and ValNS split DurationNS by stage: the
-	// slots' forward and backward passes (summed over the workers that ran
-	// them, so above wall time when they overlap), the gradient
-	// reduction, the optimizer step with the training-mirror refresh, and
-	// the validation pass. Each is clocked once per batch or slot, never
-	// per sample.
+	// GradNS, ReduceNS, StepNS and ValNS partition DurationNS by stage:
+	// the chunks' forward and backward passes, folding the gradient
+	// shadow into the optimizer's buffers, the optimizer step with the
+	// training-mirror refresh, and the validation pass. Each is clocked
+	// once per chunk or batch, never per sample; only the shuffle and the
+	// epoch's bookkeeping fall outside them.
 	GradNS   int64 `json:"grad_ns"`
 	ReduceNS int64 `json:"reduce_ns"`
 	StepNS   int64 `json:"step_ns"`
@@ -238,147 +229,71 @@ func sampleLoss(net *gnn.Model, metric Metric, t *nn.Tape, sc *gnn.Scratch, s sa
 	return l, nil
 }
 
-// trainWorker owns the reusable per-goroutine state of the data-parallel
-// training loop: a training tape arena, an inference tape for validation
+// tapes holds the reusable tape state of one fit (or one pooled
+// prediction): a training tape arena, an inference tape for validation
 // passes (no gradient buffers), and the GNN scratch. Steady-state, a
-// worker processes a sample without heap allocations.
-type trainWorker struct {
+// sample runs through them without heap allocations.
+type tapes struct {
 	tape    *nn.Tape
 	itape   *nn.Tape
 	scratch *gnn.Scratch
 }
 
-func newTrainWorker() *trainWorker {
-	return &trainWorker{tape: nn.NewTape(), itape: nn.NewInferenceTape(), scratch: gnn.NewScratch()}
+func newTapes() *tapes {
+	return &tapes{tape: nn.NewTape(), itape: nn.NewInferenceTape(), scratch: gnn.NewScratch()}
 }
 
-// maxGradSlots is the fixed number of gradient-reduction chunks a
-// minibatch is partitioned into. The partition depends only on the batch
-// size — never on the worker count — so the summation tree, and with it
-// the trained weights, are identical for any TrainConfig.Workers value.
-// Eight chunks bound the per-batch reduction traffic (one pass over the
-// parameters per chunk) while still feeding eight-way parallelism per
-// model; a predictor parallelizes further across its (metric, member)
-// fits under the shared training budget.
-const maxGradSlots = 8
+// maxGradChunks bounds the stride chunks a minibatch is partitioned
+// into: with C = min(maxGradChunks, batch size) chunks, chunk c holds
+// samples c, c+C, c+2C, ... Each chunk sums its samples' gradients from
+// zero and the chunk sums are added in chunk order, so the partition
+// fixes the summation order and with it the trained weight bits that
+// TestTrainWeightsGolden pins.
+const maxGradChunks = 8
 
-// gradSlot is one reduction chunk's private gradient accumulator: a
-// weight-sharing shadow of the model whose gradient buffers belong to
-// this chunk alone (chunk 0's "shadow" is the model itself, so its
-// gradients land in the optimizer's buffers without a copy). Chunk c of
-// a batch always holds samples c, c+C, c+2C, ... (C = chunk count),
-// processed in that order, and the chunks are reduced in index order no
-// matter which worker ran them.
-type gradSlot struct {
-	net   *gnn.Model
-	grads [][]float64
-	timed bool // clock runSlot into ns (set when an Observer listens)
-	loss  float64
-	ns    int64
-	err   error
-}
-
-// runSlot processes one reduction chunk: for each of the chunk's samples
-// it resets the worker's tape arena, records forward + loss, and
-// backpropagates into the chunk's gradient buffers (left zeroed by the
-// previous reduceSlots). inv is the 1/batch-size averaging factor;
-// nSlots the batch's chunk count.
-func (w *trainWorker) runSlot(slot *gradSlot, idx, nSlots int, metric Metric, batch []sample, inv float64) {
-	tok := acquireTrainToken()
-	defer releaseTrainToken(tok)
-	slot.loss, slot.err = 0, nil
-	var t0 time.Time
-	if slot.timed {
-		t0 = time.Now()
-	}
-	for j := idx; j < len(batch); j += nSlots {
-		w.tape.Reset()
-		l, err := sampleLoss(slot.net, metric, w.tape, w.scratch, batch[j])
-		if err != nil {
-			slot.err = err
-			return
-		}
-		// Average gradients over the batch.
-		l = w.tape.Scale(l, inv)
-		slot.loss += l.Data[0]
-		w.tape.Backward(l)
-	}
-	if slot.timed {
-		slot.ns = time.Since(t0).Nanoseconds()
-	}
-}
-
-// shard runs fn(worker index, element index) for indices 0..n-1, strided
-// across the workers. With one worker it degenerates to a plain loop.
-func shard(workers int, n int, fn func(w, j int)) {
-	if workers == 1 || n <= 1 {
-		for j := 0; j < n; j++ {
-			fn(0, j)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := w; j < n; j += workers {
-				fn(w, j)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// meanLoss computes the mean loss over the samples on inference tapes (no
-// gradient buffers, no backward records), sharded across the workers.
-// Per-sample losses are summed in sample-index order, so the result is
-// independent of the worker count.
-func meanLoss(cm *CostModel, samples []sample, workers []*trainWorker) (float64, error) {
-	if len(samples) == 0 {
-		return 0, nil
-	}
-	losses := make([]float64, len(samples))
-	errs := make([]error, len(workers))
-	shard(len(workers), len(samples), func(w, j int) {
-		if errs[w] != nil {
-			return
-		}
-		tok := acquireTrainToken()
-		defer releaseTrainToken(tok)
-		wk := workers[w]
-		wk.itape.Reset()
-		l, err := sampleLoss(cm.Net, cm.Metric, wk.itape, wk.scratch, samples[j])
-		if err != nil {
-			errs[w] = err
-			return
-		}
-		losses[j] = l.Data[0]
-	})
-	for _, err := range errs {
+// runChunk processes chunk c of a batch split into chunks stride chunks:
+// for each of the chunk's samples it resets the training tape, records
+// forward + loss through net (the model itself, or the fit's gradient
+// shadow) and backpropagates into net's gradient buffers. inv is the
+// 1/batch-size averaging factor. It returns the chunk's summed loss.
+func (tp *tapes) runChunk(net *gnn.Model, metric Metric, batch []sample, c, chunks int, inv float64) (float64, error) {
+	var loss float64
+	for j := c; j < len(batch); j += chunks {
+		tp.tape.Reset()
+		l, err := sampleLoss(net, metric, tp.tape, tp.scratch, batch[j])
 		if err != nil {
 			return 0, err
 		}
+		// Average gradients over the batch.
+		l = tp.tape.Scale(l, inv)
+		loss += l.Data[0]
+		tp.tape.Backward(l)
 	}
-	var sum float64
-	for _, l := range losses {
-		sum += l
-	}
-	return sum / float64(len(samples)), nil
+	return loss, nil
 }
 
-// reduceSlots folds the shadow slots' gradients into dst in slot (=
-// sample) order, consuming them: every slot buffer is left zeroed for the
-// next batch. dst already holds chunk 0's gradients — the model's own
-// buffers, which fit zeroes after each optimizer step. Because each
-// parameter receives contributions strictly in slot order, the reduction
-// is bit-identical no matter which workers filled the slots.
-func reduceSlots(dst [][]float64, slots []*gradSlot) {
+// foldGrads adds the shadow gradients src into dst, group by group, and
+// leaves src zeroed for the next chunk (see nn.AddAndClear).
+func foldGrads(dst, src [][]float64) {
 	for k, d := range dst {
-		for _, sl := range slots {
-			nn.AddAndClear(d, sl.grads[k])
-		}
+		nn.AddAndClear(d, src[k])
 	}
+}
+
+// meanLoss computes the mean loss over the samples on the inference tape
+// (no gradient buffers, no backward records), summing the per-sample
+// losses in sample order.
+func meanLoss(cm *CostModel, samples []sample, tp *tapes) (float64, error) {
+	var sum float64
+	for _, s := range samples {
+		tp.itape.Reset()
+		l, err := sampleLoss(cm.Net, cm.Metric, tp.itape, tp.scratch, s)
+		if err != nil {
+			return 0, err
+		}
+		sum += l.Data[0]
+	}
+	return sum / float64(len(samples)), nil
 }
 
 // Train trains a COSTREAM model for the metric on the training corpus,
@@ -436,66 +351,65 @@ func (c *stageClock) lap(ns *int64) {
 	}
 }
 
-// fit runs the minibatch Adam loop with optional early stopping.
+// validate refuses a config no fit can train with, naming the field.
+func (cfg *TrainConfig) validate() error {
+	switch {
+	case cfg.Epochs <= 0:
+		return fmt.Errorf("core: training config: Epochs %d, want > 0", cfg.Epochs)
+	case cfg.BatchSize <= 0:
+		return fmt.Errorf("core: training config: BatchSize %d, want > 0", cfg.BatchSize)
+	case !(cfg.LR > 0) || math.IsInf(cfg.LR, 1):
+		return fmt.Errorf("core: training config: LR %v, want a finite rate > 0", cfg.LR)
+	case cfg.Hidden < 0:
+		return fmt.Errorf("core: training config: Hidden %d, want >= 0 (0 = default)", cfg.Hidden)
+	}
+	return nil
+}
+
+// fit runs the minibatch Adam loop with optional early stopping, on the
+// calling goroutine and under one training-budget token.
 //
-// Minibatches are data-parallel: each batch is partitioned into a fixed
-// number of stride chunks (maxGradSlots), every chunk accumulates its
-// samples' gradients into a private buffer in sample order — chunk 0
-// into the optimizer's own buffers, the others into shadows — and the
-// shadows are reduced into the optimizer's buffers in chunk order before
-// every Adam step. The partition and both orders depend only on the
-// batch — never on cfg.Workers — so the trained weights are bit-identical
-// for any worker count.
+// Each batch is partitioned into stride chunks (maxGradChunks) that run
+// in chunk order: chunk 0 accumulates its samples' gradients into the
+// optimizer's own buffers, and every later chunk into the fit's one
+// gradient shadow, which is folded into the optimizer's buffers right
+// after the chunk. Every gradient element thus receives the chunk sums
+// in chunk order before the Adam step.
 //
 // Where the AVX kernels are available the affine forward, the layer
-// backward, the reduction and the Adam update run on them, bit for bit
-// like the Go loops (see internal/nn): the forward needs each layer's
-// weights transposed, a mirror that exists only for the duration of fit
-// and is refreshed after every step.
+// backward, the fold and the Adam update run on them, bit for bit like
+// the Go loops (see internal/nn): the forward needs each layer's weights
+// transposed, a mirror that exists only for the duration of fit and is
+// refreshed after every step.
+//
+// A fit in which no epoch reaches a finite monitored loss fails: its
+// restore point would be the weights it started from.
 func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) error {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
-		return fmt.Errorf("core: invalid training config %+v", cfg)
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	if len(trainSamples) == 0 {
 		return fmt.Errorf("core: no usable training traces for %v", cm.Metric)
 	}
+	tok := acquireTrainToken()
+	defer releaseTrainToken(tok)
 	params, grads := cm.Net.Params()
 	opt := nn.NewAdam(cfg.LR, params, grads)
 	opt.ZeroGrads() // chunk 0 accumulates into grads; start from nothing
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
-	nSlots := min(maxGradSlots, cfg.BatchSize, len(trainSamples))
-	nw := cfg.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	// Gradient workers are capped by the chunk count; validation has no
-	// reduction and may use the full worker allowance, so size the pool
-	// for whichever is larger.
-	nwFit := min(nw, nSlots)
-	if len(valSamples) == 0 {
-		nw = nwFit
-	}
-	workers := make([]*trainWorker, nw)
-	for i := range workers {
-		workers[i] = newTrainWorker()
-	}
-	// Mirrors first: the shadows made next share them like the weights.
+	tp := newTapes()
+	// Mirrors first: the shadow made next shares them like the weights.
 	cm.Net.RefreshMirrors()
 	defer cm.Net.DropMirrors()
-	timed := cfg.Observer != nil
-	slots := make([]*gradSlot, nSlots)
-	slots[0] = &gradSlot{net: cm.Net, grads: grads, timed: timed}
-	for i := 1; i < nSlots; i++ {
-		shadow := cm.Net.GradShadow()
-		_, sg := shadow.Params()
-		slots[i] = &gradSlot{net: shadow, grads: sg, timed: timed}
-	}
+	shadow := cm.Net.GradShadow()
+	_, shadowGrads := shadow.Params()
 
 	best := math.Inf(1)
 	bestParams := snapshot(params)
 	badEpochs := 0
 	var ms runtime.MemStats
+	timed := cfg.Observer != nil
 	clk := stageClock{on: timed}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		stats := EpochStats{Metric: cm.Metric.String(), Member: cfg.Member, Epoch: epoch}
@@ -509,25 +423,29 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 		rng.Shuffle(len(trainSamples), func(i, j int) {
 			trainSamples[i], trainSamples[j] = trainSamples[j], trainSamples[i]
 		})
+		clk.start()
 		var epochLoss float64
 		for start := 0; start < len(trainSamples); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(trainSamples))
 			batch := trainSamples[start:end]
 			inv := 1 / float64(len(batch))
-			live := min(nSlots, len(batch))
-			shard(nwFit, live, func(w, c int) {
-				workers[w].runSlot(slots[c], c, live, cm.Metric, batch, inv)
-			})
-			for _, slot := range slots[:live] {
-				if slot.err != nil {
-					return slot.err
+			chunks := min(maxGradChunks, len(batch))
+			for c := range chunks {
+				net := cm.Net
+				if c > 0 {
+					net = shadow
 				}
-				epochLoss += slot.loss
-				stats.GradNS += slot.ns
+				loss, err := tp.runChunk(net, cm.Metric, batch, c, chunks, inv)
+				if err != nil {
+					return err
+				}
+				epochLoss += loss
+				clk.lap(&stats.GradNS)
+				if c > 0 {
+					foldGrads(grads, shadowGrads)
+					clk.lap(&stats.ReduceNS)
+				}
 			}
-			clk.start()
-			reduceSlots(grads, slots[1:live])
-			clk.lap(&stats.ReduceNS)
 			opt.Step()
 			opt.ZeroGrads()
 			cm.Net.RefreshMirrors()
@@ -537,8 +455,7 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 		stats.ValLoss = stats.TrainLoss
 		stats.HasVal = len(valSamples) > 0
 		if stats.HasVal {
-			clk.start()
-			vl, err := meanLoss(cm, valSamples, workers)
+			vl, err := meanLoss(cm, valSamples, tp)
 			if err != nil {
 				return err
 			}
@@ -567,6 +484,9 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 		}
 	}
 	restore(params, bestParams)
+	if math.IsInf(best, 1) {
+		return fmt.Errorf("core: no epoch of %v reached a finite loss", cm.Metric)
+	}
 	return nil
 }
 
@@ -616,10 +536,10 @@ func (cm *CostModel) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if err != nil {
 		return 0, err
 	}
-	w := predictPool.Get().(*trainWorker)
-	defer predictPool.Put(w)
-	w.itape.Reset()
-	out, err := cm.Net.ForwardPlanned(w.itape, g, plan, w.scratch)
+	tp := predictPool.Get().(*tapes)
+	defer predictPool.Put(tp)
+	tp.itape.Reset()
+	out, err := cm.Net.ForwardPlanned(tp.itape, g, plan, tp.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -627,8 +547,8 @@ func (cm *CostModel) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Plac
 }
 
 // predictPool lends single-model predictions the inference tape and GNN
-// scratch of a worker like meanLoss's.
-var predictPool = sync.Pool{New: func() any { return newTrainWorker() }}
+// scratch of a fit's tapes, as meanLoss uses them.
+var predictPool = sync.Pool{New: func() any { return newTapes() }}
 
 // headTransform maps the network's raw output into metric space.
 func (cm *CostModel) headTransform(out float64) float64 {

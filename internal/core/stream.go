@@ -156,6 +156,9 @@ func samplesFromRecords(recs []record, metric Metric) []sample {
 // streaming pass. Weights are bit-identical to TrainPredictor(train, val,
 // cfg) over the equivalent materialized split.
 func TrainPredictorSource(src dataset.Source, trainIdx, valIdx []int, cfg PredictorConfig) (*Predictor, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	feat := Featurizer{Mode: cfg.Train.Mode}
 	recs, err := featurizeSource(&feat, src, trainIdx, valIdx)
 	if err != nil {

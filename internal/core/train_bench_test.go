@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -28,45 +26,38 @@ func trainBenchSetup(b *testing.B) []sample {
 	return tbSamples
 }
 
-// BenchmarkTrainEpoch measures one full training epoch (minibatch Adam
-// over every sample, forward + backward on the tape arena) of the
-// data-parallel fit loop at different worker counts. The trained weights
-// are bit-identical across all variants; the wall-clock gap is the value
-// of sharding minibatches across cores. allocs/op stays near-flat with
-// sample count: the steady-state tape path allocates nothing.
+// BenchmarkTrainEpoch measures one full training epoch of a fit
+// (minibatch Adam over every sample, forward + backward on the tape
+// arena, one gradient shadow folded after every chunk). allocs/op stays
+// near-flat with sample count: the steady-state tape path allocates
+// nothing.
 func BenchmarkTrainEpoch(b *testing.B) {
 	samples := trainBenchSetup(b)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := DefaultTrainConfig(42)
-			cfg.Epochs = 1
-			cfg.Patience = 0
-			cfg.Hidden = 24
-			cfg.Workers = workers
-			gcfg := gnn.DefaultConfig(tbFeat.FeatDims())
-			gcfg.Hidden = cfg.Hidden
-			net, err := gnn.New(gcfg, cfg.Seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cm := &CostModel{Metric: MetricE2ELatency, Feat: tbFeat, Net: net}
-			// fit shuffles its sample slice in place; give every variant
-			// its own copy so the shared fixture (and the cross-variant
-			// weight identity) survives.
-			local := append([]sample(nil), samples...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cm.fit(local, nil, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := DefaultTrainConfig(42)
+	cfg.Epochs = 1
+	cfg.Patience = 0
+	cfg.Hidden = 24
+	gcfg := gnn.DefaultConfig(tbFeat.FeatDims())
+	gcfg.Hidden = cfg.Hidden
+	net, err := gnn.New(gcfg, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm := &CostModel{Metric: MetricE2ELatency, Feat: tbFeat, Net: net}
+	// fit shuffles its sample slice in place; keep the shared fixture in
+	// its original order for the other benchmarks.
+	local := append([]sample(nil), samples...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cm.fit(local, nil, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkMeanLoss measures the validation pass (inference tapes, no
-// gradient bookkeeping) serial vs sharded.
+// BenchmarkMeanLoss measures the validation pass (inference tape, no
+// gradient bookkeeping).
 func BenchmarkMeanLoss(b *testing.B) {
 	samples := trainBenchSetup(b)
 	gcfg := gnn.DefaultConfig(tbFeat.FeatDims())
@@ -76,32 +67,12 @@ func BenchmarkMeanLoss(b *testing.B) {
 		b.Fatal(err)
 	}
 	cm := &CostModel{Metric: MetricE2ELatency, Feat: tbFeat, Net: net}
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ws := make([]*trainWorker, workers)
-			for i := range ws {
-				ws[i] = newTrainWorker()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := meanLoss(cm, samples, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchWorkerCounts compares serial against the machine's parallelism
-// (and a fixed 8 for cross-machine comparability when they differ).
-func benchWorkerCounts() []int {
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		if n != 8 {
-			counts = append(counts, n)
+	tp := newTapes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := meanLoss(cm, samples, tp); err != nil {
+			b.Fatal(err)
 		}
-		counts = append(counts, 8)
 	}
-	return counts
 }

@@ -4,17 +4,19 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
 )
 
-// subCorpus slices the shared test corpus so the parallel-training tests
-// stay fast (also under -race).
+// subCorpus slices the shared test corpus so the training tests stay
+// fast (also under -race).
 func subCorpus(t testing.TB, n int) *dataset.Corpus {
 	c := testCorpus(t)
 	if len(c.Traces) < n {
@@ -23,7 +25,7 @@ func subCorpus(t testing.TB, n int) *dataset.Corpus {
 	return &dataset.Corpus{Traces: c.Traces[:n]}
 }
 
-func trainedParams(t *testing.T, metric Metric, workers int) [][]float64 {
+func trainedParams(t *testing.T, metric Metric) [][]float64 {
 	t.Helper()
 	c := subCorpus(t, 120)
 	train, val, _ := c.Split(0.8, 0.2, 7)
@@ -32,7 +34,6 @@ func trainedParams(t *testing.T, metric Metric, workers int) [][]float64 {
 	cfg.Patience = 0
 	cfg.Hidden = 12
 	cfg.BatchSize = 8
-	cfg.Workers = workers
 	cm, err := Train(train, val, metric, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,34 +42,10 @@ func trainedParams(t *testing.T, metric Metric, workers int) [][]float64 {
 	return snapshot(params)
 }
 
-// TestTrainWorkerCountInvariance is the determinism contract of the
-// data-parallel training engine: the trained weights must be bit-identical
-// for every Workers value, for both loss heads. The CI -race run of this
-// test also exercises the concurrent batch path for data races.
-func TestTrainWorkerCountInvariance(t *testing.T) {
-	for _, metric := range []Metric{MetricE2ELatency, MetricSuccess} {
-		ref := trainedParams(t, metric, 1)
-		for _, workers := range []int{2, 8} {
-			got := trainedParams(t, metric, workers)
-			if len(got) != len(ref) {
-				t.Fatalf("%v: param group count %d != %d", metric, len(got), len(ref))
-			}
-			for k := range ref {
-				for i := range ref[k] {
-					if got[k][i] != ref[k][i] {
-						t.Fatalf("%v: workers=%d param %d[%d] = %v, want %v (workers=1)",
-							metric, workers, k, i, got[k][i], ref[k][i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestTrainEpochSteadyStateAllocs pins the arena guarantee on the real
-// training path: once tapes, scratch, slot shadows and training mirrors
-// are warm, a batch (forward + loss + backward on the full GNN per
-// sample, then the slot reduction and the mirror refresh) performs zero
+// training path: once tapes, scratch, the gradient shadow and training
+// mirrors are warm, a batch (forward + loss + backward on the full GNN
+// per sample, then the shadow fold and the mirror refresh) performs zero
 // heap allocations.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
@@ -84,64 +61,26 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newTrainWorker()
+	tp := newTapes()
 	net.RefreshMirrors()
 	defer net.DropMirrors()
 	_, grads := net.Params()
 	shadow := net.GradShadow()
 	_, sg := shadow.Params()
-	slot := &gradSlot{net: shadow, grads: sg}
 
 	step := func() {
-		// One chunk spanning all samples, on a shadow as chunks 1..7 of a
-		// real batch are, then what fit does between batches.
-		w.runSlot(slot, 0, 1, MetricE2ELatency, samples, 0.25)
-		if slot.err != nil {
-			t.Fatal(slot.err)
+		// One chunk spanning all samples, on the shadow as chunks 1..7 of
+		// a real batch are, then what fit does between batches.
+		if _, err := tp.runChunk(shadow, MetricE2ELatency, samples, 0, 1, 0.25); err != nil {
+			t.Fatal(err)
 		}
-		reduceSlots(grads, []*gradSlot{slot})
+		foldGrads(grads, sg)
 		net.RefreshMirrors()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
 	step()
 	if avg := testing.AllocsPerRun(20, step); avg > 0 {
 		t.Errorf("steady-state allocs per %d-sample batch = %v, want 0", len(samples), avg)
-	}
-}
-
-// TestMeanLossWorkerCountInvariance checks the parallel validation pass:
-// identical result for any worker count, and identical to what the value
-// was under the serial implementation (plain mean in sample order).
-func TestMeanLossWorkerCountInvariance(t *testing.T) {
-	c := subCorpus(t, 80)
-	cfg := fastTrainConfig(3)
-	cfg.Epochs = 2
-	cfg.Workers = 2
-	train, val, _ := c.Split(0.7, 0.3, 3)
-	cm, err := Train(train, nil, MetricThroughput, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valSamples := metricSamples(t, &cm.Feat, val, cm.Metric)
-	mk := func(n int) []*trainWorker {
-		ws := make([]*trainWorker, n)
-		for i := range ws {
-			ws[i] = newTrainWorker()
-		}
-		return ws
-	}
-	ref, err := meanLoss(cm, valSamples, mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{3, 8} {
-		got, err := meanLoss(cm, valSamples, mk(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ref {
-			t.Fatalf("meanLoss with %d workers = %v, want %v", n, got, ref)
-		}
 	}
 }
 
@@ -156,18 +95,18 @@ func TestSetTrainBudget(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.Patience = 0
 	cfg.Hidden = 8
-	cfg.Workers = 4
 	if _, err := Train(train, nil, MetricProcLatency, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReduceSlotsOrderAndClear checks the gradient reduction against the
-// plain loop it replaced: destination = its own contents (chunk 0) plus
-// the shadows in slot order, element by element, and every shadow left
+// TestFoldGradsOrderAndClear checks the shadow fold against the plain
+// loop the many-shadow reduction used to be: folding chunk after chunk
+// leaves the destination at its own contents (chunk 0) plus the chunks
+// in order, element by element, and every fold leaves the shadow
 // all-zero. Odd lengths reach the vector kernel's tails; magnitudes
 // spread over many binades make the sum order visible in the bits.
-func TestReduceSlotsOrderAndClear(t *testing.T) {
+func TestFoldGradsOrderAndClear(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	lengths := []int{1, 3, 7, 17, 33, 129}
 	fill := func() [][]float64 {
@@ -180,30 +119,25 @@ func TestReduceSlotsOrderAndClear(t *testing.T) {
 		}
 		return gs
 	}
-	for nShadows := 0; nShadows <= maxGradSlots-1; nShadows++ {
-		dst := fill()
-		want := snapshot(dst)
-		slots := make([]*gradSlot, nShadows)
-		for s := range slots {
-			slots[s] = &gradSlot{grads: fill()}
-			for k := range want {
-				for i, v := range slots[s].grads[k] {
-					want[k][i] += v
-				}
+	dst := fill()
+	want := snapshot(dst)
+	for c := 1; c < maxGradChunks; c++ {
+		shadow := fill()
+		for k := range want {
+			for i, v := range shadow[k] {
+				want[k][i] += v
 			}
 		}
-		reduceSlots(dst, slots)
+		foldGrads(dst, shadow)
 		for k := range want {
 			for i := range want[k] {
 				if math.Float64bits(dst[k][i]) != math.Float64bits(want[k][i]) {
-					t.Fatalf("%d shadows: dst %d[%d] = %v, want %v", nShadows, k, i, dst[k][i], want[k][i])
+					t.Fatalf("chunk %d: dst %d[%d] = %v, want %v", c, k, i, dst[k][i], want[k][i])
 				}
 			}
-			for s, sl := range slots {
-				for i, v := range sl.grads[k] {
-					if math.Float64bits(v) != 0 {
-						t.Fatalf("%d shadows: slot %d group %d[%d] = %v after the reduction, want +0", nShadows, s+1, k, i, v)
-					}
+			for i, v := range shadow[k] {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("chunk %d: shadow %d[%d] = %v after the fold, want +0", c, k, i, v)
 				}
 			}
 		}
@@ -240,50 +174,93 @@ func TestTrainWeightsGolden(t *testing.T) {
 		MetricSuccess:    "e3beb9bfdb0166b218a00bd22edbd3fa6a1137ecf41bfaad2983e6469b1d8a44",
 	}
 	for _, metric := range []Metric{MetricE2ELatency, MetricSuccess} {
-		if got := weightDigest(trainedParams(t, metric, 1)); got != golden[metric] {
+		if got := weightDigest(trainedParams(t, metric)); got != golden[metric] {
 			t.Errorf("%v: weight digest %s, want %s", metric, got, golden[metric])
 		}
 	}
 }
 
-// TestTrainPredictorWeightsGolden pins a whole predictor's weights: the
-// SHA-256 over every (metric, member) model's parameter bits, in metric
-// then member order, of a tiny five-metric, two-member recipe. The digest
-// was recorded while the metrics still trained one after another; it must
-// hold for every training budget and per-fit worker setting, since neither
-// may move a bit.
+// predictorGolden is the SHA-256 over every (metric, member) model's
+// parameter bits, in metric then member order, of predictorDigest's
+// recipe. It was recorded while the metrics still trained one after
+// another.
+const predictorGolden = "1193b0c9a9e9d99a50025d8e2d192ccff0649496cab342395922e4f068a0fdba"
+
+// predictorDigest trains a tiny five-metric, two-member predictor and
+// returns its weight digest.
+func predictorDigest(train, val *dataset.Corpus) (string, error) {
+	cfg := DefaultTrainConfig(7)
+	cfg.Epochs = 2
+	cfg.Patience = 0
+	cfg.Hidden = 8
+	pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: 2})
+	if err != nil {
+		return "", err
+	}
+	var all [][]float64
+	for _, m := range AllMetrics() {
+		if pr[m] == nil || len(pr[m].Models) != 2 {
+			return "", fmt.Errorf("%v ensemble %v, want 2 members", m, pr[m])
+		}
+		for _, cm := range pr[m].Models {
+			params, _ := cm.Net.Params()
+			all = append(all, params...)
+		}
+	}
+	return weightDigest(all), nil
+}
+
+// TestTrainPredictorWeightsGolden pins a whole predictor's weights at
+// every training budget, since the budget may not move a bit.
 func TestTrainPredictorWeightsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digest is recorded on amd64")
 	}
-	const golden = "1193b0c9a9e9d99a50025d8e2d192ccff0649496cab342395922e4f068a0fdba"
 	c := subCorpus(t, 120)
 	train, val, _ := c.Split(0.8, 0.2, 7)
 	defer SetTrainBudget(0)
 	for _, budget := range []int{1, 2, 5} {
-		for _, workers := range []int{0, 3} {
-			SetTrainBudget(budget)
-			cfg := DefaultTrainConfig(7)
-			cfg.Epochs = 2
-			cfg.Patience = 0
-			cfg.Hidden = 8
-			cfg.Workers = workers
-			pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: 2})
-			if err != nil {
-				t.Fatal(err)
+		SetTrainBudget(budget)
+		got, err := predictorDigest(train, val)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if got != predictorGolden {
+			t.Errorf("budget %d: predictor weight digest %s, want %s", budget, got, predictorGolden)
+		}
+	}
+}
+
+// TestTrainPredictorConcurrentGolden runs two predictor trainings at once
+// on one budget, so their fits queue for the same tokens: each must
+// still reproduce the golden weights. Under -race it also checks that
+// fits sharing the samples' graphs and the budget do not race.
+func TestTrainPredictorConcurrentGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digest is recorded on amd64")
+	}
+	c := subCorpus(t, 120)
+	train, val, _ := c.Split(0.8, 0.2, 7)
+	defer SetTrainBudget(0)
+	for _, budget := range []int{1, 2} {
+		SetTrainBudget(budget)
+		var digests [2]string
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range digests {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				digests[i], errs[i] = predictorDigest(train, val)
+			}()
+		}
+		wg.Wait()
+		for i := range digests {
+			if errs[i] != nil {
+				t.Fatalf("budget %d call %d: %v", budget, i, errs[i])
 			}
-			var all [][]float64
-			for _, m := range AllMetrics() {
-				if pr[m] == nil || len(pr[m].Models) != 2 {
-					t.Fatalf("budget %d workers %d: %v ensemble %v, want 2 members", budget, workers, m, pr[m])
-				}
-				for _, cm := range pr[m].Models {
-					params, _ := cm.Net.Params()
-					all = append(all, params...)
-				}
-			}
-			if got := weightDigest(all); got != golden {
-				t.Errorf("budget %d workers %d: predictor weight digest %s, want %s", budget, workers, got, golden)
+			if digests[i] != predictorGolden {
+				t.Errorf("budget %d call %d: predictor weight digest %s, want %s", budget, i, digests[i], predictorGolden)
 			}
 		}
 	}

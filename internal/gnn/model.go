@@ -130,11 +130,12 @@ func (m *Model) eachMLP(fn func(*nn.MLP)) {
 }
 
 // GradShadow returns a model that shares this model's weight slices but
-// owns private zeroed gradient buffers. Shadows let data-parallel
-// training run concurrent backward passes — one shadow per batch slot —
-// without racing on the gradient accumulators; Params on the shadow
-// yields the shared weights paired with the shadow's own gradients, in
-// the same deterministic order as the original.
+// owns private zeroed gradient buffers. A training fit holds one shadow
+// and backpropagates each minibatch chunk after the first into it, so
+// the chunk's gradients sum on their own before they are folded into
+// the optimizer's (see nn.AddAndClear); Params on the shadow yields the
+// shared weights paired with the shadow's own gradients, in the same
+// deterministic order as the original.
 func (m *Model) GradShadow() *Model {
 	s := &Model{
 		cfg: m.cfg,

@@ -53,7 +53,7 @@ func diamondGraph() *Graph {
 	}
 }
 
-// TestGradShadowSharesWeightsOwnsGrads checks the data-parallel gradient
+// TestGradShadowSharesWeightsOwnsGrads checks the training fit's gradient
 // shadow: identical forward values (shared weights), private gradient
 // accumulation, and parameter order aligned with the original model.
 func TestGradShadowSharesWeightsOwnsGrads(t *testing.T) {

@@ -169,9 +169,9 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 
 // GradShadow returns a layer sharing this layer's weight and bias slices
 // (and its training mirror, if one exists right now) but owning fresh
-// zeroed gradient buffers. Data-parallel training gives
-// each batch slot a shadow so concurrent backward passes never write the
-// same accumulator.
+// zeroed gradient buffers. A training fit backpropagates each minibatch
+// chunk after the first into its shadow, so the chunk's gradients sum
+// from zero on their own before being folded into the optimizer's.
 func (l *Linear) GradShadow() *Linear {
 	return &Linear{
 		In: l.In, Out: l.Out,
@@ -246,11 +246,11 @@ func (m *MLP) DropMirror() {
 	}
 }
 
-// AddAndClear adds src into dst element by element and zeroes src: one
-// step of the data-parallel gradient reduction, folding a shadow's
-// gradients into the optimizer's and leaving the shadow ready for the
-// next batch. Each element is one addition, so the AVX kernel and the Go
-// loop give the same bits.
+// AddAndClear adds src into dst element by element and zeroes src: it
+// folds a gradient shadow into the optimizer's gradients after each
+// minibatch chunk and leaves the shadow ready for the next chunk. Each
+// element is one addition, so the AVX kernel and the Go loop give the
+// same bits.
 func AddAndClear(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("nn: AddAndClear length mismatch")
