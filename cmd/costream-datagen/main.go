@@ -44,7 +44,6 @@ func run() error {
 		out      = flag.String("out", "corpus", "output corpus store directory")
 		scenName = flag.String("scenario", "training", "corpus recipe; see -list")
 		duration = flag.Float64("duration", 120, "simulated execution seconds per query")
-		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "split the corpus into this many shards")
 		resume   = flag.Bool("resume", false, "resume an interrupted build: rebuild only missing shards, using the recipe recorded in the manifest")
 		appendN  = flag.Int("append", 0, "grow an existing store by this many traces (implies the manifest's recipe)")
@@ -103,7 +102,6 @@ func run() error {
 		if man.SimDurationS > 0 {
 			cfg.Sim.DurationS = man.SimDurationS
 		}
-		cfg.Parallelism = *workers
 		progress("resuming %s: scenario=%s seed=%d n=%d (+%d) shard-size=%d",
 			*out, man.Scenario, man.Seed, total, *appendN, man.ShardSize)
 		st2, err := dataset.StreamBuild(cfg, dataset.StreamConfig{
@@ -131,7 +129,6 @@ func run() error {
 	if err := cfg.Sim.Validate(); err != nil {
 		return fmt.Errorf("-duration %g: %w", *duration, err)
 	}
-	cfg.Parallelism = *workers
 	st, err := dataset.StreamBuild(cfg, dataset.StreamConfig{
 		Dir:       *out,
 		ShardSize: (*n + *shards - 1) / *shards,

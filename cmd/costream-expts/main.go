@@ -24,15 +24,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("costream-expts: ")
 	var (
-		scale   = flag.Float64("scale", 1.0, "experiment scale factor (corpus sizes, epochs)")
-		md      = flag.String("md", "", "optional path for a Markdown report")
-		quiet   = flag.Bool("q", false, "suppress progress logging")
-		workers = flag.Int("workers", 0, "per-level concurrency bound: experiments at once, and scoring workers within each (0 = GOMAXPROCS)")
+		scale = flag.Float64("scale", 1.0, "experiment scale factor (corpus sizes, epochs)")
+		md    = flag.String("md", "", "optional path for a Markdown report")
+		quiet = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
 
 	s := experiments.NewSuite(*scale)
-	s.Workers = *workers
 	if !*quiet {
 		s.Logf = func(format string, args ...any) { log.Printf(format, args...) }
 	}

@@ -36,7 +36,6 @@ func main() {
 		strategy  = flag.String("strategy", "local-search", "search strategy for the final decision: random | exhaustive | beam | local-search")
 		beamWidth = flag.Int("beam", 8, "beam width for the beam strategy")
 		epochs    = flag.Int("epochs", 25, "training epochs")
-		workers   = flag.Int("workers", 0, "concurrent candidate-scoring workers (0 = GOMAXPROCS)")
 		modelPath = flag.String("model", "", "load a saved model artifact instead of training")
 		saveModel = flag.String("save-model", "", "save the trained model as an artifact for reuse")
 		trace     = flag.Bool("trace", false, "print per-round search telemetry for every strategy")
@@ -132,7 +131,7 @@ func main() {
 		t0 := time.Now()
 		res, err := model.OptimizePlacementSearchCtx(context.Background(), q, cluster, newStrategy(name),
 			costream.MinProcLatency, searchBudget,
-			costream.SearchOpts{Seed: *seed + 3, Workers: *workers, Telemetry: *trace})
+			costream.SearchOpts{Seed: *seed + 3, Telemetry: *trace})
 		if err != nil {
 			fmt.Printf("  %-13s failed: %v\n", name, err)
 			continue

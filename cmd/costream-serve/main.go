@@ -41,7 +41,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "prediction cache entries (negative disables)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrent model evaluations (0 = GOMAXPROCS)")
-		optWorkers  = flag.Int("optimize-workers", 0, "scoring workers per optimize request (0 = GOMAXPROCS)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 		readTO      = flag.Duration("read-timeout", 30*time.Second, "max duration to read one request incl. body (0 disables)")
 		writeTO     = flag.Duration("write-timeout", 2*time.Minute, "max duration to write one response; bounds slow optimize searches (0 disables)")
@@ -77,7 +76,6 @@ func main() {
 		Predictor:       pred,
 		CacheSize:       *cacheSize,
 		MaxInFlight:     *maxInFlight,
-		OptimizeWorkers: *optWorkers,
 		ModelInfo:       prov,
 		Logger:          logger,
 		MaxRequestBytes: *maxBody,

@@ -6,7 +6,7 @@
 // assertions.
 //
 //	costream-sim run scenario.json
-//	costream-sim run -o report.json -workers 4 scenario.json
+//	costream-sim run -o report.json scenario.json
 //	costream-sim run -model model.costream scenario.json
 //
 // The JSON report (stdout, or -o) carries the event timeline, per-query
@@ -35,10 +35,9 @@ func main() {
 	}
 	fs := flag.NewFlagSet("costream-sim run", flag.ExitOnError)
 	var (
-		out     = fs.String("o", "", "write the JSON report here (default stdout)")
-		model   = fs.String("model", "", "trained model artifact to predict costs (default: simulator oracle)")
-		workers = fs.Int("workers", 0, "scoring workers per placement search (0 = GOMAXPROCS)")
-		quiet   = fs.Bool("q", false, "suppress progress logging on stderr")
+		out   = fs.String("o", "", "write the JSON report here (default stdout)")
+		model = fs.String("model", "", "trained model artifact to predict costs (default: simulator oracle)")
+		quiet = fs.Bool("q", false, "suppress progress logging on stderr")
 	)
 	fs.Usage = usage
 	fs.Parse(os.Args[2:])
@@ -46,22 +45,22 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err := run(fs.Arg(0), *out, *model, *workers, *quiet); err != nil {
+	if err := run(fs.Arg(0), *out, *model, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "costream-sim:", err)
 		os.Exit(2)
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: costream-sim run [-o report.json] [-model model.costream] [-workers n] [-q] <scenario.json>`)
+	fmt.Fprintln(os.Stderr, `usage: costream-sim run [-o report.json] [-model model.costream] [-q] <scenario.json>`)
 }
 
-func run(scenarioPath, outPath, modelPath string, workers int, quiet bool) error {
+func run(scenarioPath, outPath, modelPath string, quiet bool) error {
 	sc, err := costream.LoadFleetScenario(scenarioPath)
 	if err != nil {
 		return err
 	}
-	opts := costream.FleetRunOptions{Workers: workers}
+	var opts costream.FleetRunOptions
 	if !quiet {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

@@ -7,7 +7,7 @@
 // -corpus names a corpus store directory. The corpus is streamed — split
 // by index and featurized one trace at a time — so training never
 // materializes the full trace set in memory; the trained weights are
-// bit-identical to training on the same traces in memory.
+// bit-identical to training on the same traces in memory, at any GOMAXPROCS.
 //
 // Usage:
 //
@@ -53,7 +53,6 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "random seed")
 		note       = flag.String("note", "", "free-form provenance note stored in the artifact")
 		verbose    = flag.Bool("v", false, "log per-epoch losses")
-		workers    = flag.Int("workers", 0, "training budget: the most fits (metric, ensemble member) training at once (0 = GOMAXPROCS); trained weights are identical for any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		runlogPath = flag.String("runlog", "", "append one JSON line per training epoch (metric, member, epoch, losses, duration) to this file")
 		pprofAddr  = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
@@ -75,7 +74,6 @@ func run() error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	core.SetTrainBudget(*workers)
 	src, err := dataset.OpenStore(*corpusPath)
 	if err != nil {
 		return err

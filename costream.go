@@ -178,7 +178,7 @@ type (
 	// outcomes.
 	FleetReport = fleet.Report
 	// FleetRunOptions tunes a scenario run (predictor, observation
-	// window, worker bound, progress logging).
+	// window, progress logging).
 	FleetRunOptions = fleet.RunOptions
 	// CostPredictor scores placements during search and recovery;
 	// *Model satisfies it via Model.Predictor.
@@ -364,7 +364,7 @@ func (m *Model) PredictCosts(q *Query, c *Cluster, p Placement) (Costs, error) {
 // PredictCosts calls exactly; a candidate that fails to score fails the
 // call, naming it.
 func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) ([]Costs, error) {
-	costs, errs := placement.Score(context.Background(), m.pred, q, c, candidates, placement.AllCosts, 1)
+	costs, errs := placement.Score(context.Background(), m.pred, q, c, candidates, placement.AllCosts)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("costream: candidate %d: %w", i, err)
@@ -378,9 +378,8 @@ func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) 
 // filters out candidates predicted to fail or backpressure, and returns
 // the one optimizing the objective together with its predicted costs.
 // Candidates are scored in batches by a worker pool sized to GOMAXPROCS.
-// It is the RandomSample strategy under a k-candidate budget; use
-// OptimizePlacementSearchCtx to bound the workers or to run a real search
-// strategy instead of the random sample.
+// It is the RandomSample strategy under a k-candidate budget;
+// OptimizePlacementSearchCtx runs the other search strategies.
 func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, seed int64) (Placement, Costs, error) {
 	res, err := m.OptimizePlacementSearchCtx(context.Background(), q, c, RandomSampleStrategy{}, obj,
 		SearchBudget{MaxCandidates: k}, SearchOpts{Seed: seed})
@@ -395,7 +394,7 @@ func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, se
 // rounds) into a budgeted search core that scores them with the model's
 // batched predictor and returns the best under the objective. A nil
 // strategy selects RandomSampleStrategy. The result is deterministic for
-// a fixed opts.Seed and any opts.Workers (<= 0 selects GOMAXPROCS).
+// a fixed opts.Seed, at any GOMAXPROCS and any opts.Workers.
 // SearchOpts{Telemetry: true} fills SearchResult.Telemetry; collection is
 // purely observational — the chosen placement is identical with it on or
 // off. Cancelling ctx stops the search at the next scoring batch and

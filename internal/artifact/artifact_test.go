@@ -142,8 +142,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			// batch the same placement thrice (exercises the batch path).
 			tr := corp.Traces[0]
 			cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
-			got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts)
+			got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts)
 			if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
 				t.Fatal(err)
 			}

@@ -40,8 +40,6 @@ type Config struct {
 	Feed MetricFeed
 	// Seed drives search and observation seed derivation.
 	Seed int64
-	// Workers bounds scoring workers per search (0 = GOMAXPROCS).
-	Workers int
 	// Logf receives control-loop progress lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -138,7 +136,7 @@ func (pl *Plane) feed(stage, seq int) MetricFeed {
 }
 
 func (pl *Plane) searchOpts(stage, seq int) placement.SearchOptions {
-	return placement.SearchOptions{Workers: pl.cfg.Workers, Seed: DeriveSeed(pl.cfg.Seed, stage, seq)}
+	return placement.SearchOptions{Seed: DeriveSeed(pl.cfg.Seed, stage, seq)}
 }
 
 // bannedIdx maps the cordon set onto one deployment's cluster.

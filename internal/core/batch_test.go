@@ -69,7 +69,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("trace %d: no candidates", ti)
 			}
-			batch, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+			batch, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
 			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s, trace %d: %v", tc.name, ti, err)
 			}
@@ -178,7 +178,7 @@ func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
 	for i := range bad {
 		bad[i] = len(tr.Cluster.Hosts) + 5 // out of range
 	}
-	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}, placement.AllCosts, 1)
+	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}, placement.AllCosts)
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("valid candidate: %v, invalid candidate: %v", errs[0], errs[1])
 	}

@@ -133,7 +133,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 	// Largest training set first, so the fits that start last are short.
 	sort.SliceStable(jobs, func(a, b int) bool { return len(jobs[a].train) > len(jobs[b].train) })
 
-	runners := max(1, min(len(jobs), trainBudgetSize()))
+	runners := max(1, min(len(jobs), cap(trainBudget)))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup

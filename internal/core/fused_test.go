@@ -479,7 +479,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 	if err := sess.ScoreTile(cands, placement.AllCosts, out); err == nil {
 		t.Fatal("tile with invalid candidate scored without error")
 	}
-	costs, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 2)
+	costs, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
 	for i, p := range cands {
 		if (errs[i] != nil) != (i == 4) {
 			t.Fatalf("candidate %d: err = %v, want an error for exactly the invalid candidate", i, errs[i])

@@ -117,7 +117,7 @@ func (m Metric) SetRaw(c *placement.PredCosts, raw float64) {
 // TrainConfig controls model training. Each fit — the one model of a
 // Train or FineTune call, or one (metric, member) of TrainPredictor —
 // runs its minibatches on one goroutine and holds one token of the
-// process-wide training budget (SetTrainBudget) for its whole run.
+// process-wide training budget, GOMAXPROCS fits, for its whole run.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
@@ -391,8 +391,8 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 	if len(trainSamples) == 0 {
 		return fmt.Errorf("core: no usable training traces for %v", cm.Metric)
 	}
-	tok := acquireTrainToken()
-	defer releaseTrainToken(tok)
+	trainBudget <- struct{}{}
+	defer func() { <-trainBudget }()
 	params, grads := cm.Net.Params()
 	opt := nn.NewAdam(cfg.LR, params, grads)
 	opt.ZeroGrads() // chunk 0 accumulates into grads; start from nothing

@@ -200,7 +200,7 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 	)
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	out, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+	out, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						return
 					}
 				case 1:
-					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts, 1)
+					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
 					if err := errors.Join(scoreErrs...); err != nil {
 						errs[wkr] = err
 						return

@@ -123,7 +123,7 @@ func TestPredictBatchRecordsInferenceMetrics(t *testing.T) {
 	featN0 := met.featurizeSeconds.Count()
 	tr := c.Traces[0]
 	placements := []sim.Placement{tr.Placement, tr.Placement}
-	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, placements, placement.AllCosts, 1)
+	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, placements, placement.AllCosts)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}

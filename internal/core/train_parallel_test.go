@@ -84,18 +84,27 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// atTrainBudget runs f with the process-wide training budget set to n
+// fits and then restores the budget sized at init. A test that calls it
+// must not call t.Parallel.
+func atTrainBudget(n int, f func()) {
+	defer func(prev chan struct{}) { trainBudget = prev }(trainBudget)
+	trainBudget = make(chan struct{}, n)
+	f()
+}
+
 // TestSetTrainBudget sanity-checks the process-wide budget: training
-// still works with a budget of 1 and after resetting to the default.
+// still works with a budget of 1.
 func TestSetTrainBudget(t *testing.T) {
-	SetTrainBudget(1)
-	defer SetTrainBudget(0)
 	c := subCorpus(t, 60)
 	train, _, _ := c.Split(0.9, 0.05, 5)
 	cfg := DefaultTrainConfig(5)
 	cfg.Epochs = 1
 	cfg.Patience = 0
 	cfg.Hidden = 8
-	if _, err := Train(train, nil, MetricProcLatency, cfg); err != nil {
+	var err error
+	atTrainBudget(1, func() { _, err = Train(train, nil, MetricProcLatency, cfg) })
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,10 +227,10 @@ func TestTrainPredictorWeightsGolden(t *testing.T) {
 	}
 	c := subCorpus(t, 120)
 	train, val, _ := c.Split(0.8, 0.2, 7)
-	defer SetTrainBudget(0)
 	for _, budget := range []int{1, 2, 5} {
-		SetTrainBudget(budget)
-		got, err := predictorDigest(train, val)
+		var got string
+		var err error
+		atTrainBudget(budget, func() { got, err = predictorDigest(train, val) })
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -241,20 +250,20 @@ func TestTrainPredictorConcurrentGolden(t *testing.T) {
 	}
 	c := subCorpus(t, 120)
 	train, val, _ := c.Split(0.8, 0.2, 7)
-	defer SetTrainBudget(0)
 	for _, budget := range []int{1, 2} {
-		SetTrainBudget(budget)
 		var digests [2]string
 		var errs [2]error
-		var wg sync.WaitGroup
-		for i := range digests {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				digests[i], errs[i] = predictorDigest(train, val)
-			}()
-		}
-		wg.Wait()
+		atTrainBudget(budget, func() {
+			var wg sync.WaitGroup
+			for i := range digests {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					digests[i], errs[i] = predictorDigest(train, val)
+				}()
+			}
+			wg.Wait()
+		})
 		for i := range digests {
 			if errs[i] != nil {
 				t.Fatalf("budget %d call %d: %v", budget, i, errs[i])
@@ -281,11 +290,10 @@ func TestTrainPredictorFailureDeterministic(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.Hidden = 8
 	const want = "core: training throughput: core: no usable training traces for throughput"
-	defer SetTrainBudget(0)
 	for _, budget := range []int{1, 4} {
-		SetTrainBudget(budget)
 		for run := 0; run < 3; run++ {
-			_, err := TrainPredictor(c, nil, PredictorConfig{Train: cfg, EnsembleSize: 2})
+			var err error
+			atTrainBudget(budget, func() { _, err = TrainPredictor(c, nil, PredictorConfig{Train: cfg, EnsembleSize: 2}) })
 			if err == nil || err.Error() != want {
 				t.Fatalf("budget %d run %d: error %v, want %q", budget, run, err, want)
 			}

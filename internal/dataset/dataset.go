@@ -147,8 +147,6 @@ type BuildConfig struct {
 	Gen workload.Config
 	// Sim configures the execution simulator.
 	Sim sim.Config
-	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS.
-	Parallelism int
 	// QueryFn optionally overrides the query sampler (for special
 	// corpora such as filter chains or benchmark queries). It is called
 	// with a dedicated generator and the trace index.
@@ -173,17 +171,13 @@ func Build(cfg BuildConfig) (*Corpus, error) {
 }
 
 // buildRange generates the traces [lo, hi) of the corpus cfg describes,
-// one goroutine per trace under a Parallelism-wide semaphore. Build runs
+// one goroutine per trace under a GOMAXPROCS-wide semaphore. Build runs
 // it over the whole corpus, StreamBuild over one shard at a time.
 func buildRange(cfg BuildConfig, lo, hi int) ([]*Trace, error) {
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	traces := make([]*Trace, hi-lo)
 	errs := make([]error, hi-lo)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := lo; i < hi; i++ {
 		wg.Add(1)
 		sem <- struct{}{}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"costream/internal/sim"
@@ -46,16 +47,21 @@ func TestBuildCorpus(t *testing.T) {
 	}
 }
 
+// atGOMAXPROCS runs f at GOMAXPROCS n and then restores the previous
+// setting. A test that calls it must not call t.Parallel.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 func TestBuildDeterministicAcrossParallelism(t *testing.T) {
-	cfg1 := buildCfg(20, 7)
-	cfg1.Parallelism = 1
-	cfg2 := buildCfg(20, 7)
-	cfg2.Parallelism = 8
-	c1, err := Build(cfg1)
+	var c1, c2 *Corpus
+	var err error
+	atGOMAXPROCS(1, func() { c1, err = Build(buildCfg(20, 7)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Build(cfg2)
+	atGOMAXPROCS(8, func() { c2, err = Build(buildCfg(20, 7)) })
 	if err != nil {
 		t.Fatal(err)
 	}

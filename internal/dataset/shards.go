@@ -328,8 +328,8 @@ type StreamConfig struct {
 }
 
 // StreamBuild generates a sharded corpus one shard at a time: each
-// missing shard's traces are built with Build's worker pool
-// (BuildConfig.Parallelism workers), then the shard is written —
+// missing shard's traces are built with Build's worker pool (GOMAXPROCS
+// workers), then the shard is written —
 // atomically, temp file + rename — followed by a manifest update. The
 // resulting corpus is trace-for-trace identical to Build(cfg) with the
 // same BuildConfig, and a resumed or appended build is indistinguishable

@@ -108,7 +108,7 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 // returns the placement's measured processing latency.
 func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c *hardware.Cluster, seed int64, runCfg sim.Config) (float64, error) {
 	res, err := placement.Search(context.Background(), pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
-		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed, Workers: s.Workers})
+		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed})
 	if err != nil {
 		return 0, err
 	}
@@ -273,7 +273,7 @@ func (s *Suite) Exp2cSearchStrategies() (*Exp2cResult, error) {
 		for si, strat := range strategies {
 			res, err := placement.Search(context.Background(), coPred, q, cluster, strat, placement.MinProcLatency,
 				placement.Budget{MaxCandidates: budget},
-				placement.SearchOptions{Seed: int64(7900 + i), Workers: s.Workers})
+				placement.SearchOptions{Seed: int64(7900 + i)})
 			if err != nil {
 				continue
 			}

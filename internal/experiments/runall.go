@@ -12,10 +12,10 @@ import (
 // tables to w (when non-nil) and returns them for further processing
 // (e.g. the Markdown report of cmd/costream-expts -md).
 //
-//   - Up to s.Workers experiments (default GOMAXPROCS) run at once,
-//     started in paper order. Each is deterministic (fixed seeds,
-//     single-flight shared artifacts), so the tables do not depend on
-//     Workers; only wall-clock time does.
+//   - Up to GOMAXPROCS experiments run at once, started in paper order.
+//     Each is deterministic (fixed seeds, single-flight shared
+//     artifacts), so the tables do not depend on GOMAXPROCS; only
+//     wall-clock time does.
 //   - Each experiment logs "<name> finished in <d>".
 //   - A table is written to w once it and every earlier table are done.
 //   - After the first failure no further experiment starts. RunAll waits
@@ -29,10 +29,6 @@ func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
 	var e3 *Exp3Result
 	var e5 *Exp5aResult
 	var e6 *Exp6Result
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	tables, err := runSteps([]step{
 		tableStep("exp1-overall", s.Exp1Overall, &e1),
 		tableStep("exp1-hardware", s.Exp1Hardware, nil),
@@ -47,7 +43,7 @@ func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
 		tableStep("exp6-benchmarks", s.Exp6Benchmarks, &e6),
 		tableStep("exp7a-feature-ablation", s.Exp7aFeatureAblation, nil),
 		tableStep("exp7b-message-passing", s.Exp7bMessagePassing, nil),
-	}, workers, w, s.Logf)
+	}, runtime.GOMAXPROCS(0), w, s.Logf)
 	if err != nil {
 		return tables, err
 	}

@@ -45,14 +45,6 @@ func get[T any](mu *sync.Mutex, m map[string]*cell[T], key string, build func() 
 // members additionally train concurrently inside core).
 type Suite struct {
 	Scale float64
-	// Workers bounds each concurrency level separately: the number of
-	// experiments RunAll drives at once, and the number of
-	// candidate-scoring workers inside each experiment's placement
-	// searches. Up to Workers^2 scoring goroutines can therefore be
-	// runnable at once; they are CPU-bound and the Go scheduler
-	// multiplexes them onto GOMAXPROCS threads, so this oversubscribes
-	// scheduling slots, not cores. Zero or negative selects GOMAXPROCS.
-	Workers int
 	// Logf receives progress lines; defaults to a no-op.
 	Logf func(format string, args ...any)
 

@@ -116,7 +116,7 @@ func generatedScenarios(seed int64, n int) []*Scenario {
 // generated small-fleet scenarios under the simulator oracle, recorded
 // while the control plane still searched a copy of the alive hosts
 // rather than the whole fleet with the down hosts banned. Every
-// scenario's report must also be byte-identical at 1 and 3 workers. The
+// scenario's report must also be byte-identical at GOMAXPROCS 1 and 3. The
 // digest may only move with a deliberate change of the recovery loop,
 // the search or the simulator.
 func TestRunGoldenGenerated(t *testing.T) {
@@ -124,10 +124,12 @@ func TestRunGoldenGenerated(t *testing.T) {
 	h := sha256.New()
 	for k, sc := range generatedScenarios(13, 16) {
 		var reps [][]byte
-		for _, workers := range []int{1, 3} {
-			rep, err := Run(context.Background(), sc, RunOptions{SimConfig: fastSim(), Workers: workers})
+		for _, procs := range []int{1, 3} {
+			var rep *Report
+			var err error
+			atGOMAXPROCS(procs, func() { rep, err = Run(context.Background(), sc, RunOptions{SimConfig: fastSim()}) })
 			if err != nil {
-				t.Fatalf("scenario %d at %d workers: %v", k, workers, err)
+				t.Fatalf("scenario %d at GOMAXPROCS=%d: %v", k, procs, err)
 			}
 			b, err := json.Marshal(rep)
 			if err != nil {
@@ -136,7 +138,7 @@ func TestRunGoldenGenerated(t *testing.T) {
 			reps = append(reps, b)
 		}
 		if !bytes.Equal(reps[0], reps[1]) {
-			t.Errorf("scenario %d: report differs between 1 and 3 workers", k)
+			t.Errorf("scenario %d: report differs between GOMAXPROCS 1 and 3", k)
 		}
 		fmt.Fprintf(h, "scenario %d\n%s\n", k, reps[0])
 	}

@@ -28,9 +28,6 @@ type RunOptions struct {
 	// needlessly slow. Its Seed field is ignored: observation seeds are
 	// derived per (event, query) from the scenario seed.
 	SimConfig *sim.Config
-	// Workers bounds the scoring workers per search (0 = GOMAXPROCS).
-	// The report is identical for any value.
-	Workers int
 	// Logf receives progress lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -178,7 +175,7 @@ func round4(x float64) float64 {
 // Run executes the scenario: build the fleet, deploy the workload, walk
 // the event script with the self-healing recovery loop, evaluate the
 // assertions. The returned report is deterministic for a fixed scenario
-// (any Workers value); ctx cancels long searches mid-run.
+// (at any GOMAXPROCS); ctx cancels long searches mid-run.
 func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -236,7 +233,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	logf("fleet: %d hosts in %d zones, %d queries (recipe %s)", fl.NumHosts(), rep.Zones, rep.Queries, recipe)
 
 	searchOpts := func(stage, i int) placement.SearchOptions {
-		return placement.SearchOptions{Workers: opts.Workers, Seed: controlplane.DeriveSeed(sc.Seed, stage, i)}
+		return placement.SearchOptions{Seed: controlplane.DeriveSeed(sc.Seed, stage, i)}
 	}
 	observe := func(stage, i int) controlplane.SimFeed {
 		cfg := simCfg

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,9 +58,16 @@ func cascadeScenario(seed int64) *Scenario {
 
 func intp(n int) *int { return &n }
 
-func runScenario(t *testing.T, sc *Scenario, workers int) *Report {
+// atGOMAXPROCS runs f at GOMAXPROCS n and then restores the previous
+// setting. A test that calls it must not call t.Parallel.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+func runScenario(t *testing.T, sc *Scenario) *Report {
 	t.Helper()
-	rep, err := Run(context.Background(), sc, RunOptions{SimConfig: fastSim(), Workers: workers})
+	rep, err := Run(context.Background(), sc, RunOptions{SimConfig: fastSim()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +78,10 @@ func runScenario(t *testing.T, sc *Scenario, workers int) *Report {
 // cascading-failure scenario completes, the recovery loop re-places the
 // queries hit by the outage, no placement ever references a crashed
 // host, and the marshaled report is byte-identical across runs and
-// worker counts.
+// GOMAXPROCS values.
 func TestCascadeDeterministicReport(t *testing.T) {
 	sc := cascadeScenario(42)
-	rep := runScenario(t, sc, 1)
+	rep := runScenario(t, sc)
 	if rep.Hosts < 200 {
 		t.Fatalf("fleet has %d hosts, acceptance needs >= 200", rep.Hosts)
 	}
@@ -92,13 +100,14 @@ func TestCascadeDeterministicReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		again, err := json.MarshalIndent(runScenario(t, sc, workers), "", "  ")
+	for _, procs := range []int{1, 4} {
+		var again []byte
+		atGOMAXPROCS(procs, func() { again, err = json.MarshalIndent(runScenario(t, sc), "", "  ") })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(base, again) {
-			t.Errorf("report not byte-identical at workers=%d", workers)
+			t.Errorf("report not byte-identical at GOMAXPROCS=%d", procs)
 		}
 	}
 }
@@ -107,7 +116,7 @@ func TestCascadeDeterministicReport(t *testing.T) {
 // aliveness from the event stream, and asserts no post-recovery
 // placement ever references a host that is down at that point.
 func TestNoPlacementOnDeadHosts(t *testing.T) {
-	rep := runScenario(t, cascadeScenario(42), 1)
+	rep := runScenario(t, cascadeScenario(42))
 	dead := map[string]bool{}
 	for _, entry := range rep.Timeline {
 		switch entry.Event {
@@ -159,7 +168,7 @@ func TestHysteresisSuppressesMigrations(t *testing.T) {
 			Recovery: RecoverySpec{QErrorThreshold: 1.5, MinImprovement: minImprovement, Budget: 32, Strategy: "random"},
 		}
 	}
-	strict := runScenario(t, mk(1e9), 1)
+	strict := runScenario(t, mk(1e9))
 	if strict.Totals.Violations == 0 {
 		t.Fatal("load spikes produced no drift violations; hysteresis untested")
 	}
@@ -183,7 +192,7 @@ func TestHysteresisSuppressesMigrations(t *testing.T) {
 	if !belowThreshold {
 		t.Error("no suppression cited the improvement threshold; hysteresis never gated a real challenger")
 	}
-	loose := runScenario(t, mk(0.001), 1)
+	loose := runScenario(t, mk(0.001))
 	if loose.Totals.Migrations == 0 {
 		t.Errorf("permissive threshold migrated nothing: %+v", loose.Totals)
 	}
@@ -207,7 +216,7 @@ func TestCooldownBlocksBackToBackMigrations(t *testing.T) {
 		},
 		Recovery: RecoverySpec{QErrorThreshold: 1.2, MinImprovement: 0.001, CooldownS: 1e9, Budget: 16},
 	}
-	rep := runScenario(t, sc, 1)
+	rep := runScenario(t, sc)
 	if rep.Totals.Migrations > sc.Workload.Queries {
 		t.Errorf("cooldown 1e9s allowed %d migrations for %d queries", rep.Totals.Migrations, sc.Workload.Queries)
 	}
@@ -229,7 +238,7 @@ func TestCooldownBlocksBackToBackMigrations(t *testing.T) {
 func TestAssertionFailureFailsReport(t *testing.T) {
 	sc := cascadeScenario(42)
 	sc.Assertions = Assertions{MaxMigrations: intp(0)}
-	rep := runScenario(t, sc, 1)
+	rep := runScenario(t, sc)
 	if rep.Pass {
 		t.Error("report passed despite max_migrations=0 and a forced cascade")
 	}

@@ -12,6 +12,7 @@ package hardware
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -37,19 +38,19 @@ func (h *Host) Cores() float64 { return h.CPU / 100 }
 // RAMBytes returns the host memory in bytes.
 func (h *Host) RAMBytes() float64 { return h.RAMMB * 1024 * 1024 }
 
-// Validate reports an error when a feature is non-positive.
+// Validate refuses a non-finite or non-positive feature (latency may be 0).
 func (h *Host) Validate() error {
-	if h.CPU <= 0 {
-		return fmt.Errorf("host %s: cpu must be positive, got %v", h.ID, h.CPU)
+	if !(0 < h.CPU && h.CPU < math.Inf(1)) {
+		return fmt.Errorf("host %s: cpu must be finite and positive, got %v", h.ID, h.CPU)
 	}
-	if h.RAMMB <= 0 {
-		return fmt.Errorf("host %s: ram must be positive, got %v", h.ID, h.RAMMB)
+	if !(0 < h.RAMMB && h.RAMMB < math.Inf(1)) {
+		return fmt.Errorf("host %s: ram must be finite and positive, got %v", h.ID, h.RAMMB)
 	}
-	if h.NetLatencyMS < 0 {
-		return fmt.Errorf("host %s: latency must be non-negative, got %v", h.ID, h.NetLatencyMS)
+	if !(0 <= h.NetLatencyMS && h.NetLatencyMS < math.Inf(1)) {
+		return fmt.Errorf("host %s: latency must be finite and non-negative, got %v", h.ID, h.NetLatencyMS)
 	}
-	if h.NetBandwidthMbps <= 0 {
-		return fmt.Errorf("host %s: bandwidth must be positive, got %v", h.ID, h.NetBandwidthMbps)
+	if !(0 < h.NetBandwidthMbps && h.NetBandwidthMbps < math.Inf(1)) {
+		return fmt.Errorf("host %s: bandwidth must be finite and positive, got %v", h.ID, h.NetBandwidthMbps)
 	}
 	return nil
 }
@@ -128,7 +129,10 @@ func (c *Cluster) Validate() error {
 		return fmt.Errorf("empty cluster")
 	}
 	seen := make(map[string]bool, len(c.Hosts))
-	for _, h := range c.Hosts {
+	for i, h := range c.Hosts {
+		if h == nil {
+			return fmt.Errorf("host %d is null", i)
+		}
 		if err := h.Validate(); err != nil {
 			return err
 		}

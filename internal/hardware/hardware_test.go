@@ -1,7 +1,10 @@
 package hardware
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +23,36 @@ func TestHostValidate(t *testing.T) {
 	for _, h := range bad {
 		if err := h.Validate(); err == nil {
 			t.Errorf("host %s accepted, want error", h.ID)
+		}
+	}
+}
+
+// TestValidateRefusesNullAndNonFinite: a null host is refused naming its
+// index, and NaN or ±Inf in any feature naming the feature, where NaN
+// would slip past every comparison and +Inf past the positivity checks.
+func TestValidateRefusesNullAndNonFinite(t *testing.T) {
+	good := Host{ID: "h", CPU: 200, RAMMB: 4000, NetLatencyMS: 5, NetBandwidthMbps: 100}
+	const wantNull = "host 1 is null"
+	if err := (&Cluster{Hosts: []*Host{&good, nil}}).Validate(); err == nil || err.Error() != wantNull {
+		t.Errorf("null host: err = %v, want %q", err, wantNull)
+	}
+	features := []struct {
+		name  string
+		field func(*Host) *float64
+	}{
+		{"cpu", func(h *Host) *float64 { return &h.CPU }},
+		{"ram", func(h *Host) *float64 { return &h.RAMMB }},
+		{"latency", func(h *Host) *float64 { return &h.NetLatencyMS }},
+		{"bandwidth", func(h *Host) *float64 { return &h.NetBandwidthMbps }},
+	}
+	for _, f := range features {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			h := good
+			*f.field(&h) = v
+			want := fmt.Sprintf("host h: %s must be finite", f.name)
+			if err := (&Cluster{Hosts: []*Host{&h}}).Validate(); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s = %v: err = %v, want %q…", f.name, v, err, want)
+			}
 		}
 	}
 }

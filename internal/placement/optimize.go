@@ -138,18 +138,17 @@ func PredictOne(pred Predictor, q *stream.Query, c *hardware.Cluster, p sim.Plac
 }
 
 // Score scores every candidate for the costs need names on one session of
-// its own, through a pool of workers (<= 0 selects GOMAXPROCS): one
-// PredCosts and one error per candidate, in candidate order and identical
-// for every worker count. A failing candidate carries its error and zero
-// costs without costing the others theirs; a session that cannot be
-// opened is every candidate's error, and no candidates open none. A
-// cancelled ctx (nil means background) stops scoring at the next tile,
-// and the candidates left unscored carry ctx.Err().
-func Score(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
+// its own, tile by tile on the caller's goroutine: one PredCosts and one
+// error per candidate, in candidate order. A failing candidate carries its
+// error and zero costs without costing the others theirs; a session that
+// cannot be opened is every candidate's error, and no candidates open
+// none. A cancelled ctx (nil means background) stops scoring at the next
+// tile, and the candidates left unscored carry ctx.Err().
+func Score(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet) ([]PredCosts, []error) {
 	costs := make([]PredCosts, len(cands))
 	errs := make([]error, len(cands))
 	if len(cands) > 0 {
-		scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, workers)
+		scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, 1)
 	}
 	return costs, errs
 }

@@ -63,7 +63,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	cands := fakeCandidates(n)
 
 	for _, need := range []CostSet{MinProcLatency.Reads(), MinE2ELatency.Reads(), MaxThroughput.Reads(), AllCosts} {
-		base, baseErrs := Score(context.Background(), pred, q, c, cands, need, 1)
+		base, baseErrs := Score(context.Background(), pred, q, c, cands, need)
 		for i := range cands {
 			var want PredCosts
 			if baseErrs[i] == nil {
@@ -74,7 +74,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{2, 3, 8, 64} {
-			got, errs := Score(context.Background(), pred, q, c, cands, need, workers)
+			got, errs := scorePooled(context.Background(), pred, q, c, cands, need, workers)
 			if !reflect.DeepEqual(base, got) || !reflect.DeepEqual(baseErrs, errs) {
 				t.Errorf("need=%05b: workers=%d scored %+v / %v, serial %+v / %v", need, workers, got, errs, base, baseErrs)
 			}
@@ -171,7 +171,7 @@ func TestOptimizeAllCandidatesFail(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "fake failure") {
 		t.Fatalf("search over failing candidates: err = %v", err)
 	}
-	_, errs := Score(context.Background(), pred, q, c, fakeCandidates(2), AllCosts, 2)
+	_, errs := Score(context.Background(), pred, q, c, fakeCandidates(2), AllCosts)
 	for i, err := range errs {
 		if err == nil {
 			t.Errorf("candidate %d scored without error", i)

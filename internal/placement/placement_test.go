@@ -145,7 +145,7 @@ func TestOptimizeWithOracle(t *testing.T) {
 	if res.Examined != len(cands) {
 		t.Fatalf("search examined %d candidates, Enumerate drew %d", res.Examined, len(cands))
 	}
-	costs, errs := Score(context.Background(), oracle, q, c, cands, AllCosts, 0)
+	costs, errs := Score(context.Background(), oracle, q, c, cands, AllCosts)
 	best := -1
 	for i, pc := range costs {
 		if errs[i] != nil {
@@ -177,7 +177,7 @@ func TestOptimizeObjectives(t *testing.T) {
 			t.Fatalf("%v: nil placement", obj)
 		}
 	}
-	if costs, errs := Score(context.Background(), oracle, q, c, nil, AllCosts, 0); len(costs) != 0 || len(errs) != 0 {
+	if costs, errs := Score(context.Background(), oracle, q, c, nil, AllCosts); len(costs) != 0 || len(errs) != 0 {
 		t.Errorf("scoring no candidates returned %d costs and %d errors", len(costs), len(errs))
 	}
 }

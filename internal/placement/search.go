@@ -38,12 +38,12 @@ func (b Budget) withDefaults() Budget {
 // SearchOptions tunes a search run.
 type SearchOptions struct {
 	// Workers bounds the concurrent scoring workers (zero or negative
-	// selects GOMAXPROCS). The chosen placement is independent of the
-	// worker count.
+	// selects GOMAXPROCS). No product caller sets it; tests and the
+	// benchmark do. The chosen placement is independent of it.
 	Workers int
 	// Seed drives every stochastic strategy decision (random draws,
 	// restart points, neighbor subsampling). A fixed seed yields an
-	// identical SearchResult for any Workers value.
+	// identical SearchResult for any Workers value and any GOMAXPROCS.
 	Seed int64
 	// Telemetry enables per-round RoundStats collection on the
 	// SearchResult (candidates generated/deduped/scored/pruned and the
@@ -467,7 +467,7 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 // batches into the budgeted core, the core scores them with the predictor
 // (batched, worker-pooled, sanity-filtered) and the best placement under
 // the objective is returned. A nil strategy selects RandomSample. The
-// result is deterministic for a fixed seed and any Workers value.
+// result is deterministic for a fixed seed at any pool size.
 //
 // Cancelling ctx stops the round loop and the batched scorer at the next
 // candidate boundary and returns the best candidate scored so far

@@ -80,6 +80,15 @@ func (f *tileFake) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileSc
 	return &tileFakeSession{f: f}, nil
 }
 
+// scorePooled is Score through a pool of workers, the pool a search
+// scores its rounds with.
+func scorePooled(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
+	costs := make([]PredCosts, len(cands))
+	errs := make([]error, len(cands))
+	scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, workers)
+	return costs, errs
+}
+
 func tiledCandidates(n int) []sim.Placement {
 	cands := make([]sim.Placement, n)
 	for i := range cands {
@@ -96,7 +105,7 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 	var want []PredCosts
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		f := &tileFake{tile: 7, poison: -1}
-		costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, workers)
+		costs, errs := scorePooled(context.Background(), f, nil, nil, cands, AllCosts, workers)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("workers=%d candidate %d: %v", workers, i, err)
@@ -124,7 +133,7 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 	cands := tiledCandidates(20)
 	f := &tileFake{tile: 8, poison: 2}
-	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, 3)
+	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts)
 	for i, p := range cands {
 		if p[0] == f.poison {
 			if errs[i] == nil {
@@ -157,7 +166,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 	f := &tileFake{tile: 4, poison: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs := Score(ctx, f, nil, nil, cands, AllCosts, 4)
+	_, errs := scorePooled(ctx, f, nil, nil, cands, AllCosts, 4)
 	for i, err := range errs {
 		if err != context.Canceled {
 			t.Fatalf("candidate %d: err=%v, want context.Canceled", i, err)
@@ -173,7 +182,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 func TestScoreTiledDegenerateTileSize(t *testing.T) {
 	cands := tiledCandidates(5)
 	f := &tileFake{tile: 0, poison: -1}
-	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts, 2)
+	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts)
 	for i, p := range cands {
 		if errs[i] != nil {
 			t.Fatalf("candidate %d: %v", i, errs[i])

@@ -26,9 +26,8 @@ type Scenario struct {
 	// Description is a one-line summary for -list output and docs.
 	Description string
 	// Make returns the build configuration for an n-trace corpus with the
-	// given seed. Callers may override Sim or Parallelism afterwards; the
-	// workload recipe (generator config, query/cluster samplers) is the
-	// scenario's contract.
+	// given seed. Callers may override Sim afterwards; the workload recipe
+	// (generator config, query/cluster samplers) is the scenario's contract.
 	Make func(n int, seed int64) dataset.BuildConfig
 }
 

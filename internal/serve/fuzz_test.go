@@ -32,6 +32,8 @@ func FuzzPredictRoute(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
 	f.Add([]byte("\x00\xff\xfe"))
+	f.Add(nullHost(example))
+	f.Add(nullOp(example))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		entries := s.cache.len()
 		first := postRaw(s, "/v1/predict", body)
@@ -86,6 +88,8 @@ func FuzzPredictBatchRoute(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
 	f.Add([]byte("\x00\xff\xfe"))
+	f.Add(nullHost(batch))
+	f.Add(nullOp(batch))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := postRaw(s, "/v1/predict-batch", body)
 		if w.Code != http.StatusOK {
@@ -159,6 +163,8 @@ func FuzzOptimizeRoute(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
 	f.Add([]byte("\x00\xff\xfe"))
+	f.Add(nullHost(opt))
+	f.Add(nullOp(opt))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := postRaw(s, "/v1/optimize", body)
 		switch w.Code {
@@ -237,6 +243,8 @@ func FuzzDeploymentsRoute(f *testing.F) {
 	f.Add([]byte(`{}`), used)
 	f.Add([]byte(`null`), "")
 	f.Add([]byte{}, "x")
+	f.Add(nullHost(adopt), used)
+	f.Add(nullOp(search), used)
 	f.Fuzz(func(t *testing.T, body []byte, host string) {
 		defer func() {
 			for _, st := range s.plane.List() {

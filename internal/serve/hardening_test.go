@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -108,6 +109,56 @@ func TestTrailingDataRejected(t *testing.T) {
 		}
 		if w := postRaw(s, path, append(bytes.Clone(doc), " \r\n\t\n"...)); w.Code != http.StatusOK {
 			t.Errorf("%s with trailing whitespace: status %d, want 200: %s", path, w.Code, w.Body)
+		}
+	}
+}
+
+// nullHost returns a request body with null prepended to its
+// cluster's hosts, and nullOp one with null appended to its query's
+// operators.
+func nullHost(body []byte) []byte {
+	return bytes.Replace(body, []byte(`"Hosts":[`), []byte(`"Hosts":[null,`), 1)
+}
+
+func nullOp(body []byte) []byte {
+	return bytes.Replace(body, []byte(`}],"Edges"`), []byte(`},null],"Edges"`), 1)
+}
+
+// TestNullHostOrOperatorRejected: a null host or operator inside a
+// request's cluster or query is a 400 naming its index on every route
+// that takes a query and a cluster, not a panic that drops the
+// connection.
+func TestNullHostOrOperatorRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{"/v1/predict": s.example}
+	for path, req := range map[string]any{
+		"/v1/predict-batch": PredictBatchRequest{Query: ex.Query, Cluster: ex.Cluster, Placements: []sim.Placement{ex.Placement}},
+		"/v1/optimize":      OptimizeRequest{Query: ex.Query, Cluster: ex.Cluster, Candidates: 4},
+		"/v1/deployments":   DeployRequest{Query: ex.Query, Cluster: ex.Cluster, Placement: ex.Placement},
+	} {
+		doc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[path] = doc
+	}
+	wantOp := fmt.Sprintf("operator %d is null", len(ex.Query.Ops))
+	for path, doc := range bodies {
+		for _, tc := range []struct {
+			body []byte
+			want string
+		}{{nullHost(doc), "host 0 is null"}, {nullOp(doc), wantOp}} {
+			if bytes.Equal(tc.body, doc) {
+				t.Fatalf("%s: no %q mutation in %s", path, tc.want, doc)
+			}
+			w := postRaw(s, path, tc.body)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+				t.Errorf("%s with a null element: status %d, want 400 naming %q: %s", path, w.Code, tc.want, w.Body)
+			}
 		}
 	}
 }
@@ -226,7 +277,7 @@ func TestOptimizeCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pred := &cancellingPred{cancel: cancel}
-	s := newTestServer(t, Config{Predictor: pred, OptimizeWorkers: 1})
+	s := newTestServer(t, Config{Predictor: pred})
 	q, c := testQuery(t), testCluster()
 	const budget = 512
 	data, err := json.Marshal(OptimizeRequest{Query: q, Cluster: c, Candidates: budget})

@@ -83,9 +83,6 @@ type Config struct {
 	// MaxInFlight bounds concurrent predictor work (predict scoring and
 	// optimization runs). <= 0 selects GOMAXPROCS.
 	MaxInFlight int
-	// OptimizeWorkers bounds the scoring worker pool of one /v1/optimize
-	// call; <= 0 selects GOMAXPROCS.
-	OptimizeWorkers int
 	// ModelInfo is surfaced verbatim under "model" in /healthz —
 	// typically the artifact's provenance.
 	ModelInfo any
@@ -102,7 +99,7 @@ type Config struct {
 	MaxRequestBytes int64
 	// ControlPlane backs the /v1/deployments and /v1/hosts surface. Nil
 	// builds a default plane over Predictor (simulated metric feed,
-	// default policy, OptimizeWorkers scoring workers).
+	// default policy).
 	ControlPlane *controlplane.Plane
 }
 
@@ -175,9 +172,8 @@ func New(cfg Config) (*Server, error) {
 	s.plane = cfg.ControlPlane
 	if s.plane == nil {
 		plane, err := controlplane.New(controlplane.Config{
-			Policy:  controlplane.Policy{Predictor: cfg.Predictor},
-			Workers: cfg.OptimizeWorkers,
-			Seed:    1,
+			Policy: controlplane.Policy{Predictor: cfg.Predictor},
+			Seed:   1,
 		})
 		if err != nil {
 			return nil, err
@@ -262,7 +258,7 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, q *stream.Query, 
 		s.writeSaturated(w)
 		return nil, false
 	}
-	out, errs := placement.Score(r.Context(), s.pred, q, c, ps, placement.AllCosts, 1)
+	out, errs := placement.Score(r.Context(), s.pred, q, c, ps, placement.AllCosts)
 	s.release()
 	for i, err := range errs {
 		if err == nil {
@@ -645,7 +641,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// burning the full budget.
 	res, err := placement.Search(r.Context(), s.pred, req.Query, req.Cluster, strat, obj,
 		placement.Budget{MaxCandidates: k, MaxRounds: req.Rounds},
-		placement.SearchOptions{Workers: s.cfg.OptimizeWorkers, Seed: seed, Telemetry: req.Debug})
+		placement.SearchOptions{Seed: seed, Telemetry: req.Debug})
 	s.release()
 	s.stage(sp, "search")
 	if err != nil {

@@ -14,17 +14,6 @@ func TestEnumListsComplete(t *testing.T) {
 	}
 }
 
-func TestIsWindowed(t *testing.T) {
-	f := &Operator{Type: OpFilter}
-	if f.IsWindowed() {
-		t.Error("filter must be stateless")
-	}
-	j := &Operator{Type: OpJoin, Window: &Window{Type: WindowTumbling, Policy: WindowCountBased, Size: 10, Slide: 10}}
-	if !j.IsWindowed() {
-		t.Error("windowed join must be stateful")
-	}
-}
-
 func TestDataTypeBytes(t *testing.T) {
 	if TypeInt.Bytes() != 8 || TypeDouble.Bytes() != 8 {
 		t.Error("numeric types must be 8 bytes")
@@ -108,5 +97,22 @@ func TestQueryValidateFanouts(t *testing.T) {
 	}
 	if err := q.Validate(); err == nil {
 		t.Error("fan-out plan accepted")
+	}
+}
+
+// TestQueryValidateNullOperator: a null operator is refused naming its
+// index before any check reads an operator.
+func TestQueryValidateNullOperator(t *testing.T) {
+	q := &Query{
+		Ops: []*Operator{
+			{Type: OpSource, EventRate: 1, FieldTypes: []DataType{TypeInt}},
+			{Type: OpSink},
+			nil,
+		},
+		Edges: [][2]int{{0, 1}},
+	}
+	const want = "operator 2 is null"
+	if err := q.Validate(); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }

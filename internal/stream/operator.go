@@ -34,9 +34,6 @@ type Operator struct {
 	Selectivity float64
 }
 
-// IsWindowed reports whether the operator keeps window state.
-func (o *Operator) IsWindowed() bool { return o.Window != nil }
-
 // Validate checks the per-type field invariants.
 func (o *Operator) Validate() error {
 	switch o.Type {

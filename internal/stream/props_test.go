@@ -66,20 +66,6 @@ func TestAggregationOutputCappedByFiringRate(t *testing.T) {
 	}
 }
 
-func TestResidenceSecondsHalfSlide(t *testing.T) {
-	tw := Window{Type: WindowSliding, Policy: WindowTimeBased, Size: 8, Slide: 4}
-	if got := tw.ResidenceSeconds(123); got != 2 {
-		t.Errorf("time-window residence %v, want 2", got)
-	}
-	cw := Window{Type: WindowSliding, Policy: WindowCountBased, Size: 100, Slide: 50}
-	if got := cw.ResidenceSeconds(100); got != 0.25 {
-		t.Errorf("count-window residence %v, want 0.25", got)
-	}
-	if got := cw.ResidenceSeconds(0); got != 0 {
-		t.Errorf("zero-rate residence %v, want 0", got)
-	}
-}
-
 func TestAvgFieldBytes(t *testing.T) {
 	if got := AvgFieldBytes([]DataType{TypeInt, TypeString}); got != 20 {
 		t.Errorf("avg bytes = %v, want (8+32)/2 = 20", got)

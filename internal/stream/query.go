@@ -141,6 +141,11 @@ func (q *Query) Validate() error {
 	if len(q.Ops) == 0 {
 		return fmt.Errorf("empty query")
 	}
+	for i, op := range q.Ops {
+		if op == nil {
+			return fmt.Errorf("operator %d is null", i)
+		}
+	}
 	if len(q.Sources()) == 0 {
 		return fmt.Errorf("query has no source")
 	}

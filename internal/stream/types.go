@@ -217,15 +217,3 @@ func (w *Window) FiresPerSecond(arrivalRate float64) float64 {
 	}
 	return arrivalRate / w.Slide
 }
-
-// ResidenceSeconds returns the mean extra latency a tuple experiences
-// waiting for the window it participates in to fire (half the slide span).
-func (w *Window) ResidenceSeconds(arrivalRate float64) float64 {
-	if w.Policy == WindowTimeBased {
-		return w.Slide / 2
-	}
-	if arrivalRate <= 0 {
-		return 0
-	}
-	return w.Slide / (2 * arrivalRate)
-}
