@@ -82,7 +82,8 @@ func ObservationSeed(base int64, stage, i int) int64 {
 // MetricFeed supplies the live runtime statistics one control decision
 // observes for an incumbent placement. The production feed is SimFeed
 // (the execution simulator standing in for a real cluster); tests plug
-// in fakes.
+// in fakes. A heal pass (Pass) decides its deployments in parallel and
+// calls Observe concurrently, so a feed must be safe for concurrent use.
 type MetricFeed interface {
 	Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error)
 }
@@ -231,13 +232,18 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 // at control clock nowS. effQ is the query under current load (nil uses
 // d.Query); observations run against it so drift reflects live
 // conditions. The deployment is mutated in place only when the pass
-// reaches a decision: a cancelled re-optimization that scored nothing
-// returns ctx.Err() with d untouched, so callers never see torn state.
+// reaches a decision: a cancelled ctx — before the pass, or during a
+// re-optimization that scored nothing — returns an error wrapping
+// ctx.Err() and naming d, with d untouched, so callers never see torn
+// state.
 // A pass scores each placement once: when the search keeps the
 // incumbent, its SearchResult.Costs re-base d.Predicted, and the
 // incumbent is re-scored with PredictOne only against a challenger that
 // differs.
 func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Query, feed MetricFeed, nowS float64, opts placement.SearchOptions) (Decision, error) {
+	if err := ctx.Err(); err != nil {
+		return Decision{}, fmt.Errorf("controlplane: healing %s: %w", d.ID, err)
+	}
 	p = p.Resolved()
 	if effQ == nil {
 		effQ = d.Query
@@ -290,7 +296,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	res, err := placement.Search(ctx, p.Predictor, effQ, v.Cluster, strat, p.Objective, p.Budget, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			return dec, ctx.Err()
+			return dec, fmt.Errorf("controlplane: healing %s: %w", d.ID, ctx.Err())
 		}
 		// No valid placement on the schedulable hosts: undeploy.
 		d.Deployed = false

@@ -3,8 +3,11 @@ package controlplane
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -584,6 +587,134 @@ func TestPlaneTickCancelledReturnsPartialReport(t *testing.T) {
 	// The interrupted deployment is intact and heals fine afterwards.
 	if _, err := pl.Tick(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// routedFeed observes each query through a feed of its own.
+type routedFeed map[*stream.Query]MetricFeed
+
+func (f routedFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+	return f[q].Observe(q, c, p)
+}
+
+// TestPlaneTickFailureDoesNotBlockOthers: a deployment whose heal fails
+// keeps its state and is named in the tick's error, while a deployment
+// sorted after it is still healed on every tick.
+func TestPlaneTickFailureDoesNotBlockOthers(t *testing.T) {
+	qa, qb, c := testQuery(), testQuery(), testCluster()
+	pl, err := New(Config{Policy: testPolicy(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Deployment{{ID: "a", Query: qa}, {ID: "b", Query: qb}} {
+		if _, err := pl.Deploy(context.Background(), d.ID, d.Query, c, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pb := pl.deps["b"].d.Predicted
+	pl.cfg.Feed = routedFeed{
+		qa: &stubFeed{err: errors.New("probe down")},
+		qb: &stubFeed{metrics: sim.Metrics{
+			ThroughputTPS: pb.ThroughputTPS / 10, // 10x q-error: clear drift
+			ProcLatencyMS: pb.ProcLatencyMS * 10,
+			Success:       true,
+		}},
+	}
+	aBefore, _ := pl.Get("a")
+	for tick := 1; tick <= 3; tick++ {
+		rep, err := pl.Tick(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "observing a: probe down") {
+			t.Fatalf("tick %d: err = %v, want a's probe failure", tick, err)
+		}
+		if rep.Healed != 1 || rep.Violations != 1 {
+			t.Fatalf("tick %d: report %+v, want b alone healed with one violation", tick, rep)
+		}
+		st, _ := pl.Get("b")
+		if len(st.History) != 1+tick {
+			t.Fatalf("tick %d: b has %d history entries, want %d", tick, len(st.History), 1+tick)
+		}
+		if last := st.History[tick]; last.Tick != tick || last.Violation != ViolationQErrorDrift {
+			t.Fatalf("tick %d: b's newest entry %+v, want a q-error drift at this tick", tick, last)
+		}
+	}
+	if aAfter, _ := pl.Get("a"); !reflect.DeepEqual(aBefore, aAfter) {
+		t.Fatalf("failed heals changed a:\n before %+v\n after  %+v", aBefore, aAfter)
+	}
+}
+
+// atGOMAXPROCS runs f at GOMAXPROCS n and then restores the previous
+// setting. A test that calls it must not call t.Parallel.
+func atGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestPlanePassIndependentOfGOMAXPROCS runs three ticks over eight
+// deployments adopted on random placements and observed by the simulator
+// feed — several migrate on the first tick, a cordon forces replacements
+// on the second — and requires the same reports, statuses, histories and
+// log lines at GOMAXPROCS 1 and 4, every tick's lines in sorted-id order.
+func TestPlanePassIndependentOfGOMAXPROCS(t *testing.T) {
+	type run struct {
+		reps     []TickReport
+		statuses []Status
+		logs     []string
+	}
+	play := func() run {
+		var r run
+		q, c := testQuery(), testCluster()
+		pl, err := New(Config{Policy: testPolicy(), Seed: 17, Logf: func(format string, args ...any) {
+			r.logs = append(r.logs, fmt.Sprintf(format, args...))
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := range 8 {
+			p, err := placement.RandomValid(rng, q, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pl.Deploy(context.Background(), fmt.Sprintf("d%d", i), q, c, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for tick := 1; tick <= 3; tick++ {
+			if tick == 2 {
+				pl.Cordon("cloud-0")
+			}
+			rep, err := pl.Tick(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.reps = append(r.reps, rep)
+		}
+		for _, st := range pl.List() {
+			full, _ := pl.Get(st.ID)
+			r.statuses = append(r.statuses, full)
+		}
+		return r
+	}
+	var serial, parallel run
+	atGOMAXPROCS(1, func() { serial = play() })
+	atGOMAXPROCS(4, func() { parallel = play() })
+	if serial.reps[0].Migrations < 2 || serial.reps[1].Migrations == 0 {
+		t.Fatalf("reports %+v: want several migrations on tick 1 and replacements on tick 2", serial.reps)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("GOMAXPROCS 1 and 4 differ:\n 1: %+v\n 4: %+v", serial, parallel)
+	}
+	last := ""
+	for _, line := range serial.logs {
+		id, decision, _ := strings.Cut(strings.TrimPrefix(line, "controlplane: "), ": ")
+		switch {
+		case !strings.Contains(decision, " -> "):
+			last = "" // a deploy or a tick's summary line
+		case id <= last:
+			t.Fatalf("log line %q after %s: not in sorted-id order", line, last)
+		default:
+			last = id
+		}
 	}
 }
 

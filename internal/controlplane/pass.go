@@ -1,0 +1,53 @@
+package controlplane
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// Outcome is one deployment's result in a Pass: the deployment as its
+// decision left it, the decision, and the decision's error.
+type Outcome struct {
+	Deployment Deployment
+	Decision   Decision
+	Err        error
+}
+
+// Pass decides every deployment of deps at once. decide runs once per
+// index, on up to GOMAXPROCS goroutines, each call on its own copy of
+// deps[i]; the outcomes come back in the order of deps, and deps itself
+// is not written. The caller commits the outcomes in that order, so
+// everything it derives from them (report rows, histories, log lines)
+// keeps deployment order however the decisions interleaved, and every
+// seed a decision draws must come from its index, never from the order
+// decisions run in.
+//
+// A decision may write only its own copy and read state that is safe
+// for concurrent use: the pass's View, the Predictor, the MetricFeed.
+// Deploy and Heal replace d.Placement rather than write through it, so
+// the copy may share the original's placement array. Deployments do not
+// contend for hosts today; when they do, the ordered commit is where a
+// decision that conflicts with an earlier one is caught.
+func Pass(deps []Deployment, decide func(i int, d *Deployment) (Decision, error)) []Outcome {
+	out := make([]Outcome, len(deps))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(deps); i = int(next.Add(1) - 1) {
+			o := &out[i]
+			o.Deployment = deps[i]
+			o.Decision, o.Err = decide(i, &o.Deployment)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(deps)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out
+}

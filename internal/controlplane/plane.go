@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,7 +41,9 @@ type Config struct {
 	Feed MetricFeed
 	// Seed drives search and observation seed derivation.
 	Seed int64
-	// Logf receives control-loop progress lines; nil silences them.
+	// Logf receives control-loop progress lines; nil silences them. It is
+	// called under the plane's lock and never from a decision: a tick or
+	// a drain logs while it commits, in sorted-id order.
 	Logf func(format string, args ...any)
 }
 
@@ -293,24 +296,27 @@ func (pl *Plane) Uncordon(host string) bool {
 
 // Drain cordons the host and immediately heals every deployment whose
 // incumbent touches it, instead of waiting for the next tick. It
-// returns the ids of the deployments it healed.
+// returns the ids of the deployments it healed and, like Tick, the
+// failures of the others joined in sorted-id order.
 func (pl *Plane) Drain(ctx context.Context, host string) ([]string, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.cordoned[host] = true
-	var healed []string
+	var ids []string
 	for _, id := range pl.sortedIDs() {
 		pd := pl.deps[id]
-		banned := pl.bannedIdx(pd.cluster)
-		if !pd.d.Deployed || !touchesBanned(pd.d.Placement, banned) {
-			continue
+		if pd.d.Deployed && touchesBanned(pd.d.Placement, pl.bannedIdx(pd.cluster)) {
+			ids = append(ids, id)
 		}
-		if _, err := pl.healLocked(ctx, pd, banned); err != nil {
-			return healed, err
-		}
-		healed = append(healed, id)
 	}
-	return healed, nil
+	var healed []string
+	outs, err := pl.healLocked(ctx, ids)
+	for _, o := range outs {
+		if o.Err == nil {
+			healed = append(healed, o.Deployment.ID)
+		}
+	}
+	return healed, err
 }
 
 // Hosts aggregates host state across every deployment's cluster plus
@@ -352,10 +358,12 @@ func (pl *Plane) Hosts() []HostStatus {
 }
 
 // Tick advances the control clock one interval and heals every
-// registered deployment in deterministic (sorted id) order. A cancelled
-// ctx aborts the remaining deployments and returns the partial report
-// with ctx's error; the deployment a cancellation interrupted is never
-// left torn (see Policy.Heal).
+// registered deployment in one Pass, committing the decisions in sorted
+// id order. A deployment whose heal fails keeps its state and does not
+// stop the others: the report counts the committed decisions, and the
+// failures come back joined in sorted-id order. A cancelled ctx fails
+// every heal it reaches; a heal it interrupts is never left torn (see
+// Policy.Heal).
 func (pl *Plane) Tick(ctx context.Context) (TickReport, error) {
 	start := time.Now()
 	pl.mu.Lock()
@@ -363,23 +371,19 @@ func (pl *Plane) Tick(ctx context.Context) (TickReport, error) {
 	pl.ticks++
 	pl.nowS += tickIntervalS
 	rep := TickReport{Tick: pl.ticks, AtS: pl.nowS}
-	for _, id := range pl.sortedIDs() {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		pd := pl.deps[id]
-		dec, err := pl.healLocked(ctx, pd, pl.bannedIdx(pd.cluster))
-		if err != nil {
-			return rep, err
+	outs, err := pl.healLocked(ctx, pl.sortedIDs())
+	for _, o := range outs {
+		if o.Err != nil {
+			continue
 		}
 		rep.Healed++
-		if dec.Violation != "" {
+		if o.Decision.Violation != "" {
 			rep.Violations++
 		}
 		switch {
-		case dec.Moved():
+		case o.Decision.Moved():
 			rep.Migrations++
-		case dec.Suppressed():
+		case o.Decision.Suppressed():
 			rep.Suppressed++
 		}
 	}
@@ -389,30 +393,48 @@ func (pl *Plane) Tick(ctx context.Context) (TickReport, error) {
 		pl.cfg.Logf("controlplane: tick %d: %d violations, %d migrations, %d suppressed",
 			rep.Tick, rep.Violations, rep.Migrations, rep.Suppressed)
 	}
-	return rep, nil
+	return rep, err
 }
 
-// healLocked runs one Policy.Heal over pd and records the decision in
-// its history. Callers hold pl.mu.
-func (pl *Plane) healLocked(ctx context.Context, pd *planeDep, banned []int) (Decision, error) {
-	v := View{Cluster: pd.cluster, Banned: banned}
-	dec, err := pl.cfg.Policy.Heal(ctx, &pd.d, v, nil,
-		pl.feed(pl.ticks, pd.seq), pl.nowS, pl.searchOpts(pl.ticks, pd.seq))
-	if err != nil {
-		return dec, err
+// healLocked decides the deployments ids (sorted) in one Pass and
+// commits the outcomes in that order: a decision that succeeded replaces
+// its deployment's state and is recorded in its history and the log,
+// one that failed leaves its deployment as it was. It returns the
+// outcomes in the order of ids and the failures joined. Callers hold
+// pl.mu.
+func (pl *Plane) healLocked(ctx context.Context, ids []string) ([]Outcome, error) {
+	pds := make([]*planeDep, len(ids))
+	deps := make([]Deployment, len(ids))
+	for i, id := range ids {
+		pds[i] = pl.deps[id]
+		deps[i] = pds[i].d
 	}
-	if dec.Violation != "" || dec.Action != "" {
-		pl.pushHistory(pd, HistoryEntry{
-			AtS: pl.nowS, Tick: pl.ticks,
-			Violation:       dec.Violation,
-			Action:          dec.Action,
-			QErrThroughput:  dec.QErrThroughput,
-			QErrProcLatency: dec.QErrProcLatency,
-			Hosts:           hostNames(pd.cluster, pd.d.Placement),
-		})
-		pl.cfg.Logf("controlplane: %s: %s -> %s", pd.d.ID, dec.Violation, dec.Action)
+	outs := Pass(deps, func(i int, d *Deployment) (Decision, error) {
+		pd := pds[i]
+		v := View{Cluster: pd.cluster, Banned: pl.bannedIdx(pd.cluster)}
+		return pl.cfg.Policy.Heal(ctx, d, v, nil, pl.feed(pl.ticks, pd.seq), pl.nowS, pl.searchOpts(pl.ticks, pd.seq))
+	})
+	var errs []error
+	for i, o := range outs {
+		if o.Err != nil {
+			errs = append(errs, o.Err)
+			continue
+		}
+		pd, dec := pds[i], o.Decision
+		pd.d = o.Deployment
+		if dec.Violation != "" || dec.Action != "" {
+			pl.pushHistory(pd, HistoryEntry{
+				AtS: pl.nowS, Tick: pl.ticks,
+				Violation:       dec.Violation,
+				Action:          dec.Action,
+				QErrThroughput:  dec.QErrThroughput,
+				QErrProcLatency: dec.QErrProcLatency,
+				Hosts:           hostNames(pd.cluster, pd.d.Placement),
+			})
+			pl.cfg.Logf("controlplane: %s: %s -> %s", pd.d.ID, dec.Violation, dec.Action)
+		}
 	}
-	return dec, nil
+	return outs, errors.Join(errs...)
 }
 
 func (pl *Plane) pushHistory(pd *planeDep, e HistoryEntry) {

@@ -173,7 +173,8 @@ func round4(x float64) float64 {
 }
 
 // Run executes the scenario: build the fleet, deploy the workload, walk
-// the event script with the self-healing recovery loop, evaluate the
+// the event script with the self-healing recovery loop (each pass
+// decided in parallel, committed in deployment order), evaluate the
 // assertions. The returned report is deterministic for a fixed scenario
 // (at any GOMAXPROCS); ctx cancels long searches mid-run.
 func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
@@ -244,17 +245,24 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	loadFactor := 1.0
 	deadAfterRecovery := []string(nil)
 
-	// Deploy: every query searched fresh on the full healthy fleet.
-	// Deployments hold placements in fleet host indices throughout.
+	// Deploy: every query searched fresh on the full healthy fleet, the
+	// searches in one control-plane pass. Deployments hold placements in
+	// fleet host indices throughout.
 	deps := make([]controlplane.Deployment, sc.Workload.Queries)
+	for i := range deps {
+		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), sampler(i)
+	}
 	v := fl.clusterView()
 	deploy := TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: alive(v), LoadFactor: 1}
-	for i := range deps {
-		d := &deps[i]
-		d.ID, d.Query = fmt.Sprintf("q%02d", i), sampler(i)
-		if err := pol.Deploy(ctx, d, v, searchOpts(0, i)); err != nil {
-			return nil, fmt.Errorf("fleet: deploying %s: %w", d.ID, err)
+	outs := controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+		return controlplane.Decision{}, pol.Deploy(ctx, d, v, searchOpts(0, i))
+	})
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("fleet: deploying %s: %w", o.Deployment.ID, o.Err)
 		}
+		deps[i] = o.Deployment
+		d := &deps[i]
 		deploy.Queries = append(deploy.Queries, QueryStatus{
 			ID:            d.ID,
 			Hosts:         fl.hostIDs(d.Placement),
@@ -266,21 +274,27 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 
 	// heal runs the control plane's self-healing pass over every
 	// deployment at clock nowS against view v; stage seeds searches and
-	// observations. The fleet only renders each Decision into report
-	// rows and totals.
+	// observations. The decisions run in parallel (controlplane.Pass);
+	// the fleet commits them in deployment order, rendering each into
+	// report rows and totals, and fails on the first error in that order.
 	heal := func(v controlplane.View, nowS float64, stage int, entry *TimelineEntry) error {
 		for i := range deps {
-			d := &deps[i]
-			if d.Deployed {
-				fl.maskDead(d.Placement)
+			if deps[i].Deployed {
+				fl.maskDead(deps[i].Placement)
 			}
-			dec, err := pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(stage, i), nowS, searchOpts(stage, i))
-			if err != nil {
+		}
+		outs := controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+			return pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(stage, i), nowS, searchOpts(stage, i))
+		})
+		for i, o := range outs {
+			if o.Err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
-				return fmt.Errorf("fleet: healing %s: %w", d.ID, err)
+				return fmt.Errorf("fleet: healing %s: %w", o.Deployment.ID, o.Err)
 			}
+			deps[i] = o.Deployment
+			d, dec := &deps[i], o.Decision
 			st := QueryStatus{ID: d.ID, Violation: dec.Violation, Action: dec.Action}
 			if dec.Observed {
 				st.QErrThroughput = round4(dec.QErrThroughput)

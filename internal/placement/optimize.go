@@ -64,7 +64,10 @@ func (s CostSet) Copy(dst *PredCosts, src PredCosts) {
 // that pair's candidate placements. COSTREAM's ensembles, the flat-vector
 // baseline and the simulator oracle implement it; PredictorFunc adapts a
 // plain per-placement cost function. Score and PredictOne are the two
-// ways to use one outside a search.
+// ways to use one outside a search. A control-plane heal pass
+// (controlplane.Pass) searches several deployments at once on one
+// predictor, so NewScoreSession is called concurrently and must be safe
+// for concurrent use.
 type Predictor interface {
 	NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error)
 }

@@ -151,12 +151,17 @@ func (s *Server) handleHostDrain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"host": host, "cordoned": true, "healed": healed})
 }
 
-// handleControlTick answers 200 with the tick's report and 503 when the
-// request was cancelled mid-tick.
+// handleControlTick answers 200 with the tick's report, 503 when the
+// request was cancelled mid-tick and 500 when a heal itself failed (the
+// tick still committed every other deployment's decision).
 func (s *Server) handleControlTick(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.plane.Tick(r.Context())
 	if err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "control tick: %v", err)
+		status, what := http.StatusInternalServerError, "control tick"
+		if r.Context().Err() != nil {
+			status, what = http.StatusServiceUnavailable, "request cancelled: control tick"
+		}
+		s.writeError(w, status, "%s: %v", what, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, rep)

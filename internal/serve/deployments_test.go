@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -320,5 +322,41 @@ func TestControlLoopStopFlushes(t *testing.T) {
 	// Stop is idempotent.
 	if err := loop.Stop(ctx); err != nil {
 		t.Fatalf("second stop: %v", err)
+	}
+}
+
+// failingFeed is a metric feed whose probe is down.
+type failingFeed struct{}
+
+func (failingFeed) Observe(*stream.Query, *hardware.Cluster, sim.Placement) (*sim.Metrics, error) {
+	return nil, errors.New("probe down")
+}
+
+// TestControlTickStatuses: a tick whose heal fails answers 500 naming
+// the failure, and a tick whose client is gone answers 503, like a drain.
+func TestControlTickStatuses(t *testing.T) {
+	pred := &fakePred{}
+	pl, err := controlplane.New(controlplane.Config{
+		Policy: controlplane.Policy{Predictor: pred},
+		Feed:   failingFeed{},
+		Seed:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Predictor: pred, ControlPlane: pl})
+	if w := doJSON(t, s, http.MethodPost, "/v1/deployments", DeployRequest{ID: "q1", Query: testQuery(t), Cluster: testCluster()}); w.Code != http.StatusOK {
+		t.Fatalf("deploy: status %d: %s", w.Code, w.Body)
+	}
+	if w := doJSON(t, s, http.MethodPost, "/v1/control/tick", nil); w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "probe down") {
+		t.Fatalf("failing heal: status %d body %s, want 500 naming the probe", w.Code, w.Body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/control/tick", nil).WithContext(ctx)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "request cancelled") {
+		t.Fatalf("cancelled tick: status %d body %s, want 503 request cancelled", w.Code, w.Body)
 	}
 }
