@@ -233,8 +233,9 @@ func (m *Model) NewControlPlane() (*ControlPlane, error) {
 
 // Deploy registers query q on cluster c with the control plane under
 // id, runs the initial placement search (respecting any cordoned
-// hosts) and returns the activated deployment's status. Subsequent
-// ControlPlane.Tick calls keep the placement healthy.
+// hosts) and returns the activated deployment's status. An invalid
+// cluster (Cluster.Validate) is refused. Subsequent ControlPlane.Tick
+// calls keep the placement healthy.
 func Deploy(ctx context.Context, cp *ControlPlane, id string, q *Query, c *Cluster) (DeploymentStatus, error) {
 	return cp.Deploy(ctx, id, q, c, nil)
 }
@@ -243,8 +244,13 @@ func Deploy(ctx context.Context, cp *ControlPlane, id string, q *Query, c *Clust
 func NewQueryBuilder() *QueryBuilder { return stream.NewBuilder() }
 
 // Execute runs the query under the placement on the cluster in the
-// bundled execution simulator and returns the measured cost metrics.
+// bundled execution simulator and returns the measured cost metrics. It
+// refuses an invalid cluster (Cluster.Validate), including hosts the
+// placement does not use.
 func Execute(q *Query, c *Cluster, p Placement) (*Metrics, error) {
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid cluster: %w", err)
+	}
 	return sim.Run(q, c, p, sim.DefaultConfig())
 }
 

@@ -103,21 +103,31 @@ func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) 
 // operator or down. A banned host is both a violation trigger (an
 // incumbent touching one is force-replaced) and a search constraint (no
 // challenger may use one).
+//
+// The cluster must be valid (hardware.Cluster.Validate). Whoever builds
+// the view checks it once — the fleet per view, the Plane when a
+// deployment registers its cluster — and a decision does not check it
+// again: the simulator checks only the hosts a placement uses.
 type View struct {
 	Cluster *hardware.Cluster
 	Banned  []int
 }
 
-// schedulable returns how many hosts remain available for placement.
-func (v View) schedulable() int {
+// anySchedulable reports whether some host is not banned. Fewer ban
+// entries than hosts cannot cover them all, so only a view banning at
+// least as many entries as it has hosts counts the distinct ones.
+func (v View) anySchedulable() bool {
 	n := len(v.Cluster.Hosts)
-	seen := make(map[int]bool, len(v.Banned))
+	if len(v.Banned) < n {
+		return true
+	}
+	banned := make([]bool, n)
 	for _, h := range v.Banned {
-		if h >= 0 && h < n && !seen[h] {
-			seen[h] = true
+		if h >= 0 && h < n {
+			banned[h] = true
 		}
 	}
-	return n - len(seen)
+	return slices.Contains(banned, false)
 }
 
 // Deployment is one query's live control-plane state. Placement is in
@@ -285,7 +295,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	}
 	met().violations(dec.Violation).Inc()
 
-	if v.schedulable() == 0 {
+	if !v.anySchedulable() {
 		d.Deployed = false
 		d.Placement = nil
 		dec.Action = ActionUndeployed

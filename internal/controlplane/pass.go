@@ -1,7 +1,9 @@
 package controlplane
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -23,6 +25,11 @@ type Outcome struct {
 // seed a decision draws must come from its index, never from the order
 // decisions run in.
 //
+// Decisions start largest first: in descending operator count, ties in
+// index order. A decision's cost grows with its query, so the longest
+// ones do not end up queued behind short ones on one goroutine while the
+// others idle at the end of the pass.
+//
 // A decision may write only its own copy and read state that is safe
 // for concurrent use: the pass's View, the Predictor, the MetricFeed.
 // Deploy and Heal replace d.Placement rather than write through it, so
@@ -31,9 +38,15 @@ type Outcome struct {
 // decision that conflicts with an earlier one is caught.
 func Pass(deps []Deployment, decide func(i int, d *Deployment) (Decision, error)) []Outcome {
 	out := make([]Outcome, len(deps))
+	order := make([]int, len(deps))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deps[b].Query.NumOps(), deps[a].Query.NumOps()) })
 	var next atomic.Int64
 	work := func() {
-		for i := int(next.Add(1) - 1); i < len(deps); i = int(next.Add(1) - 1) {
+		for k := int(next.Add(1) - 1); k < len(order); k = int(next.Add(1) - 1) {
+			i := order[k]
 			o := &out[i]
 			o.Deployment = deps[i]
 			o.Decision, o.Err = decide(i, &o.Deployment)

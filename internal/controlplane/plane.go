@@ -172,7 +172,9 @@ func hostNames(c *hardware.Cluster, p sim.Placement) []string {
 // Deploy registers query q on cluster c under id and places it. A
 // non-nil placement is adopted as-is (validated and priced, no search) —
 // the serve API uses this to round-trip /v1/example bodies; nil runs a
-// fresh placement search that respects the current cordon set.
+// fresh placement search that respects the current cordon set. The
+// cluster is validated here, once: the deployment keeps it for every
+// later tick and drain, which do not check it again.
 func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, c *hardware.Cluster, p sim.Placement) (Status, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -191,6 +193,9 @@ func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, c *hard
 	}
 	if _, ok := pl.deps[id]; ok {
 		return Status{}, &DuplicateError{ID: id}
+	}
+	if err := c.Validate(); err != nil {
+		return Status{}, fmt.Errorf("controlplane: deploying %s: invalid cluster: %w", id, err)
 	}
 	pd := &planeDep{
 		d:       Deployment{ID: id, Query: q},

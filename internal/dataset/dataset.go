@@ -220,6 +220,11 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	} else {
 		c = g.Cluster()
 	}
+	// The trace's cluster is built here, so it is validated here: sim.Run
+	// checks only the hosts the placement uses.
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid cluster: %w", err)
+	}
 	rng := rand.New(rand.NewSource(genCfg.Seed ^ 0x9E3779B9))
 	p, err := placement.RandomValid(rng, q, c)
 	if err != nil {

@@ -88,8 +88,12 @@ func (f *Fleet) hostID(fi int) string { return f.hosts[fi].host.ID }
 // clusterView is the fleet as the control plane sees it: every host in
 // fleet order with link degradation applied to its features, and the
 // hosts that are down banned. A host without degradation is the fleet's
-// own, shared by pointer; a degraded one is a copy.
-func (f *Fleet) clusterView() controlplane.View {
+// own, shared by pointer; a degraded one is a copy. The view is where the
+// fleet's cluster is built or changed, so it is validated here, once per
+// view, and nothing downstream checks it again: a degradation that
+// drives a feature out of range (an infinite latency, a zero bandwidth)
+// is refused here.
+func (f *Fleet) clusterView() (controlplane.View, error) {
 	v := controlplane.View{Cluster: &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}}
 	for i := range f.hosts {
 		hs := &f.hosts[i]
@@ -105,7 +109,10 @@ func (f *Fleet) clusterView() controlplane.View {
 		}
 		v.Cluster.Hosts[i] = h
 	}
-	return v
+	if err := v.Cluster.Validate(); err != nil {
+		return controlplane.View{}, fmt.Errorf("invalid cluster: %w", err)
+	}
+	return v, nil
 }
 
 // maskDead sets the entries of p whose host is down to -1, which

@@ -252,7 +252,10 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	for i := range deps {
 		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), sampler(i)
 	}
-	v := fl.clusterView()
+	v, err := fl.clusterView()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	deploy := TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: alive(v), LoadFactor: 1}
 	outs := controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
 		return controlplane.Decision{}, pol.Deploy(ctx, d, v, searchOpts(0, i))
@@ -337,7 +340,9 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		if ev.Type == EventLoadSpike {
 			loadFactor *= ev.Factor
 		}
-		v = fl.clusterView()
+		if v, err = fl.clusterView(); err != nil {
+			return nil, fmt.Errorf("fleet: %s at %vs: %w", ev.Type, now, err)
+		}
 		entry := TimelineEntry{
 			AtS:        now,
 			Event:      string(ev.Type),
@@ -356,10 +361,28 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	}
 
 	// Closing observation: one settle pass with recovery disabled, so the
-	// end-state assertions see the final placements' q-errors.
+	// end-state assertions see the final placements' q-errors. The
+	// observations run in one pass like the heals, and their rows are
+	// rendered in deployment order.
 	end := TimelineEntry{AtS: now, Event: "end", AliveHosts: alive(v), LoadFactor: round4(loadFactor)}
+	outs = controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+		if !d.Deployed || len(fl.deadHosts(d.Placement)) > 0 {
+			return controlplane.Decision{}, nil
+		}
+		obs, err := observe(len(events)+1, i).Observe(scaledQuery(d.Query, loadFactor), v.Cluster, d.Placement)
+		if err != nil {
+			return controlplane.Decision{}, err
+		}
+		qT, qL := placement.RecordQErrors(d.Predicted, obs)
+		return controlplane.Decision{Observed: true, QErrThroughput: qT, QErrProcLatency: qL,
+			PredLatencyMS: d.Predicted.ProcLatencyMS, ObsLatencyMS: obs.ProcLatencyMS}, nil
+	})
 	maxQ := 0.0
-	for i, d := range deps {
+	for i, o := range outs {
+		d, dec := &deps[i], o.Decision
+		if o.Err != nil {
+			return nil, fmt.Errorf("fleet: final observation of %s: %w", d.ID, o.Err)
+		}
 		st := QueryStatus{ID: d.ID}
 		switch dead := fl.deadHosts(d.Placement); {
 		case !d.Deployed:
@@ -370,15 +393,10 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			deadAfterRecovery = mergeIDs(deadAfterRecovery, dead)
 		default:
 			st.Hosts = fl.hostIDs(d.Placement)
-			obs, err := observe(len(events)+1, i).Observe(scaledQuery(d.Query, loadFactor), v.Cluster, d.Placement)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: final observation of %s: %w", d.ID, err)
-			}
-			qT, qL := placement.RecordQErrors(d.Predicted, obs)
-			st.QErrThroughput = round4(qT)
-			st.QErrProcLatency = round4(qL)
-			st.PredLatencyMS = round4(d.Predicted.ProcLatencyMS)
-			st.ObsLatencyMS = round4(obs.ProcLatencyMS)
+			st.QErrThroughput = round4(dec.QErrThroughput)
+			st.QErrProcLatency = round4(dec.QErrProcLatency)
+			st.PredLatencyMS = round4(dec.PredLatencyMS)
+			st.ObsLatencyMS = round4(dec.ObsLatencyMS)
 			maxQ = math.Max(maxQ, math.Max(st.QErrThroughput, st.QErrProcLatency))
 		}
 		end.Queries = append(end.Queries, st)

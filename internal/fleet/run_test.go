@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -274,4 +275,49 @@ func assertionPassed(t *testing.T, rep *Report, name string) {
 		}
 	}
 	t.Errorf("assertion %s not evaluated", name)
+}
+
+// TestInvalidFleetClusterRefused: a fleet's cluster is validated once per
+// view, where it is built or changed, not by every simulator run (which
+// checks only the hosts a placement uses). A custom template grid
+// holding NaN is refused before any host is sampled; a link degradation
+// that drives the edge zone's latency to +Inf and its bandwidth to zero
+// is refused at the view it changes, although the workload may run
+// nowhere near that zone; and a view with a duplicate host ID or a NaN
+// feature is refused. A fleet holds its hosts by value, so it cannot
+// hold a null one.
+func TestInvalidFleetClusterRefused(t *testing.T) {
+	sc := cascadeScenario(3)
+	sc.Fleet.Templates = append(sc.Fleet.Templates, HostTemplate{Name: "nan",
+		CPU: []float64{100}, RAMMB: []float64{math.NaN()}, BandwidthMbps: []float64{100}, LatencyMS: []float64{5}})
+	if _, err := Run(context.Background(), sc, RunOptions{SimConfig: fastSim()}); err == nil || !strings.Contains(err.Error(), "ram_mb holds invalid value NaN") {
+		t.Fatalf("NaN template grid: err = %v, want a refusal naming ram_mb", err)
+	}
+
+	sc = cascadeScenario(3)
+	sc.Events = []Event{
+		{AtS: 10, Type: EventLinkDegrade, Zone: "edge-a", Factor: 1e200},
+		{AtS: 20, Type: EventLinkDegrade, Zone: "edge-a", Factor: 1e200},
+	}
+	if _, err := Run(context.Background(), sc, RunOptions{SimConfig: fastSim()}); err == nil ||
+		!strings.Contains(err.Error(), "link-degrade at 20s: invalid cluster: host edge-a/host-000: latency must be finite") {
+		t.Fatalf("link degradation to +Inf: err = %v, want the second event's view refused", err)
+	}
+
+	fl, err := buildFleet(cascadeScenario(3).Fleet, newTestRng(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.clusterView(); err != nil {
+		t.Fatalf("valid fleet: %v", err)
+	}
+	last := &fl.hosts[len(fl.hosts)-1].host
+	last.ID = fl.hostID(0)
+	if _, err := fl.clusterView(); err == nil || !strings.Contains(err.Error(), "duplicate host id") {
+		t.Fatalf("duplicate host id: err = %v", err)
+	}
+	last.ID, last.CPU = "nan", math.NaN()
+	if _, err := fl.clusterView(); err == nil || !strings.Contains(err.Error(), "cpu must be finite") {
+		t.Fatalf("NaN cpu: err = %v", err)
+	}
 }

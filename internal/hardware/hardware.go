@@ -123,7 +123,13 @@ type Cluster struct {
 // NumHosts returns the number of hosts.
 func (c *Cluster) NumHosts() int { return len(c.Hosts) }
 
-// Validate checks every host.
+// Validate checks the whole cluster: at least one host, none of them
+// nil, each one valid (Host.Validate), and no host ID twice. It is the
+// one whole-cluster check, made once where a cluster enters the system
+// or changes: request decode, fleet views, control-plane registration,
+// dataset builds, the public facade and SimOracle sessions. sim.Run
+// checks only the hosts its placement uses, so a control loop that runs
+// the simulator many times over one cluster does not pay for it again.
 func (c *Cluster) Validate() error {
 	if len(c.Hosts) == 0 {
 		return fmt.Errorf("empty cluster")
@@ -198,9 +204,10 @@ type Grid struct {
 }
 
 // Validate reports an error naming the first unusable grid dimension: a
-// dimension with no values, or a value a Host would reject (non-positive
-// cpu/ram/bandwidth, negative latency). Scenario files that spell out
-// custom host-template grids are checked with this before any sampling.
+// dimension with no values, or a value a Host would reject (non-finite,
+// non-positive cpu/ram/bandwidth, negative latency). Scenario files that
+// spell out custom host-template grids are checked with this before any
+// sampling, so every host sampled from a valid grid is valid.
 func (g Grid) Validate() error {
 	dims := []struct {
 		name      string
@@ -217,7 +224,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("hardware: grid dimension %s is empty", d.name)
 		}
 		for _, v := range d.vals {
-			if v < 0 || (v == 0 && !d.allowZero) {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || (v == 0 && !d.allowZero) {
 				return fmt.Errorf("hardware: grid dimension %s holds invalid value %v", d.name, v)
 			}
 		}

@@ -11,6 +11,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"costream/internal/hardware"
 	"costream/internal/sim"
@@ -27,7 +28,7 @@ type generator struct {
 	q      *stream.Query
 	c      *hardware.Cluster
 	bins   []hardware.Bin
-	caps   []float64 // CapabilityScore per host, for greedy completion
+	caps   []float64 // CapabilityScore per host, filled by the first greedy completion
 	order  []int     // topological order of the data flow
 	ups    [][]int   // upstream operator indices, per operator
 	nHosts int
@@ -42,16 +43,24 @@ type generator struct {
 	scratch sim.Placement // draw scratch
 	comp    sim.Placement // completion scratch
 
-	// Neighbourhood scratch of a local search, allocated by the first
-	// neighbors call: the steps found, the hosts a move of the current
-	// operator may not take, that operator's strict descendants, the
-	// swap-check placement, and the backing array of built neighbours.
-	steps   []neighbor
+	// Neighbourhood scratch of a local search, allocated by its first
+	// neighbourhood: the steps found (a stepPool buffer, handed back by
+	// release), the hosts a move of the current operator may not take,
+	// that operator's strict descendants, the swap-check placement, the
+	// backing array of built neighbours and the indices of the kept
+	// steps.
+	steps   *[]neighbor
 	deny    bitset
 	desc    []bool
 	swapped sim.Placement
 	built   []int
+	picks   []int
 }
+
+// stepPool keeps neighbourhood step buffers from one search to the next.
+// A buffer grows to about operators × hosts steps; grown afresh in every
+// search, it was most of what a search allocated on a large cluster.
+var stepPool = sync.Pool{New: func() any { return new([]neighbor) }}
 
 // neighbor is one step from a base placement: operator v moved to host x
 // or, when swap is set, the hosts of operators v and x exchanged.
@@ -65,11 +74,18 @@ func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
 	if err != nil {
 		return nil, err
 	}
+	bins := make([]hardware.Bin, len(c.Hosts))
+	for h, host := range c.Hosts {
+		if host == nil {
+			return nil, fmt.Errorf("placement: host %d is null", h)
+		}
+		bins[h] = hardware.Classify(host)
+	}
 	n := len(q.Ops)
 	g := &generator{
 		q:       q,
 		c:       c,
-		bins:    c.Bins(),
+		bins:    bins,
 		order:   order,
 		ups:     make([][]int, n),
 		nHosts:  len(c.Hosts),
@@ -81,11 +97,16 @@ func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
 		g.ups[i] = q.Upstream(i)
 		g.visited[i] = newBitset(len(c.Hosts))
 	}
-	g.caps = make([]float64, len(c.Hosts))
-	for h, host := range c.Hosts {
-		g.caps[h] = host.CapabilityScore()
-	}
 	return g, nil
+}
+
+// release hands the generator's step buffer back to stepPool once its
+// search's strategy has run; a later neighbors call takes another.
+func (g *generator) release() {
+	if g.steps != nil {
+		stepPool.Put(g.steps)
+		g.steps = nil
+	}
 }
 
 // ban excludes the given host indices from every candidate the generator
@@ -247,8 +268,11 @@ func (g *generator) neighbors(p sim.Placement) []neighbor {
 		g.desc = make([]bool, n)
 		g.swapped = make(sim.Placement, n)
 	}
+	if g.steps == nil {
+		g.steps = stepPool.Get().(*[]neighbor)
+	}
 	g.replay(p, n)
-	out := g.steps[:0]
+	out := (*g.steps)[:0]
 	for v := 0; v < n; v++ {
 		out = g.appendMoves(out, p, v)
 	}
@@ -266,7 +290,7 @@ func (g *generator) neighbors(p sim.Placement) []neighbor {
 			tmp[v], tmp[w] = tmp[w], tmp[v]
 		}
 	}
-	g.steps = out
+	*g.steps = out
 	return out
 }
 
@@ -363,6 +387,12 @@ func (g *generator) completeGreedy(p sim.Placement, d int) (sim.Placement, bool)
 // capable valid choice. Ties break toward the lower host index, keeping
 // completion fully deterministic.
 func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
+	if g.caps == nil {
+		g.caps = make([]float64, g.nHosts)
+		for h, host := range g.c.Hosts {
+			g.caps[h] = host.CapabilityScore()
+		}
+	}
 	best := -1
 	for _, u := range g.ups[v] {
 		h := p[u]

@@ -177,11 +177,11 @@ func TestLocalSearchScoresStartWithItsNeighborhood(t *testing.T) {
 }
 
 // BenchmarkLocalNeighbors times one neighborhood of a 3-way join's greedy
-// completion, built as LocalSearch builds it, on a 6- and a 220-host
-// cluster.
+// completion, built as LocalSearch builds it, on a 6-, a 220- and an
+// 11 000-host cluster.
 func BenchmarkLocalNeighbors(b *testing.B) {
 	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg)
-	for _, hosts := range []int{6, 220} {
+	for _, hosts := range []int{6, 220, 11_000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			c := hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts)
 			co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})

@@ -330,14 +330,19 @@ func (o Objective) Reads() CostSet {
 // SimOracle is a Predictor that runs the execution simulator: it provides
 // perfect cost knowledge and is used by tests, the fleet simulator and as
 // an upper bound. Each candidate needs a simulator run of its own, so
-// there is no shared work for a session to hoist: its session is the
-// PredictorFunc adapter over one run per candidate.
+// the only shared work for a session to hoist is validating the cluster,
+// which sim.Run leaves to its callers: the session refuses an invalid
+// cluster once and is then the PredictorFunc adapter over one run per
+// candidate.
 type SimOracle struct {
 	Cfg sim.Config
 }
 
 // NewScoreSession implements Predictor.
 func (o *SimOracle) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid cluster: %w", err)
+	}
 	return PredictorFunc(o.simulate).NewScoreSession(q, c)
 }
 

@@ -481,7 +481,9 @@ func Search(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cl
 	if err != nil {
 		return nil, err
 	}
-	if err := strat.Run(co); err != nil && len(co.records) == 0 {
+	err = strat.Run(co)
+	co.gen.release()
+	if err != nil && len(co.records) == 0 {
 		return nil, err
 	}
 	res, err := co.result(strat.Name())

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 
 	"costream/internal/sim"
@@ -307,20 +309,22 @@ func bestScored(round []Scored) *Scored {
 // localNeighbors appends to dst the move/swap neighborhood of the valid
 // placement p (generator.neighbors). Above localNeighborCap the steps are
 // subsampled to localNeighborCap with the core rng (deterministic for a
-// fixed seed), preserving generation order for stable tie-breaks, and only
-// the kept ones are built. The built placements are generator scratch,
-// overwritten by the next call; ScoreRound copies what it keeps.
+// fixed seed): the first localNeighborCap entries of a permutation of the
+// steps (permPrefix), kept in generation order for stable tie-breaks.
+// Only the kept steps are built. The built placements are generator
+// scratch, overwritten by the next call; ScoreRound copies what it keeps.
 func localNeighbors(co *Core, p sim.Placement, dst []sim.Placement) []sim.Placement {
 	g := co.gen
 	steps := g.neighbors(p)
-	var idx []int
-	if len(steps) > localNeighborCap {
-		idx = co.Rng().Perm(len(steps))[:localNeighborCap]
-		sort.Ints(idx)
-	}
 	n := len(p)
 	if g.built == nil {
 		g.built = make([]int, localNeighborCap*n)
+		g.picks = make([]int, localNeighborCap)
+	}
+	var idx []int
+	if len(steps) > localNeighborCap {
+		idx = permPrefix(co.Rng(), len(steps), g.picks)
+		slices.Sort(idx)
 	}
 	for i := 0; i < min(len(steps), localNeighborCap); i++ {
 		s := steps[i]
@@ -337,4 +341,24 @@ func localNeighbors(co *Core, p sim.Placement, dst []sim.Placement) []sim.Placem
 		dst = append(dst, nb)
 	}
 	return dst
+}
+
+// permPrefix fills m with the first min(len(m), n) entries of
+// rng.Perm(n) and returns them, making exactly Perm's draws, so rng ends
+// where Perm(n) leaves it. Perm's step i draws j = Intn(i+1) and sets
+// m[i], m[j] = m[j], i; past the prefix, only a draw j inside it writes
+// the prefix, so the other n-len(m) entries are never needed.
+func permPrefix(rng *rand.Rand, n int, m []int) []int {
+	m = m[:min(len(m), n)]
+	k := len(m)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			m[i] = m[j]
+		}
+		if j < k {
+			m[j] = i
+		}
+	}
+	return m
 }

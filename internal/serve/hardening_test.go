@@ -347,3 +347,43 @@ func TestPredictBatchCancelMidBatch(t *testing.T) {
 		t.Errorf("%d placements scored, want %d (none after the cancellation)", got, pred.limit)
 	}
 }
+
+// TestInvalidUnusedHostRejected: the simulator checks only the hosts a
+// placement uses, so each route that takes a cluster refuses an invalid
+// one at decode, with a 400, even when the bad host is one the request's
+// placement does not use: a duplicate host ID, a null host, or a
+// non-positive feature (JSON carries no NaN; Host.Validate refuses both
+// with the same check).
+func TestInvalidUnusedHostRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var ex PredictRequest
+	if err := json.Unmarshal(s.example, &ex); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		host *hardware.Host
+		want string
+	}{
+		{"duplicate id", &hardware.Host{ID: ex.Cluster.Hosts[0].ID, CPU: 100, RAMMB: 1000, NetBandwidthMbps: 100}, "duplicate host id"},
+		{"null host", nil, fmt.Sprintf("host %d is null", len(ex.Cluster.Hosts))},
+		{"zero cpu", &hardware.Host{ID: "spare", RAMMB: 1000, NetBandwidthMbps: 100}, "cpu must be finite and positive"},
+	} {
+		c := &hardware.Cluster{Hosts: append(slices.Clone(ex.Cluster.Hosts), tc.host)}
+		for path, req := range map[string]any{
+			"/v1/predict":       PredictRequest{Query: ex.Query, Cluster: c, Placement: ex.Placement},
+			"/v1/predict-batch": PredictBatchRequest{Query: ex.Query, Cluster: c, Placements: []sim.Placement{ex.Placement}},
+			"/v1/optimize":      OptimizeRequest{Query: ex.Query, Cluster: c, Candidates: 4},
+			"/v1/deployments":   DeployRequest{Query: ex.Query, Cluster: c, Placement: ex.Placement},
+		} {
+			doc, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := postRaw(s, path, doc)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+				t.Errorf("%s with a %s on an unused host: status %d, want 400 naming %q: %s", path, tc.name, w.Code, tc.want, w.Body)
+			}
+		}
+	}
+}
