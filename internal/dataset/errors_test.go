@@ -1,8 +1,13 @@
 package dataset
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +47,47 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := st.Iter(func(int, *Trace) error { return nil }); err == nil {
 		t.Error("garbage shard streamed without an error")
+	}
+}
+
+// TestIterRefusesMalformedEdge: the corpus reader refuses an edge that
+// is not exactly two operator indices and names it; the check is
+// stream.Edge's, the one the serve routes reach too.
+func TestIterRefusesMalformedEdge(t *testing.T) {
+	c, err := Build(buildCfg(1, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(c.Traces[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.Traces[0].Query.Edges[0]
+	edge := fmt.Sprintf("[%d,%d]", e[0], e[1])
+	bad := fmt.Sprintf("[%d,%d,99]", e[0], e[1])
+	line = bytes.Replace(line, []byte(`"Edges":[`+edge), []byte(`"Edges":[`+bad), 1)
+	dir := t.TempDir()
+	man := &Manifest{Magic: ManifestMagic, Version: ManifestVersion, N: 1, ShardSize: 1,
+		Shards: []ShardMeta{{Name: shardName(0), Count: 1}}}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	var shard bytes.Buffer
+	zw := gzip.NewWriter(&shard)
+	zw.Write(line)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardName(0)), shard.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Iter(func(int, *Trace) error { return nil })
+	if want := "edge " + bad + " is not [from, to]"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a trace with edge %s streamed with err = %v, want an error naming %q", bad, err, want)
 	}
 }
 

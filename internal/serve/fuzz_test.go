@@ -339,6 +339,16 @@ func FuzzHostRoutes(f *testing.F) {
 	for ops := uint8(0); ops < 9; ops++ {
 		f.Add(ops, []byte(`{"host":"`+used+`"}`))
 	}
+	// The host-ID shapes the routes meet besides the cluster's own: the
+	// fleet's zone/host-NNN paths (IDs may hold separators, which is why
+	// the host rides in the body), one-letter path segments, bare
+	// separators, an ID spelled with a JSON escape and a non-ASCII one,
+	// each sent to every pair of routes.
+	for _, id := range []string{"edge-a/host-001", "a/b", "zone/", "/", `host-\u0030`, "hôst-0"} {
+		for ops := uint8(0); ops < 9; ops++ {
+			f.Add(ops, []byte(`{"host":"`+id+`"}`))
+		}
+	}
 	f.Add(uint8(2), []byte(`{"host":"`+ex.Cluster.Hosts[0].ID+`"}`))
 	f.Add(uint8(2), []byte(`{"host":"no-such-host"}`))
 	f.Add(uint8(0), []byte(`{"host":""}`))

@@ -31,8 +31,10 @@
 // are served from a bounded LRU keyed by a digest of the request bytes,
 // so a hit is a read, a hash, a map probe and a write of the stored
 // response bytes, with no JSON work (the trade: a re-formatted copy of a
-// request is its own entry); a miss is scored like a /v1/predict-batch
-// of one (placement.Score under the request context); and a semaphore
+// request is its own entry); a miss reads a body in json.Marshal's
+// canonical encoding in one pass, without encoding/json's reflection,
+// and is scored like a /v1/predict-batch of one (placement.Score under
+// the request context); and a semaphore
 // bounds the predictor work in flight regardless of how many requests are
 // queued.
 package serve
@@ -435,7 +437,12 @@ func releaseBody(buf *bytes.Buffer) {
 }
 
 // decodeRequest decodes the single JSON document body holds into v,
-// rejecting unknown fields and anything but whitespace after it.
+// rejecting unknown fields and anything but whitespace after it. It is
+// the decoder of every POST route, the authority on which bodies are
+// accepted and the only source of decode error messages: /v1/predict
+// first tries readPredict, which reads only json.Marshal's canonical
+// encoding and returns what decodeRequest would, and decodes every body
+// readPredict declines here.
 func decodeRequest(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -491,8 +498,9 @@ func validatePair(q *stream.Query, c *hardware.Cluster) error {
 
 // handlePredict answers from the cache before any JSON work: the key is
 // a digest of the body bytes and the value the encoded response, so only
-// a miss decodes, validates and scores the request. Only 200 responses
-// are stored.
+// a miss decodes, validates and scores the request. A miss reads a
+// canonical body in one pass (readPredict) and any other with
+// decodeRequest. Only 200 responses are stored.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan("predict")
 	defer func() { sp.End(); s.logSpan(sp) }()
@@ -514,10 +522,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req PredictRequest
-	if err := decodeRequest(body, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
+	req, ok := readPredict(body.Bytes())
+	if !ok {
+		if err := decodeRequest(body, &req); err != nil {
+			s.writeDecodeError(w, err)
+			return
+		}
 	}
 	if err := validatePair(req.Query, req.Cluster); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)

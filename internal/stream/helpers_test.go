@@ -93,7 +93,7 @@ func TestQueryValidateFanouts(t *testing.T) {
 			{Type: OpFilter, Selectivity: 0.5},
 			{Type: OpSink},
 		},
-		Edges: [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+		Edges: []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
 	}
 	if err := q.Validate(); err == nil {
 		t.Error("fan-out plan accepted")
@@ -109,7 +109,7 @@ func TestQueryValidateNullOperator(t *testing.T) {
 			{Type: OpSink},
 			nil,
 		},
-		Edges: [][2]int{{0, 1}},
+		Edges: []Edge{{0, 1}},
 	}
 	const want = "operator 2 is null"
 	if err := q.Validate(); err == nil || err.Error() != want {

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Query is a DAG-shaped streaming query plan. Vertices are operators;
@@ -11,14 +12,84 @@ import (
 // the plan therefore forms a tree rooted at the sink (Section III-A).
 type Query struct {
 	Ops   []*Operator
-	Edges [][2]int // Edges[i] = [from, to] operator indices
+	Edges []Edge
+}
+
+// Edge is one data-flow edge of a plan: [from, to] operator indices.
+type Edge [2]int
+
+// UnmarshalJSON accepts exactly a JSON array of two integers in the int
+// range, with optional whitespace, and refuses anything else, null
+// included: encoding/json would fill a bare [2]int from a one-element
+// array and drop the elements past the second unread. It is the one
+// check of an edge's shape: every decoder of a Query reaches it, the
+// serve routes (both of /v1/predict's decode paths) and the corpus
+// reader alike. It checks the JSON grammar of what it accepts itself, so
+// it may be handed bytes no JSON scanner has seen.
+func (e *Edge) UnmarshalJSON(b []byte) error {
+	var v Edge
+	s, ok := edgeDelim(b, '[')
+	for k := 0; ok && k < len(v); k++ {
+		if k > 0 {
+			s, ok = edgeDelim(s, ',')
+		}
+		if ok {
+			v[k], s, ok = edgeIndex(s)
+		}
+	}
+	if ok {
+		s, ok = edgeDelim(s, ']')
+	}
+	if !ok || len(s) != 0 {
+		text, cut := b, ""
+		if len(b) > 40 {
+			text, cut = b[:40], "..."
+		}
+		return fmt.Errorf("edge %s%s is not [from, to]: want two integer operator indices", text, cut)
+	}
+	*e = v
+	return nil
+}
+
+// edgeDelim consumes c and the JSON whitespace around it.
+func edgeDelim(s []byte, c byte) ([]byte, bool) {
+	s = trimJSONSpace(s)
+	if len(s) == 0 || s[0] != c {
+		return s, false
+	}
+	return trimJSONSpace(s[1:]), true
+}
+
+// edgeIndex consumes a JSON integer literal, -?(0|[1-9][0-9]*), in the
+// int range; a fraction or an exponent is left for the caller to refuse.
+func edgeIndex(s []byte) (int, []byte, bool) {
+	i := 0
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	d := i
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	if i == d || (s[d] == '0' && i > d+1) {
+		return 0, s, false
+	}
+	n, err := strconv.ParseInt(string(s[:i]), 10, 0)
+	return int(n), s[i:], err == nil
+}
+
+func trimJSONSpace(s []byte) []byte {
+	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t' || s[0] == '\n' || s[0] == '\r') {
+		s = s[1:]
+	}
+	return s
 }
 
 // Clone returns a deep copy of the query.
 func (q *Query) Clone() *Query {
 	c := &Query{
 		Ops:   make([]*Operator, len(q.Ops)),
-		Edges: make([][2]int, len(q.Edges)),
+		Edges: make([]Edge, len(q.Edges)),
 	}
 	for i, op := range q.Ops {
 		oc := *op

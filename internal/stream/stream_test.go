@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -355,5 +357,37 @@ func TestUpstreamDownstream(t *testing.T) {
 	}
 	if d := q.Downstream(k); len(d) != 0 {
 		t.Errorf("Downstream(sink) = %v, want empty", d)
+	}
+}
+
+// TestEdgeUnmarshalJSON: an edge decodes from exactly two JSON integers
+// in the int range, as encoding/json reads an int, and from nothing else.
+func TestEdgeUnmarshalJSON(t *testing.T) {
+	for text, want := range map[string]Edge{
+		`[0,1]`:                   {0, 1},
+		` [ 3 ,	12 ] `:            {3, 12},
+		"[-0,\n-7]":               {0, -7},
+		`[9223372036854775807,0]`: {math.MaxInt64, 0},
+	} {
+		var e Edge
+		if err := e.UnmarshalJSON([]byte(text)); err != nil || e != want {
+			t.Errorf("%q: %v, %v; want %v", text, e, err, want)
+		}
+	}
+	for _, text := range []string{
+		``, `null`, `[]`, `[0]`, `[0,1,99]`, `[0,1,"x"]`, `[0,null]`, `[0,1.0]`, `[0,1e0]`,
+		`[01,1]`, `[+1,1]`, `[-,1]`, `[0 1]`, `[0,1]]`, `[0,1],`, `{}`, `"[0,1]"`,
+		`[9223372036854775808,0]`, `[0,[1]]`,
+	} {
+		var e Edge
+		err := e.UnmarshalJSON([]byte(text))
+		if err == nil || e != (Edge{}) {
+			t.Errorf("%q: accepted as %v", text, e)
+		}
+	}
+	var q Query
+	err := json.Unmarshal([]byte(`{"Edges":[[0,1],[1,2,3]]}`), &q)
+	if want := "edge [1,2,3] is not [from, to]"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("decoding a query with a three-element edge: %v, want an error naming %q", err, want)
 	}
 }
