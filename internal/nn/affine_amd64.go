@@ -17,8 +17,18 @@ var hasAVX = cpuHasAVX()
 // can run the portable path and compare.
 var useAffineAsm = hasAVX
 
-// cpuHasAVX is implemented in affine_amd64.s (CPUID + XGETBV).
+// useAVX512 selects affineLeakyAVX512 over affineLeakyAVX as the forward
+// kernel of layers at least zmmMinOut wide (see asmKernel). It is true
+// when the CPU also supports AVX-512F and the OS preserves the opmask
+// and full ZMM state (CPUID leaf 7 + XCR0); like useAffineAsm it is set
+// at init and is a variable only so that tests can run each kernel the
+// CPU has.
+var useAVX512 = hasAVX && cpuHasAVX512()
+
+// cpuHasAVX and cpuHasAVX512 are implemented in affine_amd64.s (CPUID +
+// XGETBV).
 func cpuHasAVX() bool
+func cpuHasAVX512() bool
 
 // affineLeakyAVX computes, for o in [0, out),
 //
@@ -39,6 +49,17 @@ func cpuHasAVX() bool
 //
 //go:noescape
 func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
+
+// affineLeakyAVX512 is affineLeakyAVX eight outputs to a ZMM vector: the
+// same contract, arguments and weight layout, and the same bits — each
+// lane runs the scalar multiply and add of its output in the same order,
+// with no fused multiply-add. Outputs go in blocks of up to 32 (four
+// vectors), and a block that ends inside a vector masks that vector's
+// loads and store instead of finishing in a scalar loop. It needs
+// AVX-512F (useAVX512).
+//
+//go:noescape
+func affineLeakyAVX512(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
 
 // affineBackwardAVX is the whole-layer backward of y = W·x + b (W
 // row-major out×in). For o in [0, out), in order:

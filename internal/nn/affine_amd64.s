@@ -354,3 +354,384 @@ oitail:
 ret:
 	VZEROUPPER
 	RET
+
+// func cpuHasAVX512() bool
+//
+// CPUID leaf 7 (when the CPU has it): EBX bit 16 = AVX512F; then
+// XGETBV(0) must show the opmask and both ZMM state components enabled
+// besides XMM and YMM (XCR0 bits 1, 2 and 5-7). Called only after
+// cpuHasAVX has seen OSXSAVE, which XGETBV needs.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+no512:
+	MOVB $0, ret+0(FP)
+	RET
+
+// ZSTEP2 adds x[i]*wt[i*out+o..] to both rows' ZMM accumulators from one
+// load of the weight vector; ZSTEP2M is its form for a block's last
+// vector, whose load reads only the K1 lanes (the others read zero and
+// never fault). ZSTEP1 and ZSTEP1M are the single-row forms. ZLEAKY
+// scales the negative lanes of acc by the slope: a compare into K2 and a
+// multiply merged under it.
+#define ZSTEP2(off, accA, accB) \
+	VMOVUPD off(R12), Z10; \
+	VMULPD Z10, Z8, Z11; \
+	VADDPD Z11, accA, accA; \
+	VMULPD Z10, Z9, Z12; \
+	VADDPD Z12, accB, accB
+
+#define ZSTEP2M(off, accA, accB) \
+	VMOVUPD.Z off(R12), K1, Z10; \
+	VMULPD Z10, Z8, Z11; \
+	VADDPD Z11, accA, accA; \
+	VMULPD Z10, Z9, Z12; \
+	VADDPD Z12, accB, accB
+
+#define ZSTEP1(off, acc) \
+	VMULPD off(R12), Z8, Z11; \
+	VADDPD Z11, acc, acc
+
+#define ZSTEP1M(off, acc) \
+	VMULPD.Z off(R12), Z8, K1, Z11; \
+	VADDPD Z11, acc, acc
+
+#define ZLEAKY(acc) \
+	VCMPPD $1, Z15, acc, K2; \
+	VMULPD Z14, acc, K2, acc
+
+// ZBLOCK opens the output block at o = R10, or jumps to done when no
+// output is left. A block is up to four vectors (32 outputs): K1 gets
+// the lane mask of its last vector — all eight lanes unless the block
+// ends inside that vector — and it jumps to v4, v3 or v2 by the block's
+// vector count, falling through for one vector. AX and CX are scratch.
+#define ZBLOCK(done, v4, v3, v2) \
+	MOVQ R9, CX; \
+	SUBQ R10, CX; \
+	JLE  done; \
+	MOVQ $32, AX; \
+	CMPQ CX, AX; \
+	CMOVQGT AX, CX; \
+	NEGL CX; \
+	ANDL $7, CX; \
+	MOVL $0xff, AX; \
+	SHRL CX, AX; \
+	KMOVW AX, K1; \
+	MOVQ R9, AX; \
+	SUBQ R10, AX; \
+	CMPQ AX, $24; \
+	JGT  v4; \
+	CMPQ AX, $16; \
+	JGT  v3; \
+	CMPQ AX, $8; \
+	JGT  v2
+
+// func affineLeakyAVX512(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64)
+//
+// affineLeakyAVX on 512-bit vectors: the same contract, arguments and
+// column-major weights, eight outputs to a ZMM vector. Per row pair (pz)
+// or odd last row (oz) the outputs go in blocks of up to four vectors,
+// 32 outputs (ZBLOCK): the bias is loaded into the accumulators, then
+// for i = 0, 1, ..., in-1 each accumulator gets x[i]*wt[i*out+o..] by a
+// separate VMULPD and VADDPD, so every output sums bias first, then
+// inputs in index order, rounding each product and each sum exactly as
+// the scalar loop does; there is no fused multiply-add. The block's last
+// vector is masked by K1 on the bias load, every weight load and the
+// store, so a block ending inside a vector needs no scalar tail, and
+// lanes past out are neither read nor written. LeakyReLU is VCMPPD into
+// K2 and a VMULPD merged under it: NaN and -0 compare not-less and pass
+// through, and slope 1 is no activation.
+//
+// Z0-Z3 and Z4-Z7 are the two rows' accumulators, Z8/Z9 the broadcast
+// x[i] of the two rows, Z10-Z12 temporaries, Z14 the broadcast slope and
+// Z15 zero; R12 walks the weight rows of the block.
+TEXT ·affineLeakyAVX512(SB), NOSPLIT, $0-80
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ wt+16(FP), DX
+	MOVQ b+24(FP), BX
+	MOVQ in+32(FP), R8
+	MOVQ out+40(FP), R9
+	VBROADCASTSD slope+72(FP), Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ R9, R13
+	SHLQ $3, R13              // R13 = out*8 bytes = wt row stride
+	SHLQ $3, yStride+56(FP)   // row strides in bytes, kept in the frame
+	SHLQ $3, xStride+64(FP)
+
+pz:
+	CMPQ rows+48(FP), $2
+	JLT  oz
+	MOVQ SI, R14
+	ADDQ xStride+64(FP), R14  // R14 = x of the pair's second row
+	XORQ R10, R10             // R10 = o
+
+pzblock:
+	ZBLOCK(pznext, pz4, pz3, pz2)
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVAPD Z0, Z4
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pzi1:
+	VBROADCASTSD (SI)(R11*8), Z8
+	VBROADCASTSD (R14)(R11*8), Z9
+	ZSTEP2M(0, Z0, Z4)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pzi1
+	ZLEAKY(Z0)
+	ZLEAKY(Z4)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, K1, (AX)
+	ADDQ yStride+56(FP), AX
+	VMOVUPD Z4, K1, (AX)
+	ADDQ $8, R10
+	JMP  pzblock
+
+pz2:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD.Z 64(AX), K1, Z1
+	VMOVAPD Z0, Z4
+	VMOVAPD Z1, Z5
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pzi2:
+	VBROADCASTSD (SI)(R11*8), Z8
+	VBROADCASTSD (R14)(R11*8), Z9
+	ZSTEP2(0, Z0, Z4)
+	ZSTEP2M(64, Z1, Z5)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pzi2
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	ZLEAKY(Z4)
+	ZLEAKY(Z5)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, K1, 64(AX)
+	ADDQ yStride+56(FP), AX
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, K1, 64(AX)
+	ADDQ $16, R10
+	JMP  pzblock
+
+pz3:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VMOVUPD.Z 128(AX), K1, Z2
+	VMOVAPD Z0, Z4
+	VMOVAPD Z1, Z5
+	VMOVAPD Z2, Z6
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pzi3:
+	VBROADCASTSD (SI)(R11*8), Z8
+	VBROADCASTSD (R14)(R11*8), Z9
+	ZSTEP2(0, Z0, Z4)
+	ZSTEP2(64, Z1, Z5)
+	ZSTEP2M(128, Z2, Z6)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pzi3
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	ZLEAKY(Z2)
+	ZLEAKY(Z4)
+	ZLEAKY(Z5)
+	ZLEAKY(Z6)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, K1, 128(AX)
+	ADDQ yStride+56(FP), AX
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, 64(AX)
+	VMOVUPD Z6, K1, 128(AX)
+	ADDQ $24, R10
+	JMP  pzblock
+
+pz4:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VMOVUPD 128(AX), Z2
+	VMOVUPD.Z 192(AX), K1, Z3
+	VMOVAPD Z0, Z4
+	VMOVAPD Z1, Z5
+	VMOVAPD Z2, Z6
+	VMOVAPD Z3, Z7
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+pzi4:
+	VBROADCASTSD (SI)(R11*8), Z8
+	VBROADCASTSD (R14)(R11*8), Z9
+	ZSTEP2(0, Z0, Z4)
+	ZSTEP2(64, Z1, Z5)
+	ZSTEP2(128, Z2, Z6)
+	ZSTEP2M(192, Z3, Z7)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  pzi4
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	ZLEAKY(Z2)
+	ZLEAKY(Z3)
+	ZLEAKY(Z4)
+	ZLEAKY(Z5)
+	ZLEAKY(Z6)
+	ZLEAKY(Z7)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, 128(AX)
+	VMOVUPD Z3, K1, 192(AX)
+	ADDQ yStride+56(FP), AX
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, 64(AX)
+	VMOVUPD Z6, 128(AX)
+	VMOVUPD Z7, K1, 192(AX)
+	ADDQ $32, R10
+	JMP  pzblock
+
+pznext:
+	MOVQ yStride+56(FP), AX
+	LEAQ (DI)(AX*2), DI
+	MOVQ xStride+64(FP), AX
+	LEAQ (SI)(AX*2), SI
+	SUBQ $2, rows+48(FP)
+	JMP  pz
+
+oz:
+	CMPQ rows+48(FP), $1
+	JLT  zret
+	XORQ R10, R10
+
+ozblock:
+	ZBLOCK(zret, oz4, oz3, oz2)
+	VMOVUPD.Z (BX)(R10*8), K1, Z0
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+ozi1:
+	VBROADCASTSD (SI)(R11*8), Z8
+	ZSTEP1M(0, Z0)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  ozi1
+	ZLEAKY(Z0)
+	VMOVUPD Z0, K1, (DI)(R10*8)
+	ADDQ $8, R10
+	JMP  ozblock
+
+oz2:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD.Z 64(AX), K1, Z1
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+ozi2:
+	VBROADCASTSD (SI)(R11*8), Z8
+	ZSTEP1(0, Z0)
+	ZSTEP1M(64, Z1)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  ozi2
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, K1, 64(AX)
+	ADDQ $16, R10
+	JMP  ozblock
+
+oz3:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VMOVUPD.Z 128(AX), K1, Z2
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+ozi3:
+	VBROADCASTSD (SI)(R11*8), Z8
+	ZSTEP1(0, Z0)
+	ZSTEP1(64, Z1)
+	ZSTEP1M(128, Z2)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  ozi3
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	ZLEAKY(Z2)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, K1, 128(AX)
+	ADDQ $24, R10
+	JMP  ozblock
+
+oz4:
+	LEAQ (BX)(R10*8), AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	VMOVUPD 128(AX), Z2
+	VMOVUPD.Z 192(AX), K1, Z3
+	LEAQ (DX)(R10*8), R12
+	XORQ R11, R11
+
+ozi4:
+	VBROADCASTSD (SI)(R11*8), Z8
+	ZSTEP1(0, Z0)
+	ZSTEP1(64, Z1)
+	ZSTEP1(128, Z2)
+	ZSTEP1M(192, Z3)
+	ADDQ R13, R12
+	INCQ R11
+	CMPQ R11, R8
+	JLT  ozi4
+	ZLEAKY(Z0)
+	ZLEAKY(Z1)
+	ZLEAKY(Z2)
+	ZLEAKY(Z3)
+	LEAQ (DI)(R10*8), AX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, 64(AX)
+	VMOVUPD Z2, 128(AX)
+	VMOVUPD Z3, K1, 192(AX)
+	ADDQ $32, R10
+	JMP  ozblock
+
+zret:
+	VZEROUPPER
+	RET

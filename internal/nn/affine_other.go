@@ -9,7 +9,13 @@ const haveAffineAsm = false
 
 var useAffineAsm = false
 
+var useAVX512 = false
+
 func affineLeakyAVX(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64) {
+	panic("nn: no asm kernel")
+}
+
+func affineLeakyAVX512(y, x, wt, b *float64, in, out, rows, yStride, xStride int, slope float64) {
 	panic("nn: no asm kernel")
 }
 

@@ -14,10 +14,55 @@ import "fmt"
 // Every kernel accumulates each output element in exactly the order of
 // Linear.affineInto (bias first, then inputs in index order), so a stack
 // is bit-identical to MLP.Apply on an inference tape — the scalar oracle —
-// on the same weights. On amd64 with AVX a layer is one call of
-// affineLeakyAVX — affine, LeakyReLU and the row loop — and no Go code
+// on the same weights. On amd64 with AVX a layer is one call of an
+// assembly kernel — affine, LeakyReLU and the row loop — and no Go code
 // touches an output element afterwards; the portable affineRowsStrided is
 // every other build's path and the oracle the assembly is tested against.
+
+// forwardKernel names an implementation of the fused affine+LeakyReLU
+// forward pass. All three compute the same bits.
+type forwardKernel uint8
+
+const (
+	kernelPortable forwardKernel = iota // affineRowsStrided: Go, row-major weights
+	kernelAVX2                          // affineLeakyAVX: 4 outputs to a YMM vector
+	kernelAVX512                        // affineLeakyAVX512: 8 outputs to a ZMM vector
+)
+
+func (k forwardKernel) String() string {
+	return [...]string{"portable", "avx2", "avx512"}[k]
+}
+
+// zmmMinOut is the narrowest layer the ZMM kernel runs. A single-output
+// layer — every readout's last — stays on the YMM kernel, whose scalar
+// tail is one multiply and one add per input where the ZMM kernel spends
+// a masked vector and a block set-up on it: in BenchmarkAffineKernels,
+// two sessions, 48→1 ran 1.2–1.4 against 1.6–2.1 ns/MAC at one row and
+// 0.59–0.72 against 0.70–0.83 at 31–32 rows. From two outputs up the ZMM
+// kernel was as fast or faster at every width measured.
+const zmmMinOut = 2
+
+// asmKernel picks the assembly forward kernel for a layer of out outputs:
+// the ZMM kernel where the CPU has AVX-512 and the layer is at least
+// zmmMinOut wide, the YMM kernel otherwise. The choice is made from the
+// CPU at package init and the layer's width, never from a setting.
+func asmKernel(out int) forwardKernel {
+	if useAVX512 && out >= zmmMinOut {
+		return kernelAVX512
+	}
+	return kernelAVX2
+}
+
+// ForwardKernel names the forward kernel this process runs on its layers
+// of more than one output, every hidden layer of the models included:
+// "avx512", "avx2" (the YMM kernel, which needs only AVX) or
+// "portable". It is fixed at package init by what the CPU supports.
+func ForwardKernel() string {
+	if !useAffineAsm {
+		return kernelPortable.String()
+	}
+	return asmKernel(zmmMinOut).String()
+}
 
 // affineRowsStrided computes, for each row r in [0, rows):
 //
@@ -131,11 +176,12 @@ func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, 
 }
 
 // affineRowsTrans is affineRowsStrided on the transposed weight layout:
-// one call of the assembly kernel covers the whole row batch, LeakyReLU
-// included — the kernel scales negative accumulators by its slope before
-// the store (the same compare-and-scale per element as the portable
-// kernel, so the bits match), and slope 1 is the linear layer.
-func affineRowsTrans(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
+// one call of the assembly kernel k (kernelAVX2 or kernelAVX512) covers
+// the whole row batch, LeakyReLU included — the kernel scales negative
+// accumulators by its slope before the store (the same compare-and-scale
+// per element as the portable kernel, so the bits match), and slope 1 is
+// the linear layer.
+func affineRowsTrans(k forwardKernel, dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
 	if rows == 0 {
 		return
 	}
@@ -147,6 +193,10 @@ func affineRowsTrans(dst []float64, dstOff, dstStride int, x []float64, xOff, xS
 	last := rows - 1
 	y := dst[dstOff : dstOff+last*dstStride+out]
 	xs := x[xOff : xOff+last*xStride+in]
+	if k == kernelAVX512 {
+		affineLeakyAVX512(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride, alpha)
+		return
+	}
 	affineLeakyAVX(&y[0], &xs[0], &wt[:in*out][0], &b[:out][0], in, out, rows, dstStride, xStride, alpha)
 }
 
@@ -154,20 +204,23 @@ func affineRowsTrans(dst []float64, dstOff, dstStride int, x []float64, xOff, xS
 // shape evaluated through one batched kernel: member m's weights occupy
 // block m of the member-major weight and bias buffers. The weights are
 // copied at stack time — a stack goes stale when a member's weights are
-// updated in place and must be rebuilt.
+// updated in place and must be rebuilt. The kernel is picked at stack
+// time too: the ZMM kernel on AVX-512 CPUs for layers of more than one
+// output, the YMM kernel for single-output layers and AVX-only CPUs, the
+// portable Go kernel everywhere else. All three give the same bits.
 type StackedLinear struct {
 	K, In, Out int
 	// W holds K member blocks in the layout the layer's kernel streams:
-	// column-major In×Out for the assembly kernel (outputs in adjacent
+	// column-major In×Out for the assembly kernels (outputs in adjacent
 	// lanes, unit-stride "all outputs for input i"), row-major Out×In for
 	// the portable one.
-	W   []float64
-	B   []float64 // K blocks of Out
-	asm bool      // stacked for affineLeakyAVX; false: portable kernel
+	W      []float64
+	B      []float64 // K blocks of Out
+	kernel forwardKernel
 }
 
 // StackLinears copies k same-shape layers into one stacked layer, laid
-// out for the assembly kernel when this build and CPU have it.
+// out for the assembly kernels when this build and CPU have them.
 func StackLinears(ls []*Linear) (*StackedLinear, error) {
 	if len(ls) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero layers")
@@ -175,9 +228,11 @@ func StackLinears(ls []*Linear) (*StackedLinear, error) {
 	in, out := ls[0].In, ls[0].Out
 	s := &StackedLinear{
 		K: len(ls), In: in, Out: out,
-		W:   make([]float64, len(ls)*out*in),
-		B:   make([]float64, len(ls)*out),
-		asm: useAffineAsm,
+		W: make([]float64, len(ls)*out*in),
+		B: make([]float64, len(ls)*out),
+	}
+	if useAffineAsm {
+		s.kernel = asmKernel(out)
 	}
 	for m, l := range ls {
 		if l.In != in || l.Out != out {
@@ -185,7 +240,7 @@ func StackLinears(ls []*Linear) (*StackedLinear, error) {
 		}
 		wm := s.W[m*out*in : (m+1)*out*in]
 		copy(s.B[m*out:(m+1)*out], l.B[:out])
-		if !s.asm {
+		if s.kernel == kernelPortable {
 			copy(wm, l.W[:out*in])
 			continue
 		}
@@ -204,8 +259,8 @@ func StackLinears(ls []*Linear) (*StackedLinear, error) {
 func (s *StackedLinear) rows(dst, x []float64, xBlock, xStride, rows int, alpha float64, act bool) {
 	for m := 0; m < s.K; m++ {
 		w, b := s.W[m*s.Out*s.In:(m+1)*s.Out*s.In], s.B[m*s.Out:(m+1)*s.Out]
-		if s.asm {
-			affineRowsTrans(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
+		if s.kernel != kernelPortable {
+			affineRowsTrans(s.kernel, dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		} else {
 			affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		}

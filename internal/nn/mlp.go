@@ -15,9 +15,9 @@ type Linear struct {
 	GB      []float64
 
 	// wt is the training mirror: W transposed to In x Out, the layout
-	// affineLeakyAVX streams. It exists only between RefreshMirror and
-	// DropMirror (core's fit loop) and is shared by gradient shadows like
-	// W. Without it the tape runs affineInto, which makes an inference
+	// the assembly forward kernels stream. It exists only between
+	// RefreshMirror and DropMirror (core's fit loop) and is shared by
+	// gradient shadows like W. Without it the tape runs affineInto, which makes an inference
 	// tape the scalar oracle of the packed inference kernels.
 	wt []float64
 }
@@ -79,10 +79,11 @@ func (l *Linear) RefreshMirror() {
 func (l *Linear) DropMirror() { l.wt = nil }
 
 // affineTape is the tape ops' forward, leaky(W*x + b, slope) with slope 1
-// for the plain affine op: one call of the fused AVX kernel over the
-// mirror when one exists, affineInto and leakyReLUInPlace otherwise. The
-// two are bit-identical — every output accumulates bias first, then
-// inputs in index order, and a negative sum is scaled by the slope once.
+// for the plain affine op: one call of the fused assembly kernel that
+// asmKernel picks for the layer, over the mirror, when one exists;
+// affineInto and leakyReLUInPlace otherwise. The two are bit-identical —
+// every output accumulates bias first, then inputs in index order, and a
+// negative sum is scaled by the slope once.
 func (l *Linear) affineTape(dst, x []float64, slope float64) {
 	if l.wt == nil {
 		l.affineInto(dst, x)
@@ -97,7 +98,7 @@ func (l *Linear) affineTape(dst, x []float64, slope float64) {
 	if l.In <= 0 || l.Out <= 0 || len(dst) != l.Out || len(l.wt) != l.In*l.Out || len(l.B) != l.Out {
 		panic("nn: Linear training mirror does not match the layer")
 	}
-	affineLeakyAVX(&dst[0], &x[0], &l.wt[0], &l.B[0], l.In, l.Out, 1, 0, 0, slope)
+	affineRowsTrans(asmKernel(l.Out), dst, 0, 0, x, 0, 0, 1, l.wt, l.B, l.In, l.Out, slope, true)
 }
 
 // Apply records y = W*x + b on the tape as a single affine op.

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
+	"costream/internal/nn"
 	"costream/internal/obs"
 )
 
@@ -90,6 +92,13 @@ func (s *Server) registerFuncs(r *obs.Registry) {
 		"configured bound on concurrent predictor calls", func() float64 { return float64(cap(s.sem)) })
 	r.GaugeFunc("costream_serve_cache_capacity",
 		"configured prediction cache capacity in entries (0: caching disabled)", func() float64 { return float64(s.cache.capacity()) })
+
+	// A constant 1 whose labels tie every figure of this process to the
+	// build and the forward kernel that produced it.
+	r.GaugeFunc("costream_build_info",
+		"always 1: the Go version, architecture and dense forward kernel (avx512, avx2 or portable) of this process",
+		func() float64 { return 1 },
+		"go_version", runtime.Version(), "goarch", runtime.GOARCH, "affine_kernel", nn.ForwardKernel())
 }
 
 // statusRecorder captures the response status for per-route error

@@ -2,15 +2,18 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"costream/internal/nn"
 	"costream/internal/obs"
 	"costream/internal/obs/obstest"
 	"costream/internal/sim"
@@ -67,6 +70,11 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 	if !strings.Contains(string(text), `costream_http_requests_total{route="predict"} 2`) {
 		t.Errorf("per-route predict counter not at 2:\n%s", text)
+	}
+	buildInfo := fmt.Sprintf(`costream_build_info{go_version=%q,goarch=%q,affine_kernel=%q} 1`,
+		runtime.Version(), runtime.GOARCH, nn.ForwardKernel())
+	if !strings.Contains(string(text), buildInfo+"\n") {
+		t.Errorf("exposition lacks %s:\n%s", buildInfo, text)
 	}
 }
 
