@@ -102,6 +102,8 @@ func (cfg *PredictorConfig) validate() error {
 // 7919·i. min(jobs, budget) runners pull the jobs in a fixed order,
 // largest training set first, and each runs its fit on its own goroutine,
 // so every core stays busy through its own fit's serial optimizer step.
+// A runner owns one tapes for all of its fits: a fit after its first
+// starts on arenas already grown to the training set's graphs.
 // A fit's weights depend on neither the budget nor the schedule. Once a
 // fit fails the runners take no new jobs, and the error returned is that
 // of the first failing job in pull order: every earlier job was already
@@ -141,6 +143,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tp := newTapes() // the runner's fits run on it one after another
 			for !failed.Load() {
 				n := int(next.Add(1)) - 1
 				if n >= len(jobs) {
@@ -154,7 +157,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 				// behind the copies stay shared and read-only.
 				ts := append([]sample(nil), job.train...)
 				vs := append([]sample(nil), job.val...)
-				if job.ens.Models[job.member], job.err = trainFromSamples(job.ens.Metric, ts, vs, c); job.err != nil {
+				if job.ens.Models[job.member], job.err = trainFromSamples(tp, job.ens.Metric, ts, vs, c); job.err != nil {
 					failed.Store(true)
 				}
 			}

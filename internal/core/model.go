@@ -229,10 +229,13 @@ func sampleLoss(net *gnn.Model, metric Metric, t *nn.Tape, sc *gnn.Scratch, s sa
 	return l, nil
 }
 
-// tapes holds the reusable tape state of one fit (or one pooled
-// prediction): a training tape arena, an inference tape for validation
-// passes (no gradient buffers), and the GNN scratch. Steady-state, a
-// sample runs through them without heap allocations.
+// tapes holds the reusable tape state of a training runner (or one
+// pooled prediction): a training tape arena, an inference tape for
+// validation passes (no gradient buffers), and the GNN scratch. A runner
+// hands one tapes to each of its fits in turn: nothing in it outlives a
+// sample's pass but its grown buffers, so a fit after the first runs on
+// warm arenas. Steady-state, a sample runs through them without heap
+// allocations.
 type tapes struct {
 	tape    *nn.Tape
 	itape   *nn.Tape
@@ -272,14 +275,6 @@ func (tp *tapes) runChunk(net *gnn.Model, metric Metric, batch []sample, c, chun
 	return loss, nil
 }
 
-// foldGrads adds the shadow gradients src into dst, group by group, and
-// leaves src zeroed for the next chunk (see nn.AddAndClear).
-func foldGrads(dst, src [][]float64) {
-	for k, d := range dst {
-		nn.AddAndClear(d, src[k])
-	}
-}
-
 // meanLoss computes the mean loss over the samples on the inference tape
 // (no gradient buffers, no backward records), summing the per-sample
 // losses in sample order.
@@ -303,14 +298,15 @@ func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostMod
 	if err != nil {
 		return nil, err
 	}
-	return trainFromSamples(metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg)
+	return trainFromSamples(newTapes(), metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg)
 }
 
 // trainFromSamples trains a fresh model on pre-featurized samples. It owns
 // the sample slices (fit shuffles the training slice in place), so callers
 // sharing samples across models must pass copies. This is the single
-// training entry under Train and both TrainPredictor paths.
-func trainFromSamples(metric Metric, trainSamples, valSamples []sample, cfg TrainConfig) (*CostModel, error) {
+// training entry under Train and both TrainPredictor paths; tp is the
+// caller's tape state, which the fit uses and leaves warm.
+func trainFromSamples(tp *tapes, metric Metric, trainSamples, valSamples []sample, cfg TrainConfig) (*CostModel, error) {
 	feat := Featurizer{Mode: cfg.Mode}
 	gcfg := gnn.DefaultConfig(feat.FeatDims())
 	if cfg.Hidden > 0 {
@@ -322,7 +318,7 @@ func trainFromSamples(metric Metric, trainSamples, valSamples []sample, cfg Trai
 		return nil, err
 	}
 	cm := &CostModel{Metric: metric, Feat: feat, Net: net}
-	if err := cm.fit(trainSamples, valSamples, cfg); err != nil {
+	if err := cm.fit(tp, trainSamples, valSamples, cfg); err != nil {
 		return nil, err
 	}
 	return cm, nil
@@ -367,14 +363,17 @@ func (cfg *TrainConfig) validate() error {
 }
 
 // fit runs the minibatch Adam loop with optional early stopping, on the
-// calling goroutine and under one training-budget token.
+// calling goroutine and under one training-budget token, on the tape
+// state tp (see tapes).
 //
 // Each batch is partitioned into stride chunks (maxGradChunks) that run
 // in chunk order: chunk 0 accumulates its samples' gradients into the
 // optimizer's own buffers, and every later chunk into the fit's one
 // gradient shadow, which is folded into the optimizer's buffers right
 // after the chunk. Every gradient element thus receives the chunk sums
-// in chunk order before the Adam step.
+// in chunk order before the Adam step. The fold skips the shadow's MLPs
+// that the chunk never reached (gnn.Model.FoldGrads): they hold +0, and
+// adding it would change no bit.
 //
 // Where the AVX kernels are available the affine forward, the layer
 // backward, the fold and the Adam update run on them, bit for bit like
@@ -382,9 +381,13 @@ func (cfg *TrainConfig) validate() error {
 // transposed, a mirror that exists only for the duration of fit and is
 // refreshed after every step.
 //
-// A fit in which no epoch reaches a finite monitored loss fails: its
-// restore point would be the weights it started from.
-func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) error {
+// The weights end at the epoch of the best monitored loss. They are
+// copied aside only when an epoch before the last becomes the best: when
+// the last epoch run is the best one, the weights already are its. A fit
+// in which no epoch reaches a finite monitored loss fails and leaves the
+// weights where training left them; a caller that keeps the model
+// (FineTune) restores them.
+func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg TrainConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -398,15 +401,14 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 	opt.ZeroGrads() // chunk 0 accumulates into grads; start from nothing
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
-	tp := newTapes()
 	// Mirrors first: the shadow made next shares them like the weights.
 	cm.Net.RefreshMirrors()
 	defer cm.Net.DropMirrors()
 	shadow := cm.Net.GradShadow()
-	_, shadowGrads := shadow.Params()
 
 	best := math.Inf(1)
-	bestParams := snapshot(params)
+	atBest := false            // the weights are the best epoch's
+	var bestParams [][]float64 // a copy of them, once an epoch before the last is best
 	badEpochs := 0
 	var ms runtime.MemStats
 	timed := cfg.Observer != nil
@@ -442,7 +444,7 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 				epochLoss += loss
 				clk.lap(&stats.GradNS)
 				if c > 0 {
-					foldGrads(grads, shadowGrads)
+					cm.Net.FoldGrads(shadow)
 					clk.lap(&stats.ReduceNS)
 				}
 			}
@@ -472,9 +474,16 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 			stats.DurationNS = time.Since(epochStart).Nanoseconds()
 			cfg.Observer(stats)
 		}
+		atBest = stats.Best
 		if stats.Best {
 			best = stats.ValLoss
-			copyInto(bestParams, params)
+			if epoch < cfg.Epochs-1 {
+				if bestParams == nil {
+					bestParams = snapshot(params)
+				} else {
+					copyInto(bestParams, params)
+				}
+			}
 			badEpochs = 0
 		} else if cfg.Patience > 0 {
 			badEpochs++
@@ -483,9 +492,11 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 			}
 		}
 	}
-	restore(params, bestParams)
 	if math.IsInf(best, 1) {
 		return fmt.Errorf("core: no epoch of %v reached a finite loss", cm.Metric)
+	}
+	if !atBest {
+		copyInto(params, bestParams)
 	}
 	return nil
 }
@@ -493,13 +504,20 @@ func (cm *CostModel) fit(trainSamples, valSamples []sample, cfg TrainConfig) err
 // FineTune continues training on additional traces (few-shot learning,
 // Exp 5b). The model is updated in place; an Ensemble that has predicted
 // keeps its stack of the old weights, so fine-tune an ensemble member
-// only through a clone.
+// only through a clone. A fine-tune that fails leaves the weights bit for
+// bit where they started.
 func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
 	recs, err := featurizeCorpus(&cm.Feat, extra)
 	if err != nil {
 		return err
 	}
-	return cm.fit(samplesFromRecords(recs, cm.Metric), nil, cfg)
+	params, _ := cm.Net.Params()
+	start := snapshot(params)
+	if err := cm.fit(newTapes(), samplesFromRecords(recs, cm.Metric), nil, cfg); err != nil {
+		copyInto(params, start)
+		return err
+	}
+	return nil
 }
 
 func snapshot(params [][]float64) [][]float64 {
@@ -513,12 +531,6 @@ func snapshot(params [][]float64) [][]float64 {
 func copyInto(dst, src [][]float64) {
 	for i := range src {
 		copy(dst[i], src[i])
-	}
-}
-
-func restore(params, saved [][]float64) {
-	for i := range params {
-		copy(params[i], saved[i])
 	}
 }
 

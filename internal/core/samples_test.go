@@ -113,9 +113,9 @@ func TestSnapshotRestore(t *testing.T) {
 	params := [][]float64{{1, 2}, {3}}
 	saved := snapshot(params)
 	params[0][0] = 99
-	restore(params, saved)
+	copyInto(params, saved)
 	if params[0][0] != 1 {
-		t.Errorf("restore failed: %v", params[0][0])
+		t.Errorf("copyInto of the snapshot failed: %v", params[0][0])
 	}
 	saved[1][0] = 7
 	copyInto(saved, params)

@@ -28,9 +28,9 @@ func trainBenchSetup(b *testing.B) []sample {
 
 // BenchmarkTrainEpoch measures one full training epoch of a fit
 // (minibatch Adam over every sample, forward + backward on the tape
-// arena, one gradient shadow folded after every chunk). allocs/op stays
-// near-flat with sample count: the steady-state tape path allocates
-// nothing.
+// arena, one gradient shadow folded after every chunk), each fit on the
+// same tapes, as a runner's fits are. allocs/op stays near-flat with
+// sample count: the steady-state tape path allocates nothing.
 func BenchmarkTrainEpoch(b *testing.B) {
 	samples := trainBenchSetup(b)
 	cfg := DefaultTrainConfig(42)
@@ -47,10 +47,11 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	// fit shuffles its sample slice in place; keep the shared fixture in
 	// its original order for the other benchmarks.
 	local := append([]sample(nil), samples...)
+	tp := newTapes() // one runner's tapes, warm after the first fit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cm.fit(local, nil, cfg); err != nil {
+		if err := cm.fit(tp, local, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

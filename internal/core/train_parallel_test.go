@@ -45,8 +45,8 @@ func trainedParams(t *testing.T, metric Metric) [][]float64 {
 // TestTrainEpochSteadyStateAllocs pins the arena guarantee on the real
 // training path: once tapes, scratch, the gradient shadow and training
 // mirrors are warm, a batch (forward + loss + backward on the full GNN
-// per sample, then the shadow fold and the mirror refresh) performs zero
-// heap allocations.
+// per sample, then the fold of the shadow's touched MLPs and the mirror
+// refresh) performs zero heap allocations.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
 	feat := Featurizer{}
@@ -64,9 +64,7 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	tp := newTapes()
 	net.RefreshMirrors()
 	defer net.DropMirrors()
-	_, grads := net.Params()
 	shadow := net.GradShadow()
-	_, sg := shadow.Params()
 
 	step := func() {
 		// One chunk spanning all samples, on the shadow as chunks 1..7 of
@@ -74,7 +72,7 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 		if _, err := tp.runChunk(shadow, MetricE2ELatency, samples, 0, 1, 0.25); err != nil {
 			t.Fatal(err)
 		}
-		foldGrads(grads, sg)
+		net.FoldGrads(shadow)
 		net.RefreshMirrors()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
@@ -110,46 +108,71 @@ func TestSetTrainBudget(t *testing.T) {
 }
 
 // TestFoldGradsOrderAndClear checks the shadow fold against the plain
-// loop the many-shadow reduction used to be: folding chunk after chunk
-// leaves the destination at its own contents (chunk 0) plus the chunks
-// in order, element by element, and every fold leaves the shadow
-// all-zero. Odd lengths reach the vector kernel's tails; magnitudes
-// spread over many binades make the sum order visible in the bits.
+// loop over every gradient group that it replaces: chunk after chunk of
+// one sample each is backpropagated into the shadow of a real model and
+// folded, and the destination must equal its own contents (chunk 0) plus
+// the shadow's gradients, group by group and element by element, the
+// untouched groups' +0 included; every fold leaves the shadow all +0.
+// The chunks' graphs hold different node kinds, so folds that skip
+// untouched MLPs must occur, and the test fails if none does.
+// Destination magnitudes spread over many binades make the sum order
+// visible in the bits.
 func TestFoldGradsOrderAndClear(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	lengths := []int{1, 3, 7, 17, 33, 129}
-	fill := func() [][]float64 {
-		gs := make([][]float64, len(lengths))
-		for k, n := range lengths {
-			gs[k] = make([]float64, n)
-			for i := range gs[k] {
-				gs[k][i] = (rng.Float64()*2 - 1) * math.Ldexp(1, rng.Intn(40)-20)
-			}
-		}
-		return gs
+	feat := Featurizer{}
+	samples := metricSamples(t, &feat, subCorpus(t, 60), MetricE2ELatency)
+	if len(samples) < maxGradChunks {
+		t.Skipf("only %d usable samples", len(samples))
 	}
-	dst := fill()
-	want := snapshot(dst)
+	gcfg := gnn.DefaultConfig(feat.FeatDims())
+	gcfg.Hidden = 8
+	net, err := gnn.New(gcfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RefreshMirrors()
+	defer net.DropMirrors()
+	_, dst := net.Params()
+	shadow := net.GradShadow()
+	_, src := shadow.Params()
+	rng := rand.New(rand.NewSource(16))
+	for _, g := range dst {
+		for i := range g {
+			g[i] = (rng.Float64()*2 - 1) * math.Ldexp(1, rng.Intn(40)-20)
+		}
+	}
+	tp := newTapes()
+	skipped := 0
 	for c := 1; c < maxGradChunks; c++ {
-		shadow := fill()
-		for k := range want {
-			for i, v := range shadow[k] {
+		if _, err := tp.runChunk(shadow, MetricE2ELatency, samples[c*len(samples)/maxGradChunks:], 0, len(samples), 1); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshot(dst)
+		for k, g := range src {
+			untouched := true
+			for i, v := range g {
 				want[k][i] += v
+				untouched = untouched && math.Float64bits(v) == 0
+			}
+			if untouched {
+				skipped++
 			}
 		}
-		foldGrads(dst, shadow)
+		net.FoldGrads(shadow)
 		for k := range want {
 			for i := range want[k] {
 				if math.Float64bits(dst[k][i]) != math.Float64bits(want[k][i]) {
 					t.Fatalf("chunk %d: dst %d[%d] = %v, want %v", c, k, i, dst[k][i], want[k][i])
 				}
 			}
-			for i, v := range shadow[k] {
+			for i, v := range src[k] {
 				if math.Float64bits(v) != 0 {
 					t.Fatalf("chunk %d: shadow %d[%d] = %v after the fold, want +0", c, k, i, v)
 				}
 			}
 		}
+	}
+	if skipped == 0 {
+		t.Error("every chunk reached every gradient group: the fold of untouched MLPs was never skipped")
 	}
 }
 
@@ -299,4 +322,116 @@ func TestTrainPredictorFailureDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFailedFineTuneRestoresWeights: a fine-tune in which no epoch
+// reaches a finite loss fails and leaves every weight bit where it
+// started. A rate of 1e300 sends the weights past any finite loss on the
+// first step, so every epoch's mean loss is non-finite; the test checks
+// that it is, and that the fit did move the weights before failing.
+func TestFailedFineTuneRestoresWeights(t *testing.T) {
+	c := subCorpus(t, 60)
+	train, _, _ := c.Split(0.8, 0.1, 8)
+	cfg := fastTrainConfig(1)
+	cfg.Epochs = 1
+	cfg.Hidden = 8
+	m, err := Train(train, nil, MetricE2ELatency, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, _ := m.Net.Params()
+	before := snapshot(params)
+
+	ft := cfg
+	ft.Epochs, ft.Patience, ft.BatchSize, ft.LR = 3, 0, 4, 1e300
+	var losses []float64
+	var moved bool
+	ft.Observer = func(s EpochStats) {
+		losses = append(losses, s.ValLoss)
+		p, _ := m.Net.Params()
+		moved = moved || math.Float64bits(p[0][0]) != math.Float64bits(before[0][0])
+	}
+	if err := m.FineTune(train, ft); err == nil {
+		t.Fatal("a fine-tune with no finite epoch succeeded")
+	}
+	if len(losses) != ft.Epochs || !moved {
+		t.Fatalf("%d epochs observed (want %d), weights moved %v: the case does not test what it names", len(losses), ft.Epochs, moved)
+	}
+	for e, l := range losses {
+		if !math.IsNaN(l) && !math.IsInf(l, 0) {
+			t.Fatalf("epoch %d reached the finite loss %v: the case does not test what it names", e, l)
+		}
+	}
+	after, _ := m.Net.Params()
+	for k := range before {
+		for i := range before[k] {
+			if math.Float64bits(after[k][i]) != math.Float64bits(before[k][i]) {
+				t.Fatalf("weight %d[%d] = %v after the failed fine-tune, want %v", k, i, after[k][i], before[k][i])
+			}
+		}
+	}
+}
+
+// TestRunnerSecondFitAllocatesNoTapeStorage: at GOMAXPROCS=1 and a
+// training budget of one fit, one runner trains every fit of a predictor,
+// one after another on its one tapes. A three-member predictor must then
+// allocate what a two-member predictor does plus a fit on warm tapes and
+// the job's two sample-slice copies, and nothing more: a fit after the
+// runner's first allocates no tape storage. (Two and three members, not
+// one and two: sorting a single job allocates nothing, sorting more does.)
+// The counts are equal in most runs; the comparison allows runtimeSlack
+// for the runtime's own allocations (starting a runner goroutine, a GC
+// cycle), which move them by two or four between runs. A fit on fresh
+// tapes costs over a thousand more, and the test checks that it costs
+// more than the slack. One epoch keeps every count independent of the
+// weights: the best-weights snapshot is never taken.
+func TestRunnerSecondFitAllocatesNoTapeStorage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := subCorpus(t, 60)
+	train, val, _ := c.Split(0.8, 0.2, 4)
+	trainRecs, valRecs, err := featurizeSplit(FeatFull, train, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := fastTrainConfig(2)
+	tc.Epochs, tc.Patience, tc.Hidden = 1, 0, 8
+	mallocs := func(f func()) int64 {
+		var a, b runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		return int64(b.Mallocs - a.Mallocs)
+	}
+	predictor := func(members int) int64 {
+		return mallocs(func() {
+			cfg := PredictorConfig{Train: tc, EnsembleSize: members, Metrics: []Metric{MetricE2ELatency}}
+			if _, err := trainPredictorFromRecords(trainRecs, valRecs, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fit := func(tp *tapes) int64 {
+		ts, vs := samplesFromRecords(trainRecs, MetricE2ELatency), samplesFromRecords(valRecs, MetricE2ELatency)
+		return mallocs(func() {
+			if _, err := trainFromSamples(tp, MetricE2ELatency, ts, vs, tc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	atTrainBudget(1, func() {
+		predictor(1) // warm whatever the first call of anything allocates
+		two, three := predictor(2), predictor(3)
+		warmTapes := newTapes()
+		fit(warmTapes)
+		warm, cold := fit(warmTapes), fit(newTapes())
+		const runtimeSlack = 8
+		if cold-warm <= runtimeSlack {
+			t.Fatalf("a fit on fresh tapes allocates %d objects, on warm ones %d: the tapes cost too little to measure", cold, warm)
+		}
+		if extra := three - two; extra < warm+2-runtimeSlack || extra > warm+2+runtimeSlack {
+			t.Errorf("the third member cost %d allocations, want %d±%d (a fit on warm tapes, %d, and two sample copies); a fit on fresh tapes costs %d",
+				extra, warm+2, runtimeSlack, warm, cold)
+		}
+	})
 }

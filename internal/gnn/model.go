@@ -133,7 +133,7 @@ func (m *Model) eachMLP(fn func(*nn.MLP)) {
 // owns private zeroed gradient buffers. A training fit holds one shadow
 // and backpropagates each minibatch chunk after the first into it, so
 // the chunk's gradients sum on their own before they are folded into
-// the optimizer's (see nn.AddAndClear); Params on the shadow yields the
+// the optimizer's (see FoldGrads); Params on the shadow yields the
 // shared weights paired with the shadow's own gradients, in the same
 // deterministic order as the original.
 func (m *Model) GradShadow() *Model {
@@ -150,6 +150,22 @@ func (m *Model) GradShadow() *Model {
 		s.upd[k] = u.GradShadow()
 	}
 	return s
+}
+
+// FoldGrads adds the gradients of shadow, a gradient shadow of m, into
+// m's and zeroes the shadow's, MLP by MLP — only those a backprop has
+// touched since the last fold (see nn.Linear.FoldGrads). A minibatch
+// chunk reaches the encoders and update MLPs of the node kinds its graphs
+// hold and the readout; the others hold +0 and are skipped, which gives
+// the bits of folding them.
+func (m *Model) FoldGrads(shadow *Model) {
+	for k, e := range m.enc {
+		e.FoldGrads(shadow.enc[k])
+	}
+	for k, u := range m.upd {
+		u.FoldGrads(shadow.upd[k])
+	}
+	m.out.FoldGrads(shadow.out)
 }
 
 // RefreshMirrors brings every layer's transposed training mirror up to

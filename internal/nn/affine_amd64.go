@@ -18,7 +18,9 @@ var hasAVX = cpuHasAVX()
 var useAffineAsm = hasAVX
 
 // useAVX512 selects affineLeakyAVX512 over affineLeakyAVX as the forward
-// kernel of layers at least zmmMinOut wide (see asmKernel). It is true
+// kernel of layers with at least asmMinOut outputs (see asmKernel), and
+// affineBackwardAVX512 over affineBackwardAVX as the backward of layers
+// with at least zmmBackwardMinIn inputs (see backwardKernel). It is true
 // when the CPU also supports AVX-512F and the OS preserves the opmask
 // and full ZMM state (CPUID leaf 7 + XCR0); like useAffineAsm it is set
 // at init and is a variable only so that tests can run each kernel the
@@ -73,10 +75,21 @@ func affineLeakyAVX512(y, x, wt, b *float64, in, out, rows, yStride, xStride int
 // op's post-activation output; the unfused op passes dy itself with
 // alpha 1. gf is scratch for the out effective gradients. in and out must
 // be at least 1, and none of gw, gb, xg and gf may overlap any other
-// buffer.
+// buffer. Four columns go to a YMM vector, in blocks of 16, 8, 4 and 1:
+// it is the backward of layers narrower than zmmBackwardMinIn inputs on
+// AVX-512 CPUs, and of every layer on CPUs with AVX only.
 //
 //go:noescape
 func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)
+
+// affineBackwardAVX512 is affineBackwardAVX eight columns to a ZMM
+// vector: the same contract, arguments and bits, in blocks of up to 32
+// columns that end in a vector aligned to the block's end, stored under a
+// mask of its new lanes. in must be at least 8 (zmmBackwardMinIn), and it
+// needs AVX-512F (useAVX512).
+//
+//go:noescape
+func affineBackwardAVX512(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)
 
 // addClearAVX computes dst[i] += src[i]; src[i] = 0 for i in [0, n).
 //

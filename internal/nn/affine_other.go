@@ -23,6 +23,10 @@ func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in
 	panic("nn: no asm kernel")
 }
 
+func affineBackwardAVX512(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int) {
+	panic("nn: no asm kernel")
+}
+
 func addClearAVX(dst, src *float64, n int) {
 	panic("nn: no asm kernel")
 }

@@ -22,7 +22,7 @@ import (
 // leakyReLUInPlace. TestAffineKernelsGeneratedShapes does the same on
 // generated shapes.
 func TestAffineAsmMatchesPortable(t *testing.T) {
-	forEachAsmKernel(t, func(t *testing.T, kernel forwardKernel) {
+	forEachAsmKernel(t, "forward", func(t *testing.T, kernel kernelKind) {
 		rng := rand.New(rand.NewSource(6))
 		for _, k := range []int{1, 3} {
 			for _, in := range []int{1, 2, 7, 24, 48, 64, 96} {
@@ -53,7 +53,7 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 // [1, 130], one or three members, 1-40 rows, activation on or off, and
 // the row gaps, offsets and special values checkAffineKernels draws.
 func TestAffineKernelsGeneratedShapes(t *testing.T) {
-	forEachAsmKernel(t, func(t *testing.T, kernel forwardKernel) {
+	forEachAsmKernel(t, "forward", func(t *testing.T, kernel kernelKind) {
 		rng := rand.New(rand.NewSource(42))
 		for range 600 {
 			k := []int{1, 3}[rng.Intn(2)]
@@ -69,18 +69,23 @@ func TestAffineKernelsGeneratedShapes(t *testing.T) {
 	})
 }
 
-// forEachAsmKernel runs check as a subtest per assembly forward kernel,
-// named after it, and skips with a message the ZMM kernel on a CPU
-// without AVX-512. go test -v lists which kernels were checked.
-func forEachAsmKernel(t *testing.T, check func(t *testing.T, kernel forwardKernel)) {
+// forEachAsmKernel runs check as a subtest per assembly kernel of one
+// direction (what: "forward" or "backward"), named after it, and skips
+// with a message the ZMM kernel on a CPU without AVX-512. Inside a
+// subtest useAVX512 is set for its kernel, so code that picks a kernel by
+// CPU — Linear.backprop — picks it where the shape allows. go test -v
+// lists which kernels were checked.
+func forEachAsmKernel(t *testing.T, what string, check func(t *testing.T, kernel kernelKind)) {
 	needAsm(t)
 	has512 := useAVX512
-	for _, kernel := range []forwardKernel{kernelAVX2, kernelAVX512} {
+	defer func() { useAVX512 = has512 }()
+	for _, kernel := range []kernelKind{kernelAVX2, kernelAVX512} {
 		t.Run(kernel.String(), func(t *testing.T) {
 			if kernel == kernelAVX512 && !has512 {
-				t.Skip("no AVX-512F (or no OS support for ZMM state) on this CPU: the ZMM kernel is not checked here")
+				t.Skipf("no AVX-512F (or no OS support for ZMM state) on this CPU: the ZMM %s kernel is not checked here", what)
 			}
-			t.Logf("checking the %s forward kernel against the portable kernel", kernel)
+			useAVX512 = kernel == kernelAVX512
+			t.Logf("checking the %s %s kernel against the portable kernel", kernel, what)
 			check(t, kernel)
 		})
 	}
@@ -114,7 +119,9 @@ func equalBits(a, b float64) bool {
 
 // stackOn stacks the layers for the assembly kernels or the portable one:
 // the kernel, and with it the weight layout, is picked when a layer is
-// stacked.
+// stacked. A single-output layer stacks for the portable kernel either
+// way; its row-major weights are its transposed weights, so the assembly
+// kernels are still checked on it, called directly.
 func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 	t.Helper()
 	defer func(was bool) { useAffineAsm = was }(useAffineAsm)
@@ -123,8 +130,9 @@ func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.kernel != kernelPortable; got != asm {
-		t.Fatalf("stacked for the %s kernel, want assembly = %v", s.kernel, asm)
+	want := asm && s.Out >= asmMinOut
+	if got := s.kernel != kernelPortable; got != want {
+		t.Fatalf("%dx%d stacked for the %s kernel, want assembly = %v", s.In, s.Out, s.kernel, want)
 	}
 	return s
 }
@@ -135,7 +143,7 @@ func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 // offsets and their rows spaced 1-8 elements wider than they are long.
 // The gaps of x hold NaNs, which would poison any output computed from a
 // stray read; the gaps of dst hold a canary that must survive.
-func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel forwardKernel, sa, sp *StackedLinear, rows int, act bool) {
+func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel kernelKind, sa, sp *StackedLinear, rows int, act bool) {
 	t.Helper()
 	k, in, out := sa.K, sa.In, sa.Out
 	const canary = -12345.5
@@ -180,8 +188,8 @@ func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel forwardKernel, sa, 
 // one row over the training mirror, slope 1 for the plain affine op — and
 // compares with the Go loops it replaces. kernel kernelAVX512 lets the
 // tape pick the ZMM kernel, which it does for layers of at least
-// zmmMinOut outputs; kernelAVX2 keeps it on the YMM kernel.
-func checkAffineTape(t *testing.T, rng *rand.Rand, kernel forwardKernel, l *Linear) {
+// asmMinOut outputs; kernelAVX2 keeps it on the YMM kernel.
+func checkAffineTape(t *testing.T, rng *rand.Rand, kernel kernelKind, l *Linear) {
 	t.Helper()
 	defer func(was bool) { useAVX512 = was }(useAVX512)
 	useAVX512 = kernel == kernelAVX512

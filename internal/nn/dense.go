@@ -14,40 +14,51 @@ import "fmt"
 // Every kernel accumulates each output element in exactly the order of
 // Linear.affineInto (bias first, then inputs in index order), so a stack
 // is bit-identical to MLP.Apply on an inference tape — the scalar oracle —
-// on the same weights. On amd64 with AVX a layer is one call of an
-// assembly kernel — affine, LeakyReLU and the row loop — and no Go code
-// touches an output element afterwards; the portable affineRowsStrided is
-// every other build's path and the oracle the assembly is tested against.
+// on the same weights. On amd64 with AVX a layer of two or more outputs
+// is one call of an assembly kernel — affine, LeakyReLU and the row loop
+// — and no Go code touches an output element afterwards; the portable
+// affineRowsStrided is every other build's path, every single-output
+// layer's (asmMinOut), and the oracle the assembly is tested against.
 
-// forwardKernel names an implementation of the fused affine+LeakyReLU
-// forward pass. All three compute the same bits.
-type forwardKernel uint8
+// kernelKind names an implementation of a layer kernel: the fused
+// affine+LeakyReLU forward or the layer backward. Every kind of a
+// direction computes the same bits.
+type kernelKind uint8
 
 const (
-	kernelPortable forwardKernel = iota // affineRowsStrided: Go, row-major weights
-	kernelAVX2                          // affineLeakyAVX: 4 outputs to a YMM vector
-	kernelAVX512                        // affineLeakyAVX512: 8 outputs to a ZMM vector
+	kernelPortable kernelKind = iota // Go loops: affineRowsStrided, backpropScalar
+	kernelAVX2                       // affineLeakyAVX, affineBackwardAVX: 4 lanes to a YMM vector
+	kernelAVX512                     // affineLeakyAVX512, affineBackwardAVX512: 8 lanes to a ZMM vector
 )
 
-func (k forwardKernel) String() string {
+func (k kernelKind) String() string {
 	return [...]string{"portable", "avx2", "avx512"}[k]
 }
 
-// zmmMinOut is the narrowest layer the ZMM kernel runs. A single-output
-// layer — every readout's last — stays on the YMM kernel, whose scalar
-// tail is one multiply and one add per input where the ZMM kernel spends
-// a masked vector and a block set-up on it: in BenchmarkAffineKernels,
-// two sessions, 48→1 ran 1.2–1.4 against 1.6–2.1 ns/MAC at one row and
-// 0.59–0.72 against 0.70–0.83 at 31–32 rows. From two outputs up the ZMM
-// kernel was as fast or faster at every width measured.
-const zmmMinOut = 2
+// asmMinOut is the narrowest layer an assembly forward kernel runs. A
+// single-output layer — every readout's last — runs on the portable
+// kernel: its transposed weights are its row-major weights, the YMM
+// kernel spends a scalar tail and the ZMM kernel a masked vector and a
+// block set-up on its one output, and the portable kernel takes its rows
+// four at a time (affineRowsSingle), four independent sums where the
+// assembly kernels run two. In BenchmarkAffineKernels, minimum of six
+// runs, 48→1 ran 1.49 against 1.74 ns/MAC on YMM at one row, 1.10
+// against 1.07 at two, and 0.55 against 0.77 and 0.52 against 0.69 at 31
+// and 32 rows; the ZMM kernel was slower than both at every count. From
+// two outputs up the ZMM kernel was as fast as or faster than the YMM
+// kernel at every width measured.
+const asmMinOut = 2
 
-// asmKernel picks the assembly forward kernel for a layer of out outputs:
-// the ZMM kernel where the CPU has AVX-512 and the layer is at least
-// zmmMinOut wide, the YMM kernel otherwise. The choice is made from the
-// CPU at package init and the layer's width, never from a setting.
-func asmKernel(out int) forwardKernel {
-	if useAVX512 && out >= zmmMinOut {
+// asmKernel picks the forward kernel of a layer of out outputs when the
+// assembly kernels are on: the portable kernel below asmMinOut outputs,
+// otherwise the ZMM kernel where the CPU has AVX-512 and the YMM kernel
+// where it does not. The choice is made from the CPU at package init and
+// the layer's width, never from a setting.
+func asmKernel(out int) kernelKind {
+	switch {
+	case out < asmMinOut:
+		return kernelPortable
+	case useAVX512:
 		return kernelAVX512
 	}
 	return kernelAVX2
@@ -61,7 +72,7 @@ func ForwardKernel() string {
 	if !useAffineAsm {
 		return kernelPortable.String()
 	}
-	return asmKernel(zmmMinOut).String()
+	return asmKernel(asmMinOut).String()
 }
 
 // affineRowsStrided computes, for each row r in [0, rows):
@@ -79,6 +90,10 @@ func ForwardKernel() string {
 // chains over one streamed pass of x_r — the per-output accumulation
 // order (and thus the bits) is unchanged.
 func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, w, b []float64, in, out int, alpha float64, act bool) {
+	if out == 1 {
+		affineRowsSingle(dst, dstOff, dstStride, x, xOff, xStride, rows, w, b, in, alpha, act)
+		return
+	}
 	for r := 0; r < rows; r++ {
 		xr := x[xOff+r*xStride : xOff+r*xStride+in]
 		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
@@ -175,13 +190,79 @@ func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, 
 	}
 }
 
+// affineRowsSingle is affineRowsStrided for a single-output layer: with
+// one output there is one sum per row, a dependency chain as long as the
+// row, so the rows go four at a time — four chains over one pass of the
+// weights — then two, then one. Each row still sums bias first, then
+// inputs in index order. The sums run in small leaf functions, whose
+// loop counters stay in registers.
+func affineRowsSingle(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, w, b []float64, in int, alpha float64, act bool) {
+	w, bias := w[:in], b[0]
+	row := func(r int) []float64 { return x[xOff+r*xStride:] }
+	out := func(r int, s float64) {
+		if act && s < 0 {
+			s = alpha * s
+		}
+		dst[dstOff+r*dstStride] = s
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0, s1, s2, s3 := dot4(bias, w, row(r), row(r+1), row(r+2), row(r+3))
+		out(r, s0)
+		out(r+1, s1)
+		out(r+2, s2)
+		out(r+3, s3)
+	}
+	if r+2 <= rows {
+		s0, s1 := dot2(bias, w, row(r), row(r+1))
+		out(r, s0)
+		out(r+1, s1)
+		r += 2
+	}
+	if r < rows {
+		out(r, dot1(bias, w, row(r)))
+	}
+}
+
+// dot1 returns b + Σ_i w[i]·x[i], summed in index order; dot2 and dot4
+// are two and four such sums over the same w in one pass.
+func dot1(b float64, w, x []float64) float64 {
+	x = x[:len(w)]
+	for i, wi := range w {
+		b += wi * x[i]
+	}
+	return b
+}
+
+func dot2(b float64, w, x0, x1 []float64) (s0, s1 float64) {
+	x0, x1 = x0[:len(w)], x1[:len(w)]
+	s0, s1 = b, b
+	for i, wi := range w {
+		s0 += wi * x0[i]
+		s1 += wi * x1[i]
+	}
+	return s0, s1
+}
+
+func dot4(b float64, w, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
+	x0, x1, x2, x3 = x0[:len(w)], x1[:len(w)], x2[:len(w)], x3[:len(w)]
+	s0, s1, s2, s3 = b, b, b, b
+	for i, wi := range w {
+		s0 += wi * x0[i]
+		s1 += wi * x1[i]
+		s2 += wi * x2[i]
+		s3 += wi * x3[i]
+	}
+	return s0, s1, s2, s3
+}
+
 // affineRowsTrans is affineRowsStrided on the transposed weight layout:
 // one call of the assembly kernel k (kernelAVX2 or kernelAVX512) covers
 // the whole row batch, LeakyReLU included — the kernel scales negative
 // accumulators by its slope before the store (the same compare-and-scale
 // per element as the portable kernel, so the bits match), and slope 1 is
 // the linear layer.
-func affineRowsTrans(k forwardKernel, dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
+func affineRowsTrans(k kernelKind, dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
 	if rows == 0 {
 		return
 	}
@@ -205,9 +286,10 @@ func affineRowsTrans(k forwardKernel, dst []float64, dstOff, dstStride int, x []
 // block m of the member-major weight and bias buffers. The weights are
 // copied at stack time — a stack goes stale when a member's weights are
 // updated in place and must be rebuilt. The kernel is picked at stack
-// time too: the ZMM kernel on AVX-512 CPUs for layers of more than one
-// output, the YMM kernel for single-output layers and AVX-only CPUs, the
-// portable Go kernel everywhere else. All three give the same bits.
+// time too (asmKernel): the ZMM kernel on AVX-512 CPUs and the YMM kernel
+// on AVX-only CPUs for layers of more than one output, the portable Go
+// kernel for single-output layers and everywhere else. All three give
+// the same bits.
 type StackedLinear struct {
 	K, In, Out int
 	// W holds K member blocks in the layout the layer's kernel streams:
@@ -216,7 +298,7 @@ type StackedLinear struct {
 	// the portable one.
 	W      []float64
 	B      []float64 // K blocks of Out
-	kernel forwardKernel
+	kernel kernelKind
 }
 
 // StackLinears copies k same-shape layers into one stacked layer, laid

@@ -15,8 +15,8 @@ import (
 // even) produce. Hidden layers run with the activation, final layers
 // linear, as in StackedMLP.forward; ns/MAC makes the shapes comparable.
 // Each sub-benchmark runs its kernel on every shape, the narrow readout
-// included, which StackLinears keeps on the YMM kernel (zmmMinOut); a
-// kernel the CPU lacks is skipped.
+// included, which StackLinears keeps on the portable kernel (asmMinOut);
+// a kernel the CPU lacks is skipped.
 func BenchmarkAffineKernels(b *testing.B) {
 	shapes := []struct {
 		in, out int
@@ -36,7 +36,7 @@ func BenchmarkAffineKernels(b *testing.B) {
 			x := randRows(rng, rows, sh.in)
 			y := make([]float64, rows*sh.out)
 			name := fmt.Sprintf("%dx%d-%s/rows=%d", sh.in, sh.out, kind, rows)
-			for _, kernel := range []forwardKernel{kernelAVX512, kernelAVX2, kernelPortable} {
+			for _, kernel := range []kernelKind{kernelAVX512, kernelAVX2, kernelPortable} {
 				b.Run(name+"/"+kernel.String(), func(b *testing.B) {
 					switch {
 					case kernel == kernelAVX512 && !has512:
@@ -62,32 +62,61 @@ func BenchmarkAffineKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardKernels compares the Go layer backward against the AVX
-// kernel on the update MLP's two layers at the experiments' widths.
+// BenchmarkBackwardKernels times the layer backward side by side — the
+// ZMM kernel (/avx512), the YMM kernel (/avx2) and backpropScalar
+// (/portable) — on the layers of the bench fixture's models at hidden 24:
+// the encoders' first layers (4, 7, 12, 18 and 26 features → 64), the
+// update MLP's (48 → 64), the hidden-to-hidden 64 → 24, the readout's
+// 24 → 48 and its last, 48 → 1. Hidden layers are the fused op, final
+// layers plain, as the tape records them; ns/MAC makes the shapes
+// comparable. Each sub-benchmark calls its kernel directly; the ZMM
+// kernel is skipped below zmmBackwardMinIn inputs, which Linear.backprop
+// keeps on the YMM kernel, and a kernel the CPU lacks is skipped.
 func BenchmarkBackwardKernels(b *testing.B) {
-	for _, shape := range [][2]int{{96, 64}, {64, 48}} {
-		in, out := shape[0], shape[1]
+	shapes := []struct {
+		in, out int
+		fused   bool
+	}{
+		{4, 64, true}, {7, 64, true}, {12, 64, true}, {18, 64, true}, {26, 64, true}, {48, 64, true},
+		{64, 24, false}, {24, 48, true}, {48, 1, false},
+	}
+	has512 := useAVX512
+	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(7))
-		l := NewLinear(rng, in, out)
-		x := &Node{Data: randRows(rng, 1, in), Grad: make([]float64, in)}
-		fused := &Node{Data: randRows(rng, 1, out), c: 0.01}
-		dy := randRows(rng, 1, out)
-		tape := NewTape()
-		run := func(b *testing.B) {
-			for b.Loop() {
-				l.backprop(tape, dy, x, fused)
-			}
+		l := NewLinear(rng, sh.in, sh.out)
+		x := &Node{Data: randRows(rng, 1, sh.in), Grad: make([]float64, sh.in)}
+		dy, act, alpha := randRows(rng, 1, sh.out), randRows(rng, 1, sh.out), leakySlope
+		var fused *Node
+		if sh.fused {
+			fused = &Node{Data: act}
+		} else {
+			act, alpha = dy, 1
 		}
-		b.Run(fmt.Sprintf("%dx%d/avx", in, out), func(b *testing.B) {
-			if !useAffineAsm {
-				b.Skip("no AVX kernels on this machine")
-			}
-			run(b)
-		})
-		b.Run(fmt.Sprintf("%dx%d/portable", in, out), func(b *testing.B) {
-			defer func(asm bool) { useAffineAsm = asm }(useAffineAsm)
-			useAffineAsm = false
-			run(b)
-		})
+		gf := make([]float64, sh.out)
+		kind := "linear"
+		if sh.fused {
+			kind = "act"
+		}
+		for _, kernel := range []kernelKind{kernelAVX512, kernelAVX2, kernelPortable} {
+			b.Run(fmt.Sprintf("%dx%d-%s/%s", sh.in, sh.out, kind, kernel), func(b *testing.B) {
+				switch {
+				case kernel == kernelAVX512 && !has512:
+					b.Skip("no AVX-512 on this machine")
+				case kernel == kernelAVX512 && sh.in < zmmBackwardMinIn:
+					b.Skip("narrower than zmmBackwardMinIn: backprop runs the YMM kernel")
+				case kernel != kernelPortable && !useAffineAsm:
+					b.Skip("no AVX kernels on this machine")
+				}
+				for b.Loop() {
+					if kernel == kernelPortable {
+						l.backpropScalar(dy, x, fused)
+					} else {
+						callBackward(kernel, l.GW, l.GB, x.Grad, l.W, x.Data, dy, act, gf, alpha, sh.in, sh.out)
+					}
+				}
+				macs := float64(b.N) * float64(sh.in*sh.out)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/macs, "ns/MAC")
+			})
+		}
 	}
 }

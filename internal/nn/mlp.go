@@ -17,9 +17,15 @@ type Linear struct {
 	// wt is the training mirror: W transposed to In x Out, the layout
 	// the assembly forward kernels stream. It exists only between
 	// RefreshMirror and DropMirror (core's fit loop) and is shared by
-	// gradient shadows like W. Without it the tape runs affineInto, which makes an inference
-	// tape the scalar oracle of the packed inference kernels.
+	// gradient shadows like W. Without it the tape runs affineInto, which
+	// makes an inference tape the scalar oracle of the packed inference
+	// kernels.
 	wt []float64
+
+	// touched is set by every backprop into GW and GB and cleared by
+	// FoldGrads: a gradient shadow that no backprop has touched since its
+	// last fold holds +0 everywhere, and folding it would add nothing.
+	touched bool
 }
 
 // NewLinear returns a layer with Kaiming/He-uniform initialized weights.
@@ -61,6 +67,11 @@ func (l *Linear) affineInto(dst, x []float64) {
 // mirror exists: a stale mirror silently computes with old weights. It
 // does nothing where the AVX kernels are unavailable or the layer's
 // buffers do not match its dimensions; Apply then stays on affineInto.
+//
+// The copy writes the mirror in order, four mirror rows at a time: for
+// each output o it reads the four adjacent weights W[o, i..i+3] and
+// appends one to each of the four rows, so every write is sequential,
+// where walking W in order would scatter each write a mirror row apart.
 func (l *Linear) RefreshMirror() {
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
 		return
@@ -68,9 +79,20 @@ func (l *Linear) RefreshMirror() {
 	if len(l.wt) != len(l.W) {
 		l.wt = make([]float64, len(l.W))
 	}
-	for o := 0; o < l.Out; o++ {
-		for i, w := range l.W[o*l.In : (o+1)*l.In] {
-			l.wt[i*l.Out+o] = w
+	in, out, w, wt := l.In, l.Out, l.W, l.wt
+	i := 0
+	for ; i+4 <= in; i += 4 {
+		r0, r1 := wt[i*out:][:out], wt[(i+1)*out:][:out]
+		r2, r3 := wt[(i+2)*out:][:out], wt[(i+3)*out:][:out]
+		for o := range r0 {
+			c := w[o*in+i:][:4]
+			r0[o], r1[o], r2[o], r3[o] = c[0], c[1], c[2], c[3]
+		}
+	}
+	for ; i < in; i++ {
+		row := wt[i*out:][:out]
+		for o := range row {
+			row[o] = w[o*in+i]
 		}
 	}
 }
@@ -80,12 +102,14 @@ func (l *Linear) DropMirror() { l.wt = nil }
 
 // affineTape is the tape ops' forward, leaky(W*x + b, slope) with slope 1
 // for the plain affine op: one call of the fused assembly kernel that
-// asmKernel picks for the layer, over the mirror, when one exists;
-// affineInto and leakyReLUInPlace otherwise. The two are bit-identical —
-// every output accumulates bias first, then inputs in index order, and a
-// negative sum is scaled by the slope once.
+// asmKernel picks for the layer, over the mirror, when one exists and
+// asmKernel picks an assembly kernel; affineInto and leakyReLUInPlace
+// otherwise — also for a single-output layer, on whose one row they are
+// the portable kernel. The two are bit-identical — every output
+// accumulates bias first, then inputs in index order, and a negative sum
+// is scaled by the slope once.
 func (l *Linear) affineTape(dst, x []float64, slope float64) {
-	if l.wt == nil {
+	if l.wt == nil || asmKernel(l.Out) == kernelPortable {
 		l.affineInto(dst, x)
 		if slope != 1 {
 			leakyReLUInPlace(dst, slope)
@@ -127,10 +151,12 @@ func (l *Linear) applyLeaky(t *Tape, x *Node) *Node {
 // fused affine+LeakyReLU op, fused is the output node: its post-activation
 // sign recovers the pre-activation sign (leakySlope > 0 preserves it).
 //
-// A layer whose buffers all match its dimensions runs the whole-layer AVX
-// kernel; anything else takes the Go loop, which is also the oracle the
-// kernel is tested against. t lends the kernel its scratch.
+// A layer whose buffers all match its dimensions runs the whole-layer
+// assembly kernel backwardKernel picks; anything else takes the Go loop,
+// which is also the oracle the kernels are tested against. t lends the
+// kernel its scratch. Either way the layer is marked touched.
 func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
+	l.touched = true
 	n := l.In * l.Out
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 ||
 		len(l.W) != n || len(l.GW) != n || len(l.GB) != l.Out ||
@@ -146,7 +172,28 @@ func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
 		act, alpha = fused.Data, leakySlope
 	}
 	t.gf = Grow(t.gf, l.Out)
+	if backwardKernel(l.In) == kernelAVX512 {
+		affineBackwardAVX512(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &outGrad[0], &act[0], &t.gf[0], alpha, l.In, l.Out)
+		return
+	}
 	affineBackwardAVX(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &outGrad[0], &act[0], &t.gf[0], alpha, l.In, l.Out)
+}
+
+// zmmBackwardMinIn is the narrowest layer, in inputs, the ZMM backward
+// runs: a block's last vector is aligned to the block's end and may
+// overlap the vector before it, which takes eight columns. The encoders'
+// first layers of four and seven features stay on the YMM kernel.
+const zmmBackwardMinIn = 8
+
+// backwardKernel picks the assembly backward kernel for a layer of in
+// inputs: the ZMM kernel where the CPU has AVX-512 and the layer has at
+// least zmmBackwardMinIn inputs, the YMM kernel otherwise. Like
+// asmKernel it decides from the CPU and the shape, never from a setting.
+func backwardKernel(in int) kernelKind {
+	if useAVX512 && in >= zmmBackwardMinIn {
+		return kernelAVX512
+	}
+	return kernelAVX2
 }
 
 func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
@@ -172,7 +219,8 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 // (and its training mirror, if one exists right now) but owning fresh
 // zeroed gradient buffers. A training fit backpropagates each minibatch
 // chunk after the first into its shadow, so the chunk's gradients sum
-// from zero on their own before being folded into the optimizer's.
+// from zero on their own before being folded into the optimizer's (see
+// FoldGrads).
 func (l *Linear) GradShadow() *Linear {
 	return &Linear{
 		In: l.In, Out: l.Out,
@@ -180,6 +228,22 @@ func (l *Linear) GradShadow() *Linear {
 		GW: make([]float64, len(l.GW)),
 		GB: make([]float64, len(l.GB)),
 	}
+}
+
+// FoldGrads adds the gradients of shadow, a gradient shadow of l, into
+// l's and leaves the shadow's zeroed and untouched (see AddAndClear) —
+// when a backprop has touched the shadow since its last fold. An
+// untouched shadow holds +0 everywhere, and adding +0 changes no
+// gradient the optimizer holds: those start at +0 (Adam.ZeroGrads), and a
+// sum that starts at +0 never becomes -0, the one value +0 would change.
+// So skipping it gives the bits of the full fold.
+func (l *Linear) FoldGrads(shadow *Linear) {
+	if !shadow.touched {
+		return
+	}
+	AddAndClear(l.GW, shadow.GW)
+	AddAndClear(l.GB, shadow.GB)
+	shadow.touched = false
 }
 
 // Params returns the parameter and gradient slices of the layer, in
@@ -230,6 +294,14 @@ func (m *MLP) GradShadow() *MLP {
 		s.Layers[i] = l.GradShadow()
 	}
 	return s
+}
+
+// FoldGrads folds every layer of shadow, a gradient shadow of m, into
+// m's gradients (see Linear.FoldGrads).
+func (m *MLP) FoldGrads(shadow *MLP) {
+	for i, l := range m.Layers {
+		l.FoldGrads(shadow.Layers[i])
+	}
 }
 
 // RefreshMirror refreshes every layer's training mirror (see

@@ -24,6 +24,10 @@
 // zero for +0 and -0 only (a NaN is not skipped, as in Go). In the first
 // pass the same test is VUCOMISD, where "JNE; JPS" is "not equal, or
 // unordered".
+//
+// This is the backward of every layer on CPUs with AVX only, and of the
+// layers narrower than eight inputs on AVX-512 CPUs: affineBackwardAVX512
+// below is its ZMM form, which needs a vector's worth of columns.
 TEXT ·affineBackwardAVX(SB), NOSPLIT, $0-88
 	MOVQ gb+8(FP), DI
 	MOVQ dy+40(FP), R10
@@ -236,6 +240,248 @@ n1:
 	JMP  b1
 
 done:
+	VZEROUPPER
+	RET
+
+// ZXG adds gf·w[o, block vector] to the xg accumulator acc; ZGW computes
+// gf·x + gw[o, block vector] into t, reading gw but not writing it. The
+// T forms address the block's last vector, R14 bytes into the block.
+// Z8 is the broadcast gf, Z13 a temporary; SI and DI point at element
+// (o, block start) of w and gw.
+#define ZXG(off, acc) \
+	VMULPD off(SI), Z8, Z13; \
+	VADDPD Z13, acc, acc
+
+#define ZXGT(acc) \
+	VMULPD (SI)(R14*1), Z8, Z13; \
+	VADDPD Z13, acc, acc
+
+#define ZGW(off, xv, t) \
+	VMULPD xv, Z8, t; \
+	VADDPD off(DI), t, t
+
+#define ZGWT(xv, t) \
+	VMULPD xv, Z8, t; \
+	VADDPD (DI)(R14*1), t, t
+
+// ZROW opens row o = BX of a block: it skips the row (to skip) when
+// gf[o] is ±0 and broadcasts gf[o] into Z8 otherwise.
+#define ZROW(skip) \
+	MOVQ (R10)(BX*8), AX; \
+	ADDQ AX, AX; \
+	JZ   skip; \
+	VBROADCASTSD (R10)(BX*8), Z8
+
+// ZNEXT steps DI and SI to the next row and loops to row while rows are
+// left.
+#define ZNEXT(row) \
+	ADDQ R13, DI; \
+	ADDQ R13, SI; \
+	INCQ BX; \
+	CMPQ BX, R9; \
+	JLT  row
+
+// func affineBackwardAVX512(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)
+//
+// affineBackwardAVX on 512-bit vectors: the same contract and the same
+// bits, eight input columns to a ZMM vector, every lane doing the scalar
+// multiply and the scalar add of the Go loop, in the same order, with no
+// fused multiply-add. It needs AVX-512F and in >= 8.
+//
+// The first pass takes the out rows eight at a time, the last vector
+// masked (K1): gf = dy, blended with dy·alpha where act < 0, is stored,
+// and added to gb under a mask (K3) of the lanes that are not ±0 — a NaN
+// compares not-equal-unordered and is added, as in Go.
+//
+// Then input columns go in blocks of up to 32, four vectors, so a layer
+// of up to 32 inputs is one pass over its rows. A block holds its x
+// values (Z4-Z7) and xg accumulators (Z0-Z3) in registers while o walks
+// every row. A block whose width is not a multiple of eight ends with a
+// vector aligned to the block's end, R14 bytes in, which overlaps the
+// vector before it (or, for a narrow last block, the block before); only
+// its new lanes (K1) are stored, to gw and to xg. A masked store never
+// reaches past the block into the next gw row, and every gw load of a
+// row (folded into its VADDPD) comes before that row's stores, so no
+// load waits on a partly overlapping store. In the overlap a lane
+// computes what the vector before it stores, or — across blocks — a
+// second contribution that its mask throws away.
+//
+// Z0-Z3 xg accumulators, Z4-Z7 x, Z8 broadcast gf, Z9-Z12 new gw
+// values, Z13 a temporary, Z14 broadcast alpha, Z15 zero.
+TEXT ·affineBackwardAVX512(SB), NOSPLIT, $0-88
+	MOVQ gb+8(FP), DI
+	MOVQ dy+40(FP), R10
+	MOVQ act+48(FP), R11
+	MOVQ gf+56(FP), SI
+	VBROADCASTSD alpha+64(FP), Z14
+	MOVQ in+72(FP), R8
+	MOVQ out+80(FP), R9
+	VPXORQ Z15, Z15, Z15
+	XORQ BX, BX               // BX = o
+
+zpre:
+	MOVQ R9, CX
+	SUBQ BX, CX
+	JLE  zmain
+	MOVQ $8, AX
+	CMPQ CX, AX
+	CMOVQGT AX, CX
+	NEGL CX
+	ANDL $7, CX
+	MOVL $0xff, AX
+	SHRL CX, AX
+	KMOVW AX, K1              // the rows o..o+7 that exist
+	VMOVUPD.Z (R10)(BX*8), K1, Z0
+	VMOVUPD.Z (R11)(BX*8), K1, Z1
+	VMULPD Z14, Z0, Z2        // dy*alpha
+	VCMPPD $1, Z15, Z1, K2    // act < 0
+	VMOVAPD Z2, K2, Z0        // gf
+	VMOVUPD Z0, K1, (SI)(BX*8)
+	VCMPPD $4, Z15, Z0, K1, K3 // gf != 0, or unordered
+	VMOVUPD.Z (DI)(BX*8), K1, Z3
+	VADDPD Z3, Z0, K3, Z3
+	VMOVUPD Z3, K1, (DI)(BX*8)
+	ADDQ $8, BX
+	JMP  zpre
+
+zmain:
+	MOVQ SI, R10              // R10 = gf from here on
+	MOVQ R8, R13
+	SHLQ $3, R13              // R13 = in*8 bytes = row stride
+	XORQ R12, R12             // R12 = i, the block's first column
+
+zblock:
+	MOVQ R8, AX
+	SUBQ R12, AX
+	JLE  zdone
+	MOVQ $32, CX
+	CMPQ AX, CX
+	CMOVQGT CX, AX            // AX = block width
+	LEAQ -8(AX), R14
+	SHLQ $3, R14              // R14 = byte offset of the last vector
+	LEAQ 7(AX), CX
+	ANDQ $-8, CX
+	SUBQ AX, CX               // lanes of the last vector that overlap
+	MOVL $0xff, DX
+	SHLL CX, DX
+	ANDL $0xff, DX
+	KMOVW DX, K1
+	MOVQ x+32(FP), DX
+	LEAQ (DX)(R12*8), DX      // DX = x of the block
+	MOVQ xg+16(FP), CX
+	LEAQ (CX)(R12*8), CX      // CX = xg of the block
+	MOVQ gw+0(FP), DI
+	LEAQ (DI)(R12*8), DI
+	MOVQ w+24(FP), SI
+	LEAQ (SI)(R12*8), SI
+	XORQ BX, BX
+	CMPQ AX, $24
+	JGT  zv4
+	CMPQ AX, $16
+	JGT  zv3
+	CMPQ AX, $8
+	JGT  zv2
+
+	VMOVUPD (DX)(R14*1), Z4
+	VMOVUPD (CX)(R14*1), Z0
+
+zo1:
+	ZROW(zn1)
+	ZXGT(Z0)
+	ZGWT(Z4, Z9)
+	VMOVUPD Z9, K1, (DI)(R14*1)
+
+zn1:
+	ZNEXT(zo1)
+	VMOVUPD Z0, K1, (CX)(R14*1)
+	JMP  znext
+
+zv2:
+	VMOVUPD (DX), Z4
+	VMOVUPD (DX)(R14*1), Z5
+	VMOVUPD (CX), Z0
+	VMOVUPD (CX)(R14*1), Z1
+
+zo2:
+	ZROW(zn2)
+	ZXG(0, Z0)
+	ZXGT(Z1)
+	ZGW(0, Z4, Z9)
+	ZGWT(Z5, Z10)
+	VMOVUPD Z9, (DI)
+	VMOVUPD Z10, K1, (DI)(R14*1)
+
+zn2:
+	ZNEXT(zo2)
+	VMOVUPD Z0, (CX)
+	VMOVUPD Z1, K1, (CX)(R14*1)
+	JMP  znext
+
+zv3:
+	VMOVUPD (DX), Z4
+	VMOVUPD 64(DX), Z5
+	VMOVUPD (DX)(R14*1), Z6
+	VMOVUPD (CX), Z0
+	VMOVUPD 64(CX), Z1
+	VMOVUPD (CX)(R14*1), Z2
+
+zo3:
+	ZROW(zn3)
+	ZXG(0, Z0)
+	ZXG(64, Z1)
+	ZXGT(Z2)
+	ZGW(0, Z4, Z9)
+	ZGW(64, Z5, Z10)
+	ZGWT(Z6, Z11)
+	VMOVUPD Z9, (DI)
+	VMOVUPD Z10, 64(DI)
+	VMOVUPD Z11, K1, (DI)(R14*1)
+
+zn3:
+	ZNEXT(zo3)
+	VMOVUPD Z0, (CX)
+	VMOVUPD Z1, 64(CX)
+	VMOVUPD Z2, K1, (CX)(R14*1)
+	JMP  znext
+
+zv4:
+	VMOVUPD (DX), Z4
+	VMOVUPD 64(DX), Z5
+	VMOVUPD 128(DX), Z6
+	VMOVUPD (DX)(R14*1), Z7
+	VMOVUPD (CX), Z0
+	VMOVUPD 64(CX), Z1
+	VMOVUPD 128(CX), Z2
+	VMOVUPD (CX)(R14*1), Z3
+
+zo4:
+	ZROW(zn4)
+	ZXG(0, Z0)
+	ZXG(64, Z1)
+	ZXG(128, Z2)
+	ZXGT(Z3)
+	ZGW(0, Z4, Z9)
+	ZGW(64, Z5, Z10)
+	ZGW(128, Z6, Z11)
+	ZGWT(Z7, Z12)
+	VMOVUPD Z9, (DI)
+	VMOVUPD Z10, 64(DI)
+	VMOVUPD Z11, 128(DI)
+	VMOVUPD Z12, K1, (DI)(R14*1)
+
+zn4:
+	ZNEXT(zo4)
+	VMOVUPD Z0, (CX)
+	VMOVUPD Z1, 64(CX)
+	VMOVUPD Z2, 128(CX)
+	VMOVUPD Z3, K1, (CX)(R14*1)
+
+znext:
+	SARQ $3, R14
+	LEAQ 8(R12)(R14*1), R12   // i += block width
+	JMP  zblock
+
+zdone:
 	VZEROUPPER
 	RET
 

@@ -57,66 +57,192 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// TestBackwardAsmMatchesPortable holds each assembly backward kernel the
+// CPU has — one subtest each, /avx2 and /avx512 — to backpropScalar on
+// every pair of kernelDims, fused and unfused, called directly and
+// through Linear.backprop with the kernels on and off. The ZMM kernel is
+// called directly only on layers of at least zmmBackwardMinIn inputs, its
+// contract; through backprop the narrower ones take the YMM kernel.
 func TestBackwardAsmMatchesPortable(t *testing.T) {
-	needAsm(t)
-	rng := rand.New(rand.NewSource(16))
-	for _, in := range kernelDims {
-		for _, out := range kernelDims {
-			for _, fused := range []bool{false, true} {
-				name := fmt.Sprintf("in=%d out=%d fused=%v", in, out, fused)
-				proto := NewLinear(rng, in, out)
-				awkward(rng, proto.GW) // accumulators start non-zero
-				awkward(rng, proto.GB)
-				xData, xGrad := make([]float64, in), make([]float64, in)
-				dy, act := make([]float64, out), make([]float64, out)
-				awkward(rng, xData)
-				awkward(rng, xGrad)
-				awkward(rng, dy)
-				awkward(rng, act)
-				var outNode *Node
-				if fused {
-					outNode = &Node{Data: act}
-				}
-
-				// run applies one of the three routes to a private copy of
-				// the accumulators.
-				run := func(route func(l *Linear, x *Node)) (gw, gb, xg []float64) {
-					l := &Linear{In: in, Out: out, W: proto.W, B: proto.B,
-						GW: append([]float64(nil), proto.GW...), GB: append([]float64(nil), proto.GB...)}
-					x := &Node{Data: xData, Grad: append([]float64(nil), xGrad...)}
-					route(l, x)
-					return l.GW, l.GB, x.Grad
-				}
-				wantGW, wantGB, wantXG := run(func(l *Linear, x *Node) { l.backpropScalar(dy, x, outNode) })
-				dy0 := append([]float64(nil), dy...)
-
-				// The kernel called directly: no wrapper can quietly route
-				// this one back to the Go loop.
-				gw, gb, xg := run(func(l *Linear, x *Node) {
-					a, alpha := dy, 1.0
+	forEachAsmKernel(t, "backward", func(t *testing.T, kernel kernelKind) {
+		rng := rand.New(rand.NewSource(16))
+		for _, in := range kernelDims {
+			for _, out := range kernelDims {
+				for _, fused := range []bool{false, true} {
+					name := fmt.Sprintf("in=%d out=%d fused=%v", in, out, fused)
+					proto := NewLinear(rng, in, out)
+					awkward(rng, proto.GW) // accumulators start non-zero
+					awkward(rng, proto.GB)
+					xData, xGrad := make([]float64, in), make([]float64, in)
+					dy, act := make([]float64, out), make([]float64, out)
+					awkward(rng, xData)
+					awkward(rng, xGrad)
+					awkward(rng, dy)
+					awkward(rng, act)
+					var outNode *Node
 					if fused {
-						a, alpha = act, leakySlope
+						outNode = &Node{Data: act}
 					}
-					gf := make([]float64, out)
-					affineBackwardAVX(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &dy[0], &a[0], &gf[0], alpha, in, out)
-				})
-				sameBits(t, name+" kernel GW", gw, wantGW)
-				sameBits(t, name+" kernel GB", gb, wantGB)
-				sameBits(t, name+" kernel x.Grad", xg, wantXG)
-				sameBits(t, name+" kernel dy (read-only)", dy, dy0)
 
-				// And through Linear.backprop on either setting.
-				for _, asm := range []bool{true, false} {
-					useAffineAsm = asm
-					gw, gb, xg = run(func(l *Linear, x *Node) { l.backprop(NewTape(), dy, x, outNode) })
-					useAffineAsm = true
-					sameBits(t, fmt.Sprintf("%s asm=%v GW", name, asm), gw, wantGW)
-					sameBits(t, fmt.Sprintf("%s asm=%v GB", name, asm), gb, wantGB)
-					sameBits(t, fmt.Sprintf("%s asm=%v x.Grad", name, asm), xg, wantXG)
+					// run applies one of the routes to a private copy of
+					// the accumulators.
+					run := func(route func(l *Linear, x *Node)) (gw, gb, xg []float64) {
+						l := &Linear{In: in, Out: out, W: proto.W, B: proto.B,
+							GW: append([]float64(nil), proto.GW...), GB: append([]float64(nil), proto.GB...)}
+						x := &Node{Data: xData, Grad: append([]float64(nil), xGrad...)}
+						route(l, x)
+						return l.GW, l.GB, x.Grad
+					}
+					wantGW, wantGB, wantXG := run(func(l *Linear, x *Node) { l.backpropScalar(dy, x, outNode) })
+					dy0 := append([]float64(nil), dy...)
+
+					// The kernel called directly: no wrapper can quietly
+					// route this one back to the Go loop.
+					if kernel == kernelAVX2 || in >= zmmBackwardMinIn {
+						gw, gb, xg := run(func(l *Linear, x *Node) {
+							a, alpha := dy, 1.0
+							if fused {
+								a, alpha = act, leakySlope
+							}
+							callBackward(kernel, l.GW, l.GB, x.Grad, l.W, x.Data, dy, a, make([]float64, out), alpha, in, out)
+						})
+						sameBits(t, name+" kernel GW", gw, wantGW)
+						sameBits(t, name+" kernel GB", gb, wantGB)
+						sameBits(t, name+" kernel x.Grad", xg, wantXG)
+						sameBits(t, name+" kernel dy (read-only)", dy, dy0)
+					}
+
+					// And through Linear.backprop on either setting.
+					for _, asm := range []bool{true, false} {
+						useAffineAsm = asm
+						gw, gb, xg := run(func(l *Linear, x *Node) { l.backprop(NewTape(), dy, x, outNode) })
+						useAffineAsm = true
+						sameBits(t, fmt.Sprintf("%s asm=%v GW", name, asm), gw, wantGW)
+						sameBits(t, fmt.Sprintf("%s asm=%v GB", name, asm), gb, wantGB)
+						sameBits(t, fmt.Sprintf("%s asm=%v x.Grad", name, asm), xg, wantXG)
+					}
 				}
 			}
 		}
+	})
+}
+
+// TestBackwardKernelsGeneratedShapes holds each assembly backward kernel,
+// called directly, to backpropScalar on 600 generated layers per kernel:
+// in and out drawn from [1, 130] (the ZMM kernel skips the draws below
+// zmmBackwardMinIn inputs, outside its contract, and draws on), fused and
+// unfused, accumulators that start non-zero, and gradients and
+// activations seeded with NaNs, signed zeros and denormals. Every output
+// buffer carries a canary past its end, and dy, act, W and x must come
+// back unchanged.
+func TestBackwardKernelsGeneratedShapes(t *testing.T) {
+	forEachAsmKernel(t, "backward", func(t *testing.T, kernel kernelKind) {
+		rng := rand.New(rand.NewSource(43))
+		for checked := 0; checked < 600; {
+			in, out := 1+rng.Intn(130), 1+rng.Intn(130)
+			if kernel == kernelAVX512 && in < zmmBackwardMinIn {
+				continue
+			}
+			checked++
+			l := NewLinear(rng, in, out)
+			specialRow(rng, l.GW, false)
+			specialRow(rng, l.GB, false)
+			x := &Node{Data: make([]float64, in), Grad: make([]float64, in)}
+			specialRow(rng, x.Data, false)
+			specialRow(rng, x.Grad, false)
+			for _, fused := range []bool{false, true} {
+				dy, act := make([]float64, out), make([]float64, out)
+				gradientRow(rng, dy)
+				gradientRow(rng, act)
+				checkBackwardKernel(t, kernel, l, x, dy, act, fused)
+			}
+		}
+	})
+}
+
+// gradientRow fills g with normal deviates and overwrites about one value
+// in three with a NaN, a signed zero or a denormal of either sign: the
+// zero test that skips a row, the NaN it must not skip, and values whose
+// products underflow.
+func gradientRow(rng *rand.Rand, g []float64) {
+	const den = math.SmallestNonzeroFloat64
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), 7 * den, -3 * den, 0x1p-1060}
+	for i := range g {
+		g[i] = rng.NormFloat64()
+		if rng.Intn(3) == 0 {
+			g[i] = specials[rng.Intn(len(specials))]
+		}
 	}
+}
+
+// checkBackwardKernel runs one backward of l through the assembly kernel
+// named by kernel and through backpropScalar, each on a private copy of
+// the accumulators, and compares them by bit pattern (a NaN matches any
+// NaN, as in equalBits). The kernel's copies of GW, GB, x.Grad and its gf
+// scratch are slices of longer arrays whose tails hold a canary.
+func checkBackwardKernel(t *testing.T, kernel kernelKind, l *Linear, x *Node, dy, act []float64, fused bool) {
+	t.Helper()
+	in, out := l.In, l.Out
+	const canary, pad = -12345.5, 9
+	padded := func(src []float64, n int) []float64 {
+		buf := make([]float64, n+pad)
+		copy(buf, src)
+		for i := n; i < len(buf); i++ {
+			buf[i] = canary
+		}
+		return buf
+	}
+	gw, gb, xg, gf := padded(l.GW, in*out), padded(l.GB, out), padded(x.Grad, in), padded(nil, out)
+	readOnly := snapshotAll([][]float64{l.W, x.Data, dy, act})
+
+	ref := &Linear{In: in, Out: out, W: l.W, B: l.B,
+		GW: append([]float64(nil), l.GW...), GB: append([]float64(nil), l.GB...)}
+	rx := &Node{Data: x.Data, Grad: append([]float64(nil), x.Grad...)}
+	a, alpha := dy, 1.0
+	var outNode *Node
+	if fused {
+		a, alpha = act, leakySlope
+		outNode = &Node{Data: act}
+	}
+	ref.backpropScalar(dy, rx, outNode)
+	callBackward(kernel, gw, gb, xg, l.W, x.Data, dy, a, gf, alpha, in, out)
+
+	name := fmt.Sprintf("%s in=%d out=%d fused=%v", kernel, in, out, fused)
+	for _, c := range []struct {
+		what      string
+		got, want []float64
+	}{
+		{"GW", gw[:in*out], ref.GW}, {"GB", gb[:out], ref.GB}, {"x.Grad", xg[:in], rx.Grad},
+		{"W (read-only)", l.W, readOnly[0]}, {"x (read-only)", x.Data, readOnly[1]},
+		{"dy (read-only)", dy, readOnly[2]}, {"act (read-only)", act, readOnly[3]},
+	} {
+		for i := range c.want {
+			if !equalBits(c.got[i], c.want[i]) {
+				t.Fatalf("%s %s[%d] = %v (%#x), want %v (%#x)", name, c.what, i,
+					c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+			}
+		}
+	}
+	for _, c := range []struct {
+		what string
+		buf  []float64
+	}{{"GW", gw[in*out:]}, {"GB", gb[out:]}, {"x.Grad", xg[in:]}, {"gf", gf[out:]}} {
+		for i, v := range c.buf {
+			if v != canary {
+				t.Fatalf("%s: canary %d past the end of %s overwritten with %v", name, i, c.what, v)
+			}
+		}
+	}
+}
+
+// callBackward calls the assembly backward kernel named by kernel on the
+// given buffers, which must satisfy its contract.
+func callBackward(kernel kernelKind, gw, gb, xg, w, x, dy, act, gf []float64, alpha float64, in, out int) {
+	f := affineBackwardAVX
+	if kernel == kernelAVX512 {
+		f = affineBackwardAVX512
+	}
+	f(&gw[0], &gb[0], &xg[0], &w[0], &x[0], &dy[0], &act[0], &gf[0], alpha, in, out)
 }
 
 // TestBackwardNaNGradientIsNotSkipped: g == 0 is false for a NaN, so the
@@ -289,5 +415,46 @@ func TestTrainingMirror(t *testing.T) {
 	useAffineAsm = true
 	if l.wt != nil {
 		t.Error("RefreshMirror built a mirror with the kernels switched off")
+	}
+}
+
+// TestFoldGradsSkipsUntouchedShadows: Linear.FoldGrads adds a shadow's
+// gradients only when a backprop has touched it since the last fold, and
+// then leaves it all +0 and untouched. An untouched shadow is poisoned
+// with a NaN here, which the fold must never read.
+func TestFoldGradsSkipsUntouchedShadows(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	l := NewLinear(rng, 9, 5)
+	awkward(rng, l.GW)
+	awkward(rng, l.GB)
+	s := l.GradShadow()
+
+	before := snapshotAll([][]float64{l.GW, l.GB})
+	s.GW[3] = math.NaN()
+	l.FoldGrads(s)
+	sameBits(t, "GW after folding an untouched shadow", l.GW, before[0])
+	sameBits(t, "GB after folding an untouched shadow", l.GB, before[1])
+	s.GW[3] = 0
+
+	x := &Node{Data: make([]float64, l.In), Grad: make([]float64, l.In)}
+	dy := make([]float64, l.Out)
+	awkward(rng, x.Data)
+	for i := range dy {
+		dy[i] = rng.NormFloat64()
+	}
+	s.backprop(NewTape(), dy, x, nil)
+	want := snapshotAll([][]float64{l.GW, l.GB})
+	for k, g := range [][]float64{s.GW, s.GB} {
+		for i, v := range g {
+			want[k][i] += v
+		}
+	}
+	l.FoldGrads(s)
+	sameBits(t, "GW after folding a touched shadow", l.GW, want[0])
+	sameBits(t, "GB after folding a touched shadow", l.GB, want[1])
+	sameBits(t, "shadow GW after the fold", s.GW, make([]float64, len(s.GW)))
+	sameBits(t, "shadow GB after the fold", s.GB, make([]float64, len(s.GB)))
+	if s.touched {
+		t.Error("the fold left the shadow marked touched")
 	}
 }
