@@ -22,8 +22,9 @@
 //     /v1/deployments and /v1/hosts; costream-ctl speaks to that API.
 //
 // internal/fleet drives the same Policy from its scenario scripts, over
-// its whole fleet with the hosts that are down banned, so the fleet
-// simulator and the serving path heal with identical logic.
+// its whole fleet with the hosts that are down banned and named in
+// View.Down, so the fleet simulator and the serving path heal with
+// identical logic; its closing observation is Observe.
 package controlplane
 
 import (
@@ -102,7 +103,10 @@ func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) 
 // indices banned from candidate generation: hosts cordoned by an
 // operator or down. A banned host is both a violation trigger (an
 // incumbent touching one is force-replaced) and a search constraint (no
-// challenger may use one).
+// challenger may use one). Down names those of the banned hosts that are
+// down rather than cordoned, so an incumbent on one reads as a dead-host
+// violation, not a cordoned-host one; every host in Down must also be in
+// Banned.
 //
 // The cluster must be valid (hardware.Cluster.Validate). Whoever builds
 // the view checks it once — the fleet per view, the Plane when a
@@ -111,6 +115,7 @@ func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) 
 type View struct {
 	Cluster *hardware.Cluster
 	Banned  []int
+	Down    []int
 }
 
 // anySchedulable reports whether some host is not banned. Fewer ban
@@ -131,9 +136,8 @@ func (v View) anySchedulable() bool {
 }
 
 // Deployment is one query's live control-plane state. Placement is in
-// View.Cluster host indices. An entry < 0 marks a host that went down:
-// Heal reads it as a dead-host violation, where a banned host still in
-// the placement reads as a cordoned one.
+// View.Cluster host indices, each one a host of that cluster; a host
+// that went down stays in the cluster and is named by View.Down.
 type Deployment struct {
 	ID        string
 	Query     *stream.Query
@@ -238,6 +242,24 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 	return nil
 }
 
+// Observe runs d's incumbent placement on cluster c through feed, with
+// effQ as the query under current load, and compares what it observes
+// with the costs predicted when the placement was activated
+// (placement.RecordQErrors). The decision it returns carries the
+// observation only — Observed, both q-errors, the predicted and the
+// observed processing latency — and no violation or action: judging the
+// observation is Heal's. The metrics come back beside it. d is not
+// written.
+func Observe(d *Deployment, c *hardware.Cluster, effQ *stream.Query, feed MetricFeed) (Decision, *sim.Metrics, error) {
+	obs, err := feed.Observe(effQ, c, d.Placement)
+	if err != nil {
+		return Decision{}, nil, fmt.Errorf("controlplane: observing %s: %w", d.ID, err)
+	}
+	qT, qL := placement.RecordQErrors(d.Predicted, obs)
+	return Decision{Observed: true, QErrThroughput: qT, QErrProcLatency: qL,
+		PredLatencyMS: d.Predicted.ProcLatencyMS, ObsLatencyMS: obs.ProcLatencyMS}, obs, nil
+}
+
 // Heal runs one monitor -> detect -> re-optimize -> migrate pass over d
 // at control clock nowS. effQ is the query under current load (nil uses
 // d.Query); observations run against it so drift reflects live
@@ -265,27 +287,22 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	case !d.Deployed:
 		dec.Violation = ViolationUndeployed
 		forced = true
-	case !schedulablePlacement(d.Placement, v.Cluster):
+	case touchesBanned(d.Placement, v.Down):
 		dec.Violation = ViolationDeadHost
 		forced = true
 	case touchesBanned(d.Placement, v.Banned):
 		dec.Violation = ViolationCordonedHost
 		forced = true
 	default:
-		obs, err := feed.Observe(effQ, v.Cluster, d.Placement)
-		if err != nil {
-			return dec, fmt.Errorf("controlplane: observing %s: %w", d.ID, err)
+		var obs *sim.Metrics
+		var err error
+		if dec, obs, err = Observe(d, v.Cluster, effQ, feed); err != nil {
+			return dec, err
 		}
-		qT, qL := placement.RecordQErrors(d.Predicted, obs)
-		dec.Observed = true
-		dec.QErrThroughput = qT
-		dec.QErrProcLatency = qL
-		dec.PredLatencyMS = d.Predicted.ProcLatencyMS
-		dec.ObsLatencyMS = obs.ProcLatencyMS
 		switch {
 		case !obs.Success:
 			dec.Violation = ViolationObservedFailure
-		case qT > p.QErrorThreshold || qL > p.QErrorThreshold:
+		case dec.QErrThroughput > p.QErrorThreshold || dec.QErrProcLatency > p.QErrorThreshold:
 			dec.Violation = ViolationQErrorDrift
 		}
 		incumbent = d.Placement
@@ -362,20 +379,6 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 		}
 	}
 	return dec, nil
-}
-
-// schedulablePlacement reports whether p references only hosts that
-// exist in c (a dead host leaves a negative or out-of-range index).
-func schedulablePlacement(p sim.Placement, c *hardware.Cluster) bool {
-	if len(p) == 0 {
-		return false
-	}
-	for _, h := range p {
-		if h < 0 || h >= len(c.Hosts) {
-			return false
-		}
-	}
-	return true
 }
 
 // touchesBanned reports whether p uses any banned host index.

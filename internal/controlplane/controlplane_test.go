@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -282,9 +283,9 @@ func TestHealObservedFailure(t *testing.T) {
 func TestHealDeadHostForcesReplacement(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	d := deployFor(t, q, c)
-	d.Placement[0] = -1 // host died; fleet maps dead hosts to -1
+	dead := []int{d.Placement[0]} // the host under the first operator went down
 	feed := &stubFeed{}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 50, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c, Banned: dead, Down: dead}, nil, feed, 50, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +296,8 @@ func TestHealDeadHostForcesReplacement(t *testing.T) {
 		t.Fatal("dead-host violation must not observe the broken placement")
 	}
 	for i, h := range d.Placement {
-		if h < 0 || h >= len(c.Hosts) {
-			t.Fatalf("replacement placement still dead at op %d: %v", i, d.Placement)
+		if h == dead[0] {
+			t.Fatalf("replacement placement still on the dead host at op %d: %v", i, d.Placement)
 		}
 	}
 	if d.LastMoveS != 50 || !d.Deployed {
@@ -327,6 +328,86 @@ func TestHealCordonedHostForcesReplacementOffHost(t *testing.T) {
 				t.Fatalf("replacement still touches cordoned host %d: %v", b, d.Placement)
 			}
 		}
+	}
+}
+
+// TestHealBannedHostViolationKind: an incumbent host listed only in
+// View.Banned reads as cordoned, one listed in View.Down as well reads as
+// dead, and either way the deployment is moved off it without an
+// observation.
+func TestHealBannedHostViolationKind(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		down bool
+		want string
+	}{
+		{"cordoned", false, ViolationCordonedHost},
+		{"down", true, ViolationDeadHost},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, c := testQuery(), testCluster()
+			d := deployFor(t, q, c)
+			host := d.Placement[len(d.Placement)-1]
+			v := View{Cluster: c, Banned: []int{host}}
+			if tc.down {
+				v.Down = v.Banned
+			}
+			feed := &stubFeed{}
+			dec, err := testPolicy().Heal(context.Background(), d, v, nil, feed, 50, placement.SearchOptions{Seed: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Violation != tc.want || dec.Action != ActionReplaced || dec.Observed {
+				t.Fatalf("decision = %+v, want %s/replaced, unobserved", dec, tc.want)
+			}
+			if len(feed.observed) != 0 {
+				t.Fatalf("%s violation ran %d observations", tc.want, len(feed.observed))
+			}
+			if slices.Contains(d.Placement, host) {
+				t.Fatalf("replacement %v still uses host %d", d.Placement, host)
+			}
+		})
+	}
+}
+
+// TestObserveMatchesHealthyHeal: Observe returns exactly the decision
+// Heal reports for a healthy deployment — the observation and nothing
+// judged — plus the feed's metrics, and writes nothing to the deployment.
+func TestObserveMatchesHealthyHeal(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	d := deployFor(t, q, c)
+	pc := d.Predicted
+	// Off the prediction by less than the default threshold of 2.
+	feed := &stubFeed{metrics: sim.Metrics{
+		ThroughputTPS: pc.ThroughputTPS / 1.5,
+		ProcLatencyMS: pc.ProcLatencyMS * 1.25,
+		E2ELatencyMS:  pc.E2ELatencyMS,
+		Success:       true,
+	}}
+	before := *d
+	obsDec, m, err := Observe(d, c, q, feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, *d) {
+		t.Fatalf("Observe wrote the deployment: %+v -> %+v", before, *d)
+	}
+	if !reflect.DeepEqual(*m, feed.metrics) {
+		t.Fatalf("metrics = %+v, want the feed's %+v", *m, feed.metrics)
+	}
+	healDec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healDec.Violation != "" {
+		t.Fatalf("heal judged the deployment violated: %+v", healDec)
+	}
+	if obsDec != healDec {
+		t.Fatalf("Observe = %+v, Heal reported %+v", obsDec, healDec)
+	}
+	if !obsDec.Observed || math.Abs(obsDec.QErrThroughput-1.5) > 1e-9 || math.Abs(obsDec.QErrProcLatency-1.25) > 1e-9 ||
+		obsDec.PredLatencyMS != pc.ProcLatencyMS || obsDec.ObsLatencyMS != feed.metrics.ProcLatencyMS {
+		t.Fatalf("Observe = %+v, want q-errors 1.5 and 1.25 and both latencies", obsDec)
 	}
 }
 
@@ -364,12 +445,12 @@ func TestHealUndeploysWhenNothingSchedulable(t *testing.T) {
 func TestHealCancelledLeavesNoTornState(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	d := deployFor(t, q, c)
-	d.Placement[0] = -1 // forced violation, so Heal goes straight to search
+	dead := []int{d.Placement[0]} // forced violation, so Heal goes straight to search
 	before := *d
 	before.Placement = append(sim.Placement(nil), d.Placement...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := testPolicy().Heal(ctx, d, View{Cluster: c}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
+	_, err := testPolicy().Heal(ctx, d, View{Cluster: c, Banned: dead, Down: dead}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

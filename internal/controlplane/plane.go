@@ -156,15 +156,15 @@ func (pl *Plane) bannedIdx(c *hardware.Cluster) []int {
 	return out
 }
 
+// hostNames renders a placement, whose every entry is a host of c, as
+// host IDs.
 func hostNames(c *hardware.Cluster, p sim.Placement) []string {
 	if len(p) == 0 {
 		return nil
 	}
 	out := make([]string, len(p))
 	for i, h := range p {
-		if h >= 0 && h < len(c.Hosts) {
-			out[i] = c.Hosts[h].ID
-		}
+		out[i] = c.Hosts[h].ID
 	}
 	return out
 }

@@ -25,7 +25,7 @@ type hostState struct {
 // Fleet is the instantiated host fleet with per-host failure state.
 // Placements, the placement engine and the simulator all index hosts in
 // stable fleet order; a host that is down stays in the cluster, banned
-// from placement.
+// from placement and named by View.Down.
 type Fleet struct {
 	zones []string
 	hosts []hostState
@@ -87,12 +87,12 @@ func (f *Fleet) hostID(fi int) string { return f.hosts[fi].host.ID }
 
 // clusterView is the fleet as the control plane sees it: every host in
 // fleet order with link degradation applied to its features, and the
-// hosts that are down banned. A host without degradation is the fleet's
-// own, shared by pointer; a degraded one is a copy. The view is where the
-// fleet's cluster is built or changed, so it is validated here, once per
-// view, and nothing downstream checks it again: a degradation that
-// drives a feature out of range (an infinite latency, a zero bandwidth)
-// is refused here.
+// hosts that are down banned and named down (View.Down). A host without
+// degradation is the fleet's own, shared by pointer; a degraded one is a
+// copy. The view is where the fleet's cluster is built or changed, so it
+// is validated here, once per view, and nothing downstream checks it
+// again: a degradation that drives a feature out of range (an infinite
+// latency, a zero bandwidth) is refused here.
 func (f *Fleet) clusterView() (controlplane.View, error) {
 	v := controlplane.View{Cluster: &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}}
 	for i := range f.hosts {
@@ -112,17 +112,8 @@ func (f *Fleet) clusterView() (controlplane.View, error) {
 	if err := v.Cluster.Validate(); err != nil {
 		return controlplane.View{}, fmt.Errorf("invalid cluster: %w", err)
 	}
+	v.Down = v.Banned
 	return v, nil
-}
-
-// maskDead sets the entries of p whose host is down to -1, which
-// Policy.Heal reads as a dead-host violation rather than a cordoned one.
-func (f *Fleet) maskDead(p sim.Placement) {
-	for i, fi := range p {
-		if !f.hosts[fi].alive {
-			p[i] = -1
-		}
-	}
 }
 
 // hostIDs renders a placement as host IDs.

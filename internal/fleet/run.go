@@ -110,6 +110,26 @@ type Totals struct {
 	Suppressed int `json:"suppressed"`
 }
 
+// add counts one event step: its rows with a violation, and among those
+// the migrations, replacements and suppressed migrations.
+func (t *Totals) add(rows []QueryStatus) {
+	t.Events++
+	for _, st := range rows {
+		if st.Violation == "" {
+			continue
+		}
+		t.Violations++
+		switch act := (controlplane.Decision{Action: st.Action}); {
+		case act.Action == controlplane.ActionMigrated:
+			t.Migrations++
+		case act.Moved():
+			t.Replacements++
+		case act.Suppressed():
+			t.Suppressed++
+		}
+	}
+}
+
 // AssertionResult is one evaluated end-state assertion.
 type AssertionResult struct {
 	Name   string `json:"name"`
@@ -245,76 +265,31 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	loadFactor := 1.0
 	deadAfterRecovery := []string(nil)
 
-	// Deploy: every query searched fresh on the full healthy fleet, the
-	// searches in one control-plane pass. Deployments hold placements in
-	// fleet host indices throughout.
+	// Every stage — the deploy, each event's heal, the closing
+	// observation — is one step: one control-plane pass whose decisions
+	// run in parallel (controlplane.Pass), committed in deployment order
+	// and rendered into entry's rows; the first error in that order fails
+	// the run. Deployments hold placements in fleet host indices
+	// throughout.
 	deps := make([]controlplane.Deployment, sc.Workload.Queries)
 	for i := range deps {
 		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), sampler(i)
 	}
-	v, err := fl.clusterView()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	deploy := TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: alive(v), LoadFactor: 1}
-	outs := controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
-		return controlplane.Decision{}, pol.Deploy(ctx, d, v, searchOpts(0, i))
-	})
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, fmt.Errorf("fleet: deploying %s: %w", o.Deployment.ID, o.Err)
-		}
-		deps[i] = o.Deployment
-		d := &deps[i]
-		deploy.Queries = append(deploy.Queries, QueryStatus{
-			ID:            d.ID,
-			Hosts:         fl.hostIDs(d.Placement),
-			PredLatencyMS: round4(d.Predicted.ProcLatencyMS),
-			Action:        controlplane.ActionDeployed,
-		})
-	}
-	rep.Timeline = append(rep.Timeline, deploy)
-
-	// heal runs the control plane's self-healing pass over every
-	// deployment at clock nowS against view v; stage seeds searches and
-	// observations. The decisions run in parallel (controlplane.Pass);
-	// the fleet commits them in deployment order, rendering each into
-	// report rows and totals, and fails on the first error in that order.
-	heal := func(v controlplane.View, nowS float64, stage int, entry *TimelineEntry) error {
-		for i := range deps {
-			if deps[i].Deployed {
-				fl.maskDead(deps[i].Placement)
-			}
-		}
-		outs := controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
-			return pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(stage, i), nowS, searchOpts(stage, i))
-		})
-		for i, o := range outs {
+	step := func(entry TimelineEntry, decide func(i int, d *controlplane.Deployment) (controlplane.Decision, error)) error {
+		for i, o := range controlplane.Pass(deps, decide) {
 			if o.Err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fleet: healing %s: %w", o.Deployment.ID, o.Err)
+				return fmt.Errorf("fleet: %s at %vs: %s: %w", entry.Event, entry.AtS, o.Deployment.ID, o.Err)
 			}
-			deps[i] = o.Deployment
-			d, dec := &deps[i], o.Decision
-			st := QueryStatus{ID: d.ID, Violation: dec.Violation, Action: dec.Action}
-			if dec.Observed {
-				st.QErrThroughput = round4(dec.QErrThroughput)
-				st.QErrProcLatency = round4(dec.QErrProcLatency)
-				st.PredLatencyMS = round4(dec.PredLatencyMS)
-				st.ObsLatencyMS = round4(dec.ObsLatencyMS)
-			}
-			if dec.Violation != "" {
-				rep.Totals.Violations++
-				switch {
-				case dec.Action == controlplane.ActionMigrated:
-					rep.Totals.Migrations++
-				case dec.Action == controlplane.ActionReplaced || dec.Action == controlplane.ActionRedeployed:
-					rep.Totals.Replacements++
-				case dec.Suppressed():
-					rep.Totals.Suppressed++
-				}
+			d, dec := o.Deployment, o.Decision
+			deps[i] = d
+			st := QueryStatus{
+				ID:              d.ID,
+				QErrThroughput:  round4(dec.QErrThroughput),
+				QErrProcLatency: round4(dec.QErrProcLatency),
+				PredLatencyMS:   round4(dec.PredLatencyMS),
+				ObsLatencyMS:    round4(dec.ObsLatencyMS),
+				Violation:       dec.Violation,
+				Action:          dec.Action,
 			}
 			if d.Deployed {
 				st.Hosts = fl.hostIDs(d.Placement)
@@ -324,9 +299,28 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			}
 			entry.Queries = append(entry.Queries, st)
 		}
+		rep.Timeline = append(rep.Timeline, entry)
 		return nil
 	}
 
+	// Deploy: every query searched fresh on the full healthy fleet.
+	v, err := fl.clusterView()
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	if err := step(TimelineEntry{AtS: 0, Event: "deploy", AliveHosts: alive(v), LoadFactor: 1},
+		func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+			if err := pol.Deploy(ctx, d, v, searchOpts(0, i)); err != nil {
+				return controlplane.Decision{}, err
+			}
+			return controlplane.Decision{Action: controlplane.ActionDeployed, PredLatencyMS: d.Predicted.ProcLatencyMS}, nil
+		}); err != nil {
+		return nil, err
+	}
+
+	// After every event, the control plane's self-healing pass over every
+	// deployment at the event's clock; the stage seeds searches and
+	// observations.
 	events := sc.sortedEvents()
 	now := 0.0
 	for k, ev := range events {
@@ -343,6 +337,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		if v, err = fl.clusterView(); err != nil {
 			return nil, fmt.Errorf("fleet: %s at %vs: %w", ev.Type, now, err)
 		}
+		logf("t=%.0fs %s: %d hosts affected, %d alive", now, ev.Type, len(affected), alive(v))
 		entry := TimelineEntry{
 			AtS:        now,
 			Event:      string(ev.Type),
@@ -352,56 +347,38 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			AliveHosts: alive(v),
 			LoadFactor: round4(loadFactor),
 		}
-		logf("t=%.0fs %s: %d hosts affected, %d alive", now, ev.Type, len(affected), entry.AliveHosts)
-		if err := heal(v, now, k+1, &entry); err != nil {
+		if err := step(entry, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+			return pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(k+1, i), now, searchOpts(k+1, i))
+		}); err != nil {
 			return nil, err
 		}
-		rep.Timeline = append(rep.Timeline, entry)
-		rep.Totals.Events++
 	}
 
 	// Closing observation: one settle pass with recovery disabled, so the
-	// end-state assertions see the final placements' q-errors. The
-	// observations run in one pass like the heals, and their rows are
-	// rendered in deployment order.
-	end := TimelineEntry{AtS: now, Event: "end", AliveHosts: alive(v), LoadFactor: round4(loadFactor)}
-	outs = controlplane.Pass(deps, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
-		if !d.Deployed || len(fl.deadHosts(d.Placement)) > 0 {
-			return controlplane.Decision{}, nil
-		}
-		obs, err := observe(len(events)+1, i).Observe(scaledQuery(d.Query, loadFactor), v.Cluster, d.Placement)
-		if err != nil {
-			return controlplane.Decision{}, err
-		}
-		qT, qL := placement.RecordQErrors(d.Predicted, obs)
-		return controlplane.Decision{Observed: true, QErrThroughput: qT, QErrProcLatency: qL,
-			PredLatencyMS: d.Predicted.ProcLatencyMS, ObsLatencyMS: obs.ProcLatencyMS}, nil
-	})
-	maxQ := 0.0
-	for i, o := range outs {
-		d, dec := &deps[i], o.Decision
-		if o.Err != nil {
-			return nil, fmt.Errorf("fleet: final observation of %s: %w", d.ID, o.Err)
-		}
-		st := QueryStatus{ID: d.ID}
-		switch dead := fl.deadHosts(d.Placement); {
-		case !d.Deployed:
-			st.Violation = controlplane.ViolationUndeployed
-		case len(dead) > 0:
-			st.Hosts = fl.hostIDs(d.Placement)
-			st.Violation = controlplane.ViolationDeadHost
-			deadAfterRecovery = mergeIDs(deadAfterRecovery, dead)
-		default:
-			st.Hosts = fl.hostIDs(d.Placement)
-			st.QErrThroughput = round4(dec.QErrThroughput)
-			st.QErrProcLatency = round4(dec.QErrProcLatency)
-			st.PredLatencyMS = round4(dec.PredLatencyMS)
-			st.ObsLatencyMS = round4(dec.ObsLatencyMS)
-			maxQ = math.Max(maxQ, math.Max(st.QErrThroughput, st.QErrProcLatency))
-		}
-		end.Queries = append(end.Queries, st)
+	// end-state assertions see the final placements' q-errors.
+	if err := step(TimelineEntry{AtS: now, Event: "end", AliveHosts: alive(v), LoadFactor: round4(loadFactor)},
+		func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
+			switch {
+			case !d.Deployed:
+				return controlplane.Decision{Violation: controlplane.ViolationUndeployed}, nil
+			case len(fl.deadHosts(d.Placement)) > 0:
+				return controlplane.Decision{Violation: controlplane.ViolationDeadHost}, nil
+			}
+			dec, _, err := controlplane.Observe(d, v.Cluster, scaledQuery(d.Query, loadFactor), observe(len(events)+1, i))
+			return dec, err
+		}); err != nil {
+		return nil, err
 	}
-	rep.Timeline = append(rep.Timeline, end)
+
+	// Totals count the event steps' rows; the end-state q-error is the
+	// worst of the closing rows.
+	for _, e := range rep.Timeline[1 : len(rep.Timeline)-1] {
+		rep.Totals.add(e.Queries)
+	}
+	maxQ := 0.0
+	for _, st := range rep.Timeline[len(rep.Timeline)-1].Queries {
+		maxQ = math.Max(maxQ, math.Max(st.QErrThroughput, st.QErrProcLatency))
+	}
 
 	rep.Assertions = evaluateAssertions(sc.Assertions, rep, deps, deadAfterRecovery, maxQ)
 	rep.Pass = true

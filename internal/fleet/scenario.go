@@ -6,16 +6,17 @@
 // workload (a scenario-registry recipe name), the event script (host
 // crashes and recoveries, zone outages, link degradation, load spikes)
 // and end-state assertions. Run advances an event-driven clock through
-// the script; after every event the recovery loop compares observed
-// costs (simulated via internal/sim) against the costs predicted when
-// each placement was activated — the OnlineMonitoring q-error machinery —
-// and on violation re-optimizes with the placement search engine
-// warm-started from the incumbent, gated by migration hysteresis. That
-// loop is internal/controlplane's Policy, run over the whole fleet in
-// fleet host order: a host that is down stays in the cluster and is
-// banned from placement (View.Banned) like a cordoned one. Everything
-// is deterministic for a fixed seed: the JSON report is byte-identical
-// across runs.
+// the script; after every event the recovery loop, which is
+// internal/controlplane's Policy, compares observed costs (simulated via
+// internal/sim) against the costs predicted when each placement was
+// activated, and on violation re-optimizes with the placement search
+// engine warm-started from the incumbent, gated by migration
+// hysteresis. The policy runs over the whole fleet in fleet host order:
+// a host that is down stays in the cluster, banned from placement
+// (View.Banned) like a cordoned one and named down (View.Down), so an
+// incumbent on it reads as a dead-host violation. Every stage of a run
+// is one control-plane pass. Everything is deterministic for a fixed
+// seed: the JSON report is byte-identical across runs.
 package fleet
 
 import (

@@ -20,7 +20,8 @@ var useAffineAsm = hasAVX
 // useAVX512 selects affineLeakyAVX512 over affineLeakyAVX as the forward
 // kernel of layers with at least asmMinOut outputs (see asmKernel), and
 // affineBackwardAVX512 over affineBackwardAVX as the backward of layers
-// with at least zmmBackwardMinIn inputs (see backwardKernel). It is true
+// with at least zmmBackwardMinIn inputs and asmMinOut outputs (see
+// backwardKernel). It is true
 // when the CPU also supports AVX-512F and the OS preserves the opmask
 // and full ZMM state (CPUID leaf 7 + XCR0); like useAffineAsm it is set
 // at init and is a variable only so that tests can run each kernel the
@@ -76,8 +77,9 @@ func affineLeakyAVX512(y, x, wt, b *float64, in, out, rows, yStride, xStride int
 // alpha 1. gf is scratch for the out effective gradients. in and out must
 // be at least 1, and none of gw, gb, xg and gf may overlap any other
 // buffer. Four columns go to a YMM vector, in blocks of 16, 8, 4 and 1:
-// it is the backward of layers narrower than zmmBackwardMinIn inputs on
-// AVX-512 CPUs, and of every layer on CPUs with AVX only.
+// it is the backward of layers narrower than zmmBackwardMinIn inputs or
+// asmMinOut outputs on AVX-512 CPUs, and of every layer on CPUs with AVX
+// only.
 //
 //go:noescape
 func affineBackwardAVX(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64, in, out int)

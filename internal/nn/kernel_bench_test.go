@@ -71,7 +71,9 @@ func BenchmarkAffineKernels(b *testing.B) {
 // layers plain, as the tape records them; ns/MAC makes the shapes
 // comparable. Each sub-benchmark calls its kernel directly; the ZMM
 // kernel is skipped below zmmBackwardMinIn inputs, which Linear.backprop
-// keeps on the YMM kernel, and a kernel the CPU lacks is skipped.
+// keeps on the YMM kernel, and a kernel the CPU lacks is skipped. 48 → 1
+// runs on both assembly kernels: it is what keeps single-output layers
+// on the YMM kernel (backwardKernel).
 func BenchmarkBackwardKernels(b *testing.B) {
 	shapes := []struct {
 		in, out int

@@ -172,7 +172,7 @@ func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
 		act, alpha = fused.Data, leakySlope
 	}
 	t.gf = Grow(t.gf, l.Out)
-	if backwardKernel(l.In) == kernelAVX512 {
+	if backwardKernel(l.In, l.Out) == kernelAVX512 {
 		affineBackwardAVX512(&l.GW[0], &l.GB[0], &x.Grad[0], &l.W[0], &x.Data[0], &outGrad[0], &act[0], &t.gf[0], alpha, l.In, l.Out)
 		return
 	}
@@ -186,11 +186,15 @@ func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
 const zmmBackwardMinIn = 8
 
 // backwardKernel picks the assembly backward kernel for a layer of in
-// inputs: the ZMM kernel where the CPU has AVX-512 and the layer has at
-// least zmmBackwardMinIn inputs, the YMM kernel otherwise. Like
-// asmKernel it decides from the CPU and the shape, never from a setting.
-func backwardKernel(in int) kernelKind {
-	if useAVX512 && in >= zmmBackwardMinIn {
+// inputs and out outputs: the ZMM kernel where the CPU has AVX-512 and
+// the layer has at least zmmBackwardMinIn inputs and asmMinOut outputs,
+// the YMM kernel otherwise. A single-output layer — every readout's last
+// — is one row of work per call, where the ZMM kernel's block set-up and
+// masked tail cost more than its width saves: BenchmarkBackwardKernels
+// ran 48→1 in 50–64 ns on ZMM against 38–40 ns on YMM. Like asmKernel it
+// decides from the CPU and the shape, never from a setting.
+func backwardKernel(in, out int) kernelKind {
+	if useAVX512 && in >= zmmBackwardMinIn && out >= asmMinOut {
 		return kernelAVX512
 	}
 	return kernelAVX2

@@ -62,7 +62,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // every pair of kernelDims, fused and unfused, called directly and
 // through Linear.backprop with the kernels on and off. The ZMM kernel is
 // called directly only on layers of at least zmmBackwardMinIn inputs, its
-// contract; through backprop the narrower ones take the YMM kernel.
+// contract; through backprop the narrower and the single-output ones
+// take the YMM kernel.
 func TestBackwardAsmMatchesPortable(t *testing.T) {
 	forEachAsmKernel(t, "backward", func(t *testing.T, kernel kernelKind) {
 		rng := rand.New(rand.NewSource(16))

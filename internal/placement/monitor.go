@@ -65,7 +65,6 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 	if err != nil {
 		return nil, err
 	}
-	monitorMet().steps.Inc()
 	steps := []MonitorStep{{Placement: cur, Metrics: m, ElapsedS: 0}}
 	elapsed := 0.0
 	// Moves that were tried and reverted; the scheduler does not repeat
@@ -91,13 +90,10 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 		// tries a different move in the next monitoring window.
 		if !better(nm, last.Metrics) {
 			banned[move] = true
-			monitorMet().reverts.Inc()
 			elapsed += cfg.MigrationCostS // migrating back
 			steps = append(steps, MonitorStep{Placement: last.Placement, Metrics: last.Metrics, ElapsedS: elapsed})
 			continue
 		}
-		monitorMet().migrations.Inc()
-		monitorMet().steps.Inc()
 		steps = append(steps, MonitorStep{Placement: next, Metrics: nm, ElapsedS: elapsed})
 	}
 	return steps, nil
@@ -130,13 +126,9 @@ func recordQError(h *obs.Histogram, pred, observed float64) {
 	h.Record(int64(qerr * 1e3))
 }
 
-// monitorMetrics aggregates online-monitoring activity in the default
-// registry.
+// monitorMetrics holds the q-error histograms RecordQErrors feeds in
+// the default registry.
 type monitorMetrics struct {
-	steps      *obs.Counter
-	migrations *obs.Counter
-	reverts    *obs.Counter
-
 	qerrLatency    *obs.Histogram
 	qerrThroughput *obs.Histogram
 }
@@ -149,9 +141,6 @@ var monitorMet = sync.OnceValue(func() *monitorMetrics {
 			1e-3, "metric", metric)
 	}
 	return &monitorMetrics{
-		steps:          r.Counter("costream_monitor_steps_total", "placements activated by the online monitoring loop"),
-		migrations:     r.Counter("costream_monitor_migrations_total", "operator migrations kept by online monitoring"),
-		reverts:        r.Counter("costream_monitor_reverts_total", "operator migrations reverted by online monitoring"),
 		qerrLatency:    qerr("proc_latency"),
 		qerrThroughput: qerr("throughput"),
 	}
