@@ -2,10 +2,9 @@ package controlplane
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"costream/internal/par"
 )
 
 // Outcome is one deployment's result in a Pass: the deployment as its
@@ -43,24 +42,11 @@ func Pass(deps []Deployment, decide func(i int, d *Deployment) (Decision, error)
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deps[b].Query.NumOps(), deps[a].Query.NumOps()) })
-	var next atomic.Int64
-	work := func() {
-		for k := int(next.Add(1) - 1); k < len(order); k = int(next.Add(1) - 1) {
-			i := order[k]
-			o := &out[i]
-			o.Deployment = deps[i]
-			o.Decision, o.Err = decide(i, &o.Deployment)
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(deps)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.Each(len(order), 0, func(_, k int) {
+		i := order[k]
+		o := &out[i]
+		o.Deployment = deps[i]
+		o.Decision, o.Err = decide(i, &o.Deployment)
+	})
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"costream/internal/dataset"
+	"costream/internal/par"
 )
 
 // Ensemble combines several independently seeded models for one metric
@@ -99,15 +100,14 @@ func (cfg *PredictorConfig) validate() error {
 // predictor on one pool sized to the training budget.
 //
 // Each fit is one job; member i of a metric is seeded cfg.Train.Seed +
-// 7919·i. min(jobs, budget) runners pull the jobs in a fixed order,
-// largest training set first, and each runs its fit on its own goroutine,
-// so every core stays busy through its own fit's serial optimizer step.
-// A runner owns one tapes for all of its fits: a fit after its first
-// starts on arenas already grown to the training set's graphs.
-// A fit's weights depend on neither the budget nor the schedule. Once a
-// fit fails the runners take no new jobs, and the error returned is that
-// of the first failing job in pull order: every earlier job was already
-// taken, so it is the same error on every run.
+// 7919·i. par.Each starts the jobs in a fixed order, largest training set
+// first, on min(jobs, budget) runners, so every core stays busy through
+// its own fit's serial optimizer step. A runner owns one tapes for all of
+// its fits: a fit after its first starts on arenas already grown to the
+// training set's graphs. A fit's weights depend on neither the budget nor
+// the schedule. No job past the first one to fail starts; a job is only
+// ever skipped past a failed one, so the first failing job in pull order
+// always runs, and the error returned is its error on every run.
 func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
 	k := cfg.EnsembleSize
 	if k <= 0 {
@@ -136,34 +136,29 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 	sort.SliceStable(jobs, func(a, b int) bool { return len(jobs[a].train) > len(jobs[b].train) })
 
 	runners := max(1, min(len(jobs), cap(trainBudget)))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for range runners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tp := newTapes() // the runner's fits run on it one after another
-			for !failed.Load() {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				job := &jobs[n]
-				c := cfg.Train
-				c.Seed += int64(job.member) * 7919
-				c.Member = job.member
-				// fit shuffles its training slice in place; the graphs
-				// behind the copies stay shared and read-only.
-				ts := append([]sample(nil), job.train...)
-				vs := append([]sample(nil), job.val...)
-				if job.ens.Models[job.member], job.err = trainFromSamples(tp, job.ens.Metric, ts, vs, c); job.err != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	tps := make([]*tapes, runners) // runner w's fits run on tps[w] one after another
+	// stop is the index of the first job to fail, len(jobs) until one does.
+	var stop atomic.Int64
+	stop.Store(int64(len(jobs)))
+	par.Each(len(jobs), runners, func(w, n int) {
+		if int64(n) > stop.Load() {
+			return
+		}
+		if tps[w] == nil {
+			tps[w] = newTapes()
+		}
+		job := &jobs[n]
+		c := cfg.Train
+		c.Seed += int64(job.member) * 7919
+		c.Member = job.member
+		// fit shuffles its training slice in place; the graphs behind
+		// the copies stay shared and read-only.
+		ts := append([]sample(nil), job.train...)
+		vs := append([]sample(nil), job.val...)
+		if job.ens.Models[job.member], job.err = trainFromSamples(tps[w], job.ens.Metric, ts, vs, c); job.err != nil {
+			stop.CompareAndSwap(int64(len(jobs)), int64(n))
+		}
+	})
 	for _, job := range jobs {
 		if job.err != nil {
 			return nil, fmt.Errorf("core: training %v: %w", job.ens.Metric, job.err)

@@ -7,11 +7,10 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"costream/internal/hardware"
+	"costream/internal/par"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
@@ -170,24 +169,13 @@ func Build(cfg BuildConfig) (*Corpus, error) {
 	return &Corpus{Traces: traces}, nil
 }
 
-// buildRange generates the traces [lo, hi) of the corpus cfg describes,
-// one goroutine per trace under a GOMAXPROCS-wide semaphore. Build runs
-// it over the whole corpus, StreamBuild over one shard at a time.
+// buildRange generates the traces [lo, hi) of the corpus cfg describes
+// on par.Each's GOMAXPROCS goroutines. Build runs it over the whole
+// corpus, StreamBuild over one shard at a time.
 func buildRange(cfg BuildConfig, lo, hi int) ([]*Trace, error) {
 	traces := make([]*Trace, hi-lo)
 	errs := make([]error, hi-lo)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := lo; i < hi; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			traces[i-lo], errs[i-lo] = buildOne(cfg, i)
-		}(i)
-	}
-	wg.Wait()
+	par.Each(hi-lo, 0, func(_, k int) { traces[k], errs[k] = buildOne(cfg, lo+k) })
 	for k, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: trace %d: %w", lo+k, err)

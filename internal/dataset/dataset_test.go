@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"costream/internal/hardware"
 	"costream/internal/sim"
 	"costream/internal/stream"
 	"costream/internal/workload"
@@ -236,6 +237,26 @@ func TestQueryFnOverride(t *testing.T) {
 func TestBuildRejectsBadConfig(t *testing.T) {
 	if _, err := Build(BuildConfig{N: 0}); err == nil {
 		t.Error("N=0 accepted")
+	}
+}
+
+// TestBuildNamesFirstFailingTrace: when several traces fail, Build
+// reports the lowest-indexed one, whatever order they finished in.
+func TestBuildNamesFirstFailingTrace(t *testing.T) {
+	cfg := buildCfg(12, 3)
+	cfg.ClusterFn = func(g *workload.Generator, i int) *hardware.Cluster {
+		if i == 3 || i == 7 {
+			return &hardware.Cluster{}
+		}
+		return g.Cluster()
+	}
+	const want = "dataset: trace 3: invalid cluster: empty cluster"
+	for _, procs := range []int{1, 4} {
+		var err error
+		atGOMAXPROCS(procs, func() { _, err = Build(cfg) })
+		if err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS=%d: err = %v, want %q", procs, err, want)
+		}
 	}
 }
 

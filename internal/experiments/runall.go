@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"time"
+
+	"costream/internal/par"
 )
 
 // RunAll executes every experiment of the paper, writes the rendered
@@ -43,7 +44,7 @@ func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
 		tableStep("exp6-benchmarks", s.Exp6Benchmarks, &e6),
 		tableStep("exp7a-feature-ablation", s.Exp7aFeatureAblation, nil),
 		tableStep("exp7b-message-passing", s.Exp7bMessagePassing, nil),
-	}, runtime.GOMAXPROCS(0), w, s.Logf)
+	}, 0, w, s.Logf)
 	if err != nil {
 		return tables, err
 	}
@@ -77,35 +78,32 @@ func tableStep[R interface{ Table() *Table }](name string, run func() (R, error)
 }
 
 // runSteps runs steps under the contract RunAll documents: up to workers
-// at once, started in order, tables written in order, no start after the
-// first failure and no write from the first failed step on.
+// at once (GOMAXPROCS when workers <= 0), started in order, tables written in order, no start after the
+// first failure and no write from the first failed step on. par.Each runs
+// the steps on a goroutine of its own, so this one writes each table as
+// soon as it and every earlier one are done.
 func runSteps(steps []step, workers int, w io.Writer, logf func(string, ...any)) ([]*Table, error) {
 	tables := make([]*Table, len(steps))
 	errs := make([]error, len(steps))
 	done := make([]chan struct{}, len(steps))
-	next := make(chan int, len(steps))
 	for i := range steps {
 		done[i] = make(chan struct{})
-		next <- i
 	}
-	close(next)
-	var failed atomic.Bool
-	for range min(workers, len(steps)) {
-		go func() {
-			for i := range next {
-				if !failed.Load() {
-					start := time.Now()
-					tables[i], errs[i] = steps[i].run()
-					if errs[i] != nil {
-						failed.Store(true)
-					} else {
-						logf("%s finished in %v", steps[i].name, time.Since(start).Round(time.Second))
-					}
-				}
-				close(done[i])
-			}
-		}()
-	}
+	// stop is the index of the first step to fail, len(steps) until one does.
+	var stop atomic.Int64
+	stop.Store(int64(len(steps)))
+	go par.Each(len(steps), workers, func(_, i int) {
+		defer close(done[i])
+		if int64(i) > stop.Load() {
+			return
+		}
+		start := time.Now()
+		if tables[i], errs[i] = steps[i].run(); errs[i] != nil {
+			stop.CompareAndSwap(int64(len(steps)), int64(i))
+		} else {
+			logf("%s finished in %v", steps[i].name, time.Since(start).Round(time.Second))
+		}
+	})
 	for i := range steps {
 		<-done[i]
 		if errs[i] != nil {

@@ -2,10 +2,6 @@
 
 package nn
 
-// haveAffineAsm reports that this build includes the hand-written AVX
-// kernels; useAffineAsm additionally requires CPU+OS support at runtime.
-const haveAffineAsm = true
-
 // hasAVX is true when the CPU supports AVX and the OS preserves YMM
 // state across context switches (OSXSAVE + XCR0).
 var hasAVX = cpuHasAVX()

@@ -5,8 +5,6 @@ package nn
 // No assembly kernels on this architecture; the portable blocked Go
 // kernels in dense.go carry all stacked inference, and the Go loops in
 // mlp.go and adam.go all training.
-const haveAffineAsm = false
-
 var useAffineAsm = false
 
 var useAVX512 = false

@@ -3,11 +3,9 @@ package placement
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"costream/internal/hardware"
+	"costream/internal/par"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -185,35 +183,22 @@ type tiling struct {
 }
 
 // scoreTiled cuts the candidates into fixed-boundary tiles of the
-// session's preferred width, and workers claim tiles from a shared atomic
-// counter, so a fast worker takes more tiles instead of idling behind a
-// static partition. Tile boundaries depend only on the candidate count
-// and tile width — never on worker scheduling — and ScoreTile results must
-// not depend on tiling, so the merged output is identical for every
-// worker count.
+// session's preferred width and scores them on par.Each. Tile boundaries
+// depend only on the candidate count and tile width — never on
+// scheduling — and ScoreTile results must not depend on tiling, so the
+// merged output is identical for every worker count. A round of one tile
+// or one worker scores inline: the closure par.Each takes allocates.
 func scoreTiled(tl tiling, workers int) {
 	n := len(tl.cands)
 	tile := max(tl.sess.TileSize(), 1)
 	nTiles := (n + tile - 1) / tile
-	workers = poolSize(workers, nTiles)
-	if workers == 1 {
+	if nTiles <= 1 || workers == 1 {
 		for lo := 0; lo < n; lo += tile {
 			tl.score(lo, min(lo+tile, n))
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for ; workers > 0; workers-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := int(next.Add(1)) - 1; t < nTiles; t = int(next.Add(1)) - 1 {
-				tl.score(t*tile, min((t+1)*tile, n))
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(nTiles, workers, func(_, t int) { tl.score(t*tile, min((t+1)*tile, n)) })
 }
 
 // score scores candidates lo..hi-1 as one tile. A tile that fails as a
@@ -246,15 +231,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// poolSize bounds a worker pool over n items: workers <= 0 selects
-// GOMAXPROCS, and a pool has at least one worker and at most n.
-func poolSize(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, n))
 }
 
 // Objective selects the target cost metric for placement optimization.

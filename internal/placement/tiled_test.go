@@ -346,3 +346,18 @@ func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreOneCandidateAllocs: scoring one candidate allocates its costs
+// and errors slices and the adapter's session, and nothing more. A round
+// of one tile scores inline: the closure par.Each takes would allocate.
+func TestScoreOneCandidateAllocs(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	pred := PredictorFunc(func(_ *stream.Query, _ *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		return fakeCosts(p), nil
+	})
+	cands := tiledCandidates(1)
+	allocs := testing.AllocsPerRun(100, func() { Score(context.Background(), pred, q, c, cands, AllCosts) })
+	if allocs > 3 {
+		t.Errorf("one-candidate Score allocates %v times, want at most 3", allocs)
+	}
+}
