@@ -310,7 +310,7 @@ func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Qu
 	if dec.Violation == "" {
 		return dec, nil
 	}
-	met().violations(dec.Violation).Inc()
+	met().violations[dec.Violation].Inc()
 
 	if !v.anySchedulable() {
 		d.Deployed = false

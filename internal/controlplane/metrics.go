@@ -15,25 +15,13 @@ type cpMetrics struct {
 	suppressed  *obs.Counter
 	tickSeconds *obs.Histogram
 
-	violationsByKind map[string]*obs.Counter
-	fallback         func(kind string) *obs.Counter
-}
-
-// violations returns the per-kind violation counter, creating a series
-// on the fly for kinds outside the known set.
-func (m *cpMetrics) violations(kind string) *obs.Counter {
-	if c, ok := m.violationsByKind[kind]; ok {
-		return c
-	}
-	return m.fallback(kind)
+	// violations holds one counter per Violation* kind, the only kinds
+	// Policy.Heal reports.
+	violations map[string]*obs.Counter
 }
 
 var met = sync.OnceValue(func() *cpMetrics {
 	r := obs.Default()
-	violation := func(kind string) *obs.Counter {
-		return r.Counter("costream_controlplane_violations_total",
-			"control-plane violations detected, by kind", "kind", kind)
-	}
 	m := &cpMetrics{
 		deployments: r.Gauge("costream_controlplane_deployments",
 			"queries currently registered with the placement control plane"),
@@ -43,14 +31,14 @@ var met = sync.OnceValue(func() *cpMetrics {
 			"re-optimizations whose result was suppressed (hysteresis or unchanged incumbent)"),
 		tickSeconds: r.Histogram("costream_controlplane_tick_seconds",
 			"control-loop tick latency", 1e-9),
-		violationsByKind: map[string]*obs.Counter{},
-		fallback:         violation,
+		violations: map[string]*obs.Counter{},
 	}
 	for _, kind := range []string{
 		ViolationUndeployed, ViolationDeadHost, ViolationCordonedHost,
 		ViolationObservedFailure, ViolationQErrorDrift,
 	} {
-		m.violationsByKind[kind] = violation(kind)
+		m.violations[kind] = r.Counter("costream_controlplane_violations_total",
+			"control-plane violations detected, by kind", "kind", kind)
 	}
 	return m
 })

@@ -469,9 +469,12 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 		}
 		stats.Best = stats.ValLoss < best-1e-6
 		if timed {
+			// Clock the epoch before ReadMemStats: it stops the world,
+			// and the wait for a concurrent fit to reach a safe point
+			// belongs to no stage.
+			stats.DurationNS = time.Since(epochStart).Nanoseconds()
 			runtime.ReadMemStats(&ms)
 			stats.Allocs = ms.Mallocs - allocsStart
-			stats.DurationNS = time.Since(epochStart).Nanoseconds()
 			cfg.Observer(stats)
 		}
 		atBest = stats.Best

@@ -2,9 +2,9 @@
 
 package nn
 
-// No assembly kernels on this architecture; the portable blocked Go
-// kernels in dense.go carry all stacked inference, and the Go loops in
-// mlp.go and adam.go all training.
+// No assembly kernels on this architecture; the portable Go kernels in
+// dense.go carry all stacked inference, and the Go loops in mlp.go and
+// adam.go all training.
 var useAffineAsm = false
 
 var useAVX512 = false

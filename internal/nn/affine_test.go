@@ -35,10 +35,10 @@ func TestAffineAsmMatchesPortable(t *testing.T) {
 					// not negative and must come through unscaled.
 					clear(layers[0].W[:in])
 					layers[0].B[0] = math.Copysign(0, -1)
-					asm, ref := stackOn(t, layers, true), stackOn(t, layers, false)
+					s := stackOn(t, layers, true)
 					for _, rows := range []int{1, 2, 3, 4, 7, 32, 33} {
 						for _, act := range []bool{true, false} {
-							checkAffineKernels(t, rng, kernel, asm, ref, rows, act)
+							checkAffineKernels(t, rng, kernel, s, rows, act)
 						}
 					}
 					checkAffineTape(t, rng, kernel, layers[0])
@@ -63,8 +63,7 @@ func TestAffineKernelsGeneratedShapes(t *testing.T) {
 				layers[m] = NewLinear(rng, in, out)
 				specialRow(rng, layers[m].B, false)
 			}
-			asm, ref := stackOn(t, layers, true), stackOn(t, layers, false)
-			checkAffineKernels(t, rng, kernel, asm, ref, 1+rng.Intn(40), rng.Intn(2) == 0)
+			checkAffineKernels(t, rng, kernel, stackOn(t, layers, true), 1+rng.Intn(40), rng.Intn(2) == 0)
 		}
 	})
 }
@@ -118,10 +117,10 @@ func equalBits(a, b float64) bool {
 }
 
 // stackOn stacks the layers for the assembly kernels or the portable one:
-// the kernel, and with it the weight layout, is picked when a layer is
-// stacked. A single-output layer stacks for the portable kernel either
-// way; its row-major weights are its transposed weights, so the assembly
-// kernels are still checked on it, called directly.
+// the kernel is picked when a layer is stacked, and every kernel reads
+// the one transposed layout StackLinears writes. A single-output layer
+// stacks for the portable kernel either way; the assembly kernels are
+// still checked on it, called directly.
 func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 	t.Helper()
 	defer func(was bool) { useAffineAsm = was }(useAffineAsm)
@@ -137,15 +136,17 @@ func stackOn(t *testing.T, layers []*Linear, asm bool) *StackedLinear {
 	return s
 }
 
-// checkAffineKernels runs one member-block row batch through the assembly
-// kernel named by kernel over sa, stacked for the assembly kernels, and
-// through the portable kernel over sp, with x and dst placed at random
-// offsets and their rows spaced 1-8 elements wider than they are long.
+// checkAffineKernels runs one member-block row batch of s through the
+// assembly kernel named by kernel and through the portable kernel, with x
+// and dst placed at random offsets and their rows spaced 1-8 elements
+// wider than they are long. Both read s's one copy of the weights, so
+// this compares the kernels, not the transposition
+// (TestStackedTransposeMatchesAffineInto checks that).
 // The gaps of x hold NaNs, which would poison any output computed from a
 // stray read; the gaps of dst hold a canary that must survive.
-func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel kernelKind, sa, sp *StackedLinear, rows int, act bool) {
+func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel kernelKind, s *StackedLinear, rows int, act bool) {
 	t.Helper()
-	k, in, out := sa.K, sa.In, sa.Out
+	k, in, out := s.K, s.In, s.Out
 	const canary = -12345.5
 	xOff, dstOff := rng.Intn(4), rng.Intn(4)
 	xStride, dstStride := k*in+1+rng.Intn(8), k*out+1+rng.Intn(8)
@@ -166,11 +167,9 @@ func checkAffineKernels(t *testing.T, rng *rand.Rand, kernel kernelKind, sa, sp 
 	}
 
 	for m := 0; m < k; m++ {
-		w, b := m*out*in, m*out
-		affineRowsTrans(kernel, asm, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
-			sa.W[w:w+out*in], sa.B[b:b+out], in, out, 0.01, act)
-		affineRowsStrided(ref, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows,
-			sp.W[w:w+out*in], sp.B[b:b+out], in, out, 0.01, act)
+		w, b := s.W[m*out*in:(m+1)*out*in], s.B[m*out:(m+1)*out]
+		affineRowsAsm(kernel, asm, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows, w, b, in, out, 0.01, act)
+		affineRowsStrided(ref, dstOff+m*out, dstStride, x, xOff+m*in, xStride, rows, w, b, in, out, 0.01, act)
 	}
 	for i := range ref {
 		if !equalBits(asm[i], ref[i]) {
@@ -195,7 +194,7 @@ func checkAffineTape(t *testing.T, rng *rand.Rand, kernel kernelKind, l *Linear)
 	useAVX512 = kernel == kernelAVX512
 	l.RefreshMirror()
 	defer l.DropMirror()
-	if l.wt == nil {
+	if l.mirror.W == nil {
 		t.Fatal("no training mirror with the assembly kernels on")
 	}
 	x := make([]float64, l.In)
@@ -209,7 +208,7 @@ func checkAffineTape(t *testing.T, rng *rand.Rand, kernel kernelKind, l *Linear)
 			for o := range want {
 				if !equalBits(got[o], want[o]) {
 					t.Fatalf("%s affineTape in=%d out=%d slope=%v output %d: kernel %v (%#x) Go %v (%#x)",
-						asmKernel(l.Out), l.In, l.Out, slope, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
+						l.mirror.kernel, l.In, l.Out, slope, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
 				}
 			}
 		}

@@ -79,113 +79,45 @@ func ForwardKernel() string {
 //
 //	x_r = x[xOff+r*xStride : +in]
 //	y_r = dst[dstOff+r*dstStride : +out]
-//	y_r[o] = b[o] + Σ_i w[o*in+i]·x_r[i]   (then LeakyReLU when act)
+//	y_r[o] = b[o] + Σ_i wt[i*out+o]·x_r[i]   (then LeakyReLU when act)
 //
-// w is row-major out×in. The per-element accumulation order matches
-// Linear.affineInto and leakyReLUInPlace exactly.
+// wt is column-major in×out, the layout of StackedLinear.W. Each row's
+// outputs start at their biases and take the inputs four at a time,
 //
-// Outputs are blocked four at a time: each output's sum is a strictly
-// sequential floating-point dependency chain, so a lone accumulator is bound by
-// FP-add latency, not throughput. Four outputs give four independent
-// chains over one streamed pass of x_r — the per-output accumulation
-// order (and thus the bits) is unchanged.
-func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, w, b []float64, in, out int, alpha float64, act bool) {
+//	y_r[o] = y_r[o] + wt_i[o]·x_i + wt_i+1[o]·x_i+1 + wt_i+2[o]·x_i+2 + wt_i+3[o]·x_i+3
+//
+// then one at a time: every output still sums bias first, then inputs in
+// index order, the order of Linear.affineInto, and the activation is
+// leakyReLUInPlace. The loop over the outputs carries no dependency from
+// one output to the next, so the outputs' sums run side by side, and it
+// streams four unit-stride weight rows and the row's outputs.
+func affineRowsStrided(dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
 	if out == 1 {
-		affineRowsSingle(dst, dstOff, dstStride, x, xOff, xStride, rows, w, b, in, alpha, act)
+		affineRowsSingle(dst, dstOff, dstStride, x, xOff, xStride, rows, wt, b, in, alpha, act)
 		return
 	}
+	wt, b = wt[:in*out], b[:out]
 	for r := 0; r < rows; r++ {
-		xr := x[xOff+r*xStride : xOff+r*xStride+in]
-		yr := dst[dstOff+r*dstStride : dstOff+r*dstStride+out]
-		o := 0
-		for ; o+8 <= out; o += 8 {
-			w0 := w[o*in : o*in+in][:len(xr)]
-			w1 := w[(o+1)*in : (o+1)*in+in][:len(xr)]
-			w2 := w[(o+2)*in : (o+2)*in+in][:len(xr)]
-			w3 := w[(o+3)*in : (o+3)*in+in][:len(xr)]
-			w4 := w[(o+4)*in : (o+4)*in+in][:len(xr)]
-			w5 := w[(o+5)*in : (o+5)*in+in][:len(xr)]
-			w6 := w[(o+6)*in : (o+6)*in+in][:len(xr)]
-			w7 := w[(o+7)*in : (o+7)*in+in][:len(xr)]
-			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-			s4, s5, s6, s7 := b[o+4], b[o+5], b[o+6], b[o+7]
-			for i, xi := range xr {
-				s0 += w0[i] * xi
-				s1 += w1[i] * xi
-				s2 += w2[i] * xi
-				s3 += w3[i] * xi
-				s4 += w4[i] * xi
-				s5 += w5[i] * xi
-				s6 += w6[i] * xi
-				s7 += w7[i] * xi
+		xr := x[xOff+r*xStride:][:in]
+		yr := dst[dstOff+r*dstStride:][:out]
+		copy(yr, b)
+		i := 0
+		for ; i+4 <= in; i += 4 {
+			x0, x1, x2, x3 := xr[i], xr[i+1], xr[i+2], xr[i+3]
+			w0, w1 := wt[i*out:][:len(yr)], wt[(i+1)*out:][:len(yr)]
+			w2, w3 := wt[(i+2)*out:][:len(yr)], wt[(i+3)*out:][:len(yr)]
+			for o := range yr {
+				yr[o] = yr[o] + w0[o]*x0 + w1[o]*x1 + w2[o]*x2 + w3[o]*x3
 			}
-			if act {
-				if s0 < 0 {
-					s0 = alpha * s0
-				}
-				if s1 < 0 {
-					s1 = alpha * s1
-				}
-				if s2 < 0 {
-					s2 = alpha * s2
-				}
-				if s3 < 0 {
-					s3 = alpha * s3
-				}
-				if s4 < 0 {
-					s4 = alpha * s4
-				}
-				if s5 < 0 {
-					s5 = alpha * s5
-				}
-				if s6 < 0 {
-					s6 = alpha * s6
-				}
-				if s7 < 0 {
-					s7 = alpha * s7
-				}
-			}
-			yr[o], yr[o+1], yr[o+2], yr[o+3] = s0, s1, s2, s3
-			yr[o+4], yr[o+5], yr[o+6], yr[o+7] = s4, s5, s6, s7
 		}
-		for ; o+4 <= out; o += 4 {
-			w0 := w[o*in : o*in+in][:len(xr)]
-			w1 := w[(o+1)*in : (o+1)*in+in][:len(xr)]
-			w2 := w[(o+2)*in : (o+2)*in+in][:len(xr)]
-			w3 := w[(o+3)*in : (o+3)*in+in][:len(xr)]
-			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
-			for i, xi := range xr {
-				s0 += w0[i] * xi
-				s1 += w1[i] * xi
-				s2 += w2[i] * xi
-				s3 += w3[i] * xi
+		for ; i < in; i++ {
+			xi, wi := xr[i], wt[i*out:][:len(yr)]
+			for o := range yr {
+				yr[o] += wi[o] * xi
 			}
-			if act {
-				if s0 < 0 {
-					s0 = alpha * s0
-				}
-				if s1 < 0 {
-					s1 = alpha * s1
-				}
-				if s2 < 0 {
-					s2 = alpha * s2
-				}
-				if s3 < 0 {
-					s3 = alpha * s3
-				}
-			}
-			yr[o], yr[o+1], yr[o+2], yr[o+3] = s0, s1, s2, s3
 		}
-		for ; o < out; o++ {
-			sum := b[o]
-			row := w[o*in : o*in+in][:len(xr)]
-			for i, xi := range xr {
-				sum += row[i] * xi
-			}
-			if act && sum < 0 {
-				sum = alpha * sum
-			}
-			yr[o] = sum
+		if act {
+			leakyReLUInPlace(yr, alpha)
 		}
 	}
 }
@@ -256,13 +188,13 @@ func dot4(b float64, w, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
-// affineRowsTrans is affineRowsStrided on the transposed weight layout:
-// one call of the assembly kernel k (kernelAVX2 or kernelAVX512) covers
-// the whole row batch, LeakyReLU included — the kernel scales negative
-// accumulators by its slope before the store (the same compare-and-scale
-// per element as the portable kernel, so the bits match), and slope 1 is
-// the linear layer.
-func affineRowsTrans(k kernelKind, dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
+// affineRowsAsm is affineRowsStrided on the assembly kernel k
+// (kernelAVX2 or kernelAVX512), over the same weight layout: one call
+// covers the whole row batch, LeakyReLU included — the kernel scales
+// negative accumulators by its slope before the store (the same
+// compare-and-scale per element as the portable kernel, so the bits
+// match), and slope 1 is the linear layer.
+func affineRowsAsm(k kernelKind, dst []float64, dstOff, dstStride int, x []float64, xOff, xStride, rows int, wt, b []float64, in, out int, alpha float64, act bool) {
 	if rows == 0 {
 		return
 	}
@@ -285,54 +217,74 @@ func affineRowsTrans(k kernelKind, dst []float64, dstOff, dstStride int, x []flo
 // shape evaluated through one batched kernel: member m's weights occupy
 // block m of the member-major weight and bias buffers. The weights are
 // copied at stack time — a stack goes stale when a member's weights are
-// updated in place and must be rebuilt. The kernel is picked at stack
-// time too (asmKernel): the ZMM kernel on AVX-512 CPUs and the YMM kernel
-// on AVX-only CPUs for layers of more than one output, the portable Go
-// kernel for single-output layers and everywhere else. All three give
-// the same bits.
+// updated in place and must be reloaded (load) or rebuilt. The kernel is
+// picked at stack time too (asmKernel): the ZMM kernel on AVX-512 CPUs
+// and the YMM kernel on AVX-only CPUs for layers of more than one
+// output, the portable Go kernel for single-output layers and everywhere
+// else. All three read one weight layout and give the same bits. A
+// Linear's training mirror is a stack of one whose bias is the layer's
+// own.
 type StackedLinear struct {
 	K, In, Out int
-	// W holds K member blocks in the layout the layer's kernel streams:
-	// column-major In×Out for the assembly kernels (outputs in adjacent
-	// lanes, unit-stride "all outputs for input i"), row-major Out×In for
-	// the portable one.
+	// W holds K member blocks, each column-major In×Out: member m's
+	// weight from input i to output o is W[m·In·Out + i·Out + o], so the
+	// weights of all outputs for input i are adjacent — the unit-stride
+	// row every kernel streams.
 	W      []float64
 	B      []float64 // K blocks of Out
 	kernel kernelKind
 }
 
-// StackLinears copies k same-shape layers into one stacked layer, laid
-// out for the assembly kernels when this build and CPU have them.
+// newStack returns an empty stack of k in→out members with bias b (k
+// blocks of out) and the kernel this build and CPU run on that width.
+func newStack(k, in, out int, b []float64) StackedLinear {
+	s := StackedLinear{K: k, In: in, Out: out, W: make([]float64, k*in*out), B: b}
+	if useAffineAsm {
+		s.kernel = asmKernel(out)
+	}
+	return s
+}
+
+// StackLinears copies k same-shape layers into one stacked layer.
 func StackLinears(ls []*Linear) (*StackedLinear, error) {
 	if len(ls) == 0 {
 		return nil, fmt.Errorf("nn: stacking zero layers")
 	}
 	in, out := ls[0].In, ls[0].Out
-	s := &StackedLinear{
-		K: len(ls), In: in, Out: out,
-		W: make([]float64, len(ls)*out*in),
-		B: make([]float64, len(ls)*out),
-	}
-	if useAffineAsm {
-		s.kernel = asmKernel(out)
-	}
+	s := newStack(len(ls), in, out, make([]float64, len(ls)*out))
 	for m, l := range ls {
 		if l.In != in || l.Out != out {
 			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", m, l.Out, l.In, out, in)
 		}
-		wm := s.W[m*out*in : (m+1)*out*in]
 		copy(s.B[m*out:(m+1)*out], l.B[:out])
-		if s.kernel == kernelPortable {
-			copy(wm, l.W[:out*in])
-			continue
-		}
-		for o := 0; o < out; o++ {
-			for i := 0; i < in; i++ {
-				wm[i*out+o] = l.W[o*in+i]
-			}
+		s.load(m, l)
+	}
+	return &s, nil
+}
+
+// load copies l's row-major weights, transposed, into member block m.
+// It writes the block in order, four of its rows at a time: for each
+// output o it reads the four adjacent weights W[o, i..i+3] and appends
+// one to each of the four rows, so every write is sequential, where
+// walking W in order would scatter each write a row apart.
+func (s *StackedLinear) load(m int, l *Linear) {
+	in, out, w := s.In, s.Out, l.W[:s.Out*s.In]
+	wt := s.W[m*in*out : (m+1)*in*out]
+	i := 0
+	for ; i+4 <= in; i += 4 {
+		r0, r1 := wt[i*out:][:out], wt[(i+1)*out:][:out]
+		r2, r3 := wt[(i+2)*out:][:out], wt[(i+3)*out:][:out]
+		for o := range r0 {
+			c := w[o*in+i:][:4]
+			r0[o], r1[o], r2[o], r3[o] = c[0], c[1], c[2], c[3]
 		}
 	}
-	return s, nil
+	for ; i < in; i++ {
+		row := wt[i*out:][:out]
+		for o := range row {
+			row[o] = w[o*in+i]
+		}
+	}
 }
 
 // rows advances a row batch through every member: member m reads its In
@@ -342,7 +294,7 @@ func (s *StackedLinear) rows(dst, x []float64, xBlock, xStride, rows int, alpha 
 	for m := 0; m < s.K; m++ {
 		w, b := s.W[m*s.Out*s.In:(m+1)*s.Out*s.In], s.B[m*s.Out:(m+1)*s.Out]
 		if s.kernel != kernelPortable {
-			affineRowsTrans(s.kernel, dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
+			affineRowsAsm(s.kernel, dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		} else {
 			affineRowsStrided(dst, m*s.Out, s.K*s.Out, x, m*xBlock, xStride, rows, w, b, s.In, s.Out, alpha, act)
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,6 +74,54 @@ func TestStackedMLPBlocksMatchesInfer(t *testing.T) {
 			for o := range want {
 				if got[o] != want[o] {
 					t.Fatalf("row %d member %d out %d: got %v want %v", r, m, o, got[o], want[o])
+				}
+			}
+		}
+	}
+}
+
+// TestStackedTransposeMatchesAffineInto holds StackedLinear.BlockRows on
+// the portable kernel, which reads the transposed weights StackLinears
+// writes, to Linear.affineInto and leakyReLUInPlace over each layer's own
+// row-major weights, bit for bit (a NaN matches any NaN, see equalBits),
+// on 600 generated layers: in and out drawn from [1, 130], one or three
+// members, 1-40 rows, activation on or off, biases with signed zeros and
+// denormals, an output that sums signed zeros only, and every third input
+// row holding infinities and NaNs. The kernel tests compare readers of
+// one transposed copy; this test checks the transposition itself, on
+// every architecture.
+func TestStackedTransposeMatchesAffineInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for range 600 {
+		k := []int{1, 3}[rng.Intn(2)]
+		in, out, rows, act := 1+rng.Intn(130), 1+rng.Intn(130), 1+rng.Intn(40), rng.Intn(2) == 0
+		layers := make([]*Linear, k)
+		for m := range layers {
+			layers[m] = NewLinear(rng, in, out)
+			specialRow(rng, layers[m].B, false)
+		}
+		clear(layers[0].W[:in])
+		layers[0].B[0] = math.Copysign(0, -1)
+		s := stackOn(t, layers, false)
+
+		x := make([]float64, rows*k*in)
+		for r := 0; r < rows; r++ {
+			specialRow(rng, x[r*k*in:(r+1)*k*in], r%3 == 2)
+		}
+		got := make([]float64, rows*k*out)
+		s.BlockRows(got, x, rows, leakySlope, act)
+		want := make([]float64, out)
+		for r := 0; r < rows; r++ {
+			for m, l := range layers {
+				l.affineInto(want, x[(r*k+m)*in:][:in])
+				if act {
+					leakyReLUInPlace(want, leakySlope)
+				}
+				for o, w := range want {
+					if g := got[(r*k+m)*out+o]; !equalBits(g, w) {
+						t.Fatalf("k=%d in=%d out=%d rows=%d act=%v row %d member %d output %d: stacked %v (%#x) affineInto %v (%#x)",
+							k, in, out, rows, act, r, m, o, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
 				}
 			}
 		}

@@ -15,8 +15,9 @@ import (
 // even) produce. Hidden layers run with the activation, final layers
 // linear, as in StackedMLP.forward; ns/MAC makes the shapes comparable.
 // Each sub-benchmark runs its kernel on every shape, the narrow readout
-// included, which StackLinears keeps on the portable kernel (asmMinOut);
-// a kernel the CPU lacks is skipped.
+// included, which StackLinears keeps on the portable kernel (asmMinOut),
+// over one stack: all three kernels read its transposed weights. A
+// kernel the CPU lacks is skipped.
 func BenchmarkAffineKernels(b *testing.B) {
 	shapes := []struct {
 		in, out int
@@ -27,7 +28,10 @@ func BenchmarkAffineKernels(b *testing.B) {
 	has512 := useAVX512
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(7))
-		layers := []*Linear{NewLinear(rng, sh.in, sh.out)}
+		s, err := StackLinears([]*Linear{NewLinear(rng, sh.in, sh.out)})
+		if err != nil {
+			b.Fatal(err)
+		}
 		kind := "linear"
 		if sh.act {
 			kind = "act"
@@ -44,13 +48,7 @@ func BenchmarkAffineKernels(b *testing.B) {
 					case kernel != kernelPortable && !useAffineAsm:
 						b.Skip("no AVX kernels on this machine")
 					}
-					defer func(asm bool) { useAffineAsm = asm }(useAffineAsm)
-					useAffineAsm = kernel != kernelPortable
-					s, err := StackLinears(layers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					s.kernel = kernel // same weight layout for both assembly kernels
+					s.kernel = kernel
 					for b.Loop() {
 						s.BlockRows(y, x, rows, 0.01, sh.act)
 					}

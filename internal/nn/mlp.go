@@ -7,6 +7,10 @@ import (
 )
 
 // Linear is a fully connected layer y = W*x + b with gradient buffers.
+// W stays row-major: the backward kernels run their lanes over the input
+// index, along a row of W, so the column-major layout of the forward
+// kernels would cost them a transpose per sample where the mirror costs
+// one per optimizer step.
 type Linear struct {
 	In, Out int
 	W       []float64 // row-major Out x In
@@ -14,13 +18,15 @@ type Linear struct {
 	GW      []float64
 	GB      []float64
 
-	// wt is the training mirror: W transposed to In x Out, the layout
-	// the assembly forward kernels stream. It exists only between
-	// RefreshMirror and DropMirror (core's fit loop) and is shared by
-	// gradient shadows like W. Without it the tape runs affineInto, which
+	// mirror is the training mirror: a one-member StackedLinear holding
+	// W transposed and sharing B, which the tape forward runs the way
+	// stacked inference does. It exists (has weights) only between
+	// RefreshMirror and DropMirror (core's fit loop), and gradient shadows
+	// share its weights like W. Without it the tape runs affineInto, which
 	// makes an inference tape the scalar oracle of the packed inference
-	// kernels.
-	wt []float64
+	// kernels. It is held by value: a fit builds one per layer, and a
+	// pointer would add as many allocations.
+	mirror StackedLinear
 
 	// touched is set by every backprop into GW and GB and cleared by
 	// FoldGrads: a gradient shadow that no backprop has touched since its
@@ -61,68 +67,40 @@ func (l *Linear) affineInto(dst, x []float64) {
 	}
 }
 
-// RefreshMirror copies the current weights into the transposed training
-// mirror, allocating it on first use, so the tape forward pass runs on
-// the AVX kernel. Call it after every in-place weight update while the
-// mirror exists: a stale mirror silently computes with old weights. It
-// does nothing where the AVX kernels are unavailable or the layer's
-// buffers do not match its dimensions; Apply then stays on affineInto.
-//
-// The copy writes the mirror in order, four mirror rows at a time: for
-// each output o it reads the four adjacent weights W[o, i..i+3] and
-// appends one to each of the four rows, so every write is sequential,
-// where walking W in order would scatter each write a mirror row apart.
+// RefreshMirror copies the current weights into the training mirror
+// (StackedLinear.load), allocating it on first use, so the tape forward
+// pass runs on the stacked kernel. Call it after every in-place weight
+// update while the mirror exists: a stale mirror silently computes with
+// old weights. It does nothing where the AVX kernels are unavailable or
+// the layer's buffers do not match its dimensions; Apply then stays on
+// affineInto.
 func (l *Linear) RefreshMirror() {
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
 		return
 	}
-	if len(l.wt) != len(l.W) {
-		l.wt = make([]float64, len(l.W))
+	if l.mirror.W == nil {
+		l.mirror = newStack(1, l.In, l.Out, l.B)
 	}
-	in, out, w, wt := l.In, l.Out, l.W, l.wt
-	i := 0
-	for ; i+4 <= in; i += 4 {
-		r0, r1 := wt[i*out:][:out], wt[(i+1)*out:][:out]
-		r2, r3 := wt[(i+2)*out:][:out], wt[(i+3)*out:][:out]
-		for o := range r0 {
-			c := w[o*in+i:][:4]
-			r0[o], r1[o], r2[o], r3[o] = c[0], c[1], c[2], c[3]
-		}
-	}
-	for ; i < in; i++ {
-		row := wt[i*out:][:out]
-		for o := range row {
-			row[o] = w[o*in+i]
-		}
-	}
+	l.mirror.load(0, l)
 }
 
 // DropMirror releases the training mirror; Apply returns to affineInto.
-func (l *Linear) DropMirror() { l.wt = nil }
+func (l *Linear) DropMirror() { l.mirror = StackedLinear{} }
 
 // affineTape is the tape ops' forward, leaky(W*x + b, slope) with slope 1
-// for the plain affine op: one call of the fused assembly kernel that
-// asmKernel picks for the layer, over the mirror, when one exists and
-// asmKernel picks an assembly kernel; affineInto and leakyReLUInPlace
-// otherwise — also for a single-output layer, on whose one row they are
-// the portable kernel. The two are bit-identical — every output
-// accumulates bias first, then inputs in index order, and a negative sum
-// is scaled by the slope once.
+// for the plain affine op: one row through the mirror's kernel when a
+// mirror exists, affineInto and leakyReLUInPlace otherwise. The two are
+// bit-identical — every output accumulates bias first, then inputs in
+// index order, and a negative sum is scaled by the slope once.
 func (l *Linear) affineTape(dst, x []float64, slope float64) {
-	if l.wt == nil || asmKernel(l.Out) == kernelPortable {
-		l.affineInto(dst, x)
-		if slope != 1 {
-			leakyReLUInPlace(dst, slope)
-		}
+	if l.mirror.W != nil {
+		l.mirror.rows(dst, x, 0, 0, 1, slope, slope != 1)
 		return
 	}
-	if len(x) != l.In {
-		panic(fmt.Sprintf("nn: Linear input dim %d, want %d", len(x), l.In))
+	l.affineInto(dst, x)
+	if slope != 1 {
+		leakyReLUInPlace(dst, slope)
 	}
-	if l.In <= 0 || l.Out <= 0 || len(dst) != l.Out || len(l.wt) != l.In*l.Out || len(l.B) != l.Out {
-		panic("nn: Linear training mirror does not match the layer")
-	}
-	affineRowsTrans(asmKernel(l.Out), dst, 0, 0, x, 0, 0, 1, l.wt, l.B, l.In, l.Out, slope, true)
 }
 
 // Apply records y = W*x + b on the tape as a single affine op.
@@ -228,7 +206,7 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 func (l *Linear) GradShadow() *Linear {
 	return &Linear{
 		In: l.In, Out: l.Out,
-		W: l.W, B: l.B, wt: l.wt,
+		W: l.W, B: l.B, mirror: l.mirror,
 		GW: make([]float64, len(l.GW)),
 		GB: make([]float64, len(l.GB)),
 	}

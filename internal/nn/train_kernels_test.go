@@ -383,7 +383,7 @@ func TestTrainingMirror(t *testing.T) {
 			want := affine(l, x)
 
 			l.RefreshMirror()
-			if l.wt == nil {
+			if l.mirror.W == nil {
 				t.Fatalf("in=%d out=%d: RefreshMirror built no mirror", in, out)
 			}
 			tape := NewTape()
@@ -402,8 +402,8 @@ func TestTrainingMirror(t *testing.T) {
 			sameBits(t, "shadow Apply after refresh", shadow.Apply(tape, tape.Const(x)).Data, want)
 
 			// A dropped mirror is never read again, poisoned or not.
-			for i := range l.wt {
-				l.wt[i] = math.NaN()
+			for i := range l.mirror.W {
+				l.mirror.W[i] = math.NaN()
 			}
 			l.DropMirror()
 			sameBits(t, "Apply after DropMirror", l.Apply(tape, tape.Const(x)).Data, want)
@@ -414,7 +414,7 @@ func TestTrainingMirror(t *testing.T) {
 	l := NewLinear(rng, 4, 4)
 	l.RefreshMirror()
 	useAffineAsm = true
-	if l.wt != nil {
+	if l.mirror.W != nil {
 		t.Error("RefreshMirror built a mirror with the kernels switched off")
 	}
 }

@@ -256,9 +256,9 @@ func (o Objective) String() string {
 	}
 }
 
-// ParseObjective resolves an objective name (as used by the CLI
-// -objective flags and the serve API "objective" field). The empty
-// string selects MinProcLatency.
+// ParseObjective resolves an objective name (as used by the serve API's
+// "objective" field and a fleet scenario's recovery.objective). The
+// empty string selects MinProcLatency.
 func ParseObjective(name string) (Objective, error) {
 	switch name {
 	case "", "min-processing-latency", "proc-latency", "latency":

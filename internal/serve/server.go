@@ -320,8 +320,9 @@ type OptimizeRequest struct {
 	// a 400).
 	Rounds int `json:"rounds,omitempty"`
 	// Objective is an objective name placement.ParseObjective accepts,
-	// the CLI's -objective names: "min-processing-latency" (default),
-	// "min-e2e-latency" or "max-throughput", or one of their short forms.
+	// as a fleet scenario's recovery.objective does:
+	// "min-processing-latency" (default), "min-e2e-latency" or
+	// "max-throughput", or one of their short forms.
 	Objective string `json:"objective,omitempty"`
 	// Strategy selects the search strategy: "random" (default),
 	// "exhaustive", "beam" or "local-search".
