@@ -187,8 +187,8 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 	}
 	for s, e := range pred {
 		for i, m := range e.Models {
-			want, _ := m.Net.Params()
-			got, _ := back[s].Models[i].Net.Params()
+			want := m.Net.Params()
+			got := back[s].Models[i].Net.Params()
 			for k := range want {
 				for j := range want[k] {
 					if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
@@ -206,7 +206,7 @@ func TestRoundTripKeepsGoldenWeights(t *testing.T) {
 		core.MetricSuccess:    "e3beb9bfdb0166b218a00bd22edbd3fa6a1137ecf41bfaad2983e6469b1d8a44",
 	}
 	for m, want := range golden {
-		params, _ := back[m].Models[0].Net.Params()
+		params := back[m].Models[0].Net.Params()
 		h := sha256.New()
 		for _, p := range params {
 			for _, v := range p {
@@ -356,7 +356,7 @@ func TestUnstackableEnsembleRefusedAtSave(t *testing.T) {
 		}
 		inf.Models = append(inf.Models, &core.CostModel{Metric: core.MetricE2ELatency, Feat: feat, Net: net})
 	}
-	params, _ := inf.Models[1].Net.Params()
+	params := inf.Models[1].Net.Params()
 	params[3][0] = math.Inf(-1)
 
 	for _, tc := range []struct {

@@ -375,7 +375,7 @@ func TestFineTuneRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := m.Net.Params()
+	before := m.Net.Params()
 	before = snapshot(before)
 	for name, mutate := range map[string]func(*TrainConfig){
 		"zero batch size": func(c *TrainConfig) { c.BatchSize = 0 },
@@ -389,7 +389,7 @@ func TestFineTuneRejectsBadConfig(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	after, _ := m.Net.Params()
+	after := m.Net.Params()
 	for k := range before {
 		for i := range before[k] {
 			if after[k][i] != before[k][i] {

@@ -126,7 +126,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 		t.Fatalf("only %d candidates", len(cands))
 	}
 	pr := randomPredictor(t, 3)
-	params, _ := pr[MetricE2ELatency].Models[1].Net.Params()
+	params := pr[MetricE2ELatency].Models[1].Net.Params()
 	params[len(params)-1][0] = math.NaN() // the readout bias
 	want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
 	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
@@ -148,7 +148,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	// chosen placement's costs are completed: no result carries a cost
 	// nobody could predict.
 	pr = randomPredictor(t, 3)
-	params, _ = pr[MetricThroughput].Models[2].Net.Params()
+	params = pr[MetricThroughput].Models[2].Net.Params()
 	params[len(params)-1][0] = math.NaN()
 	if sess, err = newTileSession(pr.ensembles(), tr.Query, tr.Cluster); err != nil {
 		t.Fatal(err)

@@ -165,8 +165,9 @@ type EpochStats struct {
 	DurationNS int64 `json:"duration_ns"`
 	// GradNS, ReduceNS, StepNS and ValNS partition DurationNS by stage:
 	// the chunks' forward and backward passes, folding the gradient
-	// shadow into the optimizer's buffers, the optimizer step with the
-	// training-mirror refresh, and the validation pass. Each is clocked
+	// shadow into the optimizer's buffers, the optimizer step (one pass
+	// per layer that updates the weights, clears the gradients and writes
+	// the training mirror), and the validation pass. Each is clocked
 	// once per chunk or batch, never per sample; only the shuffle and the
 	// epoch's bookkeeping fall outside them.
 	GradNS   int64 `json:"grad_ns"`
@@ -378,8 +379,11 @@ func (cfg *TrainConfig) validate() error {
 // Where the AVX kernels are available the affine forward, the layer
 // backward, the fold and the Adam update run on them, bit for bit like
 // the Go loops (see internal/nn): the forward needs each layer's weights
-// transposed, a mirror that exists only for the duration of fit and is
-// refreshed after every step.
+// transposed, a mirror that exists only for the duration of fit and that
+// the Adam step writes as it updates the weights. The gradient buffers
+// live exactly as long: fit attaches them zeroed before its first batch
+// and drops them when it returns, and the Adam step clears them as it
+// reads them, so a model outside a fit holds its weights alone.
 //
 // The weights end at the epoch of the best monitored loss. They are
 // copied aside only when an epoch before the last becomes the best: when
@@ -396,9 +400,11 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 	}
 	trainBudget <- struct{}{}
 	defer func() { <-trainBudget }()
-	params, grads := cm.Net.Params()
-	opt := nn.NewAdam(cfg.LR, params, grads)
-	opt.ZeroGrads() // chunk 0 accumulates into grads; start from nothing
+	params := cm.Net.Params()
+	// Chunk 0 accumulates into the model's own gradients, from +0.
+	cm.Net.AttachGrads()
+	defer cm.Net.DropGrads()
+	opt := nn.NewAdam(cfg.LR, cm.Net.Linears())
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
 	// Mirrors first: the shadow made next shares them like the weights.
@@ -449,8 +455,6 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 				}
 			}
 			opt.Step()
-			opt.ZeroGrads()
-			cm.Net.RefreshMirrors()
 			clk.lap(&stats.StepNS)
 		}
 		stats.TrainLoss = epochLoss / float64((len(trainSamples)+cfg.BatchSize-1)/cfg.BatchSize)
@@ -514,7 +518,7 @@ func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
 	if err != nil {
 		return err
 	}
-	params, _ := cm.Net.Params()
+	params := cm.Net.Params()
 	start := snapshot(params)
 	if err := cm.fit(newTapes(), samplesFromRecords(recs, cm.Metric), nil, cfg); err != nil {
 		copyInto(params, start)

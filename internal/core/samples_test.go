@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"costream/internal/dataset"
@@ -39,6 +40,42 @@ func fakeTrace(t *testing.T, success, backpressured bool) *dataset.Trace {
 			ThroughputTPS: 100, ProcLatencyMS: 10, E2ELatencyMS: 20,
 			Success: success, Backpressured: backpressured,
 		},
+	}
+}
+
+// TestFeaturizeCorpusOrderAndFirstError: the pooled featurization keeps
+// corpus order, and when several traces fail it returns the error of the
+// lowest-indexed one, whatever order they finished in.
+func TestFeaturizeCorpusOrderAndFirstError(t *testing.T) {
+	c := &dataset.Corpus{}
+	for range 12 {
+		c.Traces = append(c.Traces, fakeTrace(t, true, false))
+	}
+	for i, tr := range c.Traces {
+		tr.Metrics.ThroughputTPS = float64(i)
+	}
+	bad := &dataset.Corpus{Traces: append([]*dataset.Trace(nil), c.Traces...)}
+	noCluster, badPlacement := *c.Traces[3], *c.Traces[7]
+	noCluster.Cluster = nil
+	badPlacement.Placement = sim.Placement{0, 5}
+	bad.Traces[3], bad.Traces[7] = &noCluster, &badPlacement
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			recs, err := featurizeCorpus(&Featurizer{}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range recs {
+				if r.met.ThroughputTPS != float64(i) {
+					t.Fatalf("GOMAXPROCS=%d: record %d holds trace %v", procs, i, r.met.ThroughputTPS)
+				}
+			}
+			_, err = featurizeCorpus(&Featurizer{}, bad)
+			if want := "core: cluster required for full featurization"; err == nil || err.Error() != want {
+				t.Errorf("GOMAXPROCS=%d: err = %v, want trace 3's %q", procs, err, want)
+			}
+		}()
 	}
 }
 

@@ -77,8 +77,7 @@ func (pr *Predictor) WriteWeights(w io.Writer) error {
 	var buf []byte
 	for _, e := range pr.ensembles() {
 		for _, m := range e.Models {
-			params, _ := m.Net.Params()
-			for _, p := range params {
+			for _, p := range m.Net.Params() {
 				buf = buf[:0]
 				for _, v := range p {
 					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
@@ -94,10 +93,10 @@ func (pr *Predictor) WriteWeights(w io.Writer) error {
 
 // DecodePredictor builds the predictor that secs describe from body, their
 // weight sections back to back. Every section's length is checked against
-// its config before any member is built; each member is built with gnn.New
-// and filled from its bytes, a non-finite weight is refused naming the
-// metric and the member, and every ensemble is stacked, and checked to
-// share the others' featurization mode, before it returns.
+// its config before any member is built; each member is built with
+// gnn.NewZero and filled from its bytes, a non-finite weight is refused
+// naming the metric and the member, and every ensemble is stacked, and
+// checked to share the others' featurization mode, before it returns.
 func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 	pr := &Predictor{}
 	last := Metric(-1)
@@ -126,12 +125,11 @@ func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 		}
 		e := &Ensemble{Metric: metric}
 		for i := range s.Members {
-			net, err := gnn.New(s.Config, 0)
+			net, err := gnn.NewZero(s.Config)
 			if err != nil {
 				return nil, err
 			}
-			params, _ := net.Params()
-			for _, p := range params {
+			for _, p := range net.Params() {
 				for j := range p {
 					p[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
 				}
@@ -158,8 +156,7 @@ func DecodePredictor(secs []Section, body []byte) (*Predictor, error) {
 
 // finiteWeights refuses a network holding a NaN or infinite weight.
 func finiteWeights(net *gnn.Model, metric Metric, member int) error {
-	params, _ := net.Params()
-	for _, p := range params {
+	for _, p := range net.Params() {
 		for _, v := range p {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("core: %v ensemble member %d has a non-finite weight %v", metric, member, v)

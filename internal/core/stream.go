@@ -19,6 +19,7 @@ import (
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
+	"costream/internal/par"
 	"costream/internal/sim"
 )
 
@@ -45,13 +46,15 @@ func newRecord(feat *Featurizer, tr *dataset.Trace) (record, error) {
 	return record{graph: g, plan: plan, met: tr.Metrics}, nil
 }
 
-// featurizeCorpus featurizes every trace of an in-memory corpus, in
-// corpus order.
+// featurizeCorpus featurizes every trace of an in-memory corpus on
+// par.Each's GOMAXPROCS goroutines (feat is read-only) and returns the
+// records in corpus order, or the error of the lowest failing trace.
 func featurizeCorpus(feat *Featurizer, c *dataset.Corpus) ([]record, error) {
 	recs := make([]record, len(c.Traces))
-	for i, tr := range c.Traces {
-		var err error
-		if recs[i], err = newRecord(feat, tr); err != nil {
+	errs := make([]error, len(c.Traces))
+	par.Each(len(c.Traces), 0, func(_, i int) { recs[i], errs[i] = newRecord(feat, c.Traces[i]) })
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -81,8 +81,8 @@ func TestTrainPredictorSourceMatchesCorpusPath(t *testing.T) {
 				t.Fatalf("%s %v: %d members vs %d", path, wantE.Metric, len(gotE.Models), len(wantE.Models))
 			}
 			for mi := range wantE.Models {
-				wp, _ := wantE.Models[mi].Net.Params()
-				gp, _ := gotE.Models[mi].Net.Params()
+				wp := wantE.Models[mi].Net.Params()
+				gp := gotE.Models[mi].Net.Params()
 				if len(wp) != len(gp) {
 					t.Fatalf("%s %v member %d: param group count differs", path, wantE.Metric, mi)
 				}
@@ -124,8 +124,8 @@ func TestTrainPredictorSourceFromShardStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, _ := fromMem[MetricProcLatency].Models[0].Net.Params()
-	gp, _ := fromStore[MetricProcLatency].Models[0].Net.Params()
+	wp := fromMem[MetricProcLatency].Models[0].Net.Params()
+	gp := fromStore[MetricProcLatency].Models[0].Net.Params()
 	for k := range wp {
 		for j := range wp[k] {
 			if wp[k][j] != gp[k][j] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,6 +14,7 @@ import (
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
+	"costream/internal/nn"
 )
 
 // subCorpus slices the shared test corpus so the training tests stay
@@ -38,15 +40,16 @@ func trainedParams(t *testing.T, metric Metric) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, _ := cm.Net.Params()
+	params := cm.Net.Params()
 	return snapshot(params)
 }
 
 // TestTrainEpochSteadyStateAllocs pins the arena guarantee on the real
 // training path: once tapes, scratch, the gradient shadow and training
 // mirrors are warm, a batch (forward + loss + backward on the full GNN
-// per sample, then the fold of the shadow's touched MLPs and the mirror
-// refresh) performs zero heap allocations.
+// per sample, then the fold of the shadow's touched MLPs and the Adam
+// step, which clears the gradients and writes the mirrors) performs
+// zero heap allocations.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
 	feat := Featurizer{}
@@ -62,9 +65,11 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := newTapes()
+	net.AttachGrads() // as fit does: outside a fit a model holds no gradients
 	net.RefreshMirrors()
 	defer net.DropMirrors()
 	shadow := net.GradShadow()
+	opt := nn.NewAdam(1e-3, net.Linears())
 
 	step := func() {
 		// One chunk spanning all samples, on the shadow as chunks 1..7 of
@@ -73,13 +78,23 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.FoldGrads(shadow)
-		net.RefreshMirrors()
+		opt.Step()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
 	step()
 	if avg := testing.AllocsPerRun(20, step); avg > 0 {
 		t.Errorf("steady-state allocs per %d-sample batch = %v, want 0", len(samples), avg)
 	}
+}
+
+// gradsOf returns every gradient buffer of net, GW then GB per layer, in
+// the order of Params.
+func gradsOf(net *gnn.Model) [][]float64 {
+	var grads [][]float64
+	for _, l := range net.Linears() {
+		grads = append(grads, l.GW, l.GB)
+	}
+	return grads
 }
 
 // atTrainBudget runs f with the process-wide training budget set to n
@@ -129,11 +144,12 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.AttachGrads() // as fit does: outside a fit a model holds no gradients
 	net.RefreshMirrors()
 	defer net.DropMirrors()
-	_, dst := net.Params()
+	dst := gradsOf(net)
 	shadow := net.GradShadow()
-	_, src := shadow.Params()
+	src := gradsOf(shadow)
 	rng := rand.New(rand.NewSource(16))
 	for _, g := range dst {
 		for i := range g {
@@ -235,7 +251,7 @@ func predictorDigest(train, val *dataset.Corpus) (string, error) {
 			return "", fmt.Errorf("%v ensemble %v, want 2 members", m, pr[m])
 		}
 		for _, cm := range pr[m].Models {
-			params, _ := cm.Net.Params()
+			params := cm.Net.Params()
 			all = append(all, params...)
 		}
 	}
@@ -339,7 +355,7 @@ func TestFailedFineTuneRestoresWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, _ := m.Net.Params()
+	params := m.Net.Params()
 	before := snapshot(params)
 
 	ft := cfg
@@ -348,7 +364,7 @@ func TestFailedFineTuneRestoresWeights(t *testing.T) {
 	var moved bool
 	ft.Observer = func(s EpochStats) {
 		losses = append(losses, s.ValLoss)
-		p, _ := m.Net.Params()
+		p := m.Net.Params()
 		moved = moved || math.Float64bits(p[0][0]) != math.Float64bits(before[0][0])
 	}
 	if err := m.FineTune(train, ft); err == nil {
@@ -362,7 +378,7 @@ func TestFailedFineTuneRestoresWeights(t *testing.T) {
 			t.Fatalf("epoch %d reached the finite loss %v: the case does not test what it names", e, l)
 		}
 	}
-	after, _ := m.Net.Params()
+	after := m.Net.Params()
 	for k := range before {
 		for i := range before[k] {
 			if math.Float64bits(after[k][i]) != math.Float64bits(before[k][i]) {
@@ -434,4 +450,57 @@ func TestRunnerSecondFitAllocatesNoTapeStorage(t *testing.T) {
 				extra, warm+2, runtimeSlack, warm, cold)
 		}
 	})
+}
+
+// TestModelsHoldNoFitState: gradient buffers and training mirrors live
+// only inside a fit, so no layer of a model that Train, FineTune,
+// TrainPredictor or DecodePredictor returns holds either.
+func TestModelsHoldNoFitState(t *testing.T) {
+	c := subCorpus(t, 60)
+	train, val, _ := c.Split(0.8, 0.2, 3)
+	cfg := DefaultTrainConfig(3)
+	cfg.Epochs = 2
+	cfg.Patience = 0
+	cfg.Hidden = 8
+	check := func(what string, pr *Predictor) {
+		t.Helper()
+		for _, e := range pr.ensembles() {
+			for i, m := range e.Models {
+				for k, l := range m.Net.Linears() {
+					if l.HasFitState() {
+						t.Errorf("%s: %v member %d layer %d holds gradients or a training mirror", what, e.Metric, i, k)
+					}
+				}
+			}
+		}
+	}
+	cm, err := Train(train, val, MetricE2ELatency, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Train", (&Ensemble{Metric: cm.Metric, Models: []*CostModel{cm}}).Predictor())
+	if err := cm.FineTune(val, cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("FineTune", (&Ensemble{Metric: cm.Metric, Models: []*CostModel{cm}}).Predictor())
+
+	pr, err := TrainPredictor(train, val, PredictorConfig{Train: cfg, EnsembleSize: 2,
+		Metrics: []Metric{MetricE2ELatency, MetricSuccess}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("TrainPredictor", pr)
+	secs, err := pr.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := pr.WriteWeights(&body); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodePredictor(secs, body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DecodePredictor", back)
 }

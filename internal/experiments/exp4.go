@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"costream/internal/core"
 	"costream/internal/dataset"
@@ -64,49 +65,72 @@ func exp4Specs() []extrapolationSpec {
 // Exp4Extrapolation retrains COSTREAM per Table V cell on a restricted
 // hardware range and evaluates beyond it. Single models (not ensembles)
 // keep the 8 cells x 5 metrics tractable; the paper's qualitative claim —
-// graceful degradation, worst for slow networks — is preserved.
+// graceful degradation, worst for slow networks — is preserved. The
+// cells' corpora are built at once, then all 40 fits run at once: each
+// depends only on its cell and metric, so the table does not depend on
+// GOMAXPROCS. A cell logs when its last fit is evaluated.
 func (s *Suite) Exp4Extrapolation() (*Exp4Result, error) {
-	res := &Exp4Result{}
+	specs := exp4Specs()
 	trainN := s.scaled(1200, 200)
-	for si, spec := range exp4Specs() {
-		seed := 5000 + int64(si)*17
+	seed := func(si int) int64 { return 5000 + int64(si)*17 }
+	type corpora struct{ train, val, eval *dataset.Corpus }
+	cells := make([]corpora, len(specs))
+	err := each(len(specs), func(si int) error {
+		spec := specs[si]
 		trainCorpus, err := s.corpus(fmt.Sprintf("exp4/train/%s-%s", spec.dim, spec.direction),
 			func() (*dataset.Corpus, error) {
-				gcfg := workload.DefaultConfig(seed)
+				gcfg := workload.DefaultConfig(seed(si))
 				grid := hardware.TrainingGrid()
 				spec.train(&grid)
 				gcfg.HW = grid
-				return dataset.Build(dataset.BuildConfig{N: trainN, Seed: seed, Gen: gcfg, Sim: s.simConfig()})
+				return dataset.Build(dataset.BuildConfig{N: trainN, Seed: seed(si), Gen: gcfg, Sim: s.simConfig()})
 			})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		evalCorpus, err := s.corpus(fmt.Sprintf("exp4/eval/%s-%s", spec.dim, spec.direction),
 			func() (*dataset.Corpus, error) {
-				gcfg := workload.DefaultConfig(seed + 1)
+				gcfg := workload.DefaultConfig(seed(si) + 1)
 				grid := hardware.TrainingGrid()
 				spec.eval(&grid)
 				gcfg.HW = grid
-				return dataset.Build(dataset.BuildConfig{N: s.evalN(), Seed: seed + 1, Gen: gcfg, Sim: s.simConfig()})
+				return dataset.Build(dataset.BuildConfig{N: s.evalN(), Seed: seed(si) + 1, Gen: gcfg, Sim: s.simConfig()})
 			})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		train, val, _ := trainCorpus.Split(0.9, 0.1, seed)
-		cell := ExtrapolationCell{Dimension: spec.dim, Direction: spec.direction}
-		for _, m := range core.AllMetrics() {
-			model, err := core.Train(train, val, m, s.smallTrainConfig(seed+int64(m)))
-			if err != nil {
-				return nil, err
-			}
-			row, err := evalOn(model, evalCorpus, m, seed)
-			if err != nil {
-				return nil, err
-			}
-			cell.Rows = append(cell.Rows, row)
+		train, val, _ := trainCorpus.Split(0.9, 0.1, seed(si))
+		cells[si] = corpora{train, val, evalCorpus}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	metrics := core.AllMetrics()
+	res := &Exp4Result{Cells: make([]ExtrapolationCell, len(specs))}
+	left := make([]atomic.Int32, len(specs))
+	for si, spec := range specs {
+		res.Cells[si] = ExtrapolationCell{Dimension: spec.dim, Direction: spec.direction, Rows: make([]MetricRow, len(metrics))}
+		left[si].Store(int32(len(metrics)))
+	}
+	err = each(len(specs)*len(metrics), func(k int) error {
+		si, mi := k/len(metrics), k%len(metrics)
+		m, c := metrics[mi], cells[si]
+		model, err := core.Train(c.train, c.val, m, s.smallTrainConfig(seed(si)+int64(m)))
+		if err != nil {
+			return err
 		}
-		s.Logf("exp4 %s/%s done", spec.dim, spec.direction)
-		res.Cells = append(res.Cells, cell)
+		if res.Cells[si].Rows[mi], err = evalOn(model, c.eval, m, seed(si)); err != nil {
+			return err
+		}
+		if left[si].Add(-1) == 0 {
+			s.Logf("exp4 %s/%s done", specs[si].dim, specs[si].direction)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

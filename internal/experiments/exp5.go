@@ -78,12 +78,11 @@ type Exp5bResult struct {
 // cloneModel deep-copies a trained cost model so fine-tuning does not
 // disturb the cached ensemble member.
 func cloneModel(m *core.CostModel) (*core.CostModel, error) {
-	net, err := gnn.New(m.Net.Config(), 0)
+	net, err := gnn.NewZero(m.Net.Config())
 	if err != nil {
 		return nil, err
 	}
-	dst, _ := net.Params()
-	src, _ := m.Net.Params()
+	dst, src := net.Params(), m.Net.Params()
 	for i := range dst {
 		copy(dst[i], src[i])
 	}

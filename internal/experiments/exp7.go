@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"costream/internal/core"
 )
@@ -21,7 +22,8 @@ type Exp7aResult struct {
 
 // Exp7aFeatureAblation trains the E2E-latency model under the three
 // featurization schemes of Figure 12: query nodes only, +placement
-// structure (hardware-blind), and the full featurization.
+// structure (hardware-blind), and the full featurization. The three fits
+// run at once; rows stay in variant order.
 func (s *Suite) Exp7aFeatureAblation() (*Exp7aResult, error) {
 	train, val, test, err := s.BaseSplit()
 	if err != nil {
@@ -35,23 +37,28 @@ func (s *Suite) Exp7aFeatureAblation() (*Exp7aResult, error) {
 		{"+ placement (hardware-blind)", core.FeatPlacementOnly},
 		{"full featurization", core.FeatFull},
 	}
-	res := &Exp7aResult{}
-	for vi, v := range variants {
+	res := &Exp7aResult{Rows: make([]AblationRow, len(variants))}
+	err = each(len(variants), func(vi int) error {
+		v := variants[vi]
 		cfg := s.smallTrainConfig(7100 + int64(vi))
 		cfg.Mode = v.mode
 		model, err := core.Train(train, val, core.MetricE2ELatency, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sum, err := core.EvaluateRegression(model, test, core.MetricE2ELatency)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows[vi] = AblationRow{
 			Variant: v.name, Metric: core.MetricE2ELatency.String(),
 			Q50: sum.Median, Q95: sum.P95,
-		})
+		}
 		s.Logf("exp7a %s done", v.name)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -72,35 +79,47 @@ type Exp7bResult struct {
 
 // Exp7bMessagePassing compares the paper's directed three-phase message
 // passing against a traditional undirected scheme on the three regression
-// metrics (Figure 13).
+// metrics (Figure 13). The six fits run at once; rows stay in metric
+// order, ours before traditional, and a metric logs when both are done.
 func (s *Suite) Exp7bMessagePassing() (*Exp7bResult, error) {
 	train, val, test, err := s.BaseSplit()
 	if err != nil {
 		return nil, err
 	}
-	res := &Exp7bResult{}
-	for mi, m := range []core.Metric{core.MetricE2ELatency, core.MetricProcLatency, core.MetricThroughput} {
-		for _, trad := range []bool{false, true} {
-			cfg := s.smallTrainConfig(7200 + int64(mi)*10)
-			cfg.Traditional = trad
-			model, err := core.Train(train, val, m, cfg)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := core.EvaluateRegression(model, test, m)
-			if err != nil {
-				return nil, err
-			}
-			name := "ours"
-			if trad {
-				name = "traditional"
-			}
-			res.Rows = append(res.Rows, AblationRow{
-				Variant: name, Metric: m.String(),
-				Q50: sum.Median, Q95: sum.P95,
-			})
+	metrics := []core.Metric{core.MetricE2ELatency, core.MetricProcLatency, core.MetricThroughput}
+	res := &Exp7bResult{Rows: make([]AblationRow, 2*len(metrics))}
+	left := make([]atomic.Int32, len(metrics))
+	for mi := range left {
+		left[mi].Store(2)
+	}
+	err = each(len(res.Rows), func(k int) error {
+		mi, trad := k/2, k%2 == 1
+		m := metrics[mi]
+		cfg := s.smallTrainConfig(7200 + int64(mi)*10)
+		cfg.Traditional = trad
+		model, err := core.Train(train, val, m, cfg)
+		if err != nil {
+			return err
 		}
-		s.Logf("exp7b %v done", m)
+		sum, err := core.EvaluateRegression(model, test, m)
+		if err != nil {
+			return err
+		}
+		name := "ours"
+		if trad {
+			name = "traditional"
+		}
+		res.Rows[k] = AblationRow{
+			Variant: name, Metric: m.String(),
+			Q50: sum.Median, Q95: sum.P95,
+		}
+		if left[mi].Add(-1) == 0 {
+			s.Logf("exp7b %v done", m)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -13,6 +13,7 @@ import (
 	"costream/internal/dataset"
 	"costream/internal/flatvec"
 	"costream/internal/gbdt"
+	"costream/internal/par"
 	"costream/internal/scenario"
 	"costream/internal/sim"
 )
@@ -101,6 +102,22 @@ func (s *Suite) smallTrainConfig(seed int64) core.TrainConfig {
 	cfg.Epochs = s.scaled(25, 8)
 	cfg.Patience = 6
 	return cfg
+}
+
+// each calls fn(i) for every i in [0, n) on par.Each's GOMAXPROCS
+// goroutines and returns the error of the lowest failing i, or nil. An
+// experiment runs its independent fits through it; the training budget
+// already bounds how many fits train at once, and a result written to
+// slot i keeps the experiment's output in index order.
+func each(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	par.Each(n, 0, func(_, i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EnsembleSize is the per-metric ensemble size (the paper uses 3).

@@ -12,10 +12,26 @@ func (m *Model) forward(t *nn.Tape, g *Graph) (*nn.Node, error) {
 	return m.ForwardPlanned(t, g, plan, NewScratch())
 }
 
-// zeroGrad clears every gradient buffer of the model.
+// zeroGrad clears every gradient buffer of the model, attaching them
+// first to a layer that has none: outside a fit a model holds no
+// gradients, and a test that backpropagates outside one attaches them as
+// a fit does.
 func (m *Model) zeroGrad() {
-	_, grads := m.Params()
-	for _, g := range grads {
-		clear(g)
+	for _, l := range m.Linears() {
+		if l.GW == nil {
+			l.AttachGrads()
+		}
+		clear(l.GW)
+		clear(l.GB)
 	}
+}
+
+// grads returns every gradient buffer of the model, GW then GB per
+// layer, in the order of Params.
+func (m *Model) grads() [][]float64 {
+	var grads [][]float64
+	for _, l := range m.Linears() {
+		grads = append(grads, l.GW, l.GB)
+	}
+	return grads
 }

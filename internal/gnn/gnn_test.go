@@ -124,7 +124,7 @@ func TestGradCheckThroughMessagePassing(t *testing.T) {
 	loss := nn.MSLELoss(tape, out, 100)
 	tape.Backward(loss)
 
-	params, grads := m.Params()
+	params, grads := m.Params(), m.grads()
 	const h = 1e-6
 	checked, nonzero := 0, 0
 	for k, p := range params {
@@ -156,8 +156,8 @@ func TestTrainingReducesLoss(t *testing.T) {
 	// Teach the model that cost ~ srcFeat * 1000: four graphs, target
 	// proportional to feature.
 	m := newTestModel(t, false)
-	params, grads := m.Params()
-	opt := nn.NewAdam(0.005, params, grads)
+	m.zeroGrad()
+	opt := nn.NewAdam(0.005, m.Linears())
 	graphs := []*Graph{testGraph(0.1), testGraph(0.4), testGraph(0.7), testGraph(1.0)}
 	targets := []float64{100, 400, 700, 1000}
 	lossAt := func() float64 {
@@ -171,14 +171,12 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 	before := lossAt()
 	for epoch := 0; epoch < 200; epoch++ {
-		opt.ZeroGrads()
 		for i, g := range graphs {
 			tape := nn.NewTape()
 			out, _ := m.forward(tape, g)
 			tape.Backward(nn.MSLELoss(tape, out, targets[i]))
 		}
 		opt.Step()
-		opt.ZeroGrads()
 	}
 	after := lossAt()
 	if after >= before/10 {
@@ -270,8 +268,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _ := m.Params()
-	dst, _ := m2.Params()
+	src := m.Params()
+	dst := m2.Params()
 	n := 0
 	for i := range src {
 		n += copy(dst[i], src[i])

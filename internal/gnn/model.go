@@ -77,10 +77,21 @@ type Model struct {
 
 // New constructs a model with freshly initialized weights.
 func New(cfg Config, seed int64) (*Model, error) {
+	rng := rand.New(rand.NewSource(seed))
+	return build(cfg, func(sizes ...int) *nn.MLP { return nn.NewMLP(rng, sizes...) })
+}
+
+// NewZero constructs a model of cfg whose weights are all zero, for a
+// caller that fills them in (a model decoder, a clone): unlike New it
+// seeds no source and draws no weights.
+func NewZero(cfg Config) (*Model, error) { return build(cfg, nn.ZeroMLP) }
+
+// build constructs a model of cfg from the MLPs newMLP returns, in the
+// order New draws their weights.
+func build(cfg Config, newMLP func(sizes ...int) *nn.MLP) (*Model, error) {
 	if _, err := cfg.NumParams(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	m := &Model{
 		cfg: cfg,
 		enc: make(map[NodeKind]*nn.MLP),
@@ -91,31 +102,42 @@ func New(cfg Config, seed int64) (*Model, error) {
 		if !ok {
 			continue
 		}
-		m.enc[k] = nn.NewMLP(rng, d, cfg.EncHidden, cfg.Hidden)
-		m.upd[k] = nn.NewMLP(rng, 2*cfg.Hidden, cfg.UpdHidden, cfg.Hidden)
+		m.enc[k] = newMLP(d, cfg.EncHidden, cfg.Hidden)
+		m.upd[k] = newMLP(2*cfg.Hidden, cfg.UpdHidden, cfg.Hidden)
 	}
-	m.out = nn.NewMLP(rng, cfg.Hidden, cfg.OutHidden, 1)
+	m.out = newMLP(cfg.Hidden, cfg.OutHidden, 1)
 	return m, nil
 }
 
 // Config returns the model's architecture configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Params returns all parameter/gradient pairs for the optimizer, in a
-// deterministic order.
-func (m *Model) Params() (params, grads [][]float64) {
+// Linears returns every layer of the model in a deterministic order:
+// encoder then update MLP per node kind, then the readout. The optimizer
+// steps them in this order, and Params lists their weights in it.
+func (m *Model) Linears() []*nn.Linear {
+	var ls []*nn.Linear
 	for _, k := range AllKinds() {
 		if e, ok := m.enc[k]; ok {
-			p, g := e.Params()
-			params, grads = append(params, p...), append(grads, g...)
+			ls = append(ls, e.Layers...)
 		}
 		if u, ok := m.upd[k]; ok {
-			p, g := u.Params()
-			params, grads = append(params, p...), append(grads, g...)
+			ls = append(ls, u.Layers...)
 		}
 	}
-	p, g := m.out.Params()
-	return append(params, p...), append(grads, g...)
+	return append(ls, m.out.Layers...)
+}
+
+// Params returns every weight and bias slice of the model, W then B per
+// layer in the order of Linears: the order a model artifact stores them
+// in.
+func (m *Model) Params() [][]float64 {
+	ls := m.Linears()
+	params := make([][]float64, 0, 2*len(ls))
+	for _, l := range ls {
+		params = append(params, l.W, l.B)
+	}
+	return params
 }
 
 // eachMLP calls fn on every encoder, update and readout MLP.
@@ -133,9 +155,9 @@ func (m *Model) eachMLP(fn func(*nn.MLP)) {
 // owns private zeroed gradient buffers. A training fit holds one shadow
 // and backpropagates each minibatch chunk after the first into it, so
 // the chunk's gradients sum on their own before they are folded into
-// the optimizer's (see FoldGrads); Params on the shadow yields the
-// shared weights paired with the shadow's own gradients, in the same
-// deterministic order as the original.
+// the optimizer's (see FoldGrads); Linears on the shadow yields layers
+// sharing the original's weights, each with its own gradients, in the
+// same deterministic order as the original.
 func (m *Model) GradShadow() *Model {
 	s := &Model{
 		cfg: m.cfg,
@@ -171,14 +193,24 @@ func (m *Model) FoldGrads(shadow *Model) {
 // RefreshMirrors brings every layer's transposed training mirror up to
 // date with the weights, building the mirrors on the first call (see
 // nn.Linear.RefreshMirror). While they exist, ForwardPlanned runs its
-// affine ops on the AVX kernel; a training loop calls this after every
-// optimizer step and DropMirrors when it is done. Make gradient shadows
-// after the first call, so they share the mirrors. Without mirrors the
-// same ops run the scalar loops, bit for bit.
+// affine ops on the AVX kernel; a training fit calls this once before its
+// first step (nn.Adam.Step keeps the mirrors up to date) and DropMirrors
+// when it is done. Make gradient shadows after the first call, so they
+// share the mirrors. Without mirrors the same ops run the scalar loops,
+// bit for bit.
 func (m *Model) RefreshMirrors() { m.eachMLP((*nn.MLP).RefreshMirror) }
 
 // DropMirrors releases the training mirrors.
 func (m *Model) DropMirrors() { m.eachMLP((*nn.MLP).DropMirror) }
+
+// AttachGrads gives every layer fresh zeroed gradient buffers (see
+// nn.Linear.AttachGrads): a training fit calls it beside RefreshMirrors,
+// and DropGrads beside DropMirrors, so a model outside a fit holds its
+// weights alone.
+func (m *Model) AttachGrads() { m.eachMLP((*nn.MLP).AttachGrads) }
+
+// DropGrads releases every layer's gradient buffers.
+func (m *Model) DropGrads() { m.eachMLP((*nn.MLP).DropGrads) }
 
 // NumParams returns the total scalar parameter count.
 func (m *Model) NumParams() int {

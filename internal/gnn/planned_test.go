@@ -74,8 +74,9 @@ func TestGradShadowSharesWeightsOwnsGrads(t *testing.T) {
 		t.Fatalf("shadow forward %v != original %v", o2.Data[0], o1.Data[0])
 	}
 
-	mp, mg := m.Params()
-	sp, sg := shadow.Params()
+	m.zeroGrad()
+	mp, mg := m.Params(), m.grads()
+	sp, sg := shadow.Params(), shadow.grads()
 	if len(mp) != len(sp) {
 		t.Fatalf("param count %d != %d", len(sp), len(mp))
 	}

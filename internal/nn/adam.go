@@ -2,7 +2,8 @@ package nn
 
 import "math"
 
-// Adam implements the Adam optimizer over a fixed set of parameter slices.
+// Adam implements the Adam optimizer over the weights and biases of a
+// fixed list of layers.
 type Adam struct {
 	LR       float64
 	Beta1    float64
@@ -10,44 +11,55 @@ type Adam struct {
 	Eps      float64
 	ClipNorm float64 // global gradient norm clip; 0 disables
 
-	params [][]float64
-	grads  [][]float64
-	m      [][]float64
-	v      [][]float64
+	layers []*Linear
+	m      [][]float64 // first moments: W then B of each layer, in layer order
+	v      [][]float64 // second moments, laid out like m
 	t      int
 }
 
-// NewAdam returns an Adam optimizer for the given parameter/gradient
-// pairs (as returned by MLP.Params).
-func NewAdam(lr float64, params, grads [][]float64) *Adam {
+// NewAdam returns an Adam optimizer for layers, stepped in the order
+// given (gnn.Model.Linears: the order of Params).
+func NewAdam(lr float64, layers []*Linear) *Adam {
 	a := &Adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5,
-		params: params, grads: grads,
+		layers: layers,
+		m:      make([][]float64, 0, 2*len(layers)),
+		v:      make([][]float64, 0, 2*len(layers)),
 	}
-	for _, p := range params {
-		a.m = append(a.m, make([]float64, len(p)))
-		a.v = append(a.v, make([]float64, len(p)))
+	for _, l := range layers {
+		a.m = append(a.m, make([]float64, len(l.W)), make([]float64, len(l.B)))
+		a.v = append(a.v, make([]float64, len(l.W)), make([]float64, len(l.B)))
 	}
 	return a
 }
 
-// Step applies one Adam update using the accumulated gradients and
-// leaves the gradient slices as they were (call ZeroGrads afterwards).
+// adamHyper is one step's constants of the element update.
+type adamHyper struct {
+	beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64
+}
+
+// Step applies one Adam update using the accumulated gradients, clears
+// them to +0 and, where a layer has a training mirror, leaves the mirror
+// equal to the updated weights: one pass over each layer's W and one over
+// its B, in layer order.
 //
-// The clip norm is one sequential sum over every gradient in
-// registration order — its rounding depends on that order, so it is
-// never vectorised — and the clip scale is applied to each gradient as
-// it is read (scale 1 is exact when nothing clips). The element update
-// itself is independent per element: the AVX kernel runs four elements
-// per instruction with the same multiply, add, divide and square-root
+// The clip norm is one sequential sum over every gradient, W then B
+// layer by layer — its rounding depends on that order, so it is never
+// vectorised — and the clip scale is applied to each gradient as it is
+// read (scale 1 is exact when nothing clips). The element update itself
+// is independent per element: the AVX kernel runs four elements per
+// instruction with the same multiply, add, divide and square-root
 // roundings as the Go loop, so both give the same bits.
 func (a *Adam) Step() {
 	a.t++
 	scale := 1.0
 	if a.ClipNorm > 0 {
 		var norm2 float64
-		for _, g := range a.grads {
-			for _, x := range g {
+		for _, l := range a.layers {
+			for _, x := range l.GW {
+				norm2 += x * x
+			}
+			for _, x := range l.GB {
 				norm2 += x * x
 			}
 		}
@@ -55,35 +67,63 @@ func (a *Adam) Step() {
 			scale = a.ClipNorm / norm
 		}
 	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for k, p := range a.params {
-		g, m, v := a.grads[k], a.m[k], a.v[k]
-		if len(g) != len(p) || len(m) != len(p) || len(v) != len(p) {
-			panic("nn: Adam parameter, gradient and moment lengths differ")
-		}
-		if len(p) == 0 {
-			continue
-		}
-		if useAffineAsm {
-			adamStepAVX(&p[0], &g[0], &m[0], &v[0], len(p),
-				a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, c1, c2, a.LR, a.Eps, scale)
-			continue
-		}
-		for i := range p {
-			gi := g[i] * scale
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-			mhat := m[i] / c1
-			vhat := v[i] / c2
-			p[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+	h := adamHyper{
+		beta1: a.Beta1, omb1: 1 - a.Beta1, beta2: a.Beta2, omb2: 1 - a.Beta2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)), c2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr: a.LR, eps: a.Eps, scale: scale,
+	}
+	for k, l := range a.layers {
+		l.adamStep(a.m[2*k], a.v[2*k], a.m[2*k+1], a.v[2*k+1], &h)
 	}
 }
 
-// ZeroGrads clears every registered gradient slice.
-func (a *Adam) ZeroGrads() {
-	for _, g := range a.grads {
-		clear(g)
+// adamStep is Step's update of one layer: W with its mirror, from its
+// moments mw and vw, then B from mb and vb (the mirror shares B, so it
+// needs no copy). The assembly kernel writes each updated weight of row
+// o into column o of the mirror as it goes; the Go loop, where a mirror
+// exists at all, reloads it afterwards. Both clear every gradient they
+// read.
+func (l *Linear) adamStep(mw, vw, mb, vb []float64, h *adamHyper) {
+	nw, nb := len(l.W), len(l.B)
+	if len(l.GW) != nw || len(l.GB) != nb || len(mw) != nw || len(vw) != nw || len(mb) != nb || len(vb) != nb {
+		panic("nn: Adam parameter, gradient and moment lengths differ")
+	}
+	if useAffineAsm {
+		rows, cols, mt := 1, nw, (*float64)(nil)
+		if l.mirror.W != nil {
+			rows, cols, mt = l.Out, l.In, &l.mirror.W[0]
+		}
+		adamRows(l.W, l.GW, mw, vw, mt, rows, cols, h)
+		adamRows(l.B, l.GB, mb, vb, nil, 1, nb, h)
+		return
+	}
+	h.update(l.W, l.GW, mw, vw)
+	h.update(l.B, l.GB, mb, vb)
+	if l.mirror.W != nil {
+		l.mirror.load(0, l)
+	}
+}
+
+// adamRows runs adamRowsAVX over the rows×cols elements of p.
+func adamRows(p, g, m, v []float64, mt *float64, rows, cols int, h *adamHyper) {
+	if len(p) == 0 {
+		return
+	}
+	adamRowsAVX(&p[0], &g[0], &m[0], &v[0], mt, rows, cols,
+		h.beta1, h.omb1, h.beta2, h.omb2, h.c1, h.c2, h.lr, h.eps, h.scale)
+}
+
+// update is the element update as a Go loop, the oracle of adamRowsAVX:
+// it clears each gradient once read.
+func (h *adamHyper) update(p, g, m, v []float64) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	for i := range p {
+		gi := g[i] * h.scale
+		g[i] = 0
+		m[i] = h.beta1*m[i] + h.omb1*gi
+		v[i] = h.beta2*v[i] + h.omb2*gi*gi
+		mhat := m[i] / h.c1
+		vhat := v[i] / h.c2
+		p[i] -= h.lr * mhat / (math.Sqrt(vhat) + h.eps)
 	}
 }

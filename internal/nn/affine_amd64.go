@@ -94,10 +94,14 @@ func affineBackwardAVX512(gw, gb, xg, w, x, dy, act, gf *float64, alpha float64,
 //go:noescape
 func addClearAVX(dst, src *float64, n int)
 
-// adamStepAVX applies Adam.Step's element update to n elements: the
-// arithmetic, operation for operation, of the Go loop there (VDIVPD and
-// VSQRTPD round like their scalar forms). omb1 and omb2 are 1-beta1 and
-// 1-beta2.
+// adamRowsAVX applies Adam.Step's element update to the rows×cols
+// elements of p, row-major: the arithmetic, operation for operation, of
+// the Go loop there (VDIVPD and VSQRTPD round like their scalar forms).
+// It stores +0 to every grad element it reads, and when mt is not nil it
+// stores each updated p[r*cols+c] to mt[c*rows+r] too — the weights of a
+// layer's row-major W into its column-major training mirror. omb1 and
+// omb2 are 1-beta1 and 1-beta2. rows and cols must be at least 1; mt
+// must not overlap the other buffers.
 //
 //go:noescape
-func adamStepAVX(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)
+func adamRowsAVX(p, grad, m, v, mt *float64, rows, cols int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)

@@ -29,6 +29,6 @@ func addClearAVX(dst, src *float64, n int) {
 	panic("nn: no asm kernel")
 }
 
-func adamStepAVX(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64) {
+func adamRowsAVX(p, grad, m, v, mt *float64, rows, cols int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64) {
 	panic("nn: no asm kernel")
 }

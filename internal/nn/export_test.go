@@ -36,10 +36,36 @@ func (t *Tape) leakyReLU(a *Node, alpha float64) *Node {
 	return out
 }
 
-// zeroGrad clears every layer's gradient buffers.
+// zeroGrad clears every layer's gradient buffers, attaching them first
+// to a layer that has none: outside a fit a layer holds no gradients,
+// and a test that backpropagates outside one attaches them as a fit
+// does.
 func (m *MLP) zeroGrad() {
-	_, grads := m.Params()
-	for _, g := range grads {
-		clear(g)
+	for _, l := range m.Layers {
+		if l.GW == nil {
+			l.AttachGrads()
+		}
+		clear(l.GW)
+		clear(l.GB)
 	}
+}
+
+// params returns every layer's weight and bias slices, W then B, layer
+// by layer.
+func (m *MLP) params() [][]float64 {
+	var params [][]float64
+	for _, l := range m.Layers {
+		params = append(params, l.W, l.B)
+	}
+	return params
+}
+
+// grads returns every layer's gradient buffers, GW then GB, in the order
+// of params.
+func (m *MLP) grads() [][]float64 {
+	var grads [][]float64
+	for _, l := range m.Layers {
+		grads = append(grads, l.GW, l.GB)
+	}
+	return grads
 }

@@ -84,6 +84,7 @@ func BenchmarkBackwardKernels(b *testing.B) {
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(7))
 		l := NewLinear(rng, sh.in, sh.out)
+		l.AttachGrads()
 		x := &Node{Data: randRows(rng, 1, sh.in), Grad: make([]float64, sh.in)}
 		dy, act, alpha := randRows(rng, 1, sh.out), randRows(rng, 1, sh.out), leakySlope
 		var fused *Node
@@ -116,6 +117,51 @@ func BenchmarkBackwardKernels(b *testing.B) {
 				}
 				macs := float64(b.N) * float64(sh.in*sh.out)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/macs, "ns/MAC")
+			})
+		}
+	}
+}
+
+// BenchmarkOptimizerStep times one layer's Adam step, Linear.adamStep (W
+// with its training mirror, then B), side by side on the fused assembly
+// kernel (/fused, which also writes the mirror) and on the Go loop
+// (/portable, no mirror, as on a build without the kernels), on the bench
+// fixture's layer shapes at hidden 24, the same list as
+// BenchmarkBackwardKernels. Each iteration first copies fresh gradients
+// in, since the step clears them, so both sides include that copy; ns per
+// element (weights plus biases) makes the shapes comparable.
+func BenchmarkOptimizerStep(b *testing.B) {
+	shapes := [][2]int{{4, 64}, {7, 64}, {12, 64}, {18, 64}, {26, 64}, {48, 64}, {64, 24}, {24, 48}, {48, 1}}
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(7))
+		l := NewLinear(rng, sh[0], sh[1])
+		l.AttachGrads()
+		gw, gb := randRows(rng, 1, len(l.GW)), randRows(rng, 1, len(l.GB))
+		n := len(l.W) + len(l.B)
+		mw, vw, mb, vb := make([]float64, len(l.W)), make([]float64, len(l.W)), make([]float64, len(l.B)), make([]float64, len(l.B))
+		h := adamHyper{beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999,
+			c1: 0.5, c2: 0.5, lr: 1e-3, eps: 1e-8, scale: 1}
+		for _, asm := range []bool{true, false} {
+			name := "portable"
+			if asm {
+				name = "fused"
+			}
+			b.Run(fmt.Sprintf("%dx%d/%s", sh[0], sh[1], name), func(b *testing.B) {
+				if asm && !useAffineAsm {
+					b.Skip("no AVX kernels on this machine")
+				}
+				defer func(was bool) { useAffineAsm = was }(useAffineAsm)
+				useAffineAsm = asm
+				if asm {
+					l.RefreshMirror()
+					defer l.DropMirror()
+				}
+				for b.Loop() {
+					copy(l.GW, gw)
+					copy(l.GB, gb)
+					l.adamStep(mw, vw, mb, vb, &h)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n)), "ns/elem")
 			})
 		}
 	}

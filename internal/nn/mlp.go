@@ -6,11 +6,17 @@ import (
 	"math/rand"
 )
 
-// Linear is a fully connected layer y = W*x + b with gradient buffers.
-// W stays row-major: the backward kernels run their lanes over the input
-// index, along a row of W, so the column-major layout of the forward
-// kernels would cost them a transpose per sample where the mirror costs
-// one per optimizer step.
+// Linear is a fully connected layer y = W*x + b. W stays row-major: the
+// backward kernels run their lanes over the input index, along a row of
+// W, so the column-major layout of the forward kernels would cost them a
+// transpose per sample where the mirror costs one store per weight per
+// optimizer step.
+//
+// GW and GB, the gradient buffers, exist only inside a training fit
+// (core's fit loop), between AttachGrads and DropGrads, like the
+// training mirror: a layer built by NewLinear, or one whose model is
+// done training, holds its weights and biases alone. Backpropagating
+// into a layer without them panics.
 type Linear struct {
 	In, Out int
 	W       []float64 // row-major Out x In
@@ -21,11 +27,12 @@ type Linear struct {
 	// mirror is the training mirror: a one-member StackedLinear holding
 	// W transposed and sharing B, which the tape forward runs the way
 	// stacked inference does. It exists (has weights) only between
-	// RefreshMirror and DropMirror (core's fit loop), and gradient shadows
-	// share its weights like W. Without it the tape runs affineInto, which
-	// makes an inference tape the scalar oracle of the packed inference
-	// kernels. It is held by value: a fit builds one per layer, and a
-	// pointer would add as many allocations.
+	// RefreshMirror and DropMirror (core's fit loop), Adam.Step keeps it
+	// equal to W, and gradient shadows share its weights like W. Without
+	// it the tape runs affineInto, which makes an inference tape the
+	// scalar oracle of the packed inference kernels. It is held by value:
+	// a fit builds one per layer, and a pointer would add as many
+	// allocations.
 	mirror StackedLinear
 
 	// touched is set by every backprop into GW and GB and cleared by
@@ -34,21 +41,38 @@ type Linear struct {
 	touched bool
 }
 
-// NewLinear returns a layer with Kaiming/He-uniform initialized weights.
+// NewLinear returns a layer with Kaiming/He-uniform initialized weights
+// and no gradient buffers.
 func NewLinear(rng *rand.Rand, in, out int) *Linear {
-	l := &Linear{
-		In: in, Out: out,
-		W:  make([]float64, out*in),
-		B:  make([]float64, out),
-		GW: make([]float64, out*in),
-		GB: make([]float64, out),
-	}
+	l := zeroLinear(in, out)
 	bound := math.Sqrt(6.0 / float64(in))
 	for i := range l.W {
 		l.W[i] = (rng.Float64()*2 - 1) * bound
 	}
 	return l
 }
+
+// zeroLinear returns a layer whose weights and biases are all zero, and
+// no gradient buffers.
+func zeroLinear(in, out int) *Linear {
+	return &Linear{In: in, Out: out, W: make([]float64, out*in), B: make([]float64, out)}
+}
+
+// AttachGrads gives the layer fresh zeroed gradient buffers: a fit calls
+// it before its first backprop (gnn.Model.AttachGrads). GW and GB are
+// allocated apart: one allocation of both rounds up to a larger size
+// class on most of the models' layer shapes (64→24: 12 480 bytes round
+// to 13 568, where 12 288 and 192 are size classes themselves).
+func (l *Linear) AttachGrads() {
+	l.GW, l.GB = make([]float64, l.Out*l.In), make([]float64, l.Out)
+}
+
+// DropGrads releases the gradient buffers when the fit is done.
+func (l *Linear) DropGrads() { l.GW, l.GB = nil, nil }
+
+// HasFitState reports whether the layer holds any state that exists only
+// inside a fit: gradient buffers or a training mirror.
+func (l *Linear) HasFitState() bool { return l.GW != nil || l.GB != nil || l.mirror.W != nil }
 
 // affineInto computes y = W*x + b into dst: the tape's forward wherever
 // no training mirror exists, and the per-element accumulation order every
@@ -69,11 +93,11 @@ func (l *Linear) affineInto(dst, x []float64) {
 
 // RefreshMirror copies the current weights into the training mirror
 // (StackedLinear.load), allocating it on first use, so the tape forward
-// pass runs on the stacked kernel. Call it after every in-place weight
-// update while the mirror exists: a stale mirror silently computes with
-// old weights. It does nothing where the AVX kernels are unavailable or
-// the layer's buffers do not match its dimensions; Apply then stays on
-// affineInto.
+// pass runs on the stacked kernel. Adam.Step keeps the mirror up to
+// date; call this after any other in-place weight update while the
+// mirror exists: a stale mirror silently computes with old weights. It
+// does nothing where the AVX kernels are unavailable or the layer's
+// buffers do not match its dimensions; Apply then stays on affineInto.
 func (l *Linear) RefreshMirror() {
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
 		return
@@ -134,6 +158,9 @@ func (l *Linear) applyLeaky(t *Tape, x *Node) *Node {
 // which is also the oracle the kernels are tested against. t lends the
 // kernel its scratch. Either way the layer is marked touched.
 func (l *Linear) backprop(t *Tape, outGrad []float64, x *Node, fused *Node) {
+	if l.GW == nil {
+		panic("nn: backprop into a layer without gradient buffers (AttachGrads)")
+	}
 	l.touched = true
 	n := l.In * l.Out
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 ||
@@ -204,20 +231,18 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 // from zero on their own before being folded into the optimizer's (see
 // FoldGrads).
 func (l *Linear) GradShadow() *Linear {
-	return &Linear{
-		In: l.In, Out: l.Out,
-		W: l.W, B: l.B, mirror: l.mirror,
-		GW: make([]float64, len(l.GW)),
-		GB: make([]float64, len(l.GB)),
-	}
+	s := &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, mirror: l.mirror}
+	s.AttachGrads()
+	return s
 }
 
 // FoldGrads adds the gradients of shadow, a gradient shadow of l, into
 // l's and leaves the shadow's zeroed and untouched (see AddAndClear) —
 // when a backprop has touched the shadow since its last fold. An
 // untouched shadow holds +0 everywhere, and adding +0 changes no
-// gradient the optimizer holds: those start at +0 (Adam.ZeroGrads), and a
-// sum that starts at +0 never becomes -0, the one value +0 would change.
+// gradient the optimizer holds: those start at +0 (AttachGrads, and
+// Adam.Step's clear), and a sum that starts at +0 never becomes -0, the
+// one value +0 would change.
 // So skipping it gives the bits of the full fold.
 func (l *Linear) FoldGrads(shadow *Linear) {
 	if !shadow.touched {
@@ -226,12 +251,6 @@ func (l *Linear) FoldGrads(shadow *Linear) {
 	AddAndClear(l.GW, shadow.GW)
 	AddAndClear(l.GB, shadow.GB)
 	shadow.touched = false
-}
-
-// Params returns the parameter and gradient slices of the layer, in
-// matching order, for use by optimizers.
-func (l *Linear) Params() (params, grads [][]float64) {
-	return [][]float64{l.W, l.B}, [][]float64{l.GW, l.GB}
 }
 
 // leakySlope is the negative slope of every LeakyReLU in the package:
@@ -247,12 +266,21 @@ type MLP struct {
 // NewMLP builds an MLP with the given layer sizes, e.g. NewMLP(rng, 16,
 // 32, 32, 1) has two hidden layers of width 32.
 func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
+	return newMLP(sizes, func(in, out int) *Linear { return NewLinear(rng, in, out) })
+}
+
+// ZeroMLP builds an MLP of the given layer sizes whose weights and biases
+// are all zero, for a caller that fills them in (a model decoder, a
+// clone): it draws no random numbers.
+func ZeroMLP(sizes ...int) *MLP { return newMLP(sizes, zeroLinear) }
+
+func newMLP(sizes []int, layer func(in, out int) *Linear) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP{}
+	m := &MLP{Layers: make([]*Linear, 0, len(sizes)-1)}
 	for i := 0; i+1 < len(sizes); i++ {
-		m.Layers = append(m.Layers, NewLinear(rng, sizes[i], sizes[i+1]))
+		m.Layers = append(m.Layers, layer(sizes[i], sizes[i+1]))
 	}
 	return m
 }
@@ -301,6 +329,21 @@ func (m *MLP) DropMirror() {
 	}
 }
 
+// AttachGrads gives every layer fresh zeroed gradient buffers (see
+// Linear.AttachGrads).
+func (m *MLP) AttachGrads() {
+	for _, l := range m.Layers {
+		l.AttachGrads()
+	}
+}
+
+// DropGrads releases every layer's gradient buffers.
+func (m *MLP) DropGrads() {
+	for _, l := range m.Layers {
+		l.DropGrads()
+	}
+}
+
 // AddAndClear adds src into dst element by element and zeroes src: it
 // folds a gradient shadow into the optimizer's gradients after each
 // minibatch chunk and leaves the shadow ready for the next chunk. Each
@@ -336,16 +379,6 @@ func leakyReLUInPlace(xs []float64, alpha float64) {
 
 // InDim returns the expected input dimension.
 func (m *MLP) InDim() int { return m.Layers[0].In }
-
-// Params returns all parameter/gradient slice pairs of the network.
-func (m *MLP) Params() (params, grads [][]float64) {
-	for _, l := range m.Layers {
-		p, g := l.Params()
-		params = append(params, p...)
-		grads = append(grads, g...)
-	}
-	return params, grads
-}
 
 // NumParams returns the total number of scalar parameters.
 func (m *MLP) NumParams() int {

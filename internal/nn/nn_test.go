@@ -24,6 +24,7 @@ func numericalGrad(param []float64, i int, forward func() float64) float64 {
 func TestLinearGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 4, 3)
+	l.AttachGrads()
 	x := []float64{0.3, -0.7, 1.2, 0.05}
 	forward := func() float64 {
 		tape := NewTape()
@@ -84,7 +85,7 @@ func TestMLPGradCheckMSLE(t *testing.T) {
 	loss := MSLELoss(tape, out, target)
 	tape.Backward(loss)
 
-	params, grads := m.Params()
+	params, grads := m.params(), m.grads()
 	checked := 0
 	for k, p := range params {
 		step := len(p)/7 + 1
@@ -116,7 +117,7 @@ func TestMLPGradCheckBCE(t *testing.T) {
 		tape := NewTape()
 		out := m.Apply(tape, tape.Const(x))
 		tape.Backward(BCEWithLogitsLoss(tape, out, y))
-		params, grads := m.Params()
+		params, grads := m.params(), m.grads()
 		for k, p := range params {
 			for i := 0; i < len(p); i += 5 {
 				want := numericalGrad(p, i, forward)
@@ -183,13 +184,12 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 	// shifted positive targets.
 	rng := rand.New(rand.NewSource(4))
 	m := NewMLP(rng, 2, 16, 1)
-	params, grads := m.Params()
-	opt := NewAdam(0.01, params, grads)
+	m.zeroGrad()
+	opt := NewAdam(0.01, m.Layers)
 	target := func(x0, x1 float64) float64 { return math.Abs(2*x0-3*x1+1) + 1 }
 	var loss float64
 	for epoch := 0; epoch < 400; epoch++ {
 		loss = 0
-		opt.ZeroGrads()
 		for k := 0; k < 32; k++ {
 			x0, x1 := rng.Float64(), rng.Float64()
 			tape := NewTape()
@@ -199,7 +199,6 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 			tape.Backward(l)
 		}
 		opt.Step()
-		opt.ZeroGrads()
 	}
 	if loss/32 > 0.01 {
 		t.Errorf("final MSLE %v, want < 0.01", loss/32)
@@ -209,8 +208,8 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 func TestAdamConvergesOnClassification(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, 2, 16, 1)
-	params, grads := m.Params()
-	opt := NewAdam(0.02, params, grads)
+	m.zeroGrad()
+	opt := NewAdam(0.02, m.Layers)
 	label := func(x0, x1 float64) float64 {
 		if x0+x1 > 1 {
 			return 1
@@ -218,7 +217,6 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 		return 0
 	}
 	for epoch := 0; epoch < 300; epoch++ {
-		opt.ZeroGrads()
 		for k := 0; k < 32; k++ {
 			x0, x1 := rng.Float64(), rng.Float64()
 			tape := NewTape()
@@ -226,7 +224,6 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 			tape.Backward(BCEWithLogitsLoss(tape, out, label(x0, x1)))
 		}
 		opt.Step()
-		opt.ZeroGrads()
 	}
 	correct := 0
 	const n = 500
@@ -250,7 +247,7 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 func TestGradientClipping(t *testing.T) {
 	p := []float64{0}
 	g := []float64{1000}
-	opt := NewAdam(0.1, [][]float64{p}, [][]float64{g})
+	opt := NewAdam(0.1, []*Linear{{In: 1, Out: 1, W: p, B: []float64{0}, GW: g, GB: []float64{0}}})
 	opt.ClipNorm = 1
 	opt.Step()
 	// After clipping, |g| = 1, Adam first step = lr * sign ~ 0.1.

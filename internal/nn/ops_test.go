@@ -53,7 +53,7 @@ func TestTapeReuseAfterReset(t *testing.T) {
 	// Backward on the reused tape must work and produce gradients.
 	m.zeroGrad()
 	tape.Backward(MSLELoss(tape, out2, 3))
-	_, grads := m.Params()
+	grads := m.grads()
 	nonzero := false
 	for _, g := range grads {
 		for _, v := range g {

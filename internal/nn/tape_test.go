@@ -17,7 +17,7 @@ func TestFusedAffineMatchesUnfused(t *testing.T) {
 	tf := NewTape()
 	fused := m.Apply(tf, tf.Const(x))
 	tf.Backward(MSLELoss(tf, fused, 5))
-	_, grads := m.Params()
+	grads := m.grads()
 	fusedGrads := make([][]float64, len(grads))
 	for k, g := range grads {
 		fusedGrads[k] = append([]float64(nil), g...)
@@ -84,7 +84,7 @@ func TestTapeReuseGradsMatchFreshTape(t *testing.T) {
 		tape := NewTape()
 		out := m.Apply(tape, tape.Const(x))
 		tape.Backward(MSLELoss(tape, out, 7))
-		_, grads := m.Params()
+		grads := m.grads()
 		var flat []float64
 		for _, g := range grads {
 			flat = append(flat, g...)
@@ -103,7 +103,7 @@ func TestTapeReuseGradsMatchFreshTape(t *testing.T) {
 			reused.Reset()
 			out := m.Apply(reused, reused.Const(x))
 			reused.Backward(MSLELoss(reused, out, 7))
-			_, grads := m.Params()
+			grads := m.grads()
 			j := 0
 			for _, g := range grads {
 				for _, v := range g {
@@ -124,6 +124,7 @@ func TestTapeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	m := NewMLP(rng, 6, 16, 16, 1)
 	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
+	m.zeroGrad()
 	tape := NewTape()
 	step := func() {
 		tape.Reset()

@@ -546,36 +546,59 @@ acdone:
 	VZEROUPPER
 	RET
 
-// func adamStepAVX(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)
+// func adamRowsAVX(p, grad, m, v, mt *float64, rows, cols int, beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64)
 //
-// Per element, in the Go loop's operation order:
+// Per element of the rows×cols p, in index order, in the Go loop's
+// operation order:
 //
-//	gi = grad*scale
+//	gi = grad*scale; grad = +0
 //	m  = beta1*m + omb1*gi
 //	v  = beta2*v + (omb2*gi)*gi
 //	p  = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
 //
-// Four elements per pass, scalar tail. Y6-Y14 hold the nine constants.
-TEXT ·adamStepAVX(SB), NOSPLIT, $0-112
+// and, when mt is not nil, the new p[r*cols+c] is also stored to
+// mt[c*rows+r]: row r of a layer's W lands in column r of its
+// column-major mirror. The elements are taken four at a time across row
+// ends, with one scalar tail, so a row narrower than a vector costs no
+// tail of its own. A pass's four new weights are stored lane by lane:
+// R13 points at the next one's mirror slot and steps by the mirror's row
+// stride R11 (rows*8 bytes); when R14, the columns left in row r, runs
+// out, R13 moves to the head of column r+1, kept in AX. The divides and
+// the square root bound the pass; the clear and the stores fit beside
+// them. Y6-Y14 hold the nine constants, Y15 zero. The four-wide loop
+// starts on a 32-byte boundary.
+TEXT ·adamRowsAVX(SB), NOSPLIT, $0-128
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), DX
 	MOVQ v+24(FP), BX
-	MOVQ n+32(FP), CX
-	VBROADCASTSD beta1+40(FP), Y6
-	VBROADCASTSD omb1+48(FP), Y7
-	VBROADCASTSD beta2+56(FP), Y8
-	VBROADCASTSD omb2+64(FP), Y9
-	VBROADCASTSD c1+72(FP), Y10
-	VBROADCASTSD c2+80(FP), Y11
-	VBROADCASTSD lr+88(FP), Y12
-	VBROADCASTSD eps+96(FP), Y13
-	VBROADCASTSD scale+104(FP), Y14
+	MOVQ mt+32(FP), R8
+	MOVQ rows+40(FP), R9
+	MOVQ cols+48(FP), R10
+	VBROADCASTSD beta1+56(FP), Y6
+	VBROADCASTSD omb1+64(FP), Y7
+	VBROADCASTSD beta2+72(FP), Y8
+	VBROADCASTSD omb2+80(FP), Y9
+	VBROADCASTSD c1+88(FP), Y10
+	VBROADCASTSD c2+96(FP), Y11
+	VBROADCASTSD lr+104(FP), Y12
+	VBROADCASTSD eps+112(FP), Y13
+	VBROADCASTSD scale+120(FP), Y14
+	VXORPD Y15, Y15, Y15
+	MOVQ R9, CX
+	IMULQ R10, CX             // elements left
+	MOVQ R9, R11
+	SHLQ $3, R11              // mirror row stride
+	MOVQ R8, AX               // &mt[r]: column r's head, r = 0
+	MOVQ R8, R13              // the next weight's mirror slot
+	MOVQ R10, R14             // columns left in row r
+	PCALIGN $32
 
 ad4:
 	CMPQ CX, $4
 	JLT  ad1
 	VMULPD (SI), Y14, Y0      // gi = grad*scale
+	VMOVUPD Y15, (SI)         // grad = +0
 	VMULPD (DX), Y6, Y1       // beta1*m
 	VMULPD Y0, Y7, Y2         // omb1*gi
 	VADDPD Y2, Y1, Y1         // m
@@ -594,6 +617,45 @@ ad4:
 	VMOVUPD (DI), Y4
 	VSUBPD Y1, Y4, Y4         // p - update
 	VMOVUPD Y4, (DI)
+	TESTQ R8, R8
+	JZ   ad4next
+	VEXTRACTF128 $1, Y4, X5
+	VMOVSD X4, (R13)
+	ADDQ R11, R13             // next column of row r
+	DECQ R14
+	JNZ  adlane1
+	ADDQ $8, AX               // row r+1 starts column r+1
+	MOVQ AX, R13
+	MOVQ R10, R14
+
+adlane1:
+	VMOVHPD X4, (R13)
+	ADDQ R11, R13             // next column of row r
+	DECQ R14
+	JNZ  adlane2
+	ADDQ $8, AX               // row r+1 starts column r+1
+	MOVQ AX, R13
+	MOVQ R10, R14
+
+adlane2:
+	VMOVSD X5, (R13)
+	ADDQ R11, R13             // next column of row r
+	DECQ R14
+	JNZ  adlane3
+	ADDQ $8, AX               // row r+1 starts column r+1
+	MOVQ AX, R13
+	MOVQ R10, R14
+
+adlane3:
+	VMOVHPD X5, (R13)
+	ADDQ R11, R13             // next column of row r
+	DECQ R14
+	JNZ  ad4next
+	ADDQ $8, AX               // row r+1 starts column r+1
+	MOVQ AX, R13
+	MOVQ R10, R14
+
+ad4next:
 	ADDQ $32, DI
 	ADDQ $32, SI
 	ADDQ $32, DX
@@ -603,8 +665,9 @@ ad4:
 
 ad1:
 	CMPQ CX, $0
-	JLE  addone
+	JLE  adone
 	VMULSD (SI), X14, X0
+	VMOVSD X15, (SI)
 	VMULSD (DX), X6, X1
 	VMULSD X0, X7, X2
 	VADDSD X2, X1, X1
@@ -623,6 +686,17 @@ ad1:
 	VMOVSD (DI), X4
 	VSUBSD X1, X4, X4
 	VMOVSD X4, (DI)
+	TESTQ R8, R8
+	JZ   ad1next
+	VMOVSD X4, (R13)
+	ADDQ R11, R13             // next column of row r
+	DECQ R14
+	JNZ  ad1next
+	ADDQ $8, AX               // row r+1 starts column r+1
+	MOVQ AX, R13
+	MOVQ R10, R14
+
+ad1next:
 	ADDQ $8, DI
 	ADDQ $8, SI
 	ADDQ $8, DX
@@ -630,6 +704,6 @@ ad1:
 	DECQ CX
 	JMP  ad1
 
-addone:
+adone:
 	VZEROUPPER
 	RET

@@ -72,6 +72,7 @@ func TestBackwardAsmMatchesPortable(t *testing.T) {
 				for _, fused := range []bool{false, true} {
 					name := fmt.Sprintf("in=%d out=%d fused=%v", in, out, fused)
 					proto := NewLinear(rng, in, out)
+					proto.AttachGrads()
 					awkward(rng, proto.GW) // accumulators start non-zero
 					awkward(rng, proto.GB)
 					xData, xGrad := make([]float64, in), make([]float64, in)
@@ -146,6 +147,7 @@ func TestBackwardKernelsGeneratedShapes(t *testing.T) {
 			}
 			checked++
 			l := NewLinear(rng, in, out)
+			l.AttachGrads()
 			specialRow(rng, l.GW, false)
 			specialRow(rng, l.GB, false)
 			x := &Node{Data: make([]float64, in), Grad: make([]float64, in)}
@@ -255,6 +257,7 @@ func TestBackwardNaNGradientIsNotSkipped(t *testing.T) {
 	for _, asm := range []bool{true, false} {
 		useAffineAsm = asm
 		l := NewLinear(rand.New(rand.NewSource(1)), in, out)
+		l.AttachGrads()
 		x := &Node{Data: []float64{1, 2, 3, 4, 5}, Grad: make([]float64, in)}
 		dy := []float64{math.NaN(), 0, 2}
 		fused := &Node{Data: []float64{-1, -1, math.NaN()}, c: 0.5}
@@ -294,63 +297,159 @@ func TestAddAndClearAsmMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestAdamStepAsmMatchesPortable runs two optimizers over twin layer
+// lists with training mirrors, one on the assembly kernel and one on the
+// Go loop, for 50 steps at three clip settings: weights, biases, moments
+// and mirrors must agree bit for bit after every step, and every
+// gradient must read +0.
 func TestAdamStepAsmMatchesPortable(t *testing.T) {
 	needAsm(t)
-	sizes := []int{1, 3, 4, 5, 17, 65, 0, 128}
+	shapes := [][2]int{{1, 1}, {3, 4}, {4, 5}, {17, 3}, {65, 2}, {5, 128}}
 	for _, clip := range []float64{0, 20, 1e-3} { // off, hit by the bursts only, hit every step
 		rng := rand.New(rand.NewSource(18))
-		mk := func() [][]float64 {
-			out := make([][]float64, len(sizes))
-			for i, n := range sizes {
-				out[i] = make([]float64, n)
+		var la, lb []*Linear
+		for _, sh := range shapes {
+			a := NewLinear(rng, sh[0], sh[1])
+			awkward(rng, a.W)
+			awkward(rng, a.B)
+			b := &Linear{In: a.In, Out: a.Out,
+				W: append([]float64(nil), a.W...), B: append([]float64(nil), a.B...)}
+			for _, l := range []*Linear{a, b} {
+				l.AttachGrads()
+				l.RefreshMirror()
 			}
-			return out
+			la, lb = append(la, a), append(lb, b)
 		}
-		pa, pb, grads := mk(), mk(), mk()
-		for k := range pa {
-			awkward(rng, pa[k])
-			copy(pb[k], pa[k])
-		}
-		asmOpt, goOpt := NewAdam(0.01, pa, grads), NewAdam(0.01, pb, grads)
+		asmOpt, goOpt := NewAdam(0.01, la), NewAdam(0.01, lb)
 		asmOpt.ClipNorm, goOpt.ClipNorm = clip, clip
 		clipped := 0
 		for step := 0; step < 50; step++ {
 			var norm2 float64
-			for _, g := range grads {
-				awkward(rng, g)
-				if step%10 == 9 { // a burst that trips the clip=20 case
-					for i := range g {
-						g[i] *= 40
+			for k, a := range la {
+				for _, g := range [][]float64{a.GW, a.GB} {
+					awkward(rng, g)
+					if step%10 == 9 { // a burst that trips the clip=20 case
+						for i := range g {
+							g[i] *= 40
+						}
+					}
+					for _, x := range g {
+						norm2 += x * x
 					}
 				}
-				for _, x := range g {
-					norm2 += x * x
-				}
+				copy(lb[k].GW, a.GW)
+				copy(lb[k].GB, a.GB)
 			}
 			if clip > 0 && math.Sqrt(norm2) > clip {
 				clipped++
 			}
-			before := snapshotAll(grads)
 			useAffineAsm = true
 			asmOpt.Step()
 			useAffineAsm = false
 			goOpt.Step()
 			useAffineAsm = true
-			for k := range sizes {
-				what := fmt.Sprintf("clip=%v step %d group %d", clip, step, k)
-				sameBits(t, what+" params", pa[k], pb[k])
-				sameBits(t, what+" m", asmOpt.m[k], goOpt.m[k])
-				sameBits(t, what+" v", asmOpt.v[k], goOpt.v[k])
-				sameBits(t, what+" grads (read-only)", grads[k], before[k])
+			for k, a := range la {
+				b := lb[k]
+				what := fmt.Sprintf("clip=%v step %d layer %dx%d", clip, step, a.In, a.Out)
+				sameBits(t, what+" W", a.W, b.W)
+				sameBits(t, what+" B", a.B, b.B)
+				for j := 2 * k; j < 2*k+2; j++ {
+					sameBits(t, what+" m", asmOpt.m[j], goOpt.m[j])
+					sameBits(t, what+" v", asmOpt.v[j], goOpt.v[j])
+				}
+				sameBits(t, what+" mirror", a.mirror.W, b.mirror.W)
+				for _, g := range [][]float64{a.GW, a.GB, b.GW, b.GB} {
+					sameBits(t, what+" gradient after the step", g, make([]float64, len(g)))
+				}
 			}
 		}
 		switch {
 		case clip == 0 && clipped != 0, clip == 20 && (clipped == 0 || clipped == 50), clip == 1e-3 && clipped != 50:
 			t.Errorf("clip=%v: %d of 50 steps clipped; the case does not test what it names", clip, clipped)
 		}
-		asmOpt.ZeroGrads()
-		for k := range grads {
-			sameBits(t, "ZeroGrads", grads[k], make([]float64, len(grads[k])))
+	}
+}
+
+// TestAdamFusedStepGeneratedLayers holds the fused step — adamRowsAVX
+// over a layer's W with its mirror, then over B without one — to the Go
+// loop followed by StackedLinear.load of the updated W, bit for bit (a
+// NaN matches any NaN), on 600 generated layers: in and out drawn from
+// [1, 130], the clip scale 1 on half of them and below 1 on the rest,
+// and gradients and moments seeded with NaNs, infinities, signed zeros
+// and denormals. Every buffer the kernel writes is a slice of a longer
+// array whose tail holds canaries: the mirror's tail is a whole row of
+// them, one past each of its columns. The kernel's mirror starts stale,
+// so every element must be stored, and every gradient must read +0
+// after the step.
+func TestAdamFusedStepGeneratedLayers(t *testing.T) {
+	needAsm(t)
+	rng := rand.New(rand.NewSource(47))
+	const canary, stale, pad = -12345.5, -999.75, 9
+	padded := func(src []float64, tail int) []float64 {
+		buf := make([]float64, len(src)+tail)
+		copy(buf, src)
+		for i := len(src); i < len(buf); i++ {
+			buf[i] = canary
+		}
+		return buf
+	}
+	for n := 0; n < 600; n++ {
+		in, out := 1+rng.Intn(130), 1+rng.Intn(130)
+		nw := in * out
+		step := 1 + rng.Intn(50)
+		h := adamHyper{beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999,
+			c1: 1 - math.Pow(0.9, float64(step)), c2: 1 - math.Pow(0.999, float64(step)),
+			lr: 0.01, eps: 1e-8, scale: 1}
+		if n%2 == 1 {
+			h.scale = rng.Float64()
+		}
+		ref := NewLinear(rng, in, out)
+		specialRow(rng, ref.B, false)
+		ref.AttachGrads()
+		specialRow(rng, ref.GW, true)
+		specialRow(rng, ref.GB, true)
+		m, v := make([]float64, nw+out), make([]float64, nw+out)
+		specialRow(rng, m, true)
+		specialRow(rng, v, true)
+		ref.RefreshMirror()
+
+		p, g := padded(ref.W, pad), padded(ref.GW, pad)
+		pm, pv := padded(m[:nw], pad), padded(v[:nw], pad)
+		mt := padded(make([]float64, nw), out+pad)
+		for i := range nw {
+			mt[i] = stale
+		}
+		b, gb := padded(ref.B, pad), padded(ref.GB, pad)
+		bm, bv := padded(m[nw:], pad), padded(v[nw:], pad)
+		adamRows(p[:nw], g[:nw], pm[:nw], pv[:nw], &mt[0], out, in, &h)
+		adamRows(b[:out], gb[:out], bm[:out], bv[:out], nil, 1, out, &h)
+
+		h.update(ref.W, ref.GW, m[:nw], v[:nw])
+		h.update(ref.B, ref.GB, m[nw:], v[nw:])
+		ref.mirror.load(0, ref)
+
+		name := fmt.Sprintf("layer %d in=%d out=%d scale=%v", n, in, out, h.scale)
+		zeros := make([]float64, max(nw, out))
+		for _, c := range []struct {
+			what      string
+			got, want []float64
+		}{
+			{"W", p, ref.W}, {"GW", g, zeros[:nw]}, {"W's m", pm, m[:nw]}, {"W's v", pv, v[:nw]},
+			{"mirror", mt, ref.mirror.W},
+			{"B", b, ref.B}, {"GB", gb, zeros[:out]}, {"B's m", bm, m[nw:]}, {"B's v", bv, v[nw:]},
+			{"oracle GW", ref.GW, zeros[:nw]}, {"oracle GB", ref.GB, zeros[:out]},
+		} {
+			for i := range c.want {
+				if !equalBits(c.got[i], c.want[i]) {
+					t.Fatalf("%s: %s[%d] = %v (%#x), want %v (%#x)", name, c.what, i,
+						c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+				}
+			}
+			for i, x := range c.got[len(c.want):] {
+				if x != canary {
+					t.Fatalf("%s: canary %d past the end of %s overwritten with %v", name, i, c.what, x)
+				}
+			}
 		}
 	}
 }
@@ -426,6 +525,7 @@ func TestTrainingMirror(t *testing.T) {
 func TestFoldGradsSkipsUntouchedShadows(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	l := NewLinear(rng, 9, 5)
+	l.AttachGrads()
 	awkward(rng, l.GW)
 	awkward(rng, l.GB)
 	s := l.GradShadow()

@@ -211,7 +211,7 @@ func TestPredictNamesNonFiniteOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, _ := net.Params()
+	params := net.Params()
 	readoutBias := params[len(params)-1]
 	readoutBias[0] = math.NaN()
 	pred := (&core.Ensemble{
