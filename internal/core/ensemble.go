@@ -150,7 +150,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 		job := &jobs[n]
 		c := cfg.Train
 		c.Seed += int64(job.member) * 7919
-		c.Member = job.member
+		c.member = job.member
 		// fit shuffles its training slice in place; the graphs behind
 		// the copies stay shared and read-only.
 		ts := append([]sample(nil), job.train...)

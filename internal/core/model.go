@@ -140,9 +140,9 @@ type TrainConfig struct {
 	// the fits of different metrics and members concurrently and invokes
 	// it from each, so observers must be safe for concurrent use.
 	Observer func(EpochStats)
-	// Member is the ensemble member ordinal carried into EpochStats;
-	// single-model training leaves it 0.
-	Member int
+	// member is the ensemble member ordinal carried into EpochStats;
+	// TrainPredictor sets it per fit, single-model training leaves it 0.
+	member int
 }
 
 // EpochStats is the per-epoch training record emitted to
@@ -372,18 +372,20 @@ func (cfg *TrainConfig) validate() error {
 // optimizer's own buffers, and every later chunk into the fit's one
 // gradient shadow, which is folded into the optimizer's buffers right
 // after the chunk. Every gradient element thus receives the chunk sums
-// in chunk order before the Adam step. The fold skips the shadow's MLPs
-// that the chunk never reached (gnn.Model.FoldGrads): they hold +0, and
-// adding it would change no bit.
+// in chunk order before the Adam step. The fold skips the shadow's layers
+// that the chunk never reached (fitState.fold): they hold +0, and adding
+// it would change no bit.
 //
 // Where the AVX kernels are available the affine forward, the layer
 // backward, the fold and the Adam update run on them, bit for bit like
 // the Go loops (see internal/nn): the forward needs each layer's weights
 // transposed, a mirror that exists only for the duration of fit and that
 // the Adam step writes as it updates the weights. The gradient buffers
-// live exactly as long: fit attaches them zeroed before its first batch
-// and drops them when it returns, and the Adam step clears them as it
-// reads them, so a model outside a fit holds its weights alone.
+// live exactly as long: fit attaches both to every layer before its
+// first batch and drops both when it returns, on success or error
+// (newFitState, fitState.release), and the Adam step clears the
+// gradients as it reads them, so a model outside a fit holds its weights
+// alone.
 //
 // The weights end at the epoch of the best monitored loss. They are
 // copied aside only when an epoch before the last becomes the best: when
@@ -402,15 +404,10 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 	defer func() { <-trainBudget }()
 	params := cm.Net.Params()
 	// Chunk 0 accumulates into the model's own gradients, from +0.
-	cm.Net.AttachGrads()
-	defer cm.Net.DropGrads()
-	opt := nn.NewAdam(cfg.LR, cm.Net.Linears())
+	st := newFitState(cm.Net)
+	defer st.release()
+	opt := nn.NewAdam(cfg.LR, st.layers)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
-
-	// Mirrors first: the shadow made next shares them like the weights.
-	cm.Net.RefreshMirrors()
-	defer cm.Net.DropMirrors()
-	shadow := cm.Net.GradShadow()
 
 	best := math.Inf(1)
 	atBest := false            // the weights are the best epoch's
@@ -420,7 +417,7 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 	timed := cfg.Observer != nil
 	clk := stageClock{on: timed}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		stats := EpochStats{Metric: cm.Metric.String(), Member: cfg.Member, Epoch: epoch}
+		stats := EpochStats{Metric: cm.Metric.String(), Member: cfg.member, Epoch: epoch}
 		var epochStart time.Time
 		var allocsStart uint64
 		if timed {
@@ -441,7 +438,7 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 			for c := range chunks {
 				net := cm.Net
 				if c > 0 {
-					net = shadow
+					net = st.shadow
 				}
 				loss, err := tp.runChunk(net, cm.Metric, batch, c, chunks, inv)
 				if err != nil {
@@ -450,7 +447,7 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 				epochLoss += loss
 				clk.lap(&stats.GradNS)
 				if c > 0 {
-					cm.Net.FoldGrads(shadow)
+					st.fold()
 					clk.lap(&stats.ReduceNS)
 				}
 			}
@@ -506,6 +503,51 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 		copyInto(params, bestParams)
 	}
 	return nil
+}
+
+// fitState is what a fit holds beside its model's weights, and only while
+// it runs: gradient buffers and a training mirror on every layer, and the
+// one gradient shadow the chunks after the first backpropagate into.
+// layers and shadows are the model's and the shadow's Linears, which
+// pair index by index.
+type fitState struct {
+	shadow          *gnn.Model
+	layers, shadows []*nn.Linear
+}
+
+// newFitState attaches zeroed gradient buffers and a training mirror to
+// every layer of net, then makes the gradient shadow, which shares the
+// mirrors like the weights. Where the AVX kernels are unavailable
+// RefreshMirror does nothing, and the model and shadow run the tape's Go
+// loops.
+func newFitState(net *gnn.Model) fitState {
+	layers := net.Linears()
+	for _, l := range layers {
+		l.AttachGrads()
+		l.RefreshMirror()
+	}
+	shadow := net.GradShadow()
+	return fitState{shadow: shadow, layers: layers, shadows: shadow.Linears()}
+}
+
+// fold adds the shadow's gradients into the model's and zeroes the
+// shadow's, layer by layer. A chunk reaches the encoders and update MLPs
+// of the node kinds its graphs hold and the readout; a layer it did not
+// reach holds +0 and is skipped (nn.Linear.FoldGrads), which gives the
+// bits of folding it.
+func (s *fitState) fold() {
+	for i, l := range s.layers {
+		l.FoldGrads(s.shadows[i])
+	}
+}
+
+// release drops every layer's gradient buffers and training mirror: the
+// model holds its weights alone again.
+func (s *fitState) release() {
+	for _, l := range s.layers {
+		l.DropGrads()
+		l.DropMirror()
+	}
 }
 
 // FineTune continues training on additional traces (few-shot learning,

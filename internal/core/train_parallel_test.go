@@ -47,9 +47,10 @@ func trainedParams(t *testing.T, metric Metric) [][]float64 {
 // TestTrainEpochSteadyStateAllocs pins the arena guarantee on the real
 // training path: once tapes, scratch, the gradient shadow and training
 // mirrors are warm, a batch (forward + loss + backward on the full GNN
-// per sample, then the fold of the shadow's touched MLPs and the Adam
+// per sample, then the fold of the shadow's touched layers and the Adam
 // step, which clears the gradients and writes the mirrors) performs
-// zero heap allocations.
+// zero heap allocations. It sets the state up, folds and releases it
+// through the fit's own fitState.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	c := subCorpus(t, 40)
 	feat := Featurizer{}
@@ -65,19 +66,17 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := newTapes()
-	net.AttachGrads() // as fit does: outside a fit a model holds no gradients
-	net.RefreshMirrors()
-	defer net.DropMirrors()
-	shadow := net.GradShadow()
-	opt := nn.NewAdam(1e-3, net.Linears())
+	st := newFitState(net)
+	defer st.release()
+	opt := nn.NewAdam(1e-3, st.layers)
 
 	step := func() {
 		// One chunk spanning all samples, on the shadow as chunks 1..7 of
 		// a real batch are, then what fit does between batches.
-		if _, err := tp.runChunk(shadow, MetricE2ELatency, samples, 0, 1, 0.25); err != nil {
+		if _, err := tp.runChunk(st.shadow, MetricE2ELatency, samples, 0, 1, 0.25); err != nil {
 			t.Fatal(err)
 		}
-		net.FoldGrads(shadow)
+		st.fold()
 		opt.Step()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
@@ -122,14 +121,15 @@ func TestSetTrainBudget(t *testing.T) {
 	}
 }
 
-// TestFoldGradsOrderAndClear checks the shadow fold against the plain
-// loop over every gradient group that it replaces: chunk after chunk of
-// one sample each is backpropagated into the shadow of a real model and
-// folded, and the destination must equal its own contents (chunk 0) plus
-// the shadow's gradients, group by group and element by element, the
-// untouched groups' +0 included; every fold leaves the shadow all +0.
-// The chunks' graphs hold different node kinds, so folds that skip
-// untouched MLPs must occur, and the test fails if none does.
+// TestFoldGradsOrderAndClear checks the fit's shadow fold (fitState.fold)
+// against the plain loop over every gradient group that it replaces:
+// chunk after chunk of one sample each is backpropagated into the shadow
+// of a real model and folded, and the destination must equal its own
+// contents (chunk 0) plus the shadow's gradients, group by group and
+// element by element, the untouched groups' +0 included; every fold
+// leaves the shadow all +0. The chunks' graphs hold different node kinds,
+// so folds that skip untouched layers must occur, and the test fails if
+// none does.
 // Destination magnitudes spread over many binades make the sum order
 // visible in the bits.
 func TestFoldGradsOrderAndClear(t *testing.T) {
@@ -144,12 +144,10 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.AttachGrads() // as fit does: outside a fit a model holds no gradients
-	net.RefreshMirrors()
-	defer net.DropMirrors()
+	st := newFitState(net)
+	defer st.release()
 	dst := gradsOf(net)
-	shadow := net.GradShadow()
-	src := gradsOf(shadow)
+	src := gradsOf(st.shadow)
 	rng := rand.New(rand.NewSource(16))
 	for _, g := range dst {
 		for i := range g {
@@ -159,7 +157,7 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 	tp := newTapes()
 	skipped := 0
 	for c := 1; c < maxGradChunks; c++ {
-		if _, err := tp.runChunk(shadow, MetricE2ELatency, samples[c*len(samples)/maxGradChunks:], 0, len(samples), 1); err != nil {
+		if _, err := tp.runChunk(st.shadow, MetricE2ELatency, samples[c*len(samples)/maxGradChunks:], 0, len(samples), 1); err != nil {
 			t.Fatal(err)
 		}
 		want := snapshot(dst)
@@ -173,7 +171,7 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 				skipped++
 			}
 		}
-		net.FoldGrads(shadow)
+		st.fold()
 		for k := range want {
 			for i := range want[k] {
 				if math.Float64bits(dst[k][i]) != math.Float64bits(want[k][i]) {
@@ -188,7 +186,7 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 		}
 	}
 	if skipped == 0 {
-		t.Error("every chunk reached every gradient group: the fold of untouched MLPs was never skipped")
+		t.Error("every chunk reached every gradient group: the fold of untouched layers was never skipped")
 	}
 }
 
@@ -341,8 +339,9 @@ func TestTrainPredictorFailureDeterministic(t *testing.T) {
 }
 
 // TestFailedFineTuneRestoresWeights: a fine-tune in which no epoch
-// reaches a finite loss fails and leaves every weight bit where it
-// started. A rate of 1e300 sends the weights past any finite loss on the
+// reaches a finite loss fails, leaves every weight bit where it started
+// and, like a fit that succeeds, leaves no layer holding gradients or a
+// training mirror. A rate of 1e300 sends the weights past any finite loss on the
 // first step, so every epoch's mean loss is non-finite; the test checks
 // that it is, and that the fit did move the weights before failing.
 func TestFailedFineTuneRestoresWeights(t *testing.T) {
@@ -384,6 +383,11 @@ func TestFailedFineTuneRestoresWeights(t *testing.T) {
 			if math.Float64bits(after[k][i]) != math.Float64bits(before[k][i]) {
 				t.Fatalf("weight %d[%d] = %v after the failed fine-tune, want %v", k, i, after[k][i], before[k][i])
 			}
+		}
+	}
+	for k, l := range m.Net.Linears() {
+		if l.HasFitState() {
+			t.Errorf("layer %d holds gradients or a training mirror after the failed fine-tune", k)
 		}
 	}
 }

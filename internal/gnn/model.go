@@ -113,10 +113,20 @@ func build(cfg Config, newMLP func(sizes ...int) *nn.MLP) (*Model, error) {
 func (m *Model) Config() Config { return m.cfg }
 
 // Linears returns every layer of the model in a deterministic order:
-// encoder then update MLP per node kind, then the readout. The optimizer
-// steps them in this order, and Params lists their weights in it.
+// encoder then update MLP per node kind, then the readout, in a slice
+// allocated once. The optimizer steps them in this order, and Params
+// lists their weights in it. A training fit takes the list once for the
+// model and once for its gradient shadow (GradShadow) and manages its
+// gradient buffers, training mirrors and fold layer by layer over them.
 func (m *Model) Linears() []*nn.Linear {
-	var ls []*nn.Linear
+	n := len(m.out.Layers)
+	for _, e := range m.enc {
+		n += len(e.Layers)
+	}
+	for _, u := range m.upd {
+		n += len(u.Layers)
+	}
+	ls := make([]*nn.Linear, 0, n)
 	for _, k := range AllKinds() {
 		if e, ok := m.enc[k]; ok {
 			ls = append(ls, e.Layers...)
@@ -140,22 +150,13 @@ func (m *Model) Params() [][]float64 {
 	return params
 }
 
-// eachMLP calls fn on every encoder, update and readout MLP.
-func (m *Model) eachMLP(fn func(*nn.MLP)) {
-	for _, e := range m.enc {
-		fn(e)
-	}
-	for _, u := range m.upd {
-		fn(u)
-	}
-	fn(m.out)
-}
-
-// GradShadow returns a model that shares this model's weight slices but
-// owns private zeroed gradient buffers. A training fit holds one shadow
-// and backpropagates each minibatch chunk after the first into it, so
-// the chunk's gradients sum on their own before they are folded into
-// the optimizer's (see FoldGrads); Linears on the shadow yields layers
+// GradShadow returns a model that shares this model's weight slices, and
+// the training mirrors its layers hold at the time of the call, but owns
+// private zeroed gradient buffers (see nn.Linear.GradShadow). A training
+// fit makes one shadow after its mirrors exist and backpropagates each
+// minibatch chunk after the first into it, so the chunk's gradients sum
+// on their own before they are folded into the optimizer's, layer by
+// layer (nn.Linear.FoldGrads): Linears on the shadow yields layers
 // sharing the original's weights, each with its own gradients, in the
 // same deterministic order as the original.
 func (m *Model) GradShadow() *Model {
@@ -173,44 +174,6 @@ func (m *Model) GradShadow() *Model {
 	}
 	return s
 }
-
-// FoldGrads adds the gradients of shadow, a gradient shadow of m, into
-// m's and zeroes the shadow's, MLP by MLP — only those a backprop has
-// touched since the last fold (see nn.Linear.FoldGrads). A minibatch
-// chunk reaches the encoders and update MLPs of the node kinds its graphs
-// hold and the readout; the others hold +0 and are skipped, which gives
-// the bits of folding them.
-func (m *Model) FoldGrads(shadow *Model) {
-	for k, e := range m.enc {
-		e.FoldGrads(shadow.enc[k])
-	}
-	for k, u := range m.upd {
-		u.FoldGrads(shadow.upd[k])
-	}
-	m.out.FoldGrads(shadow.out)
-}
-
-// RefreshMirrors brings every layer's transposed training mirror up to
-// date with the weights, building the mirrors on the first call (see
-// nn.Linear.RefreshMirror). While they exist, ForwardPlanned runs its
-// affine ops on the AVX kernel; a training fit calls this once before its
-// first step (nn.Adam.Step keeps the mirrors up to date) and DropMirrors
-// when it is done. Make gradient shadows after the first call, so they
-// share the mirrors. Without mirrors the same ops run the scalar loops,
-// bit for bit.
-func (m *Model) RefreshMirrors() { m.eachMLP((*nn.MLP).RefreshMirror) }
-
-// DropMirrors releases the training mirrors.
-func (m *Model) DropMirrors() { m.eachMLP((*nn.MLP).DropMirror) }
-
-// AttachGrads gives every layer fresh zeroed gradient buffers (see
-// nn.Linear.AttachGrads): a training fit calls it beside RefreshMirrors,
-// and DropGrads beside DropMirrors, so a model outside a fit holds its
-// weights alone.
-func (m *Model) AttachGrads() { m.eachMLP((*nn.MLP).AttachGrads) }
-
-// DropGrads releases every layer's gradient buffers.
-func (m *Model) DropGrads() { m.eachMLP((*nn.MLP).DropGrads) }
 
 // NumParams returns the total scalar parameter count.
 func (m *Model) NumParams() int {

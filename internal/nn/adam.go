@@ -2,14 +2,21 @@ package nn
 
 import "math"
 
+// Adam's fixed hyperparameters. They are typed, so 1 - beta1 is the
+// difference of 1 and beta1 rounded to float64, not the exact 0.1 an
+// untyped constant expression folds to before rounding (another float64):
+// the arithmetic the trained weight goldens were recorded with.
+const (
+	beta1 float64 = 0.9
+	beta2 float64 = 0.999
+	eps   float64 = 1e-8
+)
+
 // Adam implements the Adam optimizer over the weights and biases of a
 // fixed list of layers.
 type Adam struct {
-	LR       float64
-	Beta1    float64
-	Beta2    float64
-	Eps      float64
-	ClipNorm float64 // global gradient norm clip; 0 disables
+	lr       float64
+	clipNorm float64 // global gradient norm clip; 0 disables
 
 	layers []*Linear
 	m      [][]float64 // first moments: W then B of each layer, in layer order
@@ -21,7 +28,7 @@ type Adam struct {
 // given (gnn.Model.Linears: the order of Params).
 func NewAdam(lr float64, layers []*Linear) *Adam {
 	a := &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5,
+		lr: lr, clipNorm: 5,
 		layers: layers,
 		m:      make([][]float64, 0, 2*len(layers)),
 		v:      make([][]float64, 0, 2*len(layers)),
@@ -33,9 +40,11 @@ func NewAdam(lr float64, layers []*Linear) *Adam {
 	return a
 }
 
-// adamHyper is one step's constants of the element update.
+// adamHyper is one step's values of the element update beside the fixed
+// hyperparameters: the bias corrections c1 and c2, the rate and the clip
+// scale.
 type adamHyper struct {
-	beta1, omb1, beta2, omb2, c1, c2, lr, eps, scale float64
+	c1, c2, lr, scale float64
 }
 
 // Step applies one Adam update using the accumulated gradients, clears
@@ -53,7 +62,7 @@ type adamHyper struct {
 func (a *Adam) Step() {
 	a.t++
 	scale := 1.0
-	if a.ClipNorm > 0 {
+	if a.clipNorm > 0 {
 		var norm2 float64
 		for _, l := range a.layers {
 			for _, x := range l.GW {
@@ -63,14 +72,13 @@ func (a *Adam) Step() {
 				norm2 += x * x
 			}
 		}
-		if norm := math.Sqrt(norm2); norm > a.ClipNorm {
-			scale = a.ClipNorm / norm
+		if norm := math.Sqrt(norm2); norm > a.clipNorm {
+			scale = a.clipNorm / norm
 		}
 	}
 	h := adamHyper{
-		beta1: a.Beta1, omb1: 1 - a.Beta1, beta2: a.Beta2, omb2: 1 - a.Beta2,
-		c1: 1 - math.Pow(a.Beta1, float64(a.t)), c2: 1 - math.Pow(a.Beta2, float64(a.t)),
-		lr: a.LR, eps: a.Eps, scale: scale,
+		c1: 1 - math.Pow(beta1, float64(a.t)), c2: 1 - math.Pow(beta2, float64(a.t)),
+		lr: a.lr, scale: scale,
 	}
 	for k, l := range a.layers {
 		l.adamStep(a.m[2*k], a.v[2*k], a.m[2*k+1], a.v[2*k+1], &h)
@@ -110,7 +118,7 @@ func adamRows(p, g, m, v []float64, mt *float64, rows, cols int, h *adamHyper) {
 		return
 	}
 	adamRowsAVX(&p[0], &g[0], &m[0], &v[0], mt, rows, cols,
-		h.beta1, h.omb1, h.beta2, h.omb2, h.c1, h.c2, h.lr, h.eps, h.scale)
+		beta1, 1-beta1, beta2, 1-beta2, h.c1, h.c2, h.lr, eps, h.scale)
 }
 
 // update is the element update as a Go loop, the oracle of adamRowsAVX:
@@ -120,10 +128,10 @@ func (h *adamHyper) update(p, g, m, v []float64) {
 	for i := range p {
 		gi := g[i] * h.scale
 		g[i] = 0
-		m[i] = h.beta1*m[i] + h.omb1*gi
-		v[i] = h.beta2*v[i] + h.omb2*gi*gi
+		m[i] = beta1*m[i] + (1-beta1)*gi
+		v[i] = beta2*v[i] + (1-beta2)*gi*gi
 		mhat := m[i] / h.c1
 		vhat := v[i] / h.c2
-		p[i] -= h.lr * mhat / (math.Sqrt(vhat) + h.eps)
+		p[i] -= h.lr * mhat / (math.Sqrt(vhat) + eps)
 	}
 }

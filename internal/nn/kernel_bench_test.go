@@ -139,8 +139,7 @@ func BenchmarkOptimizerStep(b *testing.B) {
 		gw, gb := randRows(rng, 1, len(l.GW)), randRows(rng, 1, len(l.GB))
 		n := len(l.W) + len(l.B)
 		mw, vw, mb, vb := make([]float64, len(l.W)), make([]float64, len(l.W)), make([]float64, len(l.B)), make([]float64, len(l.B))
-		h := adamHyper{beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999,
-			c1: 0.5, c2: 0.5, lr: 1e-3, eps: 1e-8, scale: 1}
+		h := adamHyper{c1: 0.5, c2: 0.5, lr: 1e-3, scale: 1}
 		for _, asm := range []bool{true, false} {
 			name := "portable"
 			if asm {

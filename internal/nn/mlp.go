@@ -12,11 +12,12 @@ import (
 // transpose per sample where the mirror costs one store per weight per
 // optimizer step.
 //
-// GW and GB, the gradient buffers, exist only inside a training fit
-// (core's fit loop), between AttachGrads and DropGrads, like the
-// training mirror: a layer built by NewLinear, or one whose model is
-// done training, holds its weights and biases alone. Backpropagating
-// into a layer without them panics.
+// GW and GB, the gradient buffers, exist only inside a training fit,
+// between AttachGrads and DropGrads, like the training mirror: core's fit
+// attaches and drops both on every layer of its model (gnn.Model.Linears),
+// and a layer built by NewLinear, or one whose model is done training,
+// holds its weights and biases alone. Backpropagating into a layer without
+// them panics.
 type Linear struct {
 	In, Out int
 	W       []float64 // row-major Out x In
@@ -59,7 +60,8 @@ func zeroLinear(in, out int) *Linear {
 }
 
 // AttachGrads gives the layer fresh zeroed gradient buffers: a fit calls
-// it before its first backprop (gnn.Model.AttachGrads). GW and GB are
+// it on every layer of its model, beside RefreshMirror, before its first
+// backprop, and DropGrads when it returns. GW and GB are
 // allocated apart: one allocation of both rounds up to a larger size
 // class on most of the models' layer shapes (64→24: 12 480 bytes round
 // to 13 568, where 12 288 and 192 are size classes themselves).
@@ -93,8 +95,10 @@ func (l *Linear) affineInto(dst, x []float64) {
 
 // RefreshMirror copies the current weights into the training mirror
 // (StackedLinear.load), allocating it on first use, so the tape forward
-// pass runs on the stacked kernel. Adam.Step keeps the mirror up to
-// date; call this after any other in-place weight update while the
+// pass runs on the stacked kernel. A fit calls it on every layer of its
+// model before it makes the gradient shadow (so GradShadow shares the
+// mirror), and DropMirror when it returns. Adam.Step keeps the mirror up
+// to date; call this after any other in-place weight update while the
 // mirror exists: a stale mirror silently computes with old weights. It
 // does nothing where the AVX kernels are unavailable or the layer's
 // buffers do not match its dimensions; Apply then stays on affineInto.
@@ -304,44 +308,6 @@ func (m *MLP) GradShadow() *MLP {
 		s.Layers[i] = l.GradShadow()
 	}
 	return s
-}
-
-// FoldGrads folds every layer of shadow, a gradient shadow of m, into
-// m's gradients (see Linear.FoldGrads).
-func (m *MLP) FoldGrads(shadow *MLP) {
-	for i, l := range m.Layers {
-		l.FoldGrads(shadow.Layers[i])
-	}
-}
-
-// RefreshMirror refreshes every layer's training mirror (see
-// Linear.RefreshMirror).
-func (m *MLP) RefreshMirror() {
-	for _, l := range m.Layers {
-		l.RefreshMirror()
-	}
-}
-
-// DropMirror releases every layer's training mirror.
-func (m *MLP) DropMirror() {
-	for _, l := range m.Layers {
-		l.DropMirror()
-	}
-}
-
-// AttachGrads gives every layer fresh zeroed gradient buffers (see
-// Linear.AttachGrads).
-func (m *MLP) AttachGrads() {
-	for _, l := range m.Layers {
-		l.AttachGrads()
-	}
-}
-
-// DropGrads releases every layer's gradient buffers.
-func (m *MLP) DropGrads() {
-	for _, l := range m.Layers {
-		l.DropGrads()
-	}
 }
 
 // AddAndClear adds src into dst element by element and zeroes src: it

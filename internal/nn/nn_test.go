@@ -248,7 +248,7 @@ func TestGradientClipping(t *testing.T) {
 	p := []float64{0}
 	g := []float64{1000}
 	opt := NewAdam(0.1, []*Linear{{In: 1, Out: 1, W: p, B: []float64{0}, GW: g, GB: []float64{0}}})
-	opt.ClipNorm = 1
+	opt.clipNorm = 1
 	opt.Step()
 	// After clipping, |g| = 1, Adam first step = lr * sign ~ 0.1.
 	if math.Abs(p[0]) > 0.11 {

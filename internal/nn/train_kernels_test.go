@@ -321,7 +321,7 @@ func TestAdamStepAsmMatchesPortable(t *testing.T) {
 			la, lb = append(la, a), append(lb, b)
 		}
 		asmOpt, goOpt := NewAdam(0.01, la), NewAdam(0.01, lb)
-		asmOpt.ClipNorm, goOpt.ClipNorm = clip, clip
+		asmOpt.clipNorm, goOpt.clipNorm = clip, clip
 		clipped := 0
 		for step := 0; step < 50; step++ {
 			var norm2 float64
@@ -397,9 +397,8 @@ func TestAdamFusedStepGeneratedLayers(t *testing.T) {
 		in, out := 1+rng.Intn(130), 1+rng.Intn(130)
 		nw := in * out
 		step := 1 + rng.Intn(50)
-		h := adamHyper{beta1: 0.9, omb1: 1 - 0.9, beta2: 0.999, omb2: 1 - 0.999,
-			c1: 1 - math.Pow(0.9, float64(step)), c2: 1 - math.Pow(0.999, float64(step)),
-			lr: 0.01, eps: 1e-8, scale: 1}
+		h := adamHyper{c1: 1 - math.Pow(beta1, float64(step)), c2: 1 - math.Pow(beta2, float64(step)),
+			lr: 0.01, scale: 1}
 		if n%2 == 1 {
 			h.scale = rng.Float64()
 		}
