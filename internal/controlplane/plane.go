@@ -472,10 +472,3 @@ func (pl *Plane) status(pd *planeDep, withHistory bool) Status {
 	}
 	return st
 }
-
-// Ticks returns how many control ticks have run.
-func (pl *Plane) Ticks() int {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.ticks
-}

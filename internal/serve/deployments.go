@@ -41,9 +41,8 @@ type HostRequest struct {
 // registered, 413 for a body past the size limit and 503 when the request
 // was cancelled.
 func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
-	var req DeployRequest
-	if err := decodeRequest(r.Body, &req); err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodeBody(s, w, r, readDeploy)
+	if !ok {
 		return
 	}
 	if err := validatePair(req.Query, req.Cluster); err != nil {
@@ -99,9 +98,8 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) decodeHost(w http.ResponseWriter, r *http.Request) (string, bool) {
-	var req HostRequest
-	if err := decodeRequest(r.Body, &req); err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodeBody(s, w, r, readHost)
+	if !ok {
 		return "", false
 	}
 	if req.Host == "" {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,19 +288,37 @@ func TestMetricsExposeControlPlaneFamilies(t *testing.T) {
 	}
 }
 
+// countingFeed is echoFeed that counts its observations.
+type countingFeed struct {
+	echoFeed
+	n atomic.Int64
+}
+
+func (f *countingFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+	f.n.Add(1)
+	return f.echoFeed.Observe(q, c, p)
+}
+
 // TestControlLoopStopFlushes: Stop halts the ticker before the listener
 // would close — after it returns, no further ticks run and a concurrent
-// tick has fully flushed (the plane lock is free).
+// tick has fully flushed (the plane lock is free). The plane holds one
+// healthy deployment, so every tick observes it once: the feed counts
+// the ticks.
 func TestControlLoopStopFlushes(t *testing.T) {
-	s := newControlTestServer(t, nil)
+	pred, feed := &fakePred{}, &countingFeed{}
+	pl, err := controlplane.New(controlplane.Config{Policy: controlplane.Policy{Predictor: pred}, Feed: feed, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Predictor: pred, ControlPlane: pl})
 	q, c := testQuery(t), testCluster()
 	if w := doJSON(t, s, http.MethodPost, "/v1/deployments", DeployRequest{ID: "q1", Query: q, Cluster: c}); w.Code != http.StatusOK {
 		t.Fatalf("create: %d: %s", w.Code, w.Body)
 	}
-	pl := s.ControlPlane()
+	before := feed.n.Load()
 	loop := StartControlLoop(pl, 2*time.Millisecond, nil)
 	deadline := time.Now().Add(5 * time.Second)
-	for pl.Ticks() == 0 {
+	for feed.n.Load() == before {
 		if time.Now().After(deadline) {
 			t.Fatal("loop never ticked")
 		}
@@ -310,9 +329,9 @@ func TestControlLoopStopFlushes(t *testing.T) {
 	if err := loop.Stop(ctx); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	ticks := pl.Ticks()
+	ticks := feed.n.Load()
 	time.Sleep(20 * time.Millisecond)
-	if got := pl.Ticks(); got != ticks {
+	if got := feed.n.Load(); got != ticks {
 		t.Fatalf("loop still ticking after Stop: %d -> %d", ticks, got)
 	}
 	// The plane is fully flushed: its lock is free and state readable.

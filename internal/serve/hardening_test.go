@@ -163,6 +163,60 @@ func TestNullHostOrOperatorRejected(t *testing.T) {
 	}
 }
 
+// TestNullScalarRejected: a null where a request holds a number, a
+// string or a boolean is a 400 naming the value's path on every route
+// that takes a query and a cluster, not a zero read in its place. A null
+// seed on /v1/optimize stays accepted: the seed is a pointer, and null
+// asks for the default.
+func TestNullScalarRejected(t *testing.T) {
+	s := newControlTestServer(t, nil)
+	ex := exampleRequest(t, s.example)
+	withFields := slices.IndexFunc(ex.Query.Ops, func(op *stream.Operator) bool { return len(op.FieldTypes) > 0 })
+	if withFields < 0 {
+		t.Fatal("no operator of the example has field types")
+	}
+	nullSel := [3]string{`"Selectivity":[^,}]+`, `"Selectivity":null`, "query.Ops[0].Selectivity: null is not a number"}
+	nullField := [3]string{`"FieldTypes":\[\d+`, `"FieldTypes":[null`,
+		fmt.Sprintf("query.Ops[%d].FieldTypes[0]: null is not a number", withFields)}
+	for _, tc := range []struct {
+		path string
+		req  any
+		muts [][3]string // expression, replacement, wanted error
+	}{
+		{"/v1/predict", ex, [][3]string{nullSel, nullField,
+			{`"placement":\[\d+`, `"placement":[null`, "placement[0]: null is not a number"}}},
+		{"/v1/predict-batch", PredictBatchRequest{Query: ex.Query, Cluster: ex.Cluster, Placements: []sim.Placement{ex.Placement, ex.Placement}},
+			[][3]string{nullSel, nullField,
+				{`"placements":\[\[\d+`, `"placements":[[null`, "placements[0][0]: null is not a number"},
+				{`"placements":\[(\[[^\]]*\]),\[\d+`, `"placements":[$1,[null`, "placements[1][0]: null is not a number"}}},
+		{"/v1/optimize", OptimizeRequest{Query: ex.Query, Cluster: ex.Cluster, Candidates: 4, Debug: true},
+			[][3]string{nullSel, nullField,
+				{`"candidates":4`, `"candidates":null`, "candidates: null is not a number"},
+				{`"debug":true`, `"debug":null`, "debug: null is not a boolean"}}},
+		{"/v1/deployments", DeployRequest{Query: ex.Query, Cluster: ex.Cluster, Placement: ex.Placement},
+			[][3]string{nullSel, nullField,
+				{`"placement":\[\d+`, `"placement":[null`, "placement[0]: null is not a number"}}},
+	} {
+		doc, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range tc.muts {
+			w := postRaw(s, tc.path, replaceFirst(t, doc, m[0], m[1]))
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), m[2]) {
+				t.Errorf("%s with %s: status %d, want 400 naming %q: %s", tc.path, m[1], w.Code, m[2], w.Body)
+			}
+		}
+	}
+	doc, err := json.Marshal(OptimizeRequest{Query: ex.Query, Cluster: ex.Cluster, Candidates: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postRaw(s, "/v1/optimize", replaceFirst(t, doc, `"candidates":4`, `"candidates":4,"seed":null`)); w.Code != http.StatusOK {
+		t.Errorf(`/v1/optimize with "seed":null: status %d, want 200: %s`, w.Code, w.Body)
+	}
+}
+
 func TestDefaultBodyCap(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if s.maxBody != DefaultMaxRequestBytes {

@@ -31,10 +31,11 @@
 // are served from a bounded LRU keyed by a digest of the request bytes,
 // so a hit is a read, a hash, a map probe and a write of the stored
 // response bytes, with no JSON work (the trade: a re-formatted copy of a
-// request is its own entry); a miss reads a body in json.Marshal's
-// canonical encoding in one pass, without encoding/json's reflection,
-// and is scored like a /v1/predict-batch of one (placement.Score under
-// the request context); and a semaphore
+// request is its own entry); a miss reads the body in one pass, without
+// encoding/json's reflection, as every POST route reads its body (the
+// request readers of canonical.go), and is scored like a
+// /v1/predict-batch of one (placement.Score under the request context);
+// and a semaphore
 // bounds the predictor work in flight regardless of how many requests are
 // queued.
 package serve
@@ -44,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -437,26 +437,24 @@ func releaseBody(buf *bytes.Buffer) {
 	}
 }
 
-// decodeRequest decodes the single JSON document body holds into v,
-// rejecting unknown fields and anything but whitespace after it. It is
-// the decoder of every POST route, the authority on which bodies are
-// accepted and the only source of decode error messages: /v1/predict
-// first tries readPredict, which reads only json.Marshal's canonical
-// encoding and returns what decodeRequest would, and decodes every body
-// readPredict declines here.
-func decodeRequest(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return bodyError(err)
+// decodeBody reads r's body into a pooled buffer and decodes it with
+// read, one of the request readers of canonical.go, which keep nothing
+// of the buffer. On failure it answers 400, or 413 for a body past the
+// size limit, and returns false.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, read func([]byte) (T, error)) (T, bool) {
+	body, err := readBody(r)
+	if err != nil {
+		s.writeDecodeError(w, err)
+		var zero T
+		return zero, false
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		if !errors.As(err, new(*http.MaxBytesError)) {
-			err = errors.New("unexpected data after the JSON document")
-		}
-		return bodyError(err)
+	req, err := read(body.Bytes())
+	releaseBody(body)
+	if err != nil {
+		s.writeDecodeError(w, bodyError(err))
+		return req, false
 	}
-	return nil
+	return req, true
 }
 
 // bodyError words a body read or decode failure for the client, keeping
@@ -469,7 +467,7 @@ func bodyError(err error) error {
 	return fmt.Errorf("invalid request body: %v", err)
 }
 
-// writeDecodeError maps a readBody or decodeRequest failure to its
+// writeDecodeError maps a readBody or request reader failure to its
 // status: 413 for an oversized body, 400 otherwise.
 func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
@@ -499,9 +497,8 @@ func validatePair(q *stream.Query, c *hardware.Cluster) error {
 
 // handlePredict answers from the cache before any JSON work: the key is
 // a digest of the body bytes and the value the encoded response, so only
-// a miss decodes, validates and scores the request. A miss reads a
-// canonical body in one pass (readPredict) and any other with
-// decodeRequest. Only 200 responses are stored.
+// a miss decodes (readPredict), validates and scores the request. Only
+// 200 responses are stored.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan("predict")
 	defer func() { sp.End(); s.logSpan(sp) }()
@@ -523,12 +520,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, ok := readPredict(body.Bytes())
-	if !ok {
-		if err := decodeRequest(body, &req); err != nil {
-			s.writeDecodeError(w, err)
-			return
-		}
+	req, err := readPredict(body.Bytes())
+	if err != nil {
+		s.writeDecodeError(w, bodyError(err))
+		return
 	}
 	if err := validatePair(req.Query, req.Cluster); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
@@ -556,9 +551,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	var req PredictBatchRequest
-	if err := decodeRequest(r.Body, &req); err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodeBody(s, w, r, readPredictBatch)
+	if !ok {
 		return
 	}
 	if err := validatePair(req.Query, req.Cluster); err != nil {
@@ -590,9 +584,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	sp := obs.StartSpan("optimize")
 	defer func() { sp.End(); s.logSpan(sp) }()
 	w.Header().Set("X-Costream-Trace", sp.ID())
-	var req OptimizeRequest
-	if err := decodeRequest(r.Body, &req); err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodeBody(s, w, r, readOptimize)
+	if !ok {
 		return
 	}
 	if err := validatePair(req.Query, req.Cluster); err != nil {
