@@ -47,12 +47,7 @@ func main() {
 		fmt.Fprintf(&b, "# COSTREAM reproduction results (scale %.2f)\n\n", *scale)
 		fmt.Fprintf(&b, "Generated by costream-expts in %v.\n\n", time.Since(start).Round(time.Second))
 		for _, t := range tables {
-			fmt.Fprintf(&b, "## %s\n\n```\n", t.Title)
-			for _, l := range t.Lines {
-				b.WriteString(l)
-				b.WriteByte('\n')
-			}
-			b.WriteString("```\n\n")
+			t.WriteMarkdown(&b)
 		}
 		if err := os.WriteFile(*md, []byte(b.String()), 0o644); err != nil {
 			log.Fatal(err)

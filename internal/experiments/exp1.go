@@ -3,63 +3,41 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"costream/internal/core"
 	"costream/internal/dataset"
+	"costream/internal/placement"
 	"costream/internal/qerror"
 	"costream/internal/scenario"
 	"costream/internal/stream"
 )
 
-// Exp1Result reproduces Table III: overall q-errors and accuracies on the
-// held-out test split, COSTREAM vs the flat-vector baseline.
-type Exp1Result struct {
-	Rows []MetricRow
-}
-
-// Exp1Overall runs Exp 1 on the base test split (Table III).
-func (s *Suite) Exp1Overall() (*Exp1Result, error) {
+// Exp1Overall runs Exp 1 on the base test split (Table III): overall
+// q-errors and accuracies, COSTREAM vs the flat-vector baseline.
+func (s *Suite) Exp1Overall() (*Table, error) {
 	_, _, test, err := s.BaseSplit()
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.compareRows(test, core.AllMetrics(), 17)
+	rows, err := s.compareRows("", test, core.AllMetrics(), 17)
 	if err != nil {
 		return nil, err
 	}
-	return &Exp1Result{Rows: rows}, nil
+	return exp1Table(rows), nil
 }
 
-// Table renders the result.
-func (r *Exp1Result) Table() *Table {
-	t := &Table{Title: "[Exp 1 / Table III] Overall prediction accuracy on the test set"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, row.format())
-	}
-	return t
-}
-
-// HardwareBucket is one group of Figure 7: test traces whose mean hardware
-// feature falls into one grid bucket.
-type HardwareBucket struct {
-	Dimension string // cpu | ram | bandwidth | latency
-	Label     string // bucket center, e.g. "400"
-	N         int
-	Q50T      float64 // throughput median q-error
-	Q50Lp     float64
-	Q50Le     float64
-	AccRO     float64
-	AccS      float64
-}
-
-// Exp1HardwareResult reproduces Figure 7.
-type Exp1HardwareResult struct {
-	Buckets []HardwareBucket
+func exp1Table(rows []Row) *Table {
+	return &Table{Title: "[Exp 1 / Table III] Overall prediction accuracy on the test set", Rows: rows, line: metricLine}
 }
 
 // Exp1Hardware groups test-set predictions by the mean hardware features of
-// each trace's cluster (Figure 7).
-func (s *Suite) Exp1Hardware() (*Exp1HardwareResult, error) {
+// each trace's cluster (Figure 7): one row per non-empty bucket, labelled
+// with its dimension (cpu, ram, bandwidth, latency), holding bucketValues'
+// values and upper_edge, the bucket's bound (the last bucket also takes
+// every trace above it).
+func (s *Suite) Exp1Hardware() (*Table, error) {
 	_, _, test, err := s.BaseSplit()
 	if err != nil {
 		return nil, err
@@ -86,7 +64,7 @@ func (s *Suite) Exp1Hardware() (*Exp1HardwareResult, error) {
 			return l
 		}},
 	}
-	res := &Exp1HardwareResult{}
+	var rows []Row
 	for _, d := range dims {
 		groups := make([][]*dataset.Trace, len(d.edges))
 		for _, tr := range test.Traces {
@@ -102,89 +80,68 @@ func (s *Suite) Exp1Hardware() (*Exp1HardwareResult, error) {
 			if len(traces) == 0 {
 				continue
 			}
-			bucket, err := s.evalBucket(traces)
+			edge := d.edges[b]
+			vals, err := bucketValues(s.ensemblePredictor, fmt.Sprintf("%s <=%.0f", d.name, edge), traces)
 			if err != nil {
 				return nil, err
 			}
-			bucket.Dimension = d.name
-			bucket.Label = fmt.Sprintf("<=%.0f", d.edges[b])
-			res.Buckets = append(res.Buckets, bucket)
+			rows = append(rows, Row{Label: d.name, Values: append(vals, Value{"upper_edge", edge}), N: len(traces)})
 		}
 	}
-	return res, nil
+	return exp1HardwareTable(rows), nil
 }
 
-func (s *Suite) evalBucket(traces []*dataset.Trace) (HardwareBucket, error) {
+func exp1HardwareTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 1 / Figure 7] Prediction quality over hardware feature buckets", Rows: rows,
+		line: func(r Row) string {
+			return fmt.Sprintf("%-9s %-8s %s", r.Label, fmt.Sprintf("<=%.0f", r.Get("upper_edge")), bucketLine(r))
+		}}
+}
+
+// bucketValues scores one group of traces for Figure 7 or 8 with each
+// metric's predictor: the q-error p50 of every regression metric over the
+// group's successful traces (throughput_q50, …), NaN when none succeeded,
+// and the accuracy of every classification metric over all of them
+// (backpressure_acc, success_acc). Any other failure is an error naming
+// the group.
+func bucketValues(pred func(core.Metric) (placement.Predictor, error), name string, traces []*dataset.Trace) ([]Value, error) {
 	sub := &dataset.Corpus{Traces: traces}
-	bucket := HardwareBucket{N: len(traces)}
-	for _, m := range []core.Metric{core.MetricThroughput, core.MetricProcLatency, core.MetricE2ELatency} {
-		e, err := s.Ensemble(m)
+	succeeded := slices.ContainsFunc(traces, func(tr *dataset.Trace) bool { return tr.Metrics.Success })
+	var vals []Value
+	for _, m := range core.AllMetrics() {
+		p, err := pred(m)
 		if err != nil {
-			return bucket, err
+			return nil, err
 		}
-		sum, err := core.EvaluateRegression(e.Predictor(), sub, m)
+		v, suffix := math.NaN(), "_q50"
+		switch {
+		case !m.IsRegression():
+			suffix = "_acc"
+			v, err = core.EvaluateClassification(p, sub, m)
+		case succeeded:
+			var sum qerror.Summary
+			sum, err = core.EvaluateRegression(p, sub, m)
+			v = sum.Median
+		}
 		if err != nil {
-			// A bucket can lack successful traces; mark as NaN.
-			sum = qerror.Summary{Median: math.NaN()}
+			return nil, fmt.Errorf("%s: %v: %w", name, m, err)
 		}
-		switch m {
-		case core.MetricThroughput:
-			bucket.Q50T = sum.Median
-		case core.MetricProcLatency:
-			bucket.Q50Lp = sum.Median
-		case core.MetricE2ELatency:
-			bucket.Q50Le = sum.Median
-		}
+		vals = append(vals, Value{strings.ReplaceAll(m.String(), "-", "_") + suffix, v})
 	}
-	for _, m := range []core.Metric{core.MetricBackpressure, core.MetricSuccess} {
-		e, err := s.Ensemble(m)
-		if err != nil {
-			return bucket, err
-		}
-		acc, err := core.EvaluateClassification(e.Predictor(), sub, m)
-		if err != nil {
-			acc = math.NaN()
-		}
-		if m == core.MetricBackpressure {
-			bucket.AccRO = acc
-		} else {
-			bucket.AccS = acc
-		}
-	}
-	return bucket, nil
+	return vals, nil
 }
 
-// Table renders Figure 7 as rows.
-func (r *Exp1HardwareResult) Table() *Table {
-	t := &Table{Title: "[Exp 1 / Figure 7] Prediction quality over hardware feature buckets"}
-	for _, b := range r.Buckets {
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"%-9s %-8s Q50(T)=%5.2f Q50(Lp)=%5.2f Q50(Le)=%5.2f accRO=%5.1f%% accS=%5.1f%% (n=%d)",
-			b.Dimension, b.Label, b.Q50T, b.Q50Lp, b.Q50Le, 100*b.AccRO, 100*b.AccS, b.N))
-	}
-	return t
-}
-
-// QueryTypeRow is one group of Figure 8.
-type QueryTypeRow struct {
-	Class string
-	N     int
-	Q50T  float64
-	Q50Lp float64
-	Q50Le float64
-	AccRO float64
-	AccS  float64
-}
-
-// Exp1QueryTypesResult reproduces Figure 8.
-type Exp1QueryTypesResult struct {
-	Rows []QueryTypeRow
+// bucketLine formats the columns Figures 7 and 8 share.
+func bucketLine(r Row) string {
+	return fmt.Sprintf("Q50(T)=%5.2f Q50(Lp)=%5.2f Q50(Le)=%5.2f accRO=%5.1f%% accS=%5.1f%% (n=%d)",
+		r.Get("throughput_q50"), r.Get("proc_latency_q50"), r.Get("e2e_latency_q50"),
+		100*r.Get("backpressure_acc"), 100*r.Get("success_acc"), r.N)
 }
 
 // Exp1QueryTypes evaluates the base models per query class on freshly
-// generated in-distribution queries (Figure 8).
-func (s *Suite) Exp1QueryTypes() (*Exp1QueryTypesResult, error) {
-	res := &Exp1QueryTypesResult{}
+// generated in-distribution queries (Figure 8): one row per class.
+func (s *Suite) Exp1QueryTypes() (*Table, error) {
+	var rows []Row
 	classes := []stream.QueryClass{
 		stream.ClassLinear, stream.ClassLinearAgg,
 		stream.ClassTwoWayJoin, stream.ClassTwoWayJoinAgg,
@@ -200,25 +157,16 @@ func (s *Suite) Exp1QueryTypes() (*Exp1QueryTypesResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := QueryTypeRow{Class: class.String(), N: eval.Len()}
-		bucket, err := s.evalBucket(eval.Traces)
+		vals, err := bucketValues(s.ensemblePredictor, class.String(), eval.Traces)
 		if err != nil {
 			return nil, err
 		}
-		row.Q50T, row.Q50Lp, row.Q50Le = bucket.Q50T, bucket.Q50Lp, bucket.Q50Le
-		row.AccRO, row.AccS = bucket.AccRO, bucket.AccS
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, Row{Label: class.String(), Values: vals, N: eval.Len()})
 	}
-	return res, nil
+	return exp1QueryTypesTable(rows), nil
 }
 
-// Table renders Figure 8 as rows.
-func (r *Exp1QueryTypesResult) Table() *Table {
-	t := &Table{Title: "[Exp 1 / Figure 8] Prediction quality over query types"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"%-16s Q50(T)=%5.2f Q50(Lp)=%5.2f Q50(Le)=%5.2f accRO=%5.1f%% accS=%5.1f%% (n=%d)",
-			row.Class, row.Q50T, row.Q50Lp, row.Q50Le, 100*row.AccRO, 100*row.AccS, row.N))
-	}
-	return t
+func exp1QueryTypesTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 1 / Figure 8] Prediction quality over query types", Rows: rows,
+		line: func(r Row) string { return fmt.Sprintf("%-16s %s", r.Label, bucketLine(r)) }}
 }

@@ -13,21 +13,6 @@ import (
 	"costream/internal/workload"
 )
 
-// SpeedupRow is one bar pair of Figure 9: median speed-up of the optimized
-// initial placement over the plain heuristic placement, for COSTREAM and
-// the flat-vector baseline.
-type SpeedupRow struct {
-	Class     string
-	N         int
-	CoSpeedup float64 // median Lp(initial) / Lp(COSTREAM-optimized)
-	FlSpeedup float64 // median Lp(initial) / Lp(flat-vector-optimized)
-}
-
-// Exp2aResult reproduces Figure 9.
-type Exp2aResult struct {
-	Rows []SpeedupRow
-}
-
 // failedLatencySentinelMS stands in for the latency of an unsuccessful or
 // crashed execution: the full execution horizon. The paper's failed
 // initial placements likewise manifest as extreme latencies.
@@ -42,8 +27,10 @@ func measuredLp(m *sim.Metrics) float64 {
 
 // Exp2aPlacement optimizes the initial placement of n queries per query
 // class with COSTREAM and the baseline, and reports median speed-ups over
-// the plain heuristic initial placement [32] (Figure 9).
-func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
+// the plain heuristic initial placement [32] (Figure 9): one bar pair per
+// class, costream_speedup_p50 and flatvec_speedup_p50, each the median of
+// Lp(initial) / Lp(optimized) over the class's n queries.
+func (s *Suite) Exp2aPlacement() (*Table, error) {
 	coPred, err := s.Predictor()
 	if err != nil {
 		return nil, err
@@ -58,7 +45,7 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 		stream.ClassTwoWayJoin, stream.ClassTwoWayJoinAgg,
 		stream.ClassThreeWayJoin, stream.ClassThreeWayJoinAgg,
 	}
-	res := &Exp2aResult{}
+	var rows []Row
 	simCfg := s.simConfig()
 	for ci, class := range classes {
 		gen := workload.New(workload.DefaultConfig(8800 + int64(ci)))
@@ -92,15 +79,21 @@ func (s *Suite) Exp2aPlacement() (*Exp2aResult, error) {
 			}
 			flRatios = append(flRatios, initLp/maxf(flLp, 1e-3))
 		}
-		res.Rows = append(res.Rows, SpeedupRow{
-			Class:     class.String(),
-			N:         len(coRatios),
-			CoSpeedup: qerror.Quantile(coRatios, 0.5),
-			FlSpeedup: qerror.Quantile(flRatios, 0.5),
-		})
+		rows = append(rows, Row{Label: class.String(), N: len(coRatios), Values: []Value{
+			{"costream_speedup_p50", qerror.Quantile(coRatios, 0.5)},
+			{"flatvec_speedup_p50", qerror.Quantile(flRatios, 0.5)},
+		}})
 		s.Logf("exp2a %v done (n=%d)", class, len(coRatios))
 	}
-	return res, nil
+	return exp2aTable(rows), nil
+}
+
+func exp2aTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 2a / Figure 9] Median Lp speed-up of optimized initial placements", Rows: rows,
+		line: func(r Row) string {
+			return fmt.Sprintf("%-16s COSTREAM %6.2fx | FlatVector %6.2fx (n=%d)",
+				r.Label, r.Get("costream_speedup_p50"), r.Get("flatvec_speedup_p50"), r.N)
+		}}
 }
 
 // optimizedLp places the query with the paper's optimizer — the best of
@@ -126,41 +119,14 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Table renders Figure 9 as rows.
-func (r *Exp2aResult) Table() *Table {
-	t := &Table{Title: "[Exp 2a / Figure 9] Median Lp speed-up of optimized initial placements"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"%-16s COSTREAM %6.2fx | FlatVector %6.2fx (n=%d)",
-			row.Class, row.CoSpeedup, row.FlSpeedup, row.N))
-	}
-	return t
-}
-
-// MonitoringRow is one point of Figure 10: for a linear filter query with
-// the given event rate and selectivity, the initial slow-down of the
-// monitoring baseline relative to COSTREAM's initial placement, and the
-// monitoring time it needed to become competitive.
-type MonitoringRow struct {
-	EventRate   float64
-	Selectivity float64
-	// SlowdownX is Lp(monitoring initial) / Lp(COSTREAM initial).
-	SlowdownX float64
-	// OverheadS is the monitoring + migration time until the baseline's
-	// placement reached within 5% of COSTREAM's latency; negative means
-	// it never did within its budget.
-	OverheadS float64
-}
-
-// Exp2bResult reproduces Figure 10.
-type Exp2bResult struct {
-	Rows []MonitoringRow
-}
-
 // Exp2bMonitoring compares COSTREAM's initial placement against the online
 // monitoring baseline [1] over an event-rate x selectivity grid of linear
-// filter queries (Figure 10).
-func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
+// filter queries (Figure 10). Each row is one query: its event_rate and
+// selectivity, the slowdown Lp(monitoring initial) / Lp(COSTREAM initial),
+// and overhead_s, the monitoring and migration time until the baseline's
+// placement came within 5% of COSTREAM's latency, -1 when it never did
+// within its budget.
+func (s *Suite) Exp2bMonitoring() (*Table, error) {
 	coPred, err := s.Predictor()
 	if err != nil {
 		return nil, err
@@ -175,7 +141,7 @@ func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
 	rng := rand.New(rand.NewSource(556))
 	simCfg := s.simConfig()
 	mcfg := placement.DefaultMonitorConfig(simCfg)
-	res := &Exp2bResult{}
+	var rows []Row
 	for ri, rate := range rates {
 		for si, sel := range sels {
 			q := gen.FilterQuery(rate, sel)
@@ -192,49 +158,59 @@ func (s *Suite) Exp2bMonitoring() (*Exp2bResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := MonitoringRow{
-				EventRate:   rate,
-				Selectivity: sel,
-				SlowdownX:   measuredLp(steps[0].Metrics) / maxf(coLp, 1e-3),
-				OverheadS:   -1,
-			}
+			overhead := -1.0
 			for _, st := range steps {
 				if measuredLp(st.Metrics) <= coLp*1.05 {
-					row.OverheadS = st.ElapsedS
+					overhead = st.ElapsedS
 					break
 				}
 			}
-			res.Rows = append(res.Rows, row)
+			rows = append(rows, Row{N: 1, Values: []Value{
+				{"event_rate", rate},
+				{"selectivity", sel},
+				{"slowdown", measuredLp(steps[0].Metrics) / maxf(coLp, 1e-3)},
+				{"overhead_s", overhead},
+			}})
 		}
 	}
-	return res, nil
+	return exp2bTable(rows), nil
 }
 
-// SearchStrategyRow is one row of the Exp 2c search-strategy comparison:
-// for one strategy under the shared candidate budget, the median measured
-// Lp speed-up over the plain heuristic initial placement, the median
-// predicted Lp of the chosen placements, and the mean candidates scored.
-type SearchStrategyRow struct {
-	Strategy     string
-	N            int
-	MedSpeedup   float64
-	MedPredLp    float64
-	MeanExamined float64
-}
-
-// Exp2cResult extends Exp 2 beyond the paper: it compares the placement
-// search strategies (random sampling as in the paper, plus exhaustive,
-// beam and local search over the same learned cost model) under one
-// candidate budget on larger clusters, where blind sampling thins out.
-type Exp2cResult struct {
-	Budget int
-	Rows   []SearchStrategyRow
+// exp2bTable closes Figure 10 with the worst slow-down and the number of
+// queries whose baseline never caught up.
+func exp2bTable(rows []Row) *Table {
+	worst, never := 0.0, 0
+	for _, r := range rows {
+		if r.Get("slowdown") > worst {
+			worst = r.Get("slowdown")
+		}
+		if r.Get("overhead_s") < 0 {
+			never++
+		}
+	}
+	return &Table{Title: "[Exp 2b / Figure 10] Online monitoring baseline vs COSTREAM initial placement", Rows: rows,
+		Notes: []string{fmt.Sprintf("max slow-down %.1fx; %d/%d configurations never caught up", worst, never, len(rows))},
+		line: func(r Row) string {
+			over := fmt.Sprintf("%5.0fs", r.Get("overhead_s"))
+			if r.Get("overhead_s") < 0 {
+				over = "never"
+			}
+			return fmt.Sprintf("rate=%6.0f ev/s sel=%.2f slow-down=%7.2fx monitoring-overhead=%s",
+				r.Get("event_rate"), r.Get("selectivity"), r.Get("slowdown"), over)
+		}}
 }
 
 // Exp2cSearchStrategies runs every placement search strategy with the
 // COSTREAM predictor over a mixed-class query set on 8-14 host clusters
-// and reports per-strategy quality under a shared candidate budget.
-func (s *Suite) Exp2cSearchStrategies() (*Exp2cResult, error) {
+// and reports per-strategy quality under a shared candidate budget. It
+// extends Exp 2 beyond the paper: random sampling as in the paper, plus
+// exhaustive, beam and local search over the same learned cost model, on
+// clusters large enough for blind sampling to thin out. Each row is one
+// strategy over its n searched queries: speedup_p50, the median measured
+// Lp speed-up over the plain heuristic initial placement; pred_lp_p50_ms,
+// the median predicted Lp of the chosen placements; mean_examined, the
+// mean candidates scored; and the shared budget.
+func (s *Suite) Exp2cSearchStrategies() (*Table, error) {
 	coPred, err := s.Predictor()
 	if err != nil {
 		return nil, err
@@ -287,51 +263,26 @@ func (s *Suite) Exp2cSearchStrategies() (*Exp2cResult, error) {
 			counted[si]++
 		}
 	}
-	res := &Exp2cResult{Budget: budget}
+	var rows []Row
 	for si, strat := range strategies {
-		row := SearchStrategyRow{Strategy: strat.Name(), N: counted[si]}
+		var speedup, predicted, mean float64
 		if counted[si] > 0 {
-			row.MedSpeedup = qerror.Quantile(ratios[si], 0.5)
-			row.MedPredLp = qerror.Quantile(predLp[si], 0.5)
-			row.MeanExamined = float64(examined[si]) / float64(counted[si])
+			speedup = qerror.Quantile(ratios[si], 0.5)
+			predicted = qerror.Quantile(predLp[si], 0.5)
+			mean = float64(examined[si]) / float64(counted[si])
 		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, Row{Label: strat.Name(), N: counted[si], Values: []Value{
+			{"speedup_p50", speedup}, {"pred_lp_p50_ms", predicted}, {"mean_examined", mean}, {"budget", budget},
+		}})
 		s.Logf("exp2c %s done (n=%d)", strat.Name(), counted[si])
 	}
-	return res, nil
+	return exp2cTable(budget, rows), nil
 }
 
-// Table renders the strategy comparison as rows.
-func (r *Exp2cResult) Table() *Table {
-	t := &Table{Title: fmt.Sprintf(
-		"[Exp 2c] Placement search strategies on 8-14 host clusters (budget=%d candidates)", r.Budget)}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"%-13s median speed-up %6.2fx | median predicted Lp %8.1fms | mean examined %5.1f (n=%d)",
-			row.Strategy, row.MedSpeedup, row.MedPredLp, row.MeanExamined, row.N))
-	}
-	return t
-}
-
-// Table renders Figure 10 as rows.
-func (r *Exp2bResult) Table() *Table {
-	t := &Table{Title: "[Exp 2b / Figure 10] Online monitoring baseline vs COSTREAM initial placement"}
-	worst := 0.0
-	never := 0
-	for _, row := range r.Rows {
-		over := fmt.Sprintf("%5.0fs", row.OverheadS)
-		if row.OverheadS < 0 {
-			over = "never"
-			never++
-		}
-		if row.SlowdownX > worst {
-			worst = row.SlowdownX
-		}
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"rate=%6.0f ev/s sel=%.2f slow-down=%7.2fx monitoring-overhead=%s",
-			row.EventRate, row.Selectivity, row.SlowdownX, over))
-	}
-	t.Lines = append(t.Lines, fmt.Sprintf("max slow-down %.1fx; %d/%d configurations never caught up",
-		worst, never, len(r.Rows)))
-	return t
+func exp2cTable(budget int, rows []Row) *Table {
+	return &Table{Title: fmt.Sprintf("[Exp 2c] Placement search strategies on 8-14 host clusters (budget=%d candidates)", budget),
+		Rows: rows, line: func(r Row) string {
+			return fmt.Sprintf("%-13s median speed-up %6.2fx | median predicted Lp %8.1fms | mean examined %5.1f (n=%d)",
+				r.Label, r.Get("speedup_p50"), r.Get("pred_lp_p50_ms"), r.Get("mean_examined"), r.N)
+		}}
 }

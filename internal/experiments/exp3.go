@@ -5,34 +5,24 @@ import (
 	"costream/internal/dataset"
 )
 
-// Exp3Result reproduces Table IV: interpolation to hardware configurations
-// inside the training range but never seen during training.
-type Exp3Result struct {
-	Rows []MetricRow
-}
-
 // Exp3Interpolation evaluates the base models on queries executed on the
 // unseen in-range hardware grid of Table IV-A, drawn from the
-// "interpolation-hw" scenario of the registry.
-func (s *Suite) Exp3Interpolation() (*Exp3Result, error) {
+// "interpolation-hw" scenario of the registry (Table IV: interpolation to
+// hardware inside the training range but never seen during training).
+func (s *Suite) Exp3Interpolation() (*Table, error) {
 	eval, err := s.corpus("interpolation", func() (*dataset.Corpus, error) {
 		return s.scenarioCorpus("interpolation-hw", s.evalN(), 4100)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := s.compareRows(eval, core.AllMetrics(), 41)
+	rows, err := s.compareRows("", eval, core.AllMetrics(), 41)
 	if err != nil {
 		return nil, err
 	}
-	return &Exp3Result{Rows: rows}, nil
+	return exp3Table(rows), nil
 }
 
-// Table renders the result.
-func (r *Exp3Result) Table() *Table {
-	t := &Table{Title: "[Exp 3 / Table IV] Hardware interpolation (unseen in-range hardware)"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, row.format())
-	}
-	return t
+func exp3Table(rows []Row) *Table {
+	return &Table{Title: "[Exp 3 / Table IV] Hardware interpolation (unseen in-range hardware)", Rows: rows, line: metricLine}
 }

@@ -10,19 +10,6 @@ import (
 	"costream/internal/workload"
 )
 
-// ExtrapolationCell is one column of Table V: one hardware dimension
-// restricted during training and evaluated beyond the training range.
-type ExtrapolationCell struct {
-	Dimension string // RAM | CPU | Bandwidth | Latency
-	Direction string // stronger | weaker
-	Rows      []MetricRow
-}
-
-// Exp4Result reproduces Table V (A: stronger resources, B: weaker).
-type Exp4Result struct {
-	Cells []ExtrapolationCell
-}
-
 // extrapolationSpec mirrors the training/evaluation ranges of Table V.
 type extrapolationSpec struct {
 	dim       string
@@ -68,8 +55,11 @@ func exp4Specs() []extrapolationSpec {
 // graceful degradation, worst for slow networks — is preserved. The
 // cells' corpora are built at once, then all 40 fits run at once: each
 // depends only on its cell and metric, so the table does not depend on
-// GOMAXPROCS. A cell logs when its last fit is evaluated.
-func (s *Suite) Exp4Extrapolation() (*Exp4Result, error) {
+// GOMAXPROCS. A cell logs when its last fit is evaluated. Each cell of
+// Table V (A: stronger resources, B: weaker) is a group of the table,
+// "<dimension> towards <direction> resources", holding one row of
+// COSTREAM values per metric.
+func (s *Suite) Exp4Extrapolation() (*Table, error) {
 	specs := exp4Specs()
 	trainN := s.scaled(1200, 200)
 	seed := func(si int) int64 { return 5000 + int64(si)*17 }
@@ -108,22 +98,24 @@ func (s *Suite) Exp4Extrapolation() (*Exp4Result, error) {
 	}
 
 	metrics := core.AllMetrics()
-	res := &Exp4Result{Cells: make([]ExtrapolationCell, len(specs))}
+	rows := make([]Row, len(specs)*len(metrics))
 	left := make([]atomic.Int32, len(specs))
-	for si, spec := range specs {
-		res.Cells[si] = ExtrapolationCell{Dimension: spec.dim, Direction: spec.direction, Rows: make([]MetricRow, len(metrics))}
+	for si := range specs {
 		left[si].Store(int32(len(metrics)))
 	}
-	err = each(len(specs)*len(metrics), func(k int) error {
+	err = each(len(rows), func(k int) error {
 		si, mi := k/len(metrics), k%len(metrics)
 		m, c := metrics[mi], cells[si]
 		model, err := core.Train(c.train, c.val, m, s.smallTrainConfig(seed(si)+int64(m)))
 		if err != nil {
 			return err
 		}
-		if res.Cells[si].Rows[mi], err = evalOn(model, c.eval, m, seed(si)); err != nil {
+		vals, n, err := score("costream", model, c.eval, m, seed(si))
+		if err != nil {
 			return err
 		}
+		group := fmt.Sprintf("%s towards %s resources", specs[si].dim, specs[si].direction)
+		rows[k] = Row{Group: group, Label: m.String(), Values: vals, N: n}
 		if left[si].Add(-1) == 0 {
 			s.Logf("exp4 %s/%s done", specs[si].dim, specs[si].direction)
 		}
@@ -132,23 +124,15 @@ func (s *Suite) Exp4Extrapolation() (*Exp4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return exp4Table(rows), nil
 }
 
-// Table renders Table V.
-func (r *Exp4Result) Table() *Table {
-	t := &Table{Title: "[Exp 4 / Table V] Hardware extrapolation beyond the training range"}
-	for _, cell := range r.Cells {
-		t.Lines = append(t.Lines, fmt.Sprintf("%s towards %s resources:", cell.Dimension, cell.Direction))
-		for _, row := range cell.Rows {
-			if row.IsRegression {
-				t.Lines = append(t.Lines, fmt.Sprintf("  %-14s Q50=%6.2f Q95=%8.2f (n=%d)",
-					row.Metric, row.CoQ50, row.CoQ95, row.N))
-			} else {
-				t.Lines = append(t.Lines, fmt.Sprintf("  %-14s acc=%5.1f%% (n=%d)",
-					row.Metric, 100*row.CoAcc, row.N))
+func exp4Table(rows []Row) *Table {
+	return &Table{Title: "[Exp 4 / Table V] Hardware extrapolation beyond the training range", Rows: rows,
+		line: func(r Row) string {
+			if r.Has("costream_acc") {
+				return fmt.Sprintf("%-14s acc=%5.1f%% (n=%d)", r.Label, 100*r.Get("costream_acc"), r.N)
 			}
-		}
-	}
-	return t
+			return fmt.Sprintf("%-14s Q50=%6.2f Q95=%8.2f (n=%d)", r.Label, r.Get("costream_q50"), r.Get("costream_q95"), r.N)
+		}}
 }

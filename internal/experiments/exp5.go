@@ -9,18 +9,6 @@ import (
 	"costream/internal/scenario"
 )
 
-// ChainGroup is one column of Table VI-A: prediction quality on filter
-// chains of a given length, a query pattern absent from training data.
-type ChainGroup struct {
-	Filters int
-	Rows    []MetricRow
-}
-
-// Exp5aResult reproduces Table VI-A.
-type Exp5aResult struct {
-	Groups []ChainGroup
-}
-
 func (s *Suite) chainCorpus(n int) (*dataset.Corpus, error) {
 	return s.corpus(fmt.Sprintf("chains/%d", n), func() (*dataset.Corpus, error) {
 		cfg := scenario.FilterChainConfig(s.evalN(), 6000+int64(n), n)
@@ -31,49 +19,29 @@ func (s *Suite) chainCorpus(n int) (*dataset.Corpus, error) {
 
 // Exp5aUnseenPatterns evaluates the base models on 2/3/4-filter chains
 // (Table VI-A): the structure is unseen, so errors grow with chain length,
-// but COSTREAM stays far ahead of the flat-vector baseline.
-func (s *Suite) Exp5aUnseenPatterns() (*Exp5aResult, error) {
-	res := &Exp5aResult{}
+// but COSTREAM stays far ahead of the flat-vector baseline. Each chain
+// length is a group of the table, "<n>-filter chain".
+func (s *Suite) Exp5aUnseenPatterns() (*Table, error) {
+	var rows []Row
 	for _, n := range []int{2, 3, 4} {
 		eval, err := s.chainCorpus(n)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s.compareRows(eval, core.AllMetrics(), 60+int64(n))
+		group, err := s.compareRows(chainLabel(n), eval, core.AllMetrics(), 60+int64(n))
 		if err != nil {
 			return nil, err
 		}
-		res.Groups = append(res.Groups, ChainGroup{Filters: n, Rows: rows})
+		rows = append(rows, group...)
 	}
-	return res, nil
+	return exp5aTable(rows), nil
 }
 
-// Table renders Table VI-A.
-func (r *Exp5aResult) Table() *Table {
-	t := &Table{Title: "[Exp 5a / Table VI-A] Unseen query patterns (filter chains)"}
-	for _, g := range r.Groups {
-		t.Lines = append(t.Lines, fmt.Sprintf("%d-filter chain:", g.Filters))
-		for _, row := range g.Rows {
-			t.Lines = append(t.Lines, "  "+row.format())
-		}
-	}
-	return t
+func exp5aTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 5a / Table VI-A] Unseen query patterns (filter chains)", Rows: rows, line: metricLine}
 }
 
-// FineTuneRow is one group of Figure 11: throughput q-errors on a chain
-// length before and after few-shot fine-tuning.
-type FineTuneRow struct {
-	Filters              int
-	BeforeQ50, BeforeQ95 float64
-	AfterQ50, AfterQ95   float64
-}
-
-// Exp5bResult reproduces Figure 11.
-type Exp5bResult struct {
-	Rows []FineTuneRow
-	// ExtraQueries is the size of the fine-tuning corpus.
-	ExtraQueries int
-}
+func chainLabel(n int) string { return fmt.Sprintf("%d-filter chain", n) }
 
 // cloneModel deep-copies a trained cost model so fine-tuning does not
 // disturb the cached ensemble member.
@@ -91,8 +59,10 @@ func cloneModel(m *core.CostModel) (*core.CostModel, error) {
 
 // Exp5bFineTuning applies few-shot learning: the throughput model is
 // fine-tuned with a small corpus of filter-chain queries and re-evaluated
-// (Figure 11; the paper uses 3000 additional queries, scaled here).
-func (s *Suite) Exp5bFineTuning() (*Exp5bResult, error) {
+// (Figure 11; the paper uses 3000 additional queries, scaled here). Each
+// row is one chain length: the throughput q-error p50 and p95 before and
+// after fine-tuning, over the chain corpus's n successful traces.
+func (s *Suite) Exp5bFineTuning() (*Table, error) {
 	base, err := s.Ensemble(core.MetricThroughput)
 	if err != nil {
 		return nil, err
@@ -110,7 +80,6 @@ func (s *Suite) Exp5bFineTuning() (*Exp5bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Exp5bResult{ExtraQueries: ftCorpus.Len()}
 
 	// Measure "before" with the single member model (the paper fine-tunes
 	// its throughput model, not the ensemble).
@@ -134,6 +103,7 @@ func (s *Suite) Exp5bFineTuning() (*Exp5bResult, error) {
 	if err := tuned.FineTune(ftCorpus, ftCfg); err != nil {
 		return nil, err
 	}
+	var rows []Row
 	for _, n := range []int{2, 3, 4} {
 		eval, err := s.chainCorpus(n)
 		if err != nil {
@@ -144,22 +114,18 @@ func (s *Suite) Exp5bFineTuning() (*Exp5bResult, error) {
 			return nil, err
 		}
 		b := before[n]
-		res.Rows = append(res.Rows, FineTuneRow{
-			Filters:   n,
-			BeforeQ50: b[0], BeforeQ95: b[1],
-			AfterQ50: sum.Median, AfterQ95: sum.P95,
-		})
+		rows = append(rows, Row{Label: chainLabel(n), N: sum.N, Values: []Value{
+			{"before_q50", b[0]}, {"after_q50", sum.Median}, {"before_q95", b[1]}, {"after_q95", sum.P95},
+		}})
 	}
-	return res, nil
+	return exp5bTable(ftCorpus.Len(), rows), nil
 }
 
-// Table renders Figure 11.
-func (r *Exp5bResult) Table() *Table {
-	t := &Table{Title: fmt.Sprintf("[Exp 5b / Figure 11] Few-shot fine-tuning of the throughput model (%d extra queries)", r.ExtraQueries)}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf(
-			"%d-filter chain: Q50 %6.2f -> %6.2f | Q95 %8.2f -> %8.2f",
-			row.Filters, row.BeforeQ50, row.AfterQ50, row.BeforeQ95, row.AfterQ95))
-	}
-	return t
+// exp5bTable titles Figure 11 with the size of the fine-tuning corpus.
+func exp5bTable(extraQueries int, rows []Row) *Table {
+	return &Table{Title: fmt.Sprintf("[Exp 5b / Figure 11] Few-shot fine-tuning of the throughput model (%d extra queries)", extraQueries),
+		Rows: rows, line: func(r Row) string {
+			return fmt.Sprintf("%s: Q50 %6.2f -> %6.2f | Q95 %8.2f -> %8.2f",
+				r.Label, r.Get("before_q50"), r.Get("after_q50"), r.Get("before_q95"), r.Get("after_q95"))
+		}}
 }

@@ -7,23 +7,12 @@ import (
 	"costream/internal/workload"
 )
 
-// BenchmarkGroup is one column of Table VI-B: prediction quality on one
-// unseen real-world benchmark query.
-type BenchmarkGroup struct {
-	Benchmark string
-	Rows      []MetricRow
-}
-
-// Exp6Result reproduces Table VI-B.
-type Exp6Result struct {
-	Groups []BenchmarkGroup
-}
-
 // Exp6Benchmarks evaluates the base models on the DSPBench-style benchmark
 // queries (Advertisement, Spike Detection, Smart Grid global/local), each
-// executed evalN times with random event rates and placements.
-func (s *Suite) Exp6Benchmarks() (*Exp6Result, error) {
-	res := &Exp6Result{}
+// executed evalN times with random event rates and placements (Table
+// VI-B). Each benchmark is a group of the table.
+func (s *Suite) Exp6Benchmarks() (*Table, error) {
+	var rows []Row
 	for bi, id := range workload.AllBenchmarks() {
 		id := id
 		eval, err := s.corpus("benchmark/"+id.String(), func() (*dataset.Corpus, error) {
@@ -34,23 +23,15 @@ func (s *Suite) Exp6Benchmarks() (*Exp6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s.compareRows(eval, core.AllMetrics(), 70+int64(bi))
+		group, err := s.compareRows(id.String(), eval, core.AllMetrics(), 70+int64(bi))
 		if err != nil {
 			return nil, err
 		}
-		res.Groups = append(res.Groups, BenchmarkGroup{Benchmark: id.String(), Rows: rows})
+		rows = append(rows, group...)
 	}
-	return res, nil
+	return exp6Table(rows), nil
 }
 
-// Table renders Table VI-B.
-func (r *Exp6Result) Table() *Table {
-	t := &Table{Title: "[Exp 6 / Table VI-B] Unseen real-world benchmarks"}
-	for _, g := range r.Groups {
-		t.Lines = append(t.Lines, g.Benchmark+":")
-		for _, row := range g.Rows {
-			t.Lines = append(t.Lines, "  "+row.format())
-		}
-	}
-	return t
+func exp6Table(rows []Row) *Table {
+	return &Table{Title: "[Exp 6 / Table VI-B] Unseen real-world benchmarks", Rows: rows, line: metricLine}
 }

@@ -2,29 +2,19 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"costream/internal/core"
+	"costream/internal/qerror"
 )
-
-// AblationRow is one bar of Figure 12 or 13.
-type AblationRow struct {
-	Variant string
-	Metric  string
-	Q50     float64
-	Q95     float64
-}
-
-// Exp7aResult reproduces Figure 12: featurization ablation for E2E latency.
-type Exp7aResult struct {
-	Rows []AblationRow
-}
 
 // Exp7aFeatureAblation trains the E2E-latency model under the three
 // featurization schemes of Figure 12: query nodes only, +placement
 // structure (hardware-blind), and the full featurization. The three fits
-// run at once; rows stay in variant order.
-func (s *Suite) Exp7aFeatureAblation() (*Exp7aResult, error) {
+// run at once; rows stay in variant order. Each row is one variant's
+// test-set q50 and q95.
+func (s *Suite) Exp7aFeatureAblation() (*Table, error) {
 	train, val, test, err := s.BaseSplit()
 	if err != nil {
 		return nil, err
@@ -37,7 +27,7 @@ func (s *Suite) Exp7aFeatureAblation() (*Exp7aResult, error) {
 		{"+ placement (hardware-blind)", core.FeatPlacementOnly},
 		{"full featurization", core.FeatFull},
 	}
-	res := &Exp7aResult{Rows: make([]AblationRow, len(variants))}
+	rows := make([]Row, len(variants))
 	err = each(len(variants), func(vi int) error {
 		v := variants[vi]
 		cfg := s.smallTrainConfig(7100 + int64(vi))
@@ -50,49 +40,44 @@ func (s *Suite) Exp7aFeatureAblation() (*Exp7aResult, error) {
 		if err != nil {
 			return err
 		}
-		res.Rows[vi] = AblationRow{
-			Variant: v.name, Metric: core.MetricE2ELatency.String(),
-			Q50: sum.Median, Q95: sum.P95,
-		}
+		rows[vi] = ablationRow(v.name, sum)
 		s.Logf("exp7a %s done", v.name)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return exp7aTable(rows), nil
 }
 
-// Table renders Figure 12.
-func (r *Exp7aResult) Table() *Table {
-	t := &Table{Title: "[Exp 7a / Figure 12] Featurization ablation (E2E latency)"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf("%-30s Q50=%6.2f Q95=%8.2f", row.Variant, row.Q50, row.Q95))
-	}
-	return t
+func ablationRow(label string, sum qerror.Summary) Row {
+	return Row{Label: label, N: sum.N, Values: []Value{{"q50", sum.Median}, {"q95", sum.P95}}}
 }
 
-// Exp7bResult reproduces Figure 13: message passing scheme ablation.
-type Exp7bResult struct {
-	Rows []AblationRow
+func exp7aTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 7a / Figure 12] Featurization ablation (E2E latency)", Rows: rows,
+		line: func(r Row) string {
+			return fmt.Sprintf("%-30s Q50=%6.2f Q95=%8.2f", r.Label, r.Get("q50"), r.Get("q95"))
+		}}
 }
 
 // Exp7bMessagePassing compares the paper's directed three-phase message
 // passing against a traditional undirected scheme on the three regression
 // metrics (Figure 13). The six fits run at once; rows stay in metric
 // order, ours before traditional, and a metric logs when both are done.
-func (s *Suite) Exp7bMessagePassing() (*Exp7bResult, error) {
+// A row is labelled "<metric> <scheme>" (e2e-latency ours, …).
+func (s *Suite) Exp7bMessagePassing() (*Table, error) {
 	train, val, test, err := s.BaseSplit()
 	if err != nil {
 		return nil, err
 	}
 	metrics := []core.Metric{core.MetricE2ELatency, core.MetricProcLatency, core.MetricThroughput}
-	res := &Exp7bResult{Rows: make([]AblationRow, 2*len(metrics))}
+	rows := make([]Row, 2*len(metrics))
 	left := make([]atomic.Int32, len(metrics))
 	for mi := range left {
 		left[mi].Store(2)
 	}
-	err = each(len(res.Rows), func(k int) error {
+	err = each(len(rows), func(k int) error {
 		mi, trad := k/2, k%2 == 1
 		m := metrics[mi]
 		cfg := s.smallTrainConfig(7200 + int64(mi)*10)
@@ -109,10 +94,7 @@ func (s *Suite) Exp7bMessagePassing() (*Exp7bResult, error) {
 		if trad {
 			name = "traditional"
 		}
-		res.Rows[k] = AblationRow{
-			Variant: name, Metric: m.String(),
-			Q50: sum.Median, Q95: sum.P95,
-		}
+		rows[k] = ablationRow(m.String()+" "+name, sum)
 		if left[mi].Add(-1) == 0 {
 			s.Logf("exp7b %v done", m)
 		}
@@ -121,15 +103,13 @@ func (s *Suite) Exp7bMessagePassing() (*Exp7bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return exp7bTable(rows), nil
 }
 
-// Table renders Figure 13.
-func (r *Exp7bResult) Table() *Table {
-	t := &Table{Title: "[Exp 7b / Figure 13] Message passing ablation"}
-	for _, row := range r.Rows {
-		t.Lines = append(t.Lines, fmt.Sprintf("%-13s %-13s Q50=%6.2f Q95=%8.2f",
-			row.Metric, row.Variant, row.Q50, row.Q95))
-	}
-	return t
+func exp7bTable(rows []Row) *Table {
+	return &Table{Title: "[Exp 7b / Figure 13] Message passing ablation", Rows: rows,
+		line: func(r Row) string {
+			metric, scheme, _ := strings.Cut(r.Label, " ")
+			return fmt.Sprintf("%-13s %-13s Q50=%6.2f Q95=%8.2f", metric, scheme, r.Get("q50"), r.Get("q95"))
+		}}
 }

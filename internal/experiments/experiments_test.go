@@ -91,22 +91,22 @@ func TestSuiteCachesArtifacts(t *testing.T) {
 	}
 }
 
-func checkRow(t *testing.T, row MetricRow, context string) {
+func checkRow(t *testing.T, row Row, context string) {
 	t.Helper()
-	if row.IsRegression {
-		if row.CoQ50 < 1 || math.IsNaN(row.CoQ50) {
-			t.Errorf("%s %s: COSTREAM Q50 = %v, want >= 1", context, row.Metric, row.CoQ50)
+	if row.Has("costream_q50") {
+		if row.Get("costream_q50") < 1 || math.IsNaN(row.Get("costream_q50")) {
+			t.Errorf("%s %s: COSTREAM Q50 = %v, want >= 1", context, row.Label, row.Get("costream_q50"))
 		}
-		if row.CoQ95 < row.CoQ50 {
-			t.Errorf("%s %s: Q95 %v < Q50 %v", context, row.Metric, row.CoQ95, row.CoQ50)
+		if row.Get("costream_q95") < row.Get("costream_q50") {
+			t.Errorf("%s %s: Q95 %v < Q50 %v", context, row.Label, row.Get("costream_q95"), row.Get("costream_q50"))
 		}
 	} else {
-		if row.CoAcc < 0 || row.CoAcc > 1 {
-			t.Errorf("%s %s: accuracy %v out of [0,1]", context, row.Metric, row.CoAcc)
+		if row.Get("costream_acc") < 0 || row.Get("costream_acc") > 1 {
+			t.Errorf("%s %s: accuracy %v out of [0,1]", context, row.Label, row.Get("costream_acc"))
 		}
 	}
 	if row.N <= 0 {
-		t.Errorf("%s %s: N = %d", context, row.Metric, row.N)
+		t.Errorf("%s %s: N = %d", context, row.Label, row.N)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestExp1OverallShape(t *testing.T) {
 		checkRow(t, row, "exp1")
 	}
 	var buf bytes.Buffer
-	r.Table().WriteText(&buf)
+	r.WriteText(&buf)
 	if !strings.Contains(buf.String(), "Table III") {
 		t.Error("table rendering missing title")
 	}
@@ -137,14 +137,14 @@ func TestExp1HardwareAndQueryTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hw.Buckets) == 0 {
+	if len(hw.Rows) == 0 {
 		t.Fatal("no hardware buckets")
 	}
 	dims := map[string]bool{}
-	for _, b := range hw.Buckets {
-		dims[b.Dimension] = true
+	for _, b := range hw.Rows {
+		dims[b.Label] = true
 		if b.N <= 0 {
-			t.Errorf("bucket %s/%s empty", b.Dimension, b.Label)
+			t.Errorf("bucket %s/<=%.0f empty", b.Label, b.Get("upper_edge"))
 		}
 	}
 	for _, d := range []string{"cpu", "ram", "bandwidth", "latency"} {
@@ -159,8 +159,8 @@ func TestExp1HardwareAndQueryTypes(t *testing.T) {
 	if len(qt.Rows) != 6 {
 		t.Fatalf("query types rows = %d, want 6", len(qt.Rows))
 	}
-	qt.Table().WriteText(&bytes.Buffer{})
-	hw.Table().WriteText(&bytes.Buffer{})
+	qt.WriteText(&bytes.Buffer{})
+	hw.WriteText(&bytes.Buffer{})
 }
 
 func TestExp2aShape(t *testing.T) {
@@ -175,13 +175,13 @@ func TestExp2aShape(t *testing.T) {
 	}
 	for _, row := range r.Rows {
 		if row.N == 0 {
-			t.Errorf("%s: no optimized queries", row.Class)
+			t.Errorf("%s: no optimized queries", row.Label)
 		}
-		if row.CoSpeedup <= 0 || math.IsNaN(row.CoSpeedup) {
-			t.Errorf("%s: speedup %v", row.Class, row.CoSpeedup)
+		if row.Get("costream_speedup_p50") <= 0 || math.IsNaN(row.Get("costream_speedup_p50")) {
+			t.Errorf("%s: speedup %v", row.Label, row.Get("costream_speedup_p50"))
 		}
 	}
-	r.Table().WriteText(&bytes.Buffer{})
+	r.WriteText(&bytes.Buffer{})
 }
 
 func TestExp2bShape(t *testing.T) {
@@ -195,11 +195,11 @@ func TestExp2bShape(t *testing.T) {
 		t.Fatal("no monitoring rows")
 	}
 	for _, row := range r.Rows {
-		if row.SlowdownX <= 0 {
-			t.Errorf("slow-down %v at rate %v", row.SlowdownX, row.EventRate)
+		if row.Get("slowdown") <= 0 {
+			t.Errorf("slow-down %v at rate %v", row.Get("slowdown"), row.Get("event_rate"))
 		}
 	}
-	r.Table().WriteText(&bytes.Buffer{})
+	r.WriteText(&bytes.Buffer{})
 }
 
 func TestExp2cShape(t *testing.T) {
@@ -212,21 +212,22 @@ func TestExp2cShape(t *testing.T) {
 	if len(r.Rows) != 4 {
 		t.Fatalf("exp2c rows = %d, want 4 strategies", len(r.Rows))
 	}
-	if r.Budget <= 0 {
-		t.Errorf("budget %d", r.Budget)
-	}
 	for _, row := range r.Rows {
+		budget := row.Get("budget")
+		if budget <= 0 {
+			t.Errorf("budget %v", budget)
+		}
 		if row.N == 0 {
-			t.Errorf("%s: no searched queries", row.Strategy)
+			t.Errorf("%s: no searched queries", row.Label)
 		}
-		if row.MedSpeedup <= 0 || math.IsNaN(row.MedSpeedup) {
-			t.Errorf("%s: speed-up %v", row.Strategy, row.MedSpeedup)
+		if row.Get("speedup_p50") <= 0 || math.IsNaN(row.Get("speedup_p50")) {
+			t.Errorf("%s: speed-up %v", row.Label, row.Get("speedup_p50"))
 		}
-		if row.MeanExamined <= 0 || row.MeanExamined > float64(r.Budget) {
-			t.Errorf("%s: mean examined %v outside (0, %d]", row.Strategy, row.MeanExamined, r.Budget)
+		if row.Get("mean_examined") <= 0 || row.Get("mean_examined") > budget {
+			t.Errorf("%s: mean examined %v outside (0, %v]", row.Label, row.Get("mean_examined"), budget)
 		}
 	}
-	r.Table().WriteText(&bytes.Buffer{})
+	r.WriteText(&bytes.Buffer{})
 }
 
 func TestExp3Shape(t *testing.T) {
@@ -251,13 +252,11 @@ func TestExp5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Groups) != 3 {
-		t.Fatalf("chain groups = %d, want 3", len(r.Groups))
+	if len(r.groups()) != 3 {
+		t.Fatalf("chain groups = %d, want 3", len(r.groups()))
 	}
-	for _, g := range r.Groups {
-		for _, row := range g.Rows {
-			checkRow(t, row, "exp5a")
-		}
+	for _, row := range r.Rows {
+		checkRow(t, row, "exp5a")
 	}
 	ft, err := s.Exp5bFineTuning()
 	if err != nil {
@@ -267,11 +266,11 @@ func TestExp5Shape(t *testing.T) {
 		t.Fatalf("fine-tune rows = %d, want 3", len(ft.Rows))
 	}
 	for _, row := range ft.Rows {
-		if row.BeforeQ50 < 1 || row.AfterQ50 < 1 {
+		if row.Get("before_q50") < 1 || row.Get("after_q50") < 1 {
 			t.Errorf("q-errors below 1: %+v", row)
 		}
 	}
-	ft.Table().WriteText(&bytes.Buffer{})
+	ft.WriteText(&bytes.Buffer{})
 }
 
 func TestExp6Shape(t *testing.T) {
@@ -281,15 +280,13 @@ func TestExp6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Groups) != 4 {
-		t.Fatalf("benchmark groups = %d, want 4", len(r.Groups))
+	if len(r.groups()) != 4 {
+		t.Fatalf("benchmark groups = %d, want 4", len(r.groups()))
 	}
 	names := map[string]bool{}
-	for _, g := range r.Groups {
-		names[g.Benchmark] = true
-		for _, row := range g.Rows {
-			checkRow(t, row, "exp6/"+g.Benchmark)
-		}
+	for _, row := range r.Rows {
+		names[row.Group] = true
+		checkRow(t, row, "exp6/"+row.Group)
 	}
 	for _, want := range []string{"Advertisement", "Spike Detection", "Smart Grid (global)", "Smart Grid (local)"} {
 		if !names[want] {
@@ -315,32 +312,40 @@ func TestExp7Shape(t *testing.T) {
 	if len(b.Rows) != 6 {
 		t.Fatalf("exp7b rows = %d, want 6", len(b.Rows))
 	}
-	a.Table().WriteText(&bytes.Buffer{})
-	b.Table().WriteText(&bytes.Buffer{})
+	a.WriteText(&bytes.Buffer{})
+	b.WriteText(&bytes.Buffer{})
+}
+
+// e2eRow is an e2e-latency comparison row under group with the given
+// COSTREAM and FlatVector q50s.
+func e2eRow(group string, co, fl float64) Row {
+	return Row{Group: group, Label: "e2e-latency", N: 10, Values: []Value{{"costream_q50", co}, {"flatvec_q50", fl}}}
 }
 
 func TestFig1Aggregation(t *testing.T) {
-	e1 := &Exp1Result{Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 1.4, FlQ50: 13}}}
-	e3 := &Exp3Result{Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 1.6, FlQ50: 60}}}
-	e5 := &Exp5aResult{Groups: []ChainGroup{
-		{Filters: 2, Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 1.7, FlQ50: 260}}},
-		{Filters: 3, Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 2.2, FlQ50: 536}}},
-		{Filters: 4, Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 2.7, FlQ50: 538}}},
-	}}
-	e6 := &Exp6Result{Groups: []BenchmarkGroup{
-		{Benchmark: "A", Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 2.0, FlQ50: 1.3}}},
-		{Benchmark: "B", Rows: []MetricRow{{Metric: "e2e-latency", IsRegression: true, CoQ50: 1.4, FlQ50: 2.3}}},
-	}}
-	s := NewSuite(1)
-	fig := s.Fig1Summary(e1, e3, e5, e6)
-	if len(fig.Scenarios) != 4 {
-		t.Fatalf("scenarios = %d, want 4", len(fig.Scenarios))
+	e1 := exp1Table([]Row{e2eRow("", 1.4, 13)})
+	e3 := exp3Table([]Row{e2eRow("", 1.6, 60)})
+	e5 := exp5aTable([]Row{
+		e2eRow("2-filter chain", 1.7, 260),
+		e2eRow("3-filter chain", 2.2, 536),
+		e2eRow("4-filter chain", 2.7, 538),
+	})
+	e6 := exp6Table([]Row{
+		e2eRow("A", 2.0, 1.3),
+		e2eRow("B", 1.4, 2.3),
+	})
+	fig, err := Fig1Summary(e1, e3, e5, e6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fig.Scenarios[0].CoQ50 != 1.4 || fig.Scenarios[1].CoQ50 != 1.6 {
+	if len(fig.Rows) != 4 {
+		t.Fatalf("scenarios = %d, want 4", len(fig.Rows))
+	}
+	if fig.Rows[0].Get("costream_q50") != 1.4 || fig.Rows[1].Get("costream_q50") != 1.6 {
 		t.Error("seen/unseen-hardware values wrong")
 	}
-	if fig.Scenarios[2].CoQ50 != 2.2 {
-		t.Errorf("unseen-queries median = %v, want 2.2", fig.Scenarios[2].CoQ50)
+	if fig.Rows[2].Get("costream_q50") != 2.2 {
+		t.Errorf("unseen-queries median = %v, want 2.2", fig.Rows[2].Get("costream_q50"))
 	}
-	fig.Table().WriteText(&bytes.Buffer{})
+	fig.WriteText(&bytes.Buffer{})
 }

@@ -9,9 +9,9 @@ import (
 	"costream/internal/par"
 )
 
-// RunAll executes every experiment of the paper, writes the rendered
-// tables to w (when non-nil) and returns them for further processing
-// (e.g. the Markdown report of cmd/costream-expts -md).
+// RunAll executes every experiment of the paper, writes each table's text
+// view to w (when non-nil) and returns the tables for further processing
+// (e.g. their Markdown view, cmd/costream-expts -md).
 //
 //   - Up to GOMAXPROCS experiments run at once, started in paper order.
 //     Each is deterministic (fixed seeds, single-flight shared
@@ -24,31 +24,37 @@ import (
 //     failure in paper order and its error as "<name>: <err>". Those
 //     tables are all w receives: nothing from the failed experiment on
 //     is written.
-//   - Figure 1 aggregates Exp 1, 3, 5a and 6 and is rendered last.
+//   - Figure 1 reads the e2e-latency rows of Exp 1, 3, 5a and 6 and is
+//     written last; a missing row fails it as "fig1: <err>".
 func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
-	var e1 *Exp1Result
-	var e3 *Exp3Result
-	var e5 *Exp5aResult
-	var e6 *Exp6Result
-	tables, err := runSteps([]step{
-		tableStep("exp1-overall", s.Exp1Overall, &e1),
-		tableStep("exp1-hardware", s.Exp1Hardware, nil),
-		tableStep("exp1-querytypes", s.Exp1QueryTypes, nil),
-		tableStep("exp2a-placement", s.Exp2aPlacement, nil),
-		tableStep("exp2b-monitoring", s.Exp2bMonitoring, nil),
-		tableStep("exp2c-search", s.Exp2cSearchStrategies, nil),
-		tableStep("exp3-interpolation", s.Exp3Interpolation, &e3),
-		tableStep("exp4-extrapolation", s.Exp4Extrapolation, nil),
-		tableStep("exp5a-unseen-patterns", s.Exp5aUnseenPatterns, &e5),
-		tableStep("exp5b-finetuning", s.Exp5bFineTuning, nil),
-		tableStep("exp6-benchmarks", s.Exp6Benchmarks, &e6),
-		tableStep("exp7a-feature-ablation", s.Exp7aFeatureAblation, nil),
-		tableStep("exp7b-message-passing", s.Exp7bMessagePassing, nil),
-	}, 0, w, s.Logf)
+	steps := []step{
+		{"exp1-overall", s.Exp1Overall},
+		{"exp1-hardware", s.Exp1Hardware},
+		{"exp1-querytypes", s.Exp1QueryTypes},
+		{"exp2a-placement", s.Exp2aPlacement},
+		{"exp2b-monitoring", s.Exp2bMonitoring},
+		{"exp2c-search", s.Exp2cSearchStrategies},
+		{"exp3-interpolation", s.Exp3Interpolation},
+		{"exp4-extrapolation", s.Exp4Extrapolation},
+		{"exp5a-unseen-patterns", s.Exp5aUnseenPatterns},
+		{"exp5b-finetuning", s.Exp5bFineTuning},
+		{"exp6-benchmarks", s.Exp6Benchmarks},
+		{"exp7a-feature-ablation", s.Exp7aFeatureAblation},
+		{"exp7b-message-passing", s.Exp7bMessagePassing},
+	}
+	tables, err := runSteps(steps, 0, w, s.Logf)
 	if err != nil {
 		return tables, err
 	}
-	fig := s.Fig1Summary(e1, e3, e5, e6).Table()
+	byName := map[string]*Table{}
+	for i, st := range steps {
+		byName[st.name] = tables[i]
+	}
+	fig, err := Fig1Summary(byName["exp1-overall"], byName["exp3-interpolation"],
+		byName["exp5a-unseen-patterns"], byName["exp6-benchmarks"])
+	if err != nil {
+		return tables, fmt.Errorf("fig1: %w", err)
+	}
 	if w != nil {
 		fig.WriteText(w)
 	}
@@ -60,21 +66,6 @@ func (s *Suite) RunAll(w io.Writer) ([]*Table, error) {
 type step struct {
 	name string
 	run  func() (*Table, error)
-}
-
-// tableStep turns an experiment runner into a step. A non-nil keep also
-// receives the result, for the figures that aggregate it.
-func tableStep[R interface{ Table() *Table }](name string, run func() (R, error), keep *R) step {
-	return step{name, func() (*Table, error) {
-		r, err := run()
-		if err != nil {
-			return nil, err
-		}
-		if keep != nil {
-			*keep = r
-		}
-		return r.Table(), nil
-	}}
 }
 
 // runSteps runs steps under the contract RunAll documents: up to workers

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the COSTREAM
 // paper's evaluation (Section VII): one runner per experiment, shared
-// lazily-trained artifacts (corpora, model ensembles, baselines), and
-// plain-text report rendering. cmd/costream-expts drives these runners
-// (Suite.RunAll).
+// lazily-trained artifacts (corpora, model ensembles, baselines), and the
+// report. Every runner returns a Table of typed rows (named values and an
+// n per row); the plain-text and Markdown reports are two views of those
+// rows. cmd/costream-expts drives these runners (Suite.RunAll).
 package experiments
 
 import (
@@ -14,6 +15,7 @@ import (
 	"costream/internal/flatvec"
 	"costream/internal/gbdt"
 	"costream/internal/par"
+	"costream/internal/placement"
 	"costream/internal/scenario"
 	"costream/internal/sim"
 )
@@ -184,6 +186,16 @@ func (s *Suite) Ensemble(m core.Metric) (*core.Ensemble, error) {
 		}
 		return pr[m], nil
 	})
+}
+
+// ensemblePredictor returns the COSTREAM ensemble for m as a predictor
+// of that metric alone.
+func (s *Suite) ensemblePredictor(m core.Metric) (placement.Predictor, error) {
+	e, err := s.Ensemble(m)
+	if err != nil {
+		return nil, err
+	}
+	return e.Predictor(), nil
 }
 
 // FlatModel returns the flat-vector baseline model for a metric, trained
