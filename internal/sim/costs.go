@@ -5,15 +5,21 @@
 // throughput, processing latency, end-to-end latency, backpressure
 // occurrence and query success.
 //
-// The engine advances a fluid-flow model in fixed time steps. Operators
-// have bounded input queues; hosts share CPU among co-located operators by
-// water-filling; network links are capacity-constrained; window state
-// consumes memory which induces GC slowdown and, beyond physical RAM,
-// query crashes. These mechanisms reproduce the causal structure behind
-// the paper's measurements (Sections IV and VI).
+// One noise-free function, demand, holds the steady-state load model: what
+// a placement asks of each operator's host at the plan's derived rates
+// (per-tuple cost, GC multiplier, cross-host bits), each host's memory
+// pressure and whether the query crashes. The engine is built from it,
+// adds per-operator cost noise, and advances a fluid-flow model in fixed
+// time steps. Operators have bounded input queues; hosts share CPU among
+// co-located operators by water-filling; network links are
+// capacity-constrained; window state consumes memory which induces GC
+// slowdown and, beyond physical RAM, query crashes. These mechanisms
+// reproduce the causal structure behind the paper's measurements
+// (Sections IV and VI).
 package sim
 
 import (
+	"costream/internal/hardware"
 	"costream/internal/stream"
 )
 
@@ -189,4 +195,72 @@ func gcPauseMS(pressure float64) float64 {
 		frac = 1
 	}
 	return gcMaxPauseMS * frac
+}
+
+// load is the steady-state demand of a placement at the plan's derived
+// rates, without noise. Operator i processes tuples at its in-rate (r.In,
+// and a source its own emission rate r.Out), so it needs
+// in × baseUS × gc / 1e6 cores and sends bits per second to other hosts.
+// A noise-free run measures this, to rounding, while every used host stays
+// under its cores and its outgoing bandwidth.
+type load struct {
+	baseUS   []float64 // per-tuple cost, reference-core µs, before noise and GC
+	gc       []float64 // GC cost multiplier of the operator's host
+	outRatio []float64 // tuples emitted per processed tuple
+	remote   []float64 // consumers on another host, each sent its own copy
+	bits     []float64 // cross-host bits per second, all copies
+	// Per host of the cluster, idle ones included: used memory over the
+	// worker heap, fixed for the run by the window extents.
+	memPressure []float64
+	crashed     bool // a used host is past crashPressure
+}
+
+// demand returns the load of placement p of q on c at rates r, in two
+// allocations: the per-operator slices, and the host pressures, which a
+// run's Metrics keep. A host's memory is its base footprint plus, for
+// each operator placed there in index order, an executor's overhead and
+// the window state; an idle host crashes no query. The step loop charges
+// bits per step in the same form, with the tuples processed in place of
+// the in-rate.
+func demand(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates) load {
+	n := len(q.Ops)
+	floats := make([]float64, 5*n)
+	l := load{
+		baseUS: carve(&floats, n), gc: carve(&floats, n), outRatio: carve(&floats, n),
+		remote: carve(&floats, n), bits: carve(&floats, n), memPressure: make([]float64, len(c.Hosts)),
+	}
+	for _, edge := range q.Edges {
+		if p[edge[0]] != p[edge[1]] {
+			l.remote[edge[0]]++
+		}
+	}
+	for h := range c.Hosts {
+		l.memPressure[h] = hostBaseMemBytes
+	}
+	for i, h := range p {
+		l.memPressure[h] += perOpMemBytes + stateBytes(q, r, i)
+	}
+	for h, host := range c.Hosts {
+		l.memPressure[h] /= host.RAMBytes() * heapFraction
+	}
+	for i, h := range p {
+		l.crashed = l.crashed || l.memPressure[h] > crashPressure
+		l.baseUS[i] = perTupleCostUS(q, r, i)
+		l.gc[i] = gcSlowdown(l.memPressure[h])
+		in := inRate(q, r, i)
+		if in > 0 {
+			l.outRatio[i] = r.Out[i] / in
+		}
+		l.bits[i] = in * l.outRatio[i] * r.TupleBytes[i] * bitsPerByte * l.remote[i]
+	}
+	return l
+}
+
+// inRate is the rate at which operator i processes tuples in steady state:
+// r.In, and for a source its own emission rate.
+func inRate(q *stream.Query, r *stream.Rates, i int) float64 {
+	if q.Ops[i].Type == stream.OpSource {
+		return r.Out[i]
+	}
+	return r.In[i]
 }

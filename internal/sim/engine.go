@@ -147,14 +147,15 @@ type engine struct {
 	p     Placement
 	rates *stream.Rates
 	cfg   Config
-	rng   *rand.Rand
 
-	order    []int     // topological order of operators
-	downs    [][]int   // consumers per operator, in edge order (Query.Downstream)
-	remote   []int     // consumers per operator placed on another host
-	costUS   []float64 // noisy per-tuple cost incl. GC slowdown
-	outRatio []float64 // emitted per processed tuple
-	queue    []float64 // input queue length (tuples)
+	// The placement's noise-free load: out ratios, remote consumers, host
+	// memory pressure and the crash verdict are read as they are.
+	load
+
+	order  []int     // topological order of operators
+	downs  [][]int   // consumers per operator, in edge order (Query.Downstream)
+	costUS []float64 // noisy per-tuple cost incl. GC slowdown
+	queue  []float64 // input queue length (tuples)
 
 	// The hosts that run an operator, built once per run; a step visits
 	// only these, so it costs O(operators) at any cluster size. Group g is
@@ -169,10 +170,6 @@ type engine struct {
 	// Broker state, one stream per source operator; indexed by operator.
 	sourceIdx []int
 	backlog   []float64
-
-	// Memory.
-	memPressure []float64 // per host of the cluster, idle ones included
-	crashed     bool      // a host that runs an operator is past crashPressure
 
 	// Measurement accumulators, indexed by operator (backlogStart and
 	// backlogAcc are read for sources only).
@@ -192,24 +189,26 @@ type engine struct {
 	active      []int
 }
 
+// newEngine builds a run from demand's load of the placement: it adds
+// only the topology (topological order, consumer lists, sources), the
+// grouping of the operators by host and the noise draw, one log-normal
+// factor per operator in index order, giving the step loop's cost
+// baseUS × noise × gc in that order.
 func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates, cfg Config) *engine {
 	n := len(q.Ops)
 	order, _ := q.TopoOrder()
-	floats, ints := make([]float64, 13*n), make([]int, 4*n)
+	floats, ints := make([]float64, 12*n), make([]int, 3*n)
 	e := &engine{
 		q: q, c: c, p: p, rates: r, cfg: cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		load:         demand(q, c, p, r),
 		order:        order,
 		downs:        make([][]int, n),
-		remote:       carve(&ints, n),
 		start:        make([]int, 1, n+1),
 		members:      carve(&ints, n)[:0],
 		group:        carve(&ints, n),
 		costUS:       carve(&floats, n),
-		outRatio:     carve(&floats, n),
 		queue:        carve(&floats, n),
 		backlog:      carve(&floats, n),
-		memPressure:  make([]float64, len(c.Hosts)),
 		procAcc:      carve(&floats, n),
 		emitAcc:      carve(&floats, n),
 		queueAcc:     carve(&floats, n),
@@ -223,9 +222,6 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 	}
 	for _, edge := range q.Edges {
 		e.downs[edge[0]] = append(e.downs[edge[0]], edge[1])
-		if p[edge[0]] != p[edge[1]] {
-			e.remote[edge[0]]++
-		}
 	}
 	e.sourceIdx = q.Sources()
 
@@ -248,34 +244,10 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 		e.start = append(e.start, len(e.members))
 	}
 
-	// Memory pressure per host from window state of the operators placed
-	// there; determined by logical extents, fixed for the run. An idle host
-	// holds only its base footprint and crashes no query.
-	for h, host := range c.Hosts {
-		e.memPressure[h] = hostBaseMemBytes / (host.RAMBytes() * heapFraction)
-	}
-	for g, h := range e.hosts {
-		used := float64(hostBaseMemBytes)
-		for _, i := range e.members[e.start[g]:e.start[g+1]] {
-			used += perOpMemBytes + stateBytes(q, r, i)
-		}
-		e.memPressure[h] = used / (c.Hosts[h].RAMBytes() * heapFraction)
-		if e.memPressure[h] > crashPressure {
-			e.crashed = true
-		}
-	}
-
-	// Per-operator noisy costs with GC slowdown baked in.
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := range q.Ops {
-		noise := math.Exp(e.rng.NormFloat64() * cfg.NoiseStd)
-		e.costUS[i] = perTupleCostUS(q, r, i) * noise * gcSlowdown(e.memPressure[p[i]])
-		in := r.In[i]
-		if q.Ops[i].Type == stream.OpSource {
-			in = r.Out[i] // sources "process" their own emission stream
-		}
-		if in > 0 {
-			e.outRatio[i] = r.Out[i] / in
-		}
+		noise := math.Exp(rng.NormFloat64() * cfg.NoiseStd)
+		e.costUS[i] = e.baseUS[i] * noise * e.gc[i]
 	}
 	return e
 }
@@ -435,12 +407,13 @@ func (e *engine) run() *Metrics {
 			}
 			// Network: every cross-host downstream consumes sender
 			// bandwidth separately (one copy of the stream per remote
-			// consumer). For the paper's tree-shaped plans (exactly one
-			// consumer, enforced by Query.Validate) this reduces exactly
-			// to the single-edge charge.
+			// consumer): demand's bits, per step. For the paper's
+			// tree-shaped plans (exactly one consumer, enforced by
+			// Query.Validate) this reduces exactly to the single-edge
+			// charge.
 			if remote := e.remote[i]; remote > 0 {
 				g := e.group[i]
-				bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * float64(remote)
+				bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * remote
 				if bits > netBudget[g] {
 					scale := 0.0
 					if bits > 0 {
@@ -490,7 +463,7 @@ func (e *engine) crashMetrics() *Metrics {
 		Success:         false,
 		Crashed:         true,
 		Backpressured:   true, // a dying pipeline stops consuming
-		HostMemPressure: append([]float64(nil), e.memPressure...),
+		HostMemPressure: e.memPressure,
 		PerOp:           make([]OpStats, len(e.q.Ops)),
 	}
 	for i := range e.q.Ops {
@@ -506,7 +479,7 @@ func (e *engine) crashMetrics() *Metrics {
 func (e *engine) finish() *Metrics {
 	n := len(e.q.Ops)
 	m := &Metrics{
-		HostMemPressure: append([]float64(nil), e.memPressure...),
+		HostMemPressure: e.memPressure,
 		PerOp:           make([]OpStats, n),
 	}
 	mt := e.measTime

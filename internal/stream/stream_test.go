@@ -2,7 +2,9 @@ package stream
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -362,12 +364,14 @@ func TestUpstreamDownstream(t *testing.T) {
 
 // TestEdgeUnmarshalJSON: an edge decodes from exactly two JSON integers
 // in the int range, as encoding/json reads an int, and from nothing else.
+// The range's end is the platform's: MaxInt is the largest index accepted
+// and MaxInt+1, written out in decimal, the first refused.
 func TestEdgeUnmarshalJSON(t *testing.T) {
 	for text, want := range map[string]Edge{
-		`[0,1]`:                   {0, 1},
-		` [ 3 ,	12 ] `:            {3, 12},
-		"[-0,\n-7]":               {0, -7},
-		`[9223372036854775807,0]`: {math.MaxInt64, 0},
+		`[0,1]`:                            {0, 1},
+		` [ 3 ,	12 ] `:                     {3, 12},
+		"[-0,\n-7]":                        {0, -7},
+		fmt.Sprintf("[%d,0]", math.MaxInt): {math.MaxInt, 0},
 	} {
 		var e Edge
 		if err := e.UnmarshalJSON([]byte(text)); err != nil || e != want {
@@ -377,7 +381,7 @@ func TestEdgeUnmarshalJSON(t *testing.T) {
 	for _, text := range []string{
 		``, `null`, `[]`, `[0]`, `[0,1,99]`, `[0,1,"x"]`, `[0,null]`, `[0,1.0]`, `[0,1e0]`,
 		`[01,1]`, `[+1,1]`, `[-,1]`, `[0 1]`, `[0,1]]`, `[0,1],`, `{}`, `"[0,1]"`,
-		`[9223372036854775808,0]`, `[0,[1]]`,
+		"[" + strconv.FormatUint(math.MaxInt+1, 10) + ",0]", `[0,[1]]`,
 	} {
 		var e Edge
 		err := e.UnmarshalJSON([]byte(text))
