@@ -12,7 +12,10 @@
 //
 // Predict responses are cached in a bounded LRU, a miss is scored on the
 // request's own goroutine like a one-placement /v1/predict-batch, and
-// total in-flight model work is bounded by a semaphore.
+// total in-flight model work is bounded by a semaphore. Every
+// /v1/predict and /v1/optimize response names its request in an
+// X-Costream-Trace header, and that request's stage timings are the
+// costream_http_stage_seconds histograms on /metrics.
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 package main
 
@@ -21,7 +24,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -47,7 +49,6 @@ func main() {
 		idleTO      = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection (0 disables)")
 		maxBody     = flag.Int64("max-body", serve.DefaultMaxRequestBytes, "max request body bytes; larger bodies are answered 413")
 		pprofAddr   = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")
-		traceLog    = flag.Bool("trace-log", false, "log one structured trace record per instrumented request (debug level)")
 		ctrlTick    = flag.Duration("control-interval", 15*time.Second, "placement control-loop tick interval (0 disables the loop; /v1/control/tick still works)")
 	)
 	flag.Parse()
@@ -68,16 +69,11 @@ func main() {
 
 	obs.StartPprof(*pprofAddr, log.Printf)
 
-	var logger *slog.Logger
-	if *traceLog {
-		logger = obs.NewLogger("costream-serve", slog.LevelDebug, nil)
-	}
 	srv, err := serve.New(serve.Config{
 		Predictor:       pred,
 		CacheSize:       *cacheSize,
 		MaxInFlight:     *maxInFlight,
 		ModelInfo:       prov,
-		Logger:          logger,
 		MaxRequestBytes: *maxBody,
 	})
 	if err != nil {

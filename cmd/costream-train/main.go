@@ -78,7 +78,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	trainIdx, valIdx, _ := dataset.SplitIndices(src.Count(), 0.8, 0.1, *seed)
+	trainIdx, valIdx, _ := dataset.SplitIndices(src.Len(), 0.8, 0.1, *seed)
 	cfg := core.DefaultTrainConfig(*seed)
 	cfg.Epochs = *epochs
 	cfg.Hidden = *hidden
@@ -131,7 +131,7 @@ func run() error {
 	prov := artifact.Provenance{
 		CreatedAt:    time.Now().UTC(),
 		TrainSeed:    *seed,
-		CorpusSize:   src.Count(),
+		CorpusSize:   src.Len(),
 		Epochs:       *epochs,
 		EnsembleSize: members,
 		Hidden:       width,

@@ -8,8 +8,8 @@
 //
 //   - Policy is the pure decision kernel: given one Deployment and a
 //     cluster View it observes live metrics through a MetricFeed,
-//     classifies violations (drift via placement.RecordQErrors q-error
-//     divergence, dead or cordoned hosts, observed failures), re-optimizes
+//     classifies violations (drift by the q-errors Observe records,
+//     dead or cordoned hosts, observed failures), re-optimizes
 //     with the search engine warm-started from the incumbent
 //     (placement.WarmStart) and gates migrations through
 //     placement.Hysteresis. Hosts that may not run operators — cordoned
@@ -30,10 +30,12 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"costream/internal/hardware"
 	"costream/internal/placement"
+	"costream/internal/qerror"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -244,20 +246,34 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 
 // Observe runs d's incumbent placement on cluster c through feed, with
 // effQ as the query under current load, and compares what it observes
-// with the costs predicted when the placement was activated
-// (placement.RecordQErrors). The decision it returns carries the
-// observation only — Observed, both q-errors, the predicted and the
-// observed processing latency — and no violation or action: judging the
-// observation is Heal's. The metrics come back beside it. d is not
-// written.
+// with the costs predicted when the placement was activated: the
+// throughput and processing-latency q-errors (qerror.Q), which it records
+// in costream_monitor_qerror, a failed run's too. The decision it returns
+// carries the observation only — Observed, both q-errors, the predicted
+// and the observed processing latency — and no violation or action:
+// judging the observation is Heal's. The metrics come back beside it. d
+// is not written.
 func Observe(d *Deployment, c *hardware.Cluster, effQ *stream.Query, feed MetricFeed) (Decision, *sim.Metrics, error) {
 	obs, err := feed.Observe(effQ, c, d.Placement)
 	if err != nil {
 		return Decision{}, nil, fmt.Errorf("controlplane: observing %s: %w", d.ID, err)
 	}
-	qT, qL := placement.RecordQErrors(d.Predicted, obs)
+	qT := qerror.Q(obs.ThroughputTPS, d.Predicted.ThroughputTPS)
+	qL := qerror.Q(obs.ProcLatencyMS, d.Predicted.ProcLatencyMS)
+	m := met()
+	m.qerrThroughput.Record(milli(qT))
+	m.qerrProcLatency.Record(milli(qL))
 	return Decision{Observed: true, QErrThroughput: qT, QErrProcLatency: qL,
 		PredLatencyMS: d.Predicted.ProcLatencyMS, ObsLatencyMS: obs.ProcLatencyMS}, obs, nil
+}
+
+// milli converts a q-error to costream_monitor_qerror's milli-units. A
+// q-error past the int64 range (+Inf too) saturates into the top bucket.
+func milli(q float64) int64 {
+	if v := q * 1e3; v < math.MaxInt64 {
+		return int64(v)
+	}
+	return math.MaxInt64
 }
 
 // Heal runs one monitor -> detect -> re-optimize -> migrate pass over d

@@ -9,13 +9,16 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"costream/internal/hardware"
+	"costream/internal/obs"
 	"costream/internal/placement"
+	"costream/internal/qerror"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -835,5 +838,65 @@ func BenchmarkControlTick(b *testing.B) {
 		if _, err := pl.Tick(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// qerrSample reads one costream_monitor_qerror sample off the default
+// registry's exposition, 0 when the line is absent (an empty bucket is
+// not written).
+func qerrSample(t *testing.T, sample string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "costream_monitor_qerror"+sample+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestObserveRecordsFailedRuns: a failed run reports zero throughput,
+// and its q-error is recorded like any other observation's.
+func TestObserveRecordsFailedRuns(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	d := deployFor(t, q, c)
+	const count = `_count{metric="throughput"}`
+	before := qerrSample(t, count)
+	dec, _, err := Observe(d, c, q, &stubFeed{metrics: sim.Metrics{Success: false}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := qerrSample(t, count) - before; got != 1 {
+		t.Errorf("a failed observation added %d throughput q-error samples, want 1", got)
+	}
+	if want := qerror.Q(0, d.Predicted.ThroughputTPS); dec.QErrThroughput != want {
+		t.Errorf("throughput q-error %g, want qerror.Q's %g", dec.QErrThroughput, want)
+	}
+}
+
+// TestObserveSaturatesHugeQError: a q-error past the int64 range in
+// milli-units lands in the top bucket, not in the le="0" one.
+func TestObserveSaturatesHugeQError(t *testing.T) {
+	q, c := testQuery(), testCluster()
+	d := deployFor(t, q, c)
+	d.Predicted.ProcLatencyMS = 1e17
+	const zero, count = `_bucket{metric="proc_latency",le="0"}`, `_count{metric="proc_latency"}`
+	zeroBefore, countBefore := qerrSample(t, zero), qerrSample(t, count)
+	feed := &stubFeed{metrics: sim.Metrics{ThroughputTPS: 1, ProcLatencyMS: 1, Success: true}}
+	if _, _, err := Observe(d, c, q, feed); err != nil {
+		t.Fatal(err)
+	}
+	if got := qerrSample(t, count) - countBefore; got != 1 {
+		t.Errorf("%d latency q-error samples added, want 1", got)
+	}
+	if got := qerrSample(t, zero) - zeroBefore; got != 0 {
+		t.Errorf("a q-error of 1e17 added %d samples at le=\"0\", want 0", got)
 	}
 }

@@ -15,6 +15,11 @@ type cpMetrics struct {
 	suppressed  *obs.Counter
 	tickSeconds *obs.Histogram
 
+	// qerrThroughput and qerrProcLatency are costream_monitor_qerror:
+	// the q-errors of every observation Observe makes, in milli-units.
+	qerrThroughput  *obs.Histogram
+	qerrProcLatency *obs.Histogram
+
 	// violations holds one counter per Violation* kind, the only kinds
 	// Policy.Heal reports.
 	violations map[string]*obs.Counter
@@ -33,6 +38,12 @@ var met = sync.OnceValue(func() *cpMetrics {
 			"control-loop tick latency", 1e-9),
 		violations: map[string]*obs.Counter{},
 	}
+	qerr := func(metric string) *obs.Histogram {
+		return r.Histogram("costream_monitor_qerror",
+			"observed-vs-predicted q-error of deployed placements, fed by the control plane",
+			1e-3, "metric", metric)
+	}
+	m.qerrThroughput, m.qerrProcLatency = qerr("throughput"), qerr("proc_latency")
 	for _, kind := range []string{
 		ViolationUndeployed, ViolationDeadHost, ViolationCordonedHost,
 		ViolationObservedFailure, ViolationQErrorDrift,

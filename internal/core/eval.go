@@ -100,7 +100,7 @@ func EvaluateClassificationBalanced(p placement.Predictor, src dataset.Source, m
 	if metric != MetricBackpressure && metric != MetricSuccess {
 		return 0, 0, fmt.Errorf("core: %v is not a classification metric", metric)
 	}
-	labels := make([]bool, 0, src.Count())
+	labels := make([]bool, 0, src.Len())
 	err = src.Iter(func(i int, tr *dataset.Trace) error {
 		labels = append(labels, metric.Label(tr.Metrics))
 		return nil

@@ -31,11 +31,8 @@ type Corpus struct {
 	Traces []*Trace `json:"traces"`
 }
 
-// Len returns the number of traces.
+// Len implements Source: the number of traces.
 func (c *Corpus) Len() int { return len(c.Traces) }
-
-// Count implements Source.
-func (c *Corpus) Count() int { return len(c.Traces) }
 
 // Iter implements Source: it visits every trace in index order. The
 // callback's error aborts the iteration and is returned.
@@ -53,7 +50,7 @@ func (c *Corpus) Iter(fn func(i int, tr *Trace) error) error {
 // implementations may release each trace after the callback returns, so
 // consumers that need O(1)-trace memory must not retain them.
 type Source interface {
-	Count() int
+	Len() int
 	Iter(fn func(i int, tr *Trace) error) error
 }
 
@@ -184,24 +181,37 @@ func buildRange(cfg BuildConfig, lo, hi int) ([]*Trace, error) {
 	return traces, nil
 }
 
-// TraceSeed derives the workload-generator seed of trace i in a corpus
-// built with the given corpus seed. Exported so other samplers (the
-// scenario registry's QuerySampler, the fleet simulator) can reproduce
-// exactly the query of trace i without building a corpus.
-func TraceSeed(corpusSeed int64, i int) int64 {
+// traceSeed derives the workload-generator seed of trace i in a corpus
+// built with the given corpus seed.
+func traceSeed(corpusSeed int64, i int) int64 {
 	return corpusSeed*1_000_003 + int64(i)
 }
 
-func buildOne(cfg BuildConfig, i int) (*Trace, error) {
+// TraceQuery returns the query of trace i of the corpus cfg describes,
+// Build(cfg).Traces[i].Query for any N > i, without building the
+// corpus. The scenario registry's QuerySampler, and through it the fleet
+// simulator, draws its queries here.
+func TraceQuery(cfg BuildConfig, i int) *stream.Query {
+	q, _ := traceQuery(cfg, i)
+	return q
+}
+
+// traceQuery is the one definition of the query of trace i: the first
+// draw of the trace's own generator, through QueryFn when set. The
+// generator comes back too, for the rest of the trace.
+func traceQuery(cfg BuildConfig, i int) (*stream.Query, *workload.Generator) {
 	genCfg := cfg.Gen
-	genCfg.Seed = TraceSeed(cfg.Seed, i)
+	genCfg.Seed = traceSeed(cfg.Seed, i)
 	g := workload.New(genCfg)
-	var q *stream.Query
 	if cfg.QueryFn != nil {
-		q = cfg.QueryFn(g, i)
-	} else {
-		q = g.Query()
+		return cfg.QueryFn(g, i), g
 	}
+	return g.Query(), g
+}
+
+func buildOne(cfg BuildConfig, i int) (*Trace, error) {
+	q, g := traceQuery(cfg, i)
+	seed := traceSeed(cfg.Seed, i)
 	var c *hardware.Cluster
 	if cfg.ClusterFn != nil {
 		c = cfg.ClusterFn(g, i)
@@ -213,13 +223,13 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid cluster: %w", err)
 	}
-	rng := rand.New(rand.NewSource(genCfg.Seed ^ 0x9E3779B9))
+	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
 	p, err := placement.RandomValid(rng, q, c)
 	if err != nil {
 		return nil, err
 	}
 	simCfg := cfg.Sim
-	simCfg.Seed = genCfg.Seed ^ 0x51ED2701
+	simCfg.Seed = seed ^ 0x51ED2701
 	m, err := sim.Run(q, c, p, simCfg)
 	if err != nil {
 		return nil, err

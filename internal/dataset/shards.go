@@ -191,8 +191,8 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Count implements Source: the number of traces the corpus targets.
-func (s *Store) Count() int { return s.Manifest.N }
+// Len implements Source: the number of traces the corpus targets.
+func (s *Store) Len() int { return s.Manifest.N }
 
 // Missing returns the indices of shards an interrupted StreamBuild has
 // not written yet; empty means the store is complete.
@@ -266,7 +266,7 @@ func (s *Store) iterShard(sh ShardMeta, fn func(i int, tr *Trace) error) error {
 // Load materializes the whole store into an in-memory Corpus. Prefer Iter
 // for large corpora.
 func (s *Store) Load() (*Corpus, error) {
-	c := &Corpus{Traces: make([]*Trace, 0, s.Count())}
+	c := &Corpus{Traces: make([]*Trace, 0, s.Len())}
 	err := s.Iter(func(i int, tr *Trace) error {
 		c.Traces = append(c.Traces, tr)
 		return nil

@@ -68,7 +68,7 @@ func TestStreamBuildMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Count() != cfg.N || st2.Manifest.Seed != cfg.Seed || st2.Manifest.Scenario != "test" {
+	if st2.Len() != cfg.N || st2.Manifest.Seed != cfg.Seed || st2.Manifest.Scenario != "test" {
 		t.Fatalf("reopened manifest differs: %+v", st2.Manifest)
 	}
 	// Per-shard metadata adds up.
@@ -212,7 +212,7 @@ func TestOpenStoreRejectsZeroShardSize(t *testing.T) {
 	}
 	st, err := OpenStore(dir)
 	if err == nil {
-		t.Fatalf("zero-shard-size store opened: Complete=%t Count=%d", st.Complete(), st.Count())
+		t.Fatalf("zero-shard-size store opened: Complete=%t Len=%d", st.Complete(), st.Len())
 	}
 	if !strings.Contains(err.Error(), "shard_size") {
 		t.Errorf("error %q does not name shard_size", err)

@@ -1,15 +1,16 @@
 // Package obs is the repo's zero-dependency observability core: a named
 // metrics registry (atomic counters, float gauges, log-bucketed
 // histograms with sharded, allocation-free hot-path recording),
-// Prometheus text-format exposition, lightweight pipeline spans with
-// request-scoped trace IDs, structured logging helpers, a JSONL run-log
-// writer for training telemetry, and a shared pprof listener.
+// Prometheus text-format exposition, a JSONL run-log writer for training
+// telemetry, and a shared pprof listener.
 //
 // The paper's premise is that predicted costs must track observed costs;
 // this package is where "observed" comes from in production. Every layer
 // records into a Registry — the serving HTTP layer, the placement search
-// engine, the online monitor and the training loop — and one
-// GET /metrics endpoint (Registry.Handler) exposes the lot.
+// engine, the control plane's q-error monitor and the training loop — and
+// one GET /metrics endpoint (Registry.Handler) exposes the lot. A request
+// is traced the same way: its stage timings are histogram samples, so
+// there is no separate span or log record to keep.
 //
 // Design constraints, in order:
 //

@@ -6,46 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestSpanStagesAndID(t *testing.T) {
-	sp := StartSpan("predict")
-	if len(sp.ID()) != 16 {
-		t.Fatalf("trace ID %q, want 16 hex digits", sp.ID())
-	}
-	sp.Stage("decode")
-	time.Sleep(2 * time.Millisecond)
-	d := sp.Stage("infer")
-	if d < 2*time.Millisecond {
-		t.Fatalf("infer stage %v, want >= 2ms", d)
-	}
-	total := sp.End()
-	if total < d {
-		t.Fatalf("total %v < stage %v", total, d)
-	}
-	st := sp.stages
-	if len(st) != 2 || st[0].Name != "decode" || st[1].Name != "infer" {
-		t.Fatalf("stages = %+v", st)
-	}
-	str := sp.String()
-	for _, want := range []string{"predict", "id=", "decode=", "infer=", "total="} {
-		if !strings.Contains(str, want) {
-			t.Errorf("String() = %q missing %q", str, want)
-		}
-	}
-}
-
-func TestSpanIDsUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		id := StartSpan("x").ID()
-		if seen[id] {
-			t.Fatalf("duplicate trace ID %s", id)
-		}
-		seen[id] = true
-	}
-}
 
 func TestRunLogAppendsJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")

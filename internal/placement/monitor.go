@@ -3,11 +3,8 @@ package placement
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"costream/internal/hardware"
-	"costream/internal/obs"
-	"costream/internal/qerror"
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
@@ -98,53 +95,6 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 	}
 	return steps, nil
 }
-
-// RecordQErrors compares a live placement's observed runtime statistics
-// against the costs predicted when it was activated, records both
-// divergences into the costream_monitor_qerror families of the default
-// registry, and returns the throughput and processing-latency q-errors
-// (each >= 1). The control plane's drift detector is built on this.
-func RecordQErrors(pred PredCosts, observed *sim.Metrics) (qThroughput, qProcLatency float64) {
-	met := monitorMet()
-	recordQError(met.qerrLatency, pred.ProcLatencyMS, observed.ProcLatencyMS)
-	recordQError(met.qerrThroughput, pred.ThroughputTPS, observed.ThroughputTPS)
-	return qerror.Q(observed.ThroughputTPS, pred.ThroughputTPS),
-		qerror.Q(observed.ProcLatencyMS, pred.ProcLatencyMS)
-}
-
-// recordQError records max(pred/obs, obs/pred) in milli-units (the
-// histogram exposes base units via scale 1e-3), skipping non-positive
-// pairs where the ratio is undefined.
-func recordQError(h *obs.Histogram, pred, observed float64) {
-	if pred <= 0 || observed <= 0 {
-		return
-	}
-	qerr := pred / observed
-	if qerr < 1 {
-		qerr = 1 / qerr
-	}
-	h.Record(int64(qerr * 1e3))
-}
-
-// monitorMetrics holds the q-error histograms RecordQErrors feeds in
-// the default registry.
-type monitorMetrics struct {
-	qerrLatency    *obs.Histogram
-	qerrThroughput *obs.Histogram
-}
-
-var monitorMet = sync.OnceValue(func() *monitorMetrics {
-	r := obs.Default()
-	qerr := func(metric string) *obs.Histogram {
-		return r.Histogram("costream_monitor_qerror",
-			"observed-vs-predicted q-error of deployed placements, fed by the control plane",
-			1e-3, "metric", metric)
-	}
-	return &monitorMetrics{
-		qerrLatency:    qerr("proc_latency"),
-		qerrThroughput: qerr("throughput"),
-	}
-})
 
 func better(a, b *sim.Metrics) bool {
 	if a.Success != b.Success {

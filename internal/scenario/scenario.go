@@ -49,25 +49,17 @@ func All() []Scenario { return slices.Clone(registry) }
 
 // QuerySampler resolves the named recipe into a deterministic per-index
 // query sampler: sampler(i) is exactly the query of trace i in a corpus
-// built from this scenario with the same seed (same per-trace seed
-// derivation, same QueryFn override). The fleet simulator draws its
-// deployed workloads through this, so a scenario-registry name in a
-// fleet-scenario file fully identifies the query mix.
+// built from this scenario with the same seed (dataset.TraceQuery). The
+// fleet simulator draws its deployed workloads through this, so a
+// scenario-registry name in a fleet-scenario file fully identifies the
+// query mix.
 func QuerySampler(name string, seed int64) (func(i int) *stream.Query, error) {
 	s, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
 	cfg := s.Make(1, seed)
-	return func(i int) *stream.Query {
-		genCfg := cfg.Gen
-		genCfg.Seed = dataset.TraceSeed(seed, i)
-		g := workload.New(genCfg)
-		if cfg.QueryFn != nil {
-			return cfg.QueryFn(g, i)
-		}
-		return g.Query()
-	}, nil
+	return func(i int) *stream.Query { return dataset.TraceQuery(cfg, i) }, nil
 }
 
 // base returns the common build-config skeleton: the Section VI training

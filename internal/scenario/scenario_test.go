@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,5 +148,31 @@ func TestFilterChainAndBenchmarkHelpers(t *testing.T) {
 	}
 	if bc.Len() != 1 {
 		t.Fatal("benchmark corpus empty")
+	}
+}
+
+// TestQuerySamplerMatchesBuild holds QuerySampler to its promise: for
+// every scenario, sampler(i) is the query of trace i of the corpus Build
+// makes from the same recipe and seed.
+func TestQuerySamplerMatchesBuild(t *testing.T) {
+	const n, seed = 4, 11
+	for _, s := range All() {
+		sample, err := QuerySampler(s.Name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := s.Make(n, seed)
+		// A short run: Sim is the caller's to change, and the query is
+		// drawn before it runs.
+		cfg.Sim.DurationS, cfg.Sim.WarmupS = 20, 4
+		c, err := dataset.Build(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		for i, tr := range c.Traces {
+			if q := sample(i); !reflect.DeepEqual(q, tr.Query) {
+				t.Errorf("%s: sampler(%d) is not trace %d's query:\n%+v\nvs\n%+v", s.Name, i, i, q, tr.Query)
+			}
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"costream/internal/nn"
@@ -16,15 +19,12 @@ var routeNames = []string{"predict", "predict_batch", "optimize", "example", "he
 	"deployments_create", "deployments_list", "deployments_get", "deployments_delete",
 	"hosts", "hosts_cordon", "hosts_uncordon", "hosts_drain", "control_tick"}
 
-// stageNames lists, per traced route, the span stages promoted to
-// costream_http_stage_seconds histograms.
-var stageNames = map[string][]string{
-	"predict":  {"read", "cache", "decode", "score", "encode"},
-	"optimize": {"decode", "search", "encode"},
-}
+// predictStages and optimizeStages are the costream_http_stage_seconds
+// series of the two traced routes, one per stage, in the order a request
+// runs them. A request that stops early records only the stages it ran.
+type predictStages struct{ read, cache, decode, score, encode *obs.Histogram }
 
-// stageKey names one costream_http_stage_seconds series.
-type stageKey struct{ route, stage string }
+type optimizeStages struct{ decode, search, encode *obs.Histogram }
 
 // serveMetrics is the server's view into its metrics registry: per-route
 // request counters and latency histograms, per-stage latency histograms
@@ -35,16 +35,23 @@ type serveMetrics struct {
 	requests map[string]*obs.Counter
 	errors   map[string]*obs.Counter
 	latency  map[string]*obs.Histogram
-	stages   map[stageKey]*obs.Histogram
+	predict  predictStages
+	optimize optimizeStages
 	rejected *obs.Counter
 }
 
 func newServeMetrics(r *obs.Registry) *serveMetrics {
+	stage := func(route, name string) *obs.Histogram {
+		return r.Histogram("costream_http_stage_seconds",
+			"time spent per request stage, by route and stage", 1e-9, "route", route, "stage", name)
+	}
 	m := &serveMetrics{
 		requests: make(map[string]*obs.Counter, len(routeNames)),
 		errors:   make(map[string]*obs.Counter, len(routeNames)),
 		latency:  make(map[string]*obs.Histogram, len(routeNames)),
-		stages:   make(map[stageKey]*obs.Histogram),
+		predict: predictStages{stage("predict", "read"), stage("predict", "cache"),
+			stage("predict", "decode"), stage("predict", "score"), stage("predict", "encode")},
+		optimize: optimizeStages{stage("optimize", "decode"), stage("optimize", "search"), stage("optimize", "encode")},
 		rejected: r.Counter("costream_http_rejected_total",
 			"requests rejected with 503 because the in-flight limit stayed saturated past the queue timeout"),
 	}
@@ -55,18 +62,38 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 			"HTTP responses with status >= 400, by route", "route", route)
 		m.latency[route] = r.Histogram("costream_http_request_seconds",
 			"HTTP request handling time, by route", 1e-9, "route", route)
-		for _, stage := range stageNames[route] {
-			m.stages[stageKey{route, stage}] = r.Histogram("costream_http_stage_seconds",
-				"time spent per request stage, by route and stage", 1e-9, "route", route, "stage", stage)
-		}
 	}
 	return m
 }
 
-// stage closes the span's current stage as name and records its
-// duration under costream_http_stage_seconds{route=<span name>}.
-func (s *Server) stage(sp *obs.Span, name string) {
-	s.met.stages[stageKey{sp.Name(), name}].Record(int64(sp.Stage(name)))
+// stageClock times the stages of one traced request on the handler's
+// stack: lap closes the stage that ran since the previous lap (or the
+// start) and records its duration in h, that stage's histogram.
+type stageClock struct{ mark time.Time }
+
+func (c *stageClock) lap(h *obs.Histogram) {
+	now := time.Now()
+	h.Record(int64(now.Sub(c.mark)))
+	c.mark = now
+}
+
+// traceSeed decorrelates trace IDs across process restarts; traceCtr
+// makes them unique within a process. Neither is cryptographic — a trace
+// ID is a correlation handle, not a secret.
+var (
+	traceSeed = uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15
+	traceCtr  atomic.Uint64
+)
+
+// newTraceID returns a fresh request trace ID, 16 hex digits: the
+// X-Costream-Trace header of a traced route's response.
+func newTraceID() string {
+	id := (traceSeed + traceCtr.Add(1)) * 0xBF58476D1CE4E5B9 // splitmix64-style mix
+	var raw [8]byte
+	var b [16]byte
+	binary.BigEndian.PutUint64(raw[:], id^id>>31)
+	hex.Encode(b[:], raw[:])
+	return string(b[:])
 }
 
 // registerFuncs exposes the server's live state through scrape-time

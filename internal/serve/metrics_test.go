@@ -78,7 +78,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 }
 
-// TestStageHistograms checks the span stages land in
+// TestStageHistograms checks the stage laps land in
 // costream_http_stage_seconds: a miss records every predict stage, a hit
 // only the two it runs, and optimize its three.
 func TestStageHistograms(t *testing.T) {
@@ -91,22 +91,55 @@ func TestStageHistograms(t *testing.T) {
 		}
 	}
 	postOptimize(t, s, OptimizeRequest{Query: q, Cluster: c, Candidates: 8})
-	want := map[stageKey]int64{
+	want := map[[2]string]int64{
 		{"predict", "read"}: 2, {"predict", "cache"}: 2,
 		{"predict", "decode"}: 1, {"predict", "score"}: 1, {"predict", "encode"}: 1,
 		{"optimize", "decode"}: 1, {"optimize", "search"}: 1, {"optimize", "encode"}: 1,
 	}
-	if len(s.met.stages) != len(want) {
-		t.Errorf("%d stage series registered, want %d", len(s.met.stages), len(want))
+	text := doJSON(t, s, http.MethodGet, "/metrics", nil).Body.String()
+	counts := regexp.MustCompile(`(?m)^costream_http_stage_seconds_count\{route="(\w+)",stage="(\w+)"\} (\d+)$`).FindAllStringSubmatch(text, -1)
+	if len(counts) != len(want) {
+		t.Errorf("%d stage series exposed, want %d:\n%s", len(counts), len(want), text)
 	}
-	for key, n := range want {
-		if got := s.met.stages[key].Count(); got != n {
-			t.Errorf("stage %v recorded %d times, want %d", key, got, n)
+	for _, m := range counts {
+		n, _ := strconv.ParseInt(m[3], 10, 64)
+		if key := [2]string{m[1], m[2]}; n != want[key] {
+			t.Errorf("stage %v recorded %d times, want %d", key, n, want[key])
 		}
 	}
-	text := doJSON(t, s, http.MethodGet, "/metrics", nil).Body.String()
-	if !strings.Contains(text, `costream_http_stage_seconds_count{route="predict",stage="cache"} 2`) {
-		t.Errorf("exposition lacks the predict cache stage count:\n%s", text)
+}
+
+// TestStageClockLaps: a lap records the time since the previous lap into
+// the histogram it names, and only into that one.
+func TestStageClockLaps(t *testing.T) {
+	r := obs.NewRegistry()
+	first, second := r.Histogram("a", "", 1e-9), r.Histogram("b", "", 1e-9)
+	clk := stageClock{time.Now()}
+	clk.lap(first)
+	time.Sleep(2 * time.Millisecond)
+	clk.lap(second)
+	a, b := first.Snapshot(), second.Snapshot()
+	if a.Count != 1 || b.Count != 1 {
+		t.Fatalf("lap counts %d and %d, want 1 each", a.Count, b.Count)
+	}
+	if b.Sum < int64(2*time.Millisecond) {
+		t.Errorf("second lap %v, want >= 2ms", time.Duration(b.Sum))
+	}
+	if a.Sum >= b.Sum {
+		t.Errorf("first lap %v not shorter than the 2ms one %v", time.Duration(a.Sum), time.Duration(b.Sum))
+	}
+}
+
+// TestTraceIDsUnique: every trace ID is 16 hex digits and none repeats.
+func TestTraceIDsUnique(t *testing.T) {
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	seen := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		id := newTraceID()
+		if !hex16.MatchString(id) || seen[id] {
+			t.Fatalf("trace ID %d is %q: malformed or repeated", i, id)
+		}
+		seen[id] = true
 	}
 }
 
@@ -174,7 +207,11 @@ func TestOptimizeDebugStanza(t *testing.T) {
 		t.Fatalf("debug stanza present without opting in: %+v", plain.Debug)
 	}
 
-	dbg := postOptimize(t, s, OptimizeRequest{Query: q, Cluster: c, Candidates: 8, Debug: true})
+	w := doJSON(t, s, http.MethodPost, "/v1/optimize", OptimizeRequest{Query: q, Cluster: c, Candidates: 8, Debug: true})
+	var dbg OptimizeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &dbg); w.Code != http.StatusOK || err != nil {
+		t.Fatalf("optimize status %d (%v): %s", w.Code, err, w.Body)
+	}
 	if dbg.Debug == nil {
 		t.Fatal("debug stanza missing")
 	}
@@ -183,6 +220,9 @@ func TestOptimizeDebugStanza(t *testing.T) {
 	}
 	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(dbg.Debug.TraceID) {
 		t.Errorf("debug trace ID %q", dbg.Debug.TraceID)
+	}
+	if h := w.Header().Get("X-Costream-Trace"); dbg.Debug.TraceID != h {
+		t.Errorf("debug trace ID %q, X-Costream-Trace %q: want one ID", dbg.Debug.TraceID, h)
 	}
 	fresh := 0
 	for _, rs := range dbg.Debug.Rounds {

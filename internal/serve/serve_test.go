@@ -354,7 +354,8 @@ type replayBody struct{ bytes.Reader }
 func (*replayBody) Close() error { return nil }
 
 // TestPredictHitAllocations pins the server side of a cache hit —
-// ServeHTTP down to the Write — at 20 heap objects.
+// ServeHTTP down to the Write — at 5 heap objects: the body's
+// http.MaxBytesReader, the trace ID and the three response header values.
 func TestPredictHitAllocations(t *testing.T) {
 	s := newTestServer(t, Config{})
 	data := s.example
@@ -371,14 +372,19 @@ func TestPredictHitAllocations(t *testing.T) {
 		t.Fatalf("priming request: status %d, cache %q: %s", w.status, w.header.Get("X-Costream-Cache"), w.body)
 	}
 	filled := bytes.Clone(w.body)
-	allocs := testing.AllocsPerRun(200, send)
+	// The race detector makes sync.Pool drop items at random, so take the
+	// cheapest of many single requests rather than an average.
+	allocs := math.Inf(1)
+	for range 50 {
+		allocs = min(allocs, testing.AllocsPerRun(1, send))
+	}
 	if w.status != http.StatusOK || w.header.Get("X-Costream-Cache") != "hit" || !bytes.Equal(w.body, filled) {
 		t.Fatalf("measured request: status %d, cache %q, body %s, want a hit equal to %s",
 			w.status, w.header.Get("X-Costream-Cache"), w.body, filled)
 	}
 	t.Logf("%.1f allocations per hit", allocs)
-	if allocs > 20 {
-		t.Errorf("%.1f allocations per cache hit, want <= 20", allocs)
+	if allocs > 5 {
+		t.Errorf("%.1f allocations per cache hit, want <= 5", allocs)
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -93,9 +92,6 @@ type Config struct {
 	// placement-search and inference families recorded elsewhere in the
 	// process appear on the same scrape).
 	Registry *obs.Registry
-	// Logger, when set, receives structured request traces (one debug
-	// record per instrumented request, with per-stage timings).
-	Logger *slog.Logger
 	// MaxRequestBytes caps request body size; larger bodies are rejected
 	// with 413. <= 0 selects DefaultMaxRequestBytes.
 	MaxRequestBytes int64
@@ -128,7 +124,6 @@ type Server struct {
 	queueTimeout time.Duration
 	maxBody      int64
 	met          *serveMetrics
-	logger       *slog.Logger
 	plane        *controlplane.Plane
 	// example is the precomputed /v1/example response body: the sample
 	// request is deterministic (fixed seed), so it is built once.
@@ -169,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		queueTimeout: DefaultQueueTimeout,
 		maxBody:      maxBody,
 		met:          newServeMetrics(reg),
-		logger:       cfg.Logger,
 	}
 	s.plane = cfg.ControlPlane
 	if s.plane == nil {
@@ -277,14 +271,6 @@ func (s *Server) score(w http.ResponseWriter, r *http.Request, q *stream.Query, 
 	return out, true
 }
 
-// logSpan emits one structured trace record for a finished span.
-func (s *Server) logSpan(sp *obs.Span) {
-	if s.logger == nil {
-		return
-	}
-	s.logger.Debug("request trace", "span", sp.String())
-}
-
 // Request / response schemas. Query, cluster and placement use the same
 // JSON shapes as the trace corpus written by costream-datagen.
 
@@ -375,7 +361,8 @@ type OptimizeResponse struct {
 // OptimizeDebug is the opt-in search telemetry stanza of an optimize
 // response.
 type OptimizeDebug struct {
-	// TraceID is the request's span ID (also in X-Costream-Trace).
+	// TraceID is the request's trace ID, also its X-Costream-Trace
+	// header.
 	TraceID string `json:"trace_id"`
 	// Rounds holds one entry per generate->score->prune round.
 	Rounds []placement.RoundStats `json:"rounds"`
@@ -500,20 +487,19 @@ func validatePair(q *stream.Query, c *hardware.Cluster) error {
 // a miss decodes (readPredict), validates and scores the request. Only
 // 200 responses are stored.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	sp := obs.StartSpan("predict")
-	defer func() { sp.End(); s.logSpan(sp) }()
-	w.Header().Set("X-Costream-Trace", sp.ID())
+	clk := stageClock{time.Now()}
+	w.Header().Set("X-Costream-Trace", newTraceID())
 	body, err := readBody(r)
 	if err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
 	defer releaseBody(body)
-	s.stage(sp, "read")
+	clk.lap(s.met.predict.read)
 
 	key := newCacheKey(body.Bytes())
 	hit, ok := s.cache.get(key)
-	s.stage(sp, "cache")
+	clk.lap(s.met.predict.cache)
 	if ok {
 		w.Header().Set("X-Costream-Cache", "hit")
 		writeBody(w, http.StatusOK, hit)
@@ -533,10 +519,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid placement: %v", err)
 		return
 	}
-	s.stage(sp, "decode")
+	clk.lap(s.met.predict.decode)
 
 	costs, ok := s.score(w, r, req.Query, req.Cluster, []sim.Placement{req.Placement}, func(int) string { return "" })
-	s.stage(sp, "score")
+	clk.lap(s.met.predict.score)
 	if !ok {
 		return
 	}
@@ -547,7 +533,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.cache.add(key, out)
 	w.Header().Set("X-Costream-Cache", "miss")
 	writeBody(w, http.StatusOK, out)
-	s.stage(sp, "encode")
+	clk.lap(s.met.predict.encode)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
@@ -581,9 +567,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	sp := obs.StartSpan("optimize")
-	defer func() { sp.End(); s.logSpan(sp) }()
-	w.Header().Set("X-Costream-Trace", sp.ID())
+	clk, traceID := stageClock{time.Now()}, newTraceID()
+	w.Header().Set("X-Costream-Trace", traceID)
 	req, ok := decodeBody(s, w, r, readOptimize)
 	if !ok {
 		return
@@ -635,7 +620,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	s.stage(sp, "decode")
+	clk.lap(s.met.optimize.decode)
 	if err := s.acquire(); err != nil {
 		s.writeSaturated(w)
 		return
@@ -647,7 +632,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		placement.Budget{MaxCandidates: k, MaxRounds: req.Rounds},
 		placement.SearchOptions{Seed: seed, Telemetry: req.Debug})
 	s.release()
-	s.stage(sp, "search")
+	clk.lap(s.met.optimize.search)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client is gone; nobody reads this response.
@@ -669,10 +654,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Seed:      seed,
 	}
 	if req.Debug {
-		resp.Debug = &OptimizeDebug{TraceID: sp.ID(), Rounds: res.Telemetry}
+		resp.Debug = &OptimizeDebug{TraceID: traceID, Rounds: res.Telemetry}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-	s.stage(sp, "encode")
+	clk.lap(s.met.optimize.encode)
 }
 
 // buildExample renders a deterministic, ready-to-POST predict request
