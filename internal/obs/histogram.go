@@ -75,15 +75,24 @@ func bucketUpper(i int) float64 {
 	return float64((uint64(1) << i) - 1)
 }
 
-// Record adds one observation. Negative values clamp to zero. Safe for
-// any number of concurrent recorders; zero allocations.
+// Record adds one observation. Negative values clamp to zero, and the
+// sum saturates at MaxInt64. Safe for any number of concurrent recorders;
+// zero allocations.
 func (h *Histogram) Record(v int64) {
 	sh := h.pool.Get().(*histShard)
-	sh.counts[bucketIndex(v)].Add(1)
-	if v > 0 {
-		sh.sum.Add(v)
-	}
+	sh.record(v)
 	h.pool.Put(sh)
+}
+
+// record adds v to the shard. The sum only grows, so an Add that leaves
+// it negative has passed MaxInt64 and stores MaxInt64, which stands: a
+// later Add wraps it negative and stores the same. Snapshot reads a sum
+// caught in between as MaxInt64.
+func (sh *histShard) record(v int64) {
+	sh.counts[bucketIndex(v)].Add(1)
+	if v > 0 && sh.sum.Add(v) < 0 {
+		sh.sum.Store(math.MaxInt64)
+	}
 }
 
 // Since records the elapsed time from start until now, in nanoseconds.
@@ -98,9 +107,10 @@ type HistSnapshot struct {
 	Count  int64
 }
 
-// Snapshot sums all shards. Concurrent Records may or may not be
-// included; the result is internally consistent enough for monitoring
-// (each bucket count is exact at some instant during the call).
+// Snapshot sums all shards, the sum saturating at MaxInt64. Concurrent
+// Records may or may not be included; the result is internally
+// consistent enough for monitoring (each bucket count is exact at some
+// instant during the call).
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.shards {
@@ -108,7 +118,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		for b := 0; b < histBuckets; b++ {
 			s.Counts[b] += sh.counts[b].Load()
 		}
-		s.Sum += sh.sum.Load()
+		if sum := sh.sum.Load(); sum < 0 || s.Sum > math.MaxInt64-sum {
+			s.Sum = math.MaxInt64
+		} else {
+			s.Sum += sum
+		}
 	}
 	for _, c := range s.Counts {
 		s.Count += c

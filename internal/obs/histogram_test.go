@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +67,38 @@ func TestBucketBounds(t *testing.T) {
 	}
 	if !math.IsInf(bucketUpper(64), 1) {
 		t.Fatal("bucketUpper(64) not +Inf")
+	}
+}
+
+// TestHistogramSumSaturates: a sum past MaxInt64, on one shard or over
+// several, is exposed as MaxInt64 × scale instead of wrapping negative,
+// and the count is intact.
+func TestHistogramSumSaturates(t *testing.T) {
+	r := NewRegistry()
+	one := r.Histogram("test_one_seconds", "", 1e-9)
+	one.Record(math.MaxInt64)
+	one.Record(1)
+	spread := r.Histogram("test_spread_seconds", "", 1e-9)
+	for k := 0; k < 4; k++ {
+		spread.shards[k].record(1 << 62) // each shard's sum fits, their total does not
+	}
+	for _, h := range []*Histogram{one, spread} {
+		if s := h.Snapshot(); s.Sum != math.MaxInt64 {
+			t.Errorf("snapshot sum = %d, want MaxInt64", s.Sum)
+		}
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	sum := formatValue(float64(math.MaxInt64) * 1e-9)
+	for _, want := range []string{
+		"test_one_seconds_sum " + sum, "test_one_seconds_count 2",
+		"test_spread_seconds_sum " + sum, "test_spread_seconds_count 4",
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -95,6 +95,9 @@ type SearchResult struct {
 
 // Scored is one scored candidate returned by Core.ScoreRound.
 type Scored struct {
+	// Placement is the core's own copy of a scored candidate. A skipped
+	// one's is the caller's slice, which a strategy must not keep: it may
+	// be scratch the strategy's next round overwrites.
 	Placement sim.Placement
 	// Costs holds what the search's objective reads (Objective.Reads): the
 	// cost it ranks by, Success and Backpressured. A search fills no other
@@ -296,7 +299,8 @@ func (co *Core) MarkComplete() { co.complete = true }
 // duplicates return their cached record without consuming budget, fresh
 // candidates are scored together through the batched worker pool (one
 // generate->score->prune round), and candidates beyond the budget come
-// back with Skipped set. The returned slice is aligned with cands. A
+// back with Skipped set, uncopied: their Placement is the caller's slice,
+// not to be kept. The returned slice is aligned with cands. A
 // round asks the scoring session only for the costs the objective reads
 // (see Scored.Costs): every metric has its own ensemble, and the passes
 // of the two metrics no ranking decision looks at are two fifths of a
@@ -329,7 +333,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 		}
 		if !roundOpen || base+len(fresh) >= co.budget.MaxCandidates {
 			nSkipped++
-			out[i] = Scored{Placement: append(sim.Placement(nil), p...), Skipped: true}
+			out[i] = Scored{Placement: p, Skipped: true}
 			continue
 		}
 		cp := append(sim.Placement(nil), p...)

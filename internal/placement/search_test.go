@@ -292,6 +292,34 @@ func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
 	}
 }
 
+// TestScoreRoundSkipsWithoutCopying: a round past the budget allocates
+// its result slice and nothing per skipped candidate, whose record holds
+// the caller's placement.
+func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
+	q := testQuery()
+	c := testCluster()
+	co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := Enumerate(rand.New(rand.NewSource(1)), q, c, 17)
+	if len(cands) < 17 {
+		t.Fatalf("want 17 candidates, got %d", len(cands))
+	}
+	co.ScoreRound(cands[:1])
+	past := cands[1:]
+	var out []Scored
+	allocs := testing.AllocsPerRun(20, func() { out = co.ScoreRound(past) })
+	if allocs != 1 {
+		t.Errorf("a round of %d skipped candidates allocates %v objects, want 1 (its result)", len(past), allocs)
+	}
+	for i, s := range out {
+		if !s.Skipped || &s.Placement[0] != &past[i][0] {
+			t.Fatalf("candidate %d: skipped=%v, placement is the caller's: %v", i, s.Skipped, &s.Placement[0] == &past[i][0])
+		}
+	}
+}
+
 func TestParseStrategy(t *testing.T) {
 	for _, name := range StrategyNames() {
 		s, err := ParseStrategy(name)

@@ -10,11 +10,10 @@ import (
 // 220-host clusters at the fleet loop's observation config, where all but
 // a few hosts are idle.
 func BenchmarkRun(b *testing.B) {
-	fleetObs := Config{DurationS: 30, WarmupS: 5, StepS: 0.05, NoiseStd: 0.05} // fleet.Run's observation config
 	for _, bc := range []struct {
 		hosts int
 		cfg   Config
-	}{{4, DefaultConfig()}, {220, fleetObs}} {
+	}{{4, DefaultConfig()}, {220, fleetObsConfig}} {
 		runs := generatedRuns(7, 16, bc.hosts)
 		b.Run(fmt.Sprintf("hosts=%d", bc.hosts), func(b *testing.B) {
 			b.ReportAllocs()

@@ -16,6 +16,15 @@
 // slowdown and, beyond physical RAM, query crashes. These mechanisms
 // reproduce the causal structure behind the paper's measurements
 // (Sections IV and VI).
+//
+// A step reads only the queues and broker backlogs from earlier steps:
+// noise, costs and budgets are fixed for the run, and the warm-up only
+// gates the accumulators. So once a step starts from the state, bit for
+// bit, of the step before it or of the one before that, the run repeats
+// with period 1 or 2, and the engine stops stepping and replays the
+// recorded steps into the accumulators, in the order stepping would add
+// them: the metrics are the same bits. State that a future physics
+// carries from step to step must join the compared state.
 package sim
 
 import (

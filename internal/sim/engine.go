@@ -187,6 +187,24 @@ type engine struct {
 	// step loop allocates nothing.
 	alloc, need []float64
 	active      []int
+
+	// Step scratch: arrivals per operator, the CPU demand in tuples laid
+	// out like members, and each group's outgoing network budget in bits.
+	arrivals, want, netBudget []float64
+
+	// The last two steps, step s in ring[s%2], which a run that repeats
+	// replays.
+	ring [2]record
+}
+
+// record is one step of a run: the state it started from, queue and
+// backlog, which is all a step reads from earlier steps, and per operator
+// the core-seconds it was allocated, the tuples it processed and the bits
+// it sent. The rest of what a step adds up is recomputed from these with
+// the same bits: emission is proc × outRatio, and the queue and backlog
+// integrals read the next step's start state.
+type record struct {
+	queue, backlog, cpu, proc, bits []float64
 }
 
 // newEngine builds a run from demand's load of the placement: it adds
@@ -197,7 +215,7 @@ type engine struct {
 func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates, cfg Config) *engine {
 	n := len(q.Ops)
 	order, _ := q.TopoOrder()
-	floats, ints := make([]float64, 12*n), make([]int, 3*n)
+	floats, ints := make([]float64, 25*n), make([]int, 3*n)
 	e := &engine{
 		q: q, c: c, p: p, rates: r, cfg: cfg,
 		load:         demand(q, c, p, r),
@@ -219,6 +237,12 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 		alloc:        carve(&floats, n),
 		need:         carve(&floats, n),
 		active:       carve(&ints, n)[:0],
+		arrivals:     carve(&floats, n),
+		want:         carve(&floats, n),
+		netBudget:    carve(&floats, n),
+	}
+	for k := range e.ring {
+		e.ring[k] = record{carve(&floats, n), carve(&floats, n), carve(&floats, n), carve(&floats, n), carve(&floats, n)}
 	}
 	for _, edge := range q.Edges {
 		e.downs[edge[0]] = append(e.downs[edge[0]], edge[1])
@@ -300,162 +324,208 @@ func (e *engine) hostCPUAlloc(ops []int, want []float64, capacity float64) []flo
 	return alloc
 }
 
+// run steps the run until a step starts from the state, bit for bit, of
+// one of the two steps before it. A step reads nothing else from earlier
+// steps, so from there on the run repeats those steps and replay adds up
+// their records instead.
 func (e *engine) run() *Metrics {
 	if e.crashed {
 		return e.crashMetrics()
 	}
-	dt := e.cfg.StepS
 	fSteps, fWarm := e.cfg.stepCounts()
-	steps, warmSteps := int(fSteps), int(fWarm)
-
-	// Per-step values that do not change between steps: each operator's
-	// expected same-step arrivals and each source's producer events; each
-	// group's core-seconds and outgoing network budget in bits.
-	n, ng := len(e.q.Ops), len(e.hosts)
-	floats := make([]float64, 5*n+3*ng)
-	inDt, eventsDt := carve(&floats, n), carve(&floats, n)
-	coreS, budget := carve(&floats, ng), carve(&floats, ng)
-	for i := range inDt {
-		inDt[i] = e.rates.In[i] * dt
-	}
-	for _, src := range e.sourceIdx {
-		eventsDt[src] = e.q.Ops[src].EventRate * dt
-	}
-	for g, h := range e.hosts {
-		coreS[g] = e.c.Hosts[h].Cores() * dt
-		budget[g] = e.c.Hosts[h].NetBandwidthMbps * mbitToBits * dt
-	}
-
-	arrivals, processed := carve(&floats, n), carve(&floats, n)
-	want := carve(&floats, n) // CPU demand in tuples, laid out like members
-	netBudget := carve(&floats, ng)
-
-	measuring := false
+	steps, warm := int(fSteps), int(fWarm)
 	for s := 0; s < steps; s++ {
-		if s == warmSteps {
-			measuring = true
-			for _, src := range e.sourceIdx {
-				e.backlogStart[src] = e.backlog[src]
-			}
+		if p := e.period(s); p > 0 {
+			e.replay(s, p, steps, warm)
+			break
 		}
-		// Broker receives producer events.
-		for _, src := range e.sourceIdx {
-			e.backlog[src] += eventsDt[src]
-		}
-		clear(arrivals)
-		copy(netBudget, budget)
-
-		// CPU allocation per host based on queued + pending work.
-		for g := range e.hosts {
-			ops, want := e.members[e.start[g]:e.start[g+1]], want[e.start[g]:e.start[g+1]]
-			for k, i := range ops {
-				// Include expected same-step arrivals so pipelines
-				// are not artificially staggered.
-				if e.q.Ops[i].Type == stream.OpSource {
-					want[k] = e.backlog[i] + inDt[i]
-				} else {
-					want[k] = e.queue[i] + inDt[i]
-				}
-			}
-			alloc := e.hostCPUAlloc(ops, want, coreS[g])
-			for k, i := range ops {
-				processed[i] = alloc[k] * 1e6 / e.costUS[i] // tuples processable
-				if measuring {
-					e.cpuAcc[i] += alloc[k]
-				}
-			}
-		}
-
-		// Data movement in topological order.
-		for _, i := range e.order {
-			typ := e.q.Ops[i].Type
-			var avail float64
-			if typ == stream.OpSource {
-				avail = e.backlog[i]
-			} else {
-				e.queue[i] += arrivals[i]
-				if e.queue[i] > queueCapTuples {
-					// Bounded queue: excess is refused; refusal
-					// propagates as reduced upstream emission next
-					// steps via the blocking term below.
-					e.queue[i] = queueCapTuples
-				}
-				avail = e.queue[i]
-			}
-			proc := math.Min(processed[i], avail)
-
-			// Blocking: emission is broadcast to every downstream, so it
-			// is limited by the tightest downstream queue — consulting
-			// only the first downstream would under-charge backpressure
-			// on fan-out plans.
-			downs := e.downs[i]
-			if len(downs) > 0 && e.outRatio[i] > 0 {
-				minFree := math.Inf(1)
-				for _, d := range downs {
-					free := queueCapTuples - e.queue[d]
-					if free < 0 {
-						free = 0
-					}
-					if free < minFree {
-						minFree = free
-					}
-				}
-				maxProc := minFree / e.outRatio[i]
-				if proc > maxProc {
-					proc = maxProc
-				}
-			}
-			// Network: every cross-host downstream consumes sender
-			// bandwidth separately (one copy of the stream per remote
-			// consumer): demand's bits, per step. For the paper's
-			// tree-shaped plans (exactly one consumer, enforced by
-			// Query.Validate) this reduces exactly to the single-edge
-			// charge.
-			if remote := e.remote[i]; remote > 0 {
-				g := e.group[i]
-				bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * remote
-				if bits > netBudget[g] {
-					scale := 0.0
-					if bits > 0 {
-						scale = netBudget[g] / bits
-					}
-					proc *= scale
-					bits = netBudget[g]
-				}
-				netBudget[g] -= bits
-				if measuring {
-					e.netBitsAcc[i] += bits
-				}
-			}
-
-			out := proc * e.outRatio[i]
-			if typ == stream.OpSource {
-				e.backlog[i] -= proc
-			} else {
-				e.queue[i] -= proc
-			}
-			for _, d := range downs {
-				arrivals[d] += out
-			}
-			if typ == stream.OpSink && measuring {
-				e.sinkArrived += proc
-			}
-			if measuring {
-				e.procAcc[i] += proc
-				e.emitAcc[i] += out
-			}
-		}
-		if measuring {
-			e.measTime += dt
-			for i := range e.queue {
-				e.queueAcc[i] += e.queue[i] * dt
-			}
-			for _, src := range e.sourceIdx {
-				e.backlogAcc[src] += e.backlog[src] * dt
-			}
-		}
+		e.step(s, warm)
 	}
 	return e.finish()
+}
+
+// period returns p in {1, 2} when step s starts from the state step s-p
+// started from, compared bit for bit, and 0 otherwise.
+func (e *engine) period(s int) int {
+	for p := 1; p <= min(s, 2); p++ {
+		if r := &e.ring[(s-p)%2]; sameBits(r.queue, e.queue) && sameBits(r.backlog, e.backlog) {
+			return p
+		}
+	}
+	return 0
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// replay finishes a run from step s, which repeats step s-p. Each later
+// step repeats the recorded step cur and ends in the state next started
+// from; with period 2 the two swap every step. It adds the steps up in
+// order, as stepping would, and leaves backlogStart and the final queue
+// and backlog as stepping would.
+func (e *engine) replay(s, p, steps, warm int) {
+	cur, next := &e.ring[(s-p)%2], &e.ring[(s-p+1)%2]
+	if p == 1 {
+		next = cur
+	}
+	for t := s; t < steps; t++ {
+		if t == warm {
+			for _, src := range e.sourceIdx {
+				e.backlogStart[src] = cur.backlog[src]
+			}
+		}
+		if t >= warm {
+			e.account(cur, next.queue, next.backlog)
+		}
+		cur, next = next, cur
+	}
+	copy(e.queue, cur.queue)
+	copy(e.backlog, cur.backlog)
+}
+
+// step advances the run by step s from the state in queue and backlog. It
+// saves that state and what the step consumes in ring[s%2], and adds the
+// step to the accumulators from step warm, the first measured one, on.
+func (e *engine) step(s, warm int) {
+	r := &e.ring[s%2]
+	copy(r.queue, e.queue)
+	copy(r.backlog, e.backlog)
+	if s == warm {
+		for _, src := range e.sourceIdx {
+			e.backlogStart[src] = e.backlog[src]
+		}
+	}
+	// The float64 conversions round each product before it is added: a
+	// fused multiply-add would move the output bits.
+	dt := e.cfg.StepS
+	// Broker receives producer events.
+	for _, src := range e.sourceIdx {
+		e.backlog[src] += float64(e.q.Ops[src].EventRate * dt)
+	}
+	clear(e.arrivals)
+
+	// CPU allocation per host based on queued + pending work; each host
+	// starts the step with its full network budget.
+	for g, h := range e.hosts {
+		ops, want := e.members[e.start[g]:e.start[g+1]], e.want[e.start[g]:e.start[g+1]]
+		for k, i := range ops {
+			// Include expected same-step arrivals so pipelines
+			// are not artificially staggered.
+			if e.q.Ops[i].Type == stream.OpSource {
+				want[k] = e.backlog[i] + float64(e.rates.In[i]*dt)
+			} else {
+				want[k] = e.queue[i] + float64(e.rates.In[i]*dt)
+			}
+		}
+		alloc := e.hostCPUAlloc(ops, want, e.c.Hosts[h].Cores()*dt)
+		for k, i := range ops {
+			r.cpu[i] = alloc[k]
+		}
+		e.netBudget[g] = e.c.Hosts[h].NetBandwidthMbps * mbitToBits * dt
+	}
+
+	// Data movement in topological order.
+	for _, i := range e.order {
+		typ := e.q.Ops[i].Type
+		var avail float64
+		if typ == stream.OpSource {
+			avail = e.backlog[i]
+		} else {
+			e.queue[i] += e.arrivals[i]
+			if e.queue[i] > queueCapTuples {
+				// Bounded queue: excess is refused; refusal
+				// propagates as reduced upstream emission next
+				// steps via the blocking term below.
+				e.queue[i] = queueCapTuples
+			}
+			avail = e.queue[i]
+		}
+		proc := math.Min(r.cpu[i]*1e6/e.costUS[i], avail) // tuples processable
+
+		// Blocking: emission is broadcast to every downstream, so it
+		// is limited by the tightest downstream queue — consulting
+		// only the first downstream would under-charge backpressure
+		// on fan-out plans.
+		downs := e.downs[i]
+		if len(downs) > 0 && e.outRatio[i] > 0 {
+			minFree := math.Inf(1)
+			for _, d := range downs {
+				free := queueCapTuples - e.queue[d]
+				if free < 0 {
+					free = 0
+				}
+				if free < minFree {
+					minFree = free
+				}
+			}
+			maxProc := minFree / e.outRatio[i]
+			if proc > maxProc {
+				proc = maxProc
+			}
+		}
+		// Network: every cross-host downstream consumes sender
+		// bandwidth separately (one copy of the stream per remote
+		// consumer): demand's bits, per step. For the paper's
+		// tree-shaped plans (exactly one consumer, enforced by
+		// Query.Validate) this reduces exactly to the single-edge
+		// charge.
+		if remote := e.remote[i]; remote > 0 {
+			g := e.group[i]
+			bits := proc * e.outRatio[i] * e.rates.TupleBytes[i] * bitsPerByte * remote
+			if bits > e.netBudget[g] {
+				scale := 0.0
+				if bits > 0 {
+					scale = e.netBudget[g] / bits
+				}
+				proc *= scale
+				bits = e.netBudget[g]
+			}
+			e.netBudget[g] -= bits
+			r.bits[i] = bits
+		}
+
+		out := proc * e.outRatio[i]
+		if typ == stream.OpSource {
+			e.backlog[i] -= proc
+		} else {
+			e.queue[i] -= proc
+		}
+		for _, d := range downs {
+			e.arrivals[d] += out
+		}
+		r.proc[i] = proc
+	}
+	if s >= warm {
+		e.account(r, e.queue, e.backlog)
+	}
+}
+
+// account adds step r, which ended in state queue and backlog, to the
+// measurement accumulators.
+func (e *engine) account(r *record, queue, backlog []float64) {
+	dt := e.cfg.StepS
+	e.measTime += dt
+	for i, q := range queue {
+		e.cpuAcc[i] += r.cpu[i]
+		e.netBitsAcc[i] += r.bits[i] // 0 but for ops with remote consumers
+		e.procAcc[i] += r.proc[i]
+		e.emitAcc[i] += r.proc[i] * e.outRatio[i]
+		e.queueAcc[i] += q * dt
+	}
+	for _, i := range e.order {
+		if e.q.Ops[i].Type == stream.OpSink {
+			e.sinkArrived += r.proc[i]
+		}
+	}
+	for _, src := range e.sourceIdx {
+		e.backlogAcc[src] += backlog[src] * dt
+	}
 }
 
 func (e *engine) crashMetrics() *Metrics {

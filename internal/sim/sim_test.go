@@ -350,7 +350,9 @@ func TestRunValidation(t *testing.T) {
 
 // FuzzRunConfig: Run either refuses a configuration or returns finite
 // metrics over a measured window of at least one step, for any placement
-// of a join on four hosts, one of them too small to run anything.
+// of a join on four hosts, one of them too small to run anything. Those
+// metrics are the stepping oracle's, bit for bit: a run that repeats and
+// is replayed ends where stepping it through every step would.
 func FuzzRunConfig(f *testing.F) {
 	b := stream.NewBuilder()
 	s1 := b.AddSource(3200, []stream.DataType{stream.TypeInt, stream.TypeString})
@@ -384,6 +386,9 @@ func FuzzRunConfig(f *testing.F) {
 		}
 		if msg := nonFinite(m); msg != "" {
 			t.Fatalf("%+v on %v: %s", cfg, p, msg)
+		}
+		if _, want, _, _ := stepped(t, q, c, p, cfg); hexMetrics(m) != hexMetrics(want) {
+			t.Fatalf("%+v on %v: metrics differ from stepping every step\ngot:\n%swant:\n%s", cfg, p, hexMetrics(m), hexMetrics(want))
 		}
 	})
 }
