@@ -240,7 +240,7 @@ func (f *Featurizer) opFeatures(q *stream.Query, rates *stream.Rates, i int, op 
 	// Common features (Table I "all" rows): averaged incoming and
 	// outgoing tuple width plus serialized sizes.
 	widthIn, bytesIn := 0.0, 0.0
-	if ups := q.Upstream(i); len(ups) > 0 {
+	if ups := rates.Topo.Ups(i); len(ups) > 0 {
 		for _, u := range ups {
 			widthIn += float64(rates.Width[u])
 			bytesIn += rates.TupleBytes[u]

@@ -42,8 +42,11 @@ func Featurize(q *stream.Query, c *hardware.Cluster, p sim.Placement) ([]float64
 
 // queryFeatures computes the placement-invariant query prefix of the flat
 // vector. A scoring session computes it once and reuses it for every
-// candidate.
+// candidate. It validates the plan first, as DeriveRates does not.
 func queryFeatures(q *stream.Query) ([]float64, error) {
+	if err := q.Validate(); err != nil {
+		return nil, fmt.Errorf("flatvec: %w", err)
+	}
 	rates, err := q.DeriveRates()
 	if err != nil {
 		return nil, err
@@ -100,11 +103,7 @@ func queryFeatures(q *stream.Query) ([]float64, error) {
 		}
 		nJoin++
 		jSel += logSel(op.Selectivity)
-		var inRate float64
-		for _, u := range q.Upstream(i) {
-			inRate += rates.Out[u]
-		}
-		jWin += math.Log1p(op.Window.ExtentTuples(inRate / 2))
+		jWin += math.Log1p(op.Window.ExtentTuples(rates.In[i] / 2))
 		if op.JoinKeyType == stream.TypeString {
 			jStr++
 		}
@@ -128,11 +127,7 @@ func queryFeatures(q *stream.Query) ([]float64, error) {
 			aGB++
 		}
 		aSel += op.Selectivity
-		var inRate float64
-		for _, u := range q.Upstream(i) {
-			inRate += rates.Out[u]
-		}
-		aWin += math.Log1p(op.Window.ExtentTuples(inRate))
+		aWin += math.Log1p(op.Window.ExtentTuples(rates.In[i]))
 		if op.Window.Type == stream.WindowSliding {
 			aSlide++
 		}

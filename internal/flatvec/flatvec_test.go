@@ -10,6 +10,7 @@ import (
 	"costream/internal/gbdt"
 	"costream/internal/placement"
 	"costream/internal/sim"
+	"costream/internal/stream"
 	"costream/internal/workload"
 )
 
@@ -172,5 +173,27 @@ func TestTrainPredictorImplementsInterface(t *testing.T) {
 func TestTrainEmptyCorpus(t *testing.T) {
 	if _, err := Train(&dataset.Corpus{}, core.MetricThroughput, gbdt.DefaultConfig(1)); err == nil {
 		t.Error("empty corpus accepted")
+	}
+}
+
+// TestMalformedPlanRefused: Featurize and a scoring session refuse a plan
+// whose filter has no input with the plan's validation error, before rate
+// derivation reads the missing input.
+func TestMalformedPlanRefused(t *testing.T) {
+	q := &stream.Query{
+		Ops: []*stream.Operator{
+			{ID: "src", Type: stream.OpSource, EventRate: 100, FieldTypes: []stream.DataType{stream.TypeInt}},
+			{ID: "f", Type: stream.OpFilter, Selectivity: 0.5},
+			{ID: "sink", Type: stream.OpSink},
+		},
+		Edges: []stream.Edge{{0, 2}},
+	}
+	c := workload.New(workload.DefaultConfig(1)).Cluster()
+	const want = "flatvec: filter f must have exactly one input, got 0"
+	if _, err := Featurize(q, c, sim.Placement{0, 0, 0}); err == nil || err.Error() != want {
+		t.Errorf("Featurize: err = %v, want %q", err, want)
+	}
+	if _, err := (&Predictor{}).NewScoreSession(q, c); err == nil || err.Error() != want {
+		t.Errorf("NewScoreSession: err = %v, want %q", err, want)
 	}
 }

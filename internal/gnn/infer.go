@@ -15,6 +15,11 @@ type Plan struct {
 // NewPlan validates the graph and derives its reusable flow structure.
 // The plan remains valid for any graph that extends g with host nodes and
 // placement edges (flow edges only ever connect operator nodes).
+//
+// Its order is opTopoOrder's first-in-first-out one, not the lowest-index
+// order of stream.Topology: phase 3 runs operators in this order, which
+// fixes the tape's order and with it the bits of every trained weight, and
+// the two orders differ on most generated join queries.
 func NewPlan(g *Graph) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

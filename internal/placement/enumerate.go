@@ -18,19 +18,18 @@ import (
 	"costream/internal/stream"
 )
 
-// generator is the shared candidate-generation substrate: the topological
-// order, capability bins and upstream adjacency of one (query, cluster)
-// pair plus reusable bitset scratch for the visited/banned host sets. One
-// generator serves an entire search run (thousands of draws, validity
-// checks and partial-placement expansions) without per-draw allocations;
-// it must not be shared across goroutines.
+// generator is the shared candidate-generation substrate: the data-flow
+// topology and capability bins of one (query, cluster) pair plus reusable
+// bitset scratch for the visited/banned host sets. One generator serves an
+// entire search run (thousands of draws, validity checks and
+// partial-placement expansions) without per-draw allocations; it must not
+// be shared across goroutines.
 type generator struct {
 	q      *stream.Query
 	c      *hardware.Cluster
 	bins   []hardware.Bin
 	caps   []float64 // CapabilityScore per host, filled by the first greedy completion
-	order  []int     // topological order of the data flow
-	ups    [][]int   // upstream operator indices, per operator
+	topo   stream.Topology
 	nHosts int
 
 	// visited[v] is the set of hosts op v's output has passed through
@@ -70,7 +69,7 @@ type neighbor struct {
 }
 
 func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
-	order, err := q.TopoOrder()
+	topo, err := q.Topology()
 	if err != nil {
 		return nil, err
 	}
@@ -86,15 +85,13 @@ func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
 		q:       q,
 		c:       c,
 		bins:    bins,
-		order:   order,
-		ups:     make([][]int, n),
+		topo:    topo,
 		nHosts:  len(c.Hosts),
 		visited: make([]bitset, n),
 		scratch: make(sim.Placement, n),
 		comp:    make(sim.Placement, n),
 	}
 	for i := 0; i < n; i++ {
-		g.ups[i] = q.Upstream(i)
 		g.visited[i] = newBitset(len(c.Hosts))
 	}
 	return g, nil
@@ -145,7 +142,7 @@ func (g *generator) ban(hosts []int) {
 // emit placements Valid rejects on fan-in (join) operators.
 func (g *generator) choicesFor(p sim.Placement, v int) []int {
 	minBin := hardware.BinEdge
-	for _, u := range g.ups[v] {
+	for _, u := range g.topo.Ups(v) {
 		if b := g.bins[p[u]]; b > minBin {
 			minBin = b
 		}
@@ -159,7 +156,7 @@ func (g *generator) choicesFor(p sim.Placement, v int) []int {
 			continue
 		}
 		ok := true
-		for _, u := range g.ups[v] {
+		for _, u := range g.topo.Ups(v) {
 			if p[u] != h && g.visited[u].has(h) {
 				ok = false
 				break
@@ -179,7 +176,7 @@ func (g *generator) place(p sim.Placement, v, h int) {
 	vis := g.visited[v]
 	vis.clear()
 	vis.set(h)
-	for _, u := range g.ups[v] {
+	for _, u := range g.topo.Ups(v) {
 		vis.orWith(g.visited[u])
 	}
 }
@@ -188,7 +185,7 @@ func (g *generator) place(p sim.Placement, v, h int) {
 // the first d topological positions of p.
 func (g *generator) replay(p sim.Placement, d int) {
 	for t := 0; t < d; t++ {
-		v := g.order[t]
+		v := g.topo.Order()[t]
 		g.place(p, v, p[v])
 	}
 }
@@ -202,7 +199,7 @@ func (g *generator) tryDraw(rng *rand.Rand) (sim.Placement, bool) {
 	for i := range p {
 		p[i] = -1
 	}
-	for _, v := range g.order {
+	for _, v := range g.topo.Order() {
 		choices := g.choicesFor(p, v)
 		if len(choices) == 0 {
 			return nil, false
@@ -239,9 +236,9 @@ func (g *generator) validate(p sim.Placement) bool {
 			}
 		}
 	}
-	for _, v := range g.order {
+	for _, v := range g.topo.Order() {
 		h := p[v]
-		for _, u := range g.ups[v] {
+		for _, u := range g.topo.Ups(v) {
 			if g.bins[p[u]] > g.bins[h] {
 				return false // capability decreased along the flow
 			}
@@ -317,17 +314,14 @@ func (g *generator) appendMoves(out []neighbor, p sim.Placement, v int) []neighb
 		deny.clear()
 	}
 	lo, hi := hardware.BinEdge, hardware.BinCloud
-	for _, u := range g.ups[v] {
+	for _, u := range g.topo.Ups(v) {
 		lo = max(lo, g.bins[p[u]])
 		deny.orWithout(g.visited[u], p[u])
 	}
-	for _, e := range g.q.Edges {
-		if e[0] != v {
-			continue
-		}
-		hw := p[e[1]]
+	for _, w := range g.topo.Downs(v) {
+		hw := p[w]
 		hi = min(hi, g.bins[hw])
-		for _, u := range g.ups[v] {
+		for _, u := range g.topo.Ups(v) {
 			if g.visited[u].has(hw) {
 				return out
 			}
@@ -350,9 +344,9 @@ func (g *generator) appendMoves(out []neighbor, p sim.Placement, v int) []neighb
 
 // markDescendants sets g.desc to the strict descendants of operator v.
 func (g *generator) markDescendants(v int) {
-	for _, x := range g.order {
+	for _, x := range g.topo.Order() {
 		g.desc[x] = false
-		for _, u := range g.ups[x] {
+		for _, u := range g.topo.Ups(x) {
 			if u == v || g.desc[u] {
 				g.desc[x] = true
 				break
@@ -371,8 +365,7 @@ func (g *generator) markDescendants(v int) {
 func (g *generator) completeGreedy(p sim.Placement, d int) (sim.Placement, bool) {
 	copy(g.comp, p)
 	g.replay(g.comp, d)
-	for t := d; t < len(g.order); t++ {
-		v := g.order[t]
+	for _, v := range g.topo.Order()[d:] {
 		choices := g.choicesFor(g.comp, v)
 		if len(choices) == 0 {
 			return nil, false
@@ -394,7 +387,7 @@ func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
 		}
 	}
 	best := -1
-	for _, u := range g.ups[v] {
+	for _, u := range g.topo.Ups(v) {
 		h := p[u]
 		if best < 0 || g.caps[h] > g.caps[best] || (g.caps[h] == g.caps[best] && h < best) {
 			best = h

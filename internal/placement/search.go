@@ -230,8 +230,10 @@ func (co *Core) Cluster() *hardware.Cluster { return co.c }
 // Rng returns the seeded random source shared by the whole search run.
 func (co *Core) Rng() *rand.Rand { return co.rng }
 
-// TopoOrder returns the cached topological order of the query.
-func (co *Core) TopoOrder() []int { return co.gen.order }
+// TopoOrder returns the query's stream.Topology order, derived once per
+// search: of the operators whose producers are all placed, the lowest
+// index first.
+func (co *Core) TopoOrder() []int { return co.gen.topo.Order() }
 
 // Remaining returns how many more candidates the budget admits.
 func (co *Core) Remaining() int { return co.budget.MaxCandidates - len(co.records) }
@@ -281,7 +283,7 @@ func (co *Core) ValidPlacement(p sim.Placement) bool { return co.gen.validate(p)
 // topological position d, given the placement of the preceding positions.
 func (co *Core) PrefixChoices(dst []int, p sim.Placement, d int) []int {
 	co.gen.replay(p, d)
-	return append(dst, co.gen.choicesFor(p, co.gen.order[d])...)
+	return append(dst, co.gen.choicesFor(p, co.gen.topo.Order()[d])...)
 }
 
 // CompleteGreedy extends a placement prefix covering the first d

@@ -84,7 +84,7 @@ func filterFnCostFactor(fn stream.FilterFn) float64 {
 func perTupleCostUS(q *stream.Query, r *stream.Rates, i int) float64 {
 	op := q.Ops[i]
 	inBytes := 0.0
-	if ups := q.Upstream(i); len(ups) > 0 {
+	if ups := r.Topo.Ups(i); len(ups) > 0 {
 		for _, u := range ups {
 			inBytes += r.TupleBytes[u]
 		}
@@ -139,7 +139,7 @@ func stateBytes(q *stream.Query, r *stream.Rates, i int) float64 {
 	if op.Window == nil {
 		return 0
 	}
-	ups := q.Upstream(i)
+	ups := r.Topo.Ups(i)
 	switch op.Type {
 	case stream.OpJoin:
 		var total float64

@@ -124,8 +124,8 @@ func TestColocatingRemovesTheEdgesBits(t *testing.T) {
 			continue
 		}
 		u := cut[rng.Intn(len(cut))]
-		v := g.q.Downstream(u)[0]
 		r, before := demandOf(t, g)
+		v := r.Topo.Downs(u)[0]
 		was, err := Run(g.q, g.c, g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
@@ -148,7 +148,7 @@ func TestColocatingRemovesTheEdgesBits(t *testing.T) {
 			t.Errorf("run %d: op %d on its consumer's host still sends %v bits/s, measured %v Mbit/s", k, u, after.bits[u], m.PerOp[u].NetOutMbps)
 		}
 		for w := range g.q.Ops {
-			if w != u && !slices.Contains(g.q.Upstream(u), w) && after.bits[w] != before.bits[w] {
+			if w != u && !slices.Contains(r.Topo.Ups(u), w) && after.bits[w] != before.bits[w] {
 				t.Errorf("run %d: moving op %d moved op %d's bits from %v to %v", k, u, w, before.bits[w], after.bits[w])
 			}
 		}

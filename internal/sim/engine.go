@@ -152,8 +152,6 @@ type engine struct {
 	// memory pressure and the crash verdict are read as they are.
 	load
 
-	order  []int     // topological order of operators
-	downs  [][]int   // consumers per operator, in edge order (Query.Downstream)
 	costUS []float64 // noisy per-tuple cost incl. GC slowdown
 	queue  []float64 // input queue length (tuples)
 
@@ -207,20 +205,17 @@ type record struct {
 	queue, backlog, cpu, proc, bits []float64
 }
 
-// newEngine builds a run from demand's load of the placement: it adds
-// only the topology (topological order, consumer lists, sources), the
-// grouping of the operators by host and the noise draw, one log-normal
-// factor per operator in index order, giving the step loop's cost
-// baseUS × noise × gc in that order.
+// newEngine builds a run from demand's load of the placement and the
+// topology the rates carry: it adds only the sources, the grouping of the
+// operators by host and the noise draw, one log-normal factor per
+// operator in index order, giving the step loop's cost baseUS × noise × gc
+// in that order.
 func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rates, cfg Config) *engine {
 	n := len(q.Ops)
-	order, _ := q.TopoOrder()
 	floats, ints := make([]float64, 25*n), make([]int, 3*n)
 	e := &engine{
 		q: q, c: c, p: p, rates: r, cfg: cfg,
 		load:         demand(q, c, p, r),
-		order:        order,
-		downs:        make([][]int, n),
 		start:        make([]int, 1, n+1),
 		members:      carve(&ints, n)[:0],
 		group:        carve(&ints, n),
@@ -243,9 +238,6 @@ func newEngine(q *stream.Query, c *hardware.Cluster, p Placement, r *stream.Rate
 	}
 	for k := range e.ring {
 		e.ring[k] = record{carve(&floats, n), carve(&floats, n), carve(&floats, n), carve(&floats, n), carve(&floats, n)}
-	}
-	for _, edge := range q.Edges {
-		e.downs[edge[0]] = append(e.downs[edge[0]], edge[1])
 	}
 	e.sourceIdx = q.Sources()
 
@@ -431,7 +423,7 @@ func (e *engine) step(s, warm int) {
 	}
 
 	// Data movement in topological order.
-	for _, i := range e.order {
+	for _, i := range e.rates.Topo.Order() {
 		typ := e.q.Ops[i].Type
 		var avail float64
 		if typ == stream.OpSource {
@@ -452,7 +444,7 @@ func (e *engine) step(s, warm int) {
 		// is limited by the tightest downstream queue — consulting
 		// only the first downstream would under-charge backpressure
 		// on fan-out plans.
-		downs := e.downs[i]
+		downs := e.rates.Topo.Downs(i)
 		if len(downs) > 0 && e.outRatio[i] > 0 {
 			minFree := math.Inf(1)
 			for _, d := range downs {
@@ -518,7 +510,7 @@ func (e *engine) account(r *record, queue, backlog []float64) {
 		e.emitAcc[i] += r.proc[i] * e.outRatio[i]
 		e.queueAcc[i] += q * dt
 	}
-	for _, i := range e.order {
+	for _, i := range e.rates.Topo.Order() {
 		if e.q.Ops[i].Type == stream.OpSink {
 			e.sinkArrived += r.proc[i]
 		}
@@ -579,7 +571,7 @@ func (e *engine) finish() *Metrics {
 			stats.InRate = e.procAcc[i] / mt
 		} else {
 			var in float64
-			for _, u := range e.q.Upstream(i) {
+			for _, u := range e.rates.Topo.Ups(i) {
 				in += e.emitAcc[u] / mt
 			}
 			stats.InRate = in
@@ -657,7 +649,7 @@ func (e *engine) pathLatencyMS(i int) float64 {
 	// window extent old.
 	if op.Window != nil {
 		inRate := 0.0
-		for _, u := range e.q.Upstream(i) {
+		for _, u := range e.rates.Topo.Ups(i) {
 			r := e.emitAcc[u] / mt
 			if r > inRate {
 				inRate = r
@@ -669,7 +661,7 @@ func (e *engine) pathLatencyMS(i int) float64 {
 		own += op.Window.ExtentSeconds(inRate) * 1000
 	}
 
-	ups := e.q.Upstream(i)
+	ups := e.rates.Topo.Ups(i)
 	if len(ups) == 0 {
 		return own
 	}

@@ -119,6 +119,27 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	}
 }
 
+// TestRunAllocsCeiling: a run allocates at most 30 heap objects on
+// average over generated runs: the rates carry the one topology that
+// the engine, the load model and the latency walk read, and the engine's
+// fixed-size state comes from a few slabs.
+func TestRunAllocsCeiling(t *testing.T) {
+	runs := generatedRuns(30, 20, 3, 6, 220)
+	var total float64
+	for _, r := range runs {
+		total += testing.AllocsPerRun(3, func() {
+			if _, err := Run(r.q, r.c, r.p, r.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	avg := total / float64(len(runs))
+	t.Logf("%.1f allocations per run on average", avg)
+	if avg > 30 {
+		t.Fatalf("%.1f allocations per run on average, want at most 30", avg)
+	}
+}
+
 // generatedRun is one simulator input drawn by generatedRuns.
 type generatedRun struct {
 	q   *stream.Query

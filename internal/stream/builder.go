@@ -106,16 +106,13 @@ func (b *Builder) Chain(idxs ...int) *Builder {
 	return b
 }
 
-// Build validates the plan, derives output widths, and returns the query.
+// Build validates the plan and returns a copy of it.
 func (b *Builder) Build() (*Query, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	q := b.q.Clone()
 	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := q.DeriveRates(); err != nil {
 		return nil, err
 	}
 	return q, nil

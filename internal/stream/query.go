@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -107,28 +106,6 @@ func (q *Query) Clone() *Query {
 // NumOps returns the number of operators in the plan.
 func (q *Query) NumOps() int { return len(q.Ops) }
 
-// Upstream returns the indices of operators feeding op i, in edge order.
-func (q *Query) Upstream(i int) []int {
-	var ups []int
-	for _, e := range q.Edges {
-		if e[1] == i {
-			ups = append(ups, e[0])
-		}
-	}
-	return ups
-}
-
-// Downstream returns the indices of operators consuming op i's output.
-func (q *Query) Downstream(i int) []int {
-	var downs []int
-	for _, e := range q.Edges {
-		if e[0] == i {
-			downs = append(downs, e[1])
-		}
-	}
-	return downs
-}
-
 // Sources returns the indices of all source operators.
 func (q *Query) Sources() []int {
 	var srcs []int
@@ -161,48 +138,86 @@ func (q *Query) CountType(t OpType) int {
 	return n
 }
 
-// TopoOrder returns the operator indices in a topological order of the data
-// flow (sources first, sink last). The order is deterministic: ties are
-// broken by operator index.
-func (q *Query) TopoOrder() ([]int, error) {
-	n := len(q.Ops)
-	indeg := make([]int, n)
-	adj := make([][]int, n)
+// Topology is the data flow of a plan, derived from its edges alone: a
+// topological order and each operator's producers and consumers. It reads
+// no operator, so it serves any DAG over the operator indices. Its slices
+// share one backing array; callers must not modify them.
+type Topology struct {
+	order         []int
+	upAt, ups     []int // operator i's producers are ups[upAt[i]:upAt[i+1]]
+	downAt, downs []int // and its consumers downs[downAt[i]:downAt[i+1]]
+}
+
+// Order returns the operator indices in topological order of the data flow
+// (sources first, sink last). It is deterministic: of the operators whose
+// producers are all ordered, the lowest index comes next.
+func (t *Topology) Order() []int { return t.order }
+
+// Ups returns the operators feeding operator i, in edge order.
+func (t *Topology) Ups(i int) []int { return t.ups[t.upAt[i]:t.upAt[i+1]:t.upAt[i+1]] }
+
+// Downs returns the operators consuming operator i's output, in edge order.
+func (t *Topology) Downs(i int) []int { return t.downs[t.downAt[i]:t.downAt[i+1]:t.downAt[i+1]] }
+
+// Topology derives the plan's data flow in one allocation. It fails on an
+// edge outside the operator range and on a cycle.
+func (q *Query) Topology() (Topology, error) {
+	n, m := len(q.Ops), len(q.Edges)
 	for _, e := range q.Edges {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("edge %v out of range (n=%d)", e, n)
-		}
-		indeg[e[1]]++
-		adj[e[0]] = append(adj[e[0]], e[1])
-	}
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
+			return Topology{}, fmt.Errorf("edge %v out of range (n=%d)", e, n)
 		}
 	}
-	sort.Ints(ready)
-	order := make([]int, 0, n)
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		added := false
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				ready = append(ready, w)
-				added = true
+	s := make([]int, 4*n+2+2*m)
+	t := Topology{order: s[:n], upAt: s[n : 2*n+1], downAt: s[2*n+1 : 3*n+2],
+		ups: s[3*n+2 : 3*n+2+m], downs: s[3*n+2+m : 3*n+2+2*m]}
+	indeg := s[3*n+2+2*m:]
+	// Counting sort by head and by tail: the counts summed up are each
+	// operator's end offset, and placing the edges from the last one,
+	// counting each offset down, leaves the lists in edge order and the
+	// offsets at their starts.
+	for _, e := range q.Edges {
+		t.upAt[e[1]]++
+		t.downAt[e[0]]++
+	}
+	for i := 1; i <= n; i++ {
+		t.upAt[i] += t.upAt[i-1]
+		t.downAt[i] += t.downAt[i-1]
+	}
+	for k := m - 1; k >= 0; k-- {
+		u, w := q.Edges[k][0], q.Edges[k][1]
+		t.upAt[w]--
+		t.ups[t.upAt[w]] = u
+		t.downAt[u]--
+		t.downs[t.downAt[u]] = w
+	}
+	// Kahn's algorithm: order[:head] is visited, and order[head:tail] holds
+	// the ready operators in ascending index order, so the lowest ready
+	// index is visited next.
+	tail := 0
+	for i := range indeg {
+		if indeg[i] = t.upAt[i+1] - t.upAt[i]; indeg[i] == 0 {
+			t.order[tail] = i
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		for _, w := range t.Downs(t.order[head]) {
+			if indeg[w]--; indeg[w] > 0 {
+				continue
 			}
-		}
-		if added {
-			sort.Ints(ready)
+			k := tail
+			for ; k > head+1 && t.order[k-1] > w; k-- {
+				t.order[k] = t.order[k-1]
+			}
+			t.order[k] = w
+			tail++
 		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("query graph has a cycle")
+	if tail != n {
+		return Topology{}, fmt.Errorf("query graph has a cycle")
 	}
-	return order, nil
+	return t, nil
 }
 
 // Validate checks structural invariants: exactly one sink, at least one
@@ -217,64 +232,48 @@ func (q *Query) Validate() error {
 			return fmt.Errorf("operator %d is null", i)
 		}
 	}
-	if len(q.Sources()) == 0 {
+	if q.CountType(OpSource) == 0 {
 		return fmt.Errorf("query has no source")
 	}
 	nSinks := q.CountType(OpSink)
 	if nSinks != 1 {
 		return fmt.Errorf("query must have exactly one sink, got %d", nSinks)
 	}
-	if _, err := q.TopoOrder(); err != nil {
+	t, err := q.Topology()
+	if err != nil {
 		return err
 	}
 	for i, op := range q.Ops {
 		if err := op.Validate(); err != nil {
 			return err
 		}
-		ups := len(q.Upstream(i))
-		downs := len(q.Downstream(i))
-		switch op.Type {
-		case OpSource:
-			if ups != 0 {
-				return fmt.Errorf("source %s has %d inputs", op.ID, ups)
-			}
-			if downs != 1 {
-				return fmt.Errorf("source %s must have exactly one consumer, got %d", op.ID, downs)
-			}
-		case OpFilter, OpAggregate:
-			if ups != 1 {
-				return fmt.Errorf("%v %s must have exactly one input, got %d", op.Type, op.ID, ups)
-			}
-			if downs != 1 {
-				return fmt.Errorf("%v %s must have exactly one consumer, got %d", op.Type, op.ID, downs)
-			}
-		case OpJoin:
-			if ups != 2 {
-				return fmt.Errorf("join %s must have exactly two inputs, got %d", op.ID, ups)
-			}
-			if downs != 1 {
-				return fmt.Errorf("join %s must have exactly one consumer, got %d", op.ID, downs)
-			}
-		case OpSink:
-			if ups != 1 {
-				return fmt.Errorf("sink %s must have exactly one input, got %d", op.ID, ups)
-			}
-			if downs != 0 {
-				return fmt.Errorf("sink %s has %d consumers", op.ID, downs)
-			}
+		ups, downs := len(t.Ups(i)), len(t.Downs(i))
+		switch {
+		case op.Type == OpSource && ups != 0:
+			return fmt.Errorf("source %s has %d inputs", op.ID, ups)
+		case op.Type == OpJoin && ups != 2:
+			return fmt.Errorf("join %s must have exactly two inputs, got %d", op.ID, ups)
+		case op.Type != OpSource && op.Type != OpJoin && ups != 1:
+			return fmt.Errorf("%v %s must have exactly one input, got %d", op.Type, op.ID, ups)
+		case op.Type == OpSink && downs != 0:
+			return fmt.Errorf("sink %s has %d consumers", op.ID, downs)
+		case op.Type != OpSink && downs != 1:
+			return fmt.Errorf("%v %s must have exactly one consumer, got %d", op.Type, op.ID, downs)
 		}
 	}
 	return nil
 }
 
 // Rates holds the derived steady-state logical rates of a plan, ignoring
-// resource limits: the arrival and output tuple rates per operator and the
-// serialized tuple size of each operator's output stream.
+// resource limits: the arrival and output tuple rates per operator, the
+// serialized tuple size of each operator's output stream, and the
+// topology they were derived over, for their readers to walk.
 type Rates struct {
 	In         []float64 // tuples/s arriving at each operator
 	Out        []float64 // tuples/s emitted by each operator
 	TupleBytes []float64 // serialized bytes of one output tuple
 	Width      []int     // attributes per output tuple
+	Topo       Topology
 }
 
 // DeriveRates propagates source event rates through the plan using the
@@ -286,10 +285,13 @@ type Rates struct {
 //   - aggregation: out = fires/s * groups, groups = sel*|W| (Definition 8)
 //
 // The returned slices are indexed by operator index. DeriveRates does not
-// mutate the query, so concurrent callers (ensemble training, batched
+// validate the plan: it reads each operator's inputs as the operator's
+// type requires (a filter's, aggregation's or sink's first input, a join's
+// first two), so a plan that may be malformed is validated first. It does
+// not mutate the query, so concurrent callers (ensemble training, batched
 // placement scoring) may share one Query.
 func (q *Query) DeriveRates() (*Rates, error) {
-	order, err := q.TopoOrder()
+	topo, err := q.Topology()
 	if err != nil {
 		return nil, err
 	}
@@ -299,11 +301,12 @@ func (q *Query) DeriveRates() (*Rates, error) {
 		Out:        make([]float64, n),
 		TupleBytes: make([]float64, n),
 		Width:      make([]int, n),
+		Topo:       topo,
 	}
 	avgBytes := make([]float64, n)
-	for _, i := range order {
+	for _, i := range topo.Order() {
 		op := q.Ops[i]
-		ups := q.Upstream(i)
+		ups := topo.Ups(i)
 		var in float64
 		for _, u := range ups {
 			in += r.Out[u]

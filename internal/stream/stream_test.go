@@ -248,14 +248,15 @@ func TestTopoOrderDeterministic(t *testing.T) {
 	k := b.AddSink()
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
-	o1, err := q.TopoOrder()
+	t1, err := q.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, _ := q.TopoOrder()
+	t2, _ := q.Topology()
+	o1, o2 := t1.Order(), t2.Order()
 	for i := range o1 {
 		if o1[i] != o2[i] {
-			t.Fatalf("TopoOrder not deterministic: %v vs %v", o1, o2)
+			t.Fatalf("Topology order not deterministic: %v vs %v", o1, o2)
 		}
 	}
 	pos := make(map[int]int)
@@ -350,15 +351,19 @@ func TestUpstreamDownstream(t *testing.T) {
 	k := b.AddSink()
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
-	ups := q.Upstream(j)
+	topo, err := q.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := topo.Ups(j)
 	if len(ups) != 2 || ups[0] != s1 || ups[1] != s2 {
-		t.Errorf("Upstream(join) = %v, want [%d %d]", ups, s1, s2)
+		t.Errorf("Ups(join) = %v, want [%d %d]", ups, s1, s2)
 	}
-	if d := q.Downstream(j); len(d) != 1 || d[0] != k {
-		t.Errorf("Downstream(join) = %v, want [%d]", d, k)
+	if d := topo.Downs(j); len(d) != 1 || d[0] != k {
+		t.Errorf("Downs(join) = %v, want [%d]", d, k)
 	}
-	if d := q.Downstream(k); len(d) != 0 {
-		t.Errorf("Downstream(sink) = %v, want empty", d)
+	if d := topo.Downs(k); len(d) != 0 {
+		t.Errorf("Downs(sink) = %v, want empty", d)
 	}
 }
 

@@ -2,7 +2,10 @@
 // COSTREAM reproduction: data types, operators (source, filter, windowed
 // join, windowed aggregation, sink), window specifications and DAG-shaped
 // query plans together with the rate and selectivity propagation rules of
-// the paper (Definitions 6-8).
+// the paper (Definitions 6-8). A plan's data flow, its topological order
+// and each operator's producers and consumers, is one Topology: Validate
+// and DeriveRates each derive it once, and Rates carries it to the
+// simulator and the featurizers.
 package stream
 
 import "fmt"

@@ -51,15 +51,26 @@ func TestQueryMixMatchesPaper(t *testing.T) {
 	}
 }
 
+// topology returns q's data-flow topology, failing the test if it has none.
+func topology(t *testing.T, q *stream.Query) stream.Topology {
+	t.Helper()
+	topo, err := q.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func TestNoChainedFiltersInTrainingTemplates(t *testing.T) {
 	g := newGen(2)
 	for i := 0; i < 500; i++ {
 		q := g.Query()
+		topo := topology(t, q)
 		for idx, op := range q.Ops {
 			if op.Type != stream.OpFilter {
 				continue
 			}
-			for _, d := range q.Downstream(idx) {
+			for _, d := range topo.Downs(idx) {
 				if q.Ops[d].Type == stream.OpFilter {
 					t.Fatalf("training query %d chains filters (ops %d->%d)", i, idx, d)
 				}
@@ -75,12 +86,12 @@ func TestFilterChainShape(t *testing.T) {
 		if got := q.CountType(stream.OpFilter); got != n {
 			t.Errorf("FilterChain(%d) has %d filters", n, got)
 		}
-		chained := 0
+		chained, topo := 0, topology(t, q)
 		for idx, op := range q.Ops {
 			if op.Type != stream.OpFilter {
 				continue
 			}
-			for _, d := range q.Downstream(idx) {
+			for _, d := range topo.Downs(idx) {
 				if q.Ops[d].Type == stream.OpFilter {
 					chained++
 				}
@@ -214,10 +225,10 @@ func TestBenchmarkQueries(t *testing.T) {
 	}
 	// Spike detection: contains a 2-filter chain (unseen pattern).
 	q := g.BenchmarkQuery(SpikeDetection)
-	chain := false
+	chain, topo := false, topology(t, q)
 	for idx, op := range q.Ops {
 		if op.Type == stream.OpFilter {
-			for _, d := range q.Downstream(idx) {
+			for _, d := range topo.Downs(idx) {
 				if q.Ops[d].Type == stream.OpFilter {
 					chain = true
 				}
