@@ -79,11 +79,7 @@ type BatchFeaturizer struct {
 
 // NewBatch prepares a BatchFeaturizer for the query and cluster.
 func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeaturizer, error) {
-	ops, err := f.opGraph(q)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := gnn.NewPlan(ops)
+	ops, plan, err := f.opGraph(q)
 	if err != nil {
 		return nil, err
 	}

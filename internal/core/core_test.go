@@ -51,7 +51,7 @@ func TestFeaturizerBuildsValidGraphs(t *testing.T) {
 	f := Featurizer{}
 	dims := f.FeatDims()
 	for i, tr := range c.Traces[:100] {
-		g, err := f.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+		g, _, err := f.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
@@ -91,7 +91,7 @@ func TestFeatureModes(t *testing.T) {
 	tr := c.Traces[0]
 
 	qOnly := Featurizer{Mode: FeatQueryOnly}
-	g, err := qOnly.BuildGraph(tr.Query, nil, nil)
+	g, _, err := qOnly.BuildGraph(tr.Query, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFeatureModes(t *testing.T) {
 	}
 
 	pOnly := Featurizer{Mode: FeatPlacementOnly}
-	g2, err := pOnly.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+	g2, _, err := pOnly.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFeatureModes(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pOnly.BuildGraph(tr.Query, nil, nil); err == nil {
+	if _, _, err := pOnly.BuildGraph(tr.Query, nil, nil); err == nil {
 		t.Error("placement featurization without cluster accepted")
 	}
 }

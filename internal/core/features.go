@@ -167,47 +167,50 @@ func oneHot(n, idx int) []float64 {
 
 // opGraph builds the operator-only part of the joint graph: typed
 // operator nodes with their feature vectors plus the logical data-flow
-// edges. This part is placement-invariant, which is what BatchFeaturizer
-// exploits to amortize featurization across many candidates.
-func (f *Featurizer) opGraph(q *stream.Query) (*gnn.Graph, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	rates, err := q.DeriveRates()
+// edges, and its message-passing plan over the query's Topology. This
+// part is placement-invariant, which is what BatchFeaturizer exploits to
+// amortize featurization across many candidates.
+func (f *Featurizer) opGraph(q *stream.Query) (*gnn.Graph, *gnn.Plan, error) {
+	rates, err := q.Analyze()
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	g := &gnn.Graph{}
 	for i, op := range q.Ops {
 		feat, kind, err := f.opFeatures(q, rates, i, op)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		g.Nodes = append(g.Nodes, gnn.Node{Kind: kind, Feat: feat})
 	}
 	for _, e := range q.Edges {
 		g.FlowEdges = append(g.FlowEdges, e)
 	}
-	return g, nil
+	plan, err := gnn.NewPlan(g, &rates.Topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, plan, nil
 }
 
 // BuildGraph constructs the joint operator-resource graph of Section III
 // for the given query, cluster and placement: one host node per distinct
 // host the placement uses, in first-use order, and one placement edge per
-// operator. For FeatQueryOnly the placement may be nil.
-func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, error) {
-	g, err := f.opGraph(q)
+// operator. It also returns the graph's message-passing plan. For
+// FeatQueryOnly the placement may be nil.
+func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, *gnn.Plan, error) {
+	g, plan, err := f.opGraph(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if f.Mode == FeatQueryOnly {
-		return g, nil
+		return g, plan, nil
 	}
 	if c == nil {
-		return nil, fmt.Errorf("core: cluster required for %v featurization", f.Mode)
+		return nil, nil, fmt.Errorf("core: cluster required for %v featurization", f.Mode)
 	}
 	if err := p.Validate(q, c); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	hostNode := make(map[int]int)
 	for opIdx, h := range p {
@@ -219,7 +222,7 @@ func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Plac
 		}
 		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
 	}
-	return g, nil
+	return g, plan, nil
 }
 
 func (f *Featurizer) hostFeatures(h *hardware.Host) []float64 {

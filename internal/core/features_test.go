@@ -38,11 +38,11 @@ func TestFeaturizerDeterministic(t *testing.T) {
 	c := featCluster()
 	p := sim.Placement{0, 0, 0, 1, 1, 1}
 	f := Featurizer{}
-	g1, err := f.BuildGraph(q, c, p)
+	g1, _, err := f.BuildGraph(q, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := f.BuildGraph(q, c, p)
+	g2, _, err := f.BuildGraph(q, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFeaturizerOneHots(t *testing.T) {
 	c := featCluster()
 	p := sim.Placement{0, 0, 0, 1, 1, 1}
 	f := Featurizer{}
-	g, err := f.BuildGraph(q, c, p)
+	g, _, err := f.BuildGraph(q, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHostNodeSharing(t *testing.T) {
 	c := featCluster()
 	f := Featurizer{}
 	all0 := sim.Placement{0, 0, 0, 0, 0, 0}
-	g, err := f.BuildGraph(q, c, all0)
+	g, _, err := f.BuildGraph(q, c, all0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestBuildGraphRejectsInvalidInputs(t *testing.T) {
 	q := featQuery(t)
 	c := featCluster()
 	f := Featurizer{}
-	if _, err := f.BuildGraph(q, c, sim.Placement{0}); err == nil {
+	if _, _, err := f.BuildGraph(q, c, sim.Placement{0}); err == nil {
 		t.Error("short placement accepted")
 	}
 	bad := &stream.Query{} // invalid: empty
-	if _, err := f.BuildGraph(bad, c, nil); err == nil {
+	if _, _, err := f.BuildGraph(bad, c, nil); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
@@ -195,5 +195,34 @@ func TestNormLatencyInverseDirection(t *testing.T) {
 	}
 	if math.IsNaN(normLat(0)) {
 		t.Error("zero latency must be clamped, not NaN")
+	}
+}
+
+// TestFeaturizeAllocsCeiling pins the heap objects of featurizing one
+// trace (newRecord, the training path) and of setting up one scoring
+// session (NewBatch), averaged over 100 corpus traces: one Query.Analyze
+// validates the query and derives the topology that the features and
+// the message-passing plan both read.
+func TestFeaturizeAllocsCeiling(t *testing.T) {
+	traces := testCorpus(t).Traces[:100]
+	f := Featurizer{Mode: FeatFull}
+	var record, batch float64
+	for _, tr := range traces {
+		record += testing.AllocsPerRun(3, func() {
+			if _, err := newRecord(&f, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		batch += testing.AllocsPerRun(3, func() {
+			if _, err := f.NewBatch(tr.Query, tr.Cluster); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	record /= float64(len(traces))
+	batch /= float64(len(traces))
+	t.Logf("%.1f allocations per newRecord, %.1f per NewBatch on average", record, batch)
+	if record > 47 || batch > 41 {
+		t.Fatalf("%.1f allocations per newRecord and %.1f per NewBatch on average, want at most 47 and 41", record, batch)
 	}
 }

@@ -54,7 +54,7 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	c := testCorpus(t)
 	rng := rand.New(rand.NewSource(91))
 	tr := c.Traces[2]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 37)
+	cands := enumerate(rng, tr.Query, tr.Cluster, 37)
 	if len(cands) < 3 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -121,7 +121,7 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[1]
-	cands := placement.Enumerate(rand.New(rand.NewSource(94)), tr.Query, tr.Cluster, 7)
+	cands := enumerate(rand.New(rand.NewSource(94)), tr.Query, tr.Cluster, 7)
 	if len(cands) != 7 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -172,7 +172,7 @@ func TestScoreTileConcurrent(t *testing.T) {
 	c := testCorpus(t)
 	rng := rand.New(rand.NewSource(94))
 	tr := c.Traces[0]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 24)
+	cands := enumerate(rng, tr.Query, tr.Cluster, 24)
 	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 	c := testCorpus(t)
 	rng := rand.New(rand.NewSource(96))
 	tr := c.Traces[5]
-	cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 10)
+	cands := enumerate(rng, tr.Query, tr.Cluster, 10)
 	bad := make(sim.Placement, len(tr.Placement))
 	for i := range bad {
 		bad[i] = len(tr.Cluster.Hosts) + 7
@@ -522,7 +522,7 @@ func TestBuildGraphIntoAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(98))
 	var placements [][]int
-	for _, p := range placement.Enumerate(rng, tr.Query, tr.Cluster, 8) {
+	for _, p := range enumerate(rng, tr.Query, tr.Cluster, 8) {
 		placements = append(placements, p)
 	}
 	var pg gnn.PackedGraphs

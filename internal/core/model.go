@@ -589,11 +589,7 @@ func copyInto(dst, src [][]float64) {
 // training-time forward without gradient buffers — so it serves directed
 // and traditional models alike.
 func (cm *CostModel) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
-	g, err := cm.Feat.BuildGraph(q, c, p)
-	if err != nil {
-		return 0, err
-	}
-	plan, err := gnn.NewPlan(g)
+	g, plan, err := cm.Feat.BuildGraph(q, c, p)
 	if err != nil {
 		return 0, err
 	}

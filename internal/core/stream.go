@@ -35,11 +35,7 @@ type record struct {
 
 // newRecord featurizes one trace.
 func newRecord(feat *Featurizer, tr *dataset.Trace) (record, error) {
-	g, err := feat.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
-	if err != nil {
-		return record{}, err
-	}
-	plan, err := gnn.NewPlan(g)
+	g, plan, err := feat.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
 	if err != nil {
 		return record{}, err
 	}

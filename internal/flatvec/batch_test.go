@@ -1,6 +1,7 @@
 package flatvec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,24 @@ import (
 	"costream/internal/sim"
 	"costream/internal/stream"
 )
+
+// enumerate draws up to k distinct valid placements from rng, as
+// placement.RandomSample does for a budget of k: duplicate and dead-end
+// draws share a miss budget of 8k+64.
+func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []sim.Placement {
+	var out []sim.Placement
+	seen := map[string]bool{}
+	for misses := 0; len(out) < k && misses < 8*k+64; {
+		p, err := placement.RandomValid(rng, q, c)
+		if err != nil || seen[fmt.Sprint(p)] {
+			misses++
+			continue
+		}
+		seen[fmt.Sprint(p)] = true
+		out = append(out, p)
+	}
+	return out
+}
 
 // TestPredictBatchMatchesPredictPlacement is the session's oracle: for
 // every non-empty CostSet and tile widths 1, 7 and all, ScoreTile sets
@@ -27,7 +46,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	for ti, tr := range c.Traces[:6] {
-		cands := placement.Enumerate(rng, tr.Query, tr.Cluster, 10)
+		cands := enumerate(rng, tr.Query, tr.Cluster, 10)
 		if len(cands) == 0 {
 			t.Fatalf("trace %d: no candidates", ti)
 		}

@@ -42,14 +42,11 @@ func Featurize(q *stream.Query, c *hardware.Cluster, p sim.Placement) ([]float64
 
 // queryFeatures computes the placement-invariant query prefix of the flat
 // vector. A scoring session computes it once and reuses it for every
-// candidate. It validates the plan first, as DeriveRates does not.
+// candidate.
 func queryFeatures(q *stream.Query) ([]float64, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("flatvec: %w", err)
-	}
-	rates, err := q.DeriveRates()
+	rates, err := q.Analyze()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flatvec: %w", err)
 	}
 	v := make([]float64, 0, Dim)
 

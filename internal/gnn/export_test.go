@@ -1,11 +1,39 @@
 package gnn
 
-import "costream/internal/nn"
+import (
+	"costream/internal/nn"
+	"costream/internal/stream"
+)
+
+// flowOf derives the Topology of g's operator flow as the query g was
+// featurized from has it: over g's leading operator nodes, with g's flow
+// edges in order.
+func flowOf(g *Graph) (*stream.Topology, error) {
+	n := 0
+	for n < len(g.Nodes) && g.Nodes[n].Kind != KindHost {
+		n++
+	}
+	q := &stream.Query{Ops: make([]*stream.Operator, n)}
+	for _, e := range g.FlowEdges {
+		q.Edges = append(q.Edges, e)
+	}
+	flow, err := q.Topology()
+	return &flow, err
+}
+
+// newPlan is NewPlan over g's own flow.
+func newPlan(g *Graph) (*Plan, error) {
+	flow, err := flowOf(g)
+	if err != nil {
+		return nil, err
+	}
+	return NewPlan(g, flow)
+}
 
 // forward records the graph's forward pass on the tape through a fresh
 // plan and scratch: ForwardPlanned for tests that evaluate a graph once.
 func (m *Model) forward(t *nn.Tape, g *Graph) (*nn.Node, error) {
-	plan, err := NewPlan(g)
+	plan, err := newPlan(g)
 	if err != nil {
 		return nil, err
 	}

@@ -104,46 +104,3 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// opTopoOrder returns operator node indices in topological data-flow order.
-func (g *Graph) opTopoOrder() ([]int, error) {
-	n := len(g.Nodes)
-	indeg := make([]int, n)
-	adj := make([][]int, n)
-	isOp := make([]bool, n)
-	for i, nd := range g.Nodes {
-		isOp[i] = nd.Kind != KindHost
-	}
-	for _, e := range g.FlowEdges {
-		indeg[e[1]]++
-		adj[e[0]] = append(adj[e[0]], e[1])
-	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if isOp[i] && indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	var order []int
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				ready = append(ready, w)
-			}
-		}
-	}
-	nOps := 0
-	for i := range g.Nodes {
-		if isOp[i] {
-			nOps++
-		}
-	}
-	if len(order) != nOps {
-		return nil, fmt.Errorf("gnn: operator flow graph has a cycle")
-	}
-	return order, nil
-}

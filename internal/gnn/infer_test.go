@@ -34,7 +34,7 @@ func TestInferDoesNotMutateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(g)
+	plan, err := newPlan(g)
 	if err != nil {
 		t.Fatal(err)
 	}

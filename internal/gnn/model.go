@@ -259,7 +259,7 @@ func (m *Model) directedPassing(t *nn.Tape, g *Graph, h []*nn.Node, plan *Plan, 
 	final := s.final[:len(after2)]
 	copy(final, after2)
 	for _, v := range plan.order {
-		parents := plan.ups[v]
+		parents := plan.flow.Ups(v)
 		if len(parents) == 0 {
 			continue // sources send but do not receive in this phase
 		}

@@ -73,7 +73,7 @@ type PackedGraphs struct {
 	// flowOff[t]..flowOff[t+1] update operator plan.order[t].
 	flowOff []int
 	flowOwn []int // per phase-3 row: the operator's own phase-2 plane row
-	flowUps []int // per phase-3 row: its parents' plane rows, in plan.ups order
+	flowUps []int // per phase-3 row: its parents' plane rows, in flow-edge order
 
 	opRow []int // c×nOps: plane row of (cand, op)'s final state
 }
@@ -93,7 +93,7 @@ type PhaseRows struct{ Requested, Computed int }
 func (pg *PackedGraphs) Rows() [3]PhaseRows {
 	steps := 0
 	for _, v := range pg.plan.order {
-		if len(pg.plan.ups[v]) > 0 {
+		if len(pg.plan.flow.Ups(v)) > 0 {
 			steps++
 		}
 	}
@@ -241,7 +241,7 @@ func (pg *PackedGraphs) Pack(ops *Graph, plan *Plan, nHosts int, host func(h int
 	pg.flowOwn = pg.flowOwn[:0]
 	pg.flowUps = pg.flowUps[:0]
 	for t, v := range plan.order {
-		parents := plan.ups[v]
+		parents := plan.flow.Ups(v)
 		if len(parents) > 0 {
 			lo, upLo := pg.flowOff[t], len(pg.flowUps)
 			for ci := range c {
@@ -456,7 +456,7 @@ func (sm *StackedModel) InferEnsembleBatch(pg *PackedGraphs, s *BatchScratch, ou
 		if lo == hi {
 			continue // sources send but do not receive in this phase
 		}
-		np := len(pg.plan.ups[v])
+		np := len(pg.plan.flow.Ups(v))
 		s.cat = nn.Grow(s.cat, (hi-lo)*k2H)
 		for r := lo; r < hi; r++ {
 			catRow(s.cat[(r-lo)*k2H:(r-lo+1)*k2H], pg.flowUps[up:up+np], pg.flowOwn[r], sm.k, H, s.ops, s.ops)

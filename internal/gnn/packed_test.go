@@ -228,7 +228,7 @@ func TestPackedMatchesScalarOracle(t *testing.T) {
 	bs := NewBatchScratch()
 	for _, shape := range []string{"chain", "fan-in", "fan-out"} {
 		base := randomFlow(rng, shape)
-		plan, err := NewPlan(base)
+		plan, err := newPlan(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func newTileOfOne(t *testing.T) *tileOfOne {
 	t.Helper()
 	f := &tileOfOne{models: newTestEnsemble(t, 3), base: packBase(), placements: packPlacements[1:2]}
 	var err error
-	if f.plan, err = NewPlan(f.base); err != nil {
+	if f.plan, err = newPlan(f.base); err != nil {
 		t.Fatal(err)
 	}
 	f.graph = packCandidates(f.base, f.placements)[0]
@@ -375,7 +375,7 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := packBase()
-	plan, err := NewPlan(base)
+	plan, err := newPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestInferEnsembleBatchNoHosts(t *testing.T) {
 // cannot happen silently.
 func TestPackGraphsRejectsForeignGraphs(t *testing.T) {
 	base := packBase()
-	plan, err := NewPlan(base)
+	plan, err := newPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestPackGraphsRejectsForeignGraphs(t *testing.T) {
 // features take a row each without changing any output.
 func TestPackGraphsSharesHostRows(t *testing.T) {
 	base := packBase()
-	plan, err := NewPlan(base)
+	plan, err := newPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestPackGraphsSharesHostRows(t *testing.T) {
 //	duplicate a a b   nothing new
 func TestPackGraphsSharesRows(t *testing.T) {
 	base := packBase()
-	plan, err := NewPlan(base)
+	plan, err := newPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestInferEnsembleBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := packBase()
-	plan, err := NewPlan(base)
+	plan, err := newPlan(base)
 	if err != nil {
 		t.Fatal(err)
 	}

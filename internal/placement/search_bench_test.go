@@ -11,7 +11,7 @@ import (
 func BenchmarkPlacementKey(b *testing.B) {
 	q := testQuery()
 	c := cluster12()
-	cands := Enumerate(rand.New(rand.NewSource(1)), q, c, 32)
+	cands := enumerate(rand.New(rand.NewSource(1)), q, c, 32)
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}

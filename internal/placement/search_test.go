@@ -247,7 +247,7 @@ func TestScoreRoundDedupAndCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := Enumerate(rand.New(rand.NewSource(1)), q, c, 4)
+	cands := enumerate(rand.New(rand.NewSource(1)), q, c, 4)
 	if len(cands) < 2 {
 		t.Fatalf("want >= 2 candidates, got %d", len(cands))
 	}
@@ -302,7 +302,7 @@ func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := Enumerate(rand.New(rand.NewSource(1)), q, c, 17)
+	cands := enumerate(rand.New(rand.NewSource(1)), q, c, 17)
 	if len(cands) < 17 {
 		t.Fatalf("want 17 candidates, got %d", len(cands))
 	}

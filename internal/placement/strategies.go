@@ -26,8 +26,9 @@ const (
 
 // RandomSample is the paper's baseline strategy: k distinct random valid
 // placements, scored, sanity-filtered, best one kept. For a given seed and
-// candidate budget it examines exactly the placements Enumerate draws from
-// a rng of that seed.
+// candidate budget k it examines the first k distinct placements that
+// RandomValid draws from a rng of that seed, giving up after 8k+64
+// duplicate or dead-end draws.
 type RandomSample struct{}
 
 // Name implements Strategy.

@@ -307,7 +307,7 @@ func costBits(pc PredCosts) [5]uint64 {
 // the wrapped function's, and leaves the others as the caller left them.
 func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 	q, c := testQuery(), testCluster()
-	cands := Enumerate(rand.New(rand.NewSource(8)), q, c, 12)
+	cands := enumerate(rand.New(rand.NewSource(8)), q, c, 12)
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}

@@ -13,7 +13,7 @@ import (
 // demandOf derives the run's rates and returns them with demand's load.
 func demandOf(t *testing.T, g generatedRun) (*stream.Rates, load) {
 	t.Helper()
-	r, err := g.q.DeriveRates()
+	r, err := g.q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

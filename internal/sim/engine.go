@@ -116,7 +116,8 @@ func (cfg Config) stepCounts() (steps, warmSteps float64) {
 // anywhere in the cluster, because the per-host memory pressure it
 // reports reads every host.
 func Run(q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (*Metrics, error) {
-	if err := q.Validate(); err != nil {
+	rates, err := q.Analyze()
+	if err != nil {
 		return nil, fmt.Errorf("invalid query: %w", err)
 	}
 	if err := p.Validate(q, c); err != nil {
@@ -132,10 +133,6 @@ func Run(q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (*Metric
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid config: %w", err)
-	}
-	rates, err := q.DeriveRates()
-	if err != nil {
-		return nil, err
 	}
 	e := newEngine(q, c, p, rates, cfg)
 	return e.run(), nil

@@ -119,10 +119,10 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	}
 }
 
-// TestRunAllocsCeiling: a run allocates at most 30 heap objects on
-// average over generated runs: the rates carry the one topology that
-// the engine, the load model and the latency walk read, and the engine's
-// fixed-size state comes from a few slabs.
+// TestRunAllocsCeiling: a run allocates at most 20 heap objects on
+// average over generated runs: one Query.Analyze derives the one topology
+// that the check, the engine, the load model and the latency walk read,
+// and the rates and the engine's fixed-size state come from a few slabs.
 func TestRunAllocsCeiling(t *testing.T) {
 	runs := generatedRuns(30, 20, 3, 6, 220)
 	var total float64
@@ -135,8 +135,8 @@ func TestRunAllocsCeiling(t *testing.T) {
 	}
 	avg := total / float64(len(runs))
 	t.Logf("%.1f allocations per run on average", avg)
-	if avg > 30 {
-		t.Fatalf("%.1f allocations per run on average, want at most 30", avg)
+	if avg > 20 {
+		t.Fatalf("%.1f allocations per run on average, want at most 20", avg)
 	}
 }
 

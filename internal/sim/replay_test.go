@@ -18,7 +18,7 @@ var fleetObsConfig = Config{DurationS: 30, WarmupS: 5, StepS: 0.05, NoiseStd: 0.
 // period, or -1 and 0 for a run that never repeats.
 func stepped(t testing.TB, q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (e *engine, m *Metrics, at, period int) {
 	t.Helper()
-	rates, err := q.DeriveRates()
+	rates, err := q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func engineState(e *engine) string {
 func replayed(t testing.TB, q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (diff string, at, period int) {
 	t.Helper()
 	want, wantM, at, period := stepped(t, q, c, p, cfg)
-	rates, err := q.DeriveRates()
+	rates, err := q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -469,7 +469,7 @@ func TestGCSlowdownMonotone(t *testing.T) {
 
 func TestPerTupleCostProperties(t *testing.T) {
 	q := linearQuery(1000, 0.5)
-	r, _ := q.DeriveRates()
+	r, _ := q.Analyze()
 	base := perTupleCostUS(q, r, 1)
 	// String predicates cost more than int predicates.
 	q.Ops[1].LiteralType = stream.TypeString
@@ -488,7 +488,7 @@ func TestPerTupleCostProperties(t *testing.T) {
 func TestStateBytes(t *testing.T) {
 	w := stream.Window{Type: stream.WindowSliding, Policy: stream.WindowCountBased, Size: 640, Slide: 320}
 	q := aggQuery(1000, w, 0.5)
-	r, _ := q.DeriveRates()
+	r, _ := q.Analyze()
 	if sb := stateBytes(q, r, 0); sb != 0 {
 		t.Errorf("source state = %v, want 0", sb)
 	}
@@ -498,7 +498,7 @@ func TestStateBytes(t *testing.T) {
 	}
 	// Doubling the window size should grow state.
 	q2 := aggQuery(1000, stream.Window{Type: stream.WindowSliding, Policy: stream.WindowCountBased, Size: 1280, Slide: 320}, 0.5)
-	r2, _ := q2.DeriveRates()
+	r2, _ := q2.Analyze()
 	if agg2 := stateBytes(q2, r2, 1); agg2 <= agg {
 		t.Errorf("bigger window state %v should exceed %v", agg2, agg)
 	}

@@ -20,7 +20,7 @@ func TestFilterChainRateIsProductOfSelectivities(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := q.DeriveRates()
+		r, err := q.Analyze()
 		if err != nil {
 			return false
 		}
@@ -41,7 +41,7 @@ func TestJoinOutputGrowsWithWindow(t *testing.T) {
 		k := b.AddSink()
 		b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 		q := b.MustBuild()
-		r, _ := q.DeriveRates()
+		r, _ := q.Analyze()
 		return r.Out[j]
 	}
 	if mk(200) <= mk(20) {
@@ -59,7 +59,7 @@ func TestAggregationOutputCappedByFiringRate(t *testing.T) {
 	k := b.AddSink()
 	b.Chain(s, a, k)
 	q := b.MustBuild()
-	r, _ := q.DeriveRates()
+	r, _ := q.Analyze()
 	fires := 10000.0 / 50
 	if math.Abs(r.Out[a]-fires) > 1e-9 {
 		t.Errorf("global agg rate %v, want %v (one tuple per fire)", r.Out[a], fires)
@@ -92,7 +92,7 @@ func TestTreeShapedThreeWayJoin(t *testing.T) {
 	if q.Class() != ClassThreeWayJoin {
 		t.Errorf("class = %v, want 3-Way-Join", q.Class())
 	}
-	r, err := q.DeriveRates()
+	r, err := q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,50 +224,71 @@ func (q *Query) Topology() (Topology, error) {
 // source, a connected acyclic flow, join fan-in of two, unary fan-in for
 // filters/aggregations/sinks, and per-operator field validity.
 func (q *Query) Validate() error {
+	_, err := q.validate()
+	return err
+}
+
+// Analyze validates the plan and derives its rates, by DeriveRates'
+// rules, over the Topology the check derived: Validate and DeriveRates in
+// one derivation of the data flow, with Validate's errors. It does not
+// mutate the query, so concurrent callers (ensemble training, batched
+// placement scoring) may share one Query.
+func (q *Query) Analyze() (*Rates, error) {
+	t, err := q.validate()
+	if err != nil {
+		return nil, err
+	}
+	return q.rates(t), nil
+}
+
+// validate is Validate, returning the checked plan's Topology.
+func (q *Query) validate() (Topology, error) {
 	if len(q.Ops) == 0 {
-		return fmt.Errorf("empty query")
+		return Topology{}, fmt.Errorf("empty query")
 	}
 	for i, op := range q.Ops {
 		if op == nil {
-			return fmt.Errorf("operator %d is null", i)
+			return Topology{}, fmt.Errorf("operator %d is null", i)
 		}
 	}
 	if q.CountType(OpSource) == 0 {
-		return fmt.Errorf("query has no source")
+		return Topology{}, fmt.Errorf("query has no source")
 	}
 	nSinks := q.CountType(OpSink)
 	if nSinks != 1 {
-		return fmt.Errorf("query must have exactly one sink, got %d", nSinks)
+		return Topology{}, fmt.Errorf("query must have exactly one sink, got %d", nSinks)
 	}
 	t, err := q.Topology()
 	if err != nil {
-		return err
+		return Topology{}, err
 	}
 	for i, op := range q.Ops {
 		if err := op.Validate(); err != nil {
-			return err
+			return Topology{}, err
 		}
 		ups, downs := len(t.Ups(i)), len(t.Downs(i))
 		switch {
 		case op.Type == OpSource && ups != 0:
-			return fmt.Errorf("source %s has %d inputs", op.ID, ups)
+			return Topology{}, fmt.Errorf("source %s has %d inputs", op.ID, ups)
 		case op.Type == OpJoin && ups != 2:
-			return fmt.Errorf("join %s must have exactly two inputs, got %d", op.ID, ups)
+			return Topology{}, fmt.Errorf("join %s must have exactly two inputs, got %d", op.ID, ups)
 		case op.Type != OpSource && op.Type != OpJoin && ups != 1:
-			return fmt.Errorf("%v %s must have exactly one input, got %d", op.Type, op.ID, ups)
+			return Topology{}, fmt.Errorf("%v %s must have exactly one input, got %d", op.Type, op.ID, ups)
 		case op.Type == OpSink && downs != 0:
-			return fmt.Errorf("sink %s has %d consumers", op.ID, downs)
+			return Topology{}, fmt.Errorf("sink %s has %d consumers", op.ID, downs)
 		case op.Type != OpSink && downs != 1:
-			return fmt.Errorf("%v %s must have exactly one consumer, got %d", op.Type, op.ID, downs)
+			return Topology{}, fmt.Errorf("%v %s must have exactly one consumer, got %d", op.Type, op.ID, downs)
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // Rates holds the derived steady-state logical rates of a plan, ignoring
 // resource limits: the arrival and output tuple rates per operator, the
 // serialized tuple size of each operator's output stream, and the
-// topology they were derived over, for their readers to walk.
+// topology they were derived over, for their readers to walk. In, Out
+// and TupleBytes share one backing array; callers must not append to
+// them.
 type Rates struct {
 	In         []float64 // tuples/s arriving at each operator
 	Out        []float64 // tuples/s emitted by each operator
@@ -287,23 +308,29 @@ type Rates struct {
 // The returned slices are indexed by operator index. DeriveRates does not
 // validate the plan: it reads each operator's inputs as the operator's
 // type requires (a filter's, aggregation's or sink's first input, a join's
-// first two), so a plan that may be malformed is validated first. It does
-// not mutate the query, so concurrent callers (ensemble training, batched
-// placement scoring) may share one Query.
+// first two), so a plan that may be malformed goes through Analyze
+// instead. Its one reader is the simulator's two-sink fan-out tests, whose
+// plans Validate refuses.
 func (q *Query) DeriveRates() (*Rates, error) {
 	topo, err := q.Topology()
 	if err != nil {
 		return nil, err
 	}
+	return q.rates(topo), nil
+}
+
+// rates propagates the rates over the plan's topology.
+func (q *Query) rates(topo Topology) *Rates {
 	n := len(q.Ops)
+	f := make([]float64, 4*n)
 	r := &Rates{
-		In:         make([]float64, n),
-		Out:        make([]float64, n),
-		TupleBytes: make([]float64, n),
+		In:         f[:n],
+		Out:        f[n : 2*n],
+		TupleBytes: f[2*n : 3*n],
 		Width:      make([]int, n),
 		Topo:       topo,
 	}
-	avgBytes := make([]float64, n)
+	avgBytes := f[3*n:]
 	for _, i := range topo.Order() {
 		op := q.Ops[i]
 		ups := topo.Ups(i)
@@ -357,7 +384,7 @@ func (q *Query) DeriveRates() (*Rates, error) {
 		}
 		r.TupleBytes[i] = TupleBytes(r.Width[i], avgBytes[i])
 	}
-	return r, nil
+	return r
 }
 
 // QueryClass labels a plan by its join arity and aggregation presence,

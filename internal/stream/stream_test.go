@@ -32,9 +32,9 @@ func TestBuilderLinear(t *testing.T) {
 	if q.Class() != ClassLinear {
 		t.Fatalf("Class = %v, want Linear", q.Class())
 	}
-	r, err := q.DeriveRates()
+	r, err := q.Analyze()
 	if err != nil {
-		t.Fatalf("DeriveRates: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	sink := q.Sink()
 	if math.Abs(r.In[sink]-500) > 1e-9 {
@@ -55,7 +55,7 @@ func TestFilterRateProportionalToSelectivity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := q.DeriveRates()
+		r, err := q.Analyze()
 		if err != nil {
 			return false
 		}
@@ -80,9 +80,9 @@ func TestJoinRateFormula(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	r, err := q.DeriveRates()
+	r, err := q.Analyze()
 	if err != nil {
-		t.Fatalf("DeriveRates: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	if math.Abs(r.Out[j]-500) > 1e-9 {
 		t.Errorf("join out rate = %v, want 500", r.Out[j])
@@ -105,9 +105,9 @@ func TestAggregationRate(t *testing.T) {
 	k := b.AddSink()
 	b.Chain(s, a, k)
 	q := b.MustBuild()
-	r, err := q.DeriveRates()
+	r, err := q.Analyze()
 	if err != nil {
-		t.Fatalf("DeriveRates: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	if math.Abs(r.Out[a]-400) > 1e-9 {
 		t.Errorf("agg out rate = %v, want 400", r.Out[a])
@@ -122,7 +122,7 @@ func TestGlobalAggregationEmitsOneGroup(t *testing.T) {
 	k := b.AddSink()
 	b.Chain(s, a, k)
 	q := b.MustBuild()
-	r, _ := q.DeriveRates()
+	r, _ := q.Analyze()
 	if math.Abs(r.Out[a]-0.5) > 1e-9 { // fires = 1/2 per sec, 1 group
 		t.Errorf("global agg out rate = %v, want 0.5", r.Out[a])
 	}
@@ -293,17 +293,17 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestDeriveRatesIdempotent(t *testing.T) {
 	q := linearQuery(t, 800, 0.25)
-	r1, err := q.DeriveRates()
+	r1, err := q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := q.DeriveRates()
+	r2, err := q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r1.Out {
 		if r1.Out[i] != r2.Out[i] {
-			t.Fatalf("DeriveRates not idempotent at op %d: %v vs %v", i, r1.Out[i], r2.Out[i])
+			t.Fatalf("rates not idempotent at op %d: %v vs %v", i, r1.Out[i], r2.Out[i])
 		}
 	}
 }

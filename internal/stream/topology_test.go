@@ -160,7 +160,31 @@ func diffReference(q *stream.Query) string {
 	if got, want := errText(q.Validate()), errText(refValidate(q)); got != want {
 		return fmt.Sprintf("Validate error %q, reference %q", got, want)
 	}
+	rates, err := q.Analyze()
+	ref, refErr := (*stream.Rates)(nil), q.Validate()
+	if refErr == nil {
+		ref, refErr = q.DeriveRates()
+	}
+	if errText(err) != errText(refErr) {
+		return fmt.Sprintf("Analyze error %q, Validate then DeriveRates %q", errText(err), errText(refErr))
+	}
+	if got, want := ratesHex(rates), ratesHex(ref); got != want {
+		return fmt.Sprintf("Analyze rates\n%s\nValidate then DeriveRates\n%s", got, want)
+	}
 	return ""
+}
+
+// ratesHex renders rates bit for bit, floats in hex, with the order and
+// producers of their topology.
+func ratesHex(r *stream.Rates) string {
+	if r == nil {
+		return "<nil>"
+	}
+	s := fmt.Sprintf("in %x\nout %x\nbytes %x\nwidth %v\norder %v\nups", r.In, r.Out, r.TupleBytes, r.Width, r.Topo.Order())
+	for i := range r.In {
+		s += fmt.Sprint(" ", r.Topo.Ups(i))
+	}
+	return s
 }
 
 func errText(err error) string {
@@ -248,7 +272,8 @@ func variants(rng *rand.Rand, q *stream.Query) []*stream.Query {
 // arbitrary edge lists, each also with shuffled, repeated, dropped,
 // reversed, cyclic and out-of-range edges: the same order (the lowest
 // ready index first), producers and consumers in edge order, and the
-// same error text.
+// same error text. Analyze agrees with Validate then DeriveRates: the
+// same error text, and the same rates in hex.
 func TestTopologyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	gen := workload.New(workload.DefaultConfig(55))
@@ -286,9 +311,10 @@ func TestTopologyMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzTopology holds Query.Topology and Validate to the reference on
-// arbitrary plans: one operator per kind byte (see testOp) and one edge
-// per two edge bytes, each endpoint in [-1, operators].
+// FuzzTopology holds Query.Topology and Validate to the reference, and
+// Analyze to Validate then DeriveRates, on arbitrary plans: one operator
+// per kind byte (see testOp) and one edge per two edge bytes, each
+// endpoint in [-1, operators].
 func FuzzTopology(f *testing.F) {
 	gen := workload.New(workload.DefaultConfig(7))
 	for class := stream.ClassLinear; class <= stream.ClassThreeWayJoinAgg; class++ {
