@@ -233,11 +233,15 @@ func (m *Model) NewControlPlane() (*ControlPlane, error) {
 
 // Deploy registers query q on cluster c with the control plane under
 // id, runs the initial placement search (respecting any cordoned
-// hosts) and returns the activated deployment's status. An invalid
-// cluster (Cluster.Validate) is refused. Subsequent ControlPlane.Tick
-// calls keep the placement healthy.
+// hosts) and returns the activated deployment's status. It refuses an
+// invalid cluster (Cluster.Check). Subsequent ControlPlane.Tick calls
+// keep the placement healthy.
 func Deploy(ctx context.Context, cp *ControlPlane, id string, q *Query, c *Cluster) (DeploymentStatus, error) {
-	return cp.Deploy(ctx, id, q, c, nil)
+	k, err := c.Check()
+	if err != nil {
+		return DeploymentStatus{}, fmt.Errorf("controlplane: deploying %s: %w", id, err)
+	}
+	return cp.Deploy(ctx, id, q, k, nil)
 }
 
 // NewQueryBuilder returns an empty query builder.
@@ -245,13 +249,14 @@ func NewQueryBuilder() *QueryBuilder { return stream.NewBuilder() }
 
 // Execute runs the query under the placement on the cluster in the
 // bundled execution simulator and returns the measured cost metrics. It
-// refuses an invalid cluster (Cluster.Validate), including hosts the
+// refuses an invalid cluster (Cluster.Check), including hosts the
 // placement does not use.
 func Execute(q *Query, c *Cluster, p Placement) (*Metrics, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid cluster: %w", err)
+	k, err := c.Check()
+	if err != nil {
+		return nil, err
 	}
-	return sim.Run(q, c, p, sim.DefaultConfig())
+	return sim.Run(q, k, p, sim.DefaultConfig())
 }
 
 // GenerateCorpus builds a training corpus of n executed traces following
@@ -359,18 +364,27 @@ func LoadModel(path string) (*Model, error) {
 func (m *Model) Info() ModelInfo { return m.prov }
 
 // PredictCosts estimates the five cost metrics of executing the query
-// under the given placement, without running it.
+// under the given placement, without running it. It refuses an invalid
+// cluster (Cluster.Check).
 func (m *Model) PredictCosts(q *Query, c *Cluster, p Placement) (Costs, error) {
-	return placement.PredictOne(m.pred, q, c, p)
+	k, err := c.Check()
+	if err != nil {
+		return Costs{}, err
+	}
+	return placement.PredictOne(m.pred, q, k, p)
 }
 
 // PredictCostsBatch scores many placement candidates in one call,
 // featurizing each candidate once and sharing the placement-invariant
 // query and cluster features across the batch. Results match per-candidate
 // PredictCosts calls exactly; a candidate that fails to score fails the
-// call, naming it.
+// call, naming it. It refuses an invalid cluster (Cluster.Check).
 func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) ([]Costs, error) {
-	costs, errs := placement.Score(context.Background(), m.pred, q, c, candidates, placement.AllCosts)
+	k, err := c.Check()
+	if err != nil {
+		return nil, err
+	}
+	costs, errs := placement.Score(context.Background(), m.pred, q, k, candidates, placement.AllCosts)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("costream: candidate %d: %w", i, err)
@@ -385,7 +399,8 @@ func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) 
 // the one optimizing the objective together with its predicted costs.
 // Candidates are scored in batches by a worker pool sized to GOMAXPROCS.
 // It is the RandomSample strategy under a k-candidate budget;
-// OptimizePlacementSearchCtx runs the other search strategies.
+// OptimizePlacementSearchCtx runs the other search strategies. It
+// refuses an invalid cluster (Cluster.Check).
 func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, seed int64) (Placement, Costs, error) {
 	res, err := m.OptimizePlacementSearchCtx(context.Background(), q, c, RandomSampleStrategy{}, obj,
 		SearchBudget{MaxCandidates: k}, SearchOpts{Seed: seed})
@@ -405,9 +420,14 @@ func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, se
 // purely observational — the chosen placement is identical with it on or
 // off. Cancelling ctx stops the search at the next scoring batch and
 // returns the best placement found so far with SearchResult.Cancelled
-// set; it errors only when no candidate was scored before the cancel.
+// set; it errors only when no candidate was scored before the cancel. It
+// refuses an invalid cluster (Cluster.Check).
 func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, opts SearchOpts) (*SearchResult, error) {
-	res, err := placement.Search(ctx, m.pred, q, c, strat, obj, budget, opts)
+	k, err := c.Check()
+	if err != nil {
+		return nil, err
+	}
+	res, err := placement.Search(ctx, m.pred, q, k, strat, obj, budget, opts)
 	if err != nil {
 		return nil, fmt.Errorf("costream: %w", err)
 	}
@@ -415,7 +435,12 @@ func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Clu
 }
 
 // HeuristicPlacement returns a placement drawn by the plain IoT heuristic
-// (the initial-placement baseline of the paper's Exp 2a).
+// (the initial-placement baseline of the paper's Exp 2a). It refuses an
+// invalid cluster (Cluster.Check).
 func HeuristicPlacement(q *Query, c *Cluster, seed int64) (Placement, error) {
-	return placement.RandomValid(rand.New(rand.NewSource(seed)), q, c)
+	k, err := c.Check()
+	if err != nil {
+		return nil, err
+	}
+	return placement.RandomValid(rand.New(rand.NewSource(seed)), q, k)
 }

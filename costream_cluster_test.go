@@ -14,9 +14,9 @@ import (
 	"costream/internal/workload"
 )
 
-// invalidClusters are the three ways a cluster fails Cluster.Validate on
-// a host nothing is placed on: each appends one host to c, after the
-// hosts a placement uses, and names what the refusal must mention.
+// invalidClusters are the three ways a cluster fails Cluster.Check on a
+// host nothing is placed on: each appends one host to c, after the hosts
+// a placement uses, and names what the refusal must mention.
 var invalidClusters = []struct {
 	name string
 	want string
@@ -36,16 +36,18 @@ func withInvalidHost(c *Cluster, k int) *Cluster {
 
 // fixedCosts predicts the same costs for every placement and never looks
 // at the cluster, so a refusal it sees comes from the entry point.
-var fixedCosts = placement.PredictorFunc(func(*stream.Query, *hardware.Cluster, sim.Placement) (placement.PredCosts, error) {
+var fixedCosts = placement.PredictorFunc(func(*stream.Query, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
 	return placement.PredCosts{ThroughputTPS: 1, ProcLatencyMS: 1, E2ELatencyMS: 1, Success: true}, nil
 })
 
-// TestInvalidClusterRefusedAtEveryEntryPoint: sim.Run checks only the
-// hosts a placement uses, so every place a cluster enters refuses an
-// invalid one itself — a duplicate host ID, a null host or a NaN feature
-// on a host the placement does not use. The serve routes and fleet
-// scenarios have tests of their own in their packages.
+// TestInvalidClusterRefusedAtEveryEntryPoint: the simulator, the search
+// and the control plane take a cluster only as checked, so every facade
+// entry a cluster comes in by checks it itself and refuses an invalid one
+// — a duplicate host ID, a null host or a NaN feature on a host the
+// placement does not use. The serve routes and fleet scenarios have tests
+// of their own in their packages.
 func TestInvalidClusterRefusedAtEveryEntryPoint(t *testing.T) {
+	_, model := facade(t)
 	q := exampleQuery(t)
 	p := Placement{0, 1, 2}
 	if _, err := Execute(q, exampleCluster(), p); err != nil {
@@ -73,10 +75,17 @@ func TestInvalidClusterRefusedAtEveryEntryPoint(t *testing.T) {
 			t.Errorf("Deploy with a %s registered the deployment", tc.name)
 		}
 
-		oracle := &placement.SimOracle{Cfg: sim.Config{DurationS: 5, WarmupS: 1, StepS: 0.1}}
-		_, err = placement.Search(context.Background(), oracle, q, c, placement.LocalSearch{}, placement.MinProcLatency,
-			placement.Budget{MaxCandidates: 8}, placement.SearchOptions{Seed: 1})
-		refused("Search with SimOracle", err)
+		_, err = model.PredictCosts(q, c, p)
+		refused("PredictCosts", err)
+		_, err = model.PredictCostsBatch(q, c, []Placement{p})
+		refused("PredictCostsBatch", err)
+		_, _, err = model.OptimizePlacement(q, c, 8, MinProcLatency, 1)
+		refused("OptimizePlacement", err)
+		_, err = model.OptimizePlacementSearchCtx(context.Background(), q, c, LocalSearchStrategy{}, MinProcLatency,
+			SearchBudget{MaxCandidates: 8}, SearchOpts{Seed: 1})
+		refused("OptimizePlacementSearchCtx", err)
+		_, err = HeuristicPlacement(q, c, 1)
+		refused("HeuristicPlacement", err)
 
 		_, err = dataset.Build(dataset.BuildConfig{
 			N: 2, Seed: 3, Gen: workload.DefaultConfig(3), Sim: sim.Config{DurationS: 5, WarmupS: 1, StepS: 0.1},
@@ -87,23 +96,38 @@ func TestInvalidClusterRefusedAtEveryEntryPoint(t *testing.T) {
 }
 
 // TestRunRefusesBadUsedHost: sim.Run still refuses a placement onto an
-// out-of-range, null or non-finite host.
+// out-of-range or negative host index; a null or non-finite host is
+// refused by Cluster.Check before any run.
 func TestRunRefusesBadUsedHost(t *testing.T) {
 	q, cfg := exampleQuery(t), sim.Config{DurationS: 5, WarmupS: 1, StepS: 0.1}
+	k, err := exampleCluster().Check()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
-		edit func(c *Cluster) Placement
+		p    Placement
 		want string
 	}{
-		{"out of range", func(c *Cluster) Placement { return Placement{0, 1, len(c.Hosts)} }, "invalid host 3"},
-		{"negative", func(*Cluster) Placement { return Placement{-1, 1, 2} }, "invalid host -1"},
-		{"null", func(c *Cluster) Placement { c.Hosts[2] = nil; return Placement{0, 1, 2} }, "host 2 is null"},
-		{"NaN", func(c *Cluster) Placement { c.Hosts[1].RAMMB = math.NaN(); return Placement{0, 1, 2} }, "ram must be finite"},
-		{"infinite", func(c *Cluster) Placement { c.Hosts[0].NetLatencyMS = math.Inf(1); return Placement{0, 1, 2} }, "latency must be finite"},
+		{"out of range", Placement{0, 1, 3}, "invalid host 3"},
+		{"negative", Placement{-1, 1, 2}, "invalid host -1"},
+	} {
+		if _, err := sim.Run(q, k, tc.p, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s host: err = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(c *Cluster)
+		want string
+	}{
+		{"null", func(c *Cluster) { c.Hosts[2] = nil }, "invalid cluster: host 2 is null"},
+		{"NaN", func(c *Cluster) { c.Hosts[1].RAMMB = math.NaN() }, "invalid cluster: host fog: ram must be finite"},
+		{"infinite", func(c *Cluster) { c.Hosts[0].NetLatencyMS = math.Inf(1) }, "invalid cluster: host edge: latency must be finite"},
 	} {
 		c := exampleCluster()
-		p := tc.edit(c)
-		if _, err := sim.Run(q, c, p, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		tc.edit(c)
+		if _, err := c.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s host: err = %v, want a refusal naming %q", tc.name, err, tc.want)
 		}
 	}

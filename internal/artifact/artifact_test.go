@@ -21,6 +21,7 @@ import (
 	"costream/internal/core"
 	"costream/internal/dataset"
 	"costream/internal/gnn"
+	"costream/internal/hardware"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/workload"
@@ -34,6 +35,15 @@ var (
 	fixCorp *dataset.Corpus
 	fixPred *core.Predictor
 )
+
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
 
 func fixture(t *testing.T) (*dataset.Corpus, *core.Predictor) {
 	t.Helper()
@@ -125,11 +135,11 @@ func TestRoundTripBitIdentical(t *testing.T) {
 				t.Errorf("artifact mode %v (err %v), want 0644", st.Mode().Perm(), err)
 			}
 			for i, tr := range corp.Traces[:20] {
-				want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
+				want, err := placement.PredictOne(pred, tr.Query, checked(tr.Cluster), tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
+				got, err := placement.PredictOne(back, tr.Query, checked(tr.Cluster), tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,8 +152,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			// batch the same placement thrice (exercises the batch path).
 			tr := corp.Traces[0]
 			cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, tr.Cluster, cands, placement.AllCosts)
-			got, gotErrs := placement.Score(context.Background(), back, tr.Query, tr.Cluster, cands, placement.AllCosts)
+			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+			got, gotErrs := placement.Score(context.Background(), back, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
 			if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func ObservationSeed(base int64, stage, i int) int64 {
 // in fakes. A heal pass (Pass) decides its deployments in parallel and
 // calls Observe concurrently, so a feed must be safe for concurrent use.
 type MetricFeed interface {
-	Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error)
+	Observe(q *stream.Query, k hardware.Checked, p sim.Placement) (*sim.Metrics, error)
 }
 
 // SimFeed observes placements by running the execution simulator.
@@ -97,8 +97,8 @@ type SimFeed struct {
 }
 
 // Observe implements MetricFeed.
-func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
-	return sim.Run(q, c, p, f.Cfg)
+func (f SimFeed) Observe(q *stream.Query, k hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+	return sim.Run(q, k, p, f.Cfg)
 }
 
 // View is the cluster one control decision runs against plus the host
@@ -109,13 +109,8 @@ func (f SimFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) 
 // down rather than cordoned, so an incumbent on one reads as a dead-host
 // violation, not a cordoned-host one; every host in Down must also be in
 // Banned.
-//
-// The cluster must be valid (hardware.Cluster.Validate). Whoever builds
-// the view checks it once — the fleet per view, the Plane when a
-// deployment registers its cluster — and a decision does not check it
-// again: the simulator checks only the hosts a placement uses.
 type View struct {
-	Cluster *hardware.Cluster
+	Cluster hardware.Checked
 	Banned  []int
 	Down    []int
 }
@@ -124,7 +119,7 @@ type View struct {
 // entries than hosts cannot cover them all, so only a view banning at
 // least as many entries as it has hosts counts the distinct ones.
 func (v View) anySchedulable() bool {
-	n := len(v.Cluster.Hosts)
+	n := len(v.Cluster.Cluster().Hosts)
 	if len(v.Banned) < n {
 		return true
 	}
@@ -244,7 +239,7 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 	return nil
 }
 
-// Observe runs d's incumbent placement on cluster c through feed, with
+// Observe runs d's incumbent placement on cluster k through feed, with
 // effQ as the query under current load, and compares what it observes
 // with the costs predicted when the placement was activated: the
 // throughput and processing-latency q-errors (qerror.Q), which it records
@@ -253,8 +248,8 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 // and the observed processing latency — and no violation or action:
 // judging the observation is Heal's. The metrics come back beside it. d
 // is not written.
-func Observe(d *Deployment, c *hardware.Cluster, effQ *stream.Query, feed MetricFeed) (Decision, *sim.Metrics, error) {
-	obs, err := feed.Observe(effQ, c, d.Placement)
+func Observe(d *Deployment, k hardware.Checked, effQ *stream.Query, feed MetricFeed) (Decision, *sim.Metrics, error) {
+	obs, err := feed.Observe(effQ, k, d.Placement)
 	if err != nil {
 		return Decision{}, nil, fmt.Errorf("controlplane: observing %s: %w", d.ID, err)
 	}

@@ -34,6 +34,15 @@ func testQuery() *stream.Query {
 	return b.MustBuild()
 }
 
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 func testCluster() *hardware.Cluster {
 	return &hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "edge-0", CPU: 50, RAMMB: 1000, NetLatencyMS: 80, NetBandwidthMbps: 50},
@@ -60,9 +69,9 @@ func fakeCosts(c *hardware.Cluster, p sim.Placement) placement.PredCosts {
 	}
 }
 
-func (fakePred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
-	return placement.PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-		return fakeCosts(c, p), nil
+func (fakePred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+		return fakeCosts(c.Cluster(), p), nil
 	}).NewScoreSession(q, c)
 }
 
@@ -75,7 +84,7 @@ type stubFeed struct {
 	observed []sim.Placement
 }
 
-func (f *stubFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+func (f *stubFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.mu.Lock()
 	f.observed = append(f.observed, append(sim.Placement(nil), p...))
 	f.mu.Unlock()
@@ -105,7 +114,7 @@ func testPolicy() Policy {
 func deployFor(t *testing.T, q *stream.Query, c *hardware.Cluster) *Deployment {
 	t.Helper()
 	d := &Deployment{ID: "q1", Query: q}
-	if err := testPolicy().Deploy(context.Background(), d, View{Cluster: c}, placement.SearchOptions{Seed: 7}); err != nil {
+	if err := testPolicy().Deploy(context.Background(), d, View{Cluster: checked(c)}, placement.SearchOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Deployed || len(d.Placement) != q.NumOps() {
@@ -119,7 +128,7 @@ func TestHealHealthy(t *testing.T) {
 	d := deployFor(t, q, c)
 	before := *d
 	feed := matchingFeed(c, d.Placement)
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 100, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestHealQErrorDriftMigrates(t *testing.T) {
 		ProcLatencyMS: pc.ProcLatencyMS * 10,
 		Success:       true,
 	}}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 100, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +193,7 @@ func TestHealDriftSuppressedByCooldown(t *testing.T) {
 	pol := testPolicy()
 	pol.Hysteresis = placement.Hysteresis{CooldownS: 60}
 	before := append(sim.Placement(nil), d.Placement...)
-	dec, err := pol.Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	dec, err := pol.Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 100, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +216,7 @@ func TestHealDriftSuppressedByCooldown(t *testing.T) {
 // countingPred is fakePred counting the scoring sessions opened on it.
 type countingPred struct{ sessions atomic.Int64 }
 
-func (p *countingPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+func (p *countingPred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
 	p.sessions.Add(1)
 	return fakePred{}.NewScoreSession(q, c)
 }
@@ -217,7 +226,7 @@ func (p *countingPred) NewScoreSession(q *stream.Query, c *hardware.Cluster) (pl
 // the pass opens one scoring session, and the re-based prediction is bit
 // for bit what PredictOne says of the incumbent.
 func TestHealKeptIncumbentScoresOnce(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	// Everything on the strongest host is fakeCosts' unique optimum.
 	inc := sim.Placement{3, 3, 3, 3, 3}
 	want, err := placement.PredictOne(fakePred{}, q, c, inc)
@@ -271,7 +280,7 @@ func TestHealObservedFailure(t *testing.T) {
 		ProcLatencyMS: pc.ProcLatencyMS,
 		Success:       false,
 	}}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 50, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 50, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +297,7 @@ func TestHealDeadHostForcesReplacement(t *testing.T) {
 	d := deployFor(t, q, c)
 	dead := []int{d.Placement[0]} // the host under the first operator went down
 	feed := &stubFeed{}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c, Banned: dead, Down: dead}, nil, feed, 50, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c), Banned: dead, Down: dead}, nil, feed, 50, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestHealCordonedHostForcesReplacementOffHost(t *testing.T) {
 	// validity; cordoning the strongest incumbent host is enough.
 	banned := []int{int(d.Placement[len(d.Placement)-1])}
 	feed := &stubFeed{}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c, Banned: banned}, nil, feed, 50, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c), Banned: banned}, nil, feed, 50, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +360,7 @@ func TestHealBannedHostViolationKind(t *testing.T) {
 			q, c := testQuery(), testCluster()
 			d := deployFor(t, q, c)
 			host := d.Placement[len(d.Placement)-1]
-			v := View{Cluster: c, Banned: []int{host}}
+			v := View{Cluster: checked(c), Banned: []int{host}}
 			if tc.down {
 				v.Down = v.Banned
 			}
@@ -388,7 +397,7 @@ func TestObserveMatchesHealthyHeal(t *testing.T) {
 		Success:       true,
 	}}
 	before := *d
-	obsDec, m, err := Observe(d, c, q, feed)
+	obsDec, m, err := Observe(d, checked(c), q, feed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +407,7 @@ func TestObserveMatchesHealthyHeal(t *testing.T) {
 	if !reflect.DeepEqual(*m, feed.metrics) {
 		t.Fatalf("metrics = %+v, want the feed's %+v", *m, feed.metrics)
 	}
-	healDec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 100, placement.SearchOptions{Seed: 8})
+	healDec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 100, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +424,7 @@ func TestObserveMatchesHealthyHeal(t *testing.T) {
 }
 
 func TestHealUndeployedRedeploys(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	d := &Deployment{ID: "q1", Query: q}
 	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, &stubFeed{}, 25, placement.SearchOptions{Seed: 8})
 	if err != nil {
@@ -433,7 +442,7 @@ func TestHealUndeploysWhenNothingSchedulable(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	d := deployFor(t, q, c)
 	banned := []int{0, 1, 2, 3}
-	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: c, Banned: banned}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
+	dec, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c), Banned: banned}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +462,7 @@ func TestHealCancelledLeavesNoTornState(t *testing.T) {
 	before.Placement = append(sim.Placement(nil), d.Placement...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := testPolicy().Heal(ctx, d, View{Cluster: c, Banned: dead, Down: dead}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
+	_, err := testPolicy().Heal(ctx, d, View{Cluster: checked(c), Banned: dead, Down: dead}, nil, &stubFeed{}, 50, placement.SearchOptions{Seed: 8})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -468,7 +477,7 @@ func TestHealObserveErrorPropagates(t *testing.T) {
 	q, c := testQuery(), testCluster()
 	d := deployFor(t, q, c)
 	feed := &stubFeed{err: errors.New("probe down")}
-	_, err := testPolicy().Heal(context.Background(), d, View{Cluster: c}, nil, feed, 50, placement.SearchOptions{Seed: 8})
+	_, err := testPolicy().Heal(context.Background(), d, View{Cluster: checked(c)}, nil, feed, 50, placement.SearchOptions{Seed: 8})
 	if err == nil || !strings.Contains(err.Error(), "probe down") {
 		t.Fatalf("err = %v, want wrapped probe error", err)
 	}
@@ -486,7 +495,7 @@ func TestPlaneDeployCordonTickHistory(t *testing.T) {
 	}
 	// The matching feed above was built for a nil placement; rebuild it
 	// after the deploy so observations match the actual incumbent.
-	st, err := pl.Deploy(context.Background(), "q1", q, c, nil)
+	st, err := pl.Deploy(context.Background(), "q1", q, checked(c), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +504,7 @@ func TestPlaneDeployCordonTickHistory(t *testing.T) {
 	}
 	pl.cfg.Feed = matchingFeed(c, pl.deps["q1"].d.Placement)
 
-	if _, err := pl.Deploy(context.Background(), "q1", q, c, nil); err == nil {
+	if _, err := pl.Deploy(context.Background(), "q1", q, checked(c), nil); err == nil {
 		t.Fatal("duplicate deploy must fail")
 	} else {
 		var dup *DuplicateError
@@ -503,7 +512,7 @@ func TestPlaneDeployCordonTickHistory(t *testing.T) {
 			t.Fatalf("duplicate deploy error = %v, want DuplicateError", err)
 		}
 	}
-	if _, err := pl.Deploy(context.Background(), "bad/id", q, c, nil); err == nil {
+	if _, err := pl.Deploy(context.Background(), "bad/id", q, checked(c), nil); err == nil {
 		t.Fatal("slash in deployment id must be rejected")
 	}
 
@@ -580,7 +589,7 @@ func TestPlaneDrainHealsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Deploy(context.Background(), "q1", q, c, nil); err != nil {
+	if _, err := pl.Deploy(context.Background(), "q1", q, checked(c), nil); err != nil {
 		t.Fatal(err)
 	}
 	victim := pl.deps["q1"].d.Placement[len(pl.deps["q1"].d.Placement)-1]
@@ -613,13 +622,13 @@ func TestPlaneAdoptedPlacementRejectsCordoned(t *testing.T) {
 	}
 	d := deployFor(t, q, c)
 	pl.Cordon(c.Hosts[d.Placement[0]].ID)
-	if _, err := pl.Deploy(context.Background(), "q1", q, c, d.Placement); err == nil {
+	if _, err := pl.Deploy(context.Background(), "q1", q, checked(c), d.Placement); err == nil {
 		t.Fatal("adopting a placement on a cordoned host must fail")
 	}
 	// The same placement deploys fine once the host is uncordoned, and the
 	// adopted placement round-trips through the status.
 	pl.Uncordon(c.Hosts[d.Placement[0]].ID)
-	st, err := pl.Deploy(context.Background(), "q1", q, c, d.Placement)
+	st, err := pl.Deploy(context.Background(), "q1", q, checked(c), d.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +638,7 @@ func TestPlaneAdoptedPlacementRejectsCordoned(t *testing.T) {
 }
 
 func TestPlaneHistoryLimit(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	pl, err := New(Config{Policy: testPolicy(), Feed: &stubFeed{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -655,7 +664,7 @@ func TestPlaneHistoryLimit(t *testing.T) {
 }
 
 func TestPlaneTickCancelledReturnsPartialReport(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	pl, err := New(Config{Policy: testPolicy(), Feed: &stubFeed{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +686,7 @@ func TestPlaneTickCancelledReturnsPartialReport(t *testing.T) {
 // routedFeed observes each query through a feed of its own.
 type routedFeed map[*stream.Query]MetricFeed
 
-func (f routedFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+func (f routedFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	return f[q].Observe(q, c, p)
 }
 
@@ -685,7 +694,7 @@ func (f routedFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placemen
 // keeps its state and is named in the tick's error, while a deployment
 // sorted after it is still healed on every tick.
 func TestPlaneTickFailureDoesNotBlockOthers(t *testing.T) {
-	qa, qb, c := testQuery(), testQuery(), testCluster()
+	qa, qb, c := testQuery(), testQuery(), checked(testCluster())
 	pl, err := New(Config{Policy: testPolicy(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -746,7 +755,7 @@ func TestPlanePassIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	play := func() run {
 		var r run
-		q, c := testQuery(), testCluster()
+		q, c := testQuery(), checked(testCluster())
 		pl, err := New(Config{Policy: testPolicy(), Seed: 17, Logf: func(format string, args ...any) {
 			r.logs = append(r.logs, fmt.Sprintf(format, args...))
 		}})
@@ -819,7 +828,7 @@ func TestDeriveSeedSpreads(t *testing.T) {
 // deployments with simulator-backed observations — the steady-state cost
 // of the serve control loop per tick.
 func BenchmarkControlTick(b *testing.B) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	pl, err := New(Config{
 		Policy: Policy{Predictor: fakePred{}, QErrorThreshold: 1e9},
 		Feed:   SimFeed{Cfg: sim.Config{DurationS: 2, WarmupS: 0.5, StepS: 0.1, Seed: 1}},
@@ -869,7 +878,7 @@ func TestObserveRecordsFailedRuns(t *testing.T) {
 	d := deployFor(t, q, c)
 	const count = `_count{metric="throughput"}`
 	before := qerrSample(t, count)
-	dec, _, err := Observe(d, c, q, &stubFeed{metrics: sim.Metrics{Success: false}})
+	dec, _, err := Observe(d, checked(c), q, &stubFeed{metrics: sim.Metrics{Success: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -890,7 +899,7 @@ func TestObserveSaturatesHugeQError(t *testing.T) {
 	const zero, count = `_bucket{metric="proc_latency",le="0"}`, `_count{metric="proc_latency"}`
 	zeroBefore, countBefore := qerrSample(t, zero), qerrSample(t, count)
 	feed := &stubFeed{metrics: sim.Metrics{ThroughputTPS: 1, ProcLatencyMS: 1, Success: true}}
-	if _, _, err := Observe(d, c, q, feed); err != nil {
+	if _, _, err := Observe(d, checked(c), q, feed); err != nil {
 		t.Fatal(err)
 	}
 	if got := qerrSample(t, count) - countBefore; got != 1 {

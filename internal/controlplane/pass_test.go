@@ -95,7 +95,7 @@ type orderFeed struct {
 	order []string
 }
 
-func (f *orderFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+func (f *orderFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.order = append(f.order, f.ids[q])
@@ -116,7 +116,7 @@ func TestPlaneTickStartsLargestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := testCluster()
+		c := checked(testCluster())
 		for i, n := range dispatchSizes {
 			q, id := chainQuery(n), fmt.Sprintf("d%d", i)
 			feed.ids[q] = id

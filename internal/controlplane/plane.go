@@ -91,7 +91,7 @@ type TickReport struct {
 // bookkeeping.
 type planeDep struct {
 	d       Deployment
-	cluster *hardware.Cluster
+	cluster hardware.Checked
 	seq     int
 	history []HistoryEntry
 }
@@ -143,12 +143,12 @@ func (pl *Plane) searchOpts(stage, seq int) placement.SearchOptions {
 }
 
 // bannedIdx maps the cordon set onto one deployment's cluster.
-func (pl *Plane) bannedIdx(c *hardware.Cluster) []int {
+func (pl *Plane) bannedIdx(k hardware.Checked) []int {
 	if len(pl.cordoned) == 0 {
 		return nil
 	}
 	var out []int
-	for i, h := range c.Hosts {
+	for i, h := range k.Cluster().Hosts {
 		if h.ID != "" && pl.cordoned[h.ID] {
 			out = append(out, i)
 		}
@@ -156,26 +156,24 @@ func (pl *Plane) bannedIdx(c *hardware.Cluster) []int {
 	return out
 }
 
-// hostNames renders a placement, whose every entry is a host of c, as
+// hostNames renders a placement, whose every entry is a host of k, as
 // host IDs.
-func hostNames(c *hardware.Cluster, p sim.Placement) []string {
+func hostNames(k hardware.Checked, p sim.Placement) []string {
 	if len(p) == 0 {
 		return nil
 	}
 	out := make([]string, len(p))
 	for i, h := range p {
-		out[i] = c.Hosts[h].ID
+		out[i] = k.Cluster().Hosts[h].ID
 	}
 	return out
 }
 
-// Deploy registers query q on cluster c under id and places it. A
-// non-nil placement is adopted as-is (validated and priced, no search) —
-// the serve API uses this to round-trip /v1/example bodies; nil runs a
-// fresh placement search that respects the current cordon set. The
-// cluster is validated here, once: the deployment keeps it for every
-// later tick and drain, which do not check it again.
-func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, c *hardware.Cluster, p sim.Placement) (Status, error) {
+// Deploy registers query q on checked cluster k under id and places it.
+// A non-nil placement is adopted as-is (validated and priced, no search)
+// — the serve API uses this to round-trip /v1/example bodies; nil runs a
+// fresh placement search that respects the current cordon set.
+func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, k hardware.Checked, p sim.Placement) (Status, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if id == "" {
@@ -194,23 +192,20 @@ func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, c *hard
 	if _, ok := pl.deps[id]; ok {
 		return Status{}, &DuplicateError{ID: id}
 	}
-	if err := c.Validate(); err != nil {
-		return Status{}, fmt.Errorf("controlplane: deploying %s: invalid cluster: %w", id, err)
-	}
 	pd := &planeDep{
 		d:       Deployment{ID: id, Query: q},
-		cluster: c,
+		cluster: k,
 		seq:     pl.seq,
 	}
-	v := View{Cluster: c, Banned: pl.bannedIdx(c)}
+	v := View{Cluster: k, Banned: pl.bannedIdx(k)}
 	if p != nil {
-		if err := p.Validate(q, c); err != nil {
+		if err := p.Validate(q, k.Cluster()); err != nil {
 			return Status{}, fmt.Errorf("controlplane: adopting placement for %s: %w", id, err)
 		}
 		if touchesBanned(p, v.Banned) {
 			return Status{}, fmt.Errorf("controlplane: adopting placement for %s: placement uses a cordoned host", id)
 		}
-		costs, err := placement.PredictOne(pl.cfg.Policy.Predictor, q, c, p)
+		costs, err := placement.PredictOne(pl.cfg.Policy.Predictor, q, k, p)
 		if err != nil {
 			return Status{}, fmt.Errorf("controlplane: pricing placement for %s: %w", id, err)
 		}
@@ -332,7 +327,7 @@ func (pl *Plane) Hosts() []HostStatus {
 	placedOn := map[string]int{}
 	known := map[string]bool{}
 	for _, pd := range pl.deps {
-		for _, h := range pd.cluster.Hosts {
+		for _, h := range pd.cluster.Cluster().Hosts {
 			if h.ID != "" {
 				known[h.ID] = true
 			}

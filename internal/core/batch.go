@@ -79,7 +79,7 @@ type BatchFeaturizer struct {
 
 // NewBatch prepares a BatchFeaturizer for the query and cluster.
 func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeaturizer, error) {
-	ops, plan, err := f.opGraph(q)
+	ops, plan, err := f.opGraph(q, 0)
 	if err != nil {
 		return nil, err
 	}

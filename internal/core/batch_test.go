@@ -16,6 +16,15 @@ import (
 	"costream/internal/stream"
 )
 
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 // enumerate draws up to k distinct valid placements from rng, as
 // placement.RandomSample does for a budget of k: duplicate and dead-end
 // draws share a miss budget of 8k+64.
@@ -23,7 +32,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := placement.RandomValid(rng, q, c)
+		p, err := placement.RandomValid(rng, q, checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -90,12 +99,12 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("trace %d: no candidates", ti)
 			}
-			batch, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
+			batch, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
 			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s, trace %d: %v", tc.name, ti, err)
 			}
 			for i, p := range cands {
-				single, err := placement.PredictOne(pr, tr.Query, tr.Cluster, p)
+				single, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), p)
 				if err != nil {
 					t.Fatalf("%s, trace %d candidate %d: %v", tc.name, ti, i, err)
 				}
@@ -104,7 +113,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 				}
 				for _, e := range pr.ensembles() {
 					row := costField(batch[i], e.Metric)
-					alone, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, p)
+					alone, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), p)
 					if err != nil {
 						t.Fatalf("%s, trace %d candidate %d: %v: %v", tc.name, ti, i, e.Metric, err)
 					}
@@ -199,7 +208,7 @@ func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
 	for i := range bad {
 		bad[i] = len(tr.Cluster.Hosts) + 5 // out of range
 	}
-	_, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, []sim.Placement{tr.Placement, bad}, placement.AllCosts)
+	_, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), []sim.Placement{tr.Placement, bad}, placement.AllCosts)
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("valid candidate: %v, invalid candidate: %v", errs[0], errs[1])
 	}

@@ -237,7 +237,7 @@ func TestEnsembleAggregation(t *testing.T) {
 		t.Fatalf("ensemble size %d, want 3", len(e.Models))
 	}
 	tr := c.Traces[0]
-	costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestEnsembleMajorityVote(t *testing.T) {
 	cfg.Epochs = 4
 	e := trainEnsemble(t, train, val, MetricSuccess, cfg, 3)
 	tr := c.Traces[0]
-	costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestPredictorSanityDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
+	pc, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

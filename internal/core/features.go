@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"costream/internal/gnn"
 	"costream/internal/hardware"
@@ -119,25 +120,23 @@ func normLat(latMS float64) float64 {
 func normWidth(w int) float64     { return float64(w) / 10 }
 func normBytes(b float64) float64 { return b / 400 }
 
-// windowExtentFeatures derives the window extent in seconds and tuples
-// from the operator's logical arrival rate; both follow from annotated
-// selectivities and source rates, so they are available pre-execution.
-// The seconds extent drives latency (a firing window's oldest tuple is a
-// full extent old), the tuple extent drives state size and memory.
-func windowExtentFeatures(w *stream.Window, arrivalRate float64) []float64 {
+// appendWindowExtent appends the window extent in seconds and tuples,
+// derived from the operator's logical arrival rate; both follow from
+// annotated selectivities and source rates, so they are available
+// pre-execution. The seconds extent drives latency (a firing window's
+// oldest tuple is a full extent old), the tuple extent drives state size
+// and memory.
+func appendWindowExtent(dst []float64, w *stream.Window, arrivalRate float64) []float64 {
 	if w == nil {
-		return []float64{0, 0}
+		return append(dst, 0, 0)
 	}
-	return []float64{
-		normTimeSize(w.ExtentSeconds(arrivalRate)),
-		normCountSize(w.ExtentTuples(arrivalRate)),
-	}
+	return append(dst, normTimeSize(w.ExtentSeconds(arrivalRate)), normCountSize(w.ExtentTuples(arrivalRate)))
 }
 
-// windowFeatures encodes a window specification in 5 transferable values.
-func windowFeatures(w *stream.Window) []float64 {
+// appendWindow appends a window specification's 5 transferable values.
+func appendWindow(dst []float64, w *stream.Window) []float64 {
 	if w == nil {
-		return []float64{0, 0, 0, 0, 0}
+		return append(dst, 0, 0, 0, 0, 0)
 	}
 	isSliding, isCount := 0.0, 0.0
 	countSize, timeSize := 0.0, 0.0
@@ -154,37 +153,42 @@ func windowFeatures(w *stream.Window) []float64 {
 	if w.Size > 0 {
 		slideRatio = w.Slide / w.Size
 	}
-	return []float64{isSliding, isCount, countSize, timeSize, slideRatio}
+	return append(dst, isSliding, isCount, countSize, timeSize, slideRatio)
 }
 
-func oneHot(n, idx int) []float64 {
-	v := make([]float64, n)
-	if idx >= 0 && idx < n {
-		v[idx] = 1
+// appendOneHot appends n values, 1 at idx and 0 elsewhere (all 0 for an
+// idx out of range).
+func appendOneHot(dst []float64, n, idx int) []float64 {
+	for k := 0; k < n; k++ {
+		v := 0.0
+		if k == idx {
+			v = 1
+		}
+		dst = append(dst, v)
 	}
-	return v
+	return dst
 }
 
 // opGraph builds the operator-only part of the joint graph: typed
 // operator nodes with their feature vectors plus the logical data-flow
 // edges, and its message-passing plan over the query's Topology. This
 // part is placement-invariant, which is what BatchFeaturizer exploits to
-// amortize featurization across many candidates.
-func (f *Featurizer) opGraph(q *stream.Query) (*gnn.Graph, *gnn.Plan, error) {
+// amortize featurization across many candidates. Nodes has room for
+// hosts more nodes, the host nodes BuildGraph appends.
+func (f *Featurizer) opGraph(q *stream.Query, hosts int) (*gnn.Graph, *gnn.Plan, error) {
 	rates, err := q.Analyze()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	g := &gnn.Graph{}
+	g := &gnn.Graph{Nodes: make([]gnn.Node, len(q.Ops), len(q.Ops)+hosts)}
 	for i, op := range q.Ops {
-		feat, kind, err := f.opFeatures(q, rates, i, op)
-		if err != nil {
+		if g.Nodes[i], err = f.opNode(rates, i, op); err != nil {
 			return nil, nil, err
 		}
-		g.Nodes = append(g.Nodes, gnn.Node{Kind: kind, Feat: feat})
 	}
-	for _, e := range q.Edges {
-		g.FlowEdges = append(g.FlowEdges, e)
+	g.FlowEdges = make([][2]int, len(q.Edges))
+	for k, e := range q.Edges {
+		g.FlowEdges[k] = e
 	}
 	plan, err := gnn.NewPlan(g, &rates.Topo)
 	if err != nil {
@@ -199,12 +203,12 @@ func (f *Featurizer) opGraph(q *stream.Query) (*gnn.Graph, *gnn.Plan, error) {
 // operator. It also returns the graph's message-passing plan. For
 // FeatQueryOnly the placement may be nil.
 func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, *gnn.Plan, error) {
-	g, plan, err := f.opGraph(q)
+	if f.Mode == FeatQueryOnly {
+		return f.opGraph(q, 0)
+	}
+	g, plan, err := f.opGraph(q, len(p))
 	if err != nil {
 		return nil, nil, err
-	}
-	if f.Mode == FeatQueryOnly {
-		return g, plan, nil
 	}
 	if c == nil {
 		return nil, nil, fmt.Errorf("core: cluster required for %v featurization", f.Mode)
@@ -212,15 +216,15 @@ func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Plac
 	if err := p.Validate(q, c); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	hostNode := make(map[int]int)
+	g.PlaceEdges = make([][2]int, len(p))
 	for opIdx, h := range p {
-		node, ok := hostNode[h]
-		if !ok {
-			node = len(g.Nodes)
-			hostNode[h] = node
+		node := len(g.Nodes)
+		if prev := slices.Index(p[:opIdx], h); prev >= 0 {
+			node = g.PlaceEdges[prev][1]
+		} else {
 			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: f.hostFeatures(c.Hosts[h])})
 		}
-		g.PlaceEdges = append(g.PlaceEdges, [2]int{opIdx, node})
+		g.PlaceEdges[opIdx] = [2]int{opIdx, node}
 	}
 	return g, plan, nil
 }
@@ -239,7 +243,10 @@ func (f *Featurizer) hostFeatures(h *hardware.Host) []float64 {
 	}
 }
 
-func (f *Featurizer) opFeatures(q *stream.Query, rates *stream.Rates, i int, op *stream.Operator) ([]float64, gnn.NodeKind, error) {
+// opNode is operator i's node: its kind and its feature vector, the
+// kind's own features followed by the common ones, in one slice sized to
+// the kind's dimension.
+func (f *Featurizer) opNode(rates *stream.Rates, i int, op *stream.Operator) (gnn.Node, error) {
 	// Common features (Table I "all" rows): averaged incoming and
 	// outgoing tuple width plus serialized sizes.
 	widthIn, bytesIn := 0.0, 0.0
@@ -258,14 +265,7 @@ func (f *Featurizer) opFeatures(q *stream.Query, rates *stream.Rates, i int, op 
 	if op.Type == stream.OpSource {
 		inRate = op.EventRate
 	}
-	common := []float64{
-		widthIn / 10,
-		normWidth(rates.Width[i]),
-		normBytes(bytesIn),
-		normBytes(rates.TupleBytes[i]),
-		normRate(inRate),
-		normRate(rates.Out[i]),
-	}
+	var n gnn.Node
 	switch op.Type {
 	case stream.OpSource:
 		var nInt, nStr, nDbl float64
@@ -280,41 +280,46 @@ func (f *Featurizer) opFeatures(q *stream.Query, rates *stream.Rates, i int, op 
 			}
 		}
 		total := float64(len(op.FieldTypes))
-		feat := []float64{
+		n = gnn.Node{Kind: gnn.KindSource, Feat: append(make([]float64, 0, sourceDim),
 			normRate(op.EventRate),
 			normWidth(len(op.FieldTypes)),
-			nInt / total, nStr / total, nDbl / total,
-			stream.AvgFieldBytes(op.FieldTypes) / 32,
-		}
-		return append(feat, common...), gnn.KindSource, nil
+			nInt/total, nStr/total, nDbl/total,
+			stream.AvgFieldBytes(op.FieldTypes)/32,
+		)}
 	case stream.OpFilter:
-		feat := oneHot(7, int(op.FilterFn))
-		feat = append(feat, oneHot(3, int(op.LiteralType))...)
-		feat = append(feat, op.Selectivity, normSel(op.Selectivity))
-		return append(feat, common...), gnn.KindFilter, nil
+		feat := appendOneHot(make([]float64, 0, filterDim), 7, int(op.FilterFn))
+		feat = appendOneHot(feat, 3, int(op.LiteralType))
+		n = gnn.Node{Kind: gnn.KindFilter, Feat: append(feat, op.Selectivity, normSel(op.Selectivity))}
 	case stream.OpJoin:
-		feat := oneHot(3, int(op.JoinKeyType))
+		feat := appendOneHot(make([]float64, 0, joinDim), 3, int(op.JoinKeyType))
 		feat = append(feat, op.Selectivity, normSel(op.Selectivity))
-		feat = append(feat, windowFeatures(op.Window)...)
+		feat = appendWindow(feat, op.Window)
 		// Joins window each input stream separately; use the mean
 		// per-stream rate for the extent.
-		feat = append(feat, windowExtentFeatures(op.Window, inRate/2)...)
-		return append(feat, common...), gnn.KindJoin, nil
+		n = gnn.Node{Kind: gnn.KindJoin, Feat: appendWindowExtent(feat, op.Window, inRate/2)}
 	case stream.OpAggregate:
-		feat := oneHot(4, int(op.AggFn))
-		feat = append(feat, oneHot(3, int(op.AggValueType))...)
+		feat := appendOneHot(make([]float64, 0, aggDim), 4, int(op.AggFn))
+		feat = appendOneHot(feat, 3, int(op.AggValueType))
 		gb := 3 // "none"
 		if op.HasGroupBy {
 			gb = int(op.GroupByType)
 		}
-		feat = append(feat, oneHot(4, gb)...)
+		feat = appendOneHot(feat, 4, gb)
 		feat = append(feat, op.Selectivity, normSel(op.Selectivity))
-		feat = append(feat, windowFeatures(op.Window)...)
-		feat = append(feat, windowExtentFeatures(op.Window, inRate)...)
-		return append(feat, common...), gnn.KindAggregate, nil
+		feat = appendWindow(feat, op.Window)
+		n = gnn.Node{Kind: gnn.KindAggregate, Feat: appendWindowExtent(feat, op.Window, inRate)}
 	case stream.OpSink:
-		return append([]float64{1}, common...), gnn.KindSink, nil
+		n = gnn.Node{Kind: gnn.KindSink, Feat: append(make([]float64, 0, sinkDim), 1)}
 	default:
-		return nil, 0, fmt.Errorf("core: unknown operator type %v", op.Type)
+		return gnn.Node{}, fmt.Errorf("core: unknown operator type %v", op.Type)
 	}
+	n.Feat = append(n.Feat,
+		widthIn/10,
+		normWidth(rates.Width[i]),
+		normBytes(bytesIn),
+		normBytes(rates.TupleBytes[i]),
+		normRate(inRate),
+		normRate(rates.Out[i]),
+	)
+	return n, nil
 }

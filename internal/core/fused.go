@@ -44,8 +44,8 @@ type TileSession struct {
 
 // NewScoreSession implements placement.Predictor: a TileSession over the
 // predictor's trained ensembles.
-func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
-	return newTileSession(pr.ensembles(), q, c)
+func (pr *Predictor) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
+	return newTileSession(pr.ensembles(), q, k.Cluster())
 }
 
 // newTileSession prepares a scoring session for the (query, cluster) pair

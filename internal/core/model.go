@@ -620,13 +620,13 @@ func (cm *CostModel) headTransform(out float64) float64 {
 // every other cost gets the untrained default (Success true, everything
 // else zero). It is the only scoring path of a model the packed kernel
 // cannot run, such as traditional message passing (Exp 7b).
-func (cm *CostModel) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
-	return placement.PredictorFunc(cm.predictCosts).NewScoreSession(q, c)
+func (cm *CostModel) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(cm.predictCosts).NewScoreSession(q, k)
 }
 
 // predictCosts is the model's cost vector for one placement.
-func (cm *CostModel) predictCosts(q *stream.Query, c *hardware.Cluster, p sim.Placement) (placement.PredCosts, error) {
-	raw, err := cm.PredictRaw(q, c, p)
+func (cm *CostModel) predictCosts(q *stream.Query, k hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+	raw, err := cm.PredictRaw(q, k.Cluster(), p)
 	if err != nil {
 		return placement.PredCosts{}, err
 	}

@@ -59,11 +59,11 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range c.Traces[:25] {
-		want, err := placement.PredictOne(pred, tr.Query, tr.Cluster, tr.Placement)
+		want, err := placement.PredictOne(pred, tr.Query, checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := placement.PredictOne(back, tr.Query, tr.Cluster, tr.Placement)
+		got, err := placement.PredictOne(back, tr.Query, checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 	scored := ensembleCandidates(MetricThroughput)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
-		got, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+		got, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 	e := randomEnsemble(t, MetricSuccess, 3, false)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberLabel(t, e, tr.Query, tr.Cluster, tr.Placement)
-		costs, err := placement.PredictOne(e.Predictor(), tr.Query, tr.Cluster, tr.Placement)
+		costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +151,9 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 			}
 		}
 		pr := e.Predictor()
-		_, err = pr.NewScoreSession(tr.Query, tr.Cluster)
+		_, err = pr.NewScoreSession(tr.Query, checked(tr.Cluster))
 		refused("NewScoreSession", err)
-		_, err = placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
+		_, err = placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
 		refused("PredictOne", err)
 		_, err = pr.Sections()
 		refused("save", err)
@@ -180,7 +180,7 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 			t.Fatalf("mixed-mode predictor, %s: err = %v, want %q", what, err, want)
 		}
 	}
-	_, err = mixed.NewScoreSession(tr.Query, tr.Cluster)
+	_, err = mixed.NewScoreSession(tr.Query, checked(tr.Cluster))
 	refused("NewScoreSession", err)
 	_, err = mixed.Sections()
 	refused("save", err)
@@ -200,7 +200,7 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 	)
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	out, errs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
+	out, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +220,14 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 func TestPredictValueAllocsHoisted(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[0]
+	k := checked(tr.Cluster)
 	measure := func(e *Ensemble) float64 {
 		pr := e.Predictor()
-		if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
+		if _, err := placement.PredictOne(pr, tr.Query, k, tr.Placement); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement); err != nil {
+			if _, err := placement.PredictOne(pr, tr.Query, k, tr.Placement); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -254,6 +255,7 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	big := &hardware.Cluster{}
 	for h := 0; h < 220; h++ {
 		host := *featCluster().Hosts[h%2]
+		host.ID = fmt.Sprintf("%s-%d", host.ID, h)
 		big.Hosts = append(big.Hosts, &host)
 		if h < 6 {
 			small.Hosts = append(small.Hosts, &host)
@@ -264,10 +266,11 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	// the race detector makes sync.Pool drop items at random, so take the
 	// cheapest of many single calls instead of an average.
 	measure := func(c *hardware.Cluster) float64 {
+		k := checked(c)
 		best := math.Inf(1)
 		for i := 0; i < 30; i++ {
 			best = min(best, testing.AllocsPerRun(1, func() {
-				if _, err := placement.PredictOne(pr, q, c, p); err != nil {
+				if _, err := placement.PredictOne(pr, q, k, p); err != nil {
 					t.Fatal(err)
 				}
 			}))
@@ -296,7 +299,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 	thr, succ := pr[MetricThroughput].Predictor(), pr[MetricSuccess].Predictor()
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	want, err := placement.PredictOne(thr, tr.Query, tr.Cluster, tr.Placement)
+	want, err := placement.PredictOne(thr, tr.Query, checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			for iter := 0; iter < 15; iter++ {
 				switch wkr % 4 {
 				case 0:
-					got, err := placement.PredictOne(thr, tr.Query, tr.Cluster, tr.Placement)
+					got, err := placement.PredictOne(thr, tr.Query, checked(tr.Cluster), tr.Placement)
 					if err == nil && got != want {
 						err = fmt.Errorf("concurrent PredictOne diverged: got %+v want %+v", got, want)
 					}
@@ -324,13 +327,13 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						return
 					}
 				case 1:
-					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, tr.Cluster, cands, placement.AllCosts)
+					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
 					if err := errors.Join(scoreErrs...); err != nil {
 						errs[wkr] = err
 						return
 					}
 				case 2:
-					if _, err := placement.PredictOne(succ, tr.Query, tr.Cluster, tr.Placement); err != nil {
+					if _, err := placement.PredictOne(succ, tr.Query, checked(tr.Cluster), tr.Placement); err != nil {
 						errs[wkr] = err
 						return
 					}

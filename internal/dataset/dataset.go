@@ -218,19 +218,18 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	} else {
 		c = g.Cluster()
 	}
-	// The trace's cluster is built here, so it is validated here: sim.Run
-	// checks only the hosts the placement uses.
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid cluster: %w", err)
+	k, err := c.Check()
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
-	p, err := placement.RandomValid(rng, q, c)
+	p, err := placement.RandomValid(rng, q, k)
 	if err != nil {
 		return nil, err
 	}
 	simCfg := cfg.Sim
 	simCfg.Seed = seed ^ 0x51ED2701
-	m, err := sim.Run(q, c, p, simCfg)
+	m, err := sim.Run(q, k, p, simCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,10 @@ func (s *Suite) Exp2aPlacement() (*Table, error) {
 		var coRatios, flRatios []float64
 		for i := 0; i < nPerClass; i++ {
 			q := gen.QueryOfClass(class)
-			cluster := gen.Cluster()
+			cluster, err := gen.Cluster().Check()
+			if err != nil {
+				return nil, err
+			}
 			initial, err := placement.RandomValid(rng, q, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
@@ -99,7 +102,7 @@ func exp2aTable(rows []Row) *Table {
 // optimizedLp places the query with the paper's optimizer — the best of
 // 16 random valid placements drawn from seed, ranked by pred — and
 // returns the placement's measured processing latency.
-func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c *hardware.Cluster, seed int64, runCfg sim.Config) (float64, error) {
+func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c hardware.Checked, seed int64, runCfg sim.Config) (float64, error) {
 	res, err := placement.Search(context.Background(), pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed})
 	if err != nil {
@@ -145,7 +148,10 @@ func (s *Suite) Exp2bMonitoring() (*Table, error) {
 	for ri, rate := range rates {
 		for si, sel := range sels {
 			q := gen.FilterQuery(rate, sel)
-			cluster := gen.Cluster()
+			cluster, err := gen.Cluster().Check()
+			if err != nil {
+				return nil, err
+			}
 			initial, err := placement.RandomValid(rng, q, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
@@ -234,7 +240,10 @@ func (s *Suite) Exp2cSearchStrategies() (*Table, error) {
 	counted := make([]int, len(strategies))
 	for i := 0; i < n; i++ {
 		q := gen.Query()
-		cluster := gen.Cluster()
+		cluster, err := gen.Cluster().Check()
+		if err != nil {
+			return nil, err
+		}
 		initial, err := placement.RandomValid(rng, q, cluster)
 		if err != nil {
 			continue

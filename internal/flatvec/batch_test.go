@@ -14,6 +14,15 @@ import (
 	"costream/internal/stream"
 )
 
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 // enumerate draws up to k distinct valid placements from rng, as
 // placement.RandomSample does for a budget of k: duplicate and dead-end
 // draws share a miss budget of 8k+64.
@@ -21,7 +30,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := placement.RandomValid(rng, q, c)
+		p, err := placement.RandomValid(rng, q, checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -54,7 +63,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 		for i, p := range cands {
 			want[i] = perMetric(t, pr, tr.Query, tr.Cluster, p)
 		}
-		sess, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+		sess, err := pr.NewScoreSession(tr.Query, checked(tr.Cluster))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +129,7 @@ func TestUntrainedSlotsGiveDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := pr.NewScoreSession(tr.Query, tr.Cluster)
+		sess, err := pr.NewScoreSession(tr.Query, checked(tr.Cluster))
 		if err != nil {
 			t.Fatal(err)
 		}

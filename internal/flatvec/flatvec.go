@@ -312,12 +312,12 @@ func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) 
 // Model.PredictRaw path (classifiers thresholded at 0.5); a named cost
 // without a model gets the untrained default (Success true, everything
 // else zero).
-func (pr *Predictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (placement.TileScorer, error) {
+func (pr *Predictor) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
 	prefix, err := queryFeatures(q)
 	if err != nil {
 		return nil, err
 	}
-	return &session{pr: pr, c: c, prefix: prefix}, nil
+	return &session{pr: pr, c: k.Cluster(), prefix: prefix}, nil
 }
 
 type session struct {

@@ -161,7 +161,7 @@ func TestTrainPredictorImplementsInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := placement.PredictOne(pr, tr.Query, tr.Cluster, tr.Placement)
+	pc, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMalformedPlanRefused(t *testing.T) {
 	if _, err := Featurize(q, c, sim.Placement{0, 0, 0}); err == nil || err.Error() != want {
 		t.Errorf("Featurize: err = %v, want %q", err, want)
 	}
-	if _, err := (&Predictor{}).NewScoreSession(q, c); err == nil || err.Error() != want {
+	if _, err := (&Predictor{}).NewScoreSession(q, checked(c)); err == nil || err.Error() != want {
 		t.Errorf("NewScoreSession: err = %v, want %q", err, want)
 	}
 }

@@ -90,11 +90,11 @@ func (f *Fleet) hostID(fi int) string { return f.hosts[fi].host.ID }
 // hosts that are down banned and named down (View.Down). A host without
 // degradation is the fleet's own, shared by pointer; a degraded one is a
 // copy. The view is where the fleet's cluster is built or changed, so it
-// is validated here, once per view, and nothing downstream checks it
-// again: a degradation that drives a feature out of range (an infinite
-// latency, a zero bandwidth) is refused here.
+// is checked here, once per view: a degradation that drives a feature
+// out of range (an infinite latency, a zero bandwidth) is refused here.
 func (f *Fleet) clusterView() (controlplane.View, error) {
-	v := controlplane.View{Cluster: &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}}
+	c := &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}
+	var v controlplane.View
 	for i := range f.hosts {
 		hs := &f.hosts[i]
 		if !hs.alive {
@@ -102,17 +102,18 @@ func (f *Fleet) clusterView() (controlplane.View, error) {
 		}
 		h := &hs.host
 		if hs.degrade > 1 {
-			c := hs.host
-			c.NetLatencyMS *= hs.degrade
-			c.NetBandwidthMbps /= hs.degrade
-			h = &c
+			d := hs.host
+			d.NetLatencyMS *= hs.degrade
+			d.NetBandwidthMbps /= hs.degrade
+			h = &d
 		}
-		v.Cluster.Hosts[i] = h
+		c.Hosts[i] = h
 	}
-	if err := v.Cluster.Validate(); err != nil {
-		return controlplane.View{}, fmt.Errorf("invalid cluster: %w", err)
+	k, err := c.Check()
+	if err != nil {
+		return controlplane.View{}, err
 	}
-	v.Down = v.Banned
+	v.Cluster, v.Down = k, v.Banned
 	return v, nil
 }
 

@@ -261,7 +261,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		cfg.Seed = controlplane.ObservationSeed(sc.Seed, stage, i)
 		return controlplane.SimFeed{Cfg: cfg}
 	}
-	alive := func(v controlplane.View) int { return len(v.Cluster.Hosts) - len(v.Banned) }
+	alive := func(v controlplane.View) int { return len(v.Cluster.Cluster().Hosts) - len(v.Banned) }
 	loadFactor := 1.0
 	deadAfterRecovery := []string(nil)
 

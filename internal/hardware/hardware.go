@@ -38,8 +38,8 @@ func (h *Host) Cores() float64 { return h.CPU / 100 }
 // RAMBytes returns the host memory in bytes.
 func (h *Host) RAMBytes() float64 { return h.RAMMB * 1024 * 1024 }
 
-// Validate refuses a non-finite or non-positive feature (latency may be 0).
-func (h *Host) Validate() error {
+// validate refuses a non-finite or non-positive feature (latency may be 0).
+func (h *Host) validate() error {
 	if !(0 < h.CPU && h.CPU < math.Inf(1)) {
 		return fmt.Errorf("host %s: cpu must be finite and positive, got %v", h.ID, h.CPU)
 	}
@@ -103,8 +103,10 @@ func (b Bin) String() string {
 // Classify maps a host to its capability bin. The thresholds intersect in
 // feature range, emulating the paper's "bins intersected in their feature
 // range" realistic transitions.
-func Classify(h *Host) Bin {
-	s := h.CapabilityScore()
+func Classify(h *Host) Bin { return binOf(h.CapabilityScore()) }
+
+// binOf maps a capability score to its bin.
+func binOf(s float64) Bin {
 	switch {
 	case s < 0.6:
 		return BinEdge
@@ -123,41 +125,52 @@ type Cluster struct {
 // NumHosts returns the number of hosts.
 func (c *Cluster) NumHosts() int { return len(c.Hosts) }
 
-// Validate checks the whole cluster: at least one host, none of them
-// nil, each one valid (Host.Validate), and no host ID twice. It is the
-// one whole-cluster check, made once where a cluster enters the system
-// or changes: request decode, fleet views, control-plane registration,
-// dataset builds, the public facade and SimOracle sessions. sim.Run
-// checks only the hosts its placement uses, so a control loop that runs
-// the simulator many times over one cluster does not pay for it again.
-func (c *Cluster) Validate() error {
-	if len(c.Hosts) == 0 {
-		return fmt.Errorf("empty cluster")
-	}
-	seen := make(map[string]bool, len(c.Hosts))
-	for i, h := range c.Hosts {
-		if h == nil {
-			return fmt.Errorf("host %d is null", i)
-		}
-		if err := h.Validate(); err != nil {
-			return err
-		}
-		if seen[h.ID] {
-			return fmt.Errorf("duplicate host id %q", h.ID)
-		}
-		seen[h.ID] = true
-	}
-	return nil
+// Checked is a cluster that passed Check, with each host's capability
+// score computed once. The simulator, the placement search and the
+// control plane take a cluster only in this form, so none of them checks
+// or classifies a host again. It shares the hosts of the cluster it was
+// checked from, which must not change afterwards.
+type Checked struct {
+	c      *Cluster
+	scores []float64
 }
 
-// Bins returns the capability bin of each host, indexed like Hosts.
-func (c *Cluster) Bins() []Bin {
-	bins := make([]Bin, len(c.Hosts))
-	for i, h := range c.Hosts {
-		bins[i] = Classify(h)
+// Check checks the whole cluster: at least one host, none of them nil,
+// each one with finite features, positive but for a latency of 0, and no
+// host ID twice. It is made once, where a cluster enters the system:
+// request decode, fleet views, dataset builds, the experiments, trace
+// evaluation and the public facade. The caller gives the cluster up to
+// the Checked it returns.
+func (c *Cluster) Check() (Checked, error) {
+	if c == nil || len(c.Hosts) == 0 {
+		return Checked{}, fmt.Errorf("invalid cluster: empty cluster")
 	}
-	return bins
+	seen := make(map[string]bool, len(c.Hosts))
+	scores := make([]float64, len(c.Hosts))
+	for i, h := range c.Hosts {
+		if h == nil {
+			return Checked{}, fmt.Errorf("invalid cluster: host %d is null", i)
+		}
+		if err := h.validate(); err != nil {
+			return Checked{}, fmt.Errorf("invalid cluster: %w", err)
+		}
+		if seen[h.ID] {
+			return Checked{}, fmt.Errorf("invalid cluster: duplicate host id %q", h.ID)
+		}
+		seen[h.ID] = true
+		scores[i] = h.CapabilityScore()
+	}
+	return Checked{c: c, scores: scores}, nil
 }
+
+// Cluster returns the checked cluster.
+func (k Checked) Cluster() *Cluster { return k.c }
+
+// Score returns host h's CapabilityScore.
+func (k Checked) Score(h int) float64 { return k.scores[h] }
+
+// Bin returns host h's capability bin, as Classify would.
+func (k Checked) Bin(h int) Bin { return binOf(k.scores[h]) }
 
 // Clone returns a deep copy of the cluster.
 func (c *Cluster) Clone() *Cluster {
@@ -277,8 +290,8 @@ func (g Grid) SampleCluster(rng *rand.Rand, n int) *Cluster {
 		for i := 0; i < n; i++ {
 			c.Hosts = append(c.Hosts, g.Sample(rng, fmt.Sprintf("host-%d", i)))
 		}
-		for _, b := range c.Bins() {
-			if b >= BinFog {
+		for _, h := range c.Hosts {
+			if Classify(h) >= BinFog {
 				return c
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestHostValidate(t *testing.T) {
 	good := Host{ID: "h", CPU: 200, RAMMB: 4000, NetLatencyMS: 5, NetBandwidthMbps: 100}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid host rejected: %v", err)
 	}
 	bad := []Host{
@@ -21,7 +21,7 @@ func TestHostValidate(t *testing.T) {
 		{ID: "d", CPU: 200, RAMMB: 4000, NetLatencyMS: 5, NetBandwidthMbps: 0},
 	}
 	for _, h := range bad {
-		if err := h.Validate(); err == nil {
+		if err := h.validate(); err == nil {
 			t.Errorf("host %s accepted, want error", h.ID)
 		}
 	}
@@ -32,8 +32,8 @@ func TestHostValidate(t *testing.T) {
 // would slip past every comparison and +Inf past the positivity checks.
 func TestValidateRefusesNullAndNonFinite(t *testing.T) {
 	good := Host{ID: "h", CPU: 200, RAMMB: 4000, NetLatencyMS: 5, NetBandwidthMbps: 100}
-	const wantNull = "host 1 is null"
-	if err := (&Cluster{Hosts: []*Host{&good, nil}}).Validate(); err == nil || err.Error() != wantNull {
+	const wantNull = "invalid cluster: host 1 is null"
+	if _, err := (&Cluster{Hosts: []*Host{&good, nil}}).Check(); err == nil || err.Error() != wantNull {
 		t.Errorf("null host: err = %v, want %q", err, wantNull)
 	}
 	features := []struct {
@@ -49,8 +49,8 @@ func TestValidateRefusesNullAndNonFinite(t *testing.T) {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			h := good
 			*f.field(&h) = v
-			want := fmt.Sprintf("host h: %s must be finite", f.name)
-			if err := (&Cluster{Hosts: []*Host{&h}}).Validate(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			want := fmt.Sprintf("invalid cluster: host h: %s must be finite", f.name)
+			if _, err := (&Cluster{Hosts: []*Host{&h}}).Check(); err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("%s = %v: err = %v, want %q…", f.name, v, err, want)
 			}
 		}
@@ -62,10 +62,10 @@ func TestClusterValidateDuplicateIDs(t *testing.T) {
 		{ID: "x", CPU: 100, RAMMB: 1000, NetLatencyMS: 1, NetBandwidthMbps: 25},
 		{ID: "x", CPU: 200, RAMMB: 2000, NetLatencyMS: 1, NetBandwidthMbps: 25},
 	}}
-	if err := c.Validate(); err == nil {
+	if _, err := c.Check(); err == nil {
 		t.Error("duplicate ids accepted")
 	}
-	if err := (&Cluster{}).Validate(); err == nil {
+	if _, err := (&Cluster{}).Check(); err == nil {
 		t.Error("empty cluster accepted")
 	}
 }
@@ -155,12 +155,13 @@ func TestSampleClusterSatisfiesHeuristic(t *testing.T) {
 	g := TrainingGrid()
 	for i := 0; i < 50; i++ {
 		c := g.SampleCluster(rng, 4)
-		if err := c.Validate(); err != nil {
+		k, err := c.Check()
+		if err != nil {
 			t.Fatalf("sampled cluster invalid: %v", err)
 		}
 		ok := false
-		for _, b := range c.Bins() {
-			if b >= BinFog {
+		for h := range c.Hosts {
+			if k.Bin(h) >= BinFog {
 				ok = true
 			}
 		}

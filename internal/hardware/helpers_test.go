@@ -28,7 +28,7 @@ func TestSampleClusterFallbackBoostsLastHost(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	c := g.SampleCluster(rng, 3)
-	if err := c.Validate(); err != nil {
+	if _, err := c.Check(); err != nil {
 		t.Fatal(err)
 	}
 	last := c.Hosts[len(c.Hosts)-1]

@@ -26,8 +26,8 @@ func (r *recordingPredictor) record(p sim.Placement) {
 	r.scored = append(r.scored, append(sim.Placement(nil), p...))
 }
 
-func (r *recordingPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+func (r *recordingPredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		r.record(p)
 		return landscapeCosts(q, c, p), nil
 	}).NewScoreSession(q, c)
@@ -40,7 +40,7 @@ func (r *recordingPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluste
 // the banned bitset is safe under parallel scoring.
 func TestBannedHostsNeverScored(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	banned := []int{0, 3, 6} // an edge, a strong edge, a fog node
 	isBanned := map[int]bool{}
 	for _, b := range banned {
@@ -91,7 +91,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 // placement; the search must fail rather than emit a banned candidate.
 func TestBannedHostsAllBannedFails(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	_, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{0, 1, 2, 3}})
 	if err == nil {
@@ -103,7 +103,7 @@ func TestBannedHostsAllBannedFails(t *testing.T) {
 // ignored rather than corrupting the bitset.
 func TestBannedHostsOutOfRangeIgnored(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	res, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{-1, 99}})
 	if err != nil {
@@ -154,7 +154,7 @@ func (c *cancelAfterFirstCheck) Err() error {
 }
 
 func TestOnlineMonitoringPreCancelled(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestOnlineMonitoringPreCancelled(t *testing.T) {
 // cancellation after the initial observation stops the loop at the next
 // monitoring window and returns the partial trajectory without error.
 func TestOnlineMonitoringMidRunPartial(t *testing.T) {
-	q, c := testQuery(), testCluster()
+	q, c := testQuery(), checked(testCluster())
 	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
 	if err != nil {
 		t.Fatal(err)

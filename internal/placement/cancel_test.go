@@ -24,8 +24,8 @@ type gatedPredictor struct {
 	cancel context.CancelFunc
 }
 
-func (g *gatedPredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+func (g *gatedPredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		g.mu.Lock()
 		g.scored = append(g.scored, append(sim.Placement(nil), p...))
 		if len(g.scored) == g.limit {
@@ -50,7 +50,7 @@ func (g *gatedPredictor) calls() []sim.Placement {
 // scored before the cut.
 func TestSearchCtxCancelMidSearch(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	for _, strat := range []Strategy{RandomSample{}, LocalSearch{}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -83,7 +83,7 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range allStrategies(t) {
-		_, err := Search(ctx, landscapePredictor{}, testQuery(), cluster12(), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
+		_, err := Search(ctx, landscapePredictor{}, testQuery(), checked(cluster12()), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", strat.Name(), err)
 		}
@@ -95,7 +95,7 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 // context.Background(): checking the context changes nothing it chooses.
 func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	opts := SearchOptions{Seed: 7, Workers: 2}
 	budget := Budget{MaxCandidates: 32}
 	a, err := Search(context.Background(), landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
@@ -118,7 +118,7 @@ func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 // be exactly the incumbent.
 func TestWarmStartScoresIncumbentFirst(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	inc, err := RandomValid(rand.New(rand.NewSource(11)), q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestWarmStartScoresIncumbentFirst(t *testing.T) {
 // run is deterministic across worker counts.
 func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	inc, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
 // failing.
 func TestWarmStartInvalidIncumbent(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	bad := make(sim.Placement, q.NumOps())
 	for i := range bad {
 		bad[i] = -1

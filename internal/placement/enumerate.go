@@ -19,16 +19,14 @@ import (
 )
 
 // generator is the shared candidate-generation substrate: the data-flow
-// topology and capability bins of one (query, cluster) pair plus reusable
-// bitset scratch for the visited/banned host sets. One generator serves an
-// entire search run (thousands of draws, validity checks and
-// partial-placement expansions) without per-draw allocations; it must not
-// be shared across goroutines.
+// topology of one (query, checked cluster) pair, whose Checked holds the
+// hosts' capability bins and scores, plus reusable bitset scratch for the
+// visited/banned host sets. One generator serves an entire search run
+// (thousands of draws, validity checks and partial-placement expansions)
+// without per-draw allocations; it must not be shared across goroutines.
 type generator struct {
 	q      *stream.Query
-	c      *hardware.Cluster
-	bins   []hardware.Bin
-	caps   []float64 // CapabilityScore per host, filled by the first greedy completion
+	k      hardware.Checked
 	topo   stream.Topology
 	nHosts int
 
@@ -68,31 +66,23 @@ type neighbor struct {
 	swap bool
 }
 
-func newGenerator(q *stream.Query, c *hardware.Cluster) (*generator, error) {
+func newGenerator(q *stream.Query, k hardware.Checked) (*generator, error) {
 	topo, err := q.Topology()
 	if err != nil {
 		return nil, err
 	}
-	bins := make([]hardware.Bin, len(c.Hosts))
-	for h, host := range c.Hosts {
-		if host == nil {
-			return nil, fmt.Errorf("placement: host %d is null", h)
-		}
-		bins[h] = hardware.Classify(host)
-	}
-	n := len(q.Ops)
+	n, nHosts := len(q.Ops), len(k.Cluster().Hosts)
 	g := &generator{
 		q:       q,
-		c:       c,
-		bins:    bins,
+		k:       k,
 		topo:    topo,
-		nHosts:  len(c.Hosts),
+		nHosts:  nHosts,
 		visited: make([]bitset, n),
 		scratch: make(sim.Placement, n),
 		comp:    make(sim.Placement, n),
 	}
 	for i := 0; i < n; i++ {
-		g.visited[i] = newBitset(len(c.Hosts))
+		g.visited[i] = newBitset(nHosts)
 	}
 	return g, nil
 }
@@ -143,13 +133,13 @@ func (g *generator) ban(hosts []int) {
 func (g *generator) choicesFor(p sim.Placement, v int) []int {
 	minBin := hardware.BinEdge
 	for _, u := range g.topo.Ups(v) {
-		if b := g.bins[p[u]]; b > minBin {
+		if b := g.k.Bin(p[u]); b > minBin {
 			minBin = b
 		}
 	}
 	g.choices = g.choices[:0]
 	for h := 0; h < g.nHosts; h++ {
-		if g.bins[h] < minBin {
+		if g.k.Bin(h) < minBin {
 			continue
 		}
 		if g.banned != nil && g.banned.has(h) {
@@ -226,7 +216,7 @@ func (g *generator) randomValid(rng *rand.Rand) (sim.Placement, bool) {
 // validate reports whether p satisfies the Figure 5 rules and avoids
 // every banned host.
 func (g *generator) validate(p sim.Placement) bool {
-	if p.Validate(g.q, g.c) != nil {
+	if p.Validate(g.q, g.k.Cluster()) != nil {
 		return false
 	}
 	if g.banned != nil {
@@ -239,7 +229,7 @@ func (g *generator) validate(p sim.Placement) bool {
 	for _, v := range g.topo.Order() {
 		h := p[v]
 		for _, u := range g.topo.Ups(v) {
-			if g.bins[p[u]] > g.bins[h] {
+			if g.k.Bin(p[u]) > g.k.Bin(h) {
 				return false // capability decreased along the flow
 			}
 			if p[u] != h && g.visited[u].has(h) {
@@ -315,12 +305,12 @@ func (g *generator) appendMoves(out []neighbor, p sim.Placement, v int) []neighb
 	}
 	lo, hi := hardware.BinEdge, hardware.BinCloud
 	for _, u := range g.topo.Ups(v) {
-		lo = max(lo, g.bins[p[u]])
+		lo = max(lo, g.k.Bin(p[u]))
 		deny.orWithout(g.visited[u], p[u])
 	}
 	for _, w := range g.topo.Downs(v) {
 		hw := p[w]
-		hi = min(hi, g.bins[hw])
+		hi = min(hi, g.k.Bin(hw))
 		for _, u := range g.topo.Ups(v) {
 			if g.visited[u].has(hw) {
 				return out
@@ -334,7 +324,7 @@ func (g *generator) appendMoves(out []neighbor, p sim.Placement, v int) []neighb
 		}
 	}
 	for h := 0; h < g.nHosts; h++ {
-		if h == p[v] || g.bins[h] < lo || g.bins[h] > hi || deny.has(h) {
+		if h == p[v] || g.k.Bin(h) < lo || g.k.Bin(h) > hi || deny.has(h) {
 			continue
 		}
 		out = append(out, neighbor{v: v, x: h})
@@ -380,16 +370,10 @@ func (g *generator) completeGreedy(p sim.Placement, d int) (sim.Placement, bool)
 // capable valid choice. Ties break toward the lower host index, keeping
 // completion fully deterministic.
 func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
-	if g.caps == nil {
-		g.caps = make([]float64, g.nHosts)
-		for h, host := range g.c.Hosts {
-			g.caps[h] = host.CapabilityScore()
-		}
-	}
 	best := -1
 	for _, u := range g.topo.Ups(v) {
 		h := p[u]
-		if best < 0 || g.caps[h] > g.caps[best] || (g.caps[h] == g.caps[best] && h < best) {
+		if best < 0 || g.k.Score(h) > g.k.Score(best) || (g.k.Score(h) == g.k.Score(best) && h < best) {
 			best = h
 		}
 	}
@@ -402,7 +386,7 @@ func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
 	}
 	best = choices[0]
 	for _, h := range choices[1:] {
-		if g.caps[h] > g.caps[best] {
+		if g.k.Score(h) > g.k.Score(best) {
 			best = h
 		}
 	}
@@ -412,8 +396,8 @@ func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
 // RandomValid draws one placement satisfying the three heuristic rules of
 // Figure 5 (see generator.choicesFor). It retries on dead ends and reports
 // an error when the cluster cannot satisfy the rules for this query.
-func RandomValid(rng *rand.Rand, q *stream.Query, c *hardware.Cluster) (sim.Placement, error) {
-	g, err := newGenerator(q, c)
+func RandomValid(rng *rand.Rand, q *stream.Query, k hardware.Checked) (sim.Placement, error) {
+	g, err := newGenerator(q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -421,12 +405,12 @@ func RandomValid(rng *rand.Rand, q *stream.Query, c *hardware.Cluster) (sim.Plac
 		return append(sim.Placement(nil), p...), nil
 	}
 	return nil, fmt.Errorf("placement: no valid placement found for %d ops on %d hosts",
-		len(q.Ops), len(c.Hosts))
+		len(q.Ops), g.nHosts)
 }
 
 // Valid reports whether a placement satisfies the Figure 5 rules.
-func Valid(q *stream.Query, c *hardware.Cluster, p sim.Placement) bool {
-	g, err := newGenerator(q, c)
+func Valid(q *stream.Query, k hardware.Checked, p sim.Placement) bool {
+	g, err := newGenerator(q, k)
 	if err != nil {
 		return false
 	}

@@ -53,12 +53,12 @@ type MonitorStep struct {
 // loop at the next monitoring window and returns the partial trajectory
 // without error, as Search returns its partial incumbent; only a monitor
 // cancelled before its initial observation fails, returning ctx.Err().
-func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
+func OnlineMonitoring(ctx context.Context, q *stream.Query, k hardware.Checked, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cur := append(sim.Placement(nil), initial...)
-	m, err := sim.Run(q, c, cur, cfg.SimCfg)
+	m, err := sim.Run(q, k, cur, cfg.SimCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +73,12 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, c *hardware.Cluster,
 		}
 		elapsed += cfg.IntervalS
 		last := steps[len(steps)-1]
-		next, move, moved := rebalanceOnce(q, c, last.Placement, last.Metrics, banned)
+		next, move, moved := rebalanceOnce(q, k, last.Placement, last.Metrics, banned)
 		if !moved {
 			break
 		}
 		elapsed += cfg.MigrationCostS
-		nm, err := sim.Run(q, c, next, cfg.SimCfg)
+		nm, err := sim.Run(q, k, next, cfg.SimCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -112,8 +112,8 @@ func better(a, b *sim.Metrics) bool {
 // valid, skipping moves in banned (already tried and reverted). It returns
 // the new placement, the (operator, target host) move, and whether a move
 // was found.
-func rebalanceOnce(q *stream.Query, c *hardware.Cluster, p sim.Placement, m *sim.Metrics, banned map[[2]int]bool) (sim.Placement, [2]int, bool) {
-	nHosts := len(c.Hosts)
+func rebalanceOnce(q *stream.Query, k hardware.Checked, p sim.Placement, m *sim.Metrics, banned map[[2]int]bool) (sim.Placement, [2]int, bool) {
+	nHosts := len(k.Cluster().Hosts)
 	util := make([]float64, nHosts)
 	for i := range q.Ops {
 		util[p[i]] += m.PerOp[i].CPUUtil
@@ -144,7 +144,7 @@ func rebalanceOnce(q *stream.Query, c *hardware.Cluster, p sim.Placement, m *sim
 			}
 			next := append(sim.Placement(nil), p...)
 			next[op] = target
-			if Valid(q, c, next) {
+			if Valid(q, k, next) {
 				return next, [2]int{op, target}, true
 			}
 		}

@@ -13,7 +13,7 @@ import (
 func TestMonitoringTerminatesAndTracksTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	initial, err := RandomValid(rng, q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +41,9 @@ func TestMonitoringTerminatesAndTracksTime(t *testing.T) {
 func TestMonitoringRevertedMovesAreNotRepeated(t *testing.T) {
 	// With a single host no move is possible: exactly one step.
 	q := testQuery()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "solo", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
-	}}
+	}})
 	initial := sim.Placement{0, 0, 0, 0, 0}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
@@ -59,7 +59,7 @@ func TestMonitoringRevertedMovesAreNotRepeated(t *testing.T) {
 func TestRebalanceProposesValidMove(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	p, err := RandomValid(rng, q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestRebalanceProposesValidMove(t *testing.T) {
 
 func TestSimOracleMatchesSim(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	p := sim.Placement{0, 0, 1, 2, 3}
 	if !Valid(q, c, p) {
 		// fall back to a generated valid placement
@@ -125,7 +125,7 @@ var _ = stream.Query{}
 func TestMonitoringDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	initial, err := RandomValid(rng, q, c)
 	if err != nil {
 		t.Fatal(err)

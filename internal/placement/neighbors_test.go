@@ -75,7 +75,7 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 	grids := []hardware.Grid{hardware.TrainingGrid(), hardware.InterpolationGrid()}
 	cases, moves, swaps := 0, 0, 0
 	check := func(name string, q *stream.Query, c *hardware.Cluster) {
-		g, err := newGenerator(q, c)
+		g, err := newGenerator(q, checked(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 // ahead of it, so the first round's fresh candidates are one more than the
 // neighborhood and a one-round budget covers exactly those.
 func TestLocalSearchScoresStartWithItsNeighborhood(t *testing.T) {
-	q, c := testQuery(), cluster12()
+	q, c := testQuery(), checked(cluster12())
 	inc, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func BenchmarkLocalNeighbors(b *testing.B) {
 	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg)
 	for _, hosts := range []int{6, 220, 11_000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
-			c := hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts)
+			c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))
 			co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
 			if err != nil {
 				b.Fatal(err)

@@ -67,7 +67,7 @@ func (s CostSet) Copy(dst *PredCosts, src PredCosts) {
 // predictor, so NewScoreSession is called concurrently and must be safe
 // for concurrent use.
 type Predictor interface {
-	NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error)
+	NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error)
 }
 
 // TileScorer scores tiles of candidates for one fixed (query, cluster)
@@ -95,17 +95,17 @@ type TileScorer interface {
 // Predictor. Its sessions call the function once per candidate (tile
 // width 1) and copy the fields a ScoreTile call's need names, so a search
 // over it ranks exactly as over a native session.
-type PredictorFunc func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error)
+type PredictorFunc func(q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error)
 
 // NewScoreSession implements Predictor.
-func (f PredictorFunc) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	return &funcSession{f: f, q: q, c: c}, nil
+func (f PredictorFunc) NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error) {
+	return &funcSession{f: f, q: q, k: k}, nil
 }
 
 type funcSession struct {
 	f PredictorFunc
 	q *stream.Query
-	c *hardware.Cluster
+	k hardware.Checked
 }
 
 func (*funcSession) TileSize() int { return 1 }
@@ -115,7 +115,7 @@ func (s *funcSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredC
 		return fmt.Errorf("placement: tile output holds %d slots, want %d", len(out), len(cands))
 	}
 	for i, p := range cands {
-		costs, err := s.f(s.q, s.c, p)
+		costs, err := s.f(s.q, s.k, p)
 		if err != nil {
 			return err
 		}
@@ -126,8 +126,8 @@ func (s *funcSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredC
 
 // PredictOne predicts all five costs of one placement: a tile of one on a
 // session of its own.
-func PredictOne(pred Predictor, q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	sess, err := pred.NewScoreSession(q, c)
+func PredictOne(pred Predictor, q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error) {
+	sess, err := pred.NewScoreSession(q, k)
 	if err != nil {
 		return PredCosts{}, err
 	}
@@ -145,20 +145,20 @@ func PredictOne(pred Predictor, q *stream.Query, c *hardware.Cluster, p sim.Plac
 // cannot be opened is every candidate's error, and no candidates open
 // none. A cancelled ctx (nil means background) stops scoring at the next
 // tile, and the candidates left unscored carry ctx.Err().
-func Score(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet) ([]PredCosts, []error) {
+func Score(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, cands []sim.Placement, need CostSet) ([]PredCosts, []error) {
 	costs := make([]PredCosts, len(cands))
 	errs := make([]error, len(cands))
 	if len(cands) > 0 {
-		scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, 1)
+		scoreTiled(tiling{ctx, openSession(pred, q, k), cands, need, costs, errs}, 1)
 	}
 	return costs, errs
 }
 
-// openSession opens the predictor's session for (q, c). One that cannot be
+// openSession opens the predictor's session for (q, k). One that cannot be
 // opened becomes a session whose every tile fails with the error, so each
 // candidate scored on it carries that error.
-func openSession(pred Predictor, q *stream.Query, c *hardware.Cluster) TileScorer {
-	sess, err := pred.NewScoreSession(q, c)
+func openSession(pred Predictor, q *stream.Query, k hardware.Checked) TileScorer {
+	sess, err := pred.NewScoreSession(q, k)
 	if err != nil {
 		return failedSession{err}
 	}
@@ -305,27 +305,23 @@ func (o Objective) Reads() CostSet {
 
 // SimOracle is a Predictor that runs the execution simulator: it provides
 // perfect cost knowledge and is used by tests, the fleet simulator and as
-// an upper bound. Each candidate needs a simulator run of its own. The
-// session hoists validating the cluster, which sim.Run leaves to its
-// callers: it refuses an invalid cluster once and is then the
-// PredictorFunc adapter over one run per candidate. Each run analyses
-// the fixed query again (one Query.Analyze); sharing that analysis would
-// take a second simulator entry that accepts derived rates.
+// an upper bound. Each candidate needs a simulator run of its own: the
+// session is the PredictorFunc adapter over one run per candidate, on the
+// cluster its caller checked. Each run analyses the fixed query again
+// (one Query.Analyze); sharing that analysis would take a second
+// simulator entry that accepts derived rates.
 type SimOracle struct {
 	Cfg sim.Config
 }
 
 // NewScoreSession implements Predictor.
-func (o *SimOracle) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid cluster: %w", err)
-	}
-	return PredictorFunc(o.simulate).NewScoreSession(q, c)
+func (o *SimOracle) NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(o.simulate).NewScoreSession(q, k)
 }
 
 // simulate runs the placement and reports the measured costs.
-func (o *SimOracle) simulate(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
-	m, err := sim.Run(q, c, p, o.Cfg)
+func (o *SimOracle) simulate(q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error) {
+	m, err := sim.Run(q, k, p, o.Cfg)
 	if err != nil {
 		return PredCosts{}, err
 	}

@@ -17,7 +17,7 @@ import (
 // candidates failAt marks, so tests can stage arbitrary score landscapes
 // over fakeCandidates.
 func indexedPredictor(costs []PredCosts, failAt map[int]bool) Predictor {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		if failAt[p[0]] {
 			return PredCosts{}, fmt.Errorf("fake failure at candidate %d", p[0])
 		}
@@ -45,7 +45,7 @@ func sanely(lat float64) PredCosts {
 // them — for every objective's read set and for whole vectors.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	const n = 37
 	var costs []PredCosts
 	rng := rand.New(rand.NewSource(11))
@@ -86,7 +86,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // the real simulator oracle end to end, through a search.
 func TestOptimizeDeterministicWithOracle(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
@@ -113,13 +113,13 @@ func TestOptimizeSkipsFailingCandidates(t *testing.T) {
 	c := testCluster()
 	sink := q.NumOps() - 1
 	failing := func(p sim.Placement) bool { return p[sink] == 3 }
-	pred := PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	pred := PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		if failing(p) {
 			return PredCosts{}, fmt.Errorf("no prediction with the sink on host 3")
 		}
 		return landscapeCosts(q, c, p), nil
 	})
-	res, err := Search(context.Background(), pred, q, c, Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
+	res, err := Search(context.Background(), pred, q, checked(c), Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func forEachValid(q *stream.Query, c *hardware.Cluster, fn func(sim.Placement)) 
 	var walk func(op int)
 	walk = func(op int) {
 		if op == len(p) {
-			if Valid(q, c, p) {
+			if Valid(q, checked(c), p) {
 				fn(p)
 			}
 			return
@@ -165,7 +165,7 @@ func forEachValid(q *stream.Query, c *hardware.Cluster, fn func(sim.Placement)) 
 // search fail, naming the predictor's error; Score reports it for each.
 func TestOptimizeAllCandidatesFail(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	pred := indexedPredictor(nil, map[int]bool{0: true, 1: true, 2: true, 3: true})
 	_, err := Search(context.Background(), pred, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "fake failure") {

@@ -24,6 +24,15 @@ func testQuery() *stream.Query {
 	return b.MustBuild()
 }
 
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 func testCluster() *hardware.Cluster {
 	return &hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "edge-0", CPU: 50, RAMMB: 1000, NetLatencyMS: 80, NetBandwidthMbps: 50},
@@ -36,7 +45,7 @@ func testCluster() *hardware.Cluster {
 func TestRandomValidSatisfiesRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	for i := 0; i < 100; i++ {
 		p, err := RandomValid(rng, q, c)
 		if err != nil {
@@ -50,7 +59,7 @@ func TestRandomValidSatisfiesRules(t *testing.T) {
 
 func TestValidRejectsCapabilityDecrease(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	// Sink (cloud-capable data end) on edge after fog: source chain
 	// cloud -> edge violates increasing capability.
 	p := sim.Placement{3, 3, 3, 3, 0} // everything on cloud, sink on weakest edge
@@ -67,10 +76,10 @@ func TestValidRejectsRevisit(t *testing.T) {
 	k := b.AddSink()
 	b.Chain(s, f1, f2, k)
 	q := b.MustBuild()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "fog-a", CPU: 400, RAMMB: 8000, NetLatencyMS: 10, NetBandwidthMbps: 800},
 		{ID: "fog-b", CPU: 400, RAMMB: 8000, NetLatencyMS: 10, NetBandwidthMbps: 800},
-	}}
+	}})
 	// a -> b -> a: returns to a previously visited host.
 	if Valid(q, c, sim.Placement{0, 1, 0, 0}) {
 		t.Error("cyclic host sequence accepted")
@@ -83,7 +92,7 @@ func TestValidRejectsRevisit(t *testing.T) {
 
 func TestValidAllowsCoLocation(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	p := sim.Placement{3, 3, 3, 3, 3}
 	if !Valid(q, c, p) {
 		t.Error("all-on-cloud co-location should be valid")
@@ -98,7 +107,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := RandomValid(rng, q, c)
+		p, err := RandomValid(rng, q, checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -127,7 +136,7 @@ func TestEnumerateDistinct(t *testing.T) {
 			t.Fatalf("duplicate candidate %v", p)
 		}
 		seen[key] = true
-		if !Valid(q, c, p) {
+		if !Valid(q, checked(c), p) {
 			t.Fatalf("invalid candidate %v", p)
 		}
 	}
@@ -158,14 +167,14 @@ func TestOptimizeWithOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	oracle := &SimOracle{Cfg: cfg}
-	res, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
+	res, err := Search(context.Background(), oracle, q, checked(c), RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Examined != len(cands) {
 		t.Fatalf("search examined %d candidates, Enumerate drew %d", res.Examined, len(cands))
 	}
-	costs, errs := Score(context.Background(), oracle, q, c, cands, AllCosts)
+	costs, errs := Score(context.Background(), oracle, q, checked(c), cands, AllCosts)
 	best := -1
 	for i, pc := range costs {
 		if errs[i] != nil {
@@ -184,7 +193,7 @@ func TestOptimizeWithOracle(t *testing.T) {
 // placement, and scoring no candidates is no work and no error.
 func TestOptimizeObjectives(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
@@ -204,7 +213,7 @@ func TestOptimizeObjectives(t *testing.T) {
 
 // fixedPredictor predicts costs[p[0]] for placement p.
 func fixedPredictor(costs []PredCosts) Predictor {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return costs[p[0]], nil
 	})
 }
@@ -214,7 +223,7 @@ func fixedPredictor(costs []PredCosts) Predictor {
 // backpressure, and when it drops everything the cheapest candidate wins.
 func TestOptimizeSanityFilter(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	// Fake candidates distinguished by first entry.
 	cands := []sim.Placement{
 		{0, 0, 0, 0, 0},
@@ -256,7 +265,7 @@ func TestOptimizeSanityFilter(t *testing.T) {
 func TestOnlineMonitoringImproves(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	// Deliberately poor but valid initial placement: everything on the
 	// weakest fog-capable chain start.
 	var initial sim.Placement
@@ -306,9 +315,9 @@ func TestObjectiveString(t *testing.T) {
 // three rules hold trivially and the generator finds the placement.
 func TestValidSingleHostCluster(t *testing.T) {
 	q := testQuery()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "only", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
-	}}
+	}})
 	if !Valid(q, c, sim.Placement{0, 0, 0, 0, 0}) {
 		t.Error("all-on-single-host placement rejected")
 	}
@@ -350,27 +359,27 @@ func TestValidDiamondRevisit(t *testing.T) {
 	// Branch s1->f1 leaves host 0; s2 sits on host 0. Joining on host 0
 	// returns s1's flow to a host it already left: invalid, even though
 	// the join would co-locate with its immediate upstream s2.
-	if Valid(q, c, sim.Placement{0, 1, 0, 0, 0}) {
+	if Valid(q, checked(c), sim.Placement{0, 1, 0, 0, 0}) {
 		t.Error("join revisiting a host one branch already left was accepted")
 	}
 	// Joining on f1's host is plain co-location for that branch and a
 	// first visit for s2's branch: valid.
-	if !Valid(q, c, sim.Placement{0, 1, 2, 1, 1}) {
+	if !Valid(q, checked(c), sim.Placement{0, 1, 2, 1, 1}) {
 		t.Error("valid fan-in co-location rejected")
 	}
 	// Joining on a fresh host is always fine.
-	if !Valid(q, c, sim.Placement{0, 1, 0, 2, 2}) {
+	if !Valid(q, checked(c), sim.Placement{0, 1, 0, 2, 2}) {
 		t.Error("fan-in onto a fresh host rejected")
 	}
 	// The generator must never emit placements Valid rejects (regression:
 	// the original draw code allowed the first case above).
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		p, err := RandomValid(rng, q, c)
+		p, err := RandomValid(rng, q, checked(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Valid(q, c, p) {
+		if !Valid(q, checked(c), p) {
 			t.Fatalf("draw %d: RandomValid produced invalid placement %v", i, p)
 		}
 	}
@@ -397,7 +406,7 @@ func TestValidCapabilityBinBoundaries(t *testing.T) {
 	b.Chain(s, f, k)
 	q := b.MustBuild()
 
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongEdge, weakFog, weakFog2}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongEdge, weakFog, weakFog2}})
 	if !Valid(q, c, sim.Placement{0, 1, 1}) {
 		t.Error("edge -> fog transition rejected at the bin boundary")
 	}

@@ -40,7 +40,7 @@ func TestWarmNeighborhoodAllocsFlat(t *testing.T) {
 	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg)
 	allocs := map[int]float64{}
 	for _, hosts := range []int{6, 11_000} {
-		c := hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts)
+		c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))
 		co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -166,7 +166,7 @@ type Core struct {
 	ctx     context.Context
 	pred    Predictor
 	q       *stream.Query
-	c       *hardware.Cluster
+	k       hardware.Checked
 	obj     Objective
 	budget  Budget
 	workers int
@@ -196,8 +196,8 @@ type Core struct {
 	complete    bool
 }
 
-func newCore(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, obj Objective, budget Budget, opts SearchOptions) (*Core, error) {
-	gen, err := newGenerator(q, c)
+func newCore(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, obj Objective, budget Budget, opts SearchOptions) (*Core, error) {
+	gen, err := newGenerator(q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func newCore(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.C
 		ctx:           ctx,
 		pred:          pred,
 		q:             q,
-		c:             c,
+		k:             k,
 		obj:           obj,
 		budget:        budget,
 		workers:       opts.Workers,
@@ -223,9 +223,6 @@ func newCore(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.C
 
 // Query returns the query under placement.
 func (co *Core) Query() *stream.Query { return co.q }
-
-// Cluster returns the hardware landscape.
-func (co *Core) Cluster() *hardware.Cluster { return co.c }
 
 // Rng returns the seeded random source shared by the whole search run.
 func (co *Core) Rng() *rand.Rand { return co.rng }
@@ -346,7 +343,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 	if len(fresh) > 0 {
 		roundStart := time.Now()
 		if co.sess == nil {
-			co.sess = openSession(co.pred, co.q, co.c)
+			co.sess = openSession(co.pred, co.q, co.k)
 		}
 		costs := make([]PredCosts, len(fresh))
 		errs := make([]error, len(fresh))
@@ -444,7 +441,7 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 		}
 		if err == nil {
 			err = fmt.Errorf("placement: no valid placement candidates for %d operators on %d hosts",
-				co.q.NumOps(), co.c.NumHosts())
+				co.q.NumOps(), co.gen.nHosts)
 		}
 		return nil, fmt.Errorf("placement: %s search scored no candidates: %w", strategy, err)
 	}
@@ -479,11 +476,11 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 // candidate boundary and returns the best candidate scored so far
 // (SearchResult.Cancelled is set). Only a search cancelled before scoring
 // any candidate fails, wrapping ctx.Err().
-func Search(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
+func Search(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
 	if strat == nil {
 		strat = RandomSample{}
 	}
-	co, err := newCore(ctx, pred, q, c, obj, budget, opts)
+	co, err := newCore(ctx, pred, q, k, obj, budget, opts)
 	if err != nil {
 		return nil, err
 	}

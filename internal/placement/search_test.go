@@ -18,7 +18,8 @@ import (
 // compared against random sampling on exact, reproducible numbers.
 type landscapePredictor struct{}
 
-func landscapeCosts(q *stream.Query, c *hardware.Cluster, p sim.Placement) PredCosts {
+func landscapeCosts(q *stream.Query, k hardware.Checked, p sim.Placement) PredCosts {
+	c := k.Cluster()
 	lat := 0.0
 	for _, e := range q.Edges {
 		lat += c.LinkLatencyMS(p[e[0]], p[e[1]])
@@ -34,8 +35,8 @@ func landscapeCosts(q *stream.Query, c *hardware.Cluster, p sim.Placement) PredC
 	}
 }
 
-func (landscapePredictor) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+func (landscapePredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return landscapeCosts(q, c, p), nil
 	}).NewScoreSession(q, c)
 }
@@ -85,7 +86,7 @@ func allStrategies(t *testing.T) []Strategy {
 // search engine's data-race check.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
@@ -110,7 +111,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // predicted objective than RandomSample under the same candidate budget.
 func TestGuidedSearchBeatsRandom(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 64}
 	for _, seed := range []int64{3, 7, 11, 42} {
@@ -138,7 +139,7 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 // everything, reports Complete, and no other strategy can beat it.
 func TestExhaustiveCompleteIsOptimal(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 4096}
 	ex, err := Search(context.Background(), pred, q, c, Exhaustive{}, MinProcLatency, budget, SearchOptions{Seed: 1})
@@ -167,7 +168,7 @@ func TestExhaustiveCompleteIsOptimal(t *testing.T) {
 // strategy, and exhausted exhaustive runs do not claim completeness.
 func TestSearchBudgetEnforced(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	pred := landscapePredictor{}
 	for _, strat := range allStrategies(t) {
 		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 5}, SearchOptions{Seed: 2})
@@ -198,11 +199,11 @@ func TestSearchValidPlacements(t *testing.T) {
 	pred := landscapePredictor{}
 	for _, c := range []*hardware.Cluster{testCluster(), cluster12()} {
 		for _, strat := range allStrategies(t) {
-			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
+			res, err := Search(context.Background(), pred, q, checked(c), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
 			}
-			if !Valid(q, c, res.Placement) {
+			if !Valid(q, checked(c), res.Placement) {
 				t.Errorf("%s: invalid placement %v", strat.Name(), res.Placement)
 			}
 			if res.Strategy != strat.Name() {
@@ -214,7 +215,7 @@ func TestSearchValidPlacements(t *testing.T) {
 
 // insanePredictor predicts failure for every placement, exercising the
 // sanity-filter fallback path.
-var insanePredictor = PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+var insanePredictor = PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 	pc := landscapeCosts(q, c, p)
 	pc.Success = false
 	return pc, nil
@@ -224,7 +225,7 @@ var insanePredictor = PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p
 // check, the search still returns the cheapest scored placement.
 func TestSearchFallbackWhenAllInsane(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	res, err := Search(context.Background(), insanePredictor, q, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 8}, SearchOptions{Seed: 3})
 	if err != nil {
@@ -243,7 +244,7 @@ func TestSearchFallbackWhenAllInsane(t *testing.T) {
 func TestScoreRoundDedupAndCaching(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
+	co, err := newCore(context.Background(), landscapePredictor{}, q, checked(c), MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestScoreRoundDedupAndCaching(t *testing.T) {
 // placement twice scores it once and resolves both entries.
 func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
 	q := testQuery()
-	c := testCluster()
+	c := checked(testCluster())
 	co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
 func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 1})
+	co, err := newCore(context.Background(), landscapePredictor{}, q, checked(c), MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // run totals, and a non-increasing incumbent (anytime) curve.
 func TestSearchTelemetryPerRound(t *testing.T) {
 	q := testQuery()
-	c := cluster12()
+	c := checked(cluster12())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
@@ -69,7 +69,7 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 // TestSearchTelemetryOffByDefault pins that plain runs pay nothing for
 // per-round collection and keep the result JSON-marshalable.
 func TestSearchTelemetryOffByDefault(t *testing.T) {
-	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), checked(cluster12()), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSearchTelemetryOffByDefault(t *testing.T) {
 
 // TestSearchTelemetryDoesNotChangeSelection: collection is observational.
 func TestSearchTelemetryDoesNotChangeSelection(t *testing.T) {
-	q, c := testQuery(), cluster12()
+	q, c := testQuery(), checked(cluster12())
 	for _, strat := range allStrategies(t) {
 		plain, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7})
 		if err != nil {
@@ -110,7 +110,7 @@ func TestSearchMetricsRecorded(t *testing.T) {
 	runs := obs.Default().Counter("costream_search_runs_total",
 		"completed placement search runs, by strategy", "strategy", "random")
 	runs0 := runs.Value()
-	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), cluster12(), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), checked(cluster12()), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func (s *tileFakeSession) ScoreTile(cands []sim.Placement, need CostSet, out []P
 	return nil
 }
 
-func (f *tileFake) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileScorer, error) {
+func (f *tileFake) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
 	f.sessions.Add(1)
 	if f.failSession {
 		return nil, fmt.Errorf("no session")
@@ -82,7 +82,7 @@ func (f *tileFake) NewScoreSession(q *stream.Query, c *hardware.Cluster) (TileSc
 
 // scorePooled is Score through a pool of workers, the pool a search
 // scores its rounds with.
-func scorePooled(ctx context.Context, pred Predictor, q *stream.Query, c *hardware.Cluster, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
+func scorePooled(ctx context.Context, pred Predictor, q *stream.Query, c hardware.Checked, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
 	costs := make([]PredCosts, len(cands))
 	errs := make([]error, len(cands))
 	scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, workers)
@@ -105,7 +105,7 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 	var want []PredCosts
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		f := &tileFake{tile: 7, poison: -1}
-		costs, errs := scorePooled(context.Background(), f, nil, nil, cands, AllCosts, workers)
+		costs, errs := scorePooled(context.Background(), f, nil, hardware.Checked{}, cands, AllCosts, workers)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("workers=%d candidate %d: %v", workers, i, err)
@@ -133,7 +133,7 @@ func TestScoreTiledDeterministicAcrossWorkers(t *testing.T) {
 func TestScoreTiledFallbackIsolatesFailure(t *testing.T) {
 	cands := tiledCandidates(20)
 	f := &tileFake{tile: 8, poison: 2}
-	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts)
+	costs, errs := Score(context.Background(), f, nil, hardware.Checked{}, cands, AllCosts)
 	for i, p := range cands {
 		if p[0] == f.poison {
 			if errs[i] == nil {
@@ -166,7 +166,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 	f := &tileFake{tile: 4, poison: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs := scorePooled(ctx, f, nil, nil, cands, AllCosts, 4)
+	_, errs := scorePooled(ctx, f, nil, hardware.Checked{}, cands, AllCosts, 4)
 	for i, err := range errs {
 		if err != context.Canceled {
 			t.Fatalf("candidate %d: err=%v, want context.Canceled", i, err)
@@ -182,7 +182,7 @@ func TestScoreTiledCancelled(t *testing.T) {
 func TestScoreTiledDegenerateTileSize(t *testing.T) {
 	cands := tiledCandidates(5)
 	f := &tileFake{tile: 0, poison: -1}
-	costs, errs := Score(context.Background(), f, nil, nil, cands, AllCosts)
+	costs, errs := Score(context.Background(), f, nil, hardware.Checked{}, cands, AllCosts)
 	for i, p := range cands {
 		if errs[i] != nil {
 			t.Fatalf("candidate %d: %v", i, errs[i])
@@ -198,7 +198,7 @@ func TestScoreTiledDegenerateTileSize(t *testing.T) {
 // opened fails every candidate, and the search with them, naming the
 // session's error.
 func TestSearchOpensOneSession(t *testing.T) {
-	q, c := testQuery(), cluster12()
+	q, c := testQuery(), checked(cluster12())
 	f := &tileFake{tile: 4, poison: -1}
 	res, err := Search(context.Background(), f, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
 	if err != nil {
@@ -235,14 +235,14 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		if reads&(CostSuccess|CostBackpressure) != CostSuccess|CostBackpressure || reads == AllCosts {
 			t.Fatalf("%v reads %05b: want the sanity check's two costs and one regression cost", obj, reads)
 		}
-		warm, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
+		warm, err := RandomValid(rand.New(rand.NewSource(4)), q, checked(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var beam *SearchResult
 		for _, strat := range []Strategy{WarmStart{Incumbent: warm, Inner: LocalSearch{}}, Beam{}} {
 			f := &tileFake{tile: 4, poison: -1}
-			res, err := Search(context.Background(), f, q, c, strat, obj, budget, SearchOptions{Seed: 3})
+			res, err := Search(context.Background(), f, q, checked(c), strat, obj, budget, SearchOptions{Seed: 3})
 			if err != nil {
 				t.Fatalf("%v %s: %v", obj, strat.Name(), err)
 			}
@@ -266,10 +266,10 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 			beam = res
 		}
 
-		plain := PredictorFunc(func(q *stream.Query, c *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+		plain := PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 			return fakeCosts(p), nil
 		})
-		res, err := Search(context.Background(), plain, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3})
+		res, err := Search(context.Background(), plain, q, checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		}
 
 		broken := &tileFake{tile: 4, poison: -1, failNeed: AllCosts &^ reads}
-		if _, err := Search(context.Background(), broken, q, c, Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
+		if _, err := Search(context.Background(), broken, q, checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("no prediction for costs %05b", AllCosts&^reads)) {
 			t.Fatalf("%v: failing completion gave err = %v, want the session's error", obj, err)
 		}
@@ -314,11 +314,11 @@ func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 	want := make([]PredCosts, len(cands))
 	for i, p := range cands {
 		var err error
-		if want[i], err = oracle.simulate(q, c, p); err != nil {
+		if want[i], err = oracle.simulate(q, checked(c), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sess, err := oracle.NewScoreSession(q, c)
+	sess, err := oracle.NewScoreSession(q, checked(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +351,8 @@ func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 // and errors slices and the adapter's session, and nothing more. A round
 // of one tile scores inline: the closure par.Each takes would allocate.
 func TestScoreOneCandidateAllocs(t *testing.T) {
-	q, c := testQuery(), testCluster()
-	pred := PredictorFunc(func(_ *stream.Query, _ *hardware.Cluster, p sim.Placement) (PredCosts, error) {
+	q, c := testQuery(), checked(testCluster())
+	pred := PredictorFunc(func(_ *stream.Query, _ hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return fakeCosts(p), nil
 	})
 	cands := tiledCandidates(1)

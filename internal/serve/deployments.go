@@ -45,7 +45,8 @@ func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := validatePair(req.Query, req.Cluster); err != nil {
+	cluster, err := validatePair(req.Query, req.Cluster)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -53,7 +54,7 @@ func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = s.nextDeploymentID()
 	}
-	st, err := s.plane.Deploy(r.Context(), id, req.Query, req.Cluster, req.Placement)
+	st, err := s.plane.Deploy(r.Context(), id, req.Query, cluster, req.Placement)
 	if err != nil {
 		var dup *controlplane.DuplicateError
 		if errors.As(err, &dup) {

@@ -23,7 +23,16 @@ import (
 // dead host) forces the control plane's hand.
 type echoFeed struct{}
 
-func (echoFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+func (echoFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	pc := fakeCosts(p)
 	return &sim.Metrics{
 		ThroughputTPS: pc.ThroughputTPS,
@@ -294,7 +303,7 @@ type countingFeed struct {
 	n atomic.Int64
 }
 
-func (f *countingFeed) Observe(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*sim.Metrics, error) {
+func (f *countingFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.n.Add(1)
 	return f.echoFeed.Observe(q, c, p)
 }
@@ -347,7 +356,7 @@ func TestControlLoopStopFlushes(t *testing.T) {
 // failingFeed is a metric feed whose probe is down.
 type failingFeed struct{}
 
-func (failingFeed) Observe(*stream.Query, *hardware.Cluster, sim.Placement) (*sim.Metrics, error) {
+func (failingFeed) Observe(*stream.Query, hardware.Checked, sim.Placement) (*sim.Metrics, error) {
 	return nil, errors.New("probe down")
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"costream/internal/hardware"
 )
 
 // BenchmarkRun times one simulator run of a generated query: on 4-host
@@ -15,13 +17,17 @@ func BenchmarkRun(b *testing.B) {
 		cfg   Config
 	}{{4, DefaultConfig()}, {220, fleetObsConfig}} {
 		runs := generatedRuns(7, 16, bc.hosts)
+		clusters := make([]hardware.Checked, len(runs))
+		for i, r := range runs {
+			clusters[i] = checked(r.c)
+		}
 		b.Run(fmt.Sprintf("hosts=%d", bc.hosts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := runs[i%len(runs)]
 				cfg := bc.cfg
 				cfg.Seed = r.cfg.Seed
-				if _, err := Run(r.q, r.c, r.p, cfg); err != nil {
+				if _, err := Run(r.q, clusters[i%len(runs)], r.p, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

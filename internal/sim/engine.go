@@ -104,32 +104,17 @@ func (cfg Config) stepCounts() (steps, warmSteps float64) {
 	return math.Round((cfg.WarmupS + cfg.DurationS) / cfg.StepS), math.Round(cfg.WarmupS / cfg.StepS)
 }
 
-// Run executes the query under the given placement on the cluster and
-// returns the measured cost metrics. It is deterministic in (inputs, seed).
-//
-// Run does not validate the whole cluster: that is done once, where a
-// cluster is built or changed (request decode, fleet views, control-plane
-// registration, dataset builds, the facade), and a control loop runs the
-// simulator many times over one cluster. Run checks what the placement
-// touches: every index in range, and every used host non-nil with
-// finite, positive features (Host.Validate). It also refuses a nil host
-// anywhere in the cluster, because the per-host memory pressure it
-// reports reads every host.
-func Run(q *stream.Query, c *hardware.Cluster, p Placement, cfg Config) (*Metrics, error) {
+// Run executes the query under the given placement on the checked
+// cluster and returns the measured cost metrics. It is deterministic in
+// (inputs, seed).
+func Run(q *stream.Query, k hardware.Checked, p Placement, cfg Config) (*Metrics, error) {
 	rates, err := q.Analyze()
 	if err != nil {
 		return nil, fmt.Errorf("invalid query: %w", err)
 	}
+	c := k.Cluster()
 	if err := p.Validate(q, c); err != nil {
 		return nil, fmt.Errorf("invalid placement: %w", err)
-	}
-	if i := slices.Index(c.Hosts, nil); i >= 0 {
-		return nil, fmt.Errorf("invalid cluster: host %d is null", i)
-	}
-	for _, h := range p {
-		if err := c.Hosts[h].Validate(); err != nil {
-			return nil, fmt.Errorf("invalid cluster: %w", err)
-		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid config: %w", err)

@@ -49,7 +49,7 @@ func TestValidateRejectsFanOut(t *testing.T) {
 	if err := q.Validate(); err == nil {
 		t.Fatal("fan-out plan passed Query.Validate")
 	}
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}})
 	if _, err := Run(q, c, Placement{0, 0, 1, 1}, testConfig()); err == nil {
 		t.Fatal("sim.Run accepted a fan-out plan")
 	}

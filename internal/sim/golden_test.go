@@ -72,7 +72,7 @@ func TestRunGolden(t *testing.T) {
 	} {
 		cfg := testConfig()
 		cfg.Seed = tc.seed
-		m, err := Run(tc.q, tc.c, tc.p, cfg)
+		m, err := Run(tc.q, checked(tc.c), tc.p, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -104,7 +104,7 @@ host1 mem=0x1p-06
 // a run six times as long allocates exactly as much.
 func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	q := linearQuery(9000, 0.8)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("edge"), weakHost("fog"), strongHost("cloud")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("edge"), weakHost("fog"), strongHost("cloud")}})
 	allocs := func(durationS float64) float64 {
 		cfg := testConfig()
 		cfg.DurationS = durationS
@@ -127,8 +127,9 @@ func TestRunAllocsCeiling(t *testing.T) {
 	runs := generatedRuns(30, 20, 3, 6, 220)
 	var total float64
 	for _, r := range runs {
+		c := checked(r.c)
 		total += testing.AllocsPerRun(3, func() {
-			if _, err := Run(r.q, r.c, r.p, r.cfg); err != nil {
+			if _, err := Run(r.q, c, r.p, r.cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -183,7 +184,7 @@ func TestRunGoldenGenerated(t *testing.T) {
 	const want = "f5b958d5ba8a7a77ac6071804d2377dbf45a7b466dde50ce81562b69e806241c"
 	h := sha256.New()
 	for k, r := range generatedRuns(32, 150, 3, 6, 220) {
-		m, err := Run(r.q, r.c, r.p, r.cfg)
+		m, err := Run(r.q, checked(r.c), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
@@ -203,7 +204,7 @@ func TestIdleHostsChangeNothing(t *testing.T) {
 	grid := hardware.TrainingGrid()
 	tiny := &hardware.Host{ID: "tiny", CPU: 800, RAMMB: 300, NetLatencyMS: 1, NetBandwidthMbps: 10000}
 	for k, r := range generatedRuns(9, 60, 3, 6) {
-		base, err := Run(r.q, r.c, r.p, r.cfg)
+		base, err := Run(r.q, checked(r.c), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
@@ -213,7 +214,7 @@ func TestIdleHostsChangeNothing(t *testing.T) {
 		}
 		at := len(r.c.Hosts) + rng.Intn(len(wider.Hosts)-len(r.c.Hosts)+1)
 		wider.Hosts = slices.Insert(wider.Hosts, at, tiny)
-		m, err := Run(r.q, wider, r.p, r.cfg)
+		m, err := Run(r.q, checked(wider), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d with idle hosts: %v", k, err)
 		}

@@ -27,11 +27,11 @@ func TestGCPressureInflatesLatency(t *testing.T) {
 	q := b.MustBuild()
 
 	cfg := testConfig()
-	small, err := Run(q, &hardware.Cluster{Hosts: []*hardware.Host{midHost("s", 1000)}}, Placement{0, 0, 0}, cfg)
+	small, err := Run(q, checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("s", 1000)}}), Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(q, &hardware.Cluster{Hosts: []*hardware.Host{midHost("b", 32000)}}, Placement{0, 0, 0}, cfg)
+	big, err := Run(q, checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("b", 32000)}}), Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +49,9 @@ func TestGCPressureInflatesLatency(t *testing.T) {
 
 func TestBackpressureGrowsBrokerWait(t *testing.T) {
 	// Increasing overload must increase E2E latency via broker backlog.
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "w", CPU: 100, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
-	}}
+	}})
 	cfg := testConfig()
 	var prevWait float64
 	for i, rate := range []float64{6400, 12800, 25600} {
@@ -70,7 +70,7 @@ func TestBackpressureGrowsBrokerWait(t *testing.T) {
 func TestSinkTupleAccounting(t *testing.T) {
 	cfg := testConfig()
 	q := linearQuery(1000, 0.5)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
 	m, err := Run(q, c, Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestCrashMetricsShape(t *testing.T) {
 	k := b.AddSink()
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{midHost("tiny", 1000)}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("tiny", 1000)}})
 	m, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestLatencyIncludesNetworkPropagation(t *testing.T) {
 		{ID: "b", CPU: 400, RAMMB: 8000, NetLatencyMS: 20, NetBandwidthMbps: 1600},
 		{ID: "c", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}}
-	m, err := Run(q, c, Placement{0, 1, 2}, testConfig())
+	m, err := Run(q, checked(c), Placement{0, 1, 2}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestThroughputNeverExceedsLogicalRate(t *testing.T) {
 		rate := rates[int(rateIdx)%len(rates)]
 		sel := float64(selPct%100+1) / 100
 		q := linearQuery(rate, sel)
-		c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("x")}}
+		c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("x")}})
 		m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
 		if err != nil {
 			return false
@@ -158,9 +158,9 @@ func TestWaterFillingConservesCapacity(t *testing.T) {
 	k := b.AddSink()
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "one", CPU: 100, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
-	}}
+	}})
 	m, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,15 @@ func weakHost(id string) *hardware.Host {
 	return &hardware.Host{ID: id, CPU: 50, RAMMB: 1000, NetLatencyMS: 80, NetBandwidthMbps: 25}
 }
 
+// checked checks a test cluster, which must be valid.
+func checked(c *hardware.Cluster) hardware.Checked {
+	k, err := c.Check()
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DurationS = 30
@@ -45,7 +54,7 @@ func aggQuery(rate float64, w stream.Window, sel float64) *stream.Query {
 
 func TestLinearQueryOnStrongHost(t *testing.T) {
 	q := linearQuery(1000, 0.5)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
 	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +80,7 @@ func TestLinearQueryOnStrongHost(t *testing.T) {
 func TestWeakCPUCausesBackpressure(t *testing.T) {
 	// 25600 ev/s against 0.5 reference cores cannot keep up.
 	q := linearQuery(25600, 0.9)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}})
 	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -92,11 +101,11 @@ func TestThroughputCappedByCPU(t *testing.T) {
 	q := linearQuery(25600, 0.9)
 	weak := &hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}}
 	strong := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("s")}}
-	mw, err := Run(q, weak, Placement{0, 0, 0}, testConfig())
+	mw, err := Run(q, checked(weak), Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Run(q, strong, Placement{0, 0, 0}, testConfig())
+	ms, err := Run(q, checked(strong), Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func TestLargeWindowOnSmallRAMCrashes(t *testing.T) {
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
 
-	small := &hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}}
+	small := checked(&hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}})
 	ms, err := Run(q, small, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +137,7 @@ func TestLargeWindowOnSmallRAMCrashes(t *testing.T) {
 		t.Errorf("expected crash on 1 GB host, got crashed=%v success=%v pressure=%v",
 			ms.Crashed, ms.Success, ms.HostMemPressure)
 	}
-	big := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("s")}}
+	big := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("s")}})
 	mb, err := Run(q, big, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +150,7 @@ func TestLargeWindowOnSmallRAMCrashes(t *testing.T) {
 func TestZeroOutputMeansFailure(t *testing.T) {
 	// Selectivity 0: nothing ever reaches the sink (Definition 5).
 	q := linearQuery(100, 0)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
 	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +176,11 @@ func TestNetworkLatencyAddsUp(t *testing.T) {
 	}
 	// Co-located on cloud vs split across a slow link.
 	cfg := testConfig()
-	colo, err := Run(q, mk(160), Placement{1, 1, 1}, cfg)
+	colo, err := Run(q, checked(mk(160)), Placement{1, 1, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := Run(q, mk(160), Placement{0, 0, 1}, cfg)
+	split, err := Run(q, checked(mk(160)), Placement{0, 0, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestNetworkLatencyAddsUp(t *testing.T) {
 			split.ProcLatencyMS, colo.ProcLatencyMS)
 	}
 	// A fast link should cost far less.
-	fast, err := Run(q, mk(1), Placement{0, 0, 1}, cfg)
+	fast, err := Run(q, checked(mk(1)), Placement{0, 0, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +209,10 @@ func TestBandwidthBottleneckThrottlesThroughput(t *testing.T) {
 	k := b.AddSink()
 	b.Chain(s, f, k)
 	q := b.MustBuild()
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "edge", CPU: 800, RAMMB: 16000, NetLatencyMS: 5, NetBandwidthMbps: 25},
 		{ID: "cloud", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
-	}}
+	}})
 	m, err := Run(q, c, Placement{0, 0, 1}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +228,7 @@ func TestBandwidthBottleneckThrottlesThroughput(t *testing.T) {
 func TestWindowExtentDominatesLatency(t *testing.T) {
 	w1 := stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowTimeBased, Size: 0.25, Slide: 0.25}
 	w2 := stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowTimeBased, Size: 8, Slide: 8}
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
 	cfg := testConfig()
 	m1, err := Run(aggQuery(1000, w1, 0.1), c, Placement{0, 0, 0}, cfg)
 	if err != nil {
@@ -247,7 +256,7 @@ func TestCoLocationContention(t *testing.T) {
 	host := func(id string) *hardware.Host {
 		return &hardware.Host{ID: id, CPU: 50, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 10000}
 	}
-	c := &hardware.Cluster{Hosts: []*hardware.Host{host("a"), host("b"), host("c")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{host("a"), host("b"), host("c")}})
 	all, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +273,7 @@ func TestCoLocationContention(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	q := linearQuery(3200, 0.4)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), weakHost("b")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), weakHost("b")}})
 	cfg := testConfig()
 	m1, err := Run(q, c, Placement{1, 0, 0}, cfg)
 	if err != nil {
@@ -292,13 +301,13 @@ func TestDeterminism(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	q := linearQuery(100, 0.5)
 	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
-	if _, err := Run(q, c, Placement{0, 0}, testConfig()); err == nil {
+	if _, err := Run(q, checked(c), Placement{0, 0}, testConfig()); err == nil {
 		t.Error("short placement accepted")
 	}
-	if _, err := Run(q, c, Placement{0, 0, 5}, testConfig()); err == nil {
+	if _, err := Run(q, checked(c), Placement{0, 0, 5}, testConfig()); err == nil {
 		t.Error("out-of-range host accepted")
 	}
-	if _, err := Run(q, &hardware.Cluster{}, Placement{}, testConfig()); err == nil {
+	if _, err := (&hardware.Cluster{}).Check(); err == nil {
 		t.Error("empty cluster accepted")
 	}
 
@@ -326,7 +335,7 @@ func TestRunValidation(t *testing.T) {
 	} {
 		cfg := testConfig()
 		tc.set(&cfg)
-		m, err := Run(q, c, Placement{0, 0, 0}, cfg)
+		m, err := Run(q, checked(c), Placement{0, 0, 0}, cfg)
 		if err == nil {
 			t.Errorf("%s: accepted, returned %v", tc.name, m)
 		} else if !strings.Contains(err.Error(), tc.field) {
@@ -342,7 +351,7 @@ func TestRunValidation(t *testing.T) {
 	} {
 		cfg := testConfig()
 		set(&cfg)
-		if _, err := Run(q, c, Placement{0, 0, 0}, cfg); err != nil {
+		if _, err := Run(q, checked(c), Placement{0, 0, 0}, cfg); err != nil {
 			t.Errorf("%+v refused: %v", cfg, err)
 		}
 	}
@@ -377,7 +386,7 @@ func FuzzRunConfig(f *testing.F) {
 			return // valid, but longer than a training trace: slow, not new
 		}
 		p := Placement{int(h0) % 4, int(h1) % 4, int(h2) % 4, int(h3) % 4}
-		m, err := Run(q, c, p, cfg)
+		m, err := Run(q, checked(c), p, cfg)
 		if err != nil {
 			return
 		}
@@ -421,7 +430,7 @@ func nonFinite(m *Metrics) string {
 
 func TestPerOpStatsSane(t *testing.T) {
 	q := linearQuery(1000, 0.5)
-	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}}
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}})
 	m, err := Run(q, c, Placement{0, 0, 1}, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -505,9 +514,9 @@ func TestStateBytes(t *testing.T) {
 }
 
 func TestHigherEventRateRaisesThroughputUntilSaturation(t *testing.T) {
-	c := &hardware.Cluster{Hosts: []*hardware.Host{
+	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "m", CPU: 200, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 1600},
-	}}
+	}})
 	var last float64
 	for _, rate := range []float64{100, 400, 1600, 6400} {
 		m, err := Run(linearQuery(rate, 0.5), c, Placement{0, 0, 0}, testConfig())

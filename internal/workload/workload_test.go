@@ -274,7 +274,7 @@ func TestClusterSampling(t *testing.T) {
 	g := newGen(9)
 	for i := 0; i < 50; i++ {
 		c := g.Cluster()
-		if err := c.Validate(); err != nil {
+		if _, err := c.Check(); err != nil {
 			t.Fatal(err)
 		}
 		if c.NumHosts() < 3 || c.NumHosts() > 6 {
