@@ -234,29 +234,31 @@ func (m *Model) NewControlPlane() (*ControlPlane, error) {
 // Deploy registers query q on cluster c with the control plane under
 // id, runs the initial placement search (respecting any cordoned
 // hosts) and returns the activated deployment's status. It refuses an
-// invalid cluster (Cluster.Check). Subsequent ControlPlane.Tick calls
-// keep the placement healthy.
+// invalid query or cluster before it does any work (see Execute).
+// Subsequent ControlPlane.Tick calls keep the placement healthy.
 func Deploy(ctx context.Context, cp *ControlPlane, id string, q *Query, c *Cluster) (DeploymentStatus, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return DeploymentStatus{}, fmt.Errorf("controlplane: deploying %s: %w", id, err)
 	}
-	return cp.Deploy(ctx, id, q, k, nil)
+	return cp.Deploy(ctx, id, a, k, nil)
 }
 
 // NewQueryBuilder returns an empty query builder.
 func NewQueryBuilder() *QueryBuilder { return stream.NewBuilder() }
 
 // Execute runs the query under the placement on the cluster in the
-// bundled execution simulator and returns the measured cost metrics. It
-// refuses an invalid cluster (Cluster.Check), including hosts the
-// placement does not use.
+// bundled execution simulator and returns the measured cost metrics. Like
+// every entry of this package that takes a query and a cluster, it
+// refuses an invalid query (Query.Analyze; a nil query reads as empty) or
+// cluster (Cluster.Check, hosts the placement does not use included)
+// before it does any work.
 func Execute(q *Query, c *Cluster, p Placement) (*Metrics, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(q, k, p, sim.DefaultConfig())
+	return sim.Run(a, k, p, sim.DefaultConfig())
 }
 
 // GenerateCorpus builds a training corpus of n executed traces following
@@ -365,26 +367,26 @@ func (m *Model) Info() ModelInfo { return m.prov }
 
 // PredictCosts estimates the five cost metrics of executing the query
 // under the given placement, without running it. It refuses an invalid
-// cluster (Cluster.Check).
+// query or cluster (see Execute).
 func (m *Model) PredictCosts(q *Query, c *Cluster, p Placement) (Costs, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return Costs{}, err
 	}
-	return placement.PredictOne(m.pred, q, k, p)
+	return placement.PredictOne(m.pred, a, k, p)
 }
 
 // PredictCostsBatch scores many placement candidates in one call,
 // featurizing each candidate once and sharing the placement-invariant
 // query and cluster features across the batch. Results match per-candidate
 // PredictCosts calls exactly; a candidate that fails to score fails the
-// call, naming it. It refuses an invalid cluster (Cluster.Check).
+// call, naming it. It refuses an invalid query or cluster (see Execute).
 func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) ([]Costs, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return nil, err
 	}
-	costs, errs := placement.Score(context.Background(), m.pred, q, k, candidates, placement.AllCosts)
+	costs, errs := placement.Score(context.Background(), m.pred, a, k, candidates, placement.AllCosts)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("costream: candidate %d: %w", i, err)
@@ -400,7 +402,7 @@ func (m *Model) PredictCostsBatch(q *Query, c *Cluster, candidates []Placement) 
 // Candidates are scored in batches by a worker pool sized to GOMAXPROCS.
 // It is the RandomSample strategy under a k-candidate budget;
 // OptimizePlacementSearchCtx runs the other search strategies. It
-// refuses an invalid cluster (Cluster.Check).
+// refuses an invalid query or cluster (see Execute) before any search.
 func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, seed int64) (Placement, Costs, error) {
 	res, err := m.OptimizePlacementSearchCtx(context.Background(), q, c, RandomSampleStrategy{}, obj,
 		SearchBudget{MaxCandidates: k}, SearchOpts{Seed: seed})
@@ -421,13 +423,13 @@ func (m *Model) OptimizePlacement(q *Query, c *Cluster, k int, obj Objective, se
 // off. Cancelling ctx stops the search at the next scoring batch and
 // returns the best placement found so far with SearchResult.Cancelled
 // set; it errors only when no candidate was scored before the cancel. It
-// refuses an invalid cluster (Cluster.Check).
+// refuses an invalid query or cluster (see Execute) before any search.
 func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Cluster, strat SearchStrategy, obj Objective, budget SearchBudget, opts SearchOpts) (*SearchResult, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return nil, err
 	}
-	res, err := placement.Search(ctx, m.pred, q, k, strat, obj, budget, opts)
+	res, err := placement.Search(ctx, m.pred, a, k, strat, obj, budget, opts)
 	if err != nil {
 		return nil, fmt.Errorf("costream: %w", err)
 	}
@@ -436,11 +438,11 @@ func (m *Model) OptimizePlacementSearchCtx(ctx context.Context, q *Query, c *Clu
 
 // HeuristicPlacement returns a placement drawn by the plain IoT heuristic
 // (the initial-placement baseline of the paper's Exp 2a). It refuses an
-// invalid cluster (Cluster.Check).
+// invalid query or cluster (see Execute).
 func HeuristicPlacement(q *Query, c *Cluster, seed int64) (Placement, error) {
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return nil, err
 	}
-	return placement.RandomValid(rand.New(rand.NewSource(seed)), q, k)
+	return placement.RandomValid(rand.New(rand.NewSource(seed)), a, k)
 }

@@ -36,7 +36,7 @@ func withInvalidHost(c *Cluster, k int) *Cluster {
 
 // fixedCosts predicts the same costs for every placement and never looks
 // at the cluster, so a refusal it sees comes from the entry point.
-var fixedCosts = placement.PredictorFunc(func(*stream.Query, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
+var fixedCosts = placement.PredictorFunc(func(*stream.Analysis, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
 	return placement.PredCosts{ThroughputTPS: 1, ProcLatencyMS: 1, E2ELatencyMS: 1, Success: true}, nil
 })
 
@@ -95,11 +95,87 @@ func TestInvalidClusterRefusedAtEveryEntryPoint(t *testing.T) {
 	}
 }
 
+// invalidQueries are five ways a query fails Query.Analyze, each an edit
+// of a valid query (nil for none), with what the refusal must name.
+var invalidQueries = []struct {
+	name string
+	want string
+	edit func(q *Query) *Query
+}{
+	{"nil query", "empty query", func(*Query) *Query { return nil }},
+	{"null operator", "operator 3 is null", func(q *Query) *Query { q.Ops = append(q.Ops, nil); return q }},
+	{"second sink", "exactly one sink, got 2", func(q *Query) *Query {
+		q.Ops = append(q.Ops, &stream.Operator{ID: "sink-2", Type: stream.OpSink})
+		q.Edges = append(q.Edges, stream.Edge{1, 3})
+		return q
+	}},
+	{"query without edges", "must have exactly one", func(q *Query) *Query { q.Edges = nil; return q }},
+	{"cycle", "cycle", func(q *Query) *Query { q.Edges = append(q.Edges, stream.Edge{2, 1}); return q }},
+}
+
+// TestInvalidQueryRefusedAtEveryEntryPoint: the simulator, the search,
+// the featurizers and the control plane take a query only as analysed, so
+// every facade entry analyses the query it is given and refuses an
+// invalid one — nil, with a null operator, two sinks, no edges or a
+// cycle — with Query.Analyze's error, before it runs, draws, scores or
+// registers anything. The serve routes have tests of their own.
+func TestInvalidQueryRefusedAtEveryEntryPoint(t *testing.T) {
+	_, model := facade(t)
+	c := exampleCluster()
+	for _, tc := range invalidQueries {
+		q := tc.edit(exampleQuery(t))
+		p := make(Placement, 3)
+		if q != nil {
+			p = make(Placement, len(q.Ops))
+		}
+		refused := func(entry string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "invalid query: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s with a %s: err = %v, want Analyze's refusal naming %q", entry, tc.name, err, tc.want)
+			}
+		}
+
+		_, err := Execute(q, c, p)
+		refused("Execute", err)
+		_, err = HeuristicPlacement(q, c, 1)
+		refused("HeuristicPlacement", err)
+
+		_, err = model.PredictCosts(q, c, p)
+		refused("PredictCosts", err)
+		_, err = model.PredictCostsBatch(q, c, []Placement{p})
+		refused("PredictCostsBatch", err)
+		_, _, err = model.OptimizePlacement(q, c, 8, MinProcLatency, 1)
+		refused("OptimizePlacement", err)
+		_, err = model.OptimizePlacementSearchCtx(context.Background(), q, c, LocalSearchStrategy{}, MinProcLatency,
+			SearchBudget{MaxCandidates: 8}, SearchOpts{Seed: 1})
+		refused("OptimizePlacementSearchCtx", err)
+
+		scored := 0
+		counting := placement.PredictorFunc(func(a *stream.Analysis, k hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+			scored++
+			return fixedCosts(a, k, p)
+		})
+		cp, err := NewControlPlane(ControlPlaneConfig{Policy: ControlPolicy{Predictor: counting}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Deploy(context.Background(), cp, "d", q, c)
+		refused("Deploy", err)
+		if len(cp.List()) != 0 || scored != 0 {
+			t.Errorf("Deploy with a %s registered %d deployments and scored %d candidates", tc.name, len(cp.List()), scored)
+		}
+	}
+}
+
 // TestRunRefusesBadUsedHost: sim.Run still refuses a placement onto an
 // out-of-range or negative host index; a null or non-finite host is
 // refused by Cluster.Check before any run.
 func TestRunRefusesBadUsedHost(t *testing.T) {
 	q, cfg := exampleQuery(t), sim.Config{DurationS: 5, WarmupS: 1, StepS: 0.1}
+	a, err := q.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	k, err := exampleCluster().Check()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +188,7 @@ func TestRunRefusesBadUsedHost(t *testing.T) {
 		{"out of range", Placement{0, 1, 3}, "invalid host 3"},
 		{"negative", Placement{-1, 1, 2}, "invalid host -1"},
 	} {
-		if _, err := sim.Run(q, k, tc.p, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := sim.Run(a, k, tc.p, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s host: err = %v, want a refusal naming %q", tc.name, err, tc.want)
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"costream/internal/hardware"
 	"costream/internal/placement"
 	"costream/internal/sim"
+	"costream/internal/stream"
 	"costream/internal/workload"
 )
 
@@ -43,6 +44,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 		panic(err)
 	}
 	return k
+}
+
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 func fixture(t *testing.T) (*dataset.Corpus, *core.Predictor) {
@@ -135,11 +145,11 @@ func TestRoundTripBitIdentical(t *testing.T) {
 				t.Errorf("artifact mode %v (err %v), want 0644", st.Mode().Perm(), err)
 			}
 			for i, tr := range corp.Traces[:20] {
-				want, err := placement.PredictOne(pred, tr.Query, checked(tr.Cluster), tr.Placement)
+				want, err := placement.PredictOne(pred, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := placement.PredictOne(back, tr.Query, checked(tr.Cluster), tr.Placement)
+				got, err := placement.PredictOne(back, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,8 +162,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			// batch the same placement thrice (exercises the batch path).
 			tr := corp.Traces[0]
 			cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-			want, wantErrs := placement.Score(context.Background(), pred, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
-			got, gotErrs := placement.Score(context.Background(), back, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+			want, wantErrs := placement.Score(context.Background(), pred, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
+			got, gotErrs := placement.Score(context.Background(), back, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
 			if err := errors.Join(append(wantErrs, gotErrs...)...); err != nil {
 				t.Fatal(err)
 			}

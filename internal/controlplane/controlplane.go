@@ -85,10 +85,11 @@ func ObservationSeed(base int64, stage, i int) int64 {
 // MetricFeed supplies the live runtime statistics one control decision
 // observes for an incumbent placement. The production feed is SimFeed
 // (the execution simulator standing in for a real cluster); tests plug
-// in fakes. A heal pass (Pass) decides its deployments in parallel and
-// calls Observe concurrently, so a feed must be safe for concurrent use.
+// in fakes; each observes an analysis its caller made. A heal pass (Pass)
+// decides its deployments in parallel and calls Observe concurrently, so
+// a feed must be safe for concurrent use.
 type MetricFeed interface {
-	Observe(q *stream.Query, k hardware.Checked, p sim.Placement) (*sim.Metrics, error)
+	Observe(a *stream.Analysis, k hardware.Checked, p sim.Placement) (*sim.Metrics, error)
 }
 
 // SimFeed observes placements by running the execution simulator.
@@ -97,8 +98,8 @@ type SimFeed struct {
 }
 
 // Observe implements MetricFeed.
-func (f SimFeed) Observe(q *stream.Query, k hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
-	return sim.Run(q, k, p, f.Cfg)
+func (f SimFeed) Observe(a *stream.Analysis, k hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+	return sim.Run(a, k, p, f.Cfg)
 }
 
 // View is the cluster one control decision runs against plus the host
@@ -132,12 +133,13 @@ func (v View) anySchedulable() bool {
 	return slices.Contains(banned, false)
 }
 
-// Deployment is one query's live control-plane state. Placement is in
-// View.Cluster host indices, each one a host of that cluster; a host
-// that went down stays in the cluster and is named by View.Down.
+// Deployment is one query's live control-plane state: its analysis, made
+// once where the query entered, and a Placement in View.Cluster host
+// indices, each one a host of that cluster; a host that went down stays
+// in the cluster and is named by View.Down.
 type Deployment struct {
 	ID        string
-	Query     *stream.Query
+	Query     *stream.Analysis
 	Placement sim.Placement
 	Predicted placement.PredCosts
 	LastMoveS float64
@@ -240,15 +242,15 @@ func (p Policy) Deploy(ctx context.Context, d *Deployment, v View, opts placemen
 }
 
 // Observe runs d's incumbent placement on cluster k through feed, with
-// effQ as the query under current load, and compares what it observes
-// with the costs predicted when the placement was activated: the
+// effQ analysing the query under current load, and compares what it
+// observes with the costs predicted when the placement was activated: the
 // throughput and processing-latency q-errors (qerror.Q), which it records
 // in costream_monitor_qerror, a failed run's too. The decision it returns
 // carries the observation only — Observed, both q-errors, the predicted
 // and the observed processing latency — and no violation or action:
 // judging the observation is Heal's. The metrics come back beside it. d
 // is not written.
-func Observe(d *Deployment, k hardware.Checked, effQ *stream.Query, feed MetricFeed) (Decision, *sim.Metrics, error) {
+func Observe(d *Deployment, k hardware.Checked, effQ *stream.Analysis, feed MetricFeed) (Decision, *sim.Metrics, error) {
 	obs, err := feed.Observe(effQ, k, d.Placement)
 	if err != nil {
 		return Decision{}, nil, fmt.Errorf("controlplane: observing %s: %w", d.ID, err)
@@ -272,18 +274,18 @@ func milli(q float64) int64 {
 }
 
 // Heal runs one monitor -> detect -> re-optimize -> migrate pass over d
-// at control clock nowS. effQ is the query under current load (nil uses
-// d.Query); observations run against it so drift reflects live
-// conditions. The deployment is mutated in place only when the pass
-// reaches a decision: a cancelled ctx — before the pass, or during a
-// re-optimization that scored nothing — returns an error wrapping
-// ctx.Err() and naming d, with d untouched, so callers never see torn
-// state.
+// at control clock nowS. effQ analyses the query under current load (nil
+// uses d.Query); the pass's observation, search and incumbent re-score
+// share it, so drift reflects live conditions. The deployment is mutated
+// in place only when the pass reaches a decision: a cancelled ctx —
+// before the pass, or during a re-optimization that scored nothing —
+// returns an error wrapping ctx.Err() and naming d, with d untouched, so
+// callers never see torn state.
 // A pass scores each placement once: when the search keeps the
 // incumbent, its SearchResult.Costs re-base d.Predicted, and the
 // incumbent is re-scored with PredictOne only against a challenger that
 // differs.
-func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Query, feed MetricFeed, nowS float64, opts placement.SearchOptions) (Decision, error) {
+func (p Policy) Heal(ctx context.Context, d *Deployment, v View, effQ *stream.Analysis, feed MetricFeed, nowS float64, opts placement.SearchOptions) (Decision, error) {
 	if err := ctx.Err(); err != nil {
 		return Decision{}, fmt.Errorf("controlplane: healing %s: %w", d.ID, err)
 	}

@@ -23,7 +23,8 @@ import (
 	"costream/internal/stream"
 )
 
-func testQuery() *stream.Query {
+// testQuery is the analysis of a two-source join query.
+func testQuery() *stream.Analysis {
 	b := stream.NewBuilder()
 	s1 := b.AddSource(500, []stream.DataType{stream.TypeInt, stream.TypeDouble})
 	f1 := b.AddFilter(stream.FilterGT, stream.TypeInt, 0.5)
@@ -31,7 +32,7 @@ func testQuery() *stream.Query {
 	j := b.AddJoin(stream.TypeInt, stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowCountBased, Size: 40, Slide: 40}, 0.001)
 	k := b.AddSink()
 	b.Connect(s1, f1).Connect(f1, j).Connect(s2, j).Connect(j, k)
-	return b.MustBuild()
+	return analyzed(b.MustBuild())
 }
 
 // checked checks a test cluster, which must be valid.
@@ -41,6 +42,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 		panic(err)
 	}
 	return k
+}
+
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 func testCluster() *hardware.Cluster {
@@ -69,8 +79,8 @@ func fakeCosts(c *hardware.Cluster, p sim.Placement) placement.PredCosts {
 	}
 }
 
-func (fakePred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
-	return placement.PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+func (fakePred) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
 		return fakeCosts(c.Cluster(), p), nil
 	}).NewScoreSession(q, c)
 }
@@ -84,7 +94,7 @@ type stubFeed struct {
 	observed []sim.Placement
 }
 
-func (f *stubFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+func (f *stubFeed) Observe(q *stream.Analysis, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.mu.Lock()
 	f.observed = append(f.observed, append(sim.Placement(nil), p...))
 	f.mu.Unlock()
@@ -111,13 +121,13 @@ func testPolicy() Policy {
 	return Policy{Predictor: fakePred{}, Strategy: placement.LocalSearch{}}
 }
 
-func deployFor(t *testing.T, q *stream.Query, c *hardware.Cluster) *Deployment {
+func deployFor(t *testing.T, q *stream.Analysis, c *hardware.Cluster) *Deployment {
 	t.Helper()
 	d := &Deployment{ID: "q1", Query: q}
 	if err := testPolicy().Deploy(context.Background(), d, View{Cluster: checked(c)}, placement.SearchOptions{Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Deployed || len(d.Placement) != q.NumOps() {
+	if !d.Deployed || len(d.Placement) != q.Query().NumOps() {
 		t.Fatalf("deploy left bad state: %+v", d)
 	}
 	return d
@@ -152,7 +162,7 @@ func TestHealQErrorDriftMigrates(t *testing.T) {
 	for i := range bad {
 		bad[i] = 0
 	}
-	if err := bad.Validate(q, c); err == nil {
+	if err := bad.Validate(q.Query(), c); err == nil {
 		d.Placement = bad
 		d.Predicted = fakeCosts(c, bad)
 	}
@@ -216,7 +226,7 @@ func TestHealDriftSuppressedByCooldown(t *testing.T) {
 // countingPred is fakePred counting the scoring sessions opened on it.
 type countingPred struct{ sessions atomic.Int64 }
 
-func (p *countingPred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
+func (p *countingPred) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
 	p.sessions.Add(1)
 	return fakePred{}.NewScoreSession(q, c)
 }
@@ -433,7 +443,7 @@ func TestHealUndeployedRedeploys(t *testing.T) {
 	if dec.Violation != ViolationUndeployed || dec.Action != ActionRedeployed {
 		t.Fatalf("decision = %+v, want undeployed/redeployed", dec)
 	}
-	if !d.Deployed || len(d.Placement) != q.NumOps() {
+	if !d.Deployed || len(d.Placement) != q.Query().NumOps() {
 		t.Fatalf("redeploy left bad state: %+v", d)
 	}
 }
@@ -499,7 +509,7 @@ func TestPlaneDeployCordonTickHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Deployed || len(st.Hosts) != q.NumOps() || len(st.History) != 1 || st.History[0].Action != ActionDeployed {
+	if !st.Deployed || len(st.Hosts) != q.Query().NumOps() || len(st.History) != 1 || st.History[0].Action != ActionDeployed {
 		t.Fatalf("deploy status = %+v", st)
 	}
 	pl.cfg.Feed = matchingFeed(c, pl.deps["q1"].d.Placement)
@@ -684,9 +694,9 @@ func TestPlaneTickCancelledReturnsPartialReport(t *testing.T) {
 }
 
 // routedFeed observes each query through a feed of its own.
-type routedFeed map[*stream.Query]MetricFeed
+type routedFeed map[*stream.Analysis]MetricFeed
 
-func (f routedFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+func (f routedFeed) Observe(q *stream.Analysis, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	return f[q].Observe(q, c, p)
 }
 

@@ -41,7 +41,7 @@ func Pass(deps []Deployment, decide func(i int, d *Deployment) (Decision, error)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deps[b].Query.NumOps(), deps[a].Query.NumOps()) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deps[b].Query.Query().NumOps(), deps[a].Query.Query().NumOps()) })
 	par.Each(len(order), 0, func(_, k int) {
 		i := order[k]
 		o := &out[i]

@@ -15,16 +15,16 @@ import (
 	"costream/internal/stream"
 )
 
-// chainQuery is a linear query of n >= 2 operators: a source, n-2
+// chainQuery is the analysis of a linear query of n >= 2 operators: a source, n-2
 // filters and a sink.
-func chainQuery(n int) *stream.Query {
+func chainQuery(n int) *stream.Analysis {
 	b := stream.NewBuilder()
 	ops := []int{b.AddSource(200, []stream.DataType{stream.TypeInt, stream.TypeDouble})}
 	for range n - 2 {
 		ops = append(ops, b.AddFilter(stream.FilterGT, stream.TypeInt, 0.9))
 	}
 	b.Chain(append(ops, b.AddSink())...)
-	return b.MustBuild()
+	return analyzed(b.MustBuild())
 }
 
 // dispatchSizes are the operator counts of the deployments of the
@@ -91,11 +91,11 @@ func TestPassStartsLargestFirst(t *testing.T) {
 // observation was for, in call order.
 type orderFeed struct {
 	mu    sync.Mutex
-	ids   map[*stream.Query]string
+	ids   map[*stream.Analysis]string
 	order []string
 }
 
-func (f *orderFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+func (f *orderFeed) Observe(q *stream.Analysis, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.order = append(f.order, f.ids[q])
@@ -109,7 +109,7 @@ func (f *orderFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement
 func TestPlaneTickStartsLargestFirst(t *testing.T) {
 	play := func() (*orderFeed, []string, []Status) {
 		var logs []string
-		feed := &orderFeed{ids: map[*stream.Query]string{}}
+		feed := &orderFeed{ids: map[*stream.Analysis]string{}}
 		pl, err := New(Config{Policy: testPolicy(), Feed: feed, Seed: 11, Logf: func(format string, args ...any) {
 			logs = append(logs, fmt.Sprintf(format, args...))
 		}})

@@ -169,11 +169,11 @@ func hostNames(k hardware.Checked, p sim.Placement) []string {
 	return out
 }
 
-// Deploy registers query q on checked cluster k under id and places it.
+// Deploy registers the analysed query a on cluster k under id, placing it.
 // A non-nil placement is adopted as-is (validated and priced, no search)
 // — the serve API uses this to round-trip /v1/example bodies; nil runs a
 // fresh placement search that respects the current cordon set.
-func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, k hardware.Checked, p sim.Placement) (Status, error) {
+func (pl *Plane) Deploy(ctx context.Context, id string, a *stream.Analysis, k hardware.Checked, p sim.Placement) (Status, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if id == "" {
@@ -193,19 +193,19 @@ func (pl *Plane) Deploy(ctx context.Context, id string, q *stream.Query, k hardw
 		return Status{}, &DuplicateError{ID: id}
 	}
 	pd := &planeDep{
-		d:       Deployment{ID: id, Query: q},
+		d:       Deployment{ID: id, Query: a},
 		cluster: k,
 		seq:     pl.seq,
 	}
 	v := View{Cluster: k, Banned: pl.bannedIdx(k)}
 	if p != nil {
-		if err := p.Validate(q, k.Cluster()); err != nil {
+		if err := p.Validate(a.Query(), k.Cluster()); err != nil {
 			return Status{}, fmt.Errorf("controlplane: adopting placement for %s: %w", id, err)
 		}
 		if touchesBanned(p, v.Banned) {
 			return Status{}, fmt.Errorf("controlplane: adopting placement for %s: placement uses a cordoned host", id)
 		}
-		costs, err := placement.PredictOne(pl.cfg.Policy.Predictor, q, k, p)
+		costs, err := placement.PredictOne(pl.cfg.Policy.Predictor, a, k, p)
 		if err != nil {
 			return Status{}, fmt.Errorf("controlplane: pricing placement for %s: %w", id, err)
 		}

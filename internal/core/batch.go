@@ -77,9 +77,9 @@ type BatchFeaturizer struct {
 	hostFeat []atomic.Pointer[[hostDim]float64]
 }
 
-// NewBatch prepares a BatchFeaturizer for the query and cluster.
-func (f *Featurizer) NewBatch(q *stream.Query, c *hardware.Cluster) (*BatchFeaturizer, error) {
-	ops, plan, err := f.opGraph(q, 0)
+// NewBatch prepares a BatchFeaturizer for the analysed query and cluster.
+func (f *Featurizer) NewBatch(a *stream.Analysis, c *hardware.Cluster) (*BatchFeaturizer, error) {
+	ops, plan, err := f.opGraph(a, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func (bf *BatchFeaturizer) hostFeatures(h int) []float64 {
 	v := bf.hostFeat[h].Load()
 	if v == nil {
 		f := Featurizer{Mode: bf.mode}
-		v = (*[hostDim]float64)(f.hostFeatures(bf.c.Hosts[h]))
+		v = (*[hostDim]float64)(f.hostFeatures(make([]float64, 0, hostDim), bf.c.Hosts[h]))
 		bf.hostFeat[h].Store(v)
 	}
 	return v[:]

@@ -25,6 +25,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 	return k
 }
 
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // enumerate draws up to k distinct valid placements from rng, as
 // placement.RandomSample does for a budget of k: duplicate and dead-end
 // draws share a miss budget of 8k+64.
@@ -32,7 +41,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := placement.RandomValid(rng, q, checked(c))
+		p, err := placement.RandomValid(rng, analyzed(q), checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -99,12 +108,12 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("trace %d: no candidates", ti)
 			}
-			batch, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+			batch, errs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
 			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s, trace %d: %v", tc.name, ti, err)
 			}
 			for i, p := range cands {
-				single, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), p)
+				single, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), p)
 				if err != nil {
 					t.Fatalf("%s, trace %d candidate %d: %v", tc.name, ti, i, err)
 				}
@@ -113,7 +122,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 				}
 				for _, e := range pr.ensembles() {
 					row := costField(batch[i], e.Metric)
-					alone, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), p)
+					alone, err := placement.PredictOne(e.Predictor(), analyzed(tr.Query), checked(tr.Cluster), p)
 					if err != nil {
 						t.Fatalf("%s, trace %d candidate %d: %v: %v", tc.name, ti, i, e.Metric, err)
 					}
@@ -166,13 +175,13 @@ func TestBatchFeaturizerMatchesBuildGraph(t *testing.T) {
 	for _, mode := range []FeatureMode{FeatFull, FeatPlacementOnly, FeatQueryOnly} {
 		f := Featurizer{Mode: mode}
 		tr := c.Traces[3]
-		bf, err := f.NewBatch(tr.Query, tr.Cluster)
+		bf, err := f.NewBatch(analyzed(tr.Query), tr.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nOps := len(bf.ops.Nodes)
 		for _, p := range enumerate(rng, tr.Query, tr.Cluster, 6) {
-			want, _, err := f.BuildGraph(tr.Query, tr.Cluster, p)
+			want, _, err := f.BuildGraph(analyzed(tr.Query), tr.Cluster, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +217,7 @@ func TestPredictBatchRejectsInvalidCandidate(t *testing.T) {
 	for i := range bad {
 		bad[i] = len(tr.Cluster.Hosts) + 5 // out of range
 	}
-	_, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), []sim.Placement{tr.Placement, bad}, placement.AllCosts)
+	_, errs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), []sim.Placement{tr.Placement, bad}, placement.AllCosts)
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("valid candidate: %v, invalid candidate: %v", errs[0], errs[1])
 	}
@@ -221,7 +230,7 @@ func TestHostFeaturesOneArrayPerHost(t *testing.T) {
 	tr := testCorpus(t).Traces[0]
 	f := Featurizer{Mode: FeatFull}
 	for round := 0; round < 20; round++ {
-		bf, err := f.NewBatch(tr.Query, tr.Cluster)
+		bf, err := f.NewBatch(analyzed(tr.Query), tr.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +251,7 @@ func TestHostFeaturesOneArrayPerHost(t *testing.T) {
 		close(start)
 		wg.Wait()
 		for h, host := range tr.Cluster.Hosts {
-			want := f.hostFeatures(host)
+			want := f.hostFeatures(nil, host)
 			for w := range got {
 				if !slices.Equal(got[w][h], want) {
 					t.Fatalf("round %d, worker %d: host %d features %v, want %v", round, w, h, got[w][h], want)

@@ -51,7 +51,7 @@ func TestFeaturizerBuildsValidGraphs(t *testing.T) {
 	f := Featurizer{}
 	dims := f.FeatDims()
 	for i, tr := range c.Traces[:100] {
-		g, _, err := f.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+		g, _, err := f.BuildGraph(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
@@ -91,7 +91,7 @@ func TestFeatureModes(t *testing.T) {
 	tr := c.Traces[0]
 
 	qOnly := Featurizer{Mode: FeatQueryOnly}
-	g, _, err := qOnly.BuildGraph(tr.Query, nil, nil)
+	g, _, err := qOnly.BuildGraph(analyzed(tr.Query), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFeatureModes(t *testing.T) {
 	}
 
 	pOnly := Featurizer{Mode: FeatPlacementOnly}
-	g2, _, err := pOnly.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+	g2, _, err := pOnly.BuildGraph(analyzed(tr.Query), tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFeatureModes(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := pOnly.BuildGraph(tr.Query, nil, nil); err == nil {
+	if _, _, err := pOnly.BuildGraph(analyzed(tr.Query), nil, nil); err == nil {
 		t.Error("placement featurization without cluster accepted")
 	}
 }
@@ -210,14 +210,14 @@ func TestPredictRawRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range c.Traces[:20] {
-		v, err := reg.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		v, err := reg.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v < 0 || math.IsNaN(v) {
 			t.Fatalf("regression prediction %v out of range", v)
 		}
-		p, err := cls.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		p, err := cls.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,13 +237,13 @@ func TestEnsembleAggregation(t *testing.T) {
 		t.Fatalf("ensemble size %d, want 3", len(e.Models))
 	}
 	tr := c.Traces[0]
-	costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
 	for _, m := range e.Models {
-		v, _ := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		v, _ := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		sum += v
 	}
 	if mean := costs.ThroughputTPS; math.Abs(mean-sum/3) > 1e-9 {
@@ -269,13 +269,13 @@ func TestEnsembleMajorityVote(t *testing.T) {
 	cfg.Epochs = 4
 	e := trainEnsemble(t, train, val, MetricSuccess, cfg, 3)
 	tr := c.Traces[0]
-	costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
+	costs, err := placement.PredictOne(e.Predictor(), analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	votes := 0
 	for _, m := range e.Models {
-		p, _ := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		p, _ := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if p > 0.5 {
 			votes++
 		}
@@ -448,7 +448,7 @@ func TestPredictorSanityDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
+	pc, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,16 @@ import (
 )
 
 // predictTrace predicts the metric for a stored trace: a tile of one on a
-// session of its own, over the trace's cluster checked here, that asks
-// only for the metric's cost, so a predictor runs the evaluated metric's
-// model and no other. It returns the value of a regression metric or the
-// label of a binary one.
+// session of its own, over the trace's query and cluster analysed and
+// checked here, that asks only for the metric's cost, so a predictor runs
+// the evaluated metric's model and no other. It returns the value of a
+// regression metric or the label of a binary one.
 func predictTrace(p placement.Predictor, tr *dataset.Trace, metric Metric) (value float64, label bool, err error) {
-	k, err := tr.Cluster.Check()
+	a, k, err := placement.Check(tr.Query, tr.Cluster)
 	if err != nil {
 		return 0, false, err
 	}
-	sess, err := p.NewScoreSession(tr.Query, k)
+	sess, err := p.NewScoreSession(a, k)
 	if err != nil {
 		return 0, false, err
 	}

@@ -169,28 +169,32 @@ func appendOneHot(dst []float64, n, idx int) []float64 {
 	return dst
 }
 
-// opGraph builds the operator-only part of the joint graph: typed
-// operator nodes with their feature vectors plus the logical data-flow
-// edges, and its message-passing plan over the query's Topology. This
-// part is placement-invariant, which is what BatchFeaturizer exploits to
-// amortize featurization across many candidates. Nodes has room for
+// opDims is each operator type's feature dimension.
+var opDims = [...]int{stream.OpSource: sourceDim, stream.OpFilter: filterDim,
+	stream.OpJoin: joinDim, stream.OpAggregate: aggDim, stream.OpSink: sinkDim}
+
+// opGraph builds the placement-invariant part of the joint graph, which
+// BatchFeaturizer shares across candidates: typed operator nodes, their
+// feature vectors carved from one slab, the logical data-flow edges and
+// the message-passing plan over the query's Topology. Nodes has room for
 // hosts more nodes, the host nodes BuildGraph appends.
-func (f *Featurizer) opGraph(q *stream.Query, hosts int) (*gnn.Graph, *gnn.Plan, error) {
-	rates, err := q.Analyze()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
+func (f *Featurizer) opGraph(a *stream.Analysis, hosts int) (*gnn.Graph, *gnn.Plan, error) {
+	q := a.Query()
 	g := &gnn.Graph{Nodes: make([]gnn.Node, len(q.Ops), len(q.Ops)+hosts)}
+	dims := 0
+	for _, op := range q.Ops {
+		dims += opDims[op.Type]
+	}
+	slab := make([]float64, dims)
 	for i, op := range q.Ops {
-		if g.Nodes[i], err = f.opNode(rates, i, op); err != nil {
-			return nil, nil, err
-		}
+		d := opDims[op.Type]
+		g.Nodes[i], slab = f.opNode(slab[:0:d], &a.Rates, i, op), slab[d:]
 	}
 	g.FlowEdges = make([][2]int, len(q.Edges))
 	for k, e := range q.Edges {
 		g.FlowEdges[k] = e
 	}
-	plan, err := gnn.NewPlan(g, &rates.Topo)
+	plan, err := gnn.NewPlan(g, &a.Topo)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,55 +202,63 @@ func (f *Featurizer) opGraph(q *stream.Query, hosts int) (*gnn.Graph, *gnn.Plan,
 }
 
 // BuildGraph constructs the joint operator-resource graph of Section III
-// for the given query, cluster and placement: one host node per distinct
-// host the placement uses, in first-use order, and one placement edge per
-// operator. It also returns the graph's message-passing plan. For
-// FeatQueryOnly the placement may be nil.
-func (f *Featurizer) BuildGraph(q *stream.Query, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, *gnn.Plan, error) {
+// and its message-passing plan: one host node per distinct host p uses,
+// in first-use order, features carved from one slab, and one placement
+// edge per operator. For FeatQueryOnly the placement may be nil.
+func (f *Featurizer) BuildGraph(a *stream.Analysis, c *hardware.Cluster, p sim.Placement) (*gnn.Graph, *gnn.Plan, error) {
 	if f.Mode == FeatQueryOnly {
-		return f.opGraph(q, 0)
+		return f.opGraph(a, 0)
 	}
-	g, plan, err := f.opGraph(q, len(p))
+	g, plan, err := f.opGraph(a, len(p))
 	if err != nil {
 		return nil, nil, err
 	}
 	if c == nil {
 		return nil, nil, fmt.Errorf("core: cluster required for %v featurization", f.Mode)
 	}
-	if err := p.Validate(q, c); err != nil {
+	if err := p.Validate(a.Query(), c); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
+	hosts := 0
+	for opIdx, h := range p {
+		if slices.Index(p[:opIdx], h) < 0 {
+			hosts++
+		}
+	}
+	slab := make([]float64, hosts*hostDim)
 	g.PlaceEdges = make([][2]int, len(p))
 	for opIdx, h := range p {
 		node := len(g.Nodes)
 		if prev := slices.Index(p[:opIdx], h); prev >= 0 {
 			node = g.PlaceEdges[prev][1]
 		} else {
-			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: f.hostFeatures(c.Hosts[h])})
+			g.Nodes = append(g.Nodes, gnn.Node{Kind: gnn.KindHost, Feat: f.hostFeatures(slab[:0:hostDim], c.Hosts[h])})
+			slab = slab[hostDim:]
 		}
 		g.PlaceEdges[opIdx] = [2]int{opIdx, node}
 	}
 	return g, plan, nil
 }
 
-func (f *Featurizer) hostFeatures(h *hardware.Host) []float64 {
+// hostFeatures appends host h's hostDim features to dst.
+func (f *Featurizer) hostFeatures(dst []float64, h *hardware.Host) []float64 {
 	if f.Mode == FeatPlacementOnly {
 		// Placement structure without hardware knowledge: a constant
 		// vector. Messages still carry co-location information.
-		return []float64{1, 0, 0, 0}
+		return append(dst, 1, 0, 0, 0)
 	}
-	return []float64{
+	return append(dst,
 		normCPU(h.CPU),
 		normRAM(h.RAMMB),
 		normBW(h.NetBandwidthMbps),
 		normLat(h.NetLatencyMS),
-	}
+	)
 }
 
 // opNode is operator i's node: its kind and its feature vector, the
-// kind's own features followed by the common ones, in one slice sized to
-// the kind's dimension.
-func (f *Featurizer) opNode(rates *stream.Rates, i int, op *stream.Operator) (gnn.Node, error) {
+// kind's own features followed by the common ones, appended to feat,
+// which has room for the kind's dimension.
+func (f *Featurizer) opNode(feat []float64, rates *stream.Rates, i int, op *stream.Operator) gnn.Node {
 	// Common features (Table I "all" rows): averaged incoming and
 	// outgoing tuple width plus serialized sizes.
 	widthIn, bytesIn := 0.0, 0.0
@@ -280,25 +292,25 @@ func (f *Featurizer) opNode(rates *stream.Rates, i int, op *stream.Operator) (gn
 			}
 		}
 		total := float64(len(op.FieldTypes))
-		n = gnn.Node{Kind: gnn.KindSource, Feat: append(make([]float64, 0, sourceDim),
+		n = gnn.Node{Kind: gnn.KindSource, Feat: append(feat,
 			normRate(op.EventRate),
 			normWidth(len(op.FieldTypes)),
 			nInt/total, nStr/total, nDbl/total,
 			stream.AvgFieldBytes(op.FieldTypes)/32,
 		)}
 	case stream.OpFilter:
-		feat := appendOneHot(make([]float64, 0, filterDim), 7, int(op.FilterFn))
+		feat = appendOneHot(feat, 7, int(op.FilterFn))
 		feat = appendOneHot(feat, 3, int(op.LiteralType))
 		n = gnn.Node{Kind: gnn.KindFilter, Feat: append(feat, op.Selectivity, normSel(op.Selectivity))}
 	case stream.OpJoin:
-		feat := appendOneHot(make([]float64, 0, joinDim), 3, int(op.JoinKeyType))
+		feat = appendOneHot(feat, 3, int(op.JoinKeyType))
 		feat = append(feat, op.Selectivity, normSel(op.Selectivity))
 		feat = appendWindow(feat, op.Window)
 		// Joins window each input stream separately; use the mean
 		// per-stream rate for the extent.
 		n = gnn.Node{Kind: gnn.KindJoin, Feat: appendWindowExtent(feat, op.Window, inRate/2)}
 	case stream.OpAggregate:
-		feat := appendOneHot(make([]float64, 0, aggDim), 4, int(op.AggFn))
+		feat = appendOneHot(feat, 4, int(op.AggFn))
 		feat = appendOneHot(feat, 3, int(op.AggValueType))
 		gb := 3 // "none"
 		if op.HasGroupBy {
@@ -308,10 +320,8 @@ func (f *Featurizer) opNode(rates *stream.Rates, i int, op *stream.Operator) (gn
 		feat = append(feat, op.Selectivity, normSel(op.Selectivity))
 		feat = appendWindow(feat, op.Window)
 		n = gnn.Node{Kind: gnn.KindAggregate, Feat: appendWindowExtent(feat, op.Window, inRate)}
-	case stream.OpSink:
-		n = gnn.Node{Kind: gnn.KindSink, Feat: append(make([]float64, 0, sinkDim), 1)}
-	default:
-		return gnn.Node{}, fmt.Errorf("core: unknown operator type %v", op.Type)
+	default: // the sink
+		n = gnn.Node{Kind: gnn.KindSink, Feat: append(feat, 1)}
 	}
 	n.Feat = append(n.Feat,
 		widthIn/10,
@@ -321,5 +331,5 @@ func (f *Featurizer) opNode(rates *stream.Rates, i int, op *stream.Operator) (gn
 		normRate(inRate),
 		normRate(rates.Out[i]),
 	)
-	return n, nil
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"costream/internal/dataset"
 	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/sim"
@@ -34,15 +35,15 @@ func featCluster() *hardware.Cluster {
 }
 
 func TestFeaturizerDeterministic(t *testing.T) {
-	q := featQuery(t)
+	a := analyzed(featQuery(t))
 	c := featCluster()
 	p := sim.Placement{0, 0, 0, 1, 1, 1}
 	f := Featurizer{}
-	g1, _, err := f.BuildGraph(q, c, p)
+	g1, _, err := f.BuildGraph(a, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := f.BuildGraph(q, c, p)
+	g2, _, err := f.BuildGraph(a, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestFeaturizerDeterministic(t *testing.T) {
 }
 
 func TestFeaturizerOneHots(t *testing.T) {
-	q := featQuery(t)
+	a := analyzed(featQuery(t))
 	c := featCluster()
 	p := sim.Placement{0, 0, 0, 1, 1, 1}
 	f := Featurizer{}
-	g, _, err := f.BuildGraph(q, c, p)
+	g, _, err := f.BuildGraph(a, c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestWindowExtentFeaturesScaleWithRate(t *testing.T) {
 
 func TestHostNodeSharing(t *testing.T) {
 	// Two operators on the same host must share one host node.
-	q := featQuery(t)
+	a := analyzed(featQuery(t))
 	c := featCluster()
 	f := Featurizer{}
 	all0 := sim.Placement{0, 0, 0, 0, 0, 0}
-	g, _, err := f.BuildGraph(q, c, all0)
+	g, _, err := f.BuildGraph(a, c, all0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +168,14 @@ func TestBuildGraphRejectsInvalidInputs(t *testing.T) {
 	q := featQuery(t)
 	c := featCluster()
 	f := Featurizer{}
-	if _, _, err := f.BuildGraph(q, c, sim.Placement{0}); err == nil {
+	if _, _, err := f.BuildGraph(analyzed(q), c, sim.Placement{0}); err == nil {
 		t.Error("short placement accepted")
 	}
-	bad := &stream.Query{} // invalid: empty
-	if _, _, err := f.BuildGraph(bad, c, nil); err == nil {
-		t.Error("invalid query accepted")
+	// An invalid query is refused where a trace's featurization starts;
+	// BuildGraph takes only an analysis.
+	bad := &dataset.Trace{Query: &stream.Query{}, Cluster: c} // invalid: empty
+	if _, err := newRecord(&f, bad); err == nil || err.Error() != "core: invalid query: empty query" {
+		t.Errorf("newRecord of an empty query: %v, want core: invalid query: empty query", err)
 	}
 }
 
@@ -199,12 +202,13 @@ func TestNormLatencyInverseDirection(t *testing.T) {
 }
 
 // TestFeaturizeAllocsCeiling pins the heap objects of featurizing one
-// trace (newRecord, the training path) and of setting up one scoring
-// session (NewBatch), averaged over 100 corpus traces: one Query.Analyze
+// trace (newRecord, the training path, which analyses the trace's query)
+// and of setting up one scoring session (NewBatch, on an analysis made
+// outside it), averaged over 100 corpus traces: one Query.Analyze
 // validates the query and derives the topology that the features and
-// the message-passing plan both read, each operator's features are one
-// slice sized to its kind, and the node, edge and placement-edge slices
-// are sized up front.
+// the message-passing plan both read, the operators' feature vectors are
+// carved from one slab and the hosts' from another, and the node, edge
+// and placement-edge slices are sized up front.
 func TestFeaturizeAllocsCeiling(t *testing.T) {
 	traces := testCorpus(t).Traces[:100]
 	f := Featurizer{Mode: FeatFull}
@@ -215,8 +219,9 @@ func TestFeaturizeAllocsCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		a := analyzed(tr.Query)
 		batch += testing.AllocsPerRun(3, func() {
-			if _, err := f.NewBatch(tr.Query, tr.Cluster); err != nil {
+			if _, err := f.NewBatch(a, tr.Cluster); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -224,7 +229,7 @@ func TestFeaturizeAllocsCeiling(t *testing.T) {
 	record /= float64(len(traces))
 	batch /= float64(len(traces))
 	t.Logf("%.1f allocations per newRecord, %.1f per NewBatch on average", record, batch)
-	if record > 21 || batch > 19 {
-		t.Fatalf("%.1f allocations per newRecord and %.1f per NewBatch on average, want at most 21 and 19", record, batch)
+	if record > 13 || batch > 9 {
+		t.Fatalf("%.1f allocations per newRecord and %.1f per NewBatch on average, want at most 13 and 9", record, batch)
 	}
 }

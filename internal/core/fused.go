@@ -44,15 +44,15 @@ type TileSession struct {
 
 // NewScoreSession implements placement.Predictor: a TileSession over the
 // predictor's trained ensembles.
-func (pr *Predictor) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
-	return newTileSession(pr.ensembles(), q, k.Cluster())
+func (pr *Predictor) NewScoreSession(a *stream.Analysis, k hardware.Checked) (placement.TileScorer, error) {
+	return newTileSession(pr.ensembles(), a, k.Cluster())
 }
 
-// newTileSession prepares a scoring session for the (query, cluster) pair
+// newTileSession prepares a scoring session for the (analysis, cluster) pair
 // over a set of ensembles sharing one featurization mode: the batch
 // featurizer, the stack per ensemble, and the cache-bounded default tile
 // size.
-func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster) (*TileSession, error) {
+func newTileSession(ensembles []*Ensemble, a *stream.Analysis, c *hardware.Cluster) (*TileSession, error) {
 	met := inferMet()
 	featStart := time.Now()
 	mode, err := featureMode(ensembles)
@@ -66,7 +66,7 @@ func newTileSession(ensembles []*Ensemble, q *stream.Query, c *hardware.Cluster)
 	}
 	if len(ensembles) > 0 {
 		f := Featurizer{Mode: mode}
-		if s.bf, err = f.NewBatch(q, c); err != nil {
+		if s.bf, err = f.NewBatch(a, c); err != nil {
 			return nil, err
 		}
 	}

@@ -60,13 +60,13 @@ func TestScoreTileMatchesPredictPlacement(t *testing.T) {
 	}
 	want := make([]placement.PredCosts, len(cands))
 	for i, p := range cands {
-		single, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), p)
+		single, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), p)
 		if err != nil {
 			t.Fatalf("candidate %d: %v", i, err)
 		}
 		want[i] = single
 	}
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	params := pr[MetricE2ELatency].Models[1].Net.Params()
 	params[len(params)-1][0] = math.NaN() // the readout bias
 	want := "non-finite output for " + MetricE2ELatency.String() + ", member 1"
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 			t.Fatalf("C=%d: err = %v, want %q", n, err, want)
 		}
 	}
-	if _, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), cands[0]); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), cands[0]); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("PredictOne: err = %v, want %q", err, want)
 	}
 
@@ -150,14 +150,14 @@ func TestScoreTileRejectsNonFiniteOutput(t *testing.T) {
 	pr = randomPredictor(t, 3)
 	params = pr[MetricThroughput].Models[2].Net.Params()
 	params[len(params)-1][0] = math.NaN()
-	if sess, err = newTileSession(pr.ensembles(), tr.Query, tr.Cluster); err != nil {
+	if sess, err = newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.ScoreTile(cands, placement.MinProcLatency.Reads(), make([]placement.PredCosts, len(cands))); err != nil {
 		t.Fatalf("ScoreTile without the poisoned metric: %v", err)
 	}
 	want = "non-finite output for " + MetricThroughput.String() + ", member 2"
-	_, err = placement.Search(context.Background(), pr, tr.Query, checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
+	_, err = placement.Search(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 8}, placement.SearchOptions{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("search completing a poisoned metric: err = %v, want %q", err, want)
@@ -173,7 +173,7 @@ func TestScoreTileConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	tr := c.Traces[0]
 	cands := enumerate(rng, tr.Query, tr.Cluster, 24)
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	tr := testCorpus(t).Traces[3]
 	var want *placement.SearchResult
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := placement.Search(context.Background(), pr, tr.Query, checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
+		got, err := placement.Search(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
 			placement.Budget{MaxCandidates: 48}, placement.SearchOptions{Seed: 95, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -244,8 +244,8 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // only what its objective reads.
 type wholeVectors struct{ p placement.Predictor }
 
-func (w wholeVectors) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
-	return placement.PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+func (w wholeVectors) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
 		return placement.PredictOne(w.p, q, c, p)
 	}).NewScoreSession(q, c)
 }
@@ -290,14 +290,14 @@ func TestSearchMatchesFullScoring(t *testing.T) {
 	}
 	mixed := 0 // runs whose sanity check dropped some candidates and kept others
 	for _, r := range runs {
-		got, err := placement.Search(context.Background(), pr, tr.Query, checked(tr.Cluster), r.strat, r.obj, budget, r.opts)
+		got, err := placement.Search(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), r.strat, r.obj, budget, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Filtered > 0 && got.Filtered < got.Examined {
 			mixed++
 		}
-		want, err := placement.Search(context.Background(), wholeVectors{pr}, tr.Query, checked(tr.Cluster), r.strat, r.obj, budget, r.opts)
+		want, err := placement.Search(context.Background(), wholeVectors{pr}, analyzed(tr.Query), checked(tr.Cluster), r.strat, r.obj, budget, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestTileRowsShared(t *testing.T) {
 		{placement.LocalSearch{}, [3][2]int64{{111, 200}, {173, 320}, {210, 256}}, [3][2]int64{{3, 3}, {5, 5}, {4, 4}}},
 	} {
 		before := tileRowCounts()
-		res, err := placement.Search(context.Background(), pr, tr.Query, checked(tr.Cluster), tc.strat, placement.MinProcLatency,
+		res, err := placement.Search(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), tc.strat, placement.MinProcLatency,
 			placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -363,7 +363,7 @@ func TestTileRowsShared(t *testing.T) {
 		}
 	}
 	before := tileRowCounts()
-	if _, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement); err != nil {
+	if _, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range tileRowCounts() {
@@ -394,7 +394,7 @@ func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 		return after
 	}
 	before := counts()
-	res, err := placement.Search(context.Background(), pr, tr.Query, checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
+	res, err := placement.Search(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 64}, placement.SearchOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +404,7 @@ func TestEnsembleCandidatesCountTheReadSet(t *testing.T) {
 		t.Fatalf("search of %d candidates scored %v per metric, want %v", res.Examined, got, want)
 	}
 	before = counts()
-	if _, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement); err != nil {
+	if _, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := moved(before), [5]int64{1, 1, 1, 1, 1}; got != want {
@@ -471,7 +471,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 		bad[i] = len(tr.Cluster.Hosts) + 7
 	}
 	cands[4] = bad
-	sess, err := newTileSession(pr.ensembles(), tr.Query, tr.Cluster)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 	if err := sess.ScoreTile(cands, placement.AllCosts, out); err == nil {
 		t.Fatal("tile with invalid candidate scored without error")
 	}
-	costs, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+	costs, errs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
 	for i, p := range cands {
 		if (errs[i] != nil) != (i == 4) {
 			t.Fatalf("candidate %d: err = %v, want an error for exactly the invalid candidate", i, errs[i])
@@ -487,7 +487,7 @@ func TestScoreTileIsolatesInvalidCandidate(t *testing.T) {
 		if i == 4 {
 			continue
 		}
-		if want, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), p); err != nil || costs[i] != want {
+		if want, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), p); err != nil || costs[i] != want {
 			t.Fatalf("candidate %d: scored %+v, per-candidate %+v (%v)", i, costs[i], want, err)
 		}
 	}
@@ -502,7 +502,7 @@ func TestScoreTileRespectsCancellation(t *testing.T) {
 	tr := c.Traces[6]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := placement.Search(ctx, pr, tr.Query, checked(tr.Cluster), placement.RandomSample{},
+	_, err := placement.Search(ctx, pr, analyzed(tr.Query), checked(tr.Cluster), placement.RandomSample{},
 		placement.MinProcLatency, placement.Budget{MaxCandidates: 32},
 		placement.SearchOptions{Seed: 1, Workers: 2})
 	if err == nil {
@@ -516,7 +516,7 @@ func TestBuildGraphIntoAllocs(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[0]
 	f := Featurizer{Mode: FeatFull}
-	bf, err := f.NewBatch(tr.Query, tr.Cluster)
+	bf, err := f.NewBatch(analyzed(tr.Query), tr.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -588,8 +588,8 @@ func copyInto(dst, src [][]float64) {
 // classification metrics. The pass runs on a pooled inference tape — the
 // training-time forward without gradient buffers — so it serves directed
 // and traditional models alike.
-func (cm *CostModel) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
-	g, plan, err := cm.Feat.BuildGraph(q, c, p)
+func (cm *CostModel) PredictRaw(a *stream.Analysis, c *hardware.Cluster, p sim.Placement) (float64, error) {
+	g, plan, err := cm.Feat.BuildGraph(a, c, p)
 	if err != nil {
 		return 0, err
 	}
@@ -620,13 +620,13 @@ func (cm *CostModel) headTransform(out float64) float64 {
 // every other cost gets the untrained default (Success true, everything
 // else zero). It is the only scoring path of a model the packed kernel
 // cannot run, such as traditional message passing (Exp 7b).
-func (cm *CostModel) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
-	return placement.PredictorFunc(cm.predictCosts).NewScoreSession(q, k)
+func (cm *CostModel) NewScoreSession(a *stream.Analysis, k hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(cm.predictCosts).NewScoreSession(a, k)
 }
 
 // predictCosts is the model's cost vector for one placement.
-func (cm *CostModel) predictCosts(q *stream.Query, k hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
-	raw, err := cm.PredictRaw(q, k.Cluster(), p)
+func (cm *CostModel) predictCosts(a *stream.Analysis, k hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+	raw, err := cm.PredictRaw(a, k.Cluster(), p)
 	if err != nil {
 		return placement.PredCosts{}, err
 	}

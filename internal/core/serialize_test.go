@@ -59,11 +59,11 @@ func TestPredictorJSONRoundTripBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range c.Traces[:25] {
-		want, err := placement.PredictOne(pred, tr.Query, checked(tr.Cluster), tr.Placement)
+		want, err := placement.PredictOne(pred, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := placement.PredictOne(back, tr.Query, checked(tr.Cluster), tr.Placement)
+		got, err := placement.PredictOne(back, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +90,11 @@ func TestCostModelJSONRoundTripPerMember(t *testing.T) {
 			if got.Metric != m.Metric || got.Feat.Mode != m.Feat.Mode {
 				t.Fatalf("%v member %d: metadata changed: %v/%v", e.Metric, i, got.Metric, got.Feat.Mode)
 			}
-			want, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+			want, err := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v, err := got.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil || v != want {
+			if v, err := got.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement); err != nil || v != want {
 				t.Fatalf("%v member %d: reloaded raw prediction %v (err %v) != %v", e.Metric, i, v, err, want)
 			}
 		}
@@ -122,11 +122,11 @@ func TestSerializePreservesFeatureMode(t *testing.T) {
 		t.Fatalf("decoded %v featurized %v, want %v featurized %v", got.Metric, got.Feat.Mode, MetricProcLatency, FeatPlacementOnly)
 	}
 	tr := c.Traces[0]
-	want, err := cm.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+	want, err := cm.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := got.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil || v != want {
+	if v, err := got.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement); err != nil || v != want {
 		t.Fatalf("decoded raw prediction %v (err %v), want %v", v, err, want)
 	}
 }

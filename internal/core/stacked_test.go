@@ -48,7 +48,7 @@ func perMemberValue(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Clus
 	t.Helper()
 	var sum float64
 	for _, m := range e.Models {
-		v, err := m.PredictRaw(q, c, p)
+		v, err := m.PredictRaw(analyzed(q), c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func perMemberLabel(t *testing.T, e *Ensemble, q *stream.Query, c *hardware.Clus
 	t.Helper()
 	votes := 0
 	for _, m := range e.Models {
-		prob, err := m.PredictRaw(q, c, p)
+		prob, err := m.PredictRaw(analyzed(q), c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestStackedPredictValueMatchesPerMember(t *testing.T) {
 	scored := ensembleCandidates(MetricThroughput)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberValue(t, e, tr.Query, tr.Cluster, tr.Placement)
-		got, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
+		got, err := placement.PredictOne(e.Predictor(), analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestStackedPredictLabelMatchesPerMember(t *testing.T) {
 	e := randomEnsemble(t, MetricSuccess, 3, false)
 	for i, tr := range c.Traces[:40] {
 		want := perMemberLabel(t, e, tr.Query, tr.Cluster, tr.Placement)
-		costs, err := placement.PredictOne(e.Predictor(), tr.Query, checked(tr.Cluster), tr.Placement)
+		costs, err := placement.PredictOne(e.Predictor(), analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,14 +151,14 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 			}
 		}
 		pr := e.Predictor()
-		_, err = pr.NewScoreSession(tr.Query, checked(tr.Cluster))
+		_, err = pr.NewScoreSession(analyzed(tr.Query), checked(tr.Cluster))
 		refused("NewScoreSession", err)
-		_, err = placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
+		_, err = placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		refused("PredictOne", err)
 		_, err = pr.Sections()
 		refused("save", err)
 		for i, m := range e.Models {
-			if _, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement); err != nil {
+			if _, err := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement); err != nil {
 				t.Fatalf("%v member %d on the tape: %v", e.Metric, i, err)
 			}
 		}
@@ -180,7 +180,7 @@ func TestUnstackableEnsembleRefused(t *testing.T) {
 			t.Fatalf("mixed-mode predictor, %s: err = %v, want %q", what, err, want)
 		}
 	}
-	_, err = mixed.NewScoreSession(tr.Query, checked(tr.Cluster))
+	_, err = mixed.NewScoreSession(analyzed(tr.Query), checked(tr.Cluster))
 	refused("NewScoreSession", err)
 	_, err = mixed.Sections()
 	refused("save", err)
@@ -200,7 +200,7 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 	)
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	out, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+	out, errs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +220,14 @@ func TestPredictBatchStackedMatchesPerMember(t *testing.T) {
 func TestPredictValueAllocsHoisted(t *testing.T) {
 	c := testCorpus(t)
 	tr := c.Traces[0]
-	k := checked(tr.Cluster)
+	a, k := analyzed(tr.Query), checked(tr.Cluster)
 	measure := func(e *Ensemble) float64 {
 		pr := e.Predictor()
-		if _, err := placement.PredictOne(pr, tr.Query, k, tr.Placement); err != nil {
+		if _, err := placement.PredictOne(pr, a, k, tr.Placement); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := placement.PredictOne(pr, tr.Query, k, tr.Placement); err != nil {
+			if _, err := placement.PredictOne(pr, a, k, tr.Placement); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -250,7 +250,7 @@ func TestPredictValueAllocsHoisted(t *testing.T) {
 // took 674).
 func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	pr := randomPredictor(t, 3)
-	q := featQuery(t)
+	a := analyzed(featQuery(t))
 	small := &hardware.Cluster{}
 	big := &hardware.Cluster{}
 	for h := 0; h < 220; h++ {
@@ -270,7 +270,7 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 		best := math.Inf(1)
 		for i := 0; i < 30; i++ {
 			best = min(best, testing.AllocsPerRun(1, func() {
-				if _, err := placement.PredictOne(pr, q, k, p); err != nil {
+				if _, err := placement.PredictOne(pr, a, k, p); err != nil {
 					t.Fatal(err)
 				}
 			}))
@@ -283,6 +283,54 @@ func TestSinglePredictAllocsIgnoreClusterSize(t *testing.T) {
 	}
 	if aBig > 160 {
 		t.Fatalf("PredictOne allocates %v objects per call, budget 160", aBig)
+	}
+}
+
+// TestSessionCandidateAllocsMatchBareCalls: a session that scores one
+// candidate per call through the PredictorFunc adapter does no work per
+// candidate beyond the call it wraps. Per candidate, a SimOracle session
+// allocates what a bare sim.Run on the session's analysis allocates, and
+// a single CostModel's tape session (the Exp 4 and Exp 7 scoring path)
+// what a bare PredictRaw does: neither analyses the fixed query again.
+func TestSessionCandidateAllocsMatchBareCalls(t *testing.T) {
+	simCfg := sim.DefaultConfig()
+	simCfg.DurationS, simCfg.WarmupS = 30, 5
+	oracle := &placement.SimOracle{Cfg: simCfg}
+	cm := randomEnsemble(t, MetricProcLatency, 1, false).Models[0]
+	// The cheapest of several single calls: the inference tape comes from
+	// a sync.Pool, which drops items at random under -race.
+	cheapest := func(f func() error) float64 {
+		best := math.Inf(1)
+		for i := 0; i < 10; i++ {
+			best = min(best, testing.AllocsPerRun(1, func() {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return best
+	}
+	for i, tr := range testCorpus(t).Traces[:20] {
+		a, k := analyzed(tr.Query), checked(tr.Cluster)
+		cand := []sim.Placement{tr.Placement}
+		var out [1]placement.PredCosts
+		for _, tc := range []struct {
+			name string
+			pred placement.Predictor
+			bare func() error
+		}{
+			{"SimOracle", oracle, func() error { _, err := sim.Run(a, k, tr.Placement, simCfg); return err }},
+			{"CostModel", cm, func() error { _, err := cm.PredictRaw(a, tr.Cluster, tr.Placement); return err }},
+		} {
+			sess, err := tc.pred.NewScoreSession(a, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perCand := cheapest(func() error { return sess.ScoreTile(cand, placement.AllCosts, out[:]) })
+			if bare := cheapest(tc.bare); perCand != bare {
+				t.Fatalf("trace %d: a %s session allocates %v objects per candidate, a bare call %v", i, tc.name, perCand, bare)
+			}
+		}
 	}
 }
 
@@ -299,12 +347,12 @@ func TestStackedConcurrentPredict(t *testing.T) {
 	thr, succ := pr[MetricThroughput].Predictor(), pr[MetricSuccess].Predictor()
 	tr := c.Traces[0]
 	cands := []sim.Placement{tr.Placement, tr.Placement, tr.Placement}
-	want, err := placement.PredictOne(thr, tr.Query, checked(tr.Cluster), tr.Placement)
+	want, err := placement.PredictOne(thr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	member := pr[MetricThroughput].Models[0]
-	wantRaw, err := member.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+	wantRaw, err := member.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +366,7 @@ func TestStackedConcurrentPredict(t *testing.T) {
 			for iter := 0; iter < 15; iter++ {
 				switch wkr % 4 {
 				case 0:
-					got, err := placement.PredictOne(thr, tr.Query, checked(tr.Cluster), tr.Placement)
+					got, err := placement.PredictOne(thr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 					if err == nil && got != want {
 						err = fmt.Errorf("concurrent PredictOne diverged: got %+v want %+v", got, want)
 					}
@@ -327,18 +375,18 @@ func TestStackedConcurrentPredict(t *testing.T) {
 						return
 					}
 				case 1:
-					_, scoreErrs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), cands, placement.AllCosts)
+					_, scoreErrs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), cands, placement.AllCosts)
 					if err := errors.Join(scoreErrs...); err != nil {
 						errs[wkr] = err
 						return
 					}
 				case 2:
-					if _, err := placement.PredictOne(succ, tr.Query, checked(tr.Cluster), tr.Placement); err != nil {
+					if _, err := placement.PredictOne(succ, analyzed(tr.Query), checked(tr.Cluster), tr.Placement); err != nil {
 						errs[wkr] = err
 						return
 					}
 				default:
-					got, err := member.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+					got, err := member.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 					if err == nil && got != wantRaw {
 						err = fmt.Errorf("concurrent PredictRaw diverged: got %v want %v", got, wantRaw)
 					}

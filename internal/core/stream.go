@@ -33,9 +33,13 @@ type record struct {
 	met   *sim.Metrics
 }
 
-// newRecord featurizes one trace.
+// newRecord analyses one trace's query and featurizes the trace.
 func newRecord(feat *Featurizer, tr *dataset.Trace) (record, error) {
-	g, plan, err := feat.BuildGraph(tr.Query, tr.Cluster, tr.Placement)
+	a, err := tr.Query.Analyze()
+	if err != nil {
+		return record{}, fmt.Errorf("core: %w", err)
+	}
+	g, plan, err := feat.BuildGraph(a, tr.Cluster, tr.Placement)
 	if err != nil {
 		return record{}, err
 	}

@@ -94,11 +94,11 @@ func TestTrainObserverEpochStats(t *testing.T) {
 	// The observer is purely observational: weights match a plain run.
 	plain := trainBoth(cfg)
 	tr := c.Traces[0]
-	want, err := placement.PredictOne(plain, tr.Query, checked(tr.Cluster), tr.Placement)
+	want, err := placement.PredictOne(plain, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := placement.PredictOne(observed, tr.Query, checked(tr.Cluster), tr.Placement)
+	got, err := placement.PredictOne(observed, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPredictBatchRecordsInferenceMetrics(t *testing.T) {
 	featN0 := met.featurizeSeconds.Count()
 	tr := c.Traces[0]
 	placements := []sim.Placement{tr.Placement, tr.Placement}
-	_, errs := placement.Score(context.Background(), pr, tr.Query, checked(tr.Cluster), placements, placement.AllCosts)
+	_, errs := placement.Score(context.Background(), pr, analyzed(tr.Query), checked(tr.Cluster), placements, placement.AllCosts)
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}

@@ -218,18 +218,18 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	} else {
 		c = g.Cluster()
 	}
-	k, err := c.Check()
+	a, k, err := placement.Check(q, c)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
-	p, err := placement.RandomValid(rng, q, k)
+	p, err := placement.RandomValid(rng, a, k)
 	if err != nil {
 		return nil, err
 	}
 	simCfg := cfg.Sim
 	simCfg.Seed = seed ^ 0x51ED2701
-	m, err := sim.Run(q, k, p, simCfg)
+	m, err := sim.Run(a, k, p, simCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -52,18 +52,17 @@ func (s *Suite) Exp2aPlacement() (*Table, error) {
 		rng := rand.New(rand.NewSource(4400 + int64(ci)))
 		var coRatios, flRatios []float64
 		for i := 0; i < nPerClass; i++ {
-			q := gen.QueryOfClass(class)
-			cluster, err := gen.Cluster().Check()
+			a, cluster, err := placement.Check(gen.QueryOfClass(class), gen.Cluster())
 			if err != nil {
 				return nil, err
 			}
-			initial, err := placement.RandomValid(rng, q, cluster)
+			initial, err := placement.RandomValid(rng, a, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
 			}
 			runCfg := simCfg
 			runCfg.Seed = int64(9000 + ci*1000 + i)
-			initM, err := sim.Run(q, cluster, initial, runCfg)
+			initM, err := sim.Run(a, cluster, initial, runCfg)
 			if err != nil {
 				return nil, err
 			}
@@ -71,12 +70,12 @@ func (s *Suite) Exp2aPlacement() (*Table, error) {
 
 			// One seed per query: both models rank the same candidates.
 			seed := int64(4500 + ci*1000 + i)
-			coLp, err := s.optimizedLp(coPred, q, cluster, seed, runCfg)
+			coLp, err := s.optimizedLp(coPred, a, cluster, seed, runCfg)
 			if err != nil {
 				return nil, err
 			}
 			coRatios = append(coRatios, initLp/maxf(coLp, 1e-3))
-			flLp, err := s.optimizedLp(flPred, q, cluster, seed, runCfg)
+			flLp, err := s.optimizedLp(flPred, a, cluster, seed, runCfg)
 			if err != nil {
 				return nil, err
 			}
@@ -102,13 +101,13 @@ func exp2aTable(rows []Row) *Table {
 // optimizedLp places the query with the paper's optimizer — the best of
 // 16 random valid placements drawn from seed, ranked by pred — and
 // returns the placement's measured processing latency.
-func (s *Suite) optimizedLp(pred placement.Predictor, q *stream.Query, c hardware.Checked, seed int64, runCfg sim.Config) (float64, error) {
-	res, err := placement.Search(context.Background(), pred, q, c, placement.RandomSample{}, placement.MinProcLatency,
+func (s *Suite) optimizedLp(pred placement.Predictor, a *stream.Analysis, c hardware.Checked, seed int64, runCfg sim.Config) (float64, error) {
+	res, err := placement.Search(context.Background(), pred, a, c, placement.RandomSample{}, placement.MinProcLatency,
 		placement.Budget{MaxCandidates: 16}, placement.SearchOptions{Seed: seed})
 	if err != nil {
 		return 0, err
 	}
-	m, err := sim.Run(q, c, res.Placement, runCfg)
+	m, err := sim.Run(a, c, res.Placement, runCfg)
 	if err != nil {
 		return 0, err
 	}
@@ -147,20 +146,19 @@ func (s *Suite) Exp2bMonitoring() (*Table, error) {
 	var rows []Row
 	for ri, rate := range rates {
 		for si, sel := range sels {
-			q := gen.FilterQuery(rate, sel)
-			cluster, err := gen.Cluster().Check()
+			a, cluster, err := placement.Check(gen.FilterQuery(rate, sel), gen.Cluster())
 			if err != nil {
 				return nil, err
 			}
-			initial, err := placement.RandomValid(rng, q, cluster)
+			initial, err := placement.RandomValid(rng, a, cluster)
 			if err != nil {
 				continue // no valid placement of this query on this cluster
 			}
-			coLp, err := s.optimizedLp(coPred, q, cluster, int64(5600+10*ri+si), simCfg)
+			coLp, err := s.optimizedLp(coPred, a, cluster, int64(5600+10*ri+si), simCfg)
 			if err != nil {
 				return nil, err
 			}
-			steps, err := placement.OnlineMonitoring(context.Background(), q, cluster, initial, mcfg)
+			steps, err := placement.OnlineMonitoring(context.Background(), a, cluster, initial, mcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -239,30 +237,29 @@ func (s *Suite) Exp2cSearchStrategies() (*Table, error) {
 	examined := make([]int, len(strategies))
 	counted := make([]int, len(strategies))
 	for i := 0; i < n; i++ {
-		q := gen.Query()
-		cluster, err := gen.Cluster().Check()
+		a, cluster, err := placement.Check(gen.Query(), gen.Cluster())
 		if err != nil {
 			return nil, err
 		}
-		initial, err := placement.RandomValid(rng, q, cluster)
+		initial, err := placement.RandomValid(rng, a, cluster)
 		if err != nil {
 			continue
 		}
 		runCfg := simCfg
 		runCfg.Seed = int64(7800 + i)
-		initM, err := sim.Run(q, cluster, initial, runCfg)
+		initM, err := sim.Run(a, cluster, initial, runCfg)
 		if err != nil {
 			return nil, err
 		}
 		initLp := measuredLp(initM)
 		for si, strat := range strategies {
-			res, err := placement.Search(context.Background(), coPred, q, cluster, strat, placement.MinProcLatency,
+			res, err := placement.Search(context.Background(), coPred, a, cluster, strat, placement.MinProcLatency,
 				placement.Budget{MaxCandidates: budget},
 				placement.SearchOptions{Seed: int64(7900 + i)})
 			if err != nil {
 				continue
 			}
-			m, err := sim.Run(q, cluster, res.Placement, runCfg)
+			m, err := sim.Run(a, cluster, res.Placement, runCfg)
 			if err != nil {
 				return nil, err
 			}

@@ -19,7 +19,7 @@ import (
 // constPredictor predicts the raw value v for every metric of every
 // trace: v itself as a cost, and the positive class for v above 0.5.
 func constPredictor(v float64) placement.Predictor {
-	return placement.PredictorFunc(func(*stream.Query, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
+	return placement.PredictorFunc(func(*stream.Analysis, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
 		var costs placement.PredCosts
 		for _, m := range core.AllMetrics() {
 			m.SetRaw(&costs, v)
@@ -28,17 +28,23 @@ func constPredictor(v float64) placement.Predictor {
 	})
 }
 
-// fakeCorpus holds n traces on one valid host: evaluation checks each
-// trace's cluster before it predicts.
+// fakeCorpus holds n traces of one valid query on one valid host:
+// evaluation analyses each trace's query and checks its cluster before it
+// predicts.
 func fakeCorpus(n int, throughput float64, backpressured bool) *dataset.Corpus {
 	c := &dataset.Corpus{}
 	host := &hardware.Cluster{Hosts: []*hardware.Host{{ID: "h", CPU: 100, RAMMB: 1000, NetLatencyMS: 1, NetBandwidthMbps: 100}}}
+	query := &stream.Query{Ops: []*stream.Operator{
+		{ID: "src", Type: stream.OpSource, EventRate: 100, FieldTypes: []stream.DataType{stream.TypeInt}},
+		{ID: "sink", Type: stream.OpSink},
+	}, Edges: []stream.Edge{{0, 1}}}
 	for i := 0; i < n; i++ {
 		bp := backpressured
 		if i%2 == 0 {
 			bp = !bp
 		}
 		c.Traces = append(c.Traces, &dataset.Trace{
+			Query:   query,
 			Cluster: host,
 			Metrics: &sim.Metrics{
 				ThroughputTPS: throughput,
@@ -242,7 +248,7 @@ func TestTablesRenderGolden(t *testing.T) {
 
 func TestBucketValuesFailOnEvaluationError(t *testing.T) {
 	boom := errors.New("boom")
-	failing := placement.PredictorFunc(func(*stream.Query, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
+	failing := placement.PredictorFunc(func(*stream.Analysis, hardware.Checked, sim.Placement) (placement.PredCosts, error) {
 		return placement.PredCosts{}, boom
 	})
 	pred := func(p placement.Predictor) func(core.Metric) (placement.Predictor, error) {

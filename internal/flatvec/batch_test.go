@@ -23,6 +23,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 	return k
 }
 
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // enumerate draws up to k distinct valid placements from rng, as
 // placement.RandomSample does for a budget of k: duplicate and dead-end
 // draws share a miss budget of 8k+64.
@@ -30,7 +39,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := placement.RandomValid(rng, q, checked(c))
+		p, err := placement.RandomValid(rng, analyzed(q), checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -63,7 +72,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 		for i, p := range cands {
 			want[i] = perMetric(t, pr, tr.Query, tr.Cluster, p)
 		}
-		sess, err := pr.NewScoreSession(tr.Query, checked(tr.Cluster))
+		sess, err := pr.NewScoreSession(analyzed(tr.Query), checked(tr.Cluster))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +107,7 @@ func TestPredictBatchMatchesPredictPlacement(t *testing.T) {
 func perMetric(t *testing.T, pr *Predictor, q *stream.Query, c *hardware.Cluster, p sim.Placement) placement.PredCosts {
 	t.Helper()
 	raw := func(m *Model) float64 {
-		v, err := m.PredictRaw(q, c, p)
+		v, err := m.PredictRaw(analyzed(q), c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +134,11 @@ func TestUntrainedSlotsGiveDefaults(t *testing.T) {
 	}
 	pr := m.Predictor()
 	for ti, tr := range c.Traces[:5] {
-		raw, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		raw, err := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := pr.NewScoreSession(tr.Query, checked(tr.Cluster))
+		sess, err := pr.NewScoreSession(analyzed(tr.Query), checked(tr.Cluster))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,29 +164,28 @@ func costBits(pc placement.PredCosts) [5]uint64 {
 	return b
 }
 
-// TestFeaturizeSplitConsistency: the refactored query-prefix /
-// placement-suffix split reassembles into exactly the documented Dim
-// entries with the prefix unchanged across candidates.
+// TestFeaturizeSplitConsistency: on every trace of the corpus, queries of
+// every class, the query prefix has exactly queryDim entries, and the
+// query-prefix / placement-suffix split reassembles into exactly the
+// documented Dim entries with the prefix unchanged.
 func TestFeaturizeSplitConsistency(t *testing.T) {
-	c := testCorpus(t)
-	tr := c.Traces[0]
-	prefix, err := queryFeatures(tr.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prefix) != queryDim {
-		t.Fatalf("prefix dim %d, want %d", len(prefix), queryDim)
-	}
-	full, err := Featurize(tr.Query, tr.Cluster, tr.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != Dim {
-		t.Fatalf("full dim %d, want %d", len(full), Dim)
-	}
-	for i := range prefix {
-		if full[i] != prefix[i] {
-			t.Errorf("entry %d: full %v != prefix %v", i, full[i], prefix[i])
+	for k, tr := range testCorpus(t).Traces {
+		a := analyzed(tr.Query)
+		prefix := queryFeatures(a)
+		if len(prefix) != queryDim {
+			t.Fatalf("trace %d: prefix dim %d, want %d", k, len(prefix), queryDim)
+		}
+		full, err := Featurize(a, tr.Cluster, tr.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) != Dim {
+			t.Fatalf("trace %d: full dim %d, want %d", k, len(full), Dim)
+		}
+		for i := range prefix {
+			if full[i] != prefix[i] {
+				t.Errorf("trace %d entry %d: full %v != prefix %v", k, i, full[i], prefix[i])
+			}
 		}
 	}
 }

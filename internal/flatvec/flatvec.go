@@ -29,25 +29,18 @@ const Dim = 33
 // the query (not on the cluster or placement).
 const queryDim = 19
 
-// Featurize encodes a (query, cluster, placement) triple into the flat
-// vector. All aggregations are order-independent, mirroring the baseline's
-// lack of structure.
-func Featurize(q *stream.Query, c *hardware.Cluster, p sim.Placement) ([]float64, error) {
-	prefix, err := queryFeatures(q)
-	if err != nil {
-		return nil, err
-	}
-	return placementFeatures(prefix, c, p)
+// Featurize encodes an (analysed query, cluster, placement) triple into
+// the flat vector. All aggregations are order-independent, mirroring the
+// baseline's lack of structure.
+func Featurize(a *stream.Analysis, c *hardware.Cluster, p sim.Placement) ([]float64, error) {
+	return placementFeatures(queryFeatures(a), c, p)
 }
 
 // queryFeatures computes the placement-invariant query prefix of the flat
-// vector. A scoring session computes it once and reuses it for every
-// candidate.
-func queryFeatures(q *stream.Query) ([]float64, error) {
-	rates, err := q.Analyze()
-	if err != nil {
-		return nil, fmt.Errorf("flatvec: %w", err)
-	}
+// vector, its queryDim entries. A scoring session computes it once and
+// reuses it for every candidate.
+func queryFeatures(a *stream.Analysis) []float64 {
+	q := a.Query()
 	v := make([]float64, 0, Dim)
 
 	// Operator counts (5).
@@ -100,7 +93,7 @@ func queryFeatures(q *stream.Query) ([]float64, error) {
 		}
 		nJoin++
 		jSel += logSel(op.Selectivity)
-		jWin += math.Log1p(op.Window.ExtentTuples(rates.In[i] / 2))
+		jWin += math.Log1p(op.Window.ExtentTuples(a.In[i] / 2))
 		if op.JoinKeyType == stream.TypeString {
 			jStr++
 		}
@@ -124,7 +117,7 @@ func queryFeatures(q *stream.Query) ([]float64, error) {
 			aGB++
 		}
 		aSel += op.Selectivity
-		aWin += math.Log1p(op.Window.ExtentTuples(rates.In[i]))
+		aWin += math.Log1p(op.Window.ExtentTuples(a.In[i]))
 		if op.Window.Type == stream.WindowSliding {
 			aSlide++
 		}
@@ -139,11 +132,7 @@ func queryFeatures(q *stream.Query) ([]float64, error) {
 	// Note: no derived per-operator or sink rates — the flat vector holds
 	// only the query-level aggregates of [16]; composing rates through
 	// joins and windows requires the structural encoding COSTREAM has.
-
-	if len(v) != queryDim {
-		return nil, fmt.Errorf("flatvec: query prefix has %d entries, want %d", len(v), queryDim)
-	}
-	return v, nil
+	return v
 }
 
 // placementFeatures appends the cluster/placement summary to a copy of the
@@ -228,7 +217,11 @@ func Train(train *dataset.Corpus, metric core.Metric, cfg gbdt.Config) (*Model, 
 		if metric.IsRegression() && !tr.Metrics.Success {
 			continue
 		}
-		x, err := Featurize(tr.Query, tr.Cluster, tr.Placement)
+		a, err := tr.Query.Analyze()
+		if err != nil {
+			return nil, fmt.Errorf("flatvec: %w", err)
+		}
+		x, err := Featurize(a, tr.Cluster, tr.Placement)
 		if err != nil {
 			return nil, err
 		}
@@ -259,8 +252,8 @@ func Train(train *dataset.Corpus, metric core.Metric, cfg gbdt.Config) (*Model, 
 
 // PredictRaw returns the predicted cost value (regression) or positive
 // probability (classification) for a placement.
-func (m *Model) PredictRaw(q *stream.Query, c *hardware.Cluster, p sim.Placement) (float64, error) {
-	x, err := Featurize(q, c, p)
+func (m *Model) PredictRaw(a *stream.Analysis, c *hardware.Cluster, p sim.Placement) (float64, error) {
+	x, err := Featurize(a, c, p)
 	if err != nil {
 		return 0, err
 	}
@@ -312,12 +305,8 @@ func TrainPredictor(train *dataset.Corpus, cfg gbdt.Config) (*Predictor, error) 
 // Model.PredictRaw path (classifiers thresholded at 0.5); a named cost
 // without a model gets the untrained default (Success true, everything
 // else zero).
-func (pr *Predictor) NewScoreSession(q *stream.Query, k hardware.Checked) (placement.TileScorer, error) {
-	prefix, err := queryFeatures(q)
-	if err != nil {
-		return nil, err
-	}
-	return &session{pr: pr, c: k.Cluster(), prefix: prefix}, nil
+func (pr *Predictor) NewScoreSession(a *stream.Analysis, k hardware.Checked) (placement.TileScorer, error) {
+	return &session{pr: pr, c: k.Cluster(), prefix: queryFeatures(a)}, nil
 }
 
 type session struct {

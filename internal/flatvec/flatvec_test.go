@@ -38,7 +38,7 @@ func testCorpus(t *testing.T) *dataset.Corpus {
 func TestFeaturizeDimAndFiniteness(t *testing.T) {
 	c := testCorpus(t)
 	for i, tr := range c.Traces[:80] {
-		x, err := Featurize(tr.Query, tr.Cluster, tr.Placement)
+		x, err := Featurize(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
@@ -84,11 +84,11 @@ func TestFeaturizeIgnoresMappingStructure(t *testing.T) {
 	}
 	p2 := append(sim.Placement(nil), p1...)
 	p2[a], p2[b] = p1[b], p1[a]
-	x1, err := Featurize(tr.Query, tr.Cluster, p1)
+	x1, err := Featurize(analyzed(tr.Query), tr.Cluster, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := Featurize(tr.Query, tr.Cluster, p2)
+	x2, err := Featurize(analyzed(tr.Query), tr.Cluster, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTrainRegressionAndPredict(t *testing.T) {
 		t.Errorf("flat vector Q50 = %v, implausibly bad", s.Median)
 	}
 	for _, tr := range test.Traces[:10] {
-		v, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		v, err := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestTrainClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range c.Traces[:20] {
-		p, err := m.PredictRaw(tr.Query, tr.Cluster, tr.Placement)
+		p, err := m.PredictRaw(analyzed(tr.Query), tr.Cluster, tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestTrainPredictorImplementsInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := c.Traces[0]
-	pc, err := placement.PredictOne(pr, tr.Query, checked(tr.Cluster), tr.Placement)
+	pc, err := placement.PredictOne(pr, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +176,10 @@ func TestTrainEmptyCorpus(t *testing.T) {
 	}
 }
 
-// TestMalformedPlanRefused: Featurize and a scoring session refuse a plan
-// whose filter has no input with the plan's validation error, before rate
-// derivation reads the missing input.
+// TestMalformedPlanRefused: training refuses a trace whose filter has no
+// input with the plan's analysis error, before rate derivation reads the
+// missing input. Featurize and a scoring session take only an analysis,
+// so a malformed plan cannot reach them.
 func TestMalformedPlanRefused(t *testing.T) {
 	q := &stream.Query{
 		Ops: []*stream.Operator{
@@ -189,11 +190,9 @@ func TestMalformedPlanRefused(t *testing.T) {
 		Edges: []stream.Edge{{0, 2}},
 	}
 	c := workload.New(workload.DefaultConfig(1)).Cluster()
-	const want = "flatvec: filter f must have exactly one input, got 0"
-	if _, err := Featurize(q, c, sim.Placement{0, 0, 0}); err == nil || err.Error() != want {
-		t.Errorf("Featurize: err = %v, want %q", err, want)
-	}
-	if _, err := (&Predictor{}).NewScoreSession(q, checked(c)); err == nil || err.Error() != want {
-		t.Errorf("NewScoreSession: err = %v, want %q", err, want)
+	const want = "flatvec: invalid query: filter f must have exactly one input, got 0"
+	tr := &dataset.Trace{Query: q, Cluster: c, Placement: sim.Placement{0, 0, 0}, Metrics: &sim.Metrics{Success: true}}
+	if _, err := Train(&dataset.Corpus{Traces: []*dataset.Trace{tr}}, core.MetricThroughput, gbdt.DefaultConfig(1)); err == nil || err.Error() != want {
+		t.Errorf("Train: err = %v, want %q", err, want)
 	}
 }

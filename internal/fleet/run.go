@@ -170,19 +170,19 @@ func (sc *Scenario) resolveRecovery() (controlplane.Policy, error) {
 	return pol.Resolved(), nil
 }
 
-// scaledQuery returns q with every source's event rate multiplied by
-// factor (a deep clone; q is never mutated).
-func scaledQuery(q *stream.Query, factor float64) *stream.Query {
+// scaledQuery returns the analysis of a's query with every source's
+// event rate multiplied by factor (a deep clone; a is never mutated).
+func scaledQuery(a *stream.Analysis, factor float64) (*stream.Analysis, error) {
 	if factor == 1 {
-		return q
+		return a, nil
 	}
-	c := q.Clone()
+	c := a.Query().Clone()
 	for _, op := range c.Ops {
 		if op.Type == stream.OpSource {
 			op.EventRate *= factor
 		}
 	}
-	return c
+	return c.Analyze()
 }
 
 func round4(x float64) float64 {
@@ -270,10 +270,14 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	// run in parallel (controlplane.Pass), committed in deployment order
 	// and rendered into entry's rows; the first error in that order fails
 	// the run. Deployments hold placements in fleet host indices
-	// throughout.
+	// throughout; eff[i] analyses deployment i's query under current load.
 	deps := make([]controlplane.Deployment, sc.Workload.Queries)
+	eff := make([]*stream.Analysis, len(deps))
 	for i := range deps {
-		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), sampler(i)
+		if eff[i], err = sampler(i).Analyze(); err != nil {
+			return nil, fmt.Errorf("fleet: query %d: %w", i, err)
+		}
+		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), eff[i]
 	}
 	step := func(entry TimelineEntry, decide func(i int, d *controlplane.Deployment) (controlplane.Decision, error)) error {
 		for i, o := range controlplane.Pass(deps, decide) {
@@ -333,6 +337,11 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		}
 		if ev.Type == EventLoadSpike {
 			loadFactor *= ev.Factor
+			for i, d := range deps {
+				if eff[i], err = scaledQuery(d.Query, loadFactor); err != nil {
+					return nil, fmt.Errorf("fleet: %s at %vs: %s: %w", ev.Type, now, d.ID, err)
+				}
+			}
 		}
 		if v, err = fl.clusterView(); err != nil {
 			return nil, fmt.Errorf("fleet: %s at %vs: %w", ev.Type, now, err)
@@ -348,7 +357,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			LoadFactor: round4(loadFactor),
 		}
 		if err := step(entry, func(i int, d *controlplane.Deployment) (controlplane.Decision, error) {
-			return pol.Heal(ctx, d, v, scaledQuery(d.Query, loadFactor), observe(k+1, i), now, searchOpts(k+1, i))
+			return pol.Heal(ctx, d, v, eff[i], observe(k+1, i), now, searchOpts(k+1, i))
 		}); err != nil {
 			return nil, err
 		}
@@ -364,7 +373,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			case len(fl.deadHosts(d.Placement)) > 0:
 				return controlplane.Decision{Violation: controlplane.ViolationDeadHost}, nil
 			}
-			dec, _, err := controlplane.Observe(d, v.Cluster, scaledQuery(d.Query, loadFactor), observe(len(events)+1, i))
+			dec, _, err := controlplane.Observe(d, v.Cluster, eff[i], observe(len(events)+1, i))
 			return dec, err
 		}); err != nil {
 		return nil, err

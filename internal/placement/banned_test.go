@@ -26,8 +26,8 @@ func (r *recordingPredictor) record(p sim.Placement) {
 	r.scored = append(r.scored, append(sim.Placement(nil), p...))
 }
 
-func (r *recordingPredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+func (r *recordingPredictor) NewScoreSession(q *stream.Analysis, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		r.record(p)
 		return landscapeCosts(q, c, p), nil
 	}).NewScoreSession(q, c)
@@ -49,7 +49,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 	strategies := allStrategies(t)
 	// WarmStart with an incumbent ON a banned host: the incumbent must be
 	// rejected by validation, degrading to the inner strategy.
-	inc, err := RandomValid(rand.New(rand.NewSource(41)), q, c)
+	inc, err := RandomValid(rand.New(rand.NewSource(41)), analyzed(q), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 	for _, strat := range strategies {
 		for _, workers := range []int{1, 4} {
 			pred := &recordingPredictor{}
-			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48},
+			res, err := Search(context.Background(), pred, analyzed(q), c, strat, MinProcLatency, Budget{MaxCandidates: 48},
 				SearchOptions{Seed: 9, Workers: workers, BannedHosts: banned})
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
@@ -92,7 +92,7 @@ func TestBannedHostsNeverScored(t *testing.T) {
 func TestBannedHostsAllBannedFails(t *testing.T) {
 	q := testQuery()
 	c := checked(testCluster())
-	_, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
+	_, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{0, 1, 2, 3}})
 	if err == nil {
 		t.Fatal("search over a fully banned cluster succeeded")
@@ -104,7 +104,7 @@ func TestBannedHostsAllBannedFails(t *testing.T) {
 func TestBannedHostsOutOfRangeIgnored(t *testing.T) {
 	q := testQuery()
 	c := checked(testCluster())
-	res, err := Search(context.Background(), landscapePredictor{}, q, c, RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 2, BannedHosts: []int{-1, 99}})
 	if err != nil {
 		t.Fatal(err)
@@ -154,14 +154,14 @@ func (c *cancelAfterFirstCheck) Err() error {
 }
 
 func TestOnlineMonitoringPreCancelled(t *testing.T) {
-	q, c := testQuery(), checked(testCluster())
-	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
+	a, c := analyzed(testQuery()), checked(testCluster())
+	initial, err := RandomValid(rand.New(rand.NewSource(7)), a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	steps, err := OnlineMonitoring(ctx, q, c, initial, DefaultMonitorConfig(monSimCfg()))
+	steps, err := OnlineMonitoring(ctx, a, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -174,13 +174,13 @@ func TestOnlineMonitoringPreCancelled(t *testing.T) {
 // cancellation after the initial observation stops the loop at the next
 // monitoring window and returns the partial trajectory without error.
 func TestOnlineMonitoringMidRunPartial(t *testing.T) {
-	q, c := testQuery(), checked(testCluster())
-	initial, err := RandomValid(rand.New(rand.NewSource(7)), q, c)
+	a, c := analyzed(testQuery()), checked(testCluster())
+	initial, err := RandomValid(rand.New(rand.NewSource(7)), a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &cancelAfterFirstCheck{Context: context.Background()}
-	steps, err := OnlineMonitoring(ctx, q, c, initial, DefaultMonitorConfig(monSimCfg()))
+	steps, err := OnlineMonitoring(ctx, a, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if err != nil {
 		t.Fatalf("mid-run cancellation must not fail the monitor: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestOnlineMonitoringMidRunPartial(t *testing.T) {
 		t.Fatalf("got %d steps, want only the initial one", len(steps))
 	}
 	// Sanity: uncancelled, the same run takes more than one step.
-	full, err := OnlineMonitoring(context.Background(), q, c, initial, DefaultMonitorConfig(monSimCfg()))
+	full, err := OnlineMonitoring(context.Background(), a, c, initial, DefaultMonitorConfig(monSimCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ type gatedPredictor struct {
 	cancel context.CancelFunc
 }
 
-func (g *gatedPredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+func (g *gatedPredictor) NewScoreSession(q *stream.Analysis, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		g.mu.Lock()
 		g.scored = append(g.scored, append(sim.Placement(nil), p...))
 		if len(g.scored) == g.limit {
@@ -56,7 +56,7 @@ func TestSearchCtxCancelMidSearch(t *testing.T) {
 		defer cancel()
 		pred := &gatedPredictor{limit: 5, cancel: cancel}
 		budget := Budget{MaxCandidates: 256}
-		res, err := Search(ctx, pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 3, Workers: 1})
+		res, err := Search(ctx, pred, analyzed(q), c, strat, MinProcLatency, budget, SearchOptions{Seed: 3, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -83,7 +83,7 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range allStrategies(t) {
-		_, err := Search(ctx, landscapePredictor{}, testQuery(), checked(cluster12()), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
+		_, err := Search(ctx, landscapePredictor{}, analyzed(testQuery()), checked(cluster12()), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", strat.Name(), err)
 		}
@@ -98,13 +98,13 @@ func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	c := checked(cluster12())
 	opts := SearchOptions{Seed: 7, Workers: 2}
 	budget := Budget{MaxCandidates: 32}
-	a, err := Search(context.Background(), landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
+	a, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, Beam{}, MinProcLatency, budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	b, err := Search(ctx, landscapePredictor{}, q, c, Beam{}, MinProcLatency, budget, opts)
+	b, err := Search(ctx, landscapePredictor{}, analyzed(q), c, Beam{}, MinProcLatency, budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 // warm-started search can only examine the incumbent, so the result must
 // be exactly the incumbent.
 func TestWarmStartScoresIncumbentFirst(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(cluster12())
-	inc, err := RandomValid(rand.New(rand.NewSource(11)), q, c)
+	inc, err := RandomValid(rand.New(rand.NewSource(11)), a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(context.Background(), landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 2})
+	res, err := Search(context.Background(), landscapePredictor{}, a, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +139,15 @@ func TestWarmStartScoresIncumbentFirst(t *testing.T) {
 // score is never worse than the incumbent's own predicted score, and the
 // run is deterministic across worker counts.
 func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(cluster12())
-	inc, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
+	inc, err := RandomValid(rand.New(rand.NewSource(4)), a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	incScore := MinProcLatency.Score(landscapeCosts(q, c, inc))
+	incScore := MinProcLatency.Score(landscapeCosts(a, c, inc))
 	strat := WarmStart{Incumbent: inc, Inner: LocalSearch{}}
-	base, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: 1})
+	base, err := Search(context.Background(), landscapePredictor{}, a, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWarmStartNeverWorseThanIncumbent(t *testing.T) {
 		t.Errorf("warm-started search score %.3f worse than incumbent %.3f", got, incScore)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: workers})
+		got, err := Search(context.Background(), landscapePredictor{}, a, c, strat, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestWarmStartInvalidIncumbent(t *testing.T) {
 		bad[i] = -1
 	}
 	for _, inc := range []sim.Placement{nil, bad} {
-		res, err := Search(context.Background(), landscapePredictor{}, q, c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 8})
+		res, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, WarmStart{Incumbent: inc}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 8})
 		if err != nil {
 			t.Fatalf("incumbent %v: %v", inc, err)
 		}

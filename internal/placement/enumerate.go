@@ -66,11 +66,7 @@ type neighbor struct {
 	swap bool
 }
 
-func newGenerator(q *stream.Query, k hardware.Checked) (*generator, error) {
-	topo, err := q.Topology()
-	if err != nil {
-		return nil, err
-	}
+func newGenerator(q *stream.Query, topo stream.Topology, k hardware.Checked) *generator {
 	n, nHosts := len(q.Ops), len(k.Cluster().Hosts)
 	g := &generator{
 		q:       q,
@@ -84,7 +80,7 @@ func newGenerator(q *stream.Query, k hardware.Checked) (*generator, error) {
 	for i := 0; i < n; i++ {
 		g.visited[i] = newBitset(nHosts)
 	}
-	return g, nil
+	return g
 }
 
 // release hands the generator's step buffer back to stepPool once its
@@ -396,23 +392,16 @@ func (g *generator) greedyPick(p sim.Placement, v int, choices []int) int {
 // RandomValid draws one placement satisfying the three heuristic rules of
 // Figure 5 (see generator.choicesFor). It retries on dead ends and reports
 // an error when the cluster cannot satisfy the rules for this query.
-func RandomValid(rng *rand.Rand, q *stream.Query, k hardware.Checked) (sim.Placement, error) {
-	g, err := newGenerator(q, k)
-	if err != nil {
-		return nil, err
-	}
+func RandomValid(rng *rand.Rand, a *stream.Analysis, k hardware.Checked) (sim.Placement, error) {
+	g := newGenerator(a.Query(), a.Topo, k)
 	if p, ok := g.randomValid(rng); ok {
 		return append(sim.Placement(nil), p...), nil
 	}
 	return nil, fmt.Errorf("placement: no valid placement found for %d ops on %d hosts",
-		len(q.Ops), g.nHosts)
+		len(g.q.Ops), g.nHosts)
 }
 
 // Valid reports whether a placement satisfies the Figure 5 rules.
-func Valid(q *stream.Query, k hardware.Checked, p sim.Placement) bool {
-	g, err := newGenerator(q, k)
-	if err != nil {
-		return false
-	}
-	return g.validate(p)
+func Valid(a *stream.Analysis, k hardware.Checked, p sim.Placement) bool {
+	return newGenerator(a.Query(), a.Topo, k).validate(p)
 }

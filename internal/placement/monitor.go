@@ -53,12 +53,12 @@ type MonitorStep struct {
 // loop at the next monitoring window and returns the partial trajectory
 // without error, as Search returns its partial incumbent; only a monitor
 // cancelled before its initial observation fails, returning ctx.Err().
-func OnlineMonitoring(ctx context.Context, q *stream.Query, k hardware.Checked, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
+func OnlineMonitoring(ctx context.Context, a *stream.Analysis, k hardware.Checked, initial sim.Placement, cfg MonitorConfig) ([]MonitorStep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cur := append(sim.Placement(nil), initial...)
-	m, err := sim.Run(q, k, cur, cfg.SimCfg)
+	m, err := sim.Run(a, k, cur, cfg.SimCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +73,12 @@ func OnlineMonitoring(ctx context.Context, q *stream.Query, k hardware.Checked, 
 		}
 		elapsed += cfg.IntervalS
 		last := steps[len(steps)-1]
-		next, move, moved := rebalanceOnce(q, k, last.Placement, last.Metrics, banned)
+		next, move, moved := rebalanceOnce(a, k, last.Placement, last.Metrics, banned)
 		if !moved {
 			break
 		}
 		elapsed += cfg.MigrationCostS
-		nm, err := sim.Run(q, k, next, cfg.SimCfg)
+		nm, err := sim.Run(a, k, next, cfg.SimCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -112,16 +112,16 @@ func better(a, b *sim.Metrics) bool {
 // valid, skipping moves in banned (already tried and reverted). It returns
 // the new placement, the (operator, target host) move, and whether a move
 // was found.
-func rebalanceOnce(q *stream.Query, k hardware.Checked, p sim.Placement, m *sim.Metrics, banned map[[2]int]bool) (sim.Placement, [2]int, bool) {
+func rebalanceOnce(a *stream.Analysis, k hardware.Checked, p sim.Placement, m *sim.Metrics, banned map[[2]int]bool) (sim.Placement, [2]int, bool) {
 	nHosts := len(k.Cluster().Hosts)
 	util := make([]float64, nHosts)
-	for i := range q.Ops {
-		util[p[i]] += m.PerOp[i].CPUUtil
+	for i, h := range p {
+		util[h] += m.PerOp[i].CPUUtil
 	}
 	// Operators ordered by CPU consumption descending (hungriest first);
 	// stable sort keeps ties in operator-index order, matching the
 	// insertion sort this replaces.
-	ops := make([]int, len(q.Ops))
+	ops := make([]int, len(p))
 	for i := range ops {
 		ops[i] = i
 	}
@@ -144,7 +144,7 @@ func rebalanceOnce(q *stream.Query, k hardware.Checked, p sim.Placement, m *sim.
 			}
 			next := append(sim.Placement(nil), p...)
 			next[op] = target
-			if Valid(q, k, next) {
+			if Valid(a, k, next) {
 				return next, [2]int{op, target}, true
 			}
 		}

@@ -12,16 +12,16 @@ import (
 
 func TestMonitoringTerminatesAndTracksTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
-	initial, err := RandomValid(rng, q, c)
+	initial, err := RandomValid(rng, a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 15, 3
 	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 6, SimCfg: cfg}
-	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
+	steps, err := OnlineMonitoring(context.Background(), a, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMonitoringRevertedMovesAreNotRepeated(t *testing.T) {
 	initial := sim.Placement{0, 0, 0, 0, 0}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
-	steps, err := OnlineMonitoring(context.Background(), q, c, initial, DefaultMonitorConfig(cfg))
+	steps, err := OnlineMonitoring(context.Background(), analyzed(q), c, initial, DefaultMonitorConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,21 +60,21 @@ func TestRebalanceProposesValidMove(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := testQuery()
 	c := checked(testCluster())
-	p, err := RandomValid(rng, q, c)
+	p, err := RandomValid(rng, analyzed(q), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
-	m, err := sim.Run(q, c, p, cfg)
+	m, err := sim.Run(analyzed(q), c, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, move, moved := rebalanceOnce(q, c, p, m, map[[2]int]bool{})
+	next, move, moved := rebalanceOnce(analyzed(q), c, p, m, map[[2]int]bool{})
 	if !moved {
 		t.Skip("no move proposed for this placement")
 	}
-	if !Valid(q, c, next) {
+	if !Valid(analyzed(q), c, next) {
 		t.Fatal("proposed move yields invalid placement")
 	}
 	if next[move[0]] != move[1] {
@@ -82,7 +82,7 @@ func TestRebalanceProposesValidMove(t *testing.T) {
 	}
 	// Banning the move must yield a different proposal (or none).
 	banned := map[[2]int]bool{move: true}
-	next2, move2, moved2 := rebalanceOnce(q, c, p, m, banned)
+	next2, move2, moved2 := rebalanceOnce(analyzed(q), c, p, m, banned)
 	if moved2 && move2 == move {
 		t.Fatal("banned move proposed again")
 	}
@@ -93,10 +93,10 @@ func TestSimOracleMatchesSim(t *testing.T) {
 	q := testQuery()
 	c := checked(testCluster())
 	p := sim.Placement{0, 0, 1, 2, 3}
-	if !Valid(q, c, p) {
+	if !Valid(analyzed(q), c, p) {
 		// fall back to a generated valid placement
 		var err error
-		p, err = RandomValid(rand.New(rand.NewSource(15)), q, c)
+		p, err = RandomValid(rand.New(rand.NewSource(15)), analyzed(q), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +104,11 @@ func TestSimOracleMatchesSim(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
-	pc, err := PredictOne(oracle, q, c, p)
+	pc, err := PredictOne(oracle, analyzed(q), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run(q, c, p, cfg)
+	m, err := sim.Run(analyzed(q), c, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +126,18 @@ func TestMonitoringDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := testQuery()
 	c := checked(testCluster())
-	initial, err := RandomValid(rng, q, c)
+	initial, err := RandomValid(rng, analyzed(q), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	mcfg := MonitorConfig{IntervalS: 10, MigrationCostS: 5, MaxSteps: 4, SimCfg: cfg}
-	a, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
+	a, err := OnlineMonitoring(context.Background(), analyzed(q), c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
+	b, err := OnlineMonitoring(context.Background(), analyzed(q), c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,11 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 	grids := []hardware.Grid{hardware.TrainingGrid(), hardware.InterpolationGrid()}
 	cases, moves, swaps := 0, 0, 0
 	check := func(name string, q *stream.Query, c *hardware.Cluster) {
-		g, err := newGenerator(q, checked(c))
+		topo, err := q.Topology()
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := newGenerator(q, topo, checked(c))
 		g.ban(rng.Perm(len(c.Hosts))[:rng.Intn(4)])
 		var bases []sim.Placement
 		if p, ok := g.randomValid(rng); ok {
@@ -145,20 +146,17 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 // neighborhood and a one-round budget covers exactly those.
 func TestLocalSearchScoresStartWithItsNeighborhood(t *testing.T) {
 	q, c := testQuery(), checked(cluster12())
-	inc, err := RandomValid(rand.New(rand.NewSource(4)), q, c)
+	inc, err := RandomValid(rand.New(rand.NewSource(4)), analyzed(q), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := newGenerator(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGenerator(q, analyzed(q).Topo, c)
 	size := min(len(g.neighbors(inc)), localNeighborCap)
 	if size < 4 {
 		t.Fatalf("incumbent %v has %d neighbors: the test needs more", inc, size)
 	}
 	strat := WarmStart{Incumbent: inc, Inner: LocalSearch{}}
-	res, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, strat, MinProcLatency,
 		Budget{MaxCandidates: 256}, SearchOptions{Seed: 5, Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +164,7 @@ func TestLocalSearchScoresStartWithItsNeighborhood(t *testing.T) {
 	if first := res.Telemetry[0]; first.Fresh != 1+size || first.Submitted != 1+size {
 		t.Fatalf("first round %+v, want %d fresh: the incumbent and its %d neighbors", first, 1+size, size)
 	}
-	one, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency,
+	one, err := Search(context.Background(), landscapePredictor{}, analyzed(q), c, strat, MinProcLatency,
 		Budget{MaxCandidates: 256, MaxRounds: 1}, SearchOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +182,7 @@ func BenchmarkLocalNeighbors(b *testing.B) {
 	for _, hosts := range []int{6, 220, 11_000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))
-			co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			co := newCore(context.Background(), landscapePredictor{}, analyzed(q), c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
 			blank := make(sim.Placement, q.NumOps())
 			for i := range blank {
 				blank[i] = -1

@@ -58,16 +58,16 @@ func (s CostSet) Copy(dst *PredCosts, src PredCosts) {
 }
 
 // Predictor is the cost model behind every placement decision: it opens a
-// scoring session for one (query, cluster) pair, and the session scores
-// that pair's candidate placements. COSTREAM's ensembles, the flat-vector
-// baseline and the simulator oracle implement it; PredictorFunc adapts a
-// plain per-placement cost function. Score and PredictOne are the two
-// ways to use one outside a search. A control-plane heal pass
-// (controlplane.Pass) searches several deployments at once on one
-// predictor, so NewScoreSession is called concurrently and must be safe
-// for concurrent use.
+// scoring session for one analysed query on one checked cluster (see
+// Check), which scores that pair's candidate placements.
+// COSTREAM's ensembles, the flat-vector baseline and the simulator oracle
+// implement it; PredictorFunc adapts a plain per-placement cost function.
+// Score and PredictOne are the two ways to use one outside a search. A
+// control-plane heal pass (controlplane.Pass) searches several
+// deployments at once on one predictor, so NewScoreSession is called
+// concurrently and must be safe for concurrent use.
 type Predictor interface {
-	NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error)
+	NewScoreSession(a *stream.Analysis, k hardware.Checked) (TileScorer, error)
 }
 
 // TileScorer scores tiles of candidates for one fixed (query, cluster)
@@ -95,16 +95,16 @@ type TileScorer interface {
 // Predictor. Its sessions call the function once per candidate (tile
 // width 1) and copy the fields a ScoreTile call's need names, so a search
 // over it ranks exactly as over a native session.
-type PredictorFunc func(q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error)
+type PredictorFunc func(a *stream.Analysis, k hardware.Checked, p sim.Placement) (PredCosts, error)
 
 // NewScoreSession implements Predictor.
-func (f PredictorFunc) NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error) {
-	return &funcSession{f: f, q: q, k: k}, nil
+func (f PredictorFunc) NewScoreSession(a *stream.Analysis, k hardware.Checked) (TileScorer, error) {
+	return &funcSession{f: f, a: a, k: k}, nil
 }
 
 type funcSession struct {
 	f PredictorFunc
-	q *stream.Query
+	a *stream.Analysis
 	k hardware.Checked
 }
 
@@ -115,7 +115,7 @@ func (s *funcSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredC
 		return fmt.Errorf("placement: tile output holds %d slots, want %d", len(out), len(cands))
 	}
 	for i, p := range cands {
-		costs, err := s.f(s.q, s.k, p)
+		costs, err := s.f(s.a, s.k, p)
 		if err != nil {
 			return err
 		}
@@ -124,10 +124,21 @@ func (s *funcSession) ScoreTile(cands []sim.Placement, need CostSet, out []PredC
 	return nil
 }
 
+// Check makes the two checks of a placement decision's inputs, where they
+// enter: it analyses q (Query.Analyze), then checks c (Cluster.Check).
+func Check(q *stream.Query, c *hardware.Cluster) (*stream.Analysis, hardware.Checked, error) {
+	a, err := q.Analyze()
+	if err != nil {
+		return nil, hardware.Checked{}, err
+	}
+	k, err := c.Check()
+	return a, k, err
+}
+
 // PredictOne predicts all five costs of one placement: a tile of one on a
 // session of its own.
-func PredictOne(pred Predictor, q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error) {
-	sess, err := pred.NewScoreSession(q, k)
+func PredictOne(pred Predictor, a *stream.Analysis, k hardware.Checked, p sim.Placement) (PredCosts, error) {
+	sess, err := pred.NewScoreSession(a, k)
 	if err != nil {
 		return PredCosts{}, err
 	}
@@ -145,20 +156,20 @@ func PredictOne(pred Predictor, q *stream.Query, k hardware.Checked, p sim.Place
 // cannot be opened is every candidate's error, and no candidates open
 // none. A cancelled ctx (nil means background) stops scoring at the next
 // tile, and the candidates left unscored carry ctx.Err().
-func Score(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, cands []sim.Placement, need CostSet) ([]PredCosts, []error) {
+func Score(ctx context.Context, pred Predictor, a *stream.Analysis, k hardware.Checked, cands []sim.Placement, need CostSet) ([]PredCosts, []error) {
 	costs := make([]PredCosts, len(cands))
 	errs := make([]error, len(cands))
 	if len(cands) > 0 {
-		scoreTiled(tiling{ctx, openSession(pred, q, k), cands, need, costs, errs}, 1)
+		scoreTiled(tiling{ctx, openSession(pred, a, k), cands, need, costs, errs}, 1)
 	}
 	return costs, errs
 }
 
-// openSession opens the predictor's session for (q, k). One that cannot be
+// openSession opens the predictor's session for (a, k). One that cannot be
 // opened becomes a session whose every tile fails with the error, so each
 // candidate scored on it carries that error.
-func openSession(pred Predictor, q *stream.Query, k hardware.Checked) TileScorer {
-	sess, err := pred.NewScoreSession(q, k)
+func openSession(pred Predictor, a *stream.Analysis, k hardware.Checked) TileScorer {
+	sess, err := pred.NewScoreSession(a, k)
 	if err != nil {
 		return failedSession{err}
 	}
@@ -306,22 +317,20 @@ func (o Objective) Reads() CostSet {
 // SimOracle is a Predictor that runs the execution simulator: it provides
 // perfect cost knowledge and is used by tests, the fleet simulator and as
 // an upper bound. Each candidate needs a simulator run of its own: the
-// session is the PredictorFunc adapter over one run per candidate, on the
-// cluster its caller checked. Each run analyses the fixed query again
-// (one Query.Analyze); sharing that analysis would take a second
-// simulator entry that accepts derived rates.
+// session is the PredictorFunc adapter over one run per candidate, all
+// on the analysis and the cluster its caller made.
 type SimOracle struct {
 	Cfg sim.Config
 }
 
 // NewScoreSession implements Predictor.
-func (o *SimOracle) NewScoreSession(q *stream.Query, k hardware.Checked) (TileScorer, error) {
-	return PredictorFunc(o.simulate).NewScoreSession(q, k)
+func (o *SimOracle) NewScoreSession(a *stream.Analysis, k hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(o.simulate).NewScoreSession(a, k)
 }
 
 // simulate runs the placement and reports the measured costs.
-func (o *SimOracle) simulate(q *stream.Query, k hardware.Checked, p sim.Placement) (PredCosts, error) {
-	m, err := sim.Run(q, k, p, o.Cfg)
+func (o *SimOracle) simulate(a *stream.Analysis, k hardware.Checked, p sim.Placement) (PredCosts, error) {
+	m, err := sim.Run(a, k, p, o.Cfg)
 	if err != nil {
 		return PredCosts{}, err
 	}

@@ -17,7 +17,7 @@ import (
 // candidates failAt marks, so tests can stage arbitrary score landscapes
 // over fakeCandidates.
 func indexedPredictor(costs []PredCosts, failAt map[int]bool) Predictor {
-	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+	return PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		if failAt[p[0]] {
 			return PredCosts{}, fmt.Errorf("fake failure at candidate %d", p[0])
 		}
@@ -44,7 +44,7 @@ func sanely(lat float64) PredCosts {
 // costs and errors, in candidate order, no matter how many workers score
 // them — for every objective's read set and for whole vectors.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	const n = 37
 	var costs []PredCosts
@@ -63,7 +63,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	cands := fakeCandidates(n)
 
 	for _, need := range []CostSet{MinProcLatency.Reads(), MinE2ELatency.Reads(), MaxThroughput.Reads(), AllCosts} {
-		base, baseErrs := Score(context.Background(), pred, q, c, cands, need)
+		base, baseErrs := Score(context.Background(), pred, a, c, cands, need)
 		for i := range cands {
 			var want PredCosts
 			if baseErrs[i] == nil {
@@ -74,7 +74,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{2, 3, 8, 64} {
-			got, errs := scorePooled(context.Background(), pred, q, c, cands, need, workers)
+			got, errs := scorePooled(context.Background(), pred, a, c, cands, need, workers)
 			if !reflect.DeepEqual(base, got) || !reflect.DeepEqual(baseErrs, errs) {
 				t.Errorf("need=%05b: workers=%d scored %+v / %v, serial %+v / %v", need, workers, got, errs, base, baseErrs)
 			}
@@ -85,18 +85,18 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // TestOptimizeDeterministicWithOracle repeats the determinism check with
 // the real simulator oracle end to end, through a search.
 func TestOptimizeDeterministicWithOracle(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
 	budget := Budget{MaxCandidates: 12}
-	base, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: 1})
+	base, err := Search(context.Background(), oracle, a, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, budget.MaxCandidates} {
-		got, err := Search(context.Background(), oracle, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: workers})
+		got, err := Search(context.Background(), oracle, a, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: 12, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,13 +113,13 @@ func TestOptimizeSkipsFailingCandidates(t *testing.T) {
 	c := testCluster()
 	sink := q.NumOps() - 1
 	failing := func(p sim.Placement) bool { return p[sink] == 3 }
-	pred := PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+	pred := PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		if failing(p) {
 			return PredCosts{}, fmt.Errorf("no prediction with the sink on host 3")
 		}
 		return landscapeCosts(q, c, p), nil
 	})
-	res, err := Search(context.Background(), pred, q, checked(c), Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
+	res, err := Search(context.Background(), pred, analyzed(q), checked(c), Exhaustive{}, MinProcLatency, Budget{MaxCandidates: 4096}, SearchOptions{Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func forEachValid(q *stream.Query, c *hardware.Cluster, fn func(sim.Placement)) 
 	var walk func(op int)
 	walk = func(op int) {
 		if op == len(p) {
-			if Valid(q, checked(c), p) {
+			if Valid(analyzed(q), checked(c), p) {
 				fn(p)
 			}
 			return
@@ -164,14 +164,14 @@ func forEachValid(q *stream.Query, c *hardware.Cluster, fn func(sim.Placement)) 
 // TestOptimizeAllCandidatesFail: only when every candidate errors does a
 // search fail, naming the predictor's error; Score reports it for each.
 func TestOptimizeAllCandidatesFail(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	pred := indexedPredictor(nil, map[int]bool{0: true, 1: true, 2: true, 3: true})
-	_, err := Search(context.Background(), pred, q, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
+	_, err := Search(context.Background(), pred, a, c, RandomSample{}, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{Seed: 1, Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "fake failure") {
 		t.Fatalf("search over failing candidates: err = %v", err)
 	}
-	_, errs := Score(context.Background(), pred, q, c, fakeCandidates(2), AllCosts)
+	_, errs := Score(context.Background(), pred, a, c, fakeCandidates(2), AllCosts)
 	for i, err := range errs {
 		if err == nil {
 			t.Errorf("candidate %d scored without error", i)

@@ -33,6 +33,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 	return k
 }
 
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func testCluster() *hardware.Cluster {
 	return &hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "edge-0", CPU: 50, RAMMB: 1000, NetLatencyMS: 80, NetBandwidthMbps: 50},
@@ -44,26 +53,26 @@ func testCluster() *hardware.Cluster {
 
 func TestRandomValidSatisfiesRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	for i := 0; i < 100; i++ {
-		p, err := RandomValid(rng, q, c)
+		p, err := RandomValid(rng, a, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Valid(q, c, p) {
+		if !Valid(a, c, p) {
 			t.Fatalf("RandomValid produced invalid placement %v", p)
 		}
 	}
 }
 
 func TestValidRejectsCapabilityDecrease(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	// Sink (cloud-capable data end) on edge after fog: source chain
 	// cloud -> edge violates increasing capability.
 	p := sim.Placement{3, 3, 3, 3, 0} // everything on cloud, sink on weakest edge
-	if Valid(q, c, p) {
+	if Valid(a, c, p) {
 		t.Error("placement with capability decrease accepted")
 	}
 }
@@ -81,20 +90,20 @@ func TestValidRejectsRevisit(t *testing.T) {
 		{ID: "fog-b", CPU: 400, RAMMB: 8000, NetLatencyMS: 10, NetBandwidthMbps: 800},
 	}})
 	// a -> b -> a: returns to a previously visited host.
-	if Valid(q, c, sim.Placement{0, 1, 0, 0}) {
+	if Valid(analyzed(q), c, sim.Placement{0, 1, 0, 0}) {
 		t.Error("cyclic host sequence accepted")
 	}
 	// a -> a -> b -> b is fine (co-location + forward move).
-	if !Valid(q, c, sim.Placement{0, 0, 1, 1}) {
+	if !Valid(analyzed(q), c, sim.Placement{0, 0, 1, 1}) {
 		t.Error("valid forward placement rejected")
 	}
 }
 
 func TestValidAllowsCoLocation(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	p := sim.Placement{3, 3, 3, 3, 3}
-	if !Valid(q, c, p) {
+	if !Valid(a, c, p) {
 		t.Error("all-on-cloud co-location should be valid")
 	}
 }
@@ -107,7 +116,7 @@ func enumerate(rng *rand.Rand, q *stream.Query, c *hardware.Cluster, k int) []si
 	var out []sim.Placement
 	seen := map[string]bool{}
 	for misses := 0; len(out) < k && misses < 8*k+64; {
-		p, err := RandomValid(rng, q, checked(c))
+		p, err := RandomValid(rng, analyzed(q), checked(c))
 		if err != nil || seen[fmt.Sprint(p)] {
 			misses++
 			continue
@@ -136,7 +145,7 @@ func TestEnumerateDistinct(t *testing.T) {
 			t.Fatalf("duplicate candidate %v", p)
 		}
 		seen[key] = true
-		if !Valid(q, checked(c), p) {
+		if !Valid(analyzed(q), checked(c), p) {
 			t.Fatalf("invalid candidate %v", p)
 		}
 	}
@@ -167,14 +176,14 @@ func TestOptimizeWithOracle(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	oracle := &SimOracle{Cfg: cfg}
-	res, err := Search(context.Background(), oracle, q, checked(c), RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
+	res, err := Search(context.Background(), oracle, analyzed(q), checked(c), RandomSample{}, MinProcLatency, Budget{MaxCandidates: 16}, SearchOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Examined != len(cands) {
 		t.Fatalf("search examined %d candidates, Enumerate drew %d", res.Examined, len(cands))
 	}
-	costs, errs := Score(context.Background(), oracle, q, checked(c), cands, AllCosts)
+	costs, errs := Score(context.Background(), oracle, analyzed(q), checked(c), cands, AllCosts)
 	best := -1
 	for i, pc := range costs {
 		if errs[i] != nil {
@@ -192,13 +201,13 @@ func TestOptimizeWithOracle(t *testing.T) {
 // TestOptimizeObjectives: a search under every objective returns a
 // placement, and scoring no candidates is no work and no error.
 func TestOptimizeObjectives(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 10, 2
 	oracle := &SimOracle{Cfg: cfg}
 	for _, obj := range []Objective{MinProcLatency, MinE2ELatency, MaxThroughput} {
-		res, err := Search(context.Background(), oracle, q, c, RandomSample{}, obj, Budget{MaxCandidates: 8}, SearchOptions{Seed: 5})
+		res, err := Search(context.Background(), oracle, a, c, RandomSample{}, obj, Budget{MaxCandidates: 8}, SearchOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%v: %v", obj, err)
 		}
@@ -206,14 +215,14 @@ func TestOptimizeObjectives(t *testing.T) {
 			t.Fatalf("%v: nil placement", obj)
 		}
 	}
-	if costs, errs := Score(context.Background(), oracle, q, c, nil, AllCosts); len(costs) != 0 || len(errs) != 0 {
+	if costs, errs := Score(context.Background(), oracle, a, c, nil, AllCosts); len(costs) != 0 || len(errs) != 0 {
 		t.Errorf("scoring no candidates returned %d costs and %d errors", len(costs), len(errs))
 	}
 }
 
 // fixedPredictor predicts costs[p[0]] for placement p.
 func fixedPredictor(costs []PredCosts) Predictor {
-	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+	return PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return costs[p[0]], nil
 	})
 }
@@ -222,7 +231,7 @@ func fixedPredictor(costs []PredCosts) Predictor {
 // candidates: the paper's sanity check drops predicted failures and
 // backpressure, and when it drops everything the cheapest candidate wins.
 func TestOptimizeSanityFilter(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	// Fake candidates distinguished by first entry.
 	cands := []sim.Placement{
@@ -237,10 +246,7 @@ func TestOptimizeSanityFilter(t *testing.T) {
 	}
 	choose := func() *SearchResult {
 		t.Helper()
-		co, err := newCore(context.Background(), fixedPredictor(costs), q, c, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		co := newCore(context.Background(), fixedPredictor(costs), a, c, MinProcLatency, Budget{MaxCandidates: 8}, SearchOptions{})
 		co.ScoreRound(cands)
 		res, err := co.result("fixed")
 		if err != nil {
@@ -264,13 +270,13 @@ func TestOptimizeSanityFilter(t *testing.T) {
 
 func TestOnlineMonitoringImproves(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	// Deliberately poor but valid initial placement: everything on the
 	// weakest fog-capable chain start.
 	var initial sim.Placement
 	for i := 0; i < 50; i++ {
-		p, err := RandomValid(rng, q, c)
+		p, err := RandomValid(rng, a, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +286,7 @@ func TestOnlineMonitoringImproves(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.DurationS, cfg.WarmupS = 20, 4
 	mcfg := DefaultMonitorConfig(cfg)
-	steps, err := OnlineMonitoring(context.Background(), q, c, initial, mcfg)
+	steps, err := OnlineMonitoring(context.Background(), a, c, initial, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +300,7 @@ func TestOnlineMonitoringImproves(t *testing.T) {
 		if steps[i].ElapsedS <= steps[i-1].ElapsedS {
 			t.Error("elapsed time must increase")
 		}
-		if !Valid(q, c, steps[i].Placement) {
+		if !Valid(a, c, steps[i].Placement) {
 			t.Errorf("step %d placement invalid", i)
 		}
 	}
@@ -318,10 +324,10 @@ func TestValidSingleHostCluster(t *testing.T) {
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "only", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}})
-	if !Valid(q, c, sim.Placement{0, 0, 0, 0, 0}) {
+	if !Valid(analyzed(q), c, sim.Placement{0, 0, 0, 0, 0}) {
 		t.Error("all-on-single-host placement rejected")
 	}
-	p, err := RandomValid(rand.New(rand.NewSource(1)), q, c)
+	p, err := RandomValid(rand.New(rand.NewSource(1)), analyzed(q), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,27 +365,27 @@ func TestValidDiamondRevisit(t *testing.T) {
 	// Branch s1->f1 leaves host 0; s2 sits on host 0. Joining on host 0
 	// returns s1's flow to a host it already left: invalid, even though
 	// the join would co-locate with its immediate upstream s2.
-	if Valid(q, checked(c), sim.Placement{0, 1, 0, 0, 0}) {
+	if Valid(analyzed(q), checked(c), sim.Placement{0, 1, 0, 0, 0}) {
 		t.Error("join revisiting a host one branch already left was accepted")
 	}
 	// Joining on f1's host is plain co-location for that branch and a
 	// first visit for s2's branch: valid.
-	if !Valid(q, checked(c), sim.Placement{0, 1, 2, 1, 1}) {
+	if !Valid(analyzed(q), checked(c), sim.Placement{0, 1, 2, 1, 1}) {
 		t.Error("valid fan-in co-location rejected")
 	}
 	// Joining on a fresh host is always fine.
-	if !Valid(q, checked(c), sim.Placement{0, 1, 0, 2, 2}) {
+	if !Valid(analyzed(q), checked(c), sim.Placement{0, 1, 0, 2, 2}) {
 		t.Error("fan-in onto a fresh host rejected")
 	}
 	// The generator must never emit placements Valid rejects (regression:
 	// the original draw code allowed the first case above).
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		p, err := RandomValid(rng, q, checked(c))
+		p, err := RandomValid(rng, analyzed(q), checked(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Valid(q, checked(c), p) {
+		if !Valid(analyzed(q), checked(c), p) {
 			t.Fatalf("draw %d: RandomValid produced invalid placement %v", i, p)
 		}
 	}
@@ -407,14 +413,14 @@ func TestValidCapabilityBinBoundaries(t *testing.T) {
 	q := b.MustBuild()
 
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongEdge, weakFog, weakFog2}})
-	if !Valid(q, c, sim.Placement{0, 1, 1}) {
+	if !Valid(analyzed(q), c, sim.Placement{0, 1, 1}) {
 		t.Error("edge -> fog transition rejected at the bin boundary")
 	}
-	if Valid(q, c, sim.Placement{1, 0, 0}) {
+	if Valid(analyzed(q), c, sim.Placement{1, 0, 0}) {
 		t.Error("fog -> edge transition accepted despite the bin decrease")
 	}
 	// Same bin both ways: capability within a bin may go "down".
-	if !Valid(q, c, sim.Placement{1, 2, 2}) || !Valid(q, c, sim.Placement{2, 1, 1}) {
+	if !Valid(analyzed(q), c, sim.Placement{1, 2, 2}) || !Valid(analyzed(q), c, sim.Placement{2, 1, 1}) {
 		t.Error("same-bin transitions must be allowed in both directions")
 	}
 }

@@ -41,10 +41,7 @@ func TestWarmNeighborhoodAllocsFlat(t *testing.T) {
 	allocs := map[int]float64{}
 	for _, hosts := range []int{6, 11_000} {
 		c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))
-		co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		co := newCore(context.Background(), landscapePredictor{}, analyzed(q), c, MinProcLatency, Budget{}, SearchOptions{Seed: 1})
 		blank := make(sim.Placement, q.NumOps())
 		for i := range blank {
 			blank[i] = -1

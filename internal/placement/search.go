@@ -165,7 +165,7 @@ type Strategy interface {
 type Core struct {
 	ctx     context.Context
 	pred    Predictor
-	q       *stream.Query
+	a       *stream.Analysis
 	k       hardware.Checked
 	obj     Objective
 	budget  Budget
@@ -196,17 +196,14 @@ type Core struct {
 	complete    bool
 }
 
-func newCore(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, obj Objective, budget Budget, opts SearchOptions) (*Core, error) {
-	gen, err := newGenerator(q, k)
-	if err != nil {
-		return nil, err
-	}
+func newCore(ctx context.Context, pred Predictor, a *stream.Analysis, k hardware.Checked, obj Objective, budget Budget, opts SearchOptions) *Core {
+	gen := newGenerator(a.Query(), a.Topo, k)
 	gen.ban(opts.BannedHosts)
 	budget = budget.withDefaults()
 	return &Core{
 		ctx:           ctx,
 		pred:          pred,
-		q:             q,
+		a:             a,
 		k:             k,
 		obj:           obj,
 		budget:        budget,
@@ -218,11 +215,11 @@ func newCore(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Ch
 		bestIdx:       -1,
 		fallbackIdx:   -1,
 		collectRounds: opts.Telemetry,
-	}, nil
+	}
 }
 
 // Query returns the query under placement.
-func (co *Core) Query() *stream.Query { return co.q }
+func (co *Core) Query() *stream.Query { return co.a.Query() }
 
 // Rng returns the seeded random source shared by the whole search run.
 func (co *Core) Rng() *rand.Rand { return co.rng }
@@ -343,7 +340,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 	if len(fresh) > 0 {
 		roundStart := time.Now()
 		if co.sess == nil {
-			co.sess = openSession(co.pred, co.q, co.k)
+			co.sess = openSession(co.pred, co.a, co.k)
 		}
 		costs := make([]PredCosts, len(fresh))
 		errs := make([]error, len(fresh))
@@ -441,7 +438,7 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 		}
 		if err == nil {
 			err = fmt.Errorf("placement: no valid placement candidates for %d operators on %d hosts",
-				co.q.NumOps(), co.gen.nHosts)
+				co.Query().NumOps(), co.gen.nHosts)
 		}
 		return nil, fmt.Errorf("placement: %s search scored no candidates: %w", strategy, err)
 	}
@@ -476,15 +473,12 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 // candidate boundary and returns the best candidate scored so far
 // (SearchResult.Cancelled is set). Only a search cancelled before scoring
 // any candidate fails, wrapping ctx.Err().
-func Search(ctx context.Context, pred Predictor, q *stream.Query, k hardware.Checked, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
+func Search(ctx context.Context, pred Predictor, a *stream.Analysis, k hardware.Checked, strat Strategy, obj Objective, budget Budget, opts SearchOptions) (*SearchResult, error) {
 	if strat == nil {
 		strat = RandomSample{}
 	}
-	co, err := newCore(ctx, pred, q, k, obj, budget, opts)
-	if err != nil {
-		return nil, err
-	}
-	err = strat.Run(co)
+	co := newCore(ctx, pred, a, k, obj, budget, opts)
+	err := strat.Run(co)
 	co.gen.release()
 	if err != nil && len(co.records) == 0 {
 		return nil, err

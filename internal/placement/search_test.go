@@ -18,10 +18,10 @@ import (
 // compared against random sampling on exact, reproducible numbers.
 type landscapePredictor struct{}
 
-func landscapeCosts(q *stream.Query, k hardware.Checked, p sim.Placement) PredCosts {
+func landscapeCosts(q *stream.Analysis, k hardware.Checked, p sim.Placement) PredCosts {
 	c := k.Cluster()
 	lat := 0.0
-	for _, e := range q.Edges {
+	for _, e := range q.Query().Edges {
 		lat += c.LinkLatencyMS(p[e[0]], p[e[1]])
 	}
 	for _, h := range p {
@@ -35,8 +35,8 @@ func landscapeCosts(q *stream.Query, k hardware.Checked, p sim.Placement) PredCo
 	}
 }
 
-func (landscapePredictor) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
-	return PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+func (landscapePredictor) NewScoreSession(q *stream.Analysis, c hardware.Checked) (TileScorer, error) {
+	return PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return landscapeCosts(q, c, p), nil
 	}).NewScoreSession(q, c)
 }
@@ -85,17 +85,17 @@ func allStrategies(t *testing.T) []Strategy {
 // matter how many scoring workers run. Under -race this doubles as the
 // search engine's data-race check.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(cluster12())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
-		base, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: 1})
+		base, err := Search(context.Background(), pred, a, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 		for _, workers := range []int{2, 5, 16} {
-			got, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: workers})
+			got, err := Search(context.Background(), pred, a, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", strat.Name(), workers, err)
 			}
@@ -110,17 +110,17 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // 12-host cluster, Beam and LocalSearch must find an equal-or-better
 // predicted objective than RandomSample under the same candidate budget.
 func TestGuidedSearchBeatsRandom(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(cluster12())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 64}
 	for _, seed := range []int64{3, 7, 11, 42} {
-		randRes, err := Search(context.Background(), pred, q, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: seed})
+		randRes, err := Search(context.Background(), pred, a, c, RandomSample{}, MinProcLatency, budget, SearchOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, strat := range []Strategy{Beam{Width: 4}, LocalSearch{}} {
-			res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: seed})
+			res, err := Search(context.Background(), pred, a, c, strat, MinProcLatency, budget, SearchOptions{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", strat.Name(), seed, err)
 			}
@@ -138,22 +138,22 @@ func TestGuidedSearchBeatsRandom(t *testing.T) {
 // TestExhaustiveCompleteIsOptimal: on a small space, Exhaustive covers
 // everything, reports Complete, and no other strategy can beat it.
 func TestExhaustiveCompleteIsOptimal(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 4096}
-	ex, err := Search(context.Background(), pred, q, c, Exhaustive{}, MinProcLatency, budget, SearchOptions{Seed: 1})
+	ex, err := Search(context.Background(), pred, a, c, Exhaustive{}, MinProcLatency, budget, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ex.Complete {
 		t.Fatalf("exhaustive did not cover the %d-examined space", ex.Examined)
 	}
-	if !Valid(q, c, ex.Placement) {
+	if !Valid(a, c, ex.Placement) {
 		t.Fatalf("exhaustive returned invalid placement %v", ex.Placement)
 	}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 5})
+		res, err := Search(context.Background(), pred, a, c, strat, MinProcLatency, budget, SearchOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -171,7 +171,7 @@ func TestSearchBudgetEnforced(t *testing.T) {
 	c := checked(cluster12())
 	pred := landscapePredictor{}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, Budget{MaxCandidates: 5}, SearchOptions{Seed: 2})
+		res, err := Search(context.Background(), pred, analyzed(q), c, strat, MinProcLatency, Budget{MaxCandidates: 5}, SearchOptions{Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -181,7 +181,7 @@ func TestSearchBudgetEnforced(t *testing.T) {
 		if res.Complete {
 			t.Errorf("%s: claims complete coverage under a 5-candidate budget", strat.Name())
 		}
-		res, err = Search(context.Background(), pred, q, c, strat, MinProcLatency,
+		res, err = Search(context.Background(), pred, analyzed(q), c, strat, MinProcLatency,
 			Budget{MaxCandidates: 256, MaxRounds: 1}, SearchOptions{Seed: 2})
 		if err != nil {
 			t.Fatalf("%s rounds=1: %v", strat.Name(), err)
@@ -199,11 +199,11 @@ func TestSearchValidPlacements(t *testing.T) {
 	pred := landscapePredictor{}
 	for _, c := range []*hardware.Cluster{testCluster(), cluster12()} {
 		for _, strat := range allStrategies(t) {
-			res, err := Search(context.Background(), pred, q, checked(c), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
+			res, err := Search(context.Background(), pred, analyzed(q), checked(c), strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 4})
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
 			}
-			if !Valid(q, checked(c), res.Placement) {
+			if !Valid(analyzed(q), checked(c), res.Placement) {
 				t.Errorf("%s: invalid placement %v", strat.Name(), res.Placement)
 			}
 			if res.Strategy != strat.Name() {
@@ -215,7 +215,7 @@ func TestSearchValidPlacements(t *testing.T) {
 
 // insanePredictor predicts failure for every placement, exercising the
 // sanity-filter fallback path.
-var insanePredictor = PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+var insanePredictor = PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 	pc := landscapeCosts(q, c, p)
 	pc.Success = false
 	return pc, nil
@@ -224,9 +224,9 @@ var insanePredictor = PredictorFunc(func(q *stream.Query, c hardware.Checked, p 
 // TestSearchFallbackWhenAllInsane: when every candidate fails the sanity
 // check, the search still returns the cheapest scored placement.
 func TestSearchFallbackWhenAllInsane(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
-	res, err := Search(context.Background(), insanePredictor, q, c, RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), insanePredictor, a, c, RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 8}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +244,7 @@ func TestSearchFallbackWhenAllInsane(t *testing.T) {
 func TestScoreRoundDedupAndCaching(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	co, err := newCore(context.Background(), landscapePredictor{}, q, checked(c), MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := newCore(context.Background(), landscapePredictor{}, analyzed(q), checked(c), MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 	cands := enumerate(rand.New(rand.NewSource(1)), q, c, 4)
 	if len(cands) < 2 {
 		t.Fatalf("want >= 2 candidates, got %d", len(cands))
@@ -277,12 +274,9 @@ func TestScoreRoundDedupAndCaching(t *testing.T) {
 // TestScoreRoundIntraRoundDuplicate: a batch containing the same fresh
 // placement twice scores it once and resolves both entries.
 func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
-	q := testQuery()
+	a := analyzed(testQuery())
 	c := checked(testCluster())
-	co, err := newCore(context.Background(), landscapePredictor{}, q, c, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := newCore(context.Background(), landscapePredictor{}, a, c, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 1})
 	p := sim.Placement{3, 3, 3, 3, 3}
 	out := co.ScoreRound([]sim.Placement{p, p})
 	if co.Examined() != 1 {
@@ -299,10 +293,7 @@ func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
 func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
-	co, err := newCore(context.Background(), landscapePredictor{}, q, checked(c), MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := newCore(context.Background(), landscapePredictor{}, analyzed(q), checked(c), MinProcLatency, Budget{MaxCandidates: 1}, SearchOptions{Seed: 1})
 	cands := enumerate(rand.New(rand.NewSource(1)), q, c, 17)
 	if len(cands) < 17 {
 		t.Fatalf("want 17 candidates, got %d", len(cands))

@@ -17,7 +17,7 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 	pred := landscapePredictor{}
 	budget := Budget{MaxCandidates: 48}
 	for _, strat := range allStrategies(t) {
-		res, err := Search(context.Background(), pred, q, c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Telemetry: true})
+		res, err := Search(context.Background(), pred, analyzed(q), c, strat, MinProcLatency, budget, SearchOptions{Seed: 9, Telemetry: true})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
@@ -69,7 +69,7 @@ func TestSearchTelemetryPerRound(t *testing.T) {
 // TestSearchTelemetryOffByDefault pins that plain runs pay nothing for
 // per-round collection and keep the result JSON-marshalable.
 func TestSearchTelemetryOffByDefault(t *testing.T) {
-	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), checked(cluster12()), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, analyzed(testQuery()), checked(cluster12()), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -84,13 +84,13 @@ func TestSearchTelemetryOffByDefault(t *testing.T) {
 
 // TestSearchTelemetryDoesNotChangeSelection: collection is observational.
 func TestSearchTelemetryDoesNotChangeSelection(t *testing.T) {
-	q, c := testQuery(), checked(cluster12())
+	a, c := analyzed(testQuery()), checked(cluster12())
 	for _, strat := range allStrategies(t) {
-		plain, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7})
+		plain, err := Search(context.Background(), landscapePredictor{}, a, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := Search(context.Background(), landscapePredictor{}, q, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7, Telemetry: true})
+		traced, err := Search(context.Background(), landscapePredictor{}, a, c, strat, MinProcLatency, Budget{MaxCandidates: 32}, SearchOptions{Seed: 7, Telemetry: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestSearchMetricsRecorded(t *testing.T) {
 	runs := obs.Default().Counter("costream_search_runs_total",
 		"completed placement search runs, by strategy", "strategy", "random")
 	runs0 := runs.Value()
-	res, err := Search(context.Background(), landscapePredictor{}, testQuery(), checked(cluster12()), RandomSample{}, MinProcLatency,
+	res, err := Search(context.Background(), landscapePredictor{}, analyzed(testQuery()), checked(cluster12()), RandomSample{}, MinProcLatency,
 		Budget{MaxCandidates: 16}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func (s *tileFakeSession) ScoreTile(cands []sim.Placement, need CostSet, out []P
 	return nil
 }
 
-func (f *tileFake) NewScoreSession(q *stream.Query, c hardware.Checked) (TileScorer, error) {
+func (f *tileFake) NewScoreSession(q *stream.Analysis, c hardware.Checked) (TileScorer, error) {
 	f.sessions.Add(1)
 	if f.failSession {
 		return nil, fmt.Errorf("no session")
@@ -82,7 +82,7 @@ func (f *tileFake) NewScoreSession(q *stream.Query, c hardware.Checked) (TileSco
 
 // scorePooled is Score through a pool of workers, the pool a search
 // scores its rounds with.
-func scorePooled(ctx context.Context, pred Predictor, q *stream.Query, c hardware.Checked, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
+func scorePooled(ctx context.Context, pred Predictor, q *stream.Analysis, c hardware.Checked, cands []sim.Placement, need CostSet, workers int) ([]PredCosts, []error) {
 	costs := make([]PredCosts, len(cands))
 	errs := make([]error, len(cands))
 	scoreTiled(tiling{ctx, openSession(pred, q, c), cands, need, costs, errs}, workers)
@@ -198,9 +198,9 @@ func TestScoreTiledDegenerateTileSize(t *testing.T) {
 // opened fails every candidate, and the search with them, naming the
 // session's error.
 func TestSearchOpensOneSession(t *testing.T) {
-	q, c := testQuery(), checked(cluster12())
+	a, c := analyzed(testQuery()), checked(cluster12())
 	f := &tileFake{tile: 4, poison: -1}
-	res, err := Search(context.Background(), f, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
+	res, err := Search(context.Background(), f, a, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSearchOpensOneSession(t *testing.T) {
 	}
 
 	broken := &tileFake{tile: 4, poison: -1, failSession: true}
-	if _, err := Search(context.Background(), broken, q, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3}); err == nil ||
+	if _, err := Search(context.Background(), broken, a, c, Beam{}, MinProcLatency, Budget{MaxCandidates: 48}, SearchOptions{Seed: 3}); err == nil ||
 		!strings.Contains(err.Error(), "no session") || broken.sessions.Load() != 1 {
 		t.Fatalf("failed session: err = %v after %d sessions, want the session's error after one", err, broken.sessions.Load())
 	}
@@ -235,14 +235,14 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		if reads&(CostSuccess|CostBackpressure) != CostSuccess|CostBackpressure || reads == AllCosts {
 			t.Fatalf("%v reads %05b: want the sanity check's two costs and one regression cost", obj, reads)
 		}
-		warm, err := RandomValid(rand.New(rand.NewSource(4)), q, checked(c))
+		warm, err := RandomValid(rand.New(rand.NewSource(4)), analyzed(q), checked(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var beam *SearchResult
 		for _, strat := range []Strategy{WarmStart{Incumbent: warm, Inner: LocalSearch{}}, Beam{}} {
 			f := &tileFake{tile: 4, poison: -1}
-			res, err := Search(context.Background(), f, q, checked(c), strat, obj, budget, SearchOptions{Seed: 3})
+			res, err := Search(context.Background(), f, analyzed(q), checked(c), strat, obj, budget, SearchOptions{Seed: 3})
 			if err != nil {
 				t.Fatalf("%v %s: %v", obj, strat.Name(), err)
 			}
@@ -266,10 +266,10 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 			beam = res
 		}
 
-		plain := PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (PredCosts, error) {
+		plain := PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (PredCosts, error) {
 			return fakeCosts(p), nil
 		})
-		res, err := Search(context.Background(), plain, q, checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3})
+		res, err := Search(context.Background(), plain, analyzed(q), checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestSearchScoresWhatTheObjectiveReads(t *testing.T) {
 		}
 
 		broken := &tileFake{tile: 4, poison: -1, failNeed: AllCosts &^ reads}
-		if _, err := Search(context.Background(), broken, q, checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
+		if _, err := Search(context.Background(), broken, analyzed(q), checked(c), Beam{}, obj, budget, SearchOptions{Seed: 3}); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("no prediction for costs %05b", AllCosts&^reads)) {
 			t.Fatalf("%v: failing completion gave err = %v, want the session's error", obj, err)
 		}
@@ -314,11 +314,11 @@ func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 	want := make([]PredCosts, len(cands))
 	for i, p := range cands {
 		var err error
-		if want[i], err = oracle.simulate(q, checked(c), p); err != nil {
+		if want[i], err = oracle.simulate(analyzed(q), checked(c), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sess, err := oracle.NewScoreSession(q, checked(c))
+	sess, err := oracle.NewScoreSession(analyzed(q), checked(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +351,12 @@ func TestPredictorFuncScoresTheNeedFields(t *testing.T) {
 // and errors slices and the adapter's session, and nothing more. A round
 // of one tile scores inline: the closure par.Each takes would allocate.
 func TestScoreOneCandidateAllocs(t *testing.T) {
-	q, c := testQuery(), checked(testCluster())
-	pred := PredictorFunc(func(_ *stream.Query, _ hardware.Checked, p sim.Placement) (PredCosts, error) {
+	a, c := analyzed(testQuery()), checked(testCluster())
+	pred := PredictorFunc(func(_ *stream.Analysis, _ hardware.Checked, p sim.Placement) (PredCosts, error) {
 		return fakeCosts(p), nil
 	})
 	cands := tiledCandidates(1)
-	allocs := testing.AllocsPerRun(100, func() { Score(context.Background(), pred, q, c, cands, AllCosts) })
+	allocs := testing.AllocsPerRun(100, func() { Score(context.Background(), pred, a, c, cands, AllCosts) })
 	if allocs > 3 {
 		t.Errorf("one-candidate Score allocates %v times, want at most 3", allocs)
 	}

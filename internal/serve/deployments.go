@@ -45,7 +45,7 @@ func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cluster, err := validatePair(req.Query, req.Cluster)
+	a, cluster, err := validatePair(req.Query, req.Cluster)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -54,7 +54,7 @@ func (s *Server) handleDeployCreate(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = s.nextDeploymentID()
 	}
-	st, err := s.plane.Deploy(r.Context(), id, req.Query, cluster, req.Placement)
+	st, err := s.plane.Deploy(r.Context(), id, a, cluster, req.Placement)
 	if err != nil {
 		var dup *controlplane.DuplicateError
 		if errors.As(err, &dup) {

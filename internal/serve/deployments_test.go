@@ -32,7 +32,16 @@ func checked(c *hardware.Cluster) hardware.Checked {
 	return k
 }
 
-func (echoFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+// analyzed analyses a test query, which must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+func (echoFeed) Observe(q *stream.Analysis, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	pc := fakeCosts(p)
 	return &sim.Metrics{
 		ThroughputTPS: pc.ThroughputTPS,
@@ -303,7 +312,7 @@ type countingFeed struct {
 	n atomic.Int64
 }
 
-func (f *countingFeed) Observe(q *stream.Query, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
+func (f *countingFeed) Observe(q *stream.Analysis, c hardware.Checked, p sim.Placement) (*sim.Metrics, error) {
 	f.n.Add(1)
 	return f.echoFeed.Observe(q, c, p)
 }
@@ -356,7 +365,7 @@ func TestControlLoopStopFlushes(t *testing.T) {
 // failingFeed is a metric feed whose probe is down.
 type failingFeed struct{}
 
-func (failingFeed) Observe(*stream.Query, hardware.Checked, sim.Placement) (*sim.Metrics, error) {
+func (failingFeed) Observe(*stream.Analysis, hardware.Checked, sim.Placement) (*sim.Metrics, error) {
 	return nil, errors.New("probe down")
 }
 

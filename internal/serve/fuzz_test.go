@@ -185,7 +185,7 @@ func FuzzOptimizeRoute(f *testing.F) {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if !placement.Valid(req.Query, checked(req.Cluster), resp.Placement) {
+		if !placement.Valid(analyzed(req.Query), checked(req.Cluster), resp.Placement) {
 			t.Fatalf("200 carries invalid placement %v", resp.Placement)
 		}
 		one, err := json.Marshal(PredictRequest{Query: req.Query, Cluster: req.Cluster, Placement: resp.Placement})

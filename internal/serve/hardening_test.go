@@ -309,7 +309,7 @@ type cancellingPred struct {
 	cancel context.CancelFunc
 }
 
-func (p *cancellingPred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
+func (p *cancellingPred) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
 	return cancellingSession{fakeSession{&p.fakePred}, p.cancel}, nil
 }
 
@@ -365,8 +365,8 @@ type gatedPred struct {
 	tiles  atomic.Int64
 }
 
-func (g *gatedPred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
-	return placement.PredictorFunc(func(q *stream.Query, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
+func (g *gatedPred) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
+	return placement.PredictorFunc(func(q *stream.Analysis, c hardware.Checked, p sim.Placement) (placement.PredCosts, error) {
 		if g.tiles.Add(1) == g.limit {
 			g.cancel()
 		}

@@ -47,7 +47,7 @@ func fakeCosts(p sim.Placement) placement.PredCosts {
 	}
 }
 
-func (f *fakePred) NewScoreSession(q *stream.Query, c hardware.Checked) (placement.TileScorer, error) {
+func (f *fakePred) NewScoreSession(q *stream.Analysis, c hardware.Checked) (placement.TileScorer, error) {
 	return fakeSession{f}, nil
 }
 
@@ -760,7 +760,7 @@ func TestServeMatchesDirectPredictions(t *testing.T) {
 	s := newTestServer(t, Config{Predictor: pred})
 
 	for i, tr := range corpus.Traces[:10] {
-		want, err := placement.PredictOne(pred, tr.Query, checked(tr.Cluster), tr.Placement)
+		want, err := placement.PredictOne(pred, analyzed(tr.Query), checked(tr.Cluster), tr.Placement)
 		if err != nil {
 			t.Fatal(err)
 		}

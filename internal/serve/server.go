@@ -249,12 +249,12 @@ func (s *Server) writeSaturated(w http.ResponseWriter) {
 // On failure it answers the request itself and returns false: 503 with
 // Retry-After when saturated, 503 when the client is gone, and 422 for
 // the first placement that failed, named by what(i).
-func (s *Server) score(w http.ResponseWriter, r *http.Request, q *stream.Query, k hardware.Checked, ps []sim.Placement, what func(i int) string) ([]placement.PredCosts, bool) {
+func (s *Server) score(w http.ResponseWriter, r *http.Request, a *stream.Analysis, k hardware.Checked, ps []sim.Placement, what func(i int) string) ([]placement.PredCosts, bool) {
 	if err := s.acquire(); err != nil {
 		s.writeSaturated(w)
 		return nil, false
 	}
-	out, errs := placement.Score(r.Context(), s.pred, q, k, ps, placement.AllCosts)
+	out, errs := placement.Score(r.Context(), s.pred, a, k, ps, placement.AllCosts)
 	s.release()
 	for i, err := range errs {
 		if err == nil {
@@ -466,18 +466,15 @@ func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
 }
 
 // validatePair checks the parts shared by every request kind and returns
-// the checked cluster.
-func validatePair(q *stream.Query, c *hardware.Cluster) (hardware.Checked, error) {
+// the query's analysis and the checked cluster.
+func validatePair(q *stream.Query, c *hardware.Cluster) (*stream.Analysis, hardware.Checked, error) {
 	if q == nil {
-		return hardware.Checked{}, fmt.Errorf("missing query")
+		return nil, hardware.Checked{}, fmt.Errorf("missing query")
 	}
 	if c == nil {
-		return hardware.Checked{}, fmt.Errorf("missing cluster")
+		return nil, hardware.Checked{}, fmt.Errorf("missing cluster")
 	}
-	if err := q.Validate(); err != nil {
-		return hardware.Checked{}, fmt.Errorf("invalid query: %v", err)
-	}
-	return c.Check()
+	return placement.Check(q, c)
 }
 
 // handlePredict answers from the cache before any JSON work: the key is
@@ -509,7 +506,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, bodyError(err))
 		return
 	}
-	cluster, err := validatePair(req.Query, req.Cluster)
+	a, cluster, err := validatePair(req.Query, req.Cluster)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -520,7 +517,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	clk.lap(s.met.predict.decode)
 
-	costs, ok := s.score(w, r, req.Query, cluster, []sim.Placement{req.Placement}, func(int) string { return "" })
+	costs, ok := s.score(w, r, a, cluster, []sim.Placement{req.Placement}, func(int) string { return "" })
 	clk.lap(s.met.predict.score)
 	if !ok {
 		return
@@ -540,7 +537,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cluster, err := validatePair(req.Query, req.Cluster)
+	a, cluster, err := validatePair(req.Query, req.Cluster)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -559,7 +556,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	out, ok := s.score(w, r, req.Query, cluster, req.Placements, func(i int) string { return fmt.Sprintf("placement %d: ", i) })
+	out, ok := s.score(w, r, a, cluster, req.Placements, func(i int) string { return fmt.Sprintf("placement %d: ", i) })
 	if !ok {
 		return
 	}
@@ -573,7 +570,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cluster, err := validatePair(req.Query, req.Cluster)
+	a, cluster, err := validatePair(req.Query, req.Cluster)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -629,7 +626,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// The request context threads into the search: a disconnecting
 	// client stops candidate scoring at the next batch instead of
 	// burning the full budget.
-	res, err := placement.Search(r.Context(), s.pred, req.Query, cluster, strat, obj,
+	res, err := placement.Search(r.Context(), s.pred, a, cluster, strat, obj,
 		placement.Budget{MaxCandidates: k, MaxRounds: req.Rounds},
 		placement.SearchOptions{Seed: seed, Telemetry: req.Debug})
 	s.release()
@@ -668,11 +665,11 @@ func buildExample() ([]byte, error) {
 	gen := workload.New(workload.DefaultConfig(1))
 	q := gen.Query()
 	c := gen.Cluster()
-	k, err := c.Check()
+	a, k, err := validatePair(q, c)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building example request: %w", err)
 	}
-	p, err := placement.RandomValid(rand.New(rand.NewSource(1)), q, k)
+	p, err := placement.RandomValid(rand.New(rand.NewSource(1)), a, k)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building example request: %w", err)
 	}

@@ -13,11 +13,11 @@ import (
 // demandOf derives the run's rates and returns them with demand's load.
 func demandOf(t *testing.T, g generatedRun) (*stream.Rates, load) {
 	t.Helper()
-	r, err := g.q.Analyze()
+	a, err := g.q.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, demand(g.q, g.c, g.p, r)
+	return &a.Rates, demand(g.q, g.c, g.p, &a.Rates)
 }
 
 // cores is operator i's CPU demand in cores: its in-rate times its
@@ -78,7 +78,7 @@ func TestDemandIsWhatTheRunMeasures(t *testing.T) {
 				continue
 			}
 			kept++
-			m, err := Run(g.q, checked(g.c), g.p, g.cfg)
+			m, err := Run(analyzed(g.q), checked(g.c), g.p, g.cfg)
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, k, err)
 			}
@@ -126,14 +126,14 @@ func TestColocatingRemovesTheEdgesBits(t *testing.T) {
 		u := cut[rng.Intn(len(cut))]
 		r, before := demandOf(t, g)
 		v := r.Topo.Downs(u)[0]
-		was, err := Run(g.q, checked(g.c), g.p, g.cfg)
+		was, err := Run(analyzed(g.q), checked(g.c), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
 		g.p = slices.Clone(g.p)
 		g.p[u] = g.p[v]
 		_, after := demandOf(t, g)
-		m, err := Run(g.q, checked(g.c), g.p, g.cfg)
+		m, err := Run(analyzed(g.q), checked(g.c), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d moved: %v", k, err)
 		}
@@ -205,12 +205,12 @@ func TestDemandScalesWithSourceRates(t *testing.T) {
 func TestMoreBandwidthNeverLowersThroughput(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for k, g := range generatedRuns(13, 100, 3, 6, 220) {
-		base, err := Run(g.q, checked(g.c), g.p, g.cfg)
+		base, err := Run(analyzed(g.q), checked(g.c), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
 		h := g.p[rng.Intn(len(g.p))]
-		m, err := Run(g.q, checked(withHost(g.c, h, func(host *hardware.Host) { host.NetBandwidthMbps *= 2 })), g.p, g.cfg)
+		m, err := Run(analyzed(g.q), checked(withHost(g.c, h, func(host *hardware.Host) { host.NetBandwidthMbps *= 2 })), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
@@ -225,12 +225,12 @@ func TestMoreBandwidthNeverLowersThroughput(t *testing.T) {
 func TestMoreLinkDelayNeverLowersLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for k, g := range generatedRuns(17, 100, 3, 6, 220) {
-		base, err := Run(g.q, checked(g.c), g.p, g.cfg)
+		base, err := Run(analyzed(g.q), checked(g.c), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
 		h := g.p[rng.Intn(len(g.p))]
-		m, err := Run(g.q, checked(withHost(g.c, h, func(host *hardware.Host) { host.NetLatencyMS = 2*host.NetLatencyMS + 1 })), g.p, g.cfg)
+		m, err := Run(analyzed(g.q), checked(withHost(g.c, h, func(host *hardware.Host) { host.NetLatencyMS = 2*host.NetLatencyMS + 1 })), g.p, g.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}

@@ -104,23 +104,19 @@ func (cfg Config) stepCounts() (steps, warmSteps float64) {
 	return math.Round((cfg.WarmupS + cfg.DurationS) / cfg.StepS), math.Round(cfg.WarmupS / cfg.StepS)
 }
 
-// Run executes the query under the given placement on the checked
-// cluster and returns the measured cost metrics. It is deterministic in
-// (inputs, seed).
-func Run(q *stream.Query, k hardware.Checked, p Placement, cfg Config) (*Metrics, error) {
-	rates, err := q.Analyze()
-	if err != nil {
-		return nil, fmt.Errorf("invalid query: %w", err)
-	}
-	c := k.Cluster()
+// Run executes the analysed query under the given placement on the
+// checked cluster and returns the measured cost metrics. It is
+// deterministic in (inputs, seed) and reads its inputs only, so
+// concurrent runs may share one analysis and one cluster.
+func Run(a *stream.Analysis, k hardware.Checked, p Placement, cfg Config) (*Metrics, error) {
+	q, c := a.Query(), k.Cluster()
 	if err := p.Validate(q, c); err != nil {
 		return nil, fmt.Errorf("invalid placement: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid config: %w", err)
 	}
-	e := newEngine(q, c, p, rates, cfg)
-	return e.run(), nil
+	return newEngine(q, c, p, &a.Rates, cfg).run(), nil
 }
 
 type engine struct {
@@ -447,7 +443,7 @@ func (e *engine) step(s, warm int) {
 		// bandwidth separately (one copy of the stream per remote
 		// consumer): demand's bits, per step. For the paper's
 		// tree-shaped plans (exactly one consumer, enforced by
-		// Query.Validate) this reduces exactly to the single-edge
+		// Query.Analyze) this reduces exactly to the single-edge
 		// charge.
 		if remote := e.remote[i]; remote > 0 {
 			g := e.group[i]

@@ -10,7 +10,7 @@ import (
 
 // fanOutFrom clones q and gives operator op a second consumer: a copy of
 // template appended to the plan. Such plans violate the paper's
-// tree-shaped operator contract (Query.Validate rejects them), so these
+// tree-shaped operator contract (Query.Analyze rejects them), so these
 // tests drive the engine directly to lock in its per-downstream
 // accounting for any future DAG support.
 func fanOutFrom(q *stream.Query, op int, template int, id string) *stream.Query {
@@ -38,20 +38,17 @@ func runEngine(t *testing.T, q *stream.Query, c *hardware.Cluster, p Placement, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngine(q, c, p, rates, cfg).run()
+	return newEngine(q, c, p, &rates, cfg).run()
 }
 
 // TestValidateRejectsFanOut locks in the public contract: plans where an
 // operator feeds more than one consumer never reach the engine through
-// sim.Run (user-supplied queries on costream-serve included).
+// sim.Run (user-supplied queries on costream-serve included), because
+// sim.Run takes only an analysis and Query.Analyze refuses them.
 func TestValidateRejectsFanOut(t *testing.T) {
 	q := fanOutFrom(linearFilterQuery(800, 0.9), 1, 2, "sink-2")
-	if err := q.Validate(); err == nil {
-		t.Fatal("fan-out plan passed Query.Validate")
-	}
-	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}})
-	if _, err := Run(q, c, Placement{0, 0, 1, 1}, testConfig()); err == nil {
-		t.Fatal("sim.Run accepted a fan-out plan")
+	if a, err := q.Analyze(); a != nil || err == nil {
+		t.Fatal("fan-out plan passed Query.Analyze")
 	}
 }
 

@@ -72,7 +72,7 @@ func TestRunGolden(t *testing.T) {
 	} {
 		cfg := testConfig()
 		cfg.Seed = tc.seed
-		m, err := Run(tc.q, checked(tc.c), tc.p, cfg)
+		m, err := Run(analyzed(tc.q), checked(tc.c), tc.p, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -103,13 +103,13 @@ host1 mem=0x1p-06
 // TestRunAllocsIndependentOfDuration: the step loop allocates nothing, so
 // a run six times as long allocates exactly as much.
 func TestRunAllocsIndependentOfDuration(t *testing.T) {
-	q := linearQuery(9000, 0.8)
+	a := analyzed(linearQuery(9000, 0.8))
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("edge"), weakHost("fog"), strongHost("cloud")}})
 	allocs := func(durationS float64) float64 {
 		cfg := testConfig()
 		cfg.DurationS = durationS
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(q, c, Placement{0, 1, 2}, cfg); err != nil {
+			if _, err := Run(a, c, Placement{0, 1, 2}, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -119,25 +119,26 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	}
 }
 
-// TestRunAllocsCeiling: a run allocates at most 20 heap objects on
-// average over generated runs: one Query.Analyze derives the one topology
-// that the check, the engine, the load model and the latency walk read,
-// and the rates and the engine's fixed-size state come from a few slabs.
+// TestRunAllocsCeiling: a run allocates at most 14 heap objects on
+// average over generated runs: it derives nothing from the query, whose
+// analysis (made once by the caller) carries the topology and the rates
+// that the engine, the load model and the latency walk read, and the
+// engine's fixed-size state comes from a few slabs.
 func TestRunAllocsCeiling(t *testing.T) {
 	runs := generatedRuns(30, 20, 3, 6, 220)
 	var total float64
 	for _, r := range runs {
-		c := checked(r.c)
+		a, c := analyzed(r.q), checked(r.c)
 		total += testing.AllocsPerRun(3, func() {
-			if _, err := Run(r.q, c, r.p, r.cfg); err != nil {
+			if _, err := Run(a, c, r.p, r.cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	avg := total / float64(len(runs))
 	t.Logf("%.1f allocations per run on average", avg)
-	if avg > 20 {
-		t.Fatalf("%.1f allocations per run on average, want at most 20", avg)
+	if avg > 14 {
+		t.Fatalf("%.1f allocations per run on average, want at most 14", avg)
 	}
 }
 
@@ -184,7 +185,7 @@ func TestRunGoldenGenerated(t *testing.T) {
 	const want = "f5b958d5ba8a7a77ac6071804d2377dbf45a7b466dde50ce81562b69e806241c"
 	h := sha256.New()
 	for k, r := range generatedRuns(32, 150, 3, 6, 220) {
-		m, err := Run(r.q, checked(r.c), r.p, r.cfg)
+		m, err := Run(analyzed(r.q), checked(r.c), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
@@ -204,7 +205,7 @@ func TestIdleHostsChangeNothing(t *testing.T) {
 	grid := hardware.TrainingGrid()
 	tiny := &hardware.Host{ID: "tiny", CPU: 800, RAMMB: 300, NetLatencyMS: 1, NetBandwidthMbps: 10000}
 	for k, r := range generatedRuns(9, 60, 3, 6) {
-		base, err := Run(r.q, checked(r.c), r.p, r.cfg)
+		base, err := Run(analyzed(r.q), checked(r.c), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
@@ -214,7 +215,7 @@ func TestIdleHostsChangeNothing(t *testing.T) {
 		}
 		at := len(r.c.Hosts) + rng.Intn(len(wider.Hosts)-len(r.c.Hosts)+1)
 		wider.Hosts = slices.Insert(wider.Hosts, at, tiny)
-		m, err := Run(r.q, checked(wider), r.p, r.cfg)
+		m, err := Run(analyzed(r.q), checked(wider), r.p, r.cfg)
 		if err != nil {
 			t.Fatalf("run %d with idle hosts: %v", k, err)
 		}

@@ -27,11 +27,11 @@ func TestGCPressureInflatesLatency(t *testing.T) {
 	q := b.MustBuild()
 
 	cfg := testConfig()
-	small, err := Run(q, checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("s", 1000)}}), Placement{0, 0, 0}, cfg)
+	small, err := Run(analyzed(q), checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("s", 1000)}}), Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(q, checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("b", 32000)}}), Placement{0, 0, 0}, cfg)
+	big, err := Run(analyzed(q), checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("b", 32000)}}), Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBackpressureGrowsBrokerWait(t *testing.T) {
 	cfg := testConfig()
 	var prevWait float64
 	for i, rate := range []float64{6400, 12800, 25600} {
-		m, err := Run(linearQuery(rate, 1.0), c, Placement{0, 0, 0}, cfg)
+		m, err := Run(analyzed(linearQuery(rate, 1.0)), c, Placement{0, 0, 0}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSinkTupleAccounting(t *testing.T) {
 	cfg := testConfig()
 	q := linearQuery(1000, 0.5)
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
-	m, err := Run(q, c, Placement{0, 0, 0}, cfg)
+	m, err := Run(analyzed(q), c, Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCrashMetricsShape(t *testing.T) {
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
 	q := b.MustBuild()
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{midHost("tiny", 1000)}})
-	m, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
+	m, err := Run(analyzed(q), c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLatencyIncludesNetworkPropagation(t *testing.T) {
 		{ID: "b", CPU: 400, RAMMB: 8000, NetLatencyMS: 20, NetBandwidthMbps: 1600},
 		{ID: "c", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}}
-	m, err := Run(q, checked(c), Placement{0, 1, 2}, testConfig())
+	m, err := Run(analyzed(q), checked(c), Placement{0, 1, 2}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,9 @@ func TestThroughputNeverExceedsLogicalRate(t *testing.T) {
 		rates := []float64{100, 400, 1600, 6400}
 		rate := rates[int(rateIdx)%len(rates)]
 		sel := float64(selPct%100+1) / 100
-		q := linearQuery(rate, sel)
+		a := analyzed(linearQuery(rate, sel))
 		c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("x")}})
-		m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
+		m, err := Run(a, c, Placement{0, 0, 0}, testConfig())
 		if err != nil {
 			return false
 		}
@@ -157,11 +157,11 @@ func TestWaterFillingConservesCapacity(t *testing.T) {
 	j := b.AddJoin(stream.TypeInt, stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowCountBased, Size: 40, Slide: 40}, 0.001)
 	k := b.AddSink()
 	b.Connect(s1, j).Connect(s2, j).Connect(j, k)
-	q := b.MustBuild()
+	a := analyzed(b.MustBuild())
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{
 		{ID: "one", CPU: 100, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}})
-	m, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
+	m, err := Run(a, c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

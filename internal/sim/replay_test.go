@@ -22,7 +22,7 @@ func stepped(t testing.TB, q *stream.Query, c *hardware.Cluster, p Placement, cf
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, at = newEngine(q, c, p, rates, cfg), -1
+	e, at = newEngine(q, c, p, &rates.Rates, cfg), -1
 	if e.crashed {
 		return e, e.crashMetrics(), at, 0
 	}
@@ -59,7 +59,7 @@ func replayed(t testing.TB, q *stream.Query, c *hardware.Cluster, p Placement, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := newEngine(q, c, p, rates, cfg)
+	got := newEngine(q, c, p, &rates.Rates, cfg)
 	gotM := got.run()
 	if g, w := hexMetrics(gotM), hexMetrics(wantM); g != w {
 		return fmt.Sprintf("metrics differ\ngot:\n%swant:\n%s", g, w), at, period

@@ -27,6 +27,15 @@ func checked(c *hardware.Cluster) hardware.Checked {
 	return k
 }
 
+// analyzed is q's analysis; the test's query must be valid.
+func analyzed(q *stream.Query) *stream.Analysis {
+	a, err := q.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DurationS = 30
@@ -55,7 +64,7 @@ func aggQuery(rate float64, w stream.Window, sel float64) *stream.Query {
 func TestLinearQueryOnStrongHost(t *testing.T) {
 	q := linearQuery(1000, 0.5)
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
-	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
+	m, err := Run(analyzed(q), c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +88,9 @@ func TestLinearQueryOnStrongHost(t *testing.T) {
 
 func TestWeakCPUCausesBackpressure(t *testing.T) {
 	// 25600 ev/s against 0.5 reference cores cannot keep up.
-	q := linearQuery(25600, 0.9)
+	a := analyzed(linearQuery(25600, 0.9))
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}})
-	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
+	m, err := Run(a, c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +107,14 @@ func TestWeakCPUCausesBackpressure(t *testing.T) {
 }
 
 func TestThroughputCappedByCPU(t *testing.T) {
-	q := linearQuery(25600, 0.9)
+	a := analyzed(linearQuery(25600, 0.9))
 	weak := &hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}}
 	strong := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("s")}}
-	mw, err := Run(q, checked(weak), Placement{0, 0, 0}, testConfig())
+	mw, err := Run(a, checked(weak), Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Run(q, checked(strong), Placement{0, 0, 0}, testConfig())
+	ms, err := Run(a, checked(strong), Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +138,7 @@ func TestLargeWindowOnSmallRAMCrashes(t *testing.T) {
 	q := b.MustBuild()
 
 	small := checked(&hardware.Cluster{Hosts: []*hardware.Host{weakHost("w")}})
-	ms, err := Run(q, small, Placement{0, 0, 0, 0}, testConfig())
+	ms, err := Run(analyzed(q), small, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestLargeWindowOnSmallRAMCrashes(t *testing.T) {
 			ms.Crashed, ms.Success, ms.HostMemPressure)
 	}
 	big := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("s")}})
-	mb, err := Run(q, big, Placement{0, 0, 0, 0}, testConfig())
+	mb, err := Run(analyzed(q), big, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +160,7 @@ func TestZeroOutputMeansFailure(t *testing.T) {
 	// Selectivity 0: nothing ever reaches the sink (Definition 5).
 	q := linearQuery(100, 0)
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
-	m, err := Run(q, c, Placement{0, 0, 0}, testConfig())
+	m, err := Run(analyzed(q), c, Placement{0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +185,11 @@ func TestNetworkLatencyAddsUp(t *testing.T) {
 	}
 	// Co-located on cloud vs split across a slow link.
 	cfg := testConfig()
-	colo, err := Run(q, checked(mk(160)), Placement{1, 1, 1}, cfg)
+	colo, err := Run(analyzed(q), checked(mk(160)), Placement{1, 1, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := Run(q, checked(mk(160)), Placement{0, 0, 1}, cfg)
+	split, err := Run(analyzed(q), checked(mk(160)), Placement{0, 0, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +198,7 @@ func TestNetworkLatencyAddsUp(t *testing.T) {
 			split.ProcLatencyMS, colo.ProcLatencyMS)
 	}
 	// A fast link should cost far less.
-	fast, err := Run(q, checked(mk(1)), Placement{0, 0, 1}, cfg)
+	fast, err := Run(analyzed(q), checked(mk(1)), Placement{0, 0, 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +222,7 @@ func TestBandwidthBottleneckThrottlesThroughput(t *testing.T) {
 		{ID: "edge", CPU: 800, RAMMB: 16000, NetLatencyMS: 5, NetBandwidthMbps: 25},
 		{ID: "cloud", CPU: 800, RAMMB: 32000, NetLatencyMS: 1, NetBandwidthMbps: 10000},
 	}})
-	m, err := Run(q, c, Placement{0, 0, 1}, testConfig())
+	m, err := Run(analyzed(q), c, Placement{0, 0, 1}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +239,11 @@ func TestWindowExtentDominatesLatency(t *testing.T) {
 	w2 := stream.Window{Type: stream.WindowTumbling, Policy: stream.WindowTimeBased, Size: 8, Slide: 8}
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}})
 	cfg := testConfig()
-	m1, err := Run(aggQuery(1000, w1, 0.1), c, Placement{0, 0, 0}, cfg)
+	m1, err := Run(analyzed(aggQuery(1000, w1, 0.1)), c, Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Run(aggQuery(1000, w2, 0.1), c, Placement{0, 0, 0}, cfg)
+	m2, err := Run(analyzed(aggQuery(1000, w2, 0.1)), c, Placement{0, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +266,11 @@ func TestCoLocationContention(t *testing.T) {
 		return &hardware.Host{ID: id, CPU: 50, RAMMB: 8000, NetLatencyMS: 1, NetBandwidthMbps: 10000}
 	}
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{host("a"), host("b"), host("c")}})
-	all, err := Run(q, c, Placement{0, 0, 0, 0}, testConfig())
+	all, err := Run(analyzed(q), c, Placement{0, 0, 0, 0}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread, err := Run(q, c, Placement{0, 1, 2, 2}, testConfig())
+	spread, err := Run(analyzed(q), c, Placement{0, 1, 2, 2}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +284,11 @@ func TestDeterminism(t *testing.T) {
 	q := linearQuery(3200, 0.4)
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), weakHost("b")}})
 	cfg := testConfig()
-	m1, err := Run(q, c, Placement{1, 0, 0}, cfg)
+	m1, err := Run(analyzed(q), c, Placement{1, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Run(q, c, Placement{1, 0, 0}, cfg)
+	m2, err := Run(analyzed(q), c, Placement{1, 0, 0}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Seed = 99
-	m3, err := Run(q, c, Placement{1, 0, 0}, cfg2)
+	m3, err := Run(analyzed(q), c, Placement{1, 0, 0}, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +310,10 @@ func TestDeterminism(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	q := linearQuery(100, 0.5)
 	c := &hardware.Cluster{Hosts: []*hardware.Host{strongHost("a")}}
-	if _, err := Run(q, checked(c), Placement{0, 0}, testConfig()); err == nil {
+	if _, err := Run(analyzed(q), checked(c), Placement{0, 0}, testConfig()); err == nil {
 		t.Error("short placement accepted")
 	}
-	if _, err := Run(q, checked(c), Placement{0, 0, 5}, testConfig()); err == nil {
+	if _, err := Run(analyzed(q), checked(c), Placement{0, 0, 5}, testConfig()); err == nil {
 		t.Error("out-of-range host accepted")
 	}
 	if _, err := (&hardware.Cluster{}).Check(); err == nil {
@@ -335,7 +344,7 @@ func TestRunValidation(t *testing.T) {
 	} {
 		cfg := testConfig()
 		tc.set(&cfg)
-		m, err := Run(q, checked(c), Placement{0, 0, 0}, cfg)
+		m, err := Run(analyzed(q), checked(c), Placement{0, 0, 0}, cfg)
 		if err == nil {
 			t.Errorf("%s: accepted, returned %v", tc.name, m)
 		} else if !strings.Contains(err.Error(), tc.field) {
@@ -351,7 +360,7 @@ func TestRunValidation(t *testing.T) {
 	} {
 		cfg := testConfig()
 		set(&cfg)
-		if _, err := Run(q, checked(c), Placement{0, 0, 0}, cfg); err != nil {
+		if _, err := Run(analyzed(q), checked(c), Placement{0, 0, 0}, cfg); err != nil {
 			t.Errorf("%+v refused: %v", cfg, err)
 		}
 	}
@@ -386,7 +395,7 @@ func FuzzRunConfig(f *testing.F) {
 			return // valid, but longer than a training trace: slow, not new
 		}
 		p := Placement{int(h0) % 4, int(h1) % 4, int(h2) % 4, int(h3) % 4}
-		m, err := Run(q, checked(c), p, cfg)
+		m, err := Run(analyzed(q), checked(c), p, cfg)
 		if err != nil {
 			return
 		}
@@ -431,7 +440,7 @@ func nonFinite(m *Metrics) string {
 func TestPerOpStatsSane(t *testing.T) {
 	q := linearQuery(1000, 0.5)
 	c := checked(&hardware.Cluster{Hosts: []*hardware.Host{strongHost("a"), strongHost("b")}})
-	m, err := Run(q, c, Placement{0, 0, 1}, testConfig())
+	m, err := Run(analyzed(q), c, Placement{0, 0, 1}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,16 +488,16 @@ func TestGCSlowdownMonotone(t *testing.T) {
 func TestPerTupleCostProperties(t *testing.T) {
 	q := linearQuery(1000, 0.5)
 	r, _ := q.Analyze()
-	base := perTupleCostUS(q, r, 1)
+	base := perTupleCostUS(q, &r.Rates, 1)
 	// String predicates cost more than int predicates.
 	q.Ops[1].LiteralType = stream.TypeString
 	q.Ops[1].FilterFn = stream.FilterStartsWith
-	costly := perTupleCostUS(q, r, 1)
+	costly := perTupleCostUS(q, &r.Rates, 1)
 	if costly <= base {
 		t.Errorf("string startswith filter cost %v should exceed int compare %v", costly, base)
 	}
 	for i := range q.Ops {
-		if c := perTupleCostUS(q, r, i); c <= 0 {
+		if c := perTupleCostUS(q, &r.Rates, i); c <= 0 {
 			t.Errorf("op %d cost = %v, want positive", i, c)
 		}
 	}
@@ -498,17 +507,17 @@ func TestStateBytes(t *testing.T) {
 	w := stream.Window{Type: stream.WindowSliding, Policy: stream.WindowCountBased, Size: 640, Slide: 320}
 	q := aggQuery(1000, w, 0.5)
 	r, _ := q.Analyze()
-	if sb := stateBytes(q, r, 0); sb != 0 {
+	if sb := stateBytes(q, &r.Rates, 0); sb != 0 {
 		t.Errorf("source state = %v, want 0", sb)
 	}
-	agg := stateBytes(q, r, 1)
+	agg := stateBytes(q, &r.Rates, 1)
 	if agg <= 0 {
 		t.Errorf("windowed aggregate state = %v, want positive", agg)
 	}
 	// Doubling the window size should grow state.
 	q2 := aggQuery(1000, stream.Window{Type: stream.WindowSliding, Policy: stream.WindowCountBased, Size: 1280, Slide: 320}, 0.5)
 	r2, _ := q2.Analyze()
-	if agg2 := stateBytes(q2, r2, 1); agg2 <= agg {
+	if agg2 := stateBytes(q2, &r2.Rates, 1); agg2 <= agg {
 		t.Errorf("bigger window state %v should exceed %v", agg2, agg)
 	}
 }
@@ -519,7 +528,7 @@ func TestHigherEventRateRaisesThroughputUntilSaturation(t *testing.T) {
 	}})
 	var last float64
 	for _, rate := range []float64{100, 400, 1600, 6400} {
-		m, err := Run(linearQuery(rate, 0.5), c, Placement{0, 0, 0}, testConfig())
+		m, err := Run(analyzed(linearQuery(rate, 0.5)), c, Placement{0, 0, 0}, testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func (b *Builder) Build() (*Query, error) {
 		return nil, b.err
 	}
 	q := b.q.Clone()
-	if err := q.Validate(); err != nil {
+	if _, err := q.validate(); err != nil {
 		return nil, err
 	}
 	return q, nil

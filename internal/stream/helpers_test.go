@@ -95,8 +95,16 @@ func TestQueryValidateFanouts(t *testing.T) {
 		},
 		Edges: []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
 	}
-	if err := q.Validate(); err == nil {
+	if _, err := q.Analyze(); err == nil {
 		t.Error("fan-out plan accepted")
+	}
+}
+
+// TestAnalyzeNilQueryReadsEmpty: a nil query is refused as an empty one.
+func TestAnalyzeNilQueryReadsEmpty(t *testing.T) {
+	const want = "invalid query: empty query"
+	if a, err := (*Query)(nil).Analyze(); a != nil || err == nil || err.Error() != want {
+		t.Errorf("Analyze() = %v, %v; want nil, %q", a, err, want)
 	}
 }
 
@@ -111,8 +119,8 @@ func TestQueryValidateNullOperator(t *testing.T) {
 		},
 		Edges: []Edge{{0, 1}},
 	}
-	const want = "operator 2 is null"
-	if err := q.Validate(); err == nil || err.Error() != want {
+	const want = "invalid query: operator 2 is null"
+	if _, err := q.Analyze(); err == nil || err.Error() != want {
 		t.Errorf("err = %v, want %q", err, want)
 	}
 }

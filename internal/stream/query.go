@@ -220,30 +220,34 @@ func (q *Query) Topology() (Topology, error) {
 	return t, nil
 }
 
-// Validate checks structural invariants: exactly one sink, at least one
-// source, a connected acyclic flow, join fan-in of two, unary fan-in for
-// filters/aggregations/sinks, and per-operator field validity.
-func (q *Query) Validate() error {
-	_, err := q.validate()
-	return err
+// Analysis is a query that passed Analyze, with its Rates (and Topology):
+// the one form in which the simulator, the placement search, the
+// featurizers and the control plane take a query. Any number of
+// goroutines may read one; its query must not be modified after.
+type Analysis struct {
+	q *Query
+	Rates
 }
 
-// Analyze validates the plan and derives its rates, by DeriveRates'
-// rules, over the Topology the check derived: Validate and DeriveRates in
-// one derivation of the data flow, with Validate's errors. It does not
-// mutate the query, so concurrent callers (ensemble training, batched
-// placement scoring) may share one Query.
-func (q *Query) Analyze() (*Rates, error) {
+// Analyze is the one check of a query: exactly one sink, at least one
+// source, a connected acyclic flow, join fan-in of two, unary fan-in for
+// filters/aggregations/sinks, and per-operator field validity. A nil
+// query reads as empty, and a refusal as "invalid query: " and the fault.
+// The rates follow DeriveRates' rules over the Topology the check derived.
+func (q *Query) Analyze() (*Analysis, error) {
 	t, err := q.validate()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("invalid query: %w", err)
 	}
-	return q.rates(t), nil
+	return &Analysis{q: q, Rates: q.rates(t)}, nil
 }
 
-// validate is Validate, returning the checked plan's Topology.
+// Query returns the analysed query.
+func (a *Analysis) Query() *Query { return a.q }
+
+// validate is Analyze's check (the Builder's too), returning the Topology.
 func (q *Query) validate() (Topology, error) {
-	if len(q.Ops) == 0 {
+	if q == nil || len(q.Ops) == 0 {
 		return Topology{}, fmt.Errorf("empty query")
 	}
 	for i, op := range q.Ops {
@@ -310,20 +314,20 @@ type Rates struct {
 // type requires (a filter's, aggregation's or sink's first input, a join's
 // first two), so a plan that may be malformed goes through Analyze
 // instead. Its one reader is the simulator's two-sink fan-out tests, whose
-// plans Validate refuses.
-func (q *Query) DeriveRates() (*Rates, error) {
+// plans Analyze refuses.
+func (q *Query) DeriveRates() (Rates, error) {
 	topo, err := q.Topology()
 	if err != nil {
-		return nil, err
+		return Rates{}, err
 	}
 	return q.rates(topo), nil
 }
 
 // rates propagates the rates over the plan's topology.
-func (q *Query) rates(topo Topology) *Rates {
+func (q *Query) rates(topo Topology) Rates {
 	n := len(q.Ops)
 	f := make([]float64, 4*n)
-	r := &Rates{
+	r := Rates{
 		In:         f[:n],
 		Out:        f[n : 2*n],
 		TupleBytes: f[2*n : 3*n],

@@ -157,19 +157,28 @@ func diffReference(q *stream.Query) string {
 			}
 		}
 	}
-	if got, want := errText(q.Validate()), errText(refValidate(q)); got != want {
-		return fmt.Sprintf("Validate error %q, reference %q", got, want)
-	}
-	rates, err := q.Analyze()
-	ref, refErr := (*stream.Rates)(nil), q.Validate()
+	a, err := q.Analyze()
+	ref, refErr := (*stream.Rates)(nil), refValidate(q)
 	if refErr == nil {
-		ref, refErr = q.DeriveRates()
+		var r stream.Rates
+		if r, refErr = q.DeriveRates(); refErr == nil {
+			ref = &r
+		}
+	} else {
+		refErr = fmt.Errorf("invalid query: %w", refErr)
 	}
 	if errText(err) != errText(refErr) {
-		return fmt.Sprintf("Analyze error %q, Validate then DeriveRates %q", errText(err), errText(refErr))
+		return fmt.Sprintf("Analyze error %q, reference Validate then DeriveRates %q", errText(err), errText(refErr))
+	}
+	var rates *stream.Rates
+	if a != nil {
+		if a.Query() != q {
+			return "Analyze returned the analysis of another query"
+		}
+		rates = &a.Rates
 	}
 	if got, want := ratesHex(rates), ratesHex(ref); got != want {
-		return fmt.Sprintf("Analyze rates\n%s\nValidate then DeriveRates\n%s", got, want)
+		return fmt.Sprintf("Analyze rates\n%s\nreference Validate then DeriveRates\n%s", got, want)
 	}
 	return ""
 }
@@ -267,13 +276,13 @@ func variants(rng *rand.Rand, q *stream.Query) []*stream.Query {
 	)
 }
 
-// TestTopologyMatchesReference holds Query.Topology and Validate to the
-// reference on generated queries of all six classes, random DAGs and
-// arbitrary edge lists, each also with shuffled, repeated, dropped,
-// reversed, cyclic and out-of-range edges: the same order (the lowest
-// ready index first), producers and consumers in edge order, and the
-// same error text. Analyze agrees with Validate then DeriveRates: the
-// same error text, and the same rates in hex.
+// TestTopologyMatchesReference holds Query.Topology to the reference on
+// generated queries of all six classes, random DAGs and arbitrary edge
+// lists, each also with shuffled, repeated, dropped, reversed, cyclic and
+// out-of-range edges: the same order (the lowest ready index first),
+// producers and consumers in edge order, and the same error text.
+// Analyze agrees with the reference Validate then DeriveRates: the same
+// error text behind "invalid query: ", and the same rates in hex.
 func TestTopologyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	gen := workload.New(workload.DefaultConfig(55))
@@ -311,8 +320,8 @@ func TestTopologyMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzTopology holds Query.Topology and Validate to the reference, and
-// Analyze to Validate then DeriveRates, on arbitrary plans: one operator
+// FuzzTopology holds Query.Topology to the reference, and Analyze to the
+// reference Validate then DeriveRates, on arbitrary plans: one operator
 // per kind byte (see testOp) and one edge per two edge bytes, each
 // endpoint in [-1, operators].
 func FuzzTopology(f *testing.F) {

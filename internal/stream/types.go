@@ -3,9 +3,9 @@
 // join, windowed aggregation, sink), window specifications and DAG-shaped
 // query plans together with the rate and selectivity propagation rules of
 // the paper (Definitions 6-8). A plan's data flow, its topological order
-// and each operator's producers and consumers, is one Topology: Analyze
-// derives it once as it validates a plan, and Rates carries it to the
-// simulator, the featurizers and the GNN's message-passing plan.
+// and each operator's producers and consumers, is one Topology. Analyze,
+// the one check of a plan, derives it and the Rates once, and every layer
+// below the plan's entry point takes the plan only as that Analysis.
 package stream
 
 import "fmt"

@@ -84,8 +84,8 @@ func TestUnknownBenchmarkPanics(t *testing.T) {
 func TestConfigDefaultsFilledIn(t *testing.T) {
 	g := New(Config{Seed: 1})
 	q := g.Query()
-	if err := q.Validate(); err != nil {
-		t.Fatalf("generator with zero config produced invalid query: %v", err)
+	if _, err := q.Analyze(); err != nil {
+		t.Fatalf("generator with zero config produced an %v", err)
 	}
 	c := g.Cluster()
 	if c.NumHosts() < 3 {

@@ -17,8 +17,8 @@ func TestQueryMixMatchesPaper(t *testing.T) {
 	filterHist := map[int]int{}
 	for i := 0; i < n; i++ {
 		q := g.Query()
-		if err := q.Validate(); err != nil {
-			t.Fatalf("generated invalid query: %v", err)
+		if _, err := q.Analyze(); err != nil {
+			t.Fatalf("generated an %v", err)
 		}
 		classCount[q.CountType(stream.OpJoin)]++
 		if q.CountType(stream.OpAggregate) > 0 {
@@ -212,8 +212,8 @@ func TestBenchmarkQueries(t *testing.T) {
 	g := newGen(8)
 	for _, id := range AllBenchmarks() {
 		q := g.BenchmarkQuery(id)
-		if err := q.Validate(); err != nil {
-			t.Fatalf("%v: invalid query: %v", id, err)
+		if _, err := q.Analyze(); err != nil {
+			t.Fatalf("%v: %v", id, err)
 		}
 		if id.String() == "unknown" {
 			t.Fatalf("missing name for %d", id)
