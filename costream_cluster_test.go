@@ -95,7 +95,7 @@ func TestInvalidClusterRefusedAtEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// invalidQueries are five ways a query fails Query.Analyze, each an edit
+// invalidQueries are ways a query fails Query.Analyze, each an edit
 // of a valid query (nil for none), with what the refusal must name.
 var invalidQueries = []struct {
 	name string
@@ -111,13 +111,49 @@ var invalidQueries = []struct {
 	}},
 	{"query without edges", "must have exactly one", func(q *Query) *Query { q.Edges = nil; return q }},
 	{"cycle", "cycle", func(q *Query) *Query { q.Edges = append(q.Edges, stream.Edge{2, 1}); return q }},
+	{"NaN event rate", "event rate must be finite and positive, got NaN", func(q *Query) *Query {
+		q.Ops[0].EventRate = math.NaN()
+		return q
+	}},
+	{"infinite event rate", "event rate must be finite and positive, got +Inf", func(q *Query) *Query {
+		q.Ops[0].EventRate = math.Inf(1)
+		return q
+	}},
+	{"NaN selectivity", "selectivity NaN out of [0,1]", func(q *Query) *Query {
+		q.Ops[1].Selectivity = math.NaN()
+		return q
+	}},
+	{"NaN window size", "window size must be finite and positive, got NaN", func(q *Query) *Query {
+		return windowed(q, stream.Window{Type: stream.WindowSliding, Size: math.NaN(), Slide: 1})
+	}},
+	{"infinite window size", "window size must be finite and positive, got +Inf", func(q *Query) *Query {
+		return windowed(q, stream.Window{Type: stream.WindowTumbling, Size: math.Inf(1), Slide: math.Inf(1)})
+	}},
+	{"NaN window slide", "window slide must be finite and positive, got NaN", func(q *Query) *Query {
+		return windowed(q, stream.Window{Type: stream.WindowSliding, Size: 10, Slide: math.NaN()})
+	}},
+	{"infinite window slide", "window slide must be finite and positive, got +Inf", func(q *Query) *Query {
+		return windowed(q, stream.Window{Type: stream.WindowSliding, Size: 10, Slide: math.Inf(1)})
+	}},
+	{"NaN aggregate selectivity", "selectivity NaN out of [0,1]", func(q *Query) *Query {
+		q = windowed(q, stream.Window{Type: stream.WindowSliding, Size: 10, Slide: 2})
+		q.Ops[1].Selectivity = math.NaN()
+		return q
+	}},
+}
+
+// windowed replaces the middle operator of exampleQuery's chain with an
+// aggregation over w.
+func windowed(q *Query, w stream.Window) *Query {
+	q.Ops[1] = &stream.Operator{ID: q.Ops[1].ID, Type: stream.OpAggregate, Window: &w, Selectivity: 0.5}
+	return q
 }
 
 // TestInvalidQueryRefusedAtEveryEntryPoint: the simulator, the search,
 // the featurizers and the control plane take a query only as analysed, so
 // every facade entry analyses the query it is given and refuses an
-// invalid one — nil, with a null operator, two sinks, no edges or a
-// cycle — with Query.Analyze's error, before it runs, draws, scores or
+// invalid one — nil, with a null operator, two sinks, no edges, a cycle,
+// or a NaN or infinite rate, selectivity or window — with Query.Analyze's error, before it runs, draws, scores or
 // registers anything. The serve routes have tests of their own.
 func TestInvalidQueryRefusedAtEveryEntryPoint(t *testing.T) {
 	_, model := facade(t)

@@ -30,6 +30,9 @@ type inferMetrics struct {
 	// budget and the others one, the winner: the ratio is the share of
 	// ensemble passes the read set saved.
 	ensembleCands [NumMetrics]*obs.Counter
+	// helperPasses counts the ensemble passes that an idle helper
+	// goroutine ran beside the scoring caller (par.Crew).
+	helperPasses *obs.Counter
 }
 
 var inferMet = sync.OnceValue(func() *inferMetrics {
@@ -43,6 +46,8 @@ var inferMet = sync.OnceValue(func() *inferMetrics {
 			"candidates per scored tile (fused round scoring)", 1),
 		candidates: r.Counter("costream_inference_candidates_total",
 			"placement candidates scored through the batched inference path"),
+		helperPasses: r.Counter("costream_inference_helper_passes_total",
+			"ensemble passes of a scored tile that an idle helper goroutine ran beside the caller"),
 	}
 	for i, phase := range []string{"host", "placed", "flow"} {
 		rows := func(outcome string) *obs.Counter {

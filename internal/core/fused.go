@@ -9,6 +9,7 @@ import (
 	"costream/internal/gnn"
 	"costream/internal/hardware"
 	"costream/internal/nn"
+	"costream/internal/par"
 	"costream/internal/placement"
 	"costream/internal/sim"
 	"costream/internal/stream"
@@ -28,14 +29,15 @@ type fusedSlot struct {
 // plan) and the ensemble stacks, and ScoreTile then packs a whole
 // candidate tile once and advances it through the packed cross-candidate
 // kernels, one gnn.InferEnsembleBatch pass per metric ensemble the caller
-// asked for. The packed kernel is the only path: a session over an
+// asked for, shared between the caller and idle helper goroutines
+// (par.Crew). The packed kernel is the only path: a session over an
 // ensemble that cannot stack (traditional message passing, mixed
 // featurization modes), or over ensembles featurized in different modes,
 // is an error naming the metrics. Its scalar oracle is the inference tape
 // behind CostModel.PredictRaw, member by member.
 //
 // ScoreTile is safe for concurrent use: all mutable state lives in
-// pooled per-call scratch.
+// pooled per-call and per-pass scratch.
 type TileSession struct {
 	bf    *BatchFeaturizer // nil without ensembles
 	fused []fusedSlot      // paper metric order
@@ -111,19 +113,40 @@ func (s *TileSession) tileCap() int {
 // TileSize implements placement.TileScorer.
 func (s *TileSession) TileSize() int { return s.tile }
 
-// tileScratch bundles the per-call buffers of one ScoreTile invocation;
-// pooled because tiles are scored concurrently by the search workers and
-// single predictions by the serve handlers.
+// tileScratch bundles the per-call state of one ScoreTile invocation:
+// the packed tile, the crew that shares its ensemble passes, and what
+// those passes read and write. Pooled because tiles are scored
+// concurrently by the search workers and single predictions by the serve
+// handlers.
 type tileScratch struct {
 	placements [][]int
 	pg         gnn.PackedGraphs
-	bs         *gnn.BatchScratch
-	vals       []float64
+	own        passScratch // the buffers of the caller's passes
+	crew       par.Crew
+	pass       func(w, i int) // runPass, bound once so a call allocates no closure
+	out        []placement.PredCosts
+	passes     [NumMetrics]*fusedSlot // the needed ensembles, paper metric order
+	errs       [NumMetrics]error      // what each pass failed with
 }
 
-var tilePool = sync.Pool{New: func() any {
-	return &tileScratch{bs: gnn.NewBatchScratch()}
-}}
+// passScratch holds the buffers of an ensemble pass. A helper's passes
+// take theirs from passPool, so the scratches of a process number its
+// concurrent passes, not its tile scratches times its helpers.
+type passScratch struct {
+	bs   *gnn.BatchScratch
+	vals []float64
+}
+
+var (
+	tilePool = sync.Pool{New: func() any {
+		ts := &tileScratch{own: passScratch{bs: gnn.NewBatchScratch()}}
+		ts.pass = ts.runPass
+		return ts
+	}}
+	passPool = sync.Pool{New: func() any {
+		return &passScratch{bs: gnn.NewBatchScratch()}
+	}}
+)
 
 // ScoreTile implements placement.TileScorer: it scores the candidate
 // tile with the metric ensembles whose costs need names, setting those
@@ -131,13 +154,16 @@ var tilePool = sync.Pool{New: func() any {
 // untrained default) and no other. Every ensemble is a pass of its own
 // over the tile, so an ensemble outside need costs nothing — a search
 // round names three of the five — and what a pass writes does not depend
-// on which others ran. The tile is packed once and each ensemble advances
-// all candidates × members in one batched kernel pass. Outputs do not depend on the tile size, and
-// match per-member CostModel.PredictRaw bit for bit. A NaN or
-// infinite raw member output — a poisoned weight or feature — is an
-// error naming the metric and member, never a cost: averaged into one it
-// would compare false against everything and win or lose a search by
-// accident.
+// on which others ran. The tile is packed once; then the caller and any
+// helper goroutine idle at that moment (par.Crew) claim the needed passes
+// one at a time, each advancing all candidates × members in one batched
+// kernel pass with its own scratch and writing only its metric's field.
+// So outputs do not depend on the tile size or on who ran which pass, and
+// match per-member CostModel.PredictRaw bit for bit. A NaN or infinite
+// raw member output — a poisoned weight or feature — is an error naming
+// the metric and member, never a cost: averaged into one it would compare
+// false against everything and win or lose a search by accident. When
+// several passes fail, the error is the first one's in paper metric order.
 func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, out []placement.PredCosts) error {
 	if len(out) != len(cands) {
 		return fmt.Errorf("core: tile output holds %d slots, want %d", len(out), len(cands))
@@ -157,48 +183,70 @@ func (s *TileSession) ScoreTile(cands []sim.Placement, need placement.CostSet, o
 	}
 	ts := tilePool.Get().(*tileScratch)
 	defer tilePool.Put(ts)
-
-	packed := false
-	for _, fs := range s.fused {
-		if need&fs.e.Metric.Cost() == 0 {
-			continue
+	n := 0
+	for i := range s.fused {
+		if need&s.fused[i].e.Metric.Cost() != 0 {
+			ts.passes[n], ts.errs[n] = &s.fused[i], nil
+			n++
 		}
-		if !packed {
-			ts.placements = ts.placements[:0]
-			for _, p := range cands {
-				ts.placements = append(ts.placements, p)
+	}
+	if n > 0 {
+		ts.placements = ts.placements[:0]
+		for _, p := range cands {
+			ts.placements = append(ts.placements, p)
+		}
+		if err := s.bf.pack(&ts.pg, ts.placements); err != nil {
+			return fmt.Errorf("core: packing tile: %w", err)
+		}
+		ts.out = out
+		ts.crew.Run(n, ts.pass)
+		ts.out = nil
+		for _, err := range ts.errs[:n] {
+			if err != nil {
+				return err
 			}
-			if err := s.bf.pack(&ts.pg, ts.placements); err != nil {
-				return fmt.Errorf("core: packing tile: %w", err)
-			}
-			packed = true
-		}
-		k := fs.sm.K()
-		ts.vals = nn.Grow(ts.vals, len(cands)*k)
-		vals := ts.vals
-		if err := fs.sm.InferEnsembleBatch(&ts.pg, ts.bs, vals); err != nil {
-			return fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
-		}
-		if i := firstNonFinite(vals); i >= 0 {
-			return fmt.Errorf("core: non-finite output for %v, member %d", fs.e.Metric, i%k)
-		}
-		for ci := range cands {
-			row := vals[ci*k : (ci+1)*k]
-			for m := range row {
-				row[m] = fs.e.Models[m].headTransform(row[m])
-			}
-			applyCost(&out[ci], fs.e.Metric, row)
-		}
-		met.ensembleCands[fs.e.Metric].Add(int64(len(cands)))
-		for i, rows := range ts.pg.Rows() {
-			met.tileRows[i].requested.Add(int64(rows.Requested))
-			met.tileRows[i].computed.Add(int64(rows.Computed))
 		}
 	}
 	met.candidates.Add(int64(len(cands)))
 	met.tileSize.Record(int64(len(cands)))
 	met.tileSeconds.Since(start)
 	return nil
+}
+
+// runPass runs the i-th needed ensemble over the packed tile on runner w
+// of the crew (0 is the caller) and folds its members' outputs into that
+// metric's field of every candidate.
+func (ts *tileScratch) runPass(w, i int) {
+	met := inferMet()
+	fs, c, ps := ts.passes[i], len(ts.out), &ts.own
+	if w > 0 {
+		met.helperPasses.Inc()
+		ps = passPool.Get().(*passScratch)
+		defer passPool.Put(ps)
+	}
+	k := fs.sm.K()
+	ps.vals = nn.Grow(ps.vals, c*k)
+	vals := ps.vals
+	if err := fs.sm.InferEnsembleBatch(&ts.pg, ps.bs, vals); err != nil {
+		ts.errs[i] = fmt.Errorf("core: scoring tile for %v: %w", fs.e.Metric, err)
+		return
+	}
+	if j := firstNonFinite(vals); j >= 0 {
+		ts.errs[i] = fmt.Errorf("core: non-finite output for %v, member %d", fs.e.Metric, j%k)
+		return
+	}
+	for ci := range c {
+		row := vals[ci*k : (ci+1)*k]
+		for m := range row {
+			row[m] = fs.e.Models[m].headTransform(row[m])
+		}
+		applyCost(&ts.out[ci], fs.e.Metric, row)
+	}
+	met.ensembleCands[fs.e.Metric].Add(int64(c))
+	for i, rows := range ts.pg.Rows() {
+		met.tileRows[i].requested.Add(int64(rows.Requested))
+		met.tileRows[i].computed.Add(int64(rows.Computed))
+	}
 }
 
 // firstNonFinite returns the index of the first NaN or infinity in vals,

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -536,5 +538,210 @@ func TestBuildGraphIntoAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state packing of %d candidates allocates %.1f times, want 0", len(placements), allocs)
+	}
+}
+
+// hexCosts renders every bit of a cost vector: the costs as hexadecimal
+// floats, then the two labels.
+func hexCosts(c placement.PredCosts) string {
+	return fmt.Sprintf("%x %x %x %t %t", c.ThroughputTPS, c.ProcLatencyMS, c.E2ELatencyMS, c.Success, c.Backpressured)
+}
+
+// handOffTile draws a tile of 32 distinct valid placements from the first
+// corpus trace that has that many.
+func handOffTile(t *testing.T) (*dataset.Trace, []sim.Placement) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(97))
+	for _, tr := range testCorpus(t).Traces {
+		if cands := enumerate(rng, tr.Query, tr.Cluster, 32); len(cands) == 32 {
+			return tr, cands
+		}
+	}
+	t.Fatal("no corpus trace has 32 distinct placements")
+	return nil, nil
+}
+
+// TestScoreTileBitsAtEveryGOMAXPROCS: however the passes of a tile are
+// shared between the caller and idle helpers, every output bit is the
+// per-member CostModel.PredictRaw oracle's and the GOMAXPROCS 1 run's —
+// tiles of 1, 31 and 32 candidates, one, three and five costs named.
+func TestScoreTileBitsAtEveryGOMAXPROCS(t *testing.T) {
+	pr := distinctPredictor(t, 3)
+	tr, cands := handOffTile(t)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	needs := []placement.CostSet{placement.CostE2ELatency, placement.MinProcLatency.Reads(), placement.AllCosts}
+	oracle := make([]placement.PredCosts, len(cands))
+	for i, p := range cands {
+		for _, m := range AllMetrics() {
+			if m.IsRegression() {
+				*metricValue(m, &oracle[i]) = perMemberValue(t, pr[m], tr.Query, tr.Cluster, p)
+			} else {
+				*metricLabel(m, &oracle[i]) = perMemberLabel(t, pr[m], tr.Query, tr.Cluster, p)
+			}
+		}
+	}
+	inline := map[string]string{}
+	helped := inferMet().helperPasses.Value()
+	defer func() { t.Logf("helpers ran %d passes", inferMet().helperPasses.Value()-helped) }()
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, n := range []int{1, 31, 32} {
+				for _, need := range needs {
+					// Score each tile several times: who runs which pass
+					// differs from call to call.
+					for rep := 0; rep < 4; rep++ {
+						out := make([]placement.PredCosts, n)
+						if err := sess.ScoreTile(cands[:n], need, out); err != nil {
+							t.Fatal(err)
+						}
+						for i := range out {
+							var want placement.PredCosts
+							need.Copy(&want, oracle[i])
+							key := fmt.Sprintf("n=%d need=%05b candidate %d", n, need, i)
+							got := hexCosts(out[i])
+							if got != hexCosts(want) {
+								t.Fatalf("GOMAXPROCS=%d %s: %s, per-member oracle %s", procs, key, got, hexCosts(want))
+							}
+							if procs == 1 {
+								inline[key] = got
+							} else if got != inline[key] {
+								t.Fatalf("GOMAXPROCS=%d %s: %s, at GOMAXPROCS 1 %s", procs, key, got, inline[key])
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// metricValue and metricLabel are Metric.Field's two halves.
+func metricValue(m Metric, c *placement.PredCosts) *float64 { v, _ := m.Field(c); return v }
+func metricLabel(m Metric, c *placement.PredCosts) *bool    { _, l := m.Field(c); return l }
+
+// TestScoreTileNamesFirstFailedMetric: with two ensembles poisoned, the
+// error names the first of them in paper metric order at every
+// GOMAXPROCS, whichever pass fails first.
+func TestScoreTileNamesFirstFailedMetric(t *testing.T) {
+	tr, cands := handOffTile(t)
+	for _, poisoned := range [][2]Metric{
+		{MetricE2ELatency, MetricSuccess},
+		{MetricThroughput, MetricBackpressure},
+		{MetricProcLatency, MetricE2ELatency},
+	} {
+		pr := randomPredictor(t, 3)
+		for _, m := range poisoned {
+			params := pr[m].Models[1].Net.Params()
+			params[len(params)-1][0] = math.NaN() // the readout bias
+		}
+		sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "non-finite output for " + poisoned[0].String() + ", member 1"
+		for _, procs := range []int{1, 2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				for _, n := range []int{1, 32} {
+					for rep := 0; rep < 8; rep++ {
+						err := sess.ScoreTile(cands[:n], placement.AllCosts, make([]placement.PredCosts, n))
+						if err == nil || err.Error() != "core: "+want {
+							t.Fatalf("%v poisoned, GOMAXPROCS=%d, C=%d: err = %v, want %q", poisoned, procs, n, err, want)
+						}
+					}
+				}
+			}()
+		}
+	}
+}
+
+// TestScoreTileScratchReusedAtOnce: a caller that scores tile after tile
+// gets its pooled tile scratch back at once, while helpers handed the
+// last tile may still be waking: they must join nothing and touch
+// nothing. Run under -race at GOMAXPROCS 4 in CI; every result must keep
+// its bits, and helpers must have run some passes.
+func TestScoreTileScratchReusedAtOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	pr := distinctPredictor(t, 2)
+	tr, cands := handOffTile(t)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles := [][]sim.Placement{cands[:1], cands[1:2], cands[2:9]}
+	want := make([][]placement.PredCosts, len(tiles))
+	for i, tile := range tiles {
+		want[i] = make([]placement.PredCosts, len(tile))
+		if err := sess.ScoreTile(tile, placement.AllCosts, want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	helped := inferMet().helperPasses.Value()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]placement.PredCosts, len(cands))
+			for iter := 0; iter < 150; iter++ {
+				i := (w + iter) % len(tiles)
+				got := out[:len(tiles[i])]
+				if err := sess.ScoreTile(tiles[i], placement.AllCosts, got); err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("worker %d tile %d: %+v, want %+v", w, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if inferMet().helperPasses.Value() == helped {
+		t.Error("no helper ran a pass in 450 tiles at GOMAXPROCS 4")
+	}
+}
+
+// TestScoreTileAllocsIndependentOfGOMAXPROCS: a steady-state tile of one
+// scored with all five ensembles allocates nothing, at GOMAXPROCS 2,
+// where an idle helper may take passes, as at GOMAXPROCS 1, where the
+// caller runs them all. testing.AllocsPerRun always measures at GOMAXPROCS 1, so
+// this reads the process's malloc count around a call itself, as
+// AllocsPerRun does, and takes the cheapest of many single calls:
+// sync.Pool drops items at random under -race.
+func TestScoreTileAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	pr := randomPredictor(t, 3)
+	tr, cands := handOffTile(t)
+	sess, err := newTileSession(pr.ensembles(), analyzed(tr.Query), tr.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]placement.PredCosts, 1)
+	measure := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		best := uint64(math.MaxUint64)
+		for range 50 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := sess.ScoreTile(cands[:1], placement.AllCosts, out); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	measure(2) // warm the pools and start the helpers
+	helped := inferMet().helperPasses.Value()
+	inline, shared := measure(1), measure(2)
+	t.Logf("a tile of one allocates %d objects at GOMAXPROCS 1 and %d at 2; helpers ran %d passes",
+		inline, shared, inferMet().helperPasses.Value()-helped)
+	if inline != 0 || shared != 0 {
+		t.Fatalf("a tile of one allocates %d objects at GOMAXPROCS 1 and %d at 2, want 0", inline, shared)
 	}
 }

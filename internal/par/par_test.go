@@ -3,6 +3,7 @@ package par
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,6 +126,172 @@ func TestEachPoolSize(t *testing.T) {
 			}
 			if onCaller.Load() == 0 {
 				t.Errorf("%+v: no call ran on the caller's goroutine", c)
+			}
+		}()
+	}
+}
+
+// TestCrewRunsEveryIndexOnce: every call of every job runs exactly once,
+// at any GOMAXPROCS, over many jobs of one reused Crew and of several at
+// once; w is 0 exactly on the caller's goroutine, lies in
+// [0, min(n, GOMAXPROCS)) and is never shared by two running calls.
+func TestCrewRunsEveryIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			done := make(chan struct{})
+			for g := 0; g < 3; g++ {
+				go func() {
+					defer func() { done <- struct{}{} }()
+					caller := goid()
+					var c Crew
+					for job := 0; job < 200; job++ {
+						n := job % 9
+						calls := make([]atomic.Int32, n)
+						busy := make([]atomic.Bool, max(min(n, procs), 1))
+						c.Run(n, func(w, i int) {
+							if w < 0 || w >= min(n, procs) {
+								t.Errorf("GOMAXPROCS=%d job %d: call %d on runner %d, want [0, %d)", procs, job, i, w, min(n, procs))
+								return
+							}
+							if onCaller := goid() == caller; onCaller != (w == 0) {
+								t.Errorf("GOMAXPROCS=%d job %d: call %d on runner %d, on the caller's goroutine: %v", procs, job, i, w, onCaller)
+							}
+							if busy[w].Swap(true) {
+								t.Errorf("GOMAXPROCS=%d job %d: two calls overlap on runner %d", procs, job, w)
+							}
+							if i%3 == 0 {
+								runtime.Gosched()
+							}
+							calls[i].Add(1)
+							busy[w].Store(false)
+						})
+						for i := range calls {
+							if got := calls[i].Load(); got != 1 {
+								t.Errorf("GOMAXPROCS=%d job %d: index %d of %d ran %d times", procs, job, i, n, got)
+							}
+						}
+					}
+				}()
+			}
+			for g := 0; g < 3; g++ {
+				<-done
+			}
+		}()
+	}
+}
+
+// TestCrewInlineOnCaller: at GOMAXPROCS 1, or for a job of one call,
+// every call runs on the caller's goroutine, in index order.
+func TestCrewInlineOnCaller(t *testing.T) {
+	caller := goid()
+	var c Crew
+	check := func(procs, n int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		next := 0
+		c.Run(n, func(w, i int) {
+			if id := goid(); id != caller || w != 0 || i != next {
+				t.Errorf("GOMAXPROCS=%d n=%d: call %d (want %d) on goroutine %s (w=%d), want the caller's %s", procs, n, i, next, id, w, caller)
+			}
+			next++
+		})
+		if next != n {
+			t.Errorf("GOMAXPROCS=%d n=%d: %d calls ran", procs, n, next)
+		}
+	}
+	check(1, 5)
+	check(1, 0)
+	check(4, 1)
+	check(4, 0)
+}
+
+// TestCrewNeverWaitsForAHelper: with every helper held inside other jobs,
+// a job's offers find no idle helper, and the caller runs all its calls
+// itself instead of waiting for one.
+func TestCrewNeverWaitsForAHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Start the helpers, then hold each of them in a job of its own that
+	// blocks until release. A helper busy elsewhere when a job is offered
+	// misses it, so keep offering jobs until all of them are held.
+	var warm Crew
+	warm.Run(4, func(int, int) {})
+	release := make(chan struct{})
+	var held atomic.Int64
+	var holders sync.WaitGroup
+	defer holders.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for held.Load() < helpers.Load() {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("held %d of %d helpers", held.Load(), helpers.Load())
+		}
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			new(Crew).Run(4, func(w, _ int) {
+				if w > 0 {
+					held.Add(1)
+				}
+				<-release
+			})
+		}()
+		time.Sleep(time.Millisecond)
+	}
+	caller := goid()
+	var c Crew
+	ran := 0
+	c.Run(5, func(w, i int) {
+		if id := goid(); id != caller || w != 0 {
+			t.Errorf("call %d ran on goroutine %s (w=%d) with every helper held", i, id, w)
+		}
+		ran++
+	})
+	close(release)
+	if ran != 5 {
+		t.Fatalf("%d of 5 calls ran on the caller", ran)
+	}
+}
+
+// TestCrewHandsOffWithoutAllocating: once the helpers are started, a job
+// that helpers join allocates nothing, at GOMAXPROCS 2 and 4: the
+// truncated average over the jobs, as testing.AllocsPerRun reads it, is
+// 0. (AllocsPerRun itself runs at GOMAXPROCS 1, where nothing is handed
+// off, so this reads the process's malloc count around the jobs. The
+// runtime now and then allocates a wait record for a goroutine that parks
+// on a channel, a few per thousand jobs.)
+func TestCrewHandsOffWithoutAllocating(t *testing.T) {
+	for _, procs := range []int{2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var c Crew
+			var sink, helped atomic.Int64
+			fn := func(w, i int) {
+				// Long enough for a parked helper to wake and join.
+				x := int64(i)
+				for j := 0; j < 200_000; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
+				}
+				sink.Add(x)
+				if w > 0 {
+					helped.Add(1)
+				}
+			}
+			for range 20 {
+				c.Run(5, fn)
+			}
+			const jobs = 200
+			var before, after runtime.MemStats
+			helped.Store(0)
+			runtime.ReadMemStats(&before)
+			for range jobs {
+				c.Run(5, fn)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n/jobs != 0 {
+				t.Errorf("GOMAXPROCS=%d: %d jobs allocated %d objects, want 0 per job", procs, jobs, n)
+			}
+			if helped.Load() == 0 {
+				t.Errorf("GOMAXPROCS=%d: no helper joined any of %d jobs", procs, jobs)
 			}
 		}()
 	}

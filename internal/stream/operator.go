@@ -1,6 +1,9 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Operator is a vertex of a streaming query plan. Exactly the fields
 // relevant to the operator's Type are populated; the remaining fields are
@@ -38,14 +41,14 @@ type Operator struct {
 func (o *Operator) Validate() error {
 	switch o.Type {
 	case OpSource:
-		if o.EventRate <= 0 {
-			return fmt.Errorf("source %s: event rate must be positive, got %v", o.ID, o.EventRate)
+		if !(o.EventRate > 0) || math.IsInf(o.EventRate, 1) {
+			return fmt.Errorf("source %s: event rate must be finite and positive, got %v", o.ID, o.EventRate)
 		}
 		if len(o.FieldTypes) == 0 {
 			return fmt.Errorf("source %s: empty schema", o.ID)
 		}
 	case OpFilter:
-		if o.Selectivity < 0 || o.Selectivity > 1 {
+		if !(o.Selectivity >= 0 && o.Selectivity <= 1) {
 			return fmt.Errorf("filter %s: selectivity %v out of [0,1]", o.ID, o.Selectivity)
 		}
 		if o.FilterFn.StringOnly() && o.LiteralType != TypeString {
@@ -58,7 +61,7 @@ func (o *Operator) Validate() error {
 		if err := o.Window.Validate(); err != nil {
 			return fmt.Errorf("join %s: %w", o.ID, err)
 		}
-		if o.Selectivity < 0 || o.Selectivity > 1 {
+		if !(o.Selectivity >= 0 && o.Selectivity <= 1) {
 			return fmt.Errorf("join %s: selectivity %v out of [0,1]", o.ID, o.Selectivity)
 		}
 	case OpAggregate:
@@ -68,7 +71,7 @@ func (o *Operator) Validate() error {
 		if err := o.Window.Validate(); err != nil {
 			return fmt.Errorf("aggregate %s: %w", o.ID, err)
 		}
-		if o.Selectivity < 0 || o.Selectivity > 1 {
+		if !(o.Selectivity >= 0 && o.Selectivity <= 1) {
 			return fmt.Errorf("aggregate %s: selectivity %v out of [0,1]", o.ID, o.Selectivity)
 		}
 	case OpSink:

@@ -8,7 +8,10 @@
 // below the plan's entry point takes the plan only as that Analysis.
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DataType enumerates the attribute types supported by the benchmark
 // workloads (Table II of the paper).
@@ -170,11 +173,11 @@ type Window struct {
 
 // Validate reports an error if the window specification is inconsistent.
 func (w *Window) Validate() error {
-	if w.Size <= 0 {
-		return fmt.Errorf("window size must be positive, got %v", w.Size)
+	if !(w.Size > 0) || math.IsInf(w.Size, 1) {
+		return fmt.Errorf("window size must be finite and positive, got %v", w.Size)
 	}
-	if w.Slide <= 0 {
-		return fmt.Errorf("window slide must be positive, got %v", w.Slide)
+	if !(w.Slide > 0) || math.IsInf(w.Slide, 1) {
+		return fmt.Errorf("window slide must be finite and positive, got %v", w.Slide)
 	}
 	if w.Slide > w.Size {
 		return fmt.Errorf("window slide %v exceeds size %v", w.Slide, w.Size)
