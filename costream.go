@@ -279,7 +279,8 @@ type TrainOptions struct {
 	BatchSize    int
 	LearningRate float64
 	Hidden       int
-	// EnsembleSize is the number of models per cost metric.
+	// EnsembleSize is the number of models per cost metric; 0 means 3,
+	// and a negative size is refused.
 	EnsembleSize int
 	// Seed drives initialization and shuffling.
 	Seed int64

@@ -133,10 +133,11 @@ func TestTrainModelValidation(t *testing.T) {
 		mutate func(*TrainOptions)
 		want   string
 	}{
-		"NaN rate":        {func(o *TrainOptions) { o.LearningRate = math.NaN() }, "LR NaN"},
-		"infinite rate":   {func(o *TrainOptions) { o.LearningRate = math.Inf(1) }, "LR +Inf"},
-		"diverging rate":  {func(o *TrainOptions) { o.LearningRate = 1e300 }, "reached a finite loss"},
-		"negative hidden": {func(o *TrainOptions) { o.Hidden = -1 }, "Hidden -1"},
+		"NaN rate":          {func(o *TrainOptions) { o.LearningRate = math.NaN() }, "LR NaN"},
+		"infinite rate":     {func(o *TrainOptions) { o.LearningRate = math.Inf(1) }, "LR +Inf"},
+		"diverging rate":    {func(o *TrainOptions) { o.LearningRate = 1e300 }, "reached a finite loss"},
+		"negative hidden":   {func(o *TrainOptions) { o.Hidden = -1 }, "Hidden -1"},
+		"negative ensemble": {func(o *TrainOptions) { o.EnsembleSize = -2 }, "EnsembleSize -2"},
 	} {
 		opts := DefaultTrainOptions()
 		opts.Epochs, opts.EnsembleSize, opts.Hidden = 2, 1, 8

@@ -58,7 +58,8 @@ func (p *Predictor) Shape() (members, hidden int) {
 // PredictorConfig controls TrainPredictor.
 type PredictorConfig struct {
 	Train TrainConfig
-	// EnsembleSize is the number of models per metric (the paper uses 3).
+	// EnsembleSize is the number of models per metric; 0 means 3, the
+	// paper's size, and a negative size is refused.
 	EnsembleSize int
 	// Metrics restricts training to a subset; nil means all five.
 	Metrics []Metric
@@ -79,11 +80,14 @@ func TrainPredictor(train, val *dataset.Corpus, cfg PredictorConfig) (*Predictor
 }
 
 // validate refuses, before any trace is featurized, a training config no
-// fit can train with and a metric named twice, whose second ensemble
-// would silently replace the first.
+// fit can train with, a negative ensemble size and a metric named twice,
+// whose second ensemble would silently replace the first.
 func (cfg *PredictorConfig) validate() error {
 	if err := cfg.Train.validate(); err != nil {
 		return err
+	}
+	if cfg.EnsembleSize < 0 {
+		return fmt.Errorf("core: predictor config: EnsembleSize %d, want >= 0 (0 = 3)", cfg.EnsembleSize)
 	}
 	seen := map[Metric]bool{}
 	for _, m := range cfg.Metrics {
@@ -102,34 +106,50 @@ func (cfg *PredictorConfig) validate() error {
 // Each fit is one job; member i of a metric is seeded cfg.Train.Seed +
 // 7919·i. par.Each starts the jobs in a fixed order, largest training set
 // first, on min(jobs, budget) runners, so every core stays busy through
-// its own fit's serial optimizer step. A runner owns one tapes for all of
-// its fits: a fit after its first starts on arenas already grown to the
-// training set's graphs. A fit's weights depend on neither the budget nor
-// the schedule. No job past the first one to fail starts; a job is only
-// ever skipped past a failed one, so the first failing job in pull order
-// always runs, and the error returned is its error on every run.
+// its own fit's serial optimizer step. A runner takes one tapes from
+// tapesPool for all of its fits, and every tapes goes back to the pool
+// once every job has run: a fit after the runner's first, and every fit
+// of a later call that finds a tapes in the pool, starts on arenas and a
+// fit-state slab already grown, and allocates only its model. The runner whose fit completes an
+// ensemble's last member builds the ensemble's weight stack there and
+// then, so stacking runs beside the other fits instead of after them. A
+// fit's weights depend on neither the budget nor the schedule. No job
+// past the first one to fail starts; a job is only ever skipped past a
+// failed one, so the first failing job in pull order always runs, and
+// the error returned is its error on every run. When every fit succeeds,
+// the first ensemble in metric order whose members cannot stack names
+// the error.
 func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
 	k := cfg.EnsembleSize
-	if k <= 0 {
+	if k == 0 {
 		k = 3
 	}
 	metrics := cfg.Metrics
 	if metrics == nil {
 		metrics = AllMetrics()
 	}
+	// pending counts an ensemble's members still training; the fit that
+	// takes it to zero stacks the ensemble into stackErr.
+	type ensembleJob struct {
+		e        *Ensemble
+		pending  atomic.Int32
+		stackErr error
+	}
 	type fitJob struct {
-		ens        *Ensemble
+		ens        *ensembleJob
 		member     int
 		train, val []sample // shared by the ensemble's members
 		err        error
 	}
-	ensembles := make([]*Ensemble, len(metrics))
+	ensembles := make([]ensembleJob, len(metrics))
 	jobs := make([]fitJob, 0, len(metrics)*k)
 	for i, m := range metrics {
-		ensembles[i] = &Ensemble{Metric: m, Models: make([]*CostModel, k)}
+		ej := &ensembles[i]
+		ej.e = &Ensemble{Metric: m, Models: make([]*CostModel, k)}
+		ej.pending.Store(int32(k))
 		ts, vs := samplesFromRecords(trainRecs, m), samplesFromRecords(valRecs, m)
 		for member := range k {
-			jobs = append(jobs, fitJob{ens: ensembles[i], member: member, train: ts, val: vs})
+			jobs = append(jobs, fitJob{ens: ej, member: member, train: ts, val: vs})
 		}
 	}
 	// Largest training set first, so the fits that start last are short.
@@ -137,6 +157,13 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 
 	runners := max(1, min(len(jobs), cap(trainBudget)))
 	tps := make([]*tapes, runners) // runner w's fits run on tps[w] one after another
+	defer func() {
+		for _, tp := range tps {
+			if tp != nil {
+				tapesPool.Put(tp)
+			}
+		}
+	}()
 	// stop is the index of the first job to fail, len(jobs) until one does.
 	var stop atomic.Int64
 	stop.Store(int64(len(jobs)))
@@ -145,7 +172,7 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 			return
 		}
 		if tps[w] == nil {
-			tps[w] = newTapes()
+			tps[w] = tapesPool.Get().(*tapes)
 		}
 		job := &jobs[n]
 		c := cfg.Train
@@ -155,23 +182,29 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 		// the copies stay shared and read-only.
 		ts := append([]sample(nil), job.train...)
 		vs := append([]sample(nil), job.val...)
-		if job.ens.Models[job.member], job.err = trainFromSamples(tps[w], job.ens.Metric, ts, vs, c); job.err != nil {
+		ej := job.ens
+		if ej.e.Models[job.member], job.err = trainFromSamples(tps[w], ej.e.Metric, ts, vs, c); job.err != nil {
 			stop.CompareAndSwap(int64(len(jobs)), int64(n))
+			return
+		}
+		if ej.pending.Add(-1) == 0 {
+			// Build the weight stack at train time: an ensemble whose
+			// members cannot stack could serve no prediction.
+			_, ej.stackErr = ej.e.stacked()
 		}
 	})
 	for _, job := range jobs {
 		if job.err != nil {
-			return nil, fmt.Errorf("core: training %v: %w", job.ens.Metric, job.err)
+			return nil, fmt.Errorf("core: training %v: %w", job.ens.e.Metric, job.err)
 		}
 	}
 	pr := &Predictor{}
-	for _, e := range ensembles {
-		// Build the weight stack once at train time: an ensemble whose
-		// members cannot stack could serve no prediction.
-		if _, err := e.stacked(); err != nil {
-			return nil, fmt.Errorf("core: training %v: %w", e.Metric, err)
+	for i := range ensembles {
+		ej := &ensembles[i]
+		if ej.stackErr != nil {
+			return nil, fmt.Errorf("core: training %v: %w", ej.e.Metric, ej.stackErr)
 		}
-		pr[e.Metric] = e
+		pr[ej.e.Metric] = ej.e
 	}
 	return pr, nil
 }

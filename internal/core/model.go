@@ -230,22 +230,38 @@ func sampleLoss(net *gnn.Model, metric Metric, t *nn.Tape, sc *gnn.Scratch, s sa
 	return l, nil
 }
 
-// tapes holds the reusable tape state of a training runner (or one
-// pooled prediction): a training tape arena, an inference tape for
-// validation passes (no gradient buffers), and the GNN scratch. A runner
-// hands one tapes to each of its fits in turn: nothing in it outlives a
-// sample's pass but its grown buffers, so a fit after the first runs on
-// warm arenas. Steady-state, a sample runs through them without heap
-// allocations.
+// tapes is the whole workspace of a training runner, or of one pooled
+// prediction: a training tape arena, an inference tape for validation
+// passes (no gradient buffers), the GNN scratch, and the slab from which
+// a fit carves everything it holds beside its model's weights — the
+// gradients of the model and of its shadow, the training mirrors and
+// Adam's moments (newFitState). A runner hands one tapes to each of its
+// fits in turn: nothing in it outlives a fit but its grown buffers,
+// whose contents the next fit clears wherever it needs +0 or overwrites,
+// so a fit after the first runs on warm arenas and allocates only the
+// model it returns. Steady-state, a sample runs through them without
+// heap allocations.
+//
+// Every tapes comes from tapesPool and goes back to it, so a process
+// keeps at most a few (one per runner that ran at once) between calls,
+// and the garbage collector empties the pool of them when they go
+// unused: a model holds its weights alone, and no buffer of a finished
+// fit outlives two collections.
 type tapes struct {
 	tape    *nn.Tape
 	itape   *nn.Tape
 	scratch *gnn.Scratch
+	slab    []float64 // a fit's state, grown to the largest model seen
 }
 
 func newTapes() *tapes {
 	return &tapes{tape: nn.NewTape(), itape: nn.NewInferenceTape(), scratch: gnn.NewScratch()}
 }
+
+// tapesPool lends every fit (Train, FineTune, each runner of
+// TrainPredictor) and every single-model prediction (PredictRaw) its
+// tapes.
+var tapesPool = sync.Pool{New: func() any { return newTapes() }}
 
 // maxGradChunks bounds the stride chunks a minibatch is partitioned
 // into: with C = min(maxGradChunks, batch size) chunks, chunk c holds
@@ -299,7 +315,9 @@ func Train(train, val *dataset.Corpus, metric Metric, cfg TrainConfig) (*CostMod
 	if err != nil {
 		return nil, err
 	}
-	return trainFromSamples(newTapes(), metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg)
+	tp := tapesPool.Get().(*tapes)
+	defer tapesPool.Put(tp)
+	return trainFromSamples(tp, metric, samplesFromRecords(trainRecs, metric), samplesFromRecords(valRecs, metric), cfg)
 }
 
 // trainFromSamples trains a fresh model on pre-featurized samples. It owns
@@ -382,10 +400,10 @@ func (cfg *TrainConfig) validate() error {
 // transposed, a mirror that exists only for the duration of fit and that
 // the Adam step writes as it updates the weights. The gradient buffers
 // live exactly as long: fit attaches both to every layer before its
-// first batch and drops both when it returns, on success or error
-// (newFitState, fitState.release), and the Adam step clears the
-// gradients as it reads them, so a model outside a fit holds its weights
-// alone.
+// first batch, on storage carved from tp, and drops both when it
+// returns, on success or error (newFitState, fitState.release), and the
+// Adam step clears the gradients as it reads them, so a model outside a
+// fit holds its weights alone.
 //
 // The weights end at the epoch of the best monitored loss. They are
 // copied aside only when an epoch before the last becomes the best: when
@@ -404,9 +422,8 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 	defer func() { <-trainBudget }()
 	params := cm.Net.Params()
 	// Chunk 0 accumulates into the model's own gradients, from +0.
-	st := newFitState(cm.Net)
+	st := tp.newFitState(cm.Net, cfg.LR)
 	defer st.release()
-	opt := nn.NewAdam(cfg.LR, st.layers)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
 	best := math.Inf(1)
@@ -451,7 +468,7 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 					clk.lap(&stats.ReduceNS)
 				}
 			}
-			opt.Step()
+			st.opt.Step()
 			clk.lap(&stats.StepNS)
 		}
 		stats.TrainLoss = epochLoss / float64((len(trainSamples)+cfg.BatchSize-1)/cfg.BatchSize)
@@ -506,28 +523,51 @@ func (cm *CostModel) fit(tp *tapes, trainSamples, valSamples []sample, cfg Train
 }
 
 // fitState is what a fit holds beside its model's weights, and only while
-// it runs: gradient buffers and a training mirror on every layer, and the
-// one gradient shadow the chunks after the first backpropagate into.
-// layers and shadows are the model's and the shadow's Linears, which
-// pair index by index.
+// it runs: gradient buffers and a training mirror on every layer, the one
+// gradient shadow the chunks after the first backpropagate into, and the
+// optimizer. layers and shadows are the model's and the shadow's Linears,
+// which pair index by index. All of its buffers are carved from the
+// slab of the tapes that made it, which lends them for the fit alone.
 type fitState struct {
 	shadow          *gnn.Model
 	layers, shadows []*nn.Linear
+	opt             *nn.Adam
 }
 
-// newFitState attaches zeroed gradient buffers and a training mirror to
-// every layer of net, then makes the gradient shadow, which shares the
-// mirrors like the weights. Where the AVX kernels are unavailable
+// newFitState attaches gradient buffers cleared to +0 and a training
+// mirror to every layer of net, makes the gradient shadow, which shares
+// the mirrors like the weights, and attaches its own cleared gradients,
+// then makes the Adam optimizer at rate lr on cleared moments. Every
+// buffer is carved (nn.Carve) from tp's slab, grown first to what net
+// needs; a slab already that large, as a runner's is from its second fit
+// on, is reused as it is. Where the AVX kernels are unavailable
 // RefreshMirror does nothing, and the model and shadow run the tape's Go
 // loops.
-func newFitState(net *gnn.Model) fitState {
+func (tp *tapes) newFitState(net *gnn.Model, lr float64) fitState {
 	layers := net.Linears()
+	need := nn.AdamMoments(layers)
 	for _, l := range layers {
-		l.AttachGrads()
-		l.RefreshMirror()
+		// The model's and the shadow's gradients, and the mirror.
+		need += 3*nn.Lines(len(l.W)) + 2*nn.Lines(len(l.B))
+	}
+	tp.slab = nn.Grow(tp.slab, need)
+	rest := tp.slab
+	var gw, gb, mirror []float64
+	for _, l := range layers {
+		gw, rest = nn.Carve(rest, len(l.W))
+		gb, rest = nn.Carve(rest, len(l.B))
+		mirror, rest = nn.Carve(rest, len(l.W))
+		l.AttachGrads(gw, gb)
+		l.RefreshMirror(mirror)
 	}
 	shadow := net.GradShadow()
-	return fitState{shadow: shadow, layers: layers, shadows: shadow.Linears()}
+	shadows := shadow.Linears()
+	for _, s := range shadows {
+		gw, rest = nn.Carve(rest, len(s.W))
+		gb, rest = nn.Carve(rest, len(s.B))
+		s.AttachGrads(gw, gb)
+	}
+	return fitState{shadow: shadow, layers: layers, shadows: shadows, opt: nn.NewAdam(lr, layers, rest)}
 }
 
 // fold adds the shadow's gradients into the model's and zeroes the
@@ -542,7 +582,8 @@ func (s *fitState) fold() {
 }
 
 // release drops every layer's gradient buffers and training mirror: the
-// model holds its weights alone again.
+// model holds its weights alone again, and the slab they were carved
+// from is free for the tapes' next fit.
 func (s *fitState) release() {
 	for _, l := range s.layers {
 		l.DropGrads()
@@ -562,7 +603,9 @@ func (cm *CostModel) FineTune(extra *dataset.Corpus, cfg TrainConfig) error {
 	}
 	params := cm.Net.Params()
 	start := snapshot(params)
-	if err := cm.fit(newTapes(), samplesFromRecords(recs, cm.Metric), nil, cfg); err != nil {
+	tp := tapesPool.Get().(*tapes)
+	defer tapesPool.Put(tp)
+	if err := cm.fit(tp, samplesFromRecords(recs, cm.Metric), nil, cfg); err != nil {
 		copyInto(params, start)
 		return err
 	}
@@ -593,8 +636,8 @@ func (cm *CostModel) PredictRaw(a *stream.Analysis, c *hardware.Cluster, p sim.P
 	if err != nil {
 		return 0, err
 	}
-	tp := predictPool.Get().(*tapes)
-	defer predictPool.Put(tp)
+	tp := tapesPool.Get().(*tapes)
+	defer tapesPool.Put(tp)
 	tp.itape.Reset()
 	out, err := cm.Net.ForwardPlanned(tp.itape, g, plan, tp.scratch)
 	if err != nil {
@@ -602,10 +645,6 @@ func (cm *CostModel) PredictRaw(a *stream.Analysis, c *hardware.Cluster, p sim.P
 	}
 	return cm.headTransform(out.Data[0]), nil
 }
-
-// predictPool lends single-model predictions the inference tape and GNN
-// scratch of a fit's tapes, as meanLoss uses them.
-var predictPool = sync.Pool{New: func() any { return newTapes() }}
 
 // headTransform maps the network's raw output into metric space.
 func (cm *CostModel) headTransform(out float64) float64 {

@@ -14,7 +14,6 @@ import (
 
 	"costream/internal/dataset"
 	"costream/internal/gnn"
-	"costream/internal/nn"
 )
 
 // subCorpus slices the shared test corpus so the training tests stay
@@ -66,9 +65,8 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := newTapes()
-	st := newFitState(net)
+	st := tp.newFitState(net, 1e-3)
 	defer st.release()
-	opt := nn.NewAdam(1e-3, st.layers)
 
 	step := func() {
 		// One chunk spanning all samples, on the shadow as chunks 1..7 of
@@ -77,7 +75,7 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.fold()
-		opt.Step()
+		st.opt.Step()
 	}
 	step() // warm the tape arena and scratch across all graph shapes
 	step()
@@ -144,7 +142,8 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newFitState(net)
+	tp := newTapes()
+	st := tp.newFitState(net, 1e-3)
 	defer st.release()
 	dst := gradsOf(net)
 	src := gradsOf(st.shadow)
@@ -154,7 +153,6 @@ func TestFoldGradsOrderAndClear(t *testing.T) {
 			g[i] = (rng.Float64()*2 - 1) * math.Ldexp(1, rng.Intn(40)-20)
 		}
 	}
-	tp := newTapes()
 	skipped := 0
 	for c := 1; c < maxGradChunks; c++ {
 		if _, err := tp.runChunk(st.shadow, MetricE2ELatency, samples[c*len(samples)/maxGradChunks:], 0, len(samples), 1); err != nil {
@@ -417,6 +415,11 @@ func TestRunnerSecondFitAllocatesNoTapeStorage(t *testing.T) {
 	tc.Epochs, tc.Patience, tc.Hidden = 1, 0, 8
 	mallocs := func(f func()) int64 {
 		var a, b runtime.MemStats
+		// Two collections empty tapesPool, so every measured predictor
+		// starts its runner on fresh tapes, as a call did before the
+		// runners' tapes were pooled, and the race detector's random
+		// drops of pooled tapes move no count.
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&a)
 		f()

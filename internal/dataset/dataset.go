@@ -145,7 +145,9 @@ type BuildConfig struct {
 	Sim sim.Config
 	// QueryFn optionally overrides the query sampler (for special
 	// corpora such as filter chains or benchmark queries). It is called
-	// with a dedicated generator and the trace index.
+	// with a dedicated generator and the trace index. A query the
+	// generator built is taken with the analysis its builder made
+	// (workload.Generator.Analysis), so it must be returned unmodified.
 	QueryFn func(g *workload.Generator, i int) *stream.Query
 	// ClusterFn optionally overrides the cluster sampler.
 	ClusterFn func(g *workload.Generator, i int) *hardware.Cluster
@@ -189,11 +191,18 @@ func traceSeed(corpusSeed int64, i int) int64 {
 
 // TraceQuery returns the query of trace i of the corpus cfg describes,
 // Build(cfg).Traces[i].Query for any N > i, without building the
-// corpus. The scenario registry's QuerySampler, and through it the fleet
-// simulator, draws its queries here.
+// corpus. The scenario registry's QuerySampler draws its queries here.
 func TraceQuery(cfg BuildConfig, i int) *stream.Query {
 	q, _ := traceQuery(cfg, i)
 	return q
+}
+
+// TraceAnalysis returns the analysis of TraceQuery(cfg, i), checked once:
+// the scenario registry's AnalysisSampler, and through it the fleet
+// simulator, draws its queries here.
+func TraceAnalysis(cfg BuildConfig, i int) (*stream.Analysis, error) {
+	q, g := traceQuery(cfg, i)
+	return g.Analysis(q)
 }
 
 // traceQuery is the one definition of the query of trace i: the first
@@ -218,7 +227,11 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	} else {
 		c = g.Cluster()
 	}
-	a, k, err := placement.Check(q, c)
+	a, err := g.Analysis(q)
+	if err != nil {
+		return nil, err
+	}
+	k, err := c.Check()
 	if err != nil {
 		return nil, err
 	}

@@ -236,7 +236,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	if recipe == "" {
 		recipe = "training"
 	}
-	sampler, err := scenario.QuerySampler(recipe, wlSeed)
+	sampler, err := scenario.AnalysisSampler(recipe, wlSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +274,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	deps := make([]controlplane.Deployment, sc.Workload.Queries)
 	eff := make([]*stream.Analysis, len(deps))
 	for i := range deps {
-		if eff[i], err = sampler(i).Analyze(); err != nil {
+		if eff[i], err = sampler(i); err != nil {
 			return nil, fmt.Errorf("fleet: query %d: %w", i, err)
 		}
 		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), eff[i]

@@ -47,7 +47,7 @@ func (m *Model) forward(t *nn.Tape, g *Graph) (*nn.Node, error) {
 func (m *Model) zeroGrad() {
 	for _, l := range m.Linears() {
 		if l.GW == nil {
-			l.AttachGrads()
+			l.AttachGrads(make([]float64, l.Out*l.In), make([]float64, l.Out))
 		}
 		clear(l.GW)
 		clear(l.GB)

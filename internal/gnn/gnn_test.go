@@ -157,7 +157,8 @@ func TestTrainingReducesLoss(t *testing.T) {
 	// proportional to feature.
 	m := newTestModel(t, false)
 	m.zeroGrad()
-	opt := nn.NewAdam(0.005, m.Linears())
+	ls := m.Linears()
+	opt := nn.NewAdam(0.005, ls, make([]float64, nn.AdamMoments(ls)))
 	graphs := []*Graph{testGraph(0.1), testGraph(0.4), testGraph(0.7), testGraph(1.0)}
 	targets := []float64{100, 400, 700, 1000}
 	lossAt := func() float64 {

@@ -151,9 +151,10 @@ func (m *Model) Params() [][]float64 {
 }
 
 // GradShadow returns a model that shares this model's weight slices, and
-// the training mirrors its layers hold at the time of the call, but owns
-// private zeroed gradient buffers (see nn.Linear.GradShadow). A training
-// fit makes one shadow after its mirrors exist and backpropagates each
+// the training mirrors its layers hold at the time of the call, but no
+// gradient buffers (see nn.Linear.GradShadow): its caller attaches
+// private ones to every layer before the first backprop. A training fit
+// makes one shadow after its mirrors exist and backpropagates each
 // minibatch chunk after the first into it, so the chunk's gradients sum
 // on their own before they are folded into the optimizer's, layer by
 // layer (nn.Linear.FoldGrads): Linears on the shadow yields layers

@@ -75,6 +75,7 @@ func TestGradShadowSharesWeightsOwnsGrads(t *testing.T) {
 	}
 
 	m.zeroGrad()
+	shadow.zeroGrad()
 	mp, mg := m.Params(), m.grads()
 	sp, sg := shadow.Params(), shadow.grads()
 	if len(mp) != len(sp) {

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Adam's fixed hyperparameters. They are typed, so 1 - beta1 is the
 // difference of 1 and beta1 rounded to float64, not the exact 0.1 an
@@ -19,25 +22,36 @@ type Adam struct {
 	clipNorm float64 // global gradient norm clip; 0 disables
 
 	layers []*Linear
-	m      [][]float64 // first moments: W then B of each layer, in layer order
-	v      [][]float64 // second moments, laid out like m
-	t      int
+	// moments holds, layer by layer, the first and second moments of W,
+	// then those of B, each carved at a line boundary (Carve) from the
+	// caller's storage.
+	moments []float64
+	t       int
+}
+
+// AdamMoments returns the length of the moment storage NewAdam takes for
+// layers: two moments per weight and bias, each layer's four slices
+// rounded up to whole lines.
+func AdamMoments(layers []*Linear) int {
+	n := 0
+	for _, l := range layers {
+		n += 2*Lines(len(l.W)) + 2*Lines(len(l.B))
+	}
+	return n
 }
 
 // NewAdam returns an Adam optimizer for layers, stepped in the order
-// given (gnn.Model.Linears: the order of Params).
-func NewAdam(lr float64, layers []*Linear) *Adam {
-	a := &Adam{
-		lr: lr, clipNorm: 5,
-		layers: layers,
-		m:      make([][]float64, 0, 2*len(layers)),
-		v:      make([][]float64, 0, 2*len(layers)),
+// given (gnn.Model.Linears: the order of Params), whose moments live in
+// moments: AdamMoments(layers) elements of the caller's storage, which
+// NewAdam clears to +0 and the optimizer holds as long as it is used.
+// core's fit carves it from its runner's pooled workspace, beside the
+// gradients; NewAdam allocates only the optimizer itself.
+func NewAdam(lr float64, layers []*Linear, moments []float64) *Adam {
+	if len(moments) != AdamMoments(layers) {
+		panic(fmt.Sprintf("nn: Adam moments of %d elements, want %d", len(moments), AdamMoments(layers)))
 	}
-	for _, l := range layers {
-		a.m = append(a.m, make([]float64, len(l.W)), make([]float64, len(l.B)))
-		a.v = append(a.v, make([]float64, len(l.W)), make([]float64, len(l.B)))
-	}
-	return a
+	clear(moments)
+	return &Adam{lr: lr, clipNorm: 5, layers: layers, moments: moments}
 }
 
 // adamHyper is one step's values of the element update beside the fixed
@@ -80,8 +94,14 @@ func (a *Adam) Step() {
 		c1: 1 - math.Pow(beta1, float64(a.t)), c2: 1 - math.Pow(beta2, float64(a.t)),
 		lr: a.lr, scale: scale,
 	}
-	for k, l := range a.layers {
-		l.adamStep(a.m[2*k], a.v[2*k], a.m[2*k+1], a.v[2*k+1], &h)
+	rest := a.moments
+	for _, l := range a.layers {
+		var mw, vw, mb, vb []float64
+		mw, rest = Carve(rest, len(l.W))
+		vw, rest = Carve(rest, len(l.W))
+		mb, rest = Carve(rest, len(l.B))
+		vb, rest = Carve(rest, len(l.B))
+		l.adamStep(mw, vw, mb, vb, &h)
 	}
 }
 

@@ -235,10 +235,11 @@ type StackedLinear struct {
 	kernel kernelKind
 }
 
-// newStack returns an empty stack of k in→out members with bias b (k
+// newStack returns a stack of k in→out members on the weight storage w
+// (at least k·in·out elements, contents unspecified) with bias b (k
 // blocks of out) and the kernel this build and CPU run on that width.
-func newStack(k, in, out int, b []float64) StackedLinear {
-	s := StackedLinear{K: k, In: in, Out: out, W: make([]float64, k*in*out), B: b}
+func newStack(k, in, out int, w, b []float64) StackedLinear {
+	s := StackedLinear{K: k, In: in, Out: out, W: w[:k*in*out], B: b}
 	if useAffineAsm {
 		s.kernel = asmKernel(out)
 	}
@@ -251,7 +252,7 @@ func StackLinears(ls []*Linear) (*StackedLinear, error) {
 		return nil, fmt.Errorf("nn: stacking zero layers")
 	}
 	in, out := ls[0].In, ls[0].Out
-	s := newStack(len(ls), in, out, make([]float64, len(ls)*out))
+	s := newStack(len(ls), in, out, make([]float64, len(ls)*in*out), make([]float64, len(ls)*out))
 	for m, l := range ls {
 		if l.In != in || l.Out != out {
 			return nil, fmt.Errorf("nn: layer %d is %dx%d, want %dx%d", m, l.Out, l.In, out, in)

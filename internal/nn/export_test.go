@@ -43,7 +43,7 @@ func (t *Tape) leakyReLU(a *Node, alpha float64) *Node {
 func (m *MLP) zeroGrad() {
 	for _, l := range m.Layers {
 		if l.GW == nil {
-			l.AttachGrads()
+			attachGrads(l)
 		}
 		clear(l.GW)
 		clear(l.GB)
@@ -68,4 +68,18 @@ func (m *MLP) grads() [][]float64 {
 		grads = append(grads, l.GW, l.GB)
 	}
 	return grads
+}
+
+// attachGrads gives l gradient buffers of its own, where a fit lends it
+// storage from its workspace.
+func attachGrads(l *Linear) {
+	l.AttachGrads(make([]float64, l.Out*l.In), make([]float64, l.Out))
+}
+
+// refreshMirror is RefreshMirror on mirror storage of its own.
+func refreshMirror(l *Linear) { l.RefreshMirror(make([]float64, l.In*l.Out)) }
+
+// newAdam is NewAdam on moment storage of its own.
+func newAdam(lr float64, layers []*Linear) *Adam {
+	return NewAdam(lr, layers, make([]float64, AdamMoments(layers)))
 }

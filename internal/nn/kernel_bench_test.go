@@ -84,7 +84,7 @@ func BenchmarkBackwardKernels(b *testing.B) {
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(7))
 		l := NewLinear(rng, sh.in, sh.out)
-		l.AttachGrads()
+		attachGrads(l)
 		x := &Node{Data: randRows(rng, 1, sh.in), Grad: make([]float64, sh.in)}
 		dy, act, alpha := randRows(rng, 1, sh.out), randRows(rng, 1, sh.out), leakySlope
 		var fused *Node
@@ -135,7 +135,7 @@ func BenchmarkOptimizerStep(b *testing.B) {
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(7))
 		l := NewLinear(rng, sh[0], sh[1])
-		l.AttachGrads()
+		attachGrads(l)
 		gw, gb := randRows(rng, 1, len(l.GW)), randRows(rng, 1, len(l.GB))
 		n := len(l.W) + len(l.B)
 		mw, vw, mb, vb := make([]float64, len(l.W)), make([]float64, len(l.W)), make([]float64, len(l.B)), make([]float64, len(l.B))
@@ -152,7 +152,7 @@ func BenchmarkOptimizerStep(b *testing.B) {
 				defer func(was bool) { useAffineAsm = was }(useAffineAsm)
 				useAffineAsm = asm
 				if asm {
-					l.RefreshMirror()
+					refreshMirror(l)
 					defer l.DropMirror()
 				}
 				for b.Loop() {

@@ -15,9 +15,9 @@ import (
 // GW and GB, the gradient buffers, exist only inside a training fit,
 // between AttachGrads and DropGrads, like the training mirror: core's fit
 // attaches and drops both on every layer of its model (gnn.Model.Linears),
-// and a layer built by NewLinear, or one whose model is done training,
-// holds its weights and biases alone. Backpropagating into a layer without
-// them panics.
+// on storage the fit's caller lends it, and a layer built by NewLinear,
+// or one whose model is done training, holds its weights and biases
+// alone. Backpropagating into a layer without them panics.
 type Linear struct {
 	In, Out int
 	W       []float64 // row-major Out x In
@@ -59,18 +59,37 @@ func zeroLinear(in, out int) *Linear {
 	return &Linear{In: in, Out: out, W: make([]float64, out*in), B: make([]float64, out)}
 }
 
-// AttachGrads gives the layer fresh zeroed gradient buffers: a fit calls
-// it on every layer of its model, beside RefreshMirror, before its first
-// backprop, and DropGrads when it returns. GW and GB are
-// allocated apart: one allocation of both rounds up to a larger size
-// class on most of the models' layer shapes (64→24: 12 480 bytes round
-// to 13 568, where 12 288 and 192 are size classes themselves).
-func (l *Linear) AttachGrads() {
-	l.GW, l.GB = make([]float64, l.Out*l.In), make([]float64, l.Out)
+// AttachGrads makes gw (Out·In elements) and gb (Out) the layer's
+// gradient buffers, cleared to +0: a fit calls it on every layer of its
+// model and of its gradient shadow, beside RefreshMirror, before its
+// first backprop, and DropGrads when it returns. The storage is the
+// caller's — core's fit carves it from its runner's pooled workspace
+// (Carve) — and the layer holds it only until DropGrads; it allocates
+// nothing.
+func (l *Linear) AttachGrads(gw, gb []float64) {
+	if len(gw) != l.Out*l.In || len(gb) != l.Out {
+		panic(fmt.Sprintf("nn: gradient buffers of %d and %d elements for a %dx%d layer", len(gw), len(gb), l.Out, l.In))
+	}
+	clear(gw)
+	clear(gb)
+	l.GW, l.GB = gw, gb
 }
 
-// DropGrads releases the gradient buffers when the fit is done.
+// DropGrads detaches the gradient buffers when the fit is done; their
+// storage goes back to its owner.
 func (l *Linear) DropGrads() { l.GW, l.GB = nil, nil }
+
+// Carve splits the first n elements off slab and returns them, capped at
+// n, with the rest of slab from the next 64-byte line on: pieces carved
+// one after another from a line-aligned slab each start on a cache line.
+// Lines(n) is the length the piece takes of slab.
+func Carve(slab []float64, n int) (piece, rest []float64) {
+	return slab[:n:n], slab[Lines(n):]
+}
+
+// Lines returns n rounded up to whole 64-byte lines of float64s: what
+// Carve takes of a slab for a piece of n elements.
+func Lines(n int) int { return (n + 7) &^ 7 }
 
 // HasFitState reports whether the layer holds any state that exists only
 // inside a fit: gradient buffers or a training mirror.
@@ -94,25 +113,29 @@ func (l *Linear) affineInto(dst, x []float64) {
 }
 
 // RefreshMirror copies the current weights into the training mirror
-// (StackedLinear.load), allocating it on first use, so the tape forward
-// pass runs on the stacked kernel. A fit calls it on every layer of its
+// (StackedLinear.load), so the tape forward pass runs on the stacked
+// kernel. A layer without a mirror gets one on w, In·Out elements of the
+// caller's storage that the layer holds until DropMirror (core's fit
+// carves it from its runner's pooled workspace); a layer that has one
+// ignores w, which may then be nil. A fit calls it on every layer of its
 // model before it makes the gradient shadow (so GradShadow shares the
 // mirror), and DropMirror when it returns. Adam.Step keeps the mirror up
 // to date; call this after any other in-place weight update while the
 // mirror exists: a stale mirror silently computes with old weights. It
 // does nothing where the AVX kernels are unavailable or the layer's
 // buffers do not match its dimensions; Apply then stays on affineInto.
-func (l *Linear) RefreshMirror() {
+func (l *Linear) RefreshMirror(w []float64) {
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
 		return
 	}
 	if l.mirror.W == nil {
-		l.mirror = newStack(1, l.In, l.Out, l.B)
+		l.mirror = newStack(1, l.In, l.Out, w, l.B)
 	}
 	l.mirror.load(0, l)
 }
 
-// DropMirror releases the training mirror; Apply returns to affineInto.
+// DropMirror detaches the training mirror, whose storage goes back to its
+// owner; Apply returns to affineInto.
 func (l *Linear) DropMirror() { l.mirror = StackedLinear{} }
 
 // affineTape is the tape ops' forward, leaky(W*x + b, slope) with slope 1
@@ -229,15 +252,13 @@ func (l *Linear) backpropScalar(outGrad []float64, x *Node, fused *Node) {
 }
 
 // GradShadow returns a layer sharing this layer's weight and bias slices
-// (and its training mirror, if one exists right now) but owning fresh
-// zeroed gradient buffers. A training fit backpropagates each minibatch
-// chunk after the first into its shadow, so the chunk's gradients sum
-// from zero on their own before being folded into the optimizer's (see
-// FoldGrads).
+// (and its training mirror, if one exists right now) with no gradient
+// buffers of its own yet: attach them (AttachGrads) before the first
+// backprop. A training fit backpropagates each minibatch chunk after the
+// first into its shadow, so the chunk's gradients sum from zero on their
+// own before being folded into the optimizer's (see FoldGrads).
 func (l *Linear) GradShadow() *Linear {
-	s := &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, mirror: l.mirror}
-	s.AttachGrads()
-	return s
+	return &Linear{In: l.In, Out: l.Out, W: l.W, B: l.B, mirror: l.mirror}
 }
 
 // FoldGrads adds the gradients of shadow, a gradient shadow of l, into
@@ -300,8 +321,8 @@ func (m *MLP) Apply(t *Tape, x *Node) *Node {
 	return m.Layers[last].Apply(t, h)
 }
 
-// GradShadow returns an MLP sharing this MLP's weights but owning private
-// zeroed gradient buffers (see Linear.GradShadow).
+// GradShadow returns an MLP sharing this MLP's weights, whose layers
+// take gradient buffers of their own (see Linear.GradShadow).
 func (m *MLP) GradShadow() *MLP {
 	s := &MLP{Layers: make([]*Linear, len(m.Layers))}
 	for i, l := range m.Layers {

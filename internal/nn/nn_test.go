@@ -24,7 +24,7 @@ func numericalGrad(param []float64, i int, forward func() float64) float64 {
 func TestLinearGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 4, 3)
-	l.AttachGrads()
+	attachGrads(l)
 	x := []float64{0.3, -0.7, 1.2, 0.05}
 	forward := func() float64 {
 		tape := NewTape()
@@ -185,7 +185,7 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewMLP(rng, 2, 16, 1)
 	m.zeroGrad()
-	opt := NewAdam(0.01, m.Layers)
+	opt := newAdam(0.01, m.Layers)
 	target := func(x0, x1 float64) float64 { return math.Abs(2*x0-3*x1+1) + 1 }
 	var loss float64
 	for epoch := 0; epoch < 400; epoch++ {
@@ -209,7 +209,7 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, 2, 16, 1)
 	m.zeroGrad()
-	opt := NewAdam(0.02, m.Layers)
+	opt := newAdam(0.02, m.Layers)
 	label := func(x0, x1 float64) float64 {
 		if x0+x1 > 1 {
 			return 1
@@ -247,7 +247,7 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 func TestGradientClipping(t *testing.T) {
 	p := []float64{0}
 	g := []float64{1000}
-	opt := NewAdam(0.1, []*Linear{{In: 1, Out: 1, W: p, B: []float64{0}, GW: g, GB: []float64{0}}})
+	opt := newAdam(0.1, []*Linear{{In: 1, Out: 1, W: p, B: []float64{0}, GW: g, GB: []float64{0}}})
 	opt.clipNorm = 1
 	opt.Step()
 	// After clipping, |g| = 1, Adam first step = lr * sign ~ 0.1.

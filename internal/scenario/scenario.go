@@ -49,10 +49,7 @@ func All() []Scenario { return slices.Clone(registry) }
 
 // QuerySampler resolves the named recipe into a deterministic per-index
 // query sampler: sampler(i) is exactly the query of trace i in a corpus
-// built from this scenario with the same seed (dataset.TraceQuery). The
-// fleet simulator draws its deployed workloads through this, so a
-// scenario-registry name in a fleet-scenario file fully identifies the
-// query mix.
+// built from this scenario with the same seed (dataset.TraceQuery).
 func QuerySampler(name string, seed int64) (func(i int) *stream.Query, error) {
 	s, err := Get(name)
 	if err != nil {
@@ -60,6 +57,19 @@ func QuerySampler(name string, seed int64) (func(i int) *stream.Query, error) {
 	}
 	cfg := s.Make(1, seed)
 	return func(i int) *stream.Query { return dataset.TraceQuery(cfg, i) }, nil
+}
+
+// AnalysisSampler is QuerySampler handing out each query's analysis,
+// checked once (dataset.TraceAnalysis). The fleet simulator draws its
+// deployed workloads through this, so a scenario-registry name in a
+// fleet-scenario file fully identifies the query mix.
+func AnalysisSampler(name string, seed int64) (func(i int) (*stream.Analysis, error), error) {
+	s, err := Get(name)
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.Make(1, seed)
+	return func(i int) (*stream.Analysis, error) { return dataset.TraceAnalysis(cfg, i) }, nil
 }
 
 // base returns the common build-config skeleton: the Section VI training

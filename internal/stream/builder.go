@@ -108,14 +108,34 @@ func (b *Builder) Chain(idxs ...int) *Builder {
 
 // Build validates the plan and returns a copy of it.
 func (b *Builder) Build() (*Query, error) {
+	q, _, err := b.build()
+	return q, err
+}
+
+// Analyze validates a copy of the plan and returns its Analysis, equal
+// to what the copy's own Analyze returns, from the one Topology the check
+// derived: a caller that would analyse the built query next (a workload
+// generator handing its queries to the simulator) checks it once.
+func (b *Builder) Analyze() (*Analysis, error) {
+	q, t, err := b.build()
+	if err != nil {
+		return nil, fmt.Errorf("invalid query: %w", err)
+	}
+	return q.analysis(t), nil
+}
+
+// build is Build's check on a copy of the plan, with the Topology it
+// derived.
+func (b *Builder) build() (*Query, Topology, error) {
 	if b.err != nil {
-		return nil, b.err
+		return nil, Topology{}, b.err
 	}
 	q := b.q.Clone()
-	if _, err := q.validate(); err != nil {
-		return nil, err
+	t, err := q.validate()
+	if err != nil {
+		return nil, Topology{}, err
 	}
-	return q, nil
+	return q, t, nil
 }
 
 // MustBuild is Build for tests and examples with known-good plans; it

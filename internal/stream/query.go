@@ -239,8 +239,11 @@ func (q *Query) Analyze() (*Analysis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid query: %w", err)
 	}
-	return &Analysis{q: q, Rates: q.rates(t)}, nil
+	return q.analysis(t), nil
 }
+
+// analysis is the Analysis of q, which validate passed with Topology t.
+func (q *Query) analysis(t Topology) *Analysis { return &Analysis{q: q, Rates: q.rates(t)} }
 
 // Query returns the analysed query.
 func (a *Analysis) Query() *Query { return a.q }

@@ -73,7 +73,7 @@ func (g *Generator) advertisement() *stream.Query {
 	b.Connect(f, j).Connect(impressions, j)
 	k := b.AddSink()
 	b.Connect(j, k)
-	return b.MustBuild()
+	return g.build(b)
 }
 
 // clickJoinSelectivity models real click/impression matching: each click
@@ -105,7 +105,7 @@ func (g *Generator) spikeDetection() *stream.Query {
 	f2 := b.AddFilter(stream.FilterStartsWith, stream.TypeString, 0.9)
 	k := b.AddSink()
 	b.Chain(s, a, f1, f2, k)
-	return b.MustBuild()
+	return g.build(b)
 }
 
 // smartGrid: DEBS'14 energy queries. The global variant computes the
@@ -129,5 +129,5 @@ func (g *Generator) smartGrid(local bool) *stream.Query {
 	}
 	k := b.AddSink()
 	b.Chain(s, a, k)
-	return b.MustBuild()
+	return g.build(b)
 }

@@ -64,6 +64,8 @@ func DefaultConfig(seed int64) Config {
 type Generator struct {
 	rng *rand.Rand
 	cfg Config
+	// last is the analysis of the query built last, made by its builder.
+	last *stream.Analysis
 }
 
 // New returns a generator for the configuration.
@@ -245,7 +247,7 @@ func (g *Generator) Linear(nFilters int, withAgg bool) *stream.Query {
 	}
 	k := b.AddSink()
 	b.Connect(prev, k)
-	return b.MustBuild()
+	return g.build(b)
 }
 
 // branch builds source -> optional filter and returns the open end.
@@ -291,7 +293,7 @@ func (g *Generator) TwoWay(nFilters int, withAgg bool) *stream.Query {
 	}
 	k := b.AddSink()
 	b.Connect(prev, k)
-	return b.MustBuild()
+	return g.build(b)
 }
 
 // ThreeWay builds a 3-way join query: join(join(s1, s2), s3) with optional
@@ -337,7 +339,29 @@ func (g *Generator) ThreeWay(nFilters int, withAgg bool) *stream.Query {
 	}
 	k := b.AddSink()
 	b.Connect(prev, k)
-	return b.MustBuild()
+	return g.build(b)
+}
+
+// build analyses b's plan, which the generator made valid, and returns
+// the analysed query, keeping the analysis for Analysis.
+func (g *Generator) build(b *stream.Builder) *stream.Query {
+	a, err := b.Analyze()
+	if err != nil {
+		panic(err)
+	}
+	g.last = a
+	return a.Query()
+}
+
+// Analysis returns the analysis of q: the one its builder made when q is
+// the query this generator built last, so that a generated query is
+// checked once, and q.Analyze() for any other query. A query the
+// generator built must be passed unmodified.
+func (g *Generator) Analysis(q *stream.Query) (*stream.Analysis, error) {
+	if g.last != nil && g.last.Query() == q {
+		return g.last, nil
+	}
+	return q.Analyze()
 }
 
 // Query draws one query with the corpus mix of Section VI: 35% linear,
@@ -404,7 +428,7 @@ func (g *Generator) FilterChain(n int) *stream.Query {
 	}
 	k := b.AddSink()
 	b.Connect(prev, k)
-	return b.MustBuild()
+	return g.build(b)
 }
 
 // FilterQuery builds the fixed-shape linear filter query of Exp 2b with an
@@ -415,5 +439,5 @@ func (g *Generator) FilterQuery(rate, selectivity float64) *stream.Query {
 	f := b.AddFilter(stream.FilterGT, stream.TypeInt, selectivity)
 	k := b.AddSink()
 	b.Chain(s, f, k)
-	return b.MustBuild()
+	return g.build(b)
 }
