@@ -95,7 +95,7 @@ func main() {
 	fmt.Println()
 
 	gen := workload.New(workload.DefaultConfig(*seed + 1))
-	q := gen.Query()
+	q := gen.Query().Query()
 	cluster := gen.Cluster()
 	fmt.Printf("query: %s with %d operators\n", q.Class(), q.NumOps())
 	fmt.Printf("cluster: %d hosts\n", cluster.NumHosts())

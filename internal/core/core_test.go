@@ -298,7 +298,7 @@ func TestFineTuneImprovesOnNewPattern(t *testing.T) {
 	simCfg.DurationS, simCfg.WarmupS = 30, 5
 	chains, err := dataset.Build(dataset.BuildConfig{
 		N: 120, Seed: 555, Gen: workload.DefaultConfig(555), Sim: simCfg,
-		QueryFn: func(g *workload.Generator, i int) *stream.Query {
+		QueryFn: func(g *workload.Generator, i int) *stream.Analysis {
 			return g.FilterChain(2 + i%3)
 		},
 	})

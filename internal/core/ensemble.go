@@ -110,15 +110,11 @@ func (cfg *PredictorConfig) validate() error {
 // tapesPool for all of its fits, and every tapes goes back to the pool
 // once every job has run: a fit after the runner's first, and every fit
 // of a later call that finds a tapes in the pool, starts on arenas and a
-// fit-state slab already grown, and allocates only its model. The runner whose fit completes an
-// ensemble's last member builds the ensemble's weight stack there and
-// then, so stacking runs beside the other fits instead of after them. A
-// fit's weights depend on neither the budget nor the schedule. No job
-// past the first one to fail starts; a job is only ever skipped past a
-// failed one, so the first failing job in pull order always runs, and
-// the error returned is its error on every run. When every fit succeeds,
-// the first ensemble in metric order whose members cannot stack names
-// the error.
+// fit-state slab already grown, and allocates only its model. A fit's
+// weights depend on neither the budget nor the schedule. No job past the
+// first one to fail starts; a job is only ever skipped past a failed
+// one, so the first failing job in pull order always runs, and the error
+// returned is its error on every run.
 func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig) (*Predictor, error) {
 	k := cfg.EnsembleSize
 	if k == 0 {
@@ -128,28 +124,19 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 	if metrics == nil {
 		metrics = AllMetrics()
 	}
-	// pending counts an ensemble's members still training; the fit that
-	// takes it to zero stacks the ensemble into stackErr.
-	type ensembleJob struct {
-		e        *Ensemble
-		pending  atomic.Int32
-		stackErr error
-	}
 	type fitJob struct {
-		ens        *ensembleJob
+		ens        *Ensemble
 		member     int
 		train, val []sample // shared by the ensemble's members
 		err        error
 	}
-	ensembles := make([]ensembleJob, len(metrics))
+	ensembles := make([]*Ensemble, len(metrics))
 	jobs := make([]fitJob, 0, len(metrics)*k)
 	for i, m := range metrics {
-		ej := &ensembles[i]
-		ej.e = &Ensemble{Metric: m, Models: make([]*CostModel, k)}
-		ej.pending.Store(int32(k))
+		ensembles[i] = &Ensemble{Metric: m, Models: make([]*CostModel, k)}
 		ts, vs := samplesFromRecords(trainRecs, m), samplesFromRecords(valRecs, m)
 		for member := range k {
-			jobs = append(jobs, fitJob{ens: ej, member: member, train: ts, val: vs})
+			jobs = append(jobs, fitJob{ens: ensembles[i], member: member, train: ts, val: vs})
 		}
 	}
 	// Largest training set first, so the fits that start last are short.
@@ -182,29 +169,23 @@ func trainPredictorFromRecords(trainRecs, valRecs []record, cfg PredictorConfig)
 		// the copies stay shared and read-only.
 		ts := append([]sample(nil), job.train...)
 		vs := append([]sample(nil), job.val...)
-		ej := job.ens
-		if ej.e.Models[job.member], job.err = trainFromSamples(tps[w], ej.e.Metric, ts, vs, c); job.err != nil {
+		if job.ens.Models[job.member], job.err = trainFromSamples(tps[w], job.ens.Metric, ts, vs, c); job.err != nil {
 			stop.CompareAndSwap(int64(len(jobs)), int64(n))
-			return
-		}
-		if ej.pending.Add(-1) == 0 {
-			// Build the weight stack at train time: an ensemble whose
-			// members cannot stack could serve no prediction.
-			_, ej.stackErr = ej.e.stacked()
 		}
 	})
 	for _, job := range jobs {
 		if job.err != nil {
-			return nil, fmt.Errorf("core: training %v: %w", job.ens.e.Metric, job.err)
+			return nil, fmt.Errorf("core: training %v: %w", job.ens.Metric, job.err)
 		}
 	}
 	pr := &Predictor{}
-	for i := range ensembles {
-		ej := &ensembles[i]
-		if ej.stackErr != nil {
-			return nil, fmt.Errorf("core: training %v: %w", ej.e.Metric, ej.stackErr)
+	for _, e := range ensembles {
+		// Build the weight stack once at train time: an ensemble whose
+		// members cannot stack could serve no prediction.
+		if _, err := e.stacked(); err != nil {
+			return nil, fmt.Errorf("core: training %v: %w", e.Metric, err)
 		}
-		pr[ej.e.Metric] = ej.e
+		pr[e.Metric] = e
 	}
 	return pr, nil
 }

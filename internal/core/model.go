@@ -540,15 +540,15 @@ type fitState struct {
 // then makes the Adam optimizer at rate lr on cleared moments. Every
 // buffer is carved (nn.Carve) from tp's slab, grown first to what net
 // needs; a slab already that large, as a runner's is from its second fit
-// on, is reused as it is. Where the AVX kernels are unavailable
-// RefreshMirror does nothing, and the model and shadow run the tape's Go
-// loops.
+// on, is reused as it is. Where the AVX kernels are unavailable a layer
+// takes no mirror (nn.Linear.MirrorLen is 0), and the model and shadow
+// run the tape's Go loops.
 func (tp *tapes) newFitState(net *gnn.Model, lr float64) fitState {
 	layers := net.Linears()
 	need := nn.AdamMoments(layers)
 	for _, l := range layers {
 		// The model's and the shadow's gradients, and the mirror.
-		need += 3*nn.Lines(len(l.W)) + 2*nn.Lines(len(l.B))
+		need += 2*nn.Lines(len(l.W)) + 2*nn.Lines(len(l.B)) + nn.Lines(l.MirrorLen())
 	}
 	tp.slab = nn.Grow(tp.slab, need)
 	rest := tp.slab
@@ -556,9 +556,9 @@ func (tp *tapes) newFitState(net *gnn.Model, lr float64) fitState {
 	for _, l := range layers {
 		gw, rest = nn.Carve(rest, len(l.W))
 		gb, rest = nn.Carve(rest, len(l.B))
-		mirror, rest = nn.Carve(rest, len(l.W))
+		mirror, rest = nn.Carve(rest, l.MirrorLen())
 		l.AttachGrads(gw, gb)
-		l.RefreshMirror(mirror)
+		l.AttachMirror(mirror)
 	}
 	shadow := net.GradShadow()
 	shadows := shadow.Linears()

@@ -240,9 +240,9 @@ func TestWarmTrainPredictorAllocatesItsModels(t *testing.T) {
 	}
 }
 
-// TestTrainPredictorStacksEveryEnsemble: the runner whose fit completes
-// an ensemble builds its weight stack, so a trained predictor holds
-// every stack before its first prediction; and when the members cannot
+// TestTrainPredictorStacksEveryEnsemble: training builds every
+// ensemble's weight stack, so a trained predictor holds every stack
+// before its first prediction; and when the members cannot
 // stack (traditional message passing), the first ensemble in the
 // requested metric order names the error, at any training budget.
 func TestTrainPredictorStacksEveryEnsemble(t *testing.T) {

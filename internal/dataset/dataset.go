@@ -145,10 +145,9 @@ type BuildConfig struct {
 	Sim sim.Config
 	// QueryFn optionally overrides the query sampler (for special
 	// corpora such as filter chains or benchmark queries). It is called
-	// with a dedicated generator and the trace index. A query the
-	// generator built is taken with the analysis its builder made
-	// (workload.Generator.Analysis), so it must be returned unmodified.
-	QueryFn func(g *workload.Generator, i int) *stream.Query
+	// with a dedicated generator and the trace index, and returns the
+	// query analysed, as the generator hands it out.
+	QueryFn func(g *workload.Generator, i int) *stream.Analysis
 	// ClusterFn optionally overrides the cluster sampler.
 	ClusterFn func(g *workload.Generator, i int) *hardware.Cluster
 }
@@ -189,26 +188,19 @@ func traceSeed(corpusSeed int64, i int) int64 {
 	return corpusSeed*1_000_003 + int64(i)
 }
 
-// TraceQuery returns the query of trace i of the corpus cfg describes,
-// Build(cfg).Traces[i].Query for any N > i, without building the
-// corpus. The scenario registry's QuerySampler draws its queries here.
-func TraceQuery(cfg BuildConfig, i int) *stream.Query {
-	q, _ := traceQuery(cfg, i)
-	return q
-}
-
-// TraceAnalysis returns the analysis of TraceQuery(cfg, i), checked once:
-// the scenario registry's AnalysisSampler, and through it the fleet
-// simulator, draws its queries here.
-func TraceAnalysis(cfg BuildConfig, i int) (*stream.Analysis, error) {
-	q, g := traceQuery(cfg, i)
-	return g.Analysis(q)
+// TraceQuery returns the analysed query of trace i of the corpus cfg
+// describes, whose Query() is Build(cfg).Traces[i].Query for any N > i,
+// without building the corpus. The scenario registry's QuerySampler, and
+// through it the fleet simulator, draws its queries here.
+func TraceQuery(cfg BuildConfig, i int) *stream.Analysis {
+	a, _ := traceQuery(cfg, i)
+	return a
 }
 
 // traceQuery is the one definition of the query of trace i: the first
 // draw of the trace's own generator, through QueryFn when set. The
 // generator comes back too, for the rest of the trace.
-func traceQuery(cfg BuildConfig, i int) (*stream.Query, *workload.Generator) {
+func traceQuery(cfg BuildConfig, i int) (*stream.Analysis, *workload.Generator) {
 	genCfg := cfg.Gen
 	genCfg.Seed = traceSeed(cfg.Seed, i)
 	g := workload.New(genCfg)
@@ -219,17 +211,13 @@ func traceQuery(cfg BuildConfig, i int) (*stream.Query, *workload.Generator) {
 }
 
 func buildOne(cfg BuildConfig, i int) (*Trace, error) {
-	q, g := traceQuery(cfg, i)
+	a, g := traceQuery(cfg, i)
 	seed := traceSeed(cfg.Seed, i)
 	var c *hardware.Cluster
 	if cfg.ClusterFn != nil {
 		c = cfg.ClusterFn(g, i)
 	} else {
 		c = g.Cluster()
-	}
-	a, err := g.Analysis(q)
-	if err != nil {
-		return nil, err
 	}
 	k, err := c.Check()
 	if err != nil {
@@ -246,7 +234,7 @@ func buildOne(cfg BuildConfig, i int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{Query: q, Cluster: c, Placement: p, Metrics: m}, nil
+	return &Trace{Query: a.Query(), Cluster: c, Placement: p, Metrics: m}, nil
 }
 
 // Stats summarizes label distributions of a corpus, useful for sanity

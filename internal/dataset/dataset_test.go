@@ -220,7 +220,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestQueryFnOverride(t *testing.T) {
 	cfg := buildCfg(10, 6)
-	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 		return g.FilterChain(3)
 	}
 	c, err := Build(cfg)

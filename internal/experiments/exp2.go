@@ -52,7 +52,8 @@ func (s *Suite) Exp2aPlacement() (*Table, error) {
 		rng := rand.New(rand.NewSource(4400 + int64(ci)))
 		var coRatios, flRatios []float64
 		for i := 0; i < nPerClass; i++ {
-			a, cluster, err := placement.Check(gen.QueryOfClass(class), gen.Cluster())
+			a := gen.QueryOfClass(class)
+			cluster, err := gen.Cluster().Check()
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +147,8 @@ func (s *Suite) Exp2bMonitoring() (*Table, error) {
 	var rows []Row
 	for ri, rate := range rates {
 		for si, sel := range sels {
-			a, cluster, err := placement.Check(gen.FilterQuery(rate, sel), gen.Cluster())
+			a := gen.FilterQuery(rate, sel)
+			cluster, err := gen.Cluster().Check()
 			if err != nil {
 				return nil, err
 			}
@@ -237,7 +239,8 @@ func (s *Suite) Exp2cSearchStrategies() (*Table, error) {
 	examined := make([]int, len(strategies))
 	counted := make([]int, len(strategies))
 	for i := 0; i < n; i++ {
-		a, cluster, err := placement.Check(gen.Query(), gen.Cluster())
+		a := gen.Query()
+		cluster, err := gen.Cluster().Check()
 		if err != nil {
 			return nil, err
 		}

@@ -236,7 +236,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	if recipe == "" {
 		recipe = "training"
 	}
-	sampler, err := scenario.AnalysisSampler(recipe, wlSeed)
+	sampler, err := scenario.QuerySampler(recipe, wlSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -274,9 +274,7 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	deps := make([]controlplane.Deployment, sc.Workload.Queries)
 	eff := make([]*stream.Analysis, len(deps))
 	for i := range deps {
-		if eff[i], err = sampler(i); err != nil {
-			return nil, fmt.Errorf("fleet: query %d: %w", i, err)
-		}
+		eff[i] = sampler(i)
 		deps[i].ID, deps[i].Query = fmt.Sprintf("q%02d", i), eff[i]
 	}
 	step := func(entry TimelineEntry, decide func(i int, d *controlplane.Deployment) (controlplane.Decision, error)) error {

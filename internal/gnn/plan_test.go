@@ -117,7 +117,7 @@ func TestPlanMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		gen := workload.New(workload.DefaultConfig(seed))
 		for range 300 {
-			qs = append(qs, gen.Query())
+			qs = append(qs, gen.Query().Query())
 		}
 	}
 	for range 3000 {

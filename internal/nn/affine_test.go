@@ -192,7 +192,7 @@ func checkAffineTape(t *testing.T, rng *rand.Rand, kernel kernelKind, l *Linear)
 	t.Helper()
 	defer func(was bool) { useAVX512 = was }(useAVX512)
 	useAVX512 = kernel == kernelAVX512
-	refreshMirror(l)
+	attachMirror(l)
 	defer l.DropMirror()
 	if l.mirror.W == nil {
 		t.Fatal("no training mirror with the assembly kernels on")

@@ -76,8 +76,8 @@ func attachGrads(l *Linear) {
 	l.AttachGrads(make([]float64, l.Out*l.In), make([]float64, l.Out))
 }
 
-// refreshMirror is RefreshMirror on mirror storage of its own.
-func refreshMirror(l *Linear) { l.RefreshMirror(make([]float64, l.In*l.Out)) }
+// attachMirror is AttachMirror on mirror storage of its own.
+func attachMirror(l *Linear) { l.AttachMirror(make([]float64, l.MirrorLen())) }
 
 // newAdam is NewAdam on moment storage of its own.
 func newAdam(lr float64, layers []*Linear) *Adam {

@@ -152,7 +152,7 @@ func BenchmarkOptimizerStep(b *testing.B) {
 				defer func(was bool) { useAffineAsm = was }(useAffineAsm)
 				useAffineAsm = asm
 				if asm {
-					refreshMirror(l)
+					attachMirror(l)
 					defer l.DropMirror()
 				}
 				for b.Loop() {

@@ -28,7 +28,7 @@ type Linear struct {
 	// mirror is the training mirror: a one-member StackedLinear holding
 	// W transposed and sharing B, which the tape forward runs the way
 	// stacked inference does. It exists (has weights) only between
-	// RefreshMirror and DropMirror (core's fit loop), Adam.Step keeps it
+	// AttachMirror and DropMirror (core's fit loop), Adam.Step keeps it
 	// equal to W, and gradient shadows share its weights like W. Without
 	// it the tape runs affineInto, which makes an inference tape the
 	// scalar oracle of the packed inference kernels. It is held by value:
@@ -61,7 +61,7 @@ func zeroLinear(in, out int) *Linear {
 
 // AttachGrads makes gw (Out·In elements) and gb (Out) the layer's
 // gradient buffers, cleared to +0: a fit calls it on every layer of its
-// model and of its gradient shadow, beside RefreshMirror, before its
+// model and of its gradient shadow, beside AttachMirror, before its
 // first backprop, and DropGrads when it returns. The storage is the
 // caller's — core's fit carves it from its runner's pooled workspace
 // (Carve) — and the layer holds it only until DropGrads; it allocates
@@ -112,25 +112,33 @@ func (l *Linear) affineInto(dst, x []float64) {
 	}
 }
 
-// RefreshMirror copies the current weights into the training mirror
-// (StackedLinear.load), so the tape forward pass runs on the stacked
-// kernel. A layer without a mirror gets one on w, In·Out elements of the
-// caller's storage that the layer holds until DropMirror (core's fit
-// carves it from its runner's pooled workspace); a layer that has one
-// ignores w, which may then be nil. A fit calls it on every layer of its
-// model before it makes the gradient shadow (so GradShadow shares the
-// mirror), and DropMirror when it returns. Adam.Step keeps the mirror up
-// to date; call this after any other in-place weight update while the
-// mirror exists: a stale mirror silently computes with old weights. It
-// does nothing where the AVX kernels are unavailable or the layer's
-// buffers do not match its dimensions; Apply then stays on affineInto.
-func (l *Linear) RefreshMirror(w []float64) {
+// MirrorLen returns the elements of storage AttachMirror takes for the
+// layer's training mirror: In·Out where the tape forward runs on the
+// stacked kernel, 0 where the AVX kernels are unavailable or the layer's
+// buffers do not match its dimensions (Apply then stays on affineInto).
+func (l *Linear) MirrorLen() int {
 	if !useAffineAsm || l.In <= 0 || l.Out <= 0 || len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+		return 0
+	}
+	return l.In * l.Out
+}
+
+// AttachMirror makes w, MirrorLen() elements of the caller's storage, the
+// layer's training mirror and loads the current weights into it
+// (StackedLinear.load), so the tape forward pass runs on the stacked
+// kernel. The layer holds w until DropMirror; core's fit carves it from
+// its runner's pooled workspace and calls AttachMirror once on every
+// layer of its model, beside AttachGrads, before it makes the gradient
+// shadow (so GradShadow shares the mirror), and DropMirror when it
+// returns. Adam.Step keeps the mirror equal to W; after any other
+// in-place weight update while the mirror exists, attach it again on the
+// same storage, which reloads it: a stale mirror silently computes with
+// old weights. It does nothing where MirrorLen is 0.
+func (l *Linear) AttachMirror(w []float64) {
+	if l.MirrorLen() == 0 {
 		return
 	}
-	if l.mirror.W == nil {
-		l.mirror = newStack(1, l.In, l.Out, w, l.B)
-	}
+	l.mirror = newStack(1, l.In, l.Out, w, l.B)
 	l.mirror.load(0, l)
 }
 

@@ -316,7 +316,7 @@ func TestAdamStepAsmMatchesPortable(t *testing.T) {
 				W: append([]float64(nil), a.W...), B: append([]float64(nil), a.B...)}
 			for _, l := range []*Linear{a, b} {
 				attachGrads(l)
-				refreshMirror(l)
+				attachMirror(l)
 			}
 			la, lb = append(la, a), append(lb, b)
 		}
@@ -407,7 +407,7 @@ func TestAdamFusedStepGeneratedLayers(t *testing.T) {
 		m, v := make([]float64, nw+out), make([]float64, nw+out)
 		specialRow(rng, m, true)
 		specialRow(rng, v, true)
-		refreshMirror(ref)
+		attachMirror(ref)
 
 		p, g := padded(ref.W, pad), padded(ref.GW, pad)
 		pm, pv := padded(m[:nw], pad), padded(v[:nw], pad)
@@ -459,8 +459,9 @@ func snapshotAll(xs [][]float64) [][]float64 {
 }
 
 // TestTrainingMirror covers the tape forward over the transposed mirror:
-// bit-equal to affineInto on every shape, refreshed by RefreshMirror,
-// shared by shadows made while it exists, never read after DropMirror.
+// bit-equal to affineInto on every shape, attached by AttachMirror,
+// reloaded by attaching it again on the same storage, shared by shadows
+// made while it exists, never read after DropMirror.
 func TestTrainingMirror(t *testing.T) {
 	needAsm(t)
 	rng := rand.New(rand.NewSource(19))
@@ -477,9 +478,9 @@ func TestTrainingMirror(t *testing.T) {
 			awkward(rng, x)
 			want := affine(l, x)
 
-			refreshMirror(l)
+			attachMirror(l)
 			if l.mirror.W == nil {
-				t.Fatalf("in=%d out=%d: RefreshMirror built no mirror", in, out)
+				t.Fatalf("in=%d out=%d: AttachMirror built no mirror", in, out)
 			}
 			tape := NewTape()
 			sameBits(t, fmt.Sprintf("in=%d out=%d Apply over mirror", in, out), l.Apply(tape, tape.Const(x)).Data, want)
@@ -492,7 +493,7 @@ func TestTrainingMirror(t *testing.T) {
 				l.W[i] = -l.W[i]
 			}
 			want = affine(l, x)
-			l.RefreshMirror(nil) // the mirror exists: a refresh reloads it in place
+			l.AttachMirror(l.mirror.W) // a re-attach on the same storage reloads it
 			sameBits(t, "Apply after refresh", l.Apply(tape, tape.Const(x)).Data, want)
 			sameBits(t, "shadow Apply after refresh", shadow.Apply(tape, tape.Const(x)).Data, want)
 
@@ -507,10 +508,10 @@ func TestTrainingMirror(t *testing.T) {
 
 	useAffineAsm = false
 	l := NewLinear(rng, 4, 4)
-	refreshMirror(l)
+	attachMirror(l)
 	useAffineAsm = true
 	if l.mirror.W != nil {
-		t.Error("RefreshMirror built a mirror with the kernels switched off")
+		t.Error("AttachMirror built a mirror with the kernels switched off")
 	}
 }
 

@@ -129,7 +129,7 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 	for _, hosts := range []int{3, 4, 5, 8, 14, 30, 220} {
 		for rep := 0; rep < 8; rep++ {
 			for class := stream.ClassLinear; class <= stream.ClassThreeWayJoinAgg; class++ {
-				check(class.String(), wg.QueryOfClass(class), grids[rep%2].SampleCluster(rng, hosts))
+				check(class.String(), wg.QueryOfClass(class).Query(), grids[rep%2].SampleCluster(rng, hosts))
 			}
 			q := randomDAG(rng, 4+rng.Intn(6))
 			check(fmt.Sprintf("DAG %v", q.Edges), q, grids[rep%2].SampleCluster(rng, hosts))
@@ -178,7 +178,7 @@ func TestLocalSearchScoresStartWithItsNeighborhood(t *testing.T) {
 // completion, built as LocalSearch builds it, on a 6-, a 220- and an
 // 11 000-host cluster.
 func BenchmarkLocalNeighbors(b *testing.B) {
-	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg)
+	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg).Query()
 	for _, hosts := range []int{6, 220, 11_000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))

@@ -37,7 +37,7 @@ func TestPermPrefixMatchesPerm(t *testing.T) {
 // step buffer is reused and the kept steps are drawn without a
 // permutation of every step.
 func TestWarmNeighborhoodAllocsFlat(t *testing.T) {
-	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg)
+	q := workload.New(workload.DefaultConfig(3)).QueryOfClass(stream.ClassThreeWayJoinAgg).Query()
 	allocs := map[int]float64{}
 	for _, hosts := range []int{6, 11_000} {
 		c := checked(hardware.TrainingGrid().SampleCluster(rand.New(rand.NewSource(int64(hosts))), hosts))

@@ -48,28 +48,18 @@ func Get(name string) (Scenario, error) {
 func All() []Scenario { return slices.Clone(registry) }
 
 // QuerySampler resolves the named recipe into a deterministic per-index
-// query sampler: sampler(i) is exactly the query of trace i in a corpus
-// built from this scenario with the same seed (dataset.TraceQuery).
-func QuerySampler(name string, seed int64) (func(i int) *stream.Query, error) {
+// query sampler: sampler(i) is the analysed query of trace i in a corpus
+// built from this scenario with the same seed (dataset.TraceQuery), checked
+// once. The fleet simulator draws its deployed workloads through this, so
+// a scenario-registry name in a fleet-scenario file fully identifies the
+// query mix.
+func QuerySampler(name string, seed int64) (func(i int) *stream.Analysis, error) {
 	s, err := Get(name)
 	if err != nil {
 		return nil, err
 	}
 	cfg := s.Make(1, seed)
-	return func(i int) *stream.Query { return dataset.TraceQuery(cfg, i) }, nil
-}
-
-// AnalysisSampler is QuerySampler handing out each query's analysis,
-// checked once (dataset.TraceAnalysis). The fleet simulator draws its
-// deployed workloads through this, so a scenario-registry name in a
-// fleet-scenario file fully identifies the query mix.
-func AnalysisSampler(name string, seed int64) (func(i int) (*stream.Analysis, error), error) {
-	s, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.Make(1, seed)
-	return func(i int) (*stream.Analysis, error) { return dataset.TraceAnalysis(cfg, i) }, nil
+	return func(i int) *stream.Analysis { return dataset.TraceQuery(cfg, i) }, nil
 }
 
 // base returns the common build-config skeleton: the Section VI training
@@ -129,7 +119,7 @@ func CloudGrid() hardware.Grid {
 // absent from the training distribution.
 func FilterChainConfig(n int, seed int64, chainLen int) dataset.BuildConfig {
 	cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
-	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 		return g.FilterChain(chainLen)
 	}
 	return cfg
@@ -139,7 +129,7 @@ func FilterChainConfig(n int, seed int64, chainLen int) dataset.BuildConfig {
 // executed with random event rates and placements.
 func BenchmarkConfig(n int, seed int64, id workload.BenchmarkID) dataset.BuildConfig {
 	cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
-	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 		return g.BenchmarkQuery(id)
 	}
 	return cfg
@@ -149,7 +139,7 @@ func BenchmarkConfig(n int, seed int64, id workload.BenchmarkID) dataset.BuildCo
 // query class (linear / join arity x aggregation) on the training grids.
 func QueryClassConfig(n int, seed int64, class stream.QueryClass) dataset.BuildConfig {
 	cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
-	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+	cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 		return g.QueryOfClass(class)
 	}
 	return cfg
@@ -163,7 +153,7 @@ var registry = []Scenario{
 		Make: func(n int, seed int64) dataset.BuildConfig {
 			cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
 			ids := workload.AllBenchmarks()
-			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 				return g.BenchmarkQuery(ids[i%len(ids)])
 			}
 			return cfg
@@ -195,7 +185,7 @@ var registry = []Scenario{
 		Description: "Exp 5 unseen query pattern: chains of 2-4 consecutive filters, cycling by trace index",
 		Make: func(n int, seed int64) dataset.BuildConfig {
 			cfg := base(n, seed, hardware.TrainingGrid(), 0, 0)
-			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Query {
+			cfg.QueryFn = func(g *workload.Generator, i int) *stream.Analysis {
 				return g.FilterChain(2 + i%3)
 			}
 			return cfg

@@ -152,8 +152,9 @@ func TestFilterChainAndBenchmarkHelpers(t *testing.T) {
 }
 
 // TestQuerySamplerMatchesBuild holds QuerySampler to its promise: for
-// every scenario, sampler(i) is the query of trace i of the corpus Build
-// makes from the same recipe and seed.
+// every scenario, sampler(i) analyses the query of trace i of the corpus
+// Build makes from the same recipe and seed, and its rates are the ones
+// the query's own analysis derives.
 func TestQuerySamplerMatchesBuild(t *testing.T) {
 	const n, seed = 4, 11
 	for _, s := range All() {
@@ -170,8 +171,16 @@ func TestQuerySamplerMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		for i, tr := range c.Traces {
-			if q := sample(i); !reflect.DeepEqual(q, tr.Query) {
+			a := sample(i)
+			if q := a.Query(); !reflect.DeepEqual(q, tr.Query) {
 				t.Errorf("%s: sampler(%d) is not trace %d's query:\n%+v\nvs\n%+v", s.Name, i, i, q, tr.Query)
+			}
+			want, err := tr.Query.Analyze()
+			if err != nil {
+				t.Fatalf("%s: trace %d: %v", s.Name, i, err)
+			}
+			if !reflect.DeepEqual(a.Rates, want.Rates) {
+				t.Errorf("%s: sampler(%d)'s rates differ from its query's analysis", s.Name, i)
 			}
 		}
 	}

@@ -663,9 +663,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // the request schema and the body the CI smoke test POSTs back.
 func buildExample() ([]byte, error) {
 	gen := workload.New(workload.DefaultConfig(1))
-	q := gen.Query()
+	a := gen.Query()
 	c := gen.Cluster()
-	a, k, err := validatePair(q, c)
+	k, err := c.Check()
 	if err != nil {
 		return nil, fmt.Errorf("serve: building example request: %w", err)
 	}
@@ -674,7 +674,7 @@ func buildExample() ([]byte, error) {
 		return nil, fmt.Errorf("serve: building example request: %w", err)
 	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(PredictRequest{Query: q, Cluster: c, Placement: p}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(PredictRequest{Query: a.Query(), Cluster: c, Placement: p}); err != nil {
 		return nil, fmt.Errorf("serve: building example request: %w", err)
 	}
 	return buf.Bytes(), nil

@@ -162,7 +162,7 @@ func generatedRuns(seed int64, n int, sizes ...int) []generatedRun {
 	var runs []generatedRun
 	for _, size := range sizes {
 		for k := 0; k < n; k++ {
-			q := gen.Query()
+			q := gen.Query().Query()
 			c := grid.SampleCluster(rng, size)
 			used := rng.Perm(size)[:1+rng.Intn(min(size, len(q.Ops)))]
 			p := make(Placement, len(q.Ops))

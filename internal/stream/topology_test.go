@@ -289,7 +289,7 @@ func TestTopologyMatchesReference(t *testing.T) {
 	var qs []*stream.Query
 	for class := stream.ClassLinear; class <= stream.ClassThreeWayJoinAgg; class++ {
 		for k := 0; k < 40; k++ {
-			qs = append(qs, variants(rng, gen.QueryOfClass(class))...)
+			qs = append(qs, variants(rng, gen.QueryOfClass(class).Query())...)
 		}
 	}
 	for k := 0; k < 200; k++ {
@@ -327,7 +327,7 @@ func TestTopologyMatchesReference(t *testing.T) {
 func FuzzTopology(f *testing.F) {
 	gen := workload.New(workload.DefaultConfig(7))
 	for class := stream.ClassLinear; class <= stream.ClassThreeWayJoinAgg; class++ {
-		q := gen.QueryOfClass(class)
+		q := gen.QueryOfClass(class).Query()
 		var kinds, edges []byte
 		for _, op := range q.Ops {
 			kinds = append(kinds, byte(op.Type))

@@ -37,7 +37,7 @@ func AllBenchmarks() []BenchmarkID {
 // rates and placements because the original benchmarks specify none).
 // The data-distribution-dependent selectivities are fixed per benchmark to
 // their realistic values, which differ from the synthetic training mix.
-func (g *Generator) BenchmarkQuery(id BenchmarkID) *stream.Query {
+func (g *Generator) BenchmarkQuery(id BenchmarkID) *stream.Analysis {
 	switch id {
 	case Advertisement:
 		return g.advertisement()
@@ -55,7 +55,7 @@ func (g *Generator) BenchmarkQuery(id BenchmarkID) *stream.Query {
 // advertisement: the DSPBench ad-analytics sub-query of the paper — two
 // real-world streams (clicks and impressions), a filter on the click
 // stream and a windowed join on the ad identifier.
-func (g *Generator) advertisement() *stream.Query {
+func (g *Generator) advertisement() *stream.Analysis {
 	rate := g.pick(TwoWayRates)
 	b := stream.NewBuilder()
 	// Click stream: (query_id, ad_id, ts) - ids are strings in the data.
@@ -91,7 +91,7 @@ func clickJoinSelectivity(rate float64) float64 {
 // keeping only readings far from the average (two consecutive filters
 // after the aggregate - the pattern the flat-vector baseline misclassifies
 // in the paper).
-func (g *Generator) spikeDetection() *stream.Query {
+func (g *Generator) spikeDetection() *stream.Analysis {
 	rate := g.pick(LinearRates)
 	b := stream.NewBuilder()
 	// (device_id, temperature, humidity, ts)
@@ -112,7 +112,7 @@ func (g *Generator) spikeDetection() *stream.Query {
 // grid-wide sliding-window load; the local variant groups by household.
 // The 30 s window length is outside the Table II training grid, exercising
 // window-length extrapolation as in the paper.
-func (g *Generator) smartGrid(local bool) *stream.Query {
+func (g *Generator) smartGrid(local bool) *stream.Analysis {
 	rate := g.pick(LinearRates)
 	b := stream.NewBuilder()
 	// (id, ts, value, property, plug_id, household_id, house_id)

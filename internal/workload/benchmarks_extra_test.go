@@ -9,7 +9,7 @@ import (
 func TestBenchmarkQueriesDeterministicPerSeed(t *testing.T) {
 	for _, id := range AllBenchmarks() {
 		g1, g2 := newGen(77), newGen(77)
-		q1, q2 := g1.BenchmarkQuery(id), g2.BenchmarkQuery(id)
+		q1, q2 := g1.BenchmarkQuery(id).Query(), g2.BenchmarkQuery(id).Query()
 		if len(q1.Ops) != len(q2.Ops) {
 			t.Fatalf("%v: op counts differ", id)
 		}
@@ -25,7 +25,7 @@ func TestBenchmarkRatesVary(t *testing.T) {
 	g := newGen(78)
 	rates := map[float64]bool{}
 	for i := 0; i < 40; i++ {
-		q := g.BenchmarkQuery(SmartGridGlobal)
+		q := g.BenchmarkQuery(SmartGridGlobal).Query()
 		rates[q.Ops[q.Sources()[0]].EventRate] = true
 	}
 	if len(rates) < 3 {
@@ -35,7 +35,7 @@ func TestBenchmarkRatesVary(t *testing.T) {
 
 func TestAdvertisementImpressionRatio(t *testing.T) {
 	g := newGen(79)
-	q := g.BenchmarkQuery(Advertisement)
+	q := g.BenchmarkQuery(Advertisement).Query()
 	srcs := q.Sources()
 	if len(srcs) != 2 {
 		t.Fatalf("advertisement has %d sources, want 2", len(srcs))
@@ -65,7 +65,7 @@ func TestClickJoinSelectivityBounds(t *testing.T) {
 
 func TestSpikeDetectionClassifiesAsLinearAgg(t *testing.T) {
 	g := newGen(80)
-	q := g.BenchmarkQuery(SpikeDetection)
+	q := g.BenchmarkQuery(SpikeDetection).Query()
 	if q.Class() != stream.ClassLinearAgg {
 		t.Errorf("spike detection class = %v, want Linear+Agg", q.Class())
 	}
@@ -83,7 +83,7 @@ func TestUnknownBenchmarkPanics(t *testing.T) {
 
 func TestConfigDefaultsFilledIn(t *testing.T) {
 	g := New(Config{Seed: 1})
-	q := g.Query()
+	q := g.Query().Query()
 	if _, err := q.Analyze(); err != nil {
 		t.Fatalf("generator with zero config produced an %v", err)
 	}

@@ -60,12 +60,12 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Generator draws random queries and clusters. It is deterministic in its
-// seed and must not be shared across goroutines.
+// seed and must not be shared across goroutines. Every query comes out
+// analysed (stream.Analysis): checked once, by the builder that made it,
+// so a caller that simulates or places it checks it no further.
 type Generator struct {
 	rng *rand.Rand
 	cfg Config
-	// last is the analysis of the query built last, made by its builder.
-	last *stream.Analysis
 }
 
 // New returns a generator for the configuration.
@@ -217,7 +217,7 @@ func (g *Generator) filterCount(maxPositions int) int {
 
 // Linear builds a linear query: source -> [filter] -> [aggregate ->
 // [filter]] -> sink. nFilters is clamped to the available positions.
-func (g *Generator) Linear(nFilters int, withAgg bool) *stream.Query {
+func (g *Generator) Linear(nFilters int, withAgg bool) *stream.Analysis {
 	b := stream.NewBuilder()
 	prev := b.AddSource(g.pick(g.cfg.LinearRates), g.schema())
 	maxPos := 1
@@ -262,7 +262,7 @@ func (g *Generator) branch(b *stream.Builder, rates []float64, withFilter bool) 
 }
 
 // TwoWay builds a 2-way windowed join query following Figure 6.
-func (g *Generator) TwoWay(nFilters int, withAgg bool) *stream.Query {
+func (g *Generator) TwoWay(nFilters int, withAgg bool) *stream.Analysis {
 	maxPos := 3 // two source branches + post-join
 	if withAgg {
 		maxPos = 4
@@ -299,7 +299,7 @@ func (g *Generator) TwoWay(nFilters int, withAgg bool) *stream.Query {
 // ThreeWay builds a 3-way join query: join(join(s1, s2), s3) with optional
 // filters per branch, post-join filters and an optional aggregation, as in
 // the Figure 6 template.
-func (g *Generator) ThreeWay(nFilters int, withAgg bool) *stream.Query {
+func (g *Generator) ThreeWay(nFilters int, withAgg bool) *stream.Analysis {
 	maxPos := 5
 	if withAgg {
 		maxPos = 6
@@ -342,32 +342,20 @@ func (g *Generator) ThreeWay(nFilters int, withAgg bool) *stream.Query {
 	return g.build(b)
 }
 
-// build analyses b's plan, which the generator made valid, and returns
-// the analysed query, keeping the analysis for Analysis.
-func (g *Generator) build(b *stream.Builder) *stream.Query {
+// build returns the analysis of b's plan, which the generator made
+// valid: the one check a generated query gets.
+func (g *Generator) build(b *stream.Builder) *stream.Analysis {
 	a, err := b.Analyze()
 	if err != nil {
 		panic(err)
 	}
-	g.last = a
-	return a.Query()
-}
-
-// Analysis returns the analysis of q: the one its builder made when q is
-// the query this generator built last, so that a generated query is
-// checked once, and q.Analyze() for any other query. A query the
-// generator built must be passed unmodified.
-func (g *Generator) Analysis(q *stream.Query) (*stream.Analysis, error) {
-	if g.last != nil && g.last.Query() == q {
-		return g.last, nil
-	}
-	return q.Analyze()
+	return a
 }
 
 // Query draws one query with the corpus mix of Section VI: 35% linear,
 // 34% 2-way join, 31% 3-way join; 50% with an aggregation; filter counts
 // per the corpus distribution.
-func (g *Generator) Query() *stream.Query {
+func (g *Generator) Query() *stream.Analysis {
 	withAgg := g.rng.Intn(2) == 0
 	r := g.rng.Float64()
 	switch {
@@ -393,7 +381,7 @@ func (g *Generator) Query() *stream.Query {
 }
 
 // QueryOfClass draws a query of the requested Figure 8 class.
-func (g *Generator) QueryOfClass(class stream.QueryClass) *stream.Query {
+func (g *Generator) QueryOfClass(class stream.QueryClass) *stream.Analysis {
 	switch class {
 	case stream.ClassLinear:
 		return g.Linear(g.filterCount(1), false)
@@ -415,7 +403,7 @@ func (g *Generator) QueryOfClass(class stream.QueryClass) *stream.Query {
 // FilterChain builds the unseen query pattern of Exp 5: a chain of n
 // consecutive filter operators (training queries never chain filters
 // directly). n must be at least 2.
-func (g *Generator) FilterChain(n int) *stream.Query {
+func (g *Generator) FilterChain(n int) *stream.Analysis {
 	if n < 2 {
 		panic("workload: filter chains start at 2 filters")
 	}
@@ -433,7 +421,7 @@ func (g *Generator) FilterChain(n int) *stream.Query {
 
 // FilterQuery builds the fixed-shape linear filter query of Exp 2b with an
 // explicit event rate and selectivity.
-func (g *Generator) FilterQuery(rate, selectivity float64) *stream.Query {
+func (g *Generator) FilterQuery(rate, selectivity float64) *stream.Analysis {
 	b := stream.NewBuilder()
 	s := b.AddSource(rate, g.schema())
 	f := b.AddFilter(stream.FilterGT, stream.TypeInt, selectivity)

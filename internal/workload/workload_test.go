@@ -16,7 +16,7 @@ func TestQueryMixMatchesPaper(t *testing.T) {
 	aggCount := 0
 	filterHist := map[int]int{}
 	for i := 0; i < n; i++ {
-		q := g.Query()
+		q := g.Query().Query()
 		if _, err := q.Analyze(); err != nil {
 			t.Fatalf("generated an %v", err)
 		}
@@ -64,7 +64,7 @@ func topology(t *testing.T, q *stream.Query) stream.Topology {
 func TestNoChainedFiltersInTrainingTemplates(t *testing.T) {
 	g := newGen(2)
 	for i := 0; i < 500; i++ {
-		q := g.Query()
+		q := g.Query().Query()
 		topo := topology(t, q)
 		for idx, op := range q.Ops {
 			if op.Type != stream.OpFilter {
@@ -82,7 +82,7 @@ func TestNoChainedFiltersInTrainingTemplates(t *testing.T) {
 func TestFilterChainShape(t *testing.T) {
 	g := newGen(3)
 	for _, n := range []int{2, 3, 4} {
-		q := g.FilterChain(n)
+		q := g.FilterChain(n).Query()
 		if got := q.CountType(stream.OpFilter); got != n {
 			t.Errorf("FilterChain(%d) has %d filters", n, got)
 		}
@@ -117,7 +117,7 @@ func TestQueryOfClass(t *testing.T) {
 		stream.ClassThreeWayJoin, stream.ClassThreeWayJoinAgg,
 	} {
 		for i := 0; i < 20; i++ {
-			q := g.QueryOfClass(class)
+			q := g.QueryOfClass(class).Query()
 			if q.Class() != class {
 				t.Fatalf("QueryOfClass(%v) produced %v", class, q.Class())
 			}
@@ -136,13 +136,13 @@ func TestRatesComeFromTemplateGrids(t *testing.T) {
 		return false
 	}
 	for i := 0; i < 100; i++ {
-		q := g.QueryOfClass(stream.ClassThreeWayJoin)
+		q := g.QueryOfClass(stream.ClassThreeWayJoin).Query()
 		for _, idx := range q.Sources() {
 			if !in(q.Ops[idx].EventRate, ThreeWayRates) {
 				t.Fatalf("3-way source rate %v not in grid", q.Ops[idx].EventRate)
 			}
 		}
-		l := g.QueryOfClass(stream.ClassLinear)
+		l := g.QueryOfClass(stream.ClassLinear).Query()
 		for _, idx := range l.Sources() {
 			if !in(l.Ops[idx].EventRate, LinearRates) {
 				t.Fatalf("linear source rate %v not in grid", l.Ops[idx].EventRate)
@@ -154,7 +154,7 @@ func TestRatesComeFromTemplateGrids(t *testing.T) {
 func TestWindowsWithinTableII(t *testing.T) {
 	g := newGen(6)
 	for i := 0; i < 300; i++ {
-		q := g.Query()
+		q := g.Query().Query()
 		for _, op := range q.Ops {
 			if op.Window == nil {
 				continue
@@ -183,7 +183,7 @@ func TestWindowsWithinTableII(t *testing.T) {
 func TestSchemaWidths(t *testing.T) {
 	g := newGen(7)
 	for i := 0; i < 200; i++ {
-		q := g.Query()
+		q := g.Query().Query()
 		for _, idx := range q.Sources() {
 			w := len(q.Ops[idx].FieldTypes)
 			if w < MinTupleWidth || w > MaxTupleWidth {
@@ -196,7 +196,7 @@ func TestSchemaWidths(t *testing.T) {
 func TestGeneratorDeterminism(t *testing.T) {
 	g1, g2 := newGen(42), newGen(42)
 	for i := 0; i < 20; i++ {
-		q1, q2 := g1.Query(), g2.Query()
+		q1, q2 := g1.Query().Query(), g2.Query().Query()
 		if len(q1.Ops) != len(q2.Ops) {
 			t.Fatalf("iteration %d: op counts differ", i)
 		}
@@ -211,7 +211,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestBenchmarkQueries(t *testing.T) {
 	g := newGen(8)
 	for _, id := range AllBenchmarks() {
-		q := g.BenchmarkQuery(id)
+		q := g.BenchmarkQuery(id).Query()
 		if _, err := q.Analyze(); err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
@@ -220,11 +220,11 @@ func TestBenchmarkQueries(t *testing.T) {
 		}
 	}
 	// Advertisement: join present.
-	if q := g.BenchmarkQuery(Advertisement); q.CountType(stream.OpJoin) != 1 {
+	if q := g.BenchmarkQuery(Advertisement).Query(); q.CountType(stream.OpJoin) != 1 {
 		t.Error("advertisement benchmark must join two streams")
 	}
 	// Spike detection: contains a 2-filter chain (unseen pattern).
-	q := g.BenchmarkQuery(SpikeDetection)
+	q := g.BenchmarkQuery(SpikeDetection).Query()
 	chain, topo := false, topology(t, q)
 	for idx, op := range q.Ops {
 		if op.Type == stream.OpFilter {
@@ -240,7 +240,7 @@ func TestBenchmarkQueries(t *testing.T) {
 	}
 	// Smart grid: 30 s window is outside the training grid.
 	for _, id := range []BenchmarkID{SmartGridGlobal, SmartGridLocal} {
-		q := g.BenchmarkQuery(id)
+		q := g.BenchmarkQuery(id).Query()
 		found := false
 		for _, op := range q.Ops {
 			if op.Window != nil && op.Window.Size == 30 {
@@ -252,8 +252,8 @@ func TestBenchmarkQueries(t *testing.T) {
 		}
 	}
 	// Global vs local differ in group-by.
-	global := g.BenchmarkQuery(SmartGridGlobal)
-	local := g.BenchmarkQuery(SmartGridLocal)
+	global := g.BenchmarkQuery(SmartGridGlobal).Query()
+	local := g.BenchmarkQuery(SmartGridLocal).Query()
 	gGB, lGB := false, false
 	for _, op := range global.Ops {
 		if op.Type == stream.OpAggregate {
@@ -285,7 +285,7 @@ func TestClusterSampling(t *testing.T) {
 
 func TestFilterQuery(t *testing.T) {
 	g := newGen(10)
-	q := g.FilterQuery(800, 0.25)
+	q := g.FilterQuery(800, 0.25).Query()
 	if q.Class() != stream.ClassLinear {
 		t.Error("FilterQuery must be linear")
 	}
@@ -306,7 +306,7 @@ func TestFilterQuery(t *testing.T) {
 func TestSelectivityRanges(t *testing.T) {
 	g := newGen(11)
 	for i := 0; i < 500; i++ {
-		q := g.Query()
+		q := g.Query().Query()
 		for _, op := range q.Ops {
 			switch op.Type {
 			case stream.OpFilter:
