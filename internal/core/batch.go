@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,8 +127,12 @@ func (bf *BatchFeaturizer) pack(pg *gnn.PackedGraphs, placements [][]int) error 
 }
 
 // ensembles lists the predictor's per-metric ensembles in paper order,
-// skipping untrained slots.
+// skipping untrained slots. A predictor with every metric trained is its
+// own list, so opening a scoring session on one allocates no list.
 func (pr *Predictor) ensembles() []*Ensemble {
+	if !slices.Contains(pr[:], nil) {
+		return pr[:]
+	}
 	var out []*Ensemble
 	for _, e := range pr {
 		if e != nil {

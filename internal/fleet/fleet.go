@@ -35,7 +35,9 @@ type Fleet struct {
 // buildFleet samples the declared fleet: zone by zone, each host drawn
 // from a weighted template choice, with IDs "<zone>/host-<i>". All
 // randomness comes from rng, so the fleet is a pure function of the
-// scenario seed.
+// scenario seed. The hosts, their IDs (one string per zone) and the ID
+// index are each allocated once, so a fleet costs a fixed number of
+// allocations per zone whatever its host count.
 func buildFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 	grids := make([]hardware.Grid, len(spec.Templates))
 	weights := make([]float64, len(spec.Templates))
@@ -50,30 +52,38 @@ func buildFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 			weights[i] = 1
 		}
 	}
-	f := &Fleet{byID: map[string]int{}}
+	total := 0
+	for _, z := range spec.Zones {
+		total += max(z.Hosts, 0)
+	}
+	f := &Fleet{
+		zones: make([]string, 0, len(spec.Zones)),
+		hosts: make([]hostState, 0, total),
+		byID:  make(map[string]int, total),
+	}
+	pool := make([]int, 0, len(spec.Templates)) // template indices eligible in a zone
 	for zi, z := range spec.Zones {
 		f.zones = append(f.zones, z.Name)
-		var pool []int // template indices eligible in this zone
-		total := 0.0
+		pool = pool[:0]
+		weight := 0.0
 		for ti := range spec.Templates {
 			if len(z.Templates) == 0 || slices.Contains(z.Templates, spec.Templates[ti].Name) {
 				pool = append(pool, ti)
-				total += weights[ti]
+				weight += weights[ti]
 			}
 		}
+		ids := zoneHostIDs(z.Name, z.Hosts)
 		for i := 0; i < z.Hosts; i++ {
 			pick := pool[len(pool)-1]
-			r := rng.Float64() * total
+			r := rng.Float64() * weight
 			for _, ti := range pool {
 				if r -= weights[ti]; r < 0 {
 					pick = ti
 					break
 				}
 			}
-			id := zoneHostID(z.Name, i)
-			h := grids[pick].Sample(rng, id)
-			f.byID[id] = len(f.hosts)
-			f.hosts = append(f.hosts, hostState{host: *h, zone: zi, alive: true, degrade: 1})
+			f.byID[ids[i]] = len(f.hosts)
+			f.hosts = append(f.hosts, hostState{host: grids[pick].Sample(rng, ids[i]), zone: zi, alive: true, degrade: 1})
 		}
 	}
 	return f, nil
@@ -95,6 +105,9 @@ func (f *Fleet) hostID(fi int) string { return f.hosts[fi].host.ID }
 func (f *Fleet) clusterView() (controlplane.View, error) {
 	c := &hardware.Cluster{Hosts: make([]*hardware.Host, len(f.hosts))}
 	var v controlplane.View
+	if down := f.count(func(hs *hostState) bool { return !hs.alive }); down > 0 {
+		v.Banned = make([]int, 0, down)
+	}
 	for i := range f.hosts {
 		hs := &f.hosts[i]
 		if !hs.alive {
@@ -174,9 +187,12 @@ func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) []string {
 			targets = append(targets, f.byID[id])
 		}
 	} else {
-		var eligible []int
+		flips := func(hs *hostState) bool {
+			return hs.alive != alive && (ev.Zone == "" || f.zones[hs.zone] == ev.Zone)
+		}
+		eligible := make([]int, 0, f.count(flips))
 		for i := range f.hosts {
-			if f.hosts[i].alive != alive && (ev.Zone == "" || f.zones[f.hosts[i].zone] == ev.Zone) {
+			if flips(&f.hosts[i]) {
 				eligible = append(eligible, i)
 			}
 		}
@@ -184,12 +200,16 @@ func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) []string {
 		if count > len(eligible) {
 			count = len(eligible)
 		}
+		targets = make([]int, 0, count)
 		for _, k := range rng.Perm(len(eligible))[:count] {
 			targets = append(targets, eligible[k])
 		}
 		sort.Ints(targets)
 	}
-	var ids []string
+	if len(targets) == 0 {
+		return nil
+	}
+	ids := make([]string, 0, len(targets))
 	for _, fi := range targets {
 		f.hosts[fi].alive = alive
 		ids = append(ids, f.hostID(fi))
@@ -201,37 +221,50 @@ func (f *Fleet) setAlive(ev Event, rng *rand.Rand, alive bool) []string {
 // zoneAlive sets the aliveness of every host in the zone that is not
 // already in the target state.
 func (f *Fleet) zoneAlive(zone string, alive bool) []string {
-	var ids []string
-	for i := range f.hosts {
-		if f.zones[f.hosts[i].zone] == zone && f.hosts[i].alive != alive {
-			f.hosts[i].alive = alive
-			ids = append(ids, f.hostID(i))
-		}
-	}
-	return ids
+	return f.update(func(hs *hostState) bool {
+		return f.zones[hs.zone] == zone && hs.alive != alive
+	}, func(hs *hostState) { hs.alive = alive })
 }
 
 // degradeLinks multiplies the degradation factor of every host in scope
 // (one zone, or the whole fleet when zone is empty).
 func (f *Fleet) degradeLinks(zone string, factor float64) []string {
-	var ids []string
+	return f.update(func(hs *hostState) bool {
+		return zone == "" || f.zones[hs.zone] == zone
+	}, func(hs *hostState) { hs.degrade *= factor })
+}
+
+// recoverLinks resets the degradation factor of every host in scope.
+func (f *Fleet) recoverLinks(zone string) []string {
+	return f.update(func(hs *hostState) bool {
+		return (zone == "" || f.zones[hs.zone] == zone) && hs.degrade != 1
+	}, func(hs *hostState) { hs.degrade = 1 })
+}
+
+// update applies change to every host in scope, in fleet order, and
+// returns their IDs (nil for none) in one allocation.
+func (f *Fleet) update(inScope func(*hostState) bool, change func(*hostState)) []string {
+	n := f.count(inScope)
+	if n == 0 {
+		return nil
+	}
+	ids := make([]string, 0, n)
 	for i := range f.hosts {
-		if zone == "" || f.zones[f.hosts[i].zone] == zone {
-			f.hosts[i].degrade *= factor
-			ids = append(ids, f.hostID(i))
+		if hs := &f.hosts[i]; inScope(hs) {
+			change(hs)
+			ids = append(ids, hs.host.ID)
 		}
 	}
 	return ids
 }
 
-// recoverLinks resets the degradation factor of every host in scope.
-func (f *Fleet) recoverLinks(zone string) []string {
-	var ids []string
+// count returns the number of hosts for which pred holds.
+func (f *Fleet) count(pred func(*hostState) bool) int {
+	n := 0
 	for i := range f.hosts {
-		if (zone == "" || f.zones[f.hosts[i].zone] == zone) && f.hosts[i].degrade != 1 {
-			f.hosts[i].degrade = 1
-			ids = append(ids, f.hostID(i))
+		if pred(&f.hosts[i]) {
+			n++
 		}
 	}
-	return ids
+	return n
 }

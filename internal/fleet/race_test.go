@@ -1,0 +1,6 @@
+//go:build race
+
+package fleet
+
+// raceEnabled reports a build with the race detector.
+const raceEnabled = true

@@ -201,10 +201,8 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	// A silenced run does not box the arguments of its progress lines.
 	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	pol, err := sc.resolveRecovery()
 	if err != nil {
 		return nil, err
@@ -251,7 +249,9 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		Objective: pol.Objective.String(),
 		QErrorMax: pol.QErrorThreshold,
 	}
-	logf("fleet: %d hosts in %d zones, %d queries (recipe %s)", fl.NumHosts(), rep.Zones, rep.Queries, recipe)
+	if logf != nil {
+		logf("fleet: %d hosts in %d zones, %d queries (recipe %s)", fl.NumHosts(), rep.Zones, rep.Queries, recipe)
+	}
 
 	searchOpts := func(stage, i int) placement.SearchOptions {
 		return placement.SearchOptions{Seed: controlplane.DeriveSeed(sc.Seed, stage, i)}
@@ -344,7 +344,9 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 		if v, err = fl.clusterView(); err != nil {
 			return nil, fmt.Errorf("fleet: %s at %vs: %w", ev.Type, now, err)
 		}
-		logf("t=%.0fs %s: %d hosts affected, %d alive", now, ev.Type, len(affected), alive(v))
+		if logf != nil {
+			logf("t=%.0fs %s: %d hosts affected, %d alive", now, ev.Type, len(affected), alive(v))
+		}
 		entry := TimelineEntry{
 			AtS:        now,
 			Event:      string(ev.Type),
@@ -394,8 +396,10 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Report, error) {
 			rep.Pass = false
 		}
 	}
-	logf("done: %d events, %d violations, %d migrations, %d replacements, %d suppressed, pass=%v",
-		rep.Totals.Events, rep.Totals.Violations, rep.Totals.Migrations, rep.Totals.Replacements, rep.Totals.Suppressed, rep.Pass)
+	if logf != nil {
+		logf("done: %d events, %d violations, %d migrations, %d replacements, %d suppressed, pass=%v",
+			rep.Totals.Events, rep.Totals.Violations, rep.Totals.Migrations, rep.Totals.Replacements, rep.Totals.Suppressed, rep.Pass)
+	}
 	return rep, nil
 }
 

@@ -108,7 +108,13 @@ func (t *HostTemplate) grid() (hardware.Grid, error) {
 
 // zoneHostID is the ID of host i of a zone: "<zone>/host-<i>", i
 // zero-padded to three digits.
-func zoneHostID(zone string, i int) string { return fmt.Sprintf("%s/host-%03d", zone, i) }
+func zoneHostID(zone string, i int) string {
+	return string(hardware.AppendHostID(nil, zone+"/host-", i, 3))
+}
+
+// zoneHostIDs returns zoneHostID(zone, i) for i in [0, n), cut from one
+// string.
+func zoneHostIDs(zone string, n int) []string { return hardware.HostIDs(zone+"/host-", n, 3) }
 
 // ZoneSpec instantiates hosts in one failure domain. Host IDs are
 // "<zone>/host-<i>" (zoneHostID).

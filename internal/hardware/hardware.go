@@ -12,8 +12,10 @@ package hardware
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Host is one compute node of the landscape, described exactly by the
@@ -140,12 +142,24 @@ type Checked struct {
 // host ID twice. It is made once, where a cluster enters the system:
 // request decode, fleet views, dataset builds, the experiments, trace
 // evaluation and the public facade. The caller gives the cluster up to
-// the Checked it returns.
+// the Checked it returns. It allocates the same at any cluster size: the
+// scores and, past 32 hosts, one table of host indices, which finds a
+// repeated ID by its hash.
 func (c *Cluster) Check() (Checked, error) {
 	if c == nil || len(c.Hosts) == 0 {
 		return Checked{}, fmt.Errorf("invalid cluster: empty cluster")
 	}
-	seen := make(map[string]bool, len(c.Hosts))
+	// seen is an open-addressing table of host indices + 1 (0 is free),
+	// at most half full, probed linearly from the ID's hash.
+	var small [64]int32
+	size := len(small)
+	for size < 2*len(c.Hosts) {
+		size <<= 1
+	}
+	seen := small[:]
+	if size > len(small) {
+		seen = make([]int32, size)
+	}
 	scores := make([]float64, len(c.Hosts))
 	for i, h := range c.Hosts {
 		if h == nil {
@@ -154,14 +168,23 @@ func (c *Cluster) Check() (Checked, error) {
 		if err := h.validate(); err != nil {
 			return Checked{}, fmt.Errorf("invalid cluster: %w", err)
 		}
-		if seen[h.ID] {
-			return Checked{}, fmt.Errorf("invalid cluster: duplicate host id %q", h.ID)
+		for s := int(maphash.String(idSeed, h.ID)) & (size - 1); ; s = (s + 1) & (size - 1) {
+			if seen[s] == 0 {
+				seen[s] = int32(i + 1)
+				break
+			}
+			if c.Hosts[seen[s]-1].ID == h.ID {
+				return Checked{}, fmt.Errorf("invalid cluster: duplicate host id %q", h.ID)
+			}
 		}
-		seen[h.ID] = true
 		scores[i] = h.CapabilityScore()
 	}
 	return Checked{c: c, scores: scores}, nil
 }
+
+// idSeed seeds Check's host ID hashes, per process, so that no set of IDs
+// collides by design.
+var idSeed = maphash.MakeSeed()
 
 // Cluster returns the checked cluster.
 func (k Checked) Cluster() *Cluster { return k.c }
@@ -267,10 +290,10 @@ func InterpolationGrid() Grid {
 }
 
 // Sample draws one host with features drawn independently and uniformly
-// from the grid values.
-func (g Grid) Sample(rng *rand.Rand, id string) *Host {
+// from the grid values, in the order cpu, ram, latency, bandwidth.
+func (g Grid) Sample(rng *rand.Rand, id string) Host {
 	pick := func(vals []float64) float64 { return vals[rng.Intn(len(vals))] }
-	return &Host{
+	return Host{
 		ID:               id,
 		CPU:              pick(g.CPU),
 		RAMMB:            pick(g.RAMMB),
@@ -282,33 +305,87 @@ func (g Grid) Sample(rng *rand.Rand, id string) *Host {
 // SampleCluster draws n hosts from the grid. To guarantee the heuristic
 // placement rules are satisfiable it re-draws until the cluster contains at
 // least one host of bin >= fog (so data can flow "upward"), falling back to
-// boosting the last host after a bounded number of attempts.
+// boosting the last host after a bounded number of attempts. Host i is
+// named "host-<i>". The hosts share one backing array and their IDs one
+// string (HostIDs), so a cluster costs the same few allocations at any
+// size.
 func (g Grid) SampleCluster(rng *rand.Rand, n int) *Cluster {
 	const attempts = 32
+	ids := HostIDs("host-", n, 0)
+	hosts := make([]Host, len(ids))
+	c := &Cluster{Hosts: make([]*Host, len(ids))}
+	for i := range hosts {
+		c.Hosts[i] = &hosts[i]
+	}
 	for a := 0; a < attempts; a++ {
-		c := &Cluster{}
-		for i := 0; i < n; i++ {
-			c.Hosts = append(c.Hosts, g.Sample(rng, fmt.Sprintf("host-%d", i)))
+		for i := range hosts {
+			hosts[i] = g.Sample(rng, ids[i])
 		}
-		for _, h := range c.Hosts {
-			if Classify(h) >= BinFog {
+		for i := range hosts {
+			if Classify(&hosts[i]) >= BinFog {
 				return c
 			}
 		}
 	}
 	// Fallback: force a strong final host from the top of the grids.
-	c := &Cluster{}
 	for i := 0; i < n-1; i++ {
-		c.Hosts = append(c.Hosts, g.Sample(rng, fmt.Sprintf("host-%d", i)))
+		hosts[i] = g.Sample(rng, ids[i])
 	}
-	c.Hosts = append(c.Hosts, &Host{
-		ID:               fmt.Sprintf("host-%d", n-1),
+	strong := Host{
+		ID:               "host-" + strconv.Itoa(n-1),
 		CPU:              g.CPU[len(g.CPU)-1],
 		RAMMB:            g.RAMMB[len(g.RAMMB)-1],
 		NetLatencyMS:     g.LatencyMS[0],
 		NetBandwidthMbps: g.Bandwidth[len(g.Bandwidth)-1],
-	})
+	}
+	if n <= 0 {
+		return &Cluster{Hosts: []*Host{&strong}}
+	}
+	hosts[n-1] = strong
 	return c
+}
+
+// AppendHostID appends to dst the host ID prefix followed by i (>= 0) in
+// decimal, zero-padded to width digits: fmt's "%s%0*d".
+func AppendHostID(dst []byte, prefix string, i, width int) []byte {
+	dst = append(dst, prefix...)
+	for d := decimalDigits(i); d < width; d++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(i), 10)
+}
+
+// HostIDs returns the IDs AppendHostID writes for i in [0, n), cut from
+// one string: three allocations for any n.
+func HostIDs(prefix string, n, width int) []string {
+	if n <= 0 {
+		return nil
+	}
+	idLen := func(i int) int { return len(prefix) + max(width, decimalDigits(i)) }
+	size := 0
+	for i := range n {
+		size += idLen(i)
+	}
+	buf := make([]byte, 0, size)
+	for i := range n {
+		buf = AppendHostID(buf, prefix, i, width)
+	}
+	all := string(buf)
+	ids := make([]string, n)
+	for i, off := 0, 0; i < n; i++ {
+		ids[i] = all[off : off+idLen(i)]
+		off += len(ids[i])
+	}
+	return ids
+}
+
+// decimalDigits returns the number of decimal digits of i >= 0.
+func decimalDigits(i int) int {
+	d := 1
+	for ; i >= 10; i /= 10 {
+		d++
+	}
+	return d
 }
 
 // MeanFeatures returns the mean CPU, RAM, bandwidth and latency across the

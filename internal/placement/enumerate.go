@@ -66,6 +66,10 @@ type neighbor struct {
 	swap bool
 }
 
+// newGenerator returns the generator of one (query, cluster) pair. Its
+// operators' visited sets are cut from one slab, and the host choices
+// buffer holds every host, so neither costs allocations per operator or
+// per host.
 func newGenerator(q *stream.Query, topo stream.Topology, k hardware.Checked) *generator {
 	n, nHosts := len(q.Ops), len(k.Cluster().Hosts)
 	g := &generator{
@@ -74,11 +78,14 @@ func newGenerator(q *stream.Query, topo stream.Topology, k hardware.Checked) *ge
 		topo:    topo,
 		nHosts:  nHosts,
 		visited: make([]bitset, n),
-		scratch: make(sim.Placement, n),
-		comp:    make(sim.Placement, n),
+		choices: make([]int, 0, nHosts),
 	}
-	for i := 0; i < n; i++ {
-		g.visited[i] = newBitset(nHosts)
+	ints := make([]int, 2*n)
+	g.scratch, g.comp = ints[:n:n], ints[n:]
+	words := bitsetWords(nHosts)
+	slab := make(bitset, n*words)
+	for i := range g.visited {
+		g.visited[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	return g
 }
@@ -346,9 +353,10 @@ func (g *generator) markDescendants(v int) {
 // operator stays on its most capable immediate-upstream host (co-location,
 // zero network cost), and operators without upstreams (later sources) take
 // the most capable valid host. The input is not modified; the result is
-// freshly allocated. Completion fails only when the prefix has painted the
-// remaining flow into a corner (every admissible host already visited).
-func (g *generator) completeGreedy(p sim.Placement, d int) (sim.Placement, bool) {
+// appended to dst. Completion fails only when the prefix has painted the
+// remaining flow into a corner (every admissible host already visited),
+// and then returns nil.
+func (g *generator) completeGreedy(dst, p sim.Placement, d int) (sim.Placement, bool) {
 	copy(g.comp, p)
 	g.replay(g.comp, d)
 	for _, v := range g.topo.Order()[d:] {
@@ -358,7 +366,7 @@ func (g *generator) completeGreedy(p sim.Placement, d int) (sim.Placement, bool)
 		}
 		g.place(g.comp, v, g.greedyPick(g.comp, v, choices))
 	}
-	return append(sim.Placement(nil), g.comp...), true
+	return append(dst, g.comp...), true
 }
 
 // greedyPick selects the completion host for v: the most capable

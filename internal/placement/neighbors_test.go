@@ -103,7 +103,7 @@ func TestNeighborsMatchFullValidation(t *testing.T) {
 		for i := range blank {
 			blank[i] = -1
 		}
-		if p, ok := g.completeGreedy(blank, 0); ok {
+		if p, ok := g.completeGreedy(nil, blank, 0); ok {
 			bases = append(bases, p)
 		}
 		for _, p := range bases {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"costream/internal/hardware"
@@ -95,9 +96,10 @@ type SearchResult struct {
 
 // Scored is one scored candidate returned by Core.ScoreRound.
 type Scored struct {
-	// Placement is the core's own copy of a scored candidate. A skipped
-	// one's is the caller's slice, which a strategy must not keep: it may
-	// be scratch the strategy's next round overwrites.
+	// Placement is the core's own copy of a scored candidate, valid for
+	// the rest of the search. A skipped one's is the caller's slice, which
+	// a strategy must not keep: it may be scratch the strategy's next
+	// round overwrites.
 	Placement sim.Placement
 	// Costs holds what the search's objective reads (Objective.Reads): the
 	// cost it ranks by, Success and Backpressured. A search fills no other
@@ -158,10 +160,13 @@ type Strategy interface {
 }
 
 // Core is the shared budgeted search core: it dedups streamed candidates
-// by a compact binary key, scores fresh ones through the batched worker
-// pool, tracks the best placement seen under the objective (with the
-// paper's sanity filter and deterministic lowest-index tie-breaks), and
-// enforces the candidate/round budget.
+// by a hash of the placement, scores fresh ones through the batched
+// worker pool, tracks the best placement seen under the objective (with
+// the paper's sanity filter and deterministic lowest-index tie-breaks),
+// and enforces the candidate/round budget. What it keeps of a candidate
+// (its placement, its index entry, its record) is cut from storage sized
+// to the budget when the search starts, and a round's buffers are the
+// core's own, so a round allocates nothing per candidate.
 type Core struct {
 	ctx     context.Context
 	pred    Predictor
@@ -179,9 +184,22 @@ type Core struct {
 	// the incumbent is never compared against another model's scores.
 	sess TileScorer
 
-	seen    map[string]int32 // placement key -> index into records
-	keyBuf  []byte
+	// kept.list[i] is the placement of records[i]; past the records it
+	// holds the current round's fresh candidates, scored as
+	// kept.list[len(records):].
+	kept    batch
+	index   candIndex // placement -> index into kept.list
 	records []Scored
+
+	// A round's buffers, reused by the next: the result, the fresh
+	// candidates' costs and errors and the result slot of each (sized to
+	// the budget), and the duplicates of fresh ones resolved after
+	// scoring.
+	out      []Scored
+	costs    []PredCosts
+	errs     []error
+	freshOut []int
+	dups     []pendingDup
 
 	rounds   int
 	filtered int
@@ -210,8 +228,12 @@ func newCore(ctx context.Context, pred Predictor, a *stream.Analysis, k hardware
 		workers:       opts.Workers,
 		rng:           rand.New(rand.NewSource(opts.Seed)),
 		gen:           gen,
-		seen:          make(map[string]int32, budget.MaxCandidates),
+		kept:          newBatch(budget.MaxCandidates, a.Query().NumOps()),
+		index:         newCandIndex(budget.MaxCandidates),
 		records:       make([]Scored, 0, budget.MaxCandidates),
+		costs:         make([]PredCosts, 0, budget.MaxCandidates),
+		errs:          make([]error, 0, budget.MaxCandidates),
+		freshOut:      make([]int, 0, budget.MaxCandidates),
 		bestIdx:       -1,
 		fallbackIdx:   -1,
 		collectRounds: opts.Telemetry,
@@ -259,9 +281,8 @@ func (co *Core) Cancelled() bool {
 
 // Seen reports whether p was already streamed into a scoring round.
 func (co *Core) Seen(p sim.Placement) bool {
-	co.keyBuf = appendPlacementKey(co.keyBuf[:0], p)
-	_, ok := co.seen[string(co.keyBuf)]
-	return ok
+	i, _ := co.index.lookup(co.kept.list, p)
+	return i >= 0
 }
 
 // RandomPlacement draws one valid placement with the core's rng. The
@@ -284,7 +305,7 @@ func (co *Core) PrefixChoices(dst []int, p sim.Placement, d int) []int {
 // topological positions into a full valid placement (greedy co-location
 // completion); see generator.completeGreedy.
 func (co *Core) CompleteGreedy(p sim.Placement, d int) (sim.Placement, bool) {
-	return co.gen.completeGreedy(p, d)
+	return co.gen.completeGreedy(nil, p, d)
 }
 
 // MarkComplete records that the strategy covered the entire
@@ -296,54 +317,50 @@ func (co *Core) MarkComplete() { co.complete = true }
 // candidates are scored together through the batched worker pool (one
 // generate->score->prune round), and candidates beyond the budget come
 // back with Skipped set, uncopied: their Placement is the caller's slice,
-// not to be kept. The returned slice is aligned with cands. A
+// not to be kept. The returned slice is aligned with cands and is the
+// core's: the next round overwrites it. A
 // round asks the scoring session only for the costs the objective reads
 // (see Scored.Costs): every metric has its own ensemble, and the passes
 // of the two metrics no ranking decision looks at are two fifths of a
 // round's inference.
 func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
-	out := make([]Scored, len(cands))
+	co.out = slices.Grow(co.out[:0], len(cands))[:len(cands)]
+	out := co.out
 	roundOpen := (co.budget.MaxRounds <= 0 || co.rounds < co.budget.MaxRounds) && !co.Cancelled()
 	base := len(co.records)
 	nDups, nSkipped := 0, 0
 	filteredBefore, erroredBefore := co.filtered, co.errored
-	var fresh []sim.Placement
-	var freshOut []int
-	// dups are duplicates of a fresh candidate earlier in this same
-	// round; their records exist only after the batch is scored.
-	type pendingDup struct {
-		out int
-		rec int32
-	}
-	var dups []pendingDup
+	co.freshOut, co.dups = co.freshOut[:0], co.dups[:0]
 	for i, p := range cands {
-		co.keyBuf = appendPlacementKey(co.keyBuf[:0], p)
-		if ri, ok := co.seen[string(co.keyBuf)]; ok {
+		ri, slot := co.index.lookup(co.kept.list, p)
+		if ri >= 0 {
 			nDups++
-			if int(ri) < len(co.records) {
+			if ri < base {
 				out[i] = co.records[ri]
 			} else {
-				dups = append(dups, pendingDup{out: i, rec: ri})
+				// A duplicate of a fresh candidate earlier in this round:
+				// its record exists only after the batch is scored.
+				co.dups = append(co.dups, pendingDup{out: i, rec: ri})
 			}
 			continue
 		}
-		if !roundOpen || base+len(fresh) >= co.budget.MaxCandidates {
+		if !roundOpen || len(co.kept.list) >= co.budget.MaxCandidates {
 			nSkipped++
 			out[i] = Scored{Placement: p, Skipped: true}
 			continue
 		}
-		cp := append(sim.Placement(nil), p...)
-		co.seen[string(co.keyBuf)] = int32(base + len(fresh))
-		freshOut = append(freshOut, i)
-		fresh = append(fresh, cp)
+		co.index.add(slot, len(co.kept.list))
+		co.kept.add(p)
+		co.freshOut = append(co.freshOut, i)
 	}
-	if len(fresh) > 0 {
+	if fresh := co.kept.list[base:]; len(fresh) > 0 {
 		roundStart := time.Now()
 		if co.sess == nil {
 			co.sess = openSession(co.pred, co.a, co.k)
 		}
-		costs := make([]PredCosts, len(fresh))
-		errs := make([]error, len(fresh))
+		costs, errs := co.costs[:len(fresh)], co.errs[:len(fresh)]
+		clear(costs)
+		clear(errs)
 		scoreTiled(tiling{co.ctx, co.sess, fresh, co.obj.Reads(), costs, errs}, co.workers)
 		co.rounds++
 		for j, p := range fresh {
@@ -370,7 +387,7 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 				}
 			}
 			co.records = append(co.records, rec)
-			out[freshOut[j]] = rec
+			out[co.freshOut[j]] = rec
 		}
 		elapsed := time.Since(roundStart)
 		m := searchMet()
@@ -404,11 +421,48 @@ func (co *Core) ScoreRound(cands []sim.Placement) []Scored {
 		m.skipped.Add(int64(nSkipped))
 	}
 	// Resolve intra-round duplicates now that their records exist.
-	for _, d := range dups {
+	for _, d := range co.dups {
 		out[d.out] = co.records[d.rec]
 	}
 	return out
 }
+
+// pendingDup is a duplicate of a fresh candidate of the same round: its
+// result slot and the record it resolves to.
+type pendingDup struct {
+	out, rec int
+}
+
+// batch is a list of placement copies cut from one slab: the placements
+// a search keeps, or a strategy's candidates for one round, whose slab the
+// next round reuses once the core has copied what it keeps.
+type batch struct {
+	list []sim.Placement
+	slab []int
+	n    int
+}
+
+// newBatch returns a batch of up to size placements of n operators.
+func newBatch(size, n int) batch {
+	return batch{list: make([]sim.Placement, 0, size), slab: make([]int, size*n), n: n}
+}
+
+// add appends a copy of p to a batch that is not full. A placement of
+// another length than n (which its scoring will refuse) is copied on its
+// own.
+func (b *batch) add(p sim.Placement) {
+	if len(p) != b.n {
+		b.list = append(b.list, slices.Clone(p))
+		return
+	}
+	at := len(b.list) * b.n
+	cp := b.slab[at : at+b.n : at+b.n]
+	copy(cp, p)
+	b.list = append(b.list, cp)
+}
+
+// reset empties the batch for the next round.
+func (b *batch) reset() { b.list = b.list[:0] }
 
 // incumbent returns the index of the current best candidate under the
 // selection rule (best sane, else cheapest scored), or -1.
@@ -443,13 +497,15 @@ func (co *Core) result(strategy string) (*SearchResult, error) {
 		return nil, fmt.Errorf("placement: %s search scored no candidates: %w", strategy, err)
 	}
 	rec := co.records[idx]
-	costs := []PredCosts{rec.Costs}
-	if err := co.sess.ScoreTile([]sim.Placement{rec.Placement}, AllCosts&^co.obj.Reads(), costs); err != nil {
+	costs := append(co.costs[:0], rec.Costs)
+	if err := co.sess.ScoreTile(co.kept.list[idx:idx+1], AllCosts&^co.obj.Reads(), costs); err != nil {
 		return nil, fmt.Errorf("placement: %s search: completing the costs of the chosen placement: %w", strategy, err)
 	}
 	rec.Costs = costs[0]
+	// The winner is copied out of the slab, which the result would
+	// otherwise keep alive whole.
 	return &SearchResult{
-		Placement: rec.Placement,
+		Placement: slices.Clone(rec.Placement),
 		Costs:     rec.Costs,
 		Index:     idx,
 		Strategy:  strategy,

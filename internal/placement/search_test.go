@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"costream/internal/hardware"
@@ -249,7 +250,8 @@ func TestScoreRoundDedupAndCaching(t *testing.T) {
 	if len(cands) < 2 {
 		t.Fatalf("want >= 2 candidates, got %d", len(cands))
 	}
-	first := co.ScoreRound(cands)
+	// A round's result is the core's, overwritten by the next round.
+	first := slices.Clone(co.ScoreRound(cands))
 	if co.Examined() != len(cands) || co.Rounds() != 1 {
 		t.Fatalf("examined=%d rounds=%d after first round", co.Examined(), co.Rounds())
 	}
@@ -288,8 +290,8 @@ func TestScoreRoundIntraRoundDuplicate(t *testing.T) {
 }
 
 // TestScoreRoundSkipsWithoutCopying: a round past the budget allocates
-// its result slice and nothing per skipped candidate, whose record holds
-// the caller's placement.
+// nothing (its result slice is the core's), and a skipped candidate's
+// record holds the caller's placement.
 func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
 	q := testQuery()
 	c := testCluster()
@@ -302,8 +304,8 @@ func TestScoreRoundSkipsWithoutCopying(t *testing.T) {
 	past := cands[1:]
 	var out []Scored
 	allocs := testing.AllocsPerRun(20, func() { out = co.ScoreRound(past) })
-	if allocs != 1 {
-		t.Errorf("a round of %d skipped candidates allocates %v objects, want 1 (its result)", len(past), allocs)
+	if allocs != 0 {
+		t.Errorf("a round of %d skipped candidates allocates %v objects, want 0", len(past), allocs)
 	}
 	for i, s := range out {
 		if !s.Skipped || &s.Placement[0] != &past[i][0] {
@@ -330,20 +332,78 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestPlacementKeyInjective: distinct placements of one query produce
-// distinct compact keys, including hosts beyond one varint byte.
-func TestPlacementKeyInjective(t *testing.T) {
+// TestCandIndexDistinguishesPlacements: every placement entered into the
+// dedup index is found at its own index, and distinct placements never
+// match, including hosts beyond one byte and placements of another
+// length.
+func TestCandIndexDistinguishesPlacements(t *testing.T) {
 	ps := []sim.Placement{
 		{0, 1}, {1, 0}, {0, 0}, {1, 1},
 		{130, 5}, {5, 130}, {2, 133}, {133, 2},
-		{128, 0}, {0, 128},
+		{128, 0}, {0, 128}, {0}, {0, 0, 0}, {},
 	}
-	seen := map[string]int{}
+	x := newCandIndex(len(ps))
+	var kept []sim.Placement
 	for i, p := range ps {
-		key := string(appendPlacementKey(nil, p))
-		if j, ok := seen[key]; ok {
-			t.Errorf("placements %v and %v collide", ps[j], p)
+		j, slot := x.lookup(kept, p)
+		if j >= 0 {
+			t.Fatalf("placement %v matches %v before it was entered", p, kept[j])
 		}
-		seen[key] = i
+		x.add(slot, i)
+		kept = append(kept, p)
+	}
+	for i, p := range ps {
+		if j, _ := x.lookup(kept, slices.Clone(p)); j != i {
+			t.Errorf("placement %v found at %d, want %d", p, j, i)
+		}
+	}
+	if j, _ := x.lookup(kept, sim.Placement{1, 2}); j >= 0 {
+		t.Errorf("placement never entered found at %d", j)
+	}
+}
+
+// TestScoreRoundAllocsIndependentOfCandidates: on a warm core, a round of
+// 32 fresh candidates allocates as often as a round of one. What a search
+// keeps of a candidate is cut from storage made with the core, and a
+// round's buffers are the core's. The scoring runs on the caller's
+// goroutine (one worker), which the pool would leave for more than one
+// tile.
+func TestScoreRoundAllocsIndependentOfCandidates(t *testing.T) {
+	const rounds = 21 // AllocsPerRun's warm-up plus 20
+	a := analyzed(testQuery())
+	c := checked(cluster12())
+	n, hosts := a.Query().NumOps(), len(c.Cluster().Hosts)
+	var fresh []sim.Placement // distinct placements: the base-hosts digits of i
+	for i := range rounds * 33 {
+		p := make(sim.Placement, n)
+		for v, r := 0, i; v < n; v, r = v+1, r/hosts {
+			p[v] = r % hosts
+		}
+		fresh = append(fresh, p)
+	}
+	co := newCore(context.Background(), landscapePredictor{}, a, c, MinProcLatency,
+		Budget{MaxCandidates: len(fresh) + 32}, SearchOptions{Seed: 1, Workers: 1})
+	co.ScoreRound([]sim.Placement{{0, 0, 0, 0, 1}, {0, 0, 0, 0, 2}}) // opens the session
+	next := func(k int) []sim.Placement {
+		round := fresh[:k]
+		fresh = fresh[k:]
+		return round
+	}
+	var out []Scored
+	wide := testing.AllocsPerRun(rounds-1, func() { out = co.ScoreRound(next(32)) })
+	for i, s := range out {
+		if s.Skipped || s.Err != nil {
+			t.Fatalf("candidate %d of the last wide round: skipped %v, error %v", i, s.Skipped, s.Err)
+		}
+	}
+	one := testing.AllocsPerRun(rounds-1, func() { out = co.ScoreRound(next(1)) })
+	if out[0].Skipped || out[0].Err != nil {
+		t.Fatalf("last round of one: skipped %v, error %v", out[0].Skipped, out[0].Err)
+	}
+	if wide != one {
+		t.Errorf("a round of 32 fresh candidates allocates %v objects, a round of one %v", wide, one)
+	}
+	if co.Examined() != 2+rounds*33 {
+		t.Errorf("examined %d candidates, want %d", co.Examined(), 2+rounds*33)
 	}
 }

@@ -37,13 +37,12 @@ func (RandomSample) Name() string { return "random" }
 // Run implements Strategy.
 func (RandomSample) Run(co *Core) error {
 	k := co.Remaining()
-	pending := make(map[string]bool, randomChunk)
-	var key []byte
-	chunk := make([]sim.Placement, 0, randomChunk)
+	chunk := newBatch(randomChunk, co.Query().NumOps())
+	pending := newCandIndex(randomChunk) // the chunk's draws
 	flush := func() {
-		if len(chunk) > 0 {
-			co.ScoreRound(chunk)
-			chunk = chunk[:0]
+		if len(chunk.list) > 0 {
+			co.ScoreRound(chunk.list)
+			chunk.reset()
 			clear(pending)
 		}
 	}
@@ -54,15 +53,15 @@ func (RandomSample) Run(co *Core) error {
 			misses++
 			continue
 		}
-		key = appendPlacementKey(key[:0], p)
-		if pending[string(key)] || co.Seen(p) {
+		i, slot := pending.lookup(chunk.list, p)
+		if i >= 0 || co.Seen(p) {
 			misses++
 			continue
 		}
-		pending[string(key)] = true
-		chunk = append(chunk, append(sim.Placement(nil), p...))
+		pending.add(slot, len(chunk.list))
+		chunk.add(p)
 		drawn++
-		if len(chunk) >= randomChunk {
+		if len(chunk.list) >= randomChunk {
 			flush()
 		}
 	}
@@ -92,7 +91,7 @@ func (Exhaustive) Run(co *Core) error {
 	for i := range p {
 		p[i] = -1
 	}
-	chunk := make([]sim.Placement, 0, exhaustiveChunk)
+	chunk := newBatch(exhaustiveChunk, n)
 	emitted := 0
 	// choicesFor returns generator scratch reused by deeper levels; one
 	// reusable buffer per depth keeps the DFS allocation-free.
@@ -100,11 +99,11 @@ func (Exhaustive) Run(co *Core) error {
 	var dfs func(d int) bool // false aborts the enumeration
 	dfs = func(d int) bool {
 		if d == n {
-			chunk = append(chunk, append(sim.Placement(nil), p...))
+			chunk.add(p)
 			emitted++
-			if len(chunk) >= exhaustiveChunk {
-				co.ScoreRound(chunk)
-				chunk = chunk[:0]
+			if len(chunk.list) >= exhaustiveChunk {
+				co.ScoreRound(chunk.list)
+				chunk.reset()
 				if co.Exhausted() {
 					return false
 				}
@@ -123,8 +122,8 @@ func (Exhaustive) Run(co *Core) error {
 		return true
 	}
 	covered := dfs(0)
-	if len(chunk) > 0 {
-		co.ScoreRound(chunk)
+	if len(chunk.list) > 0 {
+		co.ScoreRound(chunk.list)
 	}
 	if covered && co.Examined() == emitted {
 		// Every valid placement was generated and none fell past the
@@ -162,6 +161,13 @@ func (b Beam) Run(co *Core) error {
 	}
 	entries := []sim.Placement{blank}
 	var choiceBuf []int
+	// A depth's children are cut from one buffer and their completions
+	// from another, both reused by later depths: the completions once the
+	// round has copied them, the children from the buffer the depth's
+	// entries were not cut from.
+	var childBuf, entryBuf, compBuf []int
+	var partials, comps []sim.Placement
+	var idx []int
 	for d := 0; d < n && !co.Exhausted(); d++ {
 		// Spread the remaining candidate budget over the remaining
 		// depths so early rounds cannot starve the later, more decisive
@@ -171,8 +177,9 @@ func (b Beam) Run(co *Core) error {
 		if quota < width {
 			quota = width
 		}
-		var partials []sim.Placement
-		var comps []sim.Placement
+		partials, comps = partials[:0], comps[:0]
+		childBuf, entryBuf = entryBuf[:0], childBuf
+		compBuf = compBuf[:0]
 	expand:
 		for _, e := range entries {
 			choiceBuf = co.PrefixChoices(choiceBuf[:0], e, d)
@@ -180,23 +187,26 @@ func (b Beam) Run(co *Core) error {
 				if len(comps) >= quota {
 					break expand
 				}
-				child := append(sim.Placement(nil), e...)
+				childBuf = append(childBuf, e...)
+				child := sim.Placement(childBuf[len(childBuf)-n : len(childBuf) : len(childBuf)])
 				child[order[d]] = h
-				comp, ok := co.CompleteGreedy(child, d+1)
+				comp, ok := co.gen.completeGreedy(compBuf, child, d+1)
 				if !ok {
+					childBuf = childBuf[:len(childBuf)-n]
 					continue
 				}
+				compBuf = comp
 				partials = append(partials, child)
-				comps = append(comps, comp)
+				comps = append(comps, compBuf[len(compBuf)-n:len(compBuf):len(compBuf)])
 			}
 		}
 		if len(partials) == 0 {
 			break
 		}
 		scored := co.ScoreRound(comps)
-		idx := make([]int, len(partials))
-		for i := range idx {
-			idx[i] = i
+		idx = idx[:0]
+		for i := range partials {
+			idx = append(idx, i)
 		}
 		sort.SliceStable(idx, func(a, b int) bool {
 			return scored[idx[a]].betterThan(&scored[idx[b]])
@@ -204,11 +214,10 @@ func (b Beam) Run(co *Core) error {
 		if len(idx) > width {
 			idx = idx[:width]
 		}
-		next := make([]sim.Placement, 0, len(idx))
+		entries = entries[:0]
 		for _, i := range idx {
-			next = append(next, partials[i])
+			entries = append(entries, partials[i])
 		}
-		entries = next
 	}
 	return nil
 }
@@ -235,21 +244,25 @@ func (LocalSearch) Name() string { return "local-search" }
 
 // Run implements Strategy.
 func (ls LocalSearch) Run(co *Core) error {
-	blank := make(sim.Placement, co.Query().NumOps())
+	n := co.Query().NumOps()
+	blank := make(sim.Placement, n)
 	for i := range blank {
 		blank[i] = -1
 	}
 	round := make([]sim.Placement, 0, 1+localNeighborCap)
+	// Every climb's start is written into one buffer: the round that
+	// scores it keeps a copy.
+	startBuf := make(sim.Placement, 0, n)
 	for r := 0; !co.Exhausted(); r++ {
 		before := co.Examined()
 		var start sim.Placement
 		if r == 0 {
 			if len(ls.Start) > 0 && co.ValidPlacement(ls.Start) {
-				start = append(sim.Placement(nil), ls.Start...)
+				start = append(startBuf[:0], ls.Start...)
 			} else {
 				// The first climb starts from the deterministic greedy
 				// completion — a strong, budget-free seed.
-				start, _ = co.CompleteGreedy(blank, 0)
+				start, _ = co.gen.completeGreedy(startBuf[:0], blank, 0)
 			}
 		}
 		if start == nil {
@@ -259,7 +272,7 @@ func (ls LocalSearch) Run(co *Core) error {
 				// surfaces as the core's no-candidates error.
 				break
 			}
-			start = append(sim.Placement(nil), p...)
+			start = append(startBuf[:0], p...)
 		}
 		// A fresh start that takes the last of the budget leaves no room
 		// for a neighbor: it is scored alone, and the neighborhood's

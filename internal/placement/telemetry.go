@@ -66,8 +66,17 @@ var searchMet = sync.OnceValue(func() *searchMetrics {
 	}
 })
 
+// runCounters caches the costream_search_runs_total series of each
+// strategy name a search has completed under: resolving one in the
+// registry builds its series key.
+var runCounters sync.Map // strategy name -> *obs.Counter
+
 // countRun records one completed Search invocation under its strategy.
 func countRun(strategy string) {
-	obs.Default().Counter("costream_search_runs_total",
-		"completed placement search runs, by strategy", "strategy", strategy).Inc()
+	c, ok := runCounters.Load(strategy)
+	if !ok {
+		c, _ = runCounters.LoadOrStore(strategy, obs.Default().Counter("costream_search_runs_total",
+			"completed placement search runs, by strategy", "strategy", strategy))
+	}
+	c.(*obs.Counter).Inc()
 }

@@ -24,14 +24,28 @@ type WarmStart struct {
 	Inner     Strategy
 }
 
-// Name implements Strategy.
+// Name implements Strategy: "warm-start+" and the inner strategy's name.
 func (w WarmStart) Name() string {
 	inner := w.Inner
 	if inner == nil {
 		inner = LocalSearch{}
 	}
-	return "warm-start+" + inner.Name()
+	name := inner.Name()
+	if n, ok := warmStartNames[name]; ok {
+		return n
+	}
+	return "warm-start+" + name
 }
+
+// warmStartNames holds the warm-start names of the built-in strategies, so
+// naming a warm start over one of them does not build a string.
+var warmStartNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, n := range StrategyNames() {
+		m[n] = "warm-start+" + n
+	}
+	return m
+}()
 
 // Run implements Strategy.
 func (w WarmStart) Run(co *Core) error {
@@ -46,7 +60,7 @@ func (w WarmStart) Run(co *Core) error {
 			ls.Start = w.Incumbent
 			inner = ls
 		} else if !co.Exhausted() {
-			co.ScoreRound([]sim.Placement{append(sim.Placement(nil), w.Incumbent...)})
+			co.ScoreRound([]sim.Placement{w.Incumbent})
 		}
 	}
 	return inner.Run(co)

@@ -211,7 +211,8 @@ func TestIdleHostsChangeNothing(t *testing.T) {
 		}
 		wider := &hardware.Cluster{Hosts: slices.Clone(r.c.Hosts)}
 		for i := range 1 + rng.Intn(4) {
-			wider.Hosts = append(wider.Hosts, grid.Sample(rng, fmt.Sprintf("idle-%d", i)))
+			h := grid.Sample(rng, fmt.Sprintf("idle-%d", i))
+			wider.Hosts = append(wider.Hosts, &h)
 		}
 		at := len(r.c.Hosts) + rng.Intn(len(wider.Hosts)-len(r.c.Hosts)+1)
 		wider.Hosts = slices.Insert(wider.Hosts, at, tiny)
